@@ -6,21 +6,22 @@
 //
 //	chamd -dir /var/lib/chameleon -addr :8321 -gzip -metrics
 //
-// Endpoints:
+// Endpoints (the route table of internal/store/server.go; docs/STORE.md
+// lists each with its request class and federation policy):
 //
-//	PUT  /runs                            ingest a trace (idempotent; ETag = content address)
-//	GET  /runs                            list runs (benchmark=, p=, sig=, sigset=, limit=, offset=; default page 100, cap 500, "next" = following offset)
-//	GET  /runs/{id}                       fetch one run (binary, or ?format=json)
-//	GET  /runs/{a}/diff/{b}               per-site divergence between two archived runs
-//	GET  /runs/{id}/stats                 compressed-domain analysis report (ETag/If-None-Match)
-//	PUT  /runs/{id}/edges                 attach a causal edge sidecar (chamrun -push-edges)
-//	GET  /runs/{id}/edges                 fetch a run's edge sidecar (JSONL)
-//	GET  /runs/{id}/waves                 idle-wave detector report over the sidecar (ETag/If-None-Match)
-//	PUT  /cq                              register a continuous-query regression gate
+//	PUT  /runs                            ingest a trace (idempotent; ETag = content address)      [replicate]
+//	GET  /runs                            list runs (benchmark=, p=, sig=, sigset=, limit=, offset=; default page 100, cap 500, "next" = following offset) [scatter]
+//	GET  /runs/{id}                       fetch one run (binary, or ?format=json)                  [proxy-on-miss]
+//	GET  /runs/{a}/diff/{b}               per-site divergence between two archived runs            [lookup]
+//	GET  /runs/{id}/stats                 compressed-domain analysis report (ETag/If-None-Match)   [proxy-on-miss]
+//	PUT  /runs/{id}/edges                 attach a causal edge sidecar (chamrun -push-edges)       [replicate]
+//	GET  /runs/{id}/edges                 fetch a run's edge sidecar (JSONL)                       [proxy-on-miss]
+//	GET  /runs/{id}/waves                 idle-wave detector report over the sidecar (ETag/If-None-Match) [proxy-on-miss]
+//	PUT  /cq                              register a continuous-query regression gate              [broadcast]
 //	GET  /cq                              list this tenant's gates (?all=1 intra-mesh)
-//	DELETE /cq/{name}                     unregister a gate
+//	DELETE /cq/{name}                     unregister a gate                                        [broadcast]
 //	GET  /cq/events                       the gate event feed (?version= long-polls)
-//	POST /cq/events                       intra-mesh event broadcast (forwarded only; 403 at the edge)
+//	POST /cq/events                       intra-mesh event broadcast (trusted peers only; 403 at the edge)
 //	GET  /mesh/manifest                   this peer's local holdings (anti-entropy)
 //	GET  /mesh/status                     ring membership + per-tenant usage
 //	POST /mesh/sweep                      trigger one anti-entropy sweep now
@@ -31,11 +32,18 @@
 //	GET  /metrics                         Prometheus text (with -metrics; JSON via Accept)
 //	GET  /healthz                         liveness probe
 //
+// Every route runs through one request pipeline — count, intra-mesh
+// trust, tenant, rate limit, body cap + gzip, federation policy around
+// a purely local handler, error-to-status, write, latency — so
+// instrumentation, tenancy and throttling are never restated per route.
+//
 // Federation (docs/STORE.md, "Federation"): starting several daemons
 // with the same -peers list (each naming itself via -self) makes them
 // one logical archive — every run is placed on -replicas owners by
-// consistent hashing over its content address, PUT fans out, GET
-// proxies, GET /runs scatter-gathers, and anti-entropy sweeps (ridden
+// consistent hashing over its content address, and the bracketed
+// policies above apply to requests from outside the mesh (requests
+// between peers are served strictly locally): PUT replicates, a GET
+// miss proxies, GET /runs scatter-gathers, and anti-entropy sweeps (ridden
 // on background compaction, or extra via -anti-entropy-every) repair
 // any peer that missed writes while down. Requests are namespaced per
 // tenant (X-Cham-Tenant header; tools take -tenant), with optional

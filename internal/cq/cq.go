@@ -21,18 +21,25 @@ package cq
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"chameleon/internal/analysis"
+	"chameleon/internal/atomicfile"
 	"chameleon/internal/fault"
 	"chameleon/internal/obs"
 	"chameleon/internal/trace"
 )
+
+// ErrNotFound marks a Delete of a query that is not registered (the
+// HTTP layer's 404).
+var ErrNotFound = errors.New("not found")
 
 // Verdicts.
 const (
@@ -75,16 +82,8 @@ type Spec struct {
 
 // Validate checks the registration fields that do not need the archive.
 func (s Spec) Validate() error {
-	if s.Name == "" || len(s.Name) > 64 {
-		return fmt.Errorf("cq: name must be 1-64 chars")
-	}
-	for _, c := range s.Name {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return fmt.Errorf("cq: name contains %q (allowed: [A-Za-z0-9._-])", c)
-		}
+	if obs.ValidateSessionID(s.Name) != nil { // the alphabet tenants and live sessions share
+		return fmt.Errorf("cq: name must be 1-64 chars of [A-Za-z0-9._-]")
 	}
 	if s.Deleted {
 		// A tombstone carries only identity and stamp.
@@ -233,9 +232,10 @@ func (e *Engine) countLocked() int {
 	return n
 }
 
-// persistLocked writes the full registration set atomically. Callers
-// hold e.mu.
+// persistLocked publishes the changed registration set: the cq_specs
+// gauge, then (atomically) the Persist file. Callers hold e.mu.
 func (e *Engine) persistLocked() error {
+	e.gSpecs.Set(int64(e.countLocked()))
 	if e.opts.Persist == "" {
 		return nil
 	}
@@ -244,23 +244,7 @@ func (e *Engine) persistLocked() error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(e.opts.Persist)
-	tmp, err := os.CreateTemp(dir, "cq-*")
-	if err != nil {
-		return fmt.Errorf("cq: persist: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("cq: persist: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("cq: persist: %w", err)
-	}
-	if err := os.Rename(name, e.opts.Persist); err != nil {
-		os.Remove(name)
+	if _, err := atomicfile.Write(filepath.Dir(e.opts.Persist), e.opts.Persist, atomicfile.Bytes(data)); err != nil {
 		return fmt.Errorf("cq: persist: %w", err)
 	}
 	return nil
@@ -284,7 +268,6 @@ func (e *Engine) Register(s Spec) (Spec, error) {
 		}
 	}
 	e.putLocked(&s)
-	e.gSpecs.Set(int64(e.countLocked()))
 	if err := e.persistLocked(); err != nil {
 		return Spec{}, err
 	}
@@ -302,14 +285,13 @@ func (e *Engine) Delete(tenant, name string) error {
 	defer e.mu.Unlock()
 	cur := e.specs[tenant][name]
 	if cur == nil || cur.Deleted {
-		return fmt.Errorf("cq: query %q not found", name)
+		return fmt.Errorf("cq: query %q %w", name, ErrNotFound)
 	}
 	stamp := e.opts.Now().UnixMilli()
 	if stamp <= cur.UpdatedUnixMs {
 		stamp = cur.UpdatedUnixMs + 1
 	}
 	e.putLocked(&Spec{Tenant: tenant, Name: name, Deleted: true, UpdatedUnixMs: stamp})
-	e.gSpecs.Set(int64(e.countLocked()))
 	return e.persistLocked()
 }
 
@@ -377,7 +359,6 @@ func (e *Engine) Merge(specs []Spec) int {
 		merged++
 	}
 	if merged > 0 {
-		e.gSpecs.Set(int64(e.countLocked()))
 		e.persistLocked() //nolint:errcheck — best-effort sync persistence
 	}
 	return merged
@@ -436,7 +417,7 @@ func (e *Engine) evaluateOne(tenant, runID string, f *trace.File, s Spec) Event 
 		ev.Reason = "identical content address"
 		return ev
 	}
-	tol, err := tolerated(s.Tolerate, f, golden)
+	tol, err := TolerateRanks(s.Tolerate, f, golden)
 	if err != nil {
 		ev.Verdict = VerdictRegression
 		ev.Reason = err.Error()
@@ -455,35 +436,23 @@ func (e *Engine) evaluateOne(tenant, runID string, f *trace.File, s Spec) Event 
 	return ev
 }
 
-// tolerated resolves a Tolerate spec against the two traces.
-func tolerated(spec string, a, b *trace.File) ([]int, error) {
+// TolerateRanks resolves a tolerate spec — "", "auto" (the union of
+// both traces' retired ranks), or an explicit rank-set — against the
+// two traces of a diff. GET /runs/{a}/diff/{b}?tolerate= shares it.
+func TolerateRanks(spec string, a, b *trace.File) ([]int, error) {
 	switch spec {
 	case "":
 		return nil, nil
 	case "auto":
-		set := map[int]bool{}
-		for _, r := range a.Retired {
-			set[r] = true
-		}
-		for _, r := range b.Retired {
-			set[r] = true
-		}
-		out := make([]int, 0, len(set))
-		for r := range set {
-			out = append(out, r)
-		}
-		sort.Ints(out)
-		return out, nil
+		out := slices.Concat(a.Retired, b.Retired)
+		slices.Sort(out)
+		return slices.Compact(out), nil
 	default:
 		rs, err := fault.ParseRankSet(spec)
 		if err != nil {
 			return nil, fmt.Errorf("tolerate: %v", err)
 		}
-		p := a.P
-		if b.P > p {
-			p = b.P
-		}
-		return rs.Ranks(p), nil
+		return rs.Ranks(max(a.P, b.P)), nil
 	}
 }
 
@@ -587,9 +556,8 @@ func (e *Engine) Watch(tenant string, after uint64, timeout time.Duration) FeedV
 		e.mu.Lock()
 		fd := e.feedLocked(tenant)
 		if fd.version > after {
-			v := FeedView{Tenant: tenant, Version: fd.version, Events: append([]Event{}, fd.events...)}
 			e.mu.Unlock()
-			return v
+			return e.Feed(tenant)
 		}
 		ch := fd.changed
 		e.mu.Unlock()

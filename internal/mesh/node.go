@@ -6,10 +6,12 @@ package mesh
 // scatter-gather on list); the anti-entropy Sweep drives itself.
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -117,18 +119,10 @@ func NewNode(opts Options) (*Node, error) {
 		return nil, err
 	}
 	self := strings.TrimSuffix(strings.TrimSpace(opts.Self), "/")
-	var others []string
-	found := false
-	for _, p := range ring.Peers() {
-		if p == self {
-			found = true
-			continue
-		}
-		others = append(others, p)
-	}
-	if !found {
+	if !slices.Contains(ring.Peers(), self) {
 		return nil, fmt.Errorf("mesh: self %q is not in the peer list %v", self, ring.Peers())
 	}
+	others := slices.DeleteFunc(ring.Peers(), func(p string) bool { return p == self })
 	if opts.Replicas <= 0 {
 		opts.Replicas = 2
 	}
@@ -172,14 +166,7 @@ func (n *Node) Replicas() int { return n.replicas }
 func (n *Node) Owners(id string) []string { return n.ring.Owners(id, n.replicas) }
 
 // IsOwner reports whether this peer is one of the run's R owners.
-func (n *Node) IsOwner(id string) bool {
-	for _, o := range n.Owners(id) {
-		if o == n.self {
-			return true
-		}
-	}
-	return false
-}
+func (n *Node) IsOwner(id string) bool { return slices.Contains(n.Owners(id), n.self) }
 
 // IsPrimary reports whether this peer is the run's first owner — the
 // one that evaluates continuous queries on ingest.
@@ -194,21 +181,52 @@ func (n *Node) Secured() bool { return n.secret != "" }
 
 // Authorized reports whether a request is trusted intra-mesh traffic:
 // the forward header plus, when the mesh has a shared secret, the
-// matching key. Without a secret the header alone is honored —
-// cooperative trust, not a security boundary (docs/STORE.md).
+// matching key. Without a secret — or without a mesh: a nil Node — the
+// header alone is honored: cooperative trust, not a security boundary
+// (docs/STORE.md).
 func (n *Node) Authorized(r *http.Request) bool {
 	if !Forwarded(r) {
 		return false
 	}
-	if n.secret == "" {
+	if n == nil || n.secret == "" {
 		return true
 	}
 	return subtle.ConstantTimeCompare([]byte(r.Header.Get(HeaderKey)), []byte(n.secret)) == 1
 }
 
-// Decorate marks a caller-built request as intra-mesh: forward kind,
-// tenant, and the shared mesh key when one is configured.
-func (n *Node) Decorate(req *http.Request, tenant, kind string) {
+// Call is one intra-mesh request.
+type Call struct {
+	Method string // "" means GET
+	Peer   string
+	Path   string // path plus query
+	Tenant string
+	Kind   string // ForwardFanout ("" means that) or ForwardRepair
+	// Header holds extra request headers: a body's Content-Type, a
+	// proxied read's conditional and negotiation headers.
+	Header http.Header
+	Body   []byte
+	// BestEffort bounds the call by BroadcastTimeout instead of the mesh
+	// client timeout: CQ fan-outs and event broadcasts ride it, so a
+	// partitioned (non-refusing) peer delays the caller only briefly.
+	BestEffort bool
+}
+
+// Do sends an intra-mesh request — the forward header (the receiver's
+// loop guard), the shared mesh key when one is configured, and the
+// tenant are set — and returns the response as-is.
+func (n *Node) Do(c Call) (*http.Response, error) {
+	method := c.Method
+	if method == "" {
+		method = http.MethodGet
+	}
+	req, err := http.NewRequest(method, c.Peer+c.Path, bytes.NewReader(c.Body))
+	if err != nil {
+		return nil, err
+	}
+	for k, vs := range c.Header {
+		req.Header[k] = vs
+	}
+	kind := c.Kind
 	if kind == "" {
 		kind = ForwardFanout
 	}
@@ -216,44 +234,18 @@ func (n *Node) Decorate(req *http.Request, tenant, kind string) {
 	if n.secret != "" {
 		req.Header.Set(HeaderKey, n.secret)
 	}
-	if tenant != "" {
-		req.Header.Set(HeaderTenant, tenant)
+	if c.Tenant != "" {
+		req.Header.Set(HeaderTenant, c.Tenant)
 	}
-}
-
-// Do sends an intra-mesh request: the forward header (loop guard),
-// mesh key, and tenant are set, and the response is returned as-is.
-func (n *Node) Do(method, peer, path, tenant, kind string, contentType string, body io.Reader) (*http.Response, error) {
-	return n.do(n.hc, method, peer, path, tenant, kind, contentType, body)
-}
-
-// Broadcast is Do on the short-timeout best-effort client: CQ
-// registration/delete fan-outs and event broadcasts ride it, so a
-// partitioned (non-refusing) peer delays the caller by at most
-// BroadcastTimeout instead of the full mesh client timeout.
-func (n *Node) Broadcast(method, peer, path, tenant, kind string, contentType string, body io.Reader) (*http.Response, error) {
-	return n.do(n.bc, method, peer, path, tenant, kind, contentType, body)
-}
-
-func (n *Node) do(hc *http.Client, method, peer, path, tenant, kind string, contentType string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(method, peer+path, body)
-	if err != nil {
-		return nil, err
+	if c.BestEffort {
+		return n.bc.Do(req)
 	}
-	n.Decorate(req, tenant, kind)
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	return hc.Do(req)
+	return n.hc.Do(req)
 }
-
-// Send issues a caller-built request on the intra-mesh client. The
-// caller is responsible for setting the forward header.
-func (n *Node) Send(req *http.Request) (*http.Response, error) { return n.hc.Do(req) }
 
 // getBody fetches an intra-mesh URL and returns the body on 200.
 func (n *Node) getBody(peer, path, tenant, kind string) ([]byte, error) {
-	resp, err := n.Do(http.MethodGet, peer, path, tenant, kind, "", nil)
+	resp, err := n.Do(Call{Peer: peer, Path: path, Tenant: tenant, Kind: kind})
 	if err != nil {
 		return nil, err
 	}

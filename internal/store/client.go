@@ -39,21 +39,72 @@ var clientTenant string
 // process under the named tenant.
 func SetTenant(tenant string) { clientTenant = tenant }
 
-// doReq sends a client request with the process tenant attached.
-func doReq(req *http.Request) (*http.Response, error) {
-	if clientTenant != "" {
-		req.Header.Set(mesh.HeaderTenant, clientTenant)
+// call issues one client request, the process tenant attached, and
+// decodes its answer. A non-nil body is sent with contentType; useGzip
+// compresses it (Content-Encoding) or, on a bodyless request, asks for a
+// compressed answer (Accept-Encoding), handed back as received. Any 2xx
+// is success: out may be nil (body dropped), a *[]byte (body verbatim),
+// or a JSON target. The returned response is for its status and
+// headers; its body is already closed.
+func call(method, url string, body []byte, contentType string, useGzip bool, out any) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		if useGzip {
+			var buf bytes.Buffer
+			zw := gzip.NewWriter(&buf)
+			if _, err := zw.Write(body); err != nil {
+				return nil, err
+			}
+			if err := zw.Close(); err != nil {
+				return nil, err
+			}
+			body = buf.Bytes()
+		}
+		rd = bytes.NewReader(body)
 	}
-	return httpClient.Do(req)
-}
-
-// clientGet is httpClient.Get with the tenant header.
-func clientGet(url string) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
 		return nil, err
 	}
-	return doReq(req)
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	switch {
+	case useGzip && body != nil:
+		req.Header.Set("Content-Encoding", "gzip")
+	case useGzip:
+		req.Header.Set("Accept-Encoding", "gzip")
+	}
+	if clientTenant != "" {
+		req.Header.Set(mesh.HeaderTenant, clientTenant)
+	}
+	resp, err := httpClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return resp, fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, strings.TrimSpace(string(msg)))
+	}
+	switch out := out.(type) {
+	case nil:
+	case *[]byte:
+		if *out, err = io.ReadAll(resp.Body); err != nil {
+			return resp, fmt.Errorf("%s %s: %w", method, url, err)
+		}
+	default:
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return resp, fmt.Errorf("%s %s: decode response: %w", method, url, err)
+		}
+	}
+	return resp, nil
+}
+
+// getJSON GETs a URL and decodes its JSON answer into out.
+func getJSON(url string, out any) error {
+	_, err := call(http.MethodGet, url, nil, "", false, out)
+	return err
 }
 
 // IsRef reports whether the trace reference is an HTTP(S) URL rather
@@ -80,24 +131,10 @@ func (t TransferStats) String() string {
 // FetchBytes GETs a run reference and returns the decoded payload plus
 // transfer statistics.
 func FetchBytes(url string) ([]byte, TransferStats, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	var wire []byte
+	resp, err := call(http.MethodGet, url, nil, "", true, &wire)
 	if err != nil {
 		return nil, TransferStats{}, err
-	}
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := doReq(req)
-	if err != nil {
-		return nil, TransferStats{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, TransferStats{}, fmt.Errorf("GET %s: %s: %s",
-			url, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	wire, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, TransferStats{}, fmt.Errorf("GET %s: %w", url, err)
 	}
 	stats := TransferStats{WireBytes: int64(len(wire))}
 	payload := wire
@@ -163,22 +200,9 @@ func OpenRef(ref string) (io.ReadCloser, error) {
 // content address or unique prefix). The report is computed server-side
 // without expanding the stored trace.
 func FetchStats(base, id string) (StatsResponse, error) {
-	url := strings.TrimSuffix(base, "/") + "/runs/" + id + "/stats"
-	resp, err := clientGet(url)
-	if err != nil {
-		return StatsResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return StatsResponse{}, fmt.Errorf("GET %s: %s: %s",
-			url, resp.Status, strings.TrimSpace(string(msg)))
-	}
 	var out StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return StatsResponse{}, fmt.Errorf("GET %s: decode response: %w", url, err)
-	}
-	return out, nil
+	err := getJSON(strings.TrimSuffix(base, "/")+"/runs/"+id+"/stats", &out)
+	return out, err
 }
 
 // FetchWaves requests the server-side idle-wave report over a run's
@@ -189,73 +213,26 @@ func FetchWaves(base, id string, cols int) (WavesResponse, error) {
 	if cols > 0 {
 		url += fmt.Sprintf("?cols=%d", cols)
 	}
-	resp, err := clientGet(url)
-	if err != nil {
-		return WavesResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return WavesResponse{}, fmt.Errorf("GET %s: %s: %s",
-			url, resp.Status, strings.TrimSpace(string(msg)))
-	}
 	var out WavesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return WavesResponse{}, fmt.Errorf("GET %s: decode response: %w", url, err)
-	}
-	return out, nil
+	err := getJSON(url, &out)
+	return out, err
 }
 
 // FetchEdges downloads a run's causal edge sidecar.
 func FetchEdges(base, id string) ([]obs.Edge, error) {
-	url := strings.TrimSuffix(base, "/") + "/runs/" + id + "/edges"
-	resp, err := clientGet(url)
-	if err != nil {
+	var jsonl []byte
+	if _, err := call(http.MethodGet, strings.TrimSuffix(base, "/")+"/runs/"+id+"/edges", nil, "", false, &jsonl); err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("GET %s: %s: %s",
-			url, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return obs.ReadEdges(resp.Body)
+	return obs.ReadEdges(bytes.NewReader(jsonl))
 }
 
 // PushEdges attaches a causal edge sidecar (JSONL bytes, the format
 // obs.WriteEdges produces) to an already-pushed run.
 func PushEdges(base, id string, jsonl []byte, useGzip bool) error {
 	url := strings.TrimSuffix(base, "/") + "/runs/" + id + "/edges"
-	body := jsonl
-	var buf bytes.Buffer
-	if useGzip {
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(jsonl); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		body = buf.Bytes()
-	}
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	if useGzip {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
-	resp, err := doReq(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("PUT %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return nil
+	_, err := call(http.MethodPut, url, jsonl, "application/x-ndjson", useGzip, nil)
+	return err
 }
 
 // Push uploads a trace to a chamd archive rooted at base (e.g.
@@ -276,39 +253,10 @@ func PushBytes(base string, payload []byte, useGzip bool) (Run, bool, error) {
 	if !strings.HasSuffix(url, "/runs") {
 		url += "/runs"
 	}
-	body := payload
-	var buf bytes.Buffer
-	if useGzip {
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(payload); err != nil {
-			return Run{}, false, err
-		}
-		if err := zw.Close(); err != nil {
-			return Run{}, false, err
-		}
-		body = buf.Bytes()
-	}
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		return Run{}, false, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if useGzip {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
-	resp, err := doReq(req)
-	if err != nil {
-		return Run{}, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return Run{}, false, fmt.Errorf("PUT %s: %s: %s",
-			url, resp.Status, strings.TrimSpace(string(msg)))
-	}
 	var run Run
-	if err := json.NewDecoder(resp.Body).Decode(&run); err != nil {
-		return Run{}, false, fmt.Errorf("PUT %s: decode response: %w", url, err)
+	resp, err := call(http.MethodPut, url, payload, "application/octet-stream", useGzip, &run)
+	if err != nil {
+		return Run{}, false, err
 	}
 	return run, resp.StatusCode == http.StatusCreated, nil
 }
@@ -332,10 +280,8 @@ func FetchRuns(base, query string, limit, offset int) (ListResponse, error) {
 		u += fmt.Sprintf("%soffset=%d", sep, offset)
 	}
 	var out ListResponse
-	if err := getJSON(u, &out); err != nil {
-		return ListResponse{}, err
-	}
-	return out, nil
+	err := getJSON(u, &out)
+	return out, err
 }
 
 // RegisterCQ registers (or replaces) a continuous query on a chamd
@@ -345,110 +291,54 @@ func RegisterCQ(base string, spec cq.Spec) (cq.Spec, error) {
 	if err != nil {
 		return cq.Spec{}, err
 	}
-	url := strings.TrimSuffix(base, "/") + "/cq"
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		return cq.Spec{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := doReq(req)
-	if err != nil {
-		return cq.Spec{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return cq.Spec{}, fmt.Errorf("PUT %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
-	}
 	var out cq.Spec
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return cq.Spec{}, fmt.Errorf("PUT %s: decode response: %w", url, err)
-	}
-	return out, nil
+	_, err = call(http.MethodPut, strings.TrimSuffix(base, "/")+"/cq", body, "application/json", false, &out)
+	return out, err
 }
 
 // FetchCQs lists the tenant's registered continuous queries.
 func FetchCQs(base string) ([]cq.Spec, error) {
 	var out []cq.Spec
-	if err := getJSON(strings.TrimSuffix(base, "/")+"/cq", &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	err := getJSON(strings.TrimSuffix(base, "/")+"/cq", &out)
+	return out, err
 }
 
 // DeleteCQ drops a registered continuous query by name.
 func DeleteCQ(base, name string) error {
-	url := strings.TrimSuffix(base, "/") + "/cq/" + name
-	req, err := http.NewRequest(http.MethodDelete, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := doReq(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("DELETE %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return nil
+	_, err := call(http.MethodDelete, strings.TrimSuffix(base, "/")+"/cq/"+name, nil, "", false, nil)
+	return err
 }
 
 // FetchCQFeed fetches the tenant's continuous-query event feed.
 func FetchCQFeed(base string) (cq.FeedView, error) {
 	var out cq.FeedView
-	if err := getJSON(strings.TrimSuffix(base, "/")+"/cq/events", &out); err != nil {
-		return cq.FeedView{}, err
-	}
-	return out, nil
+	err := getJSON(strings.TrimSuffix(base, "/")+"/cq/events", &out)
+	return out, err
 }
 
 // WatchCQFeed long-polls the tenant's CQ feed until its version
 // exceeds after or timeout elapses server-side.
 func WatchCQFeed(base string, after uint64, timeout time.Duration) (cq.FeedView, error) {
-	u := fmt.Sprintf("%s/cq/events?version=%d&timeout=%s",
-		strings.TrimSuffix(base, "/"), after, timeout)
 	var out cq.FeedView
-	if err := getJSON(u, &out); err != nil {
-		return cq.FeedView{}, err
-	}
-	return out, nil
+	err := getJSON(fmt.Sprintf("%s/cq/events?version=%d&timeout=%s",
+		strings.TrimSuffix(base, "/"), after, timeout), &out)
+	return out, err
 }
 
 // FetchMeshStatus fetches a peer's federation identity and per-tenant
 // usage.
 func FetchMeshStatus(base string) (MeshStatus, error) {
 	var out MeshStatus
-	if err := getJSON(strings.TrimSuffix(base, "/")+"/mesh/status", &out); err != nil {
-		return MeshStatus{}, err
-	}
-	return out, nil
+	err := getJSON(strings.TrimSuffix(base, "/")+"/mesh/status", &out)
+	return out, err
 }
 
 // TriggerSweep asks a peer to run one anti-entropy pass now and
 // returns its report.
 func TriggerSweep(base string) (mesh.SweepReport, error) {
-	url := strings.TrimSuffix(base, "/") + "/mesh/sweep"
-	req, err := http.NewRequest(http.MethodPost, url, nil)
-	if err != nil {
+	var out sweepResult
+	if _, err := call(http.MethodPost, strings.TrimSuffix(base, "/")+"/mesh/sweep", nil, "", false, &out); err != nil {
 		return mesh.SweepReport{}, err
-	}
-	resp, err := doReq(req)
-	if err != nil {
-		return mesh.SweepReport{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return mesh.SweepReport{}, fmt.Errorf("POST %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	var out struct {
-		mesh.SweepReport
-		Error string `json:"error,omitempty"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return mesh.SweepReport{}, fmt.Errorf("POST %s: decode response: %w", url, err)
 	}
 	if out.Error != "" {
 		return out.SweepReport, fmt.Errorf("sweep: %s", out.Error)

@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"chameleon/internal/atomicfile"
 	"chameleon/internal/obs"
 	"chameleon/internal/wave"
 )
@@ -36,15 +37,10 @@ func (a *Archive) hasEdges(tenant, id string) bool {
 }
 
 // PutEdges attaches a causal edge stream (JSONL bytes) to an archived
-// default-tenant run, replacing any previous sidecar. The payload must
-// parse; the number of edges is returned. The run may be named by
-// unique prefix.
-func (a *Archive) PutEdges(id string, jsonl []byte) (int, Run, error) {
-	return a.Tenant(DefaultTenant).PutEdges(id, jsonl)
-}
-
-func (a *Archive) putEdges(tenant, id string, jsonl []byte) (int, Run, error) {
-	run, err := a.resolve(tenant, id)
+// run, replacing any previous sidecar. The payload must parse; the
+// number of edges is returned. The run may be named by unique prefix.
+func (v TenantView) PutEdges(id string, jsonl []byte) (int, Run, error) {
+	run, err := v.Resolve(id)
 	if err != nil {
 		return 0, Run{}, err
 	}
@@ -52,47 +48,23 @@ func (a *Archive) putEdges(tenant, id string, jsonl []byte) (int, Run, error) {
 	if err != nil {
 		return 0, Run{}, fmt.Errorf("store: edges for %s: %w", run.ID[:12], err)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	path := a.edgesPath(tenant, run.ID)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return 0, Run{}, fmt.Errorf("store: edges: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Join(a.dir, "tmp"), "edges-*")
-	if err != nil {
-		return 0, Run{}, fmt.Errorf("store: edges: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(jsonl); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return 0, Run{}, fmt.Errorf("store: edges: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return 0, Run{}, fmt.Errorf("store: edges: %w", err)
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
+	v.a.mu.Lock()
+	defer v.a.mu.Unlock()
+	if _, err := atomicfile.Write(v.a.tmpDir(), v.a.edgesPath(v.tenant, run.ID), atomicfile.Bytes(jsonl)); err != nil {
 		return 0, Run{}, fmt.Errorf("store: edges: %w", err)
 	}
 	return len(edges), run, nil
 }
 
-// EdgesPayload returns a default-tenant run's stored edge stream
-// verbatim.
-func (a *Archive) EdgesPayload(id string) ([]byte, Run, error) {
-	return a.Tenant(DefaultTenant).EdgesPayload(id)
-}
-
-func (a *Archive) edgesPayload(tenant, id string) ([]byte, Run, error) {
-	run, err := a.resolve(tenant, id)
+// EdgesPayload returns a run's stored edge stream verbatim.
+func (v TenantView) EdgesPayload(id string) ([]byte, Run, error) {
+	run, err := v.Resolve(id)
 	if err != nil {
 		return nil, Run{}, err
 	}
-	b, err := os.ReadFile(a.edgesPath(tenant, run.ID))
+	b, err := os.ReadFile(v.a.edgesPath(v.tenant, run.ID))
 	if os.IsNotExist(err) {
-		return nil, Run{}, fmt.Errorf("store: edge sidecar for run %s not found", run.ID[:12])
+		return nil, Run{}, fmt.Errorf("store: edge sidecar for run %s %w", run.ID[:12], ErrNotFound)
 	}
 	if err != nil {
 		return nil, Run{}, fmt.Errorf("store: edges: %w", err)
@@ -100,13 +72,9 @@ func (a *Archive) edgesPayload(tenant, id string) ([]byte, Run, error) {
 	return b, run, nil
 }
 
-// Edges decodes a default-tenant run's edge sidecar.
-func (a *Archive) Edges(id string) ([]obs.Edge, Run, error) {
-	return a.Tenant(DefaultTenant).Edges(id)
-}
-
-func (a *Archive) edges(tenant, id string) ([]obs.Edge, Run, error) {
-	b, run, err := a.edgesPayload(tenant, id)
+// Edges decodes a run's edge sidecar.
+func (v TenantView) Edges(id string) ([]obs.Edge, Run, error) {
+	b, run, err := v.EdgesPayload(id)
 	if err != nil {
 		return nil, Run{}, err
 	}
@@ -117,19 +85,15 @@ func (a *Archive) edges(tenant, id string) ([]obs.Edge, Run, error) {
 	return edges, run, nil
 }
 
-// Waves runs the idle-wave detector over a default-tenant run's edge
-// sidecar. A positive cols interprets ranks as a row-major cols-wide
-// grid (Manhattan rank distance) instead of a 1-D chain.
-func (a *Archive) Waves(id string, cols int) (*wave.Report, Run, error) {
-	return a.Tenant(DefaultTenant).Waves(id, cols)
-}
-
-func (a *Archive) waves(tenant, id string, cols int) (*wave.Report, Run, error) {
-	edges, run, err := a.edges(tenant, id)
+// Waves runs the idle-wave detector over a run's edge sidecar. A
+// positive cols interprets ranks as a row-major cols-wide grid
+// (Manhattan rank distance) instead of a 1-D chain.
+func (v TenantView) Waves(id string, cols int) (*wave.Report, Run, error) {
+	edges, run, err := v.Edges(id)
 	if err != nil {
 		return nil, Run{}, err
 	}
-	rep, err := wave.Detect(edges, wave.Options{P: run.P, Cols: cols, Reg: a.opts.Reg})
+	rep, err := wave.Detect(edges, wave.Options{P: run.P, Cols: cols, Reg: v.a.opts.Reg})
 	if err != nil {
 		return nil, Run{}, fmt.Errorf("store: waves for %s: %w", run.ID[:12], err)
 	}

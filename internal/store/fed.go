@@ -1,15 +1,22 @@
 package store
 
-// Federation glue: the pieces that connect one Archive to the mesh.
+// The federation layer: everything that connects one Archive and its
+// local handlers (handlers.go) to the mesh.
 //
 //   - archiveTarget adapts the Archive to mesh.Target so the
 //     anti-entropy sweep can enumerate, check, and pull runs.
-//   - FedLookup resolves a continuous query's golden run: locally
-//     first, then from the run's owners across the mesh.
+//   - trust decides, once per request, whether it is intra-mesh
+//     traffic; federate then wraps the route's handler in its policy:
+//     replicateRun / replicateEdges (a write lands on every peer that
+//     should hold it), proxyOnMiss / meshLookup (a read follows the run
+//     to a peer that has it; FedLookup is the same walk for the CQ
+//     engine), scatterList (merge every peer's listing), broadcast
+//     (tell every peer). Trusted requests get no policy at all: that is
+//     the loop guard.
 //   - BroadcastCQEvents pushes locally-emitted CQ events to every
 //     other peer so a long-poll watcher on any peer sees them.
-//   - rateLimiter is the per-tenant token bucket the HTTP edge
-//     enforces (429 + Retry-After on breach). Intra-mesh traffic
+//   - rateLimiter is the per-tenant token bucket the pipeline's admit
+//     stage enforces (429 + Retry-After on breach). Intra-mesh traffic
 //     bypasses it: fan-out writes and repair pulls are the system
 //     talking to itself, and throttling them would amplify client
 //     load R-fold.
@@ -17,13 +24,16 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
 
 	"chameleon/internal/cq"
 	"chameleon/internal/mesh"
+	"chameleon/internal/obs"
 	"chameleon/internal/trace"
 )
 
@@ -46,10 +56,8 @@ func (t archiveTarget) Entries() []mesh.Entry {
 }
 
 func (t archiveTarget) Have(tenant, id string) bool {
-	t.a.mu.Lock()
-	defer t.a.mu.Unlock()
-	_, ok := t.a.runs[tenant][id]
-	return ok
+	_, err := t.a.Tenant(tenant).Resolve(id)
+	return err == nil
 }
 
 func (t archiveTarget) Pull(tenant string, payload []byte) error {
@@ -74,11 +82,230 @@ func (t archiveTarget) PullEdges(tenant, id string, jsonl []byte) error {
 	return err
 }
 
+// trust reports whether a request is trusted intra-mesh traffic and, if
+// so, whether it is an anti-entropy pull. Under a mesh started with a
+// shared secret (-mesh-secret), a bare X-Cham-Mesh header is not enough
+// — the matching key must ride along, so external clients cannot claim
+// intra-mesh trust. Without a secret (or without a mesh at all) the
+// header is honored cooperatively; see docs/STORE.md, "Trust model".
+func (s *server) trust(r *http.Request) (trusted, repair bool) {
+	trusted = s.node.Authorized(r)
+	return trusted, trusted && mesh.Repair(r)
+}
+
+// primary reports whether this peer evaluates continuous queries for a
+// run: the run's first owner, or the only peer there is.
+func (s *server) primary(id string) bool { return s.node == nil || s.node.IsPrimary(id) }
+
+// federate wraps a route's local handler in its federation policy. A
+// peer outside any mesh, a route with no policy, and — the loop guard —
+// a trusted intra-mesh request all go straight to the handler.
+func (s *server) federate(rt *route, q *request) (any, error) {
+	if s.node == nil || rt.fed == nil || q.trusted {
+		return rt.handle(s, q)
+	}
+	return rt.fed(s, rt, q)
+}
+
+// tally accumulates the answers of the peers a write was offered to.
+type tally struct {
+	first   *reply // first successful answer, relayed to the client; nil: nobody stored it
+	quota   bool   // some peer refused the write on quota
+	failed  bool   // some peer was unreachable or answered unexpectedly
+	lastErr error  // the last refusal or failure
+}
+
+// note records one peer's answer. A miss is not a failure: that peer
+// simply does not hold the run.
+func (t *tally) note(v any, err error) {
+	switch code := statusOf(err); {
+	case err == nil:
+		rep := asReply(v)
+		if t.first == nil {
+			t.first = &rep
+		} else if rep.status == http.StatusCreated {
+			t.first.status = rep.status // new to any replica is new to the client
+		}
+	case code == http.StatusNotFound:
+	case code == http.StatusTooManyRequests:
+		t.quota, t.lastErr = true, err
+	default:
+		t.failed, t.lastErr = true, err
+	}
+}
+
+// offer applies a write on each peer in turn — this one through the
+// local handler, the others by forwarding q.body to path — and tallies
+// the outcomes. A local rejection other than a miss or a full quota
+// aborts: the request itself is bad.
+func (s *server) offer(rt *route, q *request, peers []string, path, ctype string, t *tally) error {
+	for _, peer := range peers {
+		if peer != s.node.Self() {
+			t.note(s.forward(peer, q, path, ctype))
+			continue
+		}
+		v, err := rt.handle(s, q)
+		if code := statusOf(err); err != nil && code != http.StatusNotFound && code != http.StatusTooManyRequests {
+			return err
+		}
+		t.note(v, err)
+	}
+	return nil
+}
+
+// forward replays a write on one peer and returns its answer as a
+// reply, or its refusal as an error carrying the peer's status.
+func (s *server) forward(peer string, q *request, path, ctype string) (any, error) {
+	resp, err := s.node.Do(mesh.Call{Method: q.r.Method, Peer: peer, Path: path, Tenant: q.tenant,
+		Header: http.Header{"Content-Type": {ctype}}, Body: q.body})
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	switch {
+	case resp.StatusCode == http.StatusTooManyRequests:
+		return nil, failf(resp.StatusCode, "%s: %s", peer, bytes.TrimSpace(body))
+	case resp.StatusCode >= 300:
+		return nil, failf(resp.StatusCode, "%s: %s: %s", peer, resp.Status, bytes.TrimSpace(body))
+	}
+	return relay(resp, body), nil
+}
+
+// relayedHeaders survive from a peer's answer into this peer's reply;
+// proxiedHeaders ride a proxied read to the peer.
+var (
+	relayedHeaders = []string{"Content-Type", "Content-Encoding", "ETag", "Content-Length",
+		"X-Raw-Bytes", "X-Stored-Bytes", "Location"}
+	proxiedHeaders = []string{"Accept", "Accept-Encoding", "If-None-Match"}
+)
+
+func pick(from http.Header, names []string) http.Header {
+	out := http.Header{}
+	for _, h := range names {
+		if v := from.Get(h); v != "" {
+			out.Set(h, v)
+		}
+	}
+	return out
+}
+
+// relay turns a peer's response into this peer's reply.
+func relay(resp *http.Response, body any) reply {
+	return reply{status: resp.StatusCode, header: pick(resp.Header, relayedHeaders), body: body}
+}
+
+// replicateRun is the policy of PUT /runs: the payload's content address
+// names R owners, and the canonical bytes go to each. A dead remote
+// owner is tolerated by ingesting locally as a fallback replica — the
+// anti-entropy sweep moves the bytes onto the ring later — so a write
+// succeeds as long as any peer can hold it.
+func (s *server) replicateRun(rt *route, q *request) (any, error) {
+	if err := q.decode(); err != nil {
+		return nil, err
+	}
+	s.mFanouts.Inc()
+	q.body = q.canon
+	var t tally
+	if err := s.offer(rt, q, s.node.Owners(q.id), "/runs", "application/octet-stream", &t); err != nil {
+		return nil, err
+	}
+	if t.first == nil {
+		if t.quota && !t.failed {
+			return nil, t.lastErr
+		}
+		// Every owner is unreachable or full: last resort is this peer.
+		v, err := rt.handle(s, q)
+		if err != nil {
+			return nil, failf(statusOf(err), "replicate %s: %v (owners: %v)", q.id[:12], err, t.lastErr)
+		}
+		return v, nil
+	}
+	return *t.first, nil
+}
+
+// replicateEdges is the policy of PUT /runs/{id}/edges: the sidecar
+// lands on every peer that holds the run (its owners, plus any off-ring
+// fallback replica), so it is offered to all of them — this peer first —
+// and a push through a non-owner succeeds. Owners that currently lack
+// the run converge via the anti-entropy sweep, which replicates
+// sidecars alongside runs.
+func (s *server) replicateEdges(rt *route, q *request) (any, error) {
+	s.mFanouts.Inc()
+	// Validate once at the edge so a malformed sidecar fails 400
+	// regardless of where the run lives.
+	if _, err := obs.ReadEdges(bytes.NewReader(q.body)); err != nil {
+		return nil, failf(http.StatusBadRequest, "store: edges: %v", err)
+	}
+	var t tally
+	everyone := append([]string{s.node.Self()}, s.node.Others()...)
+	if err := s.offer(rt, q, everyone, q.r.URL.Path, "application/x-ndjson", &t); err != nil {
+		return nil, err
+	}
+	id := q.r.PathValue("id")
+	switch {
+	case t.first != nil:
+		return *t.first, nil
+	case t.lastErr != nil:
+		return nil, failf(http.StatusBadGateway, "edges %s: no peer stored the sidecar: %v", id, t.lastErr)
+	}
+	return nil, fmt.Errorf("store: run %q %w", id, ErrNotFound)
+}
+
+// firstAnswer puts one read to the peers that may hold a run and
+// returns the first definitive response: a peer that is down, failing
+// (5xx), or lacks the run (404) passes the question on, and nil means
+// nobody answered. Owners are asked first (minus self), then every
+// other peer — a fallback replica ingested while its owner was down
+// lives off-ring until anti-entropy converges, so misses must scatter
+// wide, not give up at R peers. The caller closes the body.
+func firstAnswer(node *mesh.Node, id string, call mesh.Call) *http.Response {
+	asked := map[string]bool{node.Self(): true}
+	for _, peer := range append(node.Owners(id), node.Others()...) {
+		if asked[peer] {
+			continue
+		}
+		asked[peer] = true
+		call.Peer = peer
+		resp, err := node.Do(call)
+		if err != nil {
+			continue
+		}
+		if resp.StatusCode == http.StatusNotFound || resp.StatusCode >= 500 {
+			resp.Body.Close()
+			continue
+		}
+		return resp
+	}
+	return nil
+}
+
+// proxyOnMiss is the policy of the single-run reads: a peer holding the
+// run answers directly; a miss is put to the peers that may hold it and
+// their answer — bytes, ETag, conditional semantics — streamed back.
+func (s *server) proxyOnMiss(rt *route, q *request) (any, error) {
+	v, err := rt.handle(s, q)
+	if !errors.Is(err, ErrNotFound) {
+		return v, err
+	}
+	resp := firstAnswer(s.node, q.r.PathValue("id"), mesh.Call{
+		Path: q.r.URL.RequestURI(), Tenant: q.tenant, Header: pick(q.r.Header, proxiedHeaders)})
+	if resp == nil {
+		return nil, err
+	}
+	s.mProxied.Inc()
+	return relay(resp, func(w io.Writer) error {
+		defer resp.Body.Close()
+		_, err := io.Copy(w, resp.Body)
+		return err
+	}), nil
+}
+
 // FedLookup builds the cq.Lookup a federated engine uses to resolve
 // golden runs — and the diff endpoint uses to resolve either side: the
-// local archive first, then the run's owner peers (node nil means
-// local-only). A run fetched from a peer is decoded but not ingested —
-// resolution must not mutate placement.
+// local archive first, then the peers that may hold the run (node nil
+// means local-only). A run fetched from a peer is decoded but not
+// ingested — resolution must not mutate placement.
 func FedLookup(a *Archive, node *mesh.Node) cq.Lookup {
 	return func(tenant, id string) (*trace.File, string, error) {
 		f, run, err := a.Tenant(tenant).Get(id)
@@ -88,106 +315,122 @@ func FedLookup(a *Archive, node *mesh.Node) cq.Lookup {
 		if node == nil {
 			return nil, "", err
 		}
-		var lastErr error
-		for _, peer := range ownersThenRest(node, id) {
-			resp, err := node.Do(http.MethodGet, peer, "/runs/"+id, tenant, mesh.ForwardRepair, "", nil)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			body, err := readOK(resp)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			f, err := trace.ReadAny(bytes.NewReader(body))
-			if err != nil {
-				return nil, "", fmt.Errorf("store: run %s from %s: %w", id, peer, err)
-			}
-			_, cid, err := Encode(f)
-			if err != nil {
-				return nil, "", err
-			}
-			return f, cid, nil
+		resp := firstAnswer(node, id, mesh.Call{Path: "/runs/" + id, Tenant: tenant, Kind: mesh.ForwardRepair})
+		if resp == nil {
+			return nil, "", err
 		}
-		if lastErr != nil {
-			return nil, "", fmt.Errorf("store: run %s not found on any peer: %w", id, lastErr)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, "", fmt.Errorf("store: run %s from %s: %s", id, resp.Request.URL.Host, resp.Status)
 		}
-		return nil, "", fmt.Errorf("store: run %q not found", id)
+		if f, err = trace.ReadAny(resp.Body); err != nil {
+			return nil, "", fmt.Errorf("store: run %s from %s: %w", id, resp.Request.URL.Host, err)
+		}
+		_, cid, err := Encode(f)
+		return f, cid, err
 	}
 }
 
-// ownersThenRest orders peers for a read: the run's owners first
-// (minus self), then every other peer — a run ingested as a fallback
-// replica while its owner was down lives off-ring until anti-entropy
-// converges, so misses must scatter wide, not give up at R peers.
-func ownersThenRest(node *mesh.Node, id string) []string {
-	seen := map[string]bool{node.Self(): true}
-	out := make([]string, 0, len(node.Peers()))
-	for _, p := range node.Owners(id) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	for _, p := range node.Others() {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
+// meshLookup is the policy of GET /runs/{a}/diff/{b}: each side
+// resolves wherever it lives — two federated runs need not be
+// co-located on any single peer, so a strictly-local lookup would 404
+// runs the mesh holds.
+func (s *server) meshLookup(rt *route, q *request) (any, error) {
+	q.lookup = FedLookup(s.a, s.node)
+	return rt.handle(s, q)
 }
 
-func readOK(resp *http.Response) ([]byte, error) {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s", resp.Status)
-	}
-	buf := new(bytes.Buffer)
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+// scatterList is the policy of GET /runs: merge the whole fleet's view
+// of a tenant's runs — local set plus every peer's (trusted, hence
+// uncapped) listing, deduped by content address — then page the union
+// exactly like a single-archive listing. An unreachable peer degrades
+// the listing to the reachable subset rather than failing it — at R>=2
+// every run is still visible through a surviving owner.
+func (s *server) scatterList(rt *route, q *request) (any, error) {
+	query, err := listQuery(q)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	full := query
+	full.Limit, full.Offset = 0, 0
+	merged, _ := s.a.Tenant(q.tenant).List(full)
+	seen := make(map[string]bool, len(merged))
+	for _, r := range merged {
+		seen[r.ID] = true
+	}
+
+	filters := q.r.URL.Query() // re-encoded below, never spliced
+	filters.Del("limit")
+	filters.Del("offset")
+	for _, peer := range s.node.Others() {
+		resp, err := s.node.Do(mesh.Call{Peer: peer, Path: "/runs?" + filters.Encode(), Tenant: q.tenant})
+		if err != nil {
+			continue
+		}
+		var lr ListResponse
+		if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&lr) == nil {
+			for _, r := range lr.Runs {
+				if !seen[r.ID] {
+					seen[r.ID] = true
+					merged = append(merged, r)
+				}
+			}
+		}
+		resp.Body.Close()
+	}
+	runs, total := query.page(merged)
+	return listPage(query, runs, total), nil
+}
+
+// broadcast is the policy of the CQ writes: apply locally, then tell
+// every peer what was stored (see tell for the delivery guarantees).
+func (s *server) broadcast(rt *route, q *request) (any, error) {
+	v, err := rt.handle(s, q)
+	if err != nil {
+		return nil, err
+	}
+	var body []byte
+	if stored := asReply(v).body; stored != nil {
+		body, _ = json.Marshal(stored)
+	}
+	tell(s.node, mesh.Call{Method: q.r.Method, Path: q.r.URL.Path, Tenant: q.tenant, Body: body})
+	return v, nil
 }
 
 // BroadcastCQEvents returns an engine OnEvent hook that forwards each
-// locally-emitted event to every other peer (POST /cq/events, fanout
-// header), so a watcher long-polling any peer's feed sees gates fired
-// anywhere in the mesh. Delivery is best-effort: the feed is
-// observability, not a ledger, and receivers dedup by event ID. Peers
-// are contacted concurrently on the short-timeout broadcast client, so
-// a partitioned peer delays the ingest that fired the gate by at most
-// the broadcast timeout, never the full request budget.
+// locally-emitted event to every other peer (POST /cq/events), so a
+// watcher long-polling any peer's feed sees gates fired anywhere in the
+// mesh. Receivers dedup by event ID.
 func BroadcastCQEvents(node *mesh.Node) func(cq.Event) {
 	if node == nil {
 		return nil
 	}
 	return func(ev cq.Event) {
-		body, err := json.Marshal(ev)
-		if err != nil {
-			return
+		if body, err := json.Marshal(ev); err == nil {
+			tell(node, mesh.Call{Method: http.MethodPost, Path: "/cq/events", Tenant: ev.Tenant, Body: body})
 		}
-		broadcast(node, func(peer string) (*http.Response, error) {
-			return node.Broadcast(http.MethodPost, peer, "/cq/events", ev.Tenant, mesh.ForwardFanout,
-				"application/json", bytes.NewReader(body))
-		})
 	}
 }
 
-// broadcast runs one best-effort call against every other peer
-// concurrently and waits for all of them (each bounded by the node's
-// broadcast timeout). Failures are dropped — anti-entropy re-syncs.
-func broadcast(node *mesh.Node, call func(peer string) (*http.Response, error)) {
+// tell sends one JSON call to every other peer concurrently and waits
+// for all of them. Delivery is best-effort by design: each call rides
+// the short-timeout broadcast client, so a partitioned peer delays the
+// caller (a registration, or the ingest that fired a gate) by at most
+// that timeout, and failures are dropped — anti-entropy re-syncs
+// registrations, and the feed is observability, not a ledger.
+func tell(node *mesh.Node, call mesh.Call) {
+	call.BestEffort = true
+	call.Header = http.Header{"Content-Type": {"application/json"}}
 	var wg sync.WaitGroup
 	for _, peer := range node.Others() {
+		call.Peer = peer
 		wg.Add(1)
-		go func(peer string) {
+		go func(call mesh.Call) {
 			defer wg.Done()
-			if resp, err := call(peer); err == nil {
+			if resp, err := node.Do(call); err == nil {
 				resp.Body.Close()
 			}
-		}(peer)
+		}(call)
 	}
 	wg.Wait()
 }
@@ -199,7 +442,6 @@ type rateLimiter struct {
 	rate    float64 // tokens per second
 	burst   float64
 	buckets map[string]*tokenBucket
-	now     func() time.Time
 }
 
 type tokenBucket struct {
@@ -213,12 +455,9 @@ func newRateLimiter(rate float64, burst int) *rateLimiter {
 	}
 	b := float64(burst)
 	if b < 1 {
-		b = rate
-		if b < 1 {
-			b = 1
-		}
+		b = max(rate, 1)
 	}
-	return &rateLimiter{rate: rate, burst: b, buckets: make(map[string]*tokenBucket), now: time.Now}
+	return &rateLimiter{rate: rate, burst: b, buckets: make(map[string]*tokenBucket)}
 }
 
 // allow spends one token from the tenant's bucket. When the bucket is
@@ -230,7 +469,7 @@ func (rl *rateLimiter) allow(tenant string) (bool, time.Duration) {
 	}
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	now := rl.now()
+	now := time.Now()
 	b := rl.buckets[tenant]
 	if b == nil {
 		b = &tokenBucket{tokens: rl.burst, last: now}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sort"
 	"strings"
 	"testing"
@@ -283,6 +284,25 @@ func TestFedScatterListPagination(t *testing.T) {
 	}
 	if lr.Total != 0 {
 		t.Fatalf("p=8 filter matched %d runs", lr.Total)
+	}
+
+	// Filter values are forwarded to the peers verbatim, whatever they
+	// contain: a space must not malform the peer's request line (the
+	// peer then silently drops out of the merge), and an '&' must not
+	// smuggle a parameter into the uncapped intra-mesh read.
+	for _, label := range []string{"LU A", "a&limit=1"} {
+		for seed := uint64(0); seed < 6; seed++ {
+			pushVia(t, peers[int(seed)%3], "", mkTrace(4, label, 50+seed))
+		}
+		for _, p := range peers {
+			lr, err := FetchRuns(p.url, "benchmark="+url.QueryEscape(label), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lr.Total != 6 || len(lr.Runs) != 6 {
+				t.Fatalf("benchmark=%q via %s: total %d, %d runs; want 6 through every edge", label, p.url, lr.Total, len(lr.Runs))
+			}
+		}
 	}
 }
 

@@ -52,10 +52,10 @@ func TestLiveSlowFlag(t *testing.T) {
 		obs.RankProgress{Rank: 2, Windows: 5, ComputeVT: 105, Ops: 50},
 		obs.RankProgress{Rank: 3, Windows: 5, ComputeVT: 420, Ops: 50},
 	)
-	if _, err := l.Apply("s1", []obs.Delta{d}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "s1", []obs.Delta{d}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	v, err := l.View("s1", false)
+	v, err := l.View(DefaultTenant, "s1", false)
 	if err != nil {
 		t.Fatalf("View: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestLiveSlowFlag(t *testing.T) {
 		t.Fatalf("straggler(slow) events = %d, want 1", n)
 	}
 	// Re-reads don't duplicate the sticky event.
-	v, _ = l.View("s1", false)
+	v, _ = l.View(DefaultTenant, "s1", false)
 	if n := countEvents(v.LiveEvents, LiveEventStraggler, FlagSlow); n != 1 {
 		t.Fatalf("straggler events duplicated on re-read: %d", n)
 	}
@@ -80,7 +80,7 @@ func TestLiveSlowFlag(t *testing.T) {
 func TestLiveBehindAndDeparted(t *testing.T) {
 	clk := newFakeClock()
 	l := NewLive(LiveOptions{Now: clk.now})
-	if _, err := l.Apply("s2", []obs.Delta{ranksDelta(1,
+	if _, err := l.Apply(DefaultTenant, "s2", []obs.Delta{ranksDelta(1,
 		obs.RankProgress{Rank: 0, Windows: 10, ComputeVT: 100, Ops: 99},
 		obs.RankProgress{Rank: 1, Windows: 10, ComputeVT: 100, Ops: 99},
 		obs.RankProgress{Rank: 2, Windows: 4, ComputeVT: 40, Ops: 30},
@@ -88,7 +88,7 @@ func TestLiveBehindAndDeparted(t *testing.T) {
 	)}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	v, err := l.View("s2", false)
+	v, err := l.View(DefaultTenant, "s2", false)
 	if err != nil {
 		t.Fatalf("View: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestLiveMissedHeartbeat(t *testing.T) {
 	clk := newFakeClock()
 	l := NewLive(LiveOptions{Now: clk.now, HeartbeatTimeout: 2 * time.Second})
 	apply := func(seq uint64, ops1 uint64) {
-		if _, err := l.Apply("s3", []obs.Delta{ranksDelta(seq,
+		if _, err := l.Apply(DefaultTenant, "s3", []obs.Delta{ranksDelta(seq,
 			obs.RankProgress{Rank: 0, Windows: seq, Ops: 10 * seq},
 			obs.RankProgress{Rank: 1, Windows: 1, Ops: ops1},
 		)}); err != nil {
@@ -122,13 +122,13 @@ func TestLiveMissedHeartbeat(t *testing.T) {
 	apply(1, 7)
 	clk.advance(time.Second)
 	apply(2, 7) // rank 1's ops frozen, but only 1s elapsed: not yet stalled
-	v, _ := l.View("s3", false)
+	v, _ := l.View(DefaultTenant, "s3", false)
 	if hasFlag(v.Ranks[1].Flags, FlagStalled) {
 		t.Fatalf("rank 1 stalled too early: %v", v.Ranks[1].Flags)
 	}
 	clk.advance(3 * time.Second)
 	apply(3, 7)
-	v, _ = l.View("s3", false)
+	v, _ = l.View(DefaultTenant, "s3", false)
 	if !hasFlag(v.Ranks[1].Flags, FlagStalled) {
 		t.Fatalf("rank 1 flags = %v, want stalled", v.Ranks[1].Flags)
 	}
@@ -139,11 +139,11 @@ func TestLiveMissedHeartbeat(t *testing.T) {
 		t.Fatalf("missed_heartbeat events = %d, want 1", n)
 	}
 	// A final session stops stalling (the run is over, silence is fine).
-	if _, err := l.Apply("s3", []obs.Delta{{Seq: 4, Final: true}}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "s3", []obs.Delta{{Seq: 4, Final: true}}); err != nil {
 		t.Fatalf("final: %v", err)
 	}
 	clk.advance(time.Minute)
-	v, _ = l.View("s3", false)
+	v, _ = l.View(DefaultTenant, "s3", false)
 	if !v.Final {
 		t.Fatal("session not final")
 	}
@@ -157,15 +157,15 @@ func TestLiveSeqDedup(t *testing.T) {
 	l := NewLive(LiveOptions{Now: newFakeClock().now})
 	d1 := ranksDelta(1, obs.RankProgress{Rank: 0, Windows: 1, Ops: 1})
 	d2 := ranksDelta(2, obs.RankProgress{Rank: 0, Windows: 2, Ops: 2})
-	ack, err := l.Apply("s4", []obs.Delta{d1, d2})
+	ack, err := l.Apply(DefaultTenant, "s4", []obs.Delta{d1, d2})
 	if err != nil || ack != 2 {
 		t.Fatalf("Apply = %d, %v", ack, err)
 	}
-	ack, err = l.Apply("s4", []obs.Delta{d1, d2}) // retry
+	ack, err = l.Apply(DefaultTenant, "s4", []obs.Delta{d1, d2}) // retry
 	if err != nil || ack != 2 {
 		t.Fatalf("retry Apply = %d, %v", ack, err)
 	}
-	v, _ := l.View("s4", false)
+	v, _ := l.View(DefaultTenant, "s4", false)
 	if v.Deltas != 2 {
 		t.Fatalf("deltas = %d, want 2 (dedup failed)", v.Deltas)
 	}
@@ -177,23 +177,23 @@ func TestLiveEviction(t *testing.T) {
 	clk := newFakeClock()
 	l := NewLive(LiveOptions{Now: clk.now, SessionTTL: time.Minute, MaxSessions: 2})
 	one := ranksDelta(1, obs.RankProgress{Rank: 0, Windows: 1, Ops: 1})
-	if _, err := l.Apply("old", []obs.Delta{one}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "old", []obs.Delta{one}); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(30 * time.Second)
-	if _, err := l.Apply("new", []obs.Delta{one}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "new", []obs.Delta{one}); err != nil {
 		t.Fatal(err)
 	}
 	// Cap eviction: a third session pushes out the stalest ("old").
-	if _, err := l.Apply("third", []obs.Delta{one}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "third", []obs.Delta{one}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.View("old", false); err == nil {
+	if _, err := l.View(DefaultTenant, "old", false); err == nil {
 		t.Fatal("cap eviction kept the stalest session")
 	}
 	// TTL eviction.
 	clk.advance(2 * time.Minute)
-	if got := l.List(); len(got) != 0 {
+	if got := l.List(DefaultTenant); len(got) != 0 {
 		t.Fatalf("TTL sweep left %d sessions", len(got))
 	}
 }
@@ -202,16 +202,16 @@ func TestLiveEviction(t *testing.T) {
 // bumps the version.
 func TestLiveWatchWakes(t *testing.T) {
 	l := NewLive(LiveOptions{})
-	if _, err := l.Apply("s5", []obs.Delta{ranksDelta(1, obs.RankProgress{Rank: 0, Windows: 1, Ops: 1})}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "s5", []obs.Delta{ranksDelta(1, obs.RankProgress{Rank: 0, Windows: 1, Ops: 1})}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := l.View("s5", false)
+	v, err := l.View(DefaultTenant, "s5", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan *SessionView, 1)
 	go func() {
-		w, err := l.Watch("s5", v.Version, 5*time.Second)
+		w, err := l.Watch(DefaultTenant, "s5", v.Version, 5*time.Second)
 		if err != nil {
 			t.Errorf("Watch: %v", err)
 			done <- nil
@@ -220,7 +220,7 @@ func TestLiveWatchWakes(t *testing.T) {
 		done <- w
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if _, err := l.Apply("s5", []obs.Delta{ranksDelta(2, obs.RankProgress{Rank: 0, Windows: 2, Ops: 2})}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "s5", []obs.Delta{ranksDelta(2, obs.RankProgress{Rank: 0, Windows: 2, Ops: 2})}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -437,22 +437,22 @@ func TestLiveDesync(t *testing.T) {
 	ms := int64(time.Millisecond)
 
 	// Window 1: healthy — skew below the 1ms default.
-	if _, err := l.Apply("sd", []obs.Delta{arrive(1, 1, [6]int64{0, 100, 200, 100, 50, 0})}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "sd", []obs.Delta{arrive(1, 1, [6]int64{0, 100, 200, 100, 50, 0})}); err != nil {
 		t.Fatal(err)
 	}
 	// Window 2: ranks 2,3 late by 40ms — a qualified band.
-	if _, err := l.Apply("sd", []obs.Delta{arrive(2, 2, [6]int64{10 * ms, 10 * ms, 50 * ms, 50 * ms, 10 * ms, 10 * ms})}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "sd", []obs.Delta{arrive(2, 2, [6]int64{10 * ms, 10 * ms, 50 * ms, 50 * ms, 10 * ms, 10 * ms})}); err != nil {
 		t.Fatal(err)
 	}
 	// Window 3: same band — no new event.
-	if _, err := l.Apply("sd", []obs.Delta{arrive(3, 3, [6]int64{20 * ms, 20 * ms, 60 * ms, 60 * ms, 20 * ms, 20 * ms})}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "sd", []obs.Delta{arrive(3, 3, [6]int64{20 * ms, 20 * ms, 60 * ms, 60 * ms, 20 * ms, 20 * ms})}); err != nil {
 		t.Fatal(err)
 	}
 	// Window 4: band moved to ranks 3,4 — the front traveled.
-	if _, err := l.Apply("sd", []obs.Delta{arrive(4, 4, [6]int64{30 * ms, 30 * ms, 30 * ms, 70 * ms, 70 * ms, 30 * ms})}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "sd", []obs.Delta{arrive(4, 4, [6]int64{30 * ms, 30 * ms, 30 * ms, 70 * ms, 70 * ms, 30 * ms})}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := l.View("sd", false)
+	v, err := l.View(DefaultTenant, "sd", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestLiveDesyncRejectsNonWave(t *testing.T) {
 		for r := range ranks {
 			ranks[r] = obs.RankProgress{Rank: r, Windows: win, ArriveVT: vt[r], Ops: 10 * win}
 		}
-		if _, err := l.Apply("sn", []obs.Delta{ranksDelta(seq, ranks...)}); err != nil {
+		if _, err := l.Apply(DefaultTenant, "sn", []obs.Delta{ranksDelta(seq, ranks...)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -502,7 +502,7 @@ func TestLiveDesyncRejectsNonWave(t *testing.T) {
 	// Uniform lag: everyone moved together, nobody is late relative to
 	// the window's earliest rank.
 	apply(3, 3, []int64{50 * ms, 50 * ms, 50 * ms, 50 * ms, 50 * ms, 50 * ms})
-	v, err := l.View("sn", false)
+	v, err := l.View(DefaultTenant, "sn", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,10 +518,10 @@ func TestLiveDesyncRejectsNonWave(t *testing.T) {
 		{Rank: 1, Windows: 1, ArriveVT: 90 * ms, Ops: 10},
 		{Rank: 2, Windows: 1, ArriveVT: 90 * ms, Ops: 10},
 	}
-	if _, err := ld.Apply("off", []obs.Delta{ranksDelta(1, ranks...)}); err != nil {
+	if _, err := ld.Apply(DefaultTenant, "off", []obs.Delta{ranksDelta(1, ranks...)}); err != nil {
 		t.Fatal(err)
 	}
-	v, _ = ld.View("off", false)
+	v, _ = ld.View(DefaultTenant, "off", false)
 	if len(v.Windows) != 1 || v.Windows[0].LateRanks != nil {
 		t.Errorf("disabled detector recorded band: %+v", v.Windows)
 	}

@@ -5,10 +5,8 @@ package store
 // turns a SessionView into the refreshing terminal table.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"net/url"
 	"sort"
 	"strings"
@@ -17,19 +15,6 @@ import (
 
 func liveBase(base string) string {
 	return strings.TrimSuffix(base, "/") + "/live/sessions"
-}
-
-func getJSON(u string, out any) error {
-	resp, err := clientGet(u)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET %s: %s: %s", u, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // FetchLiveSessions lists the daemon's in-flight sessions.

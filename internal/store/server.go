@@ -1,39 +1,27 @@
 package store
 
 // The HTTP face of the archive: the handler cmd/chamd serves and the
-// httptest harness exercises. Routes:
+// httptest harness exercises. One route table (routes) is driven by one
+// request pipeline (ServeHTTP, serve, dispatch, write):
 //
-//	PUT  /runs                  ingest a trace (idempotent: content address = ETag)
-//	GET  /runs                  list runs (benchmark=, p=, sig=, sigset=, limit=, offset=)
-//	GET  /runs/{id}             fetch one run (binary; ?format=json or Accept: application/json)
-//	GET  /runs/{id}/stats       compressed-domain analysis report (zan; never expands the trace)
-//	PUT  /runs/{id}/edges       attach a causal edge sidecar (JSONL body)
-//	GET  /runs/{id}/edges       fetch a run's edge sidecar
-//	GET  /runs/{id}/waves       idle-wave detector report over the edge sidecar
-//	GET  /runs/{a}/diff/{b}     server-side per-site divergence (chamstat -diff engine)
-//	POST /live/sessions/{id}/deltas   ingest a live telemetry delta batch
-//	GET  /live/sessions               list in-flight sessions
-//	GET  /live/sessions/{id}          one session's live view (?metrics=1 includes snapshot)
-//	GET  /live/sessions/{id}/watch    long-poll: block until version > ?version= or ?timeout=
-//	PUT  /cq                    register a continuous query (cq.Spec JSON)
-//	GET  /cq                    list the tenant's continuous queries
-//	DELETE /cq/{name}           drop a continuous query
-//	GET  /cq/events             the tenant's CQ event feed (?version= long-polls)
-//	GET  /mesh/manifest         every (tenant, run) this peer holds (anti-entropy)
-//	GET  /mesh/status           federation identity: self, peers, replicas, tenants
-//	POST /mesh/sweep            run one anti-entropy pass now
-//	GET  /metrics               Prometheus text exposition (JSON behind Accept: application/json)
-//	GET  /healthz               liveness probe
+//	count -> trust -> tenant -> rate limit -> body cap + gzip
+//	      -> federation policy -> handler
+//	      -> error-to-status | JSON/ETag write -> class latency
 //
-// Every run, live session, and query is namespaced by the
-// X-Cham-Tenant header (default "default"); tenants are rate-limited
-// (429 + Retry-After) and quota-bounded at this edge. When a mesh.Node
-// is configured the handler federates: PUT fans out to the run's R
-// owners, a GET miss transparently proxies to a peer that has the run,
-// and GET /runs scatter-gathers the whole fleet. Intra-mesh traffic
-// carries the X-Cham-Mesh header and is always served strictly locally
-// — that header is the loop guard. On a mesh started with a shared
-// secret the header is only honored alongside the matching
+// Handlers (handlers.go) are plain functions of the request, tenant
+// resolved, over the local archive; they never touch metrics, response
+// headers, or the mesh. Every run, live session, and query is namespaced
+// by the X-Cham-Tenant header (default "default"); tenants are
+// rate-limited (429 + Retry-After) and quota-bounded at this edge.
+//
+// When a mesh.Node is configured the federation layer (fed.go) wraps
+// each handler in its route's policy: PUT replicates to the run's R
+// owners, a GET miss proxies to a peer that has the run, GET /runs
+// scatter-gathers the fleet. Intra-mesh traffic carries the X-Cham-Mesh
+// header; that trust is evaluated once per request, and a trusted
+// request skips the rate limit and the federation layer — it is served
+// strictly locally, which is the loop guard. On a mesh started with a
+// shared secret the header is only honored alongside the matching
 // X-Cham-Mesh-Key, so external clients cannot claim intra-mesh trust;
 // without a secret the header is cooperative (docs/STORE.md).
 //
@@ -44,26 +32,19 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"chameleon/internal/analysis"
 	"chameleon/internal/cq"
-	"chameleon/internal/fault"
 	"chameleon/internal/mesh"
 	"chameleon/internal/obs"
 	"chameleon/internal/trace"
-	"chameleon/internal/wave"
-	"chameleon/internal/zan"
 )
 
 // ServerOptions harden and instrument the HTTP layer.
@@ -98,34 +79,102 @@ const (
 	defaultMaxBody        = 64 << 20
 	defaultRequestTimeout = 30 * time.Second
 
-	// defaultListLimit is the page size GET /runs uses when the client
-	// sends no limit; maxListLimit is the server-side cap a client
-	// cannot exceed. Intra-mesh scatter reads are uncapped — the edge
-	// peer needs complete sets to merge and paginate exactly.
-	defaultListLimit = 100
-	maxListLimit     = 500
+	// quotaRetryAfter is the Retry-After (seconds) of a 429 that is not
+	// the rate limiter's: a quota frees up on delete + compaction, not on
+	// a clock.
+	quotaRetryAfter = "60"
 )
+
+// class groups routes for instrumentation: every request bumps its
+// class's counter and observes its class's latency histogram (where the
+// class has one) exactly once, whatever the outcome.
+type class string
+
+const (
+	classIngest class = "ingest" // writes: traces, edge sidecars
+	classQuery  class = "query"  // reads and continuous queries
+	classLive   class = "live"   // in-flight session telemetry
+	classMesh   class = "mesh"   // peer-to-peer and operator endpoints; not tenant-scoped
+	classProbe  class = "probe"  // /healthz, /metrics: no tenant, never throttled
+)
+
+// scoped reports whether the class's routes act on one tenant's data,
+// so an invalid X-Cham-Tenant is a 400.
+func (c class) scoped() bool { return c == classIngest || c == classQuery || c == classLive }
+
+// route is one row of the server's route table.
+type route struct {
+	pattern string // http.ServeMux pattern
+	class   class
+	// fed is the federation policy wrapped around handle when this peer
+	// is part of a mesh (fed.go); nil means the route is served locally.
+	fed func(*server, *route, *request) (any, error)
+	// handle serves the request from the local archive alone.
+	handle func(*server, *request) (any, error)
+}
+
+// routes is the route table. docs/STORE.md ("HTTP API") mirrors it.
+func (s *server) routes() []route {
+	rs := []route{
+		{"PUT /runs", classIngest, (*server).replicateRun, (*server).putRun},
+		{"GET /runs", classQuery, (*server).scatterList, (*server).listRuns},
+		{"GET /runs/{id}", classQuery, (*server).proxyOnMiss, (*server).getRun},
+		{"GET /runs/{id}/stats", classQuery, (*server).proxyOnMiss, (*server).getStats},
+		{"PUT /runs/{id}/edges", classIngest, (*server).replicateEdges, (*server).putEdges},
+		{"GET /runs/{id}/edges", classQuery, (*server).proxyOnMiss, (*server).getEdges},
+		{"GET /runs/{id}/waves", classQuery, (*server).proxyOnMiss, (*server).getWaves},
+		{"GET /runs/{a}/diff/{b}", classQuery, (*server).meshLookup, (*server).getDiff},
+		{"POST /live/sessions/{id}/deltas", classLive, nil, (*server).postLiveDeltas},
+		{"GET /live/sessions", classLive, nil, (*server).listLive},
+		{"GET /live/sessions/{id}", classLive, nil, (*server).getLive},
+		{"GET /live/sessions/{id}/watch", classLive, nil, (*server).watchLive},
+		{"GET /mesh/manifest", classMesh, nil, (*server).getMeshManifest},
+		{"GET /mesh/status", classMesh, nil, (*server).getMeshStatus},
+		{"POST /mesh/sweep", classMesh, nil, (*server).postMeshSweep},
+		{"GET /healthz", classProbe, nil, (*server).getHealthz},
+	}
+	if s.cq != nil {
+		rs = append(rs,
+			route{"PUT /cq", classQuery, (*server).broadcast, (*server).putCQ},
+			route{"GET /cq", classQuery, nil, (*server).listCQ},
+			route{"DELETE /cq/{name}", classQuery, (*server).broadcast, (*server).deleteCQ},
+			route{"GET /cq/events", classQuery, nil, (*server).getCQEvents},
+			route{"POST /cq/events", classMesh, nil, (*server).postCQEvent},
+		)
+	}
+	if s.opts.Metrics {
+		rs = append(rs, route{"GET /metrics", classProbe, nil, (*server).getMetrics})
+	}
+	return rs
+}
 
 type server struct {
 	a       *Archive
 	opts    ServerOptions
 	live    *Live
-	node    *mesh.Node
+	node    *mesh.Node // read by the federation layer (fed.go) and the /mesh/* handlers only
 	cq      *cq.Engine
 	limiter *rateLimiter
+	lookup  cq.Lookup // run references resolved from this archive alone
+	mux     *http.ServeMux
 
-	mRequests, mErrors          *obs.Counter
-	mIngestReqs, mQueryReqs     *obs.Counter
-	mLiveReqs                   *obs.Counter
-	mBytesIn, mBytesOut         *obs.Counter
-	mThrottled                  *obs.Counter
-	mFanouts, mProxied          *obs.Counter
-	hLatency, hIngest, hQueries *obs.Histogram
+	mRequests, mErrors  *obs.Counter
+	mBytesIn, mBytesOut *obs.Counter
+	mThrottled          *obs.Counter
+	mFanouts, mProxied  *obs.Counter
+	hLatency            *obs.Histogram
+	classReqs           map[class]*obs.Counter   // classes without an entry count nothing
+	classLatency        map[class]*obs.Histogram // likewise
 }
 
-// NewServer builds the archive's HTTP handler: mux, per-request
-// timeout, body limits, tenancy, federation, instrumentation.
+// NewServer builds the archive's HTTP handler: the route table behind
+// the request pipeline, under a per-request timeout.
 func NewServer(a *Archive, opts ServerOptions) http.Handler {
+	s := newServer(a, opts)
+	return http.TimeoutHandler(s, s.opts.RequestTimeout, "chamd: request timed out\n")
+}
+
+func newServer(a *Archive, opts ServerOptions) *server {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = defaultMaxBody
 	}
@@ -142,125 +191,46 @@ func NewServer(a *Archive, opts ServerOptions) http.Handler {
 		node:    opts.Mesh,
 		cq:      opts.CQ,
 		limiter: newRateLimiter(opts.RateLimit, opts.RateBurst),
+		lookup:  FedLookup(a, nil),
+		mux:     http.NewServeMux(),
 
-		mRequests:   opts.Reg.Counter("chamd_requests"),
-		mErrors:     opts.Reg.Counter("chamd_errors"),
-		mIngestReqs: opts.Reg.Counter("chamd_ingest_requests"),
-		mQueryReqs:  opts.Reg.Counter("chamd_query_requests"),
-		mLiveReqs:   opts.Reg.Counter("chamd_live_requests"),
-		mBytesIn:    opts.Reg.Counter("chamd_bytes_in"),
-		mBytesOut:   opts.Reg.Counter("chamd_bytes_out"),
-		mThrottled:  opts.Reg.Counter("chamd_throttled"),
-		mFanouts:    opts.Reg.Counter("chamd_mesh_fanouts"),
-		mProxied:    opts.Reg.Counter("chamd_mesh_proxied"),
-		hLatency:    opts.Reg.Histogram("chamd_latency_ns"),
-		hIngest:     opts.Reg.Histogram("chamd_ingest_latency_ns"),
-		hQueries:    opts.Reg.Histogram("chamd_query_latency_ns"),
+		mRequests:  opts.Reg.Counter("chamd_requests"),
+		mErrors:    opts.Reg.Counter("chamd_errors"),
+		mBytesIn:   opts.Reg.Counter("chamd_bytes_in"),
+		mBytesOut:  opts.Reg.Counter("chamd_bytes_out"),
+		mThrottled: opts.Reg.Counter("chamd_throttled"),
+		mFanouts:   opts.Reg.Counter("chamd_mesh_fanouts"),
+		mProxied:   opts.Reg.Counter("chamd_mesh_proxied"),
+		hLatency:   opts.Reg.Histogram("chamd_latency_ns"),
+		classReqs: map[class]*obs.Counter{
+			classIngest: opts.Reg.Counter("chamd_ingest_requests"),
+			classQuery:  opts.Reg.Counter("chamd_query_requests"),
+			classLive:   opts.Reg.Counter("chamd_live_requests"),
+		},
+		classLatency: map[class]*obs.Histogram{
+			classIngest: opts.Reg.Histogram("chamd_ingest_latency_ns"),
+			classQuery:  opts.Reg.Histogram("chamd_query_latency_ns"),
+		},
 	}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("PUT /runs", s.handlePut)
-	mux.HandleFunc("GET /runs", s.handleList)
-	mux.HandleFunc("GET /runs/{id}", s.handleGet)
-	mux.HandleFunc("GET /runs/{id}/stats", s.handleStats)
-	mux.HandleFunc("PUT /runs/{id}/edges", s.handleEdgesPut)
-	mux.HandleFunc("GET /runs/{id}/edges", s.handleEdgesGet)
-	mux.HandleFunc("GET /runs/{id}/waves", s.handleWaves)
-	mux.HandleFunc("GET /runs/{a}/diff/{b}", s.handleDiff)
-	mux.HandleFunc("POST /live/sessions/{id}/deltas", s.handleLiveDeltas)
-	mux.HandleFunc("GET /live/sessions", s.handleLiveList)
-	mux.HandleFunc("GET /live/sessions/{id}", s.handleLiveGet)
-	mux.HandleFunc("GET /live/sessions/{id}/watch", s.handleLiveWatch)
-	if s.cq != nil {
-		mux.HandleFunc("PUT /cq", s.handleCQPut)
-		mux.HandleFunc("GET /cq", s.handleCQList)
-		mux.HandleFunc("DELETE /cq/{name}", s.handleCQDelete)
-		mux.HandleFunc("GET /cq/events", s.handleCQEvents)
-		mux.HandleFunc("POST /cq/events", s.handleCQEventPost)
+	for _, rt := range s.routes() {
+		rt := rt
+		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, &rt) })
 	}
-	mux.HandleFunc("GET /mesh/manifest", s.handleMeshManifest)
-	mux.HandleFunc("GET /mesh/status", s.handleMeshStatus)
-	if s.node != nil {
-		mux.HandleFunc("POST /mesh/sweep", s.handleMeshSweep)
-	}
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	if opts.Metrics {
-		mux.HandleFunc("GET /metrics", s.handleMetrics)
-	}
-
-	instrumented := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		s.mRequests.Inc()
-		cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
-		if code, retry := s.admit(r); code != 0 {
-			if retry > 0 {
-				cw.Header().Set("Retry-After", strconv.Itoa(int(retry.Seconds()+0.5)))
-			}
-			s.mThrottled.Inc()
-			http.Error(cw, "chamd: tenant rate limit exceeded", code)
-		} else {
-			mux.ServeHTTP(cw, r)
-		}
-		s.hLatency.Observe(time.Since(start).Nanoseconds())
-		s.mBytesOut.Add(uint64(cw.bytes))
-		if cw.status >= 400 {
-			s.mErrors.Inc()
-		}
-	})
-	return http.TimeoutHandler(instrumented, opts.RequestTimeout, "chamd: request timed out\n")
+	return s
 }
 
-// forwarded reports whether a request is trusted intra-mesh traffic.
-// Under a mesh started with a shared secret (-mesh-secret), a bare
-// X-Cham-Mesh header is not enough — the matching key must ride along,
-// so external clients cannot claim intra-mesh trust. Without a secret
-// (or without a mesh at all) the header is honored cooperatively; see
-// docs/STORE.md, "Trust model".
-func (s *server) forwarded(r *http.Request) bool {
-	if s.node != nil {
-		return s.node.Authorized(r)
+// ServeHTTP is the part of the pipeline every request passes, matched
+// to a route or not: count it, time it, size its response.
+func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	s.mRequests.Inc()
+	cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
+	s.mux.ServeHTTP(cw, r)
+	s.hLatency.Observe(time.Since(start).Nanoseconds())
+	s.mBytesOut.Add(uint64(cw.bytes))
+	if cw.status >= 400 {
+		s.mErrors.Inc()
 	}
-	return mesh.Forwarded(r)
-}
-
-// repair reports whether a request is a trusted anti-entropy pull.
-func (s *server) repair(r *http.Request) bool {
-	return s.forwarded(r) && mesh.Repair(r)
-}
-
-// admit applies the per-tenant rate limit. Intra-mesh traffic and
-// probes are exempt; an invalid tenant header is handled later by the
-// route handler (tenantOf), not here.
-func (s *server) admit(r *http.Request) (code int, retry time.Duration) {
-	if s.limiter == nil || s.forwarded(r) {
-		return 0, 0
-	}
-	switch r.URL.Path {
-	case "/healthz", "/metrics":
-		return 0, 0
-	}
-	tenant, err := NormalizeTenant(r.Header.Get(mesh.HeaderTenant))
-	if err != nil {
-		return 0, 0
-	}
-	if ok, wait := s.limiter.allow(tenant); !ok {
-		return http.StatusTooManyRequests, wait
-	}
-	return 0, 0
-}
-
-// tenantOf extracts and validates the request's tenant, writing the
-// 400 itself on a bad name.
-func (s *server) tenantOf(w http.ResponseWriter, r *http.Request) (string, bool) {
-	tenant, err := NormalizeTenant(r.Header.Get(mesh.HeaderTenant))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return "", false
-	}
-	return tenant, true
 }
 
 // countingWriter tracks status and body bytes for instrumentation.
@@ -281,26 +251,155 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (s *server) fail(w http.ResponseWriter, code int, format string, args ...any) {
-	http.Error(w, fmt.Sprintf("chamd: "+format, args...), code)
+// request is what the pipeline hands a handler: the HTTP request plus
+// what the stages before it established.
+type request struct {
+	r *http.Request
+	// tenant is the validated X-Cham-Tenant ("default" when absent). On
+	// routes that are not tenant-scoped an invalid one is not an error:
+	// tenant is empty and badTenant says why.
+	tenant    string
+	badTenant error
+	// trusted marks authenticated intra-mesh traffic: never throttled,
+	// served strictly locally, allowed the mesh-internal views. repair
+	// narrows that to an anti-entropy pull, whose ingests must not
+	// re-fire continuous queries.
+	trusted, repair bool
+	body            []byte    // PUT/POST payload, capped and transfer-decoded
+	lookup          cq.Lookup // resolves run references: locally, or mesh-wide under the meshLookup policy
+	// f, canon and id are a PUT /runs body parsed, re-encoded canonically,
+	// and content-addressed, once decode has run.
+	f     *trace.File
+	canon []byte
+	id    string
 }
 
-func failCode(err error) int {
-	if errors.Is(err, ErrQuotaExceeded) {
+// decode parses the body as a trace in any readable format, once: the
+// replication policy needs the content address to place the run, the
+// handler needs the rest to store it.
+func (q *request) decode() error {
+	if q.f != nil {
+		return nil
+	}
+	f, err := trace.ReadAny(bytes.NewReader(q.body))
+	if err != nil {
+		return failf(http.StatusBadRequest, "store: ingest: %v", err)
+	}
+	if q.canon, q.id, err = Encode(f); err == nil {
+		q.f = f
+	}
+	return err
+}
+
+// matches reports whether the client already holds the entity named by
+// etag (If-None-Match), so the handler can answer notModified without
+// computing the body.
+func (q *request) matches(etag string) bool {
+	match := q.r.Header.Get("If-None-Match")
+	return match != "" && strings.Contains(match, etag)
+}
+
+// reply is a handler's answer when it is more than "200 + this value as
+// JSON" (which a handler says by returning the value itself).
+type reply struct {
+	status int         // 0 means 200
+	header http.Header // extra response headers, may be nil
+	etag   string      // ETag, quotes included
+	ctype  string      // Content-Type of a []byte or streamed body, unless header carries it
+	// body is nil, a []byte written verbatim, a func(io.Writer) error
+	// streamed to the client, or any other value, sent as JSON.
+	body any
+}
+
+func notModified(etag string) reply { return reply{status: http.StatusNotModified, etag: etag} }
+
+// asReply lifts a handler's bare value into the reply it abbreviates.
+func asReply(v any) reply {
+	if rep, ok := v.(reply); ok {
+		return rep
+	}
+	return reply{body: v}
+}
+
+// apiError is an error with an explicit HTTP status; everything else
+// gets its status from statusOf's table.
+type apiError struct {
+	code int
+	err  error
+}
+
+func (e *apiError) Error() string { return e.err.Error() }
+func (e *apiError) Unwrap() error { return e.err }
+
+func failf(code int, format string, args ...any) error {
+	return &apiError{code: code, err: fmt.Errorf(format, args...)}
+}
+
+// statusOf is the single error-to-status map.
+func statusOf(err error) int {
+	var ae *apiError
+	switch {
+	case errors.As(err, &ae):
+		return ae.code
+	case errors.Is(err, ErrQuotaExceeded):
 		return http.StatusTooManyRequests
-	}
-	if strings.Contains(err.Error(), "not found") {
+	case errors.Is(err, ErrNotFound), errors.Is(err, cq.ErrNotFound):
 		return http.StatusNotFound
-	}
-	if strings.Contains(err.Error(), "ambiguous") {
+	case errors.Is(err, ErrAmbiguous):
 		return http.StatusConflict
 	}
 	return http.StatusBadRequest
 }
 
-// readBody drains a possibly-gzipped request body under the size cap,
-// failing the request itself on error (nil return means handled).
-func (s *server) readBody(w http.ResponseWriter, r *http.Request) []byte {
+// serve runs one matched request through the pipeline.
+func (s *server) serve(w http.ResponseWriter, r *http.Request, rt *route) {
+	start := time.Now()
+	s.classReqs[rt.class].Inc()
+	defer func() { s.classLatency[rt.class].Observe(time.Since(start).Nanoseconds()) }()
+
+	v, err := s.dispatch(w, r, rt)
+	if err != nil {
+		code := statusOf(err)
+		if code == http.StatusTooManyRequests && w.Header().Get("Retry-After") == "" {
+			w.Header().Set("Retry-After", quotaRetryAfter)
+		}
+		http.Error(w, "chamd: "+err.Error(), code)
+		return
+	}
+	s.write(w, asReply(v))
+}
+
+// dispatch is the request half of the pipeline: establish who is
+// asking, admit them, read what they sent, and hand over to the route's
+// federation policy and handler.
+func (s *server) dispatch(w http.ResponseWriter, r *http.Request, rt *route) (any, error) {
+	q := &request{r: r, lookup: s.lookup}
+	q.trusted, q.repair = s.trust(r)
+
+	var err error
+	if q.tenant, err = NormalizeTenant(r.Header.Get(mesh.HeaderTenant)); err != nil {
+		if rt.class.scoped() {
+			return nil, failf(http.StatusBadRequest, "%v", err)
+		}
+		q.badTenant = err
+	} else if rt.class != classProbe && !q.trusted {
+		if ok, wait := s.limiter.allow(q.tenant); !ok {
+			s.mThrottled.Inc()
+			w.Header().Set("Retry-After", strconv.Itoa(int(wait.Seconds()+0.5)))
+			return nil, failf(http.StatusTooManyRequests, "tenant rate limit exceeded")
+		}
+	}
+
+	if r.Method == http.MethodPut || r.Method == http.MethodPost {
+		if q.body, err = s.readBody(w, r); err != nil {
+			return nil, err
+		}
+	}
+	return s.federate(rt, q)
+}
+
+// readBody drains a possibly-gzipped request body under the size cap.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	defer body.Close()
 	var in io.Reader = body
@@ -309,1099 +408,53 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) []byte {
 	case "gzip":
 		zr, err := gzip.NewReader(body)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, "gzip body: %v", err)
-			return nil
+			return nil, failf(http.StatusBadRequest, "gzip body: %v", err)
 		}
 		defer zr.Close()
 		in = zr
 	default:
-		s.fail(w, http.StatusUnsupportedMediaType, "unsupported Content-Encoding %q", enc)
-		return nil
+		return nil, failf(http.StatusUnsupportedMediaType, "unsupported Content-Encoding %q", enc)
 	}
 	payload, err := io.ReadAll(in)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.opts.MaxBodyBytes)
-			return nil
+			return nil, failf(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.opts.MaxBodyBytes)
 		}
-		s.fail(w, http.StatusBadRequest, "read body: %v", err)
-		return nil
+		return nil, failf(http.StatusBadRequest, "read body: %v", err)
 	}
 	s.mBytesIn.Add(uint64(len(payload)))
-	return payload
+	return payload, nil
 }
 
-func (s *server) handlePut(w http.ResponseWriter, r *http.Request) {
-	s.mIngestReqs.Inc()
-	start := time.Now()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	payload := s.readBody(w, r)
-	if payload == nil {
-		return
-	}
-	f, err := trace.ReadAny(bytes.NewReader(payload))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "store: ingest: %v", err)
-		return
-	}
-	canon, id, err := Encode(f)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	if s.node != nil && !s.forwarded(r) {
-		s.fanoutPut(w, r, tenant, f, canon, id, start)
-		return
-	}
-
-	run, created, err := s.ingestLocal(tenant, f, canon, id, !s.repair(r))
-	if err != nil {
-		if errors.Is(err, ErrQuotaExceeded) {
-			w.Header().Set("Retry-After", "60")
-		}
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	s.hIngest.Observe(time.Since(start).Nanoseconds())
-	s.writeRun(w, run, created)
-}
-
-// ingestLocal stores the canonical payload and, when this peer is the
-// run's primary owner (or there is no mesh), evaluates continuous
-// queries against it. Repair ingests pass evaluate=false: anti-entropy
-// must converge replicas without re-firing gates.
-func (s *server) ingestLocal(tenant string, f *trace.File, canon []byte, id string, evaluate bool) (Run, bool, error) {
-	run, created, err := s.a.ingest(tenant, f, canon, id)
-	if err != nil {
-		return Run{}, false, err
-	}
-	if evaluate && created && s.cq != nil && (s.node == nil || s.node.IsPrimary(id)) {
-		s.cq.Evaluate(tenant, id, f)
-	}
-	return run, created, nil
-}
-
-func (s *server) writeRun(w http.ResponseWriter, run Run, created bool) {
-	w.Header().Set("ETag", `"`+run.ID+`"`)
-	w.Header().Set("Location", "/runs/"+run.ID)
-	w.Header().Set("Content-Type", "application/json")
-	if created {
-		w.WriteHeader(http.StatusCreated)
-	}
-	json.NewEncoder(w).Encode(run) //nolint:errcheck — client gone is fine
-}
-
-// fanoutPut replicates an edge ingest to the run's R owners. Self
-// ingests directly; remote owners get a forwarded PUT. A dead remote
-// owner is tolerated by ingesting locally as a fallback replica — the
-// anti-entropy sweep moves the bytes onto the ring later — so a write
-// succeeds as long as any peer can hold it.
-func (s *server) fanoutPut(w http.ResponseWriter, r *http.Request, tenant string, f *trace.File, canon []byte, id string, start time.Time) {
-	s.mFanouts.Inc()
-	owners := s.node.Owners(id)
-	var run *Run
-	created := false
-	stored := 0
-	quotaHits := 0
-	remoteFailed := false
-	var lastErr error
-
-	for _, owner := range owners {
-		if owner == s.node.Self() {
-			rr, c, err := s.ingestLocal(tenant, f, canon, id, !s.repair(r))
-			if err != nil {
-				if errors.Is(err, ErrQuotaExceeded) {
-					quotaHits++
-					lastErr = err
-					continue
-				}
-				s.fail(w, failCode(err), "%v", err)
-				return
-			}
-			run, created, stored = &rr, created || c, stored+1
-			continue
-		}
-		resp, err := s.node.Do(http.MethodPut, owner, "/runs", tenant, mesh.ForwardFanout,
-			"application/octet-stream", bytes.NewReader(canon))
-		if err != nil {
-			remoteFailed = true
-			lastErr = err
-			continue
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK, http.StatusCreated:
-			created = created || resp.StatusCode == http.StatusCreated
-			stored++
-			if run == nil {
-				var rr Run
-				if json.Unmarshal(body, &rr) == nil && rr.ID != "" {
-					run = &rr
-				}
-			}
-		case http.StatusTooManyRequests:
-			quotaHits++
-			lastErr = fmt.Errorf("%s: %s", owner, strings.TrimSpace(string(body)))
-		default:
-			remoteFailed = true
-			lastErr = fmt.Errorf("%s: %s: %s", owner, resp.Status, strings.TrimSpace(string(body)))
-		}
-	}
-
-	if stored == 0 {
-		if quotaHits > 0 && !remoteFailed {
-			w.Header().Set("Retry-After", "60")
-			s.fail(w, http.StatusTooManyRequests, "%v", lastErr)
-			return
-		}
-		// Every owner is unreachable or full: last resort is this peer.
-		rr, c, err := s.ingestLocal(tenant, f, canon, id, !s.repair(r))
-		if err != nil {
-			if errors.Is(err, ErrQuotaExceeded) {
-				w.Header().Set("Retry-After", "60")
-			}
-			s.fail(w, failCode(err), "replicate %s: %v (owners: %v)", id[:12], err, lastErr)
-			return
-		}
-		run, created = &rr, c
-	}
-	if run == nil {
-		// Stored remotely but the owner's response didn't parse; build
-		// the record locally — ingest metadata is deterministic.
-		rr := *describe(f, canon, id)
-		rr.Tenant = tenant
-		run = &rr
-	}
-	s.hIngest.Observe(time.Since(start).Nanoseconds())
-	s.writeRun(w, *run, created)
-}
-
-// proxyHeaders are the request headers a transparent peer proxy
-// forwards and the response headers it relays back.
-var proxyReqHeaders = []string{"Accept", "Accept-Encoding", "If-None-Match"}
-var proxyRespHeaders = []string{"Content-Type", "Content-Encoding", "ETag", "Content-Length",
-	"X-Raw-Bytes", "X-Stored-Bytes", "Location"}
-
-// proxyRead forwards a GET this peer cannot serve to the run's owners
-// (then the rest of the fleet) and relays the first definitive
-// response. It reports whether the request was handled.
-func (s *server) proxyRead(w http.ResponseWriter, r *http.Request, tenant, id, path string) bool {
-	if s.node == nil || s.forwarded(r) {
-		return false
-	}
-	target := path
-	if q := r.URL.RawQuery; q != "" {
-		target += "?" + q
-	}
-	for _, peer := range ownersThenRest(s.node, id) {
-		req, err := http.NewRequest(http.MethodGet, peer+target, nil)
-		if err != nil {
-			return false
-		}
-		s.node.Decorate(req, tenant, mesh.ForwardFanout)
-		for _, h := range proxyReqHeaders {
-			if v := r.Header.Get(h); v != "" {
-				req.Header.Set(h, v)
-			}
-		}
-		resp, err := s.node.Send(req)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound || resp.StatusCode >= 500 {
-			resp.Body.Close()
-			continue
-		}
-		for _, h := range proxyRespHeaders {
-			if v := resp.Header.Get(h); v != "" {
-				w.Header().Set(h, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body) //nolint:errcheck — client gone is fine
-		resp.Body.Close()
-		s.mProxied.Inc()
-		return true
-	}
-	return false
-}
-
-func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	start := time.Now()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	id := r.PathValue("id")
-	tv := s.a.Tenant(tenant)
-
-	run, err := tv.Resolve(id)
-	if err != nil {
-		if strings.Contains(err.Error(), "not found") && s.proxyRead(w, r, tenant, id, "/runs/"+id) {
-			return
-		}
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	etag := `"` + run.ID + `"`
-	if match := r.Header.Get("If-None-Match"); match != "" && strings.Contains(match, etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-
-	asJSON := r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json")
-	if asJSON {
-		f, _, err := tv.Get(run.ID)
-		if err != nil {
-			s.fail(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		w.Header().Set("ETag", etag)
-		w.Header().Set("Content-Type", "application/json")
-		if err := f.Write(w); err != nil {
-			s.mErrors.Inc()
-		}
-		s.hQueries.Observe(time.Since(start).Nanoseconds())
-		return
-	}
-
-	wantGzip := strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
-	var payload []byte
-	if wantGzip && run.Gzip {
-		// The segment is already a gzip frame; stream it as the
-		// transfer encoding without recompressing.
-		payload, _, err = tv.StoredPayload(run.ID)
-		if err == nil {
-			w.Header().Set("Content-Encoding", "gzip")
-		}
-	} else {
-		payload, _, err = tv.Payload(run.ID)
-	}
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Raw-Bytes", strconv.FormatInt(run.RawBytes, 10))
-	w.Header().Set("X-Stored-Bytes", strconv.FormatInt(run.StoredBytes, 10))
-	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
-	w.Write(payload) //nolint:errcheck — client gone is fine
-	s.hQueries.Observe(time.Since(start).Nanoseconds())
-}
-
-// ListResponse is the JSON shape of GET /runs. Next, when present, is
-// the offset of the page after this one; its absence means the listing
-// is exhausted.
-type ListResponse struct {
-	Total  int   `json:"total"`
-	Offset int   `json:"offset"`
-	Next   int   `json:"next,omitempty"`
-	Runs   []Run `json:"runs"`
-}
-
-func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	start := time.Now()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	q := Query{Benchmark: r.URL.Query().Get("benchmark"), SigSet: r.URL.Query().Get("sigset")}
-	var err error
-	if v := r.URL.Query().Get("p"); v != "" {
-		if q.P, err = strconv.Atoi(v); err != nil {
-			s.fail(w, http.StatusBadRequest, "p: %v", err)
-			return
-		}
-	}
-	if v := r.URL.Query().Get("sig"); v != "" {
-		// Signatures print as hex (chamdump -sites); accept 0x-prefixed
-		// hex, bare hex, or decimal.
-		if q.Sig, err = parseSig(v); err != nil {
-			s.fail(w, http.StatusBadRequest, "sig: %v", err)
-			return
-		}
-	}
-	if v := r.URL.Query().Get("limit"); v != "" {
-		if q.Limit, err = strconv.Atoi(v); err != nil || q.Limit < 0 {
-			s.fail(w, http.StatusBadRequest, "limit: %q", v)
-			return
-		}
-	}
-	if v := r.URL.Query().Get("offset"); v != "" {
-		if q.Offset, err = strconv.Atoi(v); err != nil || q.Offset < 0 {
-			s.fail(w, http.StatusBadRequest, "offset: %q", v)
-			return
-		}
-	}
-
-	fwd := s.forwarded(r)
-	if !fwd {
-		// Server-side page bounds: an unspecified limit gets the
-		// documented default, an oversized one is clamped.
-		if q.Limit == 0 || q.Limit > maxListLimit {
-			if q.Limit > maxListLimit {
-				q.Limit = maxListLimit
-			} else {
-				q.Limit = defaultListLimit
-			}
-		}
-	}
-
-	var runs []Run
-	var total int
-	if s.node != nil && !fwd {
-		runs, total, err = s.scatterList(tenant, q, r.URL.Query())
-		if err != nil {
-			s.fail(w, http.StatusBadGateway, "%v", err)
-			return
-		}
-	} else {
-		runs, total = s.a.list(tenant, q)
-	}
-
-	resp := ListResponse{Total: total, Offset: q.Offset, Runs: runs}
-	if resp.Runs == nil {
-		resp.Runs = []Run{}
-	}
-	if next := q.Offset + len(resp.Runs); len(resp.Runs) > 0 && next < total {
-		resp.Next = next
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck
-	s.hQueries.Observe(time.Since(start).Nanoseconds())
-}
-
-// scatterList merges the whole fleet's view of a tenant's runs:
-// local set plus every peer's (forwarded, uncapped) listing, deduped
-// by content address, newest first, then paginated exactly like a
-// single-archive listing. An unreachable peer degrades the listing to
-// the reachable subset rather than failing it — at R>=2 every run is
-// still visible through a surviving owner.
-func (s *server) scatterList(tenant string, q Query, params map[string][]string) ([]Run, int, error) {
-	full := q
-	full.Limit, full.Offset = 0, 0
-	local, _ := s.a.list(tenant, full)
-	byID := make(map[string]Run, len(local))
-	for _, r := range local {
-		byID[r.ID] = r
-	}
-
-	query := ""
-	for _, k := range []string{"benchmark", "p", "sig", "sigset"} {
-		if vs, ok := params[k]; ok && len(vs) > 0 && vs[0] != "" {
-			if query != "" {
-				query += "&"
-			}
-			query += k + "=" + vs[0]
-		}
-	}
-	path := "/runs"
-	if query != "" {
-		path += "?" + query
-	}
-	for _, peer := range s.node.Others() {
-		resp, err := s.node.Do(http.MethodGet, peer, path, tenant, mesh.ForwardFanout, "", nil)
-		if err != nil {
-			continue
-		}
-		body, err := readOK(resp)
-		if err != nil {
-			continue
-		}
-		var lr ListResponse
-		if json.Unmarshal(body, &lr) != nil {
-			continue
-		}
-		for _, r := range lr.Runs {
-			if _, seen := byID[r.ID]; !seen {
-				byID[r.ID] = r
-			}
-		}
-	}
-
-	merged := make([]Run, 0, len(byID))
-	for _, r := range byID {
-		merged = append(merged, r)
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if !merged[i].Ingested.Equal(merged[j].Ingested) {
-			return merged[i].Ingested.After(merged[j].Ingested)
-		}
-		return merged[i].ID < merged[j].ID
-	})
-	total := len(merged)
-	if q.Offset > 0 {
-		if q.Offset >= len(merged) {
-			return nil, total, nil
-		}
-		merged = merged[q.Offset:]
-	}
-	if q.Limit > 0 && len(merged) > q.Limit {
-		merged = merged[:q.Limit]
-	}
-	return merged, total, nil
-}
-
-func parseSig(v string) (uint64, error) {
-	if strings.HasPrefix(v, "0x") || strings.HasPrefix(v, "0X") {
-		return strconv.ParseUint(v[2:], 16, 64)
-	}
-	if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-		return n, nil
-	}
-	return strconv.ParseUint(v, 16, 64)
-}
-
-// StatsResponse is the JSON shape of GET /runs/{id}/stats: the
-// compressed-domain analysis report, computed by walking the stored RSD
-// tree once (internal/zan) — the archive never expands the trace to
-// serve it.
-type StatsResponse struct {
-	ID     string      `json:"id"`
-	Report *zan.Report `json:"report"`
-}
-
-// notModified handles If-None-Match against a computed ETag, setting
-// the header either way and reporting whether a 304 was written.
-func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
-	w.Header().Set("ETag", etag)
-	if match := r.Header.Get("If-None-Match"); match != "" && strings.Contains(match, etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return true
-	}
-	return false
-}
-
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	start := time.Now()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	id := r.PathValue("id")
-	tv := s.a.Tenant(tenant)
-	run, err := tv.Resolve(id)
-	if err != nil {
-		if strings.Contains(err.Error(), "not found") && s.proxyRead(w, r, tenant, id, "/runs/"+id+"/stats") {
-			return
-		}
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	// The report is a pure function of the immutable payload, so the
-	// content address is its ETag.
-	if notModified(w, r, `"stats-`+run.ID+`"`) {
-		return
-	}
-	f, _, err := tv.Get(run.ID)
-	if err != nil {
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	rep, err := zan.Analyze(f, zan.Options{})
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(StatsResponse{ID: run.ID, Report: rep}) //nolint:errcheck
-	s.hQueries.Observe(time.Since(start).Nanoseconds())
-}
-
-func (s *server) handleEdgesPut(w http.ResponseWriter, r *http.Request) {
-	s.mIngestReqs.Inc()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	payload := s.readBody(w, r)
-	if payload == nil {
-		return
-	}
-	id := r.PathValue("id")
-	if s.node != nil && !s.forwarded(r) {
-		s.fanoutEdges(w, tenant, id, payload)
-		return
-	}
-	n, run, err := s.a.Tenant(tenant).PutEdges(id, payload)
-	if err != nil {
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	s.writeEdgesResult(w, run.ID, n)
-}
-
-func (s *server) writeEdgesResult(w http.ResponseWriter, id string, edges int) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct { //nolint:errcheck
-		ID    string `json:"id"`
-		Edges int    `json:"edges"`
-	}{ID: id, Edges: edges})
-}
-
-// fanoutEdges replicates an edge-sidecar PUT across the mesh, mirroring
-// fanoutPut: the sidecar lands on every peer that holds the run (its
-// owners, plus any off-ring fallback replica), so a push through a
-// non-owner peer succeeds and the sidecar survives an owner's death at
-// R>=2. Peers that own the run but currently lack it converge via the
-// anti-entropy sweep, which replicates sidecars alongside runs.
-func (s *server) fanoutEdges(w http.ResponseWriter, tenant, id string, payload []byte) {
-	s.mFanouts.Inc()
-	// Validate once at the edge so a malformed sidecar fails 400
-	// regardless of where the run lives.
-	if _, err := obs.ReadEdges(bytes.NewReader(payload)); err != nil {
-		s.fail(w, http.StatusBadRequest, "store: edges: %v", err)
-		return
-	}
-
-	resultID, resultEdges := "", 0
-	stored := 0
-	var lastErr error
-
-	// Local first: a hit resolves a prefix reference to the full
-	// content address, so the ring walk below targets the true owners.
-	if n, run, err := s.a.Tenant(tenant).PutEdges(id, payload); err == nil {
-		resultID, resultEdges = run.ID, n
-		stored++
-		id = run.ID
-	} else if !strings.Contains(err.Error(), "not found") {
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-
-	for _, peer := range ownersThenRest(s.node, id) {
-		resp, err := s.node.Do(http.MethodPut, peer, "/runs/"+id+"/edges", tenant, mesh.ForwardFanout,
-			"application/x-ndjson", bytes.NewReader(payload))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			stored++
-			if resultID == "" {
-				var out struct {
-					ID    string `json:"id"`
-					Edges int    `json:"edges"`
-				}
-				if json.Unmarshal(body, &out) == nil && out.ID != "" {
-					resultID, resultEdges = out.ID, out.Edges
-				}
-			}
-		case http.StatusNotFound:
-			// That peer simply doesn't hold the run.
-		default:
-			lastErr = fmt.Errorf("%s: %s: %s", peer, resp.Status, strings.TrimSpace(string(body)))
-		}
-	}
-
-	if stored == 0 {
-		if lastErr != nil {
-			s.fail(w, http.StatusBadGateway, "edges %s: no peer stored the sidecar: %v", id, lastErr)
-			return
-		}
-		s.fail(w, http.StatusNotFound, "store: run %q not found", id)
-		return
-	}
-	s.writeEdgesResult(w, resultID, resultEdges)
-}
-
-func (s *server) handleEdgesGet(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	id := r.PathValue("id")
-	payload, _, err := s.a.Tenant(tenant).EdgesPayload(id)
-	if err != nil {
-		if strings.Contains(err.Error(), "not found") && s.proxyRead(w, r, tenant, id, "/runs/"+id+"/edges") {
-			return
-		}
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
-	w.Write(payload) //nolint:errcheck — client gone is fine
-}
-
-// WavesResponse is the JSON shape of GET /runs/{id}/waves: the idle-wave
-// detector report computed server-side over the run's edge sidecar.
-type WavesResponse struct {
-	ID     string       `json:"id"`
-	Report *wave.Report `json:"report"`
-}
-
-func (s *server) handleWaves(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	start := time.Now()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	cols := 0
-	if v := r.URL.Query().Get("cols"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.fail(w, http.StatusBadRequest, "bad cols %q: want a non-negative integer", v)
-			return
-		}
-		cols = n
-	}
-	id := r.PathValue("id")
-	tv := s.a.Tenant(tenant)
-	sidecar, run, err := tv.EdgesPayload(id)
-	if err != nil {
-		if strings.Contains(err.Error(), "not found") && s.proxyRead(w, r, tenant, id, "/runs/"+id+"/waves") {
-			return
-		}
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	// Unlike the trace payload the sidecar is replaceable, so the ETag
-	// must cover its bytes (plus the detector's cols knob), not just
-	// the run identity.
-	sum := sha256.New()
-	fmt.Fprintf(sum, "%s|%d|", run.ID, cols)
-	sum.Write(sidecar)
-	if notModified(w, r, `"waves-`+hex.EncodeToString(sum.Sum(nil)[:16])+`"`) {
-		return
-	}
-	rep, _, err := tv.Waves(run.ID, cols)
-	if err != nil {
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(WavesResponse{ID: run.ID, Report: rep}) //nolint:errcheck
-	s.hQueries.Observe(time.Since(start).Nanoseconds())
-}
-
-// DiffResponse is the JSON shape of GET /runs/{a}/diff/{b}: the
-// chamstat per-site divergence verdict computed server-side.
-type DiffResponse struct {
-	A              string           `json:"a"`
-	B              string           `json:"b"`
-	Equivalent     bool             `json:"equivalent"`
-	Reason         string           `json:"reason,omitempty"`
-	TolerateRanks  []int            `json:"tolerate_ranks,omitempty"`
-	MissingInA     int              `json:"missing_in_a,omitempty"`
-	MissingInB     int              `json:"missing_in_b,omitempty"`
-	EventDeltas    map[string]int64 `json:"event_deltas,omitempty"`
-	SiteCountDelta map[string]int64 `json:"site_count_deltas,omitempty"`
-}
-
-func (s *server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	start := time.Now()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	// Resolve each side wherever it lives: locally first, then its
-	// owner peers. Two federated runs need not be co-located on any
-	// single peer, so a strictly-local lookup would 404 runs the mesh
-	// holds. Forwarded requests stay local (loop guard).
-	node := s.node
-	if s.forwarded(r) {
-		node = nil
-	}
-	lookup := FedLookup(s.a, node)
-	fa, idA, err := lookup(tenant, r.PathValue("a"))
-	if err != nil {
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	fb, idB, err := lookup(tenant, r.PathValue("b"))
-	if err != nil {
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-
-	var tol []int
-	switch spec := r.URL.Query().Get("tolerate"); spec {
-	case "":
-	case "auto":
-		set := map[int]bool{}
-		for _, rk := range fa.Retired {
-			set[rk] = true
-		}
-		for _, rk := range fb.Retired {
-			set[rk] = true
-		}
-		for rk := range set {
-			tol = append(tol, rk)
-		}
-		sort.Ints(tol)
+// write is the response half of the pipeline.
+func (s *server) write(w http.ResponseWriter, rep reply) {
+	h := w.Header()
+	for k, vs := range rep.header {
+		h[k] = vs
+	}
+	if rep.etag != "" {
+		h.Set("ETag", rep.etag)
+	}
+	send := func(io.Writer) error { return nil }
+	switch b := rep.body.(type) {
+	case nil:
+	case []byte:
+		h.Set("Content-Length", strconv.Itoa(len(b)))
+		send = func(w io.Writer) error { _, err := w.Write(b); return err }
+	case func(io.Writer) error:
+		send = b
 	default:
-		rs, err := fault.ParseRankSet(spec)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "tolerate: %v", err)
-			return
-		}
-		p := fa.P
-		if fb.P > p {
-			p = fb.P
-		}
-		tol = rs.Ranks(p)
+		rep.ctype = "application/json"
+		send = func(w io.Writer) error { return json.NewEncoder(w).Encode(b) }
 	}
-
-	d := analysis.CompareWith(fa, fb, analysis.CompareOpts{TolerateRanks: tol})
-	resp := DiffResponse{
-		A:             idA,
-		B:             idB,
-		Equivalent:    d.Equivalent(),
-		TolerateRanks: tol,
-		MissingInA:    len(d.MissingInA),
-		MissingInB:    len(d.MissingInB),
+	if rep.ctype != "" {
+		h.Set("Content-Type", rep.ctype)
 	}
-	if !d.Equivalent() {
-		resp.Reason = d.Reason()
+	if rep.status != 0 {
+		w.WriteHeader(rep.status)
 	}
-	if len(d.EventDeltas) > 0 {
-		resp.EventDeltas = map[string]int64{}
-		for rank, delta := range d.EventDeltas {
-			resp.EventDeltas[strconv.Itoa(rank)] = delta
-		}
+	if err := send(w); err != nil {
+		s.mErrors.Inc() // too late for a status, not for the books
 	}
-	if len(d.SiteCountDeltas) > 0 {
-		resp.SiteCountDelta = map[string]int64{}
-		for site, delta := range d.SiteCountDeltas {
-			resp.SiteCountDelta[fmt.Sprintf("%#x", site)] = delta
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck
-	s.hQueries.Observe(time.Since(start).Nanoseconds())
-}
-
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.opts.Reg.Snapshot()
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		w.Header().Set("Content-Type", "application/json")
-		snap.WriteJSON(w) //nolint:errcheck
-		return
-	}
-	w.Header().Set("Content-Type", obs.PrometheusContentType)
-	snap.WritePrometheus(w) //nolint:errcheck
-}
-
-// --- live telemetry endpoints ---
-
-func (s *server) handleLiveDeltas(w http.ResponseWriter, r *http.Request) {
-	s.mLiveReqs.Inc()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	id := r.PathValue("id")
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	defer body.Close()
-	var batch []obs.Delta
-	if err := json.NewDecoder(body).Decode(&batch); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.opts.MaxBodyBytes)
-			return
-		}
-		s.fail(w, http.StatusBadRequest, "delta batch: %v", err)
-		return
-	}
-	ackSeq, err := s.live.ApplyT(tenant, id, batch)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(obs.Ack{AckSeq: ackSeq}) //nolint:errcheck
-}
-
-func (s *server) handleLiveList(w http.ResponseWriter, r *http.Request) {
-	s.mLiveReqs.Inc()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	resp := struct {
-		Sessions []LiveSummary `json:"sessions"`
-	}{Sessions: s.live.ListT(tenant)}
-	if resp.Sessions == nil {
-		resp.Sessions = []LiveSummary{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck
-}
-
-func (s *server) handleLiveGet(w http.ResponseWriter, r *http.Request) {
-	s.mLiveReqs.Inc()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	withMetrics := r.URL.Query().Get("metrics") == "1"
-	v, err := s.live.ViewT(tenant, r.PathValue("id"), withMetrics)
-	if err != nil {
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
-}
-
-func (s *server) handleLiveWatch(w http.ResponseWriter, r *http.Request) {
-	s.mLiveReqs.Inc()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	var after uint64
-	if v := r.URL.Query().Get("version"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "version: %q", v)
-			return
-		}
-		after = n
-	}
-	wait, ok := s.longPollWait(w, r)
-	if !ok {
-		return
-	}
-	v, err := s.live.WatchT(tenant, r.PathValue("id"), after, wait)
-	if err != nil {
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
-}
-
-// longPollWait resolves the ?timeout= parameter against the server's
-// request timeout (the whole handler chain sits under
-// http.TimeoutHandler, so the poll must resolve inside it).
-func (s *server) longPollWait(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
-	maxWait := s.opts.RequestTimeout * 3 / 4
-	wait := maxWait
-	if v := r.URL.Query().Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			s.fail(w, http.StatusBadRequest, "timeout: %q", v)
-			return 0, false
-		}
-		if d < wait {
-			wait = d
-		}
-	}
-	return wait, true
-}
-
-// --- continuous-query endpoints ---
-
-func (s *server) handleCQPut(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	payload := s.readBody(w, r)
-	if payload == nil {
-		return
-	}
-	var spec cq.Spec
-	if err := json.Unmarshal(payload, &spec); err != nil {
-		s.fail(w, http.StatusBadRequest, "cq spec: %v", err)
-		return
-	}
-	spec.Tenant = tenant
-	stored, err := s.cq.Register(spec)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Registrations fan out to the whole fleet (every peer can be the
-	// primary owner of a future ingest); anti-entropy re-syncs any peer
-	// that was down. Best-effort by design: concurrent, on the
-	// short-timeout broadcast client, so a partitioned peer cannot
-	// stall the registration for the full request budget.
-	if s.node != nil && !s.forwarded(r) {
-		body, _ := json.Marshal(stored)
-		broadcast(s.node, func(peer string) (*http.Response, error) {
-			return s.node.Broadcast(http.MethodPut, peer, "/cq", tenant, mesh.ForwardFanout,
-				"application/json", bytes.NewReader(body))
-		})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(stored) //nolint:errcheck
-}
-
-func (s *server) handleCQList(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	var specs []cq.Spec
-	if r.URL.Query().Get("all") == "1" && s.forwarded(r) {
-		// Anti-entropy sync path: a sweeping peer needs every tenant's
-		// registrations; external clients only ever see their own.
-		specs = s.cq.All()
-	} else {
-		specs = s.cq.List(tenant)
-	}
-	if specs == nil {
-		specs = []cq.Spec{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(specs) //nolint:errcheck
-}
-
-func (s *server) handleCQDelete(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	if err := s.cq.Delete(tenant, name); err != nil {
-		s.fail(w, failCode(err), "%v", err)
-		return
-	}
-	if s.node != nil && !s.forwarded(r) {
-		// Peers that miss the broadcast converge anyway: Delete leaves a
-		// tombstone whose stamp out-ranks the live spec, and the
-		// anti-entropy merge propagates it instead of resurrecting.
-		broadcast(s.node, func(peer string) (*http.Response, error) {
-			return s.node.Broadcast(http.MethodDelete, peer, "/cq/"+name, tenant, mesh.ForwardFanout, "", nil)
-		})
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *server) handleCQEvents(w http.ResponseWriter, r *http.Request) {
-	s.mQueryReqs.Inc()
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	var view cq.FeedView
-	if v := r.URL.Query().Get("version"); v != "" {
-		after, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "version: %q", v)
-			return
-		}
-		wait, ok := s.longPollWait(w, r)
-		if !ok {
-			return
-		}
-		view = s.cq.Watch(tenant, after, wait)
-	} else {
-		view = s.cq.Feed(tenant)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(view) //nolint:errcheck
-}
-
-// handleCQEventPost receives a peer's event broadcast. Forwarded-only
-// (key-checked under -mesh-secret): external clients cannot forge feed
-// entries on a secured mesh; without a secret the gate is cooperative
-// (docs/STORE.md, "Trust model").
-func (s *server) handleCQEventPost(w http.ResponseWriter, r *http.Request) {
-	if !s.forwarded(r) {
-		s.fail(w, http.StatusForbidden, "cq event broadcast is mesh-internal")
-		return
-	}
-	payload := s.readBody(w, r)
-	if payload == nil {
-		return
-	}
-	var ev cq.Event
-	if err := json.Unmarshal(payload, &ev); err != nil {
-		s.fail(w, http.StatusBadRequest, "cq event: %v", err)
-		return
-	}
-	s.cq.Append(ev)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// --- mesh endpoints ---
-
-func (s *server) handleMeshManifest(w http.ResponseWriter, r *http.Request) {
-	entries := s.a.MeshTarget().Entries()
-	if s.node != nil && s.node.Secured() && !s.forwarded(r) {
-		// On a secured mesh the full cross-tenant manifest is reserved
-		// for key-carrying peers; anyone else sees only their own
-		// tenant's holdings.
-		tenant, ok := s.tenantOf(w, r)
-		if !ok {
-			return
-		}
-		scoped := entries[:0]
-		for _, e := range entries {
-			if e.Tenant == tenant {
-				scoped = append(scoped, e)
-			}
-		}
-		entries = scoped
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Tenant != entries[j].Tenant {
-			return entries[i].Tenant < entries[j].Tenant
-		}
-		return entries[i].ID < entries[j].ID
-	})
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(entries) //nolint:errcheck
-}
-
-// MeshStatus is the JSON shape of GET /mesh/status.
-type MeshStatus struct {
-	Self     string           `json:"self,omitempty"`
-	Peers    []string         `json:"peers,omitempty"`
-	Replicas int              `json:"replicas,omitempty"`
-	Runs     int              `json:"runs"`
-	Tenants  map[string]int64 `json:"tenants,omitempty"` // tenant -> used raw bytes
-}
-
-func (s *server) handleMeshStatus(w http.ResponseWriter, r *http.Request) {
-	st := MeshStatus{Runs: s.a.Len(), Tenants: map[string]int64{}}
-	for _, t := range s.a.Tenants() {
-		st.Tenants[t] = s.a.Tenant(t).Used()
-	}
-	if s.node != nil {
-		st.Self = s.node.Self()
-		st.Peers = s.node.Peers()
-		st.Replicas = s.node.Replicas()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st) //nolint:errcheck
-}
-
-func (s *server) handleMeshSweep(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.node.Sweep(s.a.MeshTarget(), s.cq)
-	w.Header().Set("Content-Type", "application/json")
-	out := struct {
-		mesh.SweepReport
-		Error string `json:"error,omitempty"`
-	}{SweepReport: rep}
-	if err != nil {
-		out.Error = err.Error()
-	}
-	json.NewEncoder(w).Encode(out) //nolint:errcheck
 }

@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -39,11 +40,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"chameleon/internal/atomicfile"
 	"chameleon/internal/obs"
 	"chameleon/internal/trace"
 )
@@ -54,9 +57,19 @@ const (
 	KindCompact = "store_compact" // one compaction pass (Count: files removed)
 )
 
-// ErrQuotaExceeded marks an ingest rejected by a tenant storage quota.
-// The HTTP layer maps it to 429 + Retry-After.
-var ErrQuotaExceeded = errors.New("store: tenant storage quota exceeded")
+// Sentinel errors, wrapped with %w where they arise; the HTTP layer's
+// status map and the federation layer's proxy-on-miss match them with
+// errors.Is.
+var (
+	// ErrQuotaExceeded marks an ingest rejected by a tenant storage
+	// quota (429 + Retry-After).
+	ErrQuotaExceeded = errors.New("store: tenant storage quota exceeded")
+	// ErrNotFound marks a run, edge sidecar, or live session this
+	// archive does not hold (404).
+	ErrNotFound = errors.New("not found")
+	// ErrAmbiguous marks a run prefix matching more than one run (409).
+	ErrAmbiguous = errors.New("is ambiguous")
+)
 
 // Options configures an Archive.
 type Options struct {
@@ -129,8 +142,12 @@ type Query struct {
 }
 
 // Archive is an open trace archive. All methods are safe for concurrent
-// use.
+// use. Every per-run operation lives on TenantView; the embedded view is
+// the default tenant's, so a.Ingest, a.Get, a.Payload, a.List, ... act
+// on it, and a.Tenant(name) scopes the same operations to anyone else.
 type Archive struct {
+	TenantView
+
 	dir  string
 	opts Options
 
@@ -182,6 +199,7 @@ func Open(dir string, opts Options) (*Archive, error) {
 		hIngest:       opts.Reg.Histogram("store_ingest_ns"),
 		hGet:          opts.Reg.Histogram("store_get_ns"),
 	}
+	a.TenantView = a.Tenant(DefaultTenant)
 	if err := a.loadManifest(); err != nil {
 		return nil, err
 	}
@@ -222,6 +240,9 @@ func (a *Archive) compactLoop(every time.Duration) {
 }
 
 func (a *Archive) manifestPath() string { return filepath.Join(a.dir, "manifest.json") }
+
+// tmpDir is the staging area every atomic write goes through.
+func (a *Archive) tmpDir() string { return filepath.Join(a.dir, "tmp") }
 
 // tenantRoot returns the directory a tenant's payload tree lives
 // under: the archive root for the default tenant (the pre-federation
@@ -294,22 +315,7 @@ func (a *Archive) writeManifest() error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Join(a.dir, "tmp"), "manifest-*")
-	if err != nil {
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	if err := os.Rename(name, a.manifestPath()); err != nil {
-		os.Remove(name)
+	if _, err := atomicfile.Write(a.tmpDir(), a.manifestPath(), atomicfile.Bytes(data)); err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
 	return nil
@@ -336,15 +342,9 @@ func describe(f *trace.File, payload []byte, id string) *Run {
 	for _, s := range f.SiteTable() {
 		sigs = append(sigs, s.Sig)
 	}
-	sort.Slice(sigs, func(i, j int) bool { return sigs[i] < sigs[j] })
+	slices.Sort(sigs)
 	h := sha256.New()
-	var w [8]byte
-	for _, s := range sigs {
-		for i := 0; i < 8; i++ {
-			w[i] = byte(s >> (8 * i))
-		}
-		h.Write(w[:])
-	}
+	binary.Write(h, binary.LittleEndian, sigs) //nolint:errcheck — a hash never fails a write
 	return &Run{
 		ID:        id,
 		Benchmark: f.Benchmark,
@@ -359,30 +359,40 @@ func describe(f *trace.File, payload []byte, id string) *Run {
 	}
 }
 
-// Ingest archives a trace file into the default tenant. It returns the
-// manifest record and whether a new segment was created (false when the
-// content address was already present — the dedup path stores nothing).
-func (a *Archive) Ingest(f *trace.File) (Run, bool, error) {
-	return a.Tenant(DefaultTenant).Ingest(f)
+// Ingest archives a trace file. It returns the manifest record and
+// whether a new segment was created (false when the content address was
+// already present — the dedup path stores nothing).
+func (v TenantView) Ingest(f *trace.File) (Run, bool, error) {
+	payload, id, err := Encode(f)
+	if err != nil {
+		return Run{}, false, err
+	}
+	return v.ingest(f, payload, id)
 }
 
 // IngestBytes archives a serialized trace (any readable format: binary
-// v1/v2 or JSON) into the default tenant. The payload is decoded —
-// validating it — and re-encoded canonically, so equivalent pushes in
-// different formats share one content address.
-func (a *Archive) IngestBytes(b []byte) (Run, bool, error) {
-	return a.Tenant(DefaultTenant).IngestBytes(b)
+// v1/v2 or JSON). The payload is decoded — validating it — and
+// re-encoded canonically, so equivalent pushes in different formats
+// share one content address.
+func (v TenantView) IngestBytes(b []byte) (Run, bool, error) {
+	f, err := trace.ReadAny(bytes.NewReader(b))
+	if err != nil {
+		return Run{}, false, fmt.Errorf("store: ingest: %w", err)
+	}
+	return v.Ingest(f)
 }
 
-// quotaFor returns a tenant's raw-byte quota (0 = unlimited).
-func (a *Archive) quotaFor(tenant string) int64 {
-	if q, ok := a.opts.TenantQuotas[tenant]; ok {
+// Quota returns the tenant's raw-byte quota (0 = unlimited).
+func (v TenantView) Quota() int64 {
+	if q, ok := v.a.opts.TenantQuotas[v.tenant]; ok {
 		return q
 	}
-	return a.opts.QuotaBytes
+	return v.a.opts.QuotaBytes
 }
 
-func (a *Archive) ingest(tenant string, f *trace.File, payload []byte, id string) (Run, bool, error) {
+// ingest stores an already-canonical payload under its content address.
+func (v TenantView) ingest(f *trace.File, payload []byte, id string) (Run, bool, error) {
+	a, tenant := v.a, v.tenant
 	start := time.Now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -394,7 +404,7 @@ func (a *Archive) ingest(tenant string, f *trace.File, payload []byte, id string
 		return *r, false, nil
 	}
 
-	if quota := a.quotaFor(tenant); quota > 0 && a.used[tenant]+int64(len(payload)) > quota {
+	if quota := v.Quota(); quota > 0 && a.used[tenant]+int64(len(payload)) > quota {
 		a.mQuotaRejects.Inc()
 		return Run{}, false, fmt.Errorf("%w: tenant %q holds %d of %d bytes, run needs %d more",
 			ErrQuotaExceeded, tenant, a.used[tenant], quota, len(payload))
@@ -429,65 +439,34 @@ func (a *Archive) ingest(tenant string, f *trace.File, payload []byte, id string
 }
 
 // writeSegment stages the payload in tmp/ and renames it into place, so
-// a segment path either doesn't exist or holds complete bytes. Callers
-// hold a.mu.
+// a segment path either doesn't exist or holds complete bytes. An orphan
+// already at the path (a crashed or deleted ingest's, perhaps truncated
+// or written under the other Gzip setting) is replaced, never trusted.
+// Callers hold a.mu.
 func (a *Archive) writeSegment(tenant, id string, payload []byte) (int64, error) {
-	path := a.segmentPath(tenant, id)
-	if fi, err := os.Stat(path); err == nil {
-		// Orphan left by a crashed ingest whose manifest swap never
-		// landed: the bytes are content-addressed, reuse them.
-		return fi.Size(), nil
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return 0, fmt.Errorf("store: segment: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Join(a.dir, "tmp"), "seg-*")
-	if err != nil {
-		return 0, fmt.Errorf("store: segment: %w", err)
-	}
-	name := tmp.Name()
-	fail := func(err error) (int64, error) {
-		tmp.Close()
-		os.Remove(name)
-		return 0, fmt.Errorf("store: segment: %w", err)
-	}
-	if a.opts.Gzip {
-		zw := gzip.NewWriter(tmp)
+	size, err := atomicfile.Write(a.tmpDir(), a.segmentPath(tenant, id), func(w io.Writer) error {
+		if !a.opts.Gzip {
+			_, err := w.Write(payload)
+			return err
+		}
+		zw := gzip.NewWriter(w)
 		if _, err := zw.Write(payload); err != nil {
-			return fail(err)
+			return err
 		}
-		if err := zw.Close(); err != nil {
-			return fail(err)
-		}
-	} else if _, err := tmp.Write(payload); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return 0, fmt.Errorf("store: segment: %w", err)
-	}
-	fi, err := os.Stat(name)
+		return zw.Close()
+	})
 	if err != nil {
-		os.Remove(name)
 		return 0, fmt.Errorf("store: segment: %w", err)
 	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return 0, fmt.Errorf("store: segment: %w", err)
-	}
-	return fi.Size(), nil
+	return size, nil
 }
 
-// Resolve looks a default-tenant run up by full content address or by
-// unique prefix (at least 6 hex digits).
-func (a *Archive) Resolve(id string) (Run, error) {
-	return a.Tenant(DefaultTenant).Resolve(id)
-}
-
-func (a *Archive) resolve(tenant, id string) (Run, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	runs := a.runs[tenant]
+// Resolve looks a run up by full content address or by unique prefix
+// (at least 6 hex digits).
+func (v TenantView) Resolve(id string) (Run, error) {
+	v.a.mu.Lock()
+	defer v.a.mu.Unlock()
+	runs := v.a.runs[v.tenant]
 	if r, ok := runs[id]; ok {
 		return *r, nil
 	}
@@ -496,7 +475,7 @@ func (a *Archive) resolve(tenant, id string) (Run, error) {
 		for k, r := range runs {
 			if strings.HasPrefix(k, id) {
 				if found != nil {
-					return Run{}, fmt.Errorf("store: run %q is ambiguous", id)
+					return Run{}, fmt.Errorf("store: run %q %w", id, ErrAmbiguous)
 				}
 				found = r
 			}
@@ -505,22 +484,18 @@ func (a *Archive) resolve(tenant, id string) (Run, error) {
 			return *found, nil
 		}
 	}
-	return Run{}, fmt.Errorf("store: run %q not found", id)
+	return Run{}, fmt.Errorf("store: run %q %w", id, ErrNotFound)
 }
 
-// Payload returns the canonical (uncompressed) segment bytes of a
-// default-tenant run, verifying them against the content address.
-func (a *Archive) Payload(id string) ([]byte, Run, error) {
-	return a.Tenant(DefaultTenant).Payload(id)
-}
-
-func (a *Archive) payload(tenant, id string) ([]byte, Run, error) {
+// Payload returns the canonical (uncompressed) segment bytes of a run,
+// verifying them against the content address.
+func (v TenantView) Payload(id string) ([]byte, Run, error) {
 	start := time.Now()
-	run, err := a.resolve(tenant, id)
+	run, err := v.Resolve(id)
 	if err != nil {
 		return nil, Run{}, err
 	}
-	raw, err := a.readSegment(run)
+	raw, err := v.a.readSegment(run)
 	if err != nil {
 		return nil, Run{}, err
 	}
@@ -528,28 +503,24 @@ func (a *Archive) payload(tenant, id string) ([]byte, Run, error) {
 	if hex.EncodeToString(sum[:]) != run.ID {
 		return nil, Run{}, fmt.Errorf("store: segment %s is corrupt (content hash mismatch)", run.ID[:12])
 	}
-	a.mGets.Inc()
-	a.hGet.Observe(time.Since(start).Nanoseconds())
+	v.a.mGets.Inc()
+	v.a.hGet.Observe(time.Since(start).Nanoseconds())
 	return raw, run, nil
 }
 
-// StoredPayload returns the on-disk segment bytes of a default-tenant
-// run as stored (gzip frame intact when the archive compresses), for
-// zero-copy HTTP serving with Content-Encoding: gzip.
-func (a *Archive) StoredPayload(id string) ([]byte, Run, error) {
-	return a.Tenant(DefaultTenant).StoredPayload(id)
-}
-
-func (a *Archive) storedPayload(tenant, id string) ([]byte, Run, error) {
-	run, err := a.resolve(tenant, id)
+// StoredPayload returns the on-disk segment bytes of a run as stored
+// (gzip frame intact when the archive compresses), for zero-copy HTTP
+// serving with Content-Encoding: gzip.
+func (v TenantView) StoredPayload(id string) ([]byte, Run, error) {
+	run, err := v.Resolve(id)
 	if err != nil {
 		return nil, Run{}, err
 	}
-	b, err := os.ReadFile(a.segmentPath(tenant, run.ID))
+	b, err := os.ReadFile(v.a.segmentPath(v.tenant, run.ID))
 	if err != nil {
 		return nil, Run{}, fmt.Errorf("store: segment: %w", err)
 	}
-	a.mGets.Inc()
+	v.a.mGets.Inc()
 	return b, run, nil
 }
 
@@ -575,21 +546,26 @@ func (a *Archive) readSegment(run Run) ([]byte, error) {
 	return b, nil
 }
 
-// Get decodes an archived default-tenant run back into a trace file.
-func (a *Archive) Get(id string) (*trace.File, Run, error) {
-	return a.Tenant(DefaultTenant).Get(id)
+// Get decodes an archived run back into a trace file.
+func (v TenantView) Get(id string) (*trace.File, Run, error) {
+	raw, run, err := v.Payload(id)
+	if err != nil {
+		return nil, Run{}, err
+	}
+	f, err := trace.ReadAny(bytes.NewReader(raw))
+	if err != nil {
+		return nil, Run{}, fmt.Errorf("store: segment %s: %w", run.ID[:12], err)
+	}
+	return f, run, nil
 }
 
-// List returns the default-tenant runs matching q, newest first, plus
-// the total match count before pagination.
-func (a *Archive) List(q Query) ([]Run, int) {
-	return a.Tenant(DefaultTenant).List(q)
-}
-
-func (a *Archive) list(tenant string, q Query) ([]Run, int) {
+// List returns the tenant's runs matching q, newest first, plus the
+// total match count before pagination.
+func (v TenantView) List(q Query) ([]Run, int) {
+	a := v.a
 	a.mu.Lock()
-	matched := make([]Run, 0, len(a.runs[tenant]))
-	for _, r := range a.runs[tenant] {
+	matched := make([]Run, 0, len(a.runs[v.tenant]))
+	for _, r := range a.runs[v.tenant] {
 		if q.Benchmark != "" && r.Benchmark != q.Benchmark {
 			continue
 		}
@@ -599,51 +575,48 @@ func (a *Archive) list(tenant string, q Query) ([]Run, int) {
 		if q.SigSet != "" && r.SigSet != q.SigSet {
 			continue
 		}
-		if q.Sig != 0 && !containsSig(r.Sigs, q.Sig) {
+		if _, has := slices.BinarySearch(r.Sigs, q.Sig); q.Sig != 0 && !has {
 			continue
 		}
 		matched = append(matched, *r)
 	}
 	a.mu.Unlock()
 	a.mLists.Inc()
+	return q.page(matched)
+}
 
-	sort.Slice(matched, func(i, j int) bool {
-		if !matched[i].Ingested.Equal(matched[j].Ingested) {
-			return matched[i].Ingested.After(matched[j].Ingested)
+// page orders runs newest first (content address breaking ties) and
+// cuts the query's Offset/Limit window out of them, returning the
+// window and the total before the cut. It sorts runs in place.
+func (q Query) page(runs []Run) ([]Run, int) {
+	sort.Slice(runs, func(i, j int) bool {
+		if !runs[i].Ingested.Equal(runs[j].Ingested) {
+			return runs[i].Ingested.After(runs[j].Ingested)
 		}
-		return matched[i].ID < matched[j].ID
+		return runs[i].ID < runs[j].ID
 	})
-	total := len(matched)
+	total := len(runs)
 	if q.Offset > 0 {
-		if q.Offset >= len(matched) {
+		if q.Offset >= len(runs) {
 			return nil, total
 		}
-		matched = matched[q.Offset:]
+		runs = runs[q.Offset:]
 	}
-	if q.Limit > 0 && len(matched) > q.Limit {
-		matched = matched[:q.Limit]
+	if q.Limit > 0 && len(runs) > q.Limit {
+		runs = runs[:q.Limit]
 	}
-	return matched, total
+	return runs, total
 }
 
-func containsSig(sorted []uint64, sig uint64) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= sig })
-	return i < len(sorted) && sorted[i] == sig
-}
-
-// Delete drops a default-tenant run from the manifest. The segment
-// stays on disk as an orphan (the store is append-only) until Compact
-// reclaims it.
-func (a *Archive) Delete(id string) error {
-	return a.Tenant(DefaultTenant).Delete(id)
-}
-
-func (a *Archive) deleteRun(tenant, id string) error {
+// Delete drops a run from the manifest. The segment stays on disk as an
+// orphan (the store is append-only) until Compact reclaims it.
+func (v TenantView) Delete(id string) error {
+	a, tenant := v.a, v.tenant
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	r, ok := a.runs[tenant][id]
 	if !ok {
-		return fmt.Errorf("store: run %q not found", id)
+		return fmt.Errorf("store: run %q %w", id, ErrNotFound)
 	}
 	delete(a.runs[tenant], id)
 	a.used[tenant] -= r.RawBytes
@@ -663,13 +636,7 @@ func (a *Archive) Compact() (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	removed := 0
-	var firstErr error
-
-	note := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	var errs []error
 
 	// Every tenant payload tree: the legacy default-tenant layout plus
 	// tenants/<name>/ for everyone else — including directories of
@@ -683,25 +650,24 @@ func (a *Archive) Compact() (int, error) {
 		}
 	}
 	for tenant, root := range roots {
-		n, err := a.compactTreeLocked(tenant, filepath.Join(root, "segments"), ".seg")
-		removed += n
-		note(err)
-		n, err = a.compactTreeLocked(tenant, filepath.Join(root, "edges"), ".jsonl")
-		removed += n
-		note(err)
+		for sub, ext := range map[string]string{"segments": ".seg", "edges": ".jsonl"} {
+			n, err := a.compactTreeLocked(tenant, filepath.Join(root, sub), ext)
+			removed += n
+			errs = append(errs, err)
+			if tenant != DefaultTenant {
+				os.Remove(filepath.Join(root, sub)) // drop a fully emptied tenant directory; best-effort
+			}
+		}
 		if tenant != DefaultTenant {
-			// Drop a fully emptied tenant directory; best-effort.
-			os.Remove(filepath.Join(root, "segments"))
-			os.Remove(filepath.Join(root, "edges"))
 			os.Remove(root)
 		}
 	}
 
 	// Ingest holds the same lock while staging, so anything left in
 	// tmp/ is debris from a crashed process.
-	if tmps, err := os.ReadDir(filepath.Join(a.dir, "tmp")); err == nil {
+	if tmps, err := os.ReadDir(a.tmpDir()); err == nil {
 		for _, t := range tmps {
-			if os.Remove(filepath.Join(a.dir, "tmp", t.Name())) == nil {
+			if os.Remove(filepath.Join(a.tmpDir(), t.Name())) == nil {
 				removed++
 			}
 		}
@@ -709,11 +675,12 @@ func (a *Archive) Compact() (int, error) {
 
 	a.mCompacts.Inc()
 	a.mOrphans.Add(uint64(removed))
-	if removed > 0 || firstErr != nil {
+	err := errors.Join(errs...)
+	if removed > 0 || err != nil {
 		a.opts.Journal.Emit(obs.Event{Kind: KindCompact, Count: uint64(removed)})
 	}
-	if firstErr != nil {
-		return removed, fmt.Errorf("store: compact: %w", firstErr)
+	if err != nil {
+		return removed, fmt.Errorf("store: compact: %w", err)
 	}
 	return removed, nil
 }
@@ -721,42 +688,32 @@ func (a *Archive) Compact() (int, error) {
 // compactTreeLocked removes files under a fan-out tree (segments or
 // edges) whose trimmed name is not a live run of the tenant. Callers
 // hold a.mu.
-func (a *Archive) compactTreeLocked(tenant, root, ext string) (removed int, firstErr error) {
+func (a *Archive) compactTreeLocked(tenant, root, ext string) (removed int, err error) {
 	entries, err := os.ReadDir(root)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
+	if os.IsNotExist(err) {
+		return 0, nil
 	}
+	var errs []error
 	for _, sub := range entries {
 		if !sub.IsDir() {
 			continue
 		}
 		subPath := filepath.Join(root, sub.Name())
 		files, err := os.ReadDir(subPath)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
+		errs = append(errs, err)
 		for _, f := range files {
-			id := strings.TrimSuffix(f.Name(), ext)
-			if _, live := a.runs[tenant][id]; live {
+			if _, live := a.runs[tenant][strings.TrimSuffix(f.Name(), ext)]; live {
 				continue
 			}
 			if err := os.Remove(filepath.Join(subPath, f.Name())); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
+				errs = append(errs, err)
 				continue
 			}
 			removed++
 		}
 		os.Remove(subPath) // drop now-empty fan-out directories; best-effort
 	}
-	return removed, firstErr
+	return removed, errors.Join(append(errs, err)...)
 }
 
 // Len returns the number of archived runs across all tenants.

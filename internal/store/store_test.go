@@ -356,6 +356,63 @@ func TestDeleteAndCompact(t *testing.T) {
 	}
 }
 
+// A deleted or crashed ingest leaves its segment file behind until
+// Compact. Re-ingesting the same content address must replace that file,
+// never adopt it: it may be truncated, or written under the other Gzip
+// setting, and the new manifest record describes what this ingest wrote.
+func TestReingestReplacesOrphanSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, seg string)
+		reopen Options
+	}{
+		{"orphan written without gzip, archive reopened with it", func(*testing.T, string) {}, Options{Gzip: true}},
+		{"orphan truncated", func(t *testing.T, seg string) {
+			if err := os.Truncate(seg, 10); err != nil {
+				t.Fatal(err)
+			}
+		}, Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			a, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := mkTrace(4, "PHASE", 32)
+			run, _, err := a.Ingest(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Delete(run.ID); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, a.segmentPath(DefaultTenant, run.ID))
+			a.Close()
+
+			b, err := Open(dir, tc.reopen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			again, created, err := b.Ingest(f)
+			if err != nil || !created || again.ID != run.ID {
+				t.Fatalf("re-ingest over the orphan: created=%v id=%.12s err=%v", created, again.ID, err)
+			}
+			if again.Gzip != tc.reopen.Gzip || again.StoredBytes <= 10 {
+				t.Fatalf("record does not describe the rewritten segment: %+v", again)
+			}
+			got, _, err := b.Get(run.ID)
+			if err != nil {
+				t.Fatalf("acknowledged re-ingest cannot be read back: %v", err)
+			}
+			if _, id, _ := Encode(got); id != run.ID {
+				t.Fatal("re-ingested run decodes to a different content address")
+			}
+		})
+	}
+}
+
 func TestBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir, Options{CompactEvery: 5 * time.Millisecond})

@@ -8,36 +8,19 @@ package store
 // layer works through after extracting the X-Cham-Tenant header.
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 
 	"chameleon/internal/obs"
-	"chameleon/internal/trace"
-	"chameleon/internal/wave"
 )
 
 // DefaultTenant is the namespace used when no tenant is specified.
 const DefaultTenant = "default"
 
 // ValidTenant reports whether a tenant name is acceptable: 1-64
-// characters of [A-Za-z0-9._-]. The same alphabet as live session IDs,
-// and safe as a directory name.
+// characters of [A-Za-z0-9._-] — the live session ID alphabet, safe as
+// a directory name — except "." and "..", which are path traversal.
 func ValidTenant(name string) bool {
-	if len(name) == 0 || len(name) > 64 {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		case c == '.' || c == '_' || c == '-':
-		default:
-			return false
-		}
-	}
-	// "." and ".." are valid by alphabet but are path traversal.
-	return name != "." && name != ".."
+	return obs.ValidateSessionID(name) == nil && name != "." && name != ".."
 }
 
 // NormalizeTenant maps the empty string to DefaultTenant and validates
@@ -52,7 +35,9 @@ func NormalizeTenant(name string) (string, error) {
 	return name, nil
 }
 
-// TenantView is an Archive scoped to one tenant. The zero value is not
+// TenantView is an Archive scoped to one tenant, and the only place
+// per-run operations are implemented (store.go: ingest, lookup, list,
+// delete; edges.go: sidecars and wave detection). The zero value is not
 // usable; obtain one from Archive.Tenant.
 type TenantView struct {
 	a      *Archive
@@ -69,105 +54,16 @@ func (a *Archive) Tenant(name string) TenantView {
 	return TenantView{a: a, tenant: name}
 }
 
-// Name returns the tenant this view is scoped to.
-func (v TenantView) Name() string { return v.tenant }
-
-// Ingest archives a trace file. See Archive.Ingest.
-func (v TenantView) Ingest(f *trace.File) (Run, bool, error) {
-	payload, id, err := Encode(f)
-	if err != nil {
-		return Run{}, false, err
-	}
-	return v.a.ingest(v.tenant, f, payload, id)
-}
-
-// IngestBytes archives a serialized trace in any readable format. See
-// Archive.IngestBytes.
-func (v TenantView) IngestBytes(b []byte) (Run, bool, error) {
-	f, err := trace.ReadAny(bytes.NewReader(b))
-	if err != nil {
-		return Run{}, false, fmt.Errorf("store: ingest: %w", err)
-	}
-	payload, id, err := Encode(f)
-	if err != nil {
-		return Run{}, false, err
-	}
-	return v.a.ingest(v.tenant, f, payload, id)
-}
-
-// Resolve looks a run up by full content address or unique prefix.
-func (v TenantView) Resolve(id string) (Run, error) { return v.a.resolve(v.tenant, id) }
-
-// Payload returns the canonical segment bytes, hash-verified.
-func (v TenantView) Payload(id string) ([]byte, Run, error) { return v.a.payload(v.tenant, id) }
-
-// StoredPayload returns the on-disk segment bytes as stored.
-func (v TenantView) StoredPayload(id string) ([]byte, Run, error) {
-	return v.a.storedPayload(v.tenant, id)
-}
-
-// Get decodes an archived run back into a trace file.
-func (v TenantView) Get(id string) (*trace.File, Run, error) {
-	raw, run, err := v.a.payload(v.tenant, id)
-	if err != nil {
-		return nil, Run{}, err
-	}
-	f, err := trace.ReadAny(bytes.NewReader(raw))
-	if err != nil {
-		return nil, Run{}, fmt.Errorf("store: segment %s: %w", run.ID[:12], err)
-	}
-	return f, run, nil
-}
-
-// List returns the tenant's runs matching q, newest first, plus the
-// total match count before pagination.
-func (v TenantView) List(q Query) ([]Run, int) { return v.a.list(v.tenant, q) }
-
-// Delete drops a run from the manifest.
-func (v TenantView) Delete(id string) error { return v.a.deleteRun(v.tenant, id) }
-
-// PutEdges attaches a causal edge stream (JSONL bytes) to an archived
-// run, replacing any previous sidecar.
-func (v TenantView) PutEdges(id string, jsonl []byte) (int, Run, error) {
-	return v.a.putEdges(v.tenant, id, jsonl)
-}
-
-// EdgesPayload returns the raw JSONL sidecar bytes for a run.
-func (v TenantView) EdgesPayload(id string) ([]byte, Run, error) {
-	return v.a.edgesPayload(v.tenant, id)
-}
-
-// Edges loads the decoded edge sidecar for a run.
-func (v TenantView) Edges(id string) ([]obs.Edge, Run, error) {
-	return v.a.edges(v.tenant, id)
-}
-
-// Waves runs idle-wave detection over a run's edge sidecar.
-func (v TenantView) Waves(id string, cols int) (*wave.Report, Run, error) {
-	return v.a.waves(v.tenant, id, cols)
-}
-
-// Used returns the tenant's stored raw bytes (the quota-accounted
-// measure).
-func (v TenantView) Used() int64 {
-	v.a.mu.Lock()
-	defer v.a.mu.Unlock()
-	return v.a.used[v.tenant]
-}
-
-// Quota returns the tenant's raw-byte quota (0 = unlimited).
-func (v TenantView) Quota() int64 { return v.a.quotaFor(v.tenant) }
-
-// Tenants returns every tenant with at least one archived run, sorted.
-func (a *Archive) Tenants() []string {
+// Usage returns the stored raw bytes (the quota-accounted measure) of
+// every tenant with at least one archived run.
+func (a *Archive) Usage() map[string]int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.runs))
+	out := make(map[string]int64, len(a.runs))
 	for t, runs := range a.runs {
 		if len(runs) > 0 {
-			out = append(out, t)
+			out[t] = a.used[t]
 		}
 	}
-	sort.Strings(out)
 	return out
 }
