@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check test test-race test-faults test-store test-live test-transport test-wave test-zan test-fed fuzz-trace fuzz-frame bench bench-causal bench-faults bench-refactor bench-store bench-live bench-transport bench-wave bench-zan bench-fed clean
+.PHONY: all check test test-race test-faults test-store test-live test-transport test-wave test-zan test-fed fuzz-trace fuzz-frame bench bench-causal bench-faults bench-refactor bench-store bench-live bench-wave bench-zan bench-fed clean
 
 all: check test
 
@@ -84,22 +84,20 @@ bench-store:
 	$(GO) test -bench 'BenchmarkStore' -benchmem .
 
 # test-transport: the TCP multi-process transport suite under the race
-# detector — the in-test fleet tests (rendezvous, wildcard matching
-# across sockets, comm dup, config mismatch), the frame-decoder poison
-# corpus, the fleet codecs, and the cross-process e2e: cross-backend
-# determinism, the 2-process x 4-rank subprocess run byte-compared
-# against in-process, and the crash-failover run where one member's
-# process kills itself mid-run.
+# detector. In internal/mpi: the layer tables over net.Pipe (link
+# framing, rendezvous coordinator and handshake, consistent-cut sweeps),
+# the one-influence-bound-rule test, the in-test fleet tests — two of
+# which run a second time with every connection on a seeded adversarial
+# net.Conn (short writes, delays, stalled reader); -count=3 gives that
+# wire three different seeds — and the frame-decoder corpus. Then the
+# fleet codecs, and the cross-process e2e: cross-backend determinism
+# (2x4 and P=64 split four ways), the 2-process x 4-rank subprocess run
+# byte-compared against in-process, and the crash-failover run where one
+# member's process kills itself mid-run.
 test-transport:
-	$(GO) test -race ./internal/mpi/ ./internal/fleet/
+	$(GO) test -race -count=3 ./internal/mpi/
+	$(GO) test -race ./internal/fleet/
 	$(GO) test -race -run 'TestTransport' -v .
-
-# bench-transport: price the socket hop (per-message overhead of a
-# 2x4-rank fleet vs the same run in-process) and record the P=64
-# four-member fleet makespan; writes BENCH_transport.json and fails if
-# fleet and in-process makespans ever differ.
-bench-transport:
-	BENCH_TRANSPORT_OUT=$(CURDIR)/BENCH_transport.json $(GO) test -run TestTransportBenchReport -v .
 
 # fuzz-frame: a short fuzz smoke over the TCP frame decoder (every mesh
 # byte passes through it). CI runs the poison corpus as a plain test;
@@ -177,6 +175,6 @@ bench-fed:
 clean:
 	rm -f BENCH_obs.json BENCH_causal.json BENCH_fault.json \
 		BENCH_refactor.json BENCH_store.json BENCH_live.json \
-		BENCH_zan.json BENCH_wave.json BENCH_transport.json \
+		BENCH_zan.json BENCH_wave.json \
 		BENCH_fed.json \
 		chameleon.journal.jsonl chameleon.trace.json chameleon.edges.jsonl

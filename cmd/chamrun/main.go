@@ -195,9 +195,8 @@ func main() {
 			*bench, *class, *p, *tr, *k, *freq, *algo, *faults, *noise,
 			*faultSeed, *noiseSeed, *syncEvery, *checkpointEvery)
 		var err error
-		fleetTr, fleetInfo, err = fleet.Connect(fleet.Options{
+		fleetTr, err = fleet.Connect(*ranks, mpi.TCPOptions{
 			Join:        *join,
-			Ranks:       *ranks,
 			P:           *p,
 			Session:     *liveSession,
 			Fingerprint: fp,
@@ -221,6 +220,7 @@ func main() {
 			fatal("transport: %v", err)
 		}
 		// The transport is closed by the runtime's Run lifecycle.
+		fleetInfo = fleetTr.Info()
 		hostsRank0 = fleetInfo.HostsRank0
 		fmt.Printf("fleet       session %s, member %d of %d, hosting ranks %s\n",
 			fleetInfo.Session, fleetInfo.Member, fleetInfo.Members, *ranks)

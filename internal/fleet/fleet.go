@@ -101,53 +101,17 @@ func ParseRanks(s string) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
-// Options parameterizes Connect.
-type Options struct {
-	// Join is the rendezvous address (required).
-	Join string
-	// Ranks is the inclusive world-rank range hosted by this process,
-	// in "lo..hi" (or single "r") form.
-	Ranks string
-	// P is the world size.
-	P int
-	// Session optionally names the fleet session (live telemetry);
-	// empty lets the coordinator assign one.
-	Session string
-	// Fingerprint summarizes the run config; all members must match.
-	Fingerprint string
-	// ExitOnCrash kills this process once all its ranks crash-stop.
-	ExitOnCrash bool
-	// OnCrashExit flushes journals and telemetry before the self-kill.
-	OnCrashExit func()
-	// Logf receives transport progress lines (nil = silent).
-	Logf func(format string, args ...any)
-}
-
-// Connect parses the rank range, performs the fleet rendezvous, and
-// returns the connected transport. The transport is ready to pass as
-// chameleon.Config.Transport; Info describes this process's place in
-// the fleet.
-func Connect(o Options) (*mpi.TCPTransport, mpi.FleetInfo, error) {
-	lo, hi, err := ParseRanks(o.Ranks)
-	if err != nil {
-		return nil, mpi.FleetInfo{}, err
+// Connect parses the rank range hosted by this process ("lo..hi" or a
+// single "r") into o, performs the fleet rendezvous, and returns the
+// connected transport, ready to pass as chameleon.Config.Transport; its
+// Info describes this process's place in the fleet.
+func Connect(ranks string, o mpi.TCPOptions) (*mpi.TCPTransport, error) {
+	var err error
+	if o.RankLo, o.RankHi, err = ParseRanks(ranks); err != nil {
+		return nil, err
 	}
 	if o.Join == "" {
-		return nil, mpi.FleetInfo{}, fmt.Errorf("fleet: -join address required for the tcp transport")
+		return nil, fmt.Errorf("fleet: -join address required for the tcp transport")
 	}
-	tr, err := mpi.NewTCPTransport(mpi.TCPOptions{
-		Join:        o.Join,
-		RankLo:      lo,
-		RankHi:      hi,
-		P:           o.P,
-		Session:     o.Session,
-		Fingerprint: o.Fingerprint,
-		ExitOnCrash: o.ExitOnCrash,
-		OnCrashExit: o.OnCrashExit,
-		Logf:        o.Logf,
-	})
-	if err != nil {
-		return nil, mpi.FleetInfo{}, err
-	}
-	return tr, tr.Info(), nil
+	return mpi.NewTCPTransport(o)
 }

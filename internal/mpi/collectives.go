@@ -154,9 +154,7 @@ func (c *Comm) treeGather(root, tag, bytes int, obj any) []any {
 
 // RawBarrier synchronizes all ranks of the communicator (reduce+bcast of
 // an empty payload) without interposition.
-func (c *Comm) RawBarrier() { c.rawBarrier() }
-
-func (c *Comm) rawBarrier() {
+func (c *Comm) RawBarrier() {
 	seq := c.nextSeq()
 	c.treeReduceU64(0, collTag(c.id, seq, 0), 0, OpSum)
 	c.treeBcast(0, collTag(c.id, seq, 1), 0, nil)
@@ -166,10 +164,6 @@ func (c *Comm) rawBarrier() {
 
 // RawBcastU64 broadcasts v from root without interposition.
 func (c *Comm) RawBcastU64(root int, v uint64) uint64 {
-	return c.rawBcastU64(root, v)
-}
-
-func (c *Comm) rawBcastU64(root int, v uint64) uint64 {
 	seq := c.nextSeq()
 	return c.treeBcast(root, collTag(c.id, seq, 0), 8, v).(uint64)
 }
@@ -218,7 +212,7 @@ func (c *Comm) Barrier() {
 	}
 	ci := &CallInfo{Op: OpBarrier, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer}
 	start := c.p.opBegin(ci)
-	c.rawBarrier()
+	c.RawBarrier()
 	c.p.opEnd(ci, start)
 }
 
@@ -227,8 +221,7 @@ func (c *Comm) Barrier() {
 func (c *Comm) Bcast(root, bytes int, payload any) any {
 	ci := &CallInfo{Op: OpBcast, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	out := c.treeBcast(root, collTag(c.id, seq, 0), bytes, payload)
+	out := c.RawBcastObj(root, payload, bytes)
 	c.p.opEnd(ci, start)
 	return out
 }
@@ -238,8 +231,7 @@ func (c *Comm) Bcast(root, bytes int, payload any) any {
 func (c *Comm) Reduce(root, bytes int, val uint64, op ReduceOp) uint64 {
 	ci := &CallInfo{Op: OpReduce, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	out := c.treeReduceU64(root, collTag(c.id, seq, 0), val, op)
+	out := c.RawReduceU64(root, val, op)
 	c.p.opEnd(ci, start)
 	return out
 }
@@ -248,9 +240,7 @@ func (c *Comm) Reduce(root, bytes int, val uint64, op ReduceOp) uint64 {
 func (c *Comm) Allreduce(bytes int, val uint64, op ReduceOp) uint64 {
 	ci := &CallInfo{Op: OpAllreduce, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: 0, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	r := c.treeReduceU64(0, collTag(c.id, seq, 0), val, op)
-	out := c.treeBcast(0, collTag(c.id, seq, 1), 8, r).(uint64)
+	out := c.RawAllreduceU64(val, op)
 	c.p.opEnd(ci, start)
 	return out
 }
@@ -260,8 +250,7 @@ func (c *Comm) Allreduce(bytes int, val uint64, op ReduceOp) uint64 {
 func (c *Comm) Gather(root, bytes int, payload any) []any {
 	ci := &CallInfo{Op: OpGather, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	out := c.treeGather(root, collTag(c.id, seq, 0), bytes, payload)
+	out := c.RawGatherObj(root, payload, bytes)
 	c.p.opEnd(ci, start)
 	return out
 }
@@ -271,8 +260,8 @@ func (c *Comm) Allgather(bytes int, payload any) []any {
 	ci := &CallInfo{Op: OpAllgather, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: 0, Bytes: bytes}
 	start := c.p.opBegin(ci)
 	seq := c.nextSeq()
-	gathered := c.treeGather(root0, collTag(c.id, seq, 0), bytes, payload)
-	out := c.treeBcast(root0, collTag(c.id, seq, 1), bytes*len(c.group), gathered)
+	gathered := c.treeGather(0, collTag(c.id, seq, 0), bytes, payload)
+	out := c.treeBcast(0, collTag(c.id, seq, 1), bytes*len(c.group), gathered)
 	c.p.opEnd(ci, start)
 	if out == nil {
 		return nil
@@ -280,35 +269,35 @@ func (c *Comm) Allgather(bytes int, payload any) []any {
 	return out.([]any)
 }
 
-const root0 = 0
-
 // Scatter distributes payloads[i] from root to comm rank i; returns this
 // rank's element.
 func (c *Comm) Scatter(root, bytes int, payloads []any) any {
 	ci := &CallInfo{Op: OpScatter, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	tag := collTag(c.id, seq, 0)
+	mine := c.scatter(root, collTag(c.id, c.nextSeq(), 0), bytes, payloads)
+	c.p.opEnd(ci, start)
+	return mine
+}
+
+// scatter is the uninterposed linear scatter: root sends element r (nil
+// when payloads is nil) to every other comm rank in rank order.
+func (c *Comm) scatter(root, tag, bytes int, payloads []any) any {
 	in := c.internal()
+	if c.self != root {
+		return in.rawRecv(root, tag).Payload
+	}
 	var mine any
-	if c.self == root {
+	for r := range c.group {
+		var obj any
 		if payloads != nil {
-			mine = payloads[root]
+			obj = payloads[r]
 		}
-		for r := range c.group {
-			if r == root {
-				continue
-			}
-			var obj any
-			if payloads != nil {
-				obj = payloads[r]
-			}
+		if r == root {
+			mine = obj
+		} else {
 			in.rawSend(r, tag, bytes, obj)
 		}
-	} else {
-		mine = in.rawRecv(root, tag).Payload
 	}
-	c.p.opEnd(ci, start)
 	return mine
 }
 
@@ -317,13 +306,16 @@ func (c *Comm) Scatter(root, bytes int, payloads []any) any {
 func (c *Comm) Alltoall(bytes int) {
 	ci := &CallInfo{Op: OpAlltoall, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer, Bytes: bytes}
 	start := c.p.opBegin(ci)
-	seq := c.nextSeq()
-	tag := collTag(c.id, seq, 0)
+	c.alltoall(collTag(c.id, c.nextSeq(), 0), bytes)
+	c.p.opEnd(ci, start)
+}
+
+// alltoall is the uninterposed pairwise exchange: in round r, exchange
+// with self XOR r (when that peer exists), the standard power-of-two
+// schedule generalized by skipping out-of-range peers.
+func (c *Comm) alltoall(tag, bytes int) {
 	in := c.internal()
 	p := len(c.group)
-	// Pairwise exchange: in round r, exchange with self XOR r (when that
-	// peer exists), the standard power-of-two schedule generalized by
-	// skipping out-of-range peers.
 	for r := 1; r < nextPow2(p); r++ {
 		peer := c.self ^ r
 		if peer >= p {
@@ -332,7 +324,6 @@ func (c *Comm) Alltoall(bytes int) {
 		in.rawSend(peer, tag, bytes, nil)
 		in.rawRecv(peer, tag)
 	}
-	c.p.opEnd(ci, start)
 }
 
 func nextPow2(p int) int {

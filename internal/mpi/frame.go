@@ -1,20 +1,20 @@
 package mpi
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"chameleon/internal/vtime"
 )
 
-// TCP frame layout. Every frame on a mesh connection is a uvarint
-// length prefix followed by a body; the body's first byte selects the
-// kind. Data frames carry one point-to-point message in binary varints
-// (the hot path); control frames carry a small JSON document (hello,
-// bound sweeps, leaving, abort — the cold paths).
+// TCP frame layout. Every frame on a fleet connection (link.go) is a
+// uvarint length prefix followed by a body; the body's first byte
+// selects the kind. Data frames carry one point-to-point message in
+// binary varints (the hot path); control frames carry a small JSON
+// document (rendezvous, bound sweeps, leaving, abort — the cold paths:
+// about a dozen documents per member against ~10^5 data frames on the
+// harness's fleet workload, so their encoding cost is noise).
 //
 //	frame    := uvarint(len(body)) body
 //	body     := kindData  dest comm source tag bytes arrive origin seq sendVT payload
@@ -104,21 +104,49 @@ func decodeDataFrame(body []byte) (dest int, msg message, err error) {
 	}, nil
 }
 
-// ctlMsg is the mesh control-frame document. One struct with optional
-// fields keeps the control plane to a single decode path.
+// memberSpec is one fleet member's slot in the roster.
+type memberSpec struct {
+	Lo   int    `json:"lo"`
+	Hi   int    `json:"hi"`
+	Addr string `json:"addr"`
+}
+
+// ctlMsg is the transport's one control document: every kindCtl frame,
+// on mesh and rendezvous connections alike, carries it. One struct with
+// optional fields keeps the control plane to a single encode and decode
+// path, so the frame-size cap and the fuzzer cover the join port too.
+// T selects the document type; docs/ARCHITECTURE.md (Layer 6) tabulates
+// who sends and who answers each.
 type ctlMsg struct {
-	T string `json:"t"` // "hello", "breq", "bresp", "leaving", "abort"
-	// hello
+	T string `json:"t"`
+	// hello (mesh): the dialing member's index
 	Member int `json:"member,omitempty"`
-	// breq/bresp
+	// breq / bresp (mesh)
 	Req      uint64   `json:"req,omitempty"`
 	HasBound bool     `json:"hasBound,omitempty"`
 	Bound    int64    `json:"bound,omitempty"`
 	Gen      uint64   `json:"gen,omitempty"`
 	Sent     []uint64 `json:"sent,omitempty"`
 	Recvd    []uint64 `json:"recvd,omitempty"`
-	// leaving (planned process exit: all local ranks crash-stopped)
-	Ranks []int `json:"ranks,omitempty"`
+	// register
+	Lo   int    `json:"lo,omitempty"`
+	Hi   int    `json:"hi,omitempty"`
+	P    int    `json:"p,omitempty"`
+	Addr string `json:"addr,omitempty"`
+	FP   string `json:"fp,omitempty"`
+	// roster
+	Session string       `json:"session,omitempty"`
+	Members []memberSpec `json:"members,omitempty"`
+	// alloc / allocr
+	N    int   `json:"n,omitempty"`
+	Base int64 `json:"base,omitempty"`
+	// result / leaving / final
+	Ranks    []int              `json:"ranks,omitempty"`
+	Clocks   []int64            `json:"clocks,omitempty"`
+	Ledgers  [][]vtime.Duration `json:"ledgers,omitempty"`
+	Departed []int              `json:"departed,omitempty"`
+	// err / abort
+	Msg string `json:"msg,omitempty"`
 }
 
 // appendCtlFrame serializes a control body onto dst.
@@ -161,32 +189,4 @@ func decodeFrame(body []byte) (dest int, msg message, ctl *ctlMsg, err error) {
 		return 0, message{}, ctl, err
 	}
 	return 0, message{}, nil, fmt.Errorf("mpi: unknown frame kind %d", body[0])
-}
-
-// writeFrame writes one length-prefixed frame body to w.
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(body)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// readFrame reads one length-prefixed frame body from br, enforcing
-// the body-size cap before allocating.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	size, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if size == 0 || size > maxFrameBody {
-		return nil, fmt.Errorf("mpi: frame body of %d bytes out of range", size)
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
-	}
-	return body, nil
 }

@@ -2,79 +2,43 @@ package mpi
 
 // This file provides collectives over an explicit member list — the
 // shrunken-world primitives the fault-tolerance path runs on once ranks
-// have departed. They mirror the binomial-tree algorithms of the full
-// communicator collectives (same hop structure, same per-level costs),
-// but the tree is built over member *positions* so any subset of world
-// ranks can participate. Tags are caller-supplied (members change over
-// time, so there is no per-communicator sequence counter to lean on);
-// each helper consumes a small contiguous tag block, documented per
-// function. All traffic travels on CommInternal, like every other
-// tracing-layer message.
+// have departed. They are the binomial-tree algorithms of the full
+// communicator collectives (collectives.go), run on a communicator
+// built over member *positions* so any subset of world ranks can
+// participate: same hop structure, same per-level costs. Tags are
+// caller-supplied (members change over time, so there is no
+// per-communicator sequence counter to lean on); each helper consumes a
+// small contiguous tag block, documented per function. All traffic
+// travels on CommInternal, like every other tracing-layer message.
 
-// groupComm returns this rank's internal-communicator alias over the
-// world group (positions in member lists are translated to world ranks
-// before sending, so the world group is the right carrier).
-func groupComm(p *Proc) Comm {
-	return Comm{p: p, id: CommInternal, group: p.world.group, self: p.rank}
+// groupComm returns this rank's handle on the positional communicator
+// over members (comm rank = position in the list, position 0 the root
+// of every tree); ok is false for a non-member, who takes no part.
+func groupComm(p *Proc, members []int) (c Comm, ok bool) {
+	pos := TreePos(members, p.rank)
+	return Comm{p: p, id: CommInternal, group: members, self: pos}, pos >= 0
 }
 
 // GroupReduceU64 reduces val over members toward members[0] on a
 // binomial tree; the reduced value is meaningful only at members[0]
 // (second return true). Non-members return immediately. Uses tag.
 func GroupReduceU64(p *Proc, members []int, tag int, val uint64, op ReduceOp) (uint64, bool) {
-	pos := TreePos(members, p.rank)
-	if pos < 0 {
+	c, ok := groupComm(p, members)
+	if !ok {
 		return val, false
 	}
-	in := groupComm(p)
-	model := p.rt.model
-	n := len(members)
-	mask := 1
-	for mask < n {
-		if pos&mask != 0 {
-			in.rawSend(members[pos&^mask], tag, 8, val)
-			return val, false
-		}
-		if pos|mask < n {
-			msg := in.rawRecv(members[pos|mask], tag)
-			val = op(val, msg.Payload.(uint64))
-			p.Clock.Advance(model.CollectivePerLevel)
-		}
-		mask <<= 1
-	}
-	return val, pos == 0
+	return c.treeReduceU64(0, tag, val, op), c.self == 0
 }
 
 // GroupBcastObj broadcasts obj (of the given payload size) from
 // members[0] down the binomial tree and returns it on every member
 // (non-members get obj back unchanged). Uses tag.
 func GroupBcastObj(p *Proc, members []int, tag int, obj any, bytes int) any {
-	pos := TreePos(members, p.rank)
-	if pos < 0 {
+	c, ok := groupComm(p, members)
+	if !ok {
 		return obj
 	}
-	in := groupComm(p)
-	model := p.rt.model
-	n := len(members)
-	mask := 1
-	for mask < n {
-		if pos&mask != 0 {
-			msg := in.rawRecv(members[pos&^mask], tag)
-			obj = msg.Payload
-			bytes = msg.Bytes
-			p.Clock.Advance(model.CollectivePerLevel)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if pos+mask < n && pos&mask == 0 {
-			in.rawSend(members[pos+mask], tag, bytes, obj)
-		}
-		mask >>= 1
-	}
-	return obj
+	return c.treeBcast(0, tag, bytes, obj)
 }
 
 // GroupBcastU64 broadcasts v from members[0]. Uses tag.
@@ -100,71 +64,25 @@ func GroupBarrier(p *Proc, members []int, tag int) {
 // GroupGatherObj collects every member's contribution at members[0]
 // (returned slice indexed by member position; nil elsewhere). Uses tag.
 func GroupGatherObj(p *Proc, members []int, tag, bytes int, obj any) []any {
-	pos := TreePos(members, p.rank)
-	if pos < 0 {
+	c, ok := groupComm(p, members)
+	if !ok {
 		return nil
 	}
-	in := groupComm(p)
-	model := p.rt.model
-	n := len(members)
-	acc := []gatherPair{{Rank: pos, Obj: obj}}
-	accBytes := bytes
-	mask := 1
-	for mask < n {
-		if pos&mask != 0 {
-			in.rawSend(members[pos&^mask], tag, accBytes, acc)
-			return nil
-		}
-		if pos|mask < n {
-			msg := in.rawRecv(members[pos|mask], tag)
-			acc = append(acc, msg.Payload.([]gatherPair)...)
-			accBytes += msg.Bytes
-			p.Clock.Advance(model.CollectivePerLevel)
-		}
-		mask <<= 1
-	}
-	if pos != 0 {
-		return nil
-	}
-	out := make([]any, n)
-	for _, pr := range acc {
-		out[pr.Rank] = pr.Obj
-	}
-	return out
+	return c.treeGather(0, tag, bytes, obj)
 }
 
 // GroupScatter sends bytes from members[0] to every other member (the
 // payloads are synthetic, as in Comm.Scatter during replay). Uses tag.
 func GroupScatter(p *Proc, members []int, tag, bytes int) {
-	pos := TreePos(members, p.rank)
-	if pos < 0 {
-		return
+	if c, ok := groupComm(p, members); ok {
+		c.scatter(0, tag, bytes, nil)
 	}
-	in := groupComm(p)
-	if pos == 0 {
-		for i := 1; i < len(members); i++ {
-			in.rawSend(members[i], tag, bytes, nil)
-		}
-		return
-	}
-	in.rawRecv(members[0], tag)
 }
 
 // GroupAlltoall performs the pairwise exchange schedule of
 // Comm.Alltoall over the member positions. Uses tag.
 func GroupAlltoall(p *Proc, members []int, tag, bytes int) {
-	pos := TreePos(members, p.rank)
-	if pos < 0 {
-		return
-	}
-	in := groupComm(p)
-	n := len(members)
-	for r := 1; r < nextPow2(n); r++ {
-		peer := pos ^ r
-		if peer >= n {
-			continue
-		}
-		in.rawSend(members[peer], tag, bytes, nil)
-		in.rawRecv(members[peer], tag)
+	if c, ok := groupComm(p, members); ok {
+		c.alltoall(tag, bytes)
 	}
 }

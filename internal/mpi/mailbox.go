@@ -39,12 +39,26 @@ type mailbox struct {
 	// aborted points at the runtime's abort flag so blocked receivers
 	// unwind when a peer rank panics instead of deadlocking the run.
 	aborted *atomic.Bool
+	// state points at the owning rank's rankState: a matched message
+	// leaving the queue and the rank unblocking are one step (remove).
+	state *atomic.Int32
 }
 
-func newMailbox(aborted *atomic.Bool) *mailbox {
-	m := &mailbox{aborted: aborted}
+func newMailbox(aborted *atomic.Bool, state *atomic.Int32) *mailbox {
+	m := &mailbox{aborted: aborted, state: state}
 	m.cond = sync.NewCond(&m.mu)
 	return m
+}
+
+// remove takes message i out of the queue for the owning rank, which it
+// first marks active: a bound scan holding mu (Runtime.influenceBound)
+// sees the rank either still blocked with the message pending or
+// already active, never blocked with nothing pending. Caller holds m.mu.
+func (m *mailbox) remove(i int) message {
+	m.state.Store(int32(stateActive))
+	msg := m.msgs[i]
+	m.msgs = append(m.msgs[:i], m.msgs[i+1:]...)
+	return msg
 }
 
 // deposit enqueues a message and wakes blocked receivers.
@@ -78,9 +92,7 @@ func (m *mailbox) take(comm CommID, source, tag int) message {
 	for {
 		for i := range m.msgs {
 			if matches(&m.msgs[i], comm, source, tag) {
-				msg := m.msgs[i]
-				m.msgs = append(m.msgs[:i], m.msgs[i+1:]...)
-				return msg
+				return m.remove(i)
 			}
 		}
 		if m.aborted != nil && m.aborted.Load() {
@@ -118,26 +130,15 @@ func (m *mailbox) scanAny(comm CommID, tag int) int {
 	return best
 }
 
-// minArrive returns the earliest arrival among queued messages, used by
-// the conservative matcher to bound a blocked rank's future influence.
-func (m *mailbox) minArrive() (vtime.Time, bool) {
-	return m.minArriveMatching(AnyComm, AnySource, AnyTag)
-}
-
-// AnyComm matches every communicator in minArriveMatching.
-const AnyComm CommID = -1
-
 // minArriveMatching returns the earliest arrival among queued messages
 // that match the given (comm, source, tag) pattern — the only messages
 // that can unblock a receiver waiting on that pattern. Non-matching
 // messages are consumed later, after a matching one has already
-// unblocked the rank, so they never accelerate it.
+// unblocked the rank, so they never accelerate it. Caller holds m.mu.
 func (m *mailbox) minArriveMatching(comm CommID, source, tag int) (vtime.Time, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	min, ok := vtime.Time(0), false
 	for i := range m.msgs {
-		if comm != AnyComm && !matches(&m.msgs[i], comm, source, tag) {
+		if !matches(&m.msgs[i], comm, source, tag) {
 			continue
 		}
 		if !ok || m.msgs[i].arrive < min {

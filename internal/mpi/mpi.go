@@ -113,8 +113,6 @@ type Runtime struct {
 	local     []int
 	mailboxes []*mailbox
 	procs     []*Proc
-	nextComm  CommID
-	commMu    sync.Mutex
 
 	// states holds each rank's rankState (atomic).
 	states []atomic.Int32
@@ -193,9 +191,7 @@ func (rt *Runtime) takeAny(self int, mb *mailbox, comm CommID, tag int) message 
 			// Re-take under the lock: only earlier candidates can have
 			// appeared meanwhile, and safety is monotone downward.
 			mb.mu.Lock()
-			i := mb.scanAny(comm, tag)
-			msg := mb.msgs[i]
-			mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
+			msg := mb.remove(mb.scanAny(comm, tag))
 			mb.mu.Unlock()
 			return msg
 		}
@@ -225,10 +221,12 @@ func (rt *Runtime) gen() uint64 {
 	return g
 }
 
-// waitChange blocks until the generation moves past old.
+// waitChange blocks until the generation moves past old, or until a
+// network transport's poll wakes the matchers to look again (the caller
+// re-evaluates from scratch either way).
 func (rt *Runtime) waitChange(old uint64) {
 	rt.gmu.Lock()
-	for rt.generation == old {
+	if rt.generation == old {
 		rt.gcond.Wait()
 	}
 	rt.gmu.Unlock()
@@ -257,56 +255,71 @@ func (rt *Runtime) depositLocal(dest int, msg message) {
 
 // lbtsSafe reports whether a wildcard match at arrival time t on rank
 // self is conservative: no other rank can still produce a message that
-// would arrive earlier. An active rank's future sends arrive no earlier
+// would arrive earlier. Ranks hosted here are bounded by influenceBound;
+// ranks hosted by other processes are the transport's to bound (the
+// in-process backend hosts everyone and answers true immediately; the
+// TCP backend asks each peer for its own influenceBound, see cut.go).
+func (rt *Runtime) lbtsSafe(self int, t vtime.Time) bool {
+	if bound, ok := rt.influenceBound(self); ok && bound < t {
+		return false
+	}
+	return rt.tr.remoteSafe(self, t)
+}
+
+// influenceBound is the conservative wildcard rule, stated once for
+// every backend: the earliest virtual time at which any rank hosted
+// here, other than exclude, can still make a message arrive anywhere
+// (ok=false: none can). An active rank's future sends arrive no earlier
 // than its clock plus the send latency. A blocked rank acts again only
-// at max(its clock, its earliest pending arrival) — both only grow — so
-// that maximum plus the latency bounds its future influence (this
-// includes ranks blocked inside collectives mid-run: a pending internal
-// message can be the first link of a chain that returns them to
-// application code). Finalizing and done ranks can never send
+// at max(its clock, the earliest pending arrival matching what it is
+// blocked on) — both only grow — so that maximum plus the latency bounds
+// its future influence (this includes ranks blocked inside collectives
+// mid-run: a pending internal message can be the first link of a chain
+// that returns them to application code); a blocked rank with no
+// matching message pending waits on a future deposit from a rank
+// already accounted for. Finalizing and done ranks can never send
 // application messages again and are exempt. This is the
 // lower-bound-time-stamp rule of conservative parallel discrete-event
 // simulation, specialized to the one-hop unblocking chain.
-func (rt *Runtime) lbtsSafe(self int, t vtime.Time) bool {
+//
+// A rank's state is read under its mailbox lock, and a receiver turns
+// active under that lock before its matched message leaves the queue
+// (mailbox.remove): the scan never sees a rank that was just unblocked
+// as "blocked, nothing pending".
+func (rt *Runtime) influenceBound(exclude int) (vtime.Time, bool) {
 	alpha := vtime.Time(rt.model.Alpha)
+	min, ok := vtime.Time(0), false
 	for _, r := range rt.local {
-		if r == self {
+		if r == exclude {
 			continue
 		}
-		switch rankState(rt.states[r].Load()) {
-		case stateDone, stateFinalizing:
-			// Past the application body: no further application sends.
-			continue
-		case stateActive:
-			if rt.procs[r].Clock.Now()+alpha < t {
-				return false
-			}
-		default:
-			// Blocked in a receive: only a message matching the blocked
-			// pattern can unblock the rank, no earlier than max(its
-			// clock, the matching message's arrival). No matching
-			// pending message means it waits on a future deposit from a
-			// rank already accounted for.
-			proc := rt.procs[r]
-			bound, ok := rt.mailboxes[r].minArriveMatching(
+		proc, mb := rt.procs[r], rt.mailboxes[r]
+		mb.mu.Lock()
+		state := rankState(rt.states[r].Load())
+		var arrive vtime.Time
+		pending := false
+		if state == stateBlocked {
+			arrive, pending = mb.minArriveMatching(
 				CommID(proc.blockedComm.Load()),
 				int(proc.blockedSrc.Load()),
 				int(proc.blockedTag.Load()),
 			)
-			if !ok {
-				continue
-			}
-			if c := proc.Clock.Now(); c > bound {
-				bound = c
-			}
-			if bound+alpha < t {
-				return false
-			}
+		}
+		mb.mu.Unlock()
+		var bound vtime.Time
+		switch {
+		case state == stateActive:
+			bound = proc.Clock.Now() + alpha
+		case pending:
+			bound = vtime.Max(proc.Clock.Now(), arrive) + alpha
+		default:
+			continue
+		}
+		if !ok || bound < min {
+			min, ok = bound, true
 		}
 	}
-	// Ranks hosted by other processes are the transport's to bound (the
-	// in-process backend hosts everyone and answers true immediately).
-	return rt.tr.remoteSafe(self, t)
+	return min, ok
 }
 
 // Proc is the per-rank handle passed to the application body. All of its
@@ -484,24 +497,13 @@ func (c *Comm) worldRank(r int) int { return c.group[r] }
 func (c *Comm) Dup() *Comm {
 	// Synchronize the group, then allocate one shared ID at the root and
 	// broadcast it.
-	c.rawBarrier()
+	c.RawBarrier()
 	var id CommID
 	if c.self == 0 {
 		id = c.p.rt.tr.allocComm(1)
 	}
-	id = CommID(c.rawBcastU64(0, uint64(id)))
+	id = CommID(c.RawBcastU64(0, uint64(id)))
 	return &Comm{p: c.p, id: id, group: c.group, self: c.self}
-}
-
-// allocLocalComm reserves n consecutive CommIDs from this process's
-// counter. The in-process transport uses it directly; the TCP transport
-// instead asks the rendezvous coordinator so IDs stay world-unique.
-func (rt *Runtime) allocLocalComm(n int) CommID {
-	rt.commMu.Lock()
-	defer rt.commMu.Unlock()
-	id := rt.nextComm
-	rt.nextComm += CommID(n)
-	return id
 }
 
 // Config parameterizes a simulated run.
@@ -576,10 +578,8 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		p:         cfg.P,
 		model:     cfg.Model,
 		tr:        tr,
-		local:     tr.localRanks(cfg.P),
 		mailboxes: make([]*mailbox, cfg.P),
 		procs:     make([]*Proc, cfg.P),
-		nextComm:  commUserBase,
 		states:    make([]atomic.Int32, cfg.P),
 		obs:       cfg.Obs,
 		met:       newOpMetrics(cfg.Obs),
@@ -588,12 +588,15 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		fault:     cfg.Fault,
 	}
 	rt.gcond = sync.NewCond(&rt.gmu)
+	for r, hi := tr.hosted(cfg.P); r <= hi; r++ {
+		rt.local = append(rt.local, r)
+	}
 	group := make([]int, cfg.P)
 	for i := range group {
 		group[i] = i
 	}
 	for _, r := range rt.local {
-		rt.mailboxes[r] = newMailbox(&rt.aborted)
+		rt.mailboxes[r] = newMailbox(&rt.aborted, &rt.states[r])
 		p := &Proc{
 			rank:    r,
 			rt:      rt,
@@ -615,6 +618,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 	if err := tr.start(rt); err != nil {
 		return nil, err
 	}
+	defer tr.close()
 
 	var wg sync.WaitGroup
 	panics := make([]any, cfg.P)
@@ -654,7 +658,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 				// never reach finalize.
 				GroupBarrier(p, p.aliveView, groupFinalizeTag)
 			} else {
-				p.world.rawBarrier()
+				p.world.RawBarrier()
 			}
 			p.opEnd(ci, start)
 			p.hooks.Finalize()
@@ -675,11 +679,9 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		}
 	}
 	if firstErr != nil {
-		tr.close()
 		return nil, firstErr
 	}
 	if rt.aborted.Load() {
-		tr.close()
 		return nil, fmt.Errorf("mpi: run aborted")
 	}
 	res := &Result{P: cfg.P, Clocks: make([]vtime.Time, cfg.P), Ledgers: make([]*vtime.Ledger, cfg.P)}
@@ -687,13 +689,14 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		res.Clocks[r] = rt.procs[r].Clock.Now()
 		res.Ledgers[r] = rt.procs[r].Ledger
 	}
+	var gone []int
+	for r, d := range departed {
+		if d {
+			gone = append(gone, r)
+		}
+	}
 	// The transport completes the picture: the in-process backend owns
 	// every rank already; a network backend exchanges per-rank results
 	// so all processes return the same world-wide Result.
-	res, err := tr.finish(res, departed)
-	tr.close()
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return tr.finish(res, gone)
 }

@@ -28,7 +28,11 @@ func (c *Comm) rawSend(dest, tag, bytes int, payload any) {
 	}
 	rt := c.p.rt
 	m := rt.model
-	sendAt := c.p.Clock.Advance(m.Alpha)
+	// The clock moves only after the deposit: until the message is
+	// visible in the destination mailbox this rank reads as active at
+	// its pre-send clock, whose influence bound (sendAt) cannot exceed
+	// the message's arrival.
+	sendAt := c.p.Clock.Now() + vtime.Time(m.Alpha)
 	msg := message{
 		comm:    c.id,
 		source:  c.self,
@@ -44,6 +48,7 @@ func (c *Comm) rawSend(dest, tag, bytes int, payload any) {
 		msg.sendVT = sendAt
 	}
 	rt.tr.deposit(c.worldRank(dest), msg)
+	c.p.Clock.Advance(m.Alpha)
 }
 
 // rawRecv blocks until a matching message is available and advances the

@@ -1,15 +1,10 @@
 package mpi
 
 import (
-	"bufio"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -20,12 +15,10 @@ import (
 )
 
 // TCP transport: one world of P ranks spread over N OS processes, each
-// hosting a contiguous rank range. A small rendezvous step forms the
-// fleet — every process dials the -join address (whichever process wins
-// the bind race also serves it), registers its range and data listener,
-// and receives the roster — then the members build a full mesh of
-// length-prefixed frame connections (frame.go) and the coordinator
-// releases the run.
+// hosting a contiguous rank range. This file wires the layers together:
+// it forms the fleet (rendezvous.go), keeps a link (link.go) to the
+// coordinator and to every peer, routes frames (frame.go) between them
+// and the runtime and the cut (cut.go), and owns the lifecycle.
 //
 // Determinism: all timing is virtual and program-derived (vtime), so
 // frame delivery timing never influences clocks; collectives use
@@ -33,225 +26,125 @@ import (
 // identical across processes of the same binary. A fleet run therefore
 // produces bit-identical trace signatures to the in-process run of the
 // same seed — transport_e2e_test.go locks this in.
-//
-// Wildcard (ANY_SOURCE) matching needs the conservative LBTS rule over
-// the whole world. The local half is Runtime.lbtsSafe; for remote ranks
-// the transport runs a counter-stable bound sweep: it asks every peer
-// for (min future-influence bound over its local ranks, change
-// generation, per-peer data-frame send/receive counters) and trusts the
-// answer only when two consecutive sweeps return identical generations
-// and the global counter matrix balances (no frame in flight anywhere —
-// a consistent cut, Mattern-style). Rare in practice: the paper's
-// benchmarks use specific sources; only master/worker skeletons pay it.
 
-// TCPOptions parameterizes a fleet member.
-type TCPOptions struct {
-	// Join is the rendezvous address (host:port). The first process to
-	// bind it becomes the coordinator; everyone (including the
-	// coordinator's own member) dials it.
-	Join string
-	// RankLo/RankHi is the inclusive world-rank range hosted here.
-	RankLo, RankHi int
-	// P is the world size; all members must agree.
-	P int
-	// Session labels the fleet (live telemetry attribution); empty lets
-	// the coordinator generate one. Non-coordinator values are ignored.
-	Session string
-	// Fingerprint guards against mismatched fleet configs (different
-	// seeds, plans, models); all members must present the same value.
-	Fingerprint string
-	// ExitOnCrash makes a process whose local ranks have all
-	// crash-stopped physically exit (SIGKILL itself) after notifying
-	// the fleet — crash = killed process. Survivor failover keeps
-	// running over the sockets.
-	ExitOnCrash bool
-	// OnCrashExit runs just before the self-kill (flush journals).
-	OnCrashExit func()
-	// DialTimeout bounds the rendezvous phase (default 20s).
-	DialTimeout time.Duration
-	// Logf, when non-nil, receives transport progress lines.
-	Logf func(format string, args ...any)
-}
+// resultTimeout bounds the wait for the coordinator's final: a peer
+// that died mid-exchange without notice surfaces here.
+const resultTimeout = 50 * time.Second
 
-// FleetInfo describes the formed fleet.
-type FleetInfo struct {
-	// Session is the fleet-wide session ID (coordinator-assigned).
-	Session string
-	// Member is this process's index (position by ascending rank
-	// range); Members is the fleet size.
-	Member, Members int
-	// HostsRank0 reports whether world rank 0 runs here (the process
-	// that owns the merged trace and prints results).
-	HostsRank0 bool
-}
-
-// TCPStats counts transport work for the benchmark harness.
+// TCPStats counts transport work for the benchmark harness: data frames
+// (and body bytes) sent to peers, every frame read, and sweeps run.
 type TCPStats struct {
 	FramesOut, BytesOut uint64
 	FramesIn, BytesIn   uint64
 	BoundSweeps         uint64
 }
 
-// memberSpec is one fleet member's slot in the roster.
-type memberSpec struct {
-	Lo   int    `json:"lo"`
-	Hi   int    `json:"hi"`
-	Addr string `json:"addr"`
-}
+// The transport's lifecycle phase, monotone: start, finish and close
+// advance it, in that order (close from any phase).
+const (
+	phaseForming   int32 = iota // rendezvous and mesh under construction
+	phaseRunning                // rank goroutines executing
+	phaseFinishing              // every local rank completed; result exchange begun
+	phaseDone                   // world-wide results in hand
+	phaseClosed                 // connections released
+)
 
-// coordMsg is the JSON-lines control document on rendezvous
-// connections.
-type coordMsg struct {
-	T string `json:"t"`
-	// register
-	Lo   int    `json:"lo,omitempty"`
-	Hi   int    `json:"hi,omitempty"`
-	P    int    `json:"p,omitempty"`
-	Addr string `json:"addr,omitempty"`
-	FP   string `json:"fp,omitempty"`
-	// roster
-	Session string       `json:"session,omitempty"`
-	Members []memberSpec `json:"members,omitempty"`
-	// alloc / allocr
-	N    int   `json:"n,omitempty"`
-	Base int64 `json:"base,omitempty"`
-	// result / leaving / final
-	Ranks    []int              `json:"ranks,omitempty"`
-	Clocks   []int64            `json:"clocks,omitempty"`
-	Ledgers  [][]vtime.Duration `json:"ledgers,omitempty"`
-	Departed []int              `json:"departed,omitempty"`
-	// err / abort
-	Msg string `json:"msg,omitempty"`
-}
-
-// tcpPeer is one mesh connection to another member.
-type tcpPeer struct {
-	idx    int
-	lo, hi int
-	conn   net.Conn
-	bw     *bufio.Writer
-	wmu    sync.Mutex
-	// left: the peer announced a planned exit (all its ranks
-	// crash-stopped); eof: its connection has drained and closed.
-	left atomic.Bool
-	eof  atomic.Bool
-}
+// coordinator keys the rendezvous link among a member's links, whose
+// other keys are the peers' member indices.
+const coordinator = -1
 
 // TCPTransport implements Transport over a fleet of OS processes.
 type TCPTransport struct {
 	opts    TCPOptions
 	rt      *Runtime
-	session string
-	selfIdx int
+	info    FleetInfo
 	members []memberSpec
-	peers   map[int]*tcpPeer
-	owner   []int // world rank -> member index
+	owner   []int         // world rank -> member index
+	links   map[int]*link // every connection of this member
+	cut     *cut
 
-	coord    net.Conn
-	coordDec *json.Decoder
-	coordMu  sync.Mutex // serializes coordinator writes
-	allocCh  chan int64
-	finalCh  chan *coordMsg
-	abortCh  chan struct{}
-	abortMsg atomic.Pointer[string]
-	abortOne sync.Once
+	// replies carries the coordinator's answers: allocr to the rank
+	// waiting in allocComm, final to finish (which starts only once
+	// every rank is done). One slot: the read loop need not wait.
+	replies   chan *ctlMsg
+	abortCh   chan struct{}
+	abortOnce sync.Once
+	reason    atomic.Pointer[string] // why the fleet aborted
 
-	// gen is the stability generation peers' bound sweeps compare:
-	// bumped on every deposit into a local mailbox and every local
-	// rank-state transition.
-	gen   atomic.Uint64
-	sent  []atomic.Uint64 // data frames sent, by member index
-	recvd []atomic.Uint64 // data frames received, by member index
-
-	reqID   atomic.Uint64
-	boundMu sync.Mutex
-	boundCh map[uint64]chan *ctlMsg
-
-	depMu    sync.Mutex
-	depLocal map[int]bool
-
-	stats struct {
+	departed atomic.Int32 // local ranks that crash-stopped
+	stats    struct {
 		framesOut, bytesOut atomic.Uint64
 		framesIn, bytesIn   atomic.Uint64
-		sweeps              atomic.Uint64
 	}
+	phase atomic.Int32
 
-	closing atomic.Bool
-	// finishing is set once all local ranks have completed and the
-	// result exchange has begun: from then on a mesh EOF is a peer that
-	// finished first and closed, not a death (no data can be pending —
-	// every local rank already ran to completion).
-	finishing atomic.Bool
-	worldDone atomic.Bool
-	stopTick  chan struct{}
-	wg        sync.WaitGroup
-
-	srv *rendezvousServer // non-nil on the process that won the bind
-	ln  net.Listener      // data listener
+	srvLn net.Listener // rendezvous listener; non-nil on the process that won the bind
+	ln    net.Listener // data listener
 }
-
-var _ Transport = (*TCPTransport)(nil)
 
 // NewTCPTransport performs the rendezvous (bind-or-dial the join
 // address, register, mesh with every peer) and returns a transport
-// ready for mpi.Run. It blocks until the whole fleet has formed or the
-// dial timeout expires.
-func NewTCPTransport(opts TCPOptions) (*TCPTransport, error) {
+// ready for mpi.Run. It blocks until the whole fleet has formed or a
+// dial times out.
+func NewTCPTransport(opts TCPOptions) (t *TCPTransport, err error) {
 	if opts.P <= 0 || opts.RankLo < 0 || opts.RankHi < opts.RankLo || opts.RankHi >= opts.P {
 		return nil, fmt.Errorf("mpi: invalid rank range %d..%d of world %d", opts.RankLo, opts.RankHi, opts.P)
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 20 * time.Second
+	t = &TCPTransport{
+		opts: opts, links: map[int]*link{},
+		replies: make(chan *ctlMsg, 1), abortCh: make(chan struct{}),
 	}
-	t := &TCPTransport{
-		opts:     opts,
-		peers:    map[int]*tcpPeer{},
-		allocCh:  make(chan int64, 16),
-		finalCh:  make(chan *coordMsg, 1),
-		abortCh:  make(chan struct{}),
-		boundCh:  map[uint64]chan *ctlMsg{},
-		depLocal: map[int]bool{},
-		stopTick: make(chan struct{}),
-	}
-
+	defer func() {
+		if err != nil {
+			t.close()
+			t = nil
+		}
+	}()
 	// Data listener first: its address goes into the registration.
-	ln, err := net.Listen("tcp", ":0")
-	if err != nil {
-		return nil, fmt.Errorf("mpi: data listener: %w", err)
+	if t.ln, err = net.Listen("tcp", ":0"); err != nil {
+		return t, fmt.Errorf("mpi: data listener: %w", err)
 	}
-	t.ln = ln
-
 	// Bind-or-dial the rendezvous: losing the bind race just means
 	// someone else coordinates.
-	if srvLn, err := net.Listen("tcp", opts.Join); err == nil {
-		t.srv = newRendezvousServer(srvLn, opts.P, opts.Session)
-		go t.srv.serve()
+	if t.srvLn, err = net.Listen("tcp", opts.Join); err == nil {
+		go newRendezvousServer(opts.P, opts.Session).serve(t.srvLn)
 		t.logf("coordinating fleet on %s", opts.Join)
 	}
-	conn, err := dialRetry(opts.Join, opts.DialTimeout)
+	coord, err := dialLink(opts.Join)
 	if err != nil {
-		t.teardownEarly()
-		return nil, fmt.Errorf("mpi: rendezvous %s: %w", opts.Join, err)
+		return t, fmt.Errorf("mpi: rendezvous %s: %w", opts.Join, err)
 	}
-	t.coord = conn
-	t.coordDec = json.NewDecoder(conn)
-
-	if err := t.rendezvous(); err != nil {
-		t.teardownEarly()
-		return nil, err
+	t.links[coordinator] = coord
+	if err = handshake(coord, &ctlMsg{
+		T: "register", Lo: opts.RankLo, Hi: opts.RankHi,
+		P: opts.P, Addr: t.ln.Addr().String(), FP: opts.Fingerprint,
+	}, t.mesh); err != nil {
+		return t, err
 	}
+	t.logf("fleet formed: session=%s member=%d/%d ranks=%d..%d",
+		t.info.Session, t.info.Member, t.info.Members, opts.RankLo, opts.RankHi)
 	return t, nil
 }
 
-// Info describes the formed fleet.
-func (t *TCPTransport) Info() FleetInfo {
-	return FleetInfo{
-		Session:    t.session,
-		Member:     t.selfIdx,
-		Members:    len(t.members),
-		HostsRank0: t.opts.RankLo == 0,
+// mesh places this member in the roster and connects it to every peer.
+func (t *TCPTransport) mesh(roster *ctlMsg) (err error) {
+	if t.owner, err = rankOwners(roster.Members, t.opts.P); err != nil {
+		return err
 	}
+	self, n := t.owner[t.opts.RankLo], len(roster.Members)
+	if roster.Members[self].Hi != t.opts.RankHi {
+		return fmt.Errorf("mpi: roster does not contain this member")
+	}
+	t.members = roster.Members
+	t.info = FleetInfo{Session: roster.Session, Member: self, Members: n, HostsRank0: t.opts.RankLo == 0}
+	t.cut = newCut(self, n, func(idx int, req uint64) error {
+		return t.links[idx].sendCtl(&ctlMsg{T: "breq", Req: req})
+	}, t.abortCh)
+	return buildMesh(t.links, t.ln, t.members, self)
 }
+
+// Info describes the formed fleet.
+func (t *TCPTransport) Info() FleetInfo { return t.info }
 
 // Stats snapshots the transport counters.
 func (t *TCPTransport) Stats() TCPStats {
@@ -260,7 +153,7 @@ func (t *TCPTransport) Stats() TCPStats {
 		BytesOut:    t.stats.bytesOut.Load(),
 		FramesIn:    t.stats.framesIn.Load(),
 		BytesIn:     t.stats.bytesIn.Load(),
-		BoundSweeps: t.stats.sweeps.Load(),
+		BoundSweeps: t.cut.sweeps.Load(),
 	}
 }
 
@@ -270,648 +163,233 @@ func (t *TCPTransport) logf(format string, args ...any) {
 	}
 }
 
-func (t *TCPTransport) teardownEarly() {
-	if t.coord != nil {
-		t.coord.Close()
+// who names the far end of a link in logs and journal notes.
+func (t *TCPTransport) who(from int) string {
+	if from == coordinator {
+		return "the coordinator"
+	}
+	return fmt.Sprintf("member %d (ranks %d-%d)", from, t.members[from].Lo, t.members[from].Hi)
+}
+
+// --- lifecycle ---------------------------------------------------------------
+
+// quiet is the one answer to "is an EOF or write error on the link to
+// `from` expected now?". After an abort, or once the world-wide results
+// are in hand, every one is. A mesh connection may also close once its
+// peer announced a planned leave, or once our own result exchange has
+// begun: every local rank already ran to completion, so no data can be
+// pending, and a peer that finished first closes on exit (one that
+// truly died mid-exchange surfaces as the result timeout instead). The
+// coordinator must outlive the exchange.
+func (t *TCPTransport) quiet(from int) bool {
+	ph := t.phase.Load()
+	if t.rt.aborted.Load() || ph >= phaseDone {
+		return true
+	}
+	return from != coordinator && (t.cut.left[from].Load() || ph == phaseFinishing)
+}
+
+// abort is the one abort path: it unwinds this process's ranks and
+// tells every peer and the coordinator (which relays to all, members
+// still forming included). A process told to abort tells everyone
+// again; abort runs once per process, so the echo dies after one round.
+func (t *TCPTransport) abort(format string, args ...any) {
+	t.abortOnce.Do(func() {
+		msg := fmt.Sprintf(format, args...)
+		t.reason.Store(&msg)
+		t.logf("fleet abort: %s", msg)
+		t.rt.abortLocal()
+		close(t.abortCh)
+		for _, l := range t.links {
+			l.sendCtl(&ctlMsg{T: "abort", Msg: msg})
+		}
+	})
+}
+
+// close is the one teardown, from any phase: a failed rendezvous, a
+// planned crash exit, the error path of Run, or a completed run.
+func (t *TCPTransport) close() {
+	if t.phase.Swap(phaseClosed) == phaseClosed {
+		return
+	}
+	for _, l := range t.links {
+		l.close()
 	}
 	if t.ln != nil {
 		t.ln.Close()
 	}
-	if t.srv != nil {
-		t.srv.close()
+	if t.srvLn != nil {
+		t.srvLn.Close()
 	}
-	for _, p := range t.peers {
-		if p.conn != nil {
-			p.conn.Close()
-		}
-	}
-}
-
-// dialRetry dials addr until it answers or the timeout expires (the
-// coordinator may not have bound yet).
-func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			return conn, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// sendCoord writes one JSON line on the rendezvous connection.
-func (t *TCPTransport) sendCoord(m *coordMsg) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	t.coordMu.Lock()
-	defer t.coordMu.Unlock()
-	_, err = t.coord.Write(data)
-	return err
-}
-
-// rendezvous runs the member side of fleet formation: register, await
-// the roster, mesh with peers, report ready, await the start.
-func (t *TCPTransport) rendezvous() error {
-	lnAddr := t.ln.Addr().String()
-	if err := t.sendCoord(&coordMsg{
-		T: "register", Lo: t.opts.RankLo, Hi: t.opts.RankHi,
-		P: t.opts.P, Addr: lnAddr, FP: t.opts.Fingerprint,
-	}); err != nil {
-		return fmt.Errorf("mpi: register: %w", err)
-	}
-	roster, err := t.awaitCoord("roster")
-	if err != nil {
-		return err
-	}
-	t.session = roster.Session
-	t.members = roster.Members
-	t.owner = make([]int, t.opts.P)
-	t.selfIdx = -1
-	for i, m := range t.members {
-		for r := m.Lo; r <= m.Hi; r++ {
-			t.owner[r] = i
-		}
-		if m.Lo == t.opts.RankLo {
-			t.selfIdx = i
-		}
-	}
-	if t.selfIdx < 0 {
-		return fmt.Errorf("mpi: roster does not contain this member")
-	}
-	t.sent = make([]atomic.Uint64, len(t.members))
-	t.recvd = make([]atomic.Uint64, len(t.members))
-	if err := t.mesh(); err != nil {
-		return err
-	}
-	if err := t.sendCoord(&coordMsg{T: "ready"}); err != nil {
-		return fmt.Errorf("mpi: ready: %w", err)
-	}
-	if _, err := t.awaitCoord("start"); err != nil {
-		return err
-	}
-	t.logf("fleet formed: session=%s member=%d/%d ranks=%d..%d",
-		t.session, t.selfIdx, len(t.members), t.opts.RankLo, t.opts.RankHi)
-	return nil
-}
-
-// awaitCoord reads rendezvous lines until one of type want arrives
-// (err/abort lines fail immediately).
-func (t *TCPTransport) awaitCoord(want string) (*coordMsg, error) {
-	for {
-		var m coordMsg
-		if err := t.coordDec.Decode(&m); err != nil {
-			return nil, fmt.Errorf("mpi: rendezvous closed awaiting %s: %w", want, err)
-		}
-		switch m.T {
-		case want:
-			return &m, nil
-		case "err", "abort":
-			return nil, fmt.Errorf("mpi: rendezvous: %s", m.Msg)
-		}
-	}
-}
-
-// mesh builds the full data mesh: dial every lower-indexed member and
-// accept a connection from every higher-indexed one, exchanging hello
-// frames to bind connections to member indices.
-func (t *TCPTransport) mesh() error {
-	need := len(t.members) - 1
-	type hello struct {
-		peer *tcpPeer
-		err  error
-	}
-	ch := make(chan hello, need)
-
-	higher := 0
-	for j := t.selfIdx + 1; j < len(t.members); j++ {
-		higher++
-	}
-	go func() {
-		for i := 0; i < higher; i++ {
-			conn, err := t.ln.Accept()
-			if err != nil {
-				ch <- hello{err: err}
-				return
-			}
-			go func(conn net.Conn) {
-				br := bufio.NewReader(conn)
-				body, err := readFrame(br)
-				if err != nil {
-					ch <- hello{err: fmt.Errorf("mesh accept: %w", err)}
-					return
-				}
-				ctl, err := decodeCtlFrame(body)
-				if err != nil || ctl.T != "hello" || ctl.Member <= t.selfIdx || ctl.Member >= len(t.members) {
-					conn.Close()
-					ch <- hello{err: fmt.Errorf("mesh accept: bad hello")}
-					return
-				}
-				m := t.members[ctl.Member]
-				ch <- hello{peer: &tcpPeer{idx: ctl.Member, lo: m.Lo, hi: m.Hi, conn: conn, bw: bufio.NewWriter(conn)}}
-			}(conn)
-		}
-	}()
-
-	for j := 0; j < t.selfIdx; j++ {
-		conn, err := dialRetry(t.members[j].Addr, t.opts.DialTimeout)
-		if err != nil {
-			return fmt.Errorf("mpi: mesh dial member %d (%s): %w", j, t.members[j].Addr, err)
-		}
-		body, err := appendCtlFrame(nil, &ctlMsg{T: "hello", Member: t.selfIdx})
-		if err != nil {
-			return err
-		}
-		if err := writeFrame(conn, body); err != nil {
-			return fmt.Errorf("mpi: mesh hello to member %d: %w", j, err)
-		}
-		m := t.members[j]
-		t.peers[j] = &tcpPeer{idx: j, lo: m.Lo, hi: m.Hi, conn: conn, bw: bufio.NewWriter(conn)}
-	}
-	for i := 0; i < higher; i++ {
-		h := <-ch
-		if h.err != nil {
-			return fmt.Errorf("mpi: mesh: %w", h.err)
-		}
-		t.peers[h.peer.idx] = h.peer
-	}
-	return nil
 }
 
 // --- Transport interface ---------------------------------------------------
 
-func (t *TCPTransport) localRanks(p int) []int {
-	ranks := make([]int, 0, t.opts.RankHi-t.opts.RankLo+1)
-	for r := t.opts.RankLo; r <= t.opts.RankHi; r++ {
-		ranks = append(ranks, r)
-	}
-	return ranks
-}
+func (t *TCPTransport) hosted(int) (lo, hi int) { return t.opts.RankLo, t.opts.RankHi }
 
 func (t *TCPTransport) start(rt *Runtime) error {
 	t.rt = rt
-	for _, p := range t.peers {
-		t.wg.Add(1)
-		go t.readLoop(p)
+	t.phase.Store(phaseRunning)
+	for from, l := range t.links {
+		go t.readLoop(l, from)
 	}
-	t.wg.Add(1)
-	go t.coordLoop()
-	// Liveness ticker: remote progress (deposits between ranks of a
-	// peer process, remote clock advances) does not bump the local
-	// generation, so wildcard matchers re-poll on a short period
-	// instead of waiting indefinitely. Only armed while a matcher
-	// waits.
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-t.stopTick:
-				return
-			case <-tick.C:
-				if rt.anyWaiters.Load() > 0 {
-					rt.bump()
-				}
-			}
-		}
-	}()
+	go pollWhile(func() bool { return t.phase.Load() < phaseClosed },
+		func() bool { return rt.anyWaiters.Load() > 0 }, rt.gcond.Broadcast)
 	return nil
 }
 
 func (t *TCPTransport) deposit(dest int, msg message) {
-	rt := t.rt
-	if rt.mailboxes[dest] != nil {
-		rt.depositLocal(dest, msg)
-		t.gen.Add(1)
+	if t.rt.mailboxes[dest] != nil {
+		t.rt.depositLocal(dest, msg)
+		t.cut.gen.Add(1)
 		return
 	}
-	idx := t.owner[dest]
-	peer := t.peers[idx]
+	to := t.owner[dest]
 	body, err := appendDataFrame(nil, dest, msg)
 	if err != nil {
 		// Programming error (unregistered payload type): unwind this
 		// rank; Run reports it and aborts the fleet.
 		panic(err)
 	}
-	peer.wmu.Lock()
-	if peer.left.Load() || t.worldDone.Load() || t.closing.Load() {
-		peer.wmu.Unlock()
-		return
-	}
-	werr := writeFrame(peer.bw, body)
-	if werr == nil {
-		werr = peer.bw.Flush()
-	}
-	t.sent[idx].Add(1)
-	peer.wmu.Unlock()
+	err = t.links[to].send(body)
+	t.cut.sent[to].Add(1)
 	t.stats.framesOut.Add(1)
 	t.stats.bytesOut.Add(uint64(len(body)))
-	if werr != nil && !peer.left.Load() && !t.worldDone.Load() && !t.closing.Load() {
-		t.fleetAbort("write to member %d: %v", idx, werr)
+	if err != nil && !t.quiet(to) {
+		t.abort("write to %s: %v", t.who(to), err)
 		panic(errAborted)
 	}
 }
 
-func (t *TCPTransport) sendCtl(peer *tcpPeer, m *ctlMsg) error {
-	body, err := appendCtlFrame(nil, m)
-	if err != nil {
-		return err
-	}
-	peer.wmu.Lock()
-	defer peer.wmu.Unlock()
-	if err := writeFrame(peer.bw, body); err != nil {
-		return err
-	}
-	return peer.bw.Flush()
-}
-
-// readLoop drains one mesh connection: data frames become local
-// deposits, control frames drive the bound sweeps and lifecycle.
-func (t *TCPTransport) readLoop(peer *tcpPeer) {
-	defer t.wg.Done()
-	br := bufio.NewReader(peer.conn)
+// readLoop drains the link to `from`: data frames (from peers only)
+// become local deposits, control documents drive sweeps, comm
+// allocation, results and lifecycle (ignored from the wrong sender).
+func (t *TCPTransport) readLoop(l *link, from int) {
+	peer := from != coordinator
 	for {
-		body, err := readFrame(br)
+		body, err := l.recv()
 		if err != nil {
-			t.peerGone(peer, err)
+			t.linkDown(from, err)
 			return
 		}
 		t.stats.framesIn.Add(1)
 		t.stats.bytesIn.Add(uint64(len(body)))
 		dest, msg, ctl, err := decodeFrame(body)
 		if err != nil {
-			t.fleetAbort("poisoned frame from member %d: %v", peer.idx, err)
+			t.abort("poisoned frame from %s: %v", t.who(from), err)
 			return
 		}
 		if ctl == nil {
-			if dest >= t.opts.P || t.rt.mailboxes[dest] == nil {
-				t.fleetAbort("misrouted frame from member %d for rank %d", peer.idx, dest)
+			if !peer || dest >= t.opts.P || t.rt.mailboxes[dest] == nil {
+				t.abort("misrouted frame from %s for rank %d", t.who(from), dest)
 				return
 			}
-			t.recvd[peer.idx].Add(1)
-			t.gen.Add(1)
+			t.cut.recvd[from].Add(1)
+			t.cut.gen.Add(1)
 			t.rt.depositLocal(dest, msg)
 			continue
 		}
-		switch ctl.T {
-		case "breq":
-			t.handleBoundReq(peer, ctl.Req)
-		case "bresp":
-			t.boundMu.Lock()
-			ch := t.boundCh[ctl.Req]
-			delete(t.boundCh, ctl.Req)
-			t.boundMu.Unlock()
-			if ch != nil {
-				ch <- ctl
-			}
-		case "leaving":
-			// Planned process exit: every rank it hosted crash-stopped.
-			peer.left.Store(true)
-			t.gen.Add(1)
-			t.rt.bump()
-			if o := t.rt.obs; o != nil {
-				o.Emit(obs.Event{
-					Kind: obs.KindFault, Rank: peer.lo,
-					Note: fmt.Sprintf("peer-exit: member %d (ranks %d-%d) crash-stopped and left the fleet", peer.idx, peer.lo, peer.hi),
-				})
-			}
-			t.logf("member %d (ranks %d-%d) left (planned)", peer.idx, peer.lo, peer.hi)
-		case "abort":
-			t.abortLocalOnly("aborted by member %d", peer.idx)
+		switch {
+		case ctl.T == "abort":
+			t.abort("aborted by %s: %s", t.who(from), ctl.Msg)
 			return
+		case (ctl.T == "allocr" || ctl.T == "final") && !peer:
+			t.replies <- ctl
+		case ctl.T == "breq" && peer:
+			// The answer carries the bound over every rank hosted here.
+			resp := t.cut.row(&ctlMsg{T: "bresp", Req: ctl.Req})
+			bound, has := t.rt.influenceBound(-1)
+			resp.Bound, resp.HasBound = int64(bound), has
+			if err := l.sendCtl(resp); err != nil && !t.quiet(from) {
+				t.abort("bound response to %s: %v", t.who(from), err)
+			}
+		case ctl.T == "bresp" && peer:
+			t.cut.answer(ctl)
+		case ctl.T == "leaving" && peer:
+			// Planned process exit: every rank it hosted crash-stopped.
+			t.cut.left[from].Store(true)
+			t.cut.gen.Add(1)
+			t.rt.bump()
+			t.journal(from, "peer-exit: %s crash-stopped and left the fleet", t.who(from))
 		}
 	}
 }
 
-// peerGone handles a mesh connection closing. Expected after a planned
-// leave or once the world finished; otherwise the peer was killed
-// without warning — journal it as a crash and abort (without the shared
-// fault plan the survivors have no oracle to recover with).
-func (t *TCPTransport) peerGone(peer *tcpPeer, err error) {
-	peer.eof.Store(true)
-	t.gen.Add(1)
-	t.rt.bump()
-	if peer.left.Load() || t.finishing.Load() || t.worldDone.Load() ||
-		t.closing.Load() || t.rt.aborted.Load() {
-		// A peer that finished the run ahead of us closes its mesh
-		// connections on exit; once our own result exchange has begun
-		// that EOF is the normal shutdown order, not a crash. A peer
-		// that truly died mid-exchange surfaces as the coordinator
-		// timeout in finish instead.
-		return
+// linkDown handles a connection closing under its read loop. Expected
+// when quiet says so; otherwise the coordinator vanished or a peer was
+// killed without warning — journal it as a crash and abort (without the
+// shared fault plan the survivors have no oracle to recover with).
+func (t *TCPTransport) linkDown(from int, err error) {
+	if from != coordinator {
+		t.cut.eof[from].Store(true)
+		t.cut.gen.Add(1)
+		t.rt.bump()
 	}
+	switch {
+	case t.quiet(from):
+	case from == coordinator:
+		t.abort("rendezvous connection lost: %v", err)
+	default:
+		t.journal(from, "peer-lost: %s died without notice: %v", t.who(from), err)
+		t.abort("%s lost: %v", t.who(from), err)
+	}
+}
+
+// journal records a fleet-membership fault against the member's first
+// rank and logs it.
+func (t *TCPTransport) journal(member int, format string, args ...any) {
+	note := fmt.Sprintf(format, args...)
+	t.logf("%s", note)
 	if o := t.rt.obs; o != nil {
-		o.Emit(obs.Event{
-			Kind: obs.KindFault, Rank: peer.lo,
-			Note: fmt.Sprintf("peer-lost: member %d (ranks %d-%d) died without notice: %v", peer.idx, peer.lo, peer.hi, err),
-		})
-	}
-	t.fleetAbort("member %d (ranks %d-%d) lost: %v", peer.idx, peer.lo, peer.hi, err)
-}
-
-// handleBoundReq answers a peer's stability query: the generation is
-// loaded before the bound so any interleaved change makes the next
-// sweep's generation differ (the sweep then retries).
-func (t *TCPTransport) handleBoundReq(peer *tcpPeer, req uint64) {
-	gen := t.gen.Load()
-	hasBound, bound := t.localBound()
-	n := len(t.members)
-	m := &ctlMsg{
-		T: "bresp", Req: req, HasBound: hasBound, Bound: int64(bound), Gen: gen,
-		Sent: make([]uint64, n), Recvd: make([]uint64, n),
-	}
-	for i := 0; i < n; i++ {
-		m.Sent[i] = t.sent[i].Load()
-		m.Recvd[i] = t.recvd[i].Load()
-	}
-	if err := t.sendCtl(peer, m); err != nil && !peer.left.Load() && !t.closing.Load() && !t.worldDone.Load() {
-		t.fleetAbort("bound response to member %d: %v", peer.idx, err)
+		o.Emit(obs.Event{Kind: obs.KindFault, Rank: t.members[member].Lo, Note: note})
 	}
 }
 
-// localBound computes the minimum future-influence bound over the ranks
-// hosted here — the remote half of lbtsSafe, answered for a peer. Same
-// rules as the local scan: active ranks bound at clock+alpha, blocked
-// ranks at max(clock, earliest matching arrival)+alpha (no matching
-// pending message defers to the rank that will eventually send one),
-// finalizing/done ranks are exempt.
-func (t *TCPTransport) localBound() (bool, vtime.Time) {
-	rt := t.rt
-	alpha := vtime.Time(rt.model.Alpha)
-	has, min := false, vtime.Time(0)
-	consider := func(b vtime.Time) {
-		if !has || b < min {
-			has, min = true, b
-		}
-	}
-	for _, r := range rt.local {
-		switch rankState(rt.states[r].Load()) {
-		case stateDone, stateFinalizing:
-			continue
-		case stateActive:
-			consider(rt.procs[r].Clock.Now() + alpha)
-		default:
-			proc := rt.procs[r]
-			bound, ok := rt.mailboxes[r].minArriveMatching(
-				CommID(proc.blockedComm.Load()),
-				int(proc.blockedSrc.Load()),
-				int(proc.blockedTag.Load()),
-			)
-			if !ok {
-				continue
-			}
-			if c := proc.Clock.Now(); c > bound {
-				bound = c
-			}
-			consider(bound + alpha)
-		}
-	}
-	return has, min
-}
-
-// sweep queries every live peer once. ok=false means a peer is mid-
-// leave (announced but not yet drained) or timed out — retry later.
-func (t *TCPTransport) sweep() (map[int]*ctlMsg, bool) {
-	t.stats.sweeps.Add(1)
-	snaps := map[int]*ctlMsg{}
-	type pending struct {
-		idx int
-		ch  chan *ctlMsg
-	}
-	var waits []pending
-	for idx, peer := range t.peers {
-		if peer.left.Load() || peer.eof.Load() {
-			if peer.left.Load() && !peer.eof.Load() {
-				// Announced leave still draining: counters cannot
-				// balance yet.
-				return nil, false
-			}
-			continue
-		}
-		req := t.reqID.Add(1)
-		ch := make(chan *ctlMsg, 1)
-		t.boundMu.Lock()
-		t.boundCh[req] = ch
-		t.boundMu.Unlock()
-		if err := t.sendCtl(peer, &ctlMsg{T: "breq", Req: req}); err != nil {
-			t.boundMu.Lock()
-			delete(t.boundCh, req)
-			t.boundMu.Unlock()
-			return nil, false
-		}
-		waits = append(waits, pending{idx, ch})
-	}
-	deadline := time.After(250 * time.Millisecond)
-	for _, w := range waits {
-		select {
-		case resp := <-w.ch:
-			snaps[w.idx] = resp
-		case <-deadline:
-			return nil, false
-		case <-t.abortCh:
-			return nil, false
-		}
-	}
-	return snaps, true
-}
-
-// remoteSafe implements the transport half of the conservative matcher:
-// true only when a counter-stable global snapshot shows no remote rank
-// able to produce a message arriving before at.
 func (t *TCPTransport) remoteSafe(self int, at vtime.Time) bool {
-	if len(t.peers) == 0 {
-		return true
-	}
-	var prev map[int]*ctlMsg
-	var prevGen uint64
-	for {
-		if t.rt.aborted.Load() {
-			return false
-		}
-		gen := t.gen.Load()
-		snaps, ok := t.sweep()
-		if !ok {
-			prev = nil
-			time.Sleep(500 * time.Microsecond)
-			continue
-		}
-		if prev != nil && prevGen == gen && sweepsEqualGen(prev, snaps) && t.balanced(snaps) {
-			for _, s := range snaps {
-				if s.HasBound && vtime.Time(s.Bound) < at {
-					return false
-				}
-			}
-			return true
-		}
-		prev, prevGen = snaps, gen
-		time.Sleep(200 * time.Microsecond)
-	}
+	return len(t.members) == 1 || t.cut.safe(at)
 }
 
-// sweepsEqualGen reports whether two sweeps saw identical generations
-// from the same peer set.
-func sweepsEqualGen(a, b map[int]*ctlMsg) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for idx, sa := range a {
-		sb := b[idx]
-		if sb == nil || sa.Gen != sb.Gen {
-			return false
-		}
-	}
-	return true
-}
+func (t *TCPTransport) noteState(int) { t.cut.gen.Add(1) }
 
-// balanced checks the global counter matrix: every data frame sent by
-// any member has been received (no frame in flight ⇒ the bound
-// snapshot is a consistent cut). Members that have left and drained
-// are excluded — their frames are all accounted for on the receive
-// side and they will never send again.
-func (t *TCPTransport) balanced(snaps map[int]*ctlMsg) bool {
-	n := len(t.members)
-	live := make([]bool, n)
-	sent := make([][]uint64, n)
-	recvd := make([][]uint64, n)
-	live[t.selfIdx] = true
-	sent[t.selfIdx] = make([]uint64, n)
-	recvd[t.selfIdx] = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		sent[t.selfIdx][i] = t.sent[i].Load()
-		recvd[t.selfIdx][i] = t.recvd[i].Load()
-	}
-	for idx, s := range snaps {
-		if len(s.Sent) != n || len(s.Recvd) != n {
-			return false
-		}
-		live[idx] = true
-		sent[idx], recvd[idx] = s.Sent, s.Recvd
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j || !live[i] || !live[j] {
-				continue
-			}
-			if sent[i][j] != recvd[j][i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (t *TCPTransport) noteState(int) { t.gen.Add(1) }
+func (t *TCPTransport) noteAbort() { t.abort("local rank failure") }
 
 func (t *TCPTransport) allocComm(n int) CommID {
-	if err := t.sendCoord(&coordMsg{T: "alloc", N: n}); err != nil {
-		t.fleetAbort("comm alloc: %v", err)
+	if err := t.links[coordinator].sendCtl(&ctlMsg{T: "alloc", N: n}); err != nil {
+		t.abort("comm alloc: %v", err)
 		panic(errAborted)
 	}
 	select {
-	case base := <-t.allocCh:
-		return CommID(base)
+	case m := <-t.replies:
+		return CommID(m.Base)
 	case <-t.abortCh:
 		panic(errAborted)
 	}
 }
 
-// coordLoop dispatches post-start coordinator messages.
-func (t *TCPTransport) coordLoop() {
-	defer t.wg.Done()
-	for {
-		var m coordMsg
-		if err := t.coordDec.Decode(&m); err != nil {
-			if !t.worldDone.Load() && !t.closing.Load() && !t.rt.aborted.Load() {
-				t.abortLocalOnly("rendezvous connection lost: %v", err)
-			}
-			return
-		}
-		switch m.T {
-		case "allocr":
-			t.allocCh <- m.Base
-		case "final":
-			select {
-			case t.finalCh <- &m:
-			default:
-			}
-		case "abort":
-			t.abortLocalOnly("fleet aborted: %s", m.Msg)
-			return
-		}
+// report snapshots the local ranks' final clocks and ledgers as a
+// result or leaving document for the coordinator.
+func (t *TCPTransport) report(typ string, departed []int) *ctlMsg {
+	m := &ctlMsg{T: typ, Ranks: t.rt.local, Departed: departed}
+	for _, r := range m.Ranks {
+		m.Clocks = append(m.Clocks, int64(t.rt.procs[r].Clock.Now()))
+		m.Ledgers = append(m.Ledgers, t.rt.procs[r].Ledger.Snapshot())
 	}
-}
-
-func (t *TCPTransport) noteAbort() {
-	t.fleetAbort("local rank failure")
-}
-
-// fleetAbort propagates a fatal failure everywhere: local wakeups, a
-// control frame to every mesh peer, and an abort line to the
-// coordinator (which relays to members this process never meshed
-// with).
-func (t *TCPTransport) fleetAbort(format string, args ...any) {
-	t.abortOne.Do(func() {
-		msg := fmt.Sprintf(format, args...)
-		t.abortMsg.Store(&msg)
-		t.logf("fleet abort: %s", msg)
-		if t.rt != nil {
-			t.rt.abortLocal()
-		}
-		close(t.abortCh)
-		for _, p := range t.peers {
-			t.sendCtl(p, &ctlMsg{T: "abort"})
-		}
-		t.sendCoord(&coordMsg{T: "abort", Msg: msg})
-	})
-}
-
-// abortLocalOnly unwinds this process after a remote abort (no
-// rebroadcast: the origin already told everyone).
-func (t *TCPTransport) abortLocalOnly(format string, args ...any) {
-	t.abortOne.Do(func() {
-		msg := fmt.Sprintf(format, args...)
-		t.abortMsg.Store(&msg)
-		t.logf("%s", msg)
-		if t.rt != nil {
-			t.rt.abortLocal()
-		}
-		close(t.abortCh)
-	})
+	return m
 }
 
 // noteDeparted tracks local crash-stops. Once every rank hosted here is
 // gone the process leaves the fleet: it announces the exit on all
-// connections (with its final clocks, so results stay complete), then
-// — crash = killed process — SIGKILLs itself when ExitOnCrash is set.
+// connections (with its final clocks, which the coordinator keeps so
+// results stay complete), then — crash = killed process — SIGKILLs
+// itself when ExitOnCrash is set.
 func (t *TCPTransport) noteDeparted(rank int) {
-	t.depMu.Lock()
-	t.depLocal[rank] = true
-	all := len(t.depLocal) == len(t.rt.local)
-	t.depMu.Unlock()
-	if !all || !t.opts.ExitOnCrash {
+	if int(t.departed.Add(1)) < len(t.rt.local) || !t.opts.ExitOnCrash {
 		return
 	}
-	ranks := append([]int(nil), t.rt.local...)
-	clocks := make([]int64, len(ranks))
-	ledgers := make([][]vtime.Duration, len(ranks))
-	for i, r := range ranks {
-		clocks[i] = int64(t.rt.procs[r].Clock.Now())
-		ledgers[i] = t.rt.procs[r].Ledger.Snapshot()
+	last := t.report("leaving", t.rt.local)
+	for _, l := range t.links {
+		l.sendCtl(last)
 	}
-	for _, p := range t.peers {
-		t.sendCtl(p, &ctlMsg{T: "leaving", Ranks: ranks})
-	}
-	t.sendCoord(&coordMsg{
-		T: "leaving", Ranks: ranks, Clocks: clocks, Ledgers: ledgers, Departed: ranks,
-	})
 	t.logf("all local ranks crash-stopped; leaving the fleet (SIGKILL self)")
 	if f := t.opts.OnCrashExit; f != nil {
 		f()
@@ -919,41 +397,21 @@ func (t *TCPTransport) noteDeparted(rank int) {
 	// Closing the connections first pushes every queued byte to the
 	// kernel with a clean FIN, so peers see an orderly drain, then the
 	// process dies exactly as a killed rank-process would.
-	for _, p := range t.peers {
-		p.conn.Close()
-	}
-	t.coord.Close()
+	t.close()
 	syscall.Kill(os.Getpid(), syscall.SIGKILL)
 }
 
-func (t *TCPTransport) finish(res *Result, departed []bool) (*Result, error) {
-	t.finishing.Store(true)
-	ranks := append([]int(nil), t.rt.local...)
-	clocks := make([]int64, len(ranks))
-	ledgers := make([][]vtime.Duration, len(ranks))
-	var dep []int
-	for i, r := range ranks {
-		clocks[i] = int64(res.Clocks[r])
-		ledgers[i] = res.Ledgers[r].Snapshot()
-		if departed[r] {
-			dep = append(dep, r)
-		}
-	}
-	if err := t.sendCoord(&coordMsg{
-		T: "result", Ranks: ranks, Clocks: clocks, Ledgers: ledgers, Departed: dep,
-	}); err != nil {
+func (t *TCPTransport) finish(res *Result, departed []int) (*Result, error) {
+	t.phase.Store(phaseFinishing)
+	if err := t.links[coordinator].sendCtl(t.report("result", departed)); err != nil {
 		return nil, fmt.Errorf("mpi: result exchange: %w", err)
 	}
-	var final *coordMsg
+	var final *ctlMsg
 	select {
-	case final = <-t.finalCh:
+	case final = <-t.replies:
 	case <-t.abortCh:
-		msg := "fleet aborted"
-		if p := t.abortMsg.Load(); p != nil {
-			msg = *p
-		}
-		return nil, errors.New("mpi: " + msg)
-	case <-time.After(t.opts.DialTimeout + 30*time.Second):
+		return nil, errors.New("mpi: " + *t.reason.Load())
+	case <-time.After(resultTimeout):
 		return nil, fmt.Errorf("mpi: timed out awaiting fleet results")
 	}
 	if len(final.Clocks) != t.opts.P || len(final.Ledgers) != t.opts.P {
@@ -968,309 +426,6 @@ func (t *TCPTransport) finish(res *Result, departed []bool) (*Result, error) {
 	}
 	res.Departed = final.Departed
 	res.Makespan = vtime.Duration(res.MaxClock())
-	t.worldDone.Store(true)
+	t.phase.Store(phaseDone)
 	return res, nil
-}
-
-func (t *TCPTransport) close() {
-	if t.closing.Swap(true) {
-		return
-	}
-	close(t.stopTick)
-	for _, p := range t.peers {
-		p.conn.Close()
-	}
-	if t.coord != nil {
-		t.coord.Close()
-	}
-	if t.ln != nil {
-		t.ln.Close()
-	}
-	if t.srv != nil {
-		t.srv.close()
-	}
-}
-
-// --- rendezvous coordinator ------------------------------------------------
-
-// rendezvousServer forms the fleet and then serves three tiny RPCs:
-// world-unique communicator allocation, result aggregation, and abort
-// relay. It runs inside whichever process won the bind race.
-type rendezvousServer struct {
-	ln      net.Listener
-	p       int
-	session string
-
-	mu       sync.Mutex
-	regs     []*regEntry
-	started  bool
-	ready    int
-	nextComm int64
-	results  map[int]*coordMsg
-	fp       string
-	fpSet    bool
-	aborted  bool
-	finalOut bool
-	closed   atomic.Bool
-}
-
-type regEntry struct {
-	spec memberSpec
-	conn net.Conn
-	wmu  sync.Mutex
-	done bool // result or leaving received
-}
-
-func newRendezvousServer(ln net.Listener, p int, session string) *rendezvousServer {
-	if session == "" {
-		var b [8]byte
-		rand.Read(b[:])
-		session = hex.EncodeToString(b[:])
-	}
-	return &rendezvousServer{
-		ln: ln, p: p, session: session,
-		nextComm: int64(commUserBase),
-		results:  map[int]*coordMsg{},
-	}
-}
-
-func (s *rendezvousServer) close() {
-	if !s.closed.Swap(true) {
-		s.ln.Close()
-	}
-}
-
-func (s *rendezvousServer) serve() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		go s.handle(conn)
-	}
-}
-
-func (s *rendezvousServer) send(e *regEntry, m *coordMsg) {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
-	data = append(data, '\n')
-	e.wmu.Lock()
-	e.conn.Write(data)
-	e.wmu.Unlock()
-}
-
-func (s *rendezvousServer) sendErr(conn net.Conn, format string, args ...any) {
-	data, _ := json.Marshal(&coordMsg{T: "err", Msg: fmt.Sprintf(format, args...)})
-	conn.Write(append(data, '\n'))
-	conn.Close()
-}
-
-func (s *rendezvousServer) handle(conn net.Conn) {
-	dec := json.NewDecoder(conn)
-	var me *regEntry
-	for {
-		var m coordMsg
-		if err := dec.Decode(&m); err != nil {
-			s.memberLost(me)
-			return
-		}
-		switch m.T {
-		case "register":
-			if me != nil {
-				s.sendErr(conn, "duplicate registration")
-				return
-			}
-			var err error
-			if me, err = s.register(&m, conn); err != nil {
-				s.sendErr(conn, "%v", err)
-				// A bad registration (config mismatch, overlapping
-				// ranges) is fatal for the whole rendezvous: the fleet
-				// can never complete, so release the waiting members.
-				s.abort(fmt.Sprintf("rejected member: %v", err))
-				return
-			}
-		case "ready":
-			s.memberReady()
-		case "alloc":
-			s.mu.Lock()
-			base := s.nextComm
-			if m.N > 0 {
-				s.nextComm += int64(m.N)
-			}
-			s.mu.Unlock()
-			s.send(me, &coordMsg{T: "allocr", Base: base})
-		case "result", "leaving":
-			s.memberDone(me, &m)
-			if m.T == "leaving" {
-				// The connection is about to die with the process; the
-				// member never awaits a final.
-				return
-			}
-		case "abort":
-			s.abort(m.Msg)
-		}
-	}
-}
-
-// register admits one member; when the ranges exactly tile [0,P) the
-// roster goes out.
-func (s *rendezvousServer) register(m *coordMsg, conn net.Conn) (*regEntry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return nil, fmt.Errorf("fleet already formed")
-	}
-	if m.P != s.p && s.p != 0 {
-		return nil, fmt.Errorf("world size mismatch: coordinator has P=%d, member registered P=%d", s.p, m.P)
-	}
-	if s.fpSet && m.FP != s.fp {
-		return nil, fmt.Errorf("config fingerprint mismatch (different seeds/plans across the fleet?)")
-	}
-	s.fp, s.fpSet = m.FP, true
-	if m.Lo < 0 || m.Hi < m.Lo || m.Hi >= s.p {
-		return nil, fmt.Errorf("invalid rank range %d..%d for P=%d", m.Lo, m.Hi, s.p)
-	}
-	for _, r := range s.regs {
-		if m.Lo <= r.spec.Hi && r.spec.Lo <= m.Hi {
-			return nil, fmt.Errorf("rank range %d..%d overlaps member %d..%d", m.Lo, m.Hi, r.spec.Lo, r.spec.Hi)
-		}
-	}
-	addr := m.Addr
-	if host, port, err := net.SplitHostPort(addr); err == nil {
-		if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
-			// The member listens on the wildcard address: advertise the
-			// address the coordinator actually sees it from.
-			if rhost, _, err := net.SplitHostPort(conn.RemoteAddr().String()); err == nil {
-				addr = net.JoinHostPort(rhost, port)
-			}
-		}
-	}
-	e := &regEntry{spec: memberSpec{Lo: m.Lo, Hi: m.Hi, Addr: addr}, conn: conn}
-	s.regs = append(s.regs, e)
-	covered := 0
-	for _, r := range s.regs {
-		covered += r.spec.Hi - r.spec.Lo + 1
-	}
-	if covered == s.p {
-		sort.Slice(s.regs, func(i, j int) bool { return s.regs[i].spec.Lo < s.regs[j].spec.Lo })
-		s.started = true
-		roster := make([]memberSpec, len(s.regs))
-		for i, r := range s.regs {
-			roster[i] = r.spec
-		}
-		for _, r := range s.regs {
-			s.send(r, &coordMsg{T: "roster", Session: s.session, Members: roster})
-		}
-	}
-	return e, nil
-}
-
-func (s *rendezvousServer) memberReady() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ready++
-	if s.ready == len(s.regs) && s.started {
-		for _, r := range s.regs {
-			s.send(r, &coordMsg{T: "start"})
-		}
-	}
-}
-
-func (s *rendezvousServer) memberIdx(e *regEntry) int {
-	for i, r := range s.regs {
-		if r == e {
-			return i
-		}
-	}
-	return -1
-}
-
-// memberDone records a member's results ("result") or last words
-// ("leaving"); when every member has reported, the merged final goes
-// out to the members still connected.
-func (s *rendezvousServer) memberDone(e *regEntry, m *coordMsg) {
-	if e == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := s.memberIdx(e)
-	if idx < 0 || e.done {
-		return
-	}
-	e.done = true
-	s.results[idx] = m
-	if len(s.results) < len(s.regs) {
-		return
-	}
-	final := &coordMsg{
-		T:       "final",
-		Clocks:  make([]int64, s.p),
-		Ledgers: make([][]vtime.Duration, s.p),
-	}
-	depSet := map[int]bool{}
-	for _, res := range s.results {
-		for i, r := range res.Ranks {
-			if r < 0 || r >= s.p {
-				continue
-			}
-			if i < len(res.Clocks) {
-				final.Clocks[r] = res.Clocks[i]
-			}
-			if i < len(res.Ledgers) {
-				final.Ledgers[r] = res.Ledgers[i]
-			}
-		}
-		for _, r := range res.Departed {
-			depSet[r] = true
-		}
-	}
-	for r := range depSet {
-		final.Departed = append(final.Departed, r)
-	}
-	sort.Ints(final.Departed)
-	for r := 0; r < s.p; r++ {
-		if final.Ledgers[r] == nil {
-			final.Ledgers[r] = []vtime.Duration{}
-		}
-	}
-	s.finalOut = true
-	for _, r := range s.regs {
-		if leavingMsg, left := s.results[s.memberIdx(r)]; left && leavingMsg.T == "leaving" {
-			continue
-		}
-		s.send(r, final)
-	}
-	go s.close()
-}
-
-// memberLost handles a rendezvous connection dying. Benign after the
-// member reported (or the fleet finished/aborted); fatal otherwise.
-func (s *rendezvousServer) memberLost(e *regEntry) {
-	if e == nil {
-		return
-	}
-	s.mu.Lock()
-	lost := !e.done && !s.aborted && !s.finalOut
-	s.mu.Unlock()
-	if lost {
-		s.abort(fmt.Sprintf("member (ranks %d-%d) lost before reporting results", e.spec.Lo, e.spec.Hi))
-	}
-}
-
-func (s *rendezvousServer) abort(msg string) {
-	s.mu.Lock()
-	if s.aborted {
-		s.mu.Unlock()
-		return
-	}
-	s.aborted = true
-	regs := append([]*regEntry(nil), s.regs...)
-	s.mu.Unlock()
-	for _, r := range regs {
-		s.send(r, &coordMsg{T: "abort", Msg: msg})
-	}
-	go s.close()
 }

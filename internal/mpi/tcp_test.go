@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"chameleon/internal/vtime"
 )
@@ -44,7 +43,6 @@ func runFleet(t *testing.T, p int, members []fleetMember, body func(*Proc)) []*R
 			defer wg.Done()
 			tr, err := NewTCPTransport(TCPOptions{
 				Join: join, RankLo: m.lo, RankHi: m.hi, P: p,
-				DialTimeout: 10 * time.Second,
 			})
 			if err != nil {
 				errs[i] = fmt.Errorf("member %d rendezvous: %w", i, err)
@@ -115,15 +113,17 @@ func TestTCPFleetMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := runFleet(t, p, []fleetMember{{0, 1}, {2, 3}, {4, 5}}, body)
-	for i, res := range fleet {
-		if !reflect.DeepEqual(res.Clocks, inproc.Clocks) {
-			t.Errorf("member %d clocks diverge from in-process: %v vs %v", i, res.Clocks, inproc.Clocks)
+	wires(t, func(t *testing.T) {
+		fleet := runFleet(t, p, []fleetMember{{0, 1}, {2, 3}, {4, 5}}, body)
+		for i, res := range fleet {
+			if !reflect.DeepEqual(res.Clocks, inproc.Clocks) {
+				t.Errorf("member %d clocks diverge from in-process: %v vs %v", i, res.Clocks, inproc.Clocks)
+			}
+			if res.Makespan != inproc.Makespan {
+				t.Errorf("member %d makespan %v, in-process %v", i, res.Makespan, inproc.Makespan)
+			}
 		}
-		if res.Makespan != inproc.Makespan {
-			t.Errorf("member %d makespan %v, in-process %v", i, res.Makespan, inproc.Makespan)
-		}
-	}
+	})
 }
 
 func TestTCPFleetWildcardAcrossProcesses(t *testing.T) {
@@ -133,25 +133,38 @@ func TestTCPFleetWildcardAcrossProcesses(t *testing.T) {
 	// computes r virtual milliseconds before sending, so matches must
 	// come back in rank order regardless of socket timing.
 	const p = 4
-	var mu sync.Mutex
-	var order []int
-	runFleet(t, p, []fleetMember{{0, 0}, {1, 1}, {2, 3}}, func(pr *Proc) {
-		w := pr.World()
-		if pr.Rank() == 0 {
-			for i := 1; i < p; i++ {
-				msg := w.Recv(AnySource, 1)
-				mu.Lock()
-				order = append(order, msg.Source)
-				mu.Unlock()
+	body := func(order *[]int) func(*Proc) {
+		var mu sync.Mutex
+		return func(pr *Proc) {
+			w := pr.World()
+			if pr.Rank() == 0 {
+				for i := 1; i < p; i++ {
+					msg := w.Recv(AnySource, 1)
+					mu.Lock()
+					*order = append(*order, msg.Source)
+					mu.Unlock()
+				}
+			} else {
+				pr.Compute(vtime.Duration(pr.Rank()) * vtime.Millisecond)
+				w.Send(0, 1, 0, nil)
 			}
-		} else {
-			pr.Compute(vtime.Duration(pr.Rank()) * vtime.Millisecond)
-			w.Send(0, 1, 0, nil)
+		}
+	}
+	var inprocOrder []int
+	inproc, err := Run(Config{P: p}, body(&inprocOrder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires(t, func(t *testing.T) {
+		var order []int
+		fleet := runFleet(t, p, []fleetMember{{0, 0}, {1, 1}, {2, 3}}, body(&order))
+		if !reflect.DeepEqual(order, []int{1, 2, 3}) || !reflect.DeepEqual(order, inprocOrder) {
+			t.Fatalf("wildcard match order %v (in-process %v), want [1 2 3]", order, inprocOrder)
+		}
+		if !reflect.DeepEqual(fleet[0].Clocks, inproc.Clocks) {
+			t.Errorf("clocks diverge from in-process: %v vs %v", fleet[0].Clocks, inproc.Clocks)
 		}
 	})
-	if !reflect.DeepEqual(order, []int{1, 2, 3}) {
-		t.Fatalf("wildcard match order %v, want [1 2 3]", order)
-	}
 }
 
 func TestTCPFleetCommDup(t *testing.T) {
@@ -194,7 +207,7 @@ func TestTCPFleetConfigMismatchRejected(t *testing.T) {
 			defer wg.Done()
 			tr, err := NewTCPTransport(TCPOptions{
 				Join: join, RankLo: i * 2, RankHi: i*2 + 1, P: 4,
-				Fingerprint: fps[i], DialTimeout: 5 * time.Second,
+				Fingerprint: fps[i],
 			})
 			if err == nil {
 				tr.close()

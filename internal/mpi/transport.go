@@ -1,6 +1,10 @@
 package mpi
 
-import "chameleon/internal/vtime"
+import (
+	"sync"
+
+	"chameleon/internal/vtime"
+)
 
 // Transport routes point-to-point messages between world ranks and
 // scopes the conservative matcher's visibility. The in-process backend
@@ -13,11 +17,11 @@ import "chameleon/internal/vtime"
 // callers outside it — chameleon.Config, cmd/chamrun — only construct
 // and pass transports, never implement them.
 type Transport interface {
-	// localRanks lists the world ranks hosted by this process, sorted
-	// ascending, given the world size p. mpi.Run spawns one goroutine
-	// per local rank; remote ranks have no goroutine, mailbox, or Proc
+	// hosted returns the inclusive range of world ranks this process
+	// hosts, given the world size p. mpi.Run spawns one goroutine per
+	// hosted rank; remote ranks have no goroutine, mailbox, or Proc
 	// here.
-	localRanks(p int) []int
+	hosted(p int) (lo, hi int)
 
 	// start binds the runtime once local procs and mailboxes exist and
 	// before any rank goroutine runs. Network backends start their
@@ -35,7 +39,7 @@ type Transport interface {
 	// to ranks hosted by other processes: no remote rank can still
 	// produce a message arriving before t. The in-process backend hosts
 	// everyone and returns true; the TCP backend runs a counter-stable
-	// bound sweep over its peers (see tcp.go).
+	// bound sweep over its peers (see cut.go).
 	remoteSafe(self int, t vtime.Time) bool
 
 	// allocComm reserves n consecutive world-unique communicator IDs
@@ -60,8 +64,8 @@ type Transport interface {
 	// finish completes the run: network backends exchange per-rank
 	// results so every process returns the same world-wide Result, and
 	// synchronize teardown so no peer loses in-flight frames. departed
-	// flags local crash-stops by world rank.
-	finish(res *Result, departed []bool) (*Result, error)
+	// lists the local ranks that crash-stopped, ascending.
+	finish(res *Result, departed []int) (*Result, error)
 
 	// close releases transport resources; safe after finish or on the
 	// error path.
@@ -73,19 +77,15 @@ type Transport interface {
 // to the pre-seam code path; a run with a nil Config.Transport is
 // bit-identical to one built before the seam existed.
 type inProcTransport struct {
-	rt *Runtime
+	rt       *Runtime
+	commMu   sync.Mutex
+	nextComm CommID // next CommID a Dup or Split is handed
 }
 
-func (t *inProcTransport) localRanks(p int) []int {
-	ranks := make([]int, p)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return ranks
-}
+func (t *inProcTransport) hosted(p int) (lo, hi int) { return 0, p - 1 }
 
 func (t *inProcTransport) start(rt *Runtime) error {
-	t.rt = rt
+	t.rt, t.nextComm = rt, commUserBase
 	return nil
 }
 
@@ -97,17 +97,19 @@ func (t *inProcTransport) remoteSafe(int, vtime.Time) bool { return true }
 
 func (t *inProcTransport) noteState(int) {}
 
-func (t *inProcTransport) allocComm(n int) CommID { return t.rt.allocLocalComm(n) }
+func (t *inProcTransport) allocComm(n int) CommID {
+	t.commMu.Lock()
+	defer t.commMu.Unlock()
+	id := t.nextComm
+	t.nextComm += CommID(n)
+	return id
+}
 
 func (t *inProcTransport) noteAbort()       {}
 func (t *inProcTransport) noteDeparted(int) {}
 
-func (t *inProcTransport) finish(res *Result, departed []bool) (*Result, error) {
-	for r, d := range departed {
-		if d {
-			res.Departed = append(res.Departed, r)
-		}
-	}
+func (t *inProcTransport) finish(res *Result, departed []int) (*Result, error) {
+	res.Departed = departed
 	res.Makespan = vtime.Duration(res.MaxClock())
 	return res, nil
 }

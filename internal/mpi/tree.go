@@ -39,14 +39,3 @@ func TreeChildPositions(pos, n int) []int {
 	}
 	return out
 }
-
-// TreeDepth returns the depth of position pos in the binomial tree (the
-// number of set bits — each set bit is one hop toward the root).
-func TreeDepth(pos int) int {
-	d := 0
-	for pos != 0 {
-		pos &= pos - 1
-		d++
-	}
-	return d
-}

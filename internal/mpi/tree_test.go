@@ -3,7 +3,6 @@ package mpi
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestTreePos(t *testing.T) {
@@ -63,21 +62,6 @@ func TestTreeParentRoot(t *testing.T) {
 	}
 }
 
-func TestTreeDepthLogarithmic(t *testing.T) {
-	f := func(x uint16) bool {
-		pos := int(x)
-		d := TreeDepth(pos)
-		// Depth equals popcount, which is at most the bit length.
-		return d >= 0 && d <= 16
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if TreeDepth(0) != 0 || TreeDepth(1) != 1 || TreeDepth(0b1011) != 3 {
-		t.Fatalf("depth wrong")
-	}
-}
-
 func TestOpCodeStrings(t *testing.T) {
 	for op := OpNone; op < numOpCodes; op++ {
 		if op.String() == "" || op.String() == "op?" {
@@ -105,7 +89,7 @@ func TestOpCodeClassification(t *testing.T) {
 }
 
 func TestMailboxPending(t *testing.T) {
-	mb := newMailbox(new(atomic.Bool))
+	mb := newMailbox(new(atomic.Bool), new(atomic.Int32))
 	if mb.pending() != 0 {
 		t.Fatalf("fresh mailbox pending")
 	}
@@ -120,13 +104,26 @@ func TestMailboxPending(t *testing.T) {
 }
 
 func TestMinArrive(t *testing.T) {
-	mb := newMailbox(new(atomic.Bool))
-	if _, ok := mb.minArrive(); ok {
-		t.Fatalf("empty mailbox has minArrive")
+	var state atomic.Int32
+	mb := newMailbox(new(atomic.Bool), &state)
+	if _, ok := mb.minArriveMatching(CommWorld, AnySource, AnyTag); ok {
+		t.Fatalf("empty mailbox has a matching arrival")
 	}
 	mb.deposit(message{comm: CommWorld, source: 0, tag: 1, arrive: 50})
+	mb.deposit(message{comm: CommWorld, source: 2, tag: 1, arrive: 30})
 	mb.deposit(message{comm: CommInternal, source: 1, tag: 2, arrive: 10})
-	if m, ok := mb.minArrive(); !ok || m != 10 {
-		t.Fatalf("minArrive = %v/%v", m, ok)
+	// Only messages matching the blocked pattern can unblock the rank:
+	// the earlier internal message does not count for a world receive.
+	if m, ok := mb.minArriveMatching(CommWorld, AnySource, AnyTag); !ok || m != 30 {
+		t.Fatalf("world/any = %v/%v, want 30", m, ok)
+	}
+	if m, ok := mb.minArriveMatching(CommWorld, 0, 1); !ok || m != 50 {
+		t.Fatalf("world/source 0 = %v/%v, want 50", m, ok)
+	}
+	if m, ok := mb.minArriveMatching(CommInternal, 1, 2); !ok || m != 10 {
+		t.Fatalf("internal = %v/%v, want 10", m, ok)
+	}
+	if _, ok := mb.minArriveMatching(CommWorld, 0, 9); ok {
+		t.Fatalf("unmatched tag has an arrival")
 	}
 }

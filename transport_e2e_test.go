@@ -110,9 +110,10 @@ func traceBinary(t testing.TB, out *chameleon.Output) []byte {
 	return buf.Bytes()
 }
 
-// TestTransportCrossBackendDeterminism: same seeded benchmark, P=8, run
-// in-process and as a 2×4-rank TCP fleet. The merged traces must agree
-// in canonical structure and raw signature bytes, the causal edge
+// TestTransportCrossBackendDeterminism: same seeded benchmark run
+// in-process and as a TCP fleet — P=8 as 2×4 ranks, and the
+// acceptance-scale P=64 world split four ways. The merged traces must
+// agree in canonical structure and raw signature bytes, the causal edge
 // totals must match (each member records the edges its ranks close),
 // and the zan closed-form stats must be identical — the compressed
 // representation, not just the makespan, is transport-invariant.
@@ -120,17 +121,25 @@ func TestTransportCrossBackendDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fleet runs are not short")
 	}
-	for _, bench := range []string{"PHASE", "STENCIL"} {
-		t.Run(bench, func(t *testing.T) {
+	for _, row := range []struct {
+		name, bench string
+		p           int
+		members     [][2]int
+	}{
+		{"PHASE", "PHASE", 8, [][2]int{{0, 3}, {4, 7}}},
+		{"STENCIL", "STENCIL", 8, [][2]int{{0, 3}, {4, 7}}},
+		{"STENCIL_p64x4", "STENCIL", 64, [][2]int{{0, 15}, {16, 31}, {32, 47}, {48, 63}}},
+	} {
+		bench, p := row.bench, row.p
+		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			const p = 8
 			observer := chameleon.NewObserver(chameleon.ObsOptions{CausalRanks: p})
 			inproc, err := chameleon.RunBenchmark(bench, "A", p, chameleon.TracerChameleon,
 				&chameleon.Config{Obs: observer})
 			if err != nil {
 				t.Fatal(err)
 			}
-			outs := runTCPFleetBenchmark(t, bench, "A", p, [][2]int{{0, 3}, {4, 7}})
+			outs := runTCPFleetBenchmark(t, bench, "A", p, row.members)
 
 			if got, want := outs[0].out.Time, inproc.Time; got != want {
 				t.Errorf("fleet makespan %v, want in-process %v", got, want)
@@ -202,9 +211,8 @@ func TestTransportFleetChild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr, info, err := fleet.Connect(fleet.Options{
+	tr, err := fleet.Connect(os.Getenv(childRanks), mpi.TCPOptions{
 		Join:        os.Getenv(childJoin),
-		Ranks:       os.Getenv(childRanks),
 		P:           p,
 		Fingerprint: "subprocess-e2e",
 		ExitOnCrash: true,
@@ -217,7 +225,7 @@ func TestTransportFleetChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.HostsRank0 {
+	if tr.Info().HostsRank0 {
 		if path := os.Getenv(childOut); path != "" {
 			if err := out.Trace.SaveBinary(path); err != nil {
 				t.Fatal(err)
@@ -307,8 +315,8 @@ func TestTransportCrashFailover(t *testing.T) {
 	}
 	var journal bytes.Buffer
 	observer := chameleon.NewObserver(chameleon.ObsOptions{Journal: &journal})
-	tr, _, err := fleet.Connect(fleet.Options{
-		Join: join, Ranks: "0..3", P: p, Fingerprint: "subprocess-e2e",
+	tr, err := fleet.Connect("0..3", mpi.TCPOptions{
+		Join: join, P: p, Fingerprint: "subprocess-e2e",
 	})
 	if err != nil {
 		t.Fatal(err)
