@@ -90,12 +90,16 @@ bench-store:
 # which run a second time with every connection on a seeded adversarial
 # net.Conn (short writes, delays, stalled reader); -count=3 gives that
 # wire three different seeds — and the frame-decoder corpus. Then the
-# fleet codecs, and the cross-process e2e: cross-backend determinism
-# (2x4 and P=64 split four ways), the 2-process x 4-rank subprocess run
-# byte-compared against in-process, and the crash-failover run where one
-# member's process kills itself mid-run.
+# link's coalescing writer alone (queue order, control behind data,
+# liveness, high-water mark, close, write failure, zero allocations)
+# twenty more times, so each run draws twenty fresh chaos seeds against
+# it. Then the fleet codecs, and the cross-process e2e: cross-backend
+# determinism (2x4 and P=64 split four ways), the 2-process x 4-rank
+# subprocess run byte-compared against in-process, and the
+# crash-failover run where one member's process kills itself mid-run.
 test-transport:
 	$(GO) test -race -count=3 ./internal/mpi/
+	$(GO) test -race -count=20 -run 'Link|Chaos' ./internal/mpi/
 	$(GO) test -race ./internal/fleet/
 	$(GO) test -race -run 'TestTransport' -v .
 

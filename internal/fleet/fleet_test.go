@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"testing"
 
 	"chameleon/internal/cluster"
@@ -121,5 +122,37 @@ func TestClusterItemsCodec(t *testing.T) {
 	}
 	if got := back.([]cluster.Item); got == nil || len(got) != 0 {
 		t.Errorf("nil round-trip = %#v, want empty non-nil slice", got)
+	}
+}
+
+// TestCodecsDoNotAliasTheirInput: PayloadCodec.Decode is handed the
+// transport's read buffer, which the next frame overwrites while the
+// decoded value sits in a mailbox — so the value must share no memory
+// with it.
+func TestCodecsDoNotAliasTheirInput(t *testing.T) {
+	ev := trace.Event{Op: mpi.OpSend, Stack: sig.FromPCs([]uintptr{0x1000, 0x2000}), Dest: trace.Relative(1), Tag: 7, Bytes: 4096}
+	for name, v := range map[string]any{
+		"trace.nodes":   []*trace.Node{trace.NewLeaf(ev, ranklist.SingleRank(0), 1500)},
+		"cluster.items": []cluster.Item{{Lead: 3, Ranks: ranklist.SingleRank(3), Sig: sig.Triple{CallPath: 1, Src: 2, Dest: 3}}},
+	} {
+		codec, ok := mpi.LookupPayloadCodec(name)
+		if !ok {
+			t.Fatalf("%s codec not registered", name)
+		}
+		data, err := codec.Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := bytes.Clone(data)
+		got, err := codec.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] ^= 0xff
+		}
+		if again, err := codec.Encode(got); err != nil || !bytes.Equal(again, data) {
+			t.Errorf("%s: decoded value changed with the buffer it was decoded from (%v)", name, err)
+		}
 	}
 }

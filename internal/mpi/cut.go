@@ -19,6 +19,12 @@ import (
 // sense. Rare in practice: the paper's benchmarks use specific sources;
 // only master/worker skeletons pay it.
 //
+// "Sent" means handed to the link, which coalesces writes (link.go): a
+// frame still in the link's queue is counted as sent and is simply in
+// flight — the matrix stays unbalanced until the peer has read it, and
+// the link's liveness rule says that happens without anyone's help. A
+// bound response is queued behind the data frames its counters count.
+//
 // The layer knows nothing of sockets: asking member i is a function,
 // and the transport's read loop hands the answers back through answer.
 

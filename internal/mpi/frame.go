@@ -36,7 +36,8 @@ const (
 )
 
 // appendDataFrame serializes (dest, msg) as a data-frame body onto dst
-// (no length prefix — the writer adds it).
+// (no length prefix — the link adds it); into a buffer with room it
+// allocates nothing.
 func appendDataFrame(dst []byte, dest int, msg message) ([]byte, error) {
 	if dest < 0 || msg.source < 0 || msg.tag < 0 || msg.bytes < 0 ||
 		msg.comm < 0 || msg.arrive < 0 || msg.origin < 0 || msg.sendVT < 0 {
@@ -57,9 +58,10 @@ func appendDataFrame(dst []byte, dest int, msg message) ([]byte, error) {
 }
 
 // decodeDataFrame parses a data-frame body (including its kind byte)
-// back into (dest, message). It never panics on malformed input: every
-// varint and length is bounds-checked, and trailing garbage is an
-// error (FuzzFrameDecode locks this in).
+// back into (dest, message). The message does not alias body, which
+// the link's reader overwrites with the next frame. It never panics on
+// malformed input: every varint and length is bounds-checked, and
+// trailing garbage is an error (FuzzFrameDecode locks both in).
 func decodeDataFrame(body []byte) (dest int, msg message, err error) {
 	if len(body) == 0 || body[0] != kindData {
 		return 0, message{}, fmt.Errorf("mpi: not a data frame")

@@ -32,9 +32,12 @@ import (
 const resultTimeout = 50 * time.Second
 
 // TCPStats counts transport work for the benchmark harness: data frames
-// (and body bytes) sent to peers, every frame read, and sweeps run.
+// (and body bytes) sent to peers, the writes that carried them and the
+// control documents to the connections, every frame read, and sweeps
+// run.
 type TCPStats struct {
 	FramesOut, BytesOut uint64
+	WritesOut           uint64
 	FramesIn, BytesIn   uint64
 	BoundSweeps         uint64
 }
@@ -148,13 +151,17 @@ func (t *TCPTransport) Info() FleetInfo { return t.info }
 
 // Stats snapshots the transport counters.
 func (t *TCPTransport) Stats() TCPStats {
-	return TCPStats{
+	s := TCPStats{
 		FramesOut:   t.stats.framesOut.Load(),
 		BytesOut:    t.stats.bytesOut.Load(),
 		FramesIn:    t.stats.framesIn.Load(),
 		BytesIn:     t.stats.bytesIn.Load(),
 		BoundSweeps: t.cut.sweeps.Load(),
 	}
+	for _, l := range t.links {
+		s.WritesOut += l.writes.Load()
+	}
+	return s
 }
 
 func (t *TCPTransport) logf(format string, args ...any) {
@@ -206,8 +213,21 @@ func (t *TCPTransport) abort(format string, args ...any) {
 	})
 }
 
+// writeFailed routes a failed write on the link to `to` — met by a
+// sender, or later by the link's writer — to the one abort path, and
+// reports whether it did: when quiet says the failure is expected it is
+// dropped.
+func (t *TCPTransport) writeFailed(to int, err error) bool {
+	if t.quiet(to) {
+		return false
+	}
+	t.abort("write to %s: %v", t.who(to), err)
+	return true
+}
+
 // close is the one teardown, from any phase: a failed rendezvous, a
-// planned crash exit, the error path of Run, or a completed run.
+// planned crash exit, the error path of Run, or a completed run. Each
+// link writes what it still has queued before its connection closes.
 func (t *TCPTransport) close() {
 	if t.phase.Swap(phaseClosed) == phaseClosed {
 		return
@@ -231,6 +251,7 @@ func (t *TCPTransport) start(rt *Runtime) error {
 	t.rt = rt
 	t.phase.Store(phaseRunning)
 	for from, l := range t.links {
+		l.onWriteErr = func(err error) { t.writeFailed(from, err) }
 		go t.readLoop(l, from)
 	}
 	go pollWhile(func() bool { return t.phase.Load() < phaseClosed },
@@ -245,18 +266,16 @@ func (t *TCPTransport) deposit(dest int, msg message) {
 		return
 	}
 	to := t.owner[dest]
-	body, err := appendDataFrame(nil, dest, msg)
-	if err != nil {
+	size, err := t.links[to].sendData(dest, msg)
+	if errors.Is(err, errUnencodable) {
 		// Programming error (unregistered payload type): unwind this
 		// rank; Run reports it and aborts the fleet.
 		panic(err)
 	}
-	err = t.links[to].send(body)
 	t.cut.sent[to].Add(1)
 	t.stats.framesOut.Add(1)
-	t.stats.bytesOut.Add(uint64(len(body)))
-	if err != nil && !t.quiet(to) {
-		t.abort("write to %s: %v", t.who(to), err)
+	t.stats.bytesOut.Add(uint64(size))
+	if err != nil && t.writeFailed(to, err) {
 		panic(errAborted)
 	}
 }

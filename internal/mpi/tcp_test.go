@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"chameleon/internal/vtime"
 )
@@ -27,13 +30,11 @@ type fleetMember struct {
 	lo, hi int
 }
 
-// runFleet executes body on a TCP fleet hosted inside this test process:
-// each member gets its own transport and mpi.Run (its own Runtime), and
-// they talk over real localhost sockets. Returns one Result per member —
-// all of which must describe the same world.
-func runFleet(t *testing.T, p int, members []fleetMember, body func(*Proc)) []*Result {
-	t.Helper()
-	join := freeAddr(t)
+// startFleet executes body on a TCP fleet hosted inside this test
+// process: each member gets its own transport and mpi.Run (its own
+// Runtime), and they talk over real localhost sockets. It returns one
+// Result or error per member; logf, if not nil, gives member i its log.
+func startFleet(join string, p int, members []fleetMember, logf func(i int) func(string, ...any), body func(*Proc)) ([]*Result, []error) {
 	results := make([]*Result, len(members))
 	errs := make([]error, len(members))
 	var wg sync.WaitGroup
@@ -41,9 +42,11 @@ func runFleet(t *testing.T, p int, members []fleetMember, body func(*Proc)) []*R
 		wg.Add(1)
 		go func(i int, m fleetMember) {
 			defer wg.Done()
-			tr, err := NewTCPTransport(TCPOptions{
-				Join: join, RankLo: m.lo, RankHi: m.hi, P: p,
-			})
+			opts := TCPOptions{Join: join, RankLo: m.lo, RankHi: m.hi, P: p}
+			if logf != nil {
+				opts.Logf = logf(i)
+			}
+			tr, err := NewTCPTransport(opts)
 			if err != nil {
 				errs[i] = fmt.Errorf("member %d rendezvous: %w", i, err)
 				return
@@ -52,6 +55,14 @@ func runFleet(t *testing.T, p int, members []fleetMember, body func(*Proc)) []*R
 		}(i, m)
 	}
 	wg.Wait()
+	return results, errs
+}
+
+// runFleet is startFleet for a run that must succeed: one Result per
+// member, all of which must describe the same world.
+func runFleet(t *testing.T, p int, members []fleetMember, body func(*Proc)) []*Result {
+	t.Helper()
+	results, errs := startFleet(freeAddr(t), p, members, nil, body)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("member %d: %v", i, err)
@@ -196,6 +207,122 @@ func TestTCPFleetCommDup(t *testing.T) {
 	}
 }
 
+// TestTCPFleetWriteFailureAborts: a mesh connection whose writes start
+// failing mid-run aborts the fleet through the one abort path, naming
+// the member it could not write to — whether the write was the link
+// writer's (nobody is sending when it fails) or a bound response's.
+func TestTCPFleetWriteFailureAborts(t *testing.T) {
+	cases := []struct {
+		name    string
+		members []fleetMember
+		budget  int // bytes each side of a mesh connection may write
+		body    func(*Proc)
+		member  int    // who must report the failure
+		want    string // in that member's abort reason
+	}{
+		{
+			// Rank 0 queues ~8 KiB of frames and blocks in a receive:
+			// only the link's writer can meet the failure.
+			name: "data frame", members: []fleetMember{{0, 0}, {1, 1}}, budget: 2 << 10,
+			body: func(pr *Proc) {
+				w := pr.World()
+				for i := 0; i < 500; i++ {
+					if pr.Rank() == 0 {
+						w.Send(1, 1, 0, nil)
+					} else {
+						w.Recv(0, 1)
+					}
+				}
+				if pr.Rank() == 0 {
+					w.Recv(1, 2)
+				} else {
+					w.Send(0, 2, 0, nil)
+				}
+			},
+			member: 0, want: "write to member 1 (ranks 1-1): " + errInjected.Error(),
+		},
+		{
+			// Rank 0's wildcard receive sweeps member 1, which has
+			// written only its hello: its first bound response fails.
+			// (The link's writer, woken by the same document, may be
+			// first to say so.)
+			name: "bresp", members: []fleetMember{{0, 1}, {2, 2}}, budget: 48,
+			body: func(pr *Proc) {
+				w := pr.World()
+				switch pr.Rank() {
+				case 0:
+					w.Recv(AnySource, 1)
+					w.Send(2, 2, 0, nil)
+				case 1:
+					w.Send(0, 1, 0, nil)
+				case 2:
+					w.Recv(0, 2)
+				}
+			},
+			member: 1, want: "to member 0 (ranks 0-1): " + errInjected.Error(),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The rendezvous connections stay whole: they relay the abort.
+			join := freeAddr(t)
+			setWire(t, func(c net.Conn) net.Conn {
+				if c.LocalAddr().String() == join || c.RemoteAddr().String() == join {
+					return c
+				}
+				return &failConn{Conn: c, budget: tc.budget}
+			})
+			var mu sync.Mutex
+			logs := make([][]string, len(tc.members))
+			_, errs := startFleet(join, tc.members[len(tc.members)-1].hi+1, tc.members, func(i int) func(string, ...any) {
+				return func(format string, args ...any) {
+					mu.Lock()
+					defer mu.Unlock()
+					logs[i] = append(logs[i], fmt.Sprintf(format, args...))
+				}
+			}, tc.body)
+			for i, err := range errs {
+				if err == nil {
+					t.Errorf("member %d completed a run whose mesh failed", i)
+				}
+			}
+			var reason string
+			for _, line := range logs[tc.member] {
+				if strings.HasPrefix(line, "fleet abort: ") {
+					reason = line
+				}
+			}
+			if !strings.Contains(reason, tc.want) {
+				t.Errorf("member %d: %q, want an abort naming %q\nlog: %q", tc.member, reason, tc.want, logs[tc.member])
+			}
+		})
+	}
+}
+
+// TestTCPFleetLeavesNoGoroutines: every link's writer, reader and
+// handler is gone once its fleet has closed.
+func TestTCPFleetLeavesNoGoroutines(t *testing.T) {
+	fleet := func() {
+		runFleet(t, 4, []fleetMember{{0, 0}, {1, 2}, {3, 3}}, func(pr *Proc) {
+			pr.World().Allreduce(8, uint64(pr.Rank()), OpSum)
+		})
+	}
+	fleet() // whatever the first fleet starts for the process is part of the baseline
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		fleet()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			stacks := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before five fleets, %d after:\n%s",
+				before, runtime.NumGoroutine(), stacks[:runtime.Stack(stacks, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestTCPFleetConfigMismatchRejected(t *testing.T) {
 	join := freeAddr(t)
 	var wg sync.WaitGroup
@@ -221,8 +348,10 @@ func TestTCPFleetConfigMismatchRejected(t *testing.T) {
 	}
 }
 
-func TestWirePayloadRoundTrip(t *testing.T) {
-	cases := []any{
+// wirePayloads is one payload of every wire kind and of every codec
+// this package registers.
+func wirePayloads() []any {
+	return []any{
 		nil,
 		uint64(0),
 		uint64(1<<63 + 17),
@@ -234,8 +363,12 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 		map[int][]int{0: {0, 2}, 1: {1, 3}},
 		[]gatherPair{{Rank: 0, Obj: uint64(9)}, {Rank: 3, Obj: "nested"}},
 		[]gatherPair{{Rank: 1, Obj: []gatherPair{{Rank: 2, Obj: nil}}}},
+		[]any{"listed", uint64(7), nil, []int{1, 2}},
 	}
-	for _, want := range cases {
+}
+
+func TestWirePayloadRoundTrip(t *testing.T) {
+	for _, want := range wirePayloads() {
 		buf, err := appendPayload(nil, want, 0)
 		if err != nil {
 			t.Errorf("encode %T: %v", want, err)

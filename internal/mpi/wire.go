@@ -48,7 +48,9 @@ type PayloadCodec struct {
 	Zero any
 	// Encode serializes a value of the registered type.
 	Encode func(v any) ([]byte, error)
-	// Decode reverses Encode.
+	// Decode reverses Encode. data is only valid during the call — it
+	// is the transport's read buffer, overwritten by the next frame —
+	// so the returned value must not alias it.
 	Decode func(data []byte) (any, error)
 }
 
@@ -188,7 +190,8 @@ func appendPayload(dst []byte, v any, depth int) ([]byte, error) {
 // decodePayload deserializes one payload from b, returning the value
 // and the unconsumed remainder. Every length is bounds-checked against
 // the buffer so a poisoned frame cannot drive allocation beyond its own
-// size.
+// size. The value shares no memory with b: the reader reuses b for the
+// next frame while the value sits in a mailbox.
 func decodePayload(b []byte, depth int) (any, []byte, error) {
 	if depth > maxPairsDepth {
 		return nil, nil, fmt.Errorf("mpi: payload nesting exceeds %d", maxPairsDepth)
@@ -250,7 +253,7 @@ func decodePayload(b []byte, depth int) (any, []byte, error) {
 			return nil, nil, fmt.Errorf("mpi: bad codec name length")
 		}
 		b = b[n:]
-		name := string(b[:nameLen])
+		name := b[:nameLen]
 		b = b[nameLen:]
 		dataLen, n := binary.Uvarint(b)
 		if n <= 0 || dataLen > uint64(len(b)-n) {
@@ -260,7 +263,7 @@ func decodePayload(b []byte, depth int) (any, []byte, error) {
 		data := b[:dataLen]
 		b = b[dataLen:]
 		wireReg.mu.RLock()
-		c := wireReg.byName[name]
+		c := wireReg.byName[string(name)] // no copy: a map index by converted bytes
 		wireReg.mu.RUnlock()
 		if c == nil {
 			return nil, nil, fmt.Errorf("mpi: unknown payload codec %q", name)

@@ -6,6 +6,8 @@ package chameleon_test
 // raise the live desync flag on chamd before the run finalizes.
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -147,9 +149,29 @@ func TestLiveDesyncFlaggedInFlight(t *testing.T) {
 	if desync > final {
 		t.Errorf("desync event (index %d) raised after final (index %d)", desync, final)
 	}
-	// The flagged band must sit on the injected rank's neighborhood.
-	ev := v.LiveEvents[desync]
-	if ev.Rank < 2 || ev.Rank > 4 {
-		t.Errorf("desync band head = rank %d, want near injected rank 3: %+v", ev.Rank, ev)
+	// Some band flagged in flight must hold the injected rank. Which
+	// band is flagged first is not ours to predict: it depends on when
+	// the shipper's deltas land, and by then the idle wave has spread
+	// from rank 3 over up to the whole machine (Afzal et al.), or a
+	// start-up window with no pulse in it has tripped the detector.
+	late := map[uint64][]int{}
+	for _, ws := range v.Windows {
+		late[ws.Window] = ws.LateRanks
+	}
+	var bands [][]int
+	onInjected := false
+	for _, ev := range v.LiveEvents[:final] {
+		if ev.Kind != store.LiveEventDesync {
+			continue
+		}
+		var window uint64
+		if _, err := fmt.Sscanf(ev.Note, "window %d:", &window); err != nil {
+			t.Fatalf("desync event names no window: %+v", ev)
+		}
+		bands = append(bands, late[window])
+		onInjected = onInjected || slices.Contains(late[window], 3)
+	}
+	if !onInjected {
+		t.Errorf("no desync band flagged in flight holds injected rank 3: %v", bands)
 	}
 }
