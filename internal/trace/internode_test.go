@@ -2,6 +2,7 @@ package trace
 
 import (
 	"os"
+	"reflect"
 	"testing"
 
 	"chameleon/internal/mpi"
@@ -14,11 +15,29 @@ func rankLeaf(site, rank int) *Node {
 	return NewLeaf(ev(site), ranklist.SingleRank(rank), 1000)
 }
 
+// mergeBoth runs one merge in both modes — cloning, the reference, on
+// the inputs themselves; owned, the path production takes, on deep
+// copies — and requires identical nodes and cost accounting. It returns
+// the owned result, so each case's own assertions run against it.
+func mergeBoth(t *testing.T, ref Merger, a, b []*Node) ([]*Node, MergeStats) {
+	t.Helper()
+	owned := ref
+	owned.Owned = true
+	got := owned.Merge(CloneSeq(a), CloneSeq(b))
+	want := ref.Merge(a, b)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("owned merge diverged from the cloning reference:\n%s\nvs\n%s", Format(got), Format(want))
+	}
+	if owned.Stats != ref.Stats {
+		t.Fatalf("owned merge accounted %+v, cloning reference %+v", owned.Stats, ref.Stats)
+	}
+	return got, owned.Stats
+}
+
 func TestMergeIdenticalTraces(t *testing.T) {
 	a := []*Node{rankLeaf(1, 0), rankLeaf(2, 0)}
 	b := []*Node{rankLeaf(1, 1), rankLeaf(2, 1)}
-	m := Merger{P: 4}
-	out := m.Merge(a, b)
+	out, stats := mergeBoth(t, Merger{P: 4}, a, b)
 	if len(out) != 2 {
 		t.Fatalf("merged %d nodes", len(out))
 	}
@@ -31,7 +50,7 @@ func TestMergeIdenticalTraces(t *testing.T) {
 			t.Fatalf("delta not merged")
 		}
 	}
-	if m.Stats.Compares == 0 || m.Stats.BytesMerged == 0 {
+	if stats.Compares == 0 || stats.BytesMerged == 0 {
 		t.Fatalf("no work accounted")
 	}
 }
@@ -41,8 +60,7 @@ func TestMergeDivergentTraces(t *testing.T) {
 	// keep every node, interleaved at the alignment point.
 	a := []*Node{rankLeaf(1, 0), rankLeaf(3, 0)}
 	b := []*Node{rankLeaf(1, 1), rankLeaf(2, 1), rankLeaf(3, 1)}
-	m := Merger{P: 4}
-	out := m.Merge(a, b)
+	out, _ := mergeBoth(t, Merger{P: 4}, a, b)
 	stacks := map[uint64]struct{}{}
 	CollectStacks(out, stacks)
 	if len(stacks) != 3 {
@@ -68,8 +86,7 @@ func TestMergeDisjointTraces(t *testing.T) {
 	// preserved, nothing merges.
 	a := []*Node{rankLeaf(1, 0), rankLeaf(2, 0)}
 	b := []*Node{rankLeaf(3, 1), rankLeaf(4, 1)}
-	m := Merger{P: 4}
-	out := m.Merge(a, b)
+	out, _ := mergeBoth(t, Merger{P: 4}, a, b)
 	if len(out) != 4 {
 		t.Fatalf("merged %d nodes, want 4", len(out))
 	}
@@ -79,8 +96,7 @@ func TestMergeLoops(t *testing.T) {
 	mkLoop := func(rank int, iters uint64) []*Node {
 		return []*Node{NewLoop(iters, []*Node{rankLeaf(1, rank), rankLeaf(2, rank)})}
 	}
-	m := Merger{P: 4}
-	out := m.Merge(mkLoop(0, 10), mkLoop(1, 10))
+	out, _ := mergeBoth(t, Merger{P: 4}, mkLoop(0, 10), mkLoop(1, 10))
 	if len(out) != 1 || !out[0].IsLoop() || out[0].Iters != 10 {
 		t.Fatalf("loop merge failed: %+v", out)
 	}
@@ -89,14 +105,12 @@ func TestMergeLoops(t *testing.T) {
 	}
 
 	// Differing trip counts: strict mode keeps them apart...
-	strict := Merger{P: 4}
-	out = strict.Merge(mkLoop(0, 10), mkLoop(1, 12))
+	out, _ = mergeBoth(t, Merger{P: 4}, mkLoop(0, 10), mkLoop(1, 12))
 	if len(out) != 2 {
 		t.Fatalf("strict merged differing iters")
 	}
 	// ...the parameter filter folds them with an iters histogram.
-	filter := Merger{P: 4, Filter: true}
-	out = filter.Merge(mkLoop(0, 10), mkLoop(1, 12))
+	out, _ = mergeBoth(t, Merger{P: 4, Filter: true}, mkLoop(0, 10), mkLoop(1, 12))
 	if len(out) != 1 || out[0].ItersHist == nil {
 		t.Fatalf("filter did not merge differing iters: %+v", out)
 	}
@@ -112,8 +126,7 @@ func TestMergeSingletonAbsolute(t *testing.T) {
 	a.Ev.Dest = Relative(-3)
 	b := rankLeaf(1, 5)
 	b.Ev.Dest = Relative(-5)
-	m := Merger{P: 8}
-	out := m.Merge([]*Node{a}, []*Node{b})
+	out, _ := mergeBoth(t, Merger{P: 8}, []*Node{a}, []*Node{b})
 	if len(out) != 1 {
 		t.Fatalf("not merged: %d nodes", len(out))
 	}
@@ -126,22 +139,20 @@ func TestMergeKeepsByteAndTagDistinct(t *testing.T) {
 	a := rankLeaf(1, 0)
 	b := rankLeaf(1, 1)
 	b.Ev.Bytes = 999 // different size must not merge
-	m := Merger{P: 4}
-	if out := m.Merge([]*Node{a}, []*Node{b}); len(out) != 2 {
+	if out, _ := mergeBoth(t, Merger{P: 4}, []*Node{a}, []*Node{b}); len(out) != 2 {
 		t.Fatalf("different sizes merged")
 	}
 }
 
 func TestMergeEmptySides(t *testing.T) {
-	m := Merger{P: 4}
 	a := []*Node{rankLeaf(1, 0)}
-	if out := m.Merge(a, nil); len(out) != 1 {
+	if out, _ := mergeBoth(t, Merger{P: 4}, a, nil); len(out) != 1 {
 		t.Fatalf("merge with empty right")
 	}
-	if out := m.Merge(nil, a); len(out) != 1 {
+	if out, _ := mergeBoth(t, Merger{P: 4}, nil, a); len(out) != 1 {
 		t.Fatalf("merge with empty left")
 	}
-	if out := m.Merge(nil, nil); len(out) != 0 {
+	if out, _ := mergeBoth(t, Merger{P: 4}, nil, nil); len(out) != 0 {
 		t.Fatalf("merge of empties")
 	}
 }
@@ -183,8 +194,7 @@ func TestMergeConservation(t *testing.T) {
 		}
 		a, b := build(0), build(1)
 		wantA, wantB := countForRank(a, 0), countForRank(b, 1)
-		m := Merger{P: 4}
-		merged := m.Merge(a, b)
+		merged, _ := mergeBoth(t, Merger{P: 4}, a, b)
 		for rank, want := range map[int]map[uint64]uint64{0: wantA, 1: wantB} {
 			got := countForRank(merged, rank)
 			if len(got) != len(want) {

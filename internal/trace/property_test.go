@@ -137,8 +137,7 @@ func TestQuickMergePerRankConservation(t *testing.T) {
 		}
 		a, wantA := build(as, 0)
 		b, wantB := build(bs, 1)
-		m := Merger{P: 4}
-		merged := m.Merge(a, b)
+		merged, _ := mergeBoth(t, Merger{P: 4}, a, b)
 		for rank, want := range map[int]map[int]uint64{0: wantA, 1: wantB} {
 			got := countFor(merged, rank)
 			if len(got) != len(want) {

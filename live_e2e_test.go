@@ -28,8 +28,10 @@ func newLiveDaemon(t testing.TB) *httptest.Server {
 }
 
 // runPhaseLive traces PHASE with a live shipper attached (the exact
-// wiring chamrun -live performs) and returns the final session view.
-func runPhaseLive(t *testing.T, srv *httptest.Server, session, plan string, p int, during func()) *store.SessionView {
+// wiring chamrun -live performs) and returns the final session view
+// and the run's output. The wire budget is checked on every such run:
+// at least one delta shipped, at most 16 KiB per delta on average.
+func runPhaseLive(t *testing.T, srv *httptest.Server, session, plan string, p int, during func()) (*store.SessionView, *chameleon.Output) {
 	t.Helper()
 	var injector *chameleon.FaultInjector
 	if plan != "" {
@@ -59,9 +61,11 @@ func runPhaseLive(t *testing.T, srv *httptest.Server, session, plan string, p in
 	}
 	shipper.Start()
 
+	var out *chameleon.Output
 	done := make(chan error, 1)
 	go func() {
-		_, err := chameleon.RunBenchmark("PHASE", "A", p, chameleon.TracerChameleon,
+		var err error
+		out, err = chameleon.RunBenchmark("PHASE", "A", p, chameleon.TracerChameleon,
 			&chameleon.Config{Obs: o, Fault: injector})
 		done <- err
 	}()
@@ -78,12 +82,33 @@ func runPhaseLive(t *testing.T, srv *httptest.Server, session, plan string, p in
 	if st.Deltas == 0 || st.Posts == 0 {
 		t.Fatalf("shipper shipped nothing: %+v", st)
 	}
+	if perDelta := st.BytesOut / int64(st.Deltas); perDelta > 16<<10 {
+		t.Errorf("shipper sent %d bytes per delta, over the 16 KiB budget: %+v", perDelta, st)
+	}
 
 	v, err := store.FetchLiveView(srv.URL, session)
 	if err != nil {
 		t.Fatalf("final view: %v", err)
 	}
-	return v
+	return v, out
+}
+
+// TestLiveShipperLeavesRunUnchanged: attaching the live pipeline to a
+// PHASE P=32 run changes neither its virtual makespan nor a byte of its
+// merged trace — shipping happens beside the run, not in it.
+func TestLiveShipperLeavesRunUnchanged(t *testing.T) {
+	const p = 32
+	base, err := chameleon.RunBenchmark("PHASE", "A", p, chameleon.TracerChameleon, nil)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	_, live := runPhaseLive(t, newLiveDaemon(t), "e2e-unchanged", "", p, nil)
+	if base.Time != live.Time {
+		t.Errorf("makespan changed under the live shipper: %v vs %v", base.Time, live.Time)
+	}
+	if !bytes.Equal(traceJSON(t, base), traceJSON(t, live)) {
+		t.Error("trace bytes changed under the live shipper")
+	}
 }
 
 // TestLiveSlowRankFlaggedInFlight is the acceptance criterion: a PHASE
@@ -95,7 +120,7 @@ func TestLiveSlowRankFlaggedInFlight(t *testing.T) {
 	srv := newLiveDaemon(t)
 
 	var liveFrame string // a -follow frame rendered while the run was in flight
-	v := runPhaseLive(t, srv, session, "slow rank=5 factor=4x", p, func() {
+	v, _ := runPhaseLive(t, srv, session, "slow rank=5 factor=4x", p, func() {
 		deadline := time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
 			v, err := store.FetchLiveView(srv.URL, session)
@@ -176,7 +201,7 @@ func TestLiveCrashRankDeparts(t *testing.T) {
 	const p, session = 8, "e2e-crash"
 	srv := newLiveDaemon(t)
 
-	v := runPhaseLive(t, srv, session, "crash rank=2 at marker=50", p, nil)
+	v, _ := runPhaseLive(t, srv, session, "crash rank=2 at marker=50", p, nil)
 
 	if !v.Final {
 		t.Fatal("final view not marked final")

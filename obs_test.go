@@ -13,15 +13,17 @@ import (
 )
 
 // runPhaseObserved traces the PHASE workload (the phasechange example as
-// a registry benchmark) with every observability facility enabled and
-// returns the observer plus the journal bytes.
-func runPhaseObserved(t *testing.T, p int) (*chameleon.Observer, []byte, *chameleon.Output) {
+// a registry benchmark) with every observability facility enabled —
+// per-edge causal capture too when causalRanks > 0 — and returns the
+// observer plus the journal bytes.
+func runPhaseObserved(t *testing.T, p, causalRanks int) (*chameleon.Observer, []byte, *chameleon.Output) {
 	t.Helper()
 	var journal bytes.Buffer
 	o := chameleon.NewObserver(chameleon.ObsOptions{
 		Metrics:       true,
 		Journal:       &journal,
 		TimelineRanks: p,
+		CausalRanks:   causalRanks,
 	})
 	out, err := chameleon.RunBenchmark("PHASE", "A", p, chameleon.TracerChameleon,
 		&chameleon.Config{Obs: o})
@@ -70,7 +72,7 @@ func stateSequence(events []obs.Event) string {
 // change, and a final Finalize — against a golden file, and requires at
 // least one phase-change flush in the journal.
 func TestJournalGoldenPhaseChange(t *testing.T) {
-	_, raw, _ := runPhaseObserved(t, 16)
+	_, raw, _ := runPhaseObserved(t, 16, 0)
 	events, err := chameleon.ReadJournal(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("parse journal: %v", err)
@@ -115,7 +117,7 @@ func TestJournalGoldenPhaseChange(t *testing.T) {
 // TestMetricsEndToEnd checks the acceptance criterion directly: a PHASE
 // run emits nonzero mpi_*, core_*, cluster_*, and tracer_* series.
 func TestMetricsEndToEnd(t *testing.T) {
-	o, _, out := runPhaseObserved(t, 16)
+	o, _, out := runPhaseObserved(t, 16, 0)
 	s := o.Reg.Snapshot()
 
 	nonzero := func(name string) uint64 {
@@ -178,7 +180,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 // TestTimelineEndToEnd checks the Chrome trace export of a real run:
 // valid JSON, complete events only, every category present.
 func TestTimelineEndToEnd(t *testing.T) {
-	o, _, _ := runPhaseObserved(t, 16)
+	o, _, _ := runPhaseObserved(t, 16, 0)
 	var buf bytes.Buffer
 	if err := o.Timeline.WriteChromeTrace(&buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -211,17 +213,25 @@ func TestTimelineEndToEnd(t *testing.T) {
 }
 
 // TestObservabilityDeterministic: the virtual makespan must be identical
-// with observability on and off — the layer charges no virtual time.
+// with observability off, on, and on with per-edge causal capture — the
+// layer charges no virtual time, and piggybacked span context rides on
+// messages that were being sent anyway.
 func TestObservabilityDeterministic(t *testing.T) {
 	base, err := chameleon.RunBenchmark("PHASE", "A", 16, chameleon.TracerChameleon, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	_, _, observed := runPhaseObserved(t, 16)
-	if base.Time != observed.Time {
-		t.Errorf("makespan changed under observability: %v vs %v", base.Time, observed.Time)
+	_, _, observed := runPhaseObserved(t, 16, 0)
+	causalObs, _, causal := runPhaseObserved(t, 16, 16)
+	for name, out := range map[string]*chameleon.Output{"observability": observed, "causal capture": causal} {
+		if base.Time != out.Time {
+			t.Errorf("makespan changed under %s: %v vs %v", name, base.Time, out.Time)
+		}
+		if base.Reclusterings != out.Reclusterings {
+			t.Errorf("reclusterings changed under %s: %d vs %d", name, base.Reclusterings, out.Reclusterings)
+		}
 	}
-	if base.Reclusterings != observed.Reclusterings {
-		t.Errorf("reclusterings changed: %d vs %d", base.Reclusterings, observed.Reclusterings)
+	if causalObs.Causal.EdgeCount() == 0 {
+		t.Error("causal capture recorded no edges")
 	}
 }

@@ -1,5 +1,5 @@
-// Structure goldens for the hot-path refactor: the record→compress→merge
-// pipelines from bench_refactor_test.go are rendered with call sites
+// Structure goldens for the hot-path refactor: record→compress→merge
+// pipelines on the PHASE and STENCIL event shapes, rendered with call sites
 // renumbered in first-seen order, so the text is independent of the raw
 // PC-derived signature values (which move whenever the binary changes)
 // but pins everything else bit-for-bit: loop structure, iteration
@@ -21,7 +21,98 @@ import (
 	"chameleon/internal/sig"
 	"chameleon/internal/trace"
 	"chameleon/internal/tracer"
+	"chameleon/internal/vtime"
 )
+
+// The per-step MPI call shapes of the two fault-suite skeletons. Each
+// entry is recorded through its own call site (siteFns below) so the
+// stack-signature machinery sees genuinely distinct backtraces, like the
+// distinct w.Send/w.Recv lines of the real apps.
+var (
+	// PHASE halo phase: two Sendrecv exchanges per step.
+	phaseShape = []mpi.CallInfo{
+		{Op: mpi.OpSendrecv, Comm: mpi.CommWorld, Dest: 1, Src: 3, Root: mpi.NoPeer, Tag: 11, Bytes: 8192},
+		{Op: mpi.OpSendrecv, Comm: mpi.CommWorld, Dest: 3, Src: 1, Root: mpi.NoPeer, Tag: 12, Bytes: 8192},
+	}
+	// STENCIL interior rank: four halo sends, four receives, one
+	// allreduce per step.
+	stencilShape = []mpi.CallInfo{
+		{Op: mpi.OpSend, Comm: mpi.CommWorld, Dest: 1, Src: mpi.NoPeer, Root: mpi.NoPeer, Tag: 1, Bytes: 4096},
+		{Op: mpi.OpSend, Comm: mpi.CommWorld, Dest: 2, Src: mpi.NoPeer, Root: mpi.NoPeer, Tag: 2, Bytes: 4096},
+		{Op: mpi.OpSend, Comm: mpi.CommWorld, Dest: 3, Src: mpi.NoPeer, Root: mpi.NoPeer, Tag: 3, Bytes: 4096},
+		{Op: mpi.OpSend, Comm: mpi.CommWorld, Dest: 0, Src: mpi.NoPeer, Root: mpi.NoPeer, Tag: 4, Bytes: 4096},
+		{Op: mpi.OpRecv, Comm: mpi.CommWorld, Dest: mpi.NoPeer, Src: 2, Root: mpi.NoPeer, Tag: 1, Bytes: 4096},
+		{Op: mpi.OpRecv, Comm: mpi.CommWorld, Dest: mpi.NoPeer, Src: 1, Root: mpi.NoPeer, Tag: 2, Bytes: 4096},
+		{Op: mpi.OpRecv, Comm: mpi.CommWorld, Dest: mpi.NoPeer, Src: 0, Root: mpi.NoPeer, Tag: 3, Bytes: 4096},
+		{Op: mpi.OpRecv, Comm: mpi.CommWorld, Dest: mpi.NoPeer, Src: 3, Root: mpi.NoPeer, Tag: 4, Bytes: 4096},
+		{Op: mpi.OpAllreduce, Comm: mpi.CommWorld, Dest: mpi.NoPeer, Src: mpi.NoPeer, Root: mpi.NoPeer, Bytes: 8},
+	}
+)
+
+// siteFns gives every pattern position its own call site: each function
+// invokes Record from a distinct source line, so runtime backtraces (and
+// therefore stack signatures) differ per position exactly as they do
+// across the distinct MPI call lines of a real application.
+//
+//go:noinline
+func recSite0(r *tracer.Recorder, ci *mpi.CallInfo, t vtime.Time) { r.Record(ci, t, 0) }
+
+//go:noinline
+func recSite1(r *tracer.Recorder, ci *mpi.CallInfo, t vtime.Time) { r.Record(ci, t, 0) }
+
+//go:noinline
+func recSite2(r *tracer.Recorder, ci *mpi.CallInfo, t vtime.Time) { r.Record(ci, t, 0) }
+
+//go:noinline
+func recSite3(r *tracer.Recorder, ci *mpi.CallInfo, t vtime.Time) { r.Record(ci, t, 0) }
+
+//go:noinline
+func recSite4(r *tracer.Recorder, ci *mpi.CallInfo, t vtime.Time) { r.Record(ci, t, 0) }
+
+//go:noinline
+func recSite5(r *tracer.Recorder, ci *mpi.CallInfo, t vtime.Time) { r.Record(ci, t, 0) }
+
+//go:noinline
+func recSite6(r *tracer.Recorder, ci *mpi.CallInfo, t vtime.Time) { r.Record(ci, t, 0) }
+
+//go:noinline
+func recSite7(r *tracer.Recorder, ci *mpi.CallInfo, t vtime.Time) { r.Record(ci, t, 0) }
+
+//go:noinline
+func recSite8(r *tracer.Recorder, ci *mpi.CallInfo, t vtime.Time) { r.Record(ci, t, 0) }
+
+var siteFns = []func(*tracer.Recorder, *mpi.CallInfo, vtime.Time){
+	recSite0, recSite1, recSite2, recSite3, recSite4,
+	recSite5, recSite6, recSite7, recSite8,
+}
+
+// feedShape replays `steps` timesteps of the shape through the recorder,
+// one distinct call site per pattern position.
+func feedShape(r *tracer.Recorder, shape []mpi.CallInfo, steps int, clk vtime.Time) {
+	for s := 0; s < steps; s++ {
+		for i := range shape {
+			siteFns[i](r, &shape[i], clk)
+		}
+	}
+}
+
+// refactorShapes maps the benchmark names to (shape, steps-per-rank).
+var refactorShapes = map[string]struct {
+	shape []mpi.CallInfo
+	steps int
+}{
+	"PHASE":   {phaseShape, 40},
+	"STENCIL": {stencilShape, 60},
+}
+
+// newPipelineMerger returns the merger configuration the production
+// radix-tree reduction uses.
+func newPipelineMerger(p int) *trace.Merger {
+	// Owned matches the production MergeOverTree configuration: partials
+	// are detached from their recorders, so the merger may consume both
+	// sides in place instead of deep-copying.
+	return &trace.Merger{P: p, Owned: true}
+}
 
 // canonSeq renders a node sequence with stack signatures replaced by
 // dense first-seen ordinals.

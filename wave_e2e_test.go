@@ -84,6 +84,33 @@ func TestWaveGoldenScenario(t *testing.T) {
 	if best.Ranks < 3 {
 		t.Errorf("wave touched only %d ranks, want a multi-hop front", best.Ranks)
 	}
+
+	// Cost budget: detection is a post-hoc pass over the edge stream and
+	// must stay a rounding error next to replaying the trace of the same
+	// pulsed run (traced this time) — at most 5% of its allocations.
+	if injector, err = chameleon.NewFaultInjector(plan, 7, p); err != nil {
+		t.Fatalf("injector: %v", err)
+	}
+	o = chameleon.NewObserver(chameleon.ObsOptions{CausalRanks: p})
+	traced, err := chameleon.RunBenchmark("STENCIL", "A", p, chameleon.TracerChameleon,
+		&chameleon.Config{Obs: o, Fault: injector, SyncEvery: -1})
+	if err != nil {
+		t.Fatalf("traced run: %v", err)
+	}
+	edges := o.Causal.Edges()
+	detect := testing.AllocsPerRun(5, func() {
+		if _, err := wave.Detect(edges, wave.Options{P: p}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	replay := testing.AllocsPerRun(5, func() {
+		if _, err := chameleon.Replay(traced.Trace, chameleon.DefaultModel()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if detect > replay/20 {
+		t.Errorf("wave.Detect allocates %v times per run, over 5%% of replay's %v", detect, replay)
+	}
 }
 
 // TestLiveDesyncFlaggedInFlight drives a pulse train on rank 3 of a

@@ -101,6 +101,27 @@ func TestCompressedMetricsScaleWithIters(t *testing.T) {
 			t.Errorf("x%d: events %d did not grow from %d", k, rep.Events, base.Events)
 		}
 	}
+
+	// The walk multiplies per-iteration contributions instead of
+	// expanding loops, so its allocation count may not depend on the
+	// iteration counts at all.
+	analyzeAllocs := func(f *trace.File) (float64, int) {
+		var nodes int
+		allocs := testing.AllocsPerRun(10, func() {
+			rep, err := zan.Analyze(f, zan.Options{Model: chameleon.DefaultModel()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = rep.StoredNodes
+		})
+		return allocs, nodes
+	}
+	allocs1, nodes1 := analyzeAllocs(out.Trace)
+	allocs100, nodes100 := analyzeAllocs(scaleTopIters(out.Trace, 100))
+	if allocs1 != allocs100 || nodes1 != nodes100 {
+		t.Errorf("zan.Analyze x1: %v allocs over %d nodes, x100: %v allocs over %d nodes — cost must stay flat",
+			allocs1, nodes1, allocs100, nodes100)
+	}
 }
 
 func TestCompressedMetricsFaultedRun(t *testing.T) {
