@@ -48,6 +48,9 @@ fuzz-trace:
 # determinism (2x4 and P=64 split four ways), the 2-process x 4-rank
 # subprocess run byte-compared against in-process, and the
 # crash-failover run where one member's process kills itself mid-run.
+# The e2e children are cli.Main re-execs: the test binary started with
+# CHAMELEON_TOOL=chamrun is chamrun (root TestMain), so no Test* function
+# is a child body and -run 'TestTransport' selects tests only.
 test-transport:
 	$(GO) test -race -count=3 ./internal/mpi/
 	$(GO) test -race -count=20 -run 'Link|Chaos' ./internal/mpi/

@@ -11,120 +11,12 @@
 package main
 
 import (
-	"flag"
-	"fmt"
+	"context"
 	"os"
 
-	"chameleon/internal/store"
-	"chameleon/internal/trace"
+	"chameleon/internal/cli"
 )
 
 func main() {
-	stats := flag.Bool("stats", false, "print summary statistics (compression ratio, per-window node counts) only")
-	sites := flag.Bool("sites", false, "print the interned call-site table and exit")
-	tenant := flag.String("tenant", "", "namespace requests to this archive tenant (X-Cham-Tenant header)")
-	flag.Parse()
-	if *tenant != "" {
-		store.SetTenant(*tenant)
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: chamdump [-stats] [-sites] trace-file")
-		os.Exit(2)
-	}
-	f, err := store.LoadTrace(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chamdump: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("# tracer=%s benchmark=%s P=%d clustered=%v filter=%v\n",
-		f.Tracer, f.Benchmark, f.P, f.Clustered, f.Filter)
-	fmt.Printf("# nodes=%d leaves=%d dynamic-events=%d size=%dB\n",
-		trace.NodeCount(f.Nodes), trace.LeafCount(f.Nodes),
-		trace.DynamicEvents(f.Nodes), trace.SizeBytes(f.Nodes))
-	if *sites {
-		printSites(f)
-		return
-	}
-	if *stats {
-		printStats(f)
-		return
-	}
-	fmt.Print(trace.Format(f.Nodes))
-}
-
-// printStats reports how well the trace compresses — dynamic events per
-// stored node — and breaks the stored representation down per marker
-// window (top-level node), using the read-only visitor so nothing is
-// expanded.
-func printStats(f *trace.File) {
-	winNodes := make([]int, len(f.Nodes))
-	winLeaves := make([]int, len(f.Nodes))
-	winEvents := make([]uint64, len(f.Nodes))
-	winDepth := make([]int, len(f.Nodes))
-	trace.Accept(f.Nodes, statsVisitor{nodes: winNodes, leaves: winLeaves, events: winEvents, depth: winDepth})
-
-	nodes := trace.NodeCount(f.Nodes)
-	// Rank-weighted dynamic events (occurrences x rank-list width), the
-	// same totals zan and the replayer count.
-	var events uint64
-	for _, e := range winEvents {
-		events += e
-	}
-	ratio := 0.0
-	if nodes > 0 {
-		ratio = float64(events) / float64(nodes)
-	}
-	fmt.Printf("# compression: %d dynamic events in %d stored nodes = %.1fx\n",
-		events, nodes, ratio)
-	fmt.Printf("# %-6s %8s %8s %12s %6s\n", "window", "nodes", "leaves", "events", "depth")
-	for i := range f.Nodes {
-		fmt.Printf("# %-6d %8d %8d %12d %6d\n",
-			i, winNodes[i], winLeaves[i], winEvents[i], winDepth[i])
-	}
-}
-
-// statsVisitor tallies per-window stored-node counts during one
-// compressed walk.
-type statsVisitor struct {
-	nodes, leaves []int
-	events        []uint64
-	depth         []int
-}
-
-func (v statsVisitor) EnterLoop(n *trace.Node, c trace.Cursor) bool {
-	v.nodes[c.Window]++
-	if d := c.Depth + 1; d > v.depth[c.Window] {
-		v.depth[c.Window] = d
-	}
-	return true
-}
-
-func (v statsVisitor) LeaveLoop(*trace.Node, trace.Cursor) {}
-
-func (v statsVisitor) Leaf(n *trace.Node, c trace.Cursor) {
-	v.nodes[c.Window]++
-	v.leaves[c.Window]++
-	v.events[c.Window] += c.Mult * uint64(n.Ranks.Size())
-}
-
-// printSites lists the trace's call-site table: one row per distinct
-// interned signature, with function and file:line where the producing
-// process resolved them (v1 traces and cross-process loads may carry
-// signatures only).
-func printSites(f *trace.File) {
-	tab := f.Sites
-	if len(tab) == 0 {
-		tab = f.SiteTable()
-	}
-	fmt.Printf("# sites=%d\n", len(tab))
-	for _, s := range tab {
-		loc := "?"
-		if s.Func != "" {
-			loc = s.Func
-			if s.File != "" {
-				loc = fmt.Sprintf("%s %s:%d", s.Func, s.File, s.Line)
-			}
-		}
-		fmt.Printf("site %4d  sig=%016x  %s\n", s.ID, uint64(s.Sig), loc)
-	}
+	os.Exit(cli.Main(context.Background(), "chamdump", os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -12,66 +12,12 @@
 package main
 
 import (
-	"flag"
-	"fmt"
+	"context"
 	"os"
-	"time"
 
-	"chameleon/internal/exp"
+	"chameleon/internal/cli"
 )
 
 func main() {
-	full := flag.Bool("full", false, "run paper-scale parameters (P up to 1024)")
-	only := flag.String("only", "", "run a single experiment id (e.g. fig4)")
-	ext := flag.Bool("ext", false, "run the beyond-the-paper extension experiments")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	flag.Parse()
-
-	if *list {
-		for _, id := range exp.IDs() {
-			fmt.Println(id)
-		}
-		for _, id := range exp.ExtensionIDs() {
-			fmt.Println(id, "(extension)")
-		}
-		return
-	}
-
-	params := exp.Quick()
-	if *full {
-		params = exp.Full()
-	}
-
-	if *only != "" {
-		run, ok := exp.Lookup(*only)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "chamexp: unknown experiment %q (use -list)\n", *only)
-			os.Exit(2)
-		}
-		t0 := time.Now()
-		table, err := run(params)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chamexp: %s: %v\n", *only, err)
-			os.Exit(1)
-		}
-		fmt.Print(table.Render())
-		fmt.Printf("[%s completed in %v]\n", *only, time.Since(t0).Round(time.Millisecond))
-		return
-	}
-
-	ids := exp.IDs()
-	if *ext {
-		ids = exp.ExtensionIDs()
-	}
-	for _, id := range ids {
-		run, _ := exp.Lookup(id)
-		t0 := time.Now()
-		table, err := run(params)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chamexp: %s: %v\n", id, err)
-			os.Exit(1)
-		}
-		fmt.Print(table.Render())
-		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(t0).Round(time.Millisecond))
-	}
+	os.Exit(cli.Main(context.Background(), "chamexp", os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -14,65 +14,12 @@
 package main
 
 import (
-	"flag"
-	"fmt"
+	"context"
 	"os"
 
-	"chameleon"
-	"chameleon/internal/extrap"
-	"chameleon/internal/store"
-	"chameleon/internal/trace"
+	"chameleon/internal/cli"
 )
 
 func main() {
-	target := flag.Int("target", 0, "target rank count")
-	out := flag.String("o", "", "output trace path")
-	replayIt := flag.Bool("replay", false, "replay the extrapolated trace and report its makespan")
-	flag.Parse()
-
-	if *target <= 1 || flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: chamextrap -target P [-o out.trace] [-replay] trace-file...")
-		os.Exit(2)
-	}
-
-	sources := make([]*trace.File, 0, flag.NArg())
-	for _, path := range flag.Args() {
-		f, err := store.LoadTrace(path)
-		exitOn(err)
-		sources = append(sources, f)
-	}
-	base := sources[len(sources)-1]
-
-	result, err := extrap.Extrapolate(base, *target)
-	exitOn(err)
-	if len(sources) >= 2 {
-		exitOn(extrap.FitTiming(sources, result))
-		fmt.Printf("timing fitted from %d traces (P=", len(sources))
-		for i, s := range sources {
-			if i > 0 {
-				fmt.Print(",")
-			}
-			fmt.Print(s.P)
-		}
-		fmt.Println(")")
-	}
-	fmt.Printf("extrapolated %s trace: P=%d -> P=%d, %d nodes\n",
-		base.Benchmark, base.P, result.P, trace.NodeCount(result.Nodes))
-
-	if *out != "" {
-		exitOn(result.Save(*out))
-		fmt.Printf("wrote %s\n", *out)
-	}
-	if *replayIt {
-		res, err := chameleon.Replay(result, chameleon.DefaultModel())
-		exitOn(err)
-		fmt.Printf("replay at P=%d: %v (%d events)\n", result.P, res.Time, res.Events)
-	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chamextrap: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.Main(context.Background(), "chamextrap", os.Args[1:], os.Stdout, os.Stderr))
 }

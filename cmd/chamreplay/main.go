@@ -13,58 +13,12 @@
 package main
 
 import (
-	"flag"
-	"fmt"
+	"context"
 	"os"
 
-	"chameleon"
-	"chameleon/internal/replay"
-	"chameleon/internal/store"
+	"chameleon/internal/cli"
 )
 
 func main() {
-	ref := flag.String("ref", "", "reference trace for the accuracy metric")
-	delta := flag.String("delta", "mean", "computation-time draw: mean, min, max, sampled")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: chamreplay [-ref reference.trace] trace-file")
-		os.Exit(2)
-	}
-
-	f, err := store.LoadTrace(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chamreplay: %v\n", err)
-		os.Exit(1)
-	}
-	mode, ok := map[string]replay.DeltaMode{
-		"mean": replay.DeltaMean, "min": replay.DeltaMin,
-		"max": replay.DeltaMax, "sampled": replay.DeltaSampled,
-	}[*delta]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "chamreplay: unknown delta mode %q\n", *delta)
-		os.Exit(2)
-	}
-	res, err := replay.RunWith(f, replay.Options{Delta: mode})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chamreplay: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("trace       %s (%s, P=%d, clustered=%v)\n", flag.Arg(0), f.Tracer, f.P, f.Clustered)
-	fmt.Printf("replay time %v (virtual)\n", res.Time)
-	fmt.Printf("events      %d dynamic MPI events re-issued\n", res.Events)
-
-	if *ref != "" {
-		rf, err := store.LoadTrace(*ref)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chamreplay: %v\n", err)
-			os.Exit(1)
-		}
-		rres, err := chameleon.Replay(rf, chameleon.DefaultModel())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chamreplay: reference: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("reference   %v (%s)\n", rres.Time, rf.Tracer)
-		fmt.Printf("accuracy    %.2f%%\n", chameleon.Accuracy(rres.Time, res.Time)*100)
-	}
+	os.Exit(cli.Main(context.Background(), "chamreplay", os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -44,245 +44,12 @@
 package main
 
 import (
-	"flag"
-	"fmt"
+	"context"
 	"os"
-	"sort"
-	"strings"
 
-	"chameleon/internal/analysis"
-	"chameleon/internal/fault"
-	"chameleon/internal/obs"
-	"chameleon/internal/store"
-	"chameleon/internal/trace"
-	"chameleon/internal/vtime"
-	"chameleon/internal/wave"
-	"chameleon/internal/zan"
+	"chameleon/internal/cli"
 )
 
-// load resolves a trace reference (path or http(s):// run URL); remote
-// fetches surface their compressed/uncompressed byte counts on stderr.
-func load(ref string) (*trace.File, error) {
-	f, stats, err := store.LoadTraceStats(ref)
-	if err != nil {
-		return nil, err
-	}
-	if stats != nil {
-		fmt.Fprintf(os.Stderr, "chamstat: fetched %s (%s)\n", ref, stats)
-	}
-	return f, nil
-}
-
 func main() {
-	volumes := flag.Bool("volumes", false, "print per-rank communication volumes")
-	matrix := flag.Bool("matrix", false, "print the reconstructed communication matrix")
-	zstats := flag.Bool("zstats", false, "print the compressed-domain analysis report (per-window metrics)")
-	check := flag.Bool("check", false, "with -zstats: cross-check the closed-form metrics against the expansion oracle and the replayer")
-	diff := flag.Bool("diff", false, "compare two traces for event equivalence")
-	tolerate := flag.String("tolerate-ranks", "", `with -diff: exclude these ranks ("0,5-7" set grammar, or "auto" = the traces' retired ranks)`)
-	waves := flag.Bool("waves", false, "idle-wave summary over a causal edge file or a run URL's edge sidecar")
-	cols := flag.Int("cols", 0, "with -waves: treat ranks as a row-major grid this many columns wide (0 = 1-D chain)")
-	tenant := flag.String("tenant", "", "namespace requests to this archive tenant (X-Cham-Tenant header)")
-	flag.Parse()
-	if *tenant != "" {
-		store.SetTenant(*tenant)
-	}
-
-	if *waves {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: chamstat -waves [-cols n] edges.jsonl | http://host:8321/runs/<id>")
-			os.Exit(2)
-		}
-		waveSummary(flag.Arg(0), *cols)
-		return
-	}
-
-	if *diff {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: chamstat -diff [-tolerate-ranks set|auto] a.trace b.trace")
-			os.Exit(2)
-		}
-		a, err := load(flag.Arg(0))
-		exitOn(err)
-		b, err := load(flag.Arg(1))
-		exitOn(err)
-		tol, err := toleratedRanks(*tolerate, a, b)
-		exitOn(err)
-		d := analysis.CompareWith(a, b, analysis.CompareOpts{TolerateRanks: tol})
-		if d.Equivalent() {
-			if len(tol) > 0 {
-				fmt.Printf("traces are event-equivalent ignoring ranks %v (same call sites, same per-rank and per-site dynamic counts)\n", tol)
-				return
-			}
-			fmt.Println("traces are event-equivalent (same call sites, same per-rank and per-site dynamic counts)")
-			return
-		}
-		fmt.Printf("DIVERGED: %s\n", d.Reason())
-		if len(d.MissingInB) > 0 {
-			fmt.Printf("call sites missing in %s: %d\n", flag.Arg(1), len(d.MissingInB))
-		}
-		if len(d.MissingInA) > 0 {
-			fmt.Printf("call sites missing in %s: %d\n", flag.Arg(0), len(d.MissingInA))
-		}
-		if len(d.EventDeltas) > 0 {
-			fmt.Printf("ranks with differing event counts: %d\n", len(d.EventDeltas))
-			ranks := make([]int, 0, len(d.EventDeltas))
-			for r := range d.EventDeltas {
-				ranks = append(ranks, r)
-			}
-			sort.Ints(ranks)
-			for _, r := range ranks[:min(10, len(ranks))] {
-				fmt.Printf("  rank %d: %+d events\n", r, d.EventDeltas[r])
-			}
-		}
-		if len(d.SiteCountDeltas) > 0 {
-			fmt.Printf("call sites with differing event counts: %d\n", len(d.SiteCountDeltas))
-			sites := make([]uint64, 0, len(d.SiteCountDeltas))
-			for s := range d.SiteCountDeltas {
-				sites = append(sites, s)
-			}
-			sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-			for _, s := range sites[:min(10, len(sites))] {
-				fmt.Printf("  site %#x: %+d events\n", s, d.SiteCountDeltas[s])
-			}
-		}
-		os.Exit(1)
-	}
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: chamstat [-volumes|-matrix|-diff] trace-file")
-		os.Exit(2)
-	}
-	f, err := load(flag.Arg(0))
-	exitOn(err)
-
-	switch {
-	case *zstats:
-		rep, err := zan.Analyze(f, zan.Options{})
-		exitOn(err)
-		fmt.Printf("trace %s (%s, benchmark=%s)\n", flag.Arg(0), f.Tracer, f.Benchmark)
-		fmt.Print(rep.String())
-		if *check {
-			if _, err := analysis.CrossCheck(f, vtime.Default()); err != nil {
-				fmt.Fprintf(os.Stderr, "chamstat: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("cross-check: closed-form metrics match the expansion oracle and the replayed event count")
-		}
-	case *volumes:
-		for _, v := range analysis.Volumes(f) {
-			fmt.Printf("rank %4d: sends=%d (%dB) recvs=%d collectives=%d\n",
-				v.Rank, v.SendEvents, v.SendBytes, v.RecvEvents, v.CollEvents)
-		}
-	case *matrix:
-		m := analysis.Matrix(f)
-		fmt.Printf("point-to-point messages: %d (unresolved: %d)\n", m.TotalMessages(), m.Unresolved)
-		srcs := make([]int, 0, len(m.Counts))
-		for s := range m.Counts {
-			srcs = append(srcs, s)
-		}
-		sort.Ints(srcs)
-		for _, s := range srcs {
-			dsts := make([]int, 0, len(m.Counts[s]))
-			for d := range m.Counts[s] {
-				dsts = append(dsts, d)
-			}
-			sort.Ints(dsts)
-			for _, d := range dsts {
-				fmt.Printf("  %4d -> %4d: %8d msgs %12d bytes\n", s, d, m.Counts[s][d], m.Bytes[s][d])
-			}
-		}
-	default:
-		s := analysis.Summarize(f)
-		fmt.Printf("trace %s (%s, benchmark=%s, clustered=%v)\n", flag.Arg(0), f.Tracer, f.Benchmark, f.Clustered)
-		fmt.Print(s.String())
-		cp := analysis.CriticalPath(f, int64(vtime.Default().Alpha))
-		fmt.Printf("critical-path estimate: %v\n", vtime.Duration(cp))
-	}
-}
-
-// waveSummary is the -waves mode. A /runs/{id} URL asks the chamd
-// archive for the server-side report over the run's edge sidecar; any
-// other reference is read as a causal edge JSONL stream and analyzed
-// locally.
-func waveSummary(ref string, cols int) {
-	var rep *wave.Report
-	if store.IsRef(ref) {
-		i := strings.LastIndex(ref, "/runs/")
-		if i < 0 {
-			exitOn(fmt.Errorf("%s: a remote -waves reference must name a run (…/runs/<id>)", ref))
-		}
-		resp, err := store.FetchWaves(ref[:i], ref[i+len("/runs/"):], cols)
-		exitOn(err)
-		rep = resp.Report
-		fmt.Printf("run %s (server-side report)\n", resp.ID[:12])
-	} else {
-		f, err := os.Open(ref)
-		exitOn(err)
-		edges, err := obs.ReadEdges(f)
-		f.Close()
-		exitOn(err)
-		p := 0
-		for _, e := range edges {
-			if e.From >= p {
-				p = e.From + 1
-			}
-			if e.To >= p {
-				p = e.To + 1
-			}
-		}
-		if p == 0 {
-			exitOn(fmt.Errorf("%s: no edges", ref))
-		}
-		rep, err = wave.Detect(edges, wave.Options{P: p, Cols: cols})
-		exitOn(err)
-		fmt.Printf("edges %s (P=%d inferred)\n", ref, p)
-	}
-	fmt.Print(wave.Summary(rep))
-}
-
-// toleratedRanks resolves the -tolerate-ranks flag: a rank-set spec, or
-// "auto" for the union of the retired ranks recorded in either trace.
-func toleratedRanks(spec string, a, b *trace.File) ([]int, error) {
-	switch spec {
-	case "":
-		return nil, nil
-	case "auto":
-		set := map[int]bool{}
-		for _, r := range a.Retired {
-			set[r] = true
-		}
-		for _, r := range b.Retired {
-			set[r] = true
-		}
-		out := make([]int, 0, len(set))
-		for r := range set {
-			out = append(out, r)
-		}
-		sort.Ints(out)
-		return out, nil
-	}
-	rs, err := fault.ParseRankSet(spec)
-	if err != nil {
-		return nil, fmt.Errorf("tolerate-ranks: %w", err)
-	}
-	p := a.P
-	if b.P > p {
-		p = b.P
-	}
-	return rs.Ranks(p), nil
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chamstat: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	os.Exit(cli.Main(context.Background(), "chamstat", os.Args[1:], os.Stdout, os.Stderr))
 }

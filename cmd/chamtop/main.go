@@ -41,451 +41,12 @@
 package main
 
 import (
-	"flag"
-	"fmt"
+	"context"
 	"os"
-	"sort"
-	"text/tabwriter"
-	"time"
 
-	"chameleon/internal/analysis"
-	"chameleon/internal/causal"
-	"chameleon/internal/obs"
-	"chameleon/internal/stats"
-	"chameleon/internal/store"
-	"chameleon/internal/vtime"
-	"chameleon/internal/wave"
-	"chameleon/internal/zan"
+	"chameleon/internal/cli"
 )
 
 func main() {
-	critical := flag.Bool("critical", false, "causal critical-path / straggler report (needs -edges)")
-	edgesPath := flag.String("edges", "chameleon.edges.jsonl", "causal edge JSONL file (with -critical)")
-	tracePath := flag.String("trace", "", "Chrome trace file for the span breakdown (with -critical)")
-	topN := flag.Int("top", 10, "rows per table in the critical report")
-	follow := flag.String("follow", "", "chamd base URL: watch a live session instead of reading a journal")
-	session := flag.String("session", "", "live session ID to follow (default: the most recently updated)")
-	once := flag.Bool("once", false, "with -follow: print one frame and exit (no refresh loop)")
-	pollTimeout := flag.Duration("poll", 10*time.Second, "with -follow: long-poll timeout per request")
-	zanRef := flag.String("zan", "", "trace path or run URL: rank its hottest windows by compressed-domain wait time")
-	check := flag.Bool("check", false, "with -zan: cross-check the metrics against the expansion oracle and the replayer")
-	waves := flag.Bool("waves", false, "idle-wave view: detect waves in the causal edge file and render the rank x time heatmap")
-	nranks := flag.Int("p", 0, "with -waves: rank count (0 = infer from the edges)")
-	bins := flag.Int("bins", 96, "with -waves: heatmap time bins")
-	cols := flag.Int("cols", 0, "with -waves: treat ranks as a row-major grid this many columns wide (0 = 1-D chain)")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: chamtop [-critical -edges edges.jsonl [-trace trace.json] [-top n]] [journal.jsonl]")
-		fmt.Fprintln(os.Stderr, "       chamtop -follow http://host:8321 [-session id] [-once] [-poll 10s]")
-		fmt.Fprintln(os.Stderr, "       chamtop -zan trace-ref [-check] [-top n]")
-		fmt.Fprintln(os.Stderr, "       chamtop -waves -edges edges-ref [-p n] [-bins n] [-cols n]")
-		flag.PrintDefaults()
-	}
-	tenant := flag.String("tenant", "", "namespace requests to this archive tenant (X-Cham-Tenant header)")
-	flag.Parse()
-	if *tenant != "" {
-		store.SetTenant(*tenant)
-	}
-
-	if *follow != "" {
-		followLive(*follow, *session, *once, *pollTimeout)
-		return
-	}
-	if *zanRef != "" {
-		zanReport(*zanRef, *topN, *check)
-		return
-	}
-	if *waves {
-		waveView(*edgesPath, *nranks, *bins, *cols)
-		return
-	}
-
-	var events []obs.Event
-	if flag.NArg() > 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if flag.NArg() == 1 {
-		f, err := store.OpenRef(flag.Arg(0))
-		if err != nil {
-			fatal("%v", err)
-		}
-		events, err = obs.ReadJournal(f)
-		f.Close()
-		if err != nil {
-			fatal("%v", err)
-		}
-		if len(events) == 0 {
-			fatal("%s: empty journal", flag.Arg(0))
-		}
-	}
-
-	if *critical {
-		criticalReport(*edgesPath, *tracePath, events, *topN)
-		return
-	}
-	if events == nil {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	fmt.Printf("%s: %d events\n\n", flag.Arg(0), len(events))
-	stateTimeline(events)
-	votes(events)
-	clusterings(events)
-	flushes(events)
-	merges(events)
-	finalize(events)
-}
-
-// criticalReport runs the offline causal analysis: edges (required),
-// journal events (optional, for window/phase attribution), Chrome trace
-// (optional, for the span-category breakdown).
-func criticalReport(edgesPath, tracePath string, events []obs.Event, topN int) {
-	f, err := store.OpenRef(edgesPath)
-	if err != nil {
-		fatal("%v (run chamrun with -causal to produce an edge file)", err)
-	}
-	edges, err := obs.ReadEdges(f)
-	f.Close()
-	if err != nil {
-		fatal("%v", err)
-	}
-	if len(edges) == 0 {
-		fatal("%s: no edges", edgesPath)
-	}
-	rep := causal.Analyze(edges, events)
-	if err := rep.WriteText(os.Stdout, topN); err != nil {
-		fatal("%v", err)
-	}
-	if tracePath != "" {
-		tf, err := store.OpenRef(tracePath)
-		if err != nil {
-			fatal("%v", err)
-		}
-		ts, err := causal.ReadChromeTrace(tf)
-		tf.Close()
-		if err != nil {
-			fatal("%v", err)
-		}
-		causal.WriteSpanBreakdown(os.Stdout, ts)
-	}
-}
-
-// segment is one maximal run of marker calls spent in a single
-// transition-graph state on rank 0.
-type segment struct {
-	state       string
-	firstMarker int
-	lastMarker  int
-	startVT     int64
-	endVT       int64
-	calls       int
-}
-
-func stateTimeline(events []obs.Event) {
-	var segs []segment
-	for _, ev := range events {
-		if ev.Kind != obs.KindTransition {
-			continue
-		}
-		if n := len(segs); n > 0 && segs[n-1].state == ev.To {
-			s := &segs[n-1]
-			s.lastMarker = ev.Marker
-			s.endVT = ev.VT
-			s.calls++
-			continue
-		}
-		segs = append(segs, segment{
-			state: ev.To, firstMarker: ev.Marker, lastMarker: ev.Marker,
-			startVT: ev.VT, endVT: ev.VT, calls: 1,
-		})
-	}
-	if len(segs) == 0 {
-		return
-	}
-	fmt.Println("state timeline (rank 0)")
-	w := tab()
-	fmt.Fprintln(w, "  #\tstate\tmarkers\tcalls\tvt-start\tvt-span")
-	for i, s := range segs {
-		markers := fmt.Sprintf("%d", s.firstMarker)
-		if s.lastMarker != s.firstMarker {
-			markers = fmt.Sprintf("%d-%d", s.firstMarker, s.lastMarker)
-		}
-		fmt.Fprintf(w, "  %d\t%s\t%s\t%d\t%s\t%s\n",
-			i+1, s.state, markers, s.calls, vt(s.startVT), vt(s.endVT-s.startVT))
-	}
-	w.Flush()
-	fmt.Println()
-}
-
-func votes(events []obs.Event) {
-	h := stats.NewHistogram()
-	total, mismatched := 0, 0
-	for _, ev := range events {
-		if ev.Kind != obs.KindVote {
-			continue
-		}
-		total++
-		v, ok := ev.VoteCount()
-		if !ok {
-			continue // malformed vote event: no recorded sum
-		}
-		h.Add(int64(v))
-		if v > 0 {
-			mismatched++
-		}
-	}
-	if total == 0 {
-		return
-	}
-	fmt.Println("votes (Algorithm 1 Reduce+Bcast)")
-	w := tab()
-	fmt.Fprintln(w, "  total\tmismatched\tmax-ranks\tp50-ranks\tp99-ranks")
-	fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%d\n",
-		total, mismatched, h.Max, h.Quantile(0.50), h.Quantile(0.99))
-	w.Flush()
-	fmt.Println()
-}
-
-func clusterings(events []obs.Event) {
-	var rows []obs.Event
-	for _, ev := range events {
-		if ev.Kind == obs.KindCluster {
-			rows = append(rows, ev)
-		}
-	}
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Println("cluster formations")
-	w := tab()
-	fmt.Fprintln(w, "  #\tvt\tK\tcall-paths\tleads")
-	for i, ev := range rows {
-		fmt.Fprintf(w, "  %d\t%s\t%d\t%d\t%v\n", i+1, vt(ev.VT), ev.K, ev.Count, ev.Leads)
-	}
-	w.Flush()
-	fmt.Println()
-}
-
-func flushes(events []obs.Event) {
-	var rows []obs.Event
-	for _, ev := range events {
-		if ev.Kind == obs.KindFlush {
-			rows = append(rows, ev)
-		}
-	}
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Println("flushes into the online trace")
-	w := tab()
-	fmt.Fprintln(w, "  #\tvt\tmarker\tround\tcause\tonline-bytes")
-	for i, ev := range rows {
-		fmt.Fprintf(w, "  %d\t%s\t%d\t%d\t%s\t%d\n",
-			i+1, vt(ev.VT), ev.Marker, ev.Round, ev.Note, ev.Bytes)
-	}
-	w.Flush()
-	fmt.Println()
-}
-
-func merges(events []obs.Event) {
-	compares := stats.NewHistogram()
-	steps := 0
-	var bytes int64
-	for _, ev := range events {
-		if ev.Kind != obs.KindMerge {
-			continue
-		}
-		steps++
-		compares.Add(int64(ev.Count))
-		bytes += ev.Bytes
-	}
-	if steps == 0 {
-		return
-	}
-	fmt.Println("radix-tree merge steps")
-	w := tab()
-	fmt.Fprintln(w, "  steps\tbytes\tcompares-p50\tcompares-p99\tcompares-max")
-	fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%d\n",
-		steps, bytes, compares.Quantile(0.50), compares.Quantile(0.99), compares.Max)
-	w.Flush()
-	fmt.Println()
-}
-
-func finalize(events []obs.Event) {
-	type tot struct {
-		rank   int
-		events uint64
-		bytes  int64
-	}
-	var rows []tot
-	recorded := stats.NewHistogram()
-	for _, ev := range events {
-		if ev.Kind != obs.KindFinalize {
-			continue
-		}
-		rows = append(rows, tot{ev.Rank, ev.Count, ev.Bytes})
-		recorded.Add(int64(ev.Count))
-	}
-	if len(rows) == 0 {
-		return
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].rank < rows[j].rank })
-	var events64, bytes64 int64
-	for _, r := range rows {
-		events64 += int64(r.events)
-		bytes64 += r.bytes
-	}
-	fmt.Println("finalize (per-rank recorded events)")
-	w := tab()
-	fmt.Fprintln(w, "  ranks\tevents-total\tbytes-total\tevents-p50\tevents-max")
-	fmt.Fprintf(w, "  %d\t%d\t%d\t%d\t%d\n",
-		len(rows), events64, bytes64, recorded.Quantile(0.50), recorded.Max)
-	w.Flush()
-}
-
-// waveView is the -waves mode: load the causal edge file (a local path
-// or a chamd /runs/{id}/edges URL), run the idle-wave detector, and
-// render the rank x virtual-time heatmap plus the per-wave kinematics.
-func waveView(edgesRef string, p, bins, cols int) {
-	f, err := store.OpenRef(edgesRef)
-	if err != nil {
-		fatal("%v (run chamrun with -causal to produce an edge file)", err)
-	}
-	edges, err := obs.ReadEdges(f)
-	f.Close()
-	if err != nil {
-		fatal("%v", err)
-	}
-	if len(edges) == 0 {
-		fatal("%s: no edges", edgesRef)
-	}
-	if p <= 0 {
-		for _, e := range edges {
-			if e.From >= p {
-				p = e.From + 1
-			}
-			if e.To >= p {
-				p = e.To + 1
-			}
-		}
-	}
-	rep, err := wave.Detect(edges, wave.Options{P: p, Cols: cols})
-	if err != nil {
-		fatal("%v", err)
-	}
-	fmt.Printf("%s: P=%d, %d edges, %d wait points (%d significant, floor %s, gap %s)\n\n",
-		edgesRef, p, rep.Edges, rep.WaitPoints, rep.Significant, vt(rep.FloorNs), vt(rep.MaxGapNs))
-	hm := wave.BuildHeatmap(edges, p, bins)
-	fmt.Print(hm.Render(rep))
-	fmt.Println()
-	fmt.Print(wave.Summary(rep))
-}
-
-// zanReport is the -zan mode: one compressed-domain walk over the
-// trace, then the hottest marker windows by wait-state time.
-func zanReport(ref string, topN int, check bool) {
-	f, err := store.LoadTrace(ref)
-	if err != nil {
-		fatal("%v", err)
-	}
-	rep, err := zan.Analyze(f, zan.Options{})
-	if err != nil {
-		fatal("%v", err)
-	}
-	fmt.Printf("%s: P=%d, %d events in %d stored nodes (%.1fx), %d windows\n",
-		ref, rep.P, rep.Events, rep.StoredNodes, rep.CompressionRatio, len(rep.Windows))
-	fmt.Printf("compute=%v comm=%v wait=%v imbalance=%.2f comm/compute=%.3f\n\n",
-		time.Duration(rep.ComputeNs), time.Duration(rep.CommNs), time.Duration(rep.WaitNs),
-		rep.LoadImbalance, rep.CommRatio)
-
-	fmt.Println("hottest windows by wait-state time")
-	w := tab()
-	fmt.Fprintln(w, "  window\twait\tcompute\tcomm\tevents\timbalance\tlocal-unmatched")
-	for _, i := range rep.TopWaitWindows(topN) {
-		win := &rep.Windows[i]
-		fmt.Fprintf(w, "  %d\t%s\t%s\t%s\t%d\t%.2f\t%d\n",
-			win.Index, vt(win.WaitNs), vt(win.ComputeNs), vt(win.CommNs),
-			win.Events, win.LoadImbalance, win.LocalUnmatched)
-	}
-	w.Flush()
-
-	m := rep.Match
-	fmt.Printf("\nmatch: sends=%d recvs=%d paired=%d cross-window=%d order-violations=%d",
-		m.Sends, m.Recvs, m.ResolvedPairs, m.CrossWindow, m.OrderViolations)
-	if m.Consistent {
-		fmt.Println(" => consistent")
-	} else {
-		fmt.Printf(" => INCONSISTENT (%d unmatched)\n", m.Unmatched)
-	}
-
-	if check {
-		if _, err := analysis.CrossCheck(f, vtime.Default()); err != nil {
-			fatal("%v", err)
-		}
-		fmt.Println("cross-check: closed-form metrics match the expansion oracle and the replayed event count")
-	}
-}
-
-// followLive is the -follow mode: long-poll a chamd live session and
-// redraw its view each time the server's version advances, until the
-// run finalizes (or forever for -once=false sessions that never do;
-// interrupt with ^C).
-func followLive(base, session string, once bool, poll time.Duration) {
-	if session == "" {
-		sessions, err := store.FetchLiveSessions(base)
-		if err != nil {
-			fatal("follow: %v", err)
-		}
-		if len(sessions) == 0 {
-			fatal("follow: %s has no live sessions (start one with chamrun -live %s)", base, base)
-		}
-		// List() returns newest-updated first; follow that one.
-		session = sessions[0].Session
-		if len(sessions) > 1 {
-			fmt.Fprintf(os.Stderr, "chamtop: %d live sessions, following most recent %q (pick with -session):\n",
-				len(sessions), session)
-			for _, s := range sessions {
-				fmt.Fprintf(os.Stderr, "  %-20s %-10s P=%d stragglers=%d\n", s.Session, s.Benchmark, s.P, s.Stragglers)
-			}
-		}
-	}
-
-	v, err := store.FetchLiveView(base, session)
-	if err != nil {
-		fatal("follow: %v", err)
-	}
-	for {
-		if !once {
-			fmt.Print("\x1b[H\x1b[2J") // cursor home + clear: redraw in place
-		}
-		store.RenderSessionView(os.Stdout, v)
-		if once || v.Final {
-			return
-		}
-		next, err := store.WatchLiveView(base, session, v.Version, poll)
-		if err != nil {
-			// Transient watch errors (daemon restart, request timeout edge)
-			// shouldn't kill the monitor; back off briefly and re-fetch.
-			fmt.Fprintf(os.Stderr, "chamtop: watch: %v\n", err)
-			time.Sleep(time.Second)
-			next, err = store.FetchLiveView(base, session)
-			if err != nil {
-				fatal("follow: %v", err)
-			}
-		}
-		v = next
-	}
-}
-
-func tab() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-}
-
-// vt renders a virtual-nanosecond value as a duration.
-func vt(ns int64) string { return time.Duration(ns).String() }
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "chamtop: "+format+"\n", args...)
-	os.Exit(1)
+	os.Exit(cli.Main(context.Background(), "chamtop", os.Args[1:], os.Stdout, os.Stderr))
 }

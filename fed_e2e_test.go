@@ -1,4 +1,4 @@
-// Federated-archive e2e: three genuine chamd-like OS processes form a
+// Federated-archive e2e: three genuine chamd processes form a
 // consistent-hash mesh (R=2) over real sockets. The acceptance
 // scenario is peer death — push runs through peer A, SIGKILL peer B,
 // and every run must still read byte-identical from the survivors;
@@ -8,12 +8,11 @@ package chameleon_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -27,71 +26,13 @@ import (
 	"chameleon/internal/trace"
 )
 
-// Re-exec plumbing: TestFedPeerChild is the body of a child chamd
-// process (archive + mesh + CQ engine + HTTP server), gated behind an
-// env var so a plain `go test` never runs it. It serves until killed.
-const (
-	fedChildEnv   = "CHAMELEON_FED_CHILD"
-	fedChildDir   = "CHAMELEON_FED_DIR"
-	fedChildSelf  = "CHAMELEON_FED_SELF"
-	fedChildPeers = "CHAMELEON_FED_PEERS"
-)
-
-func TestFedPeerChild(t *testing.T) {
-	if os.Getenv(fedChildEnv) == "" {
-		t.Skip("fed peer child helper; driven by the subprocess tests")
-	}
-	dir := os.Getenv(fedChildDir)
-	self := os.Getenv(fedChildSelf)
-	a, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	node, err := mesh.NewNode(mesh.Options{
-		Self:     self,
-		Peers:    strings.Split(os.Getenv(fedChildPeers), ","),
-		Replicas: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := cq.New(cq.Options{
-		Lookup:  store.FedLookup(a, node),
-		Persist: filepath.Join(dir, "cq.json"),
-		Origin:  self,
-		OnEvent: store.BroadcastCQEvents(node),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", strings.TrimPrefix(self, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	handler := store.NewServer(a, store.ServerOptions{Mesh: node, CQ: eng})
-	(&http.Server{Handler: handler}).Serve(ln) //nolint:errcheck — killed by the parent
-}
-
-// spawnFedPeer re-execs the test binary as one federated peer.
-func spawnFedPeer(t *testing.T, dir, self, peers string) *exec.Cmd {
+// spawnFedPeer starts one federated peer: the shipped `chamd -peers`
+// body (archive + mesh + CQ engine + sweep wiring + HTTP server) in a
+// child process (spawnTool), serving until killed.
+func spawnFedPeer(t *testing.T, dir, self, peers string, extra ...string) *exec.Cmd {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run", "^TestFedPeerChild$", "-test.v")
-	cmd.Env = append(os.Environ(),
-		fedChildEnv+"=1", fedChildDir+"="+dir, fedChildSelf+"="+self, fedChildPeers+"="+peers)
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Kill() //nolint:errcheck — may already be dead
-		cmd.Wait()         //nolint:errcheck
-		if t.Failed() && buf.Len() > 0 {
-			t.Logf("peer %s output:\n%s", self, buf.String())
-		}
-	})
+	cmd, _ := spawnTool(t, "chamd", append([]string{"-dir", dir, "-addr", strings.TrimPrefix(self, "http://"),
+		"-self", self, "-peers", peers, "-replicas", "2"}, extra...)...)
 	return cmd
 }
 
@@ -163,10 +104,20 @@ func variantOf(t *testing.T, canon []byte, i int64) *trace.File {
 	return f
 }
 
+// TestFedPeerDeathAndAntiEntropyRecovery runs the scenario twice: with
+// recovery converged by an explicit POST /mesh/sweep on each peer, and
+// with no trigger at all — only chamd's own -anti-entropy-every ticker.
 func TestFedPeerDeathAndAntiEntropyRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
+	t.Run("triggered", func(t *testing.T) { t.Parallel(); fedPeerDeath(t) })
+	t.Run("ticker", func(t *testing.T) { t.Parallel(); fedPeerDeath(t, "-anti-entropy-every", "200ms") })
+}
+
+// fedPeerDeath is the scenario; sweepFlags are extra chamd flags, and
+// when they are given nothing triggers a sweep by hand.
+func fedPeerDeath(t *testing.T, sweepFlags ...string) {
 
 	// Reserve three ports, then start three peers on them.
 	urls := make([]string, 3)
@@ -183,7 +134,7 @@ func TestFedPeerDeathAndAntiEntropyRecovery(t *testing.T) {
 	peerList := strings.Join(urls, ",")
 	procs := make([]*exec.Cmd, 3)
 	for i := range urls {
-		procs[i] = spawnFedPeer(t, dirs[i], urls[i], peerList)
+		procs[i] = spawnFedPeer(t, dirs[i], urls[i], peerList, sweepFlags...)
 	}
 	for _, u := range urls {
 		waitHealthy(t, u)
@@ -264,9 +215,12 @@ func TestFedPeerDeathAndAntiEntropyRecovery(t *testing.T) {
 	// Restart B on the same port and directory; one sweep per peer
 	// converges the ring (B pulls what it missed, the survivors pull
 	// anything that landed off-ring while the fleet was degraded).
-	procs[1] = spawnFedPeer(t, dirs[1], urls[1], peerList)
+	procs[1] = spawnFedPeer(t, dirs[1], urls[1], peerList, sweepFlags...)
 	waitHealthy(t, urls[1])
 	for _, u := range []string{urls[1], urls[0], urls[2]} {
+		if len(sweepFlags) > 0 {
+			break // the peers' own tickers converge the ring
+		}
 		if _, err := store.TriggerSweep(u); err != nil {
 			t.Fatalf("sweep %s: %v", u, err)
 		}
@@ -277,24 +231,35 @@ func TestFedPeerDeathAndAntiEntropyRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
-		for _, owner := range ring.Owners(id, 2) {
-			code, body := fedHTTP(t, http.MethodGet, owner+"/runs/"+id, nil, true)
-			if code != http.StatusOK {
-				t.Fatalf("owner %s lacks run %s after recovery: %d", owner, id[:12], code)
-			}
-			if !bytes.Equal(body, canons[id]) {
-				t.Fatalf("owner %s run %s: bytes diverged after repair", owner, id[:12])
+	// The sidecar converged with its run too: every owner serves it
+	// locally, whether it took the original fan-out or pulled it in a
+	// sweep. Ticker-driven recovery gets a deadline to reach this state.
+	whole := func() error {
+		for _, id := range ids {
+			for _, owner := range ring.Owners(id, 2) {
+				code, body := fedHTTP(t, http.MethodGet, owner+"/runs/"+id, nil, true)
+				if code != http.StatusOK {
+					return fmt.Errorf("owner %s lacks run %s after recovery: %d", owner, id[:12], code)
+				}
+				if !bytes.Equal(body, canons[id]) {
+					return fmt.Errorf("owner %s run %s: bytes diverged after repair", owner, id[:12])
+				}
 			}
 		}
+		for _, owner := range ring.Owners(ids[0], 2) {
+			code, body := fedHTTP(t, http.MethodGet, owner+"/runs/"+ids[0]+"/edges", nil, true)
+			if code != http.StatusOK || !bytes.Equal(body, sidecar) {
+				return fmt.Errorf("owner %s lacks the edge sidecar after recovery: %d", owner, code)
+			}
+		}
+		return nil
 	}
-	// The sidecar converged with its run: every owner serves it locally,
-	// whether it took the original fan-out or pulled it in the sweep.
-	for _, owner := range ring.Owners(ids[0], 2) {
-		code, body := fedHTTP(t, http.MethodGet, owner+"/runs/"+ids[0]+"/edges", nil, true)
-		if code != http.StatusOK || !bytes.Equal(body, sidecar) {
-			t.Fatalf("owner %s lacks the edge sidecar after recovery: %d", owner, code)
-		}
+	err = whole()
+	for deadline := time.Now().Add(20 * time.Second); err != nil && len(sweepFlags) > 0 && time.Now().Before(deadline); err = whole() {
+		time.Sleep(100 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// The gate survived the crash: push a structural drift (one extra

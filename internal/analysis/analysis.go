@@ -5,9 +5,10 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"chameleon/internal/mpi"
@@ -44,21 +45,12 @@ func Summarize(f *trace.File) Summary {
 	sites := map[uint64]struct{}{}
 	trace.CollectStacks(f.Nodes, sites)
 	s.DistinctSites = len(sites)
-	s.MaxLoopDepth = maxDepth(f.Nodes, 0)
-	var walk func(seq []*trace.Node, mult uint64)
-	walk = func(seq []*trace.Node, mult uint64) {
-		if mult == 0 {
-			return // zero-trip loop: no dynamic events below here
+	trace.VisitLeaves(f.Nodes, func(n *trace.Node, c trace.Cursor) {
+		s.MaxLoopDepth = max(s.MaxLoopDepth, c.Depth)
+		if c.Mult > 0 { // zero-trip loop: structure only, no dynamic events
+			s.OpCounts[n.Ev.Op.String()] += c.Mult
 		}
-		for _, n := range seq {
-			if n.IsLoop() {
-				walk(n.Body, mult*n.MeanIters())
-			} else {
-				s.OpCounts[n.Ev.Op.String()] += mult
-			}
-		}
-	}
-	walk(f.Nodes, 1)
+	})
 	s.CompressionRatio = Ratio(float64(s.DynamicEvents), float64(s.Leaves))
 	return s
 }
@@ -73,16 +65,27 @@ func Ratio(num, den float64) float64 {
 	return num / den
 }
 
-func maxDepth(seq []*trace.Node, depth int) int {
-	max := depth
-	for _, n := range seq {
-		if n.IsLoop() {
-			if d := maxDepth(n.Body, depth+1); d > max {
-				max = d
-			}
+// eachLive calls fn once per stored leaf that occurs at all, with its
+// dynamic occurrence count per covered rank (the product of the
+// enclosing trip counts). Leaves under a zero-trip loop are skipped, so
+// they contribute nothing — not even zero-valued map entries.
+func eachLive(seq []*trace.Node, fn func(n *trace.Node, mult uint64)) {
+	trace.VisitLeaves(seq, func(n *trace.Node, c trace.Cursor) {
+		if c.Mult > 0 {
+			fn(n, c.Mult)
 		}
+	})
+}
+
+// SortedKeys returns a map's keys in ascending order, the iteration
+// order of every report here and in the tools.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return max
+	slices.Sort(keys)
+	return keys
 }
 
 // String renders the summary.
@@ -91,12 +94,7 @@ func (s Summary) String() string {
 	fmt.Fprintf(&b, "P=%d nodes=%d leaves=%d events=%d sites=%d size=%dB depth=%d ratio=%.1fx\n",
 		s.P, s.Nodes, s.Leaves, s.DynamicEvents, s.DistinctSites, s.SizeBytes,
 		s.MaxLoopDepth, s.CompressionRatio)
-	ops := make([]string, 0, len(s.OpCounts))
-	for op := range s.OpCounts {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
+	for _, op := range SortedKeys(s.OpCounts) {
 		fmt.Fprintf(&b, "  %-10s %d\n", op, s.OpCounts[op])
 	}
 	return b.String()
@@ -117,38 +115,27 @@ func Volumes(f *trace.File) []Volume {
 	for r := range out {
 		out[r].Rank = r
 	}
-	var walk func(seq []*trace.Node, mult uint64)
-	walk = func(seq []*trace.Node, mult uint64) {
-		if mult == 0 {
-			return
-		}
-		for _, n := range seq {
-			if n.IsLoop() {
-				walk(n.Body, mult*n.MeanIters())
+	eachLive(f.Nodes, func(n *trace.Node, mult uint64) {
+		for _, r := range n.Ranks.Ranks() {
+			if r < 0 || r >= f.P {
 				continue
 			}
-			for _, r := range n.Ranks.Ranks() {
-				if r < 0 || r >= f.P {
-					continue
-				}
-				v := &out[r]
-				switch {
-				case n.Ev.Op == mpi.OpSend || n.Ev.Op == mpi.OpIsend:
-					v.SendEvents += mult
-					v.SendBytes += mult * uint64(n.Ev.Bytes)
-				case n.Ev.Op == mpi.OpRecv || n.Ev.Op == mpi.OpIrecv:
-					v.RecvEvents += mult
-				case n.Ev.Op == mpi.OpSendrecv:
-					v.SendEvents += mult
-					v.SendBytes += mult * uint64(n.Ev.Bytes)
-					v.RecvEvents += mult
-				case n.Ev.Op.IsCollective():
-					v.CollEvents += mult
-				}
+			v := &out[r]
+			switch {
+			case n.Ev.Op == mpi.OpSend || n.Ev.Op == mpi.OpIsend:
+				v.SendEvents += mult
+				v.SendBytes += mult * uint64(n.Ev.Bytes)
+			case n.Ev.Op == mpi.OpRecv || n.Ev.Op == mpi.OpIrecv:
+				v.RecvEvents += mult
+			case n.Ev.Op == mpi.OpSendrecv:
+				v.SendEvents += mult
+				v.SendBytes += mult * uint64(n.Ev.Bytes)
+				v.RecvEvents += mult
+			case n.Ev.Op.IsCollective():
+				v.CollEvents += mult
 			}
 		}
-	}
-	walk(f.Nodes, 1)
+	})
 	return out
 }
 
@@ -166,31 +153,20 @@ type CommMatrix struct {
 // Matrix reconstructs the communication matrix of a trace.
 func Matrix(f *trace.File) *CommMatrix {
 	m := &CommMatrix{P: f.P, Counts: map[int]map[int]uint64{}, Bytes: map[int]map[int]uint64{}}
-	var walk func(seq []*trace.Node, mult uint64)
-	walk = func(seq []*trace.Node, mult uint64) {
-		if mult == 0 {
+	eachLive(f.Nodes, func(n *trace.Node, mult uint64) {
+		op := n.Ev.Op
+		if op != mpi.OpSend && op != mpi.OpIsend && op != mpi.OpSendrecv {
 			return
 		}
-		for _, n := range seq {
-			if n.IsLoop() {
-				walk(n.Body, mult*n.MeanIters())
+		for _, src := range n.Ranks.Ranks() {
+			dst, ok := resolve(n.Ev.Dest, src, f.P)
+			if !ok {
+				m.Unresolved += mult
 				continue
 			}
-			op := n.Ev.Op
-			if op != mpi.OpSend && op != mpi.OpIsend && op != mpi.OpSendrecv {
-				continue
-			}
-			for _, src := range n.Ranks.Ranks() {
-				dst, ok := resolve(n.Ev.Dest, src, f.P)
-				if !ok {
-					m.Unresolved += mult
-					continue
-				}
-				m.add(src, dst, mult, mult*uint64(n.Ev.Bytes))
-			}
+			m.add(src, dst, mult, mult*uint64(n.Ev.Bytes))
 		}
-	}
-	walk(f.Nodes, 1)
+	})
 	return m
 }
 
@@ -255,21 +231,13 @@ func (d *Diff) Reason() string {
 	case len(d.MissingInA) > 0:
 		return fmt.Sprintf("%d call sites present only in the second trace", len(d.MissingInA))
 	case len(d.EventDeltas) > 0:
-		ranks := make([]int, 0, len(d.EventDeltas))
-		for r := range d.EventDeltas {
-			ranks = append(ranks, r)
-		}
-		sort.Ints(ranks)
+		r := SortedKeys(d.EventDeltas)[0]
 		return fmt.Sprintf("%d ranks differ in dynamic event count (first: rank %d, %+d events)",
-			len(d.EventDeltas), ranks[0], d.EventDeltas[ranks[0]])
+			len(d.EventDeltas), r, d.EventDeltas[r])
 	case len(d.SiteCountDeltas) > 0:
-		sites := make([]uint64, 0, len(d.SiteCountDeltas))
-		for s := range d.SiteCountDeltas {
-			sites = append(sites, s)
-		}
-		sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+		site := SortedKeys(d.SiteCountDeltas)[0]
 		return fmt.Sprintf("%d call sites differ in dynamic event count (first: site %#x, %+d events)",
-			len(d.SiteCountDeltas), sites[0], d.SiteCountDeltas[sites[0]])
+			len(d.SiteCountDeltas), site, d.SiteCountDeltas[site])
 	}
 	return ""
 }
@@ -294,148 +262,77 @@ func CompareWith(a, b *trace.File, opts CompareOpts) *Diff {
 		tol[r] = true
 	}
 	d := &Diff{EventDeltas: map[int]int64{}, SiteCountDeltas: map[uint64]int64{}}
-	sa, sb := stacksWith(a.Nodes, tol), stacksWith(b.Nodes, tol)
-	for s := range sa {
-		if _, ok := sb[s]; !ok {
+	p := max(a.P, b.P)
+	ra, ca := tally(a.Nodes, p, tol)
+	rb, cb := tally(b.Nodes, p, tol)
+	for s, na := range ca {
+		nb, ok := cb[s]
+		if !ok {
 			d.MissingInB = append(d.MissingInB, s)
 		}
-	}
-	for s := range sb {
-		if _, ok := sa[s]; !ok {
-			d.MissingInA = append(d.MissingInA, s)
-		}
-	}
-	p := a.P
-	if b.P > p {
-		p = b.P
-	}
-	for r := 0; r < p; r++ {
-		if tol[r] {
-			continue
-		}
-		ea, eb := eventsForRank(a.Nodes, r), eventsForRank(b.Nodes, r)
-		if ea != eb {
-			d.EventDeltas[r] = int64(ea) - int64(eb)
-		}
-	}
-	ca, cb := siteCounts(a.Nodes, tol), siteCounts(b.Nodes, tol)
-	for s, na := range ca {
-		if nb := cb[s]; na != nb {
+		if na != nb {
 			d.SiteCountDeltas[s] = int64(na) - int64(nb)
 		}
 	}
 	for s, nb := range cb {
-		if _, ok := ca[s]; !ok && nb != 0 {
+		if _, ok := ca[s]; !ok {
+			d.MissingInA = append(d.MissingInA, s)
 			d.SiteCountDeltas[s] = -int64(nb)
 		}
 	}
-	sort.Slice(d.MissingInA, func(i, j int) bool { return d.MissingInA[i] < d.MissingInA[j] })
-	sort.Slice(d.MissingInB, func(i, j int) bool { return d.MissingInB[i] < d.MissingInB[j] })
+	for r := range ra {
+		if !tol[r] && ra[r] != rb[r] {
+			d.EventDeltas[r] = int64(ra[r]) - int64(rb[r])
+		}
+	}
+	slices.Sort(d.MissingInA)
+	slices.Sort(d.MissingInB)
 	return d
 }
 
-// survivingSize counts a leaf's rank-list members outside the tolerated
-// set.
-func survivingSize(n *trace.Node, tol map[int]bool) int {
-	if len(tol) == 0 {
-		return n.Ranks.Size()
-	}
-	count := 0
-	for _, r := range n.Ranks.Ranks() {
-		if !tol[r] {
-			count++
-		}
-	}
-	return count
-}
-
-// stacksWith collects the call sites covered by at least one
-// non-tolerated rank.
-func stacksWith(seq []*trace.Node, tol map[int]bool) map[uint64]struct{} {
-	out := map[uint64]struct{}{}
-	if len(tol) == 0 {
-		trace.CollectStacks(seq, out)
-		return out
-	}
-	var walk func(seq []*trace.Node)
-	walk = func(seq []*trace.Node) {
-		for _, n := range seq {
-			if n.IsLoop() {
-				walk(n.Body)
-			} else if survivingSize(n, tol) > 0 {
-				out[uint64(n.Ev.Stack)] = struct{}{}
+// tally walks a trace once and returns the dynamic event count of every
+// rank below p and, per call site, the events of all non-tolerated
+// ranks. A site is present only with a non-zero count: zero-trip loops
+// and leaves covered solely by tolerated ranks leave no entry, so the
+// map's key set doubles as the site-coverage set.
+func tally(seq []*trace.Node, p int, tol map[int]bool) (ranks []uint64, sites map[uint64]uint64) {
+	ranks, sites = make([]uint64, p), map[uint64]uint64{}
+	eachLive(seq, func(n *trace.Node, mult uint64) {
+		surviving := uint64(0)
+		n.Ranks.ForEach(func(r int) {
+			if r >= 0 && r < p {
+				ranks[r] += mult
 			}
-		}
-	}
-	walk(seq)
-	return out
-}
-
-// siteCounts tallies dynamic events per call site across all
-// non-tolerated ranks.
-func siteCounts(seq []*trace.Node, tol map[int]bool) map[uint64]uint64 {
-	out := map[uint64]uint64{}
-	var walk func(seq []*trace.Node, mult uint64)
-	walk = func(seq []*trace.Node, mult uint64) {
-		if mult == 0 {
-			return // zero-trip loops contribute no events, and a
-			// zero-count entry would poison the count diff
-		}
-		for _, n := range seq {
-			if n.IsLoop() {
-				walk(n.Body, mult*n.MeanIters())
-			} else {
-				out[uint64(n.Ev.Stack)] += mult * uint64(survivingSize(n, tol))
+			if !tol[r] {
+				surviving++
 			}
+		})
+		if surviving > 0 {
+			sites[uint64(n.Ev.Stack)] += mult * surviving
 		}
-	}
-	walk(seq, 1)
-	return out
-}
-
-func eventsForRank(seq []*trace.Node, rank int) uint64 {
-	var total uint64
-	var walk func(seq []*trace.Node, mult uint64)
-	walk = func(seq []*trace.Node, mult uint64) {
-		for _, n := range seq {
-			if n.IsLoop() {
-				walk(n.Body, mult*n.MeanIters())
-			} else if n.Ranks.Contains(rank) {
-				total += mult
-			}
-		}
-	}
-	walk(seq, 1)
-	return total
+	})
+	return ranks, sites
 }
 
 // CriticalPath estimates the trace's serial lower bound: the maximum
 // over ranks of (compute deltas + per-event message latency), a cheap
 // replay-free makespan estimate.
 func CriticalPath(f *trace.File, alphaNs int64) int64 {
-	var worst int64
-	for r := 0; r < f.P; r++ {
-		var total int64
-		var walk func(seq []*trace.Node, mult uint64)
-		walk = func(seq []*trace.Node, mult uint64) {
-			for _, n := range seq {
-				if n.IsLoop() {
-					walk(n.Body, mult*n.MeanIters())
-					continue
-				}
-				if !n.Ranks.Contains(r) {
-					continue
-				}
-				if n.Delta != nil {
-					total += int64(mult) * n.Delta.Mean()
-				}
-				total += int64(mult) * alphaNs
+	totals := make([]int64, f.P)
+	eachLive(f.Nodes, func(n *trace.Node, mult uint64) {
+		cost := alphaNs
+		if n.Delta != nil {
+			cost += n.Delta.Mean()
+		}
+		n.Ranks.ForEach(func(r int) {
+			if r >= 0 && r < f.P {
+				totals[r] += int64(mult) * cost
 			}
-		}
-		walk(f.Nodes, 1)
-		if total > worst {
-			worst = total
-		}
+		})
+	})
+	var worst int64
+	for _, t := range totals {
+		worst = max(worst, t)
 	}
 	return worst
 }

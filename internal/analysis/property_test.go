@@ -1,0 +1,48 @@
+package analysis
+
+import (
+	"fmt"
+	"testing"
+
+	"chameleon"
+	"chameleon/internal/zan"
+)
+
+// TestTallyMatchesZanPerRank: for every application skeleton under both
+// global tracers, the single-pass per-rank event counts behind
+// CompareWith equal the per-rank totals of the compressed-domain engine,
+// and a trace is event-equivalent to itself.
+func TestTallyMatchesZanPerRank(t *testing.T) {
+	for _, name := range chameleon.Benchmarks() {
+		for _, tr := range []chameleon.Tracer{chameleon.TracerChameleon, chameleon.TracerScalaTrace} {
+			name, tr := name, tr
+			t.Run(fmt.Sprintf("%s/%s", name, tr), func(t *testing.T) {
+				t.Parallel()
+				class, p := "A", 16
+				if name == "EMF" { // master/worker: native size only
+					class, p = "", 26
+				}
+				out, err := chameleon.RunBenchmark(name, class, p, tr, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := zan.Analyze(out.Trace, zan.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ranks, _ := tally(out.Trace.Nodes, out.Trace.P, nil)
+				if len(ranks) != len(rep.Ranks) {
+					t.Fatalf("tally covers %d ranks, zan %d", len(ranks), len(rep.Ranks))
+				}
+				for r, got := range ranks {
+					if want := rep.Ranks[r].Events; got != want {
+						t.Errorf("rank %d: tally counts %d events, zan %d", r, got, want)
+					}
+				}
+				if d := CompareWith(out.Trace, out.Trace, CompareOpts{}); !d.Equivalent() {
+					t.Errorf("trace diverges from itself: %s", d.Reason())
+				}
+			})
+		}
+	}
+}

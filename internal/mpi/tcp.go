@@ -81,8 +81,9 @@ type TCPTransport struct {
 	}
 	phase atomic.Int32
 
-	srvLn net.Listener // rendezvous listener; non-nil on the process that won the bind
-	ln    net.Listener // data listener
+	srvLn net.Listener      // rendezvous listener; non-nil on the process that won the bind
+	srv   *rendezvousServer // the coordinator served on srvLn
+	ln    net.Listener      // data listener
 }
 
 // NewTCPTransport performs the rendezvous (bind-or-dial the join
@@ -110,7 +111,8 @@ func NewTCPTransport(opts TCPOptions) (t *TCPTransport, err error) {
 	// Bind-or-dial the rendezvous: losing the bind race just means
 	// someone else coordinates.
 	if t.srvLn, err = net.Listen("tcp", opts.Join); err == nil {
-		go newRendezvousServer(opts.P, opts.Session).serve(t.srvLn)
+		t.srv = newRendezvousServer(opts.P, opts.Session)
+		go t.srv.serve(t.srvLn)
 		t.logf("coordinating fleet on %s", opts.Join)
 	}
 	coord, err := dialLink(opts.Join)
@@ -239,6 +241,12 @@ func (t *TCPTransport) close() {
 		t.ln.Close()
 	}
 	if t.srvLn != nil {
+		// The coordinator must outlive the exchange: every broadcast
+		// runs under its lock, so once the lock has been had, a final
+		// this process already received is written to every other member
+		// too, and the process may exit.
+		t.srv.mu.Lock()
+		t.srv.mu.Unlock() //nolint:staticcheck — the empty section is the wait
 		t.srvLn.Close()
 	}
 }
@@ -312,7 +320,14 @@ func (t *TCPTransport) readLoop(l *link, from int) {
 		case ctl.T == "abort":
 			t.abort("aborted by %s: %s", t.who(from), ctl.Msg)
 			return
-		case (ctl.T == "allocr" || ctl.T == "final") && !peer:
+		case ctl.T == "final" && !peer:
+			// World-wide results are in hand. The coordinator's process
+			// may exit right behind this frame; marking it here, on the
+			// goroutine that will read that EOF, keeps it from being
+			// taken for a lost rendezvous.
+			t.phase.CompareAndSwap(phaseFinishing, phaseDone)
+			t.replies <- ctl
+		case ctl.T == "allocr" && !peer:
 			t.replies <- ctl
 		case ctl.T == "breq" && peer:
 			// The answer carries the bound over every rank hosted here.
@@ -405,6 +420,11 @@ func (t *TCPTransport) noteDeparted(rank int) {
 	if int(t.departed.Add(1)) < len(t.rt.local) || !t.opts.ExitOnCrash {
 		return
 	}
+	// Nothing more is expected of any connection: the coordinator hangs
+	// up on a member that announced "leaving", and that EOF, read in the
+	// moments before the self-kill, must not abort the survivors as a
+	// lost rendezvous.
+	t.phase.Store(phaseDone)
 	last := t.report("leaving", t.rt.local)
 	for _, l := range t.links {
 		l.sendCtl(last)
@@ -445,6 +465,5 @@ func (t *TCPTransport) finish(res *Result, departed []int) (*Result, error) {
 	}
 	res.Departed = final.Departed
 	res.Makespan = vtime.Duration(res.MaxClock())
-	t.phase.Store(phaseDone)
 	return res, nil
 }

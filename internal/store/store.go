@@ -92,10 +92,6 @@ type Options struct {
 	// CompactEvery, when positive, starts a background goroutine that
 	// sweeps orphaned segments at this period until Close.
 	CompactEvery time.Duration
-	// OnCompact, when non-nil, runs after each background compaction
-	// pass — the hook chamd uses to piggyback the federation's
-	// anti-entropy sweep on the same cadence.
-	OnCompact func()
 }
 
 // Run is one archived trace: the manifest record the index keeps and
@@ -232,9 +228,6 @@ func (a *Archive) compactLoop(every time.Duration) {
 			return
 		case <-t.C:
 			a.Compact() //nolint:errcheck — best-effort background sweep
-			if a.opts.OnCompact != nil {
-				a.opts.OnCompact()
-			}
 		}
 	}
 }

@@ -27,9 +27,9 @@ func newLiveDaemon(t testing.TB) *httptest.Server {
 	return srv
 }
 
-// runPhaseLive traces PHASE with a live shipper attached (the exact
-// wiring chamrun -live performs) and returns the final session view
-// and the run's output. The wire budget is checked on every such run:
+// runPhaseLive traces PHASE with a live shipper attached through the
+// library API and returns the final session view and the run's output
+// (chamrun -live itself is driven by internal/cli's TestToolChain). The wire budget is checked on every such run:
 // at least one delta shipped, at most 16 KiB per delta on average.
 func runPhaseLive(t *testing.T, srv *httptest.Server, session, plan string, p int, during func()) (*store.SessionView, *chameleon.Output) {
 	t.Helper()

@@ -15,6 +15,7 @@ package chameleon_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"os"
@@ -27,7 +28,7 @@ import (
 	"time"
 
 	"chameleon"
-	"chameleon/internal/fleet"
+	"chameleon/internal/cli"
 	"chameleon/internal/mpi"
 	"chameleon/internal/trace"
 	"chameleon/internal/zan"
@@ -184,75 +185,68 @@ func TestTransportCrossBackendDeterminism(t *testing.T) {
 	}
 }
 
-// Re-exec plumbing: the acceptance scenario wants genuine OS processes.
-// TestTransportFleetChild is not a test — it is the body of a child
-// process, gated behind an env var so a plain `go test` never runs it.
-const (
-	childEnv    = "CHAMELEON_FLEET_CHILD"
-	childJoin   = "CHAMELEON_FLEET_JOIN"
-	childRanks  = "CHAMELEON_FLEET_RANKS"
-	childOut    = "CHAMELEON_FLEET_OUT"
-	childFaults = "CHAMELEON_FLEET_FAULTS"
-)
+// Re-exec plumbing: the acceptance scenarios want genuine OS processes
+// running the shipped tools. A test binary started with CHAMELEON_TOOL
+// set is that tool — its argv goes straight to cli.Main, the same entry
+// cmd/<tool>/main.go uses — so a child exercises the real flag parsing
+// and wiring, not a test's copy of it.
+const toolEnv = "CHAMELEON_TOOL"
 
-func TestTransportFleetChild(t *testing.T) {
-	if os.Getenv(childEnv) == "" {
-		t.Skip("fleet child helper; driven by the subprocess tests")
+func TestMain(m *testing.M) {
+	if tool := os.Getenv(toolEnv); tool != "" {
+		os.Exit(cli.Main(context.Background(), tool, os.Args[1:], os.Stdout, os.Stderr))
 	}
-	const p = 8
-	var injector *chameleon.FaultInjector
-	if spec := os.Getenv(childFaults); spec != "" {
-		plan, err := chameleon.ParseFaultPlan(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		injector, err = chameleon.NewFaultInjector(plan, 1, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	tr, err := fleet.Connect(os.Getenv(childRanks), mpi.TCPOptions{
-		Join:        os.Getenv(childJoin),
-		P:           p,
-		Fingerprint: "subprocess-e2e",
-		ExitOnCrash: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := chameleon.RunBenchmark("STENCIL", "A", p, chameleon.TracerChameleon,
-		&chameleon.Config{Transport: tr, Fault: injector})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Info().HostsRank0 {
-		if path := os.Getenv(childOut); path != "" {
-			if err := out.Trace.SaveBinary(path); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	os.Exit(m.Run())
 }
 
-// spawnFleetChild re-execs the test binary as one fleet member.
-func spawnFleetChild(t *testing.T, join, ranks, out, faults string) *exec.Cmd {
+// toolOutput is a child's combined stdout+stderr, readable while the
+// child is still writing it.
+type toolOutput struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (o *toolOutput) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.Write(p)
+}
+
+func (o *toolOutput) String() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.String()
+}
+
+// spawnTool re-execs the test binary as one tool invocation. Its output
+// is logged if the test fails; the child is killed at cleanup if it is
+// still running.
+func spawnTool(t *testing.T, tool string, args ...string) (*exec.Cmd, *toolOutput) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run", "^TestTransportFleetChild$", "-test.v")
-	cmd.Env = append(os.Environ(),
-		childEnv+"=1", childJoin+"="+join, childRanks+"="+ranks,
-		childOut+"="+out, childFaults+"="+faults)
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
-	t.Cleanup(func() {
-		if t.Failed() && buf.Len() > 0 {
-			t.Logf("child %s output:\n%s", ranks, buf.String())
-		}
-	})
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), toolEnv+"="+tool)
+	out := new(toolOutput)
+	cmd.Stdout = out
+	cmd.Stderr = out
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	return cmd
+	t.Cleanup(func() {
+		cmd.Process.Kill() //nolint:errcheck — usually already exited
+		cmd.Wait()         //nolint:errcheck
+		if t.Failed() {
+			t.Logf("%s %s output:\n%s", tool, strings.Join(args, " "), out)
+		}
+	})
+	return cmd, out
+}
+
+// spawnFleetMember starts `chamrun -transport=tcp` hosting one rank
+// range of the seeded 8-rank STENCIL run.
+func spawnFleetMember(t *testing.T, join, ranks string, extra ...string) (*exec.Cmd, *toolOutput) {
+	t.Helper()
+	return spawnTool(t, "chamrun", append([]string{"-bench", "STENCIL", "-class", "A", "-p", "8",
+		"-transport=tcp", "-join", join, "-ranks", ranks}, extra...)...)
 }
 
 // TestTransportSubprocessBitIdentical is the literal acceptance check:
@@ -263,11 +257,10 @@ func TestTransportSubprocessBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	dir := t.TempDir()
 	join := freeJoinAddr(t)
-	fleetTrace := filepath.Join(dir, "fleet.trace")
-	a := spawnFleetChild(t, join, "0..3", fleetTrace, "")
-	b := spawnFleetChild(t, join, "4..7", "", "")
+	fleetTrace := filepath.Join(t.TempDir(), "fleet.trace")
+	a, _ := spawnFleetMember(t, join, "0..3", "-o", fleetTrace, "-binary")
+	b, _ := spawnFleetMember(t, join, "4..7")
 	if err := a.Wait(); err != nil {
 		t.Fatalf("rank 0..3 member: %v", err)
 	}
@@ -291,61 +284,65 @@ func TestTransportSubprocessBitIdentical(t *testing.T) {
 
 // TestTransportCrashFailover: the member hosting ranks 4..7 runs a
 // crash plan that kills all four of its ranks, so its process SIGKILLs
-// itself mid-run. The surviving in-test member must complete the run
-// over sockets, report the departed ranks, journal the peer loss as a
-// planned fault, and fail over the dead leads.
+// itself mid-run. The surviving member — a chamrun child too, since the
+// fleet fingerprint is computed from chamrun's flags — must complete
+// the run over sockets, report the departed ranks, journal the peer
+// loss as a planned fault, and fail over the dead leads.
 func TestTransportCrashFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	const p = 8
 	const faults = "crash rank=4 at marker=3; crash rank=5 at marker=3; crash rank=6 at marker=3; crash rank=7 at marker=3"
+	dir := t.TempDir()
+	journalPath, tracePath := filepath.Join(dir, "survivor.jsonl"), filepath.Join(dir, "survivor.trace")
 	join := freeJoinAddr(t)
-	child := spawnFleetChild(t, join, "4..7", "", faults)
-	childDone := make(chan error, 1)
-	go func() { childDone <- child.Wait() }()
-
-	plan, err := chameleon.ParseFaultPlan(faults)
-	if err != nil {
-		t.Fatal(err)
+	// The survivor starts first and must be the one coordinating the
+	// rendezvous: a fleet whose coordinator dies aborts by design.
+	survivor, stdout := spawnFleetMember(t, join, "0..3", "-faults", faults,
+		"-journal", "-journal-out", journalPath, "-o", tracePath, "-binary")
+	for deadline := time.Now().Add(15 * time.Second); !strings.Contains(stdout.String(), "coordinating fleet"); {
+		if time.Now().After(deadline) {
+			t.Fatal("the surviving member never bound the rendezvous address")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	injector, err := chameleon.NewFaultInjector(plan, 1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var journal bytes.Buffer
-	observer := chameleon.NewObserver(chameleon.ObsOptions{Journal: &journal})
-	tr, err := fleet.Connect("0..3", mpi.TCPOptions{
-		Join: join, P: p, Fingerprint: "subprocess-e2e",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := chameleon.RunBenchmark("STENCIL", "A", p, chameleon.TracerChameleon,
-		&chameleon.Config{Obs: observer, Transport: tr, Fault: injector})
-	if err != nil {
+	dead, _ := spawnFleetMember(t, join, "4..7", "-faults", faults)
+	deadDone := make(chan error, 1)
+	go func() { deadDone <- dead.Wait() }()
+	if err := survivor.Wait(); err != nil {
 		t.Fatalf("surviving member: %v", err)
 	}
-	if want := []int{4, 5, 6, 7}; !reflect.DeepEqual(out.Departed, want) {
-		t.Fatalf("departed = %v, want %v", out.Departed, want)
+	if want := "departed    [4 5 6 7] (crash-stopped; 4 of 8 ranks survive)"; !strings.Contains(stdout.String(), want) {
+		t.Fatalf("survivor did not report %q", want)
 	}
-	assertSurvivorCoverage(t, out)
+	f, err := trace.LoadAny(tracePath)
+	if err != nil {
+		t.Fatalf("the surviving rank-0 member did not write its trace: %v", err)
+	}
+	if want := []int{4, 5, 6, 7}; !reflect.DeepEqual(f.Retired, want) {
+		t.Fatalf("trace retired = %v, want %v", f.Retired, want)
+	}
+	assertSurvivorCoverage(t, &chameleon.Output{Trace: f, Departed: f.Retired})
 
-	kinds := journalKinds(t, journal.Bytes())
+	journal, err := os.ReadFile(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := journalKinds(t, journal)
 	if kinds[obsKindFault] == 0 {
-		t.Errorf("no %q events journaled for the dead member (journal: %s)", obsKindFault, journal.String())
+		t.Errorf("no %q events journaled for the dead member (journal: %s)", obsKindFault, journal)
 	}
 	if kinds[obsKindFailover] == 0 {
 		t.Errorf("no %q events journaled after losing leads 4,5,7", obsKindFailover)
 	}
-	if !strings.Contains(journal.String(), "peer-exit") {
-		t.Errorf("journal does not attribute the loss to the peer process leaving:\n%s", journal.String())
+	if !bytes.Contains(journal, []byte("peer-exit")) {
+		t.Errorf("journal does not attribute the loss to the peer process leaving:\n%s", journal)
 	}
 
 	// The dead member must actually be dead — killed by its own hand
 	// (SIGKILL), not exited cleanly.
 	select {
-	case err := <-childDone:
+	case err := <-deadDone:
 		if err == nil {
 			t.Errorf("crashed member exited cleanly; want SIGKILL")
 		}
