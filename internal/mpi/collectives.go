@@ -210,8 +210,7 @@ func (c *Comm) Barrier() {
 			return
 		}
 	}
-	ci := &CallInfo{Op: OpBarrier, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpBarrier, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer})
 	c.RawBarrier()
 	c.p.opEnd(ci, start)
 }
@@ -219,8 +218,7 @@ func (c *Comm) Barrier() {
 // Bcast broadcasts payload (of the given size) from root and returns it
 // on every rank.
 func (c *Comm) Bcast(root, bytes int, payload any) any {
-	ci := &CallInfo{Op: OpBcast, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpBcast, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes})
 	out := c.RawBcastObj(root, payload, bytes)
 	c.p.opEnd(ci, start)
 	return out
@@ -229,8 +227,7 @@ func (c *Comm) Bcast(root, bytes int, payload any) any {
 // Reduce reduces val to root with op; bytes sizes the per-rank
 // contribution for cost purposes.
 func (c *Comm) Reduce(root, bytes int, val uint64, op ReduceOp) uint64 {
-	ci := &CallInfo{Op: OpReduce, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpReduce, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes})
 	out := c.RawReduceU64(root, val, op)
 	c.p.opEnd(ci, start)
 	return out
@@ -238,8 +235,7 @@ func (c *Comm) Reduce(root, bytes int, val uint64, op ReduceOp) uint64 {
 
 // Allreduce reduces val across all ranks and distributes the result.
 func (c *Comm) Allreduce(bytes int, val uint64, op ReduceOp) uint64 {
-	ci := &CallInfo{Op: OpAllreduce, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: 0, Bytes: bytes}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpAllreduce, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: 0, Bytes: bytes})
 	out := c.RawAllreduceU64(val, op)
 	c.p.opEnd(ci, start)
 	return out
@@ -248,8 +244,7 @@ func (c *Comm) Allreduce(bytes int, val uint64, op ReduceOp) uint64 {
 // Gather collects per-rank payloads at root (slice indexed by comm rank
 // at root, nil elsewhere).
 func (c *Comm) Gather(root, bytes int, payload any) []any {
-	ci := &CallInfo{Op: OpGather, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpGather, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes})
 	out := c.RawGatherObj(root, payload, bytes)
 	c.p.opEnd(ci, start)
 	return out
@@ -257,8 +252,7 @@ func (c *Comm) Gather(root, bytes int, payload any) []any {
 
 // Allgather collects every rank's payload everywhere.
 func (c *Comm) Allgather(bytes int, payload any) []any {
-	ci := &CallInfo{Op: OpAllgather, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: 0, Bytes: bytes}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpAllgather, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: 0, Bytes: bytes})
 	seq := c.nextSeq()
 	gathered := c.treeGather(0, collTag(c.id, seq, 0), bytes, payload)
 	out := c.treeBcast(0, collTag(c.id, seq, 1), bytes*len(c.group), gathered)
@@ -272,8 +266,7 @@ func (c *Comm) Allgather(bytes int, payload any) []any {
 // Scatter distributes payloads[i] from root to comm rank i; returns this
 // rank's element.
 func (c *Comm) Scatter(root, bytes int, payloads []any) any {
-	ci := &CallInfo{Op: OpScatter, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpScatter, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes})
 	mine := c.scatter(root, collTag(c.id, c.nextSeq(), 0), bytes, payloads)
 	c.p.opEnd(ci, start)
 	return mine
@@ -304,8 +297,7 @@ func (c *Comm) scatter(root, tag, bytes int, payloads []any) any {
 // Alltoall performs a pairwise exchange of bytes with every other rank
 // (payloads are synthetic; only the communication shape and cost matter).
 func (c *Comm) Alltoall(bytes int) {
-	ci := &CallInfo{Op: OpAlltoall, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer, Bytes: bytes}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpAlltoall, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer, Bytes: bytes})
 	c.alltoall(collTag(c.id, c.nextSeq(), 0), bytes)
 	c.p.opEnd(ci, start)
 }

@@ -115,8 +115,7 @@ func (p *Proc) faultMarker() bool {
 		dead[r] = true
 	}
 	p.deadView = dead
-	ci := &CallInfo{Op: OpBarrier, Comm: CommMarker, Dest: NoPeer, Src: NoPeer, Root: NoPeer}
-	start := p.opBegin(ci)
+	ci, start := p.opBegin(CallInfo{Op: OpBarrier, Comm: CommMarker, Dest: NoPeer, Src: NoPeer, Root: NoPeer})
 	GroupBarrier(p, alive, faultTag(m, 0))
 	p.opEnd(ci, start)
 	return true

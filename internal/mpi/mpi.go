@@ -66,7 +66,9 @@ type CallInfo struct {
 
 // Interposer is the PMPI-style hook interface. Pre runs before the
 // operation's communication; Post runs after it completes. Both run on
-// the rank's own goroutine.
+// the rank's own goroutine. The CallInfo is the same value in both and
+// is valid until Post returns: the rank reuses it for its next
+// operation, so a hook that keeps anything copies it out.
 type Interposer interface {
 	Pre(ci *CallInfo)
 	Post(ci *CallInfo)
@@ -355,6 +357,10 @@ type Proc struct {
 	// context installed by opBegin (restored in opEnd).
 	opPrevName string
 	opPrevSeq  int
+	// calls[d] is the scratch CallInfo of the public op at nesting depth
+	// d; opDepth counts the ops between their opBegin and opEnd.
+	calls   []*CallInfo
+	opDepth int
 	// aliveView/epoch/deadView/shrunk are this rank's membership view
 	// under fault injection; aliveView stays nil while all ranks live.
 	aliveView []int
@@ -651,8 +657,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 			// the conservative wildcard matcher may disregard.
 			rt.setState(p.rank, stateFinalizing)
 			// MPI_Finalize: collective point where tracers flush.
-			ci := &CallInfo{Op: OpFinalize, Comm: CommWorld, Dest: NoPeer, Src: NoPeer, Root: 0}
-			start := p.opBegin(ci)
+			ci, start := p.opBegin(CallInfo{Op: OpFinalize, Comm: CommWorld, Dest: NoPeer, Src: NoPeer, Root: 0})
 			if rt.fault != nil && p.aliveView != nil {
 				// Survivors synchronize among themselves; the departed
 				// never reach finalize.

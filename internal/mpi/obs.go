@@ -55,7 +55,18 @@ func newOpMetrics(o *obs.Observer) *opMetrics {
 // it also installs an op-derived causal context (saving any outer one)
 // so every hop edge of the collective carries an instance name even when
 // no layer above named it explicitly.
-func (p *Proc) opBegin(ci *CallInfo) vtime.Time {
+//
+// The CallInfo handed to the hooks is the rank's scratch value for this
+// nesting depth, so a public operation allocates nothing; a hook that
+// itself issues a public op (Chameleon's Post enters the marker barrier)
+// gets the next slot, not the one its caller is still reading.
+func (p *Proc) opBegin(call CallInfo) (*CallInfo, vtime.Time) {
+	if p.opDepth == len(p.calls) {
+		p.calls = append(p.calls, new(CallInfo))
+	}
+	ci := p.calls[p.opDepth]
+	p.opDepth++
+	*ci = call
 	p.hooks.Pre(ci)
 	if p.rt.causal != nil {
 		p.opPrevName, p.opPrevSeq = p.ctxName, p.ctxSeq
@@ -67,7 +78,7 @@ func (p *Proc) opBegin(ci *CallInfo) vtime.Time {
 			p.ctxName, p.ctxSeq = strings.ToLower(ci.Op.String()), p.collSeq[ci.Comm]
 		}
 	}
-	return p.Clock.Now()
+	return ci, p.Clock.Now()
 }
 
 // opEnd records the operation into the observability layer (counts,
@@ -109,6 +120,7 @@ func (p *Proc) opEnd(ci *CallInfo, start vtime.Time) {
 		p.ctxName, p.ctxSeq = p.opPrevName, p.opPrevSeq
 	}
 	p.hooks.Post(ci)
+	p.opDepth--
 }
 
 // overheadSpan maps a ledger category to its timeline (name, cat) pair.

@@ -111,8 +111,7 @@ func (c *Comm) RawRecv(source, tag int) Message {
 
 // Send sends bytes (payload optional) to dest with tag.
 func (c *Comm) Send(dest, tag, bytes int, payload any) {
-	ci := &CallInfo{Op: OpSend, Comm: c.id, Dest: dest, Src: NoPeer, Root: NoPeer, Tag: tag, Bytes: bytes}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpSend, Comm: c.id, Dest: dest, Src: NoPeer, Root: NoPeer, Tag: tag, Bytes: bytes})
 	c.rawSend(dest, tag, bytes, payload)
 	c.p.opEnd(ci, start)
 }
@@ -120,8 +119,7 @@ func (c *Comm) Send(dest, tag, bytes int, payload any) {
 // Recv blocks for a message from source (or AnySource) with tag (or
 // AnyTag).
 func (c *Comm) Recv(source, tag int) Message {
-	ci := &CallInfo{Op: OpRecv, Comm: c.id, Dest: NoPeer, Src: source, Root: NoPeer, Tag: tag}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpRecv, Comm: c.id, Dest: NoPeer, Src: source, Root: NoPeer, Tag: tag})
 	msg := c.rawRecv(source, tag)
 	ci.Bytes = msg.Bytes
 	ci.MatchedSrc = msg.Source
@@ -143,8 +141,7 @@ type Request struct {
 // the send completes immediately; Wait on the returned request is a
 // no-op that exists for program-shape fidelity.
 func (c *Comm) Isend(dest, tag, bytes int, payload any) *Request {
-	ci := &CallInfo{Op: OpIsend, Comm: c.id, Dest: dest, Src: NoPeer, Root: NoPeer, Tag: tag, Bytes: bytes}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpIsend, Comm: c.id, Dest: dest, Src: NoPeer, Root: NoPeer, Tag: tag, Bytes: bytes})
 	c.rawSend(dest, tag, bytes, payload)
 	c.p.opEnd(ci, start)
 	return &Request{comm: c, op: OpIsend, done: true}
@@ -152,16 +149,14 @@ func (c *Comm) Isend(dest, tag, bytes int, payload any) *Request {
 
 // Irecv posts a nonblocking receive; the match happens at Wait.
 func (c *Comm) Irecv(source, tag int) *Request {
-	ci := &CallInfo{Op: OpIrecv, Comm: c.id, Dest: NoPeer, Src: source, Root: NoPeer, Tag: tag}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpIrecv, Comm: c.id, Dest: NoPeer, Src: source, Root: NoPeer, Tag: tag})
 	c.p.opEnd(ci, start)
 	return &Request{comm: c, op: OpIrecv, source: source, tag: tag}
 }
 
 // Wait completes a request, returning the received message for Irecv.
 func (c *Comm) Wait(r *Request) Message {
-	ci := &CallInfo{Op: OpWait, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpWait, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer})
 	if !r.done {
 		r.msg = c.rawRecv(r.source, r.tag)
 		r.done = true
@@ -182,8 +177,7 @@ func (c *Comm) Waitall(rs ...*Request) {
 // Sendrecv performs a combined send and receive (the classic halo
 // exchange primitive).
 func (c *Comm) Sendrecv(dest, sendTag, sendBytes int, payload any, source, recvTag int) Message {
-	ci := &CallInfo{Op: OpSendrecv, Comm: c.id, Dest: dest, Src: source, Root: NoPeer, Tag: sendTag, Bytes: sendBytes}
-	start := c.p.opBegin(ci)
+	ci, start := c.p.opBegin(CallInfo{Op: OpSendrecv, Comm: c.id, Dest: dest, Src: source, Root: NoPeer, Tag: sendTag, Bytes: sendBytes})
 	c.rawSend(dest, sendTag, sendBytes, payload)
 	msg := c.rawRecv(source, recvTag)
 	ci.MatchedSrc = msg.Source

@@ -104,16 +104,18 @@ func NewTCPTransport(opts TCPOptions) (t *TCPTransport, err error) {
 			t = nil
 		}
 	}()
-	// Data listener first: its address goes into the registration.
-	if t.ln, err = net.Listen("tcp", ":0"); err != nil {
-		return t, fmt.Errorf("mpi: data listener: %w", err)
-	}
 	// Bind-or-dial the rendezvous: losing the bind race just means
-	// someone else coordinates.
+	// someone else coordinates. Before the data listener, or the kernel
+	// may hand that one a join port the caller has just probed free, and
+	// every member dials a listener that never answers.
 	if t.srvLn, err = net.Listen("tcp", opts.Join); err == nil {
 		t.srv = newRendezvousServer(opts.P, opts.Session)
 		go t.srv.serve(t.srvLn)
 		t.logf("coordinating fleet on %s", opts.Join)
+	}
+	// The data listener's address goes into the registration.
+	if t.ln, err = net.Listen("tcp", ":0"); err != nil {
+		return t, fmt.Errorf("mpi: data listener: %w", err)
 	}
 	coord, err := dialLink(opts.Join)
 	if err != nil {

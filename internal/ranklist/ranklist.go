@@ -10,6 +10,7 @@ package ranklist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -261,19 +262,40 @@ func (l List) Contains(rank int) bool {
 	return false
 }
 
-// Union merges two lists and re-compacts the result.
+// Union merges two lists and re-compacts the result; a list united with
+// the same descriptors (or nothing) is returned as it is.
 func (l List) Union(o List) List {
 	if l.Empty() {
 		return o
 	}
-	if o.Empty() {
+	if o.Empty() || l.same(o) {
 		return l
 	}
 	return FromRanks(append(l.Ranks(), o.Ranks()...))
 }
 
-// Equal reports whether two lists cover the same rank set.
+// same reports whether the two lists hold the same descriptor sequence:
+// sufficient for set equality, not necessary (two descriptor sets can
+// cover one rank set), and allocation-free.
+func (l List) same(o List) bool {
+	if len(l.rls) != len(o.rls) {
+		return false
+	}
+	for i, r := range l.rls {
+		if r.Start != o.rls[i].Start || !slices.Equal(r.Dims, o.rls[i].Dims) {
+			return false
+		}
+	}
+	return true
+}
+
+// Equal reports whether two lists cover the same rank set. Lists are
+// kept normalized, so equal sets almost always hold the same
+// descriptors; only when they differ are both sides expanded.
 func (l List) Equal(o List) bool {
+	if l.same(o) {
+		return true
+	}
 	a, b := l.Ranks(), o.Ranks()
 	if len(a) != len(b) {
 		return false
@@ -291,13 +313,25 @@ func (l List) Min() int {
 	if l.Empty() {
 		return -1
 	}
-	min := l.rls[0].Ranks()[0]
+	min := l.rls[0].min()
 	for _, r := range l.rls[1:] {
-		if first := r.Ranks()[0]; first < min {
+		if first := r.min(); first < min {
 			min = first
 		}
 	}
 	return min
+}
+
+// min is the descriptor's smallest rank: the start, moved to the far end
+// of every dimension that counts downwards.
+func (r RL) min() int {
+	m := r.Start
+	for _, d := range r.Dims {
+		if d.Stride < 0 {
+			m += (d.Iters - 1) * d.Stride
+		}
+	}
+	return m
 }
 
 // SizeBytes approximates the in-memory footprint for the space ledger.

@@ -2,6 +2,7 @@ package ranklist
 
 import (
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -231,5 +232,69 @@ func TestForEach2D(t *testing.T) {
 	sort.Ints(got)
 	if !reflect.DeepEqual(got, []int{1, 2, 5, 6, 9, 10}) {
 		t.Fatalf("ForEach = %v", got)
+	}
+}
+
+// randList draws a hand-built list: 1-3 descriptors of 0-3 dimensions
+// with negative, zero and positive strides, placed close enough that the
+// descriptors of one list (and of two lists) overlap.
+func randList(rng *rand.Rand) List {
+	var l List
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		r := RL{Start: rng.Intn(24)}
+		for d := rng.Intn(4); d > 0; d-- {
+			r.Dims = append(r.Dims, Dim{Iters: 1 + rng.Intn(4), Stride: rng.Intn(9) - 4})
+		}
+		l.rls = append(l.rls, r)
+	}
+	return l
+}
+
+// TestEqualMinUnionMatchExpansion holds the descriptor-level shortcuts of
+// Equal, Min and Union to the expansion oracle (Ranks), over lists no
+// constructor would build as well as their normalized forms.
+func TestEqualMinUnionMatchExpansion(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 5000; i++ {
+		a, b := randList(rng), randList(rng)
+		switch i % 4 {
+		case 1: // b is a's set, normalized: same set, other descriptors
+			b = FromRanks(a.Ranks())
+		case 2: // b is a verbatim (shared descriptors)
+			b = a
+		case 3: // both normalized
+			a, b = FromRanks(a.Ranks()), FromRanks(b.Ranks())
+		}
+		ra, rb := a.Ranks(), b.Ranks()
+		if got, want := a.Equal(b), reflect.DeepEqual(ra, rb); got != want {
+			t.Fatalf("%v.Equal(%v) = %v, expansions %v / %v", a, b, got, ra, rb)
+		}
+		if a.Equal(b) != b.Equal(a) {
+			t.Fatalf("Equal not symmetric on %v, %v", a, b)
+		}
+		if got := a.Min(); got != ra[0] {
+			t.Fatalf("%v.Min() = %d, expansion %v", a, got, ra)
+		}
+		want := FromRanks(append(append([]int(nil), ra...), rb...)).Ranks()
+		if got := a.Union(b).Ranks(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v.Union(%v) covers %v, want %v", a, b, got, want)
+		}
+	}
+}
+
+// TestEqualSingletonsDoNotAllocate: the compressor compares the singleton
+// rank lists of two leaves on every fold probe.
+func TestEqualSingletonsDoNotAllocate(t *testing.T) {
+	a, b, c := SingleRank(5), SingleRank(5), SingleRank(6)
+	grid := FromRanks([]int{1, 2, 5, 6, 9, 10})
+	if n := testing.AllocsPerRun(100, func() {
+		if !a.Equal(b) || !grid.Equal(grid) || grid.Min() != 1 || !a.Union(b).Equal(a) {
+			t.Fatal("wrong answer")
+		}
+	}); n != 0 {
+		t.Errorf("Equal/Min/Union on identical lists: %v allocs, want 0", n)
+	}
+	if a.Equal(c) {
+		t.Error("SingleRank(5) equals SingleRank(6)")
 	}
 }

@@ -6,7 +6,8 @@ package sig
 // the raw PCs and a shard-local lookup per event instead of re-mixing
 // every frame through splitmix64; loop iterations hitting the same call
 // site skip the per-frame fold entirely and everything downstream
-// (windows, compressor, codec) can key on the integer ID.
+// (windows, compressor, codec) can key on the integer ID. A warm site
+// skips the stack walk and this table too: see CaptureSite's cache.
 //
 // The in-process MPI simulator runs every rank as a goroutine of one
 // process, so the table is shared by all ranks: lookups take only a
@@ -259,11 +260,71 @@ func (t *Table) Resolve(id SiteID) (SiteInfo, bool) {
 	return info, true
 }
 
-// CaptureSite walks the current goroutine stack (skipping skip frames
-// above the caller) and interns it, returning the site ID. It replaces
-// Capture on the hot path: the skip arithmetic matches, so CaptureSite
-// observes exactly the frames Capture used to fold.
+// cachedSite is one published (physical chain, skip) → SiteID mapping;
+// entries are immutable once linked into a bucket.
+type cachedSite struct {
+	chain []uintptr
+	skip  int
+	id    SiteID
+	next  *cachedSite
+}
+
+var (
+	// siteCache is process-wide, not per rank: the ranks of a job are
+	// goroutines running the same code, so one miss per site serves all
+	// of them and every later job. Readers never lock; siteCacheMu only
+	// serializes publication.
+	siteCache   [1024]atomic.Pointer[cachedSite]
+	siteCacheMu sync.Mutex
+	// siteWalks counts full runtime.Callers walks (cache misses and
+	// bypasses); tests assert a warm site adds none.
+	siteWalks atomic.Uint64
+)
+
+func (e *cachedSite) find(chain []uintptr, skip int) *cachedSite {
+	for ; e != nil; e = e.next {
+		if e.skip == skip && pcsEqual(e.chain, chain) {
+			return e
+		}
+	}
+	return nil
+}
+
+// CaptureSite interns the current goroutine stack (skipping skip frames
+// above the caller) and returns the site ID. The steady state does not
+// unwind: the return addresses reachable through the saved frame
+// pointers key a cache of earlier answers. That is sound because the
+// vector runtime.Callers returns (inlined frames expanded, skip dropped,
+// capped at 32) is a function of those addresses and skip alone —
+// provided the key is the whole chain, so a stack deeper than the buffer
+// bypasses the cache rather than being truncated into one, and provided
+// CaptureSite is a physical frame, so its caller's PC is in the chain.
+//
+//go:noinline
 func CaptureSite(skip int) SiteID {
+	var buf [64]uintptr
+	n := fpChain(&buf[0], len(buf))
+	if n < 0 {
+		return walkSite(skip + 1)
+	}
+	chain := buf[:n]
+	b := &siteCache[(hashPCs(chain)+uint64(skip))%uint64(len(siteCache))]
+	if e := b.Load().find(chain, skip); e != nil {
+		return e.id
+	}
+	id := walkSite(skip + 1)
+	siteCacheMu.Lock()
+	if head := b.Load(); head.find(chain, skip) == nil {
+		b.Store(&cachedSite{chain: append([]uintptr(nil), chain...), skip: skip, id: id, next: head})
+	}
+	siteCacheMu.Unlock()
+	return id
+}
+
+// walkSite is the full walk: runtime.Callers from skip frames above its
+// caller, interned. It observes exactly the frames Capture folds.
+func walkSite(skip int) SiteID {
+	siteWalks.Add(1)
 	var pcs [32]uintptr
 	n := runtime.Callers(skip+2, pcs[:])
 	return Sites.InternPCs(pcs[:n])

@@ -252,9 +252,10 @@ func normalizeOffset(off, p int) int {
 func (r *Recorder) Record(ci *mpi.CallInfo, preClock vtime.Time, stackSkip int) {
 	model := r.Proc.Model()
 	// Intern the call site: the backtrace walk and per-frame signature
-	// fold run once per distinct site; loop iterations pay one hash and
-	// a shard-map hit. CaptureSite's skip arithmetic matches Capture's,
-	// so the observed frames are the ones Capture used to fold.
+	// fold run once per distinct site; loop iterations pay a frame-pointer
+	// chain walk and a lock-free cache hit. CaptureSite's skip arithmetic
+	// matches Capture's, so the observed frames are the ones Capture used
+	// to fold.
 	site := sig.CaptureSite(stackSkip + 1)
 	ev := r.Encode(ci, sig.Sites.Signature(site))
 	ev.Site = site

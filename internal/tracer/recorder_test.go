@@ -283,3 +283,32 @@ func TestMergeOverTreeNonMember(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecordSteadyStateDoesNotAllocate: once a loop body has folded,
+// recording one more iteration of it at warm call sites costs no heap
+// allocation — no stack walk (the site cache answers), no CallInfo, no
+// rank-list expansion in the compressor's leaf compare, no fresh node
+// (the pool recycles the leaf the fold discards).
+func TestRecordSteadyStateDoesNotAllocate(t *testing.T) {
+	withProc(t, 4, 1, func(proc *mpi.Proc) {
+		r := NewRecorder(proc, SigFull, false)
+		send := &mpi.CallInfo{Op: mpi.OpSend, Dest: 2, Src: mpi.NoPeer, Root: mpi.NoPeer, Tag: 7, Bytes: 64}
+		recv := &mpi.CallInfo{Op: mpi.OpRecv, Dest: mpi.NoPeer, Src: 0, Root: mpi.NoPeer, Tag: 7, Bytes: 64, MatchedSrc: 0}
+		iteration := func() {
+			r.Record(send, proc.Clock.Now(), 0)
+			r.Record(recv, proc.Clock.Now(), 0)
+		}
+		for i := 0; i < 50; i++ {
+			iteration()
+		}
+		if got := len(r.Comp.Seq); got != 1 {
+			t.Fatalf("warm-up left %d top-level nodes, want one folded loop", got)
+		}
+		if n := testing.AllocsPerRun(200, iteration); n != 0 {
+			t.Errorf("Record at a warm site inside a folded loop: %v allocs per iteration, want 0", n)
+		}
+		if r.Events != 2*(50+201) {
+			t.Errorf("recorded %d events, want %d", r.Events, 2*(50+201))
+		}
+	})
+}

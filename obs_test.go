@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -233,5 +234,35 @@ func TestObservabilityDeterministic(t *testing.T) {
 	}
 	if causalObs.Causal.EdgeCount() == 0 {
 		t.Error("causal capture recorded no edges")
+	}
+}
+
+// TestScalaTraceMallocsPerCall is the record path's allocation budget on
+// a real code: LU class A at P=16 under ScalaTrace — every rank records
+// every event and never sheds any — stays at or under one malloc per MPI
+// call, whole job included (runtime, finalize merge). The first,
+// observed run counts the calls and warms the process-wide site cache;
+// the second, unobserved one is measured. At the parent of the PR that
+// added this budget the figure was 5.2: a rank-list expansion in every
+// leaf compare and a heap CallInfo per call.
+func TestScalaTraceMallocsPerCall(t *testing.T) {
+	o := chameleon.NewObserver(chameleon.ObsOptions{Metrics: true})
+	if _, err := chameleon.RunBenchmark("LU", "A", 16, chameleon.TracerScalaTrace, &chameleon.Config{Obs: o}); err != nil {
+		t.Fatalf("observed run: %v", err)
+	}
+	calls := o.Reg.Snapshot().Counters["tracer_events_observed_total"]
+	if calls == 0 {
+		t.Fatal("observed run counted no MPI calls")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := chameleon.RunBenchmark("LU", "A", 16, chameleon.TracerScalaTrace, nil); err != nil {
+		t.Fatalf("measured run: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.Mallocs-before.Mallocs) / float64(calls)
+	t.Logf("%d mallocs over %d MPI calls: %.3f per call", after.Mallocs-before.Mallocs, calls, perCall)
+	if perCall > 1.0 {
+		t.Errorf("LU A P=16 under ScalaTrace: %.2f mallocs per MPI call, budget 1.0", perCall)
 	}
 }

@@ -85,16 +85,17 @@ func TestWaveGoldenScenario(t *testing.T) {
 		t.Errorf("wave touched only %d ranks, want a multi-hop front", best.Ranks)
 	}
 
-	// Cost budget: detection is a post-hoc pass over the edge stream and
-	// must stay a rounding error next to replaying the trace of the same
-	// pulsed run (traced this time) — at most 5% of its allocations.
+	// Cost budget: detection is a post-hoc pass over the edge stream of
+	// the same pulsed run (traced this time). The bound is an absolute
+	// count — 44 when written — because the yardstick it used to be a
+	// share of, chameleon.Replay's allocations, is itself a cost that PRs
+	// cut: a cheaper replay must not fail a detector that did not change.
 	if injector, err = chameleon.NewFaultInjector(plan, 7, p); err != nil {
 		t.Fatalf("injector: %v", err)
 	}
 	o = chameleon.NewObserver(chameleon.ObsOptions{CausalRanks: p})
-	traced, err := chameleon.RunBenchmark("STENCIL", "A", p, chameleon.TracerChameleon,
-		&chameleon.Config{Obs: o, Fault: injector, SyncEvery: -1})
-	if err != nil {
+	if _, err := chameleon.RunBenchmark("STENCIL", "A", p, chameleon.TracerChameleon,
+		&chameleon.Config{Obs: o, Fault: injector, SyncEvery: -1}); err != nil {
 		t.Fatalf("traced run: %v", err)
 	}
 	edges := o.Causal.Edges()
@@ -103,13 +104,8 @@ func TestWaveGoldenScenario(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	replay := testing.AllocsPerRun(5, func() {
-		if _, err := chameleon.Replay(traced.Trace, chameleon.DefaultModel()); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if detect > replay/20 {
-		t.Errorf("wave.Detect allocates %v times per run, over 5%% of replay's %v", detect, replay)
+	if detect > 60 {
+		t.Errorf("wave.Detect allocates %v times on this scenario's %d edges, budget 60", detect, len(edges))
 	}
 }
 
