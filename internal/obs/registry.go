@@ -138,7 +138,7 @@ func (h *Histogram) Stats() *stats.Histogram {
 	var sum int64
 	for i := range h.buckets {
 		c := h.buckets[i].Load()
-		out.Buckets[i] = c
+		out.SetBucket(i, c)
 		n += c
 	}
 	sum = h.sum.Load()

@@ -38,7 +38,7 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	h.Min, h.Max = j.Min, j.Max
 	for i, c := range j.Buckets {
 		if i >= 0 && i < len(h.Buckets) {
-			h.Buckets[i] = c
+			h.SetBucket(i, c)
 		}
 	}
 	h.sum = Welford{n: j.Count, mean: j.Mean}

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Running keeps an overflow-safe running mean of a stream of uint64
@@ -146,26 +147,48 @@ func (w *Welford) RelStd() float64 {
 // delta times in histograms so repetitive signatures with noisy timing
 // still compress; replay draws the mean back out.
 type Histogram struct {
+	// Buckets may be read freely; write a bucket only through SetBucket,
+	// which keeps the span below covering it.
 	Buckets [64]uint64
 	Min     int64
 	Max     int64
 	sum     Welford
+	// lo..hi covers every bucket ever written (lo > hi: none yet; the
+	// zero value spans bucket 0, merely loose), so Merge, MergeScaled and
+	// Reset walk it instead of all 64. It is not derived from Min/Max:
+	// decoded input may set buckets outside them.
+	lo, hi int8
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{Min: math.MaxInt64, Max: math.MinInt64}
+	h := new(Histogram)
+	h.Reset()
+	return h
 }
 
 func bucketOf(v int64) int {
 	if v <= 0 {
 		return 0
 	}
-	b := 64 - leadingZeros(uint64(v))
-	if b > 63 {
-		b = 63
+	return bits.Len64(uint64(v)) // at most 63: v is a positive int64
+}
+
+// widen grows the span to cover buckets lo..hi.
+func (h *Histogram) widen(lo, hi int8) {
+	if lo < h.lo {
+		h.lo = lo
 	}
-	return b
+	if hi > h.hi {
+		h.hi = hi
+	}
+}
+
+// SetBucket sets bucket i's count directly; it is how the decoders
+// restore bucket detail. It panics when i is not a bucket index.
+func (h *Histogram) SetBucket(i int, count uint64) {
+	h.Buckets[i] = count
+	h.widen(int8(i), int8(i))
 }
 
 // BucketOf returns the index of the log2 bucket that holds v: bucket 0
@@ -184,20 +207,11 @@ func BucketBounds(i int) (low, high int64) {
 	return 1 << uint(i-1), 1<<uint(i) - 1
 }
 
-func leadingZeros(v uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
-}
-
 // Add records one sample.
 func (h *Histogram) Add(v int64) {
-	h.Buckets[bucketOf(v)]++
+	b := bucketOf(v)
+	h.Buckets[b]++
+	h.widen(int8(b), int8(b))
 	if v < h.Min {
 		h.Min = v
 	}
@@ -213,7 +227,9 @@ func (h *Histogram) AddN(v int64, n uint64) {
 	if n == 0 {
 		return
 	}
-	h.Buckets[bucketOf(v)] += n
+	b := bucketOf(v)
+	h.Buckets[b] += n
+	h.widen(int8(b), int8(b))
 	if v < h.Min {
 		h.Min = v
 	}
@@ -228,9 +244,10 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.Count() == 0 {
 		return
 	}
-	for i := range h.Buckets {
+	for i := int(o.lo); i <= int(o.hi); i++ {
 		h.Buckets[i] += o.Buckets[i]
 	}
+	h.widen(o.lo, o.hi)
 	if o.Min < h.Min {
 		h.Min = o.Min
 	}
@@ -250,9 +267,10 @@ func (h *Histogram) MergeScaled(o *Histogram, k uint64) {
 	if o == nil || k == 0 || o.Count() == 0 {
 		return
 	}
-	for i := range h.Buckets {
+	for i := int(o.lo); i <= int(o.hi); i++ {
 		h.Buckets[i] += o.Buckets[i] * k
 	}
+	h.widen(o.lo, o.hi)
 	if o.Min < h.Min {
 		h.Min = o.Min
 	}
@@ -342,7 +360,11 @@ func (h *Histogram) Clone() *Histogram {
 // Reset returns the histogram to its freshly-constructed state so pooled
 // trace nodes can reuse the allocation.
 func (h *Histogram) Reset() {
-	*h = Histogram{Min: math.MaxInt64, Max: math.MinInt64}
+	for i := int(h.lo); i <= int(h.hi); i++ {
+		h.Buckets[i] = 0
+	}
+	h.Min, h.Max, h.sum = math.MaxInt64, math.MinInt64, Welford{}
+	h.lo, h.hi = int8(len(h.Buckets)-1), 0
 }
 
 // SizeBytes approximates the in-memory footprint of the histogram, used

@@ -573,7 +573,7 @@ func readHist(br *binReader) *stats.Histogram {
 		idx := br.uvarint()
 		c := br.uvarint()
 		if idx < 64 {
-			h.Buckets[idx] = c
+			h.SetBucket(int(idx), c)
 		}
 	}
 	h.Restore(min, max, mean, count)

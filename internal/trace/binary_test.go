@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"chameleon/internal/ranklist"
+	"chameleon/internal/stats"
 )
 
 func sampleFile() *File {
@@ -200,5 +201,32 @@ func TestBinaryRanklistFidelity(t *testing.T) {
 	}
 	if !back.Nodes[0].Ranks.Equal(n.Ranks) {
 		t.Fatalf("ranks = %v, want %v", back.Nodes[0].Ranks, n.Ranks)
+	}
+}
+
+// TestBinaryHistogramSpan: a decoded histogram's span covers buckets
+// outside its extrema (see wideHistFile), so the span-limited folds see
+// exactly what the full-width ones did.
+func TestBinaryHistogramSpan(t *testing.T) {
+	file := wideHistFile()
+	var buf bytes.Buffer
+	if err := file.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := back.Nodes[0].Body[0].Delta, file.Nodes[0].Body[0].Delta
+	if got.Buckets != want.Buckets {
+		t.Fatalf("decoded buckets %v, wrote %v", got.Buckets, want.Buckets)
+	}
+	checkSpans(t, back.Nodes)
+	scaled := stats.NewHistogram()
+	scaled.MergeScaled(got, 3)
+	for i, c := range got.Buckets {
+		if scaled.Buckets[i] != 3*c {
+			t.Fatalf("MergeScaled moved %v of %v", scaled.Buckets, got.Buckets)
+		}
 	}
 }

@@ -121,7 +121,11 @@ func (e Endpoint) SigValue() (int, bool) {
 
 // Event is the parameter tuple of one MPI event in the trace.
 type Event struct {
-	Op    mpi.OpCode
+	Op mpi.OpCode
+	// hash is the enclosing Node's structural hash (see Node.rehash),
+	// kept in the padding after Op so Node stays in its 144-byte size
+	// class. Derived state like Site: Equal and the codecs ignore it.
+	hash  uint32
 	Stack sig.Stack
 	// Site is the interned call-site ID behind Stack (sig.NoSite for
 	// events that never passed through the intern table: hand-built test

@@ -11,6 +11,7 @@ import (
 	"chameleon/internal/mpi"
 	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
+	"chameleon/internal/stats"
 )
 
 // fuzzSeedFile builds a representative v2 trace for the fuzz corpus:
@@ -38,6 +39,46 @@ func fuzzSeedFile() *File {
 	}
 }
 
+// wideHistFile is a trace whose one leaf carries bucket detail outside
+// [BucketOf(Min), BucketOf(Max)] — nothing Add would build, but the
+// decoders accept it, so a histogram's span has to come from the buckets
+// actually set (SetBucket), not from its extrema.
+func wideHistFile() *File {
+	h := stats.NewHistogram()
+	h.Restore(100, 200, 150, 4)
+	for _, i := range []int{0, 7, 8, 63} {
+		h.SetBucket(i, 1)
+	}
+	leaf := NewLeaf(Event{Op: mpi.OpSend, Stack: 42, Dest: Relative(1)}, ranklist.SingleRank(0), 0)
+	leaf.Delta = h
+	return &File{P: 1, Nodes: []*Node{NewLoop(3, []*Node{leaf})}}
+}
+
+// checkSpans fails unless every decoded histogram's span covers every
+// bucket it holds: the span-limited Merge out of it must move them all,
+// and Reset must clear them all.
+func checkSpans(t *testing.T, seq []*Node) {
+	t.Helper()
+	for _, n := range seq {
+		for _, h := range []*stats.Histogram{n.Delta, n.ItersHist} {
+			if h == nil {
+				continue
+			}
+			into := stats.NewHistogram()
+			into.Merge(h)
+			if h.Count() > 0 && into.Buckets != h.Buckets {
+				t.Fatalf("Merge moved %v of decoded buckets %v", into.Buckets, h.Buckets)
+			}
+			c := h.Clone()
+			c.Reset()
+			if c.Buckets != [64]uint64{} {
+				t.Fatalf("Reset left %v of decoded buckets %v", c.Buckets, h.Buckets)
+			}
+		}
+		checkSpans(t, n.Body)
+	}
+}
+
 // FuzzReadBinary feeds arbitrary bytes to the binary decoder. The
 // decoder must never panic or allocate unboundedly: corrupt input
 // returns an error. Decoded files must survive re-encoding.
@@ -59,6 +100,13 @@ func FuzzReadBinary(f *testing.F) {
 	// Seed 3: truncated v2.
 	f.Add(v2.Bytes()[:v2.Len()/2])
 
+	// Seed 4: histogram buckets outside the extrema.
+	var wide bytes.Buffer
+	if err := wideHistFile().WriteBinary(&wide); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wide.Bytes())
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
@@ -68,6 +116,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err := decoded.WriteBinary(io.Discard); err != nil {
 			t.Fatalf("re-encode of decoded trace failed: %v", err)
 		}
+		checkSpans(t, decoded.Nodes)
 	})
 }
 

@@ -21,7 +21,7 @@ package trace
 // must exceed the largest per-timestep event count of the traced codes
 // (LU's pipelined sweeps emit ~65 distinct leaves per timestep) or the
 // timestep loop never folds; the absorb/create scans stay cheap because
-// mismatching candidates fail on their first element.
+// mismatching candidates fail on their first hash word.
 const DefaultMaxWindow = 160
 
 // Compressor folds an event stream into a compressed node sequence.
@@ -55,25 +55,61 @@ func (c *Compressor) window() int {
 
 // AppendLeaf records one event and re-folds the tail.
 func (c *Compressor) AppendLeaf(n *Node) {
-	c.size += n.SizeBytes()
-	c.Seq = append(c.Seq, n)
-	for c.fold() {
-	}
+	c.AppendNode(n)
 }
 
 // AppendNode appends a pre-built node (used when growing the online
-// global trace from flushed segments) and re-folds the tail.
+// global trace from flushed segments) and re-folds the tail. The whole
+// subtree is re-hashed on the way in: Merger.mergeNodeOwned rewrites
+// end-points and rank lists in place, so a hash it carries is stale.
 func (c *Compressor) AppendNode(n *Node) {
+	n.rehash()
 	c.size += n.SizeBytes()
 	c.Seq = append(c.Seq, n)
 	for c.fold() {
 	}
 }
 
-// equal wraps StructuralEqual with comparison counting.
-func (c *Compressor) equal(a, b *Node) bool {
+// Structural hashes. Compares is the modelled cost of the fold search
+// (charged to the virtual clock); the comparisons it counts need not be
+// performed field by field. Every node in a compressor caches a hash of
+// what StructuralEqual reads, and the scans test it first: a mismatch
+// costs one word compare, only a match pays the full check. The one
+// invariant is that StructuralEqual(a, b, filter) implies equal hashes
+// under either filter setting, so a leaf hashes the fields Event.Equal
+// reads plus the rank list's smallest member (an invariant of the set;
+// descriptors are not, List.Equal accepts one set under several), and a
+// loop hashes its body's length and hashes but never Iters, which also
+// keeps it valid across absorb's Iters++ and MergeInto.
+
+const hashPrime = 0x9e3779b97f4a7c15
+
+// rehash recomputes the structural hash of n and of its whole subtree.
+func (n *Node) rehash() uint32 {
+	h := uint64(len(n.Body))
+	if n.IsLoop() {
+		for _, b := range n.Body {
+			h = (h ^ uint64(b.rehash())) * hashPrime
+		}
+	} else {
+		e := &n.Ev
+		for _, v := range [...]uint64{
+			uint64(e.Stack), uint64(e.Op) | uint64(e.Dest.Kind)<<8 | uint64(e.Src.Kind)<<16,
+			uint64(e.Comm), uint64(e.Dest.Off), uint64(e.Src.Off),
+			uint64(e.Tag), uint64(e.Bytes), uint64(n.Ranks.Min()),
+		} {
+			h = (h ^ v) * hashPrime
+		}
+	}
+	n.Ev.hash = uint32(h ^ h>>32)
+	return n.Ev.hash
+}
+
+// differ is the scans' element test: hashes first, the full structural
+// check only when they agree.
+func (c *Compressor) differ(a, b *Node) bool {
 	c.Compares++
-	return StructuralEqual(a, b, c.Filter)
+	return a.Ev.hash != b.Ev.hash || !StructuralEqual(a, b, c.Filter)
 }
 
 // fold applies one absorb or create step; it reports whether anything
@@ -92,7 +128,7 @@ func (c *Compressor) fold() bool {
 // (Iters++). Smaller m first so inner loops absorb before outer ones.
 func (c *Compressor) absorb() bool {
 	n := len(c.Seq)
-	for m := 1; m <= c.window() && m < n; m++ {
+	for m, w := 1, c.window(); m <= w && m < n; m++ {
 		loop := c.Seq[n-1-m]
 		if !loop.IsLoop() || len(loop.Body) != m {
 			continue
@@ -100,7 +136,7 @@ func (c *Compressor) absorb() bool {
 		run := c.Seq[n-m:]
 		ok := true
 		for k := 0; k < m; k++ {
-			if !c.equal(loop.Body[k], run[k]) {
+			if c.differ(loop.Body[k], run[k]) {
 				ok = false
 				break
 			}
@@ -131,7 +167,7 @@ func (c *Compressor) create() bool {
 		b := c.Seq[n-L:]
 		ok := true
 		for k := 0; k < L; k++ {
-			if !c.equal(a[k], b[k]) {
+			if c.differ(a[k], b[k]) {
 				ok = false
 				break
 			}
@@ -146,6 +182,7 @@ func (c *Compressor) create() bool {
 			c.Pool.Put(b[k])
 		}
 		loop := c.Pool.Loop(2, body)
+		loop.rehash()     // recomputes the body's hashes with it, harmlessly
 		c.size += 16 + 24 // the new loop node's own overhead (see Node.SizeBytes)
 		c.Seq = append(c.Seq[:n-2*L], loop)
 		return true

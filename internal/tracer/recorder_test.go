@@ -2,9 +2,11 @@ package tracer
 
 import (
 	"testing"
+	"unsafe"
 
 	"chameleon/internal/mpi"
 	"chameleon/internal/sig"
+	"chameleon/internal/stats"
 	"chameleon/internal/trace"
 	"chameleon/internal/vtime"
 )
@@ -288,15 +290,20 @@ func TestMergeOverTreeNonMember(t *testing.T) {
 // recording one more iteration of it at warm call sites costs no heap
 // allocation — no stack walk (the site cache answers), no CallInfo, no
 // rank-list expansion in the compressor's leaf compare, no fresh node
-// (the pool recycles the leaf the fold discards).
+// (the pool recycles the leaf the fold discards), and nothing in the
+// hashed fold: hashing each appended leaf, the hash misses of the create
+// scan (the second send differs from the first in its tag alone) and the
+// hash hits plus full checks of the absorb that ends every iteration.
 func TestRecordSteadyStateDoesNotAllocate(t *testing.T) {
 	withProc(t, 4, 1, func(proc *mpi.Proc) {
 		r := NewRecorder(proc, SigFull, false)
 		send := &mpi.CallInfo{Op: mpi.OpSend, Dest: 2, Src: mpi.NoPeer, Root: mpi.NoPeer, Tag: 7, Bytes: 64}
 		recv := &mpi.CallInfo{Op: mpi.OpRecv, Dest: mpi.NoPeer, Src: 0, Root: mpi.NoPeer, Tag: 7, Bytes: 64, MatchedSrc: 0}
+		send2 := &mpi.CallInfo{Op: mpi.OpSend, Dest: 2, Src: mpi.NoPeer, Root: mpi.NoPeer, Tag: 8, Bytes: 64}
 		iteration := func() {
 			r.Record(send, proc.Clock.Now(), 0)
 			r.Record(recv, proc.Clock.Now(), 0)
+			r.Record(send2, proc.Clock.Now(), 0)
 		}
 		for i := 0; i < 50; i++ {
 			iteration()
@@ -304,11 +311,35 @@ func TestRecordSteadyStateDoesNotAllocate(t *testing.T) {
 		if got := len(r.Comp.Seq); got != 1 {
 			t.Fatalf("warm-up left %d top-level nodes, want one folded loop", got)
 		}
+		compares := r.Comp.Compares
 		if n := testing.AllocsPerRun(200, iteration); n != 0 {
 			t.Errorf("Record at a warm site inside a folded loop: %v allocs per iteration, want 0", n)
 		}
-		if r.Events != 2*(50+201) {
-			t.Errorf("recorded %d events, want %d", r.Events, 2*(50+201))
+		if r.Events != 3*(50+201) {
+			t.Errorf("recorded %d events, want %d", r.Events, 3*(50+201))
+		}
+		// The measured iterations did go through the fold search. They
+		// reach Record through AllocsPerRun's own call site, so they fold
+		// into a loop of their own: per iteration at least three create
+		// candidates that miss and one absorb of three that hit.
+		last := r.Comp.Seq[len(r.Comp.Seq)-1]
+		if !last.IsLoop() || len(last.Body) != 3 || last.Iters != 200 || r.Comp.Compares-compares < 6*200 {
+			t.Errorf("measured iterations ended in %s after %d compares, want a 200-trip loop of 3 and >= %d",
+				trace.Format(r.Comp.Seq[len(r.Comp.Seq)-1:]), r.Comp.Compares-compares, 6*200)
 		}
 	})
+}
+
+// TestRecordPathSizeClasses holds the two objects every recorded event
+// allocates (until the pool warms) to their allocator size classes. Go
+// rounds a 144-byte Node up to nothing — 144 is a class — but a 152-byte
+// one to 160; a Histogram of up to 576 bytes shares the 576 class, the
+// next is 640. Growing either moves alloc_mb_per_job by several percent.
+func TestRecordPathSizeClasses(t *testing.T) {
+	if got := unsafe.Sizeof(trace.Node{}); got > 144 {
+		t.Errorf("sizeof(trace.Node) = %d, over the 144-byte size class", got)
+	}
+	if got := unsafe.Sizeof(stats.Histogram{}); got > 576 {
+		t.Errorf("sizeof(stats.Histogram) = %d, over the 576-byte size class", got)
+	}
 }

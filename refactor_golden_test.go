@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"chameleon/internal/apps"
 	"chameleon/internal/mpi"
 	"chameleon/internal/sig"
 	"chameleon/internal/trace"
@@ -207,5 +208,50 @@ func TestRefactorStructureGolden(t *testing.T) {
 				t.Errorf("canonical pipeline structure diverged from pre-refactor golden:\n%s", got)
 			}
 		})
+	}
+}
+
+// rank0Recorder records rank 0's events the way the ScalaTrace baseline
+// does, without its finalize merge.
+type rank0Recorder struct {
+	rec *tracer.Recorder
+	pre vtime.Time
+}
+
+func (r *rank0Recorder) Pre(*mpi.CallInfo) { r.pre = r.rec.Proc.Clock.Now() }
+func (r *rank0Recorder) Finalize()         {}
+func (r *rank0Recorder) Post(ci *mpi.CallInfo) {
+	if ci.Op != mpi.OpFinalize {
+		r.rec.Record(ci, r.pre, 1)
+	}
+}
+
+// TestFoldComparesGolden pins the modelled cost of the intra-node fold
+// search next to the merge-compare golden above: Compressor.Compares of
+// rank 0 over LU class A at P=256, the lu_st_p256 record path. The count
+// is what the cost model charges wherever a compressor's work is priced
+// (rank 0's online trace), so a search that performs fewer comparisons
+// is free to — the hash-first scans do — but one that *counts* fewer has
+// moved the virtual clock and must say so by changing this number.
+func TestFoldComparesGolden(t *testing.T) {
+	const want = 31414
+	spec, err := apps.Registry("LU", apps.ClassA, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *tracer.Recorder
+	_, err = mpi.Run(mpi.Config{P: 256, Hooks: func(p *mpi.Proc) mpi.Interposer {
+		if p.Rank() != 0 {
+			return mpi.NopInterposer{}
+		}
+		rec = tracer.NewRecorder(p, spec.SigMode, spec.Filter)
+		return &rank0Recorder{rec: rec}
+	}}, spec.Body(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Comp.Compares != want {
+		t.Errorf("rank 0 folded %d events of LU A P=256 in %d compares, golden %d",
+			rec.Events, rec.Comp.Compares, want)
 	}
 }
