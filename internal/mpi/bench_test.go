@@ -1,0 +1,44 @@
+package mpi
+
+import "testing"
+
+// benchMessages runs body once on p ranks with b.N handed to it as the
+// round count, and reports the wall cost per message: the runtime's own
+// budget, readable with `go test -bench` and no harness. Run set-up
+// (goroutines, mailboxes) is inside the timed span and amortizes over N.
+func benchMessages(b *testing.B, p, perRound int, body func(p *Proc, rounds int)) {
+	b.ReportAllocs()
+	if _, err := Run(Config{P: p}, func(p *Proc) { body(p, b.N) }); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perRound), "ns/message")
+}
+
+// BenchmarkPingPong: two ranks, every receive parks and is handed its
+// message — the pairwise dependency chain at its barest.
+func BenchmarkPingPong(b *testing.B) {
+	benchMessages(b, 2, 2, func(p *Proc, rounds int) {
+		w, peer := p.World(), 1-p.Rank()
+		for i := 0; i < rounds; i++ {
+			if p.Rank() == 0 {
+				w.Send(peer, 5, 64, nil)
+				w.Recv(peer, 5)
+			} else {
+				w.Recv(peer, 5)
+				w.Send(peer, 5, 64, nil)
+			}
+		}
+	})
+}
+
+// BenchmarkAlltoall: P=64, 4032 messages a round, a mix of parks and
+// queue hits with up to 63 senders depositing into one mailbox — the
+// shape PHASE spends its run in.
+func BenchmarkAlltoall(b *testing.B) {
+	const p = 64
+	benchMessages(b, p, p*(p-1), func(p *Proc, rounds int) {
+		for i := 0; i < rounds; i++ {
+			p.World().Alltoall(64)
+		}
+	})
+}

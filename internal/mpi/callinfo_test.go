@@ -145,35 +145,47 @@ func TestCallInfoFieldsAfterScratchReuse(t *testing.T) {
 	}
 }
 
-// TestSendRecvDoNotAllocate: an untraced public Send or Recv costs no
-// heap allocation (the CallInfo is the rank's scratch value, and a
-// drained mailbox reuses its queue).
+// TestSendRecvDoNotAllocate: an untraced public Send, Recv or Sendrecv
+// costs no heap allocation, whether the receive finds its message queued
+// or parks and is handed it (the CallInfo is the rank's scratch value, a
+// drained mailbox reuses its queue, and the hand-over slot and the
+// parker are part of the mailbox).
 func TestSendRecvDoNotAllocate(t *testing.T) {
 	const runs = 200
-	var allocs float64
-	run(t, 2, func(p *Proc) {
-		w, peer := p.World(), 1-p.Rank()
-		pingPong := func() {
-			if p.Rank() == 0 {
+	for _, tc := range []struct {
+		name  string
+		round func(w *Comm, rank, peer int)
+	}{
+		{"Send+Recv", func(w *Comm, rank, peer int) {
+			if rank == 0 {
 				w.Send(peer, 5, 64, nil)
 				w.Recv(peer, 5)
 			} else {
 				w.Recv(peer, 5)
 				w.Send(peer, 5, 64, nil)
 			}
-		}
-		for i := 0; i < 20; i++ {
-			pingPong() // size the mailboxes
-		}
-		if p.Rank() == 0 {
-			allocs = testing.AllocsPerRun(runs, pingPong)
-		} else {
-			for i := 0; i < runs+1; i++ { // AllocsPerRun warms up once
-				pingPong()
+		}},
+		{"Sendrecv", func(w *Comm, rank, peer int) {
+			w.Sendrecv(peer, 5, 64, nil, peer, 5)
+		}},
+	} {
+		var allocs float64
+		run(t, 2, func(p *Proc) {
+			w, peer := p.World(), 1-p.Rank()
+			round := func() { tc.round(w, p.Rank(), peer) }
+			for i := 0; i < 20; i++ {
+				round() // size the mailboxes
 			}
+			if p.Rank() == 0 {
+				allocs = testing.AllocsPerRun(runs, round)
+			} else {
+				for i := 0; i < runs+1; i++ { // AllocsPerRun warms up once
+					round()
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s under NopInterposer: %v allocs per round (both ranks), want 0", tc.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("Send+Recv under NopInterposer: %v allocs per round trip (both ranks), want 0", allocs)
 	}
 }

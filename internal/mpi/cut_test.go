@@ -228,37 +228,28 @@ func TestCutSweepLeavesNothingPending(t *testing.T) {
 }
 
 // boundFixture is a hand-built runtime hosting ranks 0..4 of a world of
-// 6 in one of each condition the conservative rule distinguishes.
+// 6 in one of each condition the conservative rule distinguishes. A
+// rank's condition is what its mailbox says under the mailbox lock.
 func boundFixture() (rt *Runtime, alpha vtime.Time) {
-	rt = &Runtime{p: 6, model: vtime.Default(), tr: &inProcTransport{},
-		mailboxes: make([]*mailbox, 6), procs: make([]*Proc, 6), states: make([]atomic.Int32, 6)}
-	for r := 0; r < 5; r++ {
-		rt.local = append(rt.local, r)
-		rt.mailboxes[r] = newMailbox(&rt.aborted, &rt.states[r])
-		rt.procs[r] = &Proc{rank: r, rt: rt, Clock: &vtime.Clock{}, Ledger: &vtime.Ledger{}}
-	}
-	block := func(r int, comm CommID, src, tag int) {
-		rt.procs[r].blockedComm.Store(int32(comm))
-		rt.procs[r].blockedSrc.Store(int64(src))
-		rt.procs[r].blockedTag.Store(int64(tag))
-		rt.states[r].Store(int32(stateBlocked))
-	}
+	rt = testRuntime(6, 5)
 	// 0: active at 500.
 	rt.procs[0].Clock.AdvanceTo(500)
-	// 1: blocked at clock 100 on (world, source 0, tag 7); the matching
-	// message arrives at 300, an earlier one on another tag does not count.
+	// 1: blocked at clock 100 in a wildcard receive on (world, tag 7);
+	// its candidate arrives at 300, an earlier message on another tag
+	// does not count. (Only a wildcard receive waits with its match
+	// queued: a specific-source one is handed it.)
 	rt.procs[1].Clock.AdvanceTo(100)
-	block(1, CommWorld, 0, 7)
+	block(rt.mailboxes[1], pattern{CommWorld, AnySource, 7})
 	rt.mailboxes[1].deposit(message{comm: CommWorld, source: 0, tag: 9, arrive: 10})
 	rt.mailboxes[1].deposit(message{comm: CommWorld, source: 0, tag: 7, arrive: 300})
-	// 2: blocked with nothing matching pending — waits on a rank already
-	// accounted for.
+	// 2: parked at clock 5 with nothing matching pending — waits on a
+	// rank already accounted for.
 	rt.procs[2].Clock.AdvanceTo(5)
-	block(2, CommInternal, 4, 1)
+	block(rt.mailboxes[2], pattern{CommInternal, 4, 1})
 	rt.mailboxes[2].deposit(message{comm: CommWorld, source: 4, tag: 1, arrive: 1})
 	// 3 finalizing, 4 done: exempt however early their clocks.
-	rt.states[3].Store(int32(stateFinalizing))
-	rt.states[4].Store(int32(stateDone))
+	rt.setState(3, stateFinalizing)
+	rt.setState(4, stateDone)
 	return rt, vtime.Time(rt.model.Alpha)
 }
 
@@ -287,16 +278,34 @@ func TestInfluenceBoundOneRule(t *testing.T) {
 	}
 
 	// The instant rank 1's message is matched it counts as active (at its
-	// old clock: conservative), never as "blocked, nothing pending". At
-	// the parent commit it stayed blocked until the receiver got around
-	// to saying otherwise, and a scan in that window skipped it.
-	rt.mailboxes[1].take(CommWorld, 0, 7)
+	// old clock: conservative), never as "blocked, nothing pending": the
+	// match is safe (rank 0 cannot reach it before 500), so takeAny
+	// returns at once, and it turned the rank active under the lock.
+	if msg := rt.takeAny(1, rt.mailboxes[1], pattern{CommWorld, AnySource, 7}); msg.arrive != 300 {
+		t.Fatalf("rank 1 matched the message arriving at %v, want 300", msg.arrive)
+	}
 	if b, ok := rt.influenceBound(-1); !ok || b != 100+alpha {
 		t.Fatalf("bound right after rank 1 matched = %v/%v, want %v", b, ok, 100+alpha)
 	}
+	// A parked rank is active in the critical section that delivers its
+	// message, before it has run at all (here it never does: nobody
+	// sleeps in rank 2's take). Were the store the receiver's to make
+	// once woken, this scan would skip the rank.
+	rt.mailboxes[2].deposit(message{comm: CommInternal, source: 4, tag: 1, arrive: 900})
+	if b, ok := rt.influenceBound(-1); !ok || b != 5+alpha {
+		t.Fatalf("bound right after rank 2 was handed its message = %v/%v, want %v", b, ok, 5+alpha)
+	}
+	// A rank taking a queued message was never blocked: it bounds the
+	// others by its clock, not by the later arrival.
+	rt.setState(1, stateFinalizing)
+	rt.setState(2, stateDone)
+	rt.mailboxes[0].deposit(message{comm: CommWorld, source: 3, tag: 1, arrive: 900})
+	rt.mailboxes[0].take(pattern{CommWorld, 3, 1})
+	if b, ok := rt.influenceBound(-1); !ok || b != 500+alpha {
+		t.Fatalf("bound after rank 0 took a queued message = %v/%v, want %v", b, ok, 500+alpha)
+	}
 	// Nothing but exempt and unmatched-blocked ranks: no bound at all.
-	rt.states[0].Store(int32(stateDone))
-	rt.states[1].Store(int32(stateFinalizing))
+	block(rt.mailboxes[0], pattern{CommWorld, 3, 1})
 	if b, ok := rt.influenceBound(-1); ok {
 		t.Fatalf("bound = %v, want none", b)
 	}

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"chameleon/internal/vtime"
 )
@@ -27,78 +26,134 @@ type message struct {
 	sendVT vtime.Time
 }
 
+// pattern is what a receive matches on; source and tag may be wildcards.
+type pattern struct {
+	comm   CommID
+	source int
+	tag    int
+}
+
 // mailbox is a rank's incoming message queue with MPI matching semantics:
 // Recv matches on (communicator, source-or-ANY, tag-or-ANY) and respects
 // non-overtaking order per source. ANY_SOURCE picks the buffered match
 // with the earliest virtual arrival time to keep virtual-time runs as
 // deterministic as the schedule allows.
+//
+// It is also the one owner of what its rank is doing. The fields below
+// mu are written and read under it: by the rank, by a depositor handing
+// a message over, and by the bound scans of wildcard matchers.
 type mailbox struct {
+	rt   *Runtime
+	rank int
+	// wake is the rank's one-slot parker. A token can outlive the park
+	// it was sent for (an abort's): it costs a later park one extra look.
+	wake chan struct{}
+
 	mu   sync.Mutex
-	cond *sync.Cond
 	msgs []message
-	// aborted points at the runtime's abort flag so blocked receivers
-	// unwind when a peer rank panics instead of deadlocking the run.
-	aborted *atomic.Bool
-	// state points at the owning rank's rankState: a matched message
-	// leaving the queue and the rank unblocking are one step (remove).
-	state *atomic.Int32
+	// state is the rank's rankState; while stateBlocked, want is the
+	// pattern it waits on.
+	state rankState
+	want  pattern
+	// parked: the rank sleeps in take until a message matching want is
+	// deposited. That deposit clears parked, turns the rank active,
+	// leaves the message in slot and wakes the rank; no other does. A
+	// rank blocked in takeAny is never parked: a wildcard match is the
+	// matcher's to prove safe, not a depositor's to pick.
+	parked bool
+	slot   message
+	seen   map[int]bool // scanAny's scratch: sources already considered
 }
 
-func newMailbox(aborted *atomic.Bool, state *atomic.Int32) *mailbox {
-	m := &mailbox{aborted: aborted, state: state}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+func newMailbox(rt *Runtime, rank int) *mailbox {
+	return &mailbox{rt: rt, rank: rank, wake: make(chan struct{}, 1)}
 }
 
-// remove takes message i out of the queue for the owning rank, which it
-// first marks active: a bound scan holding mu (Runtime.influenceBound)
-// sees the rank either still blocked with the message pending or
-// already active, never blocked with nothing pending. Caller holds m.mu.
+// unpark wakes the rank if it sleeps in take.
+func (m *mailbox) unpark() {
+	select {
+	case m.wake <- struct{}{}:
+	default:
+	}
+}
+
+// remove takes message i out of the queue. Caller holds m.mu.
 func (m *mailbox) remove(i int) message {
-	m.state.Store(int32(stateActive))
 	msg := m.msgs[i]
 	m.msgs = append(m.msgs[:i], m.msgs[i+1:]...)
 	return msg
 }
 
-// deposit enqueues a message and wakes blocked receivers.
+// deposit delivers a message: into the hand of a rank parked on a
+// pattern it matches, which it wakes, or onto the queue, waking nobody.
+// The hand-over cannot overtake: the parked rank's own scan proved that
+// nothing queued matches. The rank turns active in the critical section
+// that delivers its message, so no bound scan sees it blocked with
+// nothing pending.
 func (m *mailbox) deposit(msg message) {
 	m.mu.Lock()
+	if m.parked && matches(&msg, m.want) {
+		m.parked, m.state = false, stateActive
+		m.slot = msg
+		m.mu.Unlock()
+		m.unpark()
+		return
+	}
 	m.msgs = append(m.msgs, msg)
 	m.mu.Unlock()
-	m.cond.Broadcast()
 }
 
-func matches(msg *message, comm CommID, source, tag int) bool {
-	if msg.comm != comm {
+func matches(msg *message, want pattern) bool {
+	if msg.comm != want.comm {
 		return false
 	}
-	if source != AnySource && msg.source != source {
+	if want.source != AnySource && msg.source != want.source {
 		return false
 	}
-	if tag != AnyTag && msg.tag != tag {
+	if want.tag != AnyTag && msg.tag != want.tag {
 		return false
 	}
 	return true
 }
 
-// take blocks until a message matching (comm, source, tag) from the
-// given specific source is available and removes it from the queue.
-// Specific-source matching needs no conservation check: per-source FIFO
-// makes the oldest match the only legal one.
-func (m *mailbox) take(comm CommID, source, tag int) message {
+// take returns the oldest message matching want, which names a specific
+// source: per-source FIFO makes the oldest match the only legal one, so
+// no conservation check is needed. A queued match is consumed without
+// the rank ever reading as blocked — to a bound scan it is active at its
+// old clock, a lower bound than "blocked with the message pending".
+// Otherwise one critical section records the rank as blocked on want and
+// parks it; deposit hands the match over.
+func (m *mailbox) take(want pattern) message {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		for i := range m.msgs {
-			if matches(&m.msgs[i], comm, source, tag) {
-				return m.remove(i)
-			}
+	for i := range m.msgs {
+		if matches(&m.msgs[i], want) {
+			msg := m.remove(i)
+			m.mu.Unlock()
+			return msg
 		}
-		if m.aborted != nil && m.aborted.Load() {
+	}
+	m.state, m.want, m.parked = stateBlocked, want, true
+	m.mu.Unlock()
+	m.rt.announce(m.rank)
+	for {
+		// After a peer rank failed (abortLocal sets the flag, then wakes
+		// every rank) unwind instead of deadlocking the run.
+		aborted := m.rt.aborted.Load()
+		if !aborted {
+			<-m.wake
+		}
+		m.mu.Lock()
+		if !m.parked {
+			msg := m.slot
+			m.slot.payload = nil
+			m.mu.Unlock()
+			return msg
+		}
+		m.parked = !aborted // unwinding, the rank is nobody to hand a message to
+		m.mu.Unlock()
+		if aborted {
 			panic(errAborted)
 		}
-		m.cond.Wait()
 	}
 }
 
@@ -107,20 +162,17 @@ func (m *mailbox) take(comm CommID, source, tag int) message {
 // non-overtaking), the earliest virtual arrival wins, ties breaking on
 // the lower source rank for determinism. Returns -1 when no message
 // matches. Caller holds m.mu.
-func (m *mailbox) scanAny(comm CommID, tag int) int {
+func (m *mailbox) scanAny(want pattern) int {
 	best := -1
-	var seen map[int]bool
+	if m.seen == nil {
+		m.seen = make(map[int]bool)
+	}
+	clear(m.seen)
 	for i := range m.msgs {
-		if !matches(&m.msgs[i], comm, AnySource, tag) {
+		if !matches(&m.msgs[i], want) || m.seen[m.msgs[i].source] {
 			continue
 		}
-		if seen == nil {
-			seen = make(map[int]bool)
-		}
-		if seen[m.msgs[i].source] {
-			continue
-		}
-		seen[m.msgs[i].source] = true
+		m.seen[m.msgs[i].source] = true
 		if best == -1 ||
 			m.msgs[i].arrive < m.msgs[best].arrive ||
 			(m.msgs[i].arrive == m.msgs[best].arrive && m.msgs[i].source < m.msgs[best].source) {
@@ -131,14 +183,14 @@ func (m *mailbox) scanAny(comm CommID, tag int) int {
 }
 
 // minArriveMatching returns the earliest arrival among queued messages
-// that match the given (comm, source, tag) pattern — the only messages
-// that can unblock a receiver waiting on that pattern. Non-matching
-// messages are consumed later, after a matching one has already
-// unblocked the rank, so they never accelerate it. Caller holds m.mu.
-func (m *mailbox) minArriveMatching(comm CommID, source, tag int) (vtime.Time, bool) {
+// that match want — the only messages that can unblock a receiver
+// waiting on that pattern. Non-matching messages are consumed later,
+// after a matching one has already unblocked the rank, so they never
+// accelerate it. Caller holds m.mu.
+func (m *mailbox) minArriveMatching(want pattern) (vtime.Time, bool) {
 	min, ok := vtime.Time(0), false
 	for i := range m.msgs {
-		if !matches(&m.msgs[i], comm, source, tag) {
+		if !matches(&m.msgs[i], want) {
 			continue
 		}
 		if !ok || m.msgs[i].arrive < min {

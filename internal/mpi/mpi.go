@@ -91,7 +91,10 @@ func (NopInterposer) Post(*CallInfo) {}
 func (NopInterposer) Finalize() {}
 
 // rankState tracks what a rank is doing, for conservative wildcard
-// matching.
+// matching. It lives in the rank's mailbox, under the mailbox lock: the
+// rank writes it (take and takeAny on blocking, setState past the body),
+// a depositor handing a message to a parked rank turns it active, and
+// influenceBound reads it.
 type rankState int32
 
 const (
@@ -116,8 +119,6 @@ type Runtime struct {
 	mailboxes []*mailbox
 	procs     []*Proc
 
-	// states holds each rank's rankState (atomic).
-	states []atomic.Int32
 	// gmu/gcond/generation implement the global change notification
 	// conservative ANY_SOURCE matching waits on: every deposit and
 	// every rank-state transition bumps the generation.
@@ -164,7 +165,7 @@ func (rt *Runtime) abortLocal() {
 	rt.aborted.Store(true)
 	for _, mb := range rt.mailboxes {
 		if mb != nil {
-			mb.cond.Broadcast()
+			mb.unpark()
 		}
 	}
 	rt.bump()
@@ -172,14 +173,20 @@ func (rt *Runtime) abortLocal() {
 
 // takeAny performs a conservative wildcard receive for rank self: it
 // repeatedly picks the earliest-arrival candidate and matches it only
-// once lbtsSafe proves no earlier message can still appear.
-func (rt *Runtime) takeAny(self int, mb *mailbox, comm CommID, tag int) message {
+// once lbtsSafe proves no earlier message can still appear. The rank
+// reads as blocked on the wildcard pattern throughout, its candidates
+// pending in the queue: no depositor hands it a message.
+func (rt *Runtime) takeAny(self int, mb *mailbox, want pattern) message {
+	mb.mu.Lock()
+	mb.state, mb.want = stateBlocked, want
+	mb.mu.Unlock()
+	rt.announce(self)
 	rt.anyWaiters.Add(1)
 	defer rt.anyWaiters.Add(-1)
 	for {
 		g := rt.gen()
 		mb.mu.Lock()
-		best := mb.scanAny(comm, tag)
+		best := mb.scanAny(want)
 		var cand message
 		if best >= 0 {
 			cand = mb.msgs[best]
@@ -191,10 +198,14 @@ func (rt *Runtime) takeAny(self int, mb *mailbox, comm CommID, tag int) message 
 		// no bump. On any interleaving, re-evaluate.
 		if best >= 0 && rt.lbtsSafe(self, cand.arrive) && rt.gen() == g {
 			// Re-take under the lock: only earlier candidates can have
-			// appeared meanwhile, and safety is monotone downward.
+			// appeared meanwhile, and safety is monotone downward. The
+			// rank turns active before its message leaves the queue: a
+			// bound scan never sees it blocked with nothing pending.
 			mb.mu.Lock()
-			msg := mb.remove(mb.scanAny(comm, tag))
+			mb.state = stateActive
+			msg := mb.remove(mb.scanAny(want))
 			mb.mu.Unlock()
+			rt.announce(self)
 			return msg
 		}
 		if rt.gen() != g {
@@ -234,11 +245,21 @@ func (rt *Runtime) waitChange(old uint64) {
 	rt.gmu.Unlock()
 }
 
-// setState transitions a rank's state and wakes wildcard matchers.
-// Network transports additionally fold the transition into their
-// stability generation so peer bound-sweeps observe it.
+// setState transitions a rank's state and announces it.
 func (rt *Runtime) setState(rank int, s rankState) {
-	rt.states[rank].Store(int32(s))
+	mb := rt.mailboxes[rank]
+	mb.mu.Lock()
+	mb.state = s
+	mb.mu.Unlock()
+	rt.announce(rank)
+}
+
+// announce publishes a rank-state transition already recorded in the
+// rank's mailbox: it wakes wildcard matchers, and network transports
+// fold it into their stability generation so peer bound-sweeps observe
+// it. A parked rank turning active needs none: the deposit that did it
+// is announced by depositLocal.
+func (rt *Runtime) announce(rank int) {
 	if rt.anyWaiters.Load() > 0 {
 		rt.bump()
 	}
@@ -284,10 +305,13 @@ func (rt *Runtime) lbtsSafe(self int, t vtime.Time) bool {
 // lower-bound-time-stamp rule of conservative parallel discrete-event
 // simulation, specialized to the one-hop unblocking chain.
 //
-// A rank's state is read under its mailbox lock, and a receiver turns
-// active under that lock before its matched message leaves the queue
-// (mailbox.remove): the scan never sees a rank that was just unblocked
-// as "blocked, nothing pending".
+// A rank's state and pattern are read under its mailbox lock, and a
+// blocked receiver turns active under that lock in the step that takes
+// its matched message out of view (mailbox.deposit handing it over,
+// takeAny removing it): the scan never sees a rank that was just
+// unblocked as "blocked, nothing pending". A rank consuming a queued
+// message never reads as blocked at all; it counts as active at its old
+// clock, a lower bound than the pending arrival would give.
 func (rt *Runtime) influenceBound(exclude int) (vtime.Time, bool) {
 	alpha := vtime.Time(rt.model.Alpha)
 	min, ok := vtime.Time(0), false
@@ -297,15 +321,11 @@ func (rt *Runtime) influenceBound(exclude int) (vtime.Time, bool) {
 		}
 		proc, mb := rt.procs[r], rt.mailboxes[r]
 		mb.mu.Lock()
-		state := rankState(rt.states[r].Load())
+		state := mb.state
 		var arrive vtime.Time
 		pending := false
 		if state == stateBlocked {
-			arrive, pending = mb.minArriveMatching(
-				CommID(proc.blockedComm.Load()),
-				int(proc.blockedSrc.Load()),
-				int(proc.blockedTag.Load()),
-			)
+			arrive, pending = mb.minArriveMatching(mb.want)
 		}
 		mb.mu.Unlock()
 		var bound vtime.Time
@@ -325,7 +345,9 @@ func (rt *Runtime) influenceBound(exclude int) (vtime.Time, bool) {
 }
 
 // Proc is the per-rank handle passed to the application body. All of its
-// methods must be called from the rank's own goroutine.
+// methods must be called from the rank's own goroutine. What other
+// goroutines read of a rank is its Clock (atomic) and, in its mailbox,
+// its state and what it is blocked on.
 type Proc struct {
 	rank   int
 	rt     *Runtime
@@ -334,12 +356,6 @@ type Proc struct {
 	hooks  Interposer
 	world  *Comm
 	marker *Comm
-	// blockedComm/Src/Tag record what this rank's in-progress receive is
-	// waiting for, for the conservative matcher's unblock bound. Written
-	// by the rank before it enters the blocked state.
-	blockedComm atomic.Int32
-	blockedSrc  atomic.Int64
-	blockedTag  atomic.Int64
 	// collSeq disambiguates successive collectives per communicator.
 	collSeq map[CommID]int
 	// markerSeq counts marker barriers this rank has entered (1-based),
@@ -586,7 +602,6 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		tr:        tr,
 		mailboxes: make([]*mailbox, cfg.P),
 		procs:     make([]*Proc, cfg.P),
-		states:    make([]atomic.Int32, cfg.P),
 		obs:       cfg.Obs,
 		met:       newOpMetrics(cfg.Obs),
 		causal:    cfg.Obs.CausalStore(),
@@ -602,7 +617,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		group[i] = i
 	}
 	for _, r := range rt.local {
-		rt.mailboxes[r] = newMailbox(&rt.aborted, &rt.states[r])
+		rt.mailboxes[r] = newMailbox(rt, r)
 		p := &Proc{
 			rank:    r,
 			rt:      rt,

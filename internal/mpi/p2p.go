@@ -62,17 +62,15 @@ func (c *Comm) rawRecv(source, tag int) Message {
 	rt := c.p.rt
 	self := c.worldRank(c.self)
 	blockStart := c.p.Clock.Now()
-	c.p.blockedComm.Store(int32(c.id))
-	c.p.blockedSrc.Store(int64(source))
-	c.p.blockedTag.Store(int64(tag))
-	rt.setState(self, stateBlocked)
+	// The mailbox records the rank as blocked if it has to wait and
+	// returns it active: there is no state to set on either side.
+	want := pattern{c.id, source, tag}
 	var msg message
 	if source == AnySource {
-		msg = rt.takeAny(self, rt.mailboxes[self], c.id, tag)
+		msg = rt.takeAny(self, rt.mailboxes[self], want)
 	} else {
-		msg = rt.mailboxes[self].take(c.id, source, tag)
+		msg = rt.mailboxes[self].take(want)
 	}
-	rt.setState(self, stateActive)
 	c.p.Clock.AdvanceTo(msg.arrive)
 	c.p.Clock.Advance(rt.model.Alpha) // receive-side software overhead
 	if rt.causal != nil && msg.seq != 0 {

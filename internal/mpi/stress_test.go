@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"chameleon/internal/vtime"
@@ -79,39 +81,91 @@ func TestRandomMatchedTraffic(t *testing.T) {
 	})
 }
 
+// randomTraffic is a pseudo-random schedule of computes, matched
+// specific-source pairs and allreduces over 5 ranks.
+func randomTraffic(p *Proc) {
+	w := p.World()
+	state := uint64(11)
+	next := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state>>33) % n
+	}
+	for i := 0; i < 60; i++ {
+		src := next(5)
+		dst := (src + 1 + next(4)) % 5
+		// Draw on every rank so the per-rank RNG streams stay in
+		// lockstep; only the source uses the value.
+		compute := vtime.Duration(next(1000)) * vtime.Microsecond
+		tag := 2000 + i
+		switch p.Rank() {
+		case src:
+			p.Compute(compute)
+			w.Send(dst, tag, 64, nil)
+		case dst:
+			w.Recv(src, tag)
+		}
+		if i%10 == 9 {
+			w.Allreduce(8, uint64(i), OpSum)
+		}
+	}
+}
+
 // TestRandomTrafficDeterministic reruns a pseudo-random schedule and
 // demands identical virtual makespans.
 func TestRandomTrafficDeterministic(t *testing.T) {
-	body := func(p *Proc) {
-		w := p.World()
-		state := uint64(11)
-		next := func(n int) int {
-			state = state*6364136223846793005 + 1442695040888963407
-			return int(state>>33) % n
-		}
-		for i := 0; i < 60; i++ {
-			src := next(5)
-			dst := (src + 1 + next(4)) % 5
-			// Draw on every rank so the per-rank RNG streams stay in
-			// lockstep; only the source uses the value.
-			compute := vtime.Duration(next(1000)) * vtime.Microsecond
-			tag := 2000 + i
-			switch p.Rank() {
-			case src:
-				p.Compute(compute)
-				w.Send(dst, tag, 64, nil)
-			case dst:
-				w.Recv(src, tag)
-			}
-			if i%10 == 9 {
-				w.Allreduce(8, uint64(i), OpSum)
-			}
+	first := run(t, 5, randomTraffic).Makespan
+	for i := 0; i < 2; i++ {
+		if got := run(t, 5, randomTraffic).Makespan; got != first {
+			t.Fatalf("nondeterministic: %v vs %v", got, first)
 		}
 	}
-	first := run(t, 5, body).Makespan
-	for i := 0; i < 2; i++ {
-		if got := run(t, 5, body).Makespan; got != first {
-			t.Fatalf("nondeterministic: %v vs %v", got, first)
+}
+
+// mixedTraffic is the shapes the mailbox serves at once: an Alltoall
+// (every rank parks once per pair, or finds its message queued,
+// depending on who runs first), a ring shift, and a wildcard
+// master/worker round whose matches wait on lbtsSafe.
+func mixedTraffic(p *Proc) {
+	w, n, r := p.World(), p.Size(), p.Rank()
+	for i := 0; i < 3; i++ {
+		p.Compute(vtime.Duration(r%7+1) * vtime.Microsecond)
+		w.Alltoall(64)
+		w.Sendrecv((r+1)%n, 1, 512, nil, (r+n-1)%n, 1)
+		if r == 0 {
+			for k := 1; k < n; k++ {
+				msg := w.Recv(AnySource, 2)
+				w.Send(msg.Source, 3, 16, nil)
+			}
+		} else {
+			w.Send(0, 2, 16+r, nil)
+			w.Recv(0, 3)
+		}
+	}
+}
+
+// TestDeterminismUnderScheduling: which receives park and which find
+// their message queued, and who is handed what by whom, is up to the Go
+// scheduler; every rank's final clock and ledger is not. 20 runs each on
+// 1, 2 and 8 threads must agree to the last rank.
+func TestDeterminismUnderScheduling(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		name string
+		p    int
+		body func(*Proc)
+	}{{"random traffic", 5, randomTraffic}, {"alltoall+ring+anysource", 64, mixedTraffic}} {
+		var first *Result
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			for i := 0; i < 20; i++ {
+				res := run(t, tc.p, tc.body)
+				if first == nil {
+					first = res
+				}
+				if !reflect.DeepEqual(res.Clocks, first.Clocks) || !reflect.DeepEqual(res.Ledgers, first.Ledgers) {
+					t.Fatalf("%s, GOMAXPROCS=%d, run %d: clocks or ledgers differ from the first run\n%v\n%v", tc.name, procs, i, res.Clocks, first.Clocks)
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"sync/atomic"
 	"testing"
 )
 
@@ -89,7 +88,7 @@ func TestOpCodeClassification(t *testing.T) {
 }
 
 func TestMailboxPending(t *testing.T) {
-	mb := newMailbox(new(atomic.Bool), new(atomic.Int32))
+	mb := testRuntime(2, 1).mailboxes[0]
 	if mb.pending() != 0 {
 		t.Fatalf("fresh mailbox pending")
 	}
@@ -97,16 +96,15 @@ func TestMailboxPending(t *testing.T) {
 	if mb.pending() != 1 {
 		t.Fatalf("pending after deposit")
 	}
-	mb.take(CommWorld, 1, 2)
+	mb.take(pattern{CommWorld, 1, 2})
 	if mb.pending() != 0 {
 		t.Fatalf("pending after take")
 	}
 }
 
 func TestMinArrive(t *testing.T) {
-	var state atomic.Int32
-	mb := newMailbox(new(atomic.Bool), &state)
-	if _, ok := mb.minArriveMatching(CommWorld, AnySource, AnyTag); ok {
+	mb := testRuntime(2, 1).mailboxes[0]
+	if _, ok := mb.minArriveMatching(pattern{CommWorld, AnySource, AnyTag}); ok {
 		t.Fatalf("empty mailbox has a matching arrival")
 	}
 	mb.deposit(message{comm: CommWorld, source: 0, tag: 1, arrive: 50})
@@ -114,16 +112,16 @@ func TestMinArrive(t *testing.T) {
 	mb.deposit(message{comm: CommInternal, source: 1, tag: 2, arrive: 10})
 	// Only messages matching the blocked pattern can unblock the rank:
 	// the earlier internal message does not count for a world receive.
-	if m, ok := mb.minArriveMatching(CommWorld, AnySource, AnyTag); !ok || m != 30 {
+	if m, ok := mb.minArriveMatching(pattern{CommWorld, AnySource, AnyTag}); !ok || m != 30 {
 		t.Fatalf("world/any = %v/%v, want 30", m, ok)
 	}
-	if m, ok := mb.minArriveMatching(CommWorld, 0, 1); !ok || m != 50 {
+	if m, ok := mb.minArriveMatching(pattern{CommWorld, 0, 1}); !ok || m != 50 {
 		t.Fatalf("world/source 0 = %v/%v, want 50", m, ok)
 	}
-	if m, ok := mb.minArriveMatching(CommInternal, 1, 2); !ok || m != 10 {
+	if m, ok := mb.minArriveMatching(pattern{CommInternal, 1, 2}); !ok || m != 10 {
 		t.Fatalf("internal = %v/%v, want 10", m, ok)
 	}
-	if _, ok := mb.minArriveMatching(CommWorld, 0, 9); ok {
+	if _, ok := mb.minArriveMatching(pattern{CommWorld, 0, 9}); ok {
 		t.Fatalf("unmatched tag has an arrival")
 	}
 }
