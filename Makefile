@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check test test-race test-transport fuzz-trace fuzz-frame clean
+.PHONY: all check test test-race test-transport fuzz clean
 
 all: check test
 
@@ -33,12 +33,18 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# fuzz-trace: a short fuzz smoke over the binary trace decoder (the
-# archive ingests untrusted payloads through it). CI runs this; local
-# deep fuzzing just raises -fuzztime.
-fuzz-trace:
+# fuzz: a short fuzz smoke over every decoder that parses bytes from
+# outside the program: the binary trace decoder (the archive ingests
+# untrusted payloads through it), the TCP frame decoder (every fleet
+# byte passes through it) and the fault-plan decoder (-faults/-noise
+# input). The seed and poison corpora run as plain tests in `make test`;
+# CI runs this for the fuzzing time on top, and local deep fuzzing just
+# raises -fuzztime.
+fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadAny -fuzztime=5s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s ./internal/mpi/
+	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s ./internal/fault/
 
 # test-transport: the TCP multi-process transport suite under the race
 # detector. In internal/mpi: the layer tables over net.Pipe (link
@@ -65,12 +71,6 @@ test-transport:
 	$(GO) test -race -count=20 -run 'Mailbox|InfluenceBound' ./internal/mpi/
 	$(GO) test -race ./internal/fleet/
 	$(GO) test -race -run 'TestTransport' -v .
-
-# fuzz-frame: a short fuzz smoke over the TCP frame decoder (every mesh
-# byte passes through it). CI runs the poison corpus as a plain test;
-# local deep fuzzing just raises -fuzztime.
-fuzz-frame:
-	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s ./internal/mpi/
 
 clean:
 	rm -f chameleon.journal.jsonl chameleon.trace.json chameleon.edges.jsonl

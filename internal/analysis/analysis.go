@@ -7,12 +7,12 @@ package analysis
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
 	"chameleon/internal/mpi"
 	"chameleon/internal/trace"
+	"chameleon/internal/zan"
 )
 
 // Summary is the headline statistics of one trace file.
@@ -51,18 +51,8 @@ func Summarize(f *trace.File) Summary {
 			s.OpCounts[n.Ev.Op.String()] += c.Mult
 		}
 	})
-	s.CompressionRatio = Ratio(float64(s.DynamicEvents), float64(s.Leaves))
+	s.CompressionRatio = zan.Ratio(float64(s.DynamicEvents), float64(s.Leaves))
 	return s
-}
-
-// Ratio returns num/den with a guarded denominator: 0 when den is zero
-// or not finite, so empty traces, empty windows, and zero-iteration
-// loops never produce NaN or Inf in derived metrics.
-func Ratio(num, den float64) float64 {
-	if den == 0 || math.IsNaN(den) || math.IsInf(den, 0) {
-		return 0
-	}
-	return num / den
 }
 
 // eachLive calls fn once per stored leaf that occurs at all, with its
@@ -159,7 +149,7 @@ func Matrix(f *trace.File) *CommMatrix {
 			return
 		}
 		for _, src := range n.Ranks.Ranks() {
-			dst, ok := resolve(n.Ev.Dest, src, f.P)
+			dst, ok := n.Ev.Dest.ResolveMod(src, f.P)
 			if !ok {
 				m.Unresolved += mult
 				continue
@@ -177,14 +167,6 @@ func (m *CommMatrix) add(src, dst int, count, bytes uint64) {
 	}
 	m.Counts[src][dst] += count
 	m.Bytes[src][dst] += bytes
-}
-
-func resolve(e trace.Endpoint, self, p int) (int, bool) {
-	r, ok := e.Resolve(self)
-	if !ok {
-		return 0, false
-	}
-	return ((r % p) + p) % p, true
 }
 
 // TotalMessages sums the matrix.

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"math"
 	"testing"
 
 	"chameleon/internal/mpi"
@@ -287,21 +286,5 @@ func TestEmptyTraceMetrics(t *testing.T) {
 	}
 	if m := Matrix(f); m.TotalMessages() != 0 {
 		t.Errorf("empty matrix has messages")
-	}
-}
-
-// TestRatioGuards pins the shared denominator guard.
-func TestRatioGuards(t *testing.T) {
-	cases := []struct{ num, den, want float64 }{
-		{1, 0, 0},
-		{0, 0, 0},
-		{1, math.NaN(), 0},
-		{1, math.Inf(1), 0},
-		{6, 3, 2},
-	}
-	for _, c := range cases {
-		if got := Ratio(c.num, c.den); got != c.want {
-			t.Errorf("Ratio(%g, %g) = %g, want %g", c.num, c.den, got, c.want)
-		}
 	}
 }

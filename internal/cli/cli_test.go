@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"runtime"
 	"slices"
@@ -20,9 +21,21 @@ import (
 	"testing"
 	"time"
 
+	"chameleon"
+	"chameleon/internal/acurdion"
+	"chameleon/internal/analysis"
+	"chameleon/internal/apps"
 	"chameleon/internal/causal"
+	"chameleon/internal/core"
+	"chameleon/internal/cq"
+	"chameleon/internal/mesh"
+	"chameleon/internal/mpi"
 	"chameleon/internal/obs"
+	"chameleon/internal/replay"
+	"chameleon/internal/scalatrace"
 	"chameleon/internal/store"
+	"chameleon/internal/wave"
+	"chameleon/internal/zan"
 )
 
 // run is one in-process tool invocation, exactly as cmd/<tool>/main.go
@@ -112,6 +125,49 @@ func TestFlagSurface(t *testing.T) {
 	}
 	if total != 92 {
 		t.Errorf("golden holds %d flags, want the parent's 92", total)
+	}
+}
+
+// TestOptionSurface is TestFlagSurface for the knobs below the flags:
+// every exported field of every option struct, as "pkg.Type.Field type",
+// equals testdata/options.golden, so a new option shows up in review the
+// way a new flag does. A field nothing sets is a constant, not a line
+// here.
+func TestOptionSurface(t *testing.T) {
+	var got []string
+	for _, v := range []any{
+		chameleon.Config{},
+		acurdion.Options{}, analysis.CompareOpts{}, apps.BodyOpts{},
+		core.Options{}, core.AutoOptions{}, cq.Options{}, mesh.Options{},
+		mpi.Config{}, mpi.TCPOptions{}, obs.Options{}, obs.ShipperOptions{},
+		replay.Options{}, scalatrace.Options{},
+		store.Options{}, store.LiveOptions{}, store.ServerOptions{},
+		wave.Options{}, zan.Options{},
+	} {
+		ty := reflect.TypeOf(v)
+		for i := 0; i < ty.NumField(); i++ {
+			if f := ty.Field(i); f.IsExported() {
+				got = append(got, fmt.Sprintf("%s.%s %s", ty, f.Name, f.Type))
+			}
+		}
+	}
+	raw, err := os.ReadFile("testdata/options.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	for _, line := range got {
+		if !slices.Contains(want, line) {
+			t.Errorf("grew an option: %s", line)
+		}
+	}
+	for _, line := range want {
+		if !slices.Contains(got, line) {
+			t.Errorf("golden option gone or retyped: %s", line)
+		}
+	}
+	if len(want) != 99 {
+		t.Errorf("golden holds %d options, want 99", len(want))
 	}
 }
 

@@ -16,16 +16,14 @@ import (
 // same order, so the k-th occurrence of a given collective call site is
 // a consistent global point — exactly the "progress reporting point"
 // the paper inserts its marker at, discovered instead of hand-placed.
-// The anchor is elected after an observation window of collective
-// events: the most frequent site wins (ties break on the smaller
-// signature), which skips one-off setup broadcasts in favor of the
-// per-timestep residual reduction. Every Frequency-th subsequent anchor
-// occurrence triggers the normal marker processing (Algorithm 1/3) with
-// no application change.
+// The anchor is elected after an observation window of observeFor
+// collective events: the most frequent site wins (ties break on the
+// smaller signature), which skips one-off setup broadcasts in favor of
+// the per-timestep residual reduction. Every Frequency-th subsequent
+// anchor occurrence triggers the normal marker processing (Algorithm
+// 1/3) with no application change.
 type AutoMarker struct {
 	*Chameleon
-	// ObserveFor is how many collective events the election watches.
-	ObserveFor int
 	// Frequency triggers marker processing every n-th anchor occurrence.
 	Frequency int
 
@@ -35,12 +33,13 @@ type AutoMarker struct {
 	fired    int
 }
 
+// observeFor is the anchor-election observation window in collective
+// events.
+const observeFor = 50
+
 // AutoOptions configures the automatic marker insertion.
 type AutoOptions struct {
 	Options
-	// ObserveFor is the anchor-election observation window in collective
-	// events (default 50).
-	ObserveFor int
 	// Frequency fires the marker at every n-th anchor occurrence
 	// (default 1).
 	Frequency int
@@ -49,19 +48,15 @@ type AutoOptions struct {
 // NewAuto returns a hook factory for an auto-marking Chameleon: the
 // application needs no Marker calls at all.
 func NewAuto(col *Collector, opt AutoOptions) func(p *mpi.Proc) mpi.Interposer {
-	if opt.ObserveFor <= 0 {
-		opt.ObserveFor = 50
-	}
 	if opt.Frequency <= 0 {
 		opt.Frequency = 1
 	}
 	inner := New(col, opt.Options)
 	return func(p *mpi.Proc) mpi.Interposer {
 		return &AutoMarker{
-			Chameleon:  inner(p).(*Chameleon),
-			ObserveFor: opt.ObserveFor,
-			Frequency:  opt.Frequency,
-			counts:     make(map[uint64]int),
+			Chameleon: inner(p).(*Chameleon),
+			Frequency: opt.Frequency,
+			counts:    make(map[uint64]int),
 		}
 	}
 }
@@ -82,7 +77,7 @@ func (a *AutoMarker) Post(ci *mpi.CallInfo) {
 	if a.anchor == 0 {
 		a.counts[site]++
 		a.observed++
-		if a.observed >= a.ObserveFor {
+		if a.observed >= observeFor {
 			a.electAnchor()
 		}
 		return

@@ -63,15 +63,16 @@ func TestAutoMarkerFrequency(t *testing.T) {
 }
 
 func TestAutoMarkerDetectAfter(t *testing.T) {
-	// A high detection threshold delays anchoring, reducing engaged
-	// marker calls.
-	late := runAuto(t, 4, AutoOptions{Options: Options{K: 2}, ObserveFor: 55}, anchoredApp(60))
-	early := runAuto(t, 4, AutoOptions{Options: Options{K: 2}, ObserveFor: 5}, anchoredApp(60))
+	// The observation window delays anchoring: an app that ends inside
+	// it never engages a marker, one that outlasts it engages one at
+	// every anchor occurrence past the window.
+	short := runAuto(t, 4, AutoOptions{Options: Options{K: 2}}, anchoredApp(observeFor-5))
+	long := runAuto(t, 4, AutoOptions{Options: Options{K: 2}}, anchoredApp(observeFor+10))
 	calls := func(c *Collector) int {
 		return c.StateCalls[StateAT] + c.StateCalls[StateC] + c.StateCalls[StateL]
 	}
-	if calls(late) >= calls(early) {
-		t.Fatalf("detection threshold had no effect: %d vs %d", calls(late), calls(early))
+	if calls(short) != 0 || calls(long) != 10 {
+		t.Fatalf("engaged marker calls: %d inside the window, %d past it by 10; want 0 and 10", calls(short), calls(long))
 	}
 }
 

@@ -138,8 +138,6 @@ type Options struct {
 	Persist string
 	// Origin prefixes event IDs (the peer's own URL under federation).
 	Origin string
-	// MaxEvents bounds each tenant feed (default 256).
-	MaxEvents int
 	// OnEvent, when non-nil, observes every locally generated event
 	// (the federation layer broadcasts them to peers).
 	OnEvent func(Event)
@@ -148,6 +146,9 @@ type Options struct {
 	// Reg receives cq_* metrics.
 	Reg *obs.Registry
 }
+
+// maxFeedEvents bounds each tenant feed.
+const maxFeedEvents = 256
 
 type feed struct {
 	version uint64
@@ -173,9 +174,6 @@ type Engine struct {
 // New builds an engine, loading persisted registrations if Persist
 // names an existing file.
 func New(opts Options) (*Engine, error) {
-	if opts.MaxEvents <= 0 {
-		opts.MaxEvents = 256
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
@@ -522,7 +520,7 @@ func (e *Engine) appendLocked(ev Event) {
 	fd := e.feedLocked(ev.Tenant)
 	fd.events = append(fd.events, ev)
 	fd.seen[ev.ID] = true
-	if over := len(fd.events) - e.opts.MaxEvents; over > 0 {
+	if over := len(fd.events) - maxFeedEvents; over > 0 {
 		for _, old := range fd.events[:over] {
 			delete(fd.seen, old.ID)
 		}

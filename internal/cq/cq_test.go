@@ -413,7 +413,7 @@ func TestEventIDsAndOnEvent(t *testing.T) {
 }
 
 func TestAppendDedupAndFeedCap(t *testing.T) {
-	e := newEngine(t, Options{MaxEvents: 4})
+	e := newEngine(t, Options{})
 	if e.Append(Event{Tenant: "acme"}) {
 		t.Fatal("event without ID accepted")
 	}
@@ -428,20 +428,20 @@ func TestAppendDedupAndFeedCap(t *testing.T) {
 		t.Fatal("duplicate event ID accepted")
 	}
 
-	for i := 2; i <= 7; i++ {
+	// One event past the cap: the feed keeps the newest maxFeedEvents.
+	for i := 2; i <= maxFeedEvents+1; i++ {
 		e.Append(Event{ID: fmt.Sprintf("peer#%d", i), Tenant: "acme", Verdict: VerdictOK})
 	}
 	fd := e.Feed("acme")
-	if len(fd.Events) != 4 {
-		t.Fatalf("feed holds %d events, cap is 4", len(fd.Events))
+	if len(fd.Events) != maxFeedEvents {
+		t.Fatalf("feed holds %d events, cap is %d", len(fd.Events), maxFeedEvents)
 	}
-	if fd.Events[0].ID != "peer#4" || fd.Events[3].ID != "peer#7" {
-		t.Fatalf("cap did not evict oldest-first: %+v", fd.Events)
+	if first, last := fd.Events[0].ID, fd.Events[maxFeedEvents-1].ID; first != "peer#2" || last != fmt.Sprintf("peer#%d", maxFeedEvents+1) {
+		t.Fatalf("cap did not evict oldest-first: %s .. %s", first, last)
 	}
-	if fd.Version != 7 {
-		t.Fatalf("version = %d, want 7", fd.Version)
+	if fd.Version != maxFeedEvents+1 {
+		t.Fatalf("version = %d, want %d", fd.Version, maxFeedEvents+1)
 	}
-
 	// Tenant feeds are isolated.
 	if got := e.Feed("other"); got.Version != 0 || len(got.Events) != 0 {
 		t.Fatalf("tenant isolation broken: %+v", got)

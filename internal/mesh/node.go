@@ -69,6 +69,11 @@ type Target interface {
 	PullEdges(tenant, id string, jsonl []byte) error
 }
 
+// broadcastTimeout bounds each best-effort fan-out call (CQ
+// registrations, deletions, event broadcasts) so one partitioned peer
+// cannot stall the ingest path for the full mesh client timeout.
+const broadcastTimeout = 3 * time.Second
+
 // Options configures a Node.
 type Options struct {
 	// Self is this peer's own URL as it appears in Peers.
@@ -78,8 +83,6 @@ type Options struct {
 	// Replicas is the ownership factor R (default 2, clamped to the
 	// peer count).
 	Replicas int
-	// Vnodes per peer (default DefaultVnodes).
-	Vnodes int
 	// Client overrides the intra-mesh HTTP client.
 	Client *http.Client
 	// Secret, when non-empty, is the shared mesh key: every intra-mesh
@@ -88,11 +91,6 @@ type Options struct {
 	// header alone is honored, which is fine on a private network but
 	// is not a security boundary (docs/STORE.md).
 	Secret string
-	// BroadcastTimeout bounds each best-effort fan-out call (CQ
-	// registrations, deletions, event broadcasts) so one partitioned
-	// peer cannot stall the ingest path for the full mesh client
-	// timeout. Default 3s.
-	BroadcastTimeout time.Duration
 	// Reg receives mesh_* counters.
 	Reg *obs.Registry
 }
@@ -114,7 +112,7 @@ type Node struct {
 // NewNode builds a peer's federation state. Self must appear in the
 // peer list.
 func NewNode(opts Options) (*Node, error) {
-	ring, err := NewRing(opts.Peers, opts.Vnodes)
+	ring, err := NewRing(opts.Peers, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
@@ -133,9 +131,6 @@ func NewNode(opts Options) (*Node, error) {
 	if hc == nil {
 		hc = &http.Client{Timeout: 30 * time.Second}
 	}
-	if opts.BroadcastTimeout <= 0 {
-		opts.BroadcastTimeout = 3 * time.Second
-	}
 	return &Node{
 		ring:       ring,
 		self:       self,
@@ -143,7 +138,7 @@ func NewNode(opts Options) (*Node, error) {
 		replicas:   opts.Replicas,
 		secret:     opts.Secret,
 		hc:         hc,
-		bc:         &http.Client{Timeout: opts.BroadcastTimeout},
+		bc:         &http.Client{Timeout: broadcastTimeout},
 		mSweeps:    opts.Reg.Counter("mesh_sweeps"),
 		mPulled:    opts.Reg.Counter("mesh_sweep_pulled"),
 		mSweepErrs: opts.Reg.Counter("mesh_sweep_errors"),
@@ -205,7 +200,7 @@ type Call struct {
 	// proxied read's conditional and negotiation headers.
 	Header http.Header
 	Body   []byte
-	// BestEffort bounds the call by BroadcastTimeout instead of the mesh
+	// BestEffort bounds the call by broadcastTimeout instead of the mesh
 	// client timeout: CQ fan-outs and event broadcasts ride it, so a
 	// partitioned (non-refusing) peer delays the caller only briefly.
 	BestEffort bool

@@ -147,6 +147,8 @@ type ctlMsg struct {
 	Clocks   []int64            `json:"clocks,omitempty"`
 	Ledgers  [][]vtime.Duration `json:"ledgers,omitempty"`
 	Departed []int              `json:"departed,omitempty"`
+	// final: indices of the members that announced "leaving"
+	Left []int `json:"left,omitempty"`
 	// err / abort
 	Msg string `json:"msg,omitempty"`
 }

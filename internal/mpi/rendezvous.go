@@ -339,8 +339,11 @@ func (s *rendezvousServer) memberDone(e *regEntry, m *ctlMsg) {
 		Clocks:  make([]int64, s.p),
 		Ledgers: make([][]vtime.Duration, s.p),
 	}
-	for _, reg := range s.regs {
+	for m, reg := range s.regs {
 		res := reg.result
+		if res.T == "leaving" {
+			final.Left = append(final.Left, m)
+		}
 		for i, r := range res.Ranks {
 			if r >= 0 && r < s.p && i < len(res.Clocks) && i < len(res.Ledgers) {
 				final.Clocks[r], final.Ledgers[r] = res.Clocks[i], res.Ledgers[i]

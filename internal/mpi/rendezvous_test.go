@@ -237,7 +237,8 @@ func TestRendezvousCoordinator(t *testing.T) {
 			b.expectClosed(t)
 			a.send(t, &ctlMsg{T: "result", Ranks: []int{0, 1}, Clocks: []int64{5, 6}, Ledgers: [][]vtime.Duration{{}, {}}})
 			final := a.expect(t, "final")
-			if !reflect.DeepEqual(final.Clocks, []int64{5, 6, 7, 8}) || !reflect.DeepEqual(final.Departed, []int{2, 3}) {
+			if !reflect.DeepEqual(final.Clocks, []int64{5, 6, 7, 8}) || !reflect.DeepEqual(final.Departed, []int{2, 3}) ||
+				!reflect.DeepEqual(final.Left, []int{1}) {
 				t.Fatalf("final = %+v", final)
 			}
 		}},

@@ -75,6 +75,7 @@ type TCPTransport struct {
 	reason    atomic.Pointer[string] // why the fleet aborted
 
 	departed atomic.Int32 // local ranks that crash-stopped
+	leftMu   sync.Mutex   // serializes peerLeft
 	stats    struct {
 		framesOut, bytesOut atomic.Uint64
 		framesIn, bytesIn   atomic.Uint64
@@ -342,12 +343,23 @@ func (t *TCPTransport) readLoop(l *link, from int) {
 		case ctl.T == "bresp" && peer:
 			t.cut.answer(ctl)
 		case ctl.T == "leaving" && peer:
-			// Planned process exit: every rank it hosted crash-stopped.
-			t.cut.left[from].Store(true)
-			t.cut.gen.Add(1)
-			t.rt.bump()
-			t.journal(from, "peer-exit: %s crash-stopped and left the fleet", t.who(from))
+			t.peerLeft(from)
 		}
+	}
+}
+
+// peerLeft records and journals, once, a member's planned process exit
+// (every rank it hosted crash-stopped). The read loop calls it on the
+// member's "leaving" notice and finish for every member the final names
+// — a short run can end before the notice is read — so finish returns,
+// and its caller closes the journal, only after the event is in it.
+func (t *TCPTransport) peerLeft(from int) {
+	t.leftMu.Lock()
+	defer t.leftMu.Unlock()
+	if !t.cut.left[from].Swap(true) {
+		t.cut.gen.Add(1)
+		t.rt.bump()
+		t.journal(from, "peer-exit: %s crash-stopped and left the fleet", t.who(from))
 	}
 }
 
@@ -463,6 +475,11 @@ func (t *TCPTransport) finish(res *Result, departed []int) (*Result, error) {
 		if res.Ledgers[r] == nil {
 			res.Ledgers[r] = &vtime.Ledger{}
 			res.Ledgers[r].Restore(final.Ledgers[r])
+		}
+	}
+	for _, m := range final.Left {
+		if m >= 0 && m < len(t.members) {
+			t.peerLeft(m)
 		}
 	}
 	res.Departed = final.Departed

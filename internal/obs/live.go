@@ -59,6 +59,25 @@ type Ack struct {
 	AckSeq uint64 `json:"ack_seq"`
 }
 
+const (
+	shipTimeout  = 5 * time.Second // one POST
+	finalRetries = 3               // Stop's retries of the final flush
+	// maxPending caps the unshipped delta buffer; when the daemon is
+	// unreachable the oldest deltas are dropped (and counted) beyond it.
+	maxPending = 64
+	// metricsEvery thins the metrics payload: the full registry
+	// snapshot (the bulk of a delta's bytes, and of the server's decode
+	// time) rides only on every Nth delta, plus always the first and
+	// final ones. Events and rank progress ship on every delta.
+	metricsEvery = 4
+	// maxEventsPerDelta bounds the journal tail one delta carries; a
+	// chatty run keeps only its newest events per tick (the excess is
+	// counted in EventsDropped, same as ring eviction). The server caps
+	// its per-session event log anyway, so shipping an unbounded tail
+	// buys nothing.
+	maxEventsPerDelta = 64
+)
+
 // ShipperOptions configures a live telemetry shipper.
 type ShipperOptions struct {
 	// URL is the chamd base URL (e.g. "http://host:8321").
@@ -76,54 +95,8 @@ type ShipperOptions struct {
 	P         int
 	// Interval is the snapshot/ship period (default 250ms).
 	Interval time.Duration
-	// Timeout bounds one POST (default 5s).
-	Timeout time.Duration
-	// MaxPending caps the unshipped delta buffer; when the daemon is
-	// unreachable the oldest deltas are dropped (and counted) beyond
-	// this (default 64).
-	MaxPending int
-	// FinalRetries is how many times Stop retries the final flush
-	// (default 3).
-	FinalRetries int
-	// MetricsEvery thins the metrics payload: the full registry
-	// snapshot (the bulk of a delta's bytes, and of the server's decode
-	// time) rides only on every Nth delta, plus always the first and
-	// final ones. Events and rank progress ship on every delta
-	// regardless. Default 4; 1 ships metrics on every delta.
-	MetricsEvery int
-	// MaxEventsPerDelta bounds the journal tail one delta carries; a
-	// chatty run keeps only its newest events per tick (the excess is
-	// counted in EventsDropped, same as ring eviction). The server caps
-	// its per-session event log anyway, so shipping an unbounded tail
-	// buys nothing. Default 64.
-	MaxEventsPerDelta int
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
-}
-
-func (o ShipperOptions) normalized() ShipperOptions {
-	if o.Interval <= 0 {
-		o.Interval = 250 * time.Millisecond
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Second
-	}
-	if o.MaxPending <= 0 {
-		o.MaxPending = 64
-	}
-	if o.FinalRetries <= 0 {
-		o.FinalRetries = 3
-	}
-	if o.MetricsEvery <= 0 {
-		o.MetricsEvery = 4
-	}
-	if o.MaxEventsPerDelta <= 0 {
-		o.MaxEventsPerDelta = 64
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: o.Timeout}
-	}
-	return o
 }
 
 // Shipper streams an Observer's state to a chamd live session.
@@ -155,9 +128,14 @@ type Shipper struct {
 // shipper then streams heartbeat-only deltas with no metrics, events,
 // or progress — still enough for the server to track the session).
 func NewShipper(o *Observer, opts ShipperOptions) (*Shipper, error) {
-	opts = opts.normalized()
 	if opts.URL == "" {
 		return nil, fmt.Errorf("obs: shipper needs a URL")
+	}
+	if opts.Interval <= 0 {
+		opts.Interval = 250 * time.Millisecond
+	}
+	if opts.Client == nil {
+		opts.Client = &http.Client{Timeout: shipTimeout}
 	}
 	if opts.Session == "" {
 		var b [8]byte
@@ -228,7 +206,7 @@ func (s *Shipper) Stop() error {
 	close(s.stop)
 	<-s.done
 	s.tick(true)
-	for i := 0; i < s.opts.FinalRetries && len(s.pending) > 0; i++ {
+	for i := 0; i < finalRetries && len(s.pending) > 0; i++ {
 		time.Sleep(s.opts.Interval)
 		s.nextTry = time.Time{} // final flush overrides backoff
 		s.send()
@@ -263,13 +241,13 @@ func (s *Shipper) build(final bool) Delta {
 		// Metrics snapshots are cumulative and dominate the delta's size,
 		// so thin them to every Nth delta; the first establishes the
 		// session's metrics and the final one is always exact.
-		if s.o.Reg != nil && (final || s.seq == 1 || (s.seq-1)%uint64(s.opts.MetricsEvery) == 0) {
+		if s.o.Reg != nil && (final || s.seq == 1 || (s.seq-1)%metricsEvery == 0) {
 			if b, err := json.Marshal(s.o.Reg.Snapshot()); err == nil {
 				d.Metrics = b
 			}
 		}
 		d.Events, s.eventNext, d.EventsDropped = s.o.Journal.Tail(s.eventNext)
-		if over := len(d.Events) - s.opts.MaxEventsPerDelta; over > 0 {
+		if over := len(d.Events) - maxEventsPerDelta; over > 0 {
 			d.Events = d.Events[over:]
 			d.EventsDropped += uint64(over)
 		}
@@ -299,7 +277,7 @@ func (s *Shipper) build(final bool) Delta {
 // enqueue appends to the bounded pending buffer, evicting the oldest
 // deltas when the daemon has been away too long.
 func (s *Shipper) enqueue(d Delta) {
-	if over := len(s.pending) + 1 - s.opts.MaxPending; over > 0 {
+	if over := len(s.pending) + 1 - maxPending; over > 0 {
 		s.pending = append(s.pending[:0], s.pending[over:]...)
 		s.mu.Lock()
 		s.dropped += uint64(over)

@@ -307,20 +307,22 @@ func TestShipperDropOldest(t *testing.T) {
 	defer srv.Close()
 
 	o := New(Options{ProgressRanks: 1})
-	sh, err := NewShipper(o, ShipperOptions{
-		URL:        srv.URL,
-		Interval:   time.Millisecond,
-		MaxPending: 4,
-	})
+	sh, err := NewShipper(o, ShipperOptions{URL: srv.URL, Interval: time.Millisecond})
 	if err != nil {
 		t.Fatalf("NewShipper: %v", err)
 	}
 	sh.Start()
-	time.Sleep(30 * time.Millisecond)
+	// Every tick enqueues one delta whether or not the POST is backing
+	// off, so the 65th pushes the oldest out of the buffer.
+	for deadline := time.Now().Add(10 * time.Second); sh.Stats().Dropped == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no delta dropped with the daemon away, got %+v", sh.Stats())
+		}
+	}
 	sink.fail.Store(false)
 	_ = sh.Stop()
-	if st := sh.Stats(); st.Dropped == 0 {
-		t.Fatalf("expected dropped deltas with MaxPending=4, got %+v", st)
+	if got := sink.snapshot(); len(got) == 0 || got[0].Seq < 2 {
+		t.Fatalf("after recovery the sink holds %d deltas, want some and the oldest gone", len(got))
 	}
 }
 

@@ -270,15 +270,7 @@ func (e *engine) resolve(ep trace.Endpoint) (int, bool) {
 	case trace.EPAnySource:
 		return mpi.AnySource, true
 	}
-	r, ok := ep.Resolve(e.p.Rank())
-	if !ok {
-		return 0, false
-	}
-	// Relative offsets are recorded modulo the rank count (torus wrap);
-	// resolve them the same way.
-	p := e.p.Size()
-	r = ((r % p) + p) % p
-	return r, true
+	return ep.ResolveMod(e.p.Rank(), e.p.Size())
 }
 
 func (e *engine) issue(n *trace.Node) {

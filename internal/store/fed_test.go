@@ -312,13 +312,13 @@ func TestFedTenantIsolationAndQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The capped tenant can hold exactly the small run and nothing more;
+	// A tenant can hold exactly the small run and nothing more;
 	// mkWideTrace is strictly larger, so it busts the quota on every
 	// peer whether or not that peer already holds the small run.
 	quota := int64(len(canonSmall))
 	peers := startMesh(t, 3, meshConfig{
 		replicas: 2,
-		archive:  func(int) Options { return Options{TenantQuotas: map[string]int64{"capped": quota}} },
+		archive:  func(int) Options { return Options{QuotaBytes: quota} },
 	})
 
 	run := pushVia(t, peers[0], "capped", small)
@@ -355,10 +355,11 @@ func TestFedTenantIsolationAndQuota(t *testing.T) {
 		t.Fatalf("over-quota body does not say why: %s", body)
 	}
 
-	// Quotas are per-tenant: the same bytes land fine elsewhere, and
-	// re-pushing a run the tenant already owns stays idempotent.
-	if r := pushVia(t, peers[2], "", wide); r.ID == "" {
-		t.Fatal("default tenant rejected the wide run")
+	// Quotas are counted per tenant: the bytes that fill "capped" land
+	// fine under a second tenant on the same owners, and re-pushing a
+	// run the tenant already owns stays idempotent.
+	if r := pushVia(t, peers[2], "roomy", small); r.ID != run.ID {
+		t.Fatalf("second tenant's push of the small run: ID %s, want %s", r.ID, run.ID)
 	}
 	if r := pushVia(t, peers[1], "capped", small); r.ID != run.ID {
 		t.Fatalf("idempotent re-push changed ID: %s vs %s", r.ID, run.ID)

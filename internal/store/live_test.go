@@ -171,30 +171,94 @@ func TestLiveSeqDedup(t *testing.T) {
 	}
 }
 
+// fillLive applies one delta to maxLiveSessions sessions: "old" first,
+// then after 30s "new" and the rest, so the tracker is at capacity with
+// "old" the stalest.
+func fillLive(t *testing.T, l *Live, clk *fakeClock) {
+	t.Helper()
+	one := ranksDelta(1, obs.RankProgress{Rank: 0, Windows: 1, Ops: 1})
+	ids := []string{"old", "new"}
+	for i := len(ids); i < maxLiveSessions; i++ {
+		ids = append(ids, fmt.Sprintf("fill-%d", i))
+	}
+	for i, id := range ids {
+		if _, err := l.Apply(DefaultTenant, id, []obs.Delta{one}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			clk.advance(30 * time.Second)
+		}
+	}
+}
+
 // TestLiveEviction: sessions idle past the TTL vanish on the next
 // lazily-swept call; the session cap evicts the stalest.
 func TestLiveEviction(t *testing.T) {
 	clk := newFakeClock()
-	l := NewLive(LiveOptions{Now: clk.now, SessionTTL: time.Minute, MaxSessions: 2})
+	l := NewLive(LiveOptions{Now: clk.now, SessionTTL: time.Minute})
+	fillLive(t, l, clk)
+	if _, err := l.View(DefaultTenant, "old", false); err != nil {
+		t.Fatalf("stalest session gone at the cap, before it is exceeded: %v", err)
+	}
+	// Cap eviction: one session more pushes out the stalest ("old").
 	one := ranksDelta(1, obs.RankProgress{Rank: 0, Windows: 1, Ops: 1})
-	if _, err := l.Apply(DefaultTenant, "old", []obs.Delta{one}); err != nil {
-		t.Fatal(err)
-	}
-	clk.advance(30 * time.Second)
-	if _, err := l.Apply(DefaultTenant, "new", []obs.Delta{one}); err != nil {
-		t.Fatal(err)
-	}
-	// Cap eviction: a third session pushes out the stalest ("old").
-	if _, err := l.Apply(DefaultTenant, "third", []obs.Delta{one}); err != nil {
+	if _, err := l.Apply(DefaultTenant, "one-more", []obs.Delta{one}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.View(DefaultTenant, "old", false); err == nil {
 		t.Fatal("cap eviction kept the stalest session")
 	}
+	if _, err := l.View(DefaultTenant, "new", false); err != nil {
+		t.Fatalf("cap eviction took more than the stalest: %v", err)
+	}
 	// TTL eviction.
 	clk.advance(2 * time.Minute)
 	if got := l.List(DefaultTenant); len(got) != 0 {
 		t.Fatalf("TTL sweep left %d sessions", len(got))
+	}
+}
+
+// TestLiveApplyRejectsWholeBatch: a batch with a delta addressed to
+// another session is refused before anything is touched — at capacity it
+// neither evicts a real session to make room for an empty one, nor
+// applies the deltas ahead of the bad one.
+func TestLiveApplyRejectsWholeBatch(t *testing.T) {
+	good := ranksDelta(2, obs.RankProgress{Rank: 0, Windows: 2, Ops: 2})
+	bad := obs.Delta{Seq: 3, Session: "someone-else"}
+	for _, tc := range []struct {
+		name, id string
+		batch    []obs.Delta
+	}{
+		{"fresh ID, bad delta alone", "fresh", []obs.Delta{bad}},
+		{"fresh ID, bad delta behind a good one", "fresh", []obs.Delta{good, bad}},
+		{"tracked ID, bad delta behind a good one", "new", []obs.Delta{good, bad}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := newFakeClock()
+			reg := obs.NewRegistry()
+			l := NewLive(LiveOptions{Now: clk.now, Reg: reg})
+			fillLive(t, l, clk)
+			if _, err := l.Apply(DefaultTenant, tc.id, tc.batch); err == nil {
+				t.Fatal("mismatched batch accepted")
+			}
+			if n := len(l.List(DefaultTenant)); n != maxLiveSessions {
+				t.Errorf("%d sessions after the rejected batch, want %d", n, maxLiveSessions)
+			}
+			if n := reg.Counter("chamd_live_sessions_evicted").Value(); n != 0 {
+				t.Errorf("rejected batch evicted %d sessions", n)
+			}
+			for _, id := range []string{"old", "new"} {
+				v, err := l.View(DefaultTenant, id, false)
+				if err != nil {
+					t.Errorf("session %q lost to a rejected batch: %v", id, err)
+				} else if v.Deltas != 1 {
+					t.Errorf("session %q applied %d deltas, want 1", id, v.Deltas)
+				}
+			}
+			if _, err := l.View(DefaultTenant, "fresh", false); err == nil {
+				t.Error("rejected batch left a session behind")
+			}
+		})
 	}
 }
 

@@ -81,9 +81,6 @@ type Options struct {
 	// canonical (raw) payload bytes — deterministic regardless of the
 	// Gzip setting. 0 means unlimited.
 	QuotaBytes int64
-	// TenantQuotas overrides QuotaBytes per tenant (0 entry = that
-	// tenant is unlimited).
-	TenantQuotas map[string]int64
 	// Reg, when non-nil, receives ingest/query/compaction counters and
 	// latency histograms.
 	Reg *obs.Registry
@@ -375,14 +372,6 @@ func (v TenantView) IngestBytes(b []byte) (Run, bool, error) {
 	return v.Ingest(f)
 }
 
-// Quota returns the tenant's raw-byte quota (0 = unlimited).
-func (v TenantView) Quota() int64 {
-	if q, ok := v.a.opts.TenantQuotas[v.tenant]; ok {
-		return q
-	}
-	return v.a.opts.QuotaBytes
-}
-
 // ingest stores an already-canonical payload under its content address.
 func (v TenantView) ingest(f *trace.File, payload []byte, id string) (Run, bool, error) {
 	a, tenant := v.a, v.tenant
@@ -397,7 +386,7 @@ func (v TenantView) ingest(f *trace.File, payload []byte, id string) (Run, bool,
 		return *r, false, nil
 	}
 
-	if quota := v.Quota(); quota > 0 && a.used[tenant]+int64(len(payload)) > quota {
+	if quota := a.opts.QuotaBytes; quota > 0 && a.used[tenant]+int64(len(payload)) > quota {
 		a.mQuotaRejects.Inc()
 		return Run{}, false, fmt.Errorf("%w: tenant %q holds %d of %d bytes, run needs %d more",
 			ErrQuotaExceeded, tenant, a.used[tenant], quota, len(payload))

@@ -76,17 +76,21 @@ func Relative(off int) Endpoint { return Endpoint{Kind: EPRelative, Off: off} }
 // Absolute returns a fixed-rank end-point.
 func Absolute(rank int) Endpoint { return Endpoint{Kind: EPAbsolute, Off: rank} }
 
-// Resolve maps the end-point to a concrete rank for the given replaying
-// rank. ReplyToLast and AnySource must be handled by the caller; Resolve
-// returns ok=false for them.
-func (e Endpoint) Resolve(self int) (rank int, ok bool) {
+// ResolveMod maps the end-point to a concrete rank for the given
+// replaying rank, wrapped into [0, p): relative offsets are recorded
+// modulo the rank count (torus wrap), and replay and the analyses
+// resolve them the same way. ReplyToLast and AnySource must be handled
+// by the caller; ResolveMod returns ok=false for them.
+func (e Endpoint) ResolveMod(self, p int) (rank int, ok bool) {
 	switch e.Kind {
 	case EPRelative:
-		return self + e.Off, true
+		rank = self + e.Off
 	case EPAbsolute:
-		return e.Off, true
+		rank = e.Off
+	default:
+		return 0, false
 	}
-	return 0, false
+	return ((rank % p) + p) % p, true
 }
 
 func (e Endpoint) String() string {

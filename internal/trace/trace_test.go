@@ -26,20 +26,24 @@ func leaf(site int) *Node {
 }
 
 func TestEndpointResolve(t *testing.T) {
-	if r, ok := Relative(3).Resolve(5); !ok || r != 8 {
-		t.Fatalf("relative resolve: %d/%v", r, ok)
-	}
-	if r, ok := Absolute(2).Resolve(5); !ok || r != 2 {
-		t.Fatalf("absolute resolve: %d/%v", r, ok)
-	}
-	if _, ok := (Endpoint{Kind: EPReplyToLast}).Resolve(0); ok {
-		t.Fatalf("reply resolved without context")
-	}
-	if _, ok := (Endpoint{Kind: EPAnySource}).Resolve(0); ok {
-		t.Fatalf("wildcard resolved")
-	}
-	if _, ok := NoEndpoint.Resolve(0); ok {
-		t.Fatalf("none resolved")
+	for _, c := range []struct {
+		e       Endpoint
+		self, p int
+		want    int
+		ok      bool
+	}{
+		{Relative(3), 5, 16, 8, true},
+		{Relative(3), 6, 8, 1, true},  // torus wrap upward
+		{Relative(-3), 1, 8, 6, true}, // and downward
+		{Absolute(2), 5, 16, 2, true},
+		{Absolute(10), 5, 8, 2, true},
+		{Endpoint{Kind: EPReplyToLast}, 0, 8, 0, false}, // needs the caller's context
+		{Endpoint{Kind: EPAnySource}, 0, 8, 0, false},
+		{NoEndpoint, 0, 8, 0, false},
+	} {
+		if r, ok := c.e.ResolveMod(c.self, c.p); ok != c.ok || r != c.want {
+			t.Errorf("%v.ResolveMod(%d, %d) = %d/%v, want %d/%v", c.e, c.self, c.p, r, ok, c.want, c.ok)
+		}
 	}
 }
 

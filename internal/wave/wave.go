@@ -30,8 +30,13 @@ import (
 	"chameleon/internal/obs"
 )
 
-// Options tunes detection. The zero value auto-calibrates everything
-// except P, which callers must set to the run's rank count.
+// maxRankGap is the largest rank distance joined into one wave: halo
+// neighbors.
+const maxRankGap = 1
+
+// Options describes the run to the detector. The significance floor and
+// the clustering window are calibrated from the edges (the way Afzal et
+// al. pick them); P is required.
 type Options struct {
 	// P is the rank count of the traced run (required).
 	P int
@@ -39,17 +44,6 @@ type Options struct {
 	// that many columns and measures rank distance as Manhattan
 	// distance on the grid. Zero means linear rank distance |a-b|.
 	Cols int
-	// MinWait is the significance floor in virtual nanoseconds: wait
-	// points below it are noise. Zero auto-calibrates to a multiple of
-	// the median positive wait across all application edges.
-	MinWait int64
-	// MaxGap is the largest virtual-time separation between two wait
-	// points joined into one wave. Zero auto-calibrates from the median
-	// spacing of significant points (≈ the iteration period).
-	MaxGap int64
-	// MaxRankGap is the largest rank distance joined into one wave;
-	// zero means 1 (halo neighbors).
-	MaxRankGap int
 	// Reg receives detector counters (nil-safe, see Metrics in obs).
 	Reg *obs.Registry
 }
@@ -122,9 +116,6 @@ func Detect(edges []obs.Edge, opts Options) (*Report, error) {
 	if opts.P <= 0 {
 		return nil, fmt.Errorf("wave: Options.P must be positive")
 	}
-	if opts.MaxRankGap <= 0 {
-		opts.MaxRankGap = 1
-	}
 	rep := &Report{P: opts.P, Edges: len(edges)}
 
 	// Collect application wait points. A counting pass first: the point
@@ -147,19 +138,14 @@ func Detect(edges []obs.Edge, opts Options) (*Report, error) {
 	}
 	rep.WaitPoints = len(pts)
 
-	// Significance floor: well above the jitter-scale waits every
+	// Significance floor in virtual nanoseconds, four medians of the
+	// positive waits: well above the jitter-scale waits every
 	// bulk-synchronous step produces, well below a real disturbance.
-	floor := opts.MinWait
-	if floor <= 0 {
-		waits := make([]int64, len(pts))
-		for i := range pts {
-			waits[i] = pts[i].Wait
-		}
-		floor = 4 * medianInt64(waits)
-		if floor <= 0 {
-			floor = 1
-		}
+	waits := make([]int64, len(pts))
+	for i := range pts {
+		waits[i] = pts[i].Wait
 	}
+	floor := max(4*medianInt64(waits), 1)
 	rep.FloorNs = floor
 
 	nsig := 0
@@ -186,19 +172,13 @@ func Detect(edges []obs.Edge, opts Options) (*Report, error) {
 	// about one halo-exchange period apart; eight medians of slack
 	// tolerates skipped ranks and jitter without bridging independent
 	// waves emitted hundreds of periods apart.
-	maxGap := opts.MaxGap
-	if maxGap <= 0 {
-		var gaps []int64
-		for i := 1; i < len(sig); i++ {
-			if d := sig[i].VT - sig[i-1].VT; d > 0 {
-				gaps = append(gaps, d)
-			}
-		}
-		maxGap = 8 * medianInt64(gaps)
-		if maxGap <= 0 {
-			maxGap = 1
+	var gaps []int64
+	for i := 1; i < len(sig); i++ {
+		if d := sig[i].VT - sig[i-1].VT; d > 0 {
+			gaps = append(gaps, d)
 		}
 	}
+	maxGap := max(8*medianInt64(gaps), 1)
 	rep.MaxGapNs = maxGap
 
 	dist := func(a, b int) int { return rankDist(a, b, opts.Cols) }
@@ -225,7 +205,7 @@ func Detect(edges []obs.Edge, opts Options) (*Report, error) {
 	}
 	for i := range sig {
 		for j := i - 1; j >= 0 && sig[i].VT-sig[j].VT <= maxGap; j-- {
-			if dist(sig[i].Rank, sig[j].Rank) <= opts.MaxRankGap {
+			if dist(sig[i].Rank, sig[j].Rank) <= maxRankGap {
 				union(i, j)
 			}
 		}

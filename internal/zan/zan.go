@@ -328,7 +328,7 @@ func (a *analyzer) flushWindow() {
 	}
 	a.touched = a.touched[:0]
 	win.LoadImbalance = imbalance(maxComp, sumComp, participants)
-	win.CommRatio = ratio(float64(win.CommNs), float64(win.ComputeNs))
+	win.CommRatio = Ratio(float64(win.CommNs), float64(win.ComputeNs))
 
 	// Pair up the window's directed channels; only the leftovers roll
 	// into the whole-trace channel map, so every pair formed there
@@ -432,14 +432,14 @@ func (a *analyzer) leaf(n *trace.Node, mult uint64) {
 		if sends {
 			a.match.Sends += mult
 			a.addTag(ev.Tag).sends += mult
-			if dst, ok := resolveMod(ev.Dest, r, a.p); ok {
+			if dst, ok := ev.Dest.ResolveMod(r, a.p); ok {
 				a.winChan(chKey{tag: ev.Tag, src: r, dst: dst}).sends += mult
 			}
 		}
 		if recvs {
 			a.match.Recvs += mult
 			a.addTag(ev.Tag).recvs += mult
-			if src, ok := resolveMod(ev.Src, r, a.p); ok {
+			if src, ok := ev.Src.ResolveMod(r, a.p); ok {
 				a.winChan(chKey{tag: ev.Tag, src: src, dst: r}).recvs += mult
 			} else {
 				a.match.Wildcards += mult
@@ -509,17 +509,6 @@ func p2pSides(op mpi.OpCode) (sends, recvs bool) {
 	return false, false
 }
 
-// resolveMod resolves an end-point for a rank, wrapped into [0, p) the
-// way replay resolves relative (torus) offsets. Wildcard and reply
-// encodings report ok=false.
-func resolveMod(e trace.Endpoint, self, p int) (int, bool) {
-	r, ok := e.Resolve(self)
-	if !ok {
-		return 0, false
-	}
-	return ((r % p) + p) % p, true
-}
-
 // --- finalization ---
 
 func (a *analyzer) report(f *trace.File) *Report {
@@ -539,8 +528,8 @@ func (a *analyzer) report(f *trace.File) *Report {
 		rep.CommNs += w.CommNs
 		rep.WaitNs += w.WaitNs
 	}
-	rep.CompressionRatio = ratio(float64(rep.Events), float64(rep.StoredNodes))
-	rep.CommRatio = ratio(float64(rep.CommNs), float64(rep.ComputeNs))
+	rep.CompressionRatio = Ratio(float64(rep.Events), float64(rep.StoredNodes))
+	rep.CommRatio = Ratio(float64(rep.CommNs), float64(rep.ComputeNs))
 
 	var maxComp, sumComp int64
 	participants := 0
@@ -596,13 +585,13 @@ func imbalance(maxComp, sumComp int64, participants int) float64 {
 		return 0
 	}
 	mean := float64(sumComp) / float64(participants)
-	return ratio(float64(maxComp), mean)
+	return Ratio(float64(maxComp), mean)
 }
 
-// ratio returns num/den with a guarded denominator: 0 when den is zero
-// (or not finite), so empty windows and zero-compute traces never
-// produce NaN or Inf.
-func ratio(num, den float64) float64 {
+// Ratio returns num/den with a guarded denominator: 0 when den is zero
+// or not finite, so empty traces, empty windows, and zero-iteration
+// loops never produce NaN or Inf in derived metrics.
+func Ratio(num, den float64) float64 {
 	if den == 0 || math.IsNaN(den) || math.IsInf(den, 0) {
 		return 0
 	}

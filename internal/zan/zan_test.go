@@ -1,6 +1,7 @@
 package zan
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -336,6 +337,22 @@ func BenchmarkZanAnalyze(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Analyze(f, Options{Model: vtime.Default()}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRatioGuards pins the shared denominator guard.
+func TestRatioGuards(t *testing.T) {
+	cases := []struct{ num, den, want float64 }{
+		{1, 0, 0},
+		{0, 0, 0},
+		{1, math.NaN(), 0},
+		{1, math.Inf(1), 0},
+		{6, 3, 2},
+	}
+	for _, c := range cases {
+		if got := Ratio(c.num, c.den); got != c.want {
+			t.Errorf("Ratio(%g, %g) = %g, want %g", c.num, c.den, got, c.want)
 		}
 	}
 }
