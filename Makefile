@@ -36,8 +36,9 @@ test-race:
 # fuzz: a short fuzz smoke over every decoder that parses bytes from
 # outside the program: the binary trace decoder (the archive ingests
 # untrusted payloads through it), the TCP frame decoder (every fleet
-# byte passes through it) and the fault-plan decoder (-faults/-noise
-# input). The seed and poison corpora run as plain tests in `make test`;
+# byte passes through it), the fault-plan decoder (-faults/-noise
+# input) and the manifest-log replay decoder (whatever a crash left on
+# disk). The seed and poison corpora run as plain tests in `make test`;
 # CI runs this for the fuzzing time on top, and local deep fuzzing just
 # raises -fuzztime.
 fuzz:
@@ -45,6 +46,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadAny -fuzztime=5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzManifestLog -fuzztime=5s ./internal/store/
 
 # test-transport: the TCP multi-process transport suite under the race
 # detector. In internal/mpi: the layer tables over net.Pipe (link

@@ -5,7 +5,8 @@
 //
 // Layout under the archive directory:
 //
-//	manifest.json              index of runs (atomic-swap on update)
+//	manifest.json              checkpoint of the run index (atomic swap)
+//	manifest.log               index changes since that checkpoint, one JSON line each
 //	segments/ab/abcd....seg    default-tenant v2 binary payloads (optionally gzip)
 //	edges/ab/abcd....jsonl     default-tenant causal-edge sidecars (see edges.go)
 //	tenants/<t>/segments/...   per-tenant payloads for every other tenant
@@ -22,10 +23,14 @@
 // reach into another's.
 //
 // The manifest indexes each run by tenant, benchmark, rank count,
-// Call-Path signature set, and ingest timestamp; it is only ever
-// replaced whole (write-temp + rename), never edited in place, so a
-// crash mid-update leaves the previous index intact and at worst an
-// orphaned segment, which Compact reclaims.
+// Call-Path signature set, and ingest timestamp. An ingest or delete
+// appends one line to manifest.log; manifest.json is only ever replaced
+// whole (write-temp + rename) when a checkpoint folds the log into it,
+// which happens once the log is as large as the last checkpoint, and on
+// Compact, Close and Open. Open replays the log over the checkpoint, so
+// a crash at any point leaves every acknowledged change in place, at
+// worst a torn last log line (dropped) and an orphaned segment, which
+// Compact reclaims. The archive assumes a single writing process.
 package store
 
 import (
@@ -55,6 +60,9 @@ import (
 const (
 	KindIngest  = "store_ingest"  // one run ingested (Note: "new" or "dedup")
 	KindCompact = "store_compact" // one compaction pass (Count: files removed)
+	// KindCheckpoint is one fold of manifest.log into manifest.json
+	// (Bytes: the checkpoint written, Count: the log bytes it replaced).
+	KindCheckpoint = "store_checkpoint"
 )
 
 // Sentinel errors, wrapped with %w where they arise; the HTTP layer's
@@ -84,7 +92,8 @@ type Options struct {
 	// Reg, when non-nil, receives ingest/query/compaction counters and
 	// latency histograms.
 	Reg *obs.Registry
-	// Journal, when non-nil, receives store_ingest/store_compact events.
+	// Journal, when non-nil, receives store_ingest/store_compact/
+	// store_checkpoint events.
 	Journal *obs.Journal
 	// CompactEvery, when positive, starts a background goroutine that
 	// sweeps orphaned segments at this period until Close.
@@ -148,11 +157,15 @@ type Archive struct {
 	runs map[string]map[string]*Run // tenant -> content address -> run
 	used map[string]int64           // tenant -> sum of RawBytes
 
+	ckptBytes int64 // size of manifest.json as last read or written
+	logBytes  int64 // size of manifest.log up to its last whole record
+	logTorn   bool  // a failed append may have left bytes past logBytes
+
 	stop chan struct{}
 	wg   sync.WaitGroup
 
 	mIngest, mDedup, mGets, mLists, mDeletes *obs.Counter
-	mCompacts, mOrphans                      *obs.Counter
+	mCompacts, mOrphans, mCheckpoints        *obs.Counter
 	mRawBytes, mStoredBytes                  *obs.Counter
 	mQuotaRejects                            *obs.Counter
 	hIngest, hGet                            *obs.Histogram
@@ -186,6 +199,7 @@ func Open(dir string, opts Options) (*Archive, error) {
 		mDeletes:      opts.Reg.Counter("store_deletes"),
 		mCompacts:     opts.Reg.Counter("store_compactions"),
 		mOrphans:      opts.Reg.Counter("store_orphans_removed"),
+		mCheckpoints:  opts.Reg.Counter("store_checkpoints"),
 		mRawBytes:     opts.Reg.Counter("store_raw_bytes"),
 		mStoredBytes:  opts.Reg.Counter("store_stored_bytes"),
 		mQuotaRejects: opts.Reg.Counter("store_quota_rejects"),
@@ -196,6 +210,9 @@ func Open(dir string, opts Options) (*Archive, error) {
 	if err := a.loadManifest(); err != nil {
 		return nil, err
 	}
+	if err := a.replayLog(); err != nil {
+		return nil, err
+	}
 	if opts.CompactEvery > 0 {
 		a.wg.Add(1)
 		go a.compactLoop(opts.CompactEvery)
@@ -203,8 +220,9 @@ func Open(dir string, opts Options) (*Archive, error) {
 	return a, nil
 }
 
-// Close stops the background compactor (if any). The archive itself
-// holds no open files between calls.
+// Close stops the background compactor (if any) and folds the manifest
+// log into a checkpoint, so a closed archive is a manifest.json and no
+// log. The archive itself holds no open files between calls.
 func (a *Archive) Close() error {
 	select {
 	case <-a.stop:
@@ -212,7 +230,9 @@ func (a *Archive) Close() error {
 		close(a.stop)
 	}
 	a.wg.Wait()
-	return nil
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.checkpointLocked()
 }
 
 func (a *Archive) compactLoop(every time.Duration) {
@@ -230,6 +250,7 @@ func (a *Archive) compactLoop(every time.Duration) {
 }
 
 func (a *Archive) manifestPath() string { return filepath.Join(a.dir, "manifest.json") }
+func (a *Archive) logPath() string      { return filepath.Join(a.dir, "manifest.log") }
 
 // tmpDir is the staging area every atomic write goes through.
 func (a *Archive) tmpDir() string { return filepath.Join(a.dir, "tmp") }
@@ -263,6 +284,7 @@ func (a *Archive) loadManifest() error {
 	if m.Version != manifestVersion {
 		return fmt.Errorf("store: manifest version %d not supported", m.Version)
 	}
+	a.ckptBytes = int64(len(data))
 	for _, r := range m.Runs {
 		if r.Tenant == "" {
 			r.Tenant = DefaultTenant
@@ -272,18 +294,32 @@ func (a *Archive) loadManifest() error {
 	return nil
 }
 
-// putRunLocked indexes a run and charges its tenant. Callers hold a.mu
-// (or are still single-threaded in Open).
+// putRunLocked indexes a run, replacing a record already under its ID,
+// and charges its tenant: used stays the sum of the indexed RawBytes
+// whatever is replayed over whatever. Callers hold a.mu (or are still
+// single-threaded in Open).
 func (a *Archive) putRunLocked(r *Run) {
 	t := a.runs[r.Tenant]
 	if t == nil {
 		t = make(map[string]*Run)
 		a.runs[r.Tenant] = t
 	}
-	if _, dup := t[r.ID]; !dup {
-		a.used[r.Tenant] += r.RawBytes
+	if old := t[r.ID]; old != nil {
+		a.used[r.Tenant] -= old.RawBytes
 	}
+	a.used[r.Tenant] += r.RawBytes
 	t[r.ID] = r
+}
+
+// dropRunLocked un-indexes a run and refunds its tenant, returning the
+// record (nil when the tenant holds no such run). Callers hold a.mu.
+func (a *Archive) dropRunLocked(tenant, id string) *Run {
+	r := a.runs[tenant][id]
+	if r != nil {
+		delete(a.runs[tenant], id)
+		a.used[tenant] -= r.RawBytes
+	}
+	return r
 }
 
 // writeManifest atomically replaces the on-disk index with the current
@@ -308,7 +344,158 @@ func (a *Archive) writeManifest() error {
 	if _, err := atomicfile.Write(a.tmpDir(), a.manifestPath(), atomicfile.Bytes(data)); err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
+	a.ckptBytes = int64(len(data))
 	return nil
+}
+
+// logRecord is one line of manifest.log: exactly one of a run indexed
+// or a run dropped.
+type logRecord struct {
+	Put *Run    `json:"put,omitempty"`
+	Del *logDel `json:"del,omitempty"`
+}
+
+type logDel struct {
+	Tenant string `json:"tenant"`
+	ID     string `json:"id"`
+}
+
+// minCheckpointLog is the log size below which no checkpoint is due,
+// however small the last one was: a young archive would otherwise
+// rewrite its index every few ingests.
+const minCheckpointLog = 64 << 10
+
+// appendLog makes one index change durable-as-the-manifest-is: a single
+// write of one line to manifest.log, opened and closed here. Once the
+// log has grown to the size of the last checkpoint (at least
+// minCheckpointLog) it is folded into a new one, so N changes write
+// O(N) index bytes and the log never outweighs the index it amends. A
+// checkpoint that fails is not the change's failure: its line is in
+// the log, and the next change tries again. Callers hold a.mu.
+func (a *Archive) appendLog(rec logRecord) error {
+	if a.logTorn {
+		if err := os.Truncate(a.logPath(), a.logBytes); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: manifest log: %w", err)
+		}
+		a.logTorn = false
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	line = append(line, '\n')
+	f, err := os.OpenFile(a.logPath(), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: manifest log: %w", err)
+	}
+	_, err = f.Write(line)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		// Part of the line may be on disk, and the next append would
+		// bury it mid-log, where replay calls it corruption. Cut it
+		// off; if even that fails, the next change has to first.
+		a.logTorn = os.Truncate(a.logPath(), a.logBytes) != nil
+		return fmt.Errorf("store: manifest log: %w", err)
+	}
+	a.logBytes += int64(len(line))
+	if a.logBytes >= max(a.ckptBytes, minCheckpointLog) {
+		a.checkpointLocked() //nolint:errcheck — see above
+	}
+	return nil
+}
+
+// checkpointLocked folds the log into manifest.json: the in-memory run
+// set is swapped in whole, then the log is removed. A crash between the
+// two leaves a log whose records the checkpoint already holds, which
+// replay applies again to no effect. Callers hold a.mu.
+func (a *Archive) checkpointLocked() error {
+	if a.logBytes == 0 && !a.logTorn {
+		return nil
+	}
+	if err := a.writeManifest(); err != nil {
+		return err
+	}
+	if err := os.Remove(a.logPath()); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: manifest log: %w", err)
+	}
+	a.mCheckpoints.Inc()
+	a.opts.Journal.Emit(obs.Event{Kind: KindCheckpoint, Bytes: a.ckptBytes, Count: uint64(a.logBytes)})
+	a.logBytes, a.logTorn = 0, false
+	return nil
+}
+
+// replayLog applies manifest.log over the loaded checkpoint and, if
+// there was a log at all, checkpoints — so an open archive starts with
+// no log, and a repaired torn tail is gone before the next append.
+func (a *Archive) replayLog() error {
+	data, err := os.ReadFile(a.logPath())
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("store: manifest log: %w", err)
+	}
+	recs, err := decodeLog(data)
+	if err != nil {
+		return err
+	}
+	a.applyLog(recs)
+	a.logBytes = int64(len(data)) // torn tail included: the checkpoint removes the file
+	return a.checkpointLocked()
+}
+
+// applyLog replays decoded records over the index. Doing so twice
+// leaves what doing so once left: a put of an indexed run overwrites
+// it, a del of an absent one does nothing.
+func (a *Archive) applyLog(recs []logRecord) {
+	for _, rec := range recs {
+		if rec.Put != nil {
+			a.putRunLocked(rec.Put)
+		} else {
+			a.dropRunLocked(rec.Del.Tenant, rec.Del.ID)
+		}
+	}
+}
+
+// decodeLog parses the bytes of a manifest.log. A last line that lacks
+// its newline or does not parse is the torn tail of a crashed append and
+// is dropped; a bad line anywhere before it is corruption. Empty tenants
+// mean DefaultTenant, as in the checkpoint.
+func decodeLog(data []byte) ([]logRecord, error) {
+	var recs []logRecord
+	for n := 1; len(data) > 0; n++ {
+		end := bytes.IndexByte(data, '\n')
+		if end < 0 {
+			break // no newline: torn
+		}
+		line := data[:end]
+		data = data[end+1:]
+		var rec logRecord
+		err := json.Unmarshal(line, &rec)
+		switch {
+		case err != nil:
+		case (rec.Put == nil) == (rec.Del == nil):
+			err = errors.New("want exactly one of put, del")
+		case rec.Put != nil && rec.Put.ID == "", rec.Del != nil && rec.Del.ID == "":
+			err = errors.New("record names no run")
+		}
+		if err != nil {
+			if len(data) == 0 {
+				break // torn inside the last line
+			}
+			return nil, fmt.Errorf("store: manifest log: line %d: %w", n, err)
+		}
+		if rec.Put != nil && rec.Put.Tenant == "" {
+			rec.Put.Tenant = DefaultTenant
+		}
+		if rec.Del != nil && rec.Del.Tenant == "" {
+			rec.Del.Tenant = DefaultTenant
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
 }
 
 // Encode returns the canonical CHAMTRC2 payload and content address of
@@ -404,11 +591,10 @@ func (v TenantView) ingest(f *trace.File, payload []byte, id string) (Run, bool,
 	run.StoredBytes = stored
 
 	a.putRunLocked(run)
-	if err := a.writeManifest(); err != nil {
+	if err := a.appendLog(logRecord{Put: run}); err != nil {
 		// Roll back the index entry; the segment becomes an orphan that
 		// the next Compact reclaims.
-		delete(a.runs[tenant], id)
-		a.used[tenant] -= run.RawBytes
+		a.dropRunLocked(tenant, id)
 		return Run{}, false, err
 	}
 
@@ -590,35 +776,33 @@ func (q Query) page(runs []Run) ([]Run, int) {
 	return runs, total
 }
 
-// Delete drops a run from the manifest. The segment stays on disk as an
+// Delete drops a run from the index. The segment stays on disk as an
 // orphan (the store is append-only) until Compact reclaims it.
 func (v TenantView) Delete(id string) error {
 	a, tenant := v.a, v.tenant
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	r, ok := a.runs[tenant][id]
-	if !ok {
+	r := a.dropRunLocked(tenant, id)
+	if r == nil {
 		return fmt.Errorf("store: run %q %w", id, ErrNotFound)
 	}
-	delete(a.runs[tenant], id)
-	a.used[tenant] -= r.RawBytes
-	if err := a.writeManifest(); err != nil {
-		a.runs[tenant][id] = r
-		a.used[tenant] += r.RawBytes
+	if err := a.appendLog(logRecord{Del: &logDel{Tenant: tenant, ID: id}}); err != nil {
+		a.putRunLocked(r)
 		return err
 	}
 	a.mDeletes.Inc()
 	return nil
 }
 
-// Compact removes segment files no manifest run references (crashed
-// ingests, deleted runs) across every tenant and clears the tmp staging
-// area. It returns the number of files removed.
+// Compact folds the manifest log into a checkpoint, removes segment
+// files no indexed run references (crashed ingests, deleted runs) across
+// every tenant and clears the tmp staging area. It returns the number of
+// files removed.
 func (a *Archive) Compact() (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	removed := 0
-	var errs []error
+	errs := []error{a.checkpointLocked()}
 
 	// Every tenant payload tree: the legacy default-tenant layout plus
 	// tenants/<name>/ for everyone else — including directories of

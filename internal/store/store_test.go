@@ -454,6 +454,9 @@ func TestResolvePrefix(t *testing.T) {
 	}
 }
 
+// Four ingests leave the index on disk as a log or a checkpoint (which
+// one is the checkpoint rule's business), nothing in tmp/, and four
+// runs for the next process to open — without this one closing.
 func TestManifestSwapLeavesNoTemp(t *testing.T) {
 	a := openTemp(t, Options{})
 	for i := uint64(0); i < 4; i++ {
@@ -461,8 +464,10 @@ func TestManifestSwapLeavesNoTemp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(a.manifestPath()); err != nil {
-		t.Fatalf("manifest missing: %v", err)
+	_, logErr := os.Stat(a.logPath())
+	_, ckptErr := os.Stat(a.manifestPath())
+	if logErr != nil && ckptErr != nil {
+		t.Fatalf("neither manifest log (%v) nor checkpoint (%v) on disk", logErr, ckptErr)
 	}
 	tmps, err := os.ReadDir(filepath.Join(a.dir, "tmp"))
 	if err != nil {
@@ -470,5 +475,13 @@ func TestManifestSwapLeavesNoTemp(t *testing.T) {
 	}
 	if len(tmps) != 0 {
 		t.Fatalf("tmp staging not empty after ingests: %d files", len(tmps))
+	}
+	b, err := Open(a.dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if runs, total := b.List(Query{}); total != 4 || len(runs) != 4 {
+		t.Fatalf("reopened archive lists %d/%d runs, want 4/4", len(runs), total)
 	}
 }
