@@ -17,7 +17,6 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -40,14 +39,10 @@ func init() {
 		Zero: []*trace.Node{},
 		Encode: func(v any) ([]byte, error) {
 			f := &trace.File{P: 1, Nodes: v.([]*trace.Node)}
-			var buf bytes.Buffer
-			if err := f.WriteBinary(&buf); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
+			return f.AppendBinary(nil), nil
 		},
 		Decode: func(data []byte) (any, error) {
-			f, err := trace.ReadBinary(bytes.NewReader(data))
+			f, err := trace.DecodeBinary(data)
 			if err != nil {
 				return nil, err
 			}

@@ -168,7 +168,7 @@ func LoadTraceStats(ref string) (*trace.File, *TransferStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := trace.ReadAny(bytes.NewReader(payload))
+	f, err := trace.DecodeAny(payload)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", ref, err)
 	}

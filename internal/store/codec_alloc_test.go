@@ -1,0 +1,105 @@
+package store
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	chameleon "chameleon"
+	"chameleon/internal/trace"
+)
+
+// luTrace is the P=64 LU Chameleon trace of the archive_mixed corpus,
+// traced once per test binary.
+var luTrace = sync.OnceValues(func() (*trace.File, error) {
+	out, err := chameleon.RunBenchmark("LU", "A", 64, chameleon.TracerChameleon, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out.Trace, nil
+})
+
+func luPayload(t *testing.T) ([]byte, string) {
+	t.Helper()
+	f, err := luTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, id, err := Encode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload, id
+}
+
+// TestEncodeAllocBudget holds Encode of the LU trace (33 KB), as the
+// archive holds it — decoded — to a budget. It takes 30 allocations:
+// the payload grown by append from empty (most of them), the site index
+// and table, and the two of the hex content address. The budget leaves
+// 2 over that: the payload's length moves with the checkout's path (the
+// site table holds file names), which can cross one more growth step.
+// The pre-change encoder (bufio over a bytes.Buffer) took 19; a per-leaf
+// copy of the rank descriptors takes it to 1 192. (Encoding the trace
+// straight from the tracer also symbolizes each call site it captured,
+// once per site, in sig.Sites.Resolve: 10 more here, the site table's
+// cost, not the codec's.)
+func TestEncodeAllocBudget(t *testing.T) {
+	const budget = 32
+	payload, _ := luPayload(t)
+	f, err := trace.DecodeAny(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := Encode(f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Encode of LU P=64: %.0f allocations", allocs)
+	if allocs > budget {
+		t.Fatalf("Encode took %.0f allocations, budget %d", allocs, budget)
+	}
+}
+
+// bytesAllocated returns the heap bytes fn allocates, averaged over n
+// calls — every goroutine of the process counted, servers included.
+func bytesAllocated(n int, fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// A dedup PUT through an edge that holds the run is answered from
+// indexes: the edge hashes the body and finds it held, and so does the
+// other owner it forwards to. Client, edge and owner together allocate
+// less than one decode of the payload: 0.18 MB against 0.89 MB. The
+// parent decoded it on both, 3.4 MB against its 1.35 MB decode; with the
+// hash-first check removed this change allocates 2.1 MB.
+func TestDedupPutAllocatesLessThanADecode(t *testing.T) {
+	payload, id := luPayload(t)
+	peers := startMesh(t, 3, meshConfig{replicas: 2})
+	if run, created, err := PushBytes(peers[0].url, payload, false); err != nil || !created || run.ID != id {
+		t.Fatalf("cold PUT: created=%v id=%s err=%v", created, run.ID, err)
+	}
+	edge := peers[0].node.Owners(id)[0] // holds the run
+	dedup := func() {
+		if _, created, err := PushBytes(edge, payload, false); err != nil || created {
+			t.Fatalf("dedup PUT: created=%v err=%v", created, err)
+		}
+	}
+	dedup() // warm the connections
+	put := bytesAllocated(20, dedup)
+	decode := bytesAllocated(20, func() {
+		if _, err := trace.DecodeAny(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("dedup PUT of %d bytes: %d B allocated; one decode: %d B", len(payload), put, decode)
+	if put >= decode {
+		t.Fatalf("a dedup PUT allocated %d B, one decode of its payload %d B", put, decode)
+	}
+}

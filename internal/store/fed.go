@@ -201,13 +201,13 @@ func relay(resp *http.Response, body any) reply {
 // anti-entropy sweep moves the bytes onto the ring later — so a write
 // succeeds as long as any peer can hold it.
 func (s *server) replicateRun(rt *route, q *request) (any, error) {
-	if err := q.decode(); err != nil {
+	if err := q.parse(s.a.Tenant(q.tenant)); err != nil {
 		return nil, err
 	}
 	s.mFanouts.Inc()
-	q.body = q.canon
+	q.body = q.run.canon
 	var t tally
-	if err := s.offer(rt, q, s.node.Owners(q.id), "/runs", "application/octet-stream", &t); err != nil {
+	if err := s.offer(rt, q, s.node.Owners(q.run.id), "/runs", "application/octet-stream", &t); err != nil {
 		return nil, err
 	}
 	if t.first == nil {
@@ -217,7 +217,7 @@ func (s *server) replicateRun(rt *route, q *request) (any, error) {
 		// Every owner is unreachable or full: last resort is this peer.
 		v, err := rt.handle(s, q)
 		if err != nil {
-			return nil, failf(statusOf(err), "replicate %s: %v (owners: %v)", q.id[:12], err, t.lastErr)
+			return nil, failf(statusOf(err), "replicate %s: %v (owners: %v)", q.run.id[:12], err, t.lastErr)
 		}
 		return v, nil
 	}

@@ -34,17 +34,19 @@ const (
 )
 
 func (s *server) putRun(q *request) (any, error) {
-	if err := q.decode(); err != nil {
+	tv := s.a.Tenant(q.tenant)
+	if err := q.parse(tv); err != nil {
 		return nil, err
 	}
-	run, created, err := s.a.Tenant(q.tenant).ingest(q.f, q.canon, q.id)
+	run, created, err := tv.ingest(&q.run)
 	if err != nil {
 		return nil, err
 	}
 	// Gates fire once per new run, on its primary owner. Repair ingests
 	// skip them: anti-entropy must converge replicas without re-firing.
-	if created && !q.repair && s.cq != nil && s.primary(q.id) {
-		s.cq.Evaluate(q.tenant, q.id, q.f)
+	// A new run was decoded, here or by ingest.
+	if created && !q.repair && s.cq != nil && s.primary(run.ID) {
+		s.cq.Evaluate(q.tenant, run.ID, q.run.f)
 	}
 	rep := reply{
 		etag:   `"` + run.ID + `"`,

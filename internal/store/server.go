@@ -44,7 +44,6 @@ import (
 	"chameleon/internal/cq"
 	"chameleon/internal/mesh"
 	"chameleon/internal/obs"
-	"chameleon/internal/trace"
 )
 
 // ServerOptions harden and instrument the HTTP layer.
@@ -77,6 +76,7 @@ type ServerOptions struct {
 
 const (
 	defaultMaxBody        = 64 << 20
+	maxBodyPresize        = 1 << 20
 	defaultRequestTimeout = 30 * time.Second
 
 	// quotaRetryAfter is the Retry-After (seconds) of a 429 that is not
@@ -267,28 +267,23 @@ type request struct {
 	trusted, repair bool
 	body            []byte    // PUT/POST payload, capped and transfer-decoded
 	lookup          cq.Lookup // resolves run references: locally, or mesh-wide under the meshLookup policy
-	// f, canon and id are a PUT /runs body parsed, re-encoded canonically,
-	// and content-addressed, once decode has run.
-	f     *trace.File
-	canon []byte
-	id    string
+	// run is a PUT /runs body made ingestible, once parse has run.
+	run parsed
 }
 
-// decode parses the body as a trace in any readable format, once: the
+// parse makes the body ingestible (TenantView.parse), once: the
 // replication policy needs the content address to place the run, the
 // handler needs the rest to store it.
-func (q *request) decode() error {
-	if q.f != nil {
+func (q *request) parse(tv TenantView) error {
+	if q.run.id != "" {
 		return nil
 	}
-	f, err := trace.ReadAny(bytes.NewReader(q.body))
+	run, err := tv.parse(q.body)
 	if err != nil {
-		return failf(http.StatusBadRequest, "store: ingest: %v", err)
+		return failf(http.StatusBadRequest, "%v", err)
 	}
-	if q.canon, q.id, err = Encode(f); err == nil {
-		q.f = f
-	}
-	return err
+	q.run = run
+	return nil
 }
 
 // matches reports whether the client already holds the entity named by
@@ -403,8 +398,15 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	defer body.Close()
 	var in io.Reader = body
+	var buf bytes.Buffer
 	switch enc := r.Header.Get("Content-Encoding"); enc {
 	case "", "identity":
+		// A body that states its length is read into one buffer of that
+		// size rather than grown to it. The length is the client's claim,
+		// so what it may reserve up front is capped.
+		if r.ContentLength > 0 {
+			buf.Grow(int(min(r.ContentLength, maxBodyPresize)) + bytes.MinRead)
+		}
 	case "gzip":
 		zr, err := gzip.NewReader(body)
 		if err != nil {
@@ -415,7 +417,8 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	default:
 		return nil, failf(http.StatusUnsupportedMediaType, "unsupported Content-Encoding %q", enc)
 	}
-	payload, err := io.ReadAll(in)
+	_, err := buf.ReadFrom(in)
+	payload := buf.Bytes()
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

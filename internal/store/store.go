@@ -503,13 +503,13 @@ func decodeLog(data []byte) ([]logRecord, error) {
 // (site table in first-appearance order, deterministic varint layout),
 // which is what makes the address stable across pushes.
 func Encode(f *trace.File) ([]byte, string, error) {
-	var buf bytes.Buffer
-	if err := f.WriteBinary(&buf); err != nil {
-		return nil, "", err
-	}
-	out := buf.Bytes()
-	sum := sha256.Sum256(out)
-	return out, hex.EncodeToString(sum[:]), nil
+	out := f.AppendBinary(nil)
+	return out, contentAddress(out), nil
+}
+
+func contentAddress(payload []byte) string {
+	sum := sha256.Sum256(payload)
+	return hex.EncodeToString(sum[:])
 }
 
 // describe builds the manifest record for a payload (sans timestamps
@@ -540,38 +540,92 @@ func describe(f *trace.File, payload []byte, id string) *Run {
 // whether a new segment was created (false when the content address was
 // already present — the dedup path stores nothing).
 func (v TenantView) Ingest(f *trace.File) (Run, bool, error) {
-	payload, id, err := Encode(f)
+	canon, id, err := Encode(f)
 	if err != nil {
 		return Run{}, false, err
 	}
-	return v.ingest(f, payload, id)
+	return v.ingest(&parsed{f: f, canon: canon, id: id})
 }
 
 // IngestBytes archives a serialized trace (any readable format: binary
-// v1/v2 or JSON). The payload is decoded — validating it — and
-// re-encoded canonically, so equivalent pushes in different formats
-// share one content address.
+// v1/v2 or JSON), read in place: see parse.
 func (v TenantView) IngestBytes(b []byte) (Run, bool, error) {
-	f, err := trace.ReadAny(bytes.NewReader(b))
+	p, err := v.parse(b)
 	if err != nil {
-		return Run{}, false, fmt.Errorf("store: ingest: %w", err)
+		return Run{}, false, err
 	}
-	return v.Ingest(f)
+	return v.ingest(&p)
 }
 
-// ingest stores an already-canonical payload under its content address.
-func (v TenantView) ingest(f *trace.File, payload []byte, id string) (Run, bool, error) {
+// parsed is a serialized trace made ready to ingest: its canonical
+// payload, the payload's content address and the decoded file — nil
+// when the tenant already held the address at parse time, so nothing
+// was decoded.
+type parsed struct {
+	f     *trace.File
+	canon []byte
+	id    string
+}
+
+// parse is the one way serialized traces enter the archive (PUT bodies
+// on the edge and on every owner, anti-entropy pulls, IngestBytes). The
+// bytes are hashed first: if the tenant holds a run under that hash, the
+// bytes are that run's segment — which hashed to its ID and was decoded
+// and validated at its first ingest — so they are its canonical payload
+// and nothing is decoded. Otherwise they are decoded once, in place
+// (the file does not retain b), and re-encoded canonically, so
+// equivalent pushes in different formats share one content address; the
+// re-encoding is sized to b, which a canonical push re-encodes to.
+func (v TenantView) parse(b []byte) (parsed, error) {
+	id := contentAddress(b)
+	if v.holds(id) {
+		return parsed{canon: b, id: id}, nil
+	}
+	f, err := trace.DecodeAny(b)
+	if err != nil {
+		return parsed{}, fmt.Errorf("store: ingest: %w", err)
+	}
+	canon := f.AppendBinary(make([]byte, 0, len(b)))
+	if !bytes.Equal(canon, b) { // not pushed in canonical form
+		id = contentAddress(canon)
+	}
+	return parsed{f: f, canon: canon, id: id}, nil
+}
+
+func (v TenantView) holds(id string) bool {
+	v.a.mu.Lock()
+	defer v.a.mu.Unlock()
+	_, ok := v.a.runs[v.tenant][id]
+	return ok
+}
+
+// ingest stores a parsed payload under its content address, or answers
+// from the index when the tenant holds it. The check and the answer are
+// one critical section, so a run parsed as held but deleted since is
+// found missing here, and its bytes are decoded before it is stored
+// again: nothing is described without a file.
+func (v TenantView) ingest(p *parsed) (Run, bool, error) {
 	a, tenant := v.a, v.tenant
 	start := time.Now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	if r, ok := a.runs[tenant][id]; ok {
+	if r, ok := a.runs[tenant][p.id]; ok {
 		a.mIngest.Inc()
 		a.mDedup.Inc()
 		a.opts.Journal.Emit(obs.Event{Kind: KindIngest, Note: "dedup", Bytes: r.RawBytes})
 		return *r, false, nil
 	}
+	if p.f == nil {
+		// Only a Delete racing this ingest gets here, so the decode may
+		// hold the lock.
+		f, err := trace.DecodeAny(p.canon)
+		if err != nil {
+			return Run{}, false, fmt.Errorf("store: ingest: %w", err)
+		}
+		p.f = f
+	}
+	f, payload, id := p.f, p.canon, p.id
 
 	if quota := a.opts.QuotaBytes; quota > 0 && a.used[tenant]+int64(len(payload)) > quota {
 		a.mQuotaRejects.Inc()
@@ -667,8 +721,7 @@ func (v TenantView) Payload(id string) ([]byte, Run, error) {
 	if err != nil {
 		return nil, Run{}, err
 	}
-	sum := sha256.Sum256(raw)
-	if hex.EncodeToString(sum[:]) != run.ID {
+	if contentAddress(raw) != run.ID {
 		return nil, Run{}, fmt.Errorf("store: segment %s is corrupt (content hash mismatch)", run.ID[:12])
 	}
 	v.a.mGets.Inc()
@@ -693,6 +746,13 @@ func (v TenantView) StoredPayload(id string) ([]byte, Run, error) {
 }
 
 func (a *Archive) readSegment(run Run) ([]byte, error) {
+	if !run.Gzip {
+		b, err := os.ReadFile(a.segmentPath(run.Tenant, run.ID))
+		if err != nil {
+			return nil, fmt.Errorf("store: segment: %w", err)
+		}
+		return b, nil
+	}
 	f, err := os.Open(a.segmentPath(run.Tenant, run.ID))
 	if err != nil {
 		return nil, fmt.Errorf("store: segment: %w", err)
@@ -720,7 +780,7 @@ func (v TenantView) Get(id string) (*trace.File, Run, error) {
 	if err != nil {
 		return nil, Run{}, err
 	}
-	f, err := trace.ReadAny(bytes.NewReader(raw))
+	f, err := trace.DecodeAny(raw)
 	if err != nil {
 		return nil, Run{}, fmt.Errorf("store: segment %s: %w", run.ID[:12], err)
 	}

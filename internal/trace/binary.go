@@ -24,14 +24,28 @@ package trace
 // archived runs are stable across the addition.
 //
 // Version 1 ("CHAMTRC1") had no site table and stored the raw stack
-// signature on each leaf; ReadBinary still reads it.
+// signature on each leaf; DecodeBinary still reads it.
 //
 // Everything integer is unsigned/signed varint; histograms store count,
 // min, max, mean and the sparse bucket set.
+//
+// The codec works on whole byte slices. Encoding appends into one
+// buffer. Decoding reads straight out of the input, which it never
+// retains (strings are copied out), and never expands a rank list: a
+// file holds few distinct lists (a P=64 LU trace: 10 across 1 162
+// leaves), so each is decoded once and memoized by its encoded bytes,
+// and every later leaf whose list has the same bytes shares it. The
+// nodes of one sequence come from one []Node and their histograms from
+// one []stats.Histogram, each sized to that sequence — so a node kept
+// from a decoded file keeps its whole sequence's slab alive. The sizes
+// are declared counts, so the slabs of all sequences together draw on
+// one budget, the nodes the whole input can hold: what a decode
+// allocates stays proportional to its input however the counts lie.
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -54,99 +68,31 @@ const (
 	tagLoop byte = 0x02
 )
 
-type binWriter struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
+// encoder is the file-local site table of one encoding.
+type encoder struct {
+	index map[uint64]int
+	sites []sig.SiteInfo
 }
 
-func (b *binWriter) uvarint(v uint64) {
-	if b.err != nil {
-		return
-	}
-	n := binary.PutUvarint(b.buf[:], v)
-	_, b.err = b.w.Write(b.buf[:n])
-}
-
-func (b *binWriter) varint(v int64) {
-	if b.err != nil {
-		return
-	}
-	n := binary.PutVarint(b.buf[:], v)
-	_, b.err = b.w.Write(b.buf[:n])
-}
-
-func (b *binWriter) byte(v byte) {
-	if b.err != nil {
-		return
-	}
-	b.err = b.w.WriteByte(v)
-}
-
-func (b *binWriter) str(s string) {
-	b.uvarint(uint64(len(s)))
-	if b.err != nil {
-		return
-	}
-	_, b.err = b.w.WriteString(s)
-}
-
-type binReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (b *binReader) uvarint() uint64 {
-	if b.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(b.r)
-	b.err = err
-	return v
-}
-
-func (b *binReader) varint() int64 {
-	if b.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(b.r)
-	b.err = err
-	return v
-}
-
-func (b *binReader) byte() byte {
-	if b.err != nil {
-		return 0
-	}
-	v, err := b.r.ReadByte()
-	b.err = err
-	return v
-}
-
-func (b *binReader) str() string {
-	n := b.uvarint()
-	if b.err != nil || n > 1<<20 {
-		if b.err == nil {
-			b.err = fmt.Errorf("trace: string too long")
-		}
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(b.r, buf); err != nil {
-		b.err = err
-		return ""
-	}
-	return string(buf)
+// AppendBinary appends the file's binary encoding (version 2) to dst.
+// A caller that knows about how long the encoding is (the bytes it was
+// decoded from) passes dst with that capacity.
+func (f *File) AppendBinary(dst []byte) []byte {
+	e := encoder{index: make(map[uint64]int)}
+	e.sites = collectSites(f.Nodes, e.index, nil)
+	return e.file(dst, f)
 }
 
 // WriteBinary serializes the trace file in the compact binary format
 // (version 2: site-indexed leaves behind a file-local call-site table).
 func (f *File) WriteBinary(w io.Writer) error {
-	bw := &binWriter{w: bufio.NewWriter(w)}
-	if _, err := bw.w.Write(binaryMagicV2[:]); err != nil {
-		return err
-	}
-	bw.uvarint(uint64(f.P))
+	_, err := w.Write(f.AppendBinary(nil))
+	return err
+}
+
+func (e *encoder) file(b []byte, f *File) []byte {
+	b = append(b, binaryMagicV2[:]...)
+	b = binary.AppendUvarint(b, uint64(f.P))
 	retired := canonicalRetired(f.Retired)
 	var flags byte
 	if f.Clustered {
@@ -158,29 +104,29 @@ func (f *File) WriteBinary(w io.Writer) error {
 	if len(retired) > 0 {
 		flags |= 4
 	}
-	bw.byte(flags)
-	bw.str(f.Benchmark)
-	bw.str(f.Tracer)
-	index := make(map[uint64]int)
-	sites := collectSites(f.Nodes, index, nil)
-	bw.uvarint(uint64(len(sites)))
-	for _, s := range sites {
-		bw.uvarint(s.Sig)
-		bw.str(s.Func)
-		bw.str(s.File)
-		bw.varint(int64(s.Line))
+	b = append(b, flags)
+	b = appendStr(b, f.Benchmark)
+	b = appendStr(b, f.Tracer)
+	b = binary.AppendUvarint(b, uint64(len(e.sites)))
+	for _, s := range e.sites {
+		b = binary.AppendUvarint(b, s.Sig)
+		b = appendStr(b, s.Func)
+		b = appendStr(b, s.File)
+		b = binary.AppendVarint(b, int64(s.Line))
 	}
-	writeSeq(bw, f.Nodes, index)
+	b = e.seq(b, f.Nodes)
 	if len(retired) > 0 {
-		bw.uvarint(uint64(len(retired)))
+		b = binary.AppendUvarint(b, uint64(len(retired)))
 		for _, rk := range retired {
-			bw.varint(int64(rk))
+			b = binary.AppendVarint(b, int64(rk))
 		}
 	}
-	if bw.err != nil {
-		return bw.err
-	}
-	return bw.w.Flush()
+	return b
+}
+
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // canonicalRetired returns the retired list sorted and deduplicated —
@@ -228,94 +174,217 @@ func collectSites(seq []*Node, index map[uint64]int, sites []sig.SiteInfo) []sig
 	return sites
 }
 
-func writeSeq(bw *binWriter, seq []*Node, index map[uint64]int) {
-	bw.uvarint(uint64(len(seq)))
+func (e *encoder) seq(b []byte, seq []*Node) []byte {
+	b = binary.AppendUvarint(b, uint64(len(seq)))
 	for _, n := range seq {
-		writeNode(bw, n, index)
+		b = e.node(b, n)
 	}
+	return b
 }
 
-func writeNode(bw *binWriter, n *Node, index map[uint64]int) {
+func (e *encoder) node(b []byte, n *Node) []byte {
 	if n.IsLoop() {
-		bw.byte(tagLoop)
-		bw.uvarint(n.Iters)
-		writeHist(bw, n.ItersHist)
-		writeSeq(bw, n.Body, index)
-		return
+		b = append(b, tagLoop)
+		b = binary.AppendUvarint(b, n.Iters)
+		b = appendHist(b, n.ItersHist)
+		return e.seq(b, n.Body)
 	}
-	bw.byte(tagLeaf)
-	bw.uvarint(uint64(n.Ev.Op))
-	bw.uvarint(uint64(index[uint64(n.Ev.Stack)]))
-	bw.varint(int64(n.Ev.Comm))
-	bw.varint(int64(n.Ev.Tag))
-	bw.varint(int64(n.Ev.Bytes))
-	writeEndpoint(bw, n.Ev.Dest)
-	writeEndpoint(bw, n.Ev.Src)
-	writeRanks(bw, n.Ranks)
-	writeHist(bw, n.Delta)
+	b = append(b, tagLeaf)
+	b = binary.AppendUvarint(b, uint64(n.Ev.Op))
+	b = binary.AppendUvarint(b, uint64(e.index[uint64(n.Ev.Stack)]))
+	b = binary.AppendVarint(b, int64(n.Ev.Comm))
+	b = binary.AppendVarint(b, int64(n.Ev.Tag))
+	b = binary.AppendVarint(b, int64(n.Ev.Bytes))
+	b = appendEndpoint(b, n.Ev.Dest)
+	b = appendEndpoint(b, n.Ev.Src)
+	b = appendRanks(b, n.Ranks)
+	return appendHist(b, n.Delta)
 }
 
-func writeEndpoint(bw *binWriter, e Endpoint) {
-	bw.byte(byte(e.Kind))
+func appendEndpoint(b []byte, e Endpoint) []byte {
+	b = append(b, byte(e.Kind))
 	if e.Kind == EPRelative || e.Kind == EPAbsolute {
-		bw.varint(int64(e.Off))
+		b = binary.AppendVarint(b, int64(e.Off))
 	}
+	return b
 }
 
-func writeRanks(bw *binWriter, l ranklist.List) {
+func appendRanks(b []byte, l ranklist.List) []byte {
 	rls := l.Descriptors()
-	bw.uvarint(uint64(len(rls)))
+	b = binary.AppendUvarint(b, uint64(len(rls)))
 	for _, r := range rls {
-		bw.varint(int64(r.Start))
-		bw.uvarint(uint64(len(r.Dims)))
+		b = binary.AppendVarint(b, int64(r.Start))
+		b = binary.AppendUvarint(b, uint64(len(r.Dims)))
 		for _, d := range r.Dims {
-			bw.varint(int64(d.Iters))
-			bw.varint(int64(d.Stride))
+			b = binary.AppendVarint(b, int64(d.Iters))
+			b = binary.AppendVarint(b, int64(d.Stride))
 		}
 	}
+	return b
 }
 
-func writeHist(bw *binWriter, h *stats.Histogram) {
+func appendHist(b []byte, h *stats.Histogram) []byte {
 	if h == nil || h.Count() == 0 {
-		bw.uvarint(0)
-		return
+		return binary.AppendUvarint(b, 0)
 	}
-	bw.uvarint(h.Count())
-	bw.varint(h.Min)
-	bw.varint(h.Max)
-	bw.uvarint(math.Float64bits(float64(h.Mean())))
+	b = binary.AppendUvarint(b, h.Count())
+	b = binary.AppendVarint(b, h.Min)
+	b = binary.AppendVarint(b, h.Max)
+	b = binary.AppendUvarint(b, math.Float64bits(float64(h.Mean())))
 	nonzero := 0
 	for _, c := range h.Buckets {
 		if c > 0 {
 			nonzero++
 		}
 	}
-	bw.uvarint(uint64(nonzero))
+	b = binary.AppendUvarint(b, uint64(nonzero))
 	for i, c := range h.Buckets {
 		if c > 0 {
-			bw.uvarint(uint64(i))
-			bw.uvarint(c)
+			b = binary.AppendUvarint(b, uint64(i))
+			b = binary.AppendUvarint(b, c)
 		}
 	}
+	return b
 }
 
-// decodeSites is the deserialized file-local site table: leaf indices
-// map through it to stack signatures and process-interned SiteIDs. nil
-// for version-1 files (leaves carry raw signatures).
-type decodeSites struct {
-	sigs []sig.Stack
-	ids  []sig.SiteID
+// Lower bounds on the input bytes one element consumes, which turn a
+// count the rest of the input cannot hold into an error before anything
+// is sized by it: a node is at least a tag, a varint and two empty
+// counts (a loop); a node carrying a histogram at least a loop whose
+// iterations histogram holds a count, min, max, mean and bucket count (a
+// leaf always carries one and takes more); a site a signature, two empty
+// strings and a line.
+const (
+	minNodeBytes     = 4
+	minHistNodeBytes = 8
+	minSiteBytes     = 4
+)
+
+const maxBinaryDepth = 64
+
+// maxRankExpansion bounds the total rank count one leaf's rank list may
+// cover: the first decode of a list materializes the cross product of
+// its dimensions, so corrupt iteration counts must be rejected before
+// expansion (a negative Iters would panic the allocator; a huge one
+// would OOM).
+const maxRankExpansion = 1 << 20
+
+var errVarint = errors.New("varint overflows 64 bits")
+
+// decoder reads one binary trace straight out of its byte slice.
+type decoder struct {
+	b   []byte
+	off int
+	err error
+
+	// sites is the deserialized v2 site table: leaf indices map through
+	// it to stack signatures and process-interned SiteIDs. nil for
+	// version-1 files (leaves carry raw signatures).
+	sites []decodedSite
+	// ranks memoizes every rank list decoded so far, keyed by its
+	// encoded bytes: equal bytes decode to an equal list, so a repeat
+	// shares the first decode and skips its checks, which those same
+	// bytes passed.
+	ranks map[string]ranklist.List
+	// nodes and hists are how many more nodes, and nodes carrying a
+	// histogram, the input can hold, across the whole file: a sequence's
+	// slabs are sized from its declared count before its nodes are read,
+	// so every slab draws on these, and nested sequences cannot each
+	// claim the same bytes.
+	nodes, hists uint64
 }
 
-// ReadBinary deserializes a binary trace file (either format version).
+type decodedSite struct {
+	sig sig.Stack
+	id  sig.SiteID
+}
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	if d.off < len(d.b) && d.b[d.off] < 0x80 {
+		v := d.b[d.off]
+		d.off++
+		return uint64(v)
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	switch {
+	case n == 0:
+		d.err = io.ErrUnexpectedEOF
+		return 0
+	case n < 0:
+		d.err = errVarint
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	ux := d.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+func (d *decoder) byte() byte {
+	if d.err != nil {
+		return 0
+	}
+	if d.off >= len(d.b) {
+		d.err = io.ErrUnexpectedEOF
+		return 0
+	}
+	v := d.b[d.off]
+	d.off++
+	return v
+}
+
+func (d *decoder) str() string {
+	n := d.uvarint()
+	if d.err != nil || n > 1<<20 {
+		d.fail(fmt.Errorf("trace: string too long"))
+		return ""
+	}
+	if n > d.left() {
+		d.err = io.ErrUnexpectedEOF
+		return ""
+	}
+	s := string(d.b[d.off : d.off+int(n)])
+	d.off += int(n)
+	return s
+}
+
+// left is the count of input bytes not yet read.
+func (d *decoder) left() uint64 { return uint64(len(d.b) - d.off) }
+
+// ReadBinary deserializes a binary trace file (either format version)
+// from r, read to its end.
 func ReadBinary(r io.Reader) (*File, error) {
-	br := &binReader{r: bufio.NewReader(r)}
-	var magic [8]byte
-	if _, err := io.ReadFull(br.r, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: read magic: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: read: %w", err)
+	}
+	return DecodeBinary(b)
+}
+
+// DecodeBinary deserializes a binary trace file (either format version)
+// held in memory. The decoded file does not retain b.
+func DecodeBinary(b []byte) (*File, error) {
+	if len(b) < len(binaryMagicV2) {
+		return nil, fmt.Errorf("trace: read magic: %w", io.ErrUnexpectedEOF)
 	}
 	var version int
-	switch magic {
+	switch [8]byte(b) {
 	case binaryMagicV1:
 		version = 1
 	case binaryMagicV2:
@@ -323,23 +392,28 @@ func ReadBinary(r io.Reader) (*File, error) {
 	default:
 		return nil, fmt.Errorf("trace: not a binary trace file")
 	}
+	d := &decoder{
+		b:     b,
+		off:   len(binaryMagicV2),
+		nodes: uint64(len(b)) / minNodeBytes,
+		hists: uint64(len(b)) / minHistNodeBytes,
+	}
 	f := &File{}
-	f.P = int(br.uvarint())
-	flags := br.byte()
+	f.P = int(d.uvarint())
+	flags := d.byte()
 	f.Clustered = flags&1 != 0
 	f.Filter = flags&2 != 0
-	f.Benchmark = br.str()
-	f.Tracer = br.str()
-	var sites *decodeSites
+	f.Benchmark = d.str()
+	f.Tracer = d.str()
 	if version >= 2 {
-		sites = readSiteTable(br, f)
+		d.siteTable(f)
 	}
-	f.Nodes = readSeq(br, 0, sites)
+	f.Nodes = d.seq(0)
 	if flags&4 != 0 {
-		f.Retired = readRetired(br, f.P)
+		f.Retired = d.retired(f.P)
 	}
-	if br.err != nil {
-		return nil, fmt.Errorf("trace: decode binary: %w", br.err)
+	if d.err != nil {
+		return nil, fmt.Errorf("trace: decode binary: %w", d.err)
 	}
 	if f.P <= 0 {
 		return nil, fmt.Errorf("trace: invalid rank count %d", f.P)
@@ -347,138 +421,133 @@ func ReadBinary(r io.Reader) (*File, error) {
 	return f, nil
 }
 
-// readSiteTable decodes the v2 call-site table, re-interning each entry
+// siteTable decodes the v2 call-site table, re-interning each entry
 // into the process table (so decoded events get live SiteIDs) and
 // recording the serializable form on the file.
-func readSiteTable(br *binReader, f *File) *decodeSites {
-	n := br.uvarint()
-	if br.err != nil || n > 1<<20 {
-		if br.err == nil {
-			br.err = fmt.Errorf("trace: site table too large")
-		}
-		return nil
+func (d *decoder) siteTable(f *File) {
+	n := d.uvarint()
+	if d.err != nil || n > 1<<20 || n > d.left()/minSiteBytes {
+		d.fail(fmt.Errorf("trace: site table too large"))
+		return
 	}
-	// Cap the preallocation: n is attacker-controlled in a corrupt
-	// file, and each entry consumes at least three bytes of input, so a
-	// bogus huge count hits EOF long before the slices grow this large.
-	pre := n
-	if pre > 4096 {
-		pre = 4096
+	d.sites = make([]decodedSite, 0, n) // non-nil even when empty: the file is v2
+	if n > 0 {
+		f.Sites = make([]sig.SiteInfo, 0, n)
 	}
-	ds := &decodeSites{
-		sigs: make([]sig.Stack, 0, pre),
-		ids:  make([]sig.SiteID, 0, pre),
-	}
-	for i := uint64(0); i < n && br.err == nil; i++ {
+	for i := uint64(0); i < n && d.err == nil; i++ {
 		info := sig.SiteInfo{
 			ID:   uint32(i),
-			Sig:  br.uvarint(),
-			Func: br.str(),
-			File: br.str(),
-			Line: int(br.varint()),
+			Sig:  d.uvarint(),
+			Func: d.str(),
+			File: d.str(),
+			Line: int(d.varint()),
 		}
-		ds.sigs = append(ds.sigs, sig.Stack(info.Sig))
-		ds.ids = append(ds.ids, sig.Sites.InternSigMeta(info))
+		d.sites = append(d.sites, decodedSite{sig: sig.Stack(info.Sig), id: sig.Sites.InternSigMeta(info)})
 		f.Sites = append(f.Sites, info)
 	}
-	return ds
 }
 
-const maxBinaryDepth = 64
-
-func readSeq(br *binReader, depth int, sites *decodeSites) []*Node {
+// seq decodes one node sequence into a single []Node, its histograms
+// into a single []stats.Histogram made at the first node that needs one
+// and sized to the nodes left.
+func (d *decoder) seq(depth int) []*Node {
 	if depth > maxBinaryDepth {
-		br.err = fmt.Errorf("trace: nesting too deep")
+		d.fail(fmt.Errorf("trace: nesting too deep"))
 		return nil
 	}
-	n := br.uvarint()
-	if br.err != nil || n > 1<<24 {
-		if br.err == nil {
-			br.err = fmt.Errorf("trace: node count too large")
+	n := d.uvarint()
+	if d.err != nil || n > 1<<24 || n > d.nodes || n > d.left()/minNodeBytes {
+		d.fail(fmt.Errorf("trace: node count too large"))
+		return nil
+	}
+	d.nodes -= n
+	nodes := make([]Node, n)
+	seq := make([]*Node, n)
+	hists := histSlab{budget: &d.hists}
+	for i := range nodes {
+		seq[i] = &nodes[i]
+		hists.left = uint64(len(nodes) - i)
+		d.node(&nodes[i], depth, &hists)
+		if d.err != nil {
+			return nil
 		}
-		return nil
-	}
-	// Bound the preallocation: a corrupt count up to 1<<24 would
-	// otherwise commit a 128MB slice before the first decode error.
-	pre := n
-	if pre > 4096 {
-		pre = 4096
-	}
-	seq := make([]*Node, 0, pre)
-	for i := uint64(0); i < n && br.err == nil; i++ {
-		seq = append(seq, readNode(br, depth, sites))
 	}
 	return seq
 }
 
-func readNode(br *binReader, depth int, sites *decodeSites) *Node {
-	switch br.byte() {
+// histSlab hands out the histograms of one sequence's nodes — at most
+// one each: a leaf's Delta or a loop's ItersHist.
+type histSlab struct {
+	free   []stats.Histogram
+	left   uint64  // nodes of the sequence not yet decoded, the current one included
+	budget *uint64 // the decoder's hists
+}
+
+// next sizes a new slab to the nodes left, or to what the budget has
+// left — a histogram past it takes a slab of its own, which the bytes of
+// its node pay for.
+func (s *histSlab) next() *stats.Histogram {
+	if len(s.free) == 0 {
+		k := min(s.left, *s.budget)
+		*s.budget -= k
+		s.free = make([]stats.Histogram, max(k, 1))
+	}
+	h := &s.free[0]
+	s.free = s.free[1:]
+	h.Reset()
+	return h
+}
+
+func (d *decoder) node(n *Node, depth int, hists *histSlab) {
+	switch d.byte() {
 	case tagLoop:
-		node := &Node{Iters: br.uvarint()}
-		node.ItersHist = readHist(br)
-		node.Body = readSeq(br, depth+1, sites)
-		if node.Body == nil {
-			node.Body = []*Node{}
-		}
-		return node
+		n.Iters = d.uvarint()
+		n.ItersHist = d.hist(hists)
+		n.Body = d.seq(depth + 1)
 	case tagLeaf:
-		node := &Node{}
-		node.Ev.Op = mpi.OpCode(br.uvarint())
-		if sites != nil {
-			idx := br.uvarint()
-			if idx >= uint64(len(sites.sigs)) {
-				if br.err == nil {
-					br.err = fmt.Errorf("trace: site index %d out of range", idx)
-				}
-				node.Delta = stats.NewHistogram()
-				return node
+		n.Ev.Op = mpi.OpCode(d.uvarint())
+		if d.sites != nil {
+			idx := d.uvarint()
+			if idx >= uint64(len(d.sites)) {
+				d.fail(fmt.Errorf("trace: site index %d out of range", idx))
+				return
 			}
-			node.Ev.Stack = sites.sigs[idx]
-			node.Ev.Site = sites.ids[idx]
+			n.Ev.Stack = d.sites[idx].sig
+			n.Ev.Site = d.sites[idx].id
 		} else {
-			node.Ev.Stack = sig.Stack(br.uvarint())
+			n.Ev.Stack = sig.Stack(d.uvarint())
 		}
-		node.Ev.Comm = mpi.CommID(br.varint())
-		node.Ev.Tag = int(br.varint())
-		node.Ev.Bytes = int(br.varint())
-		node.Ev.Dest = readEndpoint(br)
-		node.Ev.Src = readEndpoint(br)
-		node.Ranks = readRanks(br)
-		node.Delta = readHist(br)
-		if node.Delta == nil {
-			node.Delta = stats.NewHistogram()
+		n.Ev.Comm = mpi.CommID(d.varint())
+		n.Ev.Tag = int(d.varint())
+		n.Ev.Bytes = int(d.varint())
+		n.Ev.Dest = d.endpoint()
+		n.Ev.Src = d.endpoint()
+		n.Ranks = d.rankList()
+		if n.Delta = d.hist(hists); n.Delta == nil {
+			n.Delta = hists.next()
 		}
-		return node
 	default:
-		if br.err == nil {
-			br.err = fmt.Errorf("trace: unknown node tag")
-		}
-		return &Node{Delta: stats.NewHistogram()}
+		d.fail(fmt.Errorf("trace: unknown node tag"))
 	}
 }
 
-// readRetired decodes the optional trailing retired-ranks section. The
+// retired decodes the optional trailing retired-ranks section. The
 // count is bounded by the file's rank count (a retired rank must be a
 // world rank), so a corrupt count cannot force a huge allocation.
-func readRetired(br *binReader, p int) []int {
-	n := br.uvarint()
-	if br.err != nil {
+func (d *decoder) retired(p int) []int {
+	n := d.uvarint()
+	if d.err != nil {
 		return nil
 	}
-	if p < 0 || n > uint64(p) {
-		br.err = fmt.Errorf("trace: retired count %d out of range", n)
+	if p < 0 || n > uint64(p) || n > d.left() {
+		d.fail(fmt.Errorf("trace: retired count %d out of range", n))
 		return nil
 	}
-	// Cap the preallocation: P is attacker-controlled in a corrupt file.
-	pre := n
-	if pre > 4096 {
-		pre = 4096
-	}
-	out := make([]int, 0, pre)
-	for i := uint64(0); i < n && br.err == nil; i++ {
-		rk := br.varint()
+	out := make([]int, 0, n)
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		rk := d.varint()
 		if rk < 0 || rk >= int64(p) {
-			br.err = fmt.Errorf("trace: retired rank %d out of range", rk)
+			d.fail(fmt.Errorf("trace: retired rank %d out of range", rk))
 			return nil
 		}
 		out = append(out, int(rk))
@@ -486,55 +555,87 @@ func readRetired(br *binReader, p int) []int {
 	return out
 }
 
-func readEndpoint(br *binReader) Endpoint {
-	e := Endpoint{Kind: EPKind(br.byte())}
+func (d *decoder) endpoint() Endpoint {
+	e := Endpoint{Kind: EPKind(d.byte())}
 	if e.Kind == EPRelative || e.Kind == EPAbsolute {
-		e.Off = int(br.varint())
+		e.Off = int(d.varint())
 	}
 	return e
 }
 
-func readRanks(br *binReader) ranklist.List {
-	n := br.uvarint()
-	if br.err != nil || n > 1<<20 {
-		if br.err == nil {
-			br.err = fmt.Errorf("trace: rank list too large")
-		}
+// rankList decodes one leaf's rank list, or shares the list an earlier
+// leaf decoded from the same bytes.
+func (d *decoder) rankList() ranklist.List {
+	start := d.off
+	d.skipRanks()
+	if d.err != nil {
 		return ranklist.List{}
 	}
-	// maxRankExpansion bounds the total rank count one leaf may decode
-	// to: RL.Ranks materializes the cross product of its dimensions, so
-	// corrupt iteration counts must be rejected before expansion (a
-	// negative Iters would panic the allocator; a huge one would OOM).
-	const maxRankExpansion = 1 << 20
+	if l, ok := d.ranks[string(d.b[start:d.off])]; ok {
+		return l
+	}
+	end := d.off
+	d.off = start
+	l := d.ranksChecked()
+	if d.err != nil {
+		return ranklist.List{}
+	}
+	if d.ranks == nil {
+		d.ranks = make(map[string]ranklist.List)
+	}
+	d.ranks[string(d.b[start:end])] = l
+	return l
+}
+
+// skipRanks moves past one encoded rank list, checking only that its
+// varints are there.
+func (d *decoder) skipRanks() {
+	n := d.uvarint()
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		d.varint() // start
+		dims := d.uvarint()
+		for j := uint64(0); j < dims && d.err == nil; j++ {
+			d.varint() // iters
+			d.varint() // stride
+		}
+	}
+}
+
+// ranksChecked decodes one rank list the first time its bytes are seen:
+// every bound checked, the descriptors expanded and re-compacted, so the
+// list is held in its normal form whatever descriptors were written.
+func (d *decoder) ranksChecked() ranklist.List {
+	n := d.uvarint()
+	if d.err != nil || n > 1<<20 {
+		d.fail(fmt.Errorf("trace: rank list too large"))
+		return ranklist.List{}
+	}
 	var ranks []int
 	total := uint64(0)
-	for i := uint64(0); i < n && br.err == nil; i++ {
-		start := int(br.varint())
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		start := int(d.varint())
 		if start < 0 || start > 1<<30 {
-			br.err = fmt.Errorf("trace: rank list start %d out of range", start)
+			d.fail(fmt.Errorf("trace: rank list start %d out of range", start))
 			return ranklist.List{}
 		}
-		dims := br.uvarint()
+		dims := d.uvarint()
 		if dims > 8 {
-			br.err = fmt.Errorf("trace: rank list dims too large")
+			d.fail(fmt.Errorf("trace: rank list dims too large"))
 			return ranklist.List{}
 		}
 		rl := ranklist.RL{Start: start}
 		size := uint64(1)
-		for d := uint64(0); d < dims; d++ {
-			iters := br.varint()
-			stride := br.varint()
+		for j := uint64(0); j < dims; j++ {
+			iters := d.varint()
+			stride := d.varint()
 			if iters < 1 || iters > maxRankExpansion ||
 				stride < -(1<<30) || stride > 1<<30 {
-				if br.err == nil {
-					br.err = fmt.Errorf("trace: rank list dimension out of range")
-				}
+				d.fail(fmt.Errorf("trace: rank list dimension out of range"))
 				return ranklist.List{}
 			}
 			size *= uint64(iters)
 			if size > maxRankExpansion {
-				br.err = fmt.Errorf("trace: rank list too large")
+				d.fail(fmt.Errorf("trace: rank list too large"))
 				return ranklist.List{}
 			}
 			rl.Dims = append(rl.Dims, ranklist.Dim{
@@ -544,10 +645,10 @@ func readRanks(br *binReader) ranklist.List {
 		}
 		total += size
 		if total > maxRankExpansion {
-			br.err = fmt.Errorf("trace: rank list too large")
+			d.fail(fmt.Errorf("trace: rank list too large"))
 			return ranklist.List{}
 		}
-		if br.err != nil {
+		if d.err != nil {
 			return ranklist.List{}
 		}
 		ranks = append(ranks, rl.Ranks()...)
@@ -555,23 +656,25 @@ func readRanks(br *binReader) ranklist.List {
 	return ranklist.FromRanks(ranks)
 }
 
-func readHist(br *binReader) *stats.Histogram {
-	count := br.uvarint()
+// hist decodes an optional histogram into the sequence's slab; nil when
+// the encoding holds none.
+func (d *decoder) hist(hists *histSlab) *stats.Histogram {
+	count := d.uvarint()
 	if count == 0 {
 		return nil
 	}
-	h := stats.NewHistogram()
-	min := br.varint()
-	max := br.varint()
-	mean := math.Float64frombits(br.uvarint())
-	nonzero := br.uvarint()
+	h := hists.next()
+	min := d.varint()
+	max := d.varint()
+	mean := math.Float64frombits(d.uvarint())
+	nonzero := d.uvarint()
 	if nonzero > 64 {
-		br.err = fmt.Errorf("trace: histogram buckets out of range")
+		d.fail(fmt.Errorf("trace: histogram buckets out of range"))
 		return h
 	}
-	for i := uint64(0); i < nonzero && br.err == nil; i++ {
-		idx := br.uvarint()
-		c := br.uvarint()
+	for i := uint64(0); i < nonzero && d.err == nil; i++ {
+		idx := d.uvarint()
+		c := d.uvarint()
 		if idx < 64 {
 			h.SetBucket(int(idx), c)
 		}
@@ -595,21 +698,28 @@ func (f *File) SaveBinary(path string) error {
 
 // LoadAny reads a trace file in either format, sniffing the magic.
 func LoadAny(path string) (*File, error) {
-	in, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer in.Close()
-	return ReadAny(in)
+	return DecodeAny(b)
 }
 
 // ReadAny reads a trace from r in either format (binary v1/v2 or
 // JSON), sniffing the magic.
 func ReadAny(r io.Reader) (*File, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(8)
-	if err == nil && ([8]byte(head) == binaryMagicV1 || [8]byte(head) == binaryMagicV2) {
-		return ReadBinary(br)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: read: %w", err)
 	}
-	return Read(br)
+	return DecodeAny(b)
+}
+
+// DecodeAny decodes a trace held in memory in either format (binary
+// v1/v2 or JSON), sniffing the magic.
+func DecodeAny(b []byte) (*File, error) {
+	if len(b) >= 8 && ([8]byte(b) == binaryMagicV1 || [8]byte(b) == binaryMagicV2) {
+		return DecodeBinary(b)
+	}
+	return Read(bytes.NewReader(b))
 }

@@ -6,7 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"chameleon/internal/mpi"
 	"chameleon/internal/ranklist"
@@ -57,7 +59,7 @@ func wideHistFile() *File {
 // checkSpans fails unless every decoded histogram's span covers every
 // bucket it holds: the span-limited Merge out of it must move them all,
 // and Reset must clear them all.
-func checkSpans(t *testing.T, seq []*Node) {
+func checkSpans(t testing.TB, seq []*Node) {
 	t.Helper()
 	for _, n := range seq {
 		for _, h := range []*stats.Histogram{n.Delta, n.ItersHist} {
@@ -303,6 +305,60 @@ func TestReadBinaryCorruptInputs(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		mustErr(t, "magic", []byte("NOTATRCE"))
 	})
+}
+
+// TestDecodeAllocationBoundedByInput: a sequence's slabs are sized from
+// its declared node count before any node is read, so a file of loops
+// nested as deep as the decoder allows, each carrying an iterations
+// histogram and each declaring more nodes than it holds, is where a
+// count can lie. Whatever the counts say, a decode allocates no more
+// than the nodes and histograms the whole input could hold (plus a
+// quarter for the allocator's size classes). With the counts checked per
+// sequence only, the greedy file allocates 18 times the bound (41 MB);
+// with the histogram slabs drawing on no budget, both files 1.3–1.4.
+func TestDecodeAllocationBoundedByInput(t *testing.T) {
+	const size = 16 << 10
+	bound := uint64(size/minNodeBytes*(unsafe.Sizeof(Node{})+unsafe.Sizeof(&Node{})) +
+		(size/minHistNodeBytes+maxBinaryDepth+1)*unsafe.Sizeof(stats.Histogram{}))
+	bound += bound/4 + 64<<10 // size classes; the decoder's own state and its error
+	for name, claim := range map[string]func(left int) uint64{
+		// Each sequence claims all the bytes after it can hold.
+		"greedy": func(left int) uint64 { return uint64(left/minNodeBytes - 2) },
+		// Each claims a share, so every level passes the file-wide check.
+		"shared": func(int) uint64 { return size / minNodeBytes / (maxBinaryDepth + 2) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var c corrupter
+			c.header()
+			for depth := 0; depth <= maxBinaryDepth; depth++ {
+				c.uvarint(claim(size - c.buf.Len()))
+				c.bytes(tagLoop)
+				c.uvarint(1) // iters
+				c.uvarint(1) // iterations histogram: one sample
+				c.varint(0)  // min
+				c.varint(0)  // max
+				c.uvarint(0) // mean
+				c.uvarint(0) // no buckets
+			}
+			c.uvarint(claim(size - c.buf.Len()))
+			data := append(c.buf.Bytes(), make([]byte, size-c.buf.Len())...)
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const runs = 3
+			for i := 0; i < runs; i++ {
+				if _, err := DecodeBinary(data); err == nil {
+					t.Fatal("a file of lying counts decoded")
+				}
+			}
+			runtime.ReadMemStats(&after)
+			got := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%d-byte input: %d B allocated a decode, bound %d", len(data), got, bound)
+			if got > bound {
+				t.Fatalf("decoding %d bytes allocated %d B, bound %d", len(data), got, bound)
+			}
+		})
+	}
 }
 
 // TestLoadAnyCorruptFile proves the path-level loader surfaces decode

@@ -204,11 +204,11 @@ type analyzer struct {
 	// Per-window scratch, valid while leaves of window cur arrive (both
 	// walk modes emit leaves in window order).
 	cur         int
-	scratchComp []int64  // per-rank compute inside the current window
-	scratchEv   []uint64 // per-rank events inside the current window
-	touched     []int    // ranks touched in the current window
-	winChans    map[chKey]*chCount
-	winDelta    *stats.Histogram
+	scratchComp []int64            // per-rank compute inside the current window
+	scratchEv   []uint64           // per-rank events inside the current window
+	touched     []int              // ranks touched in the current window
+	winChans    map[chKey]*chCount // cleared, not remade, for each window
+	winDelta    *stats.Histogram   // likewise reset
 
 	// Whole-trace match state.
 	chans map[chKey]*chCount
@@ -235,6 +235,8 @@ func Analyze(f *trace.File, opt Options) (*Report, error) {
 		ranks:       make([]Rank, f.P),
 		scratchComp: make([]int64, f.P),
 		scratchEv:   make([]uint64, f.P),
+		winChans:    map[chKey]*chCount{},
+		winDelta:    stats.NewHistogram(),
 		chans:       map[chKey]*chCount{},
 		tags:        map[int]*tagCount{},
 	}
@@ -303,8 +305,8 @@ func (a *analyzer) startWindow(w int) {
 	}
 	a.cur = w
 	if w >= 0 {
-		a.winChans = map[chKey]*chCount{}
-		a.winDelta = stats.NewHistogram()
+		clear(a.winChans)
+		a.winDelta.Reset()
 	}
 }
 
@@ -351,16 +353,14 @@ func (a *analyzer) flushWindow() {
 			g.firstRecvWin = a.cur
 		}
 	}
-	a.winChans = nil
 
-	if a.winDelta != nil && a.winDelta.Count() > 0 {
+	if a.winDelta.Count() > 0 {
 		win.DeltaCount = a.winDelta.Count()
 		win.DeltaMinNs = a.winDelta.Min
 		win.DeltaMaxNs = a.winDelta.Max
 		win.DeltaMeanNs = a.winDelta.FMean()
 		win.DeltaStdNs = a.winDelta.Std()
 	}
-	a.winDelta = nil
 }
 
 // --- leaf contribution (shared by both walk modes) ---
