@@ -37,7 +37,9 @@ test-race:
 # outside the program: the binary trace decoder (the archive ingests
 # untrusted payloads through it) alone and against the pre-change
 # decoder kept in a test file (accept/reject and decoded file must
-# agree), the TCP frame decoder (every fleet
+# agree), the sparse histogram every decoded leaf holds against the
+# pre-change array one (any op sequence must read the same), the TCP
+# frame decoder (every fleet
 # byte passes through it), the fault-plan decoder (-faults/-noise
 # input) and the manifest-log replay decoder (whatever a crash left on
 # disk). The seed and poison corpora run as plain tests in `make test`;
@@ -47,6 +49,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadAny -fuzztime=5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime=10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesReference -fuzztime=10s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzManifestLog -fuzztime=5s ./internal/store/

@@ -203,24 +203,25 @@ func (e *engine) drawDelta(n *trace.Node) vtime.Duration {
 		// Pick a bucket proportional to its count, then the geometric
 		// middle of the bucket's value range, clamped to [min, max].
 		target := e.next() % h.Count()
+		v := h.Mean()
 		var cum uint64
-		for i, c := range h.Buckets {
-			cum += c
-			if target < cum {
-				v := int64(1)
-				if i > 0 {
-					v = (int64(1) << uint(i-1)) + (int64(1)<<uint(i))/2
-				}
-				if v < h.Min {
-					v = h.Min
-				}
-				if v > h.Max {
-					v = h.Max
-				}
-				return vtime.Duration(max64(v, 0))
+		h.EachBucket(func(i int, c uint64) bool {
+			if cum += c; target >= cum {
+				return true
 			}
-		}
-		return vtime.Duration(max64(h.Mean(), 0))
+			v = 1
+			if i > 0 {
+				v = (int64(1) << uint(i-1)) + (int64(1)<<uint(i))/2
+			}
+			if v < h.Min {
+				v = h.Min
+			}
+			if v > h.Max {
+				v = h.Max
+			}
+			return false
+		})
+		return vtime.Duration(max64(v, 0))
 	default:
 		return vtime.Duration(max64(h.Mean(), 0))
 	}

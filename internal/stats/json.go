@@ -19,11 +19,10 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 	j := histJSON{Min: h.Min, Max: h.Max, Mean: h.sum.Mean(), Count: h.Count()}
 	if h.Count() > 0 {
 		j.Buckets = make(map[int]uint64)
-		for i, c := range h.Buckets {
-			if c > 0 {
-				j.Buckets[i] = c
-			}
-		}
+		h.EachBucket(func(i int, c uint64) bool {
+			j.Buckets[i] = c
+			return true
+		})
 	}
 	return json.Marshal(j)
 }
@@ -37,7 +36,7 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	*h = *NewHistogram()
 	h.Min, h.Max = j.Min, j.Max
 	for i, c := range j.Buckets {
-		if i >= 0 && i < len(h.Buckets) {
+		if i >= 0 && i < 64 {
 			h.SetBucket(i, c)
 		}
 	}

@@ -1,85 +1,75 @@
 package stats
 
 import (
-	"encoding/json"
 	"math"
-	"math/rand"
 	"testing"
 )
 
-// The full-width folds as they stood before histograms tracked their
-// span: every one of the 64 buckets, whatever the histogram holds. The
-// span-limited Merge, MergeScaled and Reset must be indistinguishable
-// from them in everything a caller can read.
+// The full-width folds: every one of the 64 buckets, whatever the
+// histogram holds. The sparse Merge, MergeScaled and Reset must be
+// indistinguishable from them in everything a caller can read.
 
 func refMerge(h, o *Histogram) *Histogram {
-	out := *h
+	out := h.Clone()
 	if o == nil || o.Count() == 0 {
-		return &out
+		return out
 	}
-	for i := range out.Buckets {
-		out.Buckets[i] += o.Buckets[i]
+	for i := 0; i < 64; i++ {
+		out.SetBucket(i, out.Bucket(i)+o.Bucket(i))
 	}
 	out.Min, out.Max = min(out.Min, o.Min), max(out.Max, o.Max)
 	out.sum.Merge(o.sum)
-	return &out
+	return out
 }
 
 func refMergeScaled(h, o *Histogram, k uint64) *Histogram {
-	out := *h
+	out := h.Clone()
 	if o == nil || k == 0 || o.Count() == 0 {
-		return &out
+		return out
 	}
-	for i := range out.Buckets {
-		out.Buckets[i] += o.Buckets[i] * k
+	for i := 0; i < 64; i++ {
+		out.SetBucket(i, out.Bucket(i)+o.Bucket(i)*k)
 	}
 	out.Min, out.Max = min(out.Min, o.Min), max(out.Max, o.Max)
 	out.sum.MergeScaled(o.sum, k)
-	return &out
+	return out
 }
 
-// sameReadable compares what callers can observe; the span is private
-// bookkeeping and may legitimately differ (a reference copy keeps the
-// destination's).
+// bucketsOf returns every bucket of h as one array.
+func bucketsOf(h *Histogram) [64]uint64 {
+	var b [64]uint64
+	for i := range b {
+		b[i] = h.Bucket(i)
+	}
+	return b
+}
+
+// sameReadable compares what callers can observe; how the buckets are
+// held (inline, or a spill array a Reset kept) may legitimately differ.
 func sameReadable(a, b *Histogram) bool {
-	return a.Buckets == b.Buckets && a.Min == b.Min && a.Max == b.Max && a.sum == b.sum
+	return bucketsOf(a) == bucketsOf(b) && a.Min == b.Min && a.Max == b.Max && a.sum == b.sum
+}
+
+// spanDocs are JSON histograms with bucket detail outside
+// [bucketOf(Min), bucketOf(Max)], which the decoder accepts, and one with
+// none.
+var spanDocs = []string{
+	`{"min":100,"max":200,"mean":150,"count":4,"buckets":{"0":1,"7":1,"8":1,"63":1}}`,
+	`{"min":5,"max":5,"mean":5,"count":2,"buckets":{"40":2}}`,
+	`{"min":1,"max":9,"mean":3,"count":3}`,
 }
 
 // spanCorpus builds histograms the three ways they come to exist: by
-// Add/AddN, by the JSON decoder — including bucket detail outside
-// [bucketOf(Min), bucketOf(Max)], which the decoder accepts, so a span
-// derived from Min/Max would lose counts — and as bare zero values.
+// Add/AddN, by the JSON decoder (spanDocs) and as bare zero values —
+// through spanPrograms, so the fold tests and the reference oracle run
+// on one corpus.
 func spanCorpus(t *testing.T) []*Histogram {
 	t.Helper()
-	rng := rand.New(rand.NewSource(21))
 	var hs []*Histogram
-	for i := 0; i < 12; i++ {
-		h := NewHistogram()
-		for n := rng.Intn(6); n > 0; n-- {
-			v := rng.Int63() >> uint(rng.Intn(64))
-			if rng.Intn(3) == 0 {
-				h.AddN(v, uint64(1+rng.Intn(5)))
-			} else {
-				h.Add(v - int64(rng.Intn(2)))
-			}
-		}
-		hs = append(hs, h)
+	for _, p := range spanPrograms() {
+		hs = append(hs, runHistProg(t, p)[0])
 	}
-	for _, doc := range []string{
-		`{"min":100,"max":200,"mean":150,"count":4,"buckets":{"0":1,"7":1,"8":1,"63":1}}`,
-		`{"min":5,"max":5,"mean":5,"count":2,"buckets":{"40":2}}`,
-		`{"min":1,"max":9,"mean":3,"count":3}`,
-	} {
-		h := new(Histogram)
-		if err := json.Unmarshal([]byte(doc), h); err != nil {
-			t.Fatal(err)
-		}
-		hs = append(hs, h)
-	}
-	zero := &Histogram{}
-	touched := &Histogram{}
-	touched.Add(1 << 20)
-	return append(hs, zero, touched)
+	return hs
 }
 
 func TestSpanLimitedFoldsMatchFullWidth(t *testing.T) {
@@ -91,8 +81,8 @@ func TestSpanLimitedFoldsMatchFullWidth(t *testing.T) {
 			if want := refMerge(a, b); !sameReadable(got, want) {
 				t.Fatalf("corpus[%d].Merge(corpus[%d]) = %+v, full-width %+v", i, j, got, want)
 			}
-			// A second fold lands on a destination whose span the first
-			// one had to widen.
+			// A second fold lands on a destination the first one may have
+			// spilled.
 			c := hs[(i+j)%len(hs)]
 			want := refMergeScaled(got, c, 3)
 			got.MergeScaled(c, 3)
@@ -100,7 +90,7 @@ func TestSpanLimitedFoldsMatchFullWidth(t *testing.T) {
 				t.Fatalf("(%d+%d).MergeScaled(%d, 3) = %+v, full-width %+v", i, j, (i+j)%len(hs), got, want)
 			}
 			got.Reset()
-			if *got != *NewHistogram() {
+			if !sameReadable(got, NewHistogram()) {
 				t.Fatalf("Reset after folding %d, %d left %+v", i, j, got)
 			}
 		}
@@ -112,12 +102,12 @@ func TestCloneKeepsSpan(t *testing.T) {
 		c := h.Clone()
 		into := NewHistogram()
 		into.Merge(c)
-		if h.Count() > 0 && into.Buckets != h.Buckets {
-			t.Fatalf("corpus[%d]: merging its clone moved %v of %v", i, into.Buckets, h.Buckets)
+		if h.Count() > 0 && bucketsOf(into) != bucketsOf(h) {
+			t.Fatalf("corpus[%d]: merging its clone moved %v of %v", i, bucketsOf(into), bucketsOf(h))
 		}
 		c.Reset()
-		if c.Buckets != [64]uint64{} {
-			t.Fatalf("corpus[%d]: Reset of a clone left %v", i, c.Buckets)
+		if bucketsOf(c) != [64]uint64{} {
+			t.Fatalf("corpus[%d]: Reset of a clone left %v", i, bucketsOf(c))
 		}
 	}
 }

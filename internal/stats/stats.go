@@ -1,6 +1,6 @@
 // Package stats provides the small statistical kernels the tracing stack
 // relies on: overflow-safe running averages (the paper's "estimation
-// function"), Welford mean/variance accumulators, and fixed-bucket
+// function"), Welford mean/variance accumulators, and log2-bucket
 // histograms used to summarize inter-event computation times.
 package stats
 
@@ -142,22 +142,28 @@ func (w *Welford) RelStd() float64 {
 	return w.Std() / math.Abs(w.mean)
 }
 
-// Histogram is a fixed-bucket log-scale histogram over non-negative
-// int64 samples (nanoseconds in practice). ScalaTrace stores inter-event
-// delta times in histograms so repetitive signatures with noisy timing
-// still compress; replay draws the mean back out.
+// Histogram is a log2-bucket histogram over non-negative int64 samples
+// (nanoseconds in practice): 64 buckets (see BucketOf), of which it
+// stores only what it holds. ScalaTrace stores inter-event delta times in
+// histograms so repetitive signatures with noisy timing still compress;
+// replay draws the mean back out.
+//
+// Almost every histogram of a trace holds one or two non-empty buckets,
+// so up to two are kept inline as (index, count) pairs in ascending
+// index order; writing a third distinct bucket allocates a [64]uint64
+// that from then on holds every bucket. Buckets are read through Bucket
+// and EachBucket and written through SetBucket.
 type Histogram struct {
-	// Buckets may be read freely; write a bucket only through SetBucket,
-	// which keeps the span below covering it.
-	Buckets [64]uint64
-	Min     int64
-	Max     int64
-	sum     Welford
-	// lo..hi covers every bucket ever written (lo > hi: none yet; the
-	// zero value spans bucket 0, merely loose), so Merge, MergeScaled and
-	// Reset walk it instead of all 64. It is not derived from Min/Max:
-	// decoded input may set buckets outside them.
-	lo, hi int8
+	Min int64
+	Max int64
+	sum Welford
+	// cnt[:n] are the counts of buckets idx[:n], all non-zero, while
+	// spill is nil. Once it is not, spill holds every bucket and n is 0;
+	// Reset clears the array and keeps it.
+	cnt   [2]uint64
+	spill *[64]uint64
+	idx   [2]uint8
+	n     uint8
 }
 
 // NewHistogram returns an empty histogram.
@@ -174,21 +180,123 @@ func bucketOf(v int64) int {
 	return bits.Len64(uint64(v)) // at most 63: v is a positive int64
 }
 
-// widen grows the span to cover buckets lo..hi.
-func (h *Histogram) widen(lo, hi int8) {
-	if lo < h.lo {
-		h.lo = lo
+func checkBucket(i int) {
+	if uint(i) >= 64 {
+		panic(fmt.Sprintf("stats: bucket %d out of range", i))
 	}
-	if hi > h.hi {
-		h.hi = hi
+}
+
+// slot returns the inline slot holding bucket i, or -1.
+func (h *Histogram) slot(i int) int {
+	for k := 0; k < int(h.n); k++ {
+		if int(h.idx[k]) == i {
+			return k
+		}
+	}
+	return -1
+}
+
+// store writes count c to inline slot k, freeing the slot when c is 0.
+func (h *Histogram) store(k int, c uint64) {
+	if c != 0 {
+		h.cnt[k] = c
+		return
+	}
+	h.n--
+	if k == 0 {
+		h.idx[0], h.cnt[0] = h.idx[1], h.cnt[1]
+	}
+	h.idx[1], h.cnt[1] = 0, 0
+}
+
+// insert writes bucket i, held by no inline slot, with count c > 0:
+// into a free slot, or, with both taken, into a new spill array.
+func (h *Histogram) insert(i int, c uint64) {
+	switch {
+	case h.n == 2:
+		h.spill = new([64]uint64)
+		h.spill[h.idx[0]], h.spill[h.idx[1]], h.spill[i] = h.cnt[0], h.cnt[1], c
+		h.idx, h.cnt, h.n = [2]uint8{}, [2]uint64{}, 0
+		return
+	case h.n == 1 && i < int(h.idx[0]):
+		h.idx[1], h.cnt[1] = h.idx[0], h.cnt[0]
+		h.idx[0], h.cnt[0] = uint8(i), c
+	default:
+		h.idx[h.n], h.cnt[h.n] = uint8(i), c
+	}
+	h.n++
+}
+
+// addBucket adds c to bucket i's count.
+func (h *Histogram) addBucket(i int, c uint64) {
+	if h.spill != nil {
+		h.spill[i] += c
+	} else if k := h.slot(i); k >= 0 {
+		h.store(k, h.cnt[k]+c)
+	} else if c != 0 {
+		h.insert(i, c)
 	}
 }
 
 // SetBucket sets bucket i's count directly; it is how the decoders
-// restore bucket detail. It panics when i is not a bucket index.
+// restore bucket detail. A count of 0 empties the bucket. It panics when
+// i is not a bucket index.
 func (h *Histogram) SetBucket(i int, count uint64) {
-	h.Buckets[i] = count
-	h.widen(int8(i), int8(i))
+	checkBucket(i)
+	if h.spill != nil {
+		h.spill[i] = count
+	} else if k := h.slot(i); k >= 0 {
+		h.store(k, count)
+	} else if count != 0 {
+		h.insert(i, count)
+	}
+}
+
+// Bucket returns bucket i's count. It panics when i is not a bucket
+// index.
+func (h *Histogram) Bucket(i int) uint64 {
+	checkBucket(i)
+	if h.spill != nil {
+		return h.spill[i]
+	}
+	if k := h.slot(i); k >= 0 {
+		return h.cnt[k]
+	}
+	return 0
+}
+
+// EachBucket calls fn with the index and count of every non-empty
+// bucket in ascending index order, until fn returns false.
+func (h *Histogram) EachBucket(fn func(i int, c uint64) bool) {
+	if h.spill != nil {
+		for i, c := range h.spill {
+			if c != 0 && !fn(i, c) {
+				return
+			}
+		}
+		return
+	}
+	for k := 0; k < int(h.n); k++ {
+		if !fn(int(h.idx[k]), h.cnt[k]) {
+			return
+		}
+	}
+}
+
+// addBuckets adds k times every bucket of o to h's. o may be h.
+func (h *Histogram) addBuckets(o *Histogram, k uint64) {
+	if o.spill != nil {
+		for i, c := range o.spill {
+			if c != 0 {
+				h.addBucket(i, c*k)
+			}
+		}
+		return
+	}
+	n, idx, cnt := o.n, o.idx, o.cnt
+	for j := 0; j < int(n); j++ {
+		h.addBucket(int(idx[j]), cnt[j]*k)
+	}
 }
 
 // BucketOf returns the index of the log2 bucket that holds v: bucket 0
@@ -209,9 +317,7 @@ func BucketBounds(i int) (low, high int64) {
 
 // Add records one sample.
 func (h *Histogram) Add(v int64) {
-	b := bucketOf(v)
-	h.Buckets[b]++
-	h.widen(int8(b), int8(b))
+	h.addBucket(bucketOf(v), 1)
 	if v < h.Min {
 		h.Min = v
 	}
@@ -227,9 +333,7 @@ func (h *Histogram) AddN(v int64, n uint64) {
 	if n == 0 {
 		return
 	}
-	b := bucketOf(v)
-	h.Buckets[b] += n
-	h.widen(int8(b), int8(b))
+	h.addBucket(bucketOf(v), n)
 	if v < h.Min {
 		h.Min = v
 	}
@@ -244,10 +348,7 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.Count() == 0 {
 		return
 	}
-	for i := int(o.lo); i <= int(o.hi); i++ {
-		h.Buckets[i] += o.Buckets[i]
-	}
-	h.widen(o.lo, o.hi)
+	h.addBuckets(o, 1)
 	if o.Min < h.Min {
 		h.Min = o.Min
 	}
@@ -267,10 +368,7 @@ func (h *Histogram) MergeScaled(o *Histogram, k uint64) {
 	if o == nil || k == 0 || o.Count() == 0 {
 		return
 	}
-	for i := int(o.lo); i <= int(o.hi); i++ {
-		h.Buckets[i] += o.Buckets[i] * k
-	}
-	h.widen(o.lo, o.hi)
+	h.addBuckets(o, k)
 	if o.Min < h.Min {
 		h.Min = o.Min
 	}
@@ -311,9 +409,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 		q = 1
 	}
 	var inBuckets uint64
-	for _, c := range h.Buckets {
+	h.EachBucket(func(_ int, c uint64) bool {
 		inBuckets += c
-	}
+		return true
+	})
 	if inBuckets == 0 {
 		// Restored summary (see Restore): only scalar state survives.
 		return h.Mean()
@@ -323,22 +422,20 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if rank == 0 {
 		rank = 1
 	}
+	v := h.Max
 	var cum uint64
-	for i, c := range h.Buckets {
-		if c == 0 {
-			continue
-		}
+	h.EachBucket(func(i int, c uint64) bool {
 		if rank > cum+c {
 			cum += c
-			continue
+			return true
 		}
 		low, high := BucketBounds(i)
 		// Position of the target inside the bucket, in (0, 1].
 		frac := float64(rank-cum) / float64(c)
-		v := low + int64(frac*float64(high-low))
-		return clampInt64(v, h.Min, h.Max)
-	}
-	return h.Max
+		v = clampInt64(low+int64(frac*float64(high-low)), h.Min, h.Max)
+		return false
+	})
+	return v
 }
 
 func clampInt64(v, lo, hi int64) int64 {
@@ -354,24 +451,28 @@ func clampInt64(v, lo, hi int64) int64 {
 // Clone returns an independent copy.
 func (h *Histogram) Clone() *Histogram {
 	c := *h
+	if h.spill != nil {
+		s := *h.spill
+		c.spill = &s
+	}
 	return &c
 }
 
 // Reset returns the histogram to its freshly-constructed state so pooled
-// trace nodes can reuse the allocation.
+// trace nodes can reuse the allocation (a spill array included).
 func (h *Histogram) Reset() {
-	for i := int(h.lo); i <= int(h.hi); i++ {
-		h.Buckets[i] = 0
+	if h.spill != nil {
+		*h.spill = [64]uint64{}
 	}
+	h.idx, h.cnt, h.n = [2]uint8{}, [2]uint64{}, 0
 	h.Min, h.Max, h.sum = math.MaxInt64, math.MinInt64, Welford{}
-	h.lo, h.hi = int8(len(h.Buckets)-1), 0
 }
 
-// SizeBytes approximates the in-memory footprint of the histogram, used
-// by the trace-space ledger (Table IV).
+// SizeBytes is the footprint the trace-space ledger (Table IV) charges a
+// histogram: a full 64-bucket array plus the scalar fields, whatever the
+// histogram holds. It models the histogram, not this representation, so
+// the ledger and every virtual-time cost derived from it stay fixed.
 func (h *Histogram) SizeBytes() int {
-	// Fixed arrays plus scalar fields; matches unsafe.Sizeof within noise
-	// but keeps the package free of unsafe.
 	return 64*8 + 8 + 8 + 24
 }
 

@@ -147,7 +147,7 @@ func TestHistogramAddN(t *testing.T) {
 		a.Add(64)
 	}
 	b.AddN(64, 5)
-	if a.Mean() != b.Mean() || a.Count() != b.Count() || a.Buckets != b.Buckets {
+	if a.Mean() != b.Mean() || a.Count() != b.Count() || bucketsOf(a) != bucketsOf(b) {
 		t.Fatalf("AddN differs from repeated Add")
 	}
 }
@@ -187,8 +187,8 @@ func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram()
 	h.Add(0) // non-positive lands in bucket 0
 	h.Add(-5)
-	if h.Buckets[0] != 2 {
-		t.Fatalf("bucket0 = %d", h.Buckets[0])
+	if h.Bucket(0) != 2 {
+		t.Fatalf("bucket0 = %d", h.Bucket(0))
 	}
 	h2 := NewHistogram()
 	h2.Add(1 << 40)
@@ -212,7 +212,7 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Count() != h.Count() || back.Min != h.Min || back.Max != h.Max ||
-		back.Mean() != h.Mean() || back.Buckets != h.Buckets {
+		back.Mean() != h.Mean() || bucketsOf(&back) != bucketsOf(h) {
 		t.Fatalf("round trip mismatch: %v vs %v", back.String(), h.String())
 	}
 }
@@ -363,7 +363,7 @@ func TestMergeScaledMatchesRepeatedMerge(t *testing.T) {
 	for i := 0; i < k; i++ {
 		repeated.Merge(src)
 	}
-	if scaled.Count() != repeated.Count() || scaled.Buckets != repeated.Buckets ||
+	if scaled.Count() != repeated.Count() || bucketsOf(scaled) != bucketsOf(repeated) ||
 		scaled.Min != repeated.Min || scaled.Max != repeated.Max {
 		t.Fatalf("scaled fold diverges: %v vs %v", scaled, repeated)
 	}

@@ -39,8 +39,10 @@ package trace
 // one []stats.Histogram, each sized to that sequence — so a node kept
 // from a decoded file keeps its whole sequence's slab alive. The sizes
 // are declared counts, so the slabs of all sequences together draw on
-// one budget, the nodes the whole input can hold: what a decode
-// allocates stays proportional to its input however the counts lie.
+// one budget, the nodes the whole input can hold, and the 64-bucket
+// arrays of histograms with three or more buckets on another: what a
+// decode allocates stays proportional to its input however the counts
+// lie.
 
 import (
 	"bytes"
@@ -232,18 +234,16 @@ func appendHist(b []byte, h *stats.Histogram) []byte {
 	b = binary.AppendVarint(b, h.Max)
 	b = binary.AppendUvarint(b, math.Float64bits(float64(h.Mean())))
 	nonzero := 0
-	for _, c := range h.Buckets {
-		if c > 0 {
-			nonzero++
-		}
-	}
+	h.EachBucket(func(int, uint64) bool {
+		nonzero++
+		return true
+	})
 	b = binary.AppendUvarint(b, uint64(nonzero))
-	for i, c := range h.Buckets {
-		if c > 0 {
-			b = binary.AppendUvarint(b, uint64(i))
-			b = binary.AppendUvarint(b, c)
-		}
-	}
+	h.EachBucket(func(i int, c uint64) bool {
+		b = binary.AppendUvarint(b, uint64(i))
+		b = binary.AppendUvarint(b, c)
+		return true
+	})
 	return b
 }
 
@@ -252,11 +252,13 @@ func appendHist(b []byte, h *stats.Histogram) []byte {
 // is sized by it: a node is at least a tag, a varint and two empty
 // counts (a loop); a node carrying a histogram at least a loop whose
 // iterations histogram holds a count, min, max, mean and bucket count (a
-// leaf always carries one and takes more); a site a signature, two empty
-// strings and a line.
+// leaf always carries one and takes more); a histogram that spills (see
+// stats.Histogram), its count, min, max, mean and bucket count and three
+// index/count pairs; a site a signature, two empty strings and a line.
 const (
 	minNodeBytes     = 4
 	minHistNodeBytes = 8
+	minSpillBytes    = 11
 	minSiteBytes     = 4
 )
 
@@ -292,6 +294,12 @@ type decoder struct {
 	// so every slab draws on these, and nested sequences cannot each
 	// claim the same bytes.
 	nodes, hists uint64
+	// spills is how many more histograms of three or more buckets the
+	// input can hold: each allocates a 64-bucket array beside its slab
+	// slot. A histogram spills only once its bytes are read, so the input
+	// bounds the arrays already; spills holds that bound in the decoder,
+	// beside the slabs', rather than in the order it reads.
+	spills uint64
 }
 
 type decodedSite struct {
@@ -393,10 +401,11 @@ func DecodeBinary(b []byte) (*File, error) {
 		return nil, fmt.Errorf("trace: not a binary trace file")
 	}
 	d := &decoder{
-		b:     b,
-		off:   len(binaryMagicV2),
-		nodes: uint64(len(b)) / minNodeBytes,
-		hists: uint64(len(b)) / minHistNodeBytes,
+		b:      b,
+		off:    len(binaryMagicV2),
+		nodes:  uint64(len(b)) / minNodeBytes,
+		hists:  uint64(len(b)) / minHistNodeBytes,
+		spills: uint64(len(b)) / minSpillBytes,
 	}
 	f := &File{}
 	f.P = int(d.uvarint())
@@ -671,6 +680,13 @@ func (d *decoder) hist(hists *histSlab) *stats.Histogram {
 	if nonzero > 64 {
 		d.fail(fmt.Errorf("trace: histogram buckets out of range"))
 		return h
+	}
+	if nonzero >= 3 {
+		if d.spills == 0 {
+			d.fail(fmt.Errorf("trace: more histogram buckets than the input holds"))
+			return h
+		}
+		d.spills--
 	}
 	for i := uint64(0); i < nonzero && d.err == nil; i++ {
 		idx := d.uvarint()

@@ -264,18 +264,16 @@ func refWriteHist(bw *refWriter, h *stats.Histogram) {
 	bw.varint(h.Max)
 	bw.uvarint(math.Float64bits(float64(h.Mean())))
 	nonzero := 0
-	for _, c := range h.Buckets {
-		if c > 0 {
-			nonzero++
-		}
-	}
+	h.EachBucket(func(int, uint64) bool {
+		nonzero++
+		return true
+	})
 	bw.uvarint(uint64(nonzero))
-	for i, c := range h.Buckets {
-		if c > 0 {
-			bw.uvarint(uint64(i))
-			bw.uvarint(c)
-		}
-	}
+	h.EachBucket(func(i int, c uint64) bool {
+		bw.uvarint(uint64(i))
+		bw.uvarint(c)
+		return true
+	})
 }
 
 // refDecodeSites is the deserialized file-local site table: leaf indices

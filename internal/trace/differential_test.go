@@ -152,7 +152,12 @@ func sameHist(a, b *stats.Histogram) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return a.Buckets == b.Buckets && a.Min == b.Min && a.Max == b.Max &&
+	for i := 0; i < 64; i++ {
+		if a.Bucket(i) != b.Bucket(i) {
+			return false
+		}
+	}
+	return a.Min == b.Min && a.Max == b.Max &&
 		a.Count() == b.Count() && a.FMean() == b.FMean() && a.Std() == b.Std()
 }
 

@@ -43,8 +43,8 @@ func fuzzSeedFile() *File {
 
 // wideHistFile is a trace whose one leaf carries bucket detail outside
 // [BucketOf(Min), BucketOf(Max)] — nothing Add would build, but the
-// decoders accept it, so a histogram's span has to come from the buckets
-// actually set (SetBucket), not from its extrema.
+// decoders accept it, so a histogram's buckets have to come from the
+// ones actually set (SetBucket), not from its extrema.
 func wideHistFile() *File {
 	h := stats.NewHistogram()
 	h.Restore(100, 200, 150, 4)
@@ -56,9 +56,19 @@ func wideHistFile() *File {
 	return &File{P: 1, Nodes: []*Node{NewLoop(3, []*Node{leaf})}}
 }
 
-// checkSpans fails unless every decoded histogram's span covers every
-// bucket it holds: the span-limited Merge out of it must move them all,
-// and Reset must clear them all.
+// histBuckets returns every bucket of h as one array.
+func histBuckets(h *stats.Histogram) [64]uint64 {
+	var b [64]uint64
+	for i := range b {
+		b[i] = h.Bucket(i)
+	}
+	return b
+}
+
+// checkSpans fails unless a Merge out of every decoded histogram moves
+// every bucket it holds, and Reset of a clone empties them all. It
+// compares what a caller reads: a spilled histogram keeps its array
+// through Reset.
 func checkSpans(t testing.TB, seq []*Node) {
 	t.Helper()
 	for _, n := range seq {
@@ -68,13 +78,13 @@ func checkSpans(t testing.TB, seq []*Node) {
 			}
 			into := stats.NewHistogram()
 			into.Merge(h)
-			if h.Count() > 0 && into.Buckets != h.Buckets {
-				t.Fatalf("Merge moved %v of decoded buckets %v", into.Buckets, h.Buckets)
+			if h.Count() > 0 && histBuckets(into) != histBuckets(h) {
+				t.Fatalf("Merge moved %v of decoded buckets %v", histBuckets(into), histBuckets(h))
 			}
 			c := h.Clone()
 			c.Reset()
-			if c.Buckets != [64]uint64{} {
-				t.Fatalf("Reset left %v of decoded buckets %v", c.Buckets, h.Buckets)
+			if histBuckets(c) != [64]uint64{} {
+				t.Fatalf("Reset left %v of decoded buckets %v", histBuckets(c), histBuckets(h))
 			}
 		}
 		checkSpans(t, n.Body)
@@ -312,37 +322,63 @@ func TestReadBinaryCorruptInputs(t *testing.T) {
 // nested as deep as the decoder allows, each carrying an iterations
 // histogram and each declaring more nodes than it holds, is where a
 // count can lie. Whatever the counts say, a decode allocates no more
-// than the nodes and histograms the whole input could hold (plus a
-// quarter for the allocator's size classes). With the counts checked per
-// sequence only, the greedy file allocates 18 times the bound (41 MB);
-// with the histogram slabs drawing on no budget, both files 1.3–1.4.
+// than the nodes, histograms and 64-bucket spill arrays the whole input
+// could hold (plus a quarter for the allocator's size classes). With the
+// counts checked per sequence only, the greedy file allocates 18 times
+// the bound (41 MB); with the histogram slabs drawing on no budget, both
+// files 1.3–1.4. The spilled file is as many histograms of three buckets
+// as fit: every one allocates its array.
 func TestDecodeAllocationBoundedByInput(t *testing.T) {
 	const size = 16 << 10
 	bound := uint64(size/minNodeBytes*(unsafe.Sizeof(Node{})+unsafe.Sizeof(&Node{})) +
-		(size/minHistNodeBytes+maxBinaryDepth+1)*unsafe.Sizeof(stats.Histogram{}))
+		(size/minHistNodeBytes+maxBinaryDepth+1)*unsafe.Sizeof(stats.Histogram{}) +
+		size/minSpillBytes*unsafe.Sizeof([64]uint64{}))
 	bound += bound/4 + 64<<10 // size classes; the decoder's own state and its error
-	for name, claim := range map[string]func(left int) uint64{
+	nested := func(claim func(left int) uint64) []byte {
+		var c corrupter
+		c.header()
+		for depth := 0; depth <= maxBinaryDepth; depth++ {
+			c.uvarint(claim(size - c.buf.Len()))
+			c.bytes(tagLoop)
+			c.uvarint(1) // iters
+			c.uvarint(1) // iterations histogram: one sample
+			c.varint(0)  // min
+			c.varint(0)  // max
+			c.uvarint(0) // mean
+			c.uvarint(0) // no buckets
+		}
+		c.uvarint(claim(size - c.buf.Len()))
+		return append(c.buf.Bytes(), make([]byte, size-c.buf.Len())...)
+	}
+	for name, data := range map[string][]byte{
 		// Each sequence claims all the bytes after it can hold.
-		"greedy": func(left int) uint64 { return uint64(left/minNodeBytes - 2) },
+		"greedy": nested(func(left int) uint64 { return uint64(left/minNodeBytes - 2) }),
 		// Each claims a share, so every level passes the file-wide check.
-		"shared": func(int) uint64 { return size / minNodeBytes / (maxBinaryDepth + 2) },
-	} {
-		t.Run(name, func(t *testing.T) {
+		"shared": nested(func(int) uint64 { return size / minNodeBytes / (maxBinaryDepth + 2) }),
+		"spilled": func() []byte {
+			const loopBytes = 4 + minSpillBytes // tag, iters, histogram, empty body
 			var c corrupter
 			c.header()
-			for depth := 0; depth <= maxBinaryDepth; depth++ {
-				c.uvarint(claim(size - c.buf.Len()))
+			n := (size - c.buf.Len() - 4) / loopBytes
+			c.uvarint(uint64(n + 1)) // one more than it holds
+			for i := 0; i < n; i++ {
 				c.bytes(tagLoop)
 				c.uvarint(1) // iters
-				c.uvarint(1) // iterations histogram: one sample
+				c.uvarint(3) // iterations histogram: three samples
 				c.varint(0)  // min
 				c.varint(0)  // max
 				c.uvarint(0) // mean
-				c.uvarint(0) // no buckets
+				c.uvarint(3) // three buckets of one
+				for b := uint64(0); b < 3; b++ {
+					c.uvarint(b)
+					c.uvarint(1)
+				}
+				c.uvarint(0) // empty body
 			}
-			c.uvarint(claim(size - c.buf.Len()))
-			data := append(c.buf.Bytes(), make([]byte, size-c.buf.Len())...)
-
+			return append(c.buf.Bytes(), make([]byte, size-c.buf.Len())...)
+		}(),
+	} {
+		t.Run(name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			const runs = 3

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -80,5 +81,29 @@ func TestDecodeAllocBudget(t *testing.T) {
 	t.Logf("decoding %s (%d bytes): %.0f allocations", lu.name, len(lu.payload), allocs)
 	if allocs > budget {
 		t.Fatalf("decoding %s took %.0f allocations, budget %d", lu.name, allocs, budget)
+	}
+}
+
+// TestDecodeAllocBytesBudget holds the bytes decoding the same LU trace
+// allocates to a budget. It takes 305 712 B: every histogram of the
+// corpus holds one or two buckets, so each costs its 72-byte slab slot
+// and nothing more. The budget leaves 18% headroom; with the 560-byte
+// [64]uint64 histogram the same decode takes 889 728 B, 2.5 times it.
+func TestDecodeAllocBytesBudget(t *testing.T) {
+	const budget = 352 << 10
+	lu := corpus(t)[1]
+	var before, after runtime.MemStats
+	const runs = 10
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := trace.DecodeBinary(lu.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("decoding %s (%d bytes): %d B allocated", lu.name, len(lu.payload), got)
+	if got > budget {
+		t.Fatalf("decoding %s allocated %d B, budget %d", lu.name, got, budget)
 	}
 }

@@ -333,13 +333,14 @@ func TestRecordSteadyStateDoesNotAllocate(t *testing.T) {
 // TestRecordPathSizeClasses holds the two objects every recorded event
 // allocates (until the pool warms) to their allocator size classes. Go
 // rounds a 144-byte Node up to nothing — 144 is a class — but a 152-byte
-// one to 160; a Histogram of up to 576 bytes shares the 576 class, the
-// next is 640. Growing either moves alloc_mb_per_job by several percent.
+// one to 160; the 72-byte sparse Histogram takes the 80-byte class, where
+// the 560-byte array form took 576. Growing either moves
+// alloc_mb_per_job by several percent.
 func TestRecordPathSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(trace.Node{}); got > 144 {
 		t.Errorf("sizeof(trace.Node) = %d, over the 144-byte size class", got)
 	}
-	if got := unsafe.Sizeof(stats.Histogram{}); got > 576 {
-		t.Errorf("sizeof(stats.Histogram) = %d, over the 576-byte size class", got)
+	if got := unsafe.Sizeof(stats.Histogram{}); got > 80 {
+		t.Errorf("sizeof(stats.Histogram) = %d, over the 80-byte size class", got)
 	}
 }
