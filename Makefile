@@ -30,8 +30,15 @@ test:
 # test-race: the observability registry is hammered from 64 goroutines
 # and the causal store is appended from every rank concurrently; the
 # full suite (including internal/causal) runs under the race detector.
+# Then the tests that drive a clock.Fake (clock.Every, the live
+# tracker's watches and heartbeat, the rate limiter, the CQ long poll,
+# the shipper's period and backoff) twenty more times: each hands the
+# clock between its own goroutine and the code's, and a wait armed
+# after the test advances, or a wake-up lost, shows only on some
+# interleavings.
 test-race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/
 
 # fuzz: a short fuzz smoke over every decoder that parses bytes from
 # outside the program: the binary trace decoder (the archive ingests

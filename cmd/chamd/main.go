@@ -43,9 +43,9 @@
 // consistent hashing over its content address, and the bracketed
 // policies above apply to requests from outside the mesh (requests
 // between peers are served strictly locally): PUT replicates, a GET
-// miss proxies, GET /runs scatter-gathers, and anti-entropy sweeps (ridden
-// on background compaction, or extra via -anti-entropy-every) repair
-// any peer that missed writes while down. Requests are namespaced per
+// miss proxies, GET /runs scatter-gathers, and anti-entropy sweeps (one
+// after each -compact-every compaction, or POST /mesh/sweep) repair any
+// peer that missed writes while down. Requests are namespaced per
 // tenant (X-Cham-Tenant header; tools take -tenant), with optional
 // per-tenant storage quotas (-tenant-quota-mb) and token-bucket rate
 // limits (-rate-limit/-rate-burst); either breach answers 429 +
@@ -69,10 +69,11 @@
 // -live-heartbeat, -live-ttl, and -live-desync tune the detectors.
 //
 // The daemon is hardened for unattended use: per-request timeouts,
-// a PUT body cap, periodic background compaction of orphaned segments,
-// graceful shutdown on SIGINT/SIGTERM (in-flight requests drain, the
-// compactor stops, the manifest is already durable at every point), and
-// -debug-addr serves net/http/pprof and expvar on a side listener.
+// a PUT body cap, one maintenance loop that reclaims orphaned segments
+// (and, in a mesh, sweeps) every -compact-every, graceful shutdown on
+// SIGINT/SIGTERM (in-flight requests drain, the loop stops, the
+// manifest is already durable at every point), and -debug-addr serves
+// net/http/pprof and expvar on a side listener.
 package main
 
 import (

@@ -47,7 +47,7 @@ func waitHealthy(t *testing.T, url string) {
 				return
 			}
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond) // a child process binding its listener: only polling sees it
 	}
 	t.Fatalf("peer %s never became healthy", url)
 }
@@ -106,13 +106,14 @@ func variantOf(t *testing.T, canon []byte, i int64) *trace.File {
 
 // TestFedPeerDeathAndAntiEntropyRecovery runs the scenario twice: with
 // recovery converged by an explicit POST /mesh/sweep on each peer, and
-// with no trigger at all — only chamd's own -anti-entropy-every ticker.
+// with no trigger at all — only chamd's own maintenance loop, which
+// sweeps every -compact-every.
 func TestFedPeerDeathAndAntiEntropyRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	t.Run("triggered", func(t *testing.T) { t.Parallel(); fedPeerDeath(t) })
-	t.Run("ticker", func(t *testing.T) { t.Parallel(); fedPeerDeath(t, "-anti-entropy-every", "200ms") })
+	t.Run("ticker", func(t *testing.T) { t.Parallel(); fedPeerDeath(t, "-compact-every", "200ms") })
 }
 
 // fedPeerDeath is the scenario; sweepFlags are extra chamd flags, and
@@ -256,7 +257,7 @@ func fedPeerDeath(t *testing.T, sweepFlags ...string) {
 	}
 	err = whole()
 	for deadline := time.Now().Add(20 * time.Second); err != nil && len(sweepFlags) > 0 && time.Now().Before(deadline); err = whole() {
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(100 * time.Millisecond) // the children sweep on their own wall clocks
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -10,10 +10,10 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
+	"chameleon/internal/clock"
 	"chameleon/internal/cq"
 	"chameleon/internal/mesh"
 	"chameleon/internal/obs"
@@ -39,7 +39,6 @@ func chamd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	replicas := fs.Int("replicas", 2, "mesh replication factor R (clamped to the peer count)")
 	meshSecret := fs.String("mesh-secret", os.Getenv("CHAMD_MESH_SECRET"),
 		"shared key authenticating intra-mesh requests (default $CHAMD_MESH_SECRET; empty = cooperative trust, see docs/STORE.md)")
-	antiEntropyEvery := fs.Duration("anti-entropy-every", 0, "extra anti-entropy sweep period (0 = sweep only with background compaction)")
 	rateLimit := fs.Float64("rate-limit", 0, "per-tenant request rate limit in req/s (0 = unlimited; breaches get 429 + Retry-After)")
 	rateBurst := fs.Int("rate-burst", 0, "per-tenant rate-limit burst (default: the rate)")
 	tenantQuotaMB := fs.Int64("tenant-quota-mb", 0, "per-tenant storage quota in MiB of raw trace bytes (0 = unlimited)")
@@ -50,7 +49,7 @@ func chamd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	// Shutdown is a cancelled context: SIGINT/SIGTERM for the binary, the
 	// caller's cancel in-process. Returning cancels it too, which stops
-	// the sweep loops below.
+	// the maintenance loop below.
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -86,11 +85,10 @@ func chamd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	archive, err := store.Open(*dir, store.Options{
-		Gzip:         *gzipSegs,
-		QuotaBytes:   *tenantQuotaMB << 20,
-		Reg:          reg,
-		Journal:      journal,
-		CompactEvery: *compactEvery,
+		Gzip:       *gzipSegs,
+		QuotaBytes: *tenantQuotaMB << 20,
+		Reg:        reg,
+		Journal:    journal,
 	})
 	if err != nil {
 		return err
@@ -112,31 +110,15 @@ func chamd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("cq: %w", err)
 	}
 
-	if node != nil {
-		// Anti-entropy rides the compaction cadence — converge placement
-		// as often as orphans are reclaimed — plus the extra period. The
-		// loops stop with ctx and are waited for before the archive closes.
-		var sweeps sync.WaitGroup
-		defer func() { stop(); sweeps.Wait() }()
-		for _, every := range []time.Duration{*compactEvery, *antiEntropyEvery} {
-			if every <= 0 {
-				continue
-			}
-			sweeps.Add(1)
-			go func() {
-				defer sweeps.Done()
-				ticker := time.NewTicker(every)
-				defer ticker.Stop()
-				for {
-					select {
-					case <-ctx.Done():
-						return
-					case <-ticker.C:
-						node.Sweep(archive.MeshTarget(), engine) //nolint:errcheck — next sweep retries
-					}
-				}
-			}()
-		}
+	if *compactEvery > 0 {
+		// The loop stops with ctx and is waited for before the archive
+		// closes.
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			maintain(ctx, clock.Real{}, *compactEvery, archive, node, engine)
+		}()
+		defer func() { stop(); <-done }()
 	}
 
 	live := store.NewLive(store.LiveOptions{
@@ -193,4 +175,17 @@ func chamd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// maintain is chamd's one background loop: every period of clk it
+// reclaims orphaned segments and then, in a mesh, runs one anti-entropy
+// sweep, converging placement as often as orphans are reclaimed. It
+// returns when ctx is done.
+func maintain(ctx context.Context, clk clock.Clock, every time.Duration, a *store.Archive, node *mesh.Node, engine *cq.Engine) {
+	clock.Every(ctx, clk, every, func() {
+		a.Compact() //nolint:errcheck — the next period retries
+		if node != nil {
+			node.Sweep(a.MeshTarget(), engine) //nolint:errcheck — the next period retries
+		}
+	})
 }

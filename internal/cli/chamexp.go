@@ -45,7 +45,7 @@ func chamexp(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	for _, id := range ids {
 		run, _ := exp.Lookup(id)
-		t0 := time.Now()
+		t0 := time.Now() // elapsed wall time for the reader of the table, not policy
 		table, err := run(params)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)

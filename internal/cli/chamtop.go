@@ -350,7 +350,7 @@ func followLive(ctx context.Context, stdout, stderr io.Writer, base, session str
 			// Transient watch errors (daemon restart, request timeout edge)
 			// shouldn't kill the monitor; back off briefly and re-fetch.
 			fmt.Fprintf(stderr, "chamtop: watch: %v\n", err)
-			time.Sleep(time.Second)
+			time.Sleep(time.Second) // paces a screen a person watches: real time is the point
 			next, err = store.FetchLiveView(base, session)
 			if err != nil {
 				return fmt.Errorf("follow: %w", err)

@@ -26,6 +26,7 @@ import (
 	"chameleon/internal/analysis"
 	"chameleon/internal/apps"
 	"chameleon/internal/causal"
+	"chameleon/internal/clock"
 	"chameleon/internal/core"
 	"chameleon/internal/cq"
 	"chameleon/internal/mesh"
@@ -34,6 +35,7 @@ import (
 	"chameleon/internal/replay"
 	"chameleon/internal/scalatrace"
 	"chameleon/internal/store"
+	"chameleon/internal/trace"
 	"chameleon/internal/wave"
 	"chameleon/internal/zan"
 )
@@ -123,8 +125,8 @@ func TestFlagSurface(t *testing.T) {
 			t.Errorf("%s usage header:\n got %q\nwant %q", name, g, w)
 		}
 	}
-	if total != 92 {
-		t.Errorf("golden holds %d flags, want the parent's 92", total)
+	if total != 91 {
+		t.Errorf("golden holds %d flags, want the parent's 91", total)
 	}
 }
 
@@ -166,8 +168,8 @@ func TestOptionSurface(t *testing.T) {
 			t.Errorf("golden option gone or retyped: %s", line)
 		}
 	}
-	if len(want) != 99 {
-		t.Errorf("golden holds %d options, want 99", len(want))
+	if len(want) != 96 {
+		t.Errorf("golden holds %d options, want 96", len(want))
 	}
 }
 
@@ -311,6 +313,7 @@ func startChamd(t *testing.T, args ...string) (base string) {
 		}
 	})
 	base = "http://" + addr
+	// chamd binds a real listener on its own goroutine: only polling sees it.
 	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		if resp, err := http.Get(base + "/healthz"); err == nil {
 			resp.Body.Close()
@@ -434,13 +437,67 @@ func TestChamdServeFailureUnwinds(t *testing.T) {
 	if code != 1 || !strings.Contains(stderr, "chamd: serve: ") {
 		t.Fatalf("exit %d, stderr %q; want 1 and the serve error", code, stderr)
 	}
-	// archive.Close ran: the background compactor it owns is gone.
+	// chamd waited for its maintenance loop before closing the archive.
 	stacks := make([]byte, 1<<20)
-	if stacks = stacks[:runtime.Stack(stacks, true)]; bytes.Contains(stacks, []byte("compactLoop")) {
-		t.Errorf("the failed chamd left its archive's compactor running")
+	if stacks = stacks[:runtime.Stack(stacks, true)]; bytes.Contains(stacks, []byte("cli.maintain(")) {
+		t.Errorf("the failed chamd left its maintenance loop running")
 	}
 	base := startChamd(t, "-dir", dir)
 	if _, err := store.FetchRuns(base, "", 0, 0); err != nil {
 		t.Errorf("second chamd over the same directory: %v", err)
 	}
+}
+
+// TestBackgroundCompaction: each period of chamd's maintenance loop
+// reclaims the segment a deleted run left behind, and the loop returns
+// when its context ends.
+func TestBackgroundCompaction(t *testing.T) {
+	dir := t.TempDir()
+	a, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	f, err := trace.LoadAny("testdata/phase8.trc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, _, err := a.Ingest(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Delete(run.ID); err != nil {
+		t.Fatal(err)
+	}
+	segments := func() int {
+		t.Helper()
+		segs, err := filepath.Glob(filepath.Join(dir, "segments", "*", "*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(segs)
+	}
+	if n := segments(); n != 1 {
+		t.Fatalf("%d segments after the delete, want the orphan", n)
+	}
+
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		maintain(ctx, clk, time.Minute, a, nil, nil)
+	}()
+	clk.BlockUntil(1)
+	clk.Advance(time.Minute - time.Millisecond)
+	if n := segments(); n != 1 {
+		t.Fatalf("%d segments before the first period ended, want the orphan still there", n)
+	}
+	clk.Advance(time.Millisecond)
+	clk.BlockUntil(1) // the period's pass has run and the next is armed
+	if n := segments(); n != 0 {
+		t.Fatalf("the maintenance loop left %d orphaned segments", n)
+	}
+	cancel()
+	<-done
 }

@@ -32,6 +32,7 @@ import (
 
 	"chameleon/internal/analysis"
 	"chameleon/internal/atomicfile"
+	"chameleon/internal/clock"
 	"chameleon/internal/fault"
 	"chameleon/internal/obs"
 	"chameleon/internal/trace"
@@ -141,8 +142,6 @@ type Options struct {
 	// OnEvent, when non-nil, observes every locally generated event
 	// (the federation layer broadcasts them to peers).
 	OnEvent func(Event)
-	// Now overrides the clock (tests).
-	Now func() time.Time
 	// Reg receives cq_* metrics.
 	Reg *obs.Registry
 }
@@ -162,6 +161,7 @@ type feed struct {
 type Engine struct {
 	mu    sync.Mutex
 	opts  Options
+	clk   clock.Clock                 // registration and event stamps, long-poll deadlines
 	specs map[string]map[string]*Spec // tenant -> name -> spec
 	feeds map[string]*feed
 	seq   uint64
@@ -174,17 +174,16 @@ type Engine struct {
 // New builds an engine, loading persisted registrations if Persist
 // names an existing file.
 func New(opts Options) (*Engine, error) {
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
 	if opts.Origin == "" {
 		opts.Origin = "local"
 	}
+	clk := clock.Real{}
 	e := &Engine{
 		opts:         opts,
+		clk:          clk,
 		specs:        map[string]map[string]*Spec{},
 		feeds:        map[string]*feed{},
-		nonce:        opts.Now().UnixNano(),
+		nonce:        clk.Now().UnixNano(),
 		mEvals:       opts.Reg.Counter("cq_evaluations"),
 		mRegressions: opts.Reg.Counter("cq_regressions"),
 		mEvents:      opts.Reg.Counter("cq_events"),
@@ -257,7 +256,7 @@ func (e *Engine) Register(s Spec) (Spec, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if s.UpdatedUnixMs == 0 {
-		s.UpdatedUnixMs = e.opts.Now().UnixMilli()
+		s.UpdatedUnixMs = e.clk.Now().UnixMilli()
 		// A re-registration must out-rank whatever it replaces — live
 		// spec or tombstone — under the newest-wins merge, even across
 		// peer clock skew.
@@ -285,7 +284,7 @@ func (e *Engine) Delete(tenant, name string) error {
 	if cur == nil || cur.Deleted {
 		return fmt.Errorf("cq: query %q %w", name, ErrNotFound)
 	}
-	stamp := e.opts.Now().UnixMilli()
+	stamp := e.clk.Now().UnixMilli()
 	if stamp <= cur.UpdatedUnixMs {
 		stamp = cur.UpdatedUnixMs + 1
 	}
@@ -401,7 +400,7 @@ func (e *Engine) Evaluate(tenant, runID string, f *trace.File) []Event {
 func (e *Engine) evaluateOne(tenant, runID string, f *trace.File, s Spec) Event {
 	ev := Event{
 		Tenant: tenant, CQ: s.Name, Run: runID, Golden: s.Golden,
-		AtUnixMs: e.opts.Now().UnixMilli(),
+		AtUnixMs: e.clk.Now().UnixMilli(),
 	}
 	golden, goldenID, err := e.opts.Lookup(tenant, s.Golden)
 	if err != nil {
@@ -548,8 +547,8 @@ func (e *Engine) Feed(tenant string) FeedView {
 // timeout elapses, returning the current view either way. Watching a
 // tenant with no events yet simply blocks until the first one.
 func (e *Engine) Watch(tenant string, after uint64, timeout time.Duration) FeedView {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
+	deadline, stop := e.clk.After(timeout)
+	defer stop()
 	for {
 		e.mu.Lock()
 		fd := e.feedLocked(tenant)
@@ -561,7 +560,7 @@ func (e *Engine) Watch(tenant string, after uint64, timeout time.Duration) FeedV
 		e.mu.Unlock()
 		select {
 		case <-ch:
-		case <-deadline.C:
+		case <-deadline:
 			return e.Feed(tenant)
 		}
 	}

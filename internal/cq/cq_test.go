@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"chameleon/internal/clock"
 	"chameleon/internal/mpi"
 	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
@@ -41,8 +42,8 @@ func mkTrace(p int, benchmark string, iters uint64, seed uint64) *trace.File {
 	}
 }
 
-// fixedNow is a deterministic test clock.
-func fixedNow() time.Time { return time.UnixMilli(1_700_000_000_000) }
+// epoch is where every test engine's clock starts.
+var epoch = time.UnixMilli(1_700_000_000_000)
 
 // stubLookup serves goldens from a map keyed by reference.
 func stubLookup(m map[string]*trace.File) Lookup {
@@ -55,15 +56,15 @@ func stubLookup(m map[string]*trace.File) Lookup {
 	}
 }
 
+// newEngine builds an engine on a clock.Fake that reads epoch until
+// the test advances it.
 func newEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()
-	if opts.Now == nil {
-		opts.Now = fixedNow
-	}
 	e, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.clk = clock.NewFake(epoch)
 	return e
 }
 
@@ -107,7 +108,7 @@ func TestRegisterListDeleteAll(t *testing.T) {
 	if len(got) != 2 || got[0].Name != "aa" || got[1].Name != "zz" {
 		t.Fatalf("List not sorted by name: %+v", got)
 	}
-	if got[0].UpdatedUnixMs != fixedNow().UnixMilli() {
+	if got[0].UpdatedUnixMs != epoch.UnixMilli() {
 		t.Fatalf("Register did not stamp UpdatedUnixMs: %+v", got[0])
 	}
 
@@ -154,7 +155,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Options{Persist: path, Now: fixedNow}); err == nil {
+	if _, err := New(Options{Persist: path}); err == nil {
 		t.Fatal("corrupt persist file loaded without error")
 	}
 }
@@ -233,7 +234,7 @@ func TestDeleteTombstonePropagates(t *testing.T) {
 		t.Fatal("deleting a tombstoned gate succeeded")
 	}
 
-	// Re-registration must out-rank the tombstone (the fixed clock makes
+	// Re-registration must out-rank the tombstone (the fake clock makes
 	// now == the original stamp, so the bump past the tombstone is what
 	// revives it) and propagate over it.
 	if _, err := a.Register(Spec{Tenant: "acme", Name: "gate", Golden: "g2"}); err != nil {
@@ -450,31 +451,38 @@ func TestAppendDedupAndFeedCap(t *testing.T) {
 
 func TestWatchLongPoll(t *testing.T) {
 	e := newEngine(t, Options{})
-
-	// Timeout path: nothing arrives, the current (empty) view returns.
-	start := time.Now()
-	fd := e.Watch("acme", 0, 50*time.Millisecond)
-	if fd.Version != 0 || time.Since(start) < 40*time.Millisecond {
-		t.Fatalf("timeout watch misbehaved: v=%d after %v", fd.Version, time.Since(start))
+	clk := e.clk.(*clock.Fake)
+	watch := func(timeout time.Duration) <-chan FeedView {
+		done := make(chan FeedView, 1)
+		go func() { done <- e.Watch("acme", 0, timeout) }()
+		return done
 	}
 
-	// Wake path: a concurrent append releases the watcher.
-	done := make(chan FeedView, 1)
-	go func() { done <- e.Watch("acme", 0, 5*time.Second) }()
-	time.Sleep(20 * time.Millisecond)
-	e.Append(Event{ID: "peer#1", Tenant: "acme", Verdict: VerdictRegression})
+	// Timeout path: nothing arrives, and the current (empty) view
+	// returns once the clock reaches the deadline, not before.
+	done := watch(50 * time.Millisecond)
+	clk.BlockUntil(1)
+	clk.Advance(49 * time.Millisecond)
 	select {
 	case fd := <-done:
-		if fd.Version != 1 || len(fd.Events) != 1 || fd.Events[0].Verdict != VerdictRegression {
-			t.Fatalf("woken watch view: %+v", fd)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watch never woke on append")
+		t.Fatalf("watch returned before its deadline: %+v", fd)
+	default:
+	}
+	clk.Advance(time.Millisecond)
+	if fd := <-done; fd.Version != 0 {
+		t.Fatalf("timed-out watch: %+v", fd)
 	}
 
-	// A watcher already behind returns immediately.
-	start = time.Now()
-	if fd := e.Watch("acme", 0, 5*time.Second); fd.Version != 1 || time.Since(start) > time.Second {
-		t.Fatalf("stale watch did not return immediately: %+v", fd)
+	// Wake path: an append releases the blocked watcher.
+	done = watch(5 * time.Second)
+	clk.BlockUntil(1)
+	e.Append(Event{ID: "peer#1", Tenant: "acme", Verdict: VerdictRegression})
+	if fd := <-done; fd.Version != 1 || len(fd.Events) != 1 || fd.Events[0].Verdict != VerdictRegression {
+		t.Fatalf("woken watch view: %+v", fd)
+	}
+
+	// A watcher already behind returns without waiting on the clock.
+	if fd := e.Watch("acme", 0, 5*time.Second); fd.Version != 1 {
+		t.Fatalf("stale watch: %+v", fd)
 	}
 }

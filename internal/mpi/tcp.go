@@ -25,7 +25,9 @@ import (
 // specific-source receives; call-site signatures are PC-derived and
 // identical across processes of the same binary. A fleet run therefore
 // produces bit-identical trace signatures to the in-process run of the
-// same seed — transport_e2e_test.go locks this in.
+// same seed — transport_e2e_test.go locks this in. The transport's own
+// waits (dial, flush and sweep deadlines, the result wait) read package
+// time, not internal/clock: each bounds a real socket, not a policy.
 
 // resultTimeout bounds the wait for the coordinator's final: a peer
 // that died mid-exchange without notice surfaces here.

@@ -12,6 +12,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -21,6 +22,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"chameleon/internal/clock"
 )
 
 // Delta is one shipped telemetry increment. Seq starts at 1 and
@@ -104,9 +107,10 @@ type Shipper struct {
 	o    *Observer
 	opts ShipperOptions
 	url  string
+	clk  clock.Clock // the ship period, send stamps, backoff and Stop's retry wait
 
-	stop chan struct{}
-	done chan struct{}
+	cancel context.CancelFunc // stops the loop Start launched
+	done   chan struct{}      // closed when that loop has returned
 
 	// loop-goroutine state (no locking needed).
 	seq       uint64
@@ -152,7 +156,7 @@ func NewShipper(o *Observer, opts ShipperOptions) (*Shipper, error) {
 		o:    o,
 		opts: opts,
 		url:  base + "/live/sessions/" + opts.Session + "/deltas",
-		stop: make(chan struct{}),
+		clk:  clock.Real{},
 		done: make(chan struct{}),
 	}, nil
 }
@@ -181,33 +185,25 @@ func (s *Shipper) Session() string { return s.opts.Session }
 // immediately so the session exists on the server before the first
 // interval elapses.
 func (s *Shipper) Start() {
-	go s.loop()
-}
-
-func (s *Shipper) loop() {
-	defer close(s.done)
-	ticker := time.NewTicker(s.opts.Interval)
-	defer ticker.Stop()
-	s.tick(false)
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			s.tick(false)
-		}
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s.cancel = cancel
+	go func() {
+		defer close(s.done)
+		s.tick(false)
+		clock.Every(ctx, s.clk, s.opts.Interval, func() { s.tick(false) })
+	}()
 }
 
 // Stop flushes the final delta (retrying a few times) and shuts the
 // shipper down. It returns the last transport error if the final
 // delta never landed.
 func (s *Shipper) Stop() error {
-	close(s.stop)
+	s.cancel()
 	<-s.done
 	s.tick(true)
 	for i := 0; i < finalRetries && len(s.pending) > 0; i++ {
-		time.Sleep(s.opts.Interval)
+		wait, _ := s.clk.After(s.opts.Interval)
+		<-wait
 		s.nextTry = time.Time{} // final flush overrides backoff
 		s.send()
 	}
@@ -234,7 +230,7 @@ func (s *Shipper) build(final bool) Delta {
 		P:          s.opts.P,
 		Part:       s.opts.Part,
 		Seq:        s.seq,
-		SentUnixMs: time.Now().UnixMilli(),
+		SentUnixMs: s.clk.Now().UnixMilli(),
 		Final:      final,
 	}
 	if s.o != nil {
@@ -288,7 +284,7 @@ func (s *Shipper) enqueue(d Delta) {
 
 // send POSTs the whole pending batch, honoring the backoff window.
 func (s *Shipper) send() {
-	if len(s.pending) == 0 || time.Now().Before(s.nextTry) {
+	if len(s.pending) == 0 || s.clk.Now().Before(s.nextTry) {
 		return
 	}
 	body, err := json.Marshal(s.pending)
@@ -336,7 +332,7 @@ func (s *Shipper) fail(err error) {
 	} else if s.backoff *= 2; s.backoff > 5*time.Second {
 		s.backoff = 5 * time.Second
 	}
-	s.nextTry = time.Now().Add(s.backoff)
+	s.nextTry = s.clk.Now().Add(s.backoff)
 	s.mu.Lock()
 	s.errors++
 	s.lastErr = err

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"chameleon/internal/clock"
 )
 
 // TestJournalRingTail checks the shipper-facing tail contract: absolute
@@ -148,15 +150,25 @@ func TestWritePrometheus(t *testing.T) {
 // remembers what it saw.
 type liveSink struct {
 	mu      sync.Mutex
+	posted  sync.Cond // signalled on every request
+	reqs    int
 	deltas  []Delta
-	fail    atomic.Bool // reject requests while set
-	reqs    atomic.Int64
 	maxSeen uint64
+	fail    atomic.Bool // reject requests while set
+}
+
+func newLiveSink() *liveSink {
+	ls := &liveSink{}
+	ls.posted.L = &ls.mu
+	return ls
 }
 
 func (ls *liveSink) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ls.reqs.Add(1)
+		ls.mu.Lock()
+		ls.reqs++
+		ls.posted.Broadcast()
+		ls.mu.Unlock()
 		if ls.fail.Load() {
 			http.Error(w, "down", http.StatusServiceUnavailable)
 			return
@@ -185,10 +197,46 @@ func (ls *liveSink) snapshot() []Delta {
 	return append([]Delta(nil), ls.deltas...)
 }
 
+func (ls *liveSink) requests() int {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	return ls.reqs
+}
+
+// waitRequests returns once the sink has seen at least n requests.
+func (ls *liveSink) waitRequests(n int) {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	for ls.reqs < n {
+		ls.posted.Wait()
+	}
+}
+
+// newFakeShipper builds a shipper on a clock.Fake. Once started, its
+// loop has shipped a tick when clk.BlockUntil(1) returns: the loop arms
+// its next wait only after the tick.
+func newFakeShipper(t *testing.T, o *Observer, opts ShipperOptions) (*Shipper, *clock.Fake) {
+	t.Helper()
+	sh, err := NewShipper(o, opts)
+	if err != nil {
+		t.Fatalf("NewShipper: %v", err)
+	}
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	sh.clk = clk
+	return sh, clk
+}
+
+// step advances the shipper's clock by d and waits for the tick that
+// fires to finish.
+func step(clk *clock.Fake, d time.Duration) {
+	clk.Advance(d)
+	clk.BlockUntil(1)
+}
+
 // TestShipperHappyPath runs a shipper against an httptest sink and
 // checks sequencing, payload contents, and the final flush.
 func TestShipperHappyPath(t *testing.T) {
-	sink := &liveSink{}
+	sink := newLiveSink()
 	srv := httptest.NewServer(sink.handler())
 	defer srv.Close()
 
@@ -199,20 +247,19 @@ func TestShipperHappyPath(t *testing.T) {
 	o.Progress.Window(1, 3, 4000)
 	o.Progress.Op(0)
 
-	sh, err := NewShipper(o, ShipperOptions{
+	const interval = 5 * time.Millisecond
+	sh, clk := newFakeShipper(t, o, ShipperOptions{
 		URL:       srv.URL,
 		Benchmark: "TEST",
 		P:         2,
-		Interval:  5 * time.Millisecond,
+		Interval:  interval,
 	})
-	if err != nil {
-		t.Fatalf("NewShipper: %v", err)
-	}
 	if sh.Session() == "" {
 		t.Fatal("no session id generated")
 	}
 	sh.Start()
-	time.Sleep(30 * time.Millisecond)
+	clk.BlockUntil(1)
+	step(clk, interval)
 	o.Counter("widgets_total").Add(1)
 	o.Emit(Event{Kind: KindFinalize, Rank: 1})
 	if err := sh.Stop(); err != nil {
@@ -220,8 +267,8 @@ func TestShipperHappyPath(t *testing.T) {
 	}
 
 	got := sink.snapshot()
-	if len(got) < 2 {
-		t.Fatalf("sink saw %d deltas, want >= 2", len(got))
+	if len(got) != 3 {
+		t.Fatalf("sink saw %d deltas, want the first, one tick's and the final", len(got))
 	}
 	for i, d := range got {
 		if d.Seq != uint64(i+1) {
@@ -230,6 +277,9 @@ func TestShipperHappyPath(t *testing.T) {
 		if d.Session != sh.Session() || d.Benchmark != "TEST" || d.P != 2 {
 			t.Fatalf("delta header wrong: %+v", d)
 		}
+	}
+	if got[0].SentUnixMs != 1_700_000_000_000 || got[1].SentUnixMs != 1_700_000_000_005 {
+		t.Fatalf("send stamps %d, %d do not read the shipper's clock", got[0].SentUnixMs, got[1].SentUnixMs)
 	}
 	last := got[len(got)-1]
 	if !last.Final {
@@ -260,39 +310,31 @@ func TestShipperHappyPath(t *testing.T) {
 // shipper buffers, backs off, and delivers everything once the sink
 // recovers — without duplicating sequence numbers.
 func TestShipperRetry(t *testing.T) {
-	sink := &liveSink{}
+	sink := newLiveSink()
 	sink.fail.Store(true)
 	srv := httptest.NewServer(sink.handler())
 	defer srv.Close()
 
 	o := New(Options{Metrics: true, ProgressRanks: 1})
-	sh, err := NewShipper(o, ShipperOptions{
-		URL:      srv.URL,
-		Interval: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("NewShipper: %v", err)
-	}
+	sh, clk := newFakeShipper(t, o, ShipperOptions{URL: srv.URL, Interval: 2 * time.Millisecond})
 	sh.Start()
-	time.Sleep(20 * time.Millisecond)
-	if st := sh.Stats(); st.Errors == 0 {
-		t.Fatalf("expected transport errors while sink down, got %+v", st)
+	clk.BlockUntil(1)
+	if st := sh.Stats(); st.Errors != 1 {
+		t.Fatalf("want one transport error while the sink is down, got %+v", st)
 	}
 	sink.fail.Store(false)
-	time.Sleep(20 * time.Millisecond)
+	step(clk, 100*time.Millisecond) // the first backoff window
 	if err := sh.Stop(); err != nil {
 		t.Fatalf("Stop after recovery: %v", err)
 	}
 	got := sink.snapshot()
-	if len(got) == 0 {
-		t.Fatal("sink saw nothing after recovery")
+	if len(got) != 3 {
+		t.Fatalf("sink saw %d deltas after recovery, want 3", len(got))
 	}
-	seen := map[uint64]bool{}
-	for _, d := range got {
-		if seen[d.Seq] {
-			t.Fatalf("duplicate seq %d", d.Seq)
+	for i, d := range got {
+		if d.Seq != uint64(i+1) {
+			t.Fatalf("delta %d has seq %d", i, d.Seq)
 		}
-		seen[d.Seq] = true
 	}
 	if !got[len(got)-1].Final {
 		t.Fatal("final delta missing after recovery")
@@ -301,28 +343,90 @@ func TestShipperRetry(t *testing.T) {
 
 // TestShipperDropOldest bounds the pending buffer.
 func TestShipperDropOldest(t *testing.T) {
-	sink := &liveSink{}
+	sink := newLiveSink()
 	sink.fail.Store(true)
 	srv := httptest.NewServer(sink.handler())
 	defer srv.Close()
 
 	o := New(Options{ProgressRanks: 1})
-	sh, err := NewShipper(o, ShipperOptions{URL: srv.URL, Interval: time.Millisecond})
-	if err != nil {
-		t.Fatalf("NewShipper: %v", err)
-	}
+	sh, clk := newFakeShipper(t, o, ShipperOptions{URL: srv.URL, Interval: time.Millisecond})
 	sh.Start()
+	clk.BlockUntil(1)
 	// Every tick enqueues one delta whether or not the POST is backing
 	// off, so the 65th pushes the oldest out of the buffer.
-	for deadline := time.Now().Add(10 * time.Second); sh.Stats().Dropped == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("no delta dropped with the daemon away, got %+v", sh.Stats())
-		}
+	for i := 0; i < maxPending; i++ {
+		step(clk, time.Millisecond)
+	}
+	if st := sh.Stats(); st.Dropped != 1 {
+		t.Fatalf("%d deltas dropped after %d ticks with the daemon away, want 1", st.Dropped, maxPending+1)
 	}
 	sink.fail.Store(false)
-	_ = sh.Stop()
-	if got := sink.snapshot(); len(got) == 0 || got[0].Seq < 2 {
-		t.Fatalf("after recovery the sink holds %d deltas, want some and the oldest gone", len(got))
+	step(clk, 5*time.Second) // past any backoff
+	if err := sh.Stop(); err != nil {
+		t.Fatalf("Stop after recovery: %v", err)
+	}
+	got, st := sink.snapshot(), sh.Stats()
+	if len(got) != maxPending+1 || got[0].Seq != st.Dropped+1 {
+		t.Fatalf("sink holds %d deltas from seq %d with %d dropped; want the newest %d and the final",
+			len(got), got[0].Seq, st.Dropped, maxPending)
+	}
+}
+
+// TestShipperBackoff pins the retry schedule against a daemon that is
+// down: POSTs 100ms apart, doubling, capped at 5s; a success resets it;
+// Stop's final flush retries each interval whatever it says.
+func TestShipperBackoff(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	sink := newLiveSink()
+	sink.fail.Store(true)
+	srv := httptest.NewServer(sink.handler())
+	defer srv.Close()
+	sh, clk := newFakeShipper(t, nil, ShipperOptions{URL: srv.URL, Interval: interval})
+	sh.Start() // its first tick POSTs at once
+	clk.BlockUntil(1)
+
+	// next checks that the POST after the last comes exactly gap later:
+	// not at the tick an interval before, and at the tick on time.
+	next := func(gap time.Duration) {
+		t.Helper()
+		n := sink.requests()
+		step(clk, gap-interval)
+		if sink.requests() != n {
+			t.Fatalf("POST %v after the last, want %v", gap-interval, gap)
+		}
+		step(clk, interval)
+		if sink.requests() != n+1 {
+			t.Fatalf("no POST %v after the last", gap)
+		}
+	}
+	for _, gap := range []time.Duration{100, 200, 400, 800, 1600, 3200, 5000, 5000} {
+		next(gap * time.Millisecond)
+	}
+	sink.fail.Store(false)
+	next(5 * time.Second) // delivered
+	sink.fail.Store(true)
+	next(interval) // the tick after a success POSTs at once...
+	next(100 * time.Millisecond)
+	sink.fail.Store(false)
+	next(200 * time.Millisecond) // ...and a failure backs off from 100ms again
+
+	// Stop's final flush: the final delta fails, and each retry comes one
+	// interval after the last although the backoff asks for 100ms+.
+	sink.fail.Store(true)
+	n := sink.requests()
+	stopped := make(chan error, 1)
+	go func() { stopped <- sh.Stop() }()
+	sink.waitRequests(n + 1) // the final delta: the loop has returned
+	for i := 1; i <= finalRetries; i++ {
+		clk.BlockUntil(1)
+		clk.Advance(interval)
+		sink.waitRequests(n + 1 + i)
+	}
+	if err := <-stopped; err == nil {
+		t.Fatal("Stop reported the undelivered final delta as shipped")
+	}
+	if got := sink.requests(); got != n+1+finalRetries {
+		t.Fatalf("Stop made %d POSTs, want the final and %d retries", got-n, finalRetries)
 	}
 }
 

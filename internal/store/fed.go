@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"chameleon/internal/clock"
 	"chameleon/internal/cq"
 	"chameleon/internal/mesh"
 	"chameleon/internal/obs"
@@ -436,20 +437,26 @@ func tell(node *mesh.Node, call mesh.Call) {
 }
 
 // rateLimiter is a per-tenant token bucket. The zero rate disables
-// limiting.
+// limiting. Tenant names arrive from outside, so once the map has
+// doubled since the last sweep, allow drops every bucket that has
+// refilled: a full bucket is the same as none.
 type rateLimiter struct {
+	clk     clock.Clock
 	mu      sync.Mutex
 	rate    float64 // tokens per second
 	burst   float64
 	buckets map[string]*tokenBucket
+	sweepAt int // map size that triggers the next sweep
 }
+
+const minSweep = 64 // bucket count below which the limiter never sweeps
 
 type tokenBucket struct {
 	tokens float64
 	last   time.Time
 }
 
-func newRateLimiter(rate float64, burst int) *rateLimiter {
+func newRateLimiter(clk clock.Clock, rate float64, burst int) *rateLimiter {
 	if rate <= 0 {
 		return nil
 	}
@@ -457,7 +464,7 @@ func newRateLimiter(rate float64, burst int) *rateLimiter {
 	if b < 1 {
 		b = max(rate, 1)
 	}
-	return &rateLimiter{rate: rate, burst: b, buckets: make(map[string]*tokenBucket)}
+	return &rateLimiter{clk: clk, rate: rate, burst: b, buckets: make(map[string]*tokenBucket), sweepAt: minSweep}
 }
 
 // allow spends one token from the tenant's bucket. When the bucket is
@@ -469,24 +476,25 @@ func (rl *rateLimiter) allow(tenant string) (bool, time.Duration) {
 	}
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	now := time.Now()
+	now := rl.clk.Now()
+	if len(rl.buckets) >= rl.sweepAt {
+		for t, b := range rl.buckets {
+			if b.tokens+now.Sub(b.last).Seconds()*rl.rate >= rl.burst {
+				delete(rl.buckets, t)
+			}
+		}
+		rl.sweepAt = max(minSweep, 2*len(rl.buckets))
+	}
 	b := rl.buckets[tenant]
 	if b == nil {
 		b = &tokenBucket{tokens: rl.burst, last: now}
 		rl.buckets[tenant] = b
 	}
-	b.tokens += now.Sub(b.last).Seconds() * rl.rate
+	b.tokens = min(rl.burst, b.tokens+now.Sub(b.last).Seconds()*rl.rate)
 	b.last = now
-	if b.tokens > rl.burst {
-		b.tokens = rl.burst
-	}
 	if b.tokens >= 1 {
 		b.tokens--
 		return true, 0
 	}
-	wait := time.Duration((1 - b.tokens) / rl.rate * float64(time.Second))
-	if wait < time.Second {
-		wait = time.Second
-	}
-	return false, wait
+	return false, max(time.Second, time.Duration((1-b.tokens)/rl.rate*float64(time.Second)))
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"chameleon/internal/clock"
 	"chameleon/internal/cq"
 	"chameleon/internal/mesh"
 	"chameleon/internal/trace"
@@ -373,20 +375,29 @@ func TestFedTenantIsolationAndQuota(t *testing.T) {
 
 func TestFedRateLimit(t *testing.T) {
 	a := openTemp(t, Options{})
-	srv := httptest.NewServer(NewServer(a, ServerOptions{RateLimit: 1, RateBurst: 2}))
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	a.clk = clk
+	srv := httptest.NewServer(NewServer(a, ServerOptions{RateLimit: 0.25, RateBurst: 2}))
 	defer srv.Close()
+	get := func(want int, wantRetry string) {
+		t.Helper()
+		code, _, hdr := tenantDo(t, http.MethodGet, srv.URL+"/runs", "", nil, nil)
+		if ra := hdr.Get("Retry-After"); code != want || ra != wantRetry {
+			t.Fatalf("GET /runs: %d, Retry-After %q; want %d, %q", code, ra, want, wantRetry)
+		}
+	}
 
-	var last int
-	var hdr http.Header
-	for i := 0; i < 3; i++ {
-		last, _, hdr = tenantDo(t, http.MethodGet, srv.URL+"/runs", "", nil, nil)
-	}
-	if last != http.StatusTooManyRequests {
-		t.Fatalf("third burst request: %d, want 429", last)
-	}
-	if ra := hdr.Get("Retry-After"); ra == "" || ra == "0" {
-		t.Fatalf("throttled response Retry-After = %q", ra)
-	}
+	// The burst spends both tokens; the next request waits for a whole
+	// token at 0.25/s, then for the half a token 2s has not refilled.
+	get(http.StatusOK, "")
+	get(http.StatusOK, "")
+	get(http.StatusTooManyRequests, "4")
+	clk.Advance(2 * time.Second)
+	get(http.StatusTooManyRequests, "2")
+	// 4s refill exactly one token: one request, then dry again.
+	clk.Advance(2 * time.Second)
+	get(http.StatusOK, "")
+	get(http.StatusTooManyRequests, "4")
 
 	// Tenant buckets are independent: a different tenant still gets in.
 	if code, _, _ := tenantDo(t, http.MethodGet, srv.URL+"/runs", "other", nil, nil); code != http.StatusOK {
@@ -399,6 +410,35 @@ func TestFedRateLimit(t *testing.T) {
 	}
 	if code, _, _ := tenantDo(t, http.MethodGet, srv.URL+"/healthz", "", nil, nil); code != http.StatusOK {
 		t.Fatalf("healthz throttled: %d", code)
+	}
+}
+
+// TestRateLimiterBoundsTenants: tenant names come from outside, so
+// rotating them must not grow the limiter without bound. Buckets that
+// have refilled are dropped; a dry one survives the sweep, and a wait
+// under a second is still reported as one.
+func TestRateLimiterBoundsTenants(t *testing.T) {
+	const rate, burst, perRound = 4.0, 2, 1000
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	rl := newRateLimiter(clk, rate, burst)
+	for i := 0; i < burst; i++ {
+		rl.allow("hog")
+	}
+	for round := 0; round < 10; round++ {
+		for i := 0; i < perRound; i++ {
+			if ok, _ := rl.allow(fmt.Sprintf("t%d-%d", round, i)); !ok {
+				t.Fatalf("a tenant's first request throttled")
+			}
+		}
+		if n := len(rl.buckets); n > 2*perRound {
+			t.Fatalf("round %d: %d buckets for %d active tenants", round, n, perRound)
+		}
+		if round == 0 {
+			if ok, wait := rl.allow("hog"); ok || wait != time.Second {
+				t.Fatalf("dry bucket after sweeps: allowed %v, wait %v; want throttled for 1s", ok, wait)
+			}
+		}
+		clk.Advance(time.Duration(burst / rate * float64(time.Second)))
 	}
 }
 

@@ -11,30 +11,16 @@ import (
 	"testing"
 	"time"
 
+	"chameleon/internal/clock"
 	"chameleon/internal/obs"
 )
 
-// fakeClock is an injectable wall clock for deterministic heartbeat
-// tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Unix(1700000000, 0)}
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
+// newFakeLive builds a tracker on a clock.Fake.
+func newFakeLive(opts LiveOptions) (*Live, *clock.Fake) {
+	l := NewLive(opts)
+	clk := clock.NewFake(time.Unix(1700000000, 0))
+	l.clk = clk
+	return l, clk
 }
 
 func ranksDelta(seq uint64, ranks ...obs.RankProgress) obs.Delta {
@@ -44,8 +30,7 @@ func ranksDelta(seq uint64, ranks ...obs.RankProgress) obs.Delta {
 // TestLiveSlowFlag: a rank with >2x the median cumulative compute is
 // flagged slow and produces one straggler event.
 func TestLiveSlowFlag(t *testing.T) {
-	clk := newFakeClock()
-	l := NewLive(LiveOptions{Now: clk.now})
+	l, _ := newFakeLive(LiveOptions{})
 	d := ranksDelta(1,
 		obs.RankProgress{Rank: 0, Windows: 5, ComputeVT: 100, Ops: 50},
 		obs.RankProgress{Rank: 1, Windows: 5, ComputeVT: 110, Ops: 50},
@@ -78,8 +63,7 @@ func TestLiveSlowFlag(t *testing.T) {
 // TestLiveBehindAndDeparted: a crash-frozen rank falls behind the
 // median window count; a departed rank is flagged departed.
 func TestLiveBehindAndDeparted(t *testing.T) {
-	clk := newFakeClock()
-	l := NewLive(LiveOptions{Now: clk.now})
+	l, _ := newFakeLive(LiveOptions{})
 	if _, err := l.Apply(DefaultTenant, "s2", []obs.Delta{ranksDelta(1,
 		obs.RankProgress{Rank: 0, Windows: 10, ComputeVT: 100, Ops: 99},
 		obs.RankProgress{Rank: 1, Windows: 10, ComputeVT: 100, Ops: 99},
@@ -109,8 +93,7 @@ func TestLiveBehindAndDeparted(t *testing.T) {
 // stalled after HeartbeatTimeout of fake wall-clock, and produces a
 // missed_heartbeat event — detected on read, with no shipper traffic.
 func TestLiveMissedHeartbeat(t *testing.T) {
-	clk := newFakeClock()
-	l := NewLive(LiveOptions{Now: clk.now, HeartbeatTimeout: 2 * time.Second})
+	l, clk := newFakeLive(LiveOptions{HeartbeatTimeout: 2 * time.Second})
 	apply := func(seq uint64, ops1 uint64) {
 		if _, err := l.Apply(DefaultTenant, "s3", []obs.Delta{ranksDelta(seq,
 			obs.RankProgress{Rank: 0, Windows: seq, Ops: 10 * seq},
@@ -120,13 +103,13 @@ func TestLiveMissedHeartbeat(t *testing.T) {
 		}
 	}
 	apply(1, 7)
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	apply(2, 7) // rank 1's ops frozen, but only 1s elapsed: not yet stalled
 	v, _ := l.View(DefaultTenant, "s3", false)
 	if hasFlag(v.Ranks[1].Flags, FlagStalled) {
 		t.Fatalf("rank 1 stalled too early: %v", v.Ranks[1].Flags)
 	}
-	clk.advance(3 * time.Second)
+	clk.Advance(3 * time.Second)
 	apply(3, 7)
 	v, _ = l.View(DefaultTenant, "s3", false)
 	if !hasFlag(v.Ranks[1].Flags, FlagStalled) {
@@ -142,7 +125,7 @@ func TestLiveMissedHeartbeat(t *testing.T) {
 	if _, err := l.Apply(DefaultTenant, "s3", []obs.Delta{{Seq: 4, Final: true}}); err != nil {
 		t.Fatalf("final: %v", err)
 	}
-	clk.advance(time.Minute)
+	clk.Advance(time.Minute)
 	v, _ = l.View(DefaultTenant, "s3", false)
 	if !v.Final {
 		t.Fatal("session not final")
@@ -154,7 +137,7 @@ func TestLiveMissedHeartbeat(t *testing.T) {
 
 // TestLiveSeqDedup: retried batches (duplicate seq) are applied once.
 func TestLiveSeqDedup(t *testing.T) {
-	l := NewLive(LiveOptions{Now: newFakeClock().now})
+	l, _ := newFakeLive(LiveOptions{})
 	d1 := ranksDelta(1, obs.RankProgress{Rank: 0, Windows: 1, Ops: 1})
 	d2 := ranksDelta(2, obs.RankProgress{Rank: 0, Windows: 2, Ops: 2})
 	ack, err := l.Apply(DefaultTenant, "s4", []obs.Delta{d1, d2})
@@ -174,7 +157,7 @@ func TestLiveSeqDedup(t *testing.T) {
 // fillLive applies one delta to maxLiveSessions sessions: "old" first,
 // then after 30s "new" and the rest, so the tracker is at capacity with
 // "old" the stalest.
-func fillLive(t *testing.T, l *Live, clk *fakeClock) {
+func fillLive(t *testing.T, l *Live, clk *clock.Fake) {
 	t.Helper()
 	one := ranksDelta(1, obs.RankProgress{Rank: 0, Windows: 1, Ops: 1})
 	ids := []string{"old", "new"}
@@ -186,7 +169,7 @@ func fillLive(t *testing.T, l *Live, clk *fakeClock) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			clk.advance(30 * time.Second)
+			clk.Advance(30 * time.Second)
 		}
 	}
 }
@@ -194,8 +177,7 @@ func fillLive(t *testing.T, l *Live, clk *fakeClock) {
 // TestLiveEviction: sessions idle past the TTL vanish on the next
 // lazily-swept call; the session cap evicts the stalest.
 func TestLiveEviction(t *testing.T) {
-	clk := newFakeClock()
-	l := NewLive(LiveOptions{Now: clk.now, SessionTTL: time.Minute})
+	l, clk := newFakeLive(LiveOptions{SessionTTL: time.Minute})
 	fillLive(t, l, clk)
 	if _, err := l.View(DefaultTenant, "old", false); err != nil {
 		t.Fatalf("stalest session gone at the cap, before it is exceeded: %v", err)
@@ -212,7 +194,7 @@ func TestLiveEviction(t *testing.T) {
 		t.Fatalf("cap eviction took more than the stalest: %v", err)
 	}
 	// TTL eviction.
-	clk.advance(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	if got := l.List(DefaultTenant); len(got) != 0 {
 		t.Fatalf("TTL sweep left %d sessions", len(got))
 	}
@@ -234,9 +216,8 @@ func TestLiveApplyRejectsWholeBatch(t *testing.T) {
 		{"tracked ID, bad delta behind a good one", "new", []obs.Delta{good, bad}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := newFakeClock()
 			reg := obs.NewRegistry()
-			l := NewLive(LiveOptions{Now: clk.now, Reg: reg})
+			l, clk := newFakeLive(LiveOptions{Reg: reg})
 			fillLive(t, l, clk)
 			if _, err := l.Apply(DefaultTenant, tc.id, tc.batch); err == nil {
 				t.Fatal("mismatched batch accepted")
@@ -262,10 +243,23 @@ func TestLiveApplyRejectsWholeBatch(t *testing.T) {
 	}
 }
 
-// TestLiveWatchWakes: a blocked watch returns promptly once a delta
-// bumps the version.
+// watchLive runs Watch in the background; the channel yields its view.
+func watchLive(t *testing.T, l *Live, id string, after uint64, timeout time.Duration) <-chan *SessionView {
+	done := make(chan *SessionView, 1)
+	go func() {
+		v, err := l.Watch(DefaultTenant, id, after, timeout)
+		if err != nil {
+			t.Errorf("Watch: %v", err)
+		}
+		done <- v
+	}()
+	return done
+}
+
+// TestLiveWatchWakes: a blocked watch returns once a delta bumps the
+// version.
 func TestLiveWatchWakes(t *testing.T) {
-	l := NewLive(LiveOptions{})
+	l, clk := newFakeLive(LiveOptions{})
 	if _, err := l.Apply(DefaultTenant, "s5", []obs.Delta{ranksDelta(1, obs.RankProgress{Rank: 0, Windows: 1, Ops: 1})}); err != nil {
 		t.Fatal(err)
 	}
@@ -273,27 +267,53 @@ func TestLiveWatchWakes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan *SessionView, 1)
-	go func() {
-		w, err := l.Watch(DefaultTenant, "s5", v.Version, 5*time.Second)
-		if err != nil {
-			t.Errorf("Watch: %v", err)
-			done <- nil
-			return
-		}
-		done <- w
-	}()
-	time.Sleep(10 * time.Millisecond)
+	done := watchLive(t, l, "s5", v.Version, 5*time.Second)
+	clk.BlockUntil(2) // the deadline and the heartbeat re-check: blocked
 	if _, err := l.Apply(DefaultTenant, "s5", []obs.Delta{ranksDelta(2, obs.RankProgress{Rank: 0, Windows: 2, Ops: 2})}); err != nil {
 		t.Fatal(err)
 	}
+	if w := <-done; w == nil || w.Version <= v.Version {
+		t.Fatalf("watch returned stale view: %+v", w)
+	}
+}
+
+// TestLiveWatchDetectsStall: a watch blocked on a session with no
+// traffic at all re-runs detection each heartbeat, so it returns with
+// the frozen rank flagged stalled once the clock passes
+// HeartbeatTimeout — and not before.
+func TestLiveWatchDetectsStall(t *testing.T) {
+	const beat = 2 * time.Second
+	l, clk := newFakeLive(LiveOptions{HeartbeatTimeout: beat})
+	if _, err := l.Apply(DefaultTenant, "s6", []obs.Delta{ranksDelta(1,
+		obs.RankProgress{Rank: 0, Windows: 1, Ops: 1},
+		obs.RankProgress{Rank: 1, Windows: 1, Ops: 1},
+	)}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := l.View(DefaultTenant, "s6", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := watchLive(t, l, "s6", v.Version, time.Minute)
+	clk.BlockUntil(2)
+	clk.Advance(beat - time.Millisecond)
 	select {
 	case w := <-done:
-		if w == nil || w.Version <= v.Version {
-			t.Fatalf("watch returned stale view: %+v", w)
+		t.Fatalf("watch returned before a heartbeat passed: %+v", w)
+	default:
+	}
+	clk.Advance(2 * time.Millisecond)
+	w := <-done
+	if w == nil || w.Version <= v.Version {
+		t.Fatalf("watch returned stale view: %+v", w)
+	}
+	for _, r := range w.Ranks {
+		if !hasFlag(r.Flags, FlagStalled) {
+			t.Errorf("rank %d flags = %v, want stalled", r.Rank, r.Flags)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("watch did not wake on new delta")
+	}
+	if n := countEvents(w.LiveEvents, LiveEventMissedHeartbeat, FlagStalled); n != 2 {
+		t.Errorf("missed_heartbeat events = %d, want 2", n)
 	}
 }
 
@@ -488,9 +508,8 @@ func countEvents(evs []LiveEvent, kind, flag string) int {
 // marker barrier fires a desync event; the event re-fires only when the
 // band moves (a traveling front), not while it sits still.
 func TestLiveDesync(t *testing.T) {
-	clk := newFakeClock()
 	reg := obs.NewRegistry()
-	l := NewLive(LiveOptions{Now: clk.now, Reg: reg})
+	l, _ := newFakeLive(LiveOptions{Reg: reg})
 	arrive := func(seq uint64, win uint64, vt [6]int64) obs.Delta {
 		ranks := make([]obs.RankProgress, 6)
 		for r := range ranks {
@@ -548,8 +567,7 @@ func TestLiveDesync(t *testing.T) {
 // TestLiveDesyncRejectsNonWave: lone stragglers, scattered late ranks,
 // and whole-machine lag never fire desync.
 func TestLiveDesyncRejectsNonWave(t *testing.T) {
-	clk := newFakeClock()
-	l := NewLive(LiveOptions{Now: clk.now})
+	l, _ := newFakeLive(LiveOptions{})
 	ms := int64(time.Millisecond)
 	apply := func(seq, win uint64, vt []int64) {
 		t.Helper()
@@ -576,7 +594,7 @@ func TestLiveDesyncRejectsNonWave(t *testing.T) {
 		}
 	}
 	// Disabled detector records no band at all.
-	ld := NewLive(LiveOptions{Now: clk.now, DesyncSkewNs: -1})
+	ld, _ := newFakeLive(LiveOptions{DesyncSkewNs: -1})
 	ranks := []obs.RankProgress{
 		{Rank: 0, Windows: 1, ArriveVT: 0, Ops: 10},
 		{Rank: 1, Windows: 1, ArriveVT: 90 * ms, Ops: 10},

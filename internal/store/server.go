@@ -190,7 +190,7 @@ func newServer(a *Archive, opts ServerOptions) *server {
 		live:    opts.Live,
 		node:    opts.Mesh,
 		cq:      opts.CQ,
-		limiter: newRateLimiter(opts.RateLimit, opts.RateBurst),
+		limiter: newRateLimiter(a.clk, opts.RateLimit, opts.RateBurst),
 		lookup:  FedLookup(a, nil),
 		mux:     http.NewServeMux(),
 
@@ -222,7 +222,7 @@ func newServer(a *Archive, opts ServerOptions) *server {
 // ServeHTTP is the part of the pipeline every request passes, matched
 // to a route or not: count it, time it, size its response.
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	start := time.Now() // hLatency measures this process, not policy time
 	s.mRequests.Inc()
 	cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
 	s.mux.ServeHTTP(cw, r)
@@ -348,7 +348,7 @@ func statusOf(err error) int {
 
 // serve runs one matched request through the pipeline.
 func (s *server) serve(w http.ResponseWriter, r *http.Request, rt *route) {
-	start := time.Now()
+	start := time.Now() // classLatency measures this process, not policy time
 	s.classReqs[rt.class].Inc()
 	defer func() { s.classLatency[rt.class].Observe(time.Since(start).Nanoseconds()) }()
 

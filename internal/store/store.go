@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"chameleon/internal/atomicfile"
+	"chameleon/internal/clock"
 	"chameleon/internal/obs"
 	"chameleon/internal/trace"
 )
@@ -95,9 +96,6 @@ type Options struct {
 	// Journal, when non-nil, receives store_ingest/store_compact/
 	// store_checkpoint events.
 	Journal *obs.Journal
-	// CompactEvery, when positive, starts a background goroutine that
-	// sweeps orphaned segments at this period until Close.
-	CompactEvery time.Duration
 }
 
 // Run is one archived trace: the manifest record the index keeps and
@@ -152,6 +150,7 @@ type Archive struct {
 
 	dir  string
 	opts Options
+	clk  clock.Clock // ingest stamps and the rate limiter
 
 	mu   sync.Mutex
 	runs map[string]map[string]*Run // tenant -> content address -> run
@@ -160,9 +159,6 @@ type Archive struct {
 	ckptBytes int64 // size of manifest.json as last read or written
 	logBytes  int64 // size of manifest.log up to its last whole record
 	logTorn   bool  // a failed append may have left bytes past logBytes
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 
 	mIngest, mDedup, mGets, mLists, mDeletes *obs.Counter
 	mCompacts, mOrphans, mCheckpoints        *obs.Counter
@@ -188,9 +184,9 @@ func Open(dir string, opts Options) (*Archive, error) {
 	a := &Archive{
 		dir:  dir,
 		opts: opts,
+		clk:  clock.Real{},
 		runs: make(map[string]map[string]*Run),
 		used: make(map[string]int64),
-		stop: make(chan struct{}),
 
 		mIngest:       opts.Reg.Counter("store_ingests"),
 		mDedup:        opts.Reg.Counter("store_ingest_dedups"),
@@ -213,40 +209,16 @@ func Open(dir string, opts Options) (*Archive, error) {
 	if err := a.replayLog(); err != nil {
 		return nil, err
 	}
-	if opts.CompactEvery > 0 {
-		a.wg.Add(1)
-		go a.compactLoop(opts.CompactEvery)
-	}
 	return a, nil
 }
 
-// Close stops the background compactor (if any) and folds the manifest
-// log into a checkpoint, so a closed archive is a manifest.json and no
-// log. The archive itself holds no open files between calls.
+// Close folds the manifest log into a checkpoint, so a closed archive is
+// a manifest.json and no log. The archive itself holds no open files
+// between calls.
 func (a *Archive) Close() error {
-	select {
-	case <-a.stop:
-	default:
-		close(a.stop)
-	}
-	a.wg.Wait()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.checkpointLocked()
-}
-
-func (a *Archive) compactLoop(every time.Duration) {
-	defer a.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-t.C:
-			a.Compact() //nolint:errcheck — best-effort background sweep
-		}
-	}
 }
 
 func (a *Archive) manifestPath() string { return filepath.Join(a.dir, "manifest.json") }
@@ -606,7 +578,7 @@ func (v TenantView) holds(id string) bool {
 // again: nothing is described without a file.
 func (v TenantView) ingest(p *parsed) (Run, bool, error) {
 	a, tenant := v.a, v.tenant
-	start := time.Now()
+	start := time.Now() // hIngest measures this process, not policy time
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
@@ -635,7 +607,7 @@ func (v TenantView) ingest(p *parsed) (Run, bool, error) {
 
 	run := describe(f, payload, id)
 	run.Tenant = tenant
-	run.Ingested = time.Now().UTC()
+	run.Ingested = a.clk.Now().UTC()
 	run.Gzip = a.opts.Gzip
 
 	stored, err := a.writeSegment(tenant, id, payload)
@@ -712,7 +684,7 @@ func (v TenantView) Resolve(id string) (Run, error) {
 // Payload returns the canonical (uncompressed) segment bytes of a run,
 // verifying them against the content address.
 func (v TenantView) Payload(id string) ([]byte, Run, error) {
-	start := time.Now()
+	start := time.Now() // hGet measures this process, not policy time
 	run, err := v.Resolve(id)
 	if err != nil {
 		return nil, Run{}, err

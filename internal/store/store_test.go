@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"chameleon/internal/mpi"
 	"chameleon/internal/ranklist"
@@ -410,29 +409,6 @@ func TestReingestReplacesOrphanSegment(t *testing.T) {
 				t.Fatal("re-ingested run decodes to a different content address")
 			}
 		})
-	}
-}
-
-func TestBackgroundCompaction(t *testing.T) {
-	dir := t.TempDir()
-	a, err := Open(dir, Options{CompactEvery: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	run, _, err := a.Ingest(mkTrace(4, "PHASE", 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Delete(run.ID); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for countSegments(t, a) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background compactor never reclaimed the orphan")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

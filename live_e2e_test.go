@@ -126,7 +126,7 @@ func TestLiveSlowRankFlaggedInFlight(t *testing.T) {
 			v, err := store.FetchLiveView(srv.URL, session)
 			if err != nil {
 				// The first delta may not have landed yet.
-				time.Sleep(time.Millisecond)
+				time.Sleep(time.Millisecond) // the run ships on the wall clock; only polling sees it
 				continue
 			}
 			if v.Final {
@@ -138,7 +138,7 @@ func TestLiveSlowRankFlaggedInFlight(t *testing.T) {
 				liveFrame = b.String()
 				return
 			}
-			time.Sleep(500 * time.Microsecond)
+			time.Sleep(500 * time.Microsecond) // likewise: poll the in-flight run, not a clock
 		}
 	})
 

@@ -304,7 +304,7 @@ func TestTransportCrashFailover(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("the surviving member never bound the rendezvous address")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // a child process's stdout: only polling sees it
 	}
 	dead, _ := spawnFleetMember(t, join, "4..7", "-faults", faults)
 	deadDone := make(chan error, 1)
@@ -346,7 +346,7 @@ func TestTransportCrashFailover(t *testing.T) {
 		if err == nil {
 			t.Errorf("crashed member exited cleanly; want SIGKILL")
 		}
-	case <-time.After(30 * time.Second):
+	case <-time.After(30 * time.Second): // bounds a child process that might never exit
 		t.Errorf("crashed member still running 30s after the survivor finished")
 	}
 }
