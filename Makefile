@@ -35,10 +35,12 @@ test:
 # the shipper's period and backoff) twenty more times: each hands the
 # clock between its own goroutine and the code's, and a wait armed
 # after the test advances, or a wake-up lost, shows only on some
-# interleavings.
+# interleavings. The federated listing's model, edge-independence and
+# partial tests join them: its fan-out fills one slot per peer from
+# that peer's goroutine.
 test-race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/
+	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial)$$' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/
 
 # fuzz: a short fuzz smoke over every decoder that parses bytes from
 # outside the program: the binary trace decoder (the archive ingests
@@ -48,8 +50,10 @@ test-race:
 # pre-change array one (any op sequence must read the same), the TCP
 # frame decoder (every fleet
 # byte passes through it), the fault-plan decoder (-faults/-noise
-# input) and the manifest-log replay decoder (whatever a crash left on
-# disk). The seed and poison corpora run as plain tests in `make test`;
+# input), the manifest-log replay decoder (whatever a crash left on
+# disk) and the federated listing's merge of peer answers (whatever a
+# peer's body says, and against a brute-force union when it is
+# honest). The seed and poison corpora run as plain tests in `make test`;
 # CI runs this for the fuzzing time on top, and local deep fuzzing just
 # raises -fuzztime.
 fuzz:
@@ -60,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzManifestLog -fuzztime=5s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzScatterMerge -fuzztime=5s ./internal/store/
 
 # test-transport: the TCP multi-process transport suite under the race
 # detector. In internal/mpi: the layer tables over net.Pipe (link

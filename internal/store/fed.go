@@ -10,9 +10,10 @@ package store
 //     replicateRun / replicateEdges (a write lands on every peer that
 //     should hold it), proxyOnMiss / meshLookup (a read follows the run
 //     to a peer that has it; FedLookup is the same walk for the CQ
-//     engine), scatterList (merge every peer's listing), broadcast
-//     (tell every peer). Trusted requests get no policy at all: that is
-//     the loop guard.
+//     engine), scatterList (ask every peer for the newest offset+limit
+//     runs at once, keep each run's newest copy, name the peers that
+//     did not answer), broadcast (tell every peer). Trusted requests
+//     get no policy at all: that is the loop guard.
 //   - BroadcastCQEvents pushes locally-emitted CQ events to every
 //     other peer so a long-poll watcher on any peer sees them.
 //   - rateLimiter is the per-tenant token bucket the pipeline's admit
@@ -27,7 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -341,46 +344,107 @@ func (s *server) meshLookup(rt *route, q *request) (any, error) {
 	return rt.handle(s, q)
 }
 
-// scatterList is the policy of GET /runs: merge the whole fleet's view
-// of a tenant's runs — local set plus every peer's (trusted, hence
-// uncapped) listing, deduped by content address — then page the union
-// exactly like a single-archive listing. An unreachable peer degrades
-// the listing to the reachable subset rather than failing it — at R>=2
-// every run is still visible through a surviving owner.
+// meshList is GET /runs as a trusted peer answers it: the page, plus
+// Rest, the IDs of the peer's other matches. An edge needs Rest only to
+// count the deduplicated total, so no record behind it crosses the mesh.
+type meshList struct {
+	ListResponse
+	Rest []string `json:"rest,omitempty"`
+}
+
+// window is how many of the newest matches a page of q is cut from:
+// Offset+Limit, saturated because Offset is the client's, or 0 (all of
+// them) when q has no limit.
+func (q Query) window() int {
+	if q.Limit == 0 {
+		return 0
+	}
+	return q.Offset + min(q.Limit, math.MaxInt-q.Offset)
+}
+
+// scatterList is the policy of GET /runs: the page is cut from the whole
+// mesh's view of a tenant's runs, and looks the same from every edge.
+// The window is pushed down — every other peer is asked at once for its
+// newest offset+limit matches, plus the IDs of the rest for the total —
+// and mergeList joins those pages with this peer's full local set. A
+// peer that does not answer is named in Partial rather than silently
+// dropped; at R>=2 every run is still visible through a surviving owner.
 func (s *server) scatterList(rt *route, q *request) (any, error) {
 	query, err := listQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	full := query
-	full.Limit, full.Offset = 0, 0
-	merged, _ := s.a.Tenant(q.tenant).List(full)
-	seen := make(map[string]bool, len(merged))
-	for _, r := range merged {
-		seen[r.ID] = true
-	}
+	params := q.r.URL.Query() // re-encoded below, never spliced
+	params.Del("offset")
+	params.Set("limit", strconv.Itoa(query.window()))
+	peers := s.node.Others()
+	answers := make([]*meshList, len(peers))
+	fanout(s.node, peers, mesh.Call{Path: "/runs?" + params.Encode(), Tenant: q.tenant},
+		func(i int, resp *http.Response) { answers[i] = readList(resp.StatusCode, resp.Body) })
+	return mergeList(query, s.a.Tenant(q.tenant).match(query), peers, answers), nil
+}
 
-	filters := q.r.URL.Query() // re-encoded below, never spliced
-	filters.Del("limit")
-	filters.Del("offset")
-	for _, peer := range s.node.Others() {
-		resp, err := s.node.Do(mesh.Call{Peer: peer, Path: "/runs?" + filters.Encode(), Tenant: q.tenant})
-		if err != nil {
+// readList decodes a peer's answer to a listing; nil means it gave none
+// the edge can use.
+func readList(status int, body io.Reader) *meshList {
+	var ml meshList
+	if status != http.StatusOK || json.NewDecoder(body).Decode(&ml) != nil {
+		return nil
+	}
+	return &ml
+}
+
+// mergeList cuts query's page from this peer's matches (self, any order)
+// and the peers' answers (answers[i] is peers[i]'s, nil if it gave none).
+// Each run shows the record of its holder with the newest Ingested
+// stamp, ties going to self, then to peers in order; the total counts
+// every ID any holder reported.
+//
+// Newest copy wins is what makes the push-down exact. If run x is in the
+// true top N = offset+limit and its newest copy is on peer q, every run
+// q ranks above x also ranks above x in the merge (its newest stamp is
+// no older than its stamp on q), so fewer than N do, and x is in q's
+// top N with its winning stamp. A stamp the merge misses — a copy
+// outside its holder's top N — can only rank a run lower, never into
+// the window.
+func mergeList(query Query, self []Run, peers []string, answers []*meshList) ListResponse {
+	runs := make([]Run, 0, len(self))
+	at := make(map[string]int, len(self)) // ID -> index in runs; -1: known from a Rest only
+	add := func(r Run) {
+		switch i, ok := at[r.ID]; {
+		case !ok || i < 0:
+			at[r.ID] = len(runs)
+			runs = append(runs, r)
+		case r.Ingested.After(runs[i].Ingested):
+			runs[i] = r
+		}
+	}
+	for _, r := range self {
+		add(r)
+	}
+	var partial []string
+	for i, ans := range answers {
+		if ans == nil {
+			partial = append(partial, peers[i])
 			continue
 		}
-		var lr ListResponse
-		if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&lr) == nil {
-			for _, r := range lr.Runs {
-				if !seen[r.ID] {
-					seen[r.ID] = true
-					merged = append(merged, r)
-				}
+		for _, r := range ans.Runs {
+			add(r)
+		}
+		for _, id := range ans.Rest {
+			if _, ok := at[id]; !ok {
+				at[id] = -1
 			}
 		}
-		resp.Body.Close()
 	}
-	runs, total := query.page(merged)
-	return listPage(query, runs, total), nil
+	total := len(at)
+	var page []Run
+	if query.Offset < total { // an offset past the end needs no sort
+		page, _ = query.page(runs)
+	}
+	resp := listPage(query, page, total)
+	resp.Partial = partial
+	return resp
 }
 
 // broadcast is the policy of the CQ writes: apply locally, then tell
@@ -422,16 +486,29 @@ func BroadcastCQEvents(node *mesh.Node) func(cq.Event) {
 func tell(node *mesh.Node, call mesh.Call) {
 	call.BestEffort = true
 	call.Header = http.Header{"Content-Type": {"application/json"}}
+	fanout(node, node.Others(), call, nil)
+}
+
+// fanout sends call to every peer in peers concurrently and returns once
+// each has answered or failed. read, when non-nil, gets peer i's
+// response on that call's goroutine, so it may write only to slot i of
+// whatever it fills; an unreachable peer is never read.
+func fanout(node *mesh.Node, peers []string, call mesh.Call, read func(i int, resp *http.Response)) {
 	var wg sync.WaitGroup
-	for _, peer := range node.Others() {
+	for i, peer := range peers {
 		call.Peer = peer
 		wg.Add(1)
-		go func(call mesh.Call) {
+		go func(i int, call mesh.Call) {
 			defer wg.Done()
-			if resp, err := node.Do(call); err == nil {
-				resp.Body.Close()
+			resp, err := node.Do(call)
+			if err != nil {
+				return
 			}
-		}(call)
+			defer resp.Body.Close()
+			if read != nil {
+				read(i, resp)
+			}
+		}(i, call)
 	}
 	wg.Wait()
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -37,6 +38,12 @@ type meshConfig struct {
 	secret   string
 	archive  func(i int) Options
 	server   func(i int) ServerOptions
+	// clock, when set, stamps peer i's ingests instead of the wall clock.
+	clock func(i int) clock.Clock
+	// stub, when it returns a handler for i, puts that handler on peer
+	// i's address instead of a chamd: the peer is in every node's
+	// membership but has no archive, node or engine.
+	stub func(i int) http.Handler
 }
 
 // startMesh boots n federated peers. Ports are reserved up front so
@@ -57,8 +64,23 @@ func startMesh(t *testing.T, n int, cfg meshConfig) []*fedPeer {
 		urls[i] = "http://" + l.Addr().String()
 	}
 
+	serve := func(i int, h http.Handler) *httptest.Server {
+		srv := httptest.NewUnstartedServer(h)
+		srv.Listener.Close()
+		srv.Listener = listeners[i]
+		srv.Start()
+		return srv
+	}
 	peers := make([]*fedPeer, n)
 	for i := range peers {
+		if cfg.stub != nil {
+			if h := cfg.stub(i); h != nil {
+				srv := serve(i, h)
+				peers[i] = &fedPeer{url: urls[i], srv: srv}
+				t.Cleanup(srv.Close)
+				continue
+			}
+		}
 		var aOpts Options
 		if cfg.archive != nil {
 			aOpts = cfg.archive(i)
@@ -66,6 +88,9 @@ func startMesh(t *testing.T, n int, cfg meshConfig) []*fedPeer {
 		a, err := Open(t.TempDir(), aOpts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cfg.clock != nil {
+			a.clk = cfg.clock(i)
 		}
 		node, err := mesh.NewNode(mesh.Options{Self: urls[i], Peers: urls, Replicas: cfg.replicas, Secret: cfg.secret})
 		if err != nil {
@@ -84,10 +109,7 @@ func startMesh(t *testing.T, n int, cfg meshConfig) []*fedPeer {
 			sOpts = cfg.server(i)
 		}
 		sOpts.Mesh, sOpts.CQ = node, eng
-		srv := httptest.NewUnstartedServer(NewServer(a, sOpts))
-		srv.Listener.Close()
-		srv.Listener = listeners[i]
-		srv.Start()
+		srv := serve(i, NewServer(a, sOpts))
 		peers[i] = &fedPeer{url: urls[i], a: a, node: node, eng: eng, srv: srv}
 		t.Cleanup(func() { srv.Close(); a.Close() })
 	}
@@ -729,6 +751,10 @@ func TestFedWriteSurvivesDeadOwners(t *testing.T) {
 	}
 	if lr.Total != 1 {
 		t.Fatalf("degraded scatter list total %d, want 1", lr.Total)
+	}
+	// ...and say so: the page names the peers it could not hear from.
+	if dead := survivor.node.Others(); !slices.Equal(lr.Partial, dead) {
+		t.Fatalf("degraded scatter list partial %v, want the dead peers %v", lr.Partial, dead)
 	}
 }
 

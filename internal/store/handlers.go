@@ -27,8 +27,8 @@ import (
 const (
 	// defaultListLimit is the page size GET /runs uses when the client
 	// sends no limit; maxListLimit is the server-side cap a client
-	// cannot exceed. Intra-mesh scatter reads are uncapped — the edge
-	// peer needs complete sets to merge and paginate exactly.
+	// cannot exceed. Intra-mesh reads are uncapped — an edge asks each
+	// peer for its newest offset+limit matches, however many that is.
 	defaultListLimit = 100
 	maxListLimit     = 500
 )
@@ -100,12 +100,14 @@ func (s *server) getRun(q *request) (any, error) {
 
 // ListResponse is the JSON shape of GET /runs. Next, when present, is
 // the offset of the page after this one; its absence means the listing
-// is exhausted.
+// is exhausted. Partial, when present, names the mesh peers that did not
+// answer: the page and the total then cover the rest of the mesh only.
 type ListResponse struct {
-	Total  int   `json:"total"`
-	Offset int   `json:"offset"`
-	Next   int   `json:"next,omitempty"`
-	Runs   []Run `json:"runs"`
+	Total   int      `json:"total"`
+	Offset  int      `json:"offset"`
+	Next    int      `json:"next,omitempty"`
+	Runs    []Run    `json:"runs"`
+	Partial []string `json:"partial,omitempty"`
 }
 
 // listQuery parses GET /runs parameters. An untrusted request gets the
@@ -175,8 +177,20 @@ func (s *server) listRuns(q *request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs, total := s.a.Tenant(q.tenant).List(query)
-	return listPage(query, runs, total), nil
+	matched := s.a.Tenant(q.tenant).match(query)
+	runs, total := query.page(matched) // sorts matched
+	if !q.trusted {
+		return listPage(query, runs, total), nil
+	}
+	// The asking edge also counts the matches off the page (scatterList).
+	rest := make([]string, 0, total-len(runs))
+	lo := min(query.Offset, total)
+	for i, r := range matched {
+		if i < lo || i >= lo+len(runs) {
+			rest = append(rest, r.ID)
+		}
+	}
+	return meshList{ListResponse: listPage(query, runs, total), Rest: rest}, nil
 }
 
 // StatsResponse is the JSON shape of GET /runs/{id}/stats: the

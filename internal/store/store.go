@@ -761,7 +761,10 @@ func (v TenantView) Get(id string) (*trace.File, Run, error) {
 
 // List returns the tenant's runs matching q, newest first, plus the
 // total match count before pagination.
-func (v TenantView) List(q Query) ([]Run, int) {
+func (v TenantView) List(q Query) ([]Run, int) { return q.page(v.match(q)) }
+
+// match returns the tenant's runs matching q's filters, in no order.
+func (v TenantView) match(q Query) []Run {
 	a := v.a
 	a.mu.Lock()
 	matched := make([]Run, 0, len(a.runs[v.tenant]))
@@ -782,7 +785,7 @@ func (v TenantView) List(q Query) ([]Run, int) {
 	}
 	a.mu.Unlock()
 	a.mLists.Inc()
-	return q.page(matched)
+	return matched
 }
 
 // page orders runs newest first (content address breaking ties) and
