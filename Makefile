@@ -37,10 +37,13 @@ test:
 # after the test advances, or a wake-up lost, shows only on some
 # interleavings. The federated listing's model, edge-independence and
 # partial tests join them: its fan-out fills one slot per peer from
-# that peer's goroutine.
+# that peer's goroutine. So do the crash-failover tests: every rank
+# holds the broadcast cluster table by reference, and a survivor that
+# wrote into it while folding a crash would race with the other ranks'
+# reads on only some schedules.
 test-race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial)$$' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/
+	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ .
 
 # fuzz: a short fuzz smoke over every decoder that parses bytes from
 # outside the program: the binary trace decoder (the archive ingests
@@ -53,7 +56,9 @@ test-race:
 # input), the manifest-log replay decoder (whatever a crash left on
 # disk) and the federated listing's merge of peer answers (whatever a
 # peer's body says, and against a brute-force union when it is
-# honest). The seed and poison corpora run as plain tests in `make test`;
+# honest), and the rank-list compactor against the pre-change one kept
+# in a test file (every descriptor must agree). The seed and poison
+# corpora run as plain tests in `make test`;
 # CI runs this for the fuzzing time on top, and local deep fuzzing just
 # raises -fuzztime.
 fuzz:
@@ -65,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzManifestLog -fuzztime=5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzScatterMerge -fuzztime=5s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzUnionMatchesReference -fuzztime=10s ./internal/ranklist/
 
 # test-transport: the TCP multi-process transport suite under the race
 # detector. In internal/mpi: the layer tables over net.Pipe (link

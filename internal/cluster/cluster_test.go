@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
@@ -297,6 +298,58 @@ func TestDistributedSelect(t *testing.T) {
 		if r != i {
 			t.Fatalf("rank %d missing or duplicated: %v", i, got)
 		}
+	}
+}
+
+// selectBytesPerRank is the heap a P-rank world allocates per rank for
+// one DistributedSelect, net of the same world running an empty body.
+// Signatures split the ranks into three contiguous groups, so every
+// cluster rank list stays one descriptor at any P.
+func selectBytesPerRank(t *testing.T, P int) float64 {
+	t.Helper()
+	run := func(sel bool) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := mpi.Run(mpi.Config{P: P}, func(p *mpi.Proc) {
+			if !sel {
+				return
+			}
+			self := Item{
+				Lead:  p.Rank(),
+				Ranks: ranklist.SingleRank(p.Rank()),
+				Sig:   sig.Triple{CallPath: 42, Src: uint64(p.Rank() * 3 / P * 10000)},
+			}
+			DistributedSelect(p, self, 3, KFarthest, 1<<50, vtime.CatCluster)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// Mailbox growth varies with the schedule: take each side's least.
+	least := func(sel bool) float64 {
+		m := run(sel)
+		for i := 0; i < 4; i++ {
+			m = min(m, run(sel))
+		}
+		return float64(m)
+	}
+	return (least(true) - least(false)) / float64(P)
+}
+
+// TestDistributedSelectBytesPerRankFlatInP: a rank's share of one
+// clustering step is its items and K, not the world's size. A table of
+// P world ranks per rank, as the identity tree once built, costs 6 KB a
+// rank more at P=1024 than at P=256.
+func TestDistributedSelectBytesPerRankFlatInP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 2048-rank worlds")
+	}
+	small, large := selectBytesPerRank(t, 256), selectBytesPerRank(t, 1024)
+	t.Logf("bytes per rank: P=256 %.0f, P=1024 %.0f", small, large)
+	if large > small+1024 {
+		t.Errorf("per-rank bytes grow with P: %.0f at P=256, %.0f at P=1024 (bound +1024)", small, large)
 	}
 }
 

@@ -23,7 +23,10 @@ func DistributedSelect(p *mpi.Proc, self Item, k int, algo Algorithm, tag int, c
 // explicit member list (sorted world ranks), the form the fault-tolerant
 // path uses once ranks have crashed: the radix tree spans only the
 // survivors, and the Top-K broadcast reaches only them. A nil members
-// list means all ranks. Non-members must not call it.
+// list means all ranks: the tree is the identity one (position = rank),
+// walked without materialising a rank table. Non-members must not call
+// it. The returned list is shared by every rank that received it and
+// must not be written.
 func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo Algorithm, tag int, cat vtime.Category) []Item {
 	model := p.Model()
 	world := p.World()
@@ -39,15 +42,12 @@ func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo
 	cItems := o.Counter("cluster_items_gathered_total")
 	cWorking := o.Histogram("cluster_working_set_items")
 
-	if members == nil {
-		members = make([]int, p.Size())
-		for i := range members {
-			members[i] = i
-		}
+	pos, n := p.Rank(), p.Size()
+	if members != nil {
+		pos, n = mpi.TreePos(members, p.Rank()), len(members)
 	}
-	pos := mpi.TreePos(members, p.Rank())
-	for _, childPos := range mpi.TreeChildPositions(pos, len(members)) {
-		msg := world.RawRecv(members[childPos], tag)
+	for _, childPos := range mpi.TreeChildPositions(pos, n) {
+		msg := world.RawRecv(memberAt(members, childPos), tag)
 		p.Ledger.Charge(cat, model.Alpha+model.CollectivePerLevel)
 		childItems, _ := msg.Payload.([]Item)
 		items = append(items, childItems...)
@@ -62,7 +62,7 @@ func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo
 		}
 	}
 	if parent := mpi.TreeParentPos(pos); parent >= 0 {
-		world.RawSend(members[parent], tag, ItemsBytes(items), items)
+		world.RawSend(memberAt(members, parent), tag, ItemsBytes(items), items)
 		p.Ledger.Charge(cat, model.Alpha)
 	} else {
 		cWorking.Observe(int64(len(items)))
@@ -74,13 +74,22 @@ func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo
 	}
 
 	var top []Item
-	if len(members) == p.Size() {
+	if n == p.Size() {
 		top = world.RawBcastObj(0, items, ItemsBytes(items)).([]Item)
 	} else {
 		top = mpi.GroupBcastObj(p, members, tag|1, items, ItemsBytes(items)).([]Item)
 	}
 	p.Ledger.Charge(cat, model.Alpha+model.CollectivePerLevel)
 	return top
+}
+
+// memberAt is the world rank at tree position pos: the member list's
+// entry, or pos itself when the tree spans every rank.
+func memberAt(members []int, pos int) int {
+	if members == nil {
+		return pos
+	}
+	return members[pos]
 }
 
 // ItemsBytes approximates the wire size of an item list (signatures plus

@@ -212,10 +212,12 @@ type Chameleon struct {
 	myCluster   ranklist.List // this lead's cluster rank list
 	myVariant   bool          // cluster has rank-dependent end-points
 	// Failover state (fault injection only). clusters is the full table
-	// from the last clustering, kept so survivors can re-elect leads;
-	// deadSeen marks departures already processed; failoverFlush arms a
-	// FlushFailover at the next steady lead-phase marker, after the
-	// affected cluster has re-traced for one window.
+	// from the last clustering, kept so survivors can re-elect leads. It
+	// is the broadcast slice itself, shared with every rank that received
+	// it: nothing writes into it, and handleDepartures replaces it with a
+	// slice of its own. deadSeen marks departures already processed;
+	// failoverFlush arms a FlushFailover at the next steady lead-phase
+	// marker, after the affected cluster has re-traced for one window.
 	clusters      []cluster.Item
 	deadSeen      map[int]bool
 	failoverFlush bool
@@ -464,15 +466,13 @@ func (c *Chameleon) runClustering() {
 		c.opt.K, c.opt.Algo, clusterTag(c.flushRound), vtime.CatCluster)
 	restore()
 
-	c.clusters = append(c.clusters[:0], top...)
+	c.clusters = top
 	c.leads = c.leads[:0]
 	c.isLead = false
 	c.myCluster = ranklist.List{}
 	c.myVariant = false
-	paths := make(map[uint64]struct{})
 	for _, it := range top {
 		c.leads = append(c.leads, it.Lead)
-		paths[it.Sig.CallPath] = struct{}{}
 		if it.Lead == p.Rank() {
 			c.isLead = true
 			c.myCluster = it.Ranks
@@ -487,6 +487,10 @@ func (c *Chameleon) runClustering() {
 		})
 	}
 	if p.Rank() == 0 {
+		paths := make(map[uint64]struct{}, len(top))
+		for _, it := range top {
+			paths[it.Sig.CallPath] = struct{}{}
+		}
 		c.col.mu.Lock()
 		c.col.Reclusterings++
 		c.col.LeadRanks = append([]int(nil), c.leads...)
@@ -539,7 +543,9 @@ func (c *Chameleon) handleDepartures() {
 	if len(c.clusters) == 0 {
 		return
 	}
-	kept := c.clusters[:0]
+	// c.clusters may be the broadcast table other ranks still read:
+	// build this rank's view in a slice of its own.
+	kept := make([]cluster.Item, 0, len(c.clusters))
 	changed := false
 	for _, it := range c.clusters {
 		var survivors []int

@@ -55,17 +55,28 @@ func (r RL) Size() int {
 
 // Ranks expands the descriptor into an explicit sorted rank slice.
 func (r RL) Ranks() []int {
-	out := []int{r.Start}
+	out := r.appendRanks(make([]int, 0, r.Size()))
+	sort.Ints(out)
+	return out
+}
+
+// appendRanks appends every rank the descriptor covers to out, in
+// dimension order: each dimension repeats the block built so far at
+// every further iteration.
+func (r RL) appendRanks(out []int) []int {
+	from := len(out)
+	out = append(out, r.Start)
 	for _, d := range r.Dims {
-		next := make([]int, 0, len(out)*d.Iters)
-		for _, base := range out {
-			for i := 0; i < d.Iters; i++ {
-				next = append(next, base+i*d.Stride)
+		if d.Iters < 1 {
+			return out[:from]
+		}
+		n := len(out)
+		for i := 1; i < d.Iters; i++ {
+			for _, base := range out[from:n] {
+				out = append(out, base+i*d.Stride)
 			}
 		}
-		out = next
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -129,6 +140,13 @@ type List struct {
 	rls []RL
 }
 
+// Scratch that FromRanks and Union keep on the stack: expanded ranks and
+// descriptors under construction. Larger sets take one heap slice each.
+const (
+	stackRanks = 256
+	stackRuns  = 32
+)
+
 // FromRanks compacts an explicit rank set into a List, greedily detecting
 // strided 1D runs and then stacking equal runs into a second dimension
 // when they recur at a constant stride (the common case for sub-grids of
@@ -137,46 +155,57 @@ func FromRanks(ranks []int) List {
 	if len(ranks) == 0 {
 		return List{}
 	}
-	rs := append([]int(nil), ranks...)
-	sort.Ints(rs)
-	rs = dedup(rs)
+	var stack [stackRanks]int
+	return fromSorted(sortedSet(append(stack[:0], ranks...)))
+}
 
-	// Pass 1: fold into maximal 1D strided runs.
-	var runs []RL
-	i := 0
-	for i < len(rs) {
-		j := i + 1
-		if j >= len(rs) {
-			runs = append(runs, Single(rs[i]))
+// sortedSet sorts rs in place and drops its duplicates.
+func sortedSet(rs []int) []int {
+	sort.Ints(rs)
+	return dedup(rs)
+}
+
+// run is a descriptor of at most two dimensions under construction.
+type run struct {
+	start int
+	nd    int
+	dims  [2]Dim
+}
+
+// fromSorted compacts a sorted, duplicate-free rank set. It allocates
+// only the result: the descriptors and one slab their Dims share, each
+// capped so an append to one cannot reach the next.
+func fromSorted(rs []int) List {
+	var stack [stackRuns]run
+	runs := stack[:0]
+	if most := len(rs)/2 + 1; most > len(stack) {
+		runs = make([]run, 0, most)
+	}
+	// Pass 1: fold into maximal 1D strided runs. Every run covers at
+	// least two ranks, except a single rank left over at the end.
+	for i := 0; i < len(rs); {
+		if i+1 == len(rs) {
+			runs = append(runs, run{start: rs[i]})
 			break
 		}
-		stride := rs[j] - rs[i]
+		j, stride := i+1, rs[i+1]-rs[i]
 		for j+1 < len(rs) && rs[j+1]-rs[j] == stride {
 			j++
 		}
-		n := j - i + 1
-		if n >= 2 {
-			runs = append(runs, Range(rs[i], n, stride))
-			i = j + 1
-		} else {
-			runs = append(runs, Single(rs[i]))
-			i++
-		}
+		runs = append(runs, run{start: rs[i], nd: 1, dims: [2]Dim{{Iters: j - i + 1, Stride: stride}}})
+		i = j + 1
 	}
 
 	// Pass 2: stack identical consecutive runs recurring at a constant
-	// outer stride into a 2D descriptor.
-	var out []RL
-	i = 0
-	for i < len(runs) {
-		j := i + 1
-		base := runs[i]
-		if len(base.Dims) == 1 {
-			outer := -1
-			for j < len(runs) &&
-				len(runs[j].Dims) == 1 &&
-				runs[j].Dims[0] == base.Dims[0] {
-				s := runs[j].Start - runs[j-1].Start
+	// outer stride into a 2D descriptor, compacting runs in place (a
+	// descriptor is written at or before the first run it consumed).
+	out, ndims := runs[:0], 0
+	for i := 0; i < len(runs); {
+		base, j := runs[i], i+1
+		if base.nd == 1 {
+			outer := -1 // run starts strictly increase, so no stride is -1
+			for j < len(runs) && runs[j].nd == 1 && runs[j].dims[0] == base.dims[0] {
+				s := runs[j].start - runs[j-1].start
 				if outer == -1 {
 					outer = s
 				}
@@ -186,18 +215,25 @@ func FromRanks(ranks []int) List {
 				j++
 			}
 			if j-i >= 2 {
-				out = append(out, RL{
-					Start: base.Start,
-					Dims:  []Dim{base.Dims[0], {Iters: j - i, Stride: outer}},
-				})
-				i = j
-				continue
+				base.nd, base.dims[1] = 2, Dim{Iters: j - i, Stride: outer}
 			}
 		}
 		out = append(out, base)
-		i++
+		ndims += base.nd
+		i = j
 	}
-	return List{rls: out}
+
+	rls := make([]RL, len(out))
+	slab := make([]Dim, ndims)
+	for k, d := range out {
+		rls[k].Start = d.start
+		if d.nd > 0 {
+			rls[k].Dims = slab[:d.nd:d.nd]
+			copy(rls[k].Dims, d.dims[:d.nd])
+			slab = slab[d.nd:]
+		}
+	}
+	return List{rls: rls}
 }
 
 func dedup(sorted []int) []int {
@@ -233,12 +269,18 @@ func (l List) Size() int {
 
 // Ranks expands the list into a sorted, deduplicated rank slice.
 func (l List) Ranks() []int {
-	var out []int
-	for _, r := range l.rls {
-		out = append(out, r.Ranks()...)
+	if l.Empty() {
+		return nil
 	}
-	sort.Ints(out)
-	return dedup(out)
+	return sortedSet(l.appendRanks(make([]int, 0, l.Size())))
+}
+
+// appendRanks appends every rank of every descriptor to out, unsorted.
+func (l List) appendRanks(out []int) []int {
+	for _, r := range l.rls {
+		out = r.appendRanks(out)
+	}
+	return out
 }
 
 // ForEach calls fn for every rank in the list, without allocating — the
@@ -263,7 +305,9 @@ func (l List) Contains(rank int) bool {
 }
 
 // Union merges two lists and re-compacts the result; a list united with
-// the same descriptors (or nothing) is returned as it is.
+// the same descriptors (or nothing) is returned as it is. Both operands
+// expand into one scratch buffer, on the stack when they fit, so the
+// result is the only allocation.
 func (l List) Union(o List) List {
 	if l.Empty() {
 		return o
@@ -271,7 +315,12 @@ func (l List) Union(o List) List {
 	if o.Empty() || l.same(o) {
 		return l
 	}
-	return FromRanks(append(l.Ranks(), o.Ranks()...))
+	var stack [stackRanks]int
+	rs := stack[:0]
+	if n := l.Size() + o.Size(); n > len(stack) {
+		rs = make([]int, 0, n)
+	}
+	return fromSorted(sortedSet(o.appendRanks(l.appendRanks(rs))))
 }
 
 // same reports whether the two lists hold the same descriptor sequence:

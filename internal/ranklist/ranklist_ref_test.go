@@ -1,0 +1,316 @@
+package ranklist
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// The compactor as it was before FromRanks and Union shared fromSorted,
+// kept verbatim (ref-prefixed) as the oracle the rewrite must match
+// descriptor for descriptor. refRanks and refListRanks are the
+// expansions the old Union went through.
+
+func refRanks(r RL) []int {
+	out := []int{r.Start}
+	for _, d := range r.Dims {
+		next := make([]int, 0, len(out)*d.Iters)
+		for _, base := range out {
+			for i := 0; i < d.Iters; i++ {
+				next = append(next, base+i*d.Stride)
+			}
+		}
+		out = next
+	}
+	sort.Ints(out)
+	return out
+}
+
+func refListRanks(l List) []int {
+	var out []int
+	for _, r := range l.rls {
+		out = append(out, refRanks(r)...)
+	}
+	sort.Ints(out)
+	return dedup(out)
+}
+
+func refFromRanks(ranks []int) List {
+	if len(ranks) == 0 {
+		return List{}
+	}
+	rs := append([]int(nil), ranks...)
+	sort.Ints(rs)
+	rs = dedup(rs)
+
+	// Pass 1: fold into maximal 1D strided runs.
+	var runs []RL
+	i := 0
+	for i < len(rs) {
+		j := i + 1
+		if j >= len(rs) {
+			runs = append(runs, Single(rs[i]))
+			break
+		}
+		stride := rs[j] - rs[i]
+		for j+1 < len(rs) && rs[j+1]-rs[j] == stride {
+			j++
+		}
+		n := j - i + 1
+		if n >= 2 {
+			runs = append(runs, Range(rs[i], n, stride))
+			i = j + 1
+		} else {
+			runs = append(runs, Single(rs[i]))
+			i++
+		}
+	}
+
+	// Pass 2: stack identical consecutive runs recurring at a constant
+	// outer stride into a 2D descriptor.
+	var out []RL
+	i = 0
+	for i < len(runs) {
+		j := i + 1
+		base := runs[i]
+		if len(base.Dims) == 1 {
+			outer := -1
+			for j < len(runs) &&
+				len(runs[j].Dims) == 1 &&
+				runs[j].Dims[0] == base.Dims[0] {
+				s := runs[j].Start - runs[j-1].Start
+				if outer == -1 {
+					outer = s
+				}
+				if s != outer {
+					break
+				}
+				j++
+			}
+			if j-i >= 2 {
+				out = append(out, RL{
+					Start: base.Start,
+					Dims:  []Dim{base.Dims[0], {Iters: j - i, Stride: outer}},
+				})
+				i = j
+				continue
+			}
+		}
+		out = append(out, base)
+		i++
+	}
+	return List{rls: out}
+}
+
+func refUnion(l, o List) List {
+	if l.Empty() {
+		return o
+	}
+	if o.Empty() || l.same(o) {
+		return l
+	}
+	return refFromRanks(append(refListRanks(l), refListRanks(o)...))
+}
+
+// sameDescriptors reports whether two lists hold the same descriptors:
+// every Start and every Dim, in order.
+func sameDescriptors(a, b List) bool {
+	return slices.EqualFunc(a.rls, b.rls, func(x, y RL) bool {
+		return x.Start == y.Start && slices.Equal(x.Dims, y.Dims)
+	})
+}
+
+// cloneList deep-copies a list, so a test can tell whether an operation
+// wrote into its operands.
+func cloneList(l List) List {
+	out := List{rls: make([]RL, len(l.rls))}
+	for i, r := range l.rls {
+		out.rls[i] = RL{Start: r.Start, Dims: slices.Clone(r.Dims)}
+	}
+	return out
+}
+
+// fuzzList reads a hand-built list from fuzz bytes: up to four
+// descriptors, each a start byte (signed) and a dimension-count byte
+// (mod 4), then per dimension an iterations byte (1 + b mod 4) and a
+// stride byte (signed, mod 5: -4..4). listBytes writes the inverse for
+// the lists randList draws.
+func fuzzList(data []byte) List {
+	var l List
+	for len(data) >= 2 && len(l.rls) < 4 {
+		r := RL{Start: int(int8(data[0]))}
+		nd := int(data[1] % 4)
+		data = data[2:]
+		for ; nd > 0 && len(data) >= 2; nd-- {
+			r.Dims = append(r.Dims, Dim{Iters: 1 + int(data[0]%4), Stride: int(int8(data[1])) % 5})
+			data = data[2:]
+		}
+		l.rls = append(l.rls, r)
+	}
+	return l
+}
+
+func listBytes(l List) []byte {
+	var out []byte
+	for _, r := range l.rls {
+		out = append(out, byte(int8(r.Start)), byte(len(r.Dims)))
+		for _, d := range r.Dims {
+			out = append(out, byte(d.Iters-1), byte(int8(d.Stride)))
+		}
+	}
+	return out
+}
+
+// Normalisation flags of FuzzUnionMatchesReference: the operand is
+// replaced by the old compactor's form of its own rank set.
+const (
+	normA = 1 << iota
+	normB
+)
+
+// unionSeed is one input of FuzzUnionMatchesReference.
+type unionSeed struct {
+	a, b []byte
+	norm uint8
+}
+
+// unionSeeds are the TestEqualMinUnionMatchExpansion cases over randList
+// pairs, as fuzz inputs: raw pairs, a list and its normalised self, a
+// list and itself, and two normalised lists.
+func unionSeeds(n int) []unionSeed {
+	rng := rand.New(rand.NewSource(20))
+	seeds := make([]unionSeed, n)
+	for i := range seeds {
+		a, b := listBytes(randList(rng)), listBytes(randList(rng))
+		switch i % 4 {
+		case 0:
+			seeds[i] = unionSeed{a, b, 0}
+		case 1:
+			seeds[i] = unionSeed{a, a, normB}
+		case 2:
+			seeds[i] = unionSeed{a, a, 0}
+		case 3:
+			seeds[i] = unionSeed{a, b, normA | normB}
+		}
+	}
+	return seeds
+}
+
+// checkAgainstReference compares FromRanks and Union with the old
+// compactor, descriptor for descriptor, on the lists and rank sets one
+// fuzz input names.
+func checkAgainstReference(t *testing.T, a, b []byte, norm uint8) {
+	t.Helper()
+	la, lb := fuzzList(a), fuzzList(b)
+	if norm&normA != 0 {
+		la = refFromRanks(refListRanks(la))
+	}
+	if norm&normB != 0 {
+		lb = refFromRanks(refListRanks(lb))
+	}
+
+	// FromRanks over raw bytes (random, duplicated, negative ranks) and
+	// over the rank sets of hand-built lists (2D, negative strides).
+	raw := make([]int, len(a))
+	for i, x := range a {
+		raw[i] = int(int8(x))
+	}
+	for _, in := range [][]int{raw, refListRanks(la), append(refListRanks(la), refListRanks(lb)...)} {
+		keep := slices.Clone(in)
+		got, want := FromRanks(in), refFromRanks(in)
+		if !sameDescriptors(got, want) {
+			t.Fatalf("FromRanks(%v) = %v, reference %v", in, got, want)
+		}
+		if !slices.Equal(in, keep) {
+			t.Fatalf("FromRanks wrote into its input: %v, was %v", in, keep)
+		}
+		checkCapped(t, got)
+	}
+
+	for _, pair := range [][2]List{{la, lb}, {lb, la}, {la, la}} {
+		l, o := pair[0], pair[1]
+		keepL, keepO := cloneList(l), cloneList(o)
+		got, want := l.Union(o), refUnion(l, o)
+		if !sameDescriptors(got, want) {
+			t.Fatalf("%v.Union(%v) = %v, reference %v", l, o, got, want)
+		}
+		if !sameDescriptors(l, keepL) || !sameDescriptors(o, keepO) {
+			t.Fatalf("Union wrote into its operands: %v, %v (were %v, %v)", l, o, keepL, keepO)
+		}
+	}
+}
+
+// checkCapped fails when a freshly compacted descriptor's Dims could
+// grow into its neighbour's share of the slab.
+func checkCapped(t *testing.T, l List) {
+	t.Helper()
+	for _, r := range l.rls {
+		if cap(r.Dims) != len(r.Dims) {
+			t.Fatalf("%v: descriptor %v has Dims cap %d > len %d", l, r, cap(r.Dims), len(r.Dims))
+		}
+	}
+}
+
+// FuzzUnionMatchesReference holds the shared compactor to the old one:
+// FromRanks and Union must produce exactly the old descriptors (Start
+// and every Dim, not only the covered ranks), leave their inputs alone,
+// and cap every descriptor's Dims.
+func FuzzUnionMatchesReference(f *testing.F) {
+	for _, s := range unionSeeds(64) {
+		f.Add(s.a, s.b, s.norm)
+	}
+	f.Fuzz(checkAgainstReference)
+}
+
+// TestUnionMatchesReferenceSeeds runs the oracle over many more
+// TestEqualMinUnionMatchExpansion cases than the fuzz seed corpus holds.
+func TestUnionMatchesReferenceSeeds(t *testing.T) {
+	for _, s := range unionSeeds(4000) {
+		checkAgainstReference(t, s.a, s.b, s.norm)
+	}
+}
+
+// TestSpillingSetsMatchReference takes the compactor past its stack
+// scratch: rank sets and unions too large or too irregular for it.
+func TestSpillingSetsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		n := rng.Intn(4 * stackRanks)
+		in := make([]int, n)
+		for j := range in {
+			in[j] = rng.Intn(2*n + 1)
+		}
+		if i%2 == 1 { // a grid block plus scattered ranks: few runs, many ranks
+			for r := 0; r < 40; r++ {
+				for c := 0; c < 20; c++ {
+					in = append(in, 3000+64*r+c)
+				}
+			}
+		}
+		got, want := FromRanks(in), refFromRanks(in)
+		if !sameDescriptors(got, want) {
+			t.Fatalf("FromRanks of %d ranks = %v, reference %v", len(in), got, want)
+		}
+		checkCapped(t, got)
+		o := FromRanks(in[:len(in)/2])
+		if got, want := got.Union(o), refUnion(want, o); !sameDescriptors(got, want) {
+			t.Fatalf("Union of %d-rank lists = %v, reference %v", len(in), got, want)
+		}
+		if got, want := o.Union(FromRanks([]int{-1, 5000})), refUnion(o, refFromRanks([]int{-1, 5000})); !sameDescriptors(got, want) {
+			t.Fatalf("Union with outliers = %v, reference %v", got, want)
+		}
+	}
+}
+
+// TestListBytesRoundTrip: the seed encoding reads back as the list
+// randList drew, so the fuzz seeds are exactly those cases.
+func TestListBytesRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 500; i++ {
+		l := randList(rng)
+		if back := fuzzList(listBytes(l)); !sameDescriptors(back, l) {
+			t.Fatalf("fuzzList(listBytes(%v)) = %v", l, back)
+		}
+	}
+}

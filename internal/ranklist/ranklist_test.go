@@ -282,6 +282,25 @@ func TestEqualMinUnionMatchExpansion(t *testing.T) {
 	}
 }
 
+// TestUnionAllocatesOnlyResult: uniting two multi-descriptor lists (two
+// sub-grids of an 8-wide mesh, a strided run, a stray rank) allocates
+// the result's descriptors and its one Dim slab, nothing else.
+func TestUnionAllocatesOnlyResult(t *testing.T) {
+	a := FromRanks([]int{9, 10, 17, 18, 25, 26, 40, 44, 48, 63})
+	b := FromRanks([]int{1, 2, 3, 11, 12, 13, 21, 22, 23, 50})
+	if len(a.Descriptors()) < 2 || len(b.Descriptors()) < 2 {
+		t.Fatalf("operands are not multi-descriptor: %v, %v", a, b)
+	}
+	want := FromRanks(append(a.Ranks(), b.Ranks()...))
+	var u List
+	if n := testing.AllocsPerRun(100, func() { u = a.Union(b) }); n > 2 {
+		t.Errorf("Union of %v and %v: %v allocs, want <= 2", a, b, n)
+	}
+	if !u.Equal(want) {
+		t.Fatalf("Union = %v, want %v", u, want)
+	}
+}
+
 // TestEqualSingletonsDoNotAllocate: the compressor compares the singleton
 // rank lists of two leaves on every fold probe.
 func TestEqualSingletonsDoNotAllocate(t *testing.T) {
