@@ -49,9 +49,10 @@ func (c *Comm) internal() Comm {
 	return Comm{p: c.p, id: CommInternal, group: c.group, self: c.self}
 }
 
-// treeBcast broadcasts payload down a binomial tree rooted at root and
-// returns the (possibly received) payload on every rank.
-func (c *Comm) treeBcast(root, tag, bytes int, payload any) any {
+// treeBcast broadcasts msg's body (bytes, and payload or scalar slot)
+// down a binomial tree rooted at root and returns the (possibly
+// received) message on every rank.
+func (c *Comm) treeBcast(root, tag int, msg message) message {
 	p := len(c.group)
 	vr := vrank(c.self, root, p)
 	in := c.internal()
@@ -64,9 +65,7 @@ func (c *Comm) treeBcast(root, tag, bytes int, payload any) any {
 	for mask < p {
 		if vr&mask != 0 {
 			src := unvrank(vr-mask, root, p)
-			msg := in.rawRecv(src, tag)
-			payload = msg.Payload
-			bytes = msg.Bytes
+			msg = in.recv(src, tag)
 			c.p.Clock.Advance(model.CollectivePerLevel)
 			break
 		}
@@ -75,15 +74,28 @@ func (c *Comm) treeBcast(root, tag, bytes int, payload any) any {
 	mask >>= 1
 	for mask > 0 {
 		if vr+mask < p {
-			in.rawSend(unvrank(vr+mask, root, p), tag, bytes, payload)
+			in.send(unvrank(vr+mask, root, p), tag, msg)
 		}
 		mask >>= 1
 	}
-	return payload
+	return msg
+}
+
+// treeBcastObj broadcasts payload and returns it on every rank.
+func (c *Comm) treeBcastObj(root, tag, bytes int, payload any) any {
+	msg := c.treeBcast(root, tag, message{bytes: bytes, payload: payload})
+	return msg.value()
+}
+
+// treeBcastU64 broadcasts v in the scalar slot and returns it on every
+// rank.
+func (c *Comm) treeBcastU64(root, tag int, v uint64) uint64 {
+	return c.treeBcast(root, tag, scalarMsg(v)).u64
 }
 
 // treeReduceU64 reduces val to root over a binomial tree; the reduced
-// value is meaningful only at root.
+// value is meaningful only at root. Every hop carries its operand in the
+// scalar slot.
 func (c *Comm) treeReduceU64(root, tag int, val uint64, op ReduceOp) uint64 {
 	p := len(c.group)
 	vr := vrank(c.self, root, p)
@@ -94,13 +106,13 @@ func (c *Comm) treeReduceU64(root, tag int, val uint64, op ReduceOp) uint64 {
 	for mask < p {
 		if vr&mask != 0 {
 			dst := unvrank(vr&^mask, root, p)
-			in.rawSend(dst, tag, 8, val)
+			in.send(dst, tag, scalarMsg(val))
 			break
 		}
 		if vr|mask < p {
 			src := unvrank(vr|mask, root, p)
-			msg := in.rawRecv(src, tag)
-			val = op(val, msg.Payload.(uint64))
+			msg := in.recv(src, tag)
+			val = op(val, msg.u64)
 			c.p.Clock.Advance(model.CollectivePerLevel)
 		}
 		mask <<= 1
@@ -157,7 +169,7 @@ func (c *Comm) treeGather(root, tag, bytes int, obj any) []any {
 func (c *Comm) RawBarrier() {
 	seq := c.nextSeq()
 	c.treeReduceU64(0, collTag(c.id, seq, 0), 0, OpSum)
-	c.treeBcast(0, collTag(c.id, seq, 1), 0, nil)
+	c.treeBcast(0, collTag(c.id, seq, 1), message{})
 	// A barrier leaves every rank at (at least) the time the last rank
 	// reached it plus the tree traversal costs already charged.
 }
@@ -165,7 +177,7 @@ func (c *Comm) RawBarrier() {
 // RawBcastU64 broadcasts v from root without interposition.
 func (c *Comm) RawBcastU64(root int, v uint64) uint64 {
 	seq := c.nextSeq()
-	return c.treeBcast(root, collTag(c.id, seq, 0), 8, v).(uint64)
+	return c.treeBcastU64(root, collTag(c.id, seq, 0), v)
 }
 
 // RawReduceU64 reduces v to root without interposition; only root's
@@ -181,14 +193,14 @@ func (c *Comm) RawReduceU64(root int, v uint64, op ReduceOp) uint64 {
 func (c *Comm) RawAllreduceU64(v uint64, op ReduceOp) uint64 {
 	seq := c.nextSeq()
 	r := c.treeReduceU64(0, collTag(c.id, seq, 0), v, op)
-	return c.treeBcast(0, collTag(c.id, seq, 1), 8, r).(uint64)
+	return c.treeBcastU64(0, collTag(c.id, seq, 1), r)
 }
 
 // RawBcastObj broadcasts an opaque object of the given payload size from
 // root without interposition.
 func (c *Comm) RawBcastObj(root int, obj any, bytes int) any {
 	seq := c.nextSeq()
-	return c.treeBcast(root, collTag(c.id, seq, 0), bytes, obj)
+	return c.treeBcastObj(root, collTag(c.id, seq, 0), bytes, obj)
 }
 
 // RawGatherObj gathers per-rank objects at root without interposition;
@@ -255,7 +267,7 @@ func (c *Comm) Allgather(bytes int, payload any) []any {
 	ci, start := c.p.opBegin(CallInfo{Op: OpAllgather, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: 0, Bytes: bytes})
 	seq := c.nextSeq()
 	gathered := c.treeGather(0, collTag(c.id, seq, 0), bytes, payload)
-	out := c.treeBcast(0, collTag(c.id, seq, 1), bytes*len(c.group), gathered)
+	out := c.treeBcastObj(0, collTag(c.id, seq, 1), bytes*len(c.group), gathered)
 	c.p.opEnd(ci, start)
 	if out == nil {
 		return nil

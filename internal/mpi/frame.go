@@ -54,7 +54,7 @@ func appendDataFrame(dst []byte, dest int, msg message) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(msg.origin))
 	dst = binary.AppendUvarint(dst, msg.seq)
 	dst = binary.AppendUvarint(dst, uint64(msg.sendVT))
-	return appendPayload(dst, msg.payload, 0)
+	return appendValue(dst, &msg)
 }
 
 // decodeDataFrame parses a data-frame body (including its kind byte)
@@ -86,24 +86,24 @@ func decodeDataFrame(body []byte) (dest int, msg message, err error) {
 	if fields[3] > 1<<62 || fields[4] > 1<<40 || fields[5] > 1<<62 || fields[8] > 1<<62 {
 		return 0, message{}, fmt.Errorf("mpi: data frame field out of range")
 	}
-	payload, rest, err := decodePayload(b, 0)
+	msg = message{
+		comm:   CommID(fields[1]),
+		source: int(fields[2]),
+		tag:    int(fields[3]),
+		bytes:  int(fields[4]),
+		arrive: vtime.Time(fields[5]),
+		origin: int(fields[6]),
+		seq:    fields[7],
+		sendVT: vtime.Time(fields[8]),
+	}
+	rest, err := decodeValue(b, &msg)
 	if err != nil {
 		return 0, message{}, err
 	}
 	if len(rest) != 0 {
 		return 0, message{}, fmt.Errorf("mpi: %d trailing bytes after data frame", len(rest))
 	}
-	return int(fields[0]), message{
-		comm:    CommID(fields[1]),
-		source:  int(fields[2]),
-		tag:     int(fields[3]),
-		bytes:   int(fields[4]),
-		payload: payload,
-		arrive:  vtime.Time(fields[5]),
-		origin:  int(fields[6]),
-		seq:     fields[7],
-		sendVT:  vtime.Time(fields[8]),
-	}, nil
+	return int(fields[0]), msg, nil
 }
 
 // memberSpec is one fleet member's slot in the roster.

@@ -130,10 +130,49 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if dest2 != dest || msg2.comm != msg.comm || msg2.source != msg.source ||
 			msg2.tag != msg.tag || msg2.bytes != msg.bytes || msg2.arrive != msg.arrive ||
-			msg2.origin != msg.origin || msg2.seq != msg.seq || msg2.sendVT != msg.sendVT {
+			msg2.origin != msg.origin || msg2.seq != msg.seq || msg2.sendVT != msg.sendVT ||
+			msg2.scalar != msg.scalar || msg2.u64 != msg.u64 {
 			t.Fatalf("re-encode drift: %+v vs %+v", msg2, msg)
 		}
 	})
+}
+
+// TestScalarFrameMatchesBoxed: the scalar slot changes no byte on the
+// wire. A message carrying v in the slot encodes exactly as one carrying
+// v boxed in payload (and as the layout spells out by hand), and either
+// decodes with v in the slot, unboxed. A uint64 nested in a list stays
+// boxed in payload.
+func TestScalarFrameMatchesBoxed(t *testing.T) {
+	hdr := message{comm: CommInternal, source: 5, tag: 9, bytes: 8, arrive: 100, origin: 5, seq: 3, sendVT: 90}
+	for _, v := range []uint64{0, 1, 255, 256, 1 << 20, 1<<64 - 1} {
+		boxed, scalar := hdr, hdr
+		boxed.payload = v
+		scalar.u64, scalar.scalar = v, true
+		want := []byte{kindData}
+		for _, f := range []uint64{2, uint64(CommInternal), 5, 9, 8, 100, 5, 3, 90} {
+			want = binary.AppendUvarint(want, f)
+		}
+		want = binary.AppendUvarint(append(want, payloadU64), v)
+		for _, m := range []message{boxed, scalar} {
+			got, err := appendDataFrame(nil, 2, m)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("v=%d, scalar=%v: frame %x (%v), want %x", v, m.scalar, got, err, want)
+			}
+		}
+		if dest, got, err := decodeDataFrame(want); err != nil || dest != 2 || got != scalar {
+			t.Fatalf("v=%d: decoded %d %+v (%v), want %+v", v, dest, got, err, scalar)
+		}
+	}
+	nested := hdr
+	nested.payload = []any{uint64(300)}
+	body, err := appendDataFrame(nil, 2, nested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := decodeDataFrame(body)
+	if list, ok := got.payload.([]any); err != nil || got.scalar || !ok || len(list) != 1 || list[0] != uint64(300) {
+		t.Fatalf("nested uint64 decoded as %+v (%v)", got, err)
+	}
 }
 
 // TestPoisonFramesRejected runs the corpus through the decoder directly:

@@ -38,12 +38,17 @@ func GroupBcastObj(p *Proc, members []int, tag int, obj any, bytes int) any {
 	if !ok {
 		return obj
 	}
-	return c.treeBcast(0, tag, bytes, obj)
+	return c.treeBcastObj(0, tag, bytes, obj)
 }
 
-// GroupBcastU64 broadcasts v from members[0]. Uses tag.
+// GroupBcastU64 broadcasts v from members[0] (non-members get v back).
+// Uses tag.
 func GroupBcastU64(p *Proc, members []int, tag int, v uint64) uint64 {
-	return GroupBcastObj(p, members, tag, v, 8).(uint64)
+	c, ok := groupComm(p, members)
+	if !ok {
+		return v
+	}
+	return c.treeBcastU64(0, tag, v)
 }
 
 // GroupAllreduceU64 reduces val over members and distributes the result

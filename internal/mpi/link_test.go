@@ -233,7 +233,7 @@ func wantFrames(t *testing.T, l *link, n int, payload any) {
 		if err != nil {
 			t.Fatalf("recv %d: %v", tag, err)
 		}
-		if _, msg, err := decodeDataFrame(body); err != nil || msg.tag != tag || msg.payload != payload {
+		if _, msg, err := decodeDataFrame(body); err != nil || msg.tag != tag || msg.value() != payload {
 			t.Fatalf("frame %d: tag %d, %v", tag, msg.tag, err)
 		}
 	}
@@ -346,7 +346,7 @@ func TestLinkChaosKeepsOrder(t *testing.T) {
 			if k := ctl.Member; next[k] != int(ctl.Req)+1 {
 				t.Fatalf("sender %d's document after frame %d arrived with %d of its frames in", k, ctl.Req, next[k])
 			}
-		case dest != msg.source || msg.tag != next[dest] || msg.payload != uint64(msg.tag):
+		case dest != msg.source || msg.tag != next[dest] || msg.value() != uint64(msg.tag):
 			t.Fatalf("sender %d: got frame %+v, want tag %d", dest, msg, next[dest])
 		default:
 			next[dest]++
@@ -427,8 +427,8 @@ func TestLinkDecodedPayloadsOutliveTheReadBuffer(t *testing.T) {
 		for i := range body {
 			body[i] = 0xff
 		}
-		if !reflect.DeepEqual(msg.payload, want) {
-			t.Errorf("%T payload changed with the read buffer: %#v, want %#v", want, msg.payload, want)
+		if !reflect.DeepEqual(msg.value(), want) {
+			t.Errorf("%T payload changed with the read buffer: %#v, want %#v", want, msg.value(), want)
 		}
 	}
 }

@@ -6,13 +6,18 @@ import (
 	"chameleon/internal/vtime"
 )
 
-// message is one in-flight point-to-point message.
+// message is one in-flight point-to-point message. Its value travels in
+// payload, by reference, or — with scalar set — in u64: the reduce and
+// broadcast hops of the u64 collectives carry their operand there, so
+// no hop boxes a uint64 into an interface.
 type message struct {
 	comm    CommID
+	scalar  bool
 	source  int
 	tag     int
 	bytes   int
 	payload any
+	u64     uint64
 	// arrive is the virtual time at which the message is fully available
 	// at the receiver (sender clock at send + alpha-beta transfer time).
 	arrive vtime.Time
@@ -24,6 +29,19 @@ type message struct {
 	origin int
 	seq    uint64
 	sendVT vtime.Time
+}
+
+// scalarMsg is the body of a u64 collective hop: 8 bytes, the value in
+// the scalar slot.
+func scalarMsg(v uint64) message { return message{bytes: 8, u64: v, scalar: true} }
+
+// value returns the message's value as an interface, boxing a scalar:
+// the form a receiver that is not a u64 collective gets it in.
+func (m *message) value() any {
+	if m.scalar {
+		return m.u64
+	}
+	return m.payload
 }
 
 // pattern is what a receive matches on; source and tag may be wildcards.

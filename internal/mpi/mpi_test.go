@@ -240,6 +240,53 @@ func TestAllreduceOps(t *testing.T) {
 	})
 }
 
+// TestAllreduceU64DoesNotBox: every reduce and broadcast hop of a u64
+// collective carries its operand in the message's scalar slot, so a
+// P=64 allreduce allocates nothing anywhere in the world — raw (the
+// marker vote's), public (the application's) or over a member list (the
+// shrunken world's). The operands are above 255 because Go boxes
+// smaller integers without allocating. Boxed, a round costs 127
+// objects: one per reduce hop, and one per rank for the broadcast's
+// operand.
+func TestAllreduceU64DoesNotBox(t *testing.T) {
+	const p, runs = 64, 50
+	members := make([]int, p)
+	for i := range members {
+		members[i] = i
+	}
+	for _, tc := range []struct {
+		name      string
+		allreduce func(pr *Proc, v uint64) uint64
+	}{
+		{"RawAllreduceU64", func(pr *Proc, v uint64) uint64 { return pr.MarkerComm().RawAllreduceU64(v, OpSum) }},
+		{"Allreduce", func(pr *Proc, v uint64) uint64 { return pr.World().Allreduce(8, v, OpSum) }},
+		{"GroupAllreduceU64", func(pr *Proc, v uint64) uint64 { return GroupAllreduceU64(pr, members, 1<<20, v, OpSum) }},
+	} {
+		var allocs float64
+		run(t, p, func(pr *Proc) {
+			v := uint64(pr.Rank()+1) << 20
+			round := func() {
+				if got, want := tc.allreduce(pr, v), uint64(p*(p+1)/2)<<20; got != want {
+					t.Errorf("%s on rank %d = %d, want %d", tc.name, pr.Rank(), got, want)
+				}
+			}
+			for i := 0; i < 20; i++ {
+				round() // size the mailboxes
+			}
+			if pr.Rank() == 0 {
+				allocs = testing.AllocsPerRun(runs, round)
+			} else {
+				for i := 0; i < runs+1; i++ { // AllocsPerRun warms up once
+					round()
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s at P=%d: %v allocs per round (all ranks), want 0", tc.name, p, allocs)
+		}
+	}
+}
+
 func TestGather(t *testing.T) {
 	run(t, 5, func(p *Proc) {
 		got := p.World().Gather(1, 8, p.Rank()*10)

@@ -19,10 +19,17 @@ type Message struct {
 
 // --- raw (untraced) layer -------------------------------------------------
 
-// rawSend deposits a message in dest's mailbox. Eager protocol: the
-// sender is charged only its injection overhead (alpha); the transfer
-// completes at sendTime + PtoP(bytes) on the receiver side.
+// rawSend deposits a message carrying payload in dest's mailbox.
 func (c *Comm) rawSend(dest, tag, bytes int, payload any) {
+	c.send(dest, tag, message{bytes: bytes, payload: payload})
+}
+
+// send deposits msg in dest's mailbox. The caller fills the body (bytes
+// and the payload or scalar slot); send stamps every header field, so a
+// received message can be forwarded as it is. Eager protocol: the sender
+// is charged only its injection overhead (alpha); the transfer completes
+// at sendTime + PtoP(bytes) on the receiver side.
+func (c *Comm) send(dest, tag int, msg message) {
 	if dest < 0 || dest >= len(c.group) {
 		panic(fmt.Sprintf("mpi: rank %d send to invalid rank %d (comm %d)", c.self, dest, c.id))
 	}
@@ -33,14 +40,9 @@ func (c *Comm) rawSend(dest, tag, bytes int, payload any) {
 	// its pre-send clock, whose influence bound (sendAt) cannot exceed
 	// the message's arrival.
 	sendAt := c.p.Clock.Now() + vtime.Time(m.Alpha)
-	msg := message{
-		comm:    c.id,
-		source:  c.self,
-		tag:     tag,
-		bytes:   bytes,
-		payload: payload,
-		arrive:  sendAt + vtime.Time(m.PtoP(bytes)-m.Alpha),
-	}
+	msg.comm, msg.source, msg.tag = c.id, c.self, tag
+	msg.arrive = sendAt + vtime.Time(m.PtoP(msg.bytes)-m.Alpha)
+	msg.origin, msg.seq, msg.sendVT = 0, 0, 0
 	if rt.causal != nil {
 		c.p.sendSeq++
 		msg.origin = c.p.rank
@@ -51,11 +53,18 @@ func (c *Comm) rawSend(dest, tag, bytes int, payload any) {
 	c.p.Clock.Advance(m.Alpha)
 }
 
-// rawRecv blocks until a matching message is available and advances the
+// rawRecv blocks until a matching message is available and returns it
+// with its value as an interface.
+func (c *Comm) rawRecv(source, tag int) Message {
+	msg := c.recv(source, tag)
+	return Message{Source: msg.source, Tag: msg.tag, Bytes: msg.bytes, Payload: msg.value(), Arrive: msg.arrive}
+}
+
+// recv blocks until a matching message is available and advances the
 // receiver clock to the message's arrival time. Wildcard receives match
 // conservatively (see Runtime.takeAny) so virtual-time order does not
 // depend on goroutine scheduling.
-func (c *Comm) rawRecv(source, tag int) Message {
+func (c *Comm) recv(source, tag int) message {
 	if source != AnySource && (source < 0 || source >= len(c.group)) {
 		panic(fmt.Sprintf("mpi: rank %d recv from invalid rank %d (comm %d)", c.self, source, c.id))
 	}
@@ -88,7 +97,7 @@ func (c *Comm) rawRecv(source, tag int) Message {
 			Ctx: c.p.ctxName, CtxSeq: c.p.ctxSeq,
 		})
 	}
-	return Message{Source: msg.source, Tag: msg.tag, Bytes: msg.bytes, Payload: msg.payload, Arrive: msg.arrive}
+	return msg
 }
 
 // RawSend sends without interposition (tracing-layer internal traffic).

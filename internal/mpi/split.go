@@ -42,7 +42,7 @@ func (c *Comm) Split(color, key int) *Comm {
 			layout[col] = group
 		}
 	}
-	layout = c.treeBcast(0, collTag(c.id, seq, 1), 16*len(c.group), layout).(map[int][]int)
+	layout = c.treeBcastObj(0, collTag(c.id, seq, 1), 16*len(c.group), layout).(map[int][]int)
 
 	// One CommID per color, in sorted color order, so every member maps
 	// its color to the same identity.
@@ -50,7 +50,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	if c.self == 0 {
 		base = c.p.rt.tr.allocComm(len(layout))
 	}
-	base = CommID(c.treeBcast(0, collTag(c.id, seq, 2), 8, uint64(base)).(uint64))
+	base = CommID(c.treeBcastU64(0, collTag(c.id, seq, 2), uint64(base)))
 	if color < 0 {
 		return nil
 	}

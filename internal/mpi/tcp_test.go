@@ -84,6 +84,12 @@ func TestTCPFleetSendRecvAndCollectives(t *testing.T) {
 		if got := w.Recv(prev, 7).Payload.(string); got != fmt.Sprintf("from %d", prev) {
 			t.Errorf("rank %d: ring payload %q", r, got)
 		}
+		// A uint64 an application sends decodes into the scalar slot; its
+		// receiver still gets it boxed in Payload.
+		w.Send(next, 8, 8, uint64(1000+r))
+		if got, ok := w.Recv(prev, 8).Payload.(uint64); !ok || got != uint64(1000+prev) {
+			t.Errorf("rank %d: ring uint64 payload %v", r, got)
+		}
 		sum[r] = w.Allreduce(8, uint64(r+1), OpSum)
 		gathered[r] = w.Allgather(8, r*10)
 		w.Barrier()

@@ -11,7 +11,8 @@ import (
 // Payload wire encoding. In-process, a message's payload travels by
 // reference; across a TCP transport it must be serialized. Three kinds
 // cover the runtime's own traffic — nil (the common case: benchmarks
-// ship shape, not data), uint64 (reductions, ID broadcasts), and
+// ship shape, not data), uint64 (reductions, ID broadcasts: at the top
+// level it decodes into the message's scalar slot), and
 // []gatherPair (the gather collectives' structural accumulator, encoded
 // recursively). Everything else goes through a registered PayloadCodec:
 // the runtime cannot import the packages whose values ride on it
@@ -125,6 +126,45 @@ func init() {
 	RegisterPayloadCodec(jsonPayloadCodec[map[int][]int]("mpi.splitLayout"))
 }
 
+// appendValue serializes msg's value onto dst. The scalar slot encodes
+// as a kind-1 payload, byte for byte what a boxed uint64 encodes to, so
+// the wire cannot tell the two apart.
+func appendValue(dst []byte, msg *message) ([]byte, error) {
+	if msg.scalar {
+		return appendU64(dst, msg.u64), nil
+	}
+	return appendPayload(dst, msg.payload, 0)
+}
+
+// decodeValue deserializes a message's value into msg and returns the
+// unconsumed remainder. A top-level uint64 lands in the scalar slot,
+// unboxed; anything else (a uint64 nested in a list or gather pair
+// included) lands in payload.
+func decodeValue(b []byte, msg *message) ([]byte, error) {
+	if len(b) > 0 && b[0] == payloadU64 {
+		v, rest, err := decodeU64(b[1:])
+		msg.u64, msg.scalar = v, true
+		return rest, err
+	}
+	v, rest, err := decodePayload(b, 0)
+	msg.payload = v
+	return rest, err
+}
+
+func appendU64(dst []byte, v uint64) []byte {
+	return binary.AppendUvarint(append(dst, payloadU64), v)
+}
+
+// decodeU64 parses the value of a kind-1 payload (b starts past the
+// kind byte).
+func decodeU64(b []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("mpi: bad uint64 payload")
+	}
+	return v, b[n:], nil
+}
+
 // appendPayload serializes v onto dst.
 func appendPayload(dst []byte, v any, depth int) ([]byte, error) {
 	if depth > maxPairsDepth {
@@ -134,8 +174,7 @@ func appendPayload(dst []byte, v any, depth int) ([]byte, error) {
 	case nil:
 		return append(dst, payloadNil), nil
 	case uint64:
-		dst = append(dst, payloadU64)
-		return binary.AppendUvarint(dst, pv), nil
+		return appendU64(dst, pv), nil
 	case []gatherPair:
 		if len(pv) > maxPairCount {
 			return nil, fmt.Errorf("mpi: gather payload of %d pairs exceeds cap", len(pv))
@@ -205,11 +244,11 @@ func decodePayload(b []byte, depth int) (any, []byte, error) {
 	case payloadNil:
 		return nil, b, nil
 	case payloadU64:
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("mpi: bad uint64 payload")
+		v, rest, err := decodeU64(b)
+		if err != nil {
+			return nil, nil, err
 		}
-		return v, b[n:], nil
+		return v, rest, nil
 	case payloadPairs:
 		count, n := binary.Uvarint(b)
 		if n <= 0 || count > maxPairCount || count > uint64(len(b)) {
