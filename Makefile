@@ -40,10 +40,12 @@ test:
 # that peer's goroutine. So do the crash-failover tests: every rank
 # holds the broadcast cluster table by reference, and a survivor that
 # wrote into it while folding a crash would race with the other ranks'
-# reads on only some schedules.
+# reads on only some schedules. So do the DistributedSelect tests: a
+# parent reads the working set a child handed it by RawSend, and the
+# child must not write it again.
 test-race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ .
+	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover|TestDistributedSelect(MatchesSequentialTree|ObjectsPerRank)?$$' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ ./internal/cluster/ .
 
 # fuzz: a short fuzz smoke over every decoder that parses bytes from
 # outside the program: the binary trace decoder (the archive ingests
@@ -56,8 +58,10 @@ test-race:
 # input), the manifest-log replay decoder (whatever a crash left on
 # disk) and the federated listing's merge of peer answers (whatever a
 # peer's body says, and against a brute-force union when it is
-# honest), and the rank-list compactor against the pre-change one kept
-# in a test file (every descriptor must agree). The seed and poison
+# honest), the rank-list compactor against the pre-change one kept
+# in a test file (every descriptor must agree), and the clustering
+# step's selection against the pre-change one kept in a test file
+# (every lead, descriptor and distance count must agree). The seed and poison
 # corpora run as plain tests in `make test`;
 # CI runs this for the fuzzing time on top, and local deep fuzzing just
 # raises -fuzztime.
@@ -71,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzManifestLog -fuzztime=5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzScatterMerge -fuzztime=5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzUnionMatchesReference -fuzztime=10s ./internal/ranklist/
+	$(GO) test -run '^$$' -fuzz FuzzSelectMatchesReference -fuzztime=10s ./internal/cluster/
 
 # test-transport: the TCP multi-process transport suite under the race
 # detector. In internal/mpi: the layer tables over net.Pipe (link

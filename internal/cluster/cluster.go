@@ -13,7 +13,8 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
@@ -86,39 +87,130 @@ type Result struct {
 // among items by SRC/DEST signature distance and merges every
 // non-selected item into its closest representative. Items must share a
 // Call-Path (the caller partitions first). The input order must be
-// deterministic; FindTopK sorts by lead rank to make sure.
+// deterministic; FindTopK sorts a copy by lead rank to make sure, and
+// leaves items as it found them.
 func FindTopK(items []Item, k int, algo Algorithm) Result {
 	var res Result
 	if len(items) == 0 || k <= 0 {
 		return res
 	}
-	its := append([]Item(nil), items...)
-	sort.Slice(its, func(i, j int) bool { return its[i].Lead < its[j].Lead })
+	its := slices.Clone(items)
+	slices.SortFunc(its, byLead)
 	if k >= len(its) {
 		res.Top = its
 		return res
 	}
+	res.Top = topK(make([]Item, 0, k), its, k, algo, &res.Distances)
+	return res
+}
 
-	var chosen []int
+// SelectLeads runs the full per-node clustering step: partition by
+// Call-Path, give each partition a budget of K/NumCallPath (at least 1 —
+// "Chameleon does not miss any MPI event by selecting at least one
+// representative from each callpath cluster"; K grows dynamically when
+// Call-Paths exceed it), and run Algorithm 2 per partition. Top is
+// sorted by lead. SelectLeads does not write items.
+func SelectLeads(items []Item, k int, algo Algorithm) Result {
+	return selectLeads(slices.Clone(items), k, algo)
+}
+
+// selectLeads is SelectLeads over a working set the caller owns: it
+// sorts its by (Call-Path, Lead), so each Call-Path partition is one run
+// of it, and selects within each run. The only allocations are the
+// result and the rank-list unions of merged clusters.
+func selectLeads(its []Item, k int, algo Algorithm) Result {
+	var res Result
+	if len(its) == 0 {
+		return res
+	}
+	slices.SortFunc(its, func(a, b Item) int {
+		if c := cmp.Compare(a.Sig.CallPath, b.Sig.CallPath); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Lead, b.Lead)
+	})
+	paths := 0
+	for s := 0; s < len(its); s = runEnd(its, s) {
+		paths++
+	}
+	perPath := max(k/paths, 1) // at least 1: dynamic K increase
+	kept := 0
+	for s := 0; s < len(its); {
+		e := runEnd(its, s)
+		kept += min(perPath, e-s)
+		s = e
+	}
+	top := make([]Item, 0, kept)
+	for s := 0; s < len(its); {
+		e := runEnd(its, s)
+		if perPath >= e-s {
+			top = append(top, its[s:e]...)
+		} else {
+			top = topK(top, its[s:e], perPath, algo, &res.Distances)
+		}
+		s = e
+	}
+	slices.SortFunc(top, byLead)
+	res.Top = top
+	return res
+}
+
+// runEnd is the end of the Call-Path run of its starting at s.
+func runEnd(its []Item, s int) int {
+	e := s + 1
+	for e < len(its) && its[e].Sig.CallPath == its[s].Sig.CallPath {
+		e++
+	}
+	return e
+}
+
+func byLead(a, b Item) int { return cmp.Compare(a.Lead, b.Lead) }
+
+// Scratch sizes the selectors keep on the stack. A working set is at
+// most 2K+1 items at an internal node of the radix tree; a larger one
+// (the root after a dynamic K increase, a failover re-selection) takes
+// one heap slice per scratch.
+const (
+	stackItems  = 64
+	stackChosen = 16
+)
+
+// scratch returns buf[:n] cleared, or a fresh slice when n exceeds it.
+func scratch[T any](buf []T, n int) []T {
+	if n > len(buf) {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// topK is Algorithm 2 over one Call-Path partition sorted by lead, with
+// k < len(its): it appends the k representatives to dst, each covering
+// its own ranks plus those of every item assigned to it, and returns
+// dst.
+func topK(dst, its []Item, k int, algo Algorithm, dist *int) []Item {
+	var chosenBuf [stackChosen]int
+	var isChosenBuf [stackItems]bool
+	var minDistBuf [stackItems]uint64
+	chosen := scratch(chosenBuf[:], k)
+	isChosen := scratch(isChosenBuf[:], len(its))
 	switch algo {
 	case KMedoid:
-		chosen = selectMedoid(its, k, &res.Distances)
+		selectMedoid(its, chosen, isChosen, scratch(minDistBuf[:], len(its)), dist)
 	case KRandom:
-		chosen = selectRandom(its, k)
+		selectRandom(its, chosen, isChosen)
 	default:
-		chosen = selectFarthest(its, k, &res.Distances)
+		selectFarthest(its, chosen, isChosen, scratch(minDistBuf[:], len(its)), dist)
 	}
 
 	// Assign every non-selected item to its closest representative
 	// (Algorithm 2 lines 6-9) and union the rank lists.
-	top := make([]Item, len(chosen))
-	for i, idx := range chosen {
-		top[i] = its[idx]
-	}
-	isChosen := make([]bool, len(its))
+	base := len(dst)
 	for _, idx := range chosen {
-		isChosen[idx] = true
+		dst = append(dst, its[idx])
 	}
+	top := dst[base:]
 	for i, it := range its {
 		if isChosen[i] {
 			continue
@@ -126,7 +218,7 @@ func FindTopK(items []Item, k int, algo Algorithm) Result {
 		best, bestD := 0, ^uint64(0)
 		for j, rep := range top {
 			d := sig.Distance(it.Sig, rep.Sig)
-			res.Distances++
+			*dist++
 			if d < bestD {
 				best, bestD = j, d
 			}
@@ -136,34 +228,31 @@ func FindTopK(items []Item, k int, algo Algorithm) Result {
 			top[best].Variant = true
 		}
 	}
-	res.Top = top
-	return res
+	return dst
 }
 
-// selectFarthest greedily grows the representative set with the item
-// maximizing its minimum distance to the set ("find farthest cluster to
-// TopK list"). The seed is the lowest-rank item for determinism.
-func selectFarthest(its []Item, k int, dist *int) []int {
-	chosen := []int{0}
-	minDist := make([]uint64, len(its))
+// selectFarthest fills chosen (len k) by greedily growing the
+// representative set with the item maximizing its minimum distance to
+// the set ("find farthest cluster to TopK list"), marking each pick in
+// isChosen. The seed is the lowest-rank item for determinism. chosen
+// ends sorted; minDist is scratch of len(its).
+func selectFarthest(its []Item, chosen []int, isChosen []bool, minDist []uint64, dist *int) {
+	chosen[0], isChosen[0] = 0, true
 	for i := range its {
 		minDist[i] = sig.Distance(its[i].Sig, its[0].Sig)
 		*dist++
 	}
-	for len(chosen) < k {
+	for n := 1; n < len(chosen); n++ {
 		best, bestD := -1, uint64(0)
 		for i := range its {
-			if containsInt(chosen, i) {
+			if isChosen[i] {
 				continue
 			}
 			if best == -1 || minDist[i] > bestD {
 				best, bestD = i, minDist[i]
 			}
 		}
-		if best == -1 {
-			break
-		}
-		chosen = append(chosen, best)
+		chosen[n], isChosen[best] = best, true
 		for i := range its {
 			d := sig.Distance(its[i].Sig, its[best].Sig)
 			*dist++
@@ -172,20 +261,20 @@ func selectFarthest(its []Item, k int, dist *int) []int {
 			}
 		}
 	}
-	sort.Ints(chosen)
-	return chosen
+	slices.Sort(chosen)
 }
 
-// selectMedoid seeds with K-Farthest and refines with bounded PAM swaps.
+// selectMedoid seeds with K-Farthest and refines with bounded PAM swaps,
+// each tried in place and undone unless it lowers the total distance.
 // Each Chameleon node clusters at most 2K+1 items, so the K³ PAM cost
 // stays constant.
-func selectMedoid(its []Item, k int, dist *int) []int {
-	chosen := selectFarthest(its, k, dist)
-	cost := func(reps []int) uint64 {
+func selectMedoid(its []Item, chosen []int, isChosen []bool, minDist []uint64, dist *int) {
+	selectFarthest(its, chosen, isChosen, minDist, dist)
+	cost := func() uint64 {
 		var total uint64
 		for i := range its {
 			best := ^uint64(0)
-			for _, r := range reps {
+			for _, r := range chosen {
 				d := sig.Distance(its[i].Sig, its[r].Sig)
 				*dist++
 				if d < best {
@@ -196,20 +285,23 @@ func selectMedoid(its []Item, k int, dist *int) []int {
 		}
 		return total
 	}
-	cur := cost(chosen)
+	cur := cost()
 	const maxRounds = 8
 	for round := 0; round < maxRounds; round++ {
 		improved := false
 		for ci := range chosen {
 			for cand := range its {
-				if containsInt(chosen, cand) {
+				if isChosen[cand] {
 					continue
 				}
-				trial := append([]int(nil), chosen...)
-				trial[ci] = cand
-				if c := cost(trial); c < cur {
-					chosen, cur = trial, c
+				old := chosen[ci]
+				chosen[ci] = cand
+				if c := cost(); c < cur {
+					cur = c
+					isChosen[old], isChosen[cand] = false, true
 					improved = true
+				} else {
+					chosen[ci] = old
 				}
 			}
 		}
@@ -217,75 +309,24 @@ func selectMedoid(its []Item, k int, dist *int) []int {
 			break
 		}
 	}
-	sort.Ints(chosen)
-	return chosen
+	slices.Sort(chosen)
 }
 
-// selectRandom picks k deterministic pseudo-random items (splitmix over
-// the item count so runs are reproducible).
-func selectRandom(its []Item, k int) []int {
-	chosen := make([]int, 0, k)
-	seen := make([]bool, len(its))
+// selectRandom fills chosen (len k) with deterministic pseudo-random
+// items (splitmix over the item count so runs are reproducible), marking
+// each in isChosen. chosen ends sorted.
+func selectRandom(its []Item, chosen []int, isChosen []bool) {
 	state := uint64(0x9e3779b97f4a7c15)
-	for len(chosen) < k {
+	for n := 0; n < len(chosen); {
 		state += 0x9e3779b97f4a7c15
 		z := state
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		idx := int((z ^ (z >> 31)) % uint64(len(its)))
-		if !seen[idx] {
-			seen[idx] = true
-			chosen = append(chosen, idx)
+		if !isChosen[idx] {
+			chosen[n], isChosen[idx] = idx, true
+			n++
 		}
 	}
-	sort.Ints(chosen)
-	return chosen
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// PartitionByCallPath groups items by Call-Path signature, returning the
-// groups keyed by signature in deterministic (sorted) order.
-func PartitionByCallPath(items []Item) (keys []uint64, groups map[uint64][]Item) {
-	groups = make(map[uint64][]Item)
-	for _, it := range items {
-		groups[it.Sig.CallPath] = append(groups[it.Sig.CallPath], it)
-	}
-	keys = make([]uint64, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys, groups
-}
-
-// SelectLeads runs the full per-node clustering step: partition by
-// Call-Path, give each partition a budget of K/NumCallPath (at least 1 —
-// "Chameleon does not miss any MPI event by selecting at least one
-// representative from each callpath cluster"; K grows dynamically when
-// Call-Paths exceed it), and run FindTopK per partition.
-func SelectLeads(items []Item, k int, algo Algorithm) Result {
-	keys, groups := PartitionByCallPath(items)
-	if len(keys) == 0 {
-		return Result{}
-	}
-	perPath := k / len(keys)
-	if perPath < 1 {
-		perPath = 1 // dynamic K increase
-	}
-	var res Result
-	for _, key := range keys {
-		sub := FindTopK(groups[key], perPath, algo)
-		res.Top = append(res.Top, sub.Top...)
-		res.Distances += sub.Distances
-	}
-	sort.Slice(res.Top, func(i, j int) bool { return res.Top[i].Lead < res.Top[j].Lead })
-	return res
+	slices.Sort(chosen)
 }

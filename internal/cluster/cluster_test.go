@@ -191,17 +191,6 @@ func TestKMedoidRefines(t *testing.T) {
 	}
 }
 
-func TestPartitionByCallPath(t *testing.T) {
-	items := []Item{item(0, 7, 0, 0), item(1, 3, 0, 0), item(2, 7, 0, 0)}
-	keys, groups := PartitionByCallPath(items)
-	if len(keys) != 2 || keys[0] != 3 || keys[1] != 7 {
-		t.Fatalf("keys = %v", keys)
-	}
-	if len(groups[7]) != 2 || len(groups[3]) != 1 {
-		t.Fatalf("groups = %v", groups)
-	}
-}
-
 func TestSelectLeadsPerCallPathBudget(t *testing.T) {
 	// Two Call-Paths, K=4: two representatives per path.
 	var items []Item
@@ -301,13 +290,67 @@ func TestDistributedSelect(t *testing.T) {
 	}
 }
 
-// selectBytesPerRank is the heap a P-rank world allocates per rank for
-// one DistributedSelect, net of the same world running an empty body.
-// Signatures split the ranks into three contiguous groups, so every
-// cluster rank list stays one descriptor at any P.
-func selectBytesPerRank(t *testing.T, P int) float64 {
+// TestDistributedSelectMatchesSequentialTree: every member receives the
+// Top-K list the pre-change clustering step builds when it walks the
+// same radix tree in one goroutine. K=3 over three Call-Paths and a
+// spread of end-points makes internal ranks select several times into
+// the working set they own; the member list skips ranks, as after
+// crashes.
+func TestDistributedSelectMatchesSequentialTree(t *testing.T) {
+	const P, K = 40, 3
+	var members []int
+	for r := 0; r < P; r++ {
+		if r%7 != 3 {
+			members = append(members, r)
+		}
+	}
+	self := func(r int) Item {
+		return Item{
+			Lead:  r,
+			Ranks: ranklist.SingleRank(r),
+			Sig:   sig.Triple{CallPath: uint64(r % 3), Src: uint64(r * r % 11 * 100), Dest: uint64(r % 4)},
+		}
+	}
+	// The tree walked sequentially: a position's working set is its own
+	// item, then each child's list in mask order, capped at K.
+	var walk func(pos int) []Item
+	walk = func(pos int) []Item {
+		items := []Item{self(members[pos])}
+		for _, c := range mpi.TreeChildPositions(pos, len(members)) {
+			items = append(items, walk(c)...)
+			if len(items) > K {
+				items = refSelectLeads(items, K, KFarthest).Top
+			}
+		}
+		return items
+	}
+	want := refSelectLeads(walk(0), K, KFarthest)
+
+	results := make([][]Item, P)
+	_, err := mpi.Run(mpi.Config{P: P}, func(p *mpi.Proc) {
+		if mpi.TreePos(members, p.Rank()) < 0 {
+			return
+		}
+		results[p.Rank()] = DistributedSelectMembers(p, self(p.Rank()), members, K, KFarthest, 1<<50, vtime.CatCluster)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range members {
+		if !sameResult(Result{Top: results[r]}, Result{Top: want.Top}) {
+			t.Fatalf("rank %d received %+v, sequential tree %+v", r, results[r], want.Top)
+		}
+	}
+}
+
+// selectHeapPerRank is the heap, in bytes and in objects, a P-rank
+// world allocates per rank for one DistributedSelect, net of the same
+// world running an empty body. Signatures split the ranks into three
+// contiguous groups, so every cluster rank list stays one descriptor at
+// any P.
+func selectHeapPerRank(t *testing.T, P int) (bytes, objects float64) {
 	t.Helper()
-	run := func(sel bool) uint64 {
+	run := func(sel bool) (uint64, uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := mpi.Run(mpi.Config{P: P}, func(p *mpi.Proc) {
@@ -325,17 +368,20 @@ func selectBytesPerRank(t *testing.T, P int) float64 {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
 	// Mailbox growth varies with the schedule: take each side's least.
-	least := func(sel bool) float64 {
-		m := run(sel)
+	least := func(sel bool) (float64, float64) {
+		b, m := run(sel)
 		for i := 0; i < 4; i++ {
-			m = min(m, run(sel))
+			b2, m2 := run(sel)
+			b, m = min(b, b2), min(m, m2)
 		}
-		return float64(m)
+		return float64(b), float64(m)
 	}
-	return (least(true) - least(false)) / float64(P)
+	selB, selM := least(true)
+	idleB, idleM := least(false)
+	return (selB - idleB) / float64(P), (selM - idleM) / float64(P)
 }
 
 // TestDistributedSelectBytesPerRankFlatInP: a rank's share of one
@@ -346,10 +392,28 @@ func TestDistributedSelectBytesPerRankFlatInP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 2048-rank worlds")
 	}
-	small, large := selectBytesPerRank(t, 256), selectBytesPerRank(t, 1024)
+	small, _ := selectHeapPerRank(t, 256)
+	large, _ := selectHeapPerRank(t, 1024)
 	t.Logf("bytes per rank: P=256 %.0f, P=1024 %.0f", small, large)
 	if large > small+1024 {
 		t.Errorf("per-rank bytes grow with P: %.0f at P=256, %.0f at P=1024 (bound +1024)", small, large)
+	}
+}
+
+// TestDistributedSelectObjectsPerRank: a rank allocates what it keeps
+// or sends. At P=256 and K=3 half the ranks are leaves, which send their
+// own item; an internal rank allocates its working set once, then a
+// result and the merged clusters' unions per selection; and every rank
+// boxes what it sends and receives the Top-K broadcast. That is 6.5
+// objects a rank. A copy of the working set per selection, a working set
+// regrown after each, or a child-position slice per internal rank each
+// lift it past 7; the map partition, per-partition copies, reflect sorts
+// and selector scratch of the earlier clustering step cost over 18.
+func TestDistributedSelectObjectsPerRank(t *testing.T) {
+	_, objects := selectHeapPerRank(t, 256)
+	t.Logf("objects per rank at P=256: %.2f", objects)
+	if objects > 7 {
+		t.Errorf("DistributedSelect allocates %.2f objects a rank at P=256 (bound 7)", objects)
 	}
 }
 

@@ -30,7 +30,6 @@ func DistributedSelect(p *mpi.Proc, self Item, k int, algo Algorithm, tag int, c
 func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo Algorithm, tag int, cat vtime.Category) []Item {
 	model := p.Model()
 	world := p.World()
-	items := []Item{self}
 	// Default causal label (tag distinguishes invocations); core's
 	// explicit "cluster" context, when set, takes precedence.
 	defer p.CausalContextDefault("cluster", tag)()
@@ -46,27 +45,43 @@ func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo
 	if members != nil {
 		pos, n = mpi.TreePos(members, p.Rank()), len(members)
 	}
-	for _, childPos := range mpi.TreeChildPositions(pos, n) {
-		msg := world.RawRecv(memberAt(members, childPos), tag)
+	// items is the working set: the rank's own item and what its
+	// children send, selected in place whenever it exceeds k. A leaf
+	// rank sends just its own item; an internal one allocates the set
+	// when the first child's items arrive, with room for k kept items
+	// plus a child's k and more, but never more than its subtree's
+	// size, the most items it can hold.
+	var items []Item
+	// The children of mpi.TreeChildPositions, walked without its slice:
+	// pos|mask for each mask below pos's low bit.
+	for mask := 1; pos&mask == 0 && pos|mask < n; mask <<= 1 {
+		msg := world.RawRecv(memberAt(members, pos|mask), tag)
 		p.Ledger.Charge(cat, model.Alpha+model.CollectivePerLevel)
 		childItems, _ := msg.Payload.([]Item)
+		if items == nil {
+			items = make([]Item, 1, min(2*k+2, subtreeSize(pos, n)))
+			items[0] = self
+		}
 		items = append(items, childItems...)
 		cItems.Add(uint64(len(childItems)))
 		if len(items) > k {
 			cWorking.Observe(int64(len(items)))
-			res := SelectLeads(items, k, algo)
-			items = res.Top
+			res := selectLeads(items, k, algo)
+			items = append(items[:0], res.Top...)
 			cSelections.Inc()
 			cDistances.Add(uint64(res.Distances))
 			p.ChargeOverhead(cat, vtime.Duration(res.Distances)*model.ClusterPerItem)
 		}
+	}
+	if items == nil {
+		items = []Item{self}
 	}
 	if parent := mpi.TreeParentPos(pos); parent >= 0 {
 		world.RawSend(memberAt(members, parent), tag, ItemsBytes(items), items)
 		p.Ledger.Charge(cat, model.Alpha)
 	} else {
 		cWorking.Observe(int64(len(items)))
-		res := SelectLeads(items, k, algo)
+		res := selectLeads(items, k, algo)
 		items = res.Top
 		cSelections.Inc()
 		cDistances.Add(uint64(res.Distances))
@@ -81,6 +96,15 @@ func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo
 	}
 	p.Ledger.Charge(cat, model.Alpha+model.CollectivePerLevel)
 	return top
+}
+
+// subtreeSize is the number of tree positions at or below pos in a
+// binomial tree over n members: the most items pos can ever hold.
+func subtreeSize(pos, n int) int {
+	if pos == 0 {
+		return n
+	}
+	return min(pos&-pos, n-pos)
 }
 
 // memberAt is the world rank at tree position pos: the member list's

@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"chameleon/internal/cluster"
@@ -467,7 +468,7 @@ func (c *Chameleon) runClustering() {
 	restore()
 
 	c.clusters = top
-	c.leads = c.leads[:0]
+	c.leads = slices.Grow(c.leads[:0], len(top))
 	c.isLead = false
 	c.myCluster = ranklist.List{}
 	c.myVariant = false

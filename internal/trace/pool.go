@@ -1,9 +1,11 @@
 package trace
 
 // Node pooling for the per-rank hot path. Every recorded MPI event costs
-// a Node and a Histogram; the compressor's absorb/create folds then
-// discard most of them within a few events. A Pool keeps those carcasses
-// on free lists so steady-state recording allocates nothing.
+// a leaf: a Node and its Delta histogram, allocated together as one
+// object. The compressor's absorb/create folds then discard most leaves
+// within a few events. A Pool keeps those carcasses whole — a recycled
+// leaf still holds its histogram — so steady-state recording allocates
+// nothing, and a free list grows once per carcass, not once per part.
 //
 // Pools are intentionally lock-free and goroutine-local: each recorder
 // (one per simulated rank) owns one, and nodes recycled into a pool may
@@ -18,71 +20,95 @@ import (
 	"chameleon/internal/stats"
 )
 
-// Pool is a free list of trace nodes and delta histograms. The zero
-// value is ready to use; a nil *Pool is valid and falls back to plain
-// allocation everywhere.
+// Pool is a free list of trace nodes. The zero value is ready to use; a
+// nil *Pool is valid and falls back to plain allocation everywhere.
 type Pool struct {
-	nodes []*Node
-	hists []*stats.Histogram
+	// leaves are cleared nodes that still hold a histogram in Delta;
+	// bare are cleared nodes without one (recycled loops).
+	leaves []*Node
+	bare   []*Node
+}
+
+// leafObj is a fresh leaf: the node and its Delta histogram in one
+// allocation (216 bytes, the size class the two took up apart).
+type leafObj struct {
+	n Node
+	h stats.Histogram
 }
 
 // Leaf builds a leaf node for one observed event, reusing pooled
-// storage. It is the pooled analogue of NewLeaf.
+// storage: a leaf carcass, else a recycled loop given a new histogram,
+// else one fresh leafObj. It is the pooled analogue of NewLeaf.
 func (p *Pool) Leaf(ev Event, ranks ranklist.List, deltaNs int64) *Node {
-	h := p.hist()
-	h.Add(deltaNs)
-	n := p.node()
+	var n *Node
+	switch {
+	case p != nil && len(p.leaves) > 0:
+		n = p.leaves[len(p.leaves)-1]
+		p.leaves = p.leaves[:len(p.leaves)-1]
+		n.Delta.Reset()
+	case p != nil && len(p.bare) > 0:
+		n = p.pop()
+		n.Delta = stats.NewHistogram()
+	default:
+		l := new(leafObj)
+		n = &l.n
+		n.Delta = &l.h
+		n.Delta.Reset()
+	}
+	n.Delta.Add(deltaNs)
 	n.Ev = ev
 	n.Ranks = ranks
-	n.Delta = h
 	return n
 }
 
-// Loop builds a loop node from pooled storage.
+// Loop builds a loop node from pooled storage: a recycled loop, else a
+// leaf carcass whose histogram is dropped.
 func (p *Pool) Loop(iters uint64, body []*Node) *Node {
-	n := p.node()
+	n := p.pop()
 	n.Iters = iters
 	n.Body = body
 	return n
 }
 
-func (p *Pool) node() *Node {
-	if p == nil || len(p.nodes) == 0 {
-		return &Node{}
+// pop takes a node without a histogram: a bare carcass, a leaf carcass
+// stripped of its Delta, or a fresh node.
+func (p *Pool) pop() *Node {
+	switch {
+	case p == nil:
+	case len(p.bare) > 0:
+		n := p.bare[len(p.bare)-1]
+		p.bare = p.bare[:len(p.bare)-1]
+		return n
+	case len(p.leaves) > 0:
+		n := p.leaves[len(p.leaves)-1]
+		p.leaves = p.leaves[:len(p.leaves)-1]
+		n.Delta = nil
+		return n
 	}
-	n := p.nodes[len(p.nodes)-1]
-	p.nodes = p.nodes[:len(p.nodes)-1]
-	return n
+	return &Node{}
 }
 
-func (p *Pool) hist() *stats.Histogram {
-	if p == nil || len(p.hists) == 0 {
-		return stats.NewHistogram()
-	}
-	h := p.hists[len(p.hists)-1]
-	p.hists = p.hists[:len(p.hists)-1]
-	h.Reset()
-	return h
-}
-
-// Put recycles one node and everything it owns (its histogram, and for
+// Put recycles one node and everything it owns (its histograms, and for
 // loops the whole body subtree). The caller must be the node's sole
-// owner.
+// owner. A node keeps one histogram across its next life: its Delta, or
+// a loop's ItersHist, which becomes the Delta of a future leaf.
 func (p *Pool) Put(n *Node) {
 	if p == nil || n == nil {
 		return
 	}
-	if n.Delta != nil {
-		p.hists = append(p.hists, n.Delta)
-	}
-	if n.ItersHist != nil {
-		p.hists = append(p.hists, n.ItersHist)
-	}
 	for _, c := range n.Body {
 		p.Put(c)
 	}
-	*n = Node{}
-	p.nodes = append(p.nodes, n)
+	h := n.Delta
+	if h == nil {
+		h = n.ItersHist
+	}
+	*n = Node{Delta: h}
+	if h != nil {
+		p.leaves = append(p.leaves, n)
+	} else {
+		p.bare = append(p.bare, n)
+	}
 }
 
 // PutSeq recycles a whole detached sequence (a discarded partial trace).

@@ -7,6 +7,8 @@
 package tracer
 
 import (
+	"slices"
+
 	"chameleon/internal/mpi"
 	"chameleon/internal/obs"
 	"chameleon/internal/ranklist"
@@ -38,18 +40,23 @@ const (
 // windows because every signature recurs under every (seq%10)+1
 // multiplier an even number of times.
 //
-// Sites are tracked by their interned SiteID: the occurrence counters
-// live in a dense slice indexed by site, so the steady state of a
+// Sites are tracked by their interned SiteID: a dense slice indexed by
+// site locates each site's occurrence counter, so the steady state of a
 // repetitive window (every site already seen) allocates nothing and
 // never touches a hash map.
 type Window struct {
 	mode   SigMode
-	order  []sig.SiteID // distinct sites in first-seen order
-	counts []uint64     // occurrences, parallel to order
-	pos    []int32      // SiteID → 1-based index into order; 0 = unseen
+	sites  []siteCount // distinct sites in first-seen order
+	pos    []int32     // SiteID → 1-based index into sites; 0 = unseen
 	src    sig.Endpoint
 	dest   sig.Endpoint
 	events uint64
+}
+
+// siteCount is one distinct call site of a window and its occurrences.
+type siteCount struct {
+	site  sig.SiteID
+	count uint64
 }
 
 // NewWindow returns an empty accumulator in the given mode.
@@ -67,18 +74,22 @@ func (w *Window) Add(ev trace.Event) {
 		site = sig.Sites.InternSig(ev.Stack)
 	}
 	if int(site) >= len(w.pos) {
-		grown := make([]int32, int(site)+16)
+		// Size for every site interned so far, which this rank is
+		// likely to meet too, not just for this one: a window holds at
+		// most that many distinct sites.
+		n := max(int(site)+1, sig.Sites.Len())
+		grown := make([]int32, n)
 		copy(grown, w.pos)
 		w.pos = grown
+		w.sites = slices.Grow(w.sites, n-len(w.sites))
 	}
 	p := w.pos[site]
 	if p == 0 {
-		w.order = append(w.order, site)
-		w.counts = append(w.counts, 0)
-		p = int32(len(w.order))
+		w.sites = append(w.sites, siteCount{site: site})
+		p = int32(len(w.sites))
 		w.pos[site] = p
 	}
-	w.counts[p-1]++
+	w.sites[p-1].count++
 	if v, ok := ev.Src.SigValue(); ok {
 		w.src.Add(v)
 	}
@@ -96,10 +107,10 @@ func (w *Window) Add(ev trace.Event) {
 // table's cache — the per-frame fold happened once, at intern time.
 func (w *Window) Triple() sig.Triple {
 	var cp uint64
-	for i, site := range w.order {
-		term := uint64(sig.Sites.Signature(site))
+	for i, sc := range w.sites {
+		term := uint64(sig.Sites.Signature(sc.site))
 		if w.mode == SigFull {
-			term ^= sig.Mix(w.counts[i])
+			term ^= sig.Mix(sc.count)
 		}
 		mult := uint64(i%10) + 1
 		cp ^= term * mult
@@ -112,16 +123,15 @@ func (w *Window) Events() uint64 { return w.events }
 
 // DistinctSites returns the number of distinct call sites in the window
 // (the paper's n for signature-creation cost).
-func (w *Window) DistinctSites() int { return len(w.order) }
+func (w *Window) DistinctSites() int { return len(w.sites) }
 
 // Reset clears the accumulators for the next window, keeping the backing
 // storage so steady-state windows allocate nothing.
 func (w *Window) Reset() {
-	for _, site := range w.order {
-		w.pos[site] = 0
+	for _, sc := range w.sites {
+		w.pos[sc.site] = 0
 	}
-	w.order = w.order[:0]
-	w.counts = w.counts[:0]
+	w.sites = w.sites[:0]
 	w.src.Reset()
 	w.dest.Reset()
 	w.events = 0
