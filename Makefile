@@ -61,7 +61,9 @@ test-race:
 # honest), the rank-list compactor against the pre-change one kept
 # in a test file (every descriptor must agree), and the clustering
 # step's selection against the pre-change one kept in a test file
-# (every lead, descriptor and distance count must agree). The seed and poison
+# (every lead, descriptor and distance count must agree), and the
+# compressed-domain analysis against the pre-change one kept in a test
+# file over generated programs (the whole report must agree). The seed and poison
 # corpora run as plain tests in `make test`;
 # CI runs this for the fuzzing time on top, and local deep fuzzing just
 # raises -fuzztime.
@@ -76,6 +78,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScatterMerge -fuzztime=5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzUnionMatchesReference -fuzztime=10s ./internal/ranklist/
 	$(GO) test -run '^$$' -fuzz FuzzSelectMatchesReference -fuzztime=10s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzAnalyzeMatchesReference -fuzztime=10s ./internal/zan/
 
 # test-transport: the TCP multi-process transport suite under the race
 # detector. In internal/mpi: the layer tables over net.Pipe (link

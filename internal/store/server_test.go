@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -323,6 +324,22 @@ func TestBadPayloadRejected(t *testing.T) {
 	resp, _ := putTrace(t, srv.URL, []byte("not a trace at all"), false)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage PUT: %s, want 400", resp.Status)
+	}
+}
+
+// TestHugeRankCountRejected: a 19-byte payload that claims 2^40 ranks
+// is refused at the PUT, so no stats query ever sizes a per-rank table
+// by it.
+func TestHugeRankCountRejected(t *testing.T) {
+	_, srv := newTestServer(t, Options{}, ServerOptions{})
+	payload := binary.AppendUvarint([]byte("CHAMTRC2"), 1<<40)
+	payload = append(payload, 0, 0, 0, 0, 0) // flags, benchmark, tracer, no sites, no nodes
+	if len(payload) != 19 {
+		t.Fatalf("payload is %d bytes, want 19", len(payload))
+	}
+	resp, _ := putTrace(t, srv.URL, payload, false)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("PUT of P=2^40: %s, want 400", resp.Status)
 	}
 }
 

@@ -409,6 +409,11 @@ func DecodeBinary(b []byte) (*File, error) {
 	}
 	f := &File{}
 	f.P = int(d.uvarint())
+	if d.err == nil {
+		if err := checkRankCount(f.P); err != nil {
+			return nil, err
+		}
+	}
 	flags := d.byte()
 	f.Clustered = flags&1 != 0
 	f.Filter = flags&2 != 0
@@ -423,9 +428,6 @@ func DecodeBinary(b []byte) (*File, error) {
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("trace: decode binary: %w", d.err)
-	}
-	if f.P <= 0 {
-		return nil, fmt.Errorf("trace: invalid rank count %d", f.P)
 	}
 	return f, nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -119,6 +120,11 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Add(wide.Bytes())
 
+	// Poison: a rank count past the bound, which every per-rank table a
+	// reader sizes would have to allocate.
+	f.Add(hugeRankFile(1 << 40))
+	f.Add(hugeRankFile(1 << 22))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
@@ -184,6 +190,20 @@ func (c *corrupter) header() {
 	c.uvarint(0) // site table count
 }
 
+// hugeRankFile is a complete v2 file of no sites and no nodes that
+// claims p ranks: 19 bytes at p = 2^40.
+func hugeRankFile(p uint64) []byte {
+	var c corrupter
+	c.magic('2')
+	c.uvarint(p)
+	c.bytes(0)   // flags
+	c.str("")    // benchmark
+	c.str("")    // tracer
+	c.uvarint(0) // site table count
+	c.uvarint(0) // node count
+	return c.buf.Bytes()
+}
+
 func mustErr(t *testing.T, name string, data []byte) {
 	t.Helper()
 	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
@@ -201,6 +221,21 @@ func TestReadBinaryCorruptInputs(t *testing.T) {
 			if _, err := ReadBinary(bytes.NewReader(good.Bytes()[:cut])); err == nil {
 				t.Fatalf("truncation at %d bytes decoded without error", cut)
 			}
+		}
+	})
+
+	t.Run("rank count above the bound", func(t *testing.T) {
+		if n := len(hugeRankFile(1 << 40)); n != 19 {
+			t.Fatalf("payload is %d bytes, want 19", n)
+		}
+		mustErr(t, "P=2^40", hugeRankFile(1<<40))
+		mustErr(t, "P=2^22", hugeRankFile(1<<22))
+		mustErr(t, "P=2^20+1", hugeRankFile(maxRankExpansion+1))
+		if _, err := DecodeBinary(hugeRankFile(maxRankExpansion)); err != nil {
+			t.Fatalf("P at the bound rejected: %v", err)
+		}
+		if _, err := Read(strings.NewReader(`{"p":1099511627776}`)); err == nil {
+			t.Fatal("JSON trace with P=2^40 decoded without error")
 		}
 	})
 

@@ -131,8 +131,8 @@ func Read(r io.Reader) (*File, error) {
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	if f.P <= 0 {
-		return nil, fmt.Errorf("trace: invalid rank count %d", f.P)
+	if err := checkRankCount(f.P); err != nil {
+		return nil, err
 	}
 	return &f, nil
 }

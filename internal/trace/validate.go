@@ -7,15 +7,27 @@ import (
 )
 
 // Validate checks a trace file's structural invariants before replay or
-// analysis consumes it: rank lists within [0, P), loop nodes non-empty
-// with positive trip counts, leaf operations known, end-point encodings
-// well-formed for their operation, and nesting within the serializer's
-// depth bound. It returns the first violation found.
+// analysis consumes it: a rank count within the decoders' bound, rank
+// lists within [0, P), loop nodes non-empty with positive trip counts,
+// leaf operations known, end-point encodings well-formed for their
+// operation, and nesting within the serializer's depth bound. It
+// returns the first violation found.
 func (f *File) Validate() error {
-	if f.P <= 0 {
-		return fmt.Errorf("trace: invalid rank count %d", f.P)
+	if err := checkRankCount(f.P); err != nil {
+		return err
 	}
 	return validateSeq(f.Nodes, f.P, 0)
+}
+
+// checkRankCount rejects a rank count outside [1, maxRankExpansion]. A
+// file's P sizes every per-rank table a reader allocates (an analysis
+// keeps several), so both decoders hold it to the bound one rank list
+// already has: a 19-byte payload must not claim 2^40 ranks.
+func checkRankCount(p int) error {
+	if p <= 0 || p > maxRankExpansion {
+		return fmt.Errorf("trace: invalid rank count %d (want 1..%d)", p, maxRankExpansion)
+	}
+	return nil
 }
 
 func validateSeq(seq []*Node, p, depth int) error {

@@ -28,7 +28,8 @@ func TestValidateOK(t *testing.T) {
 
 func TestValidateCatches(t *testing.T) {
 	cases := map[string]func(f *File){
-		"invalid rank count": func(f *File) { f.P = 0 },
+		"invalid rank count":         func(f *File) { f.P = 0 },
+		"invalid rank count 1048577": func(f *File) { f.P = maxRankExpansion + 1 },
 		"zero iterations": func(f *File) {
 			f.Nodes[1].Iters = 0
 		},

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -112,20 +113,22 @@ type Rank struct {
 // MatchReport is the send/recv match-order consistency verdict.
 //
 // Conservation: every tag's dynamic send count must equal its dynamic
-// recv count (Sendrecv contributes to both sides). Channels whose
+// recv count (Sendrecv contributes to both sides); MPI_ANY_TAG receives
+// belong to no tag and absorb the tags' send surpluses. Channels whose
 // end-points resolve to concrete (src, dst) pairs are matched directed;
-// wildcard (any-source) and reply-encoded end-points are checked at tag
-// granularity only. Matches that only close across window boundaries
-// are counted in CrossWindow; under marker-aligned windows (Chameleon
-// online traces flush at markers, which are global barriers) a directed
-// channel whose first receive window precedes its first send window is
-// a happens-before violation and is counted in OrderViolations.
+// wildcard (any-source or any-tag) and reply-encoded end-points are
+// checked at tag granularity only. Matches that only close across
+// window boundaries are counted in CrossWindow; under marker-aligned
+// windows (Chameleon online traces flush at markers, which are global
+// barriers) a directed channel whose first receive window precedes its
+// first send window is a happens-before violation and is counted in
+// OrderViolations.
 type MatchReport struct {
 	// Sends and Recvs are dynamic point-to-point occurrence totals.
 	Sends uint64 `json:"sends"`
 	Recvs uint64 `json:"recvs"`
 	// Wildcards counts recv occurrences with any-source/reply encodings
-	// (matched at tag granularity).
+	// or MPI_ANY_TAG (matched at tag granularity).
 	Wildcards uint64 `json:"wildcards,omitempty"`
 	// ResolvedPairs counts directed-channel matches.
 	ResolvedPairs uint64 `json:"resolved_pairs"`
@@ -136,7 +139,8 @@ type MatchReport struct {
 	// window precedes their first send window.
 	OrderViolations uint64 `json:"order_violations,omitempty"`
 	// UnmatchedByTag maps tag -> (sends - recvs) for tags that do not
-	// conserve.
+	// conserve, after MPI_ANY_TAG receives absorbed what they could; any
+	// left over read under mpi.AnyTag.
 	UnmatchedByTag map[int]int64 `json:"unmatched_by_tag,omitempty"`
 	// Unmatched is the total absolute conservation defect.
 	Unmatched uint64 `json:"unmatched"`
@@ -172,19 +176,24 @@ type Report struct {
 	Match   MatchReport `json:"match"`
 }
 
-// chKey identifies a directed point-to-point channel.
-type chKey struct {
-	tag, src, dst int
-}
+// chunkSize is the number of channels one chunk of the channel table
+// holds. The table grows a chunk at a time, so no entry is ever copied.
+const chunkSize = 256
 
-// chCount tallies one channel. Window-local instances hold the
-// window's full counts; the whole-trace map holds only the leftovers
-// that failed to pair inside their window, plus first-activity windows
-// for the happens-before check.
-type chCount struct {
-	sends, recvs uint64
+// channel is one directed point-to-point channel, (tag, src -> dst),
+// kept once for the whole walk: it hangs on its source rank's chain
+// (analyzer.head), so src is not stored. sends and recvs are the counts
+// of window win only; flushWindow pairs them and rolls what failed to
+// pair there into leftS and leftR, which pair across windows at the end.
+type channel struct {
+	tag  int
+	dst  int32
+	next int32 // the source rank's next channel (-1 ends the chain)
+	win  int32 // the window sends and recvs belong to
 	// first window that sent/received on the channel (-1 = never).
-	firstSendWin, firstRecvWin int
+	firstSendWin, firstRecvWin int32
+	sends, recvs               uint64
+	leftS, leftR               uint64
 }
 
 type tagCount struct {
@@ -204,16 +213,21 @@ type analyzer struct {
 	// Per-window scratch, valid while leaves of window cur arrive (both
 	// walk modes emit leaves in window order).
 	cur         int
-	scratchComp []int64            // per-rank compute inside the current window
-	scratchEv   []uint64           // per-rank events inside the current window
-	touched     []int              // ranks touched in the current window
-	winChans    map[chKey]*chCount // cleared, not remade, for each window
-	winDelta    *stats.Histogram   // likewise reset
+	scratchComp []int64          // per-rank compute inside the current window
+	scratchEv   []uint64         // per-rank events inside the current window
+	touched     []int            // ranks touched in the current window
+	winChans    []int32          // channels touched in the current window
+	winDelta    *stats.Histogram // reset for each window
 
-	// Whole-trace match state.
-	chans map[chKey]*chCount
-	tags  map[int]*tagCount
-	match MatchReport
+	// Whole-trace match state: the channel table (see channel), O(P +
+	// channels) for the whole walk however many windows it spans.
+	chunks []*[chunkSize]channel
+	nchans int32
+	head   []int32 // each source rank's first channel (-1 = none)
+	tags   map[int]*tagCount
+	// anyTagRecvs counts MPI_ANY_TAG receives, which match at no tag.
+	anyTagRecvs uint64
+	match       MatchReport
 }
 
 // Analyze walks the trace once and returns its compressed-domain
@@ -235,13 +249,13 @@ func Analyze(f *trace.File, opt Options) (*Report, error) {
 		ranks:       make([]Rank, f.P),
 		scratchComp: make([]int64, f.P),
 		scratchEv:   make([]uint64, f.P),
-		winChans:    map[chKey]*chCount{},
 		winDelta:    stats.NewHistogram(),
-		chans:       map[chKey]*chCount{},
+		head:        make([]int32, f.P),
 		tags:        map[int]*tagCount{},
 	}
 	for r := range a.ranks {
 		a.ranks[r].Rank = r
+		a.head[r] = -1
 	}
 	for i, n := range f.Nodes {
 		a.windows[i] = Window{
@@ -305,7 +319,6 @@ func (a *analyzer) startWindow(w int) {
 	}
 	a.cur = w
 	if w >= 0 {
-		clear(a.winChans)
 		a.winDelta.Reset()
 	}
 }
@@ -333,26 +346,23 @@ func (a *analyzer) flushWindow() {
 	win.CommRatio = Ratio(float64(win.CommNs), float64(win.ComputeNs))
 
 	// Pair up the window's directed channels; only the leftovers roll
-	// into the whole-trace channel map, so every pair formed there
-	// later is by construction a cross-window match.
-	for k, c := range a.winChans {
+	// into leftS/leftR, so every pair formed from those later is by
+	// construction a cross-window match.
+	for _, i := range a.winChans {
+		c := a.channel(i)
 		paired := minU64(c.sends, c.recvs)
 		a.match.ResolvedPairs += paired
 		win.LocalUnmatched += (c.sends - paired) + (c.recvs - paired)
-		g := a.chans[k]
-		if g == nil {
-			g = &chCount{firstSendWin: -1, firstRecvWin: -1}
-			a.chans[k] = g
+		c.leftS += c.sends - paired
+		c.leftR += c.recvs - paired
+		if c.sends > 0 && c.firstSendWin < 0 {
+			c.firstSendWin = int32(a.cur)
 		}
-		g.sends += c.sends - paired
-		g.recvs += c.recvs - paired
-		if c.sends > 0 && g.firstSendWin < 0 {
-			g.firstSendWin = a.cur
-		}
-		if c.recvs > 0 && g.firstRecvWin < 0 {
-			g.firstRecvWin = a.cur
+		if c.recvs > 0 && c.firstRecvWin < 0 {
+			c.firstRecvWin = int32(a.cur)
 		}
 	}
+	a.winChans = a.winChans[:0]
 
 	if a.winDelta.Count() > 0 {
 		win.DeltaCount = a.winDelta.Count()
@@ -410,11 +420,20 @@ func (a *analyzer) leaf(n *trace.Node, mult uint64) {
 	}
 	win.ByteBuckets[stats.BucketOf(int64(ev.Bytes))] += occ
 
+	// Whether an end-point resolves depends on its kind, not on the
+	// rank, so the per-leaf tallies are added once below, as the leaf's
+	// occurrence count times its ranks in [0, P).
 	sends, recvs := p2pSides(ev.Op)
+	_, dstOK := ev.Dest.ResolveMod(0, a.p)
+	_, srcOK := ev.Src.ResolveMod(0, a.p)
+	directedSend := sends && dstOK
+	directedRecv := recvs && srcOK && ev.Tag != mpi.AnyTag
+	inRange := uint64(0)
 	n.Ranks.ForEach(func(r int) {
 		if r < 0 || r >= a.p {
 			return
 		}
+		inRange++
 		rk := &a.ranks[r]
 		rk.Events += mult
 		rk.ComputeNs += int64(mult) * compPer
@@ -429,23 +448,31 @@ func (a *analyzer) leaf(n *trace.Node, mult uint64) {
 		a.scratchEv[r] += mult
 		a.scratchComp[r] += int64(mult) * compPer
 
-		if sends {
-			a.match.Sends += mult
-			a.addTag(ev.Tag).sends += mult
-			if dst, ok := ev.Dest.ResolveMod(r, a.p); ok {
-				a.winChan(chKey{tag: ev.Tag, src: r, dst: dst}).sends += mult
-			}
+		if directedSend {
+			dst, _ := ev.Dest.ResolveMod(r, a.p)
+			a.touch(ev.Tag, r, dst).sends += mult
 		}
-		if recvs {
-			a.match.Recvs += mult
-			a.addTag(ev.Tag).recvs += mult
-			if src, ok := ev.Src.ResolveMod(r, a.p); ok {
-				a.winChan(chKey{tag: ev.Tag, src: src, dst: r}).recvs += mult
-			} else {
-				a.match.Wildcards += mult
-			}
+		if directedRecv {
+			src, _ := ev.Src.ResolveMod(r, a.p)
+			a.touch(ev.Tag, src, r).recvs += mult
 		}
 	})
+	rankOcc := mult * inRange
+	if sends {
+		a.match.Sends += rankOcc
+		a.addTag(ev.Tag).sends += rankOcc
+	}
+	if recvs {
+		a.match.Recvs += rankOcc
+		if ev.Tag == mpi.AnyTag {
+			a.anyTagRecvs += rankOcc
+		} else {
+			a.addTag(ev.Tag).recvs += rankOcc
+		}
+		if !directedRecv {
+			a.match.Wildcards += rankOcc
+		}
+	}
 }
 
 func (a *analyzer) addTag(tag int) *tagCount {
@@ -457,12 +484,37 @@ func (a *analyzer) addTag(tag int) *tagCount {
 	return t
 }
 
-func (a *analyzer) winChan(k chKey) *chCount {
-	c := a.winChans[k]
-	if c == nil {
-		c = &chCount{firstSendWin: -1, firstRecvWin: -1}
-		a.winChans[k] = c
+// channel returns entry i of the channel table.
+func (a *analyzer) channel(i int32) *channel {
+	return &a.chunks[i/chunkSize][i%chunkSize]
+}
+
+// touch returns channel (tag, src -> dst) for the current window: found
+// on src's chain or added to the table, and listed in winChans with its
+// window counts reset the first time the window touches it.
+func (a *analyzer) touch(tag, src, dst int) *channel {
+	for i := a.head[src]; i >= 0; {
+		c := a.channel(i)
+		if c.tag == tag && int(c.dst) == dst {
+			if c.win != int32(a.cur) {
+				c.win = int32(a.cur)
+				c.sends, c.recvs = 0, 0
+				a.winChans = append(a.winChans, i)
+			}
+			return c
+		}
+		i = c.next
 	}
+	i := a.nchans
+	if i%chunkSize == 0 {
+		a.chunks = append(a.chunks, new([chunkSize]channel))
+	}
+	a.nchans++
+	c := a.channel(i)
+	*c = channel{tag: tag, dst: int32(dst), next: a.head[src], win: int32(a.cur),
+		firstSendWin: -1, firstRecvWin: -1}
+	a.head[src] = i
+	a.winChans = append(a.winChans, i)
 	return c
 }
 
@@ -548,11 +600,12 @@ func (a *analyzer) report(f *trace.File) *Report {
 	// Cross-window matching over the per-channel leftovers, and the
 	// windowed happens-before check.
 	m := a.match
-	for _, c := range a.chans {
+	for i := int32(0); i < a.nchans; i++ {
+		c := a.channel(i)
 		// The per-window pairing already subtracted its matches before
-		// rolling leftovers into this map, so every pair formed here is
-		// by construction a cross-window match.
-		m.CrossWindow += minU64(c.sends, c.recvs)
+		// rolling leftovers into leftS/leftR, so every pair formed here
+		// is by construction a cross-window match.
+		m.CrossWindow += minU64(c.leftS, c.leftR)
 		if c.firstSendWin >= 0 && c.firstRecvWin >= 0 &&
 			c.firstRecvWin < c.firstSendWin {
 			m.OrderViolations++
@@ -562,22 +615,44 @@ func (a *analyzer) report(f *trace.File) *Report {
 	// cross-window pairs complete the directed total.
 	m.ResolvedPairs += m.CrossWindow
 
-	for tag, t := range a.tags {
-		if t.sends != t.recvs {
-			if m.UnmatchedByTag == nil {
-				m.UnmatchedByTag = map[int]int64{}
-			}
-			d := int64(t.sends) - int64(t.recvs)
-			m.UnmatchedByTag[tag] = d
-			if d < 0 {
-				d = -d
-			}
-			m.Unmatched += uint64(d)
-		}
+	// Tag conservation. MPI_ANY_TAG receives belong to no tag: they
+	// absorb the tags' positive send surpluses, in ascending tag order,
+	// and what they cannot absorb is reported under AnyTag.
+	tags := make([]int, 0, len(a.tags))
+	for tag := range a.tags {
+		tags = append(tags, tag)
 	}
+	slices.Sort(tags)
+	free := a.anyTagRecvs
+	for _, tag := range tags {
+		t := a.tags[tag]
+		d := int64(t.sends) - int64(t.recvs)
+		if d > 0 && free > 0 {
+			take := min(uint64(d), free)
+			d -= int64(take)
+			free -= take
+		}
+		m.addUnmatched(tag, d)
+	}
+	m.addUnmatched(mpi.AnyTag, -int64(free))
 	m.Consistent = m.Unmatched == 0
 	rep.Match = m
 	return rep
+}
+
+// addUnmatched records tag's conservation defect d (sends - recvs).
+func (m *MatchReport) addUnmatched(tag int, d int64) {
+	if d == 0 {
+		return
+	}
+	if m.UnmatchedByTag == nil {
+		m.UnmatchedByTag = map[int]int64{}
+	}
+	m.UnmatchedByTag[tag] = d
+	if d < 0 {
+		d = -d
+	}
+	m.Unmatched += uint64(d)
 }
 
 func imbalance(maxComp, sumComp int64, participants int) float64 {

@@ -2,6 +2,7 @@ package zan
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -271,6 +272,50 @@ func TestWildcardRecvCountedNotPaired(t *testing.T) {
 	}
 }
 
+// TestAnyTagAbsorbsSurplus: MPI_ANY_TAG receives count as wildcards,
+// open no channel, and absorb the tags' positive send surpluses in
+// ascending tag order; what they cannot absorb reads under AnyTag.
+func TestAnyTagAbsorbsSurplus(t *testing.T) {
+	// iters occurrences of rank 0 sending to rank 1, or of rank 1
+	// receiving from rank 0, on tag.
+	send := func(tag int, iters uint64) *trace.Node {
+		return trace.NewLoop(iters, []*trace.Node{trace.NewLeaf(trace.Event{
+			Op: mpi.OpSend, Dest: trace.Absolute(1), Tag: tag, Bytes: 4,
+		}, ranklist.SingleRank(0), 10)})
+	}
+	recv := func(tag int, iters uint64) *trace.Node {
+		return trace.NewLoop(iters, []*trace.Node{trace.NewLeaf(trace.Event{
+			Op: mpi.OpRecv, Src: trace.Absolute(0), Tag: tag, Bytes: 4,
+		}, ranklist.SingleRank(1), 10)})
+	}
+	for _, c := range []struct {
+		anyTag uint64
+		want   map[int]int64
+	}{
+		{4, map[int]int64{2: 1, 3: -1}},           // absorbs tag 1's 3, then 1 of tag 2's 2
+		{5, map[int]int64{3: -1}},                 // absorbs both surpluses exactly
+		{7, map[int]int64{3: -1, mpi.AnyTag: -2}}, // 2 left over
+	} {
+		f := &trace.File{P: 2, Nodes: []*trace.Node{trace.NewLoop(1, []*trace.Node{
+			send(1, 3), send(2, 2), recv(3, 1), recv(mpi.AnyTag, c.anyTag),
+		})}}
+		rep, err := Analyze(f, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := rep.Match
+		var unmatched uint64
+		for _, d := range c.want {
+			unmatched += uint64(max(d, -d))
+		}
+		if m.Wildcards != c.anyTag || m.ResolvedPairs != 0 || m.Unmatched != unmatched ||
+			!reflect.DeepEqual(m.UnmatchedByTag, c.want) {
+			t.Errorf("%d AnyTag receives: %+v, want %d wildcards, no pairs, unmatched %v",
+				c.anyTag, m, c.anyTag, c.want)
+		}
+	}
+}
+
 func TestDiffDetectsMismatches(t *testing.T) {
 	f := twoRankTrace()
 	a, _ := Analyze(f, Options{})
@@ -324,15 +369,50 @@ func TestSendrecvContributesBothSides(t *testing.T) {
 	}
 }
 
+// ringTrace is a ring exchange over p ranks repeated over w windows:
+// each window loops over a send to rank+1, a receive from rank-1 (tag
+// 1) and an allreduce, so every window touches the same p channels.
+func ringTrace(p, w int) *trace.File {
+	all := ranklist.FromRL(ranklist.Range(0, p, 1))
+	f := &trace.File{P: p}
+	for i := 0; i < w; i++ {
+		f.Nodes = append(f.Nodes, trace.NewLoop(10, []*trace.Node{
+			trace.NewLeaf(trace.Event{Op: mpi.OpSend, Dest: trace.Relative(1), Tag: 1, Bytes: 64}, all, 300),
+			trace.NewLeaf(trace.Event{Op: mpi.OpRecv, Src: trace.Relative(-1), Tag: 1, Bytes: 64}, all, 500),
+			trace.NewLeaf(trace.Event{Op: mpi.OpAllreduce, Bytes: 8}, all, 40),
+		}))
+	}
+	return f
+}
+
+// TestAnalyzeAllocsFlatInWindows: the match state is allocated once per
+// analysis, so a window more costs only the report's own per-window
+// maps (Ops and ByteBuckets), not an object per channel it touches.
+func TestAnalyzeAllocsFlatInWindows(t *testing.T) {
+	allocs := func(w int) float64 {
+		f := ringTrace(64, w)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Analyze(f, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a1, a4, a16 := allocs(1), allocs(4), allocs(16)
+	t.Logf("objects per Analyze over 1 / 4 / 16 windows: %v / %v / %v", a1, a4, a16)
+	// The two report maps of a window are a few objects each; the 64
+	// channels a window touches must add none.
+	const perWindow = 8
+	if a4-a1 > 3*perWindow || a16-a1 > 15*perWindow {
+		t.Errorf("Analyze allocates %v / %v / %v objects over 1 / 4 / 16 windows of a P=64 ring: more than %d a window",
+			a1, a4, a16, perWindow)
+	}
+}
+
+// BenchmarkZanAnalyze analyses a P=1024 ring over 8 windows: 1 024
+// channels, each touched in every window, so the per-channel cost of
+// the match state shows.
 func BenchmarkZanAnalyze(b *testing.B) {
-	f := twoRankTrace()
-	// Make the compressed representation non-trivially nested.
-	f.Nodes = append(f.Nodes, trace.NewLoop(1000, []*trace.Node{
-		trace.NewLoop(100, []*trace.Node{
-			trace.NewLeaf(trace.Event{Op: mpi.OpAllreduce, Bytes: 8},
-				ranklist.FromRL(ranklist.Range(0, 2, 1)), 40),
-		}),
-	}))
+	f := ringTrace(1024, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Analyze(f, Options{Model: vtime.Default()}); err != nil {

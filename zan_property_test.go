@@ -10,10 +10,12 @@ package chameleon_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"chameleon"
 	"chameleon/internal/analysis"
+	"chameleon/internal/mpi"
 	"chameleon/internal/trace"
 	"chameleon/internal/zan"
 )
@@ -135,5 +137,107 @@ func TestCompressedMetricsFaultedRun(t *testing.T) {
 	if rep.Ranks[retired].Events >= rep.Ranks[(retired+1)%16].Events {
 		t.Errorf("retired rank %d has %d events, survivor has %d — expected fewer",
 			retired, rep.Ranks[retired].Events, rep.Ranks[(retired+1)%16].Events)
+	}
+}
+
+// anyTagProgram is a gather by tag wildcard at P=4: each step rank 0
+// receives once from every other rank with MPI_ANY_TAG, and the others
+// send it one message on tag 5 — 18 matched pairs over six steps. With
+// extraSend, rank 1 sends one more message that nobody receives.
+func anyTagProgram(extraSend bool) func(*chameleon.Proc) {
+	return func(p *chameleon.Proc) {
+		w := p.World()
+		for step := 0; step < 6; step++ {
+			p.Compute(50 * chameleon.Microsecond)
+			if p.Rank() == 0 {
+				for j := 1; j < 4; j++ {
+					w.Recv(j, chameleon.AnyTag)
+				}
+			} else {
+				w.Send(0, 5, 64, nil)
+			}
+			if step%2 == 1 {
+				chameleon.Marker(p)
+			}
+		}
+		if extraSend && p.Rank() == 1 {
+			w.Send(0, 5, 64, nil)
+		}
+	}
+}
+
+// TestAnyTagReceivesConserve: an MPI_ANY_TAG receive matches a send of
+// any tag, so a correct program that receives by tag wildcard is
+// consistent under both tracers, and one send too many still is not
+// (Chameleon at K=2 puts rank 1 in a cluster of three, so its trace
+// counts the extra send once per member).
+func TestAnyTagReceivesConserve(t *testing.T) {
+	for _, tr := range []chameleon.Tracer{chameleon.TracerScalaTrace, chameleon.TracerChameleon} {
+		for _, extra := range []bool{false, true} {
+			out, err := chameleon.Run(chameleon.Config{P: 4, Tracer: tr, K: 2}, anyTagProgram(extra))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := crossCheck(t, out.Trace).Match
+			switch {
+			case !extra && (!m.Consistent || m.Unmatched != 0 || m.Wildcards != 18):
+				t.Errorf("%s: %+v, want consistent with 18 wildcard receives", tr, m)
+			case extra && (m.Consistent || m.Unmatched == 0 || m.UnmatchedByTag[5] <= 0):
+				t.Errorf("%s with a send too many: %+v, want unmatched sends on tag 5", tr, m)
+			}
+		}
+	}
+}
+
+// directedChannels counts the distinct (tag, src, dst) channels the
+// trace's point-to-point leaves resolve to, as zan's match state keys
+// them (MPI_ANY_TAG receives open none).
+func directedChannels(f *trace.File) int {
+	type channel struct{ tag, src, dst int }
+	seen := map[channel]bool{}
+	trace.VisitLeaves(f.Nodes, func(n *trace.Node, c trace.Cursor) {
+		if c.Mult == 0 {
+			return
+		}
+		ev := n.Ev
+		sends := ev.Op == mpi.OpSend || ev.Op == mpi.OpIsend || ev.Op == mpi.OpSendrecv
+		recvs := ev.Op == mpi.OpRecv || ev.Op == mpi.OpIrecv || ev.Op == mpi.OpSendrecv
+		n.Ranks.ForEach(func(r int) {
+			if dst, ok := ev.Dest.ResolveMod(r, f.P); sends && ok {
+				seen[channel{ev.Tag, r, dst}] = true
+			}
+			if src, ok := ev.Src.ResolveMod(r, f.P); recvs && ok && ev.Tag != mpi.AnyTag {
+				seen[channel{ev.Tag, src, r}] = true
+			}
+		})
+	})
+	return len(seen)
+}
+
+// TestAnalyzeBytesPerChannel: on STENCIL A at P=1024 (18 windows over
+// 3 968 channels) zan's match state holds each channel once per
+// analysis. The bound is on all bytes one Analyze allocates, report
+// included, per channel; a map of fresh per-window channel objects
+// costs ~450.
+func TestAnalyzeBytesPerChannel(t *testing.T) {
+	out, err := chameleon.RunBenchmark("STENCIL", "A", 1024, chameleon.TracerChameleon, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chans := directedChannels(out.Trace)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := zan.Analyze(out.Trace, zan.Options{Model: chameleon.DefaultModel()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perChannel := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(chans)
+	t.Logf("%d windows, %d channels: %.0f B per channel", len(out.Trace.Nodes), chans, perChannel)
+	if perChannel > 200 {
+		t.Errorf("Analyze allocates %.0f B per channel over %d channels, want at most 200", perChannel, chans)
 	}
 }
