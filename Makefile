@@ -51,7 +51,9 @@ test-race:
 # outside the program: the binary trace decoder (the archive ingests
 # untrusted payloads through it) alone and against the pre-change
 # decoder kept in a test file (accept/reject and decoded file must
-# agree), the sparse histogram every decoded leaf holds against the
+# agree), the PUT path's canonical-payload scan against decoding and
+# re-encoding (it accepts exactly the bytes that re-encode to themselves,
+# and summarizes them as the decoded file), the sparse histogram every decoded leaf holds against the
 # pre-change array one (any op sequence must read the same), the TCP
 # frame decoder (every fleet
 # byte passes through it), the fault-plan decoder (-faults/-noise
@@ -71,6 +73,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadAny -fuzztime=5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime=10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzScanMatchesDecode -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesReference -fuzztime=10s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s ./internal/fault/

@@ -125,14 +125,14 @@ type FeedView struct {
 	Events  []Event `json:"events"`
 }
 
-// Lookup resolves a golden run reference into its decoded trace and
-// full content address — locally or, under federation, from whichever
-// peer owns it.
+// Lookup resolves a run reference (a golden, or the run being
+// evaluated) into its decoded trace and full content address — locally
+// or, under federation, from whichever peer owns it.
 type Lookup func(tenant, id string) (*trace.File, string, error)
 
 // Options configures an Engine.
 type Options struct {
-	// Lookup resolves golden runs (required for Evaluate).
+	// Lookup resolves runs and their goldens (required for Evaluate).
 	Lookup Lookup
 	// Persist, when non-empty, saves registrations to this JSON file
 	// (atomic write) and loads them at New.
@@ -361,20 +361,22 @@ func (e *Engine) Merge(specs []Spec) int {
 	return merged
 }
 
-// Evaluate runs every registration matching an ingested run and
-// returns the events appended (nil when nothing matched). The
-// federation layer calls it on the run's primary owner only.
-func (e *Engine) Evaluate(tenant, runID string, f *trace.File) []Event {
+// Evaluate runs every registration matching an ingested run, given the
+// run's benchmark and rank count, and returns the events appended (nil
+// when nothing matched). The run's trace is loaded through Lookup only
+// once a registration matches. The federation layer calls it on the
+// run's primary owner only.
+func (e *Engine) Evaluate(tenant, runID, benchmark string, p int) []Event {
 	e.mu.Lock()
 	var matched []Spec
 	for _, s := range e.specs[tenant] {
 		if s.Deleted {
 			continue
 		}
-		if s.Benchmark != "" && s.Benchmark != f.Benchmark {
+		if s.Benchmark != "" && s.Benchmark != benchmark {
 			continue
 		}
-		if s.P != 0 && s.P != f.P {
+		if s.P != 0 && s.P != p {
 			continue
 		}
 		matched = append(matched, *s)
@@ -384,11 +386,12 @@ func (e *Engine) Evaluate(tenant, runID string, f *trace.File) []Event {
 		return nil
 	}
 	sort.Slice(matched, func(i, j int) bool { return matched[i].Name < matched[j].Name })
+	f, _, err := e.opts.Lookup(tenant, runID)
 
 	var out []Event
 	for _, s := range matched {
 		e.mEvals.Inc()
-		ev := e.evaluateOne(tenant, runID, f, s)
+		ev := e.evaluateOne(tenant, runID, f, err, s)
 		if ev.Verdict == VerdictRegression {
 			e.mRegressions.Inc()
 		}
@@ -397,10 +400,17 @@ func (e *Engine) Evaluate(tenant, runID string, f *trace.File) []Event {
 	return out
 }
 
-func (e *Engine) evaluateOne(tenant, runID string, f *trace.File, s Spec) Event {
+// evaluateOne runs one registration on the run's trace f, or on the
+// error that loading it returned.
+func (e *Engine) evaluateOne(tenant, runID string, f *trace.File, loadErr error, s Spec) Event {
 	ev := Event{
 		Tenant: tenant, CQ: s.Name, Run: runID, Golden: s.Golden,
 		AtUnixMs: e.clk.Now().UnixMilli(),
+	}
+	if loadErr != nil {
+		ev.Verdict = VerdictRegression
+		ev.Reason = fmt.Sprintf("run unavailable: %v", loadErr)
+		return ev
 	}
 	golden, goldenID, err := e.opts.Lookup(tenant, s.Golden)
 	if err != nil {

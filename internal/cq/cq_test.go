@@ -45,7 +45,7 @@ func mkTrace(p int, benchmark string, iters uint64, seed uint64) *trace.File {
 // epoch is where every test engine's clock starts.
 var epoch = time.UnixMilli(1_700_000_000_000)
 
-// stubLookup serves goldens from a map keyed by reference.
+// stubLookup serves runs and goldens from a map keyed by reference.
 func stubLookup(m map[string]*trace.File) Lookup {
 	return func(tenant, id string) (*trace.File, string, error) {
 		f, ok := m[id]
@@ -54,6 +54,13 @@ func stubLookup(m map[string]*trace.File) Lookup {
 		}
 		return f, id, nil
 	}
+}
+
+// evaluate ingests f under runID into the runs a stubLookup serves, as
+// an archive would before evaluating it, and evaluates it.
+func evaluate(e *Engine, runs map[string]*trace.File, tenant, runID string, f *trace.File) []Event {
+	runs[runID] = f
+	return e.Evaluate(tenant, runID, f.Benchmark, f.P)
 }
 
 // newEngine builds an engine on a clock.Fake that reads epoch until
@@ -253,7 +260,12 @@ func TestDeleteTombstonePropagates(t *testing.T) {
 
 func TestEvaluateMatchesBenchmarkAndP(t *testing.T) {
 	goldens := map[string]*trace.File{"gold": mkTrace(4, "lulesh", 40, 7)}
-	e := newEngine(t, Options{Lookup: stubLookup(goldens)})
+	lookups := 0
+	stub := stubLookup(goldens)
+	e := newEngine(t, Options{Lookup: func(tenant, id string) (*trace.File, string, error) {
+		lookups++
+		return stub(tenant, id)
+	}})
 	for _, s := range []Spec{
 		{Tenant: "acme", Name: "other-bench", Benchmark: "miniFE", Golden: "gold"},
 		{Tenant: "acme", Name: "other-p", Benchmark: "lulesh", P: 8, Golden: "gold"},
@@ -263,15 +275,18 @@ func TestEvaluateMatchesBenchmarkAndP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if evs := e.Evaluate("acme", "run1", mkTrace(4, "lulesh", 40, 7)); evs != nil {
+	if evs := evaluate(e, goldens, "acme", "run1", mkTrace(4, "lulesh", 40, 7)); evs != nil {
 		t.Fatalf("non-matching specs evaluated: %+v", evs)
+	}
+	if lookups != 0 {
+		t.Fatalf("a run no spec matches was loaded %d times", lookups)
 	}
 
 	// A wildcard spec ("" benchmark, P=0) matches everything in-tenant.
 	if _, err := e.Register(Spec{Tenant: "acme", Name: "any", Golden: "gold"}); err != nil {
 		t.Fatal(err)
 	}
-	evs := e.Evaluate("acme", "run1", mkTrace(4, "lulesh", 40, 7))
+	evs := evaluate(e, goldens, "acme", "run1", mkTrace(4, "lulesh", 40, 7))
 	if len(evs) != 1 || evs[0].CQ != "any" || evs[0].Verdict != VerdictOK {
 		t.Fatalf("wildcard spec: %+v", evs)
 	}
@@ -289,7 +304,7 @@ func TestEvaluateVerdicts(t *testing.T) {
 	}
 	eval := func(f *trace.File, runID string) Event {
 		t.Helper()
-		evs := e.Evaluate("acme", runID, f)
+		evs := evaluate(e, goldens, "acme", runID, f)
 		if len(evs) != 1 {
 			t.Fatalf("got %d events, want 1", len(evs))
 		}
@@ -352,7 +367,7 @@ func TestEvaluateTolerate(t *testing.T) {
 	if _, err := e.Register(Spec{Tenant: "acme", Name: "strict", Golden: "gold"}); err != nil {
 		t.Fatal(err)
 	}
-	evs := e.Evaluate("acme", "r1", mk())
+	evs := evaluate(e, goldens, "acme", "r1", mk())
 	if evs[0].Verdict != VerdictRegression {
 		t.Fatalf("rank-0 divergence not caught: %+v", evs[0])
 	}
@@ -361,7 +376,7 @@ func TestEvaluateTolerate(t *testing.T) {
 	if _, err := e.Register(Spec{Tenant: "acme", Name: "strict", Golden: "gold", Tolerate: "0"}); err != nil {
 		t.Fatal(err)
 	}
-	evs = e.Evaluate("acme", "r2", mk())
+	evs = evaluate(e, goldens, "acme", "r2", mk())
 	if evs[0].Verdict != VerdictOK {
 		t.Fatalf("tolerated rank still fails the gate: %+v", evs[0])
 	}
@@ -372,7 +387,7 @@ func TestEvaluateTolerate(t *testing.T) {
 	}
 	faulted := mk()
 	faulted.Retired = []int{0}
-	evs = e.Evaluate("acme", "r3", faulted)
+	evs = evaluate(e, goldens, "acme", "r3", faulted)
 	if evs[0].Verdict != VerdictOK {
 		t.Fatalf("auto-tolerate ignored the retired rank: %+v", evs[0])
 	}
@@ -396,7 +411,7 @@ func TestEventIDsAndOnEvent(t *testing.T) {
 	}
 	ids := map[string]bool{}
 	for i := 0; i < 5; i++ {
-		evs := e.Evaluate("acme", fmt.Sprintf("run%d", i), mkTrace(2, "b", 10, 1))
+		evs := evaluate(e, goldens, "acme", fmt.Sprintf("run%d", i), mkTrace(2, "b", 10, 1))
 		id := evs[0].ID
 		if !strings.HasPrefix(id, "http://peer-a:8321#") {
 			t.Fatalf("event ID missing origin prefix: %q", id)

@@ -44,9 +44,8 @@ func (s *server) putRun(q *request) (any, error) {
 	}
 	// Gates fire once per new run, on its primary owner. Repair ingests
 	// skip them: anti-entropy must converge replicas without re-firing.
-	// A new run was decoded, here or by ingest.
 	if created && !q.repair && s.cq != nil && s.primary(run.ID) {
-		s.cq.Evaluate(q.tenant, run.ID, q.run.f)
+		s.cq.Evaluate(q.tenant, run.ID, run.Benchmark, run.P)
 	}
 	rep := reply{
 		etag:   `"` + run.ID + `"`,

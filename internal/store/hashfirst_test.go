@@ -85,9 +85,9 @@ func TestPutAfterDeleteReingests(t *testing.T) {
 }
 
 // The window a hash-first dedup leaves open, taken deterministically:
-// the bytes parse as held (so nothing is decoded), the run is deleted,
-// and only then does the ingest run. It must find the run gone, decode
-// the bytes and store them again — not describe a run with no file.
+// the bytes parse as held (so nothing is read), the run is deleted, and
+// only then does the ingest run. It must find the run gone, read the
+// bytes and store them again — not describe a run with no summary.
 func TestIngestOfHeldBytesDeletedBeforeIngest(t *testing.T) {
 	a := openTemp(t, Options{})
 	f := mkTrace(8, "PHASE", 1)
@@ -102,8 +102,8 @@ func TestIngestOfHeldBytesDeletedBeforeIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.f != nil || p.id != id || !bytes.Equal(p.canon, payload) {
-		t.Fatalf("held bytes parsed as %+v: want no file, the held ID and the bytes themselves", p)
+	if p.sum != nil || p.id != id || !bytes.Equal(p.canon, payload) {
+		t.Fatalf("held bytes parsed as %+v: want no summary, the held ID and the bytes themselves", p)
 	}
 	if err := a.Delete(id); err != nil {
 		t.Fatal(err)
@@ -112,8 +112,8 @@ func TestIngestOfHeldBytesDeletedBeforeIngest(t *testing.T) {
 	if err != nil || !created {
 		t.Fatalf("ingest after delete: created=%v err=%v", created, err)
 	}
-	if p.f == nil || run.ID != id || run.Events != trace.DynamicEvents(f.Nodes) || run.Nodes != trace.NodeCount(f.Nodes) {
-		t.Fatalf("ingest after delete described %+v (file decoded: %v)", run, p.f != nil)
+	if p.sum == nil || run.ID != id || run.Events != trace.DynamicEvents(f.Nodes) || run.Nodes != trace.NodeCount(f.Nodes) {
+		t.Fatalf("ingest after delete described %+v (bytes read: %v)", run, p.sum != nil)
 	}
 	if raw, _, err := a.Payload(id); err != nil || !bytes.Equal(raw, payload) {
 		t.Fatalf("payload after re-ingest: %v", err)

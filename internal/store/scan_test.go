@@ -1,0 +1,160 @@
+package store
+
+import (
+	"bytes"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"chameleon/internal/cq"
+	"chameleon/internal/sig"
+	"chameleon/internal/trace"
+)
+
+// The SigSet of a run is the SHA-256 of its sorted signatures as
+// little-endian words; these values were computed with binary.Write
+// over the []uint64, which describe used to hash, so archived SigSets
+// stay valid.
+func TestDescribeSigSetPinned(t *testing.T) {
+	for _, c := range []struct {
+		sigs []uint64
+		want string
+	}{
+		{[]uint64{0x9e3779b97f4a7c15, 1, 0xfedcba9876543210}, "d6bb3f65ca23f34d9d37a3d1274c7681c2ec84efef5baa790c7c497029ea0e3f"},
+		{[]uint64{}, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+	} {
+		run := describe(trace.Summary{Sigs: append([]uint64{}, c.sigs...)}, nil, "id")
+		if run.SigSet != c.want {
+			t.Fatalf("SigSet of %x: %s, want %s", c.sigs, run.SigSet, c.want)
+		}
+		for i := 1; i < len(run.Sigs); i++ {
+			if run.Sigs[i-1] > run.Sigs[i] {
+				t.Fatalf("Sigs not sorted: %x", run.Sigs)
+			}
+		}
+	}
+}
+
+// Bytes that are not their own canonical encoding are decoded and
+// re-encoded, and land under the address of the re-encoding, described
+// from the decoded file. The re-encoding of a JSON trace need not be
+// canonical either, so it is not scanned: rank lists the JSON holds out
+// of normal form are written as they are (decoding the re-encoding
+// normalizes them), and so are call sites with no metadata whose
+// signatures the process has interned with some (decoding picks it up).
+func TestNonCanonicalPushesLandUnderTheirReencoding(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat_v1_phase.trc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js bytes.Buffer
+	if err := mkTrace(4, "split", 31).Write(&js); err != nil {
+		t.Fatal(err)
+	}
+	split := strings.ReplaceAll(js.String(), `[{"start":0,"dims":[[4,1]]}]`,
+		`[{"start":0,"dims":[[2,1]]},{"start":2,"dims":[[2,1]]}]`)
+	if split == js.String() {
+		t.Fatal("the JSON trace has no rank list to split")
+	}
+	js.Reset()
+	// Metadata interned is process-wide: these signatures are this test's.
+	known := mkTrace(4, "known sites", 0x5ca9)
+	if err := known.Write(&js); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range known.SiteTable() {
+		sig.Sites.InternSigMeta(sig.SiteInfo{Sig: s.Sig, Func: "main.step", File: "step.go", Line: i + 1})
+	}
+	a := openTemp(t, Options{})
+	for name, body := range map[string][]byte{
+		"v1":                       v1,
+		"JSON, unnormalized lists": []byte(split),
+		"JSON, sites known":        js.Bytes(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			f, err := trace.DecodeAny(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			canon := f.AppendBinary(nil)
+			if _, ok := trace.ScanCanonical(body); ok {
+				t.Fatal("the body scanned as canonical")
+			}
+			if _, ok := trace.ScanCanonical(canon); ok != (name == "v1") {
+				t.Fatalf("the re-encoding scanned as canonical=%v", ok)
+			}
+			run, created, err := a.IngestBytes(body)
+			if err != nil || !created {
+				t.Fatalf("ingest: created=%v err=%v", created, err)
+			}
+			want := describe(trace.Summarize(f), canon, contentAddress(canon))
+			if run.ID != want.ID || run.SigSet != want.SigSet || !reflect.DeepEqual(run.Sigs, want.Sigs) ||
+				run.Events != want.Events || run.Nodes != want.Nodes || run.P != want.P || run.Benchmark != want.Benchmark {
+				t.Fatalf("stored %+v, want %+v", run, *want)
+			}
+			if raw, _, err := a.Payload(run.ID); err != nil || !bytes.Equal(raw, canon) {
+				t.Fatalf("stored payload is not the re-encoding: %v", err)
+			}
+		})
+	}
+}
+
+// A PUT that a continuous query matches still reaches its verdict: the
+// engine loads the run, once, and appends a regression event for a
+// structural drift. A PUT no query matches loads nothing.
+func TestPutMatchingCQReachesVerdict(t *testing.T) {
+	a := openTemp(t, Options{})
+	var mu sync.Mutex
+	loads := map[string]int{}
+	local := FedLookup(a, nil)
+	eng, err := cq.New(cq.Options{Lookup: func(tenant, id string) (*trace.File, string, error) {
+		mu.Lock()
+		loads[id]++
+		mu.Unlock()
+		return local(tenant, id)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(a, ServerOptions{CQ: eng}))
+	t.Cleanup(srv.Close)
+	push := func(f *trace.File) Run {
+		t.Helper()
+		payload, _, err := Encode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, created, err := PushBytes(srv.URL, payload, false)
+		if err != nil || !created {
+			t.Fatalf("PUT: created=%v err=%v", created, err)
+		}
+		return run
+	}
+
+	golden := push(mkTrace(4, "lulesh", 7))
+	if _, err := RegisterCQ(srv.URL, cq.Spec{Name: "gate", Benchmark: "lulesh", Golden: golden.ID}); err != nil {
+		t.Fatal(err)
+	}
+	other := push(mkTrace(4, "miniFE", 7))
+	drift := mkTrace(4, "lulesh", 7)
+	drift.Nodes[0].Iters++
+	driftRun := push(drift)
+
+	feed := eng.Feed(DefaultTenant)
+	if len(feed.Events) != 1 {
+		t.Fatalf("feed has %d events, want 1: %+v", len(feed.Events), feed.Events)
+	}
+	ev := feed.Events[0]
+	if ev.Run != driftRun.ID || ev.Verdict != cq.VerdictRegression || ev.Reason == "" || ev.Golden != golden.ID {
+		t.Fatalf("drifted run's event: %+v", ev)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if loads[driftRun.ID] != 1 || loads[other.ID] != 0 {
+		t.Fatalf("runs loaded: %v; want the matched run once and the unmatched one never", loads)
+	}
+}

@@ -485,26 +485,27 @@ func contentAddress(payload []byte) string {
 }
 
 // describe builds the manifest record for a payload (sans timestamps
-// and storage sizes, which ingest fills in).
-func describe(f *trace.File, payload []byte, id string) *Run {
-	sigs := make([]uint64, 0, len(f.Sites))
-	for _, s := range f.SiteTable() {
-		sigs = append(sigs, s.Sig)
-	}
+// and storage sizes, which ingest fills in). The record keeps sum.Sigs,
+// sorted in place.
+func describe(sum trace.Summary, payload []byte, id string) *Run {
+	sigs := sum.Sigs
 	slices.Sort(sigs)
-	h := sha256.New()
-	binary.Write(h, binary.LittleEndian, sigs) //nolint:errcheck — a hash never fails a write
+	words := make([]byte, 0, 8*len(sigs))
+	for _, s := range sigs {
+		words = binary.LittleEndian.AppendUint64(words, s)
+	}
+	sigSet := sha256.Sum256(words)
 	return &Run{
 		ID:        id,
-		Benchmark: f.Benchmark,
-		Tracer:    f.Tracer,
-		P:         f.P,
-		Clustered: f.Clustered,
+		Benchmark: sum.Benchmark,
+		Tracer:    sum.Tracer,
+		P:         sum.P,
+		Clustered: sum.Clustered,
 		Sigs:      sigs,
-		SigSet:    hex.EncodeToString(h.Sum(nil)),
+		SigSet:    hex.EncodeToString(sigSet[:]),
 		RawBytes:  int64(len(payload)),
-		Events:    trace.DynamicEvents(f.Nodes),
-		Nodes:     trace.NodeCount(f.Nodes),
+		Events:    sum.DynamicEvents,
+		Nodes:     sum.NodeCount,
 	}
 }
 
@@ -516,7 +517,8 @@ func (v TenantView) Ingest(f *trace.File) (Run, bool, error) {
 	if err != nil {
 		return Run{}, false, err
 	}
-	return v.ingest(&parsed{f: f, canon: canon, id: id})
+	sum := trace.Summarize(f)
+	return v.ingest(&parsed{canon: canon, id: id, sum: &sum})
 }
 
 // IngestBytes archives a serialized trace (any readable format: binary
@@ -530,28 +532,39 @@ func (v TenantView) IngestBytes(b []byte) (Run, bool, error) {
 }
 
 // parsed is a serialized trace made ready to ingest: its canonical
-// payload, the payload's content address and the decoded file — nil
-// when the tenant already held the address at parse time, so nothing
-// was decoded.
+// payload, the payload's content address and its summary — nil when
+// the tenant already held the address at parse time, so nothing was
+// read.
 type parsed struct {
-	f     *trace.File
 	canon []byte
 	id    string
+	sum   *trace.Summary
 }
 
 // parse is the one way serialized traces enter the archive (PUT bodies
 // on the edge and on every owner, anti-entropy pulls, IngestBytes). The
 // bytes are hashed first: if the tenant holds a run under that hash, the
-// bytes are that run's segment — which hashed to its ID and was decoded
-// and validated at its first ingest — so they are its canonical payload
-// and nothing is decoded. Otherwise they are decoded once, in place
-// (the file does not retain b), and re-encoded canonically, so
-// equivalent pushes in different formats share one content address; the
-// re-encoding is sized to b, which a canonical push re-encodes to.
+// bytes are that run's segment, which was read at its first ingest, and
+// nothing is read now. Any other bytes go to read.
 func (v TenantView) parse(b []byte) (parsed, error) {
 	id := contentAddress(b)
 	if v.holds(id) {
 		return parsed{canon: b, id: id}, nil
+	}
+	return read(b, id)
+}
+
+// read makes b, whose content address is id, ingestible. Bytes that are
+// their own canonical encoding, as every client and peer pushes them,
+// are scanned once (trace.ScanCanonical) and are the payload, with no
+// tree built. Anything else (JSON, v1, or binary the encoder would have
+// written otherwise) is decoded once, in place (the file does not
+// retain b), re-encoded canonically, so equivalent pushes in different
+// formats share one content address, and summarized from the decoded
+// file; the re-encoding is sized to b.
+func read(b []byte, id string) (parsed, error) {
+	if sum, ok := trace.ScanCanonical(b); ok {
+		return parsed{canon: b, id: id, sum: &sum}, nil
 	}
 	f, err := trace.DecodeAny(b)
 	if err != nil {
@@ -561,7 +574,8 @@ func (v TenantView) parse(b []byte) (parsed, error) {
 	if !bytes.Equal(canon, b) { // not pushed in canonical form
 		id = contentAddress(canon)
 	}
-	return parsed{f: f, canon: canon, id: id}, nil
+	sum := trace.Summarize(f)
+	return parsed{canon: canon, id: id, sum: &sum}, nil
 }
 
 func (v TenantView) holds(id string) bool {
@@ -574,8 +588,8 @@ func (v TenantView) holds(id string) bool {
 // ingest stores a parsed payload under its content address, or answers
 // from the index when the tenant holds it. The check and the answer are
 // one critical section, so a run parsed as held but deleted since is
-// found missing here, and its bytes are decoded before it is stored
-// again: nothing is described without a file.
+// found missing here, and its bytes are read before it is stored again:
+// nothing is described without a summary.
 func (v TenantView) ingest(p *parsed) (Run, bool, error) {
 	a, tenant := v.a, v.tenant
 	start := time.Now() // hIngest measures this process, not policy time
@@ -588,16 +602,17 @@ func (v TenantView) ingest(p *parsed) (Run, bool, error) {
 		a.opts.Journal.Emit(obs.Event{Kind: KindIngest, Note: "dedup", Bytes: r.RawBytes})
 		return *r, false, nil
 	}
-	if p.f == nil {
-		// Only a Delete racing this ingest gets here, so the decode may
-		// hold the lock.
-		f, err := trace.DecodeAny(p.canon)
+	if p.sum == nil {
+		// Only a Delete racing this ingest gets here, so the read may hold
+		// the lock. The bytes hashed to the deleted run's address, so they
+		// are its segment and stay its payload, however they read.
+		r, err := read(p.canon, p.id)
 		if err != nil {
-			return Run{}, false, fmt.Errorf("store: ingest: %w", err)
+			return Run{}, false, err
 		}
-		p.f = f
+		p.sum = r.sum
 	}
-	f, payload, id := p.f, p.canon, p.id
+	payload, id := p.canon, p.id
 
 	if quota := a.opts.QuotaBytes; quota > 0 && a.used[tenant]+int64(len(payload)) > quota {
 		a.mQuotaRejects.Inc()
@@ -605,7 +620,7 @@ func (v TenantView) ingest(p *parsed) (Run, bool, error) {
 			ErrQuotaExceeded, tenant, a.used[tenant], quota, len(payload))
 	}
 
-	run := describe(f, payload, id)
+	run := describe(*p.sum, payload, id)
 	run.Tenant = tenant
 	run.Ingested = a.clk.Now().UTC()
 	run.Gzip = a.opts.Gzip

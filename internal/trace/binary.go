@@ -271,7 +271,10 @@ const maxBinaryDepth = 64
 // would OOM).
 const maxRankExpansion = 1 << 20
 
-var errVarint = errors.New("varint overflows 64 bits")
+var (
+	errVarint       = errors.New("varint overflows 64 bits")
+	errNotCanonical = errors.New("not the canonical encoding")
+)
 
 // decoder reads one binary trace straight out of its byte slice.
 type decoder struct {
@@ -300,6 +303,9 @@ type decoder struct {
 	// bounds the arrays already; spills holds that bound in the decoder,
 	// beside the slabs', rather than in the order it reads.
 	spills uint64
+	// strict rejects a varint written in more bytes than it needs, which
+	// the encoder never writes: ScanCanonical reads with it set.
+	strict bool
 }
 
 type decodedSite struct {
@@ -329,6 +335,9 @@ func (d *decoder) uvarint() uint64 {
 		return 0
 	case n < 0:
 		d.err = errVarint
+		return 0
+	case d.strict && n > 1 && d.b[d.off+n-1] == 0:
+		d.err = errNotCanonical
 		return 0
 	}
 	d.off += n

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -105,5 +106,24 @@ func TestDecodeAllocBytesBudget(t *testing.T) {
 	t.Logf("decoding %s (%d bytes): %d B allocated", lu.name, len(lu.payload), got)
 	if got > budget {
 		t.Fatalf("decoding %s allocated %d B, budget %d", lu.name, got, budget)
+	}
+}
+
+// TestScanCanonicalOnCorpus: the archive_mixed corpus as the encoder
+// writes it takes the PUT path's fast path — it scans as canonical, with
+// the summary of the file as traced — and the scan agrees with decoding
+// and re-encoding it.
+func TestScanCanonicalOnCorpus(t *testing.T) {
+	for _, c := range corpus(t) {
+		t.Run(c.name, func(t *testing.T) {
+			sum, ok := trace.ScanCanonical(c.payload)
+			if !ok {
+				t.Fatalf("the encoder's %d bytes did not scan as canonical", len(c.payload))
+			}
+			if want := trace.Summarize(c.f); !reflect.DeepEqual(sum, want) {
+				t.Fatalf("scan summary %+v, traced file's %+v", sum, want)
+			}
+			trace.CheckScanMatchesDecode(t, c.payload)
+		})
 	}
 }
