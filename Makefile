@@ -93,9 +93,11 @@ fuzz:
 # link's coalescing writer alone (queue order, control behind data,
 # liveness, high-water mark, close, write failure, zero allocations)
 # twenty more times, so each run draws twenty fresh chaos seeds against
-# it, and the mailbox protocol with its concurrent bound scans twenty
-# more times, because a lost wake-up or a state store outside the lock
-# shows only on some interleavings. Then the fleet codecs, and the cross-process e2e: cross-backend
+# it, with the waits a clock.Fake drives (the formation and reply
+# deadlines, the cut's repoll pause: each hands the clock between the
+# test and the transport's goroutines); and the mailbox protocol with
+# its concurrent bound scans twenty more times, because a lost wake-up
+# or a state store outside the lock shows only on some interleavings. Then the fleet codecs, and the cross-process e2e: cross-backend
 # determinism (2x4 and P=64 split four ways), the 2-process x 4-rank
 # subprocess run byte-compared against in-process, and the
 # crash-failover run where one member's process kills itself mid-run.
@@ -104,7 +106,7 @@ fuzz:
 # is a child body and -run 'TestTransport' selects tests only.
 test-transport:
 	$(GO) test -race -count=3 ./internal/mpi/
-	$(GO) test -race -count=20 -run 'Link|Chaos' ./internal/mpi/
+	$(GO) test -race -count=20 -run 'Link|Chaos|Formation|Reply|Repoll' ./internal/mpi/
 	$(GO) test -race -count=20 -run 'Mailbox|InfluenceBound' ./internal/mpi/
 	$(GO) test -race ./internal/fleet/
 	$(GO) test -race -run 'TestTransport' -v .

@@ -1,5 +1,7 @@
-// Package clock is chamd's one source of policy time: Real in
-// production, and in tests a Fake that moves only when told to.
+// Package clock is the one source of time for code that waits on it:
+// chamd's policy loops and the TCP fleet's deadlines and pauses
+// (internal/mpi). Real in production, and in tests a Fake that moves
+// only when told to.
 package clock
 
 import (

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"chameleon/internal/clock"
 	"chameleon/internal/vtime"
 )
 
@@ -27,11 +28,13 @@ import (
 //
 // The layer knows nothing of sockets: asking member i is a function,
 // and the transport's read loop hands the answers back through answer.
+// Its waits run on the transport's clock.
 
 const (
-	sweepTimeout  = 250 * time.Millisecond
+	sweepTimeout  = 250 * time.Millisecond // an unanswered sweep is abandoned after this
 	sweepRetry    = 500 * time.Microsecond // pause after a failed sweep
 	sweepInterval = 200 * time.Microsecond // pause between sweeps awaiting stability
+	repoll        = 2 * time.Millisecond   // pause before an unsafe verdict
 )
 
 // cut is one member's consistent-cut state: the generation and frame
@@ -50,9 +53,9 @@ type cut struct {
 	left, eof []atomic.Bool
 
 	// ask sends a bound request carrying req to member idx.
-	ask     func(idx int, req uint64) error
-	stop    <-chan struct{} // closed when the run aborts
-	timeout time.Duration   // an unanswered sweep is abandoned after this
+	ask  func(idx int, req uint64) error
+	stop <-chan struct{} // closed when the run aborts
+	clk  clock.Clock
 
 	sweeps  atomic.Uint64
 	mu      sync.Mutex
@@ -60,9 +63,9 @@ type cut struct {
 	pending map[uint64]chan<- *ctlMsg // outstanding requests, by sweep
 }
 
-func newCut(self, n int, ask func(idx int, req uint64) error, stop <-chan struct{}) *cut {
+func newCut(self, n int, ask func(idx int, req uint64) error, stop <-chan struct{}, clk clock.Clock) *cut {
 	return &cut{
-		self: self, ask: ask, stop: stop, timeout: sweepTimeout,
+		self: self, ask: ask, stop: stop, clk: clk,
 		sent: make([]atomic.Uint64, n), recvd: make([]atomic.Uint64, n),
 		left: make([]atomic.Bool, n), eof: make([]atomic.Bool, n),
 		pending: map[uint64]chan<- *ctlMsg{},
@@ -132,7 +135,8 @@ func (c *cut) sweep() (map[int]*ctlMsg, bool) {
 			return nil, false
 		}
 	}
-	deadline := time.After(c.timeout)
+	deadline, release := c.clk.After(sweepTimeout)
+	defer release()
 	for range asked {
 		select {
 		case resp := <-answers:
@@ -149,7 +153,9 @@ func (c *cut) sweep() (map[int]*ctlMsg, bool) {
 // safe reports whether a wildcard match at virtual time at is
 // conservative with respect to every other member: true only when a
 // stable, balanced cut shows no remote rank able to produce a message
-// arriving earlier. It sweeps until two consecutive sweeps agree.
+// arriving earlier. It sweeps until two consecutive sweeps agree. An
+// unsafe verdict comes a repoll period late: remote progress announces
+// nothing to the matcher, which asks again as soon as it hears no.
 func (c *cut) safe(at vtime.Time) bool {
 	var prev map[int]*ctlMsg
 	for {
@@ -161,38 +167,30 @@ func (c *cut) safe(at vtime.Time) bool {
 		rows, ok := c.sweep()
 		if !ok {
 			prev = nil
-			time.Sleep(sweepRetry)
+			c.pause(sweepRetry)
 			continue
 		}
 		if prev != nil && sameGenerations(prev, rows) && balanced(len(c.sent), rows) {
 			for _, r := range rows {
 				if r.HasBound && vtime.Time(r.Bound) < at {
+					c.pause(repoll)
 					return false
 				}
 			}
 			return true
 		}
 		prev = rows
-		time.Sleep(sweepInterval)
+		c.pause(sweepInterval)
 	}
 }
 
-// pollWhile re-arms wildcard matchers on a short period: remote progress
-// (deposits between ranks of a peer process, remote clock advances)
-// changes nothing local, so while a matcher waits it is woken to sweep
-// again instead of waiting indefinitely. The wake must not count as a
-// local change: a sweep over a slow wire outlasts the period, and its
-// result would be discarded as stale every time.
-func pollWhile(running, waiting func() bool, wake func()) {
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	for range tick.C {
-		if !running() {
-			return
-		}
-		if waiting() {
-			wake()
-		}
+// pause waits d on the clock, or until the run aborts.
+func (c *cut) pause(d time.Duration) {
+	wait, release := c.clk.After(d)
+	defer release()
+	select {
+	case <-wait:
+	case <-c.stop:
 	}
 }
 

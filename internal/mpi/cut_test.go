@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"chameleon/internal/clock"
 	"chameleon/internal/vtime"
 )
 
@@ -56,10 +57,10 @@ func TestCutBalanced(t *testing.T) {
 	}
 }
 
-// scriptedCut is member 0 of a fleet of n whose peers answer every
-// request at once from script: script(idx, sweep) is peer idx's row for
-// the sweep-th sweep (1-based), nil for silence.
-func scriptedCut(n int, script func(idx int, sweep uint64) *ctlMsg) *cut {
+// scriptedCut is member 0 of a fleet of n, waiting on clk, whose peers
+// answer every request at once from script: script(idx, sweep) is peer
+// idx's row for the sweep-th sweep (1-based), nil for silence.
+func scriptedCut(n int, clk clock.Clock, script func(idx int, sweep uint64) *ctlMsg) *cut {
 	var c *cut
 	c = newCut(0, n, func(idx int, req uint64) error {
 		if r := script(idx, c.sweeps.Load()); r != nil {
@@ -68,7 +69,7 @@ func scriptedCut(n int, script func(idx int, sweep uint64) *ctlMsg) *cut {
 			go c.answer(&resp)
 		}
 		return nil
-	}, make(chan struct{}))
+	}, make(chan struct{}), clk)
 	return c
 }
 
@@ -120,7 +121,7 @@ func TestCutStableGenerationRule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := scriptedCut(3, tc.script)
+			c := scriptedCut(3, clock.Real{}, tc.script)
 			if got := c.safe(tc.at); got != tc.want {
 				t.Errorf("safe(%v) = %v, want %v", tc.at, got, tc.want)
 			}
@@ -131,7 +132,7 @@ func TestCutStableGenerationRule(t *testing.T) {
 	}
 	t.Run("a local change between sweeps restarts the count", func(t *testing.T) {
 		var c *cut
-		c = scriptedCut(2, func(_ int, sweep uint64) *ctlMsg {
+		c = scriptedCut(2, clock.Real{}, func(_ int, sweep uint64) *ctlMsg {
 			if sweep == 1 {
 				c.gen.Add(1) // e.g. a deposit into a local mailbox during sweep 1
 			}
@@ -154,18 +155,27 @@ func TestCutSweepLeavesNothingPending(t *testing.T) {
 		return len(c.pending)
 	}
 	t.Run("peer never answers", func(t *testing.T) {
-		c := scriptedCut(3, func(idx int, _ uint64) *ctlMsg {
+		clk := clock.NewFake(time.Unix(0, 0))
+		c := scriptedCut(3, clk, func(idx int, _ uint64) *ctlMsg {
 			if idx == 1 {
 				return nil // wedged: reads breq, never replies
 			}
 			return &ctlMsg{Sent: make([]uint64, 3), Recvd: make([]uint64, 3)}
 		})
-		c.timeout = 2 * time.Millisecond
-		for i := 0; i < 25; i++ {
-			if _, ok := c.sweep(); ok {
-				t.Fatal("sweep succeeded without an answer from member 1")
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 25; i++ {
+				if _, ok := c.sweep(); ok {
+					t.Error("sweep succeeded without an answer from member 1")
+				}
 			}
+		}()
+		for i := 0; i < 25; i++ {
+			clk.BlockUntil(1) // the sweep's deadline, its only wait
+			clk.Advance(sweepTimeout)
 		}
+		<-done
 		if n := pending(c); n != 0 {
 			t.Fatalf("%d requests still pending after 25 timed-out sweeps", n)
 		}
@@ -177,7 +187,7 @@ func TestCutSweepLeavesNothingPending(t *testing.T) {
 				return errors.New("write: broken pipe")
 			}
 			return nil
-		}, make(chan struct{}))
+		}, make(chan struct{}), clock.Real{})
 		for i := 0; i < 10; i++ {
 			if _, ok := c.sweep(); ok {
 				t.Fatal("sweep succeeded over a broken link")
@@ -189,7 +199,7 @@ func TestCutSweepLeavesNothingPending(t *testing.T) {
 	})
 	t.Run("run aborts mid-sweep", func(t *testing.T) {
 		stop := make(chan struct{})
-		c := newCut(0, 2, func(int, uint64) error { close(stop); return nil }, stop)
+		c := newCut(0, 2, func(int, uint64) error { close(stop); return nil }, stop, clock.Real{})
 		if _, ok := c.sweep(); ok {
 			t.Fatal("sweep succeeded after the abort")
 		}
@@ -204,14 +214,14 @@ func TestCutSweepLeavesNothingPending(t *testing.T) {
 		c := newCut(0, 3, func(idx int, _ uint64) error {
 			t.Errorf("asked member %d", idx)
 			return nil
-		}, make(chan struct{}))
+		}, make(chan struct{}), clock.Real{})
 		c.left[1].Store(true)
 		if _, ok := c.sweep(); ok {
 			t.Fatal("sweep succeeded while member 1 is draining")
 		}
 	})
 	t.Run("left-and-drained peer is skipped, late answer dropped", func(t *testing.T) {
-		c := scriptedCut(3, func(idx int, _ uint64) *ctlMsg {
+		c := scriptedCut(3, clock.Real{}, func(idx int, _ uint64) *ctlMsg {
 			if idx == 1 {
 				t.Error("asked the member that left")
 			}
@@ -225,6 +235,71 @@ func TestCutSweepLeavesNothingPending(t *testing.T) {
 		}
 		c.answer(&ctlMsg{T: "bresp", Req: 1}) // its sweep is long over: must not block or panic
 	})
+}
+
+// tapClock is a clock.Fake that reports the length of every wait armed
+// on it, in order, before arming it.
+type tapClock struct {
+	*clock.Fake
+	armed chan time.Duration
+}
+
+func (c tapClock) After(d time.Duration) (<-chan time.Time, func()) {
+	c.armed <- d
+	return c.Fake.After(d)
+}
+
+// TestCutUnsafeVerdictWaitsRepoll: remote progress announces nothing to
+// a wildcard matcher, so an unsafe verdict comes a repoll period late
+// on the clock, and the matcher asks again as soon as it hears it. An
+// abort cuts the pause short.
+func TestCutUnsafeVerdictWaitsRepoll(t *testing.T) {
+	for _, abort := range []bool{false, true} {
+		clk := tapClock{clock.NewFake(time.Unix(0, 0)), make(chan time.Duration)}
+		c := scriptedCut(2, clk, func(int, uint64) *ctlMsg {
+			return &ctlMsg{Gen: 5, HasBound: true, Bound: 100, Sent: []uint64{0, 0}, Recvd: []uint64{0, 0}}
+		})
+		stop := make(chan struct{})
+		c.stop = stop
+		verdict := make(chan bool)
+		go func() { verdict <- c.safe(150) }() // member 1 can still undercut 150
+		next := func(want time.Duration) {
+			t.Helper()
+			select {
+			case d := <-clk.armed:
+				if d != want {
+					t.Fatalf("armed a wait of %v, want %v", d, want)
+				}
+			case v := <-verdict:
+				t.Fatalf("verdict %v before a wait of %v was armed", v, want)
+			}
+			if want != sweepTimeout {
+				clk.BlockUntil(1) // the sweep's deadline is released: this pause is the one wait
+			}
+		}
+		next(sweepTimeout)
+		next(sweepInterval)
+		clk.Advance(sweepInterval)
+		next(sweepTimeout)
+		next(repoll) // stable and balanced after two sweeps: the verdict is in, and waits
+		if abort {
+			close(stop)
+		} else {
+			clk.Advance(repoll - time.Nanosecond)
+			select {
+			case <-verdict:
+				t.Fatal("the unsafe verdict came before the repoll period passed")
+			default:
+			}
+			clk.Advance(time.Nanosecond)
+		}
+		if <-verdict {
+			t.Fatalf("abort=%v: safe with an earlier remote bound", abort)
+		}
+		if n := c.sweeps.Load(); n != 2 {
+			t.Fatalf("abort=%v: %d sweeps, want 2", abort, n)
+		}
+	}
 }
 
 // boundFixture is a hand-built runtime hosting ranks 0..4 of a world of

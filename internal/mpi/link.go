@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"chameleon/internal/clock"
 )
 
 // link is one framed fleet connection: a mesh connection to a peer, or
@@ -96,22 +98,26 @@ func newLink(conn net.Conn) *link {
 	return l
 }
 
-// dialTimeout bounds each dial while the fleet forms.
-const dialTimeout = 20 * time.Second
+// formTimeout bounds each dial while the fleet forms, and then the
+// handshake (NewTCPTransport).
+const formTimeout = 20 * time.Second
 
-// dialLink dials addr until it answers or dialTimeout expires (the
+// dialLink dials addr until it answers or formTimeout expires (the
 // coordinator, or a peer's data listener, may not have bound yet).
-func dialLink(addr string) (*link, error) {
-	deadline := time.Now().Add(dialTimeout)
+func dialLink(clk clock.Clock, addr string) (*link, error) {
+	var deadline time.Time // set at the first failure
 	for {
 		conn, err := net.DialTimeout("tcp", addr, time.Second)
 		if err == nil {
 			return newLink(conn), nil
 		}
-		if time.Now().After(deadline) {
+		if deadline.IsZero() {
+			deadline = clk.Now().Add(formTimeout)
+		} else if clk.Now().After(deadline) {
 			return nil, err
 		}
-		time.Sleep(50 * time.Millisecond)
+		retry, _ := clk.After(50 * time.Millisecond) // always fires: nothing to release
+		<-retry
 	}
 }
 

@@ -173,9 +173,10 @@ func (rt *Runtime) abortLocal() {
 
 // takeAny performs a conservative wildcard receive for rank self: it
 // repeatedly picks the earliest-arrival candidate and matches it only
-// once lbtsSafe proves no earlier message can still appear. The rank
-// reads as blocked on the wildcard pattern throughout, its candidates
-// pending in the queue: no depositor hands it a message.
+// once no rank, hosted here (lbtsSafe) or elsewhere (remoteSafe), can
+// still make an earlier message appear. The rank reads as blocked on
+// the wildcard pattern throughout, its candidates pending in the queue:
+// no depositor hands it a message.
 func (rt *Runtime) takeAny(self int, mb *mailbox, want pattern) message {
 	mb.mu.Lock()
 	mb.state, mb.want = stateBlocked, want
@@ -196,7 +197,8 @@ func (rt *Runtime) takeAny(self int, mb *mailbox, want pattern) message {
 		// transition interleaved with it (the generation is unchanged);
 		// clock advances alone only strengthen the bound, so they need
 		// no bump. On any interleaving, re-evaluate.
-		if best >= 0 && rt.lbtsSafe(self, cand.arrive) && rt.gen() == g {
+		local := best >= 0 && rt.lbtsSafe(self, cand.arrive)
+		if local && rt.tr.remoteSafe(self, cand.arrive) && rt.gen() == g {
 			// Re-take under the lock: only earlier candidates can have
 			// appeared meanwhile, and safety is monotone downward. The
 			// rank turns active before its message leaves the queue: a
@@ -208,13 +210,15 @@ func (rt *Runtime) takeAny(self int, mb *mailbox, want pattern) message {
 			rt.announce(self)
 			return msg
 		}
-		if rt.gen() != g {
-			continue
-		}
 		if rt.aborted.Load() {
 			panic(errAborted)
 		}
-		rt.waitChange(g)
+		// A local "no" waits for a local change. A remote one came a
+		// repoll period late (cut.safe), and remote progress announces
+		// nothing here: look again at once.
+		if !local && rt.gen() == g {
+			rt.waitChange(g)
+		}
 	}
 }
 
@@ -234,9 +238,8 @@ func (rt *Runtime) gen() uint64 {
 	return g
 }
 
-// waitChange blocks until the generation moves past old, or until a
-// network transport's poll wakes the matchers to look again (the caller
-// re-evaluates from scratch either way).
+// waitChange blocks until the generation moves past old (the caller
+// re-evaluates from scratch).
 func (rt *Runtime) waitChange(old uint64) {
 	rt.gmu.Lock()
 	if rt.generation == old {
@@ -277,16 +280,14 @@ func (rt *Runtime) depositLocal(dest int, msg message) {
 }
 
 // lbtsSafe reports whether a wildcard match at arrival time t on rank
-// self is conservative: no other rank can still produce a message that
-// would arrive earlier. Ranks hosted here are bounded by influenceBound;
-// ranks hosted by other processes are the transport's to bound (the
-// in-process backend hosts everyone and answers true immediately; the
-// TCP backend asks each peer for its own influenceBound, see cut.go).
+// self is conservative with respect to the other ranks hosted here,
+// which influenceBound bounds. Ranks hosted by other processes are the
+// transport's to bound with remoteSafe (the in-process backend hosts
+// everyone and answers true immediately; the TCP backend asks each peer
+// for its own influenceBound, see cut.go).
 func (rt *Runtime) lbtsSafe(self int, t vtime.Time) bool {
-	if bound, ok := rt.influenceBound(self); ok && bound < t {
-		return false
-	}
-	return rt.tr.remoteSafe(self, t)
+	bound, ok := rt.influenceBound(self)
+	return !ok || bound >= t
 }
 
 // influenceBound is the conservative wildcard rule, stated once for

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"chameleon/internal/clock"
 	"chameleon/internal/vtime"
 )
 
@@ -124,9 +125,9 @@ func rankOwners(members []memberSpec, p int) ([]int, error) {
 // every higher-indexed one, the dialer's hello binding each connection
 // to a member. (Dials complete in the listener's backlog, so nobody
 // waits on anybody's accept loop.)
-func buildMesh(links map[int]*link, ln net.Listener, members []memberSpec, self int) error {
+func buildMesh(clk clock.Clock, links map[int]*link, ln net.Listener, members []memberSpec, self int) error {
 	for j := 0; j < self; j++ {
-		l, err := dialLink(members[j].Addr)
+		l, err := dialLink(clk, members[j].Addr)
 		if err != nil {
 			return fmt.Errorf("mpi: mesh dial member %d (%s): %w", j, members[j].Addr, err)
 		}

@@ -24,7 +24,12 @@ func rvDial(t *testing.T, s *rendezvousServer) *rvClient {
 	t.Helper()
 	client, server := net.Pipe()
 	go s.handle(newLink(server))
-	c := &rvClient{l: newLink(client), in: make(chan *ctlMsg, 16)} // more than any scenario sends one client
+	return rvPump(t, newLink(client))
+}
+
+// rvPump makes l the test's end of a rendezvous connection.
+func rvPump(t *testing.T, l *link) *rvClient {
+	c := &rvClient{l: l, in: make(chan *ctlMsg, 16)} // more than any scenario sends one client
 	t.Cleanup(c.l.close)
 	go func() {
 		defer close(c.in)
@@ -98,15 +103,21 @@ func (c *rvClient) expectQuiet(t *testing.T) {
 func (c *rvClient) register(t *testing.T, s *rendezvousServer, nth int, m *ctlMsg) {
 	t.Helper()
 	c.send(t, m)
+	admitted(t, s, nth)
+}
+
+// admitted waits until the coordinator has admitted n members.
+func admitted(t *testing.T, s *rendezvousServer, n int) {
+	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		s.mu.Lock()
-		n := len(s.regs)
+		got := len(s.regs)
 		s.mu.Unlock()
-		if n >= nth {
+		if got >= n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("registration %d..%d not admitted", m.Lo, m.Hi)
+			t.Fatalf("%d of %d members admitted", got, n)
 		}
 	}
 }

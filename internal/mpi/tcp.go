@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"time"
 
+	"chameleon/internal/clock"
 	"chameleon/internal/obs"
 	"chameleon/internal/vtime"
 )
@@ -25,12 +26,13 @@ import (
 // specific-source receives; call-site signatures are PC-derived and
 // identical across processes of the same binary. A fleet run therefore
 // produces bit-identical trace signatures to the in-process run of the
-// same seed — transport_e2e_test.go locks this in. The transport's own
-// waits (dial, flush and sweep deadlines, the result wait) read package
-// time, not internal/clock: each bounds a real socket, not a policy.
+// same seed — transport_e2e_test.go locks this in. Every timed wait
+// runs on the transport's one clock.Clock and ends in an error naming
+// what it awaited, or in abort; the one wall-clock read left is
+// link.close's write deadline, a kernel option on a real write.
 
-// resultTimeout bounds the wait for the coordinator's final: a peer
-// that died mid-exchange without notice surfaces here.
+// resultTimeout bounds each wait for a reply from the coordinator: a
+// peer that died mid-exchange without notice surfaces here, as an abort.
 const resultTimeout = 50 * time.Second
 
 // TCPStats counts transport work for the benchmark harness: data frames
@@ -61,6 +63,7 @@ const coordinator = -1
 // TCPTransport implements Transport over a fleet of OS processes.
 type TCPTransport struct {
 	opts    TCPOptions
+	clk     clock.Clock
 	rt      *Runtime
 	info    FleetInfo
 	members []memberSpec
@@ -91,14 +94,19 @@ type TCPTransport struct {
 
 // NewTCPTransport performs the rendezvous (bind-or-dial the join
 // address, register, mesh with every peer) and returns a transport
-// ready for mpi.Run. It blocks until the whole fleet has formed or a
-// dial times out.
-func NewTCPTransport(opts TCPOptions) (t *TCPTransport, err error) {
+// ready for mpi.Run. It blocks until the whole fleet has formed, or
+// fails naming the wait it was in once formTimeout has passed.
+func NewTCPTransport(opts TCPOptions) (*TCPTransport, error) {
+	return newTCPTransport(opts, clock.Real{})
+}
+
+// newTCPTransport is NewTCPTransport with every timed wait on clk.
+func newTCPTransport(opts TCPOptions, clk clock.Clock) (t *TCPTransport, err error) {
 	if opts.P <= 0 || opts.RankLo < 0 || opts.RankHi < opts.RankLo || opts.RankHi >= opts.P {
 		return nil, fmt.Errorf("mpi: invalid rank range %d..%d of world %d", opts.RankLo, opts.RankHi, opts.P)
 	}
 	t = &TCPTransport{
-		opts: opts, links: map[int]*link{},
+		opts: opts, clk: clk, links: map[int]*link{},
 		replies: make(chan *ctlMsg, 1), abortCh: make(chan struct{}),
 	}
 	defer func() {
@@ -120,15 +128,30 @@ func NewTCPTransport(opts TCPOptions) (t *TCPTransport, err error) {
 	if t.ln, err = net.Listen("tcp", ":0"); err != nil {
 		return t, fmt.Errorf("mpi: data listener: %w", err)
 	}
-	coord, err := dialLink(opts.Join)
+	coord, err := dialLink(clk, opts.Join)
 	if err != nil {
 		return t, fmt.Errorf("mpi: rendezvous %s: %w", opts.Join, err)
 	}
 	t.links[coordinator] = coord
-	if err = handshake(coord, &ctlMsg{
-		T: "register", Lo: opts.RankLo, Hi: opts.RankHi,
-		P: opts.P, Addr: t.ln.Addr().String(), FP: opts.Fingerprint,
-	}, t.mesh); err != nil {
+	// One deadline over the handshake: on expiry the rendezvous link and
+	// the data listener close under whichever wait holds them.
+	deadline, release := clk.After(formTimeout)
+	defer release()
+	formed := make(chan error, 1)
+	go func() {
+		formed <- handshake(coord, &ctlMsg{
+			T: "register", Lo: opts.RankLo, Hi: opts.RankHi,
+			P: opts.P, Addr: t.ln.Addr().String(), FP: opts.Fingerprint,
+		}, t.mesh)
+	}()
+	select {
+	case err = <-formed:
+	case <-deadline:
+		coord.close()
+		t.ln.Close()
+		err = fmt.Errorf("%v: fleet not formed within %v", <-formed, formTimeout)
+	}
+	if err != nil {
 		return t, err
 	}
 	t.logf("fleet formed: session=%s member=%d/%d ranks=%d..%d",
@@ -149,8 +172,8 @@ func (t *TCPTransport) mesh(roster *ctlMsg) (err error) {
 	t.info = FleetInfo{Session: roster.Session, Member: self, Members: n, HostsRank0: t.opts.RankLo == 0}
 	t.cut = newCut(self, n, func(idx int, req uint64) error {
 		return t.links[idx].sendCtl(&ctlMsg{T: "breq", Req: req})
-	}, t.abortCh)
-	return buildMesh(t.links, t.ln, t.members, self)
+	}, t.abortCh, t.clk)
+	return buildMesh(t.clk, t.links, t.ln, t.members, self)
 }
 
 // Info describes the formed fleet.
@@ -267,8 +290,6 @@ func (t *TCPTransport) start(rt *Runtime) error {
 		l.onWriteErr = func(err error) { t.writeFailed(from, err) }
 		go t.readLoop(l, from)
 	}
-	go pollWhile(func() bool { return t.phase.Load() < phaseClosed },
-		func() bool { return rt.anyWaiters.Load() > 0 }, rt.gcond.Broadcast)
 	return nil
 }
 
@@ -408,12 +429,26 @@ func (t *TCPTransport) allocComm(n int) CommID {
 		t.abort("comm alloc: %v", err)
 		panic(errAborted)
 	}
-	select {
-	case m := <-t.replies:
-		return CommID(m.Base)
-	case <-t.abortCh:
+	m, err := t.reply("a comm allocation")
+	if err != nil {
 		panic(errAborted)
 	}
+	return CommID(m.Base)
+}
+
+// reply awaits the coordinator's answer to a request; no answer within
+// resultTimeout aborts the fleet.
+func (t *TCPTransport) reply(what string) (*ctlMsg, error) {
+	expire, release := t.clk.After(resultTimeout)
+	defer release()
+	select {
+	case m := <-t.replies:
+		return m, nil
+	case <-expire:
+		t.abort("timed out after %v awaiting %s", resultTimeout, what)
+	case <-t.abortCh:
+	}
+	return nil, errors.New("mpi: " + *t.reason.Load())
 }
 
 // report snapshots the local ranks' final clocks and ledgers as a
@@ -461,13 +496,9 @@ func (t *TCPTransport) finish(res *Result, departed []int) (*Result, error) {
 	if err := t.links[coordinator].sendCtl(t.report("result", departed)); err != nil {
 		return nil, fmt.Errorf("mpi: result exchange: %w", err)
 	}
-	var final *ctlMsg
-	select {
-	case final = <-t.replies:
-	case <-t.abortCh:
-		return nil, errors.New("mpi: " + *t.reason.Load())
-	case <-time.After(resultTimeout):
-		return nil, fmt.Errorf("mpi: timed out awaiting fleet results")
+	final, err := t.reply("fleet results")
+	if err != nil {
+		return nil, err
 	}
 	if len(final.Clocks) != t.opts.P || len(final.Ledgers) != t.opts.P {
 		return nil, fmt.Errorf("mpi: malformed final results")

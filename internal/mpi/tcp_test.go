@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"chameleon/internal/clock"
 	"chameleon/internal/vtime"
 )
 
@@ -351,6 +352,130 @@ func TestTCPFleetConfigMismatchRejected(t *testing.T) {
 	wg.Wait()
 	if errs[0] == nil && errs[1] == nil {
 		t.Fatal("mismatched fingerprints both accepted")
+	}
+}
+
+// coordinate serves a rendezvous for a world of p on a port of its own:
+// a member under test dials it, and its registrations can be counted.
+func coordinate(t *testing.T, p int) (join string, s *rendezvousServer) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	s = newRendezvousServer(p, "sess")
+	go s.serve(ln)
+	return ln.Addr().String(), s
+}
+
+// TestFleetFormationDeadline: a fleet that does not form fails after
+// formTimeout on the transport's clock, naming the wait it was in, and
+// the coordinator aborts the members that did arrive. At the parent
+// commit the member waited on its roster, or in its mesh accept,
+// forever.
+func TestFleetFormationDeadline(t *testing.T) {
+	// form starts the member hosting rank r of a world of p, and returns
+	// its clock and where its error will arrive.
+	form := func(join string, p, r int) (*clock.Fake, chan error) {
+		clk, errc := clock.NewFake(time.Unix(0, 0)), make(chan error, 1)
+		go func() {
+			tr, err := newTCPTransport(TCPOptions{Join: join, RankLo: r, RankHi: r, P: p, Fingerprint: "fp"}, clk)
+			if err == nil {
+				tr.close()
+			}
+			errc <- err
+		}()
+		return clk, errc
+	}
+	expire := func(t *testing.T, clk *clock.Fake, errc chan error, wait string) {
+		t.Helper()
+		clk.BlockUntil(1) // the formation deadline: the dial armed nothing
+		clk.Advance(formTimeout)
+		err := <-errc
+		if err == nil || !strings.Contains(err.Error(), wait) || !strings.HasSuffix(err.Error(), "fleet not formed within 20s") {
+			t.Fatalf("err = %v, want one naming %q, then the deadline", err, wait)
+		}
+	}
+	t.Run("no second member: the roster", func(t *testing.T) {
+		join, s := coordinate(t, 2)
+		clk, errc := form(join, 2, 0)
+		admitted(t, s, 1)
+		expire(t, clk, errc, "awaiting roster")
+	})
+	t.Run("a peer that never dials: the mesh accept", func(t *testing.T) {
+		join, s := coordinate(t, 3)
+		clk, errc := form(join, 3, 1)
+		// The test is member 0 and member 2. Member 1 dials member 0's
+		// listener and says hello; then it can only wait on member 2,
+		// which never dials.
+		ln0, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln0.Close()
+		m0, m2 := rvDial(t, s), rvDial(t, s)
+		reg0 := reg(0, 0, 3, "fp")
+		reg0.Addr = ln0.Addr().String()
+		m0.send(t, reg0)
+		m2.send(t, reg(2, 2, 3, "fp"))
+		conn, err := ln0.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mesh := newLink(conn)
+		defer mesh.close()
+		if hello, err := mesh.recvCtl(); err != nil || hello.T != "hello" || hello.Member != 1 {
+			t.Fatalf("member 1 said %+v (%v), want its hello", hello, err)
+		}
+		expire(t, clk, errc, "mesh accept")
+		m0.expect(t, "roster")
+		if m := m0.expect(t, "abort"); !strings.Contains(m.Msg, "ranks 1-1") {
+			t.Fatalf("abort %q, want it to name the lost member", m.Msg)
+		}
+	})
+}
+
+// TestFleetReplyDeadline: when the coordinator never answers a result,
+// the member's run fails after resultTimeout on the transport's clock
+// through the one abort path, so the coordinator is told why (and would
+// relay it to every other member). At the parent commit the member
+// returned an error it told nobody, and each other member waited out
+// its own timeout.
+func TestFleetReplyDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	clk, runErr := clock.NewFake(time.Unix(0, 0)), make(chan error, 1)
+	go func() {
+		tr, err := newTCPTransport(TCPOptions{Join: ln.Addr().String(), RankLo: 0, RankHi: 0, P: 1}, clk)
+		if err == nil {
+			_, err = Run(Config{P: 1, Transport: tr}, func(*Proc) {})
+		}
+		runErr <- err
+	}()
+	// The test is the coordinator of a one-member fleet: it forms it,
+	// takes the member's result and says nothing more.
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := rvPump(t, newLink(conn))
+	r := coord.expect(t, "register")
+	coord.send(t, &ctlMsg{T: "roster", Session: "sess", Members: []memberSpec{{Lo: 0, Hi: 0, Addr: r.Addr}}})
+	coord.expect(t, "ready")
+	coord.send(t, &ctlMsg{T: "start"})
+	coord.expect(t, "result")
+	clk.BlockUntil(1) // the wait for the final
+	clk.Advance(resultTimeout)
+	const want = "timed out after 50s awaiting fleet results"
+	if err := <-runErr; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run: %v, want %q", err, want)
+	}
+	if m := coord.expect(t, "abort"); !strings.Contains(m.Msg, want) {
+		t.Fatalf("the coordinator was told %q, want %q", m.Msg, want)
 	}
 }
 
