@@ -53,7 +53,9 @@ test-race:
 # decoder kept in a test file (accept/reject and decoded file must
 # agree), the PUT path's canonical-payload scan against decoding and
 # re-encoding (it accepts exactly the bytes that re-encode to themselves,
-# and summarizes them as the decoded file), the sparse histogram every decoded leaf holds against the
+# and summarizes them as the decoded file), the walk over the bytes
+# against decoding and then visiting the tree (it fails exactly when the
+# decoder does, and makes the same callbacks), the sparse histogram every decoded leaf holds against the
 # pre-change array one (any op sequence must read the same), the TCP
 # frame decoder (every fleet
 # byte passes through it), the fault-plan decoder (-faults/-noise
@@ -61,7 +63,9 @@ test-race:
 # disk) and the federated listing's merge of peer answers (whatever a
 # peer's body says, and against a brute-force union when it is
 # honest), the rank-list compactor against the pre-change one kept
-# in a test file (every descriptor must agree), and the clustering
+# in a test file (every descriptor must agree), the rank-list
+# normal-form check against expanding and re-compacting with that
+# compactor, and the clustering
 # step's selection against the pre-change one kept in a test file
 # (every lead, descriptor and distance count must agree), and the
 # compressed-domain analysis against the pre-change one kept in a test
@@ -74,12 +78,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadAny -fuzztime=5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzScanMatchesDecode -fuzztime=10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzWalkMatchesAccept -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesReference -fuzztime=10s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzManifestLog -fuzztime=5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzScatterMerge -fuzztime=5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzUnionMatchesReference -fuzztime=10s ./internal/ranklist/
+	$(GO) test -run '^$$' -fuzz FuzzNormalFormCheck -fuzztime=10s ./internal/ranklist/
 	$(GO) test -run '^$$' -fuzz FuzzSelectMatchesReference -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzAnalyzeMatchesReference -fuzztime=10s ./internal/zan/
 

@@ -249,6 +249,73 @@ func dedup(sorted []int) []int {
 // FromRL wraps a single descriptor.
 func FromRL(r RL) List { return List{rls: []RL{r}} }
 
+// FromRLs wraps descriptors as written, in their order; the list keeps
+// rls. Only a list that passes Normal is what FromRanks would build.
+func FromRLs(rls []RL) List {
+	if len(rls) == 0 {
+		return List{}
+	}
+	return List{rls: rls}
+}
+
+// Normal reports whether the list holds exactly the descriptors
+// FromRanks builds for the ranks it covers, without expanding them.
+// FromRanks folds the sorted ranks into maximal strided runs, then
+// stacks equal runs recurring at a constant stride into 2D descriptors.
+// So each check is between a run and the next one, and the rows of a 2D
+// descriptor are alike, which makes the check O(descriptors):
+//   - every run covers at least two ranks at a positive stride, but a
+//     single rank, which only the last descriptor may be;
+//   - a 2D descriptor has at least two rows, and the gap from each row's
+//     last rank to the next row's start is positive and not the row's
+//     stride (or the runs would have been one);
+//   - so is the gap from one descriptor's last rank to the next start;
+//   - a 1D run is never followed by a run of the same shape, and a 2D
+//     descriptor's rows never by one more at its row stride (either
+//     would have been stacked in).
+func (l List) Normal() bool {
+	var prev Dim        // the previous descriptor's runs (Iters 0: none yet)
+	var last, outer int // its last row's start, and its row stride (0: 1D)
+	for i, r := range l.rls {
+		var run Dim
+		rows, rowStride := 1, 0
+		switch len(r.Dims) {
+		case 0:
+			if i != len(l.rls)-1 {
+				return false
+			}
+		case 2:
+			rows, rowStride = r.Dims[1].Iters, r.Dims[1].Stride
+			if rows < 2 {
+				return false
+			}
+			fallthrough
+		case 1:
+			run = r.Dims[0]
+			if run.Iters < 2 || run.Stride <= 0 {
+				return false
+			}
+			if rows > 1 {
+				if gap := rowStride - (run.Iters-1)*run.Stride; gap <= 0 || gap == run.Stride {
+					return false
+				}
+			}
+		default:
+			return false
+		}
+		if prev.Iters > 0 {
+			if gap := r.Start - (last + (prev.Iters-1)*prev.Stride); gap <= 0 || gap == prev.Stride {
+				return false
+			}
+			if run == prev && (outer == 0 || r.Start-last == outer) {
+				return false
+			}
+		}
+		prev, last, outer = run, r.Start+(rows-1)*rowStride, rowStride
+	}
+	return true
+}
+
 // SingleRank returns a list covering exactly one rank.
 func SingleRank(rank int) List { return FromRL(Single(rank)) }
 

@@ -314,3 +314,138 @@ func TestListBytesRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// splitOne rewrites the normal form l into one that covers the same
+// ranks but is not normal: descriptor k/2 of a 2D shape loses its first
+// row (k even) or its last (k odd) to a descriptor of its own, and a 1D
+// run of four or more its first or last two ranks — the cases FromRanks
+// would have joined.
+func splitOne(l List, k int) List {
+	if l.Empty() {
+		return l
+	}
+	i, last := (k/2)%len(l.rls), k%2 == 1
+	r := l.rls[i]
+	var parts []RL
+	switch {
+	case len(r.Dims) == 2:
+		row, rows := r.Dims[0], r.Dims[1]
+		rest := RL{Start: r.Start, Dims: []Dim{row, {Iters: rows.Iters - 1, Stride: rows.Stride}}}
+		if rows.Iters == 2 {
+			rest.Dims = rest.Dims[:1]
+		}
+		one := RL{Start: r.Start + (rows.Iters-1)*rows.Stride, Dims: []Dim{row}}
+		if !last {
+			one.Start, rest.Start = r.Start, r.Start+rows.Stride
+			parts = []RL{one, rest}
+		} else {
+			parts = []RL{rest, one}
+		}
+	case len(r.Dims) == 1 && r.Dims[0].Iters >= 4:
+		d := r.Dims[0]
+		head := 2
+		if last {
+			head = d.Iters - 2
+		}
+		parts = []RL{
+			{Start: r.Start, Dims: []Dim{{Iters: head, Stride: d.Stride}}},
+			{Start: r.Start + head*d.Stride, Dims: []Dim{{Iters: d.Iters - head, Stride: d.Stride}}},
+		}
+	default:
+		return l
+	}
+	out := slices.Clone(l.rls[:i])
+	out = append(out, parts...)
+	return List{rls: append(out, l.rls[i+1:]...)}
+}
+
+// checkNormal fails t unless Normal is true of the list one fuzz input
+// names exactly when the old compactor, given the ranks the list covers,
+// writes the list's own descriptors. With normA set the list is first
+// replaced by its normal form, and with split set that form has one
+// descriptor split (splitOne at edit's high bits).
+func checkNormal(t *testing.T, data []byte, edit uint8) {
+	t.Helper()
+	const split = normB
+	l := fuzzList(data)
+	if edit&normA != 0 {
+		l = refFromRanks(refListRanks(l))
+	}
+	if edit&split != 0 {
+		l = splitOne(l, int(edit>>2))
+	}
+	want := sameDescriptors(refFromRanks(refListRanks(l)), l)
+	if got := l.Normal(); got != want {
+		t.Fatalf("%v.Normal() = %v; its ranks %v compact to %v", l, got, refListRanks(l), refFromRanks(refListRanks(l)))
+	}
+}
+
+// normalSeeds are the lists randList draws, as fuzz inputs: raw, in
+// normal form, and in normal form with one descriptor split.
+func normalSeeds(n int) []unionSeed {
+	rng := rand.New(rand.NewSource(37))
+	seeds := make([]unionSeed, n)
+	for i := range seeds {
+		edit := []uint8{0, normA, normA | normB}[i%3]
+		seeds[i] = unionSeed{a: listBytes(randList(rng)), norm: edit | uint8(rng.Intn(64))<<2}
+	}
+	return seeds
+}
+
+// FuzzNormalFormCheck holds Normal, which checks descriptors without
+// expanding them, to the old compactor's expansion and re-compaction.
+func FuzzNormalFormCheck(f *testing.F) {
+	for _, s := range normalSeeds(64) {
+		f.Add(s.a, s.norm)
+	}
+	f.Fuzz(checkNormal)
+}
+
+// TestNormalFormCheckSeeds runs the oracle over more lists than the fuzz
+// seed corpus holds, over one hand-written list per rule Normal checks,
+// and over normal forms wider than fuzzList can write: large strided
+// grids and their splits.
+func TestNormalFormCheckSeeds(t *testing.T) {
+	for _, s := range normalSeeds(4000) {
+		checkNormal(t, s.a, s.norm)
+	}
+	for _, c := range []struct {
+		rls    []RL
+		normal bool
+	}{
+		{[]RL{New(0, Dim{4, 1}, Dim{2, 5})}, true},
+		{[]RL{New(0, Dim{4, 1}, Dim{2, 4})}, false}, // rows touch: one run of 8
+		{[]RL{New(0, Dim{4, 1}, Dim{2, 3})}, false}, // rows overlap
+		{[]RL{New(0, Dim{4, 1}, Dim{1, 9})}, false}, // one row
+		{[]RL{Range(0, 3, 2), Single(6)}, false},    // the single extends the run
+		{[]RL{Range(0, 3, 2), Single(7)}, true},
+		{[]RL{Single(0), Range(3, 2, 1)}, false}, // a single not at the end
+		{[]RL{Range(0, 2, 1), Range(5, 2, 1)}, false},
+		{[]RL{New(0, Dim{2, 1}, Dim{2, 5}), Range(10, 2, 1)}, false}, // a third row
+		{[]RL{New(0, Dim{2, 1}, Dim{2, 5}), Range(11, 2, 1)}, true},
+	} {
+		l := FromRLs(c.rls)
+		if got, want := l.Normal(), sameDescriptors(refFromRanks(refListRanks(l)), l); got != c.normal || want != c.normal {
+			t.Fatalf("%v.Normal() = %v, the compactor says %v, want %v", l, got, want, c.normal)
+		}
+	}
+	rng := rand.New(rand.NewSource(38))
+	for i := 0; i < 500; i++ {
+		var in []int
+		for r := rng.Intn(6); r >= 0; r-- {
+			base, stride, iters := rng.Intn(400), 1+rng.Intn(5), 1+rng.Intn(6)
+			for c := 0; c < iters; c++ {
+				in = append(in, base+c*stride)
+			}
+		}
+		l := refFromRanks(in)
+		if !l.Normal() {
+			t.Fatalf("the normal form %v of %v fails Normal", l, in)
+		}
+		for k := range 2 * len(l.rls) {
+			if s := splitOne(l, k); !sameDescriptors(s, l) && s.Normal() {
+				t.Fatalf("%v, split from the normal form %v, passes Normal", s, l)
+			}
+		}
+	}
+}

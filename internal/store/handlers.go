@@ -193,9 +193,9 @@ func (s *server) listRuns(q *request) (any, error) {
 }
 
 // StatsResponse is the JSON shape of GET /runs/{id}/stats: the
-// compressed-domain analysis report, computed by walking the stored RSD
-// tree once (internal/zan) — the archive never expands the trace to
-// serve it.
+// compressed-domain analysis report, computed in one walk over the
+// stored bytes (zan.AnalyzeBytes) — the archive neither builds the RSD
+// tree nor expands the trace to serve it.
 type StatsResponse struct {
 	ID     string      `json:"id"`
 	Report *zan.Report `json:"report"`
@@ -213,13 +213,13 @@ func (s *server) getStats(q *request) (any, error) {
 	if q.matches(etag) {
 		return notModified(etag), nil
 	}
-	f, _, err := tv.Get(run.ID)
+	payload, _, err := tv.Payload(run.ID)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := zan.Analyze(f, zan.Options{})
+	rep, err := zan.AnalyzeBytes(payload, zan.Options{})
 	if err != nil {
-		return nil, failf(http.StatusInternalServerError, "%v", err)
+		return nil, fmt.Errorf("store: segment %s: %w", run.ID[:12], err)
 	}
 	return reply{etag: etag, body: StatsResponse{ID: run.ID, Report: rep}}, nil
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -100,6 +102,56 @@ func TestNonCanonicalPushesLandUnderTheirReencoding(t *testing.T) {
 				t.Fatalf("stored payload is not the re-encoding: %v", err)
 			}
 		})
+	}
+}
+
+// A JSON body whose rank lists the binary reader refuses is refused at
+// the PUT, with a 400: stored, its re-encoding (lists as written) would
+// fail every later stats or JSON read of the run. One list is past a
+// bound (a dimension of 3 000 000 ranks); the other body holds two
+// distinct lists of 2^20 ranks written out of normal form, which
+// together expand past the reader's budget for such lists. A body
+// whose lists read back is stored as before.
+func TestJSONPushThatCannotReadBackIsRefused(t *testing.T) {
+	var js bytes.Buffer
+	if err := mkTrace(4, "refused", 37).Write(&js); err != nil {
+		t.Fatal(err)
+	}
+	const list = `[{"start":0,"dims":[[4,1]]}]`
+	if strings.Count(js.String(), list) != 3 {
+		t.Fatalf("the JSON trace does not hold three rank lists %s", list)
+	}
+	split := func(start int) string {
+		return fmt.Sprintf(`[{"start":%d,"dims":[[524288,1]]},{"start":%d,"dims":[[524288,1]]}]`, start, start+524288)
+	}
+	bodies := map[string]string{
+		"dimension past the bound": strings.Replace(js.String(), list, `[{"start":0,"dims":[[3000000,0]]}]`, 1),
+		"past the budget":          strings.Replace(strings.Replace(js.String(), list, split(0), 1), list, split(1), 1),
+	}
+	a, srv := newTestServer(t, Options{}, ServerOptions{})
+	for name, body := range bodies {
+		t.Run(name, func(t *testing.T) {
+			if _, err := trace.DecodeAny([]byte(body)); err != nil {
+				t.Fatalf("the JSON body does not decode: %v", err)
+			}
+			if _, created, err := a.IngestBytes([]byte(body)); err == nil || created {
+				t.Fatalf("ingest: created=%v err=%v", created, err)
+			}
+			if code, _, _ := tenantDo(t, http.MethodPut, srv.URL+"/runs", "", []byte(body), nil); code != http.StatusBadRequest {
+				t.Fatalf("PUT answered %d, want 400", code)
+			}
+		})
+	}
+	if runs, total := a.List(Query{}); total != 0 {
+		t.Fatalf("the archive holds %v", runs)
+	}
+	fits := strings.Replace(js.String(), list, split(0), 1)
+	run, created, err := a.IngestBytes([]byte(fits))
+	if err != nil || !created {
+		t.Fatalf("a body within the budget: created=%v err=%v", created, err)
+	}
+	if _, _, err := a.Get(run.ID); err != nil {
+		t.Fatalf("the stored run does not read: %v", err)
 	}
 }
 

@@ -30,18 +30,26 @@ package trace
 // min, max, mean and the sparse bucket set.
 //
 // The codec works on whole byte slices. Encoding appends into one
-// buffer. Decoding reads straight out of the input, which it never
-// retains (strings are copied out), and never expands a rank list: a
-// file holds few distinct lists (a P=64 LU trace: 10 across 1 162
-// leaves), so each is decoded once and memoized by its encoded bytes,
-// and every later leaf whose list has the same bytes shares it. The
+// buffer. Reading is one walker behind three entry points, which so
+// share every bound and fail on the same inputs: DecodeBinary keeps the
+// nodes, Walk hands them to a Visitor one at a time in scratch, and
+// ScanCanonical checks that the bytes are canonical. The walker reads
+// straight out of the input, which it never retains (strings are copied
+// out). A file holds few distinct rank lists (a P=64 LU trace: 10
+// across 1 162 leaves), so each is read once and memoized by its
+// encoded bytes, and every later leaf whose list has the same bytes
+// shares it. A list in the compactor's normal form (ranklist.Normal),
+// which is every list the encoder writes, is checked in O(descriptors)
+// and kept as written, never expanded; only a list written otherwise
+// (a JSON or v1 file's) is expanded and re-compacted, against a budget
+// of ranks for the whole file drawn from the input's size. Decoded, the
 // nodes of one sequence come from one []Node and their histograms from
 // one []stats.Histogram, each sized to that sequence — so a node kept
 // from a decoded file keeps its whole sequence's slab alive. The sizes
 // are declared counts, so the slabs of all sequences together draw on
 // one budget, the nodes the whole input can hold, and the 64-bucket
 // arrays of histograms with three or more buckets on another: what a
-// decode allocates stays proportional to its input however the counts
+// read allocates stays proportional to its input however the counts
 // lie.
 
 import (
@@ -52,6 +60,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"chameleon/internal/mpi"
@@ -264,48 +273,59 @@ const (
 
 const maxBinaryDepth = 64
 
-// maxRankExpansion bounds the total rank count one leaf's rank list may
-// cover: the first decode of a list materializes the cross product of
-// its dimensions, so corrupt iteration counts must be rejected before
-// expansion (a negative Iters would panic the allocator; a huge one
-// would OOM).
+// maxRankExpansion bounds the rank count of one leaf's rank list and the
+// file's rank count: what a reader that walks a list rank by rank, or
+// sizes a per-rank table, takes on.
 const maxRankExpansion = 1 << 20
 
 var (
 	errVarint       = errors.New("varint overflows 64 bits")
 	errNotCanonical = errors.New("not the canonical encoding")
+	errRankBudget   = errors.New("trace: rank lists not in normal form expand past the input's budget")
 )
 
-// decoder reads one binary trace straight out of its byte slice.
-type decoder struct {
+// walker reads one binary trace straight out of its byte slice: the one
+// reader of the format (see the top of this file).
+type walker struct {
 	b   []byte
 	off int
 	err error
 
+	// v sees the nodes (nil: no callbacks, as in DecodeBinary).
+	v Visitor
+	// f receives the header, site table, nodes and retired ranks, when
+	// the walk keeps them (DecodeBinary).
+	f *File
+	// strict rejects any bytes the encoder would not write for what
+	// they decode to (ScanCanonical).
+	strict bool
+
 	// sites is the deserialized v2 site table: leaf indices map through
 	// it to stack signatures and process-interned SiteIDs. nil for
-	// version-1 files (leaves carry raw signatures).
+	// version-1 files (leaves carry raw signatures). used counts the
+	// entries leaves have referenced so far (strict).
 	sites []decodedSite
-	// ranks memoizes every rank list decoded so far, keyed by its
-	// encoded bytes: equal bytes decode to an equal list, so a repeat
-	// shares the first decode and skips its checks, which those same
-	// bytes passed.
+	used  uint64
+	// ranks memoizes every rank list read so far, keyed by its encoded
+	// bytes: equal bytes read to an equal list, so a repeat shares the
+	// first and skips its checks, which those same bytes passed.
 	ranks map[string]ranklist.List
 	// nodes and hists are how many more nodes, and nodes carrying a
-	// histogram, the input can hold, across the whole file: a sequence's
-	// slabs are sized from its declared count before its nodes are read,
-	// so every slab draws on these, and nested sequences cannot each
-	// claim the same bytes.
+	// histogram, the input can hold, across the whole file: a kept
+	// sequence's slabs are sized from its declared count before its
+	// nodes are read, so every slab draws on these, and nested sequences
+	// cannot each claim the same bytes.
 	nodes, hists uint64
-	// spills is how many more histograms of three or more buckets the
-	// input can hold: each allocates a 64-bucket array beside its slab
-	// slot. A histogram spills only once its bytes are read, so the input
-	// bounds the arrays already; spills holds that bound in the decoder,
-	// beside the slabs', rather than in the order it reads.
+	// spills is how many more histograms of three or more buckets, each
+	// allocating a 64-bucket array once its bytes are read, the input can
+	// hold: the bound is the input's, held beside the slabs'.
 	spills uint64
-	// strict rejects a varint written in more bytes than it needs, which
-	// the encoder never writes: ScanCanonical reads with it set.
-	strict bool
+	// expand is how many more ranks lists not in normal form may expand
+	// to, file-wide: 2^20 (one list's most) plus one per input byte.
+	expand uint64
+
+	slots   []*slot // Walk's scratch, one per depth
+	scratch []byte  // strict: an element's canonical encoding
 }
 
 type decodedSite struct {
@@ -313,39 +333,51 @@ type decodedSite struct {
 	id  sig.SiteID
 }
 
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
+// slot is Walk's scratch at one depth: the node read there last, and its
+// one histogram (a leaf's Delta or a loop's ItersHist).
+type slot struct {
+	n Node
+	h stats.Histogram
+}
+
+// walkedBody is the Body of every loop Walk hands out: empty but not
+// nil, so the node reads as a loop. Its body arrives as the callbacks
+// between EnterLoop and LeaveLoop.
+var walkedBody = []*Node{}
+
+func (w *walker) fail(err error) {
+	if w.err == nil {
+		w.err = err
 	}
 }
 
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
+func (w *walker) uvarint() uint64 {
+	if w.err != nil {
 		return 0
 	}
-	if d.off < len(d.b) && d.b[d.off] < 0x80 {
-		v := d.b[d.off]
-		d.off++
+	if w.off < len(w.b) && w.b[w.off] < 0x80 {
+		v := w.b[w.off]
+		w.off++
 		return uint64(v)
 	}
-	v, n := binary.Uvarint(d.b[d.off:])
+	v, n := binary.Uvarint(w.b[w.off:])
 	switch {
 	case n == 0:
-		d.err = io.ErrUnexpectedEOF
+		w.err = io.ErrUnexpectedEOF
 		return 0
 	case n < 0:
-		d.err = errVarint
+		w.err = errVarint
 		return 0
-	case d.strict && n > 1 && d.b[d.off+n-1] == 0:
-		d.err = errNotCanonical
+	case w.strict && n > 1 && w.b[w.off+n-1] == 0:
+		w.err = errNotCanonical
 		return 0
 	}
-	d.off += n
+	w.off += n
 	return v
 }
 
-func (d *decoder) varint() int64 {
-	ux := d.uvarint()
+func (w *walker) varint() int64 {
+	ux := w.uvarint()
 	x := int64(ux >> 1)
 	if ux&1 != 0 {
 		x = ^x
@@ -353,36 +385,45 @@ func (d *decoder) varint() int64 {
 	return x
 }
 
-func (d *decoder) byte() byte {
-	if d.err != nil {
+// int reads a varint the node keeps in an int.
+func (w *walker) int() int {
+	v := w.varint()
+	if w.strict && int64(int(v)) != v {
+		w.fail(errNotCanonical)
+	}
+	return int(v)
+}
+
+func (w *walker) byte() byte {
+	if w.err != nil {
 		return 0
 	}
-	if d.off >= len(d.b) {
-		d.err = io.ErrUnexpectedEOF
+	if w.off >= len(w.b) {
+		w.err = io.ErrUnexpectedEOF
 		return 0
 	}
-	v := d.b[d.off]
-	d.off++
+	v := w.b[w.off]
+	w.off++
 	return v
 }
 
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil || n > 1<<20 {
-		d.fail(fmt.Errorf("trace: string too long"))
+func (w *walker) str() string {
+	n := w.uvarint()
+	if w.err != nil || n > 1<<20 {
+		w.fail(fmt.Errorf("trace: string too long"))
 		return ""
 	}
-	if n > d.left() {
-		d.err = io.ErrUnexpectedEOF
+	if n > w.left() {
+		w.err = io.ErrUnexpectedEOF
 		return ""
 	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
+	s := string(w.b[w.off : w.off+int(n)])
+	w.off += int(n)
 	return s
 }
 
 // left is the count of input bytes not yet read.
-func (d *decoder) left() uint64 { return uint64(len(d.b) - d.off) }
+func (w *walker) left() uint64 { return uint64(len(w.b) - w.off) }
 
 // ReadBinary deserializes a binary trace file (either format version)
 // from r, read to its end.
@@ -395,100 +436,169 @@ func ReadBinary(r io.Reader) (*File, error) {
 }
 
 // DecodeBinary deserializes a binary trace file (either format version)
-// held in memory. The decoded file does not retain b.
+// held in memory: the walk that keeps what it reads. The decoded file
+// does not retain b.
 func DecodeBinary(b []byte) (*File, error) {
-	if len(b) < len(binaryMagicV2) {
-		return nil, fmt.Errorf("trace: read magic: %w", io.ErrUnexpectedEOF)
+	w := walker{f: &File{}}
+	if err := w.walk(b); err != nil {
+		return nil, err
 	}
-	var version int
-	switch [8]byte(b) {
-	case binaryMagicV1:
-		version = 1
-	case binaryMagicV2:
-		version = 2
-	default:
-		return nil, fmt.Errorf("trace: not a binary trace file")
-	}
-	d := &decoder{
-		b:      b,
-		off:    len(binaryMagicV2),
-		nodes:  uint64(len(b)) / minNodeBytes,
-		hists:  uint64(len(b)) / minHistNodeBytes,
-		spills: uint64(len(b)) / minSpillBytes,
-	}
-	f := &File{}
-	f.P = int(d.uvarint())
-	if d.err == nil {
-		if err := checkRankCount(f.P); err != nil {
-			return nil, err
-		}
-	}
-	flags := d.byte()
-	f.Clustered = flags&1 != 0
-	f.Filter = flags&2 != 0
-	f.Benchmark = d.str()
-	f.Tracer = d.str()
-	if version >= 2 {
-		d.siteTable(f)
-	}
-	f.Nodes = d.seq(0)
-	if flags&4 != 0 {
-		f.Retired = d.retired(f.P)
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("trace: decode binary: %w", d.err)
-	}
-	return f, nil
+	return w.f, nil
 }
 
-// siteTable decodes the v2 call-site table, re-interning each entry
-// into the process table (so decoded events get live SiteIDs) and
-// recording the serializable form on the file.
-func (d *decoder) siteTable(f *File) {
-	n := d.uvarint()
-	if d.err != nil || n > 1<<20 || n > d.left()/minSiteBytes {
-		d.fail(fmt.Errorf("trace: site table too large"))
+// walk reads b whole: magic, header, site table, nodes and the retired
+// section.
+func (w *walker) walk(b []byte) error {
+	if len(b) < len(binaryMagicV2) {
+		return fmt.Errorf("trace: read magic: %w", io.ErrUnexpectedEOF)
+	}
+	magic := [8]byte(b)
+	if magic != binaryMagicV1 && magic != binaryMagicV2 {
+		return fmt.Errorf("trace: not a binary trace file")
+	}
+	w.b, w.off = b, len(binaryMagicV2)
+	w.nodes = uint64(len(b)) / minNodeBytes
+	w.hists = uint64(len(b)) / minHistNodeBytes
+	w.spills = uint64(len(b)) / minSpillBytes
+	w.expand = maxRankExpansion + uint64(len(b))
+
+	h := Header{P: int(w.uvarint())}
+	if w.err == nil {
+		if err := checkRankCount(h.P); err != nil {
+			return err
+		}
+	}
+	flags := w.byte()
+	if w.strict && flags&^7 != 0 {
+		w.fail(errNotCanonical)
+	}
+	h.Clustered, h.Filter = flags&1 != 0, flags&2 != 0
+	h.Benchmark, h.Tracer = w.str(), w.str()
+	if magic == binaryMagicV2 {
+		w.siteTable()
+	}
+	n := w.count(0)
+	h.Windows = int(n)
+	if hv, ok := w.v.(HeaderVisitor); ok && w.err == nil {
+		hv.Header(h)
+	}
+	nodes := w.seq(n, 0, Cursor{Mult: 1})
+	var retired []int
+	if flags&4 != 0 {
+		retired = w.retired(h.P)
+	}
+	if w.strict && w.err == nil && (w.used != uint64(len(w.sites)) || w.off != len(b)) {
+		w.fail(errNotCanonical) // a site no leaf uses, or trailing bytes
+	}
+	if w.err != nil {
+		return fmt.Errorf("trace: decode binary: %w", w.err)
+	}
+	if f := w.f; f != nil {
+		f.P, f.Clustered, f.Filter, f.Benchmark, f.Tracer = h.P, h.Clustered, h.Filter, h.Benchmark, h.Tracer
+		f.Nodes, f.Retired = nodes, retired
+	}
+	return nil
+}
+
+// siteTable reads the v2 call-site table, re-interning each entry into
+// the process table (so leaves get live SiteIDs) and, kept, recording
+// the serializable form on the file. Strict, each entry must carry the
+// metadata the encoder would write for it (what the interned site
+// resolves to), and a signature may appear once.
+func (w *walker) siteTable() {
+	n := w.uvarint()
+	if w.err != nil || n > 1<<20 || n > w.left()/minSiteBytes {
+		w.fail(fmt.Errorf("trace: site table too large"))
 		return
 	}
-	d.sites = make([]decodedSite, 0, n) // non-nil even when empty: the file is v2
-	if n > 0 {
-		f.Sites = make([]sig.SiteInfo, 0, n)
+	w.sites = make([]decodedSite, 0, n) // non-nil even when empty: the file is v2
+	if w.f != nil && n > 0 {
+		w.f.Sites = make([]sig.SiteInfo, 0, n)
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		info := sig.SiteInfo{
-			ID:   uint32(i),
-			Sig:  d.uvarint(),
-			Func: d.str(),
-			File: d.str(),
-			Line: int(d.varint()),
+	for i := uint64(0); i < n && w.err == nil; i++ {
+		info := sig.SiteInfo{ID: uint32(i), Sig: w.uvarint(), Func: w.str(), File: w.str()}
+		line := w.varint()
+		info.Line = int(line)
+		if w.err != nil {
+			return
 		}
-		d.sites = append(d.sites, decodedSite{sig: sig.Stack(info.Sig), id: sig.Sites.InternSigMeta(info)})
-		f.Sites = append(f.Sites, info)
+		id := sig.Sites.InternSigMeta(info)
+		if w.strict {
+			// collectSites: the metadata of the leaf's interned site, if it
+			// resolves to this signature, else none.
+			ri, ok := sig.Sites.Resolve(id)
+			if !ok || ri.Sig != info.Sig {
+				ri = sig.SiteInfo{}
+			}
+			if int64(info.Line) != line || ri.Func != info.Func || ri.File != info.File || ri.Line != info.Line {
+				w.fail(errNotCanonical)
+				return
+			}
+		}
+		w.sites = append(w.sites, decodedSite{sig: sig.Stack(info.Sig), id: id})
+		if w.f != nil {
+			w.f.Sites = append(w.f.Sites, info)
+		}
+	}
+	if w.strict {
+		sorted := make([]sig.Stack, len(w.sites))
+		for i, s := range w.sites {
+			sorted[i] = s.sig
+		}
+		slices.Sort(sorted)
+		if len(slices.Compact(sorted)) != len(w.sites) {
+			w.fail(errNotCanonical) // the encoder writes one entry per signature
+		}
 	}
 }
 
-// seq decodes one node sequence into a single []Node, its histograms
-// into a single []stats.Histogram made at the first node that needs one
-// and sized to the nodes left.
-func (d *decoder) seq(depth int) []*Node {
+// count reads the node count of a sequence at depth and draws it from
+// the file's node budget.
+func (w *walker) count(depth int) uint64 {
 	if depth > maxBinaryDepth {
-		d.fail(fmt.Errorf("trace: nesting too deep"))
+		w.fail(fmt.Errorf("trace: nesting too deep"))
+		return 0
+	}
+	n := w.uvarint()
+	if w.err != nil || n > 1<<24 || n > w.nodes || n > w.left()/minNodeBytes {
+		w.fail(fmt.Errorf("trace: node count too large"))
+		return 0
+	}
+	w.nodes -= n
+	return n
+}
+
+// seq reads a sequence of n nodes at depth, under cursor c (each
+// top-level node is its own window). Kept, it returns them: one []Node,
+// their histograms in one []stats.Histogram made at the first node that
+// needs one and sized to the nodes left. Walked, each node is read into
+// the depth's slot.
+func (w *walker) seq(n uint64, depth int, c Cursor) []*Node {
+	if w.err != nil {
 		return nil
 	}
-	n := d.uvarint()
-	if d.err != nil || n > 1<<24 || n > d.nodes || n > d.left()/minNodeBytes {
-		d.fail(fmt.Errorf("trace: node count too large"))
-		return nil
+	hists := histSlab{budget: &w.hists}
+	var nodes []Node
+	var seq []*Node
+	var nd *Node
+	if w.f != nil {
+		nodes, seq = make([]Node, n), make([]*Node, n)
+	} else {
+		for len(w.slots) <= depth {
+			w.slots = append(w.slots, new(slot))
+		}
+		nd, hists.scratch = &w.slots[depth].n, &w.slots[depth].h
 	}
-	d.nodes -= n
-	nodes := make([]Node, n)
-	seq := make([]*Node, n)
-	hists := histSlab{budget: &d.hists}
-	for i := range nodes {
-		seq[i] = &nodes[i]
-		hists.left = uint64(len(nodes) - i)
-		d.node(&nodes[i], depth, &hists)
-		if d.err != nil {
+	for i := uint64(0); i < n; i++ {
+		if seq != nil {
+			nd, hists.left = &nodes[i], n-i
+			seq[i] = nd
+		}
+		if depth == 0 {
+			c.Window = int(i)
+		}
+		w.node(nd, depth, c, &hists)
+		if w.err != nil {
 			return nil
 		}
 	}
@@ -496,17 +606,23 @@ func (d *decoder) seq(depth int) []*Node {
 }
 
 // histSlab hands out the histograms of one sequence's nodes — at most
-// one each: a leaf's Delta or a loop's ItersHist.
+// one each: a leaf's Delta or a loop's ItersHist — or, walked, the
+// depth's one scratch histogram.
 type histSlab struct {
-	free   []stats.Histogram
-	left   uint64  // nodes of the sequence not yet decoded, the current one included
-	budget *uint64 // the decoder's hists
+	free    []stats.Histogram
+	left    uint64  // nodes of the sequence not yet read, the current one included
+	budget  *uint64 // the walker's hists
+	scratch *stats.Histogram
 }
 
 // next sizes a new slab to the nodes left, or to what the budget has
 // left — a histogram past it takes a slab of its own, which the bytes of
 // its node pay for.
 func (s *histSlab) next() *stats.Histogram {
+	if s.scratch != nil {
+		s.scratch.Reset()
+		return s.scratch
+	}
 	if len(s.free) == 0 {
 		k := min(s.left, *s.budget)
 		*s.budget -= k
@@ -518,195 +634,271 @@ func (s *histSlab) next() *stats.Histogram {
 	return h
 }
 
-func (d *decoder) node(n *Node, depth int, hists *histSlab) {
-	switch d.byte() {
+// node reads one node into n and, walked, hands it to the visitor: a
+// loop's body is read whether or not EnterLoop prunes it, so pruning
+// changes the callbacks, never what the walk accepts.
+func (w *walker) node(n *Node, depth int, c Cursor, hists *histSlab) {
+	*n = Node{}
+	switch w.byte() {
 	case tagLoop:
-		n.Iters = d.uvarint()
-		n.ItersHist = d.hist(hists)
-		n.Body = d.seq(depth + 1)
-	case tagLeaf:
-		n.Ev.Op = mpi.OpCode(d.uvarint())
-		if d.sites != nil {
-			idx := d.uvarint()
-			if idx >= uint64(len(d.sites)) {
-				d.fail(fmt.Errorf("trace: site index %d out of range", idx))
-				return
-			}
-			n.Ev.Stack = d.sites[idx].sig
-			n.Ev.Site = d.sites[idx].id
-		} else {
-			n.Ev.Stack = sig.Stack(d.uvarint())
+		n.Iters = w.uvarint()
+		n.ItersHist = w.hist(hists)
+		count := w.count(depth + 1)
+		if w.f != nil {
+			n.Body = w.seq(count, depth+1, c)
+			return
 		}
-		n.Ev.Comm = mpi.CommID(d.varint())
-		n.Ev.Tag = int(d.varint())
-		n.Ev.Bytes = int(d.varint())
-		n.Ev.Dest = d.endpoint()
-		n.Ev.Src = d.endpoint()
-		n.Ranks = d.rankList()
-		if n.Delta = d.hist(hists); n.Delta == nil {
+		n.Body = walkedBody
+		if w.v == nil || w.err != nil || !w.v.EnterLoop(n, c) {
+			v := w.v // read the body with no visitor to call back
+			w.v = nil
+			w.seq(count, depth+1, c)
+			w.v = v
+			return
+		}
+		w.seq(count, depth+1, Cursor{Mult: c.Mult * n.MeanIters(), Depth: c.Depth + 1, Window: c.Window})
+		if w.err == nil {
+			w.v.LeaveLoop(n, c)
+		}
+	case tagLeaf:
+		w.leaf(n)
+		if n.Delta = w.hist(hists); n.Delta == nil {
 			n.Delta = hists.next()
 		}
+		if w.v != nil && w.err == nil {
+			w.v.Leaf(n, c)
+		}
 	default:
-		d.fail(fmt.Errorf("trace: unknown node tag"))
+		w.fail(fmt.Errorf("trace: unknown node tag"))
 	}
 }
 
-// retired decodes the optional trailing retired-ranks section. The
-// count is bounded by the file's rank count (a retired rank must be a
-// world rank), so a corrupt count cannot force a huge allocation.
-func (d *decoder) retired(p int) []int {
-	n := d.uvarint()
-	if d.err != nil {
+// leaf reads a leaf's event and rank list.
+func (w *walker) leaf(n *Node) {
+	op := w.uvarint()
+	if w.strict && op > math.MaxUint8 { // an OpCode is a byte
+		w.fail(errNotCanonical)
+	}
+	n.Ev.Op = mpi.OpCode(op)
+	if w.sites != nil {
+		idx := w.uvarint()
+		if idx >= uint64(len(w.sites)) {
+			w.fail(fmt.Errorf("trace: site index %d out of range", idx))
+			return
+		}
+		if w.strict && idx > w.used { // the encoder numbers sites in order of first use
+			w.fail(errNotCanonical)
+		} else if idx == w.used {
+			w.used++
+		}
+		n.Ev.Stack = w.sites[idx].sig
+		n.Ev.Site = w.sites[idx].id
+	} else {
+		n.Ev.Stack = sig.Stack(w.uvarint())
+	}
+	comm := w.varint()
+	if w.strict && int64(int32(comm)) != comm { // a CommID
+		w.fail(errNotCanonical)
+	}
+	n.Ev.Comm = mpi.CommID(comm)
+	n.Ev.Tag = w.int()
+	n.Ev.Bytes = w.int()
+	n.Ev.Dest = w.endpoint()
+	n.Ev.Src = w.endpoint()
+	n.Ranks = w.rankList()
+}
+
+// retired reads the optional trailing retired-ranks section. The count
+// is bounded by the file's rank count (a retired rank must be a world
+// rank), so a corrupt count cannot force a huge allocation. Strict, the
+// list is the sorted, duplicate-free, non-empty one the encoder writes.
+func (w *walker) retired(p int) []int {
+	n := w.uvarint()
+	if w.err != nil {
 		return nil
 	}
-	if p < 0 || n > uint64(p) || n > d.left() {
-		d.fail(fmt.Errorf("trace: retired count %d out of range", n))
+	if n > uint64(p) || n > w.left() {
+		w.fail(fmt.Errorf("trace: retired count %d out of range", n))
 		return nil
+	}
+	if w.strict && n == 0 {
+		w.fail(errNotCanonical)
 	}
 	out := make([]int, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		rk := d.varint()
-		if rk < 0 || rk >= int64(p) {
-			d.fail(fmt.Errorf("trace: retired rank %d out of range", rk))
+	prev := int64(-1)
+	for i := uint64(0); i < n && w.err == nil; i++ {
+		rk := w.varint()
+		switch {
+		case w.err != nil:
+		case rk < 0 || rk >= int64(p):
+			w.fail(fmt.Errorf("trace: retired rank %d out of range", rk))
 			return nil
+		case w.strict && rk <= prev:
+			w.fail(errNotCanonical)
 		}
+		prev = rk
 		out = append(out, int(rk))
 	}
 	return out
 }
 
-func (d *decoder) endpoint() Endpoint {
-	e := Endpoint{Kind: EPKind(d.byte())}
+func (w *walker) endpoint() Endpoint {
+	e := Endpoint{Kind: EPKind(w.byte())}
 	if e.Kind == EPRelative || e.Kind == EPAbsolute {
-		e.Off = int(d.varint())
+		e.Off = w.int()
 	}
 	return e
 }
 
-// rankList decodes one leaf's rank list, or shares the list an earlier
-// leaf decoded from the same bytes.
-func (d *decoder) rankList() ranklist.List {
-	start := d.off
-	d.skipRanks()
-	if d.err != nil {
+// rankList reads one leaf's rank list, or shares the list an earlier
+// leaf read from the same bytes.
+func (w *walker) rankList() ranklist.List {
+	start := w.off
+	descs, dims := w.skipRanks()
+	if w.err != nil {
 		return ranklist.List{}
 	}
-	if l, ok := d.ranks[string(d.b[start:d.off])]; ok {
+	if l, ok := w.ranks[string(w.b[start:w.off])]; ok {
 		return l
 	}
-	end := d.off
-	d.off = start
-	l := d.ranksChecked()
-	if d.err != nil {
+	end := w.off
+	w.off = start
+	l := w.ranksChecked(descs, dims)
+	if w.err != nil {
 		return ranklist.List{}
 	}
-	if d.ranks == nil {
-		d.ranks = make(map[string]ranklist.List)
+	if w.ranks == nil {
+		w.ranks = make(map[string]ranklist.List)
 	}
-	d.ranks[string(d.b[start:end])] = l
+	w.ranks[string(w.b[start:end])] = l
 	return l
 }
 
 // skipRanks moves past one encoded rank list, checking only that its
-// varints are there.
-func (d *decoder) skipRanks() {
-	n := d.uvarint()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		d.varint() // start
-		dims := d.uvarint()
-		for j := uint64(0); j < dims && d.err == nil; j++ {
-			d.varint() // iters
-			d.varint() // stride
+// varints are there, and returns its descriptor and dimension counts,
+// which the bytes it moved past bound.
+func (w *walker) skipRanks() (descs, dims uint64) {
+	descs = w.uvarint()
+	for i := uint64(0); i < descs && w.err == nil; i++ {
+		w.varint() // start
+		k := w.uvarint()
+		for j := uint64(0); j < k && w.err == nil; j++ {
+			w.varint() // iters
+			w.varint() // stride
 		}
+		dims += k
 	}
+	return descs, dims
 }
 
-// ranksChecked decodes one rank list the first time its bytes are seen:
-// every bound checked, the descriptors expanded and re-compacted, so the
-// list is held in its normal form whatever descriptors were written.
-func (d *decoder) ranksChecked() ranklist.List {
-	n := d.uvarint()
-	if d.err != nil || n > 1<<20 {
-		d.fail(fmt.Errorf("trace: rank list too large"))
+// ranksChecked reads one rank list the first time its bytes are seen —
+// descs descriptors of dims dimensions in all, as skipRanks counted
+// them — checking every bound. A list in the normal form FromRanks
+// builds, which is every list the encoder writes, is kept as written,
+// in one []RL and one []Dim, never expanded. Any other is expanded and
+// re-compacted against the file's expansion budget, so every list read
+// is held in its normal form; strict, it is rejected.
+func (w *walker) ranksChecked(descs, dims uint64) ranklist.List {
+	w.uvarint() // descs
+	if descs > 1<<20 {
+		w.fail(fmt.Errorf("trace: rank list too large"))
 		return ranklist.List{}
 	}
-	var ranks []int
+	rls := make([]ranklist.RL, descs)
+	slab := make([]ranklist.Dim, dims)
 	total := uint64(0)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		start := int(d.varint())
+	for i := range rls {
+		start := int(w.varint())
 		if start < 0 || start > 1<<30 {
-			d.fail(fmt.Errorf("trace: rank list start %d out of range", start))
+			w.fail(fmt.Errorf("trace: rank list start %d out of range", start))
 			return ranklist.List{}
 		}
-		dims := d.uvarint()
-		if dims > 8 {
-			d.fail(fmt.Errorf("trace: rank list dims too large"))
+		k := w.uvarint()
+		if k > 8 {
+			w.fail(fmt.Errorf("trace: rank list dims too large"))
 			return ranklist.List{}
 		}
-		rl := ranklist.RL{Start: start}
+		rl := &rls[i]
+		rl.Start = start
+		if k > 0 {
+			rl.Dims, slab = slab[:k:k], slab[k:]
+		}
 		size := uint64(1)
-		for j := uint64(0); j < dims; j++ {
-			iters := d.varint()
-			stride := d.varint()
+		for j := range rl.Dims {
+			iters := w.varint()
+			stride := w.varint()
 			if iters < 1 || iters > maxRankExpansion ||
 				stride < -(1<<30) || stride > 1<<30 {
-				d.fail(fmt.Errorf("trace: rank list dimension out of range"))
+				w.fail(fmt.Errorf("trace: rank list dimension out of range"))
 				return ranklist.List{}
 			}
 			size *= uint64(iters)
 			if size > maxRankExpansion {
-				d.fail(fmt.Errorf("trace: rank list too large"))
+				w.fail(fmt.Errorf("trace: rank list too large"))
 				return ranklist.List{}
 			}
-			rl.Dims = append(rl.Dims, ranklist.Dim{
-				Iters:  int(iters),
-				Stride: int(stride),
-			})
+			rl.Dims[j] = ranklist.Dim{Iters: int(iters), Stride: int(stride)}
 		}
 		total += size
 		if total > maxRankExpansion {
-			d.fail(fmt.Errorf("trace: rank list too large"))
+			w.fail(fmt.Errorf("trace: rank list too large"))
 			return ranklist.List{}
 		}
-		if d.err != nil {
-			return ranklist.List{}
-		}
-		ranks = append(ranks, rl.Ranks()...)
 	}
-	return ranklist.FromRanks(ranks)
+	l := ranklist.FromRLs(rls)
+	switch {
+	case l.Normal():
+		return l
+	case w.strict:
+		w.fail(errNotCanonical)
+		return ranklist.List{}
+	case total > w.expand:
+		w.fail(errRankBudget)
+		return ranklist.List{}
+	}
+	w.expand -= total
+	return ranklist.FromRanks(l.Ranks())
 }
 
-// hist decodes an optional histogram into the sequence's slab; nil when
-// the encoding holds none.
-func (d *decoder) hist(hists *histSlab) *stats.Histogram {
-	count := d.uvarint()
+// hist reads an optional histogram into the sequence's slab (or the
+// depth's scratch); nil when the encoding holds none. Strict, the
+// histogram must re-encode to the bytes it was read from.
+func (w *walker) hist(hists *histSlab) *stats.Histogram {
+	start := w.off
+	count := w.uvarint()
 	if count == 0 {
 		return nil
 	}
 	h := hists.next()
-	min := d.varint()
-	max := d.varint()
-	mean := math.Float64frombits(d.uvarint())
-	nonzero := d.uvarint()
+	min := w.varint()
+	max := w.varint()
+	mean := math.Float64frombits(w.uvarint())
+	nonzero := w.uvarint()
 	if nonzero > 64 {
-		d.fail(fmt.Errorf("trace: histogram buckets out of range"))
+		w.fail(fmt.Errorf("trace: histogram buckets out of range"))
 		return h
 	}
 	if nonzero >= 3 {
-		if d.spills == 0 {
-			d.fail(fmt.Errorf("trace: more histogram buckets than the input holds"))
+		if w.spills == 0 {
+			w.fail(fmt.Errorf("trace: more histogram buckets than the input holds"))
 			return h
 		}
-		d.spills--
+		w.spills--
 	}
-	for i := uint64(0); i < nonzero && d.err == nil; i++ {
-		idx := d.uvarint()
-		c := d.uvarint()
+	for i := uint64(0); i < nonzero && w.err == nil; i++ {
+		idx := w.uvarint()
+		c := w.uvarint()
 		if idx < 64 {
 			h.SetBucket(int(idx), c)
 		}
 	}
 	h.Restore(min, max, mean, count)
+	if w.strict && w.err == nil {
+		w.scratch = appendHist(w.scratch[:0], h)
+		if !bytes.Equal(w.scratch, w.b[start:w.off]) {
+			w.fail(errNotCanonical)
+		}
+	}
 	return h
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,8 +17,9 @@ import (
 
 // CheckDecodeMatchesReference fails t unless the codec agrees with the
 // pre-change one (binary_ref_test.go) on data: both decoders accept it
-// or both reject it (but for a rank count above maxRankExpansion, which
-// only the codec rejects), and what they accept is the same file —
+// or both reject it (but for a rank count above maxRankExpansion, and
+// rank lists out of normal form past the expansion budget, which only
+// the codec rejects), and what they accept is the same file —
 // metadata, site table, every node, rank list and histogram (unexported
 // span included) — which both encoders write as the same bytes.
 // Exported to the external test package, which feeds it the archive
@@ -32,6 +34,11 @@ func CheckDecodeMatchesReference(t testing.TB, data []byte) {
 		if err == nil {
 			t.Fatalf("DecodeBinary accepted P=%d, above the bound %d", got.P, maxRankExpansion)
 		}
+		return
+	}
+	if refErr == nil && errors.Is(err, errRankBudget) {
+		// The reference predates the expansion budget: it expands every
+		// list out of normal form, however many ranks they come to in all.
 		return
 	}
 	if (err == nil) != (refErr == nil) {
@@ -176,6 +183,22 @@ func OracleSeeds(t testing.TB) map[string][]byte {
 	return seeds
 }
 
+// sortedOracleSeeds is OracleSeeds in the order of their names, so a
+// fuzz target's seed#N numbering is stable.
+func sortedOracleSeeds(t testing.TB) [][]byte {
+	seeds := OracleSeeds(t)
+	names := make([]string, 0, len(seeds))
+	for name := range seeds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([][]byte, len(names))
+	for i, name := range names {
+		out[i] = seeds[name]
+	}
+	return out
+}
+
 // memoFile assembles a v1 file of one loop over len(lists) leaves, each
 // with the rank list the given writer emits.
 func memoFile(c *corrupter, lists []func(*corrupter)) {
@@ -236,14 +259,8 @@ func TestDecodeMatchesReferenceSeeds(t *testing.T) {
 // FuzzDecodeMatchesReference: on any input the codec and the pre-change
 // codec accept or reject alike, and agree on what they accept.
 func FuzzDecodeMatchesReference(f *testing.F) {
-	seeds := OracleSeeds(f)
-	names := make([]string, 0, len(seeds))
-	for name := range seeds {
-		names = append(names, name)
-	}
-	sort.Strings(names) // stable seed#N numbering
-	for _, name := range names {
-		f.Add(seeds[name])
+	for _, data := range sortedOracleSeeds(f) {
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		CheckDecodeMatchesReference(t, data)

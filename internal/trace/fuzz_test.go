@@ -124,6 +124,9 @@ func FuzzReadBinary(f *testing.F) {
 	// reader sizes would have to allocate.
 	f.Add(hugeRankFile(1 << 40))
 	f.Add(hugeRankFile(1 << 22))
+	// Poison: distinct rank lists of 2^20 ranks each, which the decoder
+	// once expanded, every one.
+	f.Add(wideListsPayload())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := ReadBinary(bytes.NewReader(data))

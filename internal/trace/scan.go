@@ -6,24 +6,13 @@ package trace
 // A canonical payload is its own re-encoding, so whoever holds one needs
 // neither the decoded tree nor a second encoding of it.
 //
-// The scan reads with the decoder's own primitives and bounds and
-// builds no node: each element is read into a small scratch value (a
-// rank list, one reused histogram) whose canonical encoding is compared
-// with the bytes it was read from, and what the encoder derives rather
-// than reads (the site table's order and metadata, the retired ranks'
-// order, the flags) is checked against what the decoded file would
-// carry.
-
-import (
-	"bytes"
-	"fmt"
-	"math"
-	"slices"
-
-	"chameleon/internal/ranklist"
-	"chameleon/internal/sig"
-	"chameleon/internal/stats"
-)
+// The scan is the walker of Walk, strict, under a visitor that keeps only
+// what a Summary holds: each element is read into scratch, a rank list
+// is checked to be in normal form without expanding it, a histogram is
+// re-encoded and compared with the bytes it was read from, and what the
+// encoder derives rather than reads (the site table's order and
+// metadata, the retired ranks' order, the flags) is checked against what
+// the decoded file would carry.
 
 // Summary is what the archive records of a trace without holding its
 // nodes.
@@ -69,262 +58,40 @@ func ScanCanonical(b []byte) (Summary, bool) {
 	if len(b) < len(binaryMagicV2) || [8]byte(b) != binaryMagicV2 {
 		return Summary{}, false
 	}
-	s := scanner{decoder: decoder{
-		b:      b,
-		off:    len(binaryMagicV2),
-		nodes:  uint64(len(b)) / minNodeBytes,
-		spills: uint64(len(b)) / minSpillBytes,
-		strict: true,
-	}}
-	sum := s.file()
-	if s.err != nil || s.off != len(b) {
+	var s summarizer
+	w := walker{v: &s, strict: true}
+	if w.walk(b) != nil {
 		return Summary{}, false
 	}
-	return sum, true
+	s.sum.Sigs = make([]uint64, len(w.sites))
+	for i, site := range w.sites {
+		s.sum.Sigs[i] = uint64(site.sig)
+	}
+	return s.sum, true
 }
 
-// scanner is a decoder that keeps, of everything it reads, only what a
-// Summary holds and what the next element is checked against.
-type scanner struct {
-	decoder
-	sigs    []uint64        // the site table's signatures
-	used    uint64          // site-table entries referenced so far
-	count   int             // nodes read so far
-	hist    stats.Histogram // scratch: the histogram being checked
-	scratch []byte          // scratch: an element's canonical encoding
+// summarizer is the scan's visitor: the header, the node count, and the
+// dynamic events with DynamicEvents' arithmetic (each leaf weighted by
+// its enclosing loops' Iters, not their MeanIters).
+type summarizer struct {
+	sum   Summary
+	iters []uint64 // [d]: the Iters product above depth d
 }
 
-func (s *scanner) file() Summary {
-	var sum Summary
-	sum.P = int(s.uvarint())
-	if s.err == nil {
-		if err := checkRankCount(sum.P); err != nil {
-			s.fail(err)
-		}
-	}
-	flags := s.byte()
-	if flags&^7 != 0 {
-		s.fail(errNotCanonical)
-	}
-	sum.Clustered = flags&1 != 0
-	sum.Benchmark = s.str()
-	sum.Tracer = s.str()
-	s.siteTable()
-	sum.Sigs = s.sigs
-	sum.DynamicEvents = s.seq(0)
-	sum.NodeCount = s.count
-	if s.used != uint64(len(s.sigs)) {
-		s.fail(errNotCanonical) // an entry no leaf uses
-	}
-	if flags&4 != 0 {
-		s.retired(sum.P)
-	}
-	return sum
+func (s *summarizer) Header(h Header) {
+	s.sum.P, s.sum.Benchmark, s.sum.Tracer, s.sum.Clustered = h.P, h.Benchmark, h.Tracer, h.Clustered
+	s.iters = append(s.iters, 1)
 }
 
-// siteTable interns the table as the decoder does and checks that each
-// entry carries the metadata the encoder would write for it: the
-// metadata the interned site resolves to. A signature may appear once.
-func (s *scanner) siteTable() {
-	n := s.uvarint()
-	if s.err != nil || n > 1<<20 || n > s.left()/minSiteBytes {
-		s.fail(fmt.Errorf("trace: site table too large"))
-		return
-	}
-	s.sigs = make([]uint64, 0, n)
-	for i := uint64(0); i < n && s.err == nil; i++ {
-		info := sig.SiteInfo{ID: uint32(i), Sig: s.uvarint(), Func: s.str(), File: s.str()}
-		line := s.varint()
-		info.Line = int(line)
-		if s.err != nil {
-			return
-		}
-		// collectSites: the metadata of the leaf's interned site, if it
-		// resolves to this signature, else none.
-		ri, ok := sig.Sites.Resolve(sig.Sites.InternSigMeta(info))
-		if !ok || ri.Sig != info.Sig {
-			ri = sig.SiteInfo{}
-		}
-		if int64(info.Line) != line || ri.Func != info.Func || ri.File != info.File || ri.Line != info.Line {
-			s.fail(errNotCanonical)
-			return
-		}
-		s.sigs = append(s.sigs, info.Sig)
-	}
-	sorted := slices.Clone(s.sigs)
-	slices.Sort(sorted)
-	if len(slices.Compact(sorted)) != len(s.sigs) {
-		s.fail(errNotCanonical) // the encoder writes one entry per signature
-	}
+func (s *summarizer) EnterLoop(n *Node, c Cursor) bool {
+	s.sum.NodeCount++
+	s.iters = append(s.iters[:c.Depth+1], s.iters[c.Depth]*n.Iters)
+	return true
 }
 
-// seq checks one node sequence and returns the dynamic events it
-// represents, with DynamicEvents' arithmetic.
-func (s *scanner) seq(depth int) uint64 {
-	if depth > maxBinaryDepth {
-		s.fail(fmt.Errorf("trace: nesting too deep"))
-		return 0
-	}
-	n := s.uvarint()
-	if s.err != nil || n > 1<<24 || n > s.nodes || n > s.left()/minNodeBytes {
-		s.fail(fmt.Errorf("trace: node count too large"))
-		return 0
-	}
-	s.nodes -= n
-	s.count += int(n)
-	var events uint64
-	for i := uint64(0); i < n && s.err == nil; i++ {
-		switch s.byte() {
-		case tagLoop:
-			iters := s.uvarint()
-			s.histogram()
-			events += iters * s.seq(depth+1)
-		case tagLeaf:
-			s.leaf()
-			events++
-		default:
-			s.fail(fmt.Errorf("trace: unknown node tag"))
-		}
-	}
-	return events
-}
+func (s *summarizer) LeaveLoop(*Node, Cursor) {}
 
-func (s *scanner) leaf() {
-	if s.uvarint() > math.MaxUint8 { // the decoder truncates to an OpCode
-		s.fail(errNotCanonical)
-	}
-	idx := s.uvarint()
-	switch {
-	case s.err != nil:
-		return
-	case idx >= uint64(len(s.sigs)):
-		s.fail(fmt.Errorf("trace: site index %d out of range", idx))
-	case idx > s.used: // the encoder numbers sites in order of first use
-		s.fail(errNotCanonical)
-	case idx == s.used:
-		s.used++
-	}
-	if c := s.varint(); int64(int32(c)) != c { // a CommID
-		s.fail(errNotCanonical)
-	}
-	s.intField() // tag
-	s.intField() // bytes
-	s.endpoint()
-	s.endpoint()
-	s.rankList()
-	s.histogram()
-}
-
-// intField reads a varint the decoder keeps in an int.
-func (s *scanner) intField() {
-	if v := s.varint(); int64(int(v)) != v {
-		s.fail(errNotCanonical)
-	}
-}
-
-func (s *scanner) endpoint() {
-	if k := EPKind(s.byte()); k == EPRelative || k == EPAbsolute {
-		s.intField()
-	}
-}
-
-// rankList checks one leaf's rank list the first time its bytes appear:
-// the decoder's bounds, then that the bytes are the encoding of the
-// normal form the decoder holds. A repeat is the bytes already checked.
-func (s *scanner) rankList() {
-	start := s.off
-	s.skipRanks()
-	if s.err != nil {
-		return
-	}
-	if _, ok := s.ranks[string(s.b[start:s.off])]; ok {
-		return
-	}
-	end := s.off
-	s.off = start
-	l := s.ranksChecked()
-	if s.err != nil {
-		return
-	}
-	s.scratch = appendRanks(s.scratch[:0], l)
-	if !bytes.Equal(s.scratch, s.b[start:end]) {
-		s.fail(errNotCanonical)
-		return
-	}
-	if s.ranks == nil {
-		s.ranks = make(map[string]ranklist.List)
-	}
-	s.ranks[string(s.b[start:end])] = l
-}
-
-// histogram restores an encoded histogram into the scratch one, as the
-// decoder restores it into its slab, and checks that it re-encodes to
-// the same bytes.
-func (s *scanner) histogram() {
-	start := s.off
-	count := s.uvarint()
-	if count == 0 {
-		return
-	}
-	h := &s.hist
-	h.Reset()
-	min := s.varint()
-	max := s.varint()
-	mean := math.Float64frombits(s.uvarint())
-	nonzero := s.uvarint()
-	if nonzero > 64 {
-		s.fail(fmt.Errorf("trace: histogram buckets out of range"))
-		return
-	}
-	if nonzero >= 3 {
-		if s.spills == 0 {
-			s.fail(fmt.Errorf("trace: more histogram buckets than the input holds"))
-			return
-		}
-		s.spills--
-	}
-	for i := uint64(0); i < nonzero && s.err == nil; i++ {
-		idx := s.uvarint()
-		c := s.uvarint()
-		if idx < 64 {
-			h.SetBucket(int(idx), c)
-		}
-	}
-	if s.err != nil {
-		return
-	}
-	h.Restore(min, max, mean, count)
-	s.scratch = appendHist(s.scratch[:0], h)
-	if !bytes.Equal(s.scratch, s.b[start:s.off]) {
-		s.fail(errNotCanonical)
-	}
-}
-
-// retired checks the retired section: the decoder's bounds, and the
-// sorted, duplicate-free, non-empty list the encoder writes.
-func (s *scanner) retired(p int) {
-	n := s.uvarint()
-	if s.err != nil {
-		return
-	}
-	if n > uint64(p) || n > s.left() {
-		s.fail(fmt.Errorf("trace: retired count %d out of range", n))
-		return
-	}
-	if n == 0 {
-		s.fail(errNotCanonical)
-		return
-	}
-	prev := int64(-1)
-	for i := uint64(0); i < n && s.err == nil; i++ {
-		rk := s.varint()
-		switch {
-		case s.err != nil:
-		case rk < 0 || rk >= int64(p):
-			s.fail(fmt.Errorf("trace: retired rank %d out of range", rk))
-		case rk <= prev:
-			s.fail(errNotCanonical)
-		}
-		prev = rk
-	}
+func (s *summarizer) Leaf(_ *Node, c Cursor) {
+	s.sum.NodeCount++
+	s.sum.DynamicEvents += s.iters[c.Depth]
 }

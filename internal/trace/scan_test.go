@@ -235,10 +235,11 @@ func TestScanCanonicalOnGeneratedTraces(t *testing.T) {
 }
 
 // TestScanAllocationBoundedByInput mirrors TestDecodeAllocationBoundedByInput
-// on the scan, which builds no node: whatever the counts say, it
+// on the scan, which builds no tree: whatever the counts say, it
 // allocates no more than the site table the input could hold (a
-// signature each, and the strings), one spill array for its one
-// histogram, and a little of its own: 50 to 600 bytes for these files.
+// signature each, and the strings), a scratch node and histogram per
+// depth (one spill array each at most), and a little of its own: 0.5 to
+// 19 KB for these files, the most for 65 nested loops.
 // A fresh histogram per histogram read takes the spilled file to 7 times
 // the bound, and a site table sized from its declared count alone takes
 // the lying table to 97 times it.
@@ -325,22 +326,17 @@ func TestScanAllocationBoundedByInput(t *testing.T) {
 // re-encoding (CheckScanMatchesDecode). The corpus is the one-edit
 // variants of a canonical payload, the decoder oracle's seeds (the
 // committed fixtures and FuzzReadBinary's and FuzzReadAny's seeds) and
-// FuzzReadBinary's other poison.
+// FuzzReadBinary's other poison, the wide rank lists among it.
 func FuzzScanMatchesDecode(f *testing.F) {
 	f.Add(scanSeed(""))
 	for _, edit := range scanEdits {
 		f.Add(scanSeed(edit))
 	}
-	seeds := OracleSeeds(f)
-	names := make([]string, 0, len(seeds))
-	for name := range seeds {
-		names = append(names, name)
-	}
-	sort.Strings(names) // stable seed#N numbering
-	for _, name := range names {
-		f.Add(seeds[name])
+	for _, data := range sortedOracleSeeds(f) {
+		f.Add(data)
 	}
 	f.Add(hugeRankFile(1 << 22))
+	f.Add(wideListsPayload())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		CheckScanMatchesDecode(t, data)
 	})

@@ -1,6 +1,8 @@
 package trace
 
-// Read-only visitor API over compressed RSD trees.
+// Read-only visitor API over compressed RSD trees: Accept walks a
+// decoded tree, Walk the binary encoding itself, with the same
+// callbacks.
 //
 // A walk touches every stored node exactly once; it never expands
 // loops. Instead the Cursor carries the product of the enclosing loop
@@ -37,6 +39,40 @@ type Visitor interface {
 	LeaveLoop(n *Node, c Cursor)
 	// Leaf is called for each leaf node.
 	Leaf(n *Node, c Cursor)
+}
+
+// Header is what a binary trace declares before its first node.
+type Header struct {
+	P                 int
+	Benchmark, Tracer string
+	Clustered, Filter bool
+	Windows           int // the top-level node count: every Cursor.Window is below it
+}
+
+// A HeaderVisitor is handed the header before the first node, to size
+// per-rank or per-window tables. Walk calls Header once; Accept, which
+// has no header, never does.
+type HeaderVisitor interface {
+	Visitor
+	Header(h Header)
+}
+
+// Walk drives v (nil: none, the bytes are only checked) straight from b,
+// a binary trace of either version, with the callbacks and cursors
+// Accept makes on the file DecodeBinary(b) returns, without building it.
+// It reads with the decoder's bounds and budgets, so it fails exactly
+// when DecodeBinary fails (a loop EnterLoop prunes is still read), maybe
+// after some callbacks.
+//
+// Every node Walk hands out is scratch, one per depth, reused by the
+// next node read at that depth, and so are its histograms: a visitor
+// must not keep a *Node, its Delta or its ItersHist past the callback it
+// was given in (a loop's lasts until its LeaveLoop). A loop's Body is
+// empty but not nil; its body is the callbacks in between. Rank lists
+// are shared, read once per distinct encoding, and may be kept.
+func Walk(b []byte, v Visitor) error {
+	w := walker{v: v}
+	return w.walk(b)
 }
 
 // Accept walks the sequence depth-first in trace order, visiting every

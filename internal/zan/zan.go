@@ -200,12 +200,14 @@ type tagCount struct {
 	sends, recvs uint64
 }
 
-// analyzer accumulates one walk. It implements trace.Visitor for the
-// closed-form mode; the expansion oracle drives the same leaf method
+// analyzer accumulates one walk. It implements trace.HeaderVisitor for
+// the closed-form mode, over a decoded tree (Accept) or straight over
+// its encoding (Walk); the expansion oracle drives the same leaf method
 // with weight 1 per dynamic occurrence.
 type analyzer struct {
-	p     int
-	model vtime.CostModel
+	p                 int
+	benchmark, tracer string
+	model             vtime.CostModel
 
 	windows []Window
 	ranks   []Rank
@@ -239,50 +241,70 @@ func Analyze(f *trace.File, opt Options) (*Report, error) {
 	if f.P <= 0 {
 		return nil, fmt.Errorf("zan: invalid rank count %d", f.P)
 	}
-	if (opt.Model == vtime.CostModel{}) {
-		opt.Model = vtime.Default()
-	}
-	a := &analyzer{
-		p:           f.P,
-		model:       opt.Model,
-		windows:     make([]Window, len(f.Nodes)),
-		ranks:       make([]Rank, f.P),
-		scratchComp: make([]int64, f.P),
-		scratchEv:   make([]uint64, f.P),
-		winDelta:    stats.NewHistogram(),
-		head:        make([]int32, f.P),
-		tags:        map[int]*tagCount{},
-	}
-	for r := range a.ranks {
-		a.ranks[r].Rank = r
-		a.head[r] = -1
-	}
-	for i, n := range f.Nodes {
-		a.windows[i] = Window{
-			Index:  i,
-			Nodes:  trace.NodeCount([]*trace.Node{n}),
-			Leaves: trace.LeafCount([]*trace.Node{n}),
-		}
-	}
-
-	a.cur = -1
+	a := newAnalyzer(opt)
+	a.Header(trace.Header{P: f.P, Benchmark: f.Benchmark, Tracer: f.Tracer, Windows: len(f.Nodes)})
 	if opt.Expand {
 		for i, n := range f.Nodes {
+			a.windows[i].Nodes = trace.NodeCount([]*trace.Node{n})
+			a.windows[i].Leaves = trace.LeafCount([]*trace.Node{n})
 			a.startWindow(i)
 			a.expand(n)
 		}
 	} else {
 		trace.Accept(f.Nodes, a)
 	}
-	a.startWindow(-1) // flush the last window
+	return a.report(), nil
+}
 
-	return a.report(f), nil
+// AnalyzeBytes is Analyze of the trace DecodeBinary(b) would return,
+// computed in one walk over b (trace.Walk) without building the tree:
+// the report is the same, field for field. The expansion mode needs the
+// tree, so with opt.Expand set b is decoded first.
+func AnalyzeBytes(b []byte, opt Options) (*Report, error) {
+	if opt.Expand {
+		f, err := trace.DecodeBinary(b)
+		if err != nil {
+			return nil, err
+		}
+		return Analyze(f, opt)
+	}
+	a := newAnalyzer(opt)
+	if err := trace.Walk(b, a); err != nil {
+		return nil, err
+	}
+	return a.report(), nil
+}
+
+func newAnalyzer(opt Options) *analyzer {
+	if (opt.Model == vtime.CostModel{}) {
+		opt.Model = vtime.Default()
+	}
+	return &analyzer{model: opt.Model, cur: -1, winDelta: stats.NewHistogram(), tags: map[int]*tagCount{}}
 }
 
 // --- walk plumbing ---
 
+// Header sizes the per-rank tables and the windows: the walk hands it
+// the rank count and top-level node count before the first node.
+func (a *analyzer) Header(h trace.Header) {
+	a.p, a.benchmark, a.tracer = h.P, h.Benchmark, h.Tracer
+	a.windows = make([]Window, h.Windows)
+	for i := range a.windows {
+		a.windows[i].Index = i
+	}
+	a.ranks = make([]Rank, h.P)
+	a.scratchComp = make([]int64, h.P)
+	a.scratchEv = make([]uint64, h.P)
+	a.head = make([]int32, h.P)
+	for r := range a.ranks {
+		a.ranks[r].Rank = r
+		a.head[r] = -1
+	}
+}
+
 func (a *analyzer) EnterLoop(n *trace.Node, c trace.Cursor) bool {
 	a.startWindow(c.Window)
+	a.windows[c.Window].Nodes++
 	return true
 }
 
@@ -290,6 +312,8 @@ func (a *analyzer) LeaveLoop(*trace.Node, trace.Cursor) {}
 
 func (a *analyzer) Leaf(n *trace.Node, c trace.Cursor) {
 	a.startWindow(c.Window)
+	a.windows[c.Window].Nodes++
+	a.windows[c.Window].Leaves++
 	a.leaf(n, c.Mult)
 }
 
@@ -563,18 +587,19 @@ func p2pSides(op mpi.OpCode) (sends, recvs bool) {
 
 // --- finalization ---
 
-func (a *analyzer) report(f *trace.File) *Report {
+func (a *analyzer) report() *Report {
+	a.startWindow(-1) // flush the last window
 	rep := &Report{
-		P:            f.P,
-		Benchmark:    f.Benchmark,
-		Tracer:       f.Tracer,
-		StoredNodes:  trace.NodeCount(f.Nodes),
-		StoredLeaves: trace.LeafCount(f.Nodes),
-		Windows:      a.windows,
-		Ranks:        a.ranks,
+		P:         a.p,
+		Benchmark: a.benchmark,
+		Tracer:    a.tracer,
+		Windows:   a.windows,
+		Ranks:     a.ranks,
 	}
 	for i := range a.windows {
 		w := &a.windows[i]
+		rep.StoredNodes += w.Nodes
+		rep.StoredLeaves += w.Leaves
 		rep.Events += w.Events
 		rep.ComputeNs += w.ComputeNs
 		rep.CommNs += w.CommNs

@@ -120,26 +120,44 @@ func genTrace(data []byte) *trace.File {
 
 // checkAnalyzeMatchesReference fails t unless Analyze and the
 // pre-change analyzer (zan_ref_test.go) return the same Report, field
-// for field, in the closed-form and in the expansion mode.
+// for field, in the closed-form and in the expansion mode; and so do
+// AnalyzeBytes over the file's encoding and the pre-change analyzer over
+// the file decoded from it (the codec keeps a histogram's mean, not its
+// variance).
 func checkAnalyzeMatchesReference(t *testing.T, f *trace.File) {
 	t.Helper()
+	payload := f.AppendBinary(nil)
+	decoded, err := trace.DecodeBinary(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, opt := range []Options{{}, {Expand: true}} {
-		got, err := Analyze(f, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := refAnalyze(f, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Expand=%v: Analyze differs from the reference:\n%+v\nvs\n%+v", opt.Expand, got, want)
+		for _, c := range []struct {
+			name    string
+			f       *trace.File
+			analyze func() (*Report, error)
+		}{
+			{"Analyze", f, func() (*Report, error) { return Analyze(f, opt) }},
+			{"AnalyzeBytes", decoded, func() (*Report, error) { return AnalyzeBytes(payload, opt) }},
+		} {
+			want, err := refAnalyze(c.f, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Expand=%v: %s differs from the reference:\n%+v\nvs\n%+v", opt.Expand, c.name, got, want)
+			}
 		}
 	}
 }
 
 // FuzzAnalyzeMatchesReference: on every generated program the channel
-// table reports exactly what the per-window channel maps did.
+// table reports exactly what the per-window channel maps did, whether
+// zan walks the tree or its encoding.
 func FuzzAnalyzeMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(34))
 	for i := 0; i < 64; i++ {

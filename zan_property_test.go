@@ -10,6 +10,7 @@ package chameleon_test
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -239,5 +240,55 @@ func TestAnalyzeBytesPerChannel(t *testing.T) {
 	t.Logf("%d windows, %d channels: %.0f B per channel", len(out.Trace.Nodes), chans, perChannel)
 	if perChannel > 200 {
 		t.Errorf("Analyze allocates %.0f B per channel over %d channels, want at most 200", perChannel, chans)
+	}
+}
+
+// TestAnalyzeBytesMatchesAnalyze: zan over the encoded bytes (one
+// trace.Walk, no tree) reports exactly what zan over the decoded file
+// does, field for field, on the skeletons of the benchmark workloads —
+// STENCIL at P=1024 and PHASE at P=256 under Chameleon, LU at P=256
+// under ScalaTrace, PHASE at P=64 (the fleet workload's program) — and
+// on the archive workload's corpus, four Chameleon traces and one
+// ScalaTrace trace at P=64.
+func TestAnalyzeBytesMatchesAnalyze(t *testing.T) {
+	for _, c := range []struct {
+		bench  string
+		p      int
+		tracer chameleon.Tracer
+	}{
+		{"STENCIL", 1024, chameleon.TracerChameleon},
+		{"PHASE", 256, chameleon.TracerChameleon},
+		{"LU", 256, chameleon.TracerScalaTrace},
+		{"PHASE", 64, chameleon.TracerChameleon},
+		{"BT", 64, chameleon.TracerChameleon},
+		{"LU", 64, chameleon.TracerChameleon},
+		{"SP", 64, chameleon.TracerChameleon},
+		{"CG", 64, chameleon.TracerChameleon},
+		{"LU", 64, chameleon.TracerScalaTrace},
+	} {
+		c := c
+		t.Run(fmt.Sprintf("%s/P%d/%s", c.bench, c.p, c.tracer), func(t *testing.T) {
+			t.Parallel()
+			out, err := chameleon.RunBenchmark(c.bench, "A", c.p, c.tracer, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := out.Trace.AppendBinary(nil)
+			f, err := trace.DecodeBinary(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := zan.Analyze(f, zan.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := zan.AnalyzeBytes(payload, zan.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("over the bytes:\n%+v\nover the decoded file:\n%+v", got, want)
+			}
+		})
 	}
 }
