@@ -42,10 +42,13 @@ test:
 # wrote into it while folding a crash would race with the other ranks'
 # reads on only some schedules. So do the DistributedSelect tests: a
 # parent reads the working set a child handed it by RawSend, and the
-# child must not write it again.
+# child must not write it again. So do the archive's request-bound
+# tests: serve waits for a handler on a goroutine of its own and answers
+# 503 at the deadline, and a reply the handler gives after that (a
+# relayed peer body) must be dropped by the handler's goroutine alone.
 test-race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover|TestDistributedSelect(MatchesSequentialTree|ObjectsPerRank)?$$' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ ./internal/cluster/ .
+	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover|TestDistributedSelect(MatchesSequentialTree|ObjectsPerRank)?$$|TestStuckHandlerAnsweredAtDeadline|TestSlowBodyAnsweredAtDeadline|TestDroppedRelayClosesPeerBody|TestOverCapBodyClosesConnection' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ ./internal/cluster/ .
 
 # fuzz: a short fuzz smoke over every decoder that parses bytes from
 # outside the program: the binary trace decoder (the archive ingests

@@ -12,7 +12,9 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"chameleon/internal/cq"
@@ -90,15 +92,66 @@ func call(method, url string, body []byte, contentType string, useGzip bool, out
 	switch out := out.(type) {
 	case nil:
 	case *[]byte:
-		if *out, err = io.ReadAll(resp.Body); err != nil {
+		if *out, err = readReply(resp.Body, resp.ContentLength, nil); err != nil {
 			return resp, fmt.Errorf("%s %s: %w", method, url, err)
 		}
 	default:
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := readJSON(resp.Body, resp.ContentLength, out); err != nil {
 			return resp, fmt.Errorf("%s %s: decode response: %w", method, url, err)
 		}
 	}
 	return resp, nil
+}
+
+// replyBufs holds the buffers JSON replies are read into. A buffer that
+// grew past maxBodyPresize for one large reply is not kept.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readJSON reads one JSON reply whole into a pooled buffer and
+// unmarshals it into out; length is the body's Content-Length (-1:
+// unknown). Unmarshalling copies what it keeps, so the buffer goes back
+// to the pool.
+func readJSON(body io.Reader, length int64, out any) error {
+	bp := replyBufs.Get().(*[]byte)
+	b, err := readReply(body, length, (*bp)[:0])
+	if err == nil {
+		err = json.Unmarshal(b, out)
+	}
+	if cap(b) <= maxBodyPresize {
+		*bp = b[:0]
+		replyBufs.Put(bp)
+	}
+	return err
+}
+
+// readReply appends a reply body to b and returns it. A stated length
+// sizes b up front, so a body that keeps its word is read without
+// growing b; the length is the peer's claim, so the up-front size is
+// capped at maxBodyPresize, and a body that does not match it is an
+// error, not a shorter reply. With no length (-1) b grows as the body
+// arrives.
+func readReply(body io.Reader, length int64, b []byte) ([]byte, error) {
+	start := len(b)
+	if length > 0 {
+		b = slices.Grow(b, int(min(length, maxBodyPresize)))
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+	if got := int64(len(b) - start); length >= 0 && got != length {
+		return b, fmt.Errorf("body of %d bytes, %d claimed", got, length)
+	}
+	return b, nil
 }
 
 // getJSON GETs a URL and decodes its JSON answer into out.

@@ -175,7 +175,7 @@ func TestColdPutAllocatesLessThanADecode(t *testing.T) {
 // A stats query is one walk over the stored bytes (zan.AnalyzeBytes),
 // with no tree built: the archive's side of it — the handler, its reply
 // written into a recorder — allocates less than one decode of the
-// payload: 0.25 MB against 0.30 MB, half of it zan's channel table. It
+// payload: 0.23 MB against 0.30 MB, half of it zan's channel table. It
 // used to decode the payload and then walk the tree, 0.56 MB. (The
 // client's JSON decode of the reply is another 0.1 MB, the reply's cost
 // rather than the query's.)

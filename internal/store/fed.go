@@ -286,7 +286,9 @@ func firstAnswer(node *mesh.Node, id string, call mesh.Call) *http.Response {
 
 // proxyOnMiss is the policy of the single-run reads: a peer holding the
 // run answers directly; a miss is put to the peers that may hold it and
-// their answer — bytes, ETag, conditional semantics — streamed back.
+// their answer — bytes, ETag, conditional semantics — streamed back. The
+// reply's body is the peer's: write closes it once relayed, and the
+// pipeline closes it if the deadline drops the reply.
 func (s *server) proxyOnMiss(rt *route, q *request) (any, error) {
 	v, err := rt.handle(s, q)
 	if !errors.Is(err, ErrNotFound) {
@@ -298,11 +300,7 @@ func (s *server) proxyOnMiss(rt *route, q *request) (any, error) {
 		return nil, err
 	}
 	s.mProxied.Inc()
-	return relay(resp, func(w io.Writer) error {
-		defer resp.Body.Close()
-		_, err := io.Copy(w, resp.Body)
-		return err
-	}), nil
+	return relay(resp, resp.Body), nil
 }
 
 // FedLookup builds the cq.Lookup a federated engine uses to resolve
@@ -380,15 +378,17 @@ func (s *server) scatterList(rt *route, q *request) (any, error) {
 	peers := s.node.Others()
 	answers := make([]*meshList, len(peers))
 	fanout(s.node, peers, mesh.Call{Path: "/runs?" + params.Encode(), Tenant: q.tenant},
-		func(i int, resp *http.Response) { answers[i] = readList(resp.StatusCode, resp.Body) })
+		func(i int, resp *http.Response) {
+			answers[i] = readList(resp.StatusCode, resp.Body, resp.ContentLength)
+		})
 	return mergeList(query, s.a.Tenant(q.tenant).match(query), peers, answers), nil
 }
 
-// readList decodes a peer's answer to a listing; nil means it gave none
-// the edge can use.
-func readList(status int, body io.Reader) *meshList {
+// readList decodes a peer's answer to a listing, a body of the length
+// it claimed (-1: unknown); nil means it gave none the edge can use.
+func readList(status int, body io.Reader, length int64) *meshList {
 	var ml meshList
-	if status != http.StatusOK || json.NewDecoder(body).Decode(&ml) != nil {
+	if status != http.StatusOK || readJSON(body, length, &ml) != nil {
 		return nil
 	}
 	return &ml

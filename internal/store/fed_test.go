@@ -44,6 +44,8 @@ type meshConfig struct {
 	// i's address instead of a chamd: the peer is in every node's
 	// membership but has no archive, node or engine.
 	stub func(i int) http.Handler
+	// client, when set, is peer i's intra-mesh HTTP client.
+	client func(i int) *http.Client
 }
 
 // startMesh boots n federated peers. Ports are reserved up front so
@@ -92,7 +94,11 @@ func startMesh(t *testing.T, n int, cfg meshConfig) []*fedPeer {
 		if cfg.clock != nil {
 			a.clk = cfg.clock(i)
 		}
-		node, err := mesh.NewNode(mesh.Options{Self: urls[i], Peers: urls, Replicas: cfg.replicas, Secret: cfg.secret})
+		mOpts := mesh.Options{Self: urls[i], Peers: urls, Replicas: cfg.replicas, Secret: cfg.secret}
+		if cfg.client != nil {
+			mOpts.Client = cfg.client(i)
+		}
+		node, err := mesh.NewNode(mOpts)
 		if err != nil {
 			t.Fatal(err)
 		}

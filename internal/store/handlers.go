@@ -6,6 +6,7 @@ package store
 // pipeline's status map. Federation wraps them from outside (fed.go).
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -74,7 +75,11 @@ func (s *server) getRun(q *request) (any, error) {
 		if err != nil {
 			return nil, failf(http.StatusInternalServerError, "%v", err)
 		}
-		return reply{etag: etag, ctype: "application/json", body: f.Write}, nil
+		var buf bytes.Buffer
+		if err := f.Write(&buf); err != nil {
+			return nil, failf(http.StatusInternalServerError, "%v", err)
+		}
+		return reply{etag: etag, ctype: "application/json", body: buf.Bytes()}, nil
 	}
 
 	rep := reply{etag: etag, ctype: "application/octet-stream", header: http.Header{
@@ -342,10 +347,16 @@ func (s *server) getHealthz(*request) (any, error) {
 
 func (s *server) getMetrics(q *request) (any, error) {
 	snap := s.opts.Reg.Snapshot()
+	rep, render := reply{ctype: obs.PrometheusContentType}, snap.WritePrometheus
 	if strings.Contains(q.r.Header.Get("Accept"), "application/json") {
-		return reply{ctype: "application/json", body: snap.WriteJSON}, nil
+		rep.ctype, render = "application/json", snap.WriteJSON
 	}
-	return reply{ctype: obs.PrometheusContentType, body: snap.WritePrometheus}, nil
+	var buf bytes.Buffer
+	if err := render(&buf); err != nil {
+		return nil, failf(http.StatusInternalServerError, "%v", err)
+	}
+	rep.body = buf.Bytes()
+	return rep, nil
 }
 
 // --- live telemetry endpoints ---
@@ -381,9 +392,8 @@ func (s *server) watchLive(q *request) (any, error) {
 }
 
 // longPoll parses a long-poll's ?version= (0 when absent) and resolves
-// its ?timeout= against the server's request timeout (the whole
-// pipeline sits under http.TimeoutHandler, so the poll must resolve
-// inside it).
+// its ?timeout= against the server's request timeout (serve answers 503
+// at a request's deadline, so the poll must resolve inside it).
 func (s *server) longPoll(q *request) (after uint64, wait time.Duration, err error) {
 	params := q.r.URL.Query()
 	if v := params.Get("version"); v != "" {

@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,20 +16,21 @@ import (
 	"chameleon/internal/obs"
 )
 
-// conformanceRig is one server under test beside two stub peers that
-// only count the requests they receive (and answer 404).
+// conformanceRig is one server under test — the pipeline NewServer
+// builds — beside two stub peers that only count the requests they
+// receive (and answer 404).
 type conformanceRig struct {
 	s        *server
-	h        http.Handler
 	reg      *obs.Registry
 	eng      *cq.Engine
 	peerHits *atomic.Int64
 	runBody  []byte
+	id       string // what fire puts for a route's run and session IDs
 }
 
 func newConformanceRig(t *testing.T, opts ServerOptions) *conformanceRig {
 	t.Helper()
-	rig := &conformanceRig{reg: obs.NewRegistry(), peerHits: new(atomic.Int64)}
+	rig := &conformanceRig{reg: obs.NewRegistry(), peerHits: new(atomic.Int64), id: "ffffffffffffffff"}
 	urls := []string{"http://self.invalid"}
 	for i := 0; i < 2; i++ {
 		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -47,8 +50,7 @@ func newConformanceRig(t *testing.T, opts ServerOptions) *conformanceRig {
 		t.Fatal(err)
 	}
 	opts.Reg, opts.Metrics, opts.Mesh, opts.CQ = rig.reg, true, node, rig.eng
-	rig.s = newServer(a, opts)
-	rig.h = http.TimeoutHandler(rig.s, rig.s.opts.RequestTimeout, "timeout")
+	rig.s = NewServer(a, opts).(*server)
 	if rig.runBody, _, err = Encode(mkTrace(4, "conformance", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func (rig *conformanceRig) fire(t *testing.T, rt route, hdr map[string]string) *
 	t.Helper()
 	method, path, _ := strings.Cut(rt.pattern, " ")
 	path = strings.ReplaceAll(path, "{name}", "gate")
-	path = pathParam.ReplaceAllString(path, "ffffffffffffffff")
+	path = pathParam.ReplaceAllString(path, rig.id)
 	var body []byte
 	switch rt.pattern {
 	case "PUT /runs":
@@ -90,7 +92,7 @@ func (rig *conformanceRig) fire(t *testing.T, rt route, hdr map[string]string) *
 		req.Header.Set(k, v)
 	}
 	rec := httptest.NewRecorder()
-	rig.h.ServeHTTP(rec, req)
+	rig.s.ServeHTTP(rec, req)
 	return rec
 }
 
@@ -198,6 +200,71 @@ func TestRouteTableConformance(t *testing.T) {
 					}
 				}
 			}
+		}
+	})
+
+	t.Run("every JSON reply is one Encoder's output, with its length", func(t *testing.T) {
+		rig := newConformanceRig(t, ServerOptions{})
+		// Re-register the route table with each policy and handler
+		// noting what it answered; the outermost one notes last, so
+		// answer is the value the pipeline wrote.
+		var answer any
+		rig.s.mux = http.NewServeMux()
+		for _, rt := range rig.s.routes() {
+			rt := rt
+			handle, fed := rt.handle, rt.fed
+			rt.handle = func(s *server, q *request) (any, error) {
+				v, err := handle(s, q)
+				answer = v
+				return v, err
+			}
+			if fed != nil {
+				rt.fed = func(s *server, r *route, q *request) (any, error) {
+					v, err := fed(s, r, q)
+					answer = v
+					return v, err
+				}
+			}
+			rig.s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rig.s.serve(w, r, &rt) })
+		}
+		checked := 0
+		// Plain, then asking for JSON (the run as JSON, the metrics as
+		// JSON). The run pushed first is what every other route names.
+		for _, hdr := range []map[string]string{nil, {"Accept": "application/json"}} {
+			for _, rt := range rig.s.routes() {
+				answer = nil
+				rec := rig.fire(t, rt, hdr)
+				got := rec.Result()
+				if rt.pattern == "PUT /runs" {
+					var run Run
+					if err := json.Unmarshal(rec.Body.Bytes(), &run); err != nil || run.ID == "" {
+						t.Fatalf("PUT /runs: %d %s", rec.Code, rec.Body)
+					}
+					rig.id = run.ID
+				}
+				if got.Header.Get("Content-Type") != "application/json" {
+					continue
+				}
+				checked++
+				if cl := got.Header.Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+					t.Errorf("%s (%d): Content-Length %q, body %d bytes", rt.pattern, rec.Code, cl, rec.Body.Len())
+				}
+				body := asReply(answer).body
+				if _, raw := body.([]byte); raw || body == nil {
+					continue // rendered by the handler, not encoded by the pipeline
+				}
+				var want bytes.Buffer
+				if err := json.NewEncoder(&want).Encode(body); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+					t.Errorf("%s (%d): body\n%s\nis not json.Encoder's\n%s", rt.pattern, rec.Code, rec.Body, want.Bytes())
+				}
+			}
+		}
+		t.Logf("%d JSON replies checked", checked)
+		if checked < 20 {
+			t.Fatalf("only %d JSON replies checked", checked)
 		}
 	})
 }

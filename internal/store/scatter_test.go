@@ -325,14 +325,14 @@ func FuzzScatterMerge(f *testing.F) {
 		// later line a peer's body.
 		lines := bytes.Split(data, []byte("\n"))
 		var self []Run
-		if own := readList(http.StatusOK, bytes.NewReader(lines[0])); own != nil {
+		if own := readList(http.StatusOK, bytes.NewReader(lines[0]), -1); own != nil {
 			self = own.Runs
 		}
 		var names []string
 		var answers []*meshList
 		for i, line := range lines[1:min(len(lines), 5)] {
 			names = append(names, fmt.Sprintf("p%d", i))
-			answers = append(answers, readList(http.StatusOK, bytes.NewReader(line)))
+			answers = append(answers, readList(http.StatusOK, bytes.NewReader(line), -1))
 		}
 		checkPage(t, q, names, answers, mergeList(q, self, names, answers))
 
@@ -381,7 +381,7 @@ func FuzzScatterMerge(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if answers[i-1] = readList(http.StatusOK, bytes.NewReader(body)); answers[i-1] == nil {
+			if answers[i-1] = readList(http.StatusOK, bytes.NewReader(body), int64(len(body))); answers[i-1] == nil {
 				t.Fatalf("an honest answer does not decode: %s", body)
 			}
 		}

@@ -2,17 +2,23 @@ package store
 
 // The HTTP face of the archive: the handler cmd/chamd serves and the
 // httptest harness exercises. One route table (routes) is driven by one
-// request pipeline (ServeHTTP, serve, dispatch, write):
+// request pipeline (ServeHTTP, serve, admit, bounded, write):
 //
 //	count -> trust -> tenant -> rate limit -> body cap + gzip
-//	      -> federation policy -> handler
-//	      -> error-to-status | JSON/ETag write -> class latency
+//	      -> [own goroutine, until RequestTimeout: federation policy -> handler]
+//	      -> error-to-status (503 at the deadline) | JSON/ETag write -> class latency
 //
 // Handlers (handlers.go) are plain functions of the request, tenant
 // resolved, over the local archive; they never touch metrics, response
-// headers, or the mesh. Every run, live session, and query is namespaced
-// by the X-Cham-Tenant header (default "default"); tenants are
-// rate-limited (429 + Retry-After) and quota-bounded at this edge.
+// headers, or the mesh. They return values and never write, so serve is
+// the only code that touches the ResponseWriter: it answers with the
+// handler's value, or with a 503 when the handler has not returned by
+// the request's deadline. A reply is built once: a JSON value is
+// encoded into a pooled buffer and written with its Content-Length.
+//
+// Every run, live session, and query is namespaced by the X-Cham-Tenant
+// header (default "default"); tenants are rate-limited (429 +
+// Retry-After) and quota-bounded at this edge.
 //
 // When a mesh.Node is configured the federation layer (fed.go) wraps
 // each handler in its route's policy: PUT replicates to the run's R
@@ -39,6 +45,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"chameleon/internal/cq"
@@ -168,11 +175,8 @@ type server struct {
 }
 
 // NewServer builds the archive's HTTP handler: the route table behind
-// the request pipeline, under a per-request timeout.
-func NewServer(a *Archive, opts ServerOptions) http.Handler {
-	s := newServer(a, opts)
-	return http.TimeoutHandler(s, s.opts.RequestTimeout, "chamd: request timed out\n")
-}
+// the request pipeline, each request answered within RequestTimeout.
+func NewServer(a *Archive, opts ServerOptions) http.Handler { return newServer(a, opts) }
 
 func newServer(a *Archive, opts ServerOptions) *server {
 	if opts.MaxBodyBytes <= 0 {
@@ -251,6 +255,22 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// copyBufs holds the buffers relayed bodies are copied through.
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// ReadFrom copies a relayed body to the response through a pooled
+// buffer, and counts what it copied. Without it io.Copy allocates a
+// buffer per relay; so does the response's own ReadFrom, which hands a
+// body past its first 512 bytes to the connection's, and that copies a
+// source that is neither a file nor a socket through a fresh 32 KB.
+func (c *countingWriter) ReadFrom(r io.Reader) (int64, error) {
+	buf := copyBufs.Get().(*[32 << 10]byte)
+	defer copyBufs.Put(buf)
+	n, err := io.CopyBuffer(struct{ io.Writer }{c.ResponseWriter}, r, buf[:])
+	c.bytes += n
+	return n, err
+}
+
 // request is what the pipeline hands a handler: the HTTP request plus
 // what the stages before it established.
 type request struct {
@@ -300,9 +320,10 @@ type reply struct {
 	status int         // 0 means 200
 	header http.Header // extra response headers, may be nil
 	etag   string      // ETag, quotes included
-	ctype  string      // Content-Type of a []byte or streamed body, unless header carries it
-	// body is nil, a []byte written verbatim, a func(io.Writer) error
-	// streamed to the client, or any other value, sent as JSON.
+	ctype  string      // Content-Type of a []byte or relayed body, unless header carries it
+	// body is nil, a []byte written verbatim, an io.ReadCloser relayed
+	// from a peer and closed once written (or dropped), or any other
+	// value, sent as JSON.
 	body any
 }
 
@@ -321,6 +342,9 @@ func asReply(v any) reply {
 type apiError struct {
 	code int
 	err  error
+	// retryAfter is the Retry-After (seconds) of a 429; empty means
+	// quotaRetryAfter.
+	retryAfter string
 }
 
 func (e *apiError) Error() string { return e.err.Error() }
@@ -346,28 +370,46 @@ func statusOf(err error) int {
 	return http.StatusBadRequest
 }
 
-// serve runs one matched request through the pipeline.
+// errTimedOut answers a request whose handler missed its deadline.
+var errTimedOut = failf(http.StatusServiceUnavailable, "request timed out")
+
+// serve runs one matched request through the pipeline. Everything that
+// touches w runs on this goroutine: the admission stages, and then the
+// answer — the handler's, or a 503 at the request's deadline.
 func (s *server) serve(w http.ResponseWriter, r *http.Request, rt *route) {
 	start := time.Now() // classLatency measures this process, not policy time
 	s.classReqs[rt.class].Inc()
 	defer func() { s.classLatency[rt.class].Observe(time.Since(start).Nanoseconds()) }()
 
-	v, err := s.dispatch(w, r, rt)
+	q, err := s.admit(w, r, rt)
+	var v any
+	if err == nil {
+		v, err = s.bounded(rt, q, start.Add(s.opts.RequestTimeout))
+	}
 	if err != nil {
-		code := statusOf(err)
-		if code == http.StatusTooManyRequests && w.Header().Get("Retry-After") == "" {
-			w.Header().Set("Retry-After", quotaRetryAfter)
-		}
-		http.Error(w, "chamd: "+err.Error(), code)
+		s.fail(w, err)
 		return
 	}
 	s.write(w, asReply(v))
 }
 
-// dispatch is the request half of the pipeline: establish who is
-// asking, admit them, read what they sent, and hand over to the route's
-// federation policy and handler.
-func (s *server) dispatch(w http.ResponseWriter, r *http.Request, rt *route) (any, error) {
+// fail answers err with its status and message.
+func (s *server) fail(w http.ResponseWriter, err error) {
+	code := statusOf(err)
+	if code == http.StatusTooManyRequests {
+		retry := quotaRetryAfter
+		var ae *apiError
+		if errors.As(err, &ae) && ae.retryAfter != "" {
+			retry = ae.retryAfter
+		}
+		w.Header().Set("Retry-After", retry)
+	}
+	http.Error(w, "chamd: "+err.Error(), code)
+}
+
+// admit is the request half of the pipeline: establish who is asking,
+// admit them, and read what they sent.
+func (s *server) admit(w http.ResponseWriter, r *http.Request, rt *route) (*request, error) {
 	q := &request{r: r, lookup: s.lookup}
 	q.trusted, q.repair = s.trust(r)
 
@@ -380,8 +422,8 @@ func (s *server) dispatch(w http.ResponseWriter, r *http.Request, rt *route) (an
 	} else if rt.class != classProbe && !q.trusted {
 		if ok, wait := s.limiter.allow(q.tenant); !ok {
 			s.mThrottled.Inc()
-			w.Header().Set("Retry-After", strconv.Itoa(int(wait.Seconds()+0.5)))
-			return nil, failf(http.StatusTooManyRequests, "tenant rate limit exceeded")
+			return nil, &apiError{code: http.StatusTooManyRequests, err: errors.New("tenant rate limit exceeded"),
+				retryAfter: strconv.Itoa(int(wait.Seconds() + 0.5))}
 		}
 	}
 
@@ -390,11 +432,63 @@ func (s *server) dispatch(w http.ResponseWriter, r *http.Request, rt *route) (an
 			return nil, err
 		}
 	}
-	return s.federate(rt, q)
+	return q, nil
+}
+
+// bounded hands q to the route's federation policy and handler on a
+// goroutine of its own, and waits for their answer until deadline. At
+// the deadline it gives up with errTimedOut; the handler runs on, and
+// what it answers then is dropped (a relayed peer body is closed). A
+// panic in the handler is raised again here, where net/http recovers
+// it, as http.TimeoutHandler does.
+func (s *server) bounded(rt *route, q *request, deadline time.Time) (any, error) {
+	wait := time.Until(deadline)
+	if wait <= 0 { // the body took the whole bound to arrive
+		return nil, errTimedOut
+	}
+	type answer struct {
+		v     any
+		err   error
+		panic any
+	}
+	done, gone := make(chan answer), make(chan struct{})
+	go func() {
+		var a answer
+		defer func() {
+			if p := recover(); p != nil {
+				a = answer{panic: p}
+			}
+			select {
+			case done <- a:
+			case <-gone:
+				if rc, ok := asReply(a.v).body.(io.Closer); ok {
+					rc.Close()
+				}
+			}
+		}()
+		a.v, a.err = s.federate(rt, q)
+	}()
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case a := <-done:
+		if a.panic != nil {
+			panic(a.panic)
+		}
+		return a.v, a.err
+	case <-timer.C:
+		close(gone)
+		return nil, errTimedOut
+	}
 }
 
 // readBody drains a possibly-gzipped request body under the size cap.
 func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	// The cap tells the response underneath, not the counting wrapper,
+	// to close the connection once a body overruns it.
+	if cw, ok := w.(*countingWriter); ok {
+		w = cw.ResponseWriter
+	}
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	defer body.Close()
 	var in io.Reader = body
@@ -430,8 +524,38 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	return payload, nil
 }
 
-// write is the response half of the pipeline.
+// jsonBufs holds the buffers JSON replies are encoded into. A buffer
+// that grew past maxBodyPresize for one large reply is not kept.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// write is the response half of the pipeline. Every body is written
+// once: a JSON value is encoded whole into a pooled buffer first, so it
+// goes out with its Content-Length (and a value that cannot be encoded
+// is a 500, not a truncated 200).
 func (s *server) write(w http.ResponseWriter, rep reply) {
+	var body []byte
+	var relay io.ReadCloser
+	switch b := rep.body.(type) {
+	case nil:
+	case []byte:
+		body = b
+	case io.ReadCloser:
+		relay = b
+		defer relay.Close()
+	default:
+		buf := jsonBufs.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= maxBodyPresize {
+				buf.Reset()
+				jsonBufs.Put(buf)
+			}
+		}()
+		if err := json.NewEncoder(buf).Encode(b); err != nil {
+			s.fail(w, failf(http.StatusInternalServerError, "encode reply: %v", err))
+			return
+		}
+		body, rep.ctype = buf.Bytes(), "application/json"
+	}
 	h := w.Header()
 	for k, vs := range rep.header {
 		h[k] = vs
@@ -439,25 +563,23 @@ func (s *server) write(w http.ResponseWriter, rep reply) {
 	if rep.etag != "" {
 		h.Set("ETag", rep.etag)
 	}
-	send := func(io.Writer) error { return nil }
-	switch b := rep.body.(type) {
-	case nil:
-	case []byte:
-		h.Set("Content-Length", strconv.Itoa(len(b)))
-		send = func(w io.Writer) error { _, err := w.Write(b); return err }
-	case func(io.Writer) error:
-		send = b
-	default:
-		rep.ctype = "application/json"
-		send = func(w io.Writer) error { return json.NewEncoder(w).Encode(b) }
-	}
 	if rep.ctype != "" {
 		h.Set("Content-Type", rep.ctype)
+	}
+	if body != nil {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
 	}
 	if rep.status != 0 {
 		w.WriteHeader(rep.status)
 	}
-	if err := send(w); err != nil {
+	var err error
+	switch {
+	case relay != nil:
+		_, err = io.Copy(w, relay)
+	case body != nil:
+		_, err = w.Write(body)
+	}
+	if err != nil {
 		s.mErrors.Inc() // too late for a status, not for the books
 	}
 }
