@@ -68,7 +68,9 @@ test-race:
 # honest), the rank-list compactor against the pre-change one kept
 # in a test file (every descriptor must agree), the rank-list
 # normal-form check against expanding and re-compacting with that
-# compactor, and the clustering
+# compactor, the rank-class cutter against expanding its lists (every
+# rank in exactly one class, of the lists that cover it), and the
+# clustering
 # step's selection against the pre-change one kept in a test file
 # (every lead, descriptor and distance count must agree), and the
 # compressed-domain analysis against the pre-change one kept in a test
@@ -89,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScatterMerge -fuzztime=5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzUnionMatchesReference -fuzztime=10s ./internal/ranklist/
 	$(GO) test -run '^$$' -fuzz FuzzNormalFormCheck -fuzztime=10s ./internal/ranklist/
+	$(GO) test -run '^$$' -fuzz FuzzRankClasses -fuzztime=10s ./internal/ranklist/
 	$(GO) test -run '^$$' -fuzz FuzzSelectMatchesReference -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzAnalyzeMatchesReference -fuzztime=10s ./internal/zan/
 

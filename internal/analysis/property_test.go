@@ -31,11 +31,11 @@ func TestTallyMatchesZanPerRank(t *testing.T) {
 					t.Fatal(err)
 				}
 				ranks, _ := tally(out.Trace.Nodes, out.Trace.P, nil)
-				if len(ranks) != len(rep.Ranks) {
-					t.Fatalf("tally covers %d ranks, zan %d", len(ranks), len(rep.Ranks))
+				if len(ranks) != rep.P {
+					t.Fatalf("tally covers %d ranks, zan %d", len(ranks), rep.P)
 				}
 				for r, got := range ranks {
-					if want := rep.Ranks[r].Events; got != want {
+					if want := rep.Rank(r).Events; got != want {
 						t.Errorf("rank %d: tally counts %d events, zan %d", r, got, want)
 					}
 				}

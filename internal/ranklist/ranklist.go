@@ -223,17 +223,8 @@ func fromSorted(rs []int) List {
 		i = j
 	}
 
-	rls := make([]RL, len(out))
-	slab := make([]Dim, ndims)
-	for k, d := range out {
-		rls[k].Start = d.start
-		if d.nd > 0 {
-			rls[k].Dims = slab[:d.nd:d.nd]
-			copy(rls[k].Dims, d.dims[:d.nd])
-			slab = slab[d.nd:]
-		}
-	}
-	return List{rls: rls}
+	b := builder{runs: out, ndims: ndims}
+	return b.list()
 }
 
 func dedup(sorted []int) []int {

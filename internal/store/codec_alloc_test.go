@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -8,9 +9,14 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	chameleon "chameleon"
+	"chameleon/internal/mpi"
+	"chameleon/internal/ranklist"
+	"chameleon/internal/sig"
 	"chameleon/internal/trace"
+	"chameleon/internal/zan"
 )
 
 // luTrace is the P=64 LU Chameleon trace of the archive_mixed corpus,
@@ -175,10 +181,10 @@ func TestColdPutAllocatesLessThanADecode(t *testing.T) {
 // A stats query is one walk over the stored bytes (zan.AnalyzeBytes),
 // with no tree built: the archive's side of it — the handler, its reply
 // written into a recorder — allocates less than one decode of the
-// payload: 0.23 MB against 0.30 MB, half of it zan's channel table. It
-// used to decode the payload and then walk the tree, 0.56 MB. (The
-// client's JSON decode of the reply is another 0.1 MB, the reply's cost
-// rather than the query's.)
+// payload: 0.17 MB against 0.30 MB. It used to decode the payload and
+// then walk the tree, 0.56 MB, and with per-rank channels and rows it
+// took 0.23 MB. (The client's JSON decode of the reply is the reply's
+// cost rather than the query's.)
 func TestStatsQueryAllocatesLessThanADecode(t *testing.T) {
 	skipUnderRace(t)
 	payload, id := luPayload(t)
@@ -199,5 +205,133 @@ func TestStatsQueryAllocatesLessThanADecode(t *testing.T) {
 	t.Logf("stats query of %d bytes: %d B allocated; one decode: %d B", len(payload), query, decode)
 	if query >= decode {
 		t.Fatalf("a stats query allocated %d B, one decode of its payload %d B", query, decode)
+	}
+}
+
+// wideListsPayload is a canonical payload of 64 barriers in a world of
+// 2^20 ranks, barrier i over the rank list list(i).
+func wideListsPayload(t *testing.T, list func(i int) ranklist.List) []byte {
+	t.Helper()
+	const p = 1 << 20
+	f := &trace.File{P: p, Benchmark: "WIDE"}
+	ev := trace.Event{Op: mpi.OpBarrier, Stack: sig.Stack(sig.Mix(0x71de))}
+	for i := 0; i < 64; i++ {
+		f.Nodes = append(f.Nodes, trace.NewLeaf(ev, list(i), 0))
+	}
+	payload, _, err := Encode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// statsReply serves GET /runs/{id}/stats through h and returns the
+// reply body.
+func statsReply(t *testing.T, h http.Handler, id string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/runs/"+id+"/stats", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stats: %d %s", rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// A stats query pays once per distinct rank list, never once per rank
+// or per row: over 64 barriers on distinct lists of ~2^20 ranks each,
+// in a world of P=2^20, the query takes under 50 ms and 1 MB, and its
+// reply is under 64 KB. The lists are one run each from rank i, up to
+// 63 ranks past P, or two ranks in every three, {2,1}x{2^19,3} from
+// rank i: 2^19 rows a list, which the cut takes as one piece. With a
+// row per rank the query took 0.38 s and 113 MB over the runs and
+// 0.69 s and 289 MB over the rows, and each reply was 92 MB. The report
+// counts each list's ranks inside [0, P) only, in the windows as in
+// the classes.
+func TestStatsQueryOfWideListsCostsItsLists(t *testing.T) {
+	skipUnderRace(t)
+	for _, c := range []struct {
+		name string
+		list func(i int) ranklist.List
+	}{
+		{"runs", func(i int) ranklist.List { return ranklist.FromRL(ranklist.Range(i, 1<<20, 1)) }},
+		{"grid rows", func(i int) ranklist.List {
+			return ranklist.FromRL(ranklist.New(i, ranklist.Dim{Iters: 2, Stride: 1}, ranklist.Dim{Iters: 1 << 19, Stride: 3}))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			payload := wideListsPayload(t, c.list)
+			a := openTemp(t, Options{})
+			run, _, err := a.IngestBytes(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := NewServer(a, ServerOptions{})
+			var body []byte
+			start := time.Now()
+			query := bytesAllocated(1, func() { body = statsReply(t, h, run.ID) })
+			took := time.Since(start) / 3 // bytesAllocated takes the least of three rounds
+			t.Logf("stats query of %d bytes: %v, %d B allocated, %d B reply", len(payload), took, query, len(body))
+			if took > 50*time.Millisecond || query > 1<<20 || len(body) > 64<<10 {
+				t.Fatalf("stats query of the wide lists took %v, allocated %d B, replied %d B; want < 50 ms, 1 MB, 64 KB",
+					took, query, len(body))
+			}
+			var out StatsResponse
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			rep := out.Report
+			var events, last uint64
+			for i := 0; i < 64; i++ {
+				l := c.list(i)
+				events += uint64(l.SizeIn(rep.P))
+				if l.Contains(rep.P - 1) {
+					last++
+				}
+			}
+			size := 0
+			for _, cl := range rep.RankClasses {
+				size += cl.Size
+			}
+			if size != rep.P || rep.Events != events || rep.Rank(rep.P-1).Events != last || rep.Rank(0).Events != 1 {
+				t.Fatalf("report: %d classes of %d ranks, %d events, rank P-1 %d events; want %d ranks, %d events, %d",
+					len(rep.RankClasses), size, rep.Events, rep.Rank(rep.P-1).Events, rep.P, events, last)
+			}
+		})
+	}
+}
+
+// STENCIL's stats cost does not grow with P: from P=64 to P=1024 the
+// archive's AnalyzeBytes allocation and the /stats reply each stay
+// within 1.5x. With a row per rank and a channel per rank they grew
+// 10.5x and 7.5x.
+func TestStatsCostFlatInP(t *testing.T) {
+	skipUnderRace(t)
+	measure := func(p int) (alloc uint64, reply int) {
+		out, err := chameleon.RunBenchmark("STENCIL", "A", p, chameleon.TracerChameleon, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, id, err := Encode(out.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc = bytesAllocated(5, func() {
+			if _, err := zan.AnalyzeBytes(payload, zan.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		a := openTemp(t, Options{})
+		if _, _, err := a.IngestBytes(payload); err != nil {
+			t.Fatal(err)
+		}
+		reply = len(statsReply(t, NewServer(a, ServerOptions{}), id))
+		t.Logf("STENCIL P=%d: payload %d B, AnalyzeBytes allocates %d B, reply %d B", p, len(payload), alloc, reply)
+		return alloc, reply
+	}
+	a64, r64 := measure(64)
+	a1k, r1k := measure(1024)
+	if float64(a1k) > 1.5*float64(a64) || float64(r1k) > 1.5*float64(r64) {
+		t.Fatalf("from P=64 to P=1024, AnalyzeBytes allocation went %d -> %d B and the reply %d -> %d B; want each within 1.5x",
+			a64, a1k, r64, r1k)
 	}
 }

@@ -200,11 +200,18 @@ func (s *server) listRuns(q *request) (any, error) {
 // StatsResponse is the JSON shape of GET /runs/{id}/stats: the
 // compressed-domain analysis report, computed in one walk over the
 // stored bytes (zan.AnalyzeBytes) — the archive neither builds the RSD
-// tree nor expands the trace to serve it.
+// tree nor expands the trace or a rank list to serve it, and the report
+// holds one row per rank class, not one per rank.
 type StatsResponse struct {
 	ID     string      `json:"id"`
 	Report *zan.Report `json:"report"`
 }
+
+// statsShape versions the ETag of GET /runs/{id}/stats: the report is a
+// pure function of the payload only for one shape of it, so a reply
+// cached under an older shape (per-rank rows, the unversioned
+// "stats-<id>") must not be answered 304.
+const statsShape = "stats-v2-"
 
 func (s *server) getStats(q *request) (any, error) {
 	tv := s.a.Tenant(q.tenant)
@@ -213,8 +220,8 @@ func (s *server) getStats(q *request) (any, error) {
 		return nil, err
 	}
 	// The report is a pure function of the immutable payload, so the
-	// content address is its ETag.
-	etag := `"stats-` + run.ID + `"`
+	// content address, under the report's shape, is its ETag.
+	etag := `"` + statsShape + run.ID + `"`
 	if q.matches(etag) {
 		return notModified(etag), nil
 	}

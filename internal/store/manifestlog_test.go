@@ -207,14 +207,24 @@ func TestLogTornTailEveryByte(t *testing.T) {
 			for cut := start; cut <= len(log); cut++ {
 				tails = append(tails, log[:cut])
 			}
+			// One directory serves every cut. The index is the two
+			// manifest files; segments play no part in replay (the
+			// orphan case below has them). Each cut empties the
+			// directory and writes the two files afresh, never over a
+			// file that holds data: on ext4, replacing one starts its
+			// writeback, and the replacement waits for it.
+			crashed := t.TempDir()
 			for _, tail := range tails {
 				want, when := before, fmt.Sprintf("log cut to %d of %d bytes", len(tail), len(log))
 				if bytes.Equal(tail, log) {
 					want = after
 				}
-				// The index is the two manifest files; segments play
-				// no part in replay (the orphan case below has them).
-				crashed := t.TempDir()
+				if err := os.RemoveAll(crashed); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Mkdir(crashed, 0o755); err != nil {
+					t.Fatal(err)
+				}
 				if err := os.WriteFile(filepath.Join(crashed, "manifest.json"), ckpt, 0o644); err != nil {
 					t.Fatal(err)
 				}

@@ -503,6 +503,46 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// The /stats reply changed shape (rank classes instead of one row per
+// rank), so its ETag changed too: a client that cached the per-rank
+// shape under the old "stats-<id>" gets the new report, not a 304; one
+// holding the new tag gets its 304.
+func TestStatsETagNamesTheReportShape(t *testing.T) {
+	a, srv := newTestServer(t, Options{}, ServerOptions{})
+	run, _, err := a.Ingest(mkTrace(8, "PHASE", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(etag string) (*http.Response, []byte) {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/runs/"+run.ID+"/stats", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("If-None-Match", etag)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	resp, body := get(`"stats-` + run.ID + `"`)
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"rank_classes"`)) {
+		t.Fatalf("GET with the old ETag: %s, body %.80s; want 200 with rank_classes", resp.Status, body)
+	}
+	etag := resp.Header.Get("ETag")
+	if etag == `"stats-`+run.ID+`"` || !strings.Contains(etag, run.ID) {
+		t.Fatalf("ETag %s, want a versioned tag of %s", etag, run.ID)
+	}
+	if resp, _ := get(etag); resp.StatusCode != http.StatusNotModified {
+		t.Fatalf("GET with the current ETag: %s, want 304", resp.Status)
+	}
+}
+
 // waveEdges synthesizes an edge stream with a clean idle wave from
 // origin, JSONL-encoded the way chamrun -edges-out writes it.
 func waveEdges(t *testing.T, p, origin int) []byte {

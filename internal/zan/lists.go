@@ -1,0 +1,114 @@
+package zan
+
+import (
+	"encoding/binary"
+
+	"chameleon/internal/ranklist"
+)
+
+// listTable numbers the distinct rank lists of one analysis: each id is
+// a list in normal form (ranklist.List.Normal), its width, the count of
+// its ranks in [0, P), and its row in analyzer.rows (-1 until a leaf
+// carries it).
+//
+// A leaf's list is found by its identity first — trace.Walk shares one
+// list among the leaves whose encodings are equal, and a decoded tree
+// keeps that sharing — then by its descriptors, which is how equal
+// lists of a tree the tracer built meet. A list out of normal form,
+// which only a tree can hold, is compacted the first time it is seen:
+// the tree already holds it expanded-size.
+type listTable struct {
+	byRef   map[listRef]int32
+	byDesc  map[string]int32
+	derived map[derivedKey]int32
+	lists   []ranklist.List
+	width   []int
+	row     []int32
+	key     []byte // scratch of byDesc lookups
+}
+
+// listRef is a list's identity: its descriptor slice.
+type listRef struct {
+	first *ranklist.RL
+	n     int
+}
+
+// derivedKey names a list an end-point derives: list from shifted by
+// off, or with from < 0, the one rank off.
+type derivedKey struct {
+	from int32
+	off  int
+}
+
+// id returns l's id, or -1 when l holds no descriptor.
+func (t *listTable) id(l ranklist.List, p int) int32 {
+	d := l.Descriptors()
+	if len(d) == 0 {
+		return -1
+	}
+	ref := listRef{&d[0], len(d)}
+	if id, ok := t.byRef[ref]; ok {
+		return id
+	}
+	if !l.Normal() {
+		l = ranklist.FromRanks(l.Ranks())
+	}
+	id := t.byDescriptors(l, p)
+	if t.byRef == nil {
+		t.byRef = map[listRef]int32{}
+	}
+	t.byRef[ref] = id
+	return id
+}
+
+// byDescriptors returns the id of the list holding l's descriptors,
+// numbering l if none does.
+func (t *listTable) byDescriptors(l ranklist.List, p int) int32 {
+	t.key = t.key[:0]
+	for _, r := range l.Descriptors() {
+		t.key = binary.AppendVarint(t.key, int64(r.Start))
+		t.key = binary.AppendUvarint(t.key, uint64(len(r.Dims)))
+		for _, d := range r.Dims {
+			t.key = binary.AppendVarint(t.key, int64(d.Iters))
+			t.key = binary.AppendVarint(t.key, int64(d.Stride))
+		}
+	}
+	if id, ok := t.byDesc[string(t.key)]; ok {
+		return id
+	}
+	if t.byDesc == nil {
+		t.byDesc = map[string]int32{}
+	}
+	id := int32(len(t.lists))
+	t.byDesc[string(t.key)] = id
+	t.lists = append(t.lists, l)
+	t.width = append(t.width, l.SizeIn(p))
+	t.row = append(t.row, -1)
+	return id
+}
+
+// shift returns the id of list id's ranks moved by off around the ring
+// of p ranks (ranklist.List.Shift).
+func (t *listTable) shift(id int32, off, p int) int32 {
+	if off == 0 {
+		return id
+	}
+	return t.derive(derivedKey{id, off}, func() ranklist.List { return t.lists[id].Shift(off, p) }, p)
+}
+
+// single returns the id of the list of the one rank r.
+func (t *listTable) single(r, p int) int32 {
+	return t.derive(derivedKey{-1, r}, func() ranklist.List { return ranklist.SingleRank(r) }, p)
+}
+
+func (t *listTable) derive(k derivedKey, build func() ranklist.List, p int) int32 {
+	if id, ok := t.derived[k]; ok {
+		return id
+	}
+	if t.derived == nil {
+		t.derived = map[derivedKey]int32{}
+	}
+	id := t.byDescriptors(build(), p)
+	t.derived[k] = id
+	return id
+}

@@ -5,11 +5,17 @@
 // counts and aggregating across rank lists in closed form — it never
 // expands a loop and never replays an event.
 //
-// Cost is therefore proportional to stored nodes times rank-list width,
-// independent of the dynamic event count the loops represent; the
-// replay-based path in internal/replay, linear in dynamic events,
-// serves as the cross-check oracle (see internal/analysis and
-// docs/ANALYSIS.md).
+// Nor does it expand a rank list: each distinct list a leaf carries
+// adds its per-rank values once, and the report holds one row per rank
+// class — the ranks the same lists cover (ranklist.Classes) — never one
+// per rank. Cost is therefore proportional to stored nodes, descriptors
+// and windows times classes, independent of both the dynamic event
+// count the loops represent and the rank count P, but for an absolute
+// end-point, a channel per rank of its list, and overlapping lists of
+// coprime strides, whose classes need a descriptor per residue
+// (ranklist.Classes). The replay-based path
+// in internal/replay, linear in dynamic events, serves as the
+// cross-check oracle (see internal/analysis and docs/ANALYSIS.md).
 //
 // Metrics follow Haldar's time-resolved standard metrics, resolved to
 // marker windows (the top-level segments of the global trace):
@@ -29,6 +35,7 @@ import (
 	"strings"
 
 	"chameleon/internal/mpi"
+	"chameleon/internal/ranklist"
 	"chameleon/internal/stats"
 	"chameleon/internal/trace"
 	"chameleon/internal/vtime"
@@ -75,7 +82,7 @@ type Window struct {
 	WaitNs int64 `json:"wait_ns"`
 	// LoadImbalance is max/mean of per-rank compute time over the ranks
 	// participating in the window (1.0 = perfectly balanced, 0 = no
-	// compute recorded).
+	// compute recorded), taken over the report's rank classes.
 	LoadImbalance float64 `json:"load_imbalance"`
 	// CommRatio is CommNs/ComputeNs (0 when no compute was recorded).
 	CommRatio float64 `json:"comm_ratio"`
@@ -100,7 +107,7 @@ type Window struct {
 	DeltaStdNs  float64 `json:"delta_std_ns,omitempty"`
 }
 
-// Rank is one rank's whole-trace totals.
+// Rank is one rank's whole-trace totals (Report.Rank).
 type Rank struct {
 	Rank      int    `json:"rank"`
 	Events    uint64 `json:"events"`
@@ -108,6 +115,22 @@ type Rank struct {
 	CommNs    int64  `json:"comm_ns"`
 	WaitNs    int64  `json:"wait_ns"`
 	SendBytes uint64 `json:"send_bytes"`
+}
+
+// RankClass is one class of ranks: the ranks in [0, P) that the same
+// distinct rank lists of the trace cover, and so carry the same
+// whole-trace totals. Every field but Ranks and Size is one rank's
+// value, not the class's sum.
+type RankClass struct {
+	// Ranks are the class's ranks, as descriptors in order of their
+	// first rank (ranklist.Classes).
+	Ranks     ranklist.List `json:"ranks"`
+	Size      int           `json:"size"`
+	Events    uint64        `json:"events"`
+	ComputeNs int64         `json:"compute_ns"`
+	CommNs    int64         `json:"comm_ns"`
+	WaitNs    int64         `json:"wait_ns"`
+	SendBytes uint64        `json:"send_bytes"`
 }
 
 // MatchReport is the send/recv match-order consistency verdict.
@@ -171,33 +194,79 @@ type Report struct {
 	LoadImbalance float64 `json:"load_imbalance"`
 	CommRatio     float64 `json:"comm_ratio"`
 
-	Windows []Window    `json:"windows"`
-	Ranks   []Rank      `json:"ranks"`
-	Match   MatchReport `json:"match"`
+	Windows []Window `json:"windows"`
+	// RankClasses partition [0, P), in order of their first rank: the
+	// per-rank totals, one row per class (Rank reads one rank's). The
+	// ranks no rank list covers form one all-zero class.
+	RankClasses []RankClass `json:"rank_classes"`
+	Match       MatchReport `json:"match"`
 }
 
-// chunkSize is the number of channels one chunk of the channel table
-// holds. The table grows a chunk at a time, so no entry is ever copied.
-const chunkSize = 256
+// Rank returns rank r's whole-trace totals, read from its class (zero
+// for a rank outside [0, P)).
+func (r *Report) Rank(rank int) Rank {
+	for i := range r.RankClasses {
+		if c := &r.RankClasses[i]; rank >= 0 && rank < r.P && c.Ranks.Contains(rank) {
+			return Rank{Rank: rank, Events: c.Events, ComputeNs: c.ComputeNs, CommNs: c.CommNs,
+				WaitNs: c.WaitNs, SendBytes: c.SendBytes}
+		}
+	}
+	return Rank{Rank: rank}
+}
 
-// channel is one directed point-to-point channel, (tag, src -> dst),
-// kept once for the whole walk: it hangs on its source rank's chain
-// (analyzer.head), so src is not stored. sends and recvs are the counts
-// of window win only; flushWindow pairs them and rolls what failed to
-// pair there into leftS and leftR, which pair across windows at the end.
-type channel struct {
-	tag  int
-	dst  int32
-	next int32 // the source rank's next channel (-1 ends the chain)
-	win  int32 // the window sends and recvs belong to
-	// first window that sent/received on the channel (-1 = never).
-	firstSendWin, firstRecvWin int32
+// Directed channels (tag, src -> dst) are kept by key (tag, offset),
+// the offset being dst - src mod P: a relative end-point names one key
+// for every rank of its list. Each key holds the lists of source ranks
+// that reached it (a relative send its own list, a relative receive its
+// list shifted by the source offset, an absolute end-point one rank per
+// channel) and every window's per-rank send and receive counts for each
+// list. report cuts a key's sources into classes (ranklist.Classes):
+// the ranks of a class saw the same counts in every window, so one row
+// pairs for all of them.
+
+type chanKey struct {
+	tag, off int
+}
+
+// chanAdd is the per-rank count of sends (or receives) one source list
+// of a key added in one window. A key's adds are linked in walk order.
+type chanAdd struct {
+	win, src, next int32 // src is a list id; next is the key's next add (-1: none)
+	recv           bool
+	n              uint64
+}
+
+// addChunk is the number of adds one chunk of analyzer.adds holds: the
+// table grows a chunk at a time, so no add is ever copied.
+const addChunk = 64
+
+// chanClass is the state of one class of a key's source ranks: the
+// counts of window win, and what failed to pair before it.
+type chanClass struct {
+	win                        int32
+	firstSendWin, firstRecvWin int32 // -1 = never
 	sends, recvs               uint64
 	leftS, leftR               uint64
 }
 
 type tagCount struct {
 	sends, recvs uint64
+}
+
+// listRow is the per-rank whole-trace totals the leaves of list id add
+// (Rank.Rank unused), and the window it last added to.
+type listRow struct {
+	Rank
+	id        int32
+	win, slot int32 // the window of its last winRow, and that row's index
+}
+
+// winRow is one rank's events and compute in one window, from the leaves
+// of one list (an analyzer.rows index).
+type winRow struct {
+	win, row int32
+	events   uint64
+	comp     int64
 }
 
 // analyzer accumulates one walk. It implements trace.HeaderVisitor for
@@ -210,23 +279,26 @@ type analyzer struct {
 	model             vtime.CostModel
 
 	windows []Window
-	ranks   []Rank
 
-	// Per-window scratch, valid while leaves of window cur arrive (both
-	// walk modes emit leaves in window order).
-	cur         int
-	scratchComp []int64          // per-rank compute inside the current window
-	scratchEv   []uint64         // per-rank events inside the current window
-	touched     []int            // ranks touched in the current window
-	winChans    []int32          // channels touched in the current window
-	winDelta    *stats.Histogram // reset for each window
+	// cur is the window leaves arrive in (both walk modes emit leaves in
+	// window order); winDelta is reset for each window.
+	cur      int
+	winDelta *stats.Histogram
 
-	// Whole-trace match state: the channel table (see channel), O(P +
-	// channels) for the whole walk however many windows it spans.
-	chunks []*[chunkSize]channel
-	nchans int32
-	head   []int32 // each source rank's first channel (-1 = none)
-	tags   map[int]*tagCount
+	// lists are the distinct rank lists seen; rows holds the per-rank
+	// totals of those a leaf carried, in order of first sight, and
+	// winRows their per-window rows, in window order.
+	lists   listTable
+	rows    []listRow
+	winRows []winRow
+
+	// Match state: the channel keys, each with its first and latest add
+	// (-1: none), and the adds; and the per-tag tallies.
+	keys  map[chanKey]int32
+	ends  [][2]int32
+	adds  []*[addChunk]chanAdd
+	nadds int32
+	tags  map[int]*tagCount
 	// anyTagRecvs counts MPI_ANY_TAG receives, which match at no tag.
 	anyTagRecvs uint64
 	match       MatchReport
@@ -279,26 +351,19 @@ func newAnalyzer(opt Options) *analyzer {
 	if (opt.Model == vtime.CostModel{}) {
 		opt.Model = vtime.Default()
 	}
-	return &analyzer{model: opt.Model, cur: -1, winDelta: stats.NewHistogram(), tags: map[int]*tagCount{}}
+	return &analyzer{model: opt.Model, cur: -1, winDelta: stats.NewHistogram(),
+		keys: map[chanKey]int32{}, tags: map[int]*tagCount{}}
 }
 
 // --- walk plumbing ---
 
-// Header sizes the per-rank tables and the windows: the walk hands it
-// the rank count and top-level node count before the first node.
+// Header sizes the windows: the walk hands it the rank count and
+// top-level node count before the first node.
 func (a *analyzer) Header(h trace.Header) {
 	a.p, a.benchmark, a.tracer = h.P, h.Benchmark, h.Tracer
 	a.windows = make([]Window, h.Windows)
 	for i := range a.windows {
 		a.windows[i].Index = i
-	}
-	a.ranks = make([]Rank, h.P)
-	a.scratchComp = make([]int64, h.P)
-	a.scratchEv = make([]uint64, h.P)
-	a.head = make([]int32, h.P)
-	for r := range a.ranks {
-		a.ranks[r].Rank = r
-		a.head[r] = -1
 	}
 }
 
@@ -349,45 +414,9 @@ func (a *analyzer) startWindow(w int) {
 
 func (a *analyzer) flushWindow() {
 	win := &a.windows[a.cur]
-
-	// Load imbalance and comm ratio over the ranks that participated.
-	var maxComp, sumComp int64
-	participants := 0
-	for _, r := range a.touched {
-		if a.scratchEv[r] == 0 {
-			continue
-		}
-		participants++
-		if a.scratchComp[r] > maxComp {
-			maxComp = a.scratchComp[r]
-		}
-		sumComp += a.scratchComp[r]
-		a.scratchEv[r] = 0
-		a.scratchComp[r] = 0
-	}
-	a.touched = a.touched[:0]
-	win.LoadImbalance = imbalance(maxComp, sumComp, participants)
+	// LoadImbalance and LocalUnmatched need the rank classes, which
+	// report cuts once the walk is over.
 	win.CommRatio = Ratio(float64(win.CommNs), float64(win.ComputeNs))
-
-	// Pair up the window's directed channels; only the leftovers roll
-	// into leftS/leftR, so every pair formed from those later is by
-	// construction a cross-window match.
-	for _, i := range a.winChans {
-		c := a.channel(i)
-		paired := minU64(c.sends, c.recvs)
-		a.match.ResolvedPairs += paired
-		win.LocalUnmatched += (c.sends - paired) + (c.recvs - paired)
-		c.leftS += c.sends - paired
-		c.leftR += c.recvs - paired
-		if c.sends > 0 && c.firstSendWin < 0 {
-			c.firstSendWin = int32(a.cur)
-		}
-		if c.recvs > 0 && c.firstRecvWin < 0 {
-			c.firstRecvWin = int32(a.cur)
-		}
-	}
-	a.winChans = a.winChans[:0]
-
 	if a.winDelta.Count() > 0 {
 		win.DeltaCount = a.winDelta.Count()
 		win.DeltaMinNs = a.winDelta.Min
@@ -402,7 +431,8 @@ func (a *analyzer) flushWindow() {
 // leaf applies one stored leaf with the given iteration weight. Every
 // accumulator is an integer sum, so applying (n, mult) once or (n, 1)
 // mult times yields bit-identical results — the property the expansion
-// oracle verifies.
+// oracle verifies. A leaf's width is the count of its ranks in [0, P),
+// and its per-rank values are added once, to its list's row.
 func (a *analyzer) leaf(n *trace.Node, mult uint64) {
 	if mult == 0 {
 		// A zero-trip loop body represents no dynamic events; skipping
@@ -412,8 +442,12 @@ func (a *analyzer) leaf(n *trace.Node, mult uint64) {
 	}
 	win := &a.windows[a.cur]
 	ev := n.Ev
-	size := n.Ranks.Size()
-	occ := mult * uint64(size)
+	id := a.lists.id(n.Ranks, a.p)
+	width := 0
+	if id >= 0 {
+		width = a.lists.width[id]
+	}
+	occ := mult * uint64(width)
 
 	compPer := int64(0)
 	waitPer := int64(0)
@@ -424,12 +458,12 @@ func (a *analyzer) leaf(n *trace.Node, mult uint64) {
 		}
 		a.winDelta.MergeScaled(n.Delta, occ)
 	}
-	commPer := int64(a.commCost(ev, size))
+	commPer := int64(a.commCost(ev, width))
 
 	win.Events += occ
-	win.ComputeNs += int64(mult) * compPer * int64(size)
-	win.CommNs += int64(mult) * commPer * int64(size)
-	win.WaitNs += int64(mult) * waitPer * int64(size)
+	win.ComputeNs += int64(mult) * compPer * int64(width)
+	win.CommNs += int64(mult) * commPer * int64(width)
+	win.WaitNs += int64(mult) * waitPer * int64(width)
 
 	if win.Ops == nil {
 		win.Ops = map[string]OpStat{}
@@ -444,59 +478,126 @@ func (a *analyzer) leaf(n *trace.Node, mult uint64) {
 	}
 	win.ByteBuckets[stats.BucketOf(int64(ev.Bytes))] += occ
 
-	// Whether an end-point resolves depends on its kind, not on the
-	// rank, so the per-leaf tallies are added once below, as the leaf's
-	// occurrence count times its ranks in [0, P).
 	sends, recvs := p2pSides(ev.Op)
 	_, dstOK := ev.Dest.ResolveMod(0, a.p)
 	_, srcOK := ev.Src.ResolveMod(0, a.p)
-	directedSend := sends && dstOK
 	directedRecv := recvs && srcOK && ev.Tag != mpi.AnyTag
-	inRange := uint64(0)
-	n.Ranks.ForEach(func(r int) {
+	if sends {
+		a.match.Sends += occ
+		a.addTag(ev.Tag).sends += occ
+	}
+	if recvs {
+		a.match.Recvs += occ
+		if ev.Tag == mpi.AnyTag {
+			a.anyTagRecvs += occ
+		} else {
+			a.addTag(ev.Tag).recvs += occ
+		}
+		if !directedRecv {
+			a.match.Wildcards += occ
+		}
+	}
+	if width == 0 {
+		return
+	}
+
+	row := a.listRow(id)
+	row.Events += mult
+	row.ComputeNs += int64(mult) * compPer
+	row.CommNs += int64(mult) * commPer
+	row.WaitNs += int64(mult) * waitPer
+	if sends {
+		row.SendBytes += mult * uint64(ev.Bytes)
+	}
+	if row.win != int32(a.cur) {
+		row.win, row.slot = int32(a.cur), int32(len(a.winRows))
+		a.winRows = append(a.winRows, winRow{win: int32(a.cur), row: a.lists.row[id]})
+	}
+	wr := &a.winRows[row.slot]
+	wr.events += mult
+	wr.comp += int64(mult) * compPer
+
+	if sends && dstOK {
+		a.endpoint(ev.Tag, ev.Dest, id, mult, true)
+	}
+	if directedRecv {
+		a.endpoint(ev.Tag, ev.Src, id, mult, false)
+	}
+}
+
+// listRow returns list id's row, made on first sight.
+func (a *analyzer) listRow(id int32) *listRow {
+	i := a.lists.row[id]
+	if i < 0 {
+		i = int32(len(a.rows))
+		a.lists.row[id] = i
+		a.rows = append(a.rows, listRow{id: id, win: -1})
+	}
+	return &a.rows[i]
+}
+
+// endpoint adds mult sends (send) or receives per rank of list id on
+// the channels its end-point e names.
+func (a *analyzer) endpoint(tag int, e trace.Endpoint, id int32, mult uint64, send bool) {
+	if e.Kind == trace.EPRelative {
+		off := mod(e.Off, a.p)
+		if send {
+			a.addChan(chanKey{tag, off}, id, mult, false)
+			return
+		}
+		// The sources are the receivers moved by the offset, and the
+		// channel's offset is the way back.
+		a.addChan(chanKey{tag, mod(-off, a.p)}, a.lists.shift(id, off, a.p), mult, true)
+		return
+	}
+	// An absolute end-point names a channel of its own for each rank of
+	// the list.
+	peer, _ := e.ResolveMod(0, a.p)
+	a.lists.lists[id].ForEach(func(r int) {
 		if r < 0 || r >= a.p {
 			return
 		}
-		inRange++
-		rk := &a.ranks[r]
-		rk.Events += mult
-		rk.ComputeNs += int64(mult) * compPer
-		rk.CommNs += int64(mult) * commPer
-		rk.WaitNs += int64(mult) * waitPer
-		if sends {
-			rk.SendBytes += mult * uint64(ev.Bytes)
-		}
-		if a.scratchEv[r] == 0 && a.scratchComp[r] == 0 {
-			a.touched = append(a.touched, r)
-		}
-		a.scratchEv[r] += mult
-		a.scratchComp[r] += int64(mult) * compPer
-
-		if directedSend {
-			dst, _ := ev.Dest.ResolveMod(r, a.p)
-			a.touch(ev.Tag, r, dst).sends += mult
-		}
-		if directedRecv {
-			src, _ := ev.Src.ResolveMod(r, a.p)
-			a.touch(ev.Tag, src, r).recvs += mult
+		if send {
+			a.addChan(chanKey{tag, mod(peer-r, a.p)}, a.lists.single(r, a.p), mult, false)
+		} else {
+			a.addChan(chanKey{tag, mod(r-peer, a.p)}, a.lists.single(peer, a.p), mult, true)
 		}
 	})
-	rankOcc := mult * inRange
-	if sends {
-		a.match.Sends += rankOcc
-		a.addTag(ev.Tag).sends += rankOcc
+}
+
+// addChan adds n sends (or receives) per rank of source list src to key
+// k in the current window.
+func (a *analyzer) addChan(k chanKey, src int32, n uint64, recv bool) {
+	key, ok := a.keys[k]
+	if !ok {
+		key = int32(len(a.ends))
+		a.keys[k] = key
+		a.ends = append(a.ends, [2]int32{-1, -1})
 	}
-	if recvs {
-		a.match.Recvs += rankOcc
-		if ev.Tag == mpi.AnyTag {
-			a.anyTagRecvs += rankOcc
-		} else {
-			a.addTag(ev.Tag).recvs += rankOcc
-		}
-		if !directedRecv {
-			a.match.Wildcards += rankOcc
+	e := &a.ends[key]
+	if e[1] >= 0 {
+		if last := a.add(e[1]); last.win == int32(a.cur) && last.src == src && last.recv == recv {
+			last.n += n
+			return
 		}
 	}
+	i := a.nadds
+	if i%addChunk == 0 {
+		a.adds = append(a.adds, new([addChunk]chanAdd))
+	}
+	a.nadds++
+	*a.add(i) = chanAdd{win: int32(a.cur), src: src, next: -1, recv: recv, n: n}
+	if e[1] >= 0 {
+		a.add(e[1]).next = i
+	} else {
+		e[0] = i
+	}
+	e[1] = i
+}
+
+// add returns entry i of the add table.
+func (a *analyzer) add(i int32) *chanAdd {
+	return &a.adds[i/addChunk][i%addChunk]
 }
 
 func (a *analyzer) addTag(tag int) *tagCount {
@@ -508,39 +609,7 @@ func (a *analyzer) addTag(tag int) *tagCount {
 	return t
 }
 
-// channel returns entry i of the channel table.
-func (a *analyzer) channel(i int32) *channel {
-	return &a.chunks[i/chunkSize][i%chunkSize]
-}
-
-// touch returns channel (tag, src -> dst) for the current window: found
-// on src's chain or added to the table, and listed in winChans with its
-// window counts reset the first time the window touches it.
-func (a *analyzer) touch(tag, src, dst int) *channel {
-	for i := a.head[src]; i >= 0; {
-		c := a.channel(i)
-		if c.tag == tag && int(c.dst) == dst {
-			if c.win != int32(a.cur) {
-				c.win = int32(a.cur)
-				c.sends, c.recvs = 0, 0
-				a.winChans = append(a.winChans, i)
-			}
-			return c
-		}
-		i = c.next
-	}
-	i := a.nchans
-	if i%chunkSize == 0 {
-		a.chunks = append(a.chunks, new([chunkSize]channel))
-	}
-	a.nchans++
-	c := a.channel(i)
-	*c = channel{tag: tag, dst: int32(dst), next: a.head[src], win: int32(a.cur),
-		firstSendWin: -1, firstRecvWin: -1}
-	a.head[src] = i
-	a.winChans = append(a.winChans, i)
-	return c
-}
+func mod(x, p int) int { return ((x % p) + p) % p }
 
 // commCost prices one occurrence of the event for one participating
 // rank, in virtual nanoseconds: alpha-beta for point-to-point traffic,
@@ -594,7 +663,6 @@ func (a *analyzer) report() *Report {
 		Benchmark: a.benchmark,
 		Tracer:    a.tracer,
 		Windows:   a.windows,
-		Ranks:     a.ranks,
 	}
 	for i := range a.windows {
 		w := &a.windows[i]
@@ -608,37 +676,9 @@ func (a *analyzer) report() *Report {
 	rep.CompressionRatio = Ratio(float64(rep.Events), float64(rep.StoredNodes))
 	rep.CommRatio = Ratio(float64(rep.CommNs), float64(rep.ComputeNs))
 
-	var maxComp, sumComp int64
-	participants := 0
-	for i := range a.ranks {
-		if a.ranks[i].Events == 0 {
-			continue
-		}
-		participants++
-		if a.ranks[i].ComputeNs > maxComp {
-			maxComp = a.ranks[i].ComputeNs
-		}
-		sumComp += a.ranks[i].ComputeNs
-	}
-	rep.LoadImbalance = imbalance(maxComp, sumComp, participants)
-
-	// Cross-window matching over the per-channel leftovers, and the
-	// windowed happens-before check.
+	a.rankClasses(rep)
 	m := a.match
-	for i := int32(0); i < a.nchans; i++ {
-		c := a.channel(i)
-		// The per-window pairing already subtracted its matches before
-		// rolling leftovers into leftS/leftR, so every pair formed here
-		// is by construction a cross-window match.
-		m.CrossWindow += minU64(c.leftS, c.leftR)
-		if c.firstSendWin >= 0 && c.firstRecvWin >= 0 &&
-			c.firstRecvWin < c.firstSendWin {
-			m.OrderViolations++
-		}
-	}
-	// m.ResolvedPairs so far counted window-local pairs only; the
-	// cross-window pairs complete the directed total.
-	m.ResolvedPairs += m.CrossWindow
+	a.pairChannels(&m)
 
 	// Tag conservation. MPI_ANY_TAG receives belong to no tag: they
 	// absorb the tags' positive send surpluses, in ascending tag order,
@@ -663,6 +703,190 @@ func (a *analyzer) report() *Report {
 	m.Consistent = m.Unmatched == 0
 	rep.Match = m
 	return rep
+}
+
+// rankClasses cuts [0, P) into the classes of the leaves' lists, fills
+// each class's row, and takes the load imbalance of the trace and of
+// each window over the classes.
+func (a *analyzer) rankClasses(rep *Report) {
+	lists := make([]ranklist.List, len(a.rows))
+	for i := range a.rows {
+		lists[i] = a.lists.lists[a.rows[i].id]
+	}
+	classes := ranklist.Classes(lists, a.p)
+	rep.RankClasses = make([]RankClass, len(classes))
+	var in classIndex
+	var maxComp, sumComp int64
+	participants := 0
+	for c, cl := range classes {
+		rc := &rep.RankClasses[c]
+		rc.Ranks, rc.Size = cl.Ranks, cl.Size
+		for _, j := range cl.Of {
+			row := &a.rows[j]
+			rc.Events += row.Events
+			rc.ComputeNs += row.ComputeNs
+			rc.CommNs += row.CommNs
+			rc.WaitNs += row.WaitNs
+			rc.SendBytes += row.SendBytes
+		}
+		if rc.Events > 0 {
+			participants += rc.Size
+			maxComp = max(maxComp, rc.ComputeNs)
+			sumComp += int64(rc.Size) * rc.ComputeNs
+		}
+	}
+	rep.LoadImbalance = imbalance(maxComp, sumComp, participants)
+
+	// Each window's imbalance over the classes its lists reach: every
+	// rank of a list with a row in the window took part in it.
+	in.build(classes, len(lists))
+	ev := make([]uint64, len(classes))
+	comp := make([]int64, len(classes))
+	var touched []int32
+	for i := 0; i < len(a.winRows); {
+		w := a.winRows[i].win
+		for ; i < len(a.winRows) && a.winRows[i].win == w; i++ {
+			wr := &a.winRows[i]
+			for _, c := range in.of(int(wr.row)) {
+				if ev[c] == 0 {
+					touched = append(touched, c)
+				}
+				ev[c] += wr.events
+				comp[c] += wr.comp
+			}
+		}
+		var maxComp, sumComp int64
+		participants := 0
+		for _, c := range touched {
+			participants += classes[c].Size
+			maxComp = max(maxComp, comp[c])
+			sumComp += int64(classes[c].Size) * comp[c]
+			ev[c], comp[c] = 0, 0
+		}
+		touched = touched[:0]
+		a.windows[w].LoadImbalance = imbalance(maxComp, sumComp, participants)
+	}
+}
+
+// classIndex lists, for each input list of a cut, the classes it covers.
+type classIndex struct {
+	from []int32 // list j's classes are at[from[j]:from[j+1]]
+	at   []int32
+}
+
+func (x *classIndex) build(classes []ranklist.Class, lists int) {
+	x.from = slices.Grow(x.from[:0], lists+1)[:lists+1]
+	clear(x.from)
+	for _, cl := range classes {
+		for _, j := range cl.Of {
+			x.from[j]++
+		}
+	}
+	for j := 1; j <= lists; j++ {
+		x.from[j] += x.from[j-1] // the end of list j's classes
+	}
+	x.at = slices.Grow(x.at[:0], int(x.from[lists]))[:x.from[lists]]
+	// Filled from the back, each list's classes come out ascending and
+	// from[j] ends at their start.
+	for c := len(classes) - 1; c >= 0; c-- {
+		for _, j := range classes[c].Of {
+			x.from[j]--
+			x.at[x.from[j]] = int32(c)
+		}
+	}
+}
+
+func (x *classIndex) of(j int) []int32 { return x.at[x.from[j]:x.from[j+1]] }
+
+// pairChannels pairs each key's sends and receives, class by class of
+// its source ranks: within each window first, then what is left over
+// across windows, and checks each channel's first send against its
+// first receive.
+func (a *analyzer) pairChannels(m *MatchReport) {
+	var (
+		cut     ranklist.Cutter
+		in      classIndex
+		srcs    []int32
+		lists   []ranklist.List
+		state   []chanClass
+		touched []int32
+	)
+	for _, e := range a.ends {
+		// The key's distinct sources; each add's src becomes its index
+		// among them.
+		srcs = srcs[:0]
+		for i := e[0]; i >= 0; {
+			ad := a.add(i)
+			j := slices.Index(srcs, ad.src)
+			if j < 0 {
+				j = len(srcs)
+				srcs = append(srcs, ad.src)
+			}
+			ad.src, i = int32(j), ad.next
+		}
+		lists = lists[:0]
+		for _, id := range srcs {
+			lists = append(lists, a.lists.lists[id])
+		}
+		classes := cut.Cut(lists, a.p)
+		in.build(classes, len(srcs))
+		state = state[:0]
+		for range classes {
+			state = append(state, chanClass{win: -1, firstSendWin: -1, firstRecvWin: -1})
+		}
+		flush := func(win int32) {
+			for _, c := range touched {
+				st, size := &state[c], uint64(classes[c].Size)
+				paired := minU64(st.sends, st.recvs)
+				m.ResolvedPairs += size * paired
+				a.windows[win].LocalUnmatched += size * ((st.sends - paired) + (st.recvs - paired))
+				st.leftS += st.sends - paired
+				st.leftR += st.recvs - paired
+				if st.sends > 0 && st.firstSendWin < 0 {
+					st.firstSendWin = win
+				}
+				if st.recvs > 0 && st.firstRecvWin < 0 {
+					st.firstRecvWin = win
+				}
+				st.sends, st.recvs = 0, 0
+			}
+			touched = touched[:0]
+		}
+		win := int32(-1)
+		for i := e[0]; i >= 0; i = a.add(i).next {
+			ad := a.add(i)
+			if ad.win != win && win >= 0 {
+				flush(win)
+			}
+			win = ad.win
+			for _, c := range in.of(int(ad.src)) {
+				st := &state[c]
+				if st.win != ad.win {
+					st.win = ad.win
+					touched = append(touched, c)
+				}
+				if ad.recv {
+					st.recvs += ad.n
+				} else {
+					st.sends += ad.n
+				}
+			}
+		}
+		flush(win)
+		for c := range state {
+			st, size := &state[c], uint64(classes[c].Size)
+			// The per-window pairing already subtracted its matches, so
+			// every pair formed here is by construction a cross-window
+			// match.
+			m.CrossWindow += size * minU64(st.leftS, st.leftR)
+			if st.firstSendWin >= 0 && st.firstRecvWin >= 0 && st.firstRecvWin < st.firstSendWin {
+				m.OrderViolations += size
+			}
+		}
+	}
+	// m.ResolvedPairs so far counted window-local pairs only; the
+	// cross-window pairs complete the directed total.
+	m.ResolvedPairs += m.CrossWindow
 }
 
 // addUnmatched records tag's conservation defect d (sends - recvs).
@@ -775,13 +999,19 @@ func Diff(a, b *Report, tol float64) []string {
 		diffOps(pre, wa.Ops, wb.Ops, &out)
 		diffBuckets(pre, wa.ByteBuckets, wb.ByteBuckets, &out)
 	}
-	if len(a.Ranks) != len(b.Ranks) {
-		mism("ranks: %d != %d", len(a.Ranks), len(b.Ranks))
-		return out
+	if len(a.RankClasses) != len(b.RankClasses) {
+		mism("rank_classes: %d != %d", len(a.RankClasses), len(b.RankClasses))
+	} else {
+		for i := range a.RankClasses {
+			ca, cb := &a.RankClasses[i], &b.RankClasses[i]
+			if ca.Size != cb.Size || !ca.Ranks.Equal(cb.Ranks) {
+				mism("rank_classes[%d]: %v (%d ranks) != %v (%d ranks)", i, ca.Ranks, ca.Size, cb.Ranks, cb.Size)
+			}
+		}
 	}
-	for i := range a.Ranks {
-		ra, rb := &a.Ranks[i], &b.Ranks[i]
-		pre := fmt.Sprintf("rank[%d].", i)
+	for r := 0; r < a.P && a.P == b.P; r++ {
+		ra, rb := a.Rank(r), b.Rank(r)
+		pre := fmt.Sprintf("rank[%d].", r)
 		eqU(pre+"events", ra.Events, rb.Events)
 		eqI(pre+"compute_ns", ra.ComputeNs, rb.ComputeNs)
 		eqI(pre+"comm_ns", ra.CommNs, rb.CommNs)

@@ -120,7 +120,9 @@ func genTrace(data []byte) *trace.File {
 
 // checkAnalyzeMatchesReference fails t unless Analyze and the
 // pre-change analyzer (zan_ref_test.go) return the same Report, field
-// for field, in the closed-form and in the expansion mode; and so do
+// for field, in the closed-form and in the expansion mode — the rank
+// classes expanded to the reference's per-rank rows, the rest as they
+// are; and so do
 // AnalyzeBytes over the file's encoding and the pre-change analyzer over
 // the file decoded from it (the codec keeps a histogram's mean, not its
 // variance).
@@ -140,7 +142,7 @@ func checkAnalyzeMatchesReference(t *testing.T, f *trace.File) {
 			{"Analyze", f, func() (*Report, error) { return Analyze(f, opt) }},
 			{"AnalyzeBytes", decoded, func() (*Report, error) { return AnalyzeBytes(payload, opt) }},
 		} {
-			want, err := refAnalyze(c.f, opt)
+			want, wantRanks, err := refAnalyze(c.f, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,8 +150,13 @@ func checkAnalyzeMatchesReference(t *testing.T, f *trace.File) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("Expand=%v: %s differs from the reference:\n%+v\nvs\n%+v", opt.Expand, c.name, got, want)
+			if ranks := expandClasses(t, got); !reflect.DeepEqual(ranks, wantRanks) {
+				t.Fatalf("Expand=%v: %s rank rows differ from the reference:\n%+v\nvs\n%+v", opt.Expand, c.name, ranks, wantRanks)
+			}
+			rest := *got
+			rest.RankClasses = nil
+			if !reflect.DeepEqual(&rest, want) {
+				t.Fatalf("Expand=%v: %s differs from the reference:\n%+v\nvs\n%+v", opt.Expand, c.name, &rest, want)
 			}
 		}
 	}

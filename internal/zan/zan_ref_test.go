@@ -1,7 +1,8 @@
 package zan
 
 // The pre-change refAnalyzer, kept verbatim as the oracle for the channel
-// table in zan.go: a map of window-local channel counts cleared every
+// table in zan.go, but for returning its per-rank rows beside the Report
+// (which now holds rank classes instead): a map of window-local channel counts cleared every
 // window beside a whole-trace map of leftovers, each channel a fresh
 // heap object per window. FuzzAnalyzeMatchesReference requires the two
 // to produce the same Report on every generated trace whose tags are
@@ -66,12 +67,12 @@ type refAnalyzer struct {
 
 // refAnalyze walks the trace once and returns its compressed-domain
 // report. An empty trace yields an empty (but valid) report.
-func refAnalyze(f *trace.File, opt Options) (*Report, error) {
+func refAnalyze(f *trace.File, opt Options) (*Report, []Rank, error) {
 	if f == nil {
-		return nil, errors.New("zan: nil trace file")
+		return nil, nil, errors.New("zan: nil trace file")
 	}
 	if f.P <= 0 {
-		return nil, fmt.Errorf("zan: invalid rank count %d", f.P)
+		return nil, nil, fmt.Errorf("zan: invalid rank count %d", f.P)
 	}
 	if (opt.Model == vtime.CostModel{}) {
 		opt.Model = vtime.Default()
@@ -110,7 +111,7 @@ func refAnalyze(f *trace.File, opt Options) (*Report, error) {
 	}
 	a.startWindow(-1) // flush the last window
 
-	return a.report(f), nil
+	return a.report(f), a.ranks, nil
 }
 
 // --- walk plumbing ---
@@ -344,7 +345,6 @@ func (a *refAnalyzer) report(f *trace.File) *Report {
 		StoredNodes:  trace.NodeCount(f.Nodes),
 		StoredLeaves: trace.LeafCount(f.Nodes),
 		Windows:      a.windows,
-		Ranks:        a.ranks,
 	}
 	for i := range a.windows {
 		w := &a.windows[i]

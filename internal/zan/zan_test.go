@@ -61,16 +61,15 @@ func TestAnalyzeHandChecked(t *testing.T) {
 	if rep.CompressionRatio != 12.0/5.0 {
 		t.Errorf("CompressionRatio = %g, want 2.4", rep.CompressionRatio)
 	}
-	if rep.Ranks[0].Events != 6 || rep.Ranks[1].Events != 6 {
-		t.Errorf("rank events = %d/%d, want 6/6", rep.Ranks[0].Events, rep.Ranks[1].Events)
+	r0, r1 := rep.Rank(0), rep.Rank(1)
+	if r0.Events != 6 || r1.Events != 6 {
+		t.Errorf("rank events = %d/%d, want 6/6", r0.Events, r1.Events)
 	}
-	if rep.Ranks[0].ComputeNs != 1500 || rep.Ranks[1].ComputeNs != 1800 {
-		t.Errorf("rank compute = %d/%d, want 1500/1800",
-			rep.Ranks[0].ComputeNs, rep.Ranks[1].ComputeNs)
+	if r0.ComputeNs != 1500 || r1.ComputeNs != 1800 {
+		t.Errorf("rank compute = %d/%d, want 1500/1800", r0.ComputeNs, r1.ComputeNs)
 	}
-	if rep.Ranks[0].SendBytes != 1024 || rep.Ranks[1].SendBytes != 0 {
-		t.Errorf("send bytes = %d/%d, want 1024/0",
-			rep.Ranks[0].SendBytes, rep.Ranks[1].SendBytes)
+	if r0.SendBytes != 1024 || r1.SendBytes != 0 {
+		t.Errorf("send bytes = %d/%d, want 1024/0", r0.SendBytes, r1.SendBytes)
 	}
 	wantImb := 1800.0 / 1650.0
 	if !closeEnough(rep.LoadImbalance, wantImb, 1e-12) {
@@ -171,8 +170,9 @@ func TestEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Events != 0 || len(rep.Windows) != 0 || len(rep.Ranks) != 4 {
-		t.Errorf("empty trace report: %+v", rep)
+	if rep.Events != 0 || len(rep.Windows) != 0 || len(rep.RankClasses) != 1 ||
+		rep.RankClasses[0].Size != 4 || rep.Rank(3) != (Rank{Rank: 3}) {
+		t.Errorf("empty trace report: %+v, want one all-zero class of 4 ranks", rep)
 	}
 	if rep.CompressionRatio != 0 || rep.CommRatio != 0 || rep.LoadImbalance != 0 {
 		t.Errorf("empty trace ratios must be 0, got %g/%g/%g",
@@ -324,11 +324,18 @@ func TestDiffDetectsMismatches(t *testing.T) {
 		t.Fatalf("identical reports diff: %v", d)
 	}
 	b.Windows[1].CommNs++
-	b.Ranks[0].Events++
+	b.RankClasses[0].Events++ // rank 0's class
 	b.Match.Sends++
 	d := Diff(a, b, 0)
 	if len(d) != 3 {
 		t.Fatalf("want 3 mismatches, got %v", d)
+	}
+	// Classes that cut [0, P) differently are a mismatch of their own.
+	c, _ := Analyze(f, Options{})
+	c.RankClasses[0].Ranks = ranklist.FromRL(ranklist.Range(0, 2, 1))
+	c.RankClasses[0].Size = 2
+	if d := Diff(a, c, 0); len(d) == 0 || !strings.HasPrefix(d[0], "rank_classes[0]") {
+		t.Fatalf("want the partition to differ first, got %v", d)
 	}
 }
 
@@ -417,6 +424,83 @@ func BenchmarkZanAnalyze(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Analyze(f, Options{Model: vtime.Default()}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// expandClasses returns the per-rank rows of the report's rank classes,
+// failing t unless the classes partition [0, P) as their sizes say.
+func expandClasses(t *testing.T, rep *Report) []Rank {
+	t.Helper()
+	rows := make([]Rank, rep.P)
+	seen := make([]bool, rep.P)
+	for i, c := range rep.RankClasses {
+		n := 0
+		c.Ranks.ForEach(func(r int) {
+			if r < 0 || r >= rep.P || seen[r] {
+				t.Fatalf("class %d (%v) holds rank %d twice or outside [0, %d)", i, c.Ranks, r, rep.P)
+			}
+			seen[r] = true
+			n++
+			rows[r] = Rank{Rank: r, Events: c.Events, ComputeNs: c.ComputeNs, CommNs: c.CommNs,
+				WaitNs: c.WaitNs, SendBytes: c.SendBytes}
+		})
+		if n != c.Size {
+			t.Fatalf("class %d (%v) holds %d ranks, its Size says %d", i, c.Ranks, n, c.Size)
+		}
+	}
+	for r, ok := range seen {
+		if !ok {
+			t.Fatalf("rank %d is in no class", r)
+		}
+	}
+	return rows
+}
+
+// A leaf's width is its ranks in [0, P): a list reaching past P counts
+// only the ranks inside, in the window totals as in the rank rows. Each
+// window's events are then the classes' sizes times their events.
+func TestListCrossingPCountsRanksInside(t *testing.T) {
+	const p = 8
+	wide := ranklist.FromRL(ranklist.Range(4, 10, 1)) // ranks 4..13
+	all := ranklist.FromRL(ranklist.Range(0, p, 1))
+	f := &trace.File{P: p, Nodes: []*trace.Node{
+		trace.NewLoop(3, []*trace.Node{
+			trace.NewLeaf(trace.Event{Op: mpi.OpAllreduce, Bytes: 8}, wide, 100),
+			trace.NewLeaf(trace.Event{Op: mpi.OpSend, Dest: trace.Relative(1), Tag: 1, Bytes: 16}, wide, 10),
+			trace.NewLeaf(trace.Event{Op: mpi.OpRecv, Src: trace.Relative(-1), Tag: 1, Bytes: 16}, wide, 10),
+		}),
+		trace.NewLeaf(trace.Event{Op: mpi.OpBarrier}, all, 50),
+	}}
+	for _, opt := range []Options{{}, {Expand: true}} {
+		rep, err := Analyze(f, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(3 * 3 * 4); rep.Windows[0].Events != want {
+			t.Errorf("window 0: %d events, want %d (4 ranks in [0, %d), 3 leaves, 3 iterations)", rep.Windows[0].Events, want, p)
+		}
+		if st := rep.Windows[0].Ops["Allreduce"]; st.Events != 12 || st.Bytes != 96 {
+			t.Errorf("window 0 Allreduce = %+v, want {12, 96}", st)
+		}
+		var events uint64
+		var compute int64
+		for _, c := range rep.RankClasses {
+			events += uint64(c.Size) * c.Events
+			compute += int64(c.Size) * c.ComputeNs
+		}
+		if events != rep.Events || compute != rep.ComputeNs {
+			t.Errorf("classes hold %d events and %d ns of compute, the windows %d and %d", events, compute, rep.Events, rep.ComputeNs)
+		}
+		if len(rep.RankClasses) != 2 || rep.RankClasses[1].Size != 4 || rep.Rank(7).Events != 10 || rep.Rank(3).Events != 1 {
+			t.Errorf("rank classes %+v, want ranks 0-3 with 1 event and 4-7 with 10", rep.RankClasses)
+		}
+		// The ring 4 -> 5 -> 6 -> 7 closes in the world of 8 ranks: rank 7
+		// sends to rank 0, which does not receive, and rank 4 receives
+		// from rank 3, which does not send.
+		if m := rep.Match; m.Sends != 12 || m.Recvs != 12 || m.ResolvedPairs != 9 || rep.Windows[0].LocalUnmatched != 6 {
+			t.Errorf("match = %+v, local unmatched %d, want 12 sends and receives, 9 pairs, 6 unmatched",
+				m, rep.Windows[0].LocalUnmatched)
 		}
 	}
 }

@@ -135,9 +135,9 @@ func TestCompressedMetricsFaultedRun(t *testing.T) {
 	rep := crossCheck(t, out.Trace)
 	// The departed rank recorded fewer events than the survivors.
 	retired := out.Trace.Retired[0]
-	if rep.Ranks[retired].Events >= rep.Ranks[(retired+1)%16].Events {
+	if gone, kept := rep.Rank(retired), rep.Rank((retired+1)%16); gone.Events >= kept.Events {
 		t.Errorf("retired rank %d has %d events, survivor has %d — expected fewer",
-			retired, rep.Ranks[retired].Events, rep.Ranks[(retired+1)%16].Events)
+			retired, gone.Events, kept.Events)
 	}
 }
 
