@@ -58,9 +58,11 @@ test-race:
 # re-encoding (it accepts exactly the bytes that re-encode to themselves,
 # and summarizes them as the decoded file), the walk over the bytes
 # against decoding and then visiting the tree (it fails exactly when the
-# decoder does, and makes the same callbacks), the sparse histogram every decoded leaf holds against the
-# pre-change array one (any op sequence must read the same), the TCP
-# frame decoder (every fleet
+# decoder does, and makes the same callbacks), the consuming inter-node
+# merge against the cloning one kept in a test file (the same nodes and
+# cost, and the reference's inputs untouched), the sparse histogram
+# every decoded leaf holds against the pre-change array one (any op
+# sequence must read the same), the TCP frame decoder (every fleet
 # byte passes through it), the fault-plan decoder (-faults/-noise
 # input), the manifest-log replay decoder (whatever a crash left on
 # disk) and the federated listing's merge of peer answers (whatever a
@@ -84,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzScanMatchesDecode -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzWalkMatchesAccept -fuzztime=10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzMergeMatchesReference -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesReference -fuzztime=10s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s ./internal/fault/

@@ -176,8 +176,13 @@ func BenchmarkInterNodeMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// A merge consumes its inputs: each iteration merges fresh copies,
+		// made outside the timer.
+		b.StopTimer()
+		ca, cb := trace.CloneSeq(a), trace.CloneSeq(bb)
+		b.StartTimer()
 		m := trace.Merger{P: 4}
-		if out := m.Merge(a, bb); len(out) == 0 {
+		if out := m.Merge(ca, cb); len(out) == 0 {
 			b.Fatal("empty merge")
 		}
 	}

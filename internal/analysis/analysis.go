@@ -131,8 +131,9 @@ func Volumes(f *trace.File) []Volume {
 
 // CommMatrix reconstructs the point-to-point communication matrix
 // (message counts keyed by [src][dst]) by resolving each send leaf's
-// end-point for every covered rank. Wildcard/reply encodings cannot be
-// attributed to a single peer and are tallied under Unresolved.
+// end-point for every covered rank in [0, P). Wildcard/reply encodings
+// cannot be attributed to a single peer and are tallied under
+// Unresolved.
 type CommMatrix struct {
 	P          int
 	Counts     map[int]map[int]uint64
@@ -149,6 +150,9 @@ func Matrix(f *trace.File) *CommMatrix {
 			return
 		}
 		for _, src := range n.Ranks.Ranks() {
+			if src < 0 || src >= f.P {
+				continue
+			}
 			dst, ok := n.Ev.Dest.ResolveMod(src, f.P)
 			if !ok {
 				m.Unresolved += mult
@@ -273,18 +277,19 @@ func CompareWith(a, b *trace.File, opts CompareOpts) *Diff {
 }
 
 // tally walks a trace once and returns the dynamic event count of every
-// rank below p and, per call site, the events of all non-tolerated
-// ranks. A site is present only with a non-zero count: zero-trip loops
-// and leaves covered solely by tolerated ranks leave no entry, so the
-// map's key set doubles as the site-coverage set.
+// rank in [0, p) and, per call site, the events of those ranks that are
+// not tolerated. A site is present only with a non-zero count: zero-trip
+// loops and leaves covered solely by tolerated ranks leave no entry, so
+// the map's key set doubles as the site-coverage set.
 func tally(seq []*trace.Node, p int, tol map[int]bool) (ranks []uint64, sites map[uint64]uint64) {
 	ranks, sites = make([]uint64, p), map[uint64]uint64{}
 	eachLive(seq, func(n *trace.Node, mult uint64) {
 		surviving := uint64(0)
 		n.Ranks.ForEach(func(r int) {
-			if r >= 0 && r < p {
-				ranks[r] += mult
+			if r < 0 || r >= p {
+				return
 			}
+			ranks[r] += mult
 			if !tol[r] {
 				surviving++
 			}

@@ -43,12 +43,12 @@ func chamdump(_ context.Context, args []string, stdout, stderr io.Writer) error 
 // stored node — and breaks the stored representation down per marker
 // window (top-level node), on the read-only walk so nothing is expanded.
 func printStats(w io.Writer, f *trace.File) {
-	// Rank-weighted dynamic events (occurrences x rank-list width), the
-	// same totals zan and the replayer count.
+	// Rank-weighted dynamic events (occurrences x the leaf's ranks in
+	// [0, P)), the same totals zan and the replayer count.
 	events, depth := make([]uint64, len(f.Nodes)), make([]int, len(f.Nodes))
 	var total uint64
 	trace.VisitLeaves(f.Nodes, func(n *trace.Node, c trace.Cursor) {
-		occ := c.Mult * uint64(n.Ranks.Size())
+		occ := c.Mult * uint64(n.Ranks.SizeIn(f.P))
 		events[c.Window] += occ
 		total += occ
 		depth[c.Window] = max(depth[c.Window], c.Depth)

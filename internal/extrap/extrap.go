@@ -221,12 +221,18 @@ func Extrapolate(f *trace.File, targetP int) (*trace.File, error) {
 func extrapolateSeq(seq []*trace.Node, src, dst geometry, srcP, dstP int) []*trace.Node {
 	out := make([]*trace.Node, 0, len(seq))
 	for _, n := range seq {
-		c := n.Clone()
-		if c.IsLoop() {
-			c.Body = extrapolateSeq(c.Body, src, dst, srcP, dstP)
-			out = append(out, c)
+		if n.IsLoop() {
+			// A shallow copy: the body is rebuilt below, never cloned
+			// first, so each node is copied once whatever its depth.
+			c := *n
+			c.Body = extrapolateSeq(n.Body, src, dst, srcP, dstP)
+			if n.ItersHist != nil {
+				c.ItersHist = n.ItersHist.Clone()
+			}
+			out = append(out, &c)
 			continue
 		}
+		c := n.Clone()
 		c.Ranks = mapRanks(n.Ranks, src, dst, srcP, dstP)
 		c.Ev.Dest = mapEndpoint(c.Ev.Dest, src, dst)
 		c.Ev.Src = mapEndpoint(c.Ev.Src, src, dst)

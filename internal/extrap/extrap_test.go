@@ -218,3 +218,40 @@ func replayRun(f *trace.File) (uint64, error) {
 	}
 	return res.Events, nil
 }
+
+// nestAt nests depth loops of traceAt's leaf, each loop holding width
+// leaves and then the next loop.
+func nestAt(p, depth, width int) *trace.File {
+	leaf := traceAt(p, 1000).Nodes[0].Body[0]
+	var inner *trace.Node
+	for d := 0; d < depth; d++ {
+		body := make([]*trace.Node, 0, width+1)
+		for i := 0; i < width; i++ {
+			body = append(body, leaf.Clone())
+		}
+		if inner != nil {
+			body = append(body, inner)
+		}
+		inner = trace.NewLoop(2, body)
+	}
+	return &trace.File{P: p, Nodes: []*trace.Node{inner}}
+}
+
+// Extrapolation copies each node once: the same leaves nested four loops
+// deep allocate what they do under one loop, plus the three loops.
+func TestExtrapolateAllocatesPerNode(t *testing.T) {
+	const width, depth = 8, 4
+	allocs := func(f *trace.File) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Extrapolate(f, 32); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	flat, deep := allocs(nestAt(8, 1, depth*width)), allocs(nestAt(8, depth, width))
+	// A loop costs its node and its body slice.
+	if budget := flat + 2*(depth-1); deep > budget {
+		t.Fatalf("%d-deep nest allocates %.0f objects, want at most %.0f (%.0f for its leaves under one loop)",
+			depth, deep, budget, flat)
+	}
+}

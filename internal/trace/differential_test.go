@@ -269,7 +269,7 @@ func TestFoldMatchesReferenceOnAppStreams(t *testing.T) {
 }
 
 // TestFoldMatchesReferenceOnMergedSegments is rank 0's online path: at
-// every marker the leads' partial traces merge (Merger{Owned: true}) and
+// every marker the leads' partial traces merge (consumed by the merger) and
 // the merged nodes — multi-rank lists, end-points and rank lists
 // rewritten in place since a lead's compressor hashed them — are
 // appended with AppendNode. The merge order alternates between segments,
@@ -303,7 +303,7 @@ func TestFoldMatchesReferenceOnMergedSegments(t *testing.T) {
 					for k := lo; k < s.cuts[seg]; k++ {
 						part.AppendLeaf(pool.Leaf(s.events[k], ranklist.SingleRank(lead), s.deltas[k]))
 					}
-					m := trace.Merger{Filter: filter, P: appRanks, Owned: true, Pool: &pool}
+					m := trace.Merger{Filter: filter, P: appRanks}
 					merged = m.Merge(merged, part.Reset())
 				}
 				for _, n := range merged {

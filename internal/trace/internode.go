@@ -25,21 +25,19 @@ type MergeStats struct {
 const mergeLookahead = 16
 
 // Merger merges node sequences under one filter setting, accumulating
-// MergeStats.
+// MergeStats. A merge consumes both input sequences: matched pairs merge
+// in place into the left node and unmatched nodes move into the output,
+// so the inputs are unusable afterwards. Ownership along the radix merge
+// tree is linear, a child sending its sequence away and never touching
+// it again, so no caller needs copies.
 type Merger struct {
 	Filter bool
 	// P is the rank count, used to normalize absolute end-points; 0
 	// disables normalization.
 	P int
-	// Owned declares that the merger owns both input sequences: matched
-	// pairs merge in place into the left node, unmatched nodes move into
-	// the output without deep copies, and consumed right-side nodes are
-	// recycled into Pool. The inputs are unusable afterwards. Cost
-	// accounting (Compares, BytesMerged) is identical to the cloning
-	// mode, so the virtual-time charges do not change.
+	// Owned is ignored: every merge consumes both inputs (see Merge).
+	// The field stays only for callers that still set it.
 	Owned bool
-	// Pool receives the nodes an Owned merge consumes (optional).
-	Pool  *Pool
 	Stats MergeStats
 }
 
@@ -93,51 +91,17 @@ func (m *Merger) nodeMatch(a, b *Node) bool {
 	return true
 }
 
-// mergeNode combines two matching nodes into a node covering both rank
-// sets: a fresh deep copy by default, or a in place (consuming b) when
-// the merger owns its inputs.
+// mergeNode folds b into a, which then covers both rank sets:
+// statistics fold into a's own storage and b is consumed. It returns a.
 func (m *Merger) mergeNode(a, b *Node) *Node {
-	if m.Owned {
-		return m.mergeNodeOwned(a, b)
-	}
-	if a.IsLoop() {
-		body := make([]*Node, len(a.Body))
-		for i := range a.Body {
-			body[i] = m.mergeNode(a.Body[i], b.Body[i])
-		}
-		out := NewLoop(a.Iters, body)
-		if m.Filter && (a.Iters != b.Iters || a.ItersHist != nil || b.ItersHist != nil) {
-			out.ItersHist = mergedItersHist(a, b)
-		}
-		m.Stats.BytesMerged += out.SizeBytes()
-		return out
-	}
-	out := a.Clone()
-	dest, _ := m.mergeEndpoint(a.Ev.Dest, a, b.Ev.Dest, b)
-	src, _ := m.mergeEndpoint(a.Ev.Src, a, b.Ev.Src, b)
-	out.Ev.Dest = dest
-	out.Ev.Src = src
-	out.Ranks = a.Ranks.Union(b.Ranks)
-	out.Delta.Merge(b.Delta)
-	m.Stats.BytesMerged += out.SizeBytes()
-	return out
-}
-
-// mergeNodeOwned is mergeNode without the copies: statistics fold into
-// a's own storage and b's carcass recycles. The values produced — node
-// contents and BytesMerged — are exactly those of the cloning path.
-func (m *Merger) mergeNodeOwned(a, b *Node) *Node {
 	if a.IsLoop() {
 		for i := range a.Body {
-			a.Body[i] = m.mergeNodeOwned(a.Body[i], b.Body[i])
+			a.Body[i] = m.mergeNode(a.Body[i], b.Body[i])
 		}
 		if m.Filter && (a.Iters != b.Iters || a.ItersHist != nil || b.ItersHist != nil) {
 			mergeItersHistInto(a, b)
 		}
 		m.Stats.BytesMerged += a.SizeBytes()
-		// The recursion above already consumed (and recycled) b's body.
-		b.Body = nil
-		m.Pool.Put(b)
 		return a
 	}
 	// End-points must merge before a's rank list unions: the encoding
@@ -149,14 +113,11 @@ func (m *Merger) mergeNodeOwned(a, b *Node) *Node {
 	a.Ranks = a.Ranks.Union(b.Ranks)
 	a.Delta.Merge(b.Delta)
 	m.Stats.BytesMerged += a.SizeBytes()
-	m.Pool.Put(b)
 	return a
 }
 
-// mergeItersHistInto is the in-place form of mergedItersHist: it leaves
-// a.ItersHist holding exactly the histogram the cloning path would have
-// built (merging into an empty histogram copies it bitwise, so folding b
-// into a's existing histogram is equivalent).
+// mergeItersHistInto leaves in a.ItersHist the trip counts of both
+// loops: a's own count (or histogram) and b's.
 func mergeItersHistInto(a, b *Node) {
 	if a.ItersHist == nil {
 		a.ItersHist = stats.NewHistogram()
@@ -169,36 +130,16 @@ func mergeItersHistInto(a, b *Node) {
 	}
 }
 
-func mergedItersHist(a, b *Node) *stats.Histogram {
-	h := stats.NewHistogram()
-	if a.ItersHist != nil {
-		h.Merge(a.ItersHist)
-	} else {
-		h.Add(int64(a.Iters))
-	}
-	if b.ItersHist != nil {
-		h.Merge(b.ItersHist)
-	} else {
-		h.Add(int64(b.Iters))
-	}
-	return h
-}
-
-// take emits an unmatched node into the output: moved verbatim when the
-// merger owns its inputs, deep-copied otherwise. BytesMerged accounting
-// is the same either way.
+// take moves an unmatched node into the output.
 func (m *Merger) take(n *Node) *Node {
 	m.Stats.BytesMerged += n.SizeBytes()
-	if m.Owned {
-		return n
-	}
-	return n.Clone()
+	return n
 }
 
 // Merge aligns and merges two compressed sequences, returning the merged
 // sequence. Unmatched nodes are preserved in order (interleaved at their
-// alignment position), so no MPI event is ever dropped. With Owned set,
-// both inputs are consumed (see Merger.Owned).
+// alignment position), so no MPI event is ever dropped. Both inputs are
+// consumed (see Merger).
 func (m *Merger) Merge(a, b []*Node) []*Node {
 	out := make([]*Node, 0, len(a)+len(b))
 	i, j := 0, 0

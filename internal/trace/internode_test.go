@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"os"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"chameleon/internal/mpi"
 	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
+	"chameleon/internal/stats"
 )
 
 // rankLeaf builds a leaf recorded by the given rank.
@@ -15,28 +17,130 @@ func rankLeaf(site, rank int) *Node {
 	return NewLeaf(ev(site), ranklist.SingleRank(rank), 1000)
 }
 
-// mergeBoth runs one merge in both modes — cloning, the reference, on
-// the inputs themselves; owned, the path production takes, on deep
-// copies — and requires identical nodes and cost accounting. It returns
-// the owned result, so each case's own assertions run against it.
-func mergeBoth(t *testing.T, ref Merger, a, b []*Node) ([]*Node, MergeStats) {
+// mergeBoth runs one merge twice — the cloning reference on the inputs
+// themselves, the consuming merge production runs on deep copies — and
+// requires identical nodes and cost accounting, and inputs the
+// reference left as they were. It returns the production result, so
+// each case's own assertions run against it.
+func mergeBoth(t *testing.T, m Merger, a, b []*Node) ([]*Node, MergeStats) {
 	t.Helper()
-	owned := ref
-	owned.Owned = true
-	got := owned.Merge(CloneSeq(a), CloneSeq(b))
-	want := ref.Merge(a, b)
+	ca, cb := CloneSeq(a), CloneSeq(b)
+	ref := m
+	want := cloneMerge(&ref, a, b)
+	if !sameSeq(a, ca) || !sameSeq(b, cb) {
+		t.Fatalf("the cloning reference changed its inputs")
+	}
+	got := m.Merge(ca, cb)
 	// The structural hash is the compressor's cache; the merger neither
-	// reads nor maintains it (a cloned loop starts at 0, an owned one
+	// reads nor maintains it (a cloned loop starts at 0, a consumed one
 	// keeps a stale value), so identity is compared without it.
 	clearHashes(got)
 	clearHashes(want)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("owned merge diverged from the cloning reference:\n%s\nvs\n%s", Format(got), Format(want))
+		t.Fatalf("merge diverged from the cloning reference:\n%s\nvs\n%s", Format(got), Format(want))
 	}
-	if owned.Stats != ref.Stats {
-		t.Fatalf("owned merge accounted %+v, cloning reference %+v", owned.Stats, ref.Stats)
+	if m.Stats != ref.Stats {
+		t.Fatalf("merge accounted %+v, cloning reference %+v", m.Stats, ref.Stats)
 	}
-	return got, owned.Stats
+	return got, m.Stats
+}
+
+// cloneMerge is the merger's former cloning mode, kept as the reference
+// for the consuming one: the same alignment, but every output node is a
+// fresh deep copy and neither input is touched. It shares the
+// comparisons (nodeMatch, findSync, mergeEndpoint) and accumulates the
+// same m.Stats.
+func cloneMerge(m *Merger, a, b []*Node) []*Node {
+	out := make([]*Node, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if m.nodeMatch(a[i], b[j]) {
+			out = append(out, cloneMergeNode(m, a[i], b[j]))
+			i++
+			j++
+			continue
+		}
+		ai, bj := m.findSync(a, i, b, j)
+		switch {
+		case ai >= 0 && (bj < 0 || ai <= bj):
+			for k := 0; k < ai; k++ {
+				out = append(out, cloneTake(m, a[i]))
+				i++
+			}
+		case bj >= 0:
+			for k := 0; k < bj; k++ {
+				out = append(out, cloneTake(m, b[j]))
+				j++
+			}
+		default:
+			out = append(out, cloneTake(m, a[i]))
+			i++
+			if j < len(b) {
+				out = append(out, cloneTake(m, b[j]))
+				j++
+			}
+		}
+	}
+	for ; i < len(a); i++ {
+		out = append(out, cloneTake(m, a[i]))
+	}
+	for ; j < len(b); j++ {
+		out = append(out, cloneTake(m, b[j]))
+	}
+	return out
+}
+
+// cloneMergeNode combines two matching nodes into a fresh deep copy
+// covering both rank sets.
+func cloneMergeNode(m *Merger, a, b *Node) *Node {
+	if a.IsLoop() {
+		body := make([]*Node, len(a.Body))
+		for i := range a.Body {
+			body[i] = cloneMergeNode(m, a.Body[i], b.Body[i])
+		}
+		out := NewLoop(a.Iters, body)
+		if m.Filter && (a.Iters != b.Iters || a.ItersHist != nil || b.ItersHist != nil) {
+			out.ItersHist = mergedItersHist(a, b)
+		}
+		m.Stats.BytesMerged += out.SizeBytes()
+		return out
+	}
+	out := a.Clone()
+	dest, _ := m.mergeEndpoint(a.Ev.Dest, a, b.Ev.Dest, b)
+	src, _ := m.mergeEndpoint(a.Ev.Src, a, b.Ev.Src, b)
+	out.Ev.Dest = dest
+	out.Ev.Src = src
+	out.Ranks = a.Ranks.Union(b.Ranks)
+	out.Delta.Merge(b.Delta)
+	m.Stats.BytesMerged += out.SizeBytes()
+	return out
+}
+
+func mergedItersHist(a, b *Node) *stats.Histogram {
+	h := stats.NewHistogram()
+	if a.ItersHist != nil {
+		h.Merge(a.ItersHist)
+	} else {
+		h.Add(int64(a.Iters))
+	}
+	if b.ItersHist != nil {
+		h.Merge(b.ItersHist)
+	} else {
+		h.Add(int64(b.Iters))
+	}
+	return h
+}
+
+// cloneTake emits a deep copy of an unmatched node.
+func cloneTake(m *Merger, n *Node) *Node {
+	m.Stats.BytesMerged += n.SizeBytes()
+	return n.Clone()
+}
+
+// sameSeq reports whether two sequences hold equal nodes; a nil and an
+// empty sequence are the same.
+func sameSeq(x, y []*Node) bool {
+	return len(x) == len(y) && (len(x) == 0 || reflect.DeepEqual(x, y))
 }
 
 func clearHashes(seq []*Node) {
@@ -323,4 +427,83 @@ func TestEventString(t *testing.T) {
 
 func osWriteFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
+}
+
+// fuzzMergeSide builds one side of a merge: the compressed sequence the
+// ranks of list record from stream. Each byte is one call, repeated
+// 1 + b>>5 times (runs of different lengths give loops whose trip counts
+// differ between the sides): its call site is 1 + b&3, bit 2 enlarges
+// its message, and bits 3-4 pick its end-point — relative to the
+// caller, the caller's offset to rank 0 (which merges singletons into
+// an absolute end-point), absolute rank 0, or a wildcard receive.
+func fuzzMergeSide(stream []byte, ranks ranklist.List, filter bool) []*Node {
+	c := Compressor{Filter: filter}
+	for _, b := range stream {
+		e := ev(int(b&3) + 1)
+		if b&4 != 0 {
+			e.Bytes = 999
+		}
+		switch (b >> 3) & 3 {
+		case 1:
+			e.Dest = Relative(-ranks.Min())
+		case 2:
+			e.Dest = Absolute(0)
+		case 3:
+			e.Op, e.Dest, e.Src = mpi.OpRecv, Endpoint{}, Endpoint{Kind: EPAnySource}
+		}
+		for k := 0; k <= int(b>>5); k++ {
+			c.AppendLeaf(NewLeaf(e, ranks, 1000+int64(b)*int64(k+1)))
+		}
+	}
+	return c.Seq
+}
+
+// FuzzMergeMatchesReference checks the consuming merge against the
+// cloning reference (mergeBoth) on two sides built from byte streams.
+// Bit 0 of mode turns the parameter filter on (for the compressors and
+// the merger alike); bits 1 and 2 give the left and the right side a
+// multi-rank list instead of a single rank.
+func FuzzMergeMatchesReference(f *testing.F) {
+	// The cases of the tests above: identical, divergent and disjoint
+	// traces, loops with equal and differing trip counts (strict and
+	// filtered), singleton offsets that merge as absolute, differing
+	// message sizes, empty sides.
+	f.Add(byte(0), []byte{0, 1}, []byte{0, 1})
+	f.Add(byte(0), []byte{0, 2}, []byte{0, 1, 2})
+	f.Add(byte(0), []byte{0, 1}, []byte{2, 3})
+	loop := func(n int) []byte { return bytes.Repeat([]byte{0, 1}, n) }
+	f.Add(byte(0), loop(10), loop(10))
+	f.Add(byte(0), loop(10), loop(12))
+	f.Add(byte(1), loop(10), loop(12))
+	f.Add(byte(0), []byte{8}, []byte{8})
+	f.Add(byte(0), []byte{0}, []byte{4})
+	f.Add(byte(0), []byte{0}, []byte{})
+	f.Add(byte(0), []byte{}, []byte{0})
+	// Multi-rank sides, wildcards, absolute end-points, and runs of
+	// 3 vs 4 calls under the filter.
+	f.Add(byte(7), []byte{0x40, 1, 0x40, 1, 0x18}, []byte{0x60, 1, 0x60, 1, 0x10})
+	// Under the filter a side's own compressor folds runs of 3 and 4
+	// calls into one loop with a trip-count histogram: on the right, on
+	// the left, on both.
+	f.Add(byte(1), []byte{0x20, 1, 0x20, 1}, []byte{0x40, 1, 0x60, 1})
+	f.Add(byte(1), []byte{0x40, 1, 0x60, 1}, []byte{0x20, 1, 0x20, 1})
+	f.Add(byte(1), []byte{0x40, 1, 0x60, 1}, []byte{0x20, 1, 0x60, 1})
+	f.Add(byte(6), []byte{9, 2, 9, 2, 9, 2}, []byte{9, 2, 9, 2})
+	f.Fuzz(func(t *testing.T, mode byte, as, bs []byte) {
+		const p, maxCalls = 8, 64
+		if len(as) > maxCalls || len(bs) > maxCalls {
+			return
+		}
+		filter := mode&1 != 0
+		left, right := ranklist.SingleRank(0), ranklist.SingleRank(4)
+		if mode&2 != 0 {
+			left = ranklist.FromRanks([]int{0, 1, 2})
+		}
+		if mode&4 != 0 {
+			right = ranklist.FromRanks([]int{4, 6})
+		}
+		a := fuzzMergeSide(as, left, filter)
+		b := fuzzMergeSide(bs, right, filter)
+		mergeBoth(t, Merger{P: p, Filter: filter}, a, b)
+	})
 }

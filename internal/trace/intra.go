@@ -60,7 +60,7 @@ func (c *Compressor) AppendLeaf(n *Node) {
 
 // AppendNode appends a pre-built node (used when growing the online
 // global trace from flushed segments) and re-folds the tail. The whole
-// subtree is re-hashed on the way in: Merger.mergeNodeOwned rewrites
+// subtree is re-hashed on the way in: Merger.mergeNode rewrites
 // end-points and rank lists in place, so a hash it carries is stale.
 func (c *Compressor) AppendNode(n *Node) {
 	n.rehash()

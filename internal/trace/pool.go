@@ -11,7 +11,7 @@ package trace
 // (one per simulated rank) owns one, and nodes recycled into a pool may
 // only be touched by that pool's owner afterwards. Ownership of live
 // nodes is linear — TakePartial hands a sequence away, the radix-tree
-// merge consumes both inputs (Merger.Owned), and the online compressor
+// merge consumes both inputs (Merger.Merge), and the online compressor
 // folds what reaches rank 0 — so a node is never reachable from two
 // places when it dies.
 

@@ -51,8 +51,8 @@ func MergeOverTree(p *mpi.Proc, members []int, mine []*trace.Node, filter bool, 
 		child, _ := msg.Payload.([]*trace.Node)
 		// Ownership is linear along the tree: the child rank sent its
 		// sequence away and this rank's acc is not referenced elsewhere,
-		// so the merger consumes both in place instead of deep-copying.
-		m := trace.Merger{Filter: filter, P: p.Size(), Owned: true}
+		// so the merger may consume both.
+		m := trace.Merger{Filter: filter, P: p.Size()}
 		acc = m.Merge(acc, child)
 		p.ChargeOverhead(cat,
 			model.MergeFixed+

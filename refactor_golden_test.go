@@ -109,10 +109,9 @@ var refactorShapes = map[string]struct {
 // newPipelineMerger returns the merger configuration the production
 // radix-tree reduction uses.
 func newPipelineMerger(p int) *trace.Merger {
-	// Owned matches the production MergeOverTree configuration: partials
-	// are detached from their recorders, so the merger may consume both
-	// sides in place instead of deep-copying.
-	return &trace.Merger{P: p, Owned: true}
+	// Partials are detached from their recorders, so the merger may
+	// consume both sides, as it does in MergeOverTree.
+	return &trace.Merger{P: p}
 }
 
 // canonSeq renders a node sequence with stack signatures replaced by
