@@ -76,7 +76,10 @@ test-race:
 # step's selection against the pre-change one kept in a test file
 # (every lead, descriptor and distance count must agree), and the
 # compressed-domain analysis against the pre-change one kept in a test
-# file over generated programs (the whole report must agree). The seed and poison
+# file over generated programs (the whole report must agree), and the
+# trace readers (summary, volumes, matrix, critical path, diff) against
+# the per-rank ones kept in a test file over generated pairs of traces
+# (every field must agree). The seed and poison
 # corpora run as plain tests in `make test`;
 # CI runs this for the fuzzing time on top, and local deep fuzzing just
 # raises -fuzztime.
@@ -97,6 +100,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRankClasses -fuzztime=10s ./internal/ranklist/
 	$(GO) test -run '^$$' -fuzz FuzzSelectMatchesReference -fuzztime=10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzAnalyzeMatchesReference -fuzztime=10s ./internal/zan/
+	$(GO) test -run '^$$' -fuzz FuzzReadersMatchReference -fuzztime=10s ./internal/analysis/
 
 # test-transport: the TCP multi-process transport suite under the race
 # detector. In internal/mpi: the layer tables over net.Pipe (link

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"chameleon/internal/mpi"
+	"chameleon/internal/ranklist"
 	"chameleon/internal/trace"
 	"chameleon/internal/zan"
 )
@@ -30,41 +31,124 @@ type Summary struct {
 	CompressionRatio float64
 	// OpCounts tallies dynamic events per MPI operation.
 	OpCounts map[string]uint64
+	// Events is the rank-weighted dynamic event count: each live leaf's
+	// occurrences (loops at MeanIters) times its ranks in [0, P), the
+	// total zan and the replayer count.
+	Events uint64
+	// Windows breaks the stored nodes down per marker window (top-level
+	// node).
+	Windows []Window
+}
+
+// Window is one marker window's share of a Summary: its stored nodes
+// and leaves, its events (rank-weighted, as Summary.Events), and the
+// deepest loop nesting of its leaves.
+type Window struct {
+	Nodes, Leaves int
+	Events        uint64
+	Depth         int
 }
 
 // Summarize computes the Summary of a trace file.
 func Summarize(f *trace.File) Summary {
-	s := Summary{
-		P:             f.P,
-		Nodes:         trace.NodeCount(f.Nodes),
-		Leaves:        trace.LeafCount(f.Nodes),
-		DynamicEvents: trace.DynamicEvents(f.Nodes),
-		SizeBytes:     trace.SizeBytes(f.Nodes),
-		OpCounts:      map[string]uint64{},
-	}
-	sites := map[uint64]struct{}{}
-	trace.CollectStacks(f.Nodes, sites)
-	s.DistinctSites = len(sites)
-	trace.VisitLeaves(f.Nodes, func(n *trace.Node, c trace.Cursor) {
-		s.MaxLoopDepth = max(s.MaxLoopDepth, c.Depth)
-		if c.Mult > 0 { // zero-trip loop: structure only, no dynamic events
-			s.OpCounts[n.Ev.Op.String()] += c.Mult
-		}
-	})
-	s.CompressionRatio = zan.Ratio(float64(s.DynamicEvents), float64(s.Leaves))
-	return s
+	return walk(f).sum
 }
 
-// eachLive calls fn once per stored leaf that occurs at all, with its
-// dynamic occurrence count per covered rank (the product of the
-// enclosing trip counts). Leaves under a zero-trip loop are skipped, so
-// they contribute nothing — not even zero-valued map entries.
-func eachLive(seq []*trace.Node, fn func(n *trace.Node, mult uint64)) {
-	trace.VisitLeaves(seq, func(n *trace.Node, c trace.Cursor) {
-		if c.Mult > 0 {
-			fn(n, c.Mult)
-		}
-	})
+// pass is the one walk over a trace every reader here starts from. It
+// adds each live leaf (one not under a zero-trip loop) once to the row
+// of its rank list, to its (list, site) count and, for a send, to its
+// (list, destination) count, and counts the Summary on the way. A
+// leaf's ranks are its list's ranks in [0, P), each counted once
+// (ranklist.Table), so the pass costs the stored nodes and the distinct
+// lists, never the ranks the lists name; the readers then cut [0, P)
+// into the classes of ranks the same lists cover (ranklist.Classes).
+type pass struct {
+	lists  ranklist.Table
+	rows   []listRow             // by list id
+	sites  map[listKey]uint64    // by (list, site)
+	dests  map[listKey][2]uint64 // messages and bytes, by (list, dest)
+	stacks map[uint64]struct{}
+	iters  []uint64 // per depth: the product of the enclosing loops' Iters
+	sum    Summary
+}
+
+// listRow is what the live leaves of one list add to each of its ranks.
+type listRow struct {
+	events, sends, sendBytes, recvs, colls uint64
+	compute                                int64 // delta means
+}
+
+// listKey is a list with a call site or a send end-point of its leaves.
+type listKey struct {
+	list int32
+	site uint64
+	dest trace.Endpoint
+}
+
+// walk runs the pass over f's decoded tree.
+func walk(f *trace.File) *pass {
+	w := &pass{sites: map[listKey]uint64{}, dests: map[listKey][2]uint64{},
+		stacks: map[uint64]struct{}{}, iters: []uint64{1}}
+	w.sum = Summary{P: f.P, OpCounts: map[string]uint64{}, Windows: make([]Window, len(f.Nodes))}
+	trace.Accept(f.Nodes, w)
+	w.sum.DistinctSites = len(w.stacks)
+	w.sum.CompressionRatio = zan.Ratio(float64(w.sum.DynamicEvents), float64(w.sum.Leaves))
+	return w
+}
+
+func (w *pass) EnterLoop(n *trace.Node, c trace.Cursor) bool {
+	w.sum.Windows[c.Window].Nodes++
+	w.sum.Nodes++
+	w.sum.SizeBytes += n.HeadBytes()
+	w.iters = append(w.iters[:c.Depth+1], w.iters[c.Depth]*n.Iters)
+	return true
+}
+
+func (w *pass) LeaveLoop(*trace.Node, trace.Cursor) {}
+
+func (w *pass) Leaf(n *trace.Node, c trace.Cursor) {
+	s, win := &w.sum, &w.sum.Windows[c.Window]
+	win.Nodes++
+	win.Leaves++
+	win.Depth = max(win.Depth, c.Depth)
+	s.Nodes++
+	s.Leaves++
+	s.MaxLoopDepth = max(s.MaxLoopDepth, c.Depth)
+	s.SizeBytes += n.HeadBytes()
+	s.DynamicEvents += w.iters[c.Depth]
+	w.stacks[uint64(n.Ev.Stack)] = struct{}{}
+	if c.Mult == 0 { // zero-trip loop: structure only, no dynamic events
+		return
+	}
+	s.OpCounts[n.Ev.Op.String()] += c.Mult
+	id := w.lists.ID(n.Ranks, s.P)
+	if id < 0 {
+		return
+	}
+	occ := c.Mult * uint64(w.lists.Width[id])
+	win.Events += occ
+	s.Events += occ
+	if int(id) == len(w.rows) { // the table numbers lists in order of first sight
+		w.rows = append(w.rows, listRow{})
+	}
+	row, op, bytes := &w.rows[id], n.Ev.Op, c.Mult*uint64(n.Ev.Bytes)
+	row.events += c.Mult
+	if n.Delta != nil {
+		row.compute += int64(c.Mult) * n.Delta.Mean()
+	}
+	if op == mpi.OpSend || op == mpi.OpIsend || op == mpi.OpSendrecv {
+		row.sends += c.Mult
+		row.sendBytes += bytes
+		k := listKey{list: id, dest: n.Ev.Dest}
+		w.dests[k] = [2]uint64{w.dests[k][0] + c.Mult, w.dests[k][1] + bytes}
+	}
+	if op == mpi.OpRecv || op == mpi.OpIrecv || op == mpi.OpSendrecv {
+		row.recvs += c.Mult
+	}
+	if op.IsCollective() {
+		row.colls += c.Mult
+	}
+	w.sites[listKey{list: id, site: uint64(n.Ev.Stack)}] += c.Mult
 }
 
 // SortedKeys returns a map's keys in ascending order, the iteration
@@ -102,30 +186,18 @@ type Volume struct {
 // Volumes reconstructs per-rank communication volumes from a trace.
 func Volumes(f *trace.File) []Volume {
 	out := make([]Volume, f.P)
-	for r := range out {
-		out[r].Rank = r
-	}
-	eachLive(f.Nodes, func(n *trace.Node, mult uint64) {
-		for _, r := range n.Ranks.Ranks() {
-			if r < 0 || r >= f.P {
-				continue
-			}
-			v := &out[r]
-			switch {
-			case n.Ev.Op == mpi.OpSend || n.Ev.Op == mpi.OpIsend:
-				v.SendEvents += mult
-				v.SendBytes += mult * uint64(n.Ev.Bytes)
-			case n.Ev.Op == mpi.OpRecv || n.Ev.Op == mpi.OpIrecv:
-				v.RecvEvents += mult
-			case n.Ev.Op == mpi.OpSendrecv:
-				v.SendEvents += mult
-				v.SendBytes += mult * uint64(n.Ev.Bytes)
-				v.RecvEvents += mult
-			case n.Ev.Op.IsCollective():
-				v.CollEvents += mult
-			}
+	w := walk(f)
+	for _, c := range ranklist.Classes(w.lists.Lists, f.P) {
+		var v Volume
+		for _, j := range c.Of {
+			row := &w.rows[j]
+			v.SendEvents += row.sends
+			v.SendBytes += row.sendBytes
+			v.RecvEvents += row.recvs
+			v.CollEvents += row.colls
 		}
-	})
+		c.Ranks.ForEach(func(r int) { v.Rank = r; out[r] = v })
+	}
 	return out
 }
 
@@ -141,26 +213,25 @@ type CommMatrix struct {
 	Unresolved uint64
 }
 
-// Matrix reconstructs the communication matrix of a trace.
+// Matrix reconstructs the communication matrix of a trace. It answers
+// per rank pair, so it visits every rank of each distinct (list,
+// destination) its sends take.
 func Matrix(f *trace.File) *CommMatrix {
 	m := &CommMatrix{P: f.P, Counts: map[int]map[int]uint64{}, Bytes: map[int]map[int]uint64{}}
-	eachLive(f.Nodes, func(n *trace.Node, mult uint64) {
-		op := n.Ev.Op
-		if op != mpi.OpSend && op != mpi.OpIsend && op != mpi.OpSendrecv {
-			return
-		}
-		for _, src := range n.Ranks.Ranks() {
+	w := walk(f)
+	for k, n := range w.dests {
+		w.lists.Lists[k.list].ForEach(func(src int) {
 			if src < 0 || src >= f.P {
-				continue
+				return
 			}
-			dst, ok := n.Ev.Dest.ResolveMod(src, f.P)
+			dst, ok := k.dest.ResolveMod(src, f.P)
 			if !ok {
-				m.Unresolved += mult
-				continue
+				m.Unresolved += n[0]
+				return
 			}
-			m.add(src, dst, mult, mult*uint64(n.Ev.Bytes))
-		}
-	})
+			m.add(src, dst, n[0], n[1])
+		})
+	}
 	return m
 }
 
@@ -241,34 +312,65 @@ func Compare(a, b *trace.File) *Diff {
 	return CompareWith(a, b, CompareOpts{})
 }
 
-// CompareWith diffs two trace files under explicit options.
+// CompareWith diffs two trace files under explicit options. Each
+// trace counts its ranks in its own [0, P). It cuts [0, max P) once
+// into the classes of ranks the same lists of both traces, the
+// tolerated ranks and each trace's [0, P) cover, so a per-rank count is
+// one number per class, and only the ranks of a class that differs are
+// visited.
 func CompareWith(a, b *trace.File, opts CompareOpts) *Diff {
-	tol := make(map[int]bool, len(opts.TolerateRanks))
-	for _, r := range opts.TolerateRanks {
-		tol[r] = true
-	}
+	wa, wb := walk(a), walk(b)
+	na, nb := len(wa.lists.Lists), len(wb.lists.Lists)
+	tolerated := na + nb // then a's world, then b's
+	lists := slices.Concat(wa.lists.Lists, wb.lists.Lists,
+		[]ranklist.List{ranklist.FromRanks(opts.TolerateRanks), world(a.P), world(b.P)})
+	tolIn := make([]int, na+nb) // per list: its tolerated ranks in its trace's world
 	d := &Diff{EventDeltas: map[int]int64{}, SiteCountDeltas: map[uint64]int64{}}
-	p := max(a.P, b.P)
-	ra, ca := tally(a.Nodes, p, tol)
-	rb, cb := tally(b.Nodes, p, tol)
-	for s, na := range ca {
-		nb, ok := cb[s]
-		if !ok {
+	for _, c := range ranklist.Classes(lists, max(a.P, b.P)) {
+		tol := slices.Contains(c.Of, tolerated)
+		inA, inB := slices.Contains(c.Of, tolerated+1), slices.Contains(c.Of, tolerated+2)
+		var ea, eb uint64
+		for _, j := range c.Of {
+			switch {
+			case j < na && inA:
+				ea += wa.rows[j].events
+			case j >= na && j < tolerated && inB:
+				eb += wb.rows[j-na].events
+			default:
+				continue
+			}
+			if tol {
+				tolIn[j] += c.Size
+			}
+		}
+		if !tol && ea != eb {
+			delta := int64(ea) - int64(eb)
+			c.Ranks.ForEach(func(r int) { d.EventDeltas[r] = delta })
+		}
+	}
+	// Per site, the live events of a and of b on the ranks that are not
+	// tolerated: per list, its ranks in [0, P) less those of its
+	// tolerated classes. Zero-trip loops and leaves covered solely by
+	// tolerated ranks count nothing, so a zero count is a missing site.
+	sites := map[uint64][2]uint64{}
+	for side, w := range []*pass{wa, wb} {
+		for k, mult := range w.sites {
+			if n := w.lists.Width[k.list] - tolIn[side*na+int(k.list)]; n > 0 {
+				c := sites[k.site]
+				c[side] += mult * uint64(n)
+				sites[k.site] = c
+			}
+		}
+	}
+	for s, n := range sites {
+		switch {
+		case n[1] == 0:
 			d.MissingInB = append(d.MissingInB, s)
-		}
-		if na != nb {
-			d.SiteCountDeltas[s] = int64(na) - int64(nb)
-		}
-	}
-	for s, nb := range cb {
-		if _, ok := ca[s]; !ok {
+		case n[0] == 0:
 			d.MissingInA = append(d.MissingInA, s)
-			d.SiteCountDeltas[s] = -int64(nb)
 		}
-	}
-	for r := range ra {
-		if !tol[r] && ra[r] != rb[r] {
-			d.EventDeltas[r] = int64(ra[r]) - int64(rb[r])
+		if n[0] != n[1] {
+			d.SiteCountDeltas[s] = int64(n[0]) - int64(n[1])
 		}
 	}
 	slices.Sort(d.MissingInA)
@@ -276,49 +378,22 @@ func CompareWith(a, b *trace.File, opts CompareOpts) *Diff {
 	return d
 }
 
-// tally walks a trace once and returns the dynamic event count of every
-// rank in [0, p) and, per call site, the events of those ranks that are
-// not tolerated. A site is present only with a non-zero count: zero-trip
-// loops and leaves covered solely by tolerated ranks leave no entry, so
-// the map's key set doubles as the site-coverage set.
-func tally(seq []*trace.Node, p int, tol map[int]bool) (ranks []uint64, sites map[uint64]uint64) {
-	ranks, sites = make([]uint64, p), map[uint64]uint64{}
-	eachLive(seq, func(n *trace.Node, mult uint64) {
-		surviving := uint64(0)
-		n.Ranks.ForEach(func(r int) {
-			if r < 0 || r >= p {
-				return
-			}
-			ranks[r] += mult
-			if !tol[r] {
-				surviving++
-			}
-		})
-		if surviving > 0 {
-			sites[uint64(n.Ev.Stack)] += mult * surviving
-		}
-	})
-	return ranks, sites
+// world is the list of the ranks [0, p).
+func world(p int) ranklist.List {
+	return ranklist.FromRL(ranklist.New(0, ranklist.Dim{Iters: p, Stride: 1}))
 }
 
 // CriticalPath estimates the trace's serial lower bound: the maximum
 // over ranks of (compute deltas + per-event message latency), a cheap
 // replay-free makespan estimate.
 func CriticalPath(f *trace.File, alphaNs int64) int64 {
-	totals := make([]int64, f.P)
-	eachLive(f.Nodes, func(n *trace.Node, mult uint64) {
-		cost := alphaNs
-		if n.Delta != nil {
-			cost += n.Delta.Mean()
-		}
-		n.Ranks.ForEach(func(r int) {
-			if r >= 0 && r < f.P {
-				totals[r] += int64(mult) * cost
-			}
-		})
-	})
+	w := walk(f)
 	var worst int64
-	for _, t := range totals {
+	for _, c := range ranklist.Classes(w.lists.Lists, f.P) {
+		var t int64
+		for _, j := range c.Of {
+			t += int64(w.rows[j].events)*alphaNs + w.rows[j].compute
+		}
 		worst = max(worst, t)
 	}
 	return worst

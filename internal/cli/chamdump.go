@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 
+	"chameleon/internal/analysis"
 	"chameleon/internal/store"
 	"chameleon/internal/trace"
+	"chameleon/internal/zan"
 )
 
 func chamdump(_ context.Context, args []string, stdout, stderr io.Writer) error {
@@ -25,46 +27,25 @@ func chamdump(_ context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 	fmt.Fprintf(stdout, "# tracer=%s benchmark=%s P=%d clustered=%v filter=%v\n",
 		f.Tracer, f.Benchmark, f.P, f.Clustered, f.Filter)
+	s := analysis.Summarize(f)
 	fmt.Fprintf(stdout, "# nodes=%d leaves=%d dynamic-events=%d size=%dB\n",
-		trace.NodeCount(f.Nodes), trace.LeafCount(f.Nodes),
-		trace.DynamicEvents(f.Nodes), trace.SizeBytes(f.Nodes))
+		s.Nodes, s.Leaves, s.DynamicEvents, s.SizeBytes)
 	switch {
 	case *sites:
 		printSites(stdout, f)
 	case *stats:
-		printStats(stdout, f)
+		// How well the trace compresses — rank-weighted dynamic events
+		// per stored node — and the stored nodes per marker window.
+		fmt.Fprintf(stdout, "# compression: %d dynamic events in %d stored nodes = %.1fx\n",
+			s.Events, s.Nodes, zan.Ratio(float64(s.Events), float64(s.Nodes)))
+		fmt.Fprintf(stdout, "# %-6s %8s %8s %12s %6s\n", "window", "nodes", "leaves", "events", "depth")
+		for i, w := range s.Windows {
+			fmt.Fprintf(stdout, "# %-6d %8d %8d %12d %6d\n", i, w.Nodes, w.Leaves, w.Events, w.Depth)
+		}
 	default:
 		fmt.Fprint(stdout, trace.Format(f.Nodes))
 	}
 	return nil
-}
-
-// printStats reports how well the trace compresses — dynamic events per
-// stored node — and breaks the stored representation down per marker
-// window (top-level node), on the read-only walk so nothing is expanded.
-func printStats(w io.Writer, f *trace.File) {
-	// Rank-weighted dynamic events (occurrences x the leaf's ranks in
-	// [0, P)), the same totals zan and the replayer count.
-	events, depth := make([]uint64, len(f.Nodes)), make([]int, len(f.Nodes))
-	var total uint64
-	trace.VisitLeaves(f.Nodes, func(n *trace.Node, c trace.Cursor) {
-		occ := c.Mult * uint64(n.Ranks.SizeIn(f.P))
-		events[c.Window] += occ
-		total += occ
-		depth[c.Window] = max(depth[c.Window], c.Depth)
-	})
-	nodes := trace.NodeCount(f.Nodes)
-	ratio := 0.0
-	if nodes > 0 {
-		ratio = float64(total) / float64(nodes)
-	}
-	fmt.Fprintf(w, "# compression: %d dynamic events in %d stored nodes = %.1fx\n", total, nodes, ratio)
-	fmt.Fprintf(w, "# %-6s %8s %8s %12s %6s\n", "window", "nodes", "leaves", "events", "depth")
-	for i := range f.Nodes {
-		win := f.Nodes[i : i+1]
-		fmt.Fprintf(w, "# %-6d %8d %8d %12d %6d\n",
-			i, trace.NodeCount(win), trace.LeafCount(win), events[i], depth[i])
-	}
 }
 
 // printSites lists the trace's call-site table: one row per distinct

@@ -1,8 +1,10 @@
 package cli
 
 import (
-	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"chameleon/internal/analysis"
@@ -34,18 +36,24 @@ func crossingP(clip bool) *trace.File {
 
 // Every per-rank reader counts a leaf's ranks in [0, P), as zan and the
 // replayer do: chamdump -stats' total is zan's, the matrix has no row at
-// or past P, and the trace diffs equivalent against its lists clipped.
+// or past P, and the trace diffs equivalent against its lists clipped,
+// also when the clipped trace declares a larger P (each trace counts
+// inside its own P).
 func TestReadersCountRanksInsideP(t *testing.T) {
 	f := crossingP(false)
 	rep, err := zan.Analyze(f, zan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	printStats(&out, f)
+	path := filepath.Join(t.TempDir(), "crossing.trace")
+	if err := os.WriteFile(path, f.AppendBinary(nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, _, code := run(t, "chamdump", "-stats", path)
 	var total uint64
-	if _, err := fmt.Sscanf(out.String(), "# compression: %d dynamic events", &total); err != nil {
-		t.Fatalf("chamdump -stats header: %v\n%s", err, out.String())
+	_, line, _ := strings.Cut(out, "# compression: ")
+	if _, err := fmt.Sscanf(line, "%d dynamic events", &total); code != 0 || err != nil {
+		t.Fatalf("chamdump -stats (exit %d): %v\n%s", code, err, out)
 	}
 	if total != rep.Events {
 		t.Errorf("chamdump -stats counts %d events, zan %d", total, rep.Events)
@@ -58,5 +66,10 @@ func TestReadersCountRanksInsideP(t *testing.T) {
 	}
 	if d := analysis.Compare(f, crossingP(true)); !d.Equivalent() {
 		t.Errorf("diff against the clipped trace: %s", d.Reason())
+	}
+	wider := crossingP(true)
+	wider.P = 16
+	if d := analysis.Compare(f, wider); !d.Equivalent() {
+		t.Errorf("diff against the clipped trace at P=%d: %s", wider.P, d.Reason())
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
 	"chameleon/internal/apps"
@@ -151,7 +152,13 @@ func TestEventsObservedVsRecorded(t *testing.T) {
 // stacksOf collects the distinct stack signatures of a trace.
 func stacksOf(seq []*trace.Node) map[uint64]struct{} {
 	out := map[uint64]struct{}{}
-	trace.CollectStacks(seq, out)
+	for _, n := range seq {
+		if n.IsLoop() {
+			maps.Copy(out, stacksOf(n.Body))
+		} else {
+			out[uint64(n.Ev.Stack)] = struct{}{}
+		}
+	}
 	return out
 }
 

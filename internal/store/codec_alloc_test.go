@@ -1,17 +1,22 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	chameleon "chameleon"
+	"chameleon/internal/cq"
 	"chameleon/internal/mpi"
 	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
@@ -298,6 +303,136 @@ func TestStatsQueryOfWideListsCostsItsLists(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A diff pays once per distinct rank list, as a stats query does, on
+// both paths that run analysis.CompareWith: GET /runs/{a}/diff/{b}, and
+// a PUT a CQ spec gates against a golden run. Run a holds the 64 runs
+// of TestStatsQueryOfWideListsCostsItsLists (barrier i on ranks i..,
+// 2^20 of them, at P=2^20) and run b the same runs one rank on, so
+// exactly ranks 0..63 differ, by one event each. Each path takes under
+// 50 ms and 1 MB. Expanding every list rank by rank, the diff took
+// 1.35 s and 16.9 MB.
+func TestDiffOfWideListsCostsItsLists(t *testing.T) {
+	skipUnderRace(t)
+	list := func(from int) func(i int) ranklist.List {
+		return func(i int) ranklist.List { return ranklist.FromRL(ranklist.Range(from+i, 1<<20, 1)) }
+	}
+	payloadA, payloadB := wideListsPayload(t, list(0)), wideListsPayload(t, list(1))
+	budget := func(t *testing.T, what string, took time.Duration, alloc uint64) {
+		t.Helper()
+		t.Logf("%s: %v, %d B allocated", what, took, alloc)
+		if took > 50*time.Millisecond || alloc > 1<<20 {
+			t.Fatalf("%s took %v and allocated %d B; want < 50 ms, 1 MB", what, took, alloc)
+		}
+	}
+
+	t.Run("GET diff", func(t *testing.T) {
+		a := openTemp(t, Options{})
+		runA, _, err := a.IngestBytes(payloadA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runB, _, err := a.IngestBytes(payloadB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := NewServer(a, ServerOptions{})
+		var body []byte
+		start := time.Now()
+		alloc := bytesAllocated(1, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/runs/"+runA.ID+"/diff/"+runB.ID, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("diff: %d %s", rec.Code, rec.Body)
+			}
+			body = rec.Body.Bytes()
+		})
+		budget(t, "diff of the wide lists", time.Since(start)/3, alloc)
+		var d DiffResponse
+		if err := json.Unmarshal(body, &d); err != nil {
+			t.Fatal(err)
+		}
+		// Only the ranks at either end of [0, P) can differ, and the
+		// lists' sizes in [0, P) say the deltas there are all there are.
+		// A list holds rank r when it holds more ranks below r+1 than
+		// below r (RL.Contains walks a run rank by rank).
+		const p = 1 << 20
+		want, wantSum := map[string]int64{}, int64(0)
+		for i := 0; i < 64; i++ {
+			wantSum += int64(list(0)(i).SizeIn(p)) - int64(list(1)(i).SizeIn(p))
+		}
+		for _, r := range append(makeRange(0, 128), makeRange(p-128, p)...) {
+			var delta int64
+			for i := 0; i < 64; i++ {
+				delta += int64(list(0)(i).SizeIn(r+1)-list(0)(i).SizeIn(r)) -
+					int64(list(1)(i).SizeIn(r+1)-list(1)(i).SizeIn(r))
+			}
+			if delta != 0 {
+				want[strconv.Itoa(r)] = delta
+				wantSum -= delta
+			}
+		}
+		if len(want) != 64 || wantSum != 0 || !reflect.DeepEqual(d.EventDeltas, want) {
+			t.Fatalf("event deltas %v, want %v (%+d events unaccounted for)", d.EventDeltas, want, wantSum)
+		}
+		if d.Equivalent || len(d.SiteCountDelta) != 1 {
+			t.Fatalf("diff %+v, want one site 64 events apart", d)
+		}
+		for _, delta := range d.SiteCountDelta {
+			if delta != 64 {
+				t.Fatalf("site delta %+d, want +64", delta)
+			}
+		}
+	})
+
+	t.Run("PUT gated by a CQ", func(t *testing.T) {
+		// A gate fires once per new run, so each round PUTs into a fresh
+		// archive.
+		least, took := uint64(math.MaxUint64), time.Duration(math.MaxInt64)
+		var feed cq.FeedView
+		for round := 0; round < 3; round++ {
+			a := openTemp(t, Options{})
+			golden, _, err := a.IngestBytes(payloadB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := cq.New(cq.Options{Lookup: FedLookup(a, nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Register(cq.Spec{Tenant: DefaultTenant, Name: "gate", Golden: golden.ID}); err != nil {
+				t.Fatal(err)
+			}
+			h := NewServer(a, ServerOptions{CQ: eng})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/runs", bytes.NewReader(payloadA)))
+			took = min(took, time.Since(start))
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+			if rec.Code != http.StatusCreated {
+				t.Fatalf("PUT: %d %s", rec.Code, rec.Body)
+			}
+			feed = eng.Feed(DefaultTenant)
+		}
+		budget(t, "gated PUT of the wide lists", took, least)
+		if len(feed.Events) != 1 || feed.Events[0].Verdict != cq.VerdictRegression ||
+			!strings.HasPrefix(feed.Events[0].Reason, "64 ranks differ in dynamic event count (first: rank 0, +1 events)") {
+			t.Fatalf("gate events: %+v", feed.Events)
+		}
+	})
+}
+
+// makeRange returns the ints [from, to).
+func makeRange(from, to int) []int {
+	out := make([]int, 0, to-from)
+	for r := from; r < to; r++ {
+		out = append(out, r)
+	}
+	return out
 }
 
 // STENCIL's stats cost does not grow with P: from P=64 to P=1024 the

@@ -188,14 +188,18 @@ func SizeBytes(seq []*Node) int {
 	return total
 }
 
-// SizeBytes approximates one node's footprint.
-func (n *Node) SizeBytes() int {
+// SizeBytes approximates one node's footprint, its loop body included.
+func (n *Node) SizeBytes() int { return n.HeadBytes() + SizeBytes(n.Body) }
+
+// HeadBytes is the node's own share of SizeBytes: a loop's without its
+// body's, which a visitor is handed node by node.
+func (n *Node) HeadBytes() int {
 	if n.IsLoop() {
 		s := 16 + 24 // iters + slice header
 		if n.ItersHist != nil {
 			s += n.ItersHist.SizeBytes()
 		}
-		return s + SizeBytes(n.Body)
+		return s
 	}
 	s := 64 // event tuple
 	s += n.Ranks.SizeBytes()

@@ -40,15 +40,3 @@ func resolveEP(e Endpoint, self, p int) Endpoint {
 	r := ((self+e.Off)%p + p) % p
 	return Absolute(r)
 }
-
-// CollectStacks returns the set of distinct stack signatures appearing
-// in the sequence (coverage checks: Chameleon must not miss any event).
-func CollectStacks(seq []*Node, into map[uint64]struct{}) {
-	for _, n := range seq {
-		if n.IsLoop() {
-			CollectStacks(n.Body, into)
-		} else {
-			into[uint64(n.Ev.Stack)] = struct{}{}
-		}
-	}
-}

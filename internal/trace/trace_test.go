@@ -358,6 +358,18 @@ func TestResolveEndpoints(t *testing.T) {
 	}
 }
 
+// CollectStacks returns the set of distinct stack signatures appearing
+// in the sequence (coverage checks: Chameleon must not miss any event).
+func CollectStacks(seq []*Node, into map[uint64]struct{}) {
+	for _, n := range seq {
+		if n.IsLoop() {
+			CollectStacks(n.Body, into)
+		} else {
+			into[uint64(n.Ev.Stack)] = struct{}{}
+		}
+	}
+}
+
 func TestCollectStacks(t *testing.T) {
 	seq := []*Node{leaf(1), NewLoop(5, []*Node{leaf(2), leaf(1)})}
 	got := map[uint64]struct{}{}

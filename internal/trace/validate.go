@@ -20,9 +20,9 @@ func (f *File) Validate() error {
 }
 
 // checkRankCount rejects a rank count outside [1, maxRankExpansion]. A
-// file's P sizes every per-rank table a reader allocates (an analysis
-// keeps several), so both decoders hold it to the bound one rank list
-// already has: a 19-byte payload must not claim 2^40 ranks.
+// file's P sizes every per-rank table a reader allocates (Volumes
+// answers a row per rank), so both decoders hold it to the bound one
+// rank list already has: a 19-byte payload must not claim 2^40 ranks.
 func checkRankCount(p int) error {
 	if p <= 0 || p > maxRankExpansion {
 		return fmt.Errorf("trace: invalid rank count %d (want 1..%d)", p, maxRankExpansion)
@@ -64,9 +64,13 @@ func validateLeaf(n *Node, p int) error {
 	if n.Ranks.Empty() {
 		return fmt.Errorf("trace: leaf with empty rank list")
 	}
-	for _, r := range n.Ranks.Ranks() {
-		if r < 0 || r >= p {
-			return fmt.Errorf("trace: rank %d outside [0,%d)", r, p)
+	// A list inside [0, p) counts all its ranks there, which SizeIn
+	// tells without expanding it; only a list that does not is walked.
+	if n.Ranks.SizeIn(p) != n.Ranks.Size() {
+		for _, r := range n.Ranks.Ranks() {
+			if r < 0 || r >= p {
+				return fmt.Errorf("trace: rank %d outside [0,%d)", r, p)
+			}
 		}
 	}
 	if n.Ev.Bytes < 0 {

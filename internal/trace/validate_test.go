@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"chameleon/internal/mpi"
 	"chameleon/internal/ranklist"
@@ -107,5 +109,38 @@ func TestTracersProduceValidTraces(t *testing.T) {
 	f := validFile()
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Validate bounds a rank list without expanding it: 64 barriers on
+// distinct lists of 2^20 - 64 ranks each, inside P = 2^20, validate in
+// under 50 ms and 1 MB. Expanding every list took 1.0 s and 537 MB. A
+// list that crosses P is still named by its first rank outside.
+func TestValidateWideListsCostsTheirDescriptors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what a call allocates")
+	}
+	const p = 1 << 20
+	f := &File{P: p}
+	for i := 0; i < 64; i++ {
+		f.Nodes = append(f.Nodes, NewLeaf(Event{Op: mpi.OpBarrier}, ranklist.FromRL(ranklist.Range(i, p-64, 1)), 0))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	err := f.Validate()
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Validate of 64 lists of %d ranks: %v, %d B allocated", p-64, took, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took > 50*time.Millisecond || alloc > 1<<20 {
+		t.Fatalf("Validate of the wide lists took %v and allocated %d B; want < 50 ms, 1 MB", took, alloc)
+	}
+	f.Nodes[63].Ranks = ranklist.FromRL(ranklist.Range(63, p-62, 1))
+	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "rank 1048576 outside [0,1048576)") {
+		t.Fatalf("a list crossing P: %v", err)
 	}
 }

@@ -7,6 +7,19 @@ import (
 	"chameleon/internal/ranklist"
 )
 
+// leafVisitor adapts a plain function to the Visitor interface.
+type leafVisitor func(*Node, Cursor)
+
+func (f leafVisitor) EnterLoop(*Node, Cursor) bool { return true }
+func (f leafVisitor) LeaveLoop(*Node, Cursor)      {}
+func (f leafVisitor) Leaf(n *Node, c Cursor)       { f(n, c) }
+
+// VisitLeaves walks the sequence and calls fn once per stored leaf with
+// its cursor (iteration weight, depth, window).
+func VisitLeaves(seq []*Node, fn func(n *Node, c Cursor)) {
+	Accept(seq, leafVisitor(fn))
+}
+
 // buildVisitFixture returns [leaf0, loop(3){leaf1, loop(2){leaf2}}, leaf3]:
 // three windows, nested loops, known weights.
 func buildVisitFixture() []*Node {

@@ -288,7 +288,7 @@ type analyzer struct {
 	// lists are the distinct rank lists seen; rows holds the per-rank
 	// totals of those a leaf carried, in order of first sight, and
 	// winRows their per-window rows, in window order.
-	lists   listTable
+	lists   ranklist.Table
 	rows    []listRow
 	winRows []winRow
 
@@ -442,10 +442,10 @@ func (a *analyzer) leaf(n *trace.Node, mult uint64) {
 	}
 	win := &a.windows[a.cur]
 	ev := n.Ev
-	id := a.lists.id(n.Ranks, a.p)
+	id := a.lists.ID(n.Ranks, a.p)
 	width := 0
 	if id >= 0 {
-		width = a.lists.width[id]
+		width = a.lists.Width[id]
 	}
 	occ := mult * uint64(width)
 
@@ -511,7 +511,7 @@ func (a *analyzer) leaf(n *trace.Node, mult uint64) {
 	}
 	if row.win != int32(a.cur) {
 		row.win, row.slot = int32(a.cur), int32(len(a.winRows))
-		a.winRows = append(a.winRows, winRow{win: int32(a.cur), row: a.lists.row[id]})
+		a.winRows = append(a.winRows, winRow{win: int32(a.cur), row: a.lists.Row[id]})
 	}
 	wr := &a.winRows[row.slot]
 	wr.events += mult
@@ -527,10 +527,10 @@ func (a *analyzer) leaf(n *trace.Node, mult uint64) {
 
 // listRow returns list id's row, made on first sight.
 func (a *analyzer) listRow(id int32) *listRow {
-	i := a.lists.row[id]
+	i := a.lists.Row[id]
 	if i < 0 {
 		i = int32(len(a.rows))
-		a.lists.row[id] = i
+		a.lists.Row[id] = i
 		a.rows = append(a.rows, listRow{id: id, win: -1})
 	}
 	return &a.rows[i]
@@ -547,20 +547,20 @@ func (a *analyzer) endpoint(tag int, e trace.Endpoint, id int32, mult uint64, se
 		}
 		// The sources are the receivers moved by the offset, and the
 		// channel's offset is the way back.
-		a.addChan(chanKey{tag, mod(-off, a.p)}, a.lists.shift(id, off, a.p), mult, true)
+		a.addChan(chanKey{tag, mod(-off, a.p)}, a.lists.Shift(id, off, a.p), mult, true)
 		return
 	}
 	// An absolute end-point names a channel of its own for each rank of
 	// the list.
 	peer, _ := e.ResolveMod(0, a.p)
-	a.lists.lists[id].ForEach(func(r int) {
+	a.lists.Lists[id].ForEach(func(r int) {
 		if r < 0 || r >= a.p {
 			return
 		}
 		if send {
-			a.addChan(chanKey{tag, mod(peer-r, a.p)}, a.lists.single(r, a.p), mult, false)
+			a.addChan(chanKey{tag, mod(peer-r, a.p)}, a.lists.Single(r, a.p), mult, false)
 		} else {
-			a.addChan(chanKey{tag, mod(r-peer, a.p)}, a.lists.single(peer, a.p), mult, true)
+			a.addChan(chanKey{tag, mod(r-peer, a.p)}, a.lists.Single(peer, a.p), mult, true)
 		}
 	})
 }
@@ -711,7 +711,7 @@ func (a *analyzer) report() *Report {
 func (a *analyzer) rankClasses(rep *Report) {
 	lists := make([]ranklist.List, len(a.rows))
 	for i := range a.rows {
-		lists[i] = a.lists.lists[a.rows[i].id]
+		lists[i] = a.lists.Lists[a.rows[i].id]
 	}
 	classes := ranklist.Classes(lists, a.p)
 	rep.RankClasses = make([]RankClass, len(classes))
@@ -826,7 +826,7 @@ func (a *analyzer) pairChannels(m *MatchReport) {
 		}
 		lists = lists[:0]
 		for _, id := range srcs {
-			lists = append(lists, a.lists.lists[id])
+			lists = append(lists, a.lists.Lists[id])
 		}
 		classes := cut.Cut(lists, a.p)
 		in.build(classes, len(srcs))

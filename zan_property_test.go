@@ -196,22 +196,30 @@ func TestAnyTagReceivesConserve(t *testing.T) {
 func directedChannels(f *trace.File) int {
 	type channel struct{ tag, src, dst int }
 	seen := map[channel]bool{}
-	trace.VisitLeaves(f.Nodes, func(n *trace.Node, c trace.Cursor) {
-		if c.Mult == 0 {
-			return
+	var walk func(seq []*trace.Node, mult uint64)
+	walk = func(seq []*trace.Node, mult uint64) {
+		for _, n := range seq {
+			if n.IsLoop() {
+				walk(n.Body, mult*n.MeanIters())
+				continue
+			}
+			if mult == 0 {
+				continue
+			}
+			ev := n.Ev
+			sends := ev.Op == mpi.OpSend || ev.Op == mpi.OpIsend || ev.Op == mpi.OpSendrecv
+			recvs := ev.Op == mpi.OpRecv || ev.Op == mpi.OpIrecv || ev.Op == mpi.OpSendrecv
+			n.Ranks.ForEach(func(r int) {
+				if dst, ok := ev.Dest.ResolveMod(r, f.P); sends && ok {
+					seen[channel{ev.Tag, r, dst}] = true
+				}
+				if src, ok := ev.Src.ResolveMod(r, f.P); recvs && ok && ev.Tag != mpi.AnyTag {
+					seen[channel{ev.Tag, src, r}] = true
+				}
+			})
 		}
-		ev := n.Ev
-		sends := ev.Op == mpi.OpSend || ev.Op == mpi.OpIsend || ev.Op == mpi.OpSendrecv
-		recvs := ev.Op == mpi.OpRecv || ev.Op == mpi.OpIrecv || ev.Op == mpi.OpSendrecv
-		n.Ranks.ForEach(func(r int) {
-			if dst, ok := ev.Dest.ResolveMod(r, f.P); sends && ok {
-				seen[channel{ev.Tag, r, dst}] = true
-			}
-			if src, ok := ev.Src.ResolveMod(r, f.P); recvs && ok && ev.Tag != mpi.AnyTag {
-				seen[channel{ev.Tag, src, r}] = true
-			}
-		})
-	})
+	}
+	walk(f.Nodes, 1)
 	return len(seen)
 }
 
