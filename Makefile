@@ -63,8 +63,10 @@ test-race:
 # cost, and the reference's inputs untouched), the sparse histogram
 # every decoded leaf holds against the pre-change array one (any op
 # sequence must read the same), the TCP frame decoder (every fleet
-# byte passes through it), the fault-plan decoder (-faults/-noise
-# input), the manifest-log replay decoder (whatever a crash left on
+# byte passes through it), the fault-plan decoder (-faults input, text
+# and JSON) and its generator directives against the noise-spec parser
+# kept in a test file (the same specs accepted, the same pulses), the
+# manifest-log replay decoder (whatever a crash left on
 # disk) and the federated listing's merge of peer answers (whatever a
 # peer's body says, and against a brute-force union when it is
 # honest), the rank-list compactor against the pre-change one kept
@@ -93,6 +95,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesReference -fuzztime=10s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzGeneratorsMatchReference -fuzztime=5s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzManifestLog -fuzztime=5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzScatterMerge -fuzztime=5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzUnionMatchesReference -fuzztime=10s ./internal/ranklist/

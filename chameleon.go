@@ -96,8 +96,8 @@ type (
 	LiveShipper = obs.Shipper
 	// LiveShipperOptions configures a live telemetry shipper.
 	LiveShipperOptions = obs.ShipperOptions
-	// FaultPlan is a parsed fault-injection plan (crash/delay/slow
-	// directives).
+	// FaultPlan is a parsed fault-injection plan (crash, delay, slow,
+	// pulse and noise-generator directives).
 	FaultPlan = fault.Plan
 	// FaultInjector is a compiled, seeded fault plan ready to hook a run.
 	FaultInjector = fault.Injector
@@ -120,23 +120,16 @@ func ReadJournal(r io.Reader) ([]ObsEvent, error) { return obs.ReadJournal(r) }
 func ReadEdges(r io.Reader) ([]ObsEdge, error) { return obs.ReadEdges(r) }
 
 // ParseFaultPlan parses a fault-plan spec (the text directive grammar,
-// or JSON when the input starts with '{'). An empty input yields an
-// empty plan.
+// or its JSON form when the input starts with '{'; see fault.Parse). An
+// empty input yields an empty plan.
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return fault.Parse(spec) }
 
 // LoadFaultPlan reads and parses a fault-plan file.
 func LoadFaultPlan(path string) (*FaultPlan, error) { return fault.ParseFile(path) }
 
-// ParseNoisePlan synthesizes a pulse-train fault plan from a noise-
-// generator spec ("periodic ...", "resonant ...", "random ..."; see
-// fault.ParseNoise). The result merges into a regular fault plan via
-// Plan.Merge, which is how chamrun composes -faults with -noise.
-func ParseNoisePlan(spec string, nranks int, seed uint64) (*FaultPlan, error) {
-	return fault.ParseNoise(spec, nranks, seed)
-}
-
 // NewFaultInjector validates the plan against the rank count and
-// compiles it with the seed. An empty (or nil) plan returns a nil
+// compiles it with the seed, which also draws the pulses of its random
+// directives. An empty (or nil) plan returns a nil
 // injector: the runtime fault hooks stay disabled and the run is
 // bit-identical to an uninjected one.
 func NewFaultInjector(p *FaultPlan, seed uint64, nranks int) (*FaultInjector, error) {

@@ -37,11 +37,11 @@
 // Noise plans (idle-wave studies, docs/OBSERVABILITY.md):
 //
 //	chamrun -bench STENCIL -p 16 -sync-every -1 -causal \
-//	    -noise 'periodic ranks=5 start=400ms period=16ms extra=5ms count=10'
+//	    -faults 'periodic ranks=5 start=400ms period=16ms extra=5ms count=10'
 //
-// -noise synthesizes a pulse-train fault plan from generator directives
-// (periodic, resonant, random; see examples/noise/), reproducibly from
-// -noise-seed, and merges it with -faults. -sync-every overrides a
+// The generator directives (periodic, resonant, random; see
+// docs/FAULTS.md and examples/noise/) write pulse trains into the plan;
+// -fault-seed also draws the random ones. -sync-every overrides a
 // skeleton's built-in global synchronization period (negative disables
 // it, letting idle waves propagate); -checkpoint-every injects a
 // Recorder-style gather+IO checkpoint phase every N iterations.

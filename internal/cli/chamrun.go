@@ -44,8 +44,6 @@ func chamrun(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	liveSession := fs.String("live-session", "", "live session ID (default: random)")
 	faults := fs.String("faults", "", "fault plan: inline spec, or @path to a plan file")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the fault injector's perturbation streams")
-	noise := fs.String("noise", "", "noise-plan generator spec (periodic/resonant/random directives), merged with -faults")
-	noiseSeed := fs.Uint64("noise-seed", 1, "seed for the -noise generators")
 	syncEvery := fs.Int("sync-every", 0, "override the skeleton's global-sync period (0 = default, negative = disable)")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "inject a checkpoint (gather+IO) phase every N iterations")
 	pushEdges := fs.Bool("push-edges", false, "also upload the causal edge stream as a sidecar of the pushed run (requires -causal and -push)")
@@ -57,6 +55,18 @@ func chamrun(_ context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// The library maps an unknown algorithm to k-farthest and an unknown
+	// class to D; a typo on the command line is an error instead.
+	switch *algo {
+	case "", "k-farthest", "k-medoid", "k-random":
+	default:
+		return usageError(fmt.Sprintf("algo: unknown algorithm %q (want empty, k-farthest, k-medoid or k-random)", *algo))
+	}
+	switch strings.ToUpper(*class) {
+	case "A", "B", "C", "D":
+	default:
+		return usageError(fmt.Sprintf("class: unknown class %q (want A, B, C or D)", *class))
+	}
 	if *pushEdges && (*push == "" || !*causalFlag) {
 		return usageError("push-edges: requires both -causal and -push")
 	}
@@ -71,17 +81,6 @@ func chamrun(_ context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		if err != nil {
 			return fmt.Errorf("faults: %w", err)
-		}
-	}
-	if *noise != "" {
-		np, err := chameleon.ParseNoisePlan(*noise, *p, *noiseSeed)
-		if err != nil {
-			return fmt.Errorf("noise: %w", err)
-		}
-		if plan == nil {
-			plan = np
-		} else {
-			plan.Merge(np)
 		}
 	}
 	var injector *chameleon.FaultInjector
@@ -117,9 +116,9 @@ func chamrun(_ context.Context, args []string, stdout, stderr io.Writer) error {
 		// Every member must run the identical configuration — the
 		// fingerprint is compared at rendezvous so a mismatched fleet
 		// fails fast instead of silently diverging.
-		fp := fmt.Sprintf("bench=%s class=%s p=%d tracer=%s k=%d freq=%d algo=%s faults=%s noise=%s fseed=%d nseed=%d sync=%d ckpt=%d",
-			*bench, *class, *p, *tr, *k, *freq, *algo, *faults, *noise,
-			*faultSeed, *noiseSeed, *syncEvery, *checkpointEvery)
+		fp := fmt.Sprintf("bench=%s class=%s p=%d tracer=%s k=%d freq=%d algo=%s faults=%s fseed=%d sync=%d ckpt=%d",
+			*bench, *class, *p, *tr, *k, *freq, *algo, *faults,
+			*faultSeed, *syncEvery, *checkpointEvery)
 		var err error
 		fleetTr, err = fleet.Connect(*ranks, mpi.TCPOptions{
 			Join:        *join,

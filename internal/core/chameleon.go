@@ -103,7 +103,6 @@ type Collector struct {
 	// SpaceByState records per-rank trace bytes allocated while in each
 	// state (Table IV). Indexed [rank][state].
 	SpaceByState [][NumStates]int
-	// CallsByState mirrors StateCalls (per-state marker call counts).
 	// OnlineBytes is rank 0's online-trace allocation (monotone).
 	OnlineBytes int
 	// EventsObserved / EventsRecorded sum dynamic events across ranks.

@@ -124,93 +124,65 @@ func runTriple(name, class string, p int, override *chameleon.Config) (app, st, 
 	return
 }
 
-// All runs every experiment and returns the rendered tables in paper
-// order.
-func All(p Params) ([]*Table, error) {
-	type job struct {
-		name string
-		run  func(Params) (*Table, error)
-	}
-	jobs := []job{
-		{"table1", TableI},
-		{"table2", TableII},
-		{"fig4", Figure4},
-		{"fig5", Figure5},
-		{"fig6", Figure6},
-		{"fig7", Figure7},
-		{"fig8", Figure8},
-		{"fig9", Figure9},
-		{"fig10", Figure10},
-		{"fig11", Figure11},
-		{"table3", TableIII},
-		{"table4", TableIV},
-	}
-	var out []*Table
-	for _, j := range jobs {
-		t, err := j.run(p)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", j.name, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
+// experiment is one row of the experiment table: an id, the function
+// that runs it, and whether it goes beyond the paper (run with chamexp
+// -ext).
+type experiment struct {
+	id        string
+	run       func(Params) (*Table, error)
+	extension bool
+}
+
+// experiments lists the paper's tables and figures in paper order, then
+// the extensions: the online-trace equivalence audit, the future-work
+// energy estimate, trace extrapolation, the K ablation, automatic marker
+// insertion, and the fault-injection resilience sweep.
+var experiments = []experiment{
+	{"table1", TableI, false},
+	{"table2", TableII, false},
+	{"fig4", Figure4, false},
+	{"fig5", Figure5, false},
+	{"fig6", Figure6, false},
+	{"fig7", Figure7, false},
+	{"fig8", Figure8, false},
+	{"fig9", Figure9, false},
+	{"fig10", Figure10, false},
+	{"fig11", Figure11, false},
+	{"table3", TableIII, false},
+	{"table4", TableIV, false},
+	{"equiv", ExpOnlineEquivalence, true},
+	{"energy", ExpEnergy, true},
+	{"extrap", ExpExtrap, true},
+	{"ablation-k", ExpAblationK, true},
+	{"automarker", ExpAutoMarker, true},
+	{"resilience", ExpResilience, true},
 }
 
 // Lookup returns a single experiment driver by id.
 func Lookup(id string) (func(Params) (*Table, error), bool) {
-	switch id {
-	case "table1":
-		return TableI, true
-	case "table2":
-		return TableII, true
-	case "table3":
-		return TableIII, true
-	case "table4":
-		return TableIV, true
-	case "fig4":
-		return Figure4, true
-	case "fig5":
-		return Figure5, true
-	case "fig6":
-		return Figure6, true
-	case "fig7":
-		return Figure7, true
-	case "fig8":
-		return Figure8, true
-	case "fig9":
-		return Figure9, true
-	case "fig10":
-		return Figure10, true
-	case "fig11":
-		return Figure11, true
-	case "energy":
-		return ExpEnergy, true
-	case "extrap":
-		return ExpExtrap, true
-	case "equiv":
-		return ExpOnlineEquivalence, true
-	case "ablation-k":
-		return ExpAblationK, true
-	case "automarker":
-		return ExpAutoMarker, true
-	case "resilience":
-		return ExpResilience, true
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run, true
+		}
 	}
 	return nil, false
 }
 
 // IDs lists the experiment identifiers in paper order.
-func IDs() []string {
-	return []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7",
-		"fig8", "fig9", "fig10", "fig11", "table3", "table4"}
-}
+func IDs() []string { return ids(false) }
 
 // ExtensionIDs lists the beyond-the-paper experiments (run with
-// chamexp -ext): the future-work energy estimate, trace extrapolation,
-// the online-trace equivalence audit, the K ablation, automatic marker
-// insertion, and the fault-injection resilience sweep.
-func ExtensionIDs() []string {
-	return []string{"equiv", "energy", "extrap", "ablation-k", "automarker", "resilience"}
+// chamexp -ext).
+func ExtensionIDs() []string { return ids(true) }
+
+func ids(extension bool) []string {
+	var out []string
+	for _, e := range experiments {
+		if e.extension == extension {
+			out = append(out, e.id)
+		}
+	}
+	return out
 }
 
 // benchSpec fetches the spec for one of the evaluation benchmarks at

@@ -7,8 +7,8 @@
 // a rank's computation), and pulses (one-off or periodic noise
 // injections anchored at a virtual time — the idle-wave sources of
 // Afzal et al., see docs/OBSERVABILITY.md). Plans parse from a small
-// text grammar or JSON (see Parse); noise-plan generators build pulse
-// trains from a seed (see noise.go). An Injector binds a validated plan
+// text grammar or its JSON form (see Parse), whose generator directives
+// build pulse trains (see noise.go). An Injector binds a validated plan
 // to a seed and a rank count and answers the runtime's questions — how
 // long does this compute really take, does this rank die at this
 // marker, who is still alive after marker m — from pure functions of
@@ -27,6 +27,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"chameleon/internal/vtime"
@@ -36,25 +37,25 @@ import (
 // cleanly (crash-stop, no Byzantine behavior) at its Marker-th marker
 // barrier, before participating in it.
 type Crash struct {
-	Rank   int `json:"rank"`
-	Marker int `json:"marker"`
+	Rank   int
+	Marker int
 }
 
 // Delay adds jitter to matching ranks' computation: each Compute call
 // independently draws Bernoulli(P); on success an extra duration uniform
 // in [Min, Max] is added.
 type Delay struct {
-	Ranks RankSet        `json:"ranks"`
-	P     float64        `json:"p"`
-	Min   vtime.Duration `json:"min_ns"`
-	Max   vtime.Duration `json:"max_ns"`
+	Ranks RankSet
+	P     float64
+	Min   vtime.Duration
+	Max   vtime.Duration
 }
 
 // Slow stretches matching ranks' computation by a constant factor
 // (CPU degradation / a straggler node).
 type Slow struct {
-	Ranks  RankSet `json:"ranks"`
-	Factor float64 `json:"factor"`
+	Ranks  RankSet
+	Factor float64
 }
 
 // Pulse injects a one-off (or periodic) noise burst anchored at a
@@ -67,40 +68,40 @@ type Slow struct {
 // decay mechanism: noise hitting an already-waiting rank does no
 // additional damage.
 type Pulse struct {
-	Ranks RankSet        `json:"ranks"`
-	At    vtime.Duration `json:"at_ns"`
-	Extra vtime.Duration `json:"extra_ns"`
-	Every vtime.Duration `json:"every_ns,omitempty"`
-	Count int            `json:"count,omitempty"`
+	Ranks RankSet
+	At    vtime.Duration
+	Extra vtime.Duration
+	Every vtime.Duration
+	Count int
 }
+
+// Random is Count one-off pulses at uniform times in [0, Window) on
+// ranks drawn uniformly from Ranks, each stretching a compute by a
+// duration uniform in [Min, Max]. NewInjector draws them from its seed.
+type Random struct {
+	Ranks    RankSet
+	Count    int
+	Window   vtime.Duration
+	Min, Max vtime.Duration
+}
+
+// maxRandomCount bounds one random directive: every rank holds a
+// firing counter per pulse, so the pulses cost Count words a rank.
+const maxRandomCount = 1 << 12
 
 // Plan is a complete fault schedule.
 type Plan struct {
-	Crashes []Crash `json:"crash,omitempty"`
-	Delays  []Delay `json:"delay,omitempty"`
-	Slows   []Slow  `json:"slow,omitempty"`
-	Pulses  []Pulse `json:"pulse,omitempty"`
+	Crashes []Crash
+	Delays  []Delay
+	Slows   []Slow
+	Pulses  []Pulse
+	Randoms []Random
 }
 
 // Empty reports whether the plan injects nothing.
 func (p *Plan) Empty() bool {
 	return p == nil || (len(p.Crashes) == 0 && len(p.Delays) == 0 &&
-		len(p.Slows) == 0 && len(p.Pulses) == 0)
-}
-
-// Merge appends src's directives to p (both may be nil; the merged plan
-// is returned). chamrun uses it to compose -faults with -noise.
-func (p *Plan) Merge(src *Plan) *Plan {
-	if p == nil {
-		p = &Plan{}
-	}
-	if src != nil {
-		p.Crashes = append(p.Crashes, src.Crashes...)
-		p.Delays = append(p.Delays, src.Delays...)
-		p.Slows = append(p.Slows, src.Slows...)
-		p.Pulses = append(p.Pulses, src.Pulses...)
-	}
-	return p
+		len(p.Slows) == 0 && len(p.Pulses) == 0 && len(p.Randoms) == 0)
 }
 
 // HasCrashes reports whether the plan contains crash-stop failures
@@ -131,11 +132,8 @@ func (p *Plan) Validate(nranks int) error {
 		seen[c.Rank] = true
 	}
 	for i, d := range p.Delays {
-		if d.Ranks.Empty() {
-			return fmt.Errorf("fault: delay %d has an empty rank set", i)
-		}
-		if d.Ranks.Max() >= nranks {
-			return fmt.Errorf("fault: delay %d targets rank %d out of range [0,%d)", i, d.Ranks.Max(), nranks)
+		if err := checkRanks("delay", i, d.Ranks, nranks); err != nil {
+			return err
 		}
 		// The negated comparison also rejects NaN, which an ordered
 		// check (d.P < 0 || d.P > 1) silently accepts.
@@ -147,22 +145,16 @@ func (p *Plan) Validate(nranks int) error {
 		}
 	}
 	for i, s := range p.Slows {
-		if s.Ranks.Empty() {
-			return fmt.Errorf("fault: slow %d has an empty rank set", i)
+		if err := checkRanks("slow", i, s.Ranks, nranks); err != nil {
+			return err
 		}
-		if s.Ranks.Max() >= nranks {
-			return fmt.Errorf("fault: slow %d targets rank %d out of range [0,%d)", i, s.Ranks.Max(), nranks)
-		}
-		if !(s.Factor > 0) || math.IsInf(s.Factor, 0) {
-			return fmt.Errorf("fault: slow %d factor %g must be positive and finite", i, s.Factor)
+		if !(s.Factor >= 1) || math.IsInf(s.Factor, 0) {
+			return fmt.Errorf("fault: slow %d factor %g must be at least 1 and finite", i, s.Factor)
 		}
 	}
 	for i, pu := range p.Pulses {
-		if pu.Ranks.Empty() {
-			return fmt.Errorf("fault: pulse %d has an empty rank set", i)
-		}
-		if pu.Ranks.Max() >= nranks {
-			return fmt.Errorf("fault: pulse %d targets rank %d out of range [0,%d)", i, pu.Ranks.Max(), nranks)
+		if err := checkRanks("pulse", i, pu.Ranks, nranks); err != nil {
+			return err
 		}
 		if pu.At < 0 {
 			return fmt.Errorf("fault: pulse %d anchor %v negative", i, pu.At)
@@ -176,6 +168,32 @@ func (p *Plan) Validate(nranks int) error {
 		if pu.Count < 0 {
 			return fmt.Errorf("fault: pulse %d count %d negative", i, pu.Count)
 		}
+	}
+	for i, r := range p.Randoms {
+		if err := checkRanks("random", i, r.Ranks, nranks); err != nil {
+			return err
+		}
+		if r.Count < 1 || r.Count > maxRandomCount {
+			return fmt.Errorf("fault: random %d count %d outside [1,%d]", i, r.Count, maxRandomCount)
+		}
+		if r.Window <= 0 {
+			return fmt.Errorf("fault: random %d window %v must be positive", i, r.Window)
+		}
+		if r.Min < 0 || r.Max < r.Min {
+			return fmt.Errorf("fault: random %d extra range [%v,%v] invalid", i, r.Min, r.Max)
+		}
+	}
+	return nil
+}
+
+// checkRanks checks that directive i of its kind names ranks, all of
+// them in [0, nranks).
+func checkRanks(kind string, i int, set RankSet, nranks int) error {
+	if set.Empty() {
+		return fmt.Errorf("fault: %s %d has an empty rank set", kind, i)
+	}
+	if set.Max() >= nranks {
+		return fmt.Errorf("fault: %s %d targets rank %d out of range [0,%d)", kind, i, set.Max(), nranks)
 	}
 	return nil
 }
@@ -192,8 +210,9 @@ type rngState struct {
 // state); PerturbCompute(rank, ...) must be called only from rank's own
 // goroutine, like every other per-rank runtime hook.
 type Injector struct {
+	// plan is the validated plan with its random directives expanded
+	// into Pulses.
 	plan *Plan
-	seed uint64
 	n    int
 	// crashAt[rank] is the 1-based crash marker, or -1.
 	crashAt []int
@@ -213,7 +232,9 @@ type Injector struct {
 // NewInjector validates the plan and builds an injector. An empty (or
 // nil) plan returns (nil, nil): a nil *Injector is the zero-fault mode
 // and every runtime hook treats it as "feature off", which is what makes
-// zero-fault runs bit-identical to runs without this subsystem.
+// zero-fault runs bit-identical to runs without this subsystem. Each
+// random directive draws its pulses from seed, advanced once per random
+// directive, so the plan and seed fix every draw of the run.
 func NewInjector(p *Plan, seed uint64, nranks int) (*Injector, error) {
 	if p.Empty() {
 		return nil, nil
@@ -221,9 +242,19 @@ func NewInjector(p *Plan, seed uint64, nranks int) (*Injector, error) {
 	if err := p.Validate(nranks); err != nil {
 		return nil, err
 	}
+	if len(p.Randoms) > 0 {
+		expanded := *p
+		expanded.Pulses = slices.Clip(p.Pulses)
+		expanded.Randoms = nil
+		s := seed
+		for _, r := range p.Randoms {
+			expanded.Pulses = append(expanded.Pulses, r.pulses(nranks, s)...)
+			s = mix64(s + 0x9e3779b97f4a7c15)
+		}
+		p = &expanded
+	}
 	in := &Injector{
 		plan:    p,
-		seed:    seed,
 		n:       nranks,
 		crashAt: make([]int, nranks),
 		slow:    make([]float64, nranks),
@@ -259,12 +290,6 @@ func NewInjector(p *Plan, seed uint64, nranks int) (*Injector, error) {
 
 // Ranks returns the rank count the injector was built for.
 func (in *Injector) Ranks() int { return in.n }
-
-// Seed returns the injector's seed.
-func (in *Injector) Seed() uint64 { return in.seed }
-
-// Plan returns the underlying plan.
-func (in *Injector) Plan() *Plan { return in.plan }
 
 // CrashMarker returns the 1-based marker at which rank crashes, or -1.
 func (in *Injector) CrashMarker(rank int) int {

@@ -136,6 +136,9 @@ func TestValidate(t *testing.T) {
 		{name: "delay out of range", plan: "delay ranks=0-16 jitter=1ms", n: 16, err: true},
 		{name: "delay bad p", plan: "delay ranks=0 p=1.5 jitter=1ms", n: 16, err: true},
 		{name: "slow out of range", plan: "slow rank=16 factor=2", n: 16, err: true},
+		{name: "slow below 1", plan: "slow rank=3 factor=0.5x", n: 16, err: true},
+		{name: "slow of 1", plan: "slow rank=3 factor=1", n: 16},
+		{name: "random out of range", plan: "random ranks=0-16 count=1 window=1s extra=1ms", n: 16, err: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,5 +246,77 @@ func TestPerturbDeterministicPerSeed(t *testing.T) {
 	}
 	if fired < 16 || fired > 48 {
 		t.Errorf("delay fired %d/64 times, want roughly half at p=0.5", fired)
+	}
+}
+
+// TestTextAndJSONAgree parses every verb in its text form and in its
+// JSON form and requires the same plan, or an error from both: the two
+// forms go through one table of verbs, so they share every default
+// (delay's p=1), alias, missing-key and unknown-key check.
+func TestTextAndJSONAgree(t *testing.T) {
+	cases := []struct {
+		name, text, json string
+		err              bool
+	}{
+		{name: "crash", text: "crash rank=5 at marker=12",
+			json: `{"crash":[{"rank":5,"marker":12}]}`},
+		{name: "crash, numbers as strings", text: "crash rank=5 marker=12",
+			json: `{"crash":[{"rank":"5","marker":"12"}]}`},
+		{name: "delay range", text: "delay ranks=0-7 p=0.1 jitter=2ms-4ms",
+			json: `{"delay":[{"ranks":"0-7","p":0.1,"jitter":"2ms-4ms"}]}`},
+		{name: "delay defaults p=1", text: "delay ranks=0-7 jitter=2ms",
+			json: `{"delay":[{"ranks":"0-7","jitter":"2ms"}]}`},
+		{name: "delay min max alias", text: "delay rank=3 prob=0.5 min=10us max=1ms",
+			json: `{"delay":[{"rank":3,"prob":0.5,"min":"10us","max":"1ms"}]}`},
+		{name: "delay without jitter", text: "delay ranks=0-7 p=0.5",
+			json: `{"delay":[{"ranks":"0-7","p":0.5}]}`, err: true},
+		{name: "delay misspelt key", text: "delay ranks=0 jiter=2ms",
+			json: `{"delay":[{"ranks":"0","jiter":"2ms"}]}`, err: true},
+		{name: "slow", text: "slow rank=3 factor=4x",
+			json: `{"slow":[{"ranks":3,"factor":"4x"}]}`},
+		{name: "slow numeric factor", text: "slow ranks=0-1 factor=1.5",
+			json: `{"slow":[{"ranks":"0-1","factor":1.5}]}`},
+		{name: "slow missing factor", text: "slow rank=3",
+			json: `{"slow":[{"rank":3}]}`, err: true},
+		{name: "pulse", text: "pulse ranks=2-3 at=5ms extra=1ms every=10ms count=3",
+			json: `{"pulse":[{"ranks":"2-3","at":"5ms","extra":"1ms","every":"10ms","count":3}]}`},
+		{name: "pulse missing extra", text: "pulse rank=0 at=1ms",
+			json: `{"pulse":[{"ranks":"0","at":"1ms"}]}`, err: true},
+		{name: "misspelt verb", text: "pulses rank=0 at=1ms extra=1ms",
+			json: `{"pulses":[{"ranks":"0","at":"1ms","extra":"1ms"}]}`, err: true},
+		{name: "periodic", text: "periodic ranks=3 start=100ms period=16ms extra=5ms count=10",
+			json: `{"periodic":[{"ranks":"3","start":"100ms","period":"16ms","extra":"5ms","count":10}]}`},
+		{name: "periodic duplicate key", text: "periodic ranks=3 period=16ms period=8ms extra=5ms",
+			json: `{"periodic":[{"ranks":"3","period":"16ms","period":"8ms","extra":"5ms"}]}`, err: true},
+		{name: "resonant", text: "resonant ranks=0-3 base=16ms detune=0.05 extra=5ms count=20 start=1ms",
+			json: `{"resonant":[{"ranks":"0-3","base":"16ms","detune":0.05,"extra":"5ms","count":20,"start":"1ms"}]}`},
+		{name: "resonant bad detune", text: "resonant ranks=0 base=16ms detune=1 extra=5ms",
+			json: `{"resonant":[{"ranks":"0","base":"16ms","detune":1,"extra":"5ms"}]}`, err: true},
+		{name: "random", text: "random ranks=0-7 count=12 window=1s extra=1ms-8ms",
+			json: `{"random":[{"ranks":"0-7","count":12,"window":"1s","extra":"1ms-8ms"}]}`},
+		{name: "random missing window", text: "random ranks=0-7 count=12 extra=1ms",
+			json: `{"random":[{"ranks":"0-7","count":12,"extra":"1ms"}]}`, err: true},
+		{name: "several verbs in order", text: "pulse rank=1 at=1ms extra=1ms; periodic rank=2 period=1ms extra=2ms; pulse rank=3 at=3ms extra=3ms",
+			json: `{"pulse":[{"rank":1,"at":"1ms","extra":"1ms"}],"periodic":[{"rank":2,"period":"1ms","extra":"2ms"}],"pulse":[{"rank":3,"at":"3ms","extra":"3ms"}]}`},
+		{name: "empty", text: " ", json: `{}`},
+		{name: "misspelt verb, no entries", text: "pulses", json: `{"pulses":[]}`, err: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			text, terr := Parse(tc.text)
+			js, jerr := Parse(tc.json)
+			if tc.err {
+				if terr == nil || jerr == nil {
+					t.Fatalf("want two errors; text: %v (%+v), JSON: %v (%+v)", terr, text, jerr, js)
+				}
+				return
+			}
+			if terr != nil || jerr != nil {
+				t.Fatalf("text: %v, JSON: %v", terr, jerr)
+			}
+			if !reflect.DeepEqual(text, js) {
+				t.Fatalf("text form %+v\nJSON form %+v", text, js)
+			}
+		})
 	}
 }

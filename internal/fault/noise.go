@@ -1,6 +1,5 @@
-// Noise-plan generators. A noise plan is an ordinary fault Plan whose
-// directives are pulse trains synthesized from a compact spec instead of
-// written out by hand. Three shapes cover the idle-wave experiments of
+// The generator directives write pulse trains from a compact spec
+// instead of by hand. Three shapes cover the idle-wave experiments of
 // Afzal et al. (see docs/OBSERVABILITY.md):
 //
 //	periodic  — a fixed-period pulse train on chosen ranks. Period equal
@@ -13,254 +12,86 @@
 //	random    — one-off pulses at seeded-uniform (rank, time) points
 //	            inside a window, the "natural system noise" baseline.
 //
-// Every generator is a pure function of its arguments (plus a seed for
-// random), so a scenario is reproducible from the textual spec alone.
+// periodic and resonant are one Pulse each. random is a Random that
+// NewInjector expands from its seed, so a scenario is reproducible from
+// the plan and the injector's seed alone.
+
 package fault
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"chameleon/internal/vtime"
 )
 
-// GeneratePeriodic returns a plan with one periodic pulse train: each
-// rank in set receives extra compute time at start, start+period,
-// start+2*period, ... for count firings (count<=0 means unbounded).
-func GeneratePeriodic(set RankSet, start, period, extra vtime.Duration, count int) *Plan {
-	if count < 0 {
-		count = 0
+// parsePeriodic reads a train on ranks= of extra= at start=,
+// start+period=, ... for count= firings (none or negative: unbounded).
+func parsePeriodic(plan *Plan, f *fields) {
+	pu := Pulse{
+		Ranks: f.ranks(),
+		Every: f.duration("period", true),
+		Extra: f.duration("extra", true),
+		At:    f.duration("start", false),
+		Count: max(f.integer("count", false), 0),
 	}
-	return &Plan{Pulses: []Pulse{{
-		Ranks: set,
-		At:    start,
-		Extra: extra,
-		Every: period,
-		Count: count,
-	}}}
+	if f.err == nil {
+		plan.Pulses = append(plan.Pulses, pu)
+	}
 }
 
-// GenerateResonant returns a periodic train whose period is base*(1+detune).
-// base should be the application's halo-exchange (iteration) period; a
-// small detune (e.g. 0.05) makes each successive pulse land slightly
-// later in the iteration phase, sweeping the injection across the
-// compute/wait boundary — the resonance that sustains idle waves.
-func GenerateResonant(set RankSet, base vtime.Duration, detune float64, extra vtime.Duration, count int, start vtime.Duration) *Plan {
-	period := vtime.Duration(float64(base) * (1 + detune))
-	if period <= 0 {
-		period = base
+// parseResonant reads a periodic train whose period is base= times
+// (1+detune=). base should be the application's halo-exchange
+// (iteration) period; a small detune (e.g. 0.05) makes each pulse land
+// slightly later in the iteration phase, sweeping the injection across
+// the compute/wait boundary — the resonance that sustains idle waves.
+func parseResonant(plan *Plan, f *fields) {
+	pu := Pulse{Ranks: f.ranks()}
+	base := f.duration("base", true)
+	pu.Extra = f.duration("extra", true)
+	detune := f.float(0, "detune")
+	if f.err == nil && !(detune > -1 && detune < 1) {
+		f.fail(fmt.Errorf("fault: resonant: bad detune %q (want -1 < detune < 1)", f.kv["detune"]))
 	}
-	return GeneratePeriodic(set, start, period, extra, count)
+	pu.At = f.duration("start", false)
+	pu.Count = max(f.integer("count", false), 0)
+	if pu.Every = vtime.Duration(float64(base) * (1 + detune)); pu.Every <= 0 {
+		pu.Every = base
+	}
+	if f.err == nil {
+		plan.Pulses = append(plan.Pulses, pu)
+	}
 }
 
-// GenerateRandom returns count one-off pulses at seeded-uniform times in
-// [0, window) on ranks drawn uniformly from set (materialized against
-// nranks). Extra durations are uniform in [minExtra, maxExtra]. The same
-// (arguments, seed) pair always yields the same plan.
-func GenerateRandom(set RankSet, nranks, count int, window, minExtra, maxExtra vtime.Duration, seed uint64) *Plan {
-	ranks := set.Ranks(nranks)
-	if len(ranks) == 0 || count <= 0 || window <= 0 {
-		return &Plan{}
+func parseRandom(plan *Plan, f *fields) {
+	r := Random{
+		Ranks:  f.ranks(),
+		Count:  f.integer("count", true),
+		Window: f.duration("window", true),
 	}
-	if maxExtra < minExtra {
-		minExtra, maxExtra = maxExtra, minExtra
+	r.Min, r.Max = f.jitter("extra")
+	if f.err == nil {
+		plan.Randoms = append(plan.Randoms, r)
 	}
+}
+
+// pulses draws the directive's one-off pulses from seed. The ranks are
+// those of Ranks below nranks, which Validate requires to be all of them.
+func (r Random) pulses(nranks int, seed uint64) []Pulse {
+	ranks := r.Ranks.Ranks(nranks)
 	s := mix64(seed ^ 0xda3e39cb94b95bdb)
 	next := func() float64 {
 		s += 0x9e3779b97f4a7c15
 		return float64(mix64(s)>>11) / float64(1<<53)
 	}
-	plan := &Plan{}
-	for i := 0; i < count; i++ {
+	out := make([]Pulse, r.Count)
+	for i := range out {
 		rank := ranks[int(next()*float64(len(ranks)))]
-		at := vtime.Duration(next() * float64(window))
-		extra := minExtra + vtime.Duration(next()*float64(maxExtra-minExtra))
+		at := vtime.Duration(next() * float64(r.Window))
+		extra := r.Min + vtime.Duration(next()*float64(r.Max-r.Min))
 		if extra <= 0 {
-			extra = minExtra
-			if extra <= 0 {
-				extra = vtime.Microsecond
-			}
+			extra = vtime.Microsecond
 		}
-		plan.Pulses = append(plan.Pulses, Pulse{
-			Ranks: SingleRank(rank),
-			At:    at,
-			Extra: extra,
-			Count: 1,
-		})
+		out[i] = Pulse{Ranks: SingleRank(rank), At: at, Extra: extra, Count: 1}
 	}
-	return plan
-}
-
-// ParseNoise parses a textual noise spec into a Plan. The grammar mirrors
-// Parse: semicolon-separated directives of key=value fields.
-//
-//	periodic ranks=3 start=100ms period=16ms extra=5ms count=10
-//	resonant ranks=0-3 base=16ms detune=0.05 extra=5ms count=20 [start=0]
-//	random   ranks=0-7 count=12 window=1s extra=1ms-8ms
-//
-// nranks materializes rank sets for the random generator; seed feeds its
-// draws. Durations take ns/us/ms/s suffixes like fault plans. The result
-// validates against nranks before returning.
-func ParseNoise(spec string, nranks int, seed uint64) (*Plan, error) {
-	plan := &Plan{}
-	for _, stmt := range strings.Split(spec, ";") {
-		stmt = strings.TrimSpace(stmt)
-		if stmt == "" {
-			continue
-		}
-		fields := strings.Fields(stmt)
-		verb := fields[0]
-		kv := map[string]string{}
-		for _, f := range fields[1:] {
-			k, v, ok := strings.Cut(f, "=")
-			if !ok {
-				return nil, fmt.Errorf("fault: noise %s: bad field %q", verb, f)
-			}
-			kv[k] = v
-		}
-		var sub *Plan
-		var err error
-		switch verb {
-		case "periodic":
-			sub, err = parseNoisePeriodic(kv)
-		case "resonant":
-			sub, err = parseNoiseResonant(kv)
-		case "random":
-			sub, err = parseNoiseRandom(kv, nranks, seed)
-		default:
-			return nil, fmt.Errorf("fault: unknown noise generator %q", verb)
-		}
-		if err != nil {
-			return nil, err
-		}
-		plan.Merge(sub)
-		seed = mix64(seed + 0x9e3779b97f4a7c15) // independent draws per directive
-	}
-	if plan.Empty() {
-		return nil, fmt.Errorf("fault: empty noise spec")
-	}
-	if err := plan.Validate(nranks); err != nil {
-		return nil, err
-	}
-	return plan, nil
-}
-
-func parseNoisePeriodic(kv map[string]string) (*Plan, error) {
-	set, err := needRanks(kv, "periodic")
-	if err != nil {
-		return nil, err
-	}
-	period, err := needDuration(kv, "periodic", "period")
-	if err != nil {
-		return nil, err
-	}
-	extra, err := needDuration(kv, "periodic", "extra")
-	if err != nil {
-		return nil, err
-	}
-	start, err := optDuration(kv, "start", 0)
-	if err != nil {
-		return nil, err
-	}
-	count, err := optInt(kv, "count", 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := noExtra(kv, "periodic", "rank", "ranks", "start", "period", "extra", "count"); err != nil {
-		return nil, err
-	}
-	return GeneratePeriodic(set, start, period, extra, count), nil
-}
-
-func parseNoiseResonant(kv map[string]string) (*Plan, error) {
-	set, err := needRanks(kv, "resonant")
-	if err != nil {
-		return nil, err
-	}
-	base, err := needDuration(kv, "resonant", "base")
-	if err != nil {
-		return nil, err
-	}
-	extra, err := needDuration(kv, "resonant", "extra")
-	if err != nil {
-		return nil, err
-	}
-	detune := 0.0
-	if v, ok := kv["detune"]; ok {
-		detune, err = strconv.ParseFloat(v, 64)
-		if err != nil || !(detune > -1 && detune < 1) {
-			return nil, fmt.Errorf("fault: resonant: bad detune %q (want -1 < detune < 1)", v)
-		}
-	}
-	start, err := optDuration(kv, "start", 0)
-	if err != nil {
-		return nil, err
-	}
-	count, err := optInt(kv, "count", 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := noExtra(kv, "resonant", "rank", "ranks", "base", "detune", "extra", "count", "start"); err != nil {
-		return nil, err
-	}
-	return GenerateResonant(set, base, detune, extra, count, start), nil
-}
-
-func parseNoiseRandom(kv map[string]string, nranks int, seed uint64) (*Plan, error) {
-	set, err := needRanks(kv, "random")
-	if err != nil {
-		return nil, err
-	}
-	count, err := optInt(kv, "count", 0)
-	if err != nil {
-		return nil, err
-	}
-	if count <= 0 {
-		return nil, fmt.Errorf("fault: random: missing count=")
-	}
-	window, err := needDuration(kv, "random", "window")
-	if err != nil {
-		return nil, err
-	}
-	v, ok := kv["extra"]
-	if !ok {
-		return nil, fmt.Errorf("fault: random: missing extra=")
-	}
-	minExtra, maxExtra, err := parseJitter(v)
-	if err != nil {
-		return nil, err
-	}
-	if err := noExtra(kv, "random", "rank", "ranks", "count", "window", "extra"); err != nil {
-		return nil, err
-	}
-	return GenerateRandom(set, nranks, count, window, minExtra, maxExtra, seed), nil
-}
-
-func needDuration(kv map[string]string, verb, key string) (vtime.Duration, error) {
-	v, ok := kv[key]
-	if !ok {
-		return 0, fmt.Errorf("fault: %s: missing %s=", verb, key)
-	}
-	return parseDuration(v)
-}
-
-func optDuration(kv map[string]string, key string, def vtime.Duration) (vtime.Duration, error) {
-	v, ok := kv[key]
-	if !ok {
-		return def, nil
-	}
-	return parseDuration(v)
-}
-
-func optInt(kv map[string]string, key string, def int) (int, error) {
-	v, ok := kv[key]
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("fault: bad %s %q", key, v)
-	}
-	return n, nil
+	return out
 }

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -136,53 +135,58 @@ func TestPulseValidate(t *testing.T) {
 }
 
 func TestGeneratePeriodic(t *testing.T) {
-	plan := GeneratePeriodic(SingleRank(2), 10*vtime.Millisecond, 16*vtime.Millisecond, 5*vtime.Millisecond, 4)
+	plan := mustParse(t, "periodic rank=2 start=10ms period=16ms extra=5ms count=4")
 	if err := plan.Validate(8); err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Pulses) != 1 {
-		t.Fatalf("got %d pulses, want 1", len(plan.Pulses))
+	want := []Pulse{{Ranks: SingleRank(2), At: 10 * vtime.Millisecond,
+		Extra: 5 * vtime.Millisecond, Every: 16 * vtime.Millisecond, Count: 4}}
+	if !reflect.DeepEqual(plan.Pulses, want) || len(plan.Randoms) != 0 {
+		t.Errorf("plan = %+v, want pulses %+v", plan, want)
 	}
-	pu := plan.Pulses[0]
-	if pu.At != 10*vtime.Millisecond || pu.Every != 16*vtime.Millisecond || pu.Count != 4 {
-		t.Errorf("pulse = %+v", pu)
+	// A negative count, like none, leaves the train unbounded.
+	if pu := mustParse(t, "periodic rank=2 period=16ms extra=5ms count=-3").Pulses[0]; pu.Count != 0 || pu.At != 0 {
+		t.Errorf("pulse = %+v, want an unbounded train from 0", pu)
 	}
 }
 
 func TestGenerateResonant(t *testing.T) {
-	plan := GenerateResonant(SingleRank(0), 100*vtime.Millisecond, 0.05, vtime.Millisecond, 10, 0)
+	plan := mustParse(t, "resonant rank=0 base=100ms detune=0.05 extra=1ms count=10")
 	if got, want := plan.Pulses[0].Every, vtime.Duration(105*float64(vtime.Millisecond)); got != want {
 		t.Errorf("resonant period = %v, want %v", got, want)
 	}
 	// Zero detune degenerates to the base period.
-	plan = GenerateResonant(SingleRank(0), 100*vtime.Millisecond, 0, vtime.Millisecond, 10, 0)
+	plan = mustParse(t, "resonant rank=0 base=100ms extra=1ms count=10")
 	if got := plan.Pulses[0].Every; got != 100*vtime.Millisecond {
 		t.Errorf("undetuned period = %v, want 100ms", got)
 	}
 }
 
+// TestGenerateRandomDeterministic: a random directive stays in the plan,
+// and the injector draws its pulses from its seed.
 func TestGenerateRandomDeterministic(t *testing.T) {
-	set, err := ParseRankSet("0-7")
-	if err != nil {
-		t.Fatal(err)
+	plan := mustParse(t, "random ranks=0-7 count=12 window=1s extra=1ms-8ms")
+	if len(plan.Pulses) != 0 || len(plan.Randoms) != 1 {
+		t.Fatalf("plan = %+v, want one random directive", plan)
 	}
-	gen := func(seed uint64) *Plan {
-		return GenerateRandom(set, 8, 12, vtime.Second, vtime.Millisecond, 8*vtime.Millisecond, seed)
+	gen := func(seed uint64) []Pulse {
+		in, err := NewInjector(plan, seed, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in.plan.Pulses
 	}
 	a, b := gen(42), gen(42)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different random plans")
+		t.Fatal("same seed produced different random pulses")
 	}
 	if c := gen(43); reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical random plans")
+		t.Fatal("different seeds produced identical random pulses")
 	}
-	if len(a.Pulses) != 12 {
-		t.Fatalf("got %d pulses, want 12", len(a.Pulses))
+	if len(a) != 12 || len(plan.Pulses) != 0 {
+		t.Fatalf("got %d pulses, want 12 (and the plan untouched)", len(a))
 	}
-	if err := a.Validate(8); err != nil {
-		t.Fatal(err)
-	}
-	for i, pu := range a.Pulses {
+	for i, pu := range a {
 		if pu.At < 0 || pu.At >= vtime.Second {
 			t.Errorf("pulse %d at %v outside window", i, pu.At)
 		}
@@ -196,77 +200,108 @@ func TestGenerateRandomDeterministic(t *testing.T) {
 }
 
 func TestParseNoise(t *testing.T) {
-	plan, err := ParseNoise("periodic ranks=3 start=100ms period=16ms extra=5ms count=10", 8, 1)
+	const spec = "resonant ranks=0-1 base=16ms detune=0.1 extra=2ms count=4; random ranks=0-7 count=3 window=500ms extra=1ms-2ms"
+	plan := mustParse(t, spec)
+	in, err := NewInjector(plan, 7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Pulses) != 1 || plan.Pulses[0].Every != 16*vtime.Millisecond {
-		t.Errorf("plan = %+v", plan)
+	if len(in.plan.Pulses) != 1+3 {
+		t.Errorf("got %d pulses, want 4", len(in.plan.Pulses))
 	}
-
-	plan, err = ParseNoise("resonant ranks=0-1 base=16ms detune=0.1 extra=2ms count=4; random ranks=0-7 count=3 window=500ms extra=1ms-2ms", 8, 7)
+	again, err := NewInjector(mustParse(t, spec), 7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Pulses) != 1+3 {
-		t.Errorf("got %d pulses, want 4", len(plan.Pulses))
-	}
-	again, err := ParseNoise("resonant ranks=0-1 base=16ms detune=0.1 extra=2ms count=4; random ranks=0-7 count=3 window=500ms extra=1ms-2ms", 8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plan, again) {
-		t.Error("ParseNoise not deterministic for fixed seed")
+	if !reflect.DeepEqual(in.plan, again.plan) {
+		t.Error("random pulses not deterministic for a fixed seed")
 	}
 
 	for _, bad := range []string{
-		"",
 		"wobble ranks=0 extra=1ms",
-		"periodic ranks=0 period=1ms", // missing extra
-		"periodic ranks=0 extra=1ms",  // missing period
+		"periodic ranks=0 period=1ms",                  // missing extra
+		"periodic ranks=0 extra=1ms",                   // missing period
 		"resonant ranks=0 base=1ms extra=1ms detune=2", // detune out of range
 		"random ranks=0 window=1s extra=1ms",           // missing count
-		"periodic ranks=99 period=1ms extra=1ms",       // out of range at validate
+		"random ranks=0 count=0 window=1s extra=1ms",   // no pulse
+		"random ranks=0 count=1 window=0s extra=1ms",   // empty window
+		"random ranks=0 count=4097 window=1s extra=1ms",
+		"periodic ranks=99 period=1ms extra=1ms", // out of range at validate
+		"random ranks=0-99 count=1 window=1s extra=1ms",
 		"periodic ranks=0 period=1ms extra=1ms bogus=1",
+		"periodic ranks=0 period=1ms period=2ms extra=1ms", // duplicate key
 	} {
-		if _, err := ParseNoise(bad, 8, 1); err == nil {
-			t.Errorf("ParseNoise accepted %q", bad)
+		if plan, err := Parse(bad); err == nil {
+			if _, err := NewInjector(plan, 1, 8); err == nil {
+				t.Errorf("Parse and NewInjector accepted %q", bad)
+			}
 		}
 	}
 }
 
-func TestPlanMerge(t *testing.T) {
-	a, err := Parse("slow rank=1 factor=2x")
+// TestRandomFiresReferencePulses: a random directive fires, compute by
+// compute, what the reference's pulses for the same spec and seed fire.
+func TestRandomFiresReferencePulses(t *testing.T) {
+	const spec, n, seed = "random ranks=0-7 count=12 window=1s extra=1ms-8ms", 8, 7
+	ref, err := refParseNoise(spec, n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Parse("pulse rank=2 at=1ms extra=1ms; delay ranks=0 p=0.5 jitter=1ms-2ms")
+	got, err := NewInjector(mustParse(t, spec), seed, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Merge(b)
-	if len(a.Slows) != 1 || len(a.Pulses) != 1 || len(a.Delays) != 1 {
-		t.Errorf("merged plan = %+v", a)
-	}
-	a.Merge(nil) // nil-safe
-	if err := a.Validate(8); err != nil {
+	want, err := NewInjector(ref, seed, n)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var fired uint64
+	for rank := 0; rank < n; rank++ {
+		for now := vtime.Time(0); now < vtime.Time(1100*vtime.Millisecond); now += vtime.Time(vtime.Millisecond) {
+			g, w := got.PerturbCompute(rank, now, vtime.Millisecond), want.PerturbCompute(rank, now, vtime.Millisecond)
+			if g != w {
+				t.Fatalf("rank %d at %v: %v, reference %v", rank, now, g, w)
+			}
+		}
+		fired += got.PulsesFired(rank)
+	}
+	if fired != 12 {
+		t.Errorf("fired %d pulses, want 12", fired)
 	}
 }
 
-func TestPulseMarshalStable(t *testing.T) {
-	plan := GeneratePeriodic(SingleRank(5), 400*vtime.Millisecond, 0, 80*vtime.Millisecond, 0)
-	data, err := json.Marshal(plan)
+// TestRandomDirectivesDrawIndependently: two equal random directives
+// draw from seeds of their own, and a periodic directive before them
+// moves no draw.
+func TestRandomDirectivesDrawIndependently(t *testing.T) {
+	const one = "random ranks=0-7 count=6 window=1s extra=1ms-8ms"
+	pulses := func(spec string) []Pulse {
+		in, err := NewInjector(mustParse(t, spec), 3, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in.plan.Pulses
+	}
+	two := pulses(one + "; " + one)
+	if reflect.DeepEqual(two[:6], two[6:]) {
+		t.Fatal("two random directives drew the same pulses")
+	}
+	if first := pulses(one); !reflect.DeepEqual(two[:6], first) {
+		t.Fatal("the first random directive's draws depend on the second")
+	}
+	withTrain := pulses("periodic rank=1 period=5ms extra=1ms; " + one + "; " + one)
+	if !reflect.DeepEqual(withTrain[1:], two) {
+		t.Fatal("a periodic directive moved the random draws")
+	}
+}
+
+func mustParse(t *testing.T, spec string) *Plan {
+	t.Helper()
+	plan, err := Parse(spec)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Parse(%q): %v", spec, err)
 	}
-	var back Plan
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plan.Pulses, back.Pulses) {
-		t.Errorf("round trip: %+v != %+v", plan.Pulses, back.Pulses)
-	}
+	return plan
 }
 
 // TestExampleNoisePlans keeps the runnable plans under examples/noise/

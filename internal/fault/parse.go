@@ -3,8 +3,10 @@ package fault
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -81,26 +83,14 @@ func (s RankSet) Max() int {
 
 // Ranks expands the set into a sorted slice, dropping ranks >= nranks.
 func (s RankSet) Ranks(nranks int) []int {
-	seen := make(map[int]bool)
 	var out []int
 	for _, rg := range s.ranges {
 		for r := rg.lo; r <= rg.hi && r < nranks; r++ {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-			}
+			out = append(out, r)
 		}
 	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // String renders the set in the parseable form.
@@ -116,87 +106,59 @@ func (s RankSet) String() string {
 	return strings.Join(parts, ",")
 }
 
-// MarshalJSON writes the textual form.
-func (s RankSet) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
-
-// UnmarshalJSON accepts the textual form or a bare integer.
-func (s *RankSet) UnmarshalJSON(data []byte) error {
-	var str string
-	if err := json.Unmarshal(data, &str); err != nil {
-		var n int
-		if err2 := json.Unmarshal(data, &n); err2 != nil {
-			return fmt.Errorf("fault: rank set must be a string or integer: %w", err)
-		}
-		str = strconv.Itoa(n)
-	}
-	set, err := ParseRankSet(str)
-	if err != nil {
-		return err
-	}
-	*s = set
-	return nil
-}
-
-// Parse parses a fault plan. Input starting with '{' is the JSON form;
-// anything else is the directive grammar — directives separated by ';'
-// or newlines, each a verb followed by key=value fields:
+// Parse parses a fault plan: directives separated by ';' or newlines,
+// each a verb followed by key=value fields,
 //
 //	crash rank=5 at marker=12
 //	delay ranks=0-7 p=0.1 jitter=2ms-4ms
 //	slow rank=3 factor=4x
 //	pulse ranks=5 at=400ms extra=80ms every=50ms count=4
+//	periodic ranks=3 start=100ms period=16ms extra=5ms count=10
+//	resonant ranks=0-3 base=16ms detune=0.05 extra=5ms count=20
+//	random ranks=0-7 count=12 window=1s extra=1ms-8ms
 //
-// Keys: crash takes rank= and marker= (the bare word "at" is noise);
-// delay takes ranks= (or rank=), p= (or prob=), and jitter=DUR[-DUR]
-// (or min=/max=); slow takes ranks= (or rank=) and factor= (a trailing
-// "x" is accepted); pulse takes ranks= (or rank=), at= (virtual-time
-// anchor), extra= (injected compute), and optionally every= (period)
-// and count= (firing bound). Durations use ns/us/ms/s suffixes. An
-// empty input yields an empty plan.
+// or, for input starting with '{', the same directives in JSON: an
+// object mapping each verb to a list of objects of the same keys, whose
+// values are strings or numbers,
+//
+//	{"crash": [{"rank": 5, "marker": 12}], "delay": [{"ranks": "0-7", "p": 0.1, "jitter": "2ms-4ms"}]}
+//
+// Both forms go through one table of verbs (see verbs), so they share
+// every default, alias and check. The bare word "at" is noise ("crash
+// rank=5 at marker=12" reads naturally); a duplicate or unknown key is
+// an error. Durations use ns/us/ms/s suffixes. periodic and resonant
+// expand to pulses here; random stays in the plan and NewInjector draws
+// its pulses from the injector's seed. An empty input yields an empty
+// plan.
 func Parse(input string) (*Plan, error) {
 	input = strings.TrimSpace(input)
-	if input == "" {
-		return &Plan{}, nil
-	}
-	if strings.HasPrefix(input, "{") {
-		return parseJSON([]byte(input))
-	}
 	plan := &Plan{}
+	if strings.HasPrefix(input, "{") {
+		if err := plan.readJSON(input); err != nil {
+			return nil, err
+		}
+		return plan, nil
+	}
 	split := func(r rune) bool { return r == ';' || r == '\n' }
 	for _, directive := range strings.FieldsFunc(input, split) {
-		fields := strings.Fields(directive)
-		if len(fields) == 0 {
+		words := strings.Fields(directive)
+		if len(words) == 0 {
 			continue
 		}
-		verb, args := fields[0], fields[1:]
-		kv := map[string]string{}
-		for _, a := range args {
-			if a == "at" { // "crash rank=5 at marker=12" reads naturally
+		verb, kv := words[0], map[string]string{}
+		for _, w := range words[1:] {
+			if w == "at" {
 				continue
 			}
-			k, v, ok := strings.Cut(a, "=")
+			k, v, ok := strings.Cut(w, "=")
 			if !ok {
-				return nil, fmt.Errorf("fault: %q: expected key=value, got %q", verb, a)
+				return nil, fmt.Errorf("fault: %q: expected key=value, got %q", verb, w)
 			}
-			if _, dup := kv[k]; dup {
-				return nil, fmt.Errorf("fault: %q: duplicate key %q", verb, k)
+			if err := setKey(kv, verb, k, v); err != nil {
+				return nil, err
 			}
-			kv[k] = v
 		}
-		var err error
-		switch verb {
-		case "crash":
-			err = parseCrash(plan, kv)
-		case "delay":
-			err = parseDelay(plan, kv)
-		case "slow":
-			err = parseSlow(plan, kv)
-		case "pulse":
-			err = parsePulse(plan, kv)
-		default:
-			err = fmt.Errorf("fault: unknown directive %q (want crash, delay, slow, or pulse)", verb)
-		}
-		if err != nil {
+		if err := plan.add(verb, kv); err != nil {
 			return nil, err
 		}
 	}
@@ -213,235 +175,273 @@ func ParseFile(path string) (*Plan, error) {
 	return Parse(string(data))
 }
 
-func parseJSON(data []byte) (*Plan, error) {
-	// Durations come in as strings ("2ms") or jitter ranges ("2ms-4ms"),
-	// so unmarshal through a mirror with textual fields.
-	var doc struct {
-		Crash []Crash `json:"crash"`
-		Delay []struct {
-			Ranks  RankSet `json:"ranks"`
-			P      float64 `json:"p"`
-			Jitter string  `json:"jitter"`
-			Min    string  `json:"min"`
-			Max    string  `json:"max"`
-		} `json:"delay"`
-		Slow []struct {
-			Ranks  RankSet `json:"ranks"`
-			Factor float64 `json:"factor"`
-		} `json:"slow"`
-		Pulse []struct {
-			Ranks RankSet `json:"ranks"`
-			At    string  `json:"at"`
-			Extra string  `json:"extra"`
-			Every string  `json:"every"`
-			Count int     `json:"count"`
-		} `json:"pulse"`
+// verb is one directive of the grammar: the keys it takes, and the
+// function that reads them into plan entries.
+type verb struct {
+	keys  []string
+	apply func(*Plan, *fields)
+}
+
+var verbs = map[string]verb{
+	"crash":    {[]string{"rank", "marker"}, parseCrash},
+	"delay":    {[]string{"rank", "ranks", "p", "prob", "jitter", "min", "max"}, parseDelay},
+	"slow":     {[]string{"rank", "ranks", "factor"}, parseSlow},
+	"pulse":    {[]string{"rank", "ranks", "at", "extra", "every", "count"}, parsePulse},
+	"periodic": {[]string{"rank", "ranks", "start", "period", "extra", "count"}, parsePeriodic},
+	"resonant": {[]string{"rank", "ranks", "base", "detune", "extra", "count", "start"}, parseResonant},
+	"random":   {[]string{"rank", "ranks", "count", "window", "extra"}, parseRandom},
+}
+
+func lookupVerb(name string) (verb, error) {
+	v, ok := verbs[name]
+	if !ok {
+		return verb{}, fmt.Errorf("fault: unknown directive %q (want crash, delay, slow, pulse, periodic, resonant, or random)", name)
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("fault: bad JSON plan: %w", err)
+	return v, nil
+}
+
+// add appends the entries of one directive.
+func (p *Plan) add(name string, kv map[string]string) error {
+	v, err := lookupVerb(name)
+	if err != nil {
+		return err
 	}
-	plan := &Plan{Crashes: doc.Crash}
-	for _, d := range doc.Delay {
-		out := Delay{Ranks: d.Ranks, P: d.P}
-		var err error
-		switch {
-		case d.Jitter != "":
-			out.Min, out.Max, err = parseJitter(d.Jitter)
-		default:
-			if d.Min != "" {
-				out.Min, err = parseDuration(d.Min)
-			}
-			if err == nil && d.Max != "" {
-				out.Max, err = parseDuration(d.Max)
-			}
-			if out.Max == 0 {
-				out.Max = out.Min
-			}
+	for k := range kv {
+		if !slices.Contains(v.keys, k) {
+			return fmt.Errorf("fault: %s: unknown key %q", name, k)
 		}
+	}
+	f := &fields{verb: name, kv: kv}
+	v.apply(p, f)
+	return f.err
+}
+
+func setKey(kv map[string]string, verb, k, v string) error {
+	if _, dup := kv[k]; dup {
+		return fmt.Errorf("fault: %s: duplicate key %q", verb, k)
+	}
+	kv[k] = v
+	return nil
+}
+
+// readJSON adds the directives of the JSON form, in document order, as
+// the (verb, key=value) pairs of the text form. A number stands for its
+// literal text.
+func (p *Plan) readJSON(input string) error {
+	dec := json.NewDecoder(strings.NewReader(input))
+	dec.UseNumber()
+	token := func() (json.Token, error) {
+		t, err := dec.Token()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fault: bad JSON plan: %w", err)
 		}
-		plan.Delays = append(plan.Delays, out)
+		return t, nil
 	}
-	for _, s := range doc.Slow {
-		plan.Slows = append(plan.Slows, Slow{Ranks: s.Ranks, Factor: s.Factor})
-	}
-	for i, pu := range doc.Pulse {
-		out := Pulse{Ranks: pu.Ranks, Count: pu.Count}
-		var err error
-		if pu.At != "" {
-			if out.At, err = parseDuration(pu.At); err != nil {
-				return nil, err
-			}
+	expect := func(want json.Delim) error {
+		t, err := token()
+		if err == nil && t != want {
+			err = fmt.Errorf("fault: bad JSON plan: want %v, got %v", want, t)
 		}
-		if pu.Extra == "" {
-			return nil, fmt.Errorf("fault: pulse %d: missing extra", i)
-		}
-		if out.Extra, err = parseDuration(pu.Extra); err != nil {
-			return nil, err
-		}
-		if pu.Every != "" {
-			if out.Every, err = parseDuration(pu.Every); err != nil {
-				return nil, err
-			}
-		}
-		plan.Pulses = append(plan.Pulses, out)
-	}
-	return plan, nil
-}
-
-func parseCrash(plan *Plan, kv map[string]string) error {
-	rank, err := needInt(kv, "crash", "rank")
-	if err != nil {
 		return err
 	}
-	marker, err := needInt(kv, "crash", "marker")
-	if err != nil {
+	if err := expect('{'); err != nil {
 		return err
 	}
-	if err := noExtra(kv, "crash", "rank", "marker"); err != nil {
-		return err
-	}
-	plan.Crashes = append(plan.Crashes, Crash{Rank: rank, Marker: marker})
-	return nil
-}
-
-func parseDelay(plan *Plan, kv map[string]string) error {
-	set, err := needRanks(kv, "delay")
-	if err != nil {
-		return err
-	}
-	d := Delay{Ranks: set, P: 1}
-	if v, ok := first(kv, "p", "prob"); ok {
-		if d.P, err = strconv.ParseFloat(v, 64); err != nil {
-			return fmt.Errorf("fault: delay: bad probability %q", v)
-		}
-	}
-	switch {
-	case kv["jitter"] != "":
-		if d.Min, d.Max, err = parseJitter(kv["jitter"]); err != nil {
+	for dec.More() {
+		t, err := token()
+		if err != nil {
 			return err
 		}
-	default:
-		if v, ok := kv["min"]; ok {
-			if d.Min, err = parseDuration(v); err != nil {
+		name := t.(string) // an object key
+		if _, err := lookupVerb(name); err != nil {
+			return err
+		}
+		if err := expect('['); err != nil {
+			return err
+		}
+		for dec.More() {
+			if err := expect('{'); err != nil {
+				return err
+			}
+			kv := map[string]string{}
+			for dec.More() {
+				k, err := token()
+				if err != nil {
+					return err
+				}
+				v, err := token()
+				if err != nil {
+					return err
+				}
+				var text string
+				switch v := v.(type) {
+				case string:
+					text = v
+				case json.Number:
+					text = v.String()
+				default:
+					return fmt.Errorf("fault: %s: %s must be a string or a number, got %v", name, k, v)
+				}
+				if err := setKey(kv, name, k.(string), text); err != nil {
+					return err
+				}
+			}
+			if err := expect('}'); err != nil {
+				return err
+			}
+			if err := p.add(name, kv); err != nil {
 				return err
 			}
 		}
-		if v, ok := kv["max"]; ok {
-			if d.Max, err = parseDuration(v); err != nil {
-				return err
-			}
-		}
-		if d.Max == 0 {
-			d.Max = d.Min
-		}
-	}
-	if d.Min == 0 && d.Max == 0 {
-		return fmt.Errorf("fault: delay: missing jitter= (or min=/max=)")
-	}
-	if err := noExtra(kv, "delay", "rank", "ranks", "p", "prob", "jitter", "min", "max"); err != nil {
-		return err
-	}
-	plan.Delays = append(plan.Delays, d)
-	return nil
-}
-
-func parseSlow(plan *Plan, kv map[string]string) error {
-	set, err := needRanks(kv, "slow")
-	if err != nil {
-		return err
-	}
-	v, ok := kv["factor"]
-	if !ok {
-		return fmt.Errorf("fault: slow: missing factor=")
-	}
-	f, err := strconv.ParseFloat(strings.TrimSuffix(v, "x"), 64)
-	if err != nil {
-		return fmt.Errorf("fault: slow: bad factor %q", v)
-	}
-	if err := noExtra(kv, "slow", "rank", "ranks", "factor"); err != nil {
-		return err
-	}
-	plan.Slows = append(plan.Slows, Slow{Ranks: set, Factor: f})
-	return nil
-}
-
-func parsePulse(plan *Plan, kv map[string]string) error {
-	set, err := needRanks(kv, "pulse")
-	if err != nil {
-		return err
-	}
-	pu := Pulse{Ranks: set}
-	if v, ok := kv["at"]; ok {
-		if pu.At, err = parseDuration(v); err != nil {
+		if err := expect(']'); err != nil {
 			return err
 		}
 	}
-	v, ok := kv["extra"]
-	if !ok {
-		return fmt.Errorf("fault: pulse: missing extra=")
-	}
-	if pu.Extra, err = parseDuration(v); err != nil {
+	if err := expect('}'); err != nil {
 		return err
 	}
-	if v, ok := kv["every"]; ok {
-		if pu.Every, err = parseDuration(v); err != nil {
-			return err
-		}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("fault: bad JSON plan: data after the plan")
 	}
-	if v, ok := kv["count"]; ok {
-		if pu.Count, err = strconv.Atoi(v); err != nil {
-			return fmt.Errorf("fault: pulse: bad count %q", v)
-		}
-	}
-	if err := noExtra(kv, "pulse", "rank", "ranks", "at", "extra", "every", "count"); err != nil {
-		return err
-	}
-	plan.Pulses = append(plan.Pulses, pu)
 	return nil
 }
 
-func needRanks(kv map[string]string, verb string) (RankSet, error) {
-	v, ok := first(kv, "ranks", "rank")
-	if !ok {
-		return RankSet{}, fmt.Errorf("fault: %s: missing ranks=", verb)
-	}
-	return ParseRankSet(v)
+// fields reads the keys of one directive. The first failure sticks:
+// later reads return zero values, and err holds it.
+type fields struct {
+	verb string
+	kv   map[string]string
+	err  error
 }
 
-func needInt(kv map[string]string, verb, key string) (int, error) {
-	v, ok := kv[key]
-	if !ok {
-		return 0, fmt.Errorf("fault: %s: missing %s=", verb, key)
+func (f *fields) fail(err error) {
+	if f.err == nil {
+		f.err = err
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("fault: %s: bad %s %q", verb, key, v)
-	}
-	return n, nil
 }
 
-func first(kv map[string]string, keys ...string) (string, bool) {
+// get returns the value of the first of keys present. A missing key is
+// an error when need is set.
+func (f *fields) get(need bool, keys ...string) (string, bool) {
+	if f.err != nil {
+		return "", false
+	}
 	for _, k := range keys {
-		if v, ok := kv[k]; ok {
+		if v, ok := f.kv[k]; ok {
 			return v, true
 		}
+	}
+	if need {
+		f.fail(fmt.Errorf("fault: %s: missing %s=", f.verb, keys[0]))
 	}
 	return "", false
 }
 
-func noExtra(kv map[string]string, verb string, allowed ...string) error {
-	ok := make(map[string]bool, len(allowed))
-	for _, k := range allowed {
-		ok[k] = true
+func (f *fields) ranks() RankSet {
+	v, ok := f.get(true, "ranks", "rank")
+	if !ok {
+		return RankSet{}
 	}
-	for k := range kv {
-		if !ok[k] {
-			return fmt.Errorf("fault: %s: unknown key %q", verb, k)
+	set, err := ParseRankSet(v)
+	f.fail(err)
+	return set
+}
+
+func (f *fields) duration(key string, need bool) vtime.Duration {
+	v, ok := f.get(need, key)
+	if !ok {
+		return 0
+	}
+	d, err := parseDuration(v)
+	f.fail(err)
+	return d
+}
+
+// jitter reads "2ms" (fixed) or "2ms-4ms" (uniform range).
+func (f *fields) jitter(key string) (min, max vtime.Duration) {
+	v, ok := f.get(true, key)
+	if !ok {
+		return 0, 0
+	}
+	min, max, err := parseJitter(v)
+	f.fail(err)
+	return min, max
+}
+
+func (f *fields) integer(key string, need bool) int {
+	v, ok := f.get(need, key)
+	if !ok {
+		return 0
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		f.fail(fmt.Errorf("fault: %s: bad %s %q", f.verb, key, v))
+	}
+	return n
+}
+
+// float reads the first of keys present, def when there is none.
+func (f *fields) float(def float64, keys ...string) float64 {
+	v, ok := f.get(false, keys...)
+	if !ok {
+		return def
+	}
+	x, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		f.fail(fmt.Errorf("fault: %s: bad %s %q", f.verb, keys[0], v))
+	}
+	return x
+}
+
+func parseCrash(plan *Plan, f *fields) {
+	c := Crash{Rank: f.integer("rank", true), Marker: f.integer("marker", true)}
+	if f.err == nil {
+		plan.Crashes = append(plan.Crashes, c)
+	}
+}
+
+func parseDelay(plan *Plan, f *fields) {
+	d := Delay{Ranks: f.ranks(), P: f.float(1, "p", "prob")}
+	if f.kv["jitter"] != "" {
+		d.Min, d.Max = f.jitter("jitter")
+	} else {
+		d.Min, d.Max = f.duration("min", false), f.duration("max", false)
+		if d.Max == 0 {
+			d.Max = d.Min
+		}
+		if d.Min == 0 && d.Max == 0 {
+			f.fail(fmt.Errorf("fault: delay: missing jitter= (or min=/max=)"))
 		}
 	}
-	return nil
+	if f.err == nil {
+		plan.Delays = append(plan.Delays, d)
+	}
+}
+
+func parseSlow(plan *Plan, f *fields) {
+	s := Slow{Ranks: f.ranks()}
+	if v, ok := f.get(true, "factor"); ok {
+		var err error
+		if s.Factor, err = strconv.ParseFloat(strings.TrimSuffix(v, "x"), 64); err != nil {
+			f.fail(fmt.Errorf("fault: slow: bad factor %q", v))
+		}
+	}
+	if f.err == nil {
+		plan.Slows = append(plan.Slows, s)
+	}
+}
+
+func parsePulse(plan *Plan, f *fields) {
+	pu := Pulse{
+		Ranks: f.ranks(),
+		At:    f.duration("at", false),
+		Extra: f.duration("extra", true),
+		Every: f.duration("every", false),
+		Count: f.integer("count", false),
+	}
+	if f.err == nil {
+		plan.Pulses = append(plan.Pulses, pu)
+	}
 }
 
 // parseJitter parses "2ms" (fixed) or "2ms-4ms" (uniform range).

@@ -102,18 +102,43 @@ func forEachDim(base int, dims []Dim, fn func(int)) {
 	}
 }
 
+// contains reports whether offset is a sum of one step along each
+// dimension. The longest dimension is solved arithmetically and the
+// others are stepped through, so a 1D descriptor costs O(1) and a 2D one
+// O(its shorter dimension).
 func contains(offset int, dims []Dim) bool {
-	if len(dims) == 0 {
+	long := -1
+	for i, d := range dims {
+		if d.Iters < 1 {
+			return false // covers no rank, as in appendRanks
+		}
+		if long < 0 || d.Iters > dims[long].Iters {
+			long = i
+		}
+	}
+	if long < 0 {
 		return offset == 0
 	}
-	d := dims[len(dims)-1]
-	rest := dims[:len(dims)-1]
-	if d.Stride == 0 {
-		return contains(offset, rest)
+	return stepDims(offset, dims, 0, long)
+}
+
+// stepDims tries every step along dims[k:] but dims[long], then solves
+// dims[long] for what is left of offset.
+func stepDims(offset int, dims []Dim, k, long int) bool {
+	if k == len(dims) {
+		d := dims[long]
+		if d.Stride == 0 {
+			return offset == 0
+		}
+		i := offset / d.Stride
+		return offset%d.Stride == 0 && i >= 0 && i < d.Iters
+	}
+	d := dims[k]
+	if k == long || d.Stride == 0 {
+		return stepDims(offset, dims, k+1, long)
 	}
 	for i := 0; i < d.Iters; i++ {
-		o := offset - i*d.Stride
-		if contains(o, rest) {
+		if stepDims(offset-i*d.Stride, dims, k+1, long) {
 			return true
 		}
 	}

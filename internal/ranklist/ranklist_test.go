@@ -282,6 +282,38 @@ func TestEqualMinUnionMatchExpansion(t *testing.T) {
 	}
 }
 
+// TestContainsMatchesExpansion holds Contains, which solves a
+// descriptor's longest dimension arithmetically, to expansion over
+// hand-built descriptors with negative, zero and positive strides, and
+// over descriptors that cover no rank.
+func TestContainsMatchesExpansion(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < 5000; i++ {
+		l := randList(rng)
+		if i%10 == 0 {
+			r := &l.rls[rng.Intn(len(l.rls))]
+			r.Dims = append(r.Dims, Dim{Iters: 0, Stride: rng.Intn(3) - 1})
+		}
+		member := map[int]bool{}
+		for _, r := range l.rls {
+			r.ForEach(func(rank int) { member[rank] = true })
+		}
+		for probe := -40; probe < 64; probe++ {
+			if got := l.Contains(probe); got != member[probe] {
+				t.Fatalf("%v.Contains(%d) = %v, expansion says %v", l, probe, got, member[probe])
+			}
+		}
+	}
+	// A miss on a run of 2^40 ranks, or on a 2^20 x 2 block, is
+	// answered without stepping through the run.
+	wide := FromRL(New(3, Dim{Iters: 1 << 40, Stride: 2}))
+	block := FromRL(New(0, Dim{Iters: 1 << 20, Stride: 1}, Dim{Iters: 2, Stride: 1 << 21}))
+	if wide.Contains(4) || !wide.Contains(3+2*(1<<39)) || wide.Contains(3+2*(1<<40)) ||
+		block.Contains(1<<20) || !block.Contains(1<<21+5) {
+		t.Fatal("wide descriptors answer membership wrongly")
+	}
+}
+
 // TestUnionAllocatesOnlyResult: uniting two multi-descriptor lists (two
 // sub-grids of an 8-wide mesh, a strided run, a stray rank) allocates
 // the result's descriptors and its one Dim slab, nothing else.

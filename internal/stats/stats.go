@@ -133,15 +133,6 @@ func (w *Welford) Var() float64 {
 // Std returns the population standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
-// RelStd returns the standard deviation as a fraction of the mean
-// (the paper reports "standard deviation is less than x% of the average").
-func (w *Welford) RelStd() float64 {
-	if w.mean == 0 {
-		return 0
-	}
-	return w.Std() / math.Abs(w.mean)
-}
-
 // Histogram is a log2-bucket histogram over non-negative int64 samples
 // (nanoseconds in practice): 64 buckets (see BucketOf), of which it
 // stores only what it holds. ScalaTrace stores inter-event delta times in
@@ -482,16 +473,6 @@ func (h *Histogram) String() string {
 		return "hist{empty}"
 	}
 	return fmt.Sprintf("hist{n=%d min=%d mean=%d max=%d}", h.Count(), h.Min, h.Mean(), h.Max)
-}
-
-// MeanStd reports mean and standard deviation of a float64 slice; it is
-// the helper the experiment harness uses for "average of five runs".
-func MeanStd(xs []float64) (mean, std float64) {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Mean(), w.Std()
 }
 
 // Restore rehydrates a histogram's scalar summary from serialized state

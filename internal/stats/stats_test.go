@@ -83,9 +83,6 @@ func TestWelford(t *testing.T) {
 	if got := w.Std(); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("std = %v, want 2", got)
 	}
-	if got := w.RelStd(); math.Abs(got-0.4) > 1e-9 {
-		t.Fatalf("relstd = %v, want 0.4", got)
-	}
 }
 
 func TestWelfordMergeMatchesSequential(t *testing.T) {
@@ -240,20 +237,6 @@ func TestHistogramString(t *testing.T) {
 	h.Add(10)
 	if h.String() == "hist{empty}" {
 		t.Fatalf("non-empty histogram renders empty")
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	mean, std := MeanStd([]float64{1, 2, 3, 4, 5})
-	if mean != 3 {
-		t.Fatalf("mean = %v", mean)
-	}
-	if math.Abs(std-math.Sqrt(2)) > 1e-9 {
-		t.Fatalf("std = %v", std)
-	}
-	mean, std = MeanStd(nil)
-	if mean != 0 || std != 0 {
-		t.Fatalf("empty MeanStd = %v/%v", mean, std)
 	}
 }
 

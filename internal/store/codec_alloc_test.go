@@ -355,18 +355,21 @@ func TestDiffOfWideListsCostsItsLists(t *testing.T) {
 		}
 		// Only the ranks at either end of [0, P) can differ, and the
 		// lists' sizes in [0, P) say the deltas there are all there are.
-		// A list holds rank r when it holds more ranks below r+1 than
-		// below r (RL.Contains walks a run rank by rank).
 		const p = 1 << 20
 		want, wantSum := map[string]int64{}, int64(0)
 		for i := 0; i < 64; i++ {
 			wantSum += int64(list(0)(i).SizeIn(p)) - int64(list(1)(i).SizeIn(p))
 		}
+		in := func(l ranklist.List, r int) int64 {
+			if l.Contains(r) {
+				return 1
+			}
+			return 0
+		}
 		for _, r := range append(makeRange(0, 128), makeRange(p-128, p)...) {
 			var delta int64
 			for i := 0; i < 64; i++ {
-				delta += int64(list(0)(i).SizeIn(r+1)-list(0)(i).SizeIn(r)) -
-					int64(list(1)(i).SizeIn(r+1)-list(1)(i).SizeIn(r))
+				delta += in(list(0)(i), r) - in(list(1)(i), r)
 			}
 			if delta != 0 {
 				want[strconv.Itoa(r)] = delta

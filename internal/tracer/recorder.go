@@ -342,6 +342,3 @@ func (r *Recorder) TakePartial() []*trace.Node {
 func (r *Recorder) DiscardPartial() {
 	r.pool.PutSeq(r.Comp.Reset())
 }
-
-// PartialSize returns the current partial trace footprint in bytes.
-func (r *Recorder) PartialSize() int { return r.Comp.SizeBytes() }

@@ -28,9 +28,9 @@ func TestWaveGoldenScenario(t *testing.T) {
 		at    = 400 * time.Millisecond
 		extra = 80 * time.Millisecond
 	)
-	plan, err := chameleon.ParseNoisePlan("periodic ranks=5 start=400ms period=200ms extra=80ms count=1", p, 7)
+	plan, err := chameleon.ParseFaultPlan("periodic ranks=5 start=400ms period=200ms extra=80ms count=1")
 	if err != nil {
-		t.Fatalf("noise: %v", err)
+		t.Fatalf("faults: %v", err)
 	}
 	injector, err := chameleon.NewFaultInjector(plan, 7, p)
 	if err != nil {
@@ -117,9 +117,9 @@ func TestLiveDesyncFlaggedInFlight(t *testing.T) {
 	const p, session = 13, "e2e-desync"
 	srv := newLiveDaemon(t)
 
-	plan, err := chameleon.ParseNoisePlan("periodic ranks=3 start=50ms period=5ms extra=30ms count=100000", p, 1)
+	plan, err := chameleon.ParseFaultPlan("periodic ranks=3 start=50ms period=5ms extra=30ms count=100000")
 	if err != nil {
-		t.Fatalf("noise: %v", err)
+		t.Fatalf("faults: %v", err)
 	}
 	injector, err := chameleon.NewFaultInjector(plan, 1, p)
 	if err != nil {
