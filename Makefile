@@ -73,8 +73,10 @@ test-race:
 # in a test file (every descriptor must agree), the rank-list
 # normal-form check against expanding and re-compacting with that
 # compactor, the rank-class cutter against expanding its lists (every
-# rank in exactly one class, of the lists that cover it), and the
-# clustering
+# rank in exactly one class, of the lists that cover it), every door a
+# rank list enters by (FromRanks, Union, the binary and JSON decoders)
+# against its normal form, with Shift and Classes giving disjoint
+# pieces, and the clustering
 # step's selection against the pre-change one kept in a test file
 # (every lead, descriptor and distance count must agree), and the
 # compressed-domain analysis against the pre-change one kept in a test
@@ -88,6 +90,7 @@ test-race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzReadAny -fuzztime=5s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzRankListsNormal -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzScanMatchesDecode -fuzztime=10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzWalkMatchesAccept -fuzztime=10s ./internal/trace/

@@ -79,8 +79,6 @@ type (
 	ReplayResult = replay.Result
 	// EnergyReport is the DVFS energy estimate of a traced run.
 	EnergyReport = energy.Report
-	// EnergyModel holds the power parameters of the energy estimate.
-	EnergyModel = energy.Model
 	// Observer is the observability hub (metrics registry, structured
 	// event journal, virtual-time timeline); nil disables everything.
 	Observer = obs.Observer
@@ -88,8 +86,6 @@ type (
 	ObsOptions = obs.Options
 	// ObsEvent is one structured journal record.
 	ObsEvent = obs.Event
-	// ObsSnapshot is a point-in-time copy of the metrics registry.
-	ObsSnapshot = obs.Snapshot
 	// ObsEdge is one matched send/recv causal edge pair.
 	ObsEdge = obs.Edge
 	// LiveShipper streams an Observer's state to a chamd live session.

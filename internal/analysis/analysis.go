@@ -378,9 +378,13 @@ func CompareWith(a, b *trace.File, opts CompareOpts) *Diff {
 	return d
 }
 
-// world is the list of the ranks [0, p).
+// world is the list of the ranks [0, p), in normal form.
 func world(p int) ranklist.List {
-	return ranklist.FromRL(ranklist.New(0, ranklist.Dim{Iters: p, Stride: 1}))
+	if p < 1 {
+		return ranklist.List{}
+	}
+	l, _ := ranklist.Normalize([]ranklist.RL{ranklist.Range(0, p, 1)}, nil)
+	return l
 }
 
 // CriticalPath estimates the trace's serial lower bound: the maximum

@@ -48,22 +48,22 @@ func genEndpoint(g *genBytes, p int) trace.Endpoint {
 	return trace.Endpoint{Kind: trace.EPReplyToLast}
 }
 
-// genList draws a rank list without a repeated rank: runs that cross P
-// (or 0), runs of coprime strides, 2D blocks, single ranks, random
-// subsets, and two disjoint runs kept as written (out of normal form
-// when FromRanks would have joined them).
+// genList draws a rank list, compacted from the ranks of descriptors:
+// runs that cross P (or 0), runs of coprime strides, 2D blocks, single
+// ranks, random subsets, and two disjoint runs (joined when they meet).
 func genList(g *genBytes, p int) ranklist.List {
 	start := g.next(p+4) - 2
+	var rls []ranklist.RL
 	switch g.next(6) {
 	case 0:
-		return ranklist.FromRL(ranklist.Range(start, 1+g.next(p+6), 1))
+		rls = []ranklist.RL{ranklist.Range(start, 1+g.next(p+6), 1)}
 	case 1:
 		strides := []int{2, 3, 5, 7}
-		return ranklist.FromRL(ranklist.Range(start, 1+g.next(p/2+3), strides[g.next(4)]))
+		rls = []ranklist.RL{ranklist.Range(start, 1+g.next(p/2+3), strides[g.next(4)])}
 	case 2:
 		n, d := 1+g.next(4), 1+g.next(3)
 		s := (n-1)*d + 1 + g.next(6)
-		return ranklist.FromRL(ranklist.New(start, ranklist.Dim{Iters: n, Stride: d}, ranklist.Dim{Iters: 1 + g.next(5), Stride: s}))
+		rls = []ranklist.RL{ranklist.New(start, ranklist.Dim{Iters: n, Stride: d}, ranklist.Dim{Iters: 1 + g.next(5), Stride: s})}
 	case 3:
 		return ranklist.SingleRank(start)
 	case 4:
@@ -74,12 +74,18 @@ func genList(g *genBytes, p int) ranklist.List {
 			}
 		}
 		return ranklist.FromRanks(ranks)
+	default:
+		n := 1 + g.next(5)
+		rls = []ranklist.RL{
+			ranklist.Range(start, n, 1),
+			ranklist.Range(start+n+g.next(3), 1+g.next(5), 1+g.next(2)),
+		}
 	}
-	n := 1 + g.next(5)
-	return ranklist.FromRLs([]ranklist.RL{
-		ranklist.Range(start, n, 1),
-		ranklist.Range(start+n+g.next(3), 1+g.next(5), 1+g.next(2)),
-	})
+	var ranks []int
+	for _, r := range rls {
+		ranks = append(ranks, r.Ranks()...)
+	}
+	return ranklist.FromRanks(ranks)
 }
 
 // genLeaf draws a leaf on one of six call sites: an operation with the

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,11 +20,11 @@ import (
 // clip bounds those lists to [0, P).
 func crossingP(clip bool) *trace.File {
 	const p = 8
-	wide := ranklist.FromRL(ranklist.Range(4, 10, 1))
+	wide := span(4, 10)
 	if clip {
-		wide = ranklist.FromRL(ranklist.Range(4, 4, 1))
+		wide = span(4, 4)
 	}
-	all := ranklist.FromRL(ranklist.Range(0, p, 1))
+	all := span(0, p)
 	return &trace.File{P: p, Nodes: []*trace.Node{
 		trace.NewLoop(3, []*trace.Node{
 			trace.NewLeaf(trace.Event{Op: mpi.OpAllreduce, Bytes: 8}, wide, 100),
@@ -71,5 +72,37 @@ func TestReadersCountRanksInsideP(t *testing.T) {
 	wider.P = 16
 	if d := analysis.Compare(f, wider); !d.Equivalent() {
 		t.Errorf("diff against the clipped trace at P=%d: %s", wider.P, d.Reason())
+	}
+}
+
+// span is the list of the n ranks from lo, in normal form.
+func span(lo, n int) ranklist.List {
+	ranks := make([]int, n)
+	for i := range ranks {
+		ranks[i] = lo + i
+	}
+	return ranklist.FromRanks(ranks)
+}
+
+// A JSON trace whose one rank list names a negative or zero count
+// covers no rank. chamdump -stats and chamstat refuse it with an error
+// (exit 1) and do not panic.
+func TestToolsRefuseJSONListsOfNoRank(t *testing.T) {
+	var js bytes.Buffer
+	f := &trace.File{P: 4, Nodes: []*trace.Node{trace.NewLeaf(trace.Event{Op: mpi.OpBarrier}, ranklist.SingleRank(0), 1)}}
+	if err := f.Write(&js); err != nil {
+		t.Fatal(err)
+	}
+	const one = `[{"start":0}]`
+	for _, list := range []string{`[{"start":0,"dims":[[-1,1]]}]`, `[{"start":0,"dims":[[0,1]]}]`} {
+		path := filepath.Join(t.TempDir(), "empty.json")
+		if err := os.WriteFile(path, []byte(strings.Replace(js.String(), one, list, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"chamdump", "-stats", path}, {"chamstat", path}} {
+			if _, stderr, code := run(t, args[0], args[1:]...); code != 1 || !strings.Contains(stderr, "rank list") {
+				t.Errorf("%v on list %s: exit %d, stderr %q; want 1 and the list named", args, list, code, stderr)
+			}
+		}
 	}
 }

@@ -35,8 +35,8 @@ type Item struct {
 	Variant bool
 }
 
-// Algorithm selects which representative-selection strategy FindTopK
-// uses.
+// Algorithm selects which representative-selection strategy
+// Algorithm 2 (the paper's FindTopK) uses.
 type Algorithm int
 
 // Selection strategies.
@@ -75,33 +75,12 @@ func ParseAlgorithm(s string) Algorithm {
 	return KFarthest
 }
 
-// Result is the outcome of FindTopK: the representative items (each now
+// Result is the outcome of SelectLeads: the representative items (each now
 // covering its own ranks plus every merged cluster's ranks) and the
 // amount of distance work performed (for cost accounting).
 type Result struct {
 	Top       []Item
 	Distances int
-}
-
-// FindTopK implements Algorithm 2: it selects up to k representatives
-// among items by SRC/DEST signature distance and merges every
-// non-selected item into its closest representative. Items must share a
-// Call-Path (the caller partitions first). The input order must be
-// deterministic; FindTopK sorts a copy by lead rank to make sure, and
-// leaves items as it found them.
-func FindTopK(items []Item, k int, algo Algorithm) Result {
-	var res Result
-	if len(items) == 0 || k <= 0 {
-		return res
-	}
-	its := slices.Clone(items)
-	slices.SortFunc(its, byLead)
-	if k >= len(its) {
-		res.Top = its
-		return res
-	}
-	res.Top = topK(make([]Item, 0, k), its, k, algo, &res.Distances)
-	return res
 }
 
 // SelectLeads runs the full per-node clustering step: partition by

@@ -4,7 +4,7 @@ package cluster
 // working set sorted by (Call-Path, Lead): a map partition, then a copy
 // and a reflect sort per partition, and a fresh slice per medoid trial
 // swap. It is kept verbatim, each function renamed ref*, as the oracle
-// FuzzSelectMatchesReference checks SelectLeads and FindTopK against.
+// FuzzSelectMatchesReference checks SelectLeads against.
 
 import (
 	"sort"

@@ -37,9 +37,12 @@ func coveredRanks(items []Item) []int {
 	return all
 }
 
+// The TestFindTopK tests hold Algorithm 2 (the paper's FindTopK) as
+// SelectLeads runs it over items of one Call-Path.
+
 func TestFindTopKSmallInput(t *testing.T) {
 	items := []Item{item(3, 1, 0, 0), item(1, 1, 0, 0)}
-	res := FindTopK(items, 5, KFarthest)
+	res := SelectLeads(items, 5, KFarthest)
 	if len(res.Top) != 2 {
 		t.Fatalf("k >= n should keep all items: %d", len(res.Top))
 	}
@@ -49,11 +52,12 @@ func TestFindTopKSmallInput(t *testing.T) {
 }
 
 func TestFindTopKEmpty(t *testing.T) {
-	if res := FindTopK(nil, 3, KFarthest); len(res.Top) != 0 {
+	if res := SelectLeads(nil, 3, KFarthest); len(res.Top) != 0 {
 		t.Fatalf("empty input produced items")
 	}
-	if res := FindTopK([]Item{item(0, 1, 0, 0)}, 0, KFarthest); len(res.Top) != 0 {
-		t.Fatalf("k=0 produced items")
+	// K grows to one lead per Call-Path: no MPI event is missed.
+	if res := SelectLeads([]Item{item(0, 1, 0, 0), item(1, 1, 9, 0)}, 0, KFarthest); len(res.Top) != 1 || res.Top[0].Ranks.Size() != 2 {
+		t.Fatalf("k=0 selected %v, want one lead covering both ranks", res.Top)
 	}
 }
 
@@ -64,7 +68,7 @@ func TestFindTopKSelectsExtremes(t *testing.T) {
 	for r := 0; r < 9; r++ {
 		items = append(items, item(r, 1, uint64(r/3*1000), 0))
 	}
-	res := FindTopK(items, 3, KFarthest)
+	res := SelectLeads(items, 3, KFarthest)
 	if len(res.Top) != 3 {
 		t.Fatalf("top = %d", len(res.Top))
 	}
@@ -88,7 +92,7 @@ func TestFindTopKAssignsToNearest(t *testing.T) {
 		item(5, 1, 1000, 0), // far group
 		item(6, 1, 1010, 0), // near rank 5
 	}
-	res := FindTopK(items, 2, KFarthest)
+	res := SelectLeads(items, 2, KFarthest)
 	if len(res.Top) != 2 {
 		t.Fatalf("top = %d", len(res.Top))
 	}
@@ -113,20 +117,20 @@ func TestFindTopKAssignsToNearest(t *testing.T) {
 func TestVariantFlag(t *testing.T) {
 	// Identical signatures merge without the variant flag...
 	same := []Item{item(0, 1, 5, 5), item(1, 1, 5, 5), item(2, 1, 5, 5)}
-	res := FindTopK(same, 1, KFarthest)
+	res := SelectLeads(same, 1, KFarthest)
 	if res.Top[0].Variant {
 		t.Fatalf("identical members flagged variant")
 	}
 	// ...while rank-dependent end-points set it (the master/worker case).
 	diff := []Item{item(0, 1, 5, 5), item(1, 1, 7, 9), item(2, 1, 8, 11)}
-	res = FindTopK(diff, 1, KFarthest)
+	res = SelectLeads(diff, 1, KFarthest)
 	if !res.Top[0].Variant {
 		t.Fatalf("differing members not flagged variant")
 	}
 	// The flag propagates through further merging levels.
 	carried := []Item{{Lead: 0, Ranks: ranklist.SingleRank(0), Sig: sig.Triple{CallPath: 1}, Variant: true},
 		item(1, 1, 0, 0)}
-	res = FindTopK(carried, 1, KFarthest)
+	res = SelectLeads(carried, 1, KFarthest)
 	if !res.Top[0].Variant {
 		t.Fatalf("variant flag lost in merge")
 	}
@@ -138,7 +142,7 @@ func TestAlgorithmsProduceK(t *testing.T) {
 		items = append(items, item(r, 1, uint64(r*37), uint64(r*11)))
 	}
 	for _, algo := range []Algorithm{KFarthest, KMedoid, KRandom} {
-		res := FindTopK(items, 4, algo)
+		res := SelectLeads(items, 4, algo)
 		if len(res.Top) != 4 {
 			t.Fatalf("%v produced %d leads", algo, len(res.Top))
 		}
@@ -154,8 +158,8 @@ func TestAlgorithmsDeterministic(t *testing.T) {
 		items = append(items, item(r, 1, uint64(r*r*13), 0))
 	}
 	for _, algo := range []Algorithm{KFarthest, KMedoid, KRandom} {
-		a := leads(FindTopK(items, 3, algo).Top)
-		b := leads(FindTopK(items, 3, algo).Top)
+		a := leads(SelectLeads(items, 3, algo).Top)
+		b := leads(SelectLeads(items, 3, algo).Top)
 		if len(a) != len(b) {
 			t.Fatalf("%v nondeterministic", algo)
 		}
@@ -177,7 +181,7 @@ func TestKMedoidRefines(t *testing.T) {
 	for r := 5; r < 10; r++ {
 		items = append(items, item(r, 1, uint64(9000+r), 0))
 	}
-	res := FindTopK(items, 2, KMedoid)
+	res := SelectLeads(items, 2, KMedoid)
 	var lows, highs int
 	for _, it := range res.Top {
 		if it.Sig.Src < 5000 {

@@ -85,8 +85,8 @@ type Random struct {
 	Min, Max vtime.Duration
 }
 
-// maxRandomCount bounds one random directive: every rank holds a
-// firing counter per pulse, so the pulses cost Count words a rank.
+// maxRandomCount bounds the pulses one random directive expands to,
+// each held once, by the rank it names.
 const maxRandomCount = 1 << 12
 
 // Plan is a complete fault schedule.
@@ -221,12 +221,19 @@ type Injector struct {
 	// crashMarkers is the sorted multiset of crash markers (epoch math).
 	crashMarkers []int
 	rng          []rngState
-	// pulses[rank][i] tracks how many firings of plan.Pulses[i] have been
-	// charged or absorbed on rank (each rank owns its own row).
-	pulses [][]int
+	// pulses[rank] holds rank's own pulses, the plan's pulses whose
+	// ranks include it, in plan order, each with how many of its firings
+	// have been charged or absorbed on rank (each rank owns its own row).
+	pulses [][]rankPulse
 	// pulseFired / pulseAbsorbed count per-rank firings and absorptions.
 	pulseFired    []uint64
 	pulseAbsorbed []uint64
+}
+
+// rankPulse is one pulse of one rank, and its firings there so far.
+type rankPulse struct {
+	*Pulse
+	fired int
 }
 
 // NewInjector validates the plan and builds an injector. An empty (or
@@ -260,19 +267,21 @@ func NewInjector(p *Plan, seed uint64, nranks int) (*Injector, error) {
 		slow:    make([]float64, nranks),
 		rng:     make([]rngState, nranks),
 	}
-	if len(p.Pulses) > 0 {
-		in.pulses = make([][]int, nranks)
-		in.pulseFired = make([]uint64, nranks)
-		in.pulseAbsorbed = make([]uint64, nranks)
-	}
 	for r := range in.crashAt {
 		in.crashAt[r] = -1
 		in.slow[r] = 1
 		in.rng[r].s = mix64(seed ^ (uint64(r)+1)*0x9e3779b97f4a7c15)
-		if in.pulses != nil {
-			// Per-rank rows are allocated separately so rank goroutines
-			// never write into a shared backing array.
-			in.pulses[r] = make([]int, len(p.Pulses))
+	}
+	if len(p.Pulses) > 0 {
+		// Each rank's row is appended to on its own, so rank goroutines
+		// never write into a shared backing array.
+		in.pulses = make([][]rankPulse, nranks)
+		in.pulseFired = make([]uint64, nranks)
+		in.pulseAbsorbed = make([]uint64, nranks)
+		for i := range p.Pulses {
+			for _, r := range p.Pulses[i].Ranks.Ranks(nranks) {
+				in.pulses[r] = append(in.pulses[r], rankPulse{Pulse: &p.Pulses[i]})
+			}
 		}
 	}
 	for _, c := range p.Crashes {
@@ -356,16 +365,14 @@ func (in *Injector) PerturbCompute(rank int, now vtime.Time, d vtime.Duration) v
 // absorbed and only counted.
 func (in *Injector) firePulses(rank int, now vtime.Time) vtime.Duration {
 	var extra vtime.Duration
-	for i := range in.plan.Pulses {
-		pu := &in.plan.Pulses[i]
-		if !pu.Ranks.Contains(rank) {
-			continue
-		}
+	for i := range in.pulses[rank] {
+		rp := &in.pulses[rank][i]
+		pu := rp.Pulse
 		limit := pu.Count
 		if pu.Every <= 0 && (limit == 0 || limit > 1) {
 			limit = 1 // a one-shot pulse fires exactly once
 		}
-		fired := in.pulses[rank][i]
+		fired := rp.fired
 		if limit > 0 && fired >= limit {
 			continue
 		}
@@ -388,7 +395,7 @@ func (in *Injector) firePulses(rank int, now vtime.Time) vtime.Duration {
 				next = elapsed
 			}
 		}
-		in.pulses[rank][i] = next
+		rp.fired = next
 	}
 	return extra
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"chameleon/internal/vtime"
@@ -327,5 +328,32 @@ func TestExampleNoisePlans(t *testing.T) {
 		if len(plan.Pulses) == 0 {
 			t.Errorf("%s: no pulses", f)
 		}
+	}
+}
+
+// TestInjectorCostsItsPulses: a rank holds firing counters for its own
+// pulses only, so at P=1024 one random directive of 4096 pulses builds
+// an injector of under 1 MB, and every pulse fires once. A counter per
+// rank and pulse of the plan cost P×N words, 32 MB.
+func TestInjectorCostsItsPulses(t *testing.T) {
+	const n = 1024
+	plan := mustParse(t, "random ranks=0-1023 count=4096 window=1s extra=1ms")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	in, err := NewInjector(plan, 5, n)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("NewInjector of 4096 pulses at P=%d allocated %d B; want < 1 MB", n, alloc)
+	}
+	var fired uint64
+	for rank := 0; rank < n; rank++ {
+		in.PerturbCompute(rank, vtime.Time(2*vtime.Second), vtime.Millisecond)
+		fired += in.PulsesFired(rank)
+	}
+	if fired != 4096 {
+		t.Fatalf("fired %d pulses, want 4096", fired)
 	}
 }

@@ -94,15 +94,6 @@ func (c *Causal) EdgeCount() int {
 	return n
 }
 
-// RankEdges returns the receiving rank's recorded row (the live slice;
-// callers must not mutate it). Nil for out-of-range ranks.
-func (c *Causal) RankEdges(r int) []Edge {
-	if c == nil || r < 0 || r >= len(c.perRank) {
-		return nil
-	}
-	return c.perRank[r]
-}
-
 // Edges concatenates every rank's row (receiver program order within a
 // rank, rank order across rows) — a deterministic ordering for a
 // deterministic virtual-time run.

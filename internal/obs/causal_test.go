@@ -40,7 +40,7 @@ func TestCausalConcurrentPerRank(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 0", c.Dropped())
 	}
 	for r := 0; r < ranks; r++ {
-		row := c.RankEdges(r)
+		row := c.perRank[r]
 		if len(row) != edges {
 			t.Fatalf("rank %d: %d edges, want %d", r, len(row), edges)
 		}
@@ -63,7 +63,7 @@ func TestCausalCap(t *testing.T) {
 	}
 	c.Record(Edge{From: 0, To: 5, Seq: 99})  // out of range
 	c.Record(Edge{From: 0, To: -1, Seq: 99}) // out of range
-	if got := len(c.RankEdges(0)); got != 4 {
+	if got := len(c.perRank[0]); got != 4 {
 		t.Fatalf("stored = %d, want 4", got)
 	}
 	if got := c.Dropped(); got != 6 {
@@ -76,7 +76,7 @@ func TestCausalCap(t *testing.T) {
 func TestCausalNil(t *testing.T) {
 	var c *Causal
 	c.Record(Edge{From: 0, To: 0, Seq: 1})
-	if c.EdgeCount() != 0 || c.Dropped() != 0 || c.RankEdges(0) != nil || c.Edges() != nil {
+	if c.EdgeCount() != 0 || c.Dropped() != 0 || c.Edges() != nil {
 		t.Fatal("nil Causal must be inert")
 	}
 	var buf bytes.Buffer

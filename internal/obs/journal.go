@@ -61,7 +61,6 @@ const (
 	KindLead       = "lead"          // this rank was elected lead (per rank)
 	KindFlush      = "flush"         // lead partials folded into the online trace
 	KindMerge      = "merge"         // one pairwise radix-tree merge step
-	KindWindow     = "window"        // per-rank marker-window summary
 	KindFinalize   = "finalize"      // per-rank end-of-run totals
 	KindFault      = "fault"         // injected fault fired (crash-stop rank)
 	KindFailover   = "lead_failover" // dead lead replaced / cluster retired (rank 0)

@@ -19,7 +19,7 @@ import (
 func TestJournalRingTail(t *testing.T) {
 	j := NewJournalRing(nil, 8)
 	for i := 0; i < 4; i++ {
-		j.Emit(Event{Kind: KindWindow, Rank: i})
+		j.Emit(Event{Kind: KindFinalize, Rank: i})
 	}
 	evs, next, dropped := j.Tail(0)
 	if len(evs) != 4 || next != 4 || dropped != 0 {
@@ -37,7 +37,7 @@ func TestJournalRingTail(t *testing.T) {
 	// emit, so events 0..3 (already consumed) plus some unconsumed ones
 	// are gone.
 	for i := 4; i < 20; i++ {
-		j.Emit(Event{Kind: KindWindow, Rank: i})
+		j.Emit(Event{Kind: KindFinalize, Rank: i})
 	}
 	evs, next2, dropped := j.Tail(next)
 	if next2 != 20 {
@@ -57,7 +57,7 @@ func TestJournalRingTail(t *testing.T) {
 	var buf bytes.Buffer
 	jw := NewJournalRing(&buf, 4)
 	for i := 0; i < 10; i++ {
-		jw.Emit(Event{Kind: KindWindow, Rank: i})
+		jw.Emit(Event{Kind: KindFinalize, Rank: i})
 	}
 	all, err := ReadJournal(&buf)
 	if err != nil || len(all) != 10 {
@@ -242,7 +242,7 @@ func TestShipperHappyPath(t *testing.T) {
 
 	o := New(Options{Metrics: true, JournalRing: 64, ProgressRanks: 2})
 	o.Counter("widgets_total").Add(7)
-	o.Emit(Event{Kind: KindWindow, Rank: 0})
+	o.Emit(Event{Kind: KindFinalize, Rank: 0})
 	o.Progress.Window(0, 3, 1000)
 	o.Progress.Window(1, 3, 4000)
 	o.Progress.Op(0)

@@ -79,7 +79,7 @@ func TestJournalConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				j.Emit(Event{Kind: KindWindow, Rank: w, VT: int64(i), Count: uint64(i)})
+				j.Emit(Event{Kind: KindFinalize, Rank: w, VT: int64(i), Count: uint64(i)})
 			}
 		}(w)
 	}

@@ -10,8 +10,9 @@ import (
 // (SizeIn), where a list lands when every rank moves by the same offset
 // around the ring (Shift), and which ranks the same lists cover
 // (Classes). All three work piece by piece: a piece is a descriptor, or
-// the part of one inside [0, p), whose rows do not interleave, so a
-// descriptor in normal form is at most three pieces whatever its size.
+// the part of one inside [0, p), whose rows do not interleave. Every
+// descriptor a List holds is one piece, so it is at most three pieces
+// inside [0, p) whatever its size.
 
 // piece is k rows of n ranks each, the ranks of a row d apart and the
 // rows s apart, from start: rows never interleave, (n-1)*d < s. A run
@@ -51,57 +52,19 @@ func (x piece) run() run {
 	return run{start: x.start, nd: 2, dims: [2]Dim{{Iters: x.n, Stride: x.d}, {Iters: x.k, Stride: x.s}}}
 }
 
-// piece returns the descriptor as one piece, if it is one: at most two
-// dimensions, with rows that do not interleave or repeat. A dimension
-// of one iteration or stride 0 adds no ranks, and a negative stride
-// walks the same ranks backwards.
-func (r RL) piece() (piece, bool) {
+// piece returns the descriptor as one piece. Every descriptor a List
+// holds is one (see List): at most two dimensions of at least two
+// iterations at a positive stride, whose rows do not interleave.
+func (r RL) piece() piece {
 	x := piece{start: r.Start, n: 1, d: 1, k: 1, s: 1}
-	dims := r.Dims
-	if len(dims) > 2 {
-		return x, false
+	switch len(r.Dims) {
+	case 2:
+		x.k, x.s = r.Dims[1].Iters, r.Dims[1].Stride
+		fallthrough
+	case 1:
+		x.n, x.d = r.Dims[0].Iters, r.Dims[0].Stride
 	}
-	if len(dims) == 2 {
-		if k, s := dims[1].Iters, dims[1].Stride; k > 1 {
-			if s == 0 {
-				return x, false // the same row k times
-			}
-			if s < 0 {
-				x.start, s = x.start+(k-1)*s, -s
-			}
-			x.k, x.s = k, s
-		}
-	}
-	if len(dims) > 0 {
-		if n, d := dims[0].Iters, dims[0].Stride; n > 1 && d != 0 {
-			if d < 0 {
-				x.start, d = x.start+(n-1)*d, -d
-			}
-			x.n, x.d = n, d
-		}
-	}
-	if x.k > 1 && (x.n-1)*x.d >= x.s {
-		return x, false
-	}
-	return x.canon(), true
-}
-
-// pieces calls fn for the parts of the descriptor inside [0, p), in
-// rank order: at most three pieces for a descriptor that is one piece,
-// and a piece per row for one that is not.
-func (r RL) pieces(p int, fn func(piece)) {
-	for _, d := range r.Dims {
-		if d.Iters < 1 {
-			return
-		}
-	}
-	if x, ok := r.piece(); ok {
-		x.clamp(p, fn)
-		return
-	}
-	eachRow(r.Start, r.Dims, func(start, stride, n int) {
-		piece{start: start, n: 1, d: 1, k: n, s: stride}.canon().clamp(p, fn)
-	})
+	return x.canon()
 }
 
 // clamp calls fn for the parts of the piece inside [0, p), in rank
@@ -128,30 +91,6 @@ func (x piece) clamp(p int, fn func(piece)) {
 	}
 }
 
-// eachRow calls fn for every row of the dimensions from base as a run
-// of n ranks start, start+stride, ... with n >= 1 and stride >= 1.
-func eachRow(base int, dims []Dim, fn func(start, stride, n int)) {
-	if len(dims) == 0 {
-		fn(base, 1, 1)
-		return
-	}
-	if len(dims) > 1 {
-		d := dims[len(dims)-1]
-		for i := 0; i < d.Iters; i++ {
-			eachRow(base+i*d.Stride, dims[:len(dims)-1], fn)
-		}
-		return
-	}
-	n, stride := dims[0].Iters, dims[0].Stride
-	switch {
-	case n == 1 || stride == 0:
-		n, stride = 1, 1
-	case stride < 0:
-		base, stride = base+(n-1)*stride, -stride
-	}
-	fn(base, stride, n)
-}
-
 // clamp returns the part of the run of n ranks start, start+stride, ...
 // (stride >= 1) inside [0, p), as its first rank and its rank count.
 func clamp(start, stride, n, p int) (int, int) {
@@ -168,13 +107,12 @@ func clamp(start, stride, n, p int) (int, int) {
 	return start + lo*stride, hi - lo
 }
 
-// SizeIn returns the number of the list's ranks in [0, p), counting a
-// rank once per descriptor row that covers it (so once, in a list
-// FromRanks built). It costs a step per descriptor in normal form.
+// SizeIn returns the number of the list's ranks in [0, p). It costs a
+// step per descriptor.
 func (l List) SizeIn(p int) int {
 	size := 0
 	for _, r := range l.rls {
-		r.pieces(p, func(x piece) { size += x.n * x.k })
+		r.piece().clamp(p, func(x piece) { size += x.n * x.k })
 	}
 	return size
 }
@@ -183,14 +121,13 @@ func (l List) SizeIn(p int) int {
 // [0, p): the ranks a relative end-point of offset off names, around
 // the ring of p ranks. It moves the list piece by piece, cutting a
 // piece the wrap crosses into the rows below p, the row across it and
-// the rows past it, then joins and stacks them again in rank order. The
-// result's descriptors are disjoint when the list's are.
+// the rows past it, then joins and stacks them again in rank order.
 func (l List) Shift(off, p int) List {
 	off = ((off % p) + p) % p
 	var runs []run
 	add := func(x piece) { runs = append(runs, x.run()) }
 	for _, r := range l.rls {
-		r.pieces(p, func(x piece) {
+		r.piece().clamp(p, func(x piece) {
 			if x.start += off; x.start >= p {
 				x.start -= p
 			}
@@ -215,16 +152,18 @@ func runOf(start, stride, n int) run {
 	return run{start: start, nd: 1, dims: [2]Dim{{Iters: n, Stride: stride}}}
 }
 
-// builder collects descriptors of at most two dimensions in rank order,
-// joining a run that continues the previous one and stacking runs of
-// one shape that recur at a constant stride, as FromRanks does.
+// builder collects descriptors of at most two dimensions in order of
+// their first rank, joining a run that continues the previous one and
+// stacking runs of one shape that recur at a constant stride, as
+// FromRanks does, so every descriptor it builds is one piece.
 type builder struct {
 	runs  []run
 	ndims int
 }
 
-// add appends the descriptor x, whose first rank follows every rank
-// added before.
+// add appends the descriptor x, whose first rank follows the first
+// rank of every descriptor added before (the cutter's classes add runs
+// in residue order, so a run may start inside an earlier run's span).
 func (b *builder) add(x run) {
 	if k := len(b.runs); k > 0 && x.nd < 2 {
 		last := &b.runs[k-1]
@@ -244,7 +183,8 @@ func (b *builder) add(x run) {
 			x.start == last.start+last.dims[0].Iters*last.dims[0].Stride:
 			last.dims[0].Iters += n
 			return
-		case last.nd == 1 && n > 1 && shape == last.dims[0]:
+		case last.nd == 1 && n > 1 && shape == last.dims[0] && x.start-last.start > (n-1)*stride:
+			// Rows that do not interleave: one piece.
 			last.nd, last.dims[1] = 2, Dim{Iters: 2, Stride: x.start - last.start}
 			b.ndims++
 			return
@@ -367,7 +307,7 @@ func (c *Cutter) Cut(lists []List, p int) []Class {
 	clear(c.covered)
 	for i, l := range lists {
 		for _, r := range l.rls {
-			r.pieces(p, func(x piece) { c.items = append(c.items, item{x, i}) })
+			r.piece().clamp(p, func(x piece) { c.items = append(c.items, item{x, i}) })
 		}
 	}
 	slices.SortFunc(c.items, func(x, y item) int { return x.start - y.start })

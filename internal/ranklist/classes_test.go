@@ -145,39 +145,39 @@ func FuzzRankClasses(f *testing.F) {
 	})
 }
 
-// The cutter reads any list as the set of ranks it covers: hand-built
-// lists with overlapping descriptors and negative or zero strides cut
-// as their expansion does.
+// Hand-built lists with overlapping descriptors and negative or zero
+// strides, brought to normal form by Normalize as a decoder brings them,
+// cut as their expansion does.
 func TestClassesOfHandBuiltLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 2000; i++ {
 		lists := make([]List, rng.Intn(4))
 		for k := range lists {
-			lists[k] = randList(rng)
+			lists[k] = normalized(t, randList(rng))
 		}
 		checkClasses(t, 1+rng.Intn(40), lists)
 	}
 }
 
 func TestClassesShapes(t *testing.T) {
-	all := FromRL(Range(0, 64, 1))
-	col := FromRL(Range(3, 8, 8))                                             // a column of an 8x8 grid
-	sub := FromRL(New(9, Dim{Iters: 6, Stride: 1}, Dim{Iters: 6, Stride: 8})) // its interior
+	all := normal(t, Range(0, 64, 1))
+	col := normal(t, Range(3, 8, 8))                                             // a column of an 8x8 grid
+	sub := normal(t, New(9, Dim{Iters: 6, Stride: 1}, Dim{Iters: 6, Stride: 8})) // its interior
 	cases := []struct {
 		name  string
 		p     int
 		lists []List
 		want  []Class
 	}{
-		{"empty trace", 4, nil, []Class{{Ranks: FromRL(Range(0, 4, 1)), Size: 4, Of: nil}}},
+		{"empty trace", 4, nil, []Class{{Ranks: normal(t, Range(0, 4, 1)), Size: 4, Of: nil}}},
 		{"one list covers all", 64, []List{all, all}, []Class{{Ranks: all, Size: 64, Of: []int{0, 1}}}},
 		{"a column", 64, []List{col}, []Class{
-			{Ranks: FromRLs([]RL{Range(0, 3, 1), New(4, Dim{Iters: 7, Stride: 1}, Dim{Iters: 7, Stride: 8}), Range(60, 4, 1)}), Size: 56},
+			{Ranks: normal(t, Range(0, 3, 1), New(4, Dim{Iters: 7, Stride: 1}, Dim{Iters: 7, Stride: 8}), Range(60, 4, 1)), Size: 56},
 			{Ranks: col, Size: 8, Of: []int{0}},
 		}},
-		{"a list past p", 4, []List{FromRL(Range(2, 10, 1))}, []Class{
-			{Ranks: FromRL(Range(0, 2, 1)), Size: 2},
-			{Ranks: FromRL(Range(2, 2, 1)), Size: 2, Of: []int{0}},
+		{"a list past p", 4, []List{normal(t, Range(2, 10, 1))}, []Class{
+			{Ranks: normal(t, Range(0, 2, 1)), Size: 2},
+			{Ranks: normal(t, Range(2, 2, 1)), Size: 2, Of: []int{0}},
 		}},
 	}
 	for _, c := range cases {
@@ -193,7 +193,7 @@ func TestClassesShapes(t *testing.T) {
 	}
 	// The interior of a grid stacks back into its own 2D descriptor.
 	got := Classes([]List{sub}, 64)
-	if len(got) != 2 || !got[1].Ranks.same(sub) || got[1].Size != 36 {
+	if len(got) != 2 || !got[1].Ranks.Equal(sub) || got[1].Size != 36 {
 		t.Errorf("grid interior: %+v, want a class holding %v", got, sub)
 	}
 }
@@ -204,7 +204,7 @@ func TestClassesOfWideLists(t *testing.T) {
 	const p = 1 << 20
 	lists := make([]List, 64)
 	for i := range lists {
-		lists[i] = FromRL(Range(i, p, 1))
+		lists[i] = normal(t, Range(i, p, 1))
 	}
 	start := time.Now()
 	var classes []Class
@@ -224,10 +224,7 @@ func TestClassesOfWide2DLists(t *testing.T) {
 	const p = 1 << 20
 	lists := make([]List, 64)
 	for i := range lists {
-		lists[i] = FromRL(New(i, Dim{Iters: 2, Stride: 1}, Dim{Iters: 1 << 19, Stride: 3}))
-		if !lists[i].Normal() {
-			t.Fatalf("%v is not in normal form", lists[i])
-		}
+		lists[i] = normal(t, New(i, Dim{Iters: 2, Stride: 1}, Dim{Iters: 1 << 19, Stride: 3}))
 	}
 	start := time.Now()
 	var classes []Class
@@ -259,9 +256,9 @@ func TestClassesOfCoprimeStrides(t *testing.T) {
 	const p = 40000
 	var lists []List
 	for i, s := range []int{2, 3, 5, 7, 11, 13} {
-		lists = append(lists, FromRL(Range(i, (p-i)/s, s)))
+		lists = append(lists, normal(t, Range(i, (p-i)/s, s)))
 	}
-	lists = append(lists, FromRL(New(5, Dim{Iters: 3, Stride: 2}, Dim{Iters: p / 17, Stride: 17})))
+	lists = append(lists, normal(t, New(5, Dim{Iters: 3, Stride: 2}, Dim{Iters: p / 17, Stride: 17})))
 	checkClasses(t, p, lists)
 }
 
@@ -275,10 +272,10 @@ func TestClassesScratchStaysBounded(t *testing.T) {
 	const p = 1 << 15
 	var lists []List
 	for i := 0; i < 64; i++ {
-		lists = append(lists, FromRL(Range(i, (p-i+1)/2, 2)))
+		lists = append(lists, normal(t, Range(i, (p-i+1)/2, 2)))
 	}
 	for _, s := range []int{3, 5, 7, 11, 13, 17, 19} {
-		lists = append(lists, FromRL(Range(0, (p+s-1)/s, s)))
+		lists = append(lists, normal(t, Range(0, (p+s-1)/s, s)))
 	}
 	var classes []Class
 	var m0, m1 runtime.MemStats
@@ -341,7 +338,7 @@ func TestSizeInAndShiftMatchExpansion(t *testing.T) {
 		}
 		// A list inside [0, p) that does not move keeps its descriptors:
 		// rows joined and stacked again in rank order are FromRanks' own.
-		if len(in) == l.Size() && !l.Shift(0, p).same(l) {
+		if len(in) == l.Size() && !l.Shift(0, p).Equal(l) {
 			t.Fatalf("%v.Shift(0, %d) = %v, want the list itself", l, p, l.Shift(0, p))
 		}
 		off := rng.Intn(4*p) - 2*p

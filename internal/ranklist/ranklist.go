@@ -160,7 +160,11 @@ func (r RL) String() string {
 }
 
 // List is a union of descriptors — the representation carried on trace
-// events. It is kept normalized (descriptors sorted by start rank).
+// events. FromRanks, Union, Normalize and SingleRank build it in normal
+// form (Normal). Shift and Classes build disjoint descriptors of at most
+// two dimensions whose rows do not interleave, in order of their first
+// rank, but not always the normal form's. UnmarshalJSON keeps what
+// MarshalJSON wrote.
 type List struct {
 	rls []RL
 }
@@ -262,16 +266,27 @@ func dedup(sorted []int) []int {
 	return out
 }
 
-// FromRL wraps a single descriptor.
-func FromRL(r RL) List { return List{rls: []RL{r}} }
-
-// FromRLs wraps descriptors as written, in their order; the list keeps
-// rls. Only a list that passes Normal is what FromRanks would build.
-func FromRLs(rls []RL) List {
+// Normalize returns the list of the ranks rls cover in normal form
+// (Normal): the one constructor for descriptors that arrive from
+// outside, as a decoder reads them. Descriptors already in normal form
+// are kept as written — the list holds rls — in O(descriptors), never
+// expanded. Any others are expanded and compacted again, which takes
+// their rank count from *budget; ok is false, and nothing is taken,
+// when the count is over it. A nil budget is 0.
+func Normalize(rls []RL, budget *int) (l List, ok bool) {
 	if len(rls) == 0 {
-		return List{}
+		return List{}, true
 	}
-	return List{rls: rls}
+	l = List{rls: rls}
+	if l.Normal() {
+		return l, true
+	}
+	n := l.Size()
+	if budget == nil || n < 1 || n > *budget {
+		return List{}, false
+	}
+	*budget -= n
+	return fromSorted(l.Ranks()), true
 }
 
 // Normal reports whether the list holds exactly the descriptors
@@ -333,7 +348,7 @@ func (l List) Normal() bool {
 }
 
 // SingleRank returns a list covering exactly one rank.
-func SingleRank(rank int) List { return FromRL(Single(rank)) }
+func SingleRank(rank int) List { return List{rls: []RL{Single(rank)}} }
 
 // Empty reports whether the list covers no ranks.
 func (l List) Empty() bool { return len(l.rls) == 0 }
@@ -367,10 +382,9 @@ func (l List) appendRanks(out []int) []int {
 }
 
 // ForEach calls fn for every rank in the list, without allocating — the
-// hot iteration path of the compressed-domain analysis engine. Lists
-// built by FromRanks/Union are normalized (descriptors disjoint), so fn
-// runs exactly once per covered rank; hand-built overlapping unions may
-// repeat ranks. Order follows the descriptors, not global rank order.
+// hot iteration path of the compressed-domain analysis engine. A list's
+// descriptors are disjoint, so fn runs exactly once per covered rank.
+// Order follows the descriptors, not global rank order.
 func (l List) ForEach(fn func(rank int)) {
 	for _, r := range l.rls {
 		r.ForEach(fn)
@@ -395,7 +409,7 @@ func (l List) Union(o List) List {
 	if l.Empty() {
 		return o
 	}
-	if o.Empty() || l.same(o) {
+	if o.Empty() || l.Equal(o) {
 		return l
 	}
 	var stack [stackRanks]int
@@ -406,10 +420,10 @@ func (l List) Union(o List) List {
 	return fromSorted(sortedSet(o.appendRanks(l.appendRanks(rs))))
 }
 
-// same reports whether the two lists hold the same descriptor sequence:
-// sufficient for set equality, not necessary (two descriptor sets can
-// cover one rank set), and allocation-free.
-func (l List) same(o List) bool {
+// Equal reports whether the two lists hold the same descriptor
+// sequence, without allocating. Two lists in normal form are equal
+// exactly when they cover the same ranks.
+func (l List) Equal(o List) bool {
 	if len(l.rls) != len(o.rls) {
 		return false
 	}
@@ -421,49 +435,14 @@ func (l List) same(o List) bool {
 	return true
 }
 
-// Equal reports whether two lists cover the same rank set. Lists are
-// kept normalized, so equal sets almost always hold the same
-// descriptors; only when they differ are both sides expanded.
-func (l List) Equal(o List) bool {
-	if l.same(o) {
-		return true
-	}
-	a, b := l.Ranks(), o.Ranks()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Min returns the smallest rank in the list (or -1 when empty).
+// Min returns the smallest rank in the list (or -1 when empty): the
+// first descriptor's start, since descriptors come in order of their
+// first rank and step upwards.
 func (l List) Min() int {
 	if l.Empty() {
 		return -1
 	}
-	min := l.rls[0].min()
-	for _, r := range l.rls[1:] {
-		if first := r.min(); first < min {
-			min = first
-		}
-	}
-	return min
-}
-
-// min is the descriptor's smallest rank: the start, moved to the far end
-// of every dimension that counts downwards.
-func (r RL) min() int {
-	m := r.Start
-	for _, d := range r.Dims {
-		if d.Stride < 0 {
-			m += (d.Iters - 1) * d.Stride
-		}
-	}
-	return m
+	return l.rls[0].Start
 }
 
 // SizeBytes approximates the in-memory footprint for the space ledger.

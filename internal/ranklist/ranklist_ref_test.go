@@ -107,7 +107,7 @@ func refUnion(l, o List) List {
 	if l.Empty() {
 		return o
 	}
-	if o.Empty() || l.same(o) {
+	if o.Empty() || l.Equal(o) {
 		return l
 	}
 	return refFromRanks(append(refListRanks(l), refListRanks(o)...))
@@ -424,9 +424,10 @@ func TestNormalFormCheckSeeds(t *testing.T) {
 		{[]RL{New(0, Dim{2, 1}, Dim{2, 5}), Range(10, 2, 1)}, false}, // a third row
 		{[]RL{New(0, Dim{2, 1}, Dim{2, 5}), Range(11, 2, 1)}, true},
 	} {
-		l := FromRLs(c.rls)
-		if got, want := l.Normal(), sameDescriptors(refFromRanks(refListRanks(l)), l); got != c.normal || want != c.normal {
-			t.Fatalf("%v.Normal() = %v, the compactor says %v, want %v", l, got, want, c.normal)
+		l := List{rls: c.rls}
+		_, kept := Normalize(c.rls, nil)
+		if got, want := l.Normal(), sameDescriptors(refFromRanks(refListRanks(l)), l); got != c.normal || want != c.normal || kept != c.normal {
+			t.Fatalf("%v.Normal() = %v, Normalize keeps it: %v, the compactor says %v, want %v", l, got, kept, want, c.normal)
 		}
 	}
 	rng := rand.New(rand.NewSource(38))

@@ -250,20 +250,41 @@ func randList(rng *rand.Rand) List {
 	return l
 }
 
+// normal wraps descriptors in normal form, as Normalize keeps them,
+// failing t if they are not in it.
+func normal(t testing.TB, rls ...RL) List {
+	t.Helper()
+	l, ok := Normalize(rls, nil)
+	if !ok {
+		t.Fatalf("%v is not in normal form", rls)
+	}
+	return l
+}
+
+// normalized brings a hand-built list to normal form through Normalize,
+// with the budget its expansion needs.
+func normalized(t testing.TB, l List) List {
+	t.Helper()
+	budget := l.Size()
+	n, ok := Normalize(l.rls, &budget)
+	if !ok {
+		t.Fatalf("Normalize(%v) refused its own size", l)
+	}
+	return n
+}
+
 // TestEqualMinUnionMatchExpansion holds the descriptor-level shortcuts of
-// Equal, Min and Union to the expansion oracle (Ranks), over lists no
-// constructor would build as well as their normalized forms.
+// Equal, Min and Union to the expansion oracle (Ranks), over the normal
+// forms of hand-built lists.
 func TestEqualMinUnionMatchExpansion(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for i := 0; i < 5000; i++ {
-		a, b := randList(rng), randList(rng)
-		switch i % 4 {
-		case 1: // b is a's set, normalized: same set, other descriptors
+		a, b := normalized(t, randList(rng)), normalized(t, randList(rng))
+		switch i % 3 {
+		case 1: // b is a's set, compacted again
 			b = FromRanks(a.Ranks())
 		case 2: // b is a verbatim (shared descriptors)
 			b = a
-		case 3: // both normalized
-			a, b = FromRanks(a.Ranks()), FromRanks(b.Ranks())
 		}
 		ra, rb := a.Ranks(), b.Ranks()
 		if got, want := a.Equal(b), reflect.DeepEqual(ra, rb); got != want {
@@ -279,6 +300,32 @@ func TestEqualMinUnionMatchExpansion(t *testing.T) {
 		if got := a.Union(b).Ranks(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v.Union(%v) covers %v, want %v", a, b, got, want)
 		}
+	}
+}
+
+// Normalize keeps a list in normal form as written and costs it
+// nothing; it compacts any other within its budget, and refuses it,
+// taking nothing, past the budget or with none.
+func TestNormalizeBudget(t *testing.T) {
+	rls := []RL{Range(0, 4, 1)}
+	budget := 0
+	if l, ok := Normalize(rls, &budget); !ok || &l.Descriptors()[0] != &rls[0] {
+		t.Fatalf("Normalize(%v) = %v, %v: want the descriptors as written", rls, l, ok)
+	}
+	split := []RL{Range(0, 2, 1), Range(2, 2, 1)}
+	if _, ok := Normalize(split, nil); ok {
+		t.Fatalf("Normalize(%v, nil) compacted with no budget", split)
+	}
+	budget = 3
+	if _, ok := Normalize(split, &budget); ok || budget != 3 {
+		t.Fatalf("Normalize(%v) of 4 ranks within a budget of 3: ok=%v, budget left %d", split, ok, budget)
+	}
+	budget = 10
+	if l, ok := Normalize(split, &budget); !ok || budget != 6 || !l.Equal(FromRanks([]int{0, 1, 2, 3})) {
+		t.Fatalf("Normalize(%v) = %v, %v, budget left %d", split, l, ok, budget)
+	}
+	if l, ok := Normalize(nil, nil); !ok || !l.Empty() {
+		t.Fatalf("Normalize(nil) = %v, %v", l, ok)
 	}
 }
 
@@ -306,8 +353,8 @@ func TestContainsMatchesExpansion(t *testing.T) {
 	}
 	// A miss on a run of 2^40 ranks, or on a 2^20 x 2 block, is
 	// answered without stepping through the run.
-	wide := FromRL(New(3, Dim{Iters: 1 << 40, Stride: 2}))
-	block := FromRL(New(0, Dim{Iters: 1 << 20, Stride: 1}, Dim{Iters: 2, Stride: 1 << 21}))
+	wide := normal(t, New(3, Dim{Iters: 1 << 40, Stride: 2}))
+	block := normal(t, New(0, Dim{Iters: 1 << 20, Stride: 1}, Dim{Iters: 2, Stride: 1 << 21}))
 	if wide.Contains(4) || !wide.Contains(3+2*(1<<39)) || wide.Contains(3+2*(1<<40)) ||
 		block.Contains(1<<20) || !block.Contains(1<<21+5) {
 		t.Fatal("wide descriptors answer membership wrongly")

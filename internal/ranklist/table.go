@@ -3,16 +3,16 @@ package ranklist
 import "encoding/binary"
 
 // Table numbers the distinct rank lists of one trace: each id is a list
-// in normal form (List.Normal) in Lists, its count of ranks in [0, P) in
-// Width, and in Row a number the reader keeps per list (-1 until it sets
-// one).
+// in Lists, its count of ranks in [0, P) in Width, and in Row a number
+// the reader keeps per list (-1 until it sets one). A leaf's list (ID)
+// is in normal form, as every list a trace holds is. A derived list
+// (Shift) is as List.Shift builds it: disjoint one-piece descriptors,
+// not always in normal form.
 //
 // A leaf's list is found by its identity first — trace.Walk shares one
 // list among the leaves whose encodings are equal, and a decoded tree
 // keeps that sharing — then by its descriptors, which is how equal
-// lists of a tree the tracer built meet. A list out of normal form,
-// which only a tree can hold, is compacted the first time it is seen:
-// the tree already holds it expanded-size.
+// lists of a tree the tracer built meet.
 type Table struct {
 	Lists   []List
 	Width   []int
@@ -45,9 +45,6 @@ func (t *Table) ID(l List, p int) int32 {
 	ref := listRef{&d[0], len(d)}
 	if id, ok := t.byRef[ref]; ok {
 		return id
-	}
-	if !l.Normal() {
-		l = FromRanks(l.Ranks())
 	}
 	id := t.byDescriptors(l, p)
 	if t.byRef == nil {

@@ -291,7 +291,10 @@ func (e *cachedSite) find(chain []uintptr, skip int) *cachedSite {
 }
 
 // CaptureSite interns the current goroutine stack (skipping skip frames
-// above the caller) and returns the site ID. The steady state does not
+// above the caller) and returns the site ID. It is the Go stand-in for
+// the backtrace() walk ScalaTrace performs inside its PMPI wrappers:
+// ranks executing the same source path get the same site; ranks on
+// different branches diverge. The steady state does not
 // unwind: the return addresses reachable through the saved frame
 // pointers key a cache of earlier answers. That is sound because the
 // vector runtime.Callers returns (inlined frames expanded, skip dropped,
@@ -322,7 +325,7 @@ func CaptureSite(skip int) SiteID {
 }
 
 // walkSite is the full walk: runtime.Callers from skip frames above its
-// caller, interned. It observes exactly the frames Capture folds.
+// caller, interned.
 func walkSite(skip int) SiteID {
 	siteWalks.Add(1)
 	var pcs [32]uintptr

@@ -11,11 +11,7 @@
 // with an overflow-safe running average.
 package sig
 
-import (
-	"runtime"
-
-	"chameleon/internal/stats"
-)
+import "chameleon/internal/stats"
 
 // Stack is a 64-bit stack signature of an MPI call site.
 type Stack uint64
@@ -41,17 +37,6 @@ func FromPCs(pcs []uintptr) Stack {
 		s ^= mix(uint64(pc))
 	}
 	return Stack(s)
-}
-
-// Capture walks the current goroutine stack (skipping skip frames above
-// the caller) and returns its signature. It is the Go stand-in for the
-// backtrace() walk ScalaTrace performs inside its PMPI wrappers: ranks
-// executing the same source path get identical signatures; ranks on
-// different branches diverge.
-func Capture(skip int) Stack {
-	var pcs [32]uintptr
-	n := runtime.Callers(skip+2, pcs[:])
-	return FromPCs(pcs[:n])
 }
 
 // CallPath accumulates the Call-Path signature of an event window.

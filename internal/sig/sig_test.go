@@ -5,9 +5,9 @@ import (
 	"testing/quick"
 )
 
-// two distinct call sites for Capture determinism tests.
-func captureSiteA() Stack { return Capture(0) }
-func captureSiteB() Stack { return Capture(0) }
+// two distinct call sites for CaptureSite determinism tests.
+func captureSiteA() Stack { return Sites.Signature(CaptureSite(0)) }
+func captureSiteB() Stack { return Sites.Signature(CaptureSite(0)) }
 
 func TestCaptureDeterministic(t *testing.T) {
 	// Same source line (same return PCs) must always produce the same

@@ -258,9 +258,9 @@ func TestStatsQueryOfWideListsCostsItsLists(t *testing.T) {
 		name string
 		list func(i int) ranklist.List
 	}{
-		{"runs", func(i int) ranklist.List { return ranklist.FromRL(ranklist.Range(i, 1<<20, 1)) }},
+		{"runs", func(i int) ranklist.List { return normalList(ranklist.Range(i, 1<<20, 1)) }},
 		{"grid rows", func(i int) ranklist.List {
-			return ranklist.FromRL(ranklist.New(i, ranklist.Dim{Iters: 2, Stride: 1}, ranklist.Dim{Iters: 1 << 19, Stride: 3}))
+			return normalList(ranklist.New(i, ranklist.Dim{Iters: 2, Stride: 1}, ranklist.Dim{Iters: 1 << 19, Stride: 3}))
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -316,7 +316,7 @@ func TestStatsQueryOfWideListsCostsItsLists(t *testing.T) {
 func TestDiffOfWideListsCostsItsLists(t *testing.T) {
 	skipUnderRace(t)
 	list := func(from int) func(i int) ranklist.List {
-		return func(i int) ranklist.List { return ranklist.FromRL(ranklist.Range(from+i, 1<<20, 1)) }
+		return func(i int) ranklist.List { return normalList(ranklist.Range(from+i, 1<<20, 1)) }
 	}
 	payloadA, payloadB := wideListsPayload(t, list(0)), wideListsPayload(t, list(1))
 	budget := func(t *testing.T, what string, took time.Duration, alloc uint64) {
@@ -472,4 +472,14 @@ func TestStatsCostFlatInP(t *testing.T) {
 		t.Fatalf("from P=64 to P=1024, AnalyzeBytes allocation went %d -> %d B and the reply %d -> %d B; want each within 1.5x",
 			a64, a1k, r64, r1k)
 	}
+}
+
+// normalList wraps descriptors in normal form as ranklist.Normalize
+// keeps them, without expanding them; it panics on any others.
+func normalList(rls ...ranklist.RL) ranklist.List {
+	l, ok := ranklist.Normalize(rls, nil)
+	if !ok {
+		panic(fmt.Sprintf("%v is not in normal form", rls))
+	}
+	return l
 }

@@ -11,10 +11,15 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"chameleon/internal/analysis"
 	"chameleon/internal/cq"
+	"chameleon/internal/mpi"
+	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
 	"chameleon/internal/trace"
+	"chameleon/internal/zan"
 )
 
 // The SigSet of a run is the SHA-256 of its sorted signatures as
@@ -43,11 +48,11 @@ func TestDescribeSigSetPinned(t *testing.T) {
 
 // Bytes that are not their own canonical encoding are decoded and
 // re-encoded, and land under the address of the re-encoding, described
-// from the decoded file. The re-encoding of a JSON trace need not be
-// canonical either, so it is not scanned: rank lists the JSON holds out
-// of normal form are written as they are (decoding the re-encoding
-// normalizes them), and so are call sites with no metadata whose
-// signatures the process has interned with some (decoding picks it up).
+// from the decoded file. Every decoded file, JSON included, came through
+// the binary reader, so its re-encoding is canonical: rank lists the
+// JSON holds out of normal form come back normalized, and call sites
+// with no metadata whose signatures the process has interned with some
+// come back with it.
 func TestNonCanonicalPushesLandUnderTheirReencoding(t *testing.T) {
 	v1, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat_v1_phase.trc"))
 	if err != nil {
@@ -86,8 +91,8 @@ func TestNonCanonicalPushesLandUnderTheirReencoding(t *testing.T) {
 			if _, ok := trace.ScanCanonical(body); ok {
 				t.Fatal("the body scanned as canonical")
 			}
-			if _, ok := trace.ScanCanonical(canon); ok != (name == "v1") {
-				t.Fatalf("the re-encoding scanned as canonical=%v", ok)
+			if _, ok := trace.ScanCanonical(canon); !ok {
+				t.Fatal("the re-encoding is not canonical")
 			}
 			run, created, err := a.IngestBytes(body)
 			if err != nil || !created {
@@ -105,13 +110,13 @@ func TestNonCanonicalPushesLandUnderTheirReencoding(t *testing.T) {
 	}
 }
 
-// A JSON body whose rank lists the binary reader refuses is refused at
-// the PUT, with a 400: stored, its re-encoding (lists as written) would
-// fail every later stats or JSON read of the run. One list is past a
-// bound (a dimension of 3 000 000 ranks); the other body holds two
-// distinct lists of 2^20 ranks written out of normal form, which
-// together expand past the reader's budget for such lists. A body
-// whose lists read back is stored as before.
+// A JSON body whose rank lists the binary reader refuses is refused by
+// the JSON reader too, which holds its lists to the same bounds and
+// budget, and so at the PUT, with a 400. One list is past a bound (a
+// dimension of 3 000 000 ranks); the other body holds two distinct
+// lists of 2^20 ranks written out of normal form, which together expand
+// past the reader's budget for such lists. A body whose lists read is
+// stored as before.
 func TestJSONPushThatCannotReadBackIsRefused(t *testing.T) {
 	var js bytes.Buffer
 	if err := mkTrace(4, "refused", 37).Write(&js); err != nil {
@@ -131,8 +136,8 @@ func TestJSONPushThatCannotReadBackIsRefused(t *testing.T) {
 	a, srv := newTestServer(t, Options{}, ServerOptions{})
 	for name, body := range bodies {
 		t.Run(name, func(t *testing.T) {
-			if _, err := trace.DecodeAny([]byte(body)); err != nil {
-				t.Fatalf("the JSON body does not decode: %v", err)
+			if _, err := trace.DecodeAny([]byte(body)); err == nil {
+				t.Fatal("the JSON body decoded")
 			}
 			if _, created, err := a.IngestBytes([]byte(body)); err == nil || created {
 				t.Fatalf("ingest: created=%v err=%v", created, err)
@@ -152,6 +157,71 @@ func TestJSONPushThatCannotReadBackIsRefused(t *testing.T) {
 	}
 	if _, _, err := a.Get(run.ID); err != nil {
 		t.Fatalf("the stored run does not read: %v", err)
+	}
+}
+
+// oneListJSON is a JSON trace at P=4 of one barrier leaf whose rank
+// list is written as list.
+func oneListJSON(t *testing.T, list string) []byte {
+	t.Helper()
+	var js bytes.Buffer
+	f := &trace.File{P: 4, Nodes: []*trace.Node{
+		trace.NewLeaf(trace.Event{Op: mpi.OpBarrier, Stack: sig.Stack(sig.Mix(0x1157))}, ranklist.SingleRank(0), 1),
+	}}
+	if err := f.Write(&js); err != nil {
+		t.Fatal(err)
+	}
+	const one = `[{"start":0}]`
+	if strings.Count(js.String(), one) != 1 {
+		t.Fatalf("the JSON trace does not hold the rank list %s once", one)
+	}
+	return []byte(strings.Replace(js.String(), one, list, 1))
+}
+
+// A JSON trace's rank lists meet the binary reader's bounds. Two JSON
+// traces of 271 bytes at P=4 name ranks 0 and 1 4 194 304 times
+// (a dimension past the bound) or ranks 0..2^20 four times (a list
+// past the bound). Read, summarized, validated and analyzed, each is
+// refused, or costs under 50 ms and 1 MB; when the JSON reader kept
+// lists as written, the first cost Summarize 67 MB and 107 ms, and
+// zan.Analyze 67 MB. Lists of a negative or zero count, which cover no
+// rank, are refused by the reader and by a PUT, with a 400.
+func TestJSONRankListsAreBounded(t *testing.T) {
+	for _, list := range []string{
+		`[{"start":0,"dims":[[2,1],[4194304,0]]}]`,
+		`[{"start":0,"dims":[[1048576,1],[4,0]]}]`,
+	} {
+		body := oneListJSON(t, list)
+		read := func() error {
+			f, err := trace.DecodeAny(body)
+			if err != nil {
+				return err
+			}
+			analysis.Summarize(f)
+			if _, err := zan.Analyze(f, zan.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			return f.Validate()
+		}
+		err := read()
+		t.Logf("%d-byte JSON trace with list %s: %v", len(body), list, err)
+		if err == nil && !raceEnabled {
+			start := time.Now()
+			alloc := bytesAllocated(1, func() { read() })
+			if took := time.Since(start) / 3; took > 50*time.Millisecond || alloc > 1<<20 {
+				t.Fatalf("list %s: read in %v, %d B allocated; want < 50 ms, 1 MB", list, took, alloc)
+			}
+		}
+	}
+	_, srv := newTestServer(t, Options{}, ServerOptions{})
+	for _, list := range []string{`[{"start":0,"dims":[[-1,1]]}]`, `[{"start":0,"dims":[[0,1]]}]`} {
+		body := oneListJSON(t, list)
+		if _, err := trace.DecodeAny(body); err == nil {
+			t.Fatalf("list %s: the JSON trace decoded", list)
+		}
+		if code, _, _ := tenantDo(t, http.MethodPut, srv.URL+"/runs", "", body, nil); code != http.StatusBadRequest {
+			t.Fatalf("list %s: PUT answered %d, want 400", list, code)
+		}
 	}
 }
 

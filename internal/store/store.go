@@ -561,11 +561,9 @@ func (v TenantView) parse(b []byte) (parsed, error) {
 // written otherwise) is decoded once, in place (the file does not
 // retain b), re-encoded canonically, so equivalent pushes in different
 // formats share one content address, and summarized from the decoded
-// file; the re-encoding is sized to b. A JSON file's rank lists are
-// re-encoded as written, which the binary reader may refuse (a bound,
-// or its budget for lists not in normal form), so the re-encoding is
-// walked once before it is stored: no run is stored that no read can
-// decode.
+// file; the re-encoding is sized to b. Every decoded file came through
+// the binary reader's bounds, JSON included, so its re-encoding reads
+// back.
 func read(b []byte, id string) (parsed, error) {
 	if sum, ok := trace.ScanCanonical(b); ok {
 		return parsed{canon: b, id: id, sum: &sum}, nil
@@ -575,9 +573,6 @@ func read(b []byte, id string) (parsed, error) {
 		return parsed{}, fmt.Errorf("store: ingest: %w", err)
 	}
 	canon := f.AppendBinary(make([]byte, 0, len(b)))
-	if err := trace.Walk(canon, nil); err != nil {
-		return parsed{}, fmt.Errorf("store: ingest: the binary re-encoding does not read back: %w", err)
-	}
 	if !bytes.Equal(canon, b) { // not pushed in canonical form
 		id = contentAddress(canon)
 	}

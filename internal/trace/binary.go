@@ -41,8 +41,10 @@ package trace
 // shares it. A list in the compactor's normal form (ranklist.Normal),
 // which is every list the encoder writes, is checked in O(descriptors)
 // and kept as written, never expanded; only a list written otherwise
-// (a JSON or v1 file's) is expanded and re-compacted, against a budget
-// of ranks for the whole file drawn from the input's size. Decoded, the
+// (a v1 file's, or a JSON file's: Read decodes JSON by re-encoding it
+// and reading that here) is expanded and re-compacted, against a budget
+// of ranks for the whole file drawn from the input's size. So every
+// list a decoded File holds is in normal form. Decoded, the
 // nodes of one sequence come from one []Node and their histograms from
 // one []stats.Histogram, each sized to that sequence — so a node kept
 // from a decoded file keeps its whole sequence's slab alive. The sizes
@@ -322,7 +324,7 @@ type walker struct {
 	spills uint64
 	// expand is how many more ranks lists not in normal form may expand
 	// to, file-wide: 2^20 (one list's most) plus one per input byte.
-	expand uint64
+	expand int
 
 	slots   []*slot // Walk's scratch, one per depth
 	scratch []byte  // strict: an element's canonical encoding
@@ -460,7 +462,7 @@ func (w *walker) walk(b []byte) error {
 	w.nodes = uint64(len(b)) / minNodeBytes
 	w.hists = uint64(len(b)) / minHistNodeBytes
 	w.spills = uint64(len(b)) / minSpillBytes
-	w.expand = maxRankExpansion + uint64(len(b))
+	w.expand = maxRankExpansion + len(b)
 
 	h := Header{P: int(w.uvarint())}
 	if w.err == nil {
@@ -793,11 +795,11 @@ func (w *walker) skipRanks() (descs, dims uint64) {
 
 // ranksChecked reads one rank list the first time its bytes are seen —
 // descs descriptors of dims dimensions in all, as skipRanks counted
-// them — checking every bound. A list in the normal form FromRanks
-// builds, which is every list the encoder writes, is kept as written,
-// in one []RL and one []Dim, never expanded. Any other is expanded and
-// re-compacted against the file's expansion budget, so every list read
-// is held in its normal form; strict, it is rejected.
+// them — checking every bound — and holds it to normal form
+// (ranklist.Normalize): a list in it, which is every list the encoder
+// writes, is kept as written, in one []RL and one []Dim, never
+// expanded. Any other is expanded and re-compacted against the file's
+// expansion budget; strict, it is rejected.
 func (w *walker) ranksChecked(descs, dims uint64) ranklist.List {
 	w.uvarint() // descs
 	if descs > 1<<20 {
@@ -845,19 +847,20 @@ func (w *walker) ranksChecked(descs, dims uint64) ranklist.List {
 			return ranklist.List{}
 		}
 	}
-	l := ranklist.FromRLs(rls)
+	budget := &w.expand
+	if w.strict {
+		budget = nil // the encoder writes normal form only
+	}
+	l, ok := ranklist.Normalize(rls, budget)
 	switch {
-	case l.Normal():
+	case ok:
 		return l
 	case w.strict:
 		w.fail(errNotCanonical)
-		return ranklist.List{}
-	case total > w.expand:
+	default:
 		w.fail(errRankBudget)
-		return ranklist.List{}
 	}
-	w.expand -= total
-	return ranklist.FromRanks(l.Ranks())
+	return ranklist.List{}
 }
 
 // hist reads an optional histogram into the sequence's slab (or the

@@ -3,10 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -142,7 +144,9 @@ func FuzzReadBinary(f *testing.F) {
 }
 
 // FuzzReadAny exercises the format sniffer (binary magics + the JSON
-// fallback) on arbitrary input.
+// fallback) on arbitrary input: what decodes holds its rank lists in
+// normal form, validates without panicking, and re-encodes to bytes
+// that read back.
 func FuzzReadAny(f *testing.F) {
 	var v2 bytes.Buffer
 	if err := fuzzSeedFile().WriteBinary(&v2); err != nil {
@@ -155,7 +159,164 @@ func FuzzReadAny(f *testing.F) {
 	}
 	f.Add(js.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ReadAny(bytes.NewReader(data)) //nolint:errcheck — must not panic
+		g, err := ReadAny(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		VisitLeaves(g.Nodes, func(n *Node, _ Cursor) {
+			if !n.Ranks.Normal() {
+				t.Fatalf("decoded rank list %v is not in normal form", n.Ranks)
+			}
+		})
+		g.Validate() //nolint:errcheck — must return, not panic
+		// The archive stores the re-encoding of what decoded unwalked.
+		if err := Walk(g.AppendBinary(nil), nil); err != nil {
+			t.Fatalf("the re-encoding of a decoded trace does not read back: %v", err)
+		}
+	})
+}
+
+// normalInput reads a fuzz input as a rank count p in 1..64, a ring
+// offset, and up to four lists of hand-built descriptors, kept as
+// written: 1-3 descriptors each, of 0-3 dimensions, with starts in
+// [0, 48), 1-4 iterations and strides from -4 to 4, so that the
+// descriptors of a list (and of two lists) overlap and repeat ranks.
+func normalInput(data []byte) (p, off int, raw []string) {
+	next := func(n int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		v := int(data[0]) % n
+		data = data[1:]
+		return v
+	}
+	p, off = 1+next(64), next(256)-128
+	for k := 1 + next(4); k > 0; k-- {
+		var descs []string
+		for n := 1 + next(3); n > 0; n-- {
+			var dims []string
+			for d := next(4); d > 0; d-- {
+				dims = append(dims, fmt.Sprintf("[%d,%d]", 1+next(4), next(9)-4))
+			}
+			descs = append(descs, fmt.Sprintf(`{"start":%d,"dims":[%s]}`, next(48), strings.Join(dims, ",")))
+		}
+		raw = append(raw, "["+strings.Join(descs, ",")+"]")
+	}
+	return p, off, raw
+}
+
+// checkNormalList fails t unless l is in normal form and holds the
+// descriptors FromRanks builds for ranks, a sorted set.
+func checkNormalList(t *testing.T, what string, l ranklist.List, ranks []int) {
+	t.Helper()
+	if want := ranklist.FromRanks(ranks); !l.Normal() || !l.Equal(want) {
+		t.Fatalf("%s = %v (normal: %v), want %v", what, l, l.Normal(), want)
+	}
+}
+
+// checkPieces fails t unless l's descriptors are disjoint one-piece
+// descriptors, in order of their first rank, covering ranks, a sorted
+// set: at most two dimensions of at least two iterations at a positive
+// stride, whose rows do not interleave.
+func checkPieces(t *testing.T, what string, l ranklist.List, ranks []int) {
+	t.Helper()
+	last := -1 << 62
+	for _, r := range l.Descriptors() {
+		d := r.Dims
+		ok := len(d) <= 2 && r.Start > last
+		for _, dim := range d {
+			ok = ok && dim.Iters >= 2 && dim.Stride >= 1
+		}
+		if len(d) == 2 {
+			ok = ok && (d[0].Iters-1)*d[0].Stride < d[1].Stride
+		}
+		if !ok {
+			t.Fatalf("%s = %v: descriptor %v is not one piece, or out of order", what, l, r)
+		}
+		last = r.Start
+	}
+	if got := l.Ranks(); l.Size() != len(got) || !slices.Equal(got, ranks) {
+		t.Fatalf("%s = %v: %d ranks %v, want %v", what, l, l.Size(), got, ranks)
+	}
+}
+
+// FuzzRankListsNormal holds every door a rank list enters by to normal
+// form: FromRanks, Union, the binary decoder and the JSON reader give a
+// list in normal form equal to FromRanks of its expansion, whatever
+// descriptors it was written with. Shift and Classes give disjoint
+// one-piece descriptors with the ranks the expansion says.
+func FuzzRankListsNormal(f *testing.F) {
+	for i := 0; i < 32; i++ {
+		seed := make([]byte, 8+i*3)
+		for j := range seed {
+			seed[j] = byte(i*131 + j*29 + j*j)
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, off, raw := normalInput(data)
+		file := &File{P: p}
+		lists := make([]ranklist.List, len(raw))
+		sets := make([][]int, len(raw))
+		for i, js := range raw {
+			l := rawList(js)
+			sets[i] = l.Ranks()
+			lists[i] = ranklist.FromRanks(sets[i])
+			checkNormalList(t, "FromRanks", lists[i], sets[i])
+			file.Nodes = append(file.Nodes, NewLeaf(Event{Op: mpi.OpBarrier, Tag: i}, l, 1))
+		}
+		for i := range lists {
+			j := (i + 1) % len(lists)
+			union := ranklist.FromRanks(append(append([]int(nil), sets[i]...), sets[j]...)).Ranks()
+			checkNormalList(t, "Union", lists[i].Union(lists[j]), union)
+		}
+		var js bytes.Buffer
+		if err := file.Write(&js); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string][]byte{"DecodeBinary": file.AppendBinary(nil), "JSON DecodeAny": js.Bytes()} {
+			g, err := DecodeAny(b)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, n := range g.Nodes {
+				checkNormalList(t, name, n.Ranks, sets[n.Ev.Tag])
+				if n.Ev.Tag != i {
+					t.Fatalf("%s: leaf %d came back as leaf %d", name, i, n.Ev.Tag)
+				}
+			}
+		}
+		for i, l := range lists {
+			var moved []int
+			for _, r := range sets[i] {
+				if r >= 0 && r < p {
+					moved = append(moved, ((r+off)%p+p)%p)
+				}
+			}
+			slices.Sort(moved)
+			checkPieces(t, "Shift", l.Shift(off, p), moved)
+		}
+		seen := 0
+		for _, c := range ranklist.Classes(lists, p) {
+			ranks := c.Ranks.Ranks()
+			checkPieces(t, "a class", c.Ranks, ranks)
+			for _, r := range ranks {
+				var of []int
+				for i, set := range sets {
+					if _, in := slices.BinarySearch(set, r); in {
+						of = append(of, i)
+					}
+				}
+				if !slices.Equal(of, c.Of) && len(of)+len(c.Of) > 0 {
+					t.Fatalf("rank %d is covered by lists %v, its class %v by %v", r, of, c.Ranks, c.Of)
+				}
+			}
+			seen += c.Size
+		}
+		if seen != p {
+			t.Fatalf("the classes hold %d ranks, want %d", seen, p)
+		}
 	})
 }
 

@@ -77,10 +77,9 @@ func (c *Compressor) AppendNode(n *Node) {
 // costs one word compare, only a match pays the full check. The one
 // invariant is that StructuralEqual(a, b, filter) implies equal hashes
 // under either filter setting, so a leaf hashes the fields Event.Equal
-// reads plus the rank list's smallest member (an invariant of the set;
-// descriptors are not, List.Equal accepts one set under several), and a
-// loop hashes its body's length and hashes but never Iters, which also
-// keeps it valid across absorb's Iters++ and MergeInto.
+// reads plus the rank list's smallest member, and a loop hashes its
+// body's length and hashes but never Iters, which also keeps it valid
+// across absorb's Iters++ and MergeInto.
 
 const hashPrime = 0x9e3779b97f4a7c15
 

@@ -125,7 +125,10 @@ func (f *File) Write(w io.Writer) error {
 	return enc.Encode(f)
 }
 
-// Read deserializes a trace file from r.
+// Read deserializes a JSON trace file from r. The decoded tree is
+// re-encoded and read back by DecodeBinary, so a JSON file meets every
+// bound of the binary reader, and its rank lists come back in normal
+// form, within the same budget, as every decoded file's do.
 func Read(r io.Reader) (*File, error) {
 	var f File
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -134,7 +137,35 @@ func Read(r io.Reader) (*File, error) {
 	if err := checkRankCount(f.P); err != nil {
 		return nil, err
 	}
-	return &f, nil
+	ids := make(map[sig.Stack]sig.SiteID, len(f.Sites))
+	for _, s := range f.Sites {
+		ids[sig.Stack(s.Sig)] = sig.Sites.InternSigMeta(s)
+	}
+	if err := bindSites(f.Nodes, ids); err != nil {
+		return nil, err
+	}
+	return DecodeBinary(f.AppendBinary(nil))
+}
+
+// bindSites checks that the tree holds no null node, and gives every
+// leaf whose signature the file's site table names that site, so that
+// the re-encoding keeps the table's metadata.
+func bindSites(seq []*Node, ids map[sig.Stack]sig.SiteID) error {
+	for _, n := range seq {
+		switch {
+		case n == nil:
+			return fmt.Errorf("trace: decode: null node")
+		case n.IsLoop():
+			if err := bindSites(n.Body, ids); err != nil {
+				return err
+			}
+		default:
+			if id, ok := ids[n.Ev.Stack]; ok {
+				n.Ev.Site = id
+			}
+		}
+	}
+	return nil
 }
 
 // Save writes the trace file to path.

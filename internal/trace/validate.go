@@ -64,13 +64,17 @@ func validateLeaf(n *Node, p int) error {
 	if n.Ranks.Empty() {
 		return fmt.Errorf("trace: leaf with empty rank list")
 	}
-	// A list inside [0, p) counts all its ranks there, which SizeIn
-	// tells without expanding it; only a list that does not is walked.
-	if n.Ranks.SizeIn(p) != n.Ranks.Size() {
-		for _, r := range n.Ranks.Ranks() {
-			if r < 0 || r >= p {
-				return fmt.Errorf("trace: rank %d outside [0,%d)", r, p)
-			}
+	// A list in normal form runs upwards from its first descriptor's
+	// start to its last descriptor's far end.
+	d := n.Ranks.Descriptors()
+	last := d[len(d)-1]
+	end := last.Start
+	for _, dim := range last.Dims {
+		end += (dim.Iters - 1) * dim.Stride
+	}
+	for _, r := range [2]int{d[0].Start, end} {
+		if r < 0 || r >= p {
+			return fmt.Errorf("trace: rank %d outside [0,%d)", r, p)
 		}
 	}
 	if n.Ev.Bytes < 0 {

@@ -115,7 +115,7 @@ func TestTracersProduceValidTraces(t *testing.T) {
 // Validate bounds a rank list without expanding it: 64 barriers on
 // distinct lists of 2^20 - 64 ranks each, inside P = 2^20, validate in
 // under 50 ms and 1 MB. Expanding every list took 1.0 s and 537 MB. A
-// list that crosses P is still named by its first rank outside.
+// list that crosses P is named by its last rank, which is outside.
 func TestValidateWideListsCostsTheirDescriptors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what a call allocates")
@@ -123,7 +123,7 @@ func TestValidateWideListsCostsTheirDescriptors(t *testing.T) {
 	const p = 1 << 20
 	f := &File{P: p}
 	for i := 0; i < 64; i++ {
-		f.Nodes = append(f.Nodes, NewLeaf(Event{Op: mpi.OpBarrier}, ranklist.FromRL(ranklist.Range(i, p-64, 1)), 0))
+		f.Nodes = append(f.Nodes, NewLeaf(Event{Op: mpi.OpBarrier}, normalList(ranklist.Range(i, p-64, 1)), 0))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -139,7 +139,7 @@ func TestValidateWideListsCostsTheirDescriptors(t *testing.T) {
 	if took > 50*time.Millisecond || alloc > 1<<20 {
 		t.Fatalf("Validate of the wide lists took %v and allocated %d B; want < 50 ms, 1 MB", took, alloc)
 	}
-	f.Nodes[63].Ranks = ranklist.FromRL(ranklist.Range(63, p-62, 1))
+	f.Nodes[63].Ranks = normalList(ranklist.Range(63, p-62, 1))
 	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "rank 1048576 outside [0,1048576)") {
 		t.Fatalf("a list crossing P: %v", err)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -175,13 +176,34 @@ func (v *funcVisitor) EnterLoop(n *Node, c Cursor) bool { v.enter(n, c); return 
 func (v *funcVisitor) LeaveLoop(n *Node, c Cursor)      { v.leave(n, c) }
 func (v *funcVisitor) Leaf(n *Node, c Cursor)           { v.leaf(n, c) }
 
+// normalList wraps descriptors in normal form as ranklist.Normalize
+// keeps them, without expanding them; it panics on any others.
+func normalList(rls ...ranklist.RL) ranklist.List {
+	l, ok := ranklist.Normalize(rls, nil)
+	if !ok {
+		panic(fmt.Sprintf("%v is not in normal form", rls))
+	}
+	return l
+}
+
+// rawList is the list of the descriptors js writes, kept as written:
+// List.UnmarshalJSON is the one way to build a list out of normal form
+// outside package ranklist, as a hand-written trace would hold it.
+func rawList(js string) ranklist.List {
+	var l ranklist.List
+	if err := json.Unmarshal([]byte(js), &l); err != nil {
+		panic(err)
+	}
+	return l
+}
+
 // wideListsPayload is a canonical payload of 64 leaves, each with a
 // distinct rank list of one strided run of 2^20 ranks: 1.5 KB.
 func wideListsPayload() []byte {
 	f := &File{P: maxRankExpansion, Benchmark: "WIDE"}
 	ev := Event{Op: mpi.OpBarrier, Stack: sig.Stack(sig.Mix(0x71de))}
 	for i := 0; i < 64; i++ {
-		l := ranklist.FromRL(ranklist.Range(i, maxRankExpansion, 1))
+		l := normalList(ranklist.Range(i, maxRankExpansion, 1))
 		f.Nodes = append(f.Nodes, NewLeaf(ev, l, 0))
 	}
 	return f.AppendBinary(nil)
@@ -231,7 +253,7 @@ func TestWideRankListsReadWithoutExpanding(t *testing.T) {
 func TestNonNormalRankListsExpandWithinBudget(t *testing.T) {
 	split := func(start int) ranklist.List { // {start .. start+2^20) as two runs
 		half := maxRankExpansion / 2
-		return ranklist.FromRLs([]ranklist.RL{ranklist.Range(start, half, 1), ranklist.Range(start+half, half, 1)})
+		return rawList(fmt.Sprintf(`[{"start":%d,"dims":[[%d,1]]},{"start":%d,"dims":[[%d,1]]}]`, start, half, start+half, half))
 	}
 	ev := Event{Op: mpi.OpBarrier, Stack: sig.Stack(sig.Mix(0x71df))}
 	f := &File{P: 4, Nodes: []*Node{NewLeaf(ev, split(0), 1)}}
@@ -239,7 +261,7 @@ func TestNonNormalRankListsExpandWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ranklist.FromRL(ranklist.Range(0, maxRankExpansion, 1)); !reflect.DeepEqual(g.Nodes[0].Ranks, want) {
+	if want := normalList(ranklist.Range(0, maxRankExpansion, 1)); !reflect.DeepEqual(g.Nodes[0].Ranks, want) {
 		t.Fatalf("read %v, want the normal form %v", g.Nodes[0].Ranks, want)
 	}
 	f.Nodes = append(f.Nodes, NewLeaf(ev, split(1), 1))
