@@ -35,9 +35,11 @@ test:
 # the shipper's period and backoff) twenty more times: each hands the
 # clock between its own goroutine and the code's, and a wait armed
 # after the test advances, or a wake-up lost, shows only on some
-# interleavings. The federated listing's model, edge-independence and
-# partial tests join them: its fan-out fills one slot per peer from
-# that peer's goroutine. So do the crash-failover tests: every rank
+# interleavings. The federated listing's model, edge-independence,
+# partial and recount tests join them: each of its two fan-outs fills
+# one slot per peer from that peer's goroutine. So does its lending
+# test: a listing holds index records past the lock while deletes,
+# re-ingests, compactions and sweeps replace them. So do the crash-failover tests: every rank
 # holds the broadcast cluster table by reference, and a survivor that
 # wrote into it while folding a crash would race with the other ranks'
 # reads on only some schedules. So do the DistributedSelect tests: a
@@ -48,7 +50,7 @@ test:
 # relayed peer body) must be dropped by the handler's goroutine alone.
 test-race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover|TestDistributedSelect(MatchesSequentialTree|ObjectsPerRank)?$$|TestStuckHandlerAnsweredAtDeadline|TestSlowBodyAnsweredAtDeadline|TestDroppedRelayClosesPeerBody|TestOverCapBodyClosesConnection' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ ./internal/cluster/ .
+	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial|RecountsDisputed|LendsRecords)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover|TestDistributedSelect(MatchesSequentialTree|ObjectsPerRank)?$$|TestStuckHandlerAnsweredAtDeadline|TestSlowBodyAnsweredAtDeadline|TestDroppedRelayClosesPeerBody|TestOverCapBodyClosesConnection' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ ./internal/cluster/ .
 
 # fuzz: a short fuzz smoke over every decoder that parses bytes from
 # outside the program: the binary trace decoder (the archive ingests
@@ -68,8 +70,9 @@ test-race:
 # kept in a test file (the same specs accepted, the same pulses), the
 # manifest-log replay decoder (whatever a crash left on
 # disk) and the federated listing's merge of peer answers (whatever a
-# peer's body says, and against a brute-force union when it is
-# honest), the rank-list compactor against the pre-change one kept
+# peer's first- or second-round body says, and, when the answers are
+# honest, against a brute-force union and the Rest-list protocol kept
+# in a test file), the rank-list compactor against the pre-change one kept
 # in a test file (every descriptor must agree), the rank-list
 # normal-form check against expanding and re-compacting with that
 # compactor, the rank-class cutter against expanding its lists (every

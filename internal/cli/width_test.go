@@ -11,6 +11,7 @@ import (
 	"chameleon/internal/analysis"
 	"chameleon/internal/mpi"
 	"chameleon/internal/ranklist"
+	"chameleon/internal/sig"
 	"chameleon/internal/trace"
 	"chameleon/internal/zan"
 )
@@ -103,6 +104,53 @@ func TestToolsRefuseJSONListsOfNoRank(t *testing.T) {
 			if _, stderr, code := run(t, args[0], args[1:]...); code != 1 || !strings.Contains(stderr, "rank list") {
 				t.Errorf("%v on list %s: exit %d, stderr %q; want 1 and the list named", args, list, code, stderr)
 			}
+		}
+	}
+}
+
+// chamdump words a refused JSON trace in JSON terms. The first two
+// inputs are the ones the store's TestJSONRankListsAreBounded refuses
+// (a dimension past the bound, a list past it); the third holds two
+// lists of 2^20 ranks, each written as two pieces split at different
+// ranks, which the reader expands and re-compacts past the file's
+// budget, a budget counted in bytes of the binary re-encoding, which
+// the message says.
+func TestChamdumpWordsJSONRefusals(t *testing.T) {
+	leaf := func(site uint64) *trace.Node {
+		return trace.NewLeaf(trace.Event{Op: mpi.OpBarrier, Stack: sig.Stack(sig.Mix(site))}, ranklist.SingleRank(0), 1)
+	}
+	const one = `[{"start":0}]`
+	split := func(at int) string {
+		return fmt.Sprintf(`[{"start":0,"dims":[[%d,1]]},{"start":%d,"dims":[[%d,1]]}]`, at, at, 1<<20-at)
+	}
+	for _, c := range []struct {
+		lists []string
+		want  string
+	}{
+		{[]string{`[{"start":0,"dims":[[2,1],[4194304,0]]}]`}, "trace: decode JSON: rank list dimension out of range"},
+		{[]string{`[{"start":0,"dims":[[1048576,1],[4,0]]}]`}, "trace: decode JSON: rank list too large"},
+		{[]string{split(1 << 19), split(1<<19 + 1)}, "past the file's budget (1048576 ranks plus one for each byte of its binary re-encoding)"},
+	} {
+		f := &trace.File{P: 4}
+		for i := range c.lists {
+			f.Nodes = append(f.Nodes, leaf(0x1157+uint64(i)))
+		}
+		var js bytes.Buffer
+		if err := f.Write(&js); err != nil {
+			t.Fatal(err)
+		}
+		text := js.String()
+		for _, list := range c.lists {
+			text = strings.Replace(text, one, list, 1)
+		}
+		path := filepath.Join(t.TempDir(), "refused.json")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, code := run(t, "chamdump", path)
+		if code != 1 || !strings.Contains(stderr, c.want) || strings.Contains(stderr, "decode binary") ||
+			strings.Contains(stderr, "input's budget") {
+			t.Errorf("chamdump on lists %v: exit %d, stderr %q; want 1 and %q", c.lists, code, stderr, c.want)
 		}
 	}
 }

@@ -102,6 +102,7 @@ type Node struct {
 	self     string
 	others   []string
 	replicas int
+	parts    *Partitions
 	secret   string
 	hc       *http.Client
 	bc       *http.Client // short-timeout client for best-effort broadcasts
@@ -136,6 +137,7 @@ func NewNode(opts Options) (*Node, error) {
 		self:       self,
 		others:     others,
 		replicas:   opts.Replicas,
+		parts:      ring.Partitions(opts.Replicas),
 		secret:     opts.Secret,
 		hc:         hc,
 		bc:         &http.Client{Timeout: broadcastTimeout},
@@ -159,6 +161,10 @@ func (n *Node) Replicas() int { return n.replicas }
 
 // Owners returns the R peers owning a run, primary first.
 func (n *Node) Owners(id string) []string { return n.ring.Owners(id, n.replicas) }
+
+// Partition returns the ring partition of a run: the index of its owner
+// set, numbered alike on every peer of the membership (Partitions).
+func (n *Node) Partition(id string) int { return n.parts.Of(id) }
 
 // IsOwner reports whether this peer is one of the run's R owners.
 func (n *Node) IsOwner(id string) bool { return slices.Contains(n.Owners(id), n.self) }

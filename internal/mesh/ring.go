@@ -20,6 +20,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -95,27 +96,84 @@ func keyPoint(id string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
+// arc returns the index of the first point at or after id's point,
+// wrapping past the top of the circle: the arc id falls on.
+func (r *Ring) arc(id string) int {
+	h := keyPoint(id)
+	lo, hi := 0, len(r.points)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.points[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo % len(r.points)
+}
+
+// owners appends to out the indexes of the R distinct peers that follow
+// point start clockwise, primary first.
+func (r *Ring) owners(start, replicas int, out []int) []int {
+	for i := 0; len(out) < replicas && i < len(r.points); i++ {
+		if pt := r.points[(start+i)%len(r.points)]; !slices.Contains(out, pt.peer) {
+			out = append(out, pt.peer)
+		}
+	}
+	return out
+}
+
+// clamp bounds an ownership factor to [1, peer count].
+func (r *Ring) clamp(replicas int) int { return min(max(replicas, 1), len(r.peers)) }
+
 // Owners returns the R distinct peers owning id, primary first,
 // walking clockwise from the run's point. R is clamped to the peer
 // count.
 func (r *Ring) Owners(id string, replicas int) []string {
-	if replicas <= 0 {
-		replicas = 1
-	}
-	if replicas > len(r.peers) {
-		replicas = len(r.peers)
-	}
-	h := keyPoint(id)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	replicas = r.clamp(replicas)
 	owners := make([]string, 0, replicas)
-	taken := make(map[int]bool, replicas)
-	for i := 0; len(owners) < replicas && i < len(r.points); i++ {
-		pt := r.points[(start+i)%len(r.points)]
-		if taken[pt.peer] {
-			continue
-		}
-		taken[pt.peer] = true
-		owners = append(owners, r.peers[pt.peer])
+	for _, p := range r.owners(r.arc(id), replicas, make([]int, 0, replicas)) {
+		owners = append(owners, r.peers[p])
 	}
 	return owners
 }
+
+// Partitions splits the key space by owner set: two IDs share a
+// partition exactly when the same R peers own them, whichever of them
+// is primary. Partition i is the i-th distinct owner set in the order of
+// the sets' sorted peer URLs, so every peer built from the same
+// membership numbers the partitions alike, whatever the order of its
+// peer list. The table is built once; Of looks an ID up without
+// allocating.
+type Partitions struct {
+	ring *Ring
+	arcs []int // arcs[i]: the partition of the IDs on the arc ending at point i
+}
+
+// Partitions builds the ring's partition table for ownership factor R
+// (clamped as in Owners).
+func (r *Ring) Partitions(replicas int) *Partitions {
+	replicas = r.clamp(replicas)
+	keys := make([]string, len(r.points))
+	set := make([]string, 0, replicas)
+	for i := range r.points {
+		set = set[:0]
+		for _, p := range r.owners(i, replicas, make([]int, 0, replicas)) {
+			set = append(set, r.peers[p])
+		}
+		slices.Sort(set)
+		keys[i] = strings.Join(set, "\n")
+	}
+	distinct := slices.Clone(keys)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	pt := &Partitions{ring: r, arcs: make([]int, len(keys))}
+	for i, k := range keys {
+		pt.arcs[i], _ = slices.BinarySearch(distinct, k)
+	}
+	return pt
+}
+
+// Of returns the partition id falls in: an index into the distinct
+// owner sets.
+func (pt *Partitions) Of(id string) int { return pt.arcs[pt.ring.arc(id)] }

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -129,5 +131,51 @@ func TestNodeOwnershipRoles(t *testing.T) {
 func TestNodeRejectsSelfNotInPeers(t *testing.T) {
 	if _, err := NewNode(Options{Self: "http://elsewhere", Peers: peers(3)}); err == nil {
 		t.Fatal("self outside the peer list accepted")
+	}
+}
+
+// TestPartitionsAreOwnerSets: two IDs share a partition exactly when
+// the same peers own them, the numbering does not depend on the order
+// of the peer list, and a lookup allocates nothing.
+func TestPartitionsAreOwnerSets(t *testing.T) {
+	for _, shape := range []struct{ peers, replicas int }{{3, 1}, {3, 2}, {4, 2}, {5, 3}} {
+		list := peers(shape.peers)
+		r, err := NewRing(list, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reversed := slices.Clone(list)
+		slices.Reverse(reversed)
+		r2, err := NewRing(reversed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, pt2 := r.Partitions(shape.replicas), r2.Partitions(shape.replicas)
+		sets := map[int]string{}
+		for i := 0; i < 500; i++ {
+			id := contentID(i)
+			part := pt.Of(id)
+			if got := pt2.Of(id); got != part {
+				t.Fatalf("%+v: id %s is partition %d, %d with the peer list reversed", shape, id[:12], part, got)
+			}
+			owners := r.Owners(id, shape.replicas)
+			slices.Sort(owners)
+			set := strings.Join(owners, " ")
+			if prev, ok := sets[part]; ok && prev != set {
+				t.Fatalf("%+v: partition %d holds owner sets %s and %s", shape, part, prev, set)
+			}
+			sets[part] = set
+		}
+		seen := map[string]bool{}
+		for _, set := range sets {
+			if seen[set] {
+				t.Fatalf("%+v: owner set %s split over two partitions", shape, set)
+			}
+			seen[set] = true
+		}
+		id := contentID(7)
+		if n := testing.AllocsPerRun(100, func() { pt.Of(id) }); n != 0 {
+			t.Fatalf("Partitions.Of allocates %v times", n)
+		}
 	}
 }

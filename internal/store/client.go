@@ -334,6 +334,7 @@ func FetchRuns(base, query string, limit, offset int) (ListResponse, error) {
 	}
 	var out ListResponse
 	err := getJSON(u, &out)
+	out.Runs = slices.DeleteFunc(out.Runs, func(r *Run) bool { return r == nil })
 	return out, err
 }
 

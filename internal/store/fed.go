@@ -24,13 +24,18 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -342,12 +347,28 @@ func (s *server) meshLookup(rt *route, q *request) (any, error) {
 	return rt.handle(s, q)
 }
 
-// meshList is GET /runs as a trusted peer answers it: the page, plus
-// Rest, the IDs of the peer's other matches. An edge needs Rest only to
-// count the deduplicated total, so no record behind it crosses the mesh.
+// meshList is GET /runs as a trusted peer answers an edge
+// (scatterList). The first round carries the peer's window, its newest
+// offset+limit matches, and one partSum for each ring partition it holds
+// matches in: the edge needs no other record, and no ID, to count the
+// total. A second round, asked with parts=, carries only the IDs of the
+// peer's matches in the partitions named.
 type meshList struct {
-	ListResponse
-	Rest []string `json:"rest,omitempty"`
+	Runs  []*Run    `json:"runs,omitempty"`
+	Parts []partSum `json:"parts,omitempty"`
+	IDs   []string  `json:"ids,omitempty"`
+}
+
+// partSum is a holder's account of its matches in one ring partition
+// (mesh.Node.Partition): how many there are, and the hex SHA-256 of
+// their IDs in sorted order, each ended by a newline. Holders whose sums
+// agree hold one set, which the edge counts once without seeing it. The
+// hash resists collisions on purpose: a tenant chooses its payloads, so
+// a linear one, such as the XOR of the IDs, could be forged to agree.
+type partSum struct {
+	Part  int    `json:"part"`
+	Count int    `json:"count"`
+	Sum   string `json:"sum"`
 }
 
 // window is how many of the newest matches a page of q is cut from:
@@ -360,28 +381,126 @@ func (q Query) window() int {
 	return q.Offset + min(q.Limit, math.MaxInt-q.Offset)
 }
 
+// meshAnswer is a holder's answer to an edge's listing: the first round
+// when parts is empty, else the IDs of its matches in the
+// comma-separated partitions parts names.
+func meshAnswer(v TenantView, part func(string) int, q Query, parts string) (*meshList, error) {
+	if parts == "" {
+		return firstRound(v.match(q), part, q), nil
+	}
+	var want []int
+	for _, f := range strings.Split(parts, ",") {
+		p, err := strconv.Atoi(f)
+		if err != nil || p < 0 {
+			return nil, failf(http.StatusBadRequest, "parts: %q", parts)
+		}
+		want = append(want, p)
+	}
+	return secondRound(v.match(q), part, want), nil
+}
+
+// firstRound is a holder's first answer to q from its matches: its
+// window, newest first, and the sums of all of them, partition by
+// partition. It reorders matched.
+func firstRound(matched []*Run, part func(string) int, q Query) *meshList {
+	top, _ := Query{Limit: q.window()}.page(matched)
+	top = slices.Clone(top) // partSums reorders matched
+	return &meshList{Runs: top, Parts: partSums(matched, part)}
+}
+
+// secondRound is a holder's answer to a recount from its matches: the
+// IDs of those in the partitions want names.
+func secondRound(matched []*Run, part func(string) int, want []int) *meshList {
+	ans := &meshList{}
+	for _, r := range matched {
+		if slices.Contains(want, part(r.ID)) {
+			ans.IDs = append(ans.IDs, r.ID)
+		}
+	}
+	return ans
+}
+
+// partSums accounts for runs partition by partition, in partition
+// order. It sorts runs by ID, so each partition's IDs reach its hash in
+// order without a sort of their own.
+func partSums(runs []*Run, part func(string) int) []partSum {
+	slices.SortFunc(runs, func(x, y *Run) int { return strings.Compare(x.ID, y.ID) })
+	var sums []partSum
+	var hashes []hash.Hash
+	line := make([]byte, 0, 2*sha256.Size+1)
+	for _, r := range runs {
+		p, i := part(r.ID), 0
+		for i < len(sums) && sums[i].Part != p {
+			i++
+		}
+		if i == len(sums) {
+			sums = append(sums, partSum{Part: p})
+			hashes = append(hashes, sha256.New())
+		}
+		sums[i].Count++
+		line = append(append(line[:0], r.ID...), '\n')
+		hashes[i].Write(line)
+	}
+	for i, h := range hashes {
+		sums[i].Sum = hex.EncodeToString(h.Sum(line[:0]))
+	}
+	slices.SortFunc(sums, func(x, y partSum) int { return x.Part - y.Part })
+	return sums
+}
+
 // scatterList is the policy of GET /runs: the page is cut from the whole
 // mesh's view of a tenant's runs, and looks the same from every edge.
-// The window is pushed down — every other peer is asked at once for its
-// newest offset+limit matches, plus the IDs of the rest for the total —
-// and mergeList joins those pages with this peer's full local set. A
-// peer that does not answer is named in Partial rather than silently
-// dropped; at R>=2 every run is still visible through a surviving owner.
+// The window is pushed down: every other peer is asked at once for its
+// newest offset+limit matches and its partition sums, and mergeList
+// joins those answers with this peer's own. Partitions whose holders
+// disagree are recounted in one second fan-out, which asks only their
+// holders, and only for those partitions' IDs. A peer that does not
+// answer is named in Partial rather than silently dropped; at R>=2 every
+// run is still visible through a surviving owner.
 func (s *server) scatterList(rt *route, q *request) (any, error) {
 	query, err := listQuery(q)
 	if err != nil {
 		return nil, err
 	}
+	v, part := s.a.Tenant(q.tenant), s.node.Partition
 	params := q.r.URL.Query() // re-encoded below, never spliced
 	params.Del("offset")
 	params.Set("limit", strconv.Itoa(query.window()))
 	peers := s.node.Others()
-	answers := make([]*meshList, len(peers))
-	fanout(s.node, peers, mesh.Call{Path: "/runs?" + params.Encode(), Tenant: q.tenant},
-		func(i int, resp *http.Response) {
-			answers[i] = readList(resp.StatusCode, resp.Body, resp.ContentLength)
+	answers := make([]*meshList, 1+len(peers))
+	call := mesh.Call{Path: "/runs?" + params.Encode(), Tenant: q.tenant}
+	fanout(s.node, peers, call, func(i int, resp *http.Response) {
+		answers[1+i] = readList(resp.StatusCode, resp.Body, resp.ContentLength)
+	})
+	answers[0] = firstRound(v.match(query), part, query)
+
+	recount := func(parts []int, ask []bool) []*meshList {
+		got := make([]*meshList, len(ask))
+		if ask[0] {
+			got[0] = secondRound(v.match(query), part, parts)
+		}
+		var who []string
+		var slot []int
+		for i, p := range peers {
+			if ask[1+i] {
+				who, slot = append(who, p), append(slot, 1+i)
+			}
+		}
+		list := make([]string, len(parts))
+		for i, p := range parts {
+			list[i] = strconv.Itoa(p)
+		}
+		params.Del("limit")
+		params.Set("parts", strings.Join(list, ","))
+		call.Path = "/runs?" + params.Encode()
+		fanout(s.node, who, call, func(j int, resp *http.Response) {
+			got[slot[j]] = readList(resp.StatusCode, resp.Body, resp.ContentLength)
 		})
-	return mergeList(query, s.a.Tenant(q.tenant).match(query), peers, answers), nil
+		return got
+	}
+	lr, recounted := mergeList(query, part, peers, answers, recount)
+	s.mRecounts.Add(uint64(recounted))
+	return lr, nil
 }
 
 // readList decodes a peer's answer to a listing, a body of the length
@@ -391,60 +510,142 @@ func readList(status int, body io.Reader, length int64) *meshList {
 	if status != http.StatusOK || readJSON(body, length, &ml) != nil {
 		return nil
 	}
+	ml.Runs = slices.DeleteFunc(ml.Runs, func(r *Run) bool { return r == nil })
 	return &ml
 }
 
-// mergeList cuts query's page from this peer's matches (self, any order)
-// and the peers' answers (answers[i] is peers[i]'s, nil if it gave none).
-// Each run shows the record of its holder with the newest Ingested
-// stamp, ties going to self, then to peers in order; the total counts
-// every ID any holder reported.
+// mergeList cuts query's page from the holders' first-round answers
+// (answers[0] is this peer's own, answers[1+i] peers[i]'s, nil if it
+// gave none) and returns it with the number of partitions the second
+// round recounted.
 //
+// The page: each run shows the record of its holder with the newest
+// Ingested stamp, ties going to this peer, then to peers in order.
 // Newest copy wins is what makes the push-down exact. If run x is in the
-// true top N = offset+limit and its newest copy is on peer q, every run
-// q ranks above x also ranks above x in the merge (its newest stamp is
-// no older than its stamp on q), so fewer than N do, and x is in q's
-// top N with its winning stamp. A stamp the merge misses — a copy
-// outside its holder's top N — can only rank a run lower, never into
-// the window.
-func mergeList(query Query, self []Run, peers []string, answers []*meshList) ListResponse {
-	runs := make([]Run, 0, len(self))
-	at := make(map[string]int, len(self)) // ID -> index in runs; -1: known from a Rest only
-	add := func(r Run) {
-		switch i, ok := at[r.ID]; {
-		case !ok || i < 0:
-			at[r.ID] = len(runs)
-			runs = append(runs, r)
-		case r.Ingested.After(runs[i].Ingested):
-			runs[i] = r
-		}
+// true top N = offset+limit and its newest copy is on holder h, every
+// run h ranks above x also ranks above x in the merge (its newest stamp
+// is no older than its stamp on h), so fewer than N do, and x is in h's
+// top N with its winning stamp. A stamp the merge misses, a copy
+// outside its holder's top N, can only rank a run lower, never into the
+// window.
+//
+// The total: every ID falls in one partition. Where every holder that
+// reports a partition reports the same sum, they hold one set, and its
+// count is exact. Where they differ (a holder missed a write, or keeps
+// an off-ring fallback copy a sweep has not moved home), recount asks
+// each holder marked in ask for its IDs in those partitions, and each
+// counts the union. A peer that fails either round is named in Partial;
+// a partition a holder could not recount counts at least what that
+// holder reported. Whatever the answers say, the total is at least the
+// number of runs the pages name.
+func mergeList(query Query, part func(string) int, peers []string, answers []*meshList,
+	recount func(parts []int, ask []bool) []*meshList) (ListResponse, int) {
+	type account struct {
+		count   int
+		sum     string
+		agree   bool
+		holders []int
 	}
-	for _, r := range self {
-		add(r)
-	}
-	var partial []string
-	for i, ans := range answers {
+	accounts := map[int]*account{}
+	for h, ans := range answers {
 		if ans == nil {
-			partial = append(partial, peers[i])
 			continue
 		}
-		for _, r := range ans.Runs {
-			add(r)
+		for _, ps := range ans.Parts {
+			a := accounts[ps.Part]
+			switch {
+			case a == nil:
+				a = &account{count: ps.Count, sum: ps.Sum, agree: ps.Count >= 0}
+				accounts[ps.Part] = a
+			case ps.Count != a.count || ps.Sum != a.sum:
+				a.agree = false
+			}
+			a.holders = append(a.holders, h)
 		}
-		for _, id := range ans.Rest {
-			if _, ok := at[id]; !ok {
-				at[id] = -1
+	}
+	total := 0
+	var disputed []int
+	ask := make([]bool, len(answers))
+	for p, a := range accounts {
+		if a.agree {
+			total = satAdd(total, a.count)
+			continue
+		}
+		disputed = append(disputed, p)
+		for _, h := range a.holders {
+			ask[h] = true
+		}
+	}
+	failed := make([]bool, len(answers))
+	for h, ans := range answers {
+		failed[h] = ans == nil
+	}
+	if len(disputed) > 0 {
+		slices.Sort(disputed) // the order the second round names them in
+		got := recount(disputed, ask)
+		floor := make(map[int]int, len(disputed)) // the most a holder that failed the recount reported
+		union := map[string]int{}                 // recounted ID -> its partition
+		for h, asked := range ask {
+			if !asked {
+				continue
+			}
+			if h >= len(got) || got[h] == nil {
+				failed[h] = true
+				for _, ps := range answers[h].Parts {
+					if slices.Contains(disputed, ps.Part) {
+						floor[ps.Part] = max(floor[ps.Part], ps.Count)
+					}
+				}
+				continue
+			}
+			for _, id := range got[h].IDs {
+				if p := part(id); slices.Contains(disputed, p) {
+					union[id] = p
+				}
 			}
 		}
+		counts := make(map[int]int, len(disputed))
+		for _, p := range union {
+			counts[p]++
+		}
+		for _, p := range disputed {
+			total = satAdd(total, max(floor[p], counts[p]))
+		}
 	}
-	total := len(at)
-	var page []Run
+
+	var window []*Run
+	for _, ans := range answers {
+		if ans != nil {
+			window = append(window, ans.Runs...)
+		}
+	}
+	slices.SortStableFunc(window, func(x, y *Run) int {
+		if c := strings.Compare(x.ID, y.ID); c != 0 {
+			return c
+		}
+		return y.Ingested.Compare(x.Ingested)
+	})
+	window = slices.CompactFunc(window, func(x, y *Run) bool { return x.ID == y.ID })
+	total = max(total, len(window))
+	var page []*Run
 	if query.Offset < total { // an offset past the end needs no sort
-		page, _ = query.page(runs)
+		page, _ = query.page(window)
 	}
 	resp := listPage(query, page, total)
-	resp.Partial = partial
-	return resp
+	for i, p := range peers {
+		if failed[1+i] {
+			resp.Partial = append(resp.Partial, p)
+		}
+	}
+	return resp, len(disputed)
+}
+
+// satAdd adds two counts, saturating rather than wrapping.
+func satAdd(a, b int) int {
+	if b > 0 && a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // broadcast is the policy of the CQ writes: apply locally, then tell

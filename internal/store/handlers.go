@@ -106,11 +106,13 @@ func (s *server) getRun(q *request) (any, error) {
 // the offset of the page after this one; its absence means the listing
 // is exhausted. Partial, when present, names the mesh peers that did not
 // answer: the page and the total then cover the rest of the mesh only.
+// A server fills Runs with the records its index lends
+// (TenantView.match), so nothing may write through them.
 type ListResponse struct {
 	Total   int      `json:"total"`
 	Offset  int      `json:"offset"`
 	Next    int      `json:"next,omitempty"`
-	Runs    []Run    `json:"runs"`
+	Runs    []*Run   `json:"runs"`
 	Partial []string `json:"partial,omitempty"`
 }
 
@@ -165,10 +167,10 @@ func parseSig(v string) (uint64, error) {
 }
 
 // listPage shapes one page of a listing.
-func listPage(query Query, runs []Run, total int) ListResponse {
+func listPage(query Query, runs []*Run, total int) ListResponse {
 	resp := ListResponse{Total: total, Offset: query.Offset, Runs: runs}
 	if resp.Runs == nil {
-		resp.Runs = []Run{}
+		resp.Runs = []*Run{}
 	}
 	if next := query.Offset + len(runs); len(runs) > 0 && next < total {
 		resp.Next = next
@@ -181,20 +183,12 @@ func (s *server) listRuns(q *request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	matched := s.a.Tenant(q.tenant).match(query)
-	runs, total := query.page(matched) // sorts matched
-	if !q.trusted {
-		return listPage(query, runs, total), nil
+	v := s.a.Tenant(q.tenant)
+	if q.trusted && s.node != nil {
+		return meshAnswer(v, s.node.Partition, query, q.r.URL.Query().Get("parts"))
 	}
-	// The asking edge also counts the matches off the page (scatterList).
-	rest := make([]string, 0, total-len(runs))
-	lo := min(query.Offset, total)
-	for i, r := range matched {
-		if i < lo || i >= lo+len(runs) {
-			rest = append(rest, r.ID)
-		}
-	}
-	return meshList{ListResponse: listPage(query, runs, total), Rest: rest}, nil
+	runs, total := query.page(v.match(query))
+	return listPage(query, runs, total), nil
 }
 
 // StatsResponse is the JSON shape of GET /runs/{id}/stats: the

@@ -9,14 +9,18 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"chameleon/internal/clock"
+	"chameleon/internal/mesh"
 	"chameleon/internal/obs"
 )
 
@@ -27,13 +31,13 @@ func newestUnion(q Query, holders []*fedPeer) ListResponse {
 	for _, p := range holders {
 		for _, r := range p.a.match(q) {
 			if b, ok := best[r.ID]; !ok || r.Ingested.After(b.Ingested) {
-				best[r.ID] = r
+				best[r.ID] = *r
 			}
 		}
 	}
-	union := make([]Run, 0, len(best))
+	union := make([]*Run, 0, len(best))
 	for _, r := range best {
-		union = append(union, r)
+		union = append(union, &r)
 	}
 	page, total := q.page(union)
 	return listPage(q, page, total)
@@ -260,94 +264,360 @@ func TestScatterListPartial(t *testing.T) {
 	}
 }
 
-// TestScatterListPeerBytes holds the push-down's gain: a first page of 5
-// from a mesh of 200 runs costs the two asked peers their 5 newest
-// records and the IDs of the rest, not their whole listings.
-func TestScatterListPeerBytes(t *testing.T) {
-	// Measured: 21 106 bytes, most of it the two Rest lists. Asking the
-	// peers unpaged, as before the push-down, costs 101 041.
-	const budget = 25 << 10
-	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()}
+// placedMesh is a 3-peer R=2 mesh holding runs of "budget", run k
+// stamped k seconds after epoch on every peer, so the bytes a listing
+// costs do not depend on where the ring puts the random ports.
+type placedMesh struct {
+	peers []*fedPeer
+	regs  []*obs.Registry
+	ids   []string // newest last
+}
+
+// placeRuns stores each run on its ring owners and, when stray says so,
+// a fallback copy on the peer that does not own it, as a PUT leaves one
+// while an owner is down. client, when set, is peer i's mesh client.
+func placeRuns(t *testing.T, runs int, stray func(id string, node *mesh.Node) bool, client func(i int) *http.Client) placedMesh {
+	t.Helper()
+	m := placedMesh{regs: []*obs.Registry{obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()}}
 	clocks, clk := fakeClocks(epoch, epoch, epoch)
-	peers := startMesh(t, 3, meshConfig{replicas: 2, clock: clk,
-		server: func(i int) ServerOptions { return ServerOptions{Reg: regs[i]} }})
-	// A fixed split (run k on peers k and k+1 mod 3) and fixed stamps:
-	// the bytes do not depend on where the ring puts the random ports.
-	const runs = 200
+	m.peers = startMesh(t, 3, meshConfig{replicas: 2, clock: clk, client: client,
+		server: func(i int) ServerOptions { return ServerOptions{Reg: m.regs[i]} }})
+	at := map[string]*fedPeer{}
+	for _, p := range m.peers {
+		at[p.url] = p
+	}
 	for k := 0; k < runs; k++ {
-		f := mkTrace(4, "budget", uint64(k))
-		for _, p := range []*fedPeer{peers[k%3], peers[(k+1)%3]} {
-			if _, _, err := p.a.Ingest(f); err != nil {
+		payload, id, err := Encode(mkTrace(4, "budget", uint64(k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		holders := m.peers[0].node.Owners(id)
+		if stray != nil && stray(id, m.peers[0].node) {
+			holders = m.peers[0].node.Peers()
+		}
+		for _, h := range holders {
+			if _, _, err := at[h].a.IngestBytes(payload); err != nil {
 				t.Fatal(err)
 			}
 		}
+		m.ids = append(m.ids, id)
 		for _, c := range clocks {
 			c.Advance(time.Second)
 		}
 	}
-	out := func() uint64 {
-		return regs[1].Counter("chamd_bytes_out").Value() + regs[2].Counter("chamd_bytes_out").Value()
+	return m
+}
+
+// counter sums one counter over the peers of m.
+func (m placedMesh) counter(name string, peers ...int) uint64 {
+	var n uint64
+	for _, i := range peers {
+		n += m.regs[i].Counter(name).Value()
 	}
-	before := out()
-	lr, _ := listVia(t, peers[0], "limit=5")
-	sent := out() - before
-	t.Logf("peers wrote %d bytes for a page of %d of %d runs", sent, len(lr.Runs), lr.Total)
-	if lr.Total != runs || len(lr.Runs) != 5 {
-		t.Fatalf("total %d, %d runs; want %d, 5", lr.Total, len(lr.Runs), runs)
+	return n
+}
+
+// TestScatterListPeerBytes holds the push-down's gain: a first page of 5
+// costs the two asked peers their 5 newest records and one sum per
+// partition they hold, whatever the archive's size. Measured: 4 204
+// bytes at 200 runs, 4 209 at 800. The Rest protocol, which sent the ID
+// of every other match, cost 20 702 and 72 764.
+func TestScatterListPeerBytes(t *testing.T) {
+	sent := map[int]uint64{}
+	for _, runs := range []int{200, 800} {
+		m := placeRuns(t, runs, nil, nil)
+		before := m.counter("chamd_bytes_out", 1, 2)
+		lr, _ := listVia(t, m.peers[0], "limit=5")
+		sent[runs] = m.counter("chamd_bytes_out", 1, 2) - before
+		t.Logf("peers wrote %d bytes for a page of %d of %d runs", sent[runs], len(lr.Runs), lr.Total)
+		if lr.Total != runs || len(lr.Runs) != 5 {
+			t.Fatalf("total %d, %d runs; want %d, 5", lr.Total, len(lr.Runs), runs)
+		}
+		// The harness's own check on a full page.
+		if lr, _ = listVia(t, m.peers[1], "limit=100"); len(lr.Runs) != 100 || lr.Total != runs {
+			t.Fatalf("page of 100: %d runs of %d", len(lr.Runs), lr.Total)
+		}
+		if n := m.counter("chamd_list_recounts", 0, 1, 2); n != 0 {
+			t.Fatalf("a mesh with every run on its owners recounted %d partitions", n)
+		}
 	}
-	if sent > budget {
-		t.Fatalf("peers wrote %d bytes for a page of 5, budget %d", sent, budget)
-	}
-	// The harness's own check on a full page.
-	if lr, _ = listVia(t, peers[1], "limit=100"); len(lr.Runs) != min(100, lr.Total) {
-		t.Fatalf("page of 100: %d runs of %d", len(lr.Runs), lr.Total)
+	if grown := float64(sent[800]) / float64(sent[200]); grown > 1.1 {
+		t.Fatalf("a page of 5 cost the peers %d bytes at 200 runs and %d at 800 (%.2fx)", sent[200], sent[800], grown)
 	}
 }
 
-// FuzzScatterMerge feeds mergeList peer answers decoded from bytes as a
-// peer's body would be. Whatever they say, the page has no repeated ID,
-// is in listing order, fits under the total and names exactly the
-// failed peers. And when the answers are honest — each holder's top
-// offset+limit plus the IDs of the rest, built from a model the bytes
-// also describe — the page is the brute-force newest-copy-wins one.
+// recountLog is a mesh client transport that keeps the IDs of every
+// second-round answer the edge receives.
+type recountLog struct {
+	mu  sync.Mutex
+	ids []string
+}
+
+func (l *recountLog) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || !req.URL.Query().Has("parts") {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var ml meshList
+	if err := json.Unmarshal(body, &ml); err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	l.ids = append(l.ids, ml.IDs...)
+	l.mu.Unlock()
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// take returns the IDs kept so far and forgets them.
+func (l *recountLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ids := l.ids
+	l.ids = nil
+	return ids
+}
+
+// TestScatterListRecountsDisputed: some runs of one partition also sit
+// on the peer that does not own them. The page and the total stay
+// exact, that one partition is recounted, and the second round carries
+// the IDs of that partition and no other.
+func TestScatterListRecountsDisputed(t *testing.T) {
+	const runs = 200
+	var disputed = -1
+	strays := 0
+	log := &recountLog{}
+	m := placeRuns(t, runs, func(id string, node *mesh.Node) bool {
+		if disputed < 0 {
+			disputed = node.Partition(id)
+		}
+		if node.Partition(id) != disputed || id[0] >= '4' {
+			return false
+		}
+		strays++
+		return true
+	}, func(i int) *http.Client { return &http.Client{Transport: log} })
+	if strays == 0 {
+		t.Fatal("no run was placed off its ring")
+	}
+	for _, q := range []Query{{Limit: 5}, {Limit: 100, Offset: 150}, {Limit: 7, Offset: 63}} {
+		raw := fmt.Sprintf("limit=%d&offset=%d", q.Limit, q.Offset)
+		before := m.counter("chamd_list_recounts", 0)
+		got, _ := listVia(t, m.peers[0], raw)
+		ids := log.take()
+		sameList(t, "GET /runs?"+raw, got, newestUnion(q, m.peers))
+		if got.Total != runs {
+			t.Fatalf("total %d with %d fallback copies, want %d", got.Total, strays, runs)
+		}
+		if n := m.counter("chamd_list_recounts", 0) - before; n != 1 {
+			t.Fatalf("the edge recounted %d partitions, want 1", n)
+		}
+		if len(ids) == 0 {
+			t.Fatal("no peer was asked for the disputed partition's IDs")
+		}
+		for _, id := range ids {
+			if p := m.peers[0].node.Partition(id); p != disputed {
+				t.Fatalf("the second round carried %s of partition %d; only %d is disputed", id[:12], p, disputed)
+			}
+		}
+	}
+}
+
+// TestEdgeListingAllocationBound: a page of 5 through one edge, client
+// decode and all three peers' work included, allocates by its page and
+// its peers, not by the 800 runs behind it. Measured: ~53 KB. The Rest
+// protocol, which copied every match on every peer and sent the IDs of
+// all of them, allocated ~755 KB.
+func TestEdgeListingAllocationBound(t *testing.T) {
+	skipUnderRace(t)
+	const bound = 160 << 10
+	m := placeRuns(t, 800, nil, nil)
+	list := func() {
+		lr, err := FetchRuns(m.peers[0].url, "", 5, 0)
+		if err != nil || len(lr.Runs) != 5 || lr.Total != 800 || lr.Partial != nil {
+			t.Fatalf("listing: %d runs of %d, partial %v, %v", len(lr.Runs), lr.Total, lr.Partial, err)
+		}
+	}
+	list() // warm the connections
+	got := bytesAllocated(10, list)
+	t.Logf("GET /runs?limit=5 over 800 runs on 3 peers: %d B allocated, bound %d", got, bound)
+	if got > bound {
+		t.Fatalf("an edge listing allocated %d B, bound %d", got, bound)
+	}
+}
+
+// TestScatterListLendsRecords: listings hold the index's records past
+// its lock while the same runs are deleted, re-ingested off their ring,
+// compacted away and pulled home by a sweep. The index replaces records
+// and never writes one, so under -race no listing races the churn, and
+// every page still names each run once.
+func TestScatterListLendsRecords(t *testing.T) {
+	peers := startMesh(t, 3, meshConfig{replicas: 2})
+	var payloads [][]byte
+	var ids []string
+	for k := 0; k < 12; k++ {
+		payload, id, err := Encode(mkTrace(4, "lend", uint64(k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads, ids = append(payloads, payload), append(ids, id)
+		pushVia(t, peers[k%3], "", mkTrace(4, "lend", uint64(k)))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, edge := range peers {
+		wg.Add(1)
+		go func(url string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lr, err := FetchRuns(url, "benchmark=lend", 5, 0)
+				if err != nil || lr.Partial != nil {
+					t.Errorf("listing via %s: partial %v, %v", url, lr.Partial, err)
+					return
+				}
+				seen := map[string]bool{}
+				for _, r := range lr.Runs {
+					if seen[r.ID] || r.Benchmark != "lend" {
+						t.Errorf("listing via %s: run %s twice or of %q", url, r.ID[:12], r.Benchmark)
+						return
+					}
+					seen[r.ID] = true
+				}
+			}
+		}(edge.url)
+	}
+	for round := 0; round < 36; round++ {
+		k, p := round%len(ids), peers[round%3]
+		if err := p.a.Delete(ids[k]); err != nil && !errors.Is(err, ErrNotFound) {
+			t.Error(err)
+		}
+		if _, _, err := peers[(round+1)%3].a.IngestBytes(payloads[k]); err != nil {
+			t.Error(err)
+		}
+		if _, err := p.a.Compact(); err != nil {
+			t.Error(err)
+		}
+		if _, err := p.node.Sweep(p.a.MeshTarget(), nil); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// fuzzPart is FuzzScatterMerge's ring: four partitions, partition p
+// owned by holders p and p+1 mod 4.
+func fuzzPart(id string) int {
+	n := 0
+	for i := 0; i < len(id); i++ {
+		n = n*31 + int(id[i])
+	}
+	return n & 3
+}
+
+// roundTrip encodes a holder's answer as a peer sends it and decodes it
+// as the edge reads it.
+func roundTrip[T any](t *testing.T, v T) *T {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out T
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("an honest answer does not decode: %v: %s", err, body)
+	}
+	return &out
+}
+
+// FuzzScatterMerge feeds mergeList first- and second-round answers
+// decoded from bytes as a peer's body would be. Whatever they say, the
+// page has no repeated ID, is in listing order, fits under the total
+// and names exactly the failed peers. And when the answers are honest —
+// built from a model the bytes also describe, where copies sit on their
+// partition's owners, miss one of them, or stray off the ring, and peers
+// may be down — the page is the brute-force newest-copy-wins one and
+// the Rest protocol's (scatter_ref_test.go).
 func FuzzScatterMerge(f *testing.F) {
-	honest, _ := json.Marshal(meshList{
-		ListResponse: ListResponse{Total: 3, Runs: []Run{{ID: "b", Ingested: epoch.Add(time.Second)}, {ID: "a", Ingested: epoch}}},
-		Rest:         []string{"c"},
-	})
-	f.Add(append(append([]byte(`{"runs":[{"id":"a","ingested":"2023-11-14T22:13:21Z"}]}`+"\n"), honest...), "\n{\"runs\":["...), uint8(1), uint8(2), uint8(4))
+	f.Add([]byte(`{"runs":[{"id":"a","ingested":"2023-11-14T22:13:21Z"}],"parts":[{"part":1,"count":1,"sum":"x"}]}`+"\n"+
+		`{"runs":[{"id":"b","ingested":"2023-11-14T22:13:22Z"},{"id":"a","ingested":"2023-11-14T22:13:20Z"}],"parts":[{"part":1,"count":2,"sum":"y"},{"part":2,"count":1,"sum":"z"}]}`+"\n"+
+		`{"runs":[null],"parts":[{"part":2,"count":-4,"sum":"z"}]}`+"\n{\"runs\":[\n"+`{"ids":["a","c","c"]}`+"\n"+`{"ids":["b","q"]}`),
+		uint8(1), uint8(2), uint8(4))
 	f.Add([]byte("\x00\x13\x27\x35\x41\x52\x66\x73\x88\x9a\xab\xbc\xcd\xde\xef\xf0"), uint8(0), uint8(3), uint8(0))
 	f.Add([]byte("\x10\x10\x20\x20\x30\x31\x01\x02\x11\x12\x21\x22\x31\x32"), uint8(2), uint8(0), uint8(2))
+	f.Add([]byte("\x01\x10\x05\x21\x09\x32\x21\x40\x26\x51\x2a\x62\x13\x73\x34\x04"), uint8(0), uint8(4), uint8(8))
 	f.Fuzz(func(t *testing.T, data []byte, offset, limit, down uint8) {
 		q := Query{Offset: int(offset), Limit: int(limit)}
+		names := []string{"p1", "p2", "p3"}
 
-		// Anything at all: the first line is this peer's own runs, each
-		// later line a peer's body.
+		// Anything at all: lines 0-3 are the first-round answers of this
+		// peer and of p1-p3, lines 4-7 their second-round answers.
 		lines := bytes.Split(data, []byte("\n"))
-		var self []Run
-		if own := readList(http.StatusOK, bytes.NewReader(lines[0]), -1); own != nil {
-			self = own.Runs
+		line := func(i int) *meshList {
+			if i >= len(lines) {
+				return nil
+			}
+			return readList(http.StatusOK, bytes.NewReader(lines[i]), -1)
 		}
-		var names []string
-		var answers []*meshList
-		for i, line := range lines[1:min(len(lines), 5)] {
-			names = append(names, fmt.Sprintf("p%d", i))
-			answers = append(answers, readList(http.StatusOK, bytes.NewReader(line), -1))
+		answers := []*meshList{line(0), line(1), line(2), line(3)}
+		if answers[0] == nil {
+			answers[0] = &meshList{}
 		}
-		checkPage(t, q, names, answers, mergeList(q, self, names, answers))
+		var asked []bool
+		got, _ := mergeList(q, fuzzPart, names, answers, func(parts []int, ask []bool) []*meshList {
+			asked = ask
+			out := make([]*meshList, len(ask))
+			for h := range ask {
+				if ask[h] {
+					out[h] = line(4 + h)
+				}
+			}
+			return out
+		})
+		var failed []string
+		for i, name := range names {
+			if answers[1+i] == nil || asked != nil && asked[1+i] && line(5+i) == nil {
+				failed = append(failed, name)
+			}
+		}
+		checkPage(t, q, failed, got)
 
 		// Honest answers: byte pairs place copies of 12 runs on four
-		// holders (0 is this peer) with stamps 0-7 s; peer i is down
-		// when bit i of down is set.
+		// holders (0 is this peer) with stamps 0-7 s; peer i is down when
+		// bit i of down is set.
 		held := make([]map[string]Run, 4)
 		for i := range held {
 			held[i] = map[string]Run{}
 		}
 		for i := 0; i+1 < len(data); i += 2 {
 			id := fmt.Sprintf("r%02d", data[i]%12)
-			h := held[data[i]>>4%4]
-			if _, ok := h[id]; !ok {
-				h[id] = Run{ID: id, Ingested: epoch.Add(time.Duration(data[i+1]%8) * time.Second)}
+			stamp, other := data[i+1]%8, int(data[i+1]>>4%4)
+			owner := fuzzPart(id)
+			var on []int
+			switch data[i] >> 4 % 4 {
+			case 0: // its owners
+				on = []int{owner, (owner + 1) % 4}
+			case 1: // one owner missed the write
+				on = []int{(owner + other%2) % 4}
+			case 2: // its owners and a fallback copy
+				on = []int{owner, (owner + 1) % 4, other}
+			case 3: // anywhere
+				on = []int{other}
+			}
+			for j, h := range on {
+				if _, ok := held[h][id]; !ok {
+					held[h][id] = Run{ID: id, Ingested: epoch.Add(time.Duration((int(stamp)+j*int(data[i]>>6))%8) * time.Second)}
+				}
 			}
 		}
 		list := func(h map[string]Run) []Run {
@@ -357,8 +627,16 @@ func FuzzScatterMerge(f *testing.F) {
 			}
 			return out
 		}
+		lend := func(h map[string]Run) []*Run {
+			out := make([]*Run, 0, len(h))
+			for _, r := range h {
+				out = append(out, &r)
+			}
+			return out
+		}
 		best := map[string]Run{}
-		names, answers = []string{"p1", "p2", "p3"}, make([]*meshList, 3)
+		answers = make([]*meshList, 4)
+		refAnswers := make([]*refMeshList, 3)
 		for i, h := range held {
 			if i > 0 && down>>i&1 == 1 {
 				continue
@@ -368,35 +646,47 @@ func FuzzScatterMerge(f *testing.F) {
 					best[id] = r
 				}
 			}
-			if i == 0 {
-				continue
-			}
-			all := list(h)
-			top, total := Query{Limit: q.window()}.page(all)
-			ans := meshList{ListResponse: listPage(Query{Limit: q.window()}, top, total)}
-			for _, r := range all[len(top):] {
-				ans.Rest = append(ans.Rest, r.ID)
-			}
-			body, err := json.Marshal(ans)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if answers[i-1] = readList(http.StatusOK, bytes.NewReader(body), int64(len(body))); answers[i-1] == nil {
-				t.Fatalf("an honest answer does not decode: %s", body)
+			answers[i] = roundTrip(t, *firstRound(lend(h), fuzzPart, q))
+			if i > 0 {
+				refAnswers[i-1] = roundTrip(t, refAnswer(Query{Limit: q.window()}, list(h)))
 			}
 		}
-		got := mergeList(q, list(held[0]), names, answers)
-		checkPage(t, q, names, answers, got)
-		page, total := q.page(list(best))
+		got, recounted := mergeList(q, fuzzPart, names, answers, func(parts []int, ask []bool) []*meshList {
+			out := make([]*meshList, len(ask))
+			for h := range ask {
+				if ask[h] {
+					out[h] = roundTrip(t, *secondRound(lend(held[h]), fuzzPart, parts))
+				}
+			}
+			return out
+		})
+		failed = nil
+		for i, name := range names {
+			if down>>(i+1)&1 == 1 {
+				failed = append(failed, name)
+			}
+		}
+		checkPage(t, q, failed, got)
+		if recounted > 4 {
+			t.Fatalf("recounted %d of 4 partitions", recounted)
+		}
+		union := make([]*Run, 0, len(best))
+		for _, r := range best {
+			union = append(union, &r)
+		}
+		page, total := q.page(union)
 		want := listPage(q, page, total)
-		want.Partial = got.Partial
-		sameList(t, fmt.Sprintf("merge of honest answers, offset %d limit %d", offset, limit), got, want)
+		want.Partial = failed
+		what := fmt.Sprintf("merge of honest answers, offset %d limit %d", offset, limit)
+		sameList(t, what+" against the union", got, want)
+		sameList(t, what+" against the Rest protocol", got, refMergeList(q, list(held[0]), names, refAnswers))
 	})
 }
 
 // checkPage holds what a merged page must satisfy whatever the peers
-// answered.
-func checkPage(t *testing.T, q Query, names []string, answers []*meshList, lr ListResponse) {
+// answered: no run twice, listing order, no more than a page, a total
+// no smaller than the runs shown, and Partial naming exactly failed.
+func checkPage(t *testing.T, q Query, failed []string, lr ListResponse) {
 	t.Helper()
 	seen := map[string]bool{}
 	for i, r := range lr.Runs {
@@ -416,12 +706,6 @@ func checkPage(t *testing.T, q Query, names []string, answers []*meshList, lr Li
 	}
 	if len(lr.Runs) > 0 && lr.Total < q.Offset+len(lr.Runs) {
 		t.Fatalf("total %d under offset %d + %d runs", lr.Total, q.Offset, len(lr.Runs))
-	}
-	var failed []string
-	for i, a := range answers {
-		if a == nil {
-			failed = append(failed, names[i])
-		}
 	}
 	if !slices.Equal(lr.Partial, failed) {
 		t.Fatalf("partial %v, want %v", lr.Partial, failed)

@@ -169,6 +169,7 @@ type server struct {
 	mBytesIn, mBytesOut *obs.Counter
 	mThrottled          *obs.Counter
 	mFanouts, mProxied  *obs.Counter
+	mRecounts           *obs.Counter // partitions a listing's second round recounted
 	hLatency            *obs.Histogram
 	classReqs           map[class]*obs.Counter   // classes without an entry count nothing
 	classLatency        map[class]*obs.Histogram // likewise
@@ -205,6 +206,7 @@ func newServer(a *Archive, opts ServerOptions) *server {
 		mThrottled: opts.Reg.Counter("chamd_throttled"),
 		mFanouts:   opts.Reg.Counter("chamd_mesh_fanouts"),
 		mProxied:   opts.Reg.Counter("chamd_mesh_proxied"),
+		mRecounts:  opts.Reg.Counter("chamd_list_recounts"),
 		hLatency:   opts.Reg.Histogram("chamd_latency_ns"),
 		classReqs: map[class]*obs.Counter{
 			classIngest: opts.Reg.Counter("chamd_ingest_requests"),

@@ -152,9 +152,14 @@ type Archive struct {
 	opts Options
 	clk  clock.Clock // ingest stamps and the rate limiter
 
-	mu   sync.Mutex
-	runs map[string]map[string]*Run // tenant -> content address -> run
-	used map[string]int64           // tenant -> sum of RawBytes
+	mu sync.Mutex
+	// runs indexes every tenant's records: tenant -> content address ->
+	// run. A record is immutable once putRunLocked stores it: an ingest
+	// or a replay replaces the pointer, and nothing writes through it.
+	// match lends these records out past the lock, so one write in place
+	// would race every listing that holds it.
+	runs map[string]map[string]*Run
+	used map[string]int64 // tenant -> sum of RawBytes
 
 	ckptBytes int64 // size of manifest.json as last read or written
 	logBytes  int64 // size of manifest.log up to its last whole record
@@ -777,14 +782,27 @@ func (v TenantView) Get(id string) (*trace.File, Run, error) {
 }
 
 // List returns the tenant's runs matching q, newest first, plus the
-// total match count before pagination.
-func (v TenantView) List(q Query) ([]Run, int) { return q.page(v.match(q)) }
+// total match count before pagination. The page is the caller's copy.
+func (v TenantView) List(q Query) ([]Run, int) {
+	page, total := q.page(v.match(q))
+	if page == nil {
+		return nil, total
+	}
+	out := make([]Run, len(page))
+	for i, r := range page {
+		out[i] = *r
+	}
+	return out, total
+}
 
-// match returns the tenant's runs matching q's filters, in no order.
-func (v TenantView) match(q Query) []Run {
+// match returns the tenant's records matching q's filters, in no order.
+// The records are lent, not copied: the index replaces a record and
+// never writes one (Archive.runs), so a reader may hold them after the
+// lock is gone, and must not write them either.
+func (v TenantView) match(q Query) []*Run {
 	a := v.a
 	a.mu.Lock()
-	matched := make([]Run, 0, len(a.runs[v.tenant]))
+	matched := make([]*Run, 0, len(a.runs[v.tenant]))
 	for _, r := range a.runs[v.tenant] {
 		if q.Benchmark != "" && r.Benchmark != q.Benchmark {
 			continue
@@ -798,7 +816,7 @@ func (v TenantView) match(q Query) []Run {
 		if _, has := slices.BinarySearch(r.Sigs, q.Sig); q.Sig != 0 && !has {
 			continue
 		}
-		matched = append(matched, *r)
+		matched = append(matched, r)
 	}
 	a.mu.Unlock()
 	a.mLists.Inc()
@@ -808,12 +826,12 @@ func (v TenantView) match(q Query) []Run {
 // page orders runs newest first (content address breaking ties) and
 // cuts the query's Offset/Limit window out of them, returning the
 // window and the total before the cut. It sorts runs in place.
-func (q Query) page(runs []Run) ([]Run, int) {
-	sort.Slice(runs, func(i, j int) bool {
-		if !runs[i].Ingested.Equal(runs[j].Ingested) {
-			return runs[i].Ingested.After(runs[j].Ingested)
+func (q Query) page(runs []*Run) ([]*Run, int) {
+	slices.SortFunc(runs, func(x, y *Run) int {
+		if c := y.Ingested.Compare(x.Ingested); c != 0 {
+			return c
 		}
-		return runs[i].ID < runs[j].ID
+		return strings.Compare(x.ID, y.ID)
 	})
 	total := len(runs)
 	if q.Offset > 0 {

@@ -5,9 +5,11 @@ import (
 	"chameleon/internal/stats"
 
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 )
 
 // File is a complete trace file: the global compressed sequence plus the
@@ -144,8 +146,28 @@ func Read(r io.Reader) (*File, error) {
 	if err := bindSites(f.Nodes, ids); err != nil {
 		return nil, err
 	}
-	return DecodeBinary(f.AppendBinary(nil))
+	out, err := DecodeBinary(f.AppendBinary(nil))
+	if err != nil {
+		return nil, jsonRefusal{errors.Unwrap(err)}
+	}
+	return out, nil
 }
+
+// jsonRefusal is the binary reader's refusal of a JSON file's
+// re-encoding, worded for the JSON the caller gave: the walker's own
+// message names the binary form, and its rank budget is counted in
+// bytes of the re-encoding, not of the JSON.
+type jsonRefusal struct{ err error } // the walker's error
+
+func (e jsonRefusal) Error() string {
+	if errors.Is(e.err, errRankBudget) {
+		return fmt.Sprintf("trace: decode JSON: rank lists not in normal form expand past the file's budget "+
+			"(%d ranks plus one for each byte of its binary re-encoding)", maxRankExpansion)
+	}
+	return "trace: decode JSON: " + strings.TrimPrefix(e.err.Error(), "trace: ")
+}
+
+func (e jsonRefusal) Unwrap() error { return e.err }
 
 // bindSites checks that the tree holds no null node, and gives every
 // leaf whose signature the file's site table names that site, so that
