@@ -48,9 +48,13 @@ test:
 # tests: serve waits for a handler on a goroutine of its own and answers
 # 503 at the deadline, and a reply the handler gives after that (a
 # relayed peer body) must be dropped by the handler's goroutine alone.
+# So do the request-body lifetime tests: a PUT body is shared by
+# reference count between serve, the handler's goroutine and the
+# transport's readers, and a holder let go too early shows only when
+# the pool hands the buffer on, on some interleavings.
 test-race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial|RecountsDisputed|LendsRecords)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover|TestDistributedSelect(MatchesSequentialTree|ObjectsPerRank)?$$|TestStuckHandlerAnsweredAtDeadline|TestSlowBodyAnsweredAtDeadline|TestDroppedRelayClosesPeerBody|TestOverCapBodyClosesConnection' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ ./internal/cluster/ .
+	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial|RecountsDisputed|LendsRecords)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover|TestDistributedSelect(MatchesSequentialTree|ObjectsPerRank)?$$|TestStuckHandlerAnsweredAtDeadline|TestSlowBodyAnsweredAtDeadline|TestDroppedRelayClosesPeerBody|TestOverCapBodyClosesConnection|TestPutDroppedAtDeadlineKeepsItsBytes|TestForwardAnsweredBeforeBodyReadKeepsItsBytes' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ ./internal/cluster/ .
 
 # fuzz: a short fuzz smoke over every decoder that parses bytes from
 # outside the program: the binary trace decoder (the archive ingests
@@ -72,7 +76,9 @@ test-race:
 # disk) and the federated listing's merge of peer answers (whatever a
 # peer's first- or second-round body says, and, when the answers are
 # honest, against a brute-force union and the Rest-list protocol kept
-# in a test file), the rank-list compactor against the pre-change one kept
+# in a test file), the edge-sidecar decoder every PUT of a run's edges
+# meets at the edge and on each peer (an accepted stream re-encodes and
+# reads back equal, a refusal names its line), the rank-list compactor against the pre-change one kept
 # in a test file (every descriptor must agree), the rank-list
 # normal-form check against expanding and re-compacting with that
 # compactor, the rank-class cutter against expanding its lists (every
@@ -89,27 +95,31 @@ test-race:
 # (every field must agree). The seed and poison
 # corpora run as plain tests in `make test`;
 # CI runs this for the fuzzing time on top, and local deep fuzzing just
-# raises -fuzztime.
+# raises -fuzztime. Each target minimizes a new input for at most 2 s:
+# minimizing is unbounded by default and runs at no execs/s, so without
+# the bound a target that finds one late can spend its whole -fuzztime
+# on it.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime=10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzReadAny -fuzztime=5s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzRankListsNormal -fuzztime=10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime=10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzScanMatchesDecode -fuzztime=10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzWalkMatchesAccept -fuzztime=10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzMergeMatchesReference -fuzztime=10s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesReference -fuzztime=10s ./internal/stats/
-	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s ./internal/mpi/
-	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s ./internal/fault/
-	$(GO) test -run '^$$' -fuzz FuzzGeneratorsMatchReference -fuzztime=5s ./internal/fault/
-	$(GO) test -run '^$$' -fuzz FuzzManifestLog -fuzztime=5s ./internal/store/
-	$(GO) test -run '^$$' -fuzz FuzzScatterMerge -fuzztime=5s ./internal/store/
-	$(GO) test -run '^$$' -fuzz FuzzUnionMatchesReference -fuzztime=10s ./internal/ranklist/
-	$(GO) test -run '^$$' -fuzz FuzzNormalFormCheck -fuzztime=10s ./internal/ranklist/
-	$(GO) test -run '^$$' -fuzz FuzzRankClasses -fuzztime=10s ./internal/ranklist/
-	$(GO) test -run '^$$' -fuzz FuzzSelectMatchesReference -fuzztime=10s ./internal/cluster/
-	$(GO) test -run '^$$' -fuzz FuzzAnalyzeMatchesReference -fuzztime=10s ./internal/zan/
-	$(GO) test -run '^$$' -fuzz FuzzReadersMatchReference -fuzztime=10s ./internal/analysis/
+	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzReadAny -fuzztime=5s -fuzzminimizetime=2s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzRankListsNormal -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzScanMatchesDecode -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzWalkMatchesAccept -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzMergeMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s -fuzzminimizetime=2s ./internal/mpi/
+	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s -fuzzminimizetime=2s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzGeneratorsMatchReference -fuzztime=5s -fuzzminimizetime=2s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzManifestLog -fuzztime=5s -fuzzminimizetime=2s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzScatterMerge -fuzztime=5s -fuzzminimizetime=2s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzReadEdges -fuzztime=5s -fuzzminimizetime=2s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzUnionMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/ranklist/
+	$(GO) test -run '^$$' -fuzz FuzzNormalFormCheck -fuzztime=10s -fuzzminimizetime=2s ./internal/ranklist/
+	$(GO) test -run '^$$' -fuzz FuzzRankClasses -fuzztime=10s -fuzzminimizetime=2s ./internal/ranklist/
+	$(GO) test -run '^$$' -fuzz FuzzSelectMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzAnalyzeMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/zan/
+	$(GO) test -run '^$$' -fuzz FuzzReadersMatchReference -fuzztime=10s -fuzzminimizetime=2s ./internal/analysis/
 
 # test-transport: the TCP multi-process transport suite under the race
 # detector. In internal/mpi: the layer tables over net.Pipe (link

@@ -6,7 +6,6 @@ package mesh
 // scatter-gather on list); the anti-entropy Sweep drives itself.
 
 import (
-	"bytes"
 	"crypto/subtle"
 	"fmt"
 	"io"
@@ -15,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"chameleon/internal/httpx"
 	"chameleon/internal/obs"
 )
 
@@ -83,7 +83,8 @@ type Options struct {
 	// Replicas is the ownership factor R (default 2, clamped to the
 	// peer count).
 	Replicas int
-	// Client overrides the intra-mesh HTTP client.
+	// Client overrides the intra-mesh HTTP client (tests). The default
+	// rides the process's one transport (httpx.Transport).
 	Client *http.Client
 	// Secret, when non-empty, is the shared mesh key: every intra-mesh
 	// request carries it (HeaderKey) and peers reject the forward
@@ -91,7 +92,7 @@ type Options struct {
 	// header alone is honored, which is fine on a private network but
 	// is not a security boundary (docs/STORE.md).
 	Secret string
-	// Reg receives mesh_* counters.
+	// Reg receives mesh_* counters, the per-peer ones among them.
 	Reg *obs.Registry
 }
 
@@ -106,8 +107,17 @@ type Node struct {
 	secret   string
 	hc       *http.Client
 	bc       *http.Client // short-timeout client for best-effort broadcasts
+	// byPeer holds each other peer's counters, registered once, so a
+	// call finds them with a lookup that allocates nothing.
+	byPeer map[string]peerCounters
 
 	mSweeps, mPulled, mSweepErrs *obs.Counter
+}
+
+// peerCounters count what Do sends one peer: requests, request-body
+// bytes, and failures (a transport error or a 5xx answer).
+type peerCounters struct {
+	requests, bytesOut, errors *obs.Counter
 }
 
 // NewNode builds a peer's federation state. Self must appear in the
@@ -130,7 +140,16 @@ func NewNode(opts Options) (*Node, error) {
 	}
 	hc := opts.Client
 	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
+		hc = httpx.Client(30 * time.Second)
+	}
+	byPeer := make(map[string]peerCounters, len(others))
+	for _, p := range others {
+		label := `{peer="` + p + `"}`
+		byPeer[p] = peerCounters{
+			requests: opts.Reg.Counter("mesh_peer_requests" + label),
+			bytesOut: opts.Reg.Counter("mesh_peer_bytes_out" + label),
+			errors:   opts.Reg.Counter("mesh_peer_errors" + label),
+		}
 	}
 	return &Node{
 		ring:       ring,
@@ -140,7 +159,8 @@ func NewNode(opts Options) (*Node, error) {
 		parts:      ring.Partitions(opts.Replicas),
 		secret:     opts.Secret,
 		hc:         hc,
-		bc:         &http.Client{Timeout: broadcastTimeout},
+		bc:         httpx.Client(broadcastTimeout),
+		byPeer:     byPeer,
 		mSweeps:    opts.Reg.Counter("mesh_sweeps"),
 		mPulled:    opts.Reg.Counter("mesh_sweep_pulled"),
 		mSweepErrs: opts.Reg.Counter("mesh_sweep_errors"),
@@ -206,6 +226,12 @@ type Call struct {
 	// proxied read's conditional and negotiation headers.
 	Header http.Header
 	Body   []byte
+	// Lease, when non-nil, is the claim on Body's bytes its caller holds
+	// (a PUT body leased from the receiving server's pool): every reader
+	// of Body the transport gets holds a reference until the transport
+	// closes it, so the bytes outlive Do when the peer answers before it
+	// has read them all.
+	Lease httpx.Lease
 	// BestEffort bounds the call by broadcastTimeout instead of the mesh
 	// client timeout: CQ fan-outs and event broadcasts ride it, so a
 	// partitioned (non-refusing) peer delays the caller only briefly.
@@ -214,13 +240,14 @@ type Call struct {
 
 // Do sends an intra-mesh request — the forward header (the receiver's
 // loop guard), the shared mesh key when one is configured, and the
-// tenant are set — and returns the response as-is.
+// tenant are set — and returns the response as-is. The body goes onto
+// the socket from c.Body itself (httpx.NewRequest).
 func (n *Node) Do(c Call) (*http.Response, error) {
 	method := c.Method
 	if method == "" {
 		method = http.MethodGet
 	}
-	req, err := http.NewRequest(method, c.Peer+c.Path, bytes.NewReader(c.Body))
+	req, err := httpx.NewRequest(method, c.Peer+c.Path, c.Body, c.Lease)
 	if err != nil {
 		return nil, err
 	}
@@ -238,10 +265,27 @@ func (n *Node) Do(c Call) (*http.Response, error) {
 	if c.Tenant != "" {
 		req.Header.Set(HeaderTenant, c.Tenant)
 	}
+	client := n.hc
 	if c.BestEffort {
-		return n.bc.Do(req)
+		client = n.bc
 	}
-	return n.hc.Do(req)
+	resp, err := client.Do(req)
+	n.count(c.Peer, len(c.Body), resp, err)
+	return resp, err
+}
+
+// count books one call to peer on its counters; a peer outside the
+// membership has none.
+func (n *Node) count(peer string, bodyBytes int, resp *http.Response, err error) {
+	pc, ok := n.byPeer[peer]
+	if !ok {
+		return
+	}
+	pc.requests.Inc()
+	pc.bytesOut.Add(uint64(bodyBytes))
+	if err != nil || resp.StatusCode >= 500 {
+		pc.errors.Inc()
+	}
 }
 
 // getBody fetches an intra-mesh URL and returns the body on 200.

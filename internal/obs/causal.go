@@ -125,7 +125,8 @@ func (c *Causal) WriteEdges(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadEdges parses a JSONL edge stream back into edges.
+// ReadEdges parses a JSONL edge stream back into edges. Blank lines are
+// skipped; a refusal names the line it stopped at.
 func ReadEdges(r io.Reader) ([]Edge, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -144,7 +145,7 @@ func ReadEdges(r io.Reader) ([]Edge, error) {
 		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("obs: edges read: %w", err)
+		return out, fmt.Errorf("obs: edges line %d: %w", line+1, err)
 	}
 	return out, nil
 }

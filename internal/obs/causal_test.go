@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -197,4 +199,72 @@ func TestChromeTraceFlows(t *testing.T) {
 			t.Errorf("trace missing %s:\n%s", want, out)
 		}
 	}
+}
+
+// FuzzReadEdges: ReadEdges parses the edge sidecar of every
+// PUT /runs/{id}/edges, at the edge and again on each peer. On any
+// bytes it must not panic; a stream it accepts re-encodes, one JSON
+// line per edge as WriteEdges writes it, and reads back equal; and a
+// refusal names the first line that is neither blank nor an edge,
+// counting lines as bufio.ScanLines does (a "\r" before the "\n"
+// dropped).
+func FuzzReadEdges(f *testing.F) {
+	c := NewCausal(3)
+	for _, e := range []Edge{
+		{From: 1, To: 0, Seq: 7, SendVT: 10, ArriveVT: 20, RecvVT: 25, WaitVT: 5, Bytes: 64, Comm: 2, Tag: 3, Ctx: "vote", CtxSeq: 4},
+		{From: 0, To: 1, Seq: 1, SendVT: 1, ArriveVT: 2, RecvVT: 3},
+		{From: 2, To: 2, Seq: 2, SendVT: 4, ArriveVT: 5, RecvVT: 6, Ctx: "merge:final"},
+	} {
+		c.Record(e)
+	}
+	var stream bytes.Buffer
+	if err := c.WriteEdges(&stream); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stream.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte("\n\n{\"from\":1,\"to\":2}\r\n\r\n"))
+	f.Add([]byte("{\"from\":1,\"to\":2}\n{\"from\":\"x\"}\n{\"to\":3}\n"))
+	f.Add([]byte("{\"from\":1} trailing\n"))
+	f.Add([]byte("null\n{\"FROM\":4,\"ctx\":\"\xff\xfe\"}"))
+	f.Add([]byte("{\"seq\":18446744073709551616}\n"))
+	f.Add([]byte("{\"send_ns\":1e3}"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		edges, err := ReadEdges(bytes.NewReader(data))
+
+		bad := 0 // the line a refusal must name; 0: none
+		lines := bytes.Split(data, []byte("\n"))
+		if len(lines[len(lines)-1]) == 0 {
+			lines = lines[:len(lines)-1] // data ended its last line
+		}
+		for i, line := range lines {
+			line = bytes.TrimSuffix(line, []byte("\r"))
+			var e Edge
+			if len(line) > 0 && json.Unmarshal(line, &e) != nil {
+				bad = i + 1
+				break
+			}
+		}
+		if err != nil {
+			if want := fmt.Sprintf("edges line %d: ", bad); bad == 0 || !strings.Contains(err.Error(), want) {
+				t.Fatalf("refusal %q; the first bad line is %d", err, bad)
+			}
+			return
+		}
+		if bad != 0 {
+			t.Fatalf("accepted %d edges; line %d is not an edge", len(edges), bad)
+		}
+		var again bytes.Buffer
+		enc := json.NewEncoder(&again)
+		for i := range edges {
+			if err := enc.Encode(&edges[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		back, err := ReadEdges(&again)
+		if err != nil || !reflect.DeepEqual(back, edges) {
+			t.Fatalf("re-encoded %d edges read back as %d: %v", len(edges), len(back), err)
+		}
+	})
 }

@@ -11,7 +11,6 @@ package obs
 // update into Progress, and shipping happens entirely off to the side.
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -24,6 +23,7 @@ import (
 	"time"
 
 	"chameleon/internal/clock"
+	"chameleon/internal/httpx"
 )
 
 // Delta is one shipped telemetry increment. Seq starts at 1 and
@@ -98,7 +98,8 @@ type ShipperOptions struct {
 	P         int
 	// Interval is the snapshot/ship period (default 250ms).
 	Interval time.Duration
-	// Client overrides the HTTP client (tests).
+	// Client overrides the HTTP client (tests). The default rides the
+	// process's one transport (httpx.Transport).
 	Client *http.Client
 }
 
@@ -139,7 +140,7 @@ func NewShipper(o *Observer, opts ShipperOptions) (*Shipper, error) {
 		opts.Interval = 250 * time.Millisecond
 	}
 	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: shipTimeout}
+		opts.Client = httpx.Client(shipTimeout)
 	}
 	if opts.Session == "" {
 		var b [8]byte
@@ -292,7 +293,13 @@ func (s *Shipper) send() {
 		s.fail(err)
 		return
 	}
-	resp, err := s.opts.Client.Post(s.url, "application/json", bytes.NewReader(body))
+	req, err := httpx.NewRequest(http.MethodPost, s.url, body, nil)
+	if err != nil {
+		s.fail(err)
+		return
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := s.opts.Client.Do(req)
 	if err != nil {
 		s.fail(err)
 		return

@@ -146,6 +146,30 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// A labelled family (the mesh's per-peer counters) gets one TYPE line
+// over all its samples, even where another family's name sorts between
+// its bare and its labelled names.
+func TestWritePrometheusLabelledFamily(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(`peer_requests{peer="http://b"}`).Add(2)
+	r.Counter(`peer_requests{peer="http://a"}`).Inc()
+	r.Counter("peer_requests_total").Add(5)
+	r.Counter("peer_requests").Add(3)
+	var buf bytes.Buffer
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE peer_requests counter\n" +
+		"peer_requests 3\n" +
+		"peer_requests{peer=\"http://a\"} 1\n" +
+		"peer_requests{peer=\"http://b\"} 2\n" +
+		"# TYPE peer_requests_total counter\n" +
+		"peer_requests_total 5\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // liveSink is a minimal in-test chamd: it accepts delta batches and
 // remembers what it saw.
 type liveSink struct {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // PrometheusContentType is the exposition-format content type.
@@ -17,31 +18,18 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WritePrometheus renders the snapshot in the Prometheus text
 // exposition format (version 0.0.4). Metric families are sorted by
-// name so output is deterministic.
+// name so output is deterministic. A counter or gauge name may carry
+// its labels (`mesh_peer_requests{peer="..."}`); the samples of one
+// family go together, under one TYPE line.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
+	if err := writeSamples(w, "counter", s.Counters); err != nil {
+		return err
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, s.Counters[name]); err != nil {
-			return err
-		}
+	if err := writeSamples(w, "gauge", s.Gauges); err != nil {
+		return err
 	}
 
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, s.Gauges[name]); err != nil {
-			return err
-		}
-	}
-
-	names = names[:0]
+	names := make([]string, 0, len(s.Histograms))
 	for name := range s.Histograms {
 		names = append(names, name)
 	}
@@ -60,4 +48,38 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// writeSamples writes one sample per name, sorted by family and then by
+// name, and a TYPE line before the first sample of each family.
+func writeSamples[V uint64 | int64](w io.Writer, typ string, samples map[string]V) error {
+	names := make([]string, 0, len(samples))
+	for name := range samples {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if fi, fj := familyOf(names[i]), familyOf(names[j]); fi != fj {
+			return fi < fj
+		}
+		return names[i] < names[j]
+	})
+	family := ""
+	for i, name := range names {
+		if f := familyOf(name); i == 0 || f != family {
+			family = f
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", family, typ); err != nil {
+				return err
+			}
+		}
+		if _, err := fmt.Fprintf(w, "%s %d\n", name, samples[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// familyOf is a sample name without its labels.
+func familyOf(name string) string {
+	f, _, _ := strings.Cut(name, "{")
+	return f
 }

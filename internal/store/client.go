@@ -18,19 +18,16 @@ import (
 	"time"
 
 	"chameleon/internal/cq"
+	"chameleon/internal/httpx"
 	"chameleon/internal/mesh"
 	"chameleon/internal/obs"
 	"chameleon/internal/trace"
 )
 
-// httpClient disables the transport's transparent gzip so transfer
-// byte counts are observable; decompression is explicit in fetch.
-var httpClient = &http.Client{
-	Timeout: 60 * time.Second,
-	Transport: &http.Transport{
-		DisableCompression: true,
-	},
-}
+// httpClient rides the process's one transport (httpx.Transport), whose
+// transparent gzip is off so transfer byte counts are observable;
+// decompression is explicit in fetch.
+var httpClient = httpx.Client(60 * time.Second)
 
 // clientTenant is the tenant every client helper stamps on its
 // requests (the CLI tools' -tenant flag). Empty means the server-side
@@ -49,7 +46,6 @@ func SetTenant(tenant string) { clientTenant = tenant }
 // or a JSON target. The returned response is for its status and
 // headers; its body is already closed.
 func call(method, url string, body []byte, contentType string, useGzip bool, out any) (*http.Response, error) {
-	var rd io.Reader
 	if body != nil {
 		if useGzip {
 			var buf bytes.Buffer
@@ -62,9 +58,8 @@ func call(method, url string, body []byte, contentType string, useGzip bool, out
 			}
 			body = buf.Bytes()
 		}
-		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequest(method, url, rd)
+	req, err := httpx.NewRequest(method, url, body, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -166,7 +166,7 @@ func (s *server) offer(rt *route, q *request, peers []string, path, ctype string
 // reply, or its refusal as an error carrying the peer's status.
 func (s *server) forward(peer string, q *request, path, ctype string) (any, error) {
 	resp, err := s.node.Do(mesh.Call{Method: q.r.Method, Peer: peer, Path: path, Tenant: q.tenant,
-		Header: http.Header{"Content-Type": {ctype}}, Body: q.body})
+		Header: http.Header{"Content-Type": {ctype}}, Body: q.body, Lease: q.lease})
 	if err != nil {
 		return nil, err
 	}

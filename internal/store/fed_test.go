@@ -94,7 +94,11 @@ func startMesh(t *testing.T, n int, cfg meshConfig) []*fedPeer {
 		if cfg.clock != nil {
 			a.clk = cfg.clock(i)
 		}
-		mOpts := mesh.Options{Self: urls[i], Peers: urls, Replicas: cfg.replicas, Secret: cfg.secret}
+		var sOpts ServerOptions
+		if cfg.server != nil {
+			sOpts = cfg.server(i)
+		}
+		mOpts := mesh.Options{Self: urls[i], Peers: urls, Replicas: cfg.replicas, Secret: cfg.secret, Reg: sOpts.Reg}
 		if cfg.client != nil {
 			mOpts.Client = cfg.client(i)
 		}
@@ -109,10 +113,6 @@ func startMesh(t *testing.T, n int, cfg meshConfig) []*fedPeer {
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		var sOpts ServerOptions
-		if cfg.server != nil {
-			sOpts = cfg.server(i)
 		}
 		sOpts.Mesh, sOpts.CQ = node, eng
 		srv := serve(i, NewServer(a, sOpts))

@@ -185,7 +185,9 @@ func oneListJSON(t *testing.T, list string) []byte {
 // refused, or costs under 50 ms and 1 MB; when the JSON reader kept
 // lists as written, the first cost Summarize 67 MB and 107 ms, and
 // zan.Analyze 67 MB. Lists of a negative or zero count, which cover no
-// rank, are refused by the reader and by a PUT, with a 400.
+// rank, are refused by the reader and by a PUT, with a 400; so is a
+// descending list that runs below rank 0, whose normal form would start
+// where the reader refuses it (it was stored, as bytes no reader took).
 func TestJSONRankListsAreBounded(t *testing.T) {
 	for _, list := range []string{
 		`[{"start":0,"dims":[[2,1],[4194304,0]]}]`,
@@ -214,7 +216,8 @@ func TestJSONRankListsAreBounded(t *testing.T) {
 		}
 	}
 	_, srv := newTestServer(t, Options{}, ServerOptions{})
-	for _, list := range []string{`[{"start":0,"dims":[[-1,1]]}]`, `[{"start":0,"dims":[[0,1]]}]`} {
+	for _, list := range []string{`[{"start":0,"dims":[[-1,1]]}]`, `[{"start":0,"dims":[[0,1]]}]`,
+		`[{"start":5,"dims":[[3,-4]]}]`} {
 		body := oneListJSON(t, list)
 		if _, err := trace.DecodeAny(body); err == nil {
 			t.Fatalf("list %s: the JSON trace decoded", list)

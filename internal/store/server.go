@@ -46,6 +46,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"chameleon/internal/cq"
@@ -289,6 +290,9 @@ type request struct {
 	trusted, repair bool
 	body            []byte    // PUT/POST payload, capped and transfer-decoded
 	lookup          cq.Lookup // resolves run references: locally, or mesh-wide under the meshLookup policy
+	// lease is the claim on body's pooled bytes that serve holds until
+	// the reply is written (readBody); nil when there is no body.
+	lease *bodyBuf
 	// run is a PUT /runs body made ingestible, once parse has run.
 	run parsed
 }
@@ -386,6 +390,7 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request, rt *route) {
 	q, err := s.admit(w, r, rt)
 	var v any
 	if err == nil {
+		defer q.lease.Release() // after the reply below is written
 		v, err = s.bounded(rt, q, start.Add(s.opts.RequestTimeout))
 	}
 	if err != nil {
@@ -430,9 +435,10 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request, rt *route) (*requ
 	}
 
 	if r.Method == http.MethodPut || r.Method == http.MethodPost {
-		if q.body, err = s.readBody(w, r); err != nil {
+		if q.lease, err = s.readBody(w, r); err != nil {
 			return nil, err
 		}
+		q.body = q.lease.buf.Bytes()
 	}
 	return q, nil
 }
@@ -440,9 +446,10 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request, rt *route) (*requ
 // bounded hands q to the route's federation policy and handler on a
 // goroutine of its own, and waits for their answer until deadline. At
 // the deadline it gives up with errTimedOut; the handler runs on, and
-// what it answers then is dropped (a relayed peer body is closed). A
-// panic in the handler is raised again here, where net/http recovers
-// it, as http.TimeoutHandler does.
+// what it answers then is dropped (a relayed peer body is closed). The
+// goroutine holds a reference on q's body until it returns, however
+// long it outlives the 503. A panic in the handler is raised again
+// here, where net/http recovers it, as http.TimeoutHandler does.
 func (s *server) bounded(rt *route, q *request, deadline time.Time) (any, error) {
 	wait := time.Until(deadline)
 	if wait <= 0 { // the body took the whole bound to arrive
@@ -454,7 +461,9 @@ func (s *server) bounded(rt *route, q *request, deadline time.Time) (any, error)
 		panic any
 	}
 	done, gone := make(chan answer), make(chan struct{})
+	q.lease.Retain()
 	go func() {
+		defer q.lease.Release()
 		var a answer
 		defer func() {
 			if p := recover(); p != nil {
@@ -484,8 +493,60 @@ func (s *server) bounded(rt *route, q *request, deadline time.Time) (any, error)
 	}
 }
 
-// readBody drains a possibly-gzipped request body under the size cap.
-func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// bodyBuf is a request body read into a pooled buffer and shared by
+// reference count. Its holders are serve, until the reply is written;
+// bounded's handler goroutine, until it returns, even when that is after
+// its 503; and every reader of it a mesh call hands the transport, until
+// the transport closes that reader (mesh.Call.Lease). The last to let go
+// puts the buffer back, unless it grew past maxBodyPresize. A reference
+// that is never given back only loses the buffer to the pool: it is
+// never reused early.
+type bodyBuf struct {
+	buf  bytes.Buffer
+	refs atomic.Int32
+}
+
+var bodyBufs = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+// poisonReleased, when set (tests), overwrites a body's bytes when its
+// last holder lets go, so a reader that outlived its reference reads
+// garbage rather than, some other time, the next request's body.
+var poisonReleased atomic.Bool
+
+// Retain takes a reference on b (none on nil).
+func (b *bodyBuf) Retain() {
+	if b != nil {
+		b.refs.Add(1)
+	}
+}
+
+// Release gives a reference back.
+func (b *bodyBuf) Release() {
+	if b == nil {
+		return
+	}
+	switch n := b.refs.Add(-1); {
+	case n > 0:
+		return
+	case n < 0:
+		panic("store: request body released more often than retained")
+	}
+	if poisonReleased.Load() {
+		p := b.buf.Bytes()
+		p = p[:cap(p)]
+		for i := range p {
+			p[i] = 0xA5
+		}
+	}
+	if b.buf.Cap() <= maxBodyPresize {
+		b.buf.Reset()
+		bodyBufs.Put(b)
+	}
+}
+
+// readBody drains a possibly-gzipped request body under the size cap
+// into a pooled buffer, and hands the caller the one reference on it.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) (*bodyBuf, error) {
 	// The cap tells the response underneath, not the counting wrapper,
 	// to close the connection once a body overruns it.
 	if cw, ok := w.(*countingWriter); ok {
@@ -494,14 +555,14 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	defer body.Close()
 	var in io.Reader = body
-	var buf bytes.Buffer
+	presize := 0
 	switch enc := r.Header.Get("Content-Encoding"); enc {
 	case "", "identity":
 		// A body that states its length is read into one buffer of that
 		// size rather than grown to it. The length is the client's claim,
 		// so what it may reserve up front is capped.
 		if r.ContentLength > 0 {
-			buf.Grow(int(min(r.ContentLength, maxBodyPresize)) + bytes.MinRead)
+			presize = int(min(r.ContentLength, maxBodyPresize)) + bytes.MinRead
 		}
 	case "gzip":
 		zr, err := gzip.NewReader(body)
@@ -513,17 +574,19 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	default:
 		return nil, failf(http.StatusUnsupportedMediaType, "unsupported Content-Encoding %q", enc)
 	}
-	_, err := buf.ReadFrom(in)
-	payload := buf.Bytes()
-	if err != nil {
+	b := bodyBufs.Get().(*bodyBuf)
+	b.refs.Store(1)
+	b.buf.Grow(presize)
+	if _, err := b.buf.ReadFrom(in); err != nil {
+		b.Release()
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return nil, failf(http.StatusRequestEntityTooLarge, "body exceeds %d bytes", s.opts.MaxBodyBytes)
 		}
 		return nil, failf(http.StatusBadRequest, "read body: %v", err)
 	}
-	s.mBytesIn.Add(uint64(len(payload)))
-	return payload, nil
+	s.mBytesIn.Add(uint64(b.buf.Len()))
+	return b, nil
 }
 
 // jsonBufs holds the buffers JSON replies are encoded into. A buffer

@@ -854,6 +854,15 @@ func (w *walker) ranksChecked(descs, dims uint64) ranklist.List {
 	l, ok := ranklist.Normalize(rls, budget)
 	switch {
 	case ok:
+		// A list re-compacted from its ranks starts where they do (a
+		// descending run may reach below 0), and its re-encoding is read
+		// with the bound above.
+		for _, rl := range l.Descriptors() {
+			if rl.Start < 0 || rl.Start > 1<<30 {
+				w.fail(fmt.Errorf("trace: rank list start %d out of range", rl.Start))
+				return ranklist.List{}
+			}
+		}
 		return l
 	case w.strict:
 		w.fail(errNotCanonical)

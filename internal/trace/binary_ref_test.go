@@ -529,7 +529,16 @@ func refReadRanks(br *refReader) ranklist.List {
 		}
 		ranks = append(ranks, rl.Ranks()...)
 	}
-	return ranklist.FromRanks(ranks)
+	// The one bound added since: the compacted list's starts meet the
+	// start bound, as its re-encoding must.
+	l := ranklist.FromRanks(ranks)
+	for _, rl := range l.Descriptors() {
+		if rl.Start < 0 || rl.Start > 1<<30 {
+			br.err = fmt.Errorf("trace: rank list start %d out of range", rl.Start)
+			return ranklist.List{}
+		}
+	}
+	return l
 }
 
 func refReadHist(br *refReader) *stats.Histogram {
