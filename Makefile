@@ -11,7 +11,8 @@ all: check test
 # amd64 assembly stub (vet's asmdecl checks it against its declaration)
 # and every other GOARCH takes the portable full walk: cross-building
 # and vetting for arm64, which needs no network, keeps that file
-# compiling.
+# compiling. internal/tracegen (the fuzzers' trace generator) is for
+# tests only: no tool and no library package may import it.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -20,6 +21,9 @@ check:
 	$(GO) -C bench vet .
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
+	@if $(GO) list -deps ./cmd/... . | grep -qx chameleon/internal/tracegen; then \
+		echo "chameleon/internal/tracegen is for tests only, and a binary imports it:"; \
+		$(GO) list -deps -f '{{.ImportPath}}{{range .Imports}}{{if eq . "chameleon/internal/tracegen"}} imports it{{end}}{{end}}' ./cmd/... . | grep 'imports it$$'; exit 1; fi
 
 # test: every suite, cost budgets included (virtual-time and allocation
 # assertions). One subsystem: name its packages, `go test ./internal/store/`.
@@ -92,7 +96,8 @@ test-race:
 # file over generated programs (the whole report must agree), and the
 # trace readers (summary, volumes, matrix, critical path, diff) against
 # the per-rank ones kept in a test file over generated pairs of traces
-# (every field must agree). The seed and poison
+# (every field must agree); those two draw their programs from one
+# generator, internal/tracegen, so both meet the same shapes. The seed and poison
 # corpora run as plain tests in `make test`;
 # CI runs this for the fuzzing time on top, and local deep fuzzing just
 # raises -fuzztime. Each target minimizes a new input for at most 2 s:

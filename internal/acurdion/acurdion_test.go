@@ -5,26 +5,14 @@ import (
 
 	"chameleon/internal/cluster"
 	"chameleon/internal/mpi"
-	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 	"chameleon/internal/vtime"
 )
-
-func ring(steps int) func(*mpi.Proc) {
-	return func(p *mpi.Proc) {
-		w := p.World()
-		next := (p.Rank() + 1) % p.Size()
-		prev := (p.Rank() + p.Size() - 1) % p.Size()
-		for it := 0; it < steps; it++ {
-			p.Compute(50 * vtime.Microsecond)
-			w.Sendrecv(next, 1, 128, nil, prev, 1)
-		}
-	}
-}
 
 func TestFinalizeClustering(t *testing.T) {
 	const P = 8
 	col := NewCollector(P)
-	res, err := mpi.Run(mpi.Config{P: P, Hooks: New(col, Options{K: 3, Algo: cluster.KFarthest})}, ring(40))
+	res, err := mpi.Run(mpi.Config{P: P, Hooks: New(col, Options{K: 3, Algo: cluster.KFarthest})}, tracegen.Ring(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,19 +24,7 @@ func TestFinalizeClustering(t *testing.T) {
 	}
 	// Cluster rank lists cover every rank.
 	for r := 0; r < P; r++ {
-		covered := false
-		var walk func(seq []*trace.Node)
-		walk = func(seq []*trace.Node) {
-			for _, n := range seq {
-				if n.IsLoop() {
-					walk(n.Body)
-				} else if n.Ranks.Contains(r) {
-					covered = true
-				}
-			}
-		}
-		walk(col.Global)
-		if !covered {
+		if !tracegen.Covers(col.Global, r) {
 			t.Fatalf("rank %d not covered", r)
 		}
 	}
@@ -68,7 +44,7 @@ func TestFinalizeClustering(t *testing.T) {
 
 func TestFileMetadata(t *testing.T) {
 	col := NewCollector(4)
-	if _, err := mpi.Run(mpi.Config{P: 4, Hooks: New(col, Options{K: 2})}, ring(10)); err != nil {
+	if _, err := mpi.Run(mpi.Config{P: 4, Hooks: New(col, Options{K: 2})}, tracegen.Ring(10)); err != nil {
 		t.Fatal(err)
 	}
 	f := col.File(4, "RING", false)

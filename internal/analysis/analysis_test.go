@@ -7,14 +7,11 @@ import (
 	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 )
 
 func mkFile(p int) *trace.File {
-	all := make([]int, p)
-	for i := range all {
-		all[i] = i
-	}
-	ranks := ranklist.FromRanks(all)
+	ranks := tracegen.Span(0, p)
 	send := trace.Event{Op: mpi.OpSend, Stack: sig.Stack(sig.Mix(1)), Dest: trace.Relative(1), Tag: 1, Bytes: 100}
 	recv := trace.Event{Op: mpi.OpRecv, Stack: sig.Stack(sig.Mix(2)), Src: trace.Relative(-1), Tag: 1, Bytes: 100}
 	coll := trace.Event{Op: mpi.OpAllreduce, Stack: sig.Stack(sig.Mix(3)), Bytes: 8}

@@ -13,6 +13,7 @@ import (
 	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 	"chameleon/internal/zan"
 )
 
@@ -21,11 +22,11 @@ import (
 // clip bounds those lists to [0, P).
 func crossingP(clip bool) *trace.File {
 	const p = 8
-	wide := span(4, 10)
+	wide := tracegen.Span(4, 10)
 	if clip {
-		wide = span(4, 4)
+		wide = tracegen.Span(4, 4)
 	}
-	all := span(0, p)
+	all := tracegen.Span(0, p)
 	return &trace.File{P: p, Nodes: []*trace.Node{
 		trace.NewLoop(3, []*trace.Node{
 			trace.NewLeaf(trace.Event{Op: mpi.OpAllreduce, Bytes: 8}, wide, 100),
@@ -74,15 +75,6 @@ func TestReadersCountRanksInsideP(t *testing.T) {
 	if d := analysis.Compare(f, wider); !d.Equivalent() {
 		t.Errorf("diff against the clipped trace at P=%d: %s", wider.P, d.Reason())
 	}
-}
-
-// span is the list of the n ranks from lo, in normal form.
-func span(lo, n int) ranklist.List {
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = lo + i
-	}
-	return ranklist.FromRanks(ranks)
 }
 
 // A JSON trace whose one rank list names a negative or zero count

@@ -14,33 +14,8 @@ import (
 	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 )
-
-// mkTrace builds a small deterministic trace: a loop of send/recv plus
-// one collective. iters shifts per-rank dynamic event counts by 2 per
-// iteration; seed perturbs the call-site signatures.
-func mkTrace(p int, benchmark string, iters uint64, seed uint64) *trace.File {
-	all := make([]int, p)
-	for i := range all {
-		all[i] = i
-	}
-	ranks := ranklist.FromRanks(all)
-	send := trace.Event{Op: mpi.OpSend, Stack: sig.Stack(sig.Mix(seed*100 + 1)), Dest: trace.Relative(1), Tag: 1, Bytes: 256}
-	recv := trace.Event{Op: mpi.OpRecv, Stack: sig.Stack(sig.Mix(seed*100 + 2)), Src: trace.Relative(-1), Tag: 1, Bytes: 256}
-	coll := trace.Event{Op: mpi.OpAllreduce, Stack: sig.Stack(sig.Mix(seed*100 + 3)), Bytes: 8}
-	return &trace.File{
-		P:         p,
-		Benchmark: benchmark,
-		Tracer:    "chameleon",
-		Nodes: []*trace.Node{
-			trace.NewLoop(iters, []*trace.Node{
-				trace.NewLeaf(send, ranks, 1000),
-				trace.NewLeaf(recv, ranks, 0),
-			}),
-			trace.NewLeaf(coll, ranks, 500),
-		},
-	}
-}
 
 // epoch is where every test engine's clock starts.
 var epoch = time.UnixMilli(1_700_000_000_000)
@@ -259,7 +234,7 @@ func TestDeleteTombstonePropagates(t *testing.T) {
 }
 
 func TestEvaluateMatchesBenchmarkAndP(t *testing.T) {
-	goldens := map[string]*trace.File{"gold": mkTrace(4, "lulesh", 40, 7)}
+	goldens := map[string]*trace.File{"gold": tracegen.SendRecvTrace(4, "lulesh", 40, 7)}
 	lookups := 0
 	stub := stubLookup(goldens)
 	e := newEngine(t, Options{Lookup: func(tenant, id string) (*trace.File, string, error) {
@@ -275,7 +250,7 @@ func TestEvaluateMatchesBenchmarkAndP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if evs := evaluate(e, goldens, "acme", "run1", mkTrace(4, "lulesh", 40, 7)); evs != nil {
+	if evs := evaluate(e, goldens, "acme", "run1", tracegen.SendRecvTrace(4, "lulesh", 40, 7)); evs != nil {
 		t.Fatalf("non-matching specs evaluated: %+v", evs)
 	}
 	if lookups != 0 {
@@ -286,14 +261,14 @@ func TestEvaluateMatchesBenchmarkAndP(t *testing.T) {
 	if _, err := e.Register(Spec{Tenant: "acme", Name: "any", Golden: "gold"}); err != nil {
 		t.Fatal(err)
 	}
-	evs := evaluate(e, goldens, "acme", "run1", mkTrace(4, "lulesh", 40, 7))
+	evs := evaluate(e, goldens, "acme", "run1", tracegen.SendRecvTrace(4, "lulesh", 40, 7))
 	if len(evs) != 1 || evs[0].CQ != "any" || evs[0].Verdict != VerdictOK {
 		t.Fatalf("wildcard spec: %+v", evs)
 	}
 }
 
 func TestEvaluateVerdicts(t *testing.T) {
-	golden := mkTrace(4, "lulesh", 40, 7)
+	golden := tracegen.SendRecvTrace(4, "lulesh", 40, 7)
 	goldens := map[string]*trace.File{"gold": golden}
 	e := newEngine(t, Options{Lookup: stubLookup(goldens), Origin: "http://a"})
 	reg := func(s Spec) {
@@ -313,7 +288,7 @@ func TestEvaluateVerdicts(t *testing.T) {
 
 	// Golden unavailable: fail closed.
 	reg(Spec{Tenant: "acme", Name: "gate", Golden: "missing"})
-	ev := eval(mkTrace(4, "lulesh", 40, 7), "run1")
+	ev := eval(tracegen.SendRecvTrace(4, "lulesh", 40, 7), "run1")
 	if ev.Verdict != VerdictRegression || !strings.Contains(ev.Reason, "golden run unavailable") {
 		t.Fatalf("missing golden: %+v", ev)
 	}
@@ -325,14 +300,14 @@ func TestEvaluateVerdicts(t *testing.T) {
 	}
 
 	// Equivalent trace under a different address: ok, no caveat.
-	if ev := eval(mkTrace(4, "lulesh", 40, 7), "run2"); ev.Verdict != VerdictOK || ev.Reason != "" {
+	if ev := eval(tracegen.SendRecvTrace(4, "lulesh", 40, 7), "run2"); ev.Verdict != VerdictOK || ev.Reason != "" {
 		t.Fatalf("equivalent run: %+v", ev)
 	}
 
 	// One extra loop iteration = +2 events per rank and +4 dynamic
 	// events per call site (4 ranks): regression at exact match and at
 	// a bound of 3, ok under MaxEventDelta 4 (with a caveat reason).
-	drift := mkTrace(4, "lulesh", 41, 7)
+	drift := tracegen.SendRecvTrace(4, "lulesh", 41, 7)
 	if ev := eval(drift, "run3"); ev.Verdict != VerdictRegression || ev.Reason == "" {
 		t.Fatalf("drift at exact tolerance: %+v", ev)
 	}
@@ -348,7 +323,7 @@ func TestEvaluateVerdicts(t *testing.T) {
 	// A call site present on one side only is never forgiven, however
 	// generous the event-delta bound.
 	reg(Spec{Tenant: "acme", Name: "gate", Golden: "gold", MaxEventDelta: 1 << 40})
-	if ev := eval(mkTrace(4, "lulesh", 40, 99), "run6"); ev.Verdict != VerdictRegression {
+	if ev := eval(tracegen.SendRecvTrace(4, "lulesh", 40, 99), "run6"); ev.Verdict != VerdictRegression {
 		t.Fatalf("new code path forgiven: %+v", ev)
 	}
 }
@@ -356,12 +331,12 @@ func TestEvaluateVerdicts(t *testing.T) {
 func TestEvaluateTolerate(t *testing.T) {
 	// The new run diverges only on rank 0: an extra private call site.
 	mk := func() *trace.File {
-		f := mkTrace(4, "lulesh", 40, 7)
+		f := tracegen.SendRecvTrace(4, "lulesh", 40, 7)
 		ev := trace.Event{Op: mpi.OpSend, Stack: sig.Stack(sig.Mix(4242)), Dest: trace.Relative(1), Tag: 9, Bytes: 8}
 		f.Nodes = append(f.Nodes, trace.NewLeaf(ev, ranklist.FromRanks([]int{0}), 100))
 		return f
 	}
-	goldens := map[string]*trace.File{"gold": mkTrace(4, "lulesh", 40, 7)}
+	goldens := map[string]*trace.File{"gold": tracegen.SendRecvTrace(4, "lulesh", 40, 7)}
 	e := newEngine(t, Options{Lookup: stubLookup(goldens)})
 
 	if _, err := e.Register(Spec{Tenant: "acme", Name: "strict", Golden: "gold"}); err != nil {
@@ -396,7 +371,7 @@ func TestEvaluateTolerate(t *testing.T) {
 func TestEventIDsAndOnEvent(t *testing.T) {
 	var mu sync.Mutex
 	var seen []Event
-	goldens := map[string]*trace.File{"gold": mkTrace(2, "b", 10, 1)}
+	goldens := map[string]*trace.File{"gold": tracegen.SendRecvTrace(2, "b", 10, 1)}
 	e := newEngine(t, Options{
 		Lookup: stubLookup(goldens),
 		Origin: "http://peer-a:8321",
@@ -411,7 +386,7 @@ func TestEventIDsAndOnEvent(t *testing.T) {
 	}
 	ids := map[string]bool{}
 	for i := 0; i < 5; i++ {
-		evs := evaluate(e, goldens, "acme", fmt.Sprintf("run%d", i), mkTrace(2, "b", 10, 1))
+		evs := evaluate(e, goldens, "acme", fmt.Sprintf("run%d", i), tracegen.SendRecvTrace(2, "b", 10, 1))
 		id := evs[0].ID
 		if !strings.HasPrefix(id, "http://peer-a:8321#") {
 			t.Fatalf("event ID missing origin prefix: %q", id)

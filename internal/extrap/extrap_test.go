@@ -10,6 +10,7 @@ import (
 	"chameleon/internal/sig"
 	"chameleon/internal/stats"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 	"chameleon/internal/vtime"
 )
 
@@ -57,11 +58,7 @@ func TestMapRanksClassComplete(t *testing.T) {
 		t.Fatalf("interior mapped to %v", got)
 	}
 	// All ranks.
-	all := make([]int, 16)
-	for i := range all {
-		all[i] = i
-	}
-	if got := mapRanks(ranklist.FromRanks(all), src, dst, 16, 36); got.Size() != 36 {
+	if got := mapRanks(tracegen.Span(0, 16), src, dst, 16, 36); got.Size() != 36 {
 		t.Fatalf("all-ranks mapped to %d", got.Size())
 	}
 }
@@ -113,10 +110,6 @@ func TestExtrapolateErrors(t *testing.T) {
 // traceAt produces a Chameleon-like global trace for a ring code at the
 // given scale.
 func traceAt(p int, deltaNs int64) *trace.File {
-	all := make([]int, p)
-	for i := range all {
-		all[i] = i
-	}
 	ev := trace.Event{
 		Op:    mpi.OpSendrecv,
 		Stack: sig.Stack(sig.Mix(1)),
@@ -129,7 +122,7 @@ func traceAt(p int, deltaNs int64) *trace.File {
 		P: p,
 		Nodes: []*trace.Node{
 			trace.NewLoop(20, []*trace.Node{
-				trace.NewLeaf(ev, ranklist.FromRanks(all), deltaNs),
+				trace.NewLeaf(ev, tracegen.Span(0, p), deltaNs),
 			}),
 		},
 	}

@@ -7,6 +7,7 @@ import (
 	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 	"chameleon/internal/vtime"
 )
 
@@ -18,19 +19,6 @@ func mkEvent(op mpi.OpCode, site int) trace.Event {
 		Tag:   site,
 		Bytes: 64,
 	}
-}
-
-func allRanks(p int) ranklist.List {
-	ranks := make([]int, p)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return ranklist.FromRanks(ranks)
-}
-
-// leafFor builds a leaf covering the given rank list with a delta.
-func leafFor(ev trace.Event, ranks ranklist.List, delta int64) *trace.Node {
-	return trace.NewLeaf(ev, ranks, delta)
 }
 
 func TestReplayEmptyTrace(t *testing.T) {
@@ -49,7 +37,7 @@ func TestReplayRingExchange(t *testing.T) {
 	f := &trace.File{
 		P: P,
 		Nodes: []*trace.Node{
-			trace.NewLoop(10, []*trace.Node{leafFor(ev, allRanks(P), int64(vtime.Millisecond))}),
+			trace.NewLoop(10, []*trace.Node{trace.NewLeaf(ev, tracegen.Span(0, P), int64(vtime.Millisecond))}),
 		},
 	}
 	res, err := Run(f, vtime.Default())
@@ -76,8 +64,8 @@ func TestReplayRanksFiltered(t *testing.T) {
 	f := &trace.File{
 		P: P,
 		Nodes: []*trace.Node{
-			leafFor(send01, ranklist.FromRanks([]int{0, 2}), 0),
-			leafFor(recv01, ranklist.FromRanks([]int{1, 3}), 0),
+			trace.NewLeaf(send01, ranklist.FromRanks([]int{0, 2}), 0),
+			trace.NewLeaf(recv01, ranklist.FromRanks([]int{1, 3}), 0),
 		},
 	}
 	res, err := Run(f, vtime.Default())
@@ -91,7 +79,7 @@ func TestReplayRanksFiltered(t *testing.T) {
 
 func TestReplayCollectives(t *testing.T) {
 	const P = 4
-	ranks := allRanks(P)
+	ranks := tracegen.Span(0, P)
 	bcast := mkEvent(mpi.OpBcast, 1)
 	bcast.Dest = trace.Absolute(0)
 	reduce := mkEvent(mpi.OpReduce, 2)
@@ -106,7 +94,7 @@ func TestReplayCollectives(t *testing.T) {
 	scatter.Dest = trace.Absolute(0)
 	var nodes []*trace.Node
 	for _, ev := range []trace.Event{bcast, reduce, allred, gather, allgather, alltoall, barrier, scatter} {
-		nodes = append(nodes, leafFor(ev, ranks, 1000))
+		nodes = append(nodes, trace.NewLeaf(ev, ranks, 1000))
 	}
 	f := &trace.File{P: P, Nodes: nodes}
 	res, err := Run(f, vtime.Default())
@@ -141,12 +129,12 @@ func TestReplayMasterWorker(t *testing.T) {
 		Clustered: true,
 		Nodes: []*trace.Node{
 			trace.NewLoop(rounds*(P-1), []*trace.Node{
-				leafFor(recvAny, ranklist.SingleRank(0), 0),
-				leafFor(reply, ranklist.SingleRank(0), 0),
+				trace.NewLeaf(recvAny, ranklist.SingleRank(0), 0),
+				trace.NewLeaf(reply, ranklist.SingleRank(0), 0),
 			}),
 			trace.NewLoop(rounds, []*trace.Node{
-				leafFor(request, workers, int64(vtime.Millisecond)),
-				leafFor(taskRecv, workers, 0),
+				trace.NewLeaf(request, workers, int64(vtime.Millisecond)),
+				trace.NewLeaf(taskRecv, workers, 0),
 			}),
 		},
 	}
@@ -166,7 +154,7 @@ func TestReplayModuloResolution(t *testing.T) {
 	ev := mkEvent(mpi.OpSendrecv, 1)
 	ev.Dest = trace.Relative(-1)
 	ev.Src = trace.Relative(1)
-	f := &trace.File{P: P, Nodes: []*trace.Node{leafFor(ev, allRanks(P), 0)}}
+	f := &trace.File{P: P, Nodes: []*trace.Node{trace.NewLeaf(ev, tracegen.Span(0, P), 0)}}
 	res, err := Run(f, vtime.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -186,9 +174,9 @@ func TestReplayIrecvWait(t *testing.T) {
 	irecv.Tag = 5
 	wait := mkEvent(mpi.OpWait, 3)
 	f := &trace.File{P: P, Nodes: []*trace.Node{
-		leafFor(send, ranklist.SingleRank(0), 0),
-		leafFor(irecv, ranklist.SingleRank(1), 0),
-		leafFor(wait, ranklist.SingleRank(1), 0),
+		trace.NewLeaf(send, ranklist.SingleRank(0), 0),
+		trace.NewLeaf(irecv, ranklist.SingleRank(1), 0),
+		trace.NewLeaf(wait, ranklist.SingleRank(1), 0),
 	}}
 	res, err := Run(f, vtime.Default())
 	if err != nil {
@@ -203,8 +191,8 @@ func TestReplayUsesItersMean(t *testing.T) {
 	// A filtered loop replays its histogram-mean trip count.
 	const P = 2
 	ev := mkEvent(mpi.OpAllreduce, 1)
-	loop := trace.NewLoop(10, []*trace.Node{leafFor(ev, allRanks(P), 0)})
-	other := trace.NewLoop(20, []*trace.Node{leafFor(ev, allRanks(P), 0)})
+	loop := trace.NewLoop(10, []*trace.Node{trace.NewLeaf(ev, tracegen.Span(0, P), 0)})
+	other := trace.NewLoop(20, []*trace.Node{trace.NewLeaf(ev, tracegen.Span(0, P), 0)})
 	trace.MergeInto(loop, other, true) // iters histogram {10,20} -> mean 15
 	f := &trace.File{P: P, Filter: true, Nodes: []*trace.Node{loop}}
 	res, err := Run(f, vtime.Default())
@@ -237,7 +225,7 @@ func TestReplayDeterministic(t *testing.T) {
 	ev.Dest = trace.Relative(1)
 	ev.Src = trace.Relative(-1)
 	f := &trace.File{P: P, Nodes: []*trace.Node{
-		trace.NewLoop(20, []*trace.Node{leafFor(ev, allRanks(P), 5000)}),
+		trace.NewLoop(20, []*trace.Node{trace.NewLeaf(ev, tracegen.Span(0, P), 5000)}),
 	}}
 	first, err := Run(f, vtime.Default())
 	if err != nil {
@@ -260,7 +248,7 @@ func TestReplayDeltaModes(t *testing.T) {
 	ev := mkEvent(mpi.OpSendrecv, 1)
 	ev.Dest = trace.Relative(1)
 	ev.Src = trace.Relative(-1)
-	n := leafFor(ev, allRanks(P), int64(vtime.Millisecond))
+	n := trace.NewLeaf(ev, tracegen.Span(0, P), int64(vtime.Millisecond))
 	n.Delta.Add(int64(9 * vtime.Millisecond))
 	f := &trace.File{P: P, Nodes: []*trace.Node{trace.NewLoop(10, []*trace.Node{n})}}
 

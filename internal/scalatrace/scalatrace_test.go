@@ -5,25 +5,14 @@ import (
 
 	"chameleon/internal/mpi"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 	"chameleon/internal/vtime"
 )
-
-func ring(steps int) func(*mpi.Proc) {
-	return func(p *mpi.Proc) {
-		w := p.World()
-		next := (p.Rank() + 1) % p.Size()
-		prev := (p.Rank() + p.Size() - 1) % p.Size()
-		for it := 0; it < steps; it++ {
-			p.Compute(50 * vtime.Microsecond)
-			w.Sendrecv(next, 1, 128, nil, prev, 1)
-		}
-	}
-}
 
 func TestGlobalTraceCoverage(t *testing.T) {
 	const P = 8
 	col := NewCollector(P)
-	res, err := mpi.Run(mpi.Config{P: P, Hooks: New(col, Options{})}, ring(50))
+	res, err := mpi.Run(mpi.Config{P: P, Hooks: New(col, Options{})}, tracegen.Ring(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,19 +21,7 @@ func TestGlobalTraceCoverage(t *testing.T) {
 	}
 	// All ranks' events merge into a single loop covering everyone.
 	for r := 0; r < P; r++ {
-		found := false
-		var walk func(seq []*trace.Node)
-		walk = func(seq []*trace.Node) {
-			for _, n := range seq {
-				if n.IsLoop() {
-					walk(n.Body)
-				} else if n.Ranks.Contains(r) {
-					found = true
-				}
-			}
-		}
-		walk(col.Global)
-		if !found {
+		if !tracegen.Covers(col.Global, r) {
 			t.Fatalf("rank %d missing from global trace", r)
 		}
 	}
@@ -84,7 +61,7 @@ func TestIgnoresMarkers(t *testing.T) {
 
 func TestFilePackaging(t *testing.T) {
 	col := NewCollector(2)
-	if _, err := mpi.Run(mpi.Config{P: 2, Hooks: New(col, Options{})}, ring(5)); err != nil {
+	if _, err := mpi.Run(mpi.Config{P: 2, Hooks: New(col, Options{})}, tracegen.Ring(5)); err != nil {
 		t.Fatal(err)
 	}
 	f := col.File(2, "RING", false)

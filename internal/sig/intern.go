@@ -11,7 +11,7 @@ package sig
 //
 // The in-process MPI simulator runs every rank as a goroutine of one
 // process, so the table is shared by all ranks: lookups take only a
-// shard mutex, and the ID → metadata mapping is a copy-on-write slice
+// shard mutex, and the ID → metadata mapping is an append-only slice
 // read without any lock.
 
 import (
@@ -66,8 +66,8 @@ type internShard struct {
 // Table is a sharded, concurrency-safe call-site intern table.
 type Table struct {
 	shards [internShards]internShard
-	// growMu serializes meta growth; meta itself is copy-on-write so
-	// Signature/Meta reads are lock-free.
+	// growMu serializes meta growth; a published element never changes,
+	// so Signature/Meta reads are lock-free.
 	growMu sync.Mutex
 	meta   atomic.Pointer[[]SiteMeta]
 }
@@ -167,15 +167,12 @@ func (t *Table) InternSigMeta(info SiteInfo) SiteID {
 }
 
 // grow appends one site under the growth lock and publishes the new
-// copy-on-write snapshot. Callers hold a shard lock, which serializes
-// duplicate publication per bucket; distinct shards growing concurrently
-// serialize here.
+// snapshot; callers hold a shard lock. Snapshots share one backing array:
+// a reader never indexes past the length it loaded, and the Store
+// publishes the new element after it is written.
 func (t *Table) grow(m SiteMeta) SiteID {
 	t.growMu.Lock()
-	old := *t.meta.Load()
-	next := make([]SiteMeta, len(old)+1)
-	copy(next, old)
-	next[len(old)] = m
+	next := append(*t.meta.Load(), m)
 	t.meta.Store(&next)
 	t.growMu.Unlock()
 	return SiteID(len(next))

@@ -2,6 +2,7 @@ package sig
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -148,5 +149,29 @@ func TestInternSigAgreesWithPCs(t *testing.T) {
 	info, ok := Sites.Resolve(ids[0])
 	if !ok || info.Func == "" {
 		t.Errorf("captured site did not resolve to a function: %+v", info)
+	}
+}
+
+// TestInternGrowthCostsTheNewSites: a new site costs its own entry, not
+// a copy of the table. The archive interns every site of every payload
+// it scans into the process-wide table; with a copy per site, 1 500 new
+// sites into a table of 4 500 allocated 547 MB.
+func TestInternGrowthCostsTheNewSites(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what a call allocates")
+	}
+	var before, after runtime.MemStats
+	table := NewTable()
+	for i := 0; i < 6000; i++ {
+		if i == 4500 {
+			runtime.ReadMemStats(&before)
+		}
+		table.InternSigMeta(SiteInfo{Sig: Mix(uint64(i)), Func: "app.f", File: "app.go", Line: i})
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("1 500 new sites: %.2f MB", float64(got)/(1<<20))
+	if table.Len() != 6000 || got > 4<<20 {
+		t.Fatalf("%d sites; the last 1 500 allocated %.1f MB, want < 4 MB", table.Len(), float64(got)/(1<<20))
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"chameleon/internal/obs"
 	"chameleon/internal/sig"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 )
 
 func TestMain(m *testing.M) {
@@ -33,11 +34,11 @@ func TestMain(m *testing.M) {
 
 // nonOwned returns n canonical payloads (and their IDs) of at least
 // size bytes whose owners do not include edge. They are one trace,
-// mkTrace grown by broadcasts from 16 call sites until it is large
-// enough, under a benchmark name of its own each.
+// tracegen.SendRecvTrace grown by broadcasts from 16 call sites until it
+// is large enough, under a benchmark name of its own each.
 func nonOwned(t *testing.T, edge *fedPeer, n, size int, benchmark string) ([][]byte, []string) {
 	t.Helper()
-	f := mkTrace(4, benchmark, 0)
+	f := tracegen.SendRecvTrace(4, benchmark, 40, 0)
 	ranks := f.Nodes[1].Ranks
 	for i := 0; ; i++ {
 		if i%64 == 0 {

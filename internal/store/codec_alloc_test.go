@@ -21,6 +21,7 @@ import (
 	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 	"chameleon/internal/zan"
 )
 
@@ -366,7 +367,7 @@ func TestDiffOfWideListsCostsItsLists(t *testing.T) {
 			}
 			return 0
 		}
-		for _, r := range append(makeRange(0, 128), makeRange(p-128, p)...) {
+		for _, r := range append(tracegen.Span(0, 128).Ranks(), tracegen.Span(p-128, 128).Ranks()...) {
 			var delta int64
 			for i := 0; i < 64; i++ {
 				delta += in(list(0)(i), r) - in(list(1)(i), r)
@@ -427,15 +428,6 @@ func TestDiffOfWideListsCostsItsLists(t *testing.T) {
 			t.Fatalf("gate events: %+v", feed.Events)
 		}
 	})
-}
-
-// makeRange returns the ints [from, to).
-func makeRange(from, to int) []int {
-	out := make([]int, 0, to-from)
-	for r := from; r < to; r++ {
-		out = append(out, r)
-	}
-	return out
 }
 
 // STENCIL's stats cost does not grow with P: from P=64 to P=1024 the

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"chameleon/internal/obs"
+	"chameleon/internal/tracegen"
 )
 
 // TestConcurrentArchive64 hammers one archive from 64 goroutines with a
@@ -47,7 +48,7 @@ func TestConcurrentArchive64(t *testing.T) {
 				seed := seeds[(w*opsPerWorker+op)%len(seeds)]
 				switch (w + op) % 4 {
 				case 0: // ingest (often a dedup of a colliding worker's run)
-					run, _, err := a.Ingest(mkTrace(8, "PHASE", seed))
+					run, _, err := a.Ingest(tracegen.SendRecvTrace(8, "PHASE", 40, seed))
 					if err != nil {
 						errs <- fmt.Errorf("worker %d ingest: %w", w, err)
 						return
@@ -65,7 +66,7 @@ func TestConcurrentArchive64(t *testing.T) {
 						}
 					}
 				case 2: // churn: ingest a worker-unique run, then delete it
-					run, _, err := a.Ingest(mkTrace(4, "CHURN", uint64(1000+w*opsPerWorker+op)))
+					run, _, err := a.Ingest(tracegen.SendRecvTrace(4, "CHURN", 40, uint64(1000+w*opsPerWorker+op)))
 					if err != nil {
 						errs <- fmt.Errorf("worker %d churn ingest: %w", w, err)
 						return
@@ -125,14 +126,14 @@ func TestConcurrentHTTP(t *testing.T) {
 	srv := httptest.NewServer(NewServer(a, ServerOptions{}))
 	defer srv.Close()
 
-	seedRun, _, err := a.Ingest(mkTrace(8, "PHASE", 0))
+	seedRun, _, err := a.Ingest(tracegen.SendRecvTrace(8, "PHASE", 40, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	payloads := make([][]byte, 8)
 	for i := range payloads {
-		if payloads[i], _, err = Encode(mkTrace(8, "PHASE", uint64(i))); err != nil {
+		if payloads[i], _, err = Encode(tracegen.SendRecvTrace(8, "PHASE", 40, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"chameleon/internal/tracegen"
 )
 
 func TestFedStorm(t *testing.T) {
@@ -34,7 +36,7 @@ func TestFedStorm(t *testing.T) {
 	for i := 0; i < stormPushers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			f := mkTrace(4, fmt.Sprintf("storm-%d", i%16), uint64(1000+i))
+			f := tracegen.SendRecvTrace(4, fmt.Sprintf("storm-%d", i%16), 40, uint64(1000+i))
 			canon, id, err := Encode(f)
 			if err != nil {
 				results[i] = result{err: err}

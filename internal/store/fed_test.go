@@ -19,6 +19,7 @@ import (
 	"chameleon/internal/cq"
 	"chameleon/internal/mesh"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 )
 
 // fedPeer is one in-process federated chamd: archive, ring state, CQ
@@ -188,7 +189,7 @@ func TestFedReplicationAndByteIdenticalReads(t *testing.T) {
 	}
 	var runs []pushed
 	for seed := uint64(0); seed < 12; seed++ {
-		f := mkTrace(4, "lulesh", seed)
+		f := tracegen.SendRecvTrace(4, "lulesh", 40, seed)
 		canon, id, err := Encode(f)
 		if err != nil {
 			t.Fatal(err)
@@ -251,7 +252,7 @@ func TestFedScatterListPagination(t *testing.T) {
 	peers := startMesh(t, 3, meshConfig{replicas: 2})
 	want := map[string]bool{}
 	for seed := uint64(0); seed < 12; seed++ {
-		run := pushVia(t, peers[int(seed)%3], "", mkTrace(4, "lulesh", seed))
+		run := pushVia(t, peers[int(seed)%3], "", tracegen.SendRecvTrace(4, "lulesh", 40, seed))
 		want[run.ID] = true
 	}
 
@@ -322,7 +323,7 @@ func TestFedScatterListPagination(t *testing.T) {
 	// smuggle a parameter into the uncapped intra-mesh read.
 	for _, label := range []string{"LU A", "a&limit=1"} {
 		for seed := uint64(0); seed < 6; seed++ {
-			pushVia(t, peers[int(seed)%3], "", mkTrace(4, label, 50+seed))
+			pushVia(t, peers[int(seed)%3], "", tracegen.SendRecvTrace(4, label, 40, 50+seed))
 		}
 		for _, p := range peers {
 			lr, err := FetchRuns(p.url, "benchmark="+url.QueryEscape(label), 0, 0)
@@ -337,7 +338,7 @@ func TestFedScatterListPagination(t *testing.T) {
 }
 
 func TestFedTenantIsolationAndQuota(t *testing.T) {
-	small := mkTrace(4, "quota", 1)
+	small := tracegen.SendRecvTrace(4, "quota", 40, 1)
 	canonSmall, _, err := Encode(small)
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +473,7 @@ func TestRateLimiterBoundsTenants(t *testing.T) {
 
 func TestFedConditionalStatsAndWaves(t *testing.T) {
 	peers := startMesh(t, 3, meshConfig{replicas: 2})
-	f := mkTrace(4, "etag", 3)
+	f := tracegen.SendRecvTrace(4, "etag", 40, 3)
 	run := pushVia(t, peers[0], "", f)
 
 	// stats: the report is a pure function of the run, so the ETag is
@@ -537,7 +538,7 @@ func TestFedConditionalStatsAndWaves(t *testing.T) {
 func TestFedCQRegressionGate(t *testing.T) {
 	peers := startMesh(t, 3, meshConfig{replicas: 2})
 
-	golden := pushVia(t, peers[0], "", mkTrace(4, "lulesh", 7))
+	golden := pushVia(t, peers[0], "", tracegen.SendRecvTrace(4, "lulesh", 40, 7))
 
 	spec, err := RegisterCQ(peers[0].url, cq.Spec{Name: "gate", Benchmark: "lulesh", Golden: golden.ID[:16]})
 	if err != nil {
@@ -559,7 +560,7 @@ func TestFedCQRegressionGate(t *testing.T) {
 
 	// An equivalent run under a different content address gates ok:
 	// timings differ, structure does not.
-	ok := mkTrace(4, "lulesh", 7)
+	ok := tracegen.SendRecvTrace(4, "lulesh", 40, 7)
 	ok.Nodes[1].Delta.Add(999)
 	okRun := pushVia(t, peers[1], "", ok)
 	if okRun.ID == golden.ID {
@@ -568,7 +569,7 @@ func TestFedCQRegressionGate(t *testing.T) {
 
 	// A structural drift gates as a regression, and the event reaches a
 	// watcher long-polling any peer.
-	drift := mkTrace(4, "lulesh", 7)
+	drift := tracegen.SendRecvTrace(4, "lulesh", 40, 7)
 	drift.Nodes[0].Iters++
 	driftRun := pushVia(t, peers[2], "", drift)
 
@@ -636,7 +637,7 @@ func TestFedAntiEntropySweep(t *testing.T) {
 
 	// Simulate a fallback replica: a run living only on a peer that
 	// does not own it (its owners were down at ingest time).
-	f := mkTrace(4, "repair", 11)
+	f := tracegen.SendRecvTrace(4, "repair", 40, 11)
 	_, id, err := Encode(f)
 	if err != nil {
 		t.Fatal(err)
@@ -720,7 +721,7 @@ func TestFedWriteSurvivesDeadOwners(t *testing.T) {
 	var f *trace.File
 	var id string
 	for seed := uint64(100); ; seed++ {
-		cand := mkTrace(4, "failover", seed)
+		cand := tracegen.SendRecvTrace(4, "failover", 40, seed)
 		_, cid, err := Encode(cand)
 		if err != nil {
 			t.Fatal(err)
@@ -766,7 +767,7 @@ func TestFedWriteSurvivesDeadOwners(t *testing.T) {
 
 func TestFedEdgesFanout(t *testing.T) {
 	peers := startMesh(t, 3, meshConfig{replicas: 2})
-	run := pushVia(t, peers[0], "", mkTrace(4, "edges", 5))
+	run := pushVia(t, peers[0], "", tracegen.SendRecvTrace(4, "edges", 40, 5))
 
 	owners := map[string]bool{}
 	for _, o := range peers[0].node.Owners(run.ID) {
@@ -862,7 +863,7 @@ func TestFedDiffProxies(t *testing.T) {
 	first := map[string]cand{}
 	var a, b cand
 	for seed := uint64(0); ; seed++ {
-		f := mkTrace(4, "diff", seed)
+		f := tracegen.SendRecvTrace(4, "diff", 40, seed)
 		_, id, err := Encode(f)
 		if err != nil {
 			t.Fatal(err)
@@ -938,7 +939,7 @@ func TestFedMeshSecret(t *testing.T) {
 
 	// The mesh still functions end-to-end with the key in play: PUT
 	// fan-out places R=2 replicas, public reads proxy.
-	run := pushVia(t, peers[0], "acme", mkTrace(4, "secured", 3))
+	run := pushVia(t, peers[0], "acme", tracegen.SendRecvTrace(4, "secured", 40, 3))
 	copies := 0
 	for _, p := range peers {
 		code, _, _ := tenantDo(t, http.MethodGet, p.url+"/runs/"+run.ID, "acme", nil, withKey(spoof))
@@ -1057,7 +1058,7 @@ func TestFedMeshSecretRateLimit(t *testing.T) {
 
 func TestFedCQDeleteTombstone(t *testing.T) {
 	peers := startMesh(t, 3, meshConfig{replicas: 2})
-	golden := pushVia(t, peers[0], "", mkTrace(4, "lulesh", 7))
+	golden := pushVia(t, peers[0], "", tracegen.SendRecvTrace(4, "lulesh", 40, 7))
 	if _, err := RegisterCQ(peers[0].url, cq.Spec{Name: "gate", Benchmark: "lulesh", Golden: golden.ID}); err != nil {
 		t.Fatal(err)
 	}
@@ -1105,7 +1106,7 @@ func TestFedCQDeleteTombstone(t *testing.T) {
 
 func TestFedMeshStatus(t *testing.T) {
 	peers := startMesh(t, 3, meshConfig{replicas: 2})
-	pushVia(t, peers[0], "acme", mkTrace(4, "status", 21))
+	pushVia(t, peers[0], "acme", tracegen.SendRecvTrace(4, "status", 40, 21))
 
 	st, err := FetchMeshStatus(peers[0].url)
 	if err != nil {

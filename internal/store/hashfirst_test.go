@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 )
 
 // A PUT is hashed before it is decoded, and the hash is answered from
@@ -18,7 +19,7 @@ import (
 // ingest for any other tenant, stored in its own tree and charged to its
 // own quota.
 func TestHashFirstDedupIsPerTenant(t *testing.T) {
-	payload, id, err := Encode(mkTrace(8, "PHASE", 1))
+	payload, id, err := Encode(tracegen.SendRecvTrace(8, "PHASE", 40, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestHashFirstDedupIsPerTenant(t *testing.T) {
 		t.Fatalf("usage %v, want %d charged to each tenant", u, len(payload))
 	}
 	// globex's quota is spent on its own copy: another run is refused.
-	other, _, err := Encode(mkTrace(8, "PHASE", 2))
+	other, _, err := Encode(tracegen.SendRecvTrace(8, "PHASE", 40, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestHashFirstDedupIsPerTenant(t *testing.T) {
 // A PUT of bytes the tenant deleted is a new ingest, not a dedup.
 func TestPutAfterDeleteReingests(t *testing.T) {
 	a, srv := newTestServer(t, Options{}, ServerOptions{})
-	payload, id, err := Encode(mkTrace(8, "PHASE", 1))
+	payload, id, err := Encode(tracegen.SendRecvTrace(8, "PHASE", 40, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestPutAfterDeleteReingests(t *testing.T) {
 // bytes and store them again — not describe a run with no summary.
 func TestIngestOfHeldBytesDeletedBeforeIngest(t *testing.T) {
 	a := openTemp(t, Options{})
-	f := mkTrace(8, "PHASE", 1)
+	f := tracegen.SendRecvTrace(8, "PHASE", 40, 1)
 	payload, id, err := Encode(f)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,7 @@ func TestIngestOfHeldBytesDeletedBeforeIngest(t *testing.T) {
 // iterations.
 func TestDeleteRacingDedupPut(t *testing.T) {
 	a, srv := newTestServer(t, Options{}, ServerOptions{})
-	f := mkTrace(8, "PHASE", 1)
+	f := tracegen.SendRecvTrace(8, "PHASE", 40, 1)
 	payload, id, err := Encode(f)
 	if err != nil {
 		t.Fatal(err)

@@ -15,6 +15,7 @@ import (
 
 	"chameleon/internal/obs"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 )
 
 // referenceManifest is the index file the archive wrote before there
@@ -136,9 +137,9 @@ func crashedArchive(t *testing.T, last func(t *testing.T, a *Archive, m archiveM
 	}
 	acme := a.Tenant("acme")
 	m := archiveModel{}
-	m.put(mustIngest(t, a.TenantView, mkTrace(4, "LU", 100)))
-	m.put(mustIngest(t, acme, mkTrace(4, "LU", 100))) // same content, other tenant
-	doomed := mustIngest(t, a.TenantView, mkTrace(4, "BT", 101))
+	m.put(mustIngest(t, a.TenantView, tracegen.SendRecvTrace(4, "LU", 40, 100)))
+	m.put(mustIngest(t, acme, tracegen.SendRecvTrace(4, "LU", 40, 100))) // same content, other tenant
+	doomed := mustIngest(t, a.TenantView, tracegen.SendRecvTrace(4, "BT", 40, 101))
 	if _, err := a.Compact(); err != nil { // checkpoint: everything above is in manifest.json
 		t.Fatal(err)
 	}
@@ -146,11 +147,11 @@ func crashedArchive(t *testing.T, last func(t *testing.T, a *Archive, m archiveM
 	if err := a.Delete(doomed.ID); err != nil { // a del of a checkpointed run
 		t.Fatal(err)
 	}
-	gone := mustIngest(t, acme, mkTrace(4, "SP", 103))
+	gone := mustIngest(t, acme, tracegen.SendRecvTrace(4, "SP", 40, 103))
 	if err := acme.Delete(gone.ID); err != nil { // a del of a logged put
 		t.Fatal(err)
 	}
-	m.put(mustIngest(t, a.TenantView, mkTrace(2, "CG", 104)))
+	m.put(mustIngest(t, a.TenantView, tracegen.SendRecvTrace(2, "CG", 40, 104)))
 	before = m.clone()
 	last(t, a, m)
 	log, err = os.ReadFile(a.logPath())
@@ -168,7 +169,7 @@ var twoTenants = []string{DefaultTenant, "acme"}
 // putMG is the usual last change of a crashedArchive: one more run for
 // tenant acme.
 func putMG(t *testing.T, a *Archive, m archiveModel) {
-	m.put(mustIngest(t, a.Tenant("acme"), mkTrace(4, "MG", 105)))
+	m.put(mustIngest(t, a.Tenant("acme"), tracegen.SendRecvTrace(4, "MG", 40, 105)))
 }
 
 // A crash can cut the last log record at any byte. Whatever the cut,
@@ -242,7 +243,7 @@ func TestLogTornTailEveryByte(t *testing.T) {
 				// The next change lands on a clean tail: crash again
 				// (no Close) and it is there, beside everything else.
 				want = want.clone()
-				want.put(mustIngest(t, a.TenantView, mkTrace(2, "FT", 106)))
+				want.put(mustIngest(t, a.TenantView, tracegen.SendRecvTrace(2, "FT", 40, 106)))
 				b, err := Open(crashed, Options{})
 				if err != nil {
 					t.Fatalf("%s: Open after the next ingest: %v", when, err)
@@ -310,7 +311,7 @@ func TestLogCorruptMiddleLineFailsOpen(t *testing.T) {
 func TestSegmentWithoutLogRecordIsOrphan(t *testing.T) {
 	var lost Run
 	dir, before, _, log := crashedArchive(t, func(t *testing.T, a *Archive, m archiveModel) {
-		lost = mustIngest(t, a.Tenant("acme"), mkTrace(4, "MG", 105))
+		lost = mustIngest(t, a.Tenant("acme"), tracegen.SendRecvTrace(4, "MG", 40, 105))
 		m.put(lost)
 	})
 	start := bytes.LastIndexByte(log[:len(log)-1], '\n') + 1
@@ -356,7 +357,7 @@ func TestLogAppendFailureRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := archiveModel{}
-	kept := mustIngest(t, a.TenantView, mkTrace(4, "LU", 200))
+	kept := mustIngest(t, a.TenantView, tracegen.SendRecvTrace(4, "LU", 40, 200))
 	m.put(kept)
 	log, err := os.ReadFile(a.logPath())
 	if err != nil {
@@ -369,7 +370,7 @@ func TestLogAppendFailureRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	refused := mkTrace(4, "LU", 201)
+	refused := tracegen.SendRecvTrace(4, "LU", 40, 201)
 	if _, _, err := a.Ingest(refused); err == nil {
 		t.Fatal("ingest acknowledged a run whose log line was not written")
 	}
@@ -467,7 +468,7 @@ func TestLogAgainstModel(t *testing.T) {
 					// reopens.
 					f := mkWideTrace(8, "PHASE", next)
 					if rng.Intn(5) == 0 {
-						f = mkTrace(4, "LU", next)
+						f = tracegen.SendRecvTrace(4, "LU", 40, next)
 					}
 					payload, id, err := Encode(f)
 					if err != nil {
@@ -559,7 +560,7 @@ func growthArchive(t testing.TB, n int) (a *Archive, checkpoints int, written in
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, _, err := a.Ingest(mkTrace(2, "LU", uint64(i))); err != nil {
+		if _, _, err := a.Ingest(tracegen.SendRecvTrace(2, "LU", 40, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -616,13 +617,13 @@ func BenchmarkIngestGrowth(b *testing.B) {
 			}
 			defer a.Close()
 			for i := 0; i < held; i++ {
-				if _, _, err := a.Ingest(mkTrace(2, "LU", uint64(i))); err != nil {
+				if _, _, err := a.Ingest(tracegen.SendRecvTrace(2, "LU", 40, uint64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}
 			files := make([]*trace.File, b.N)
 			for i := range files {
-				files[i] = mkTrace(2, "LU", uint64(held+i))
+				files[i] = tracegen.SendRecvTrace(2, "LU", 40, uint64(held+i))
 			}
 			b.ResetTimer()
 			for _, f := range files {

@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"chameleon/internal/tracegen"
 )
 
 // A handler still running at RequestTimeout is answered 503 by the
@@ -65,7 +67,7 @@ func TestSlowBodyAnsweredAtDeadline(t *testing.T) {
 	a := openTemp(t, Options{})
 	srv := httptest.NewServer(NewServer(a, ServerOptions{RequestTimeout: 50 * time.Millisecond}))
 	defer srv.Close()
-	payload, _, err := Encode(mkTrace(4, "slow", 1))
+	payload, _, err := Encode(tracegen.SendRecvTrace(4, "slow", 40, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +328,7 @@ func TestListingAllocationBound(t *testing.T) {
 		at[p.url] = p
 	}
 	for i := 0; i < 200; i++ {
-		payload, id, err := Encode(mkTrace(4, fmt.Sprintf("list-%d", i), uint64(i)))
+		payload, id, err := Encode(tracegen.SendRecvTrace(4, fmt.Sprintf("list-%d", i), 40, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"chameleon/internal/cq"
 	"chameleon/internal/mesh"
 	"chameleon/internal/obs"
+	"chameleon/internal/tracegen"
 )
 
 // conformanceRig is one server under test — the pipeline NewServer
@@ -51,7 +52,7 @@ func newConformanceRig(t *testing.T, opts ServerOptions) *conformanceRig {
 	}
 	opts.Reg, opts.Metrics, opts.Mesh, opts.CQ = rig.reg, true, node, rig.eng
 	rig.s = NewServer(a, opts).(*server)
-	if rig.runBody, _, err = Encode(mkTrace(4, "conformance", 1)); err != nil {
+	if rig.runBody, _, err = Encode(tracegen.SendRecvTrace(4, "conformance", 40, 1)); err != nil {
 		t.Fatal(err)
 	}
 	return rig

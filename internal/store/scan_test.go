@@ -19,6 +19,7 @@ import (
 	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 	"chameleon/internal/zan"
 )
 
@@ -59,7 +60,7 @@ func TestNonCanonicalPushesLandUnderTheirReencoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	var js bytes.Buffer
-	if err := mkTrace(4, "split", 31).Write(&js); err != nil {
+	if err := tracegen.SendRecvTrace(4, "split", 40, 31).Write(&js); err != nil {
 		t.Fatal(err)
 	}
 	split := strings.ReplaceAll(js.String(), `[{"start":0,"dims":[[4,1]]}]`,
@@ -69,7 +70,7 @@ func TestNonCanonicalPushesLandUnderTheirReencoding(t *testing.T) {
 	}
 	js.Reset()
 	// Metadata interned is process-wide: these signatures are this test's.
-	known := mkTrace(4, "known sites", 0x5ca9)
+	known := tracegen.SendRecvTrace(4, "known sites", 40, 0x5ca9)
 	if err := known.Write(&js); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestNonCanonicalPushesLandUnderTheirReencoding(t *testing.T) {
 // stored as before.
 func TestJSONPushThatCannotReadBackIsRefused(t *testing.T) {
 	var js bytes.Buffer
-	if err := mkTrace(4, "refused", 37).Write(&js); err != nil {
+	if err := tracegen.SendRecvTrace(4, "refused", 40, 37).Write(&js); err != nil {
 		t.Fatal(err)
 	}
 	const list = `[{"start":0,"dims":[[4,1]]}]`
@@ -260,12 +261,12 @@ func TestPutMatchingCQReachesVerdict(t *testing.T) {
 		return run
 	}
 
-	golden := push(mkTrace(4, "lulesh", 7))
+	golden := push(tracegen.SendRecvTrace(4, "lulesh", 40, 7))
 	if _, err := RegisterCQ(srv.URL, cq.Spec{Name: "gate", Benchmark: "lulesh", Golden: golden.ID}); err != nil {
 		t.Fatal(err)
 	}
-	other := push(mkTrace(4, "miniFE", 7))
-	drift := mkTrace(4, "lulesh", 7)
+	other := push(tracegen.SendRecvTrace(4, "miniFE", 40, 7))
+	drift := tracegen.SendRecvTrace(4, "lulesh", 40, 7)
 	drift.Nodes[0].Iters++
 	driftRun := push(drift)
 

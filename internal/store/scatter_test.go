@@ -22,6 +22,7 @@ import (
 	"chameleon/internal/clock"
 	"chameleon/internal/mesh"
 	"chameleon/internal/obs"
+	"chameleon/internal/tracegen"
 )
 
 // newestUnion is the model of GET /runs over a mesh: the holders' full
@@ -99,7 +100,7 @@ func TestScatterListModel(t *testing.T) {
 			}
 			for k := 0; k < 20; k++ {
 				seed++
-				f := mkTrace(2+2*rng.Intn(2), []string{"lu", "cg", "ft"}[rng.Intn(3)], seed)
+				f := tracegen.SendRecvTrace(2+2*rng.Intn(2), []string{"lu", "cg", "ft"}[rng.Intn(3)], 40, seed)
 				tick()
 				if rng.Intn(2) == 0 {
 					pushVia(t, peers[rng.Intn(len(peers))], "", f) // onto the run's R owners
@@ -179,7 +180,7 @@ func TestScatterListEdgeIndependence(t *testing.T) {
 	peers := startMesh(t, 3, meshConfig{replicas: 2, clock: clk})
 	const runs = 40
 	for k := 0; k < runs; k++ {
-		pushVia(t, peers[k%3], "", mkTrace(4, "indep", uint64(k)))
+		pushVia(t, peers[k%3], "", tracegen.SendRecvTrace(4, "indep", 40, uint64(k)))
 		for _, c := range clocks {
 			c.Advance(time.Second)
 		}
@@ -240,7 +241,7 @@ func TestScatterListPartial(t *testing.T) {
 	peers := startMesh(t, 4, meshConfig{replicas: 2, stub: func(i int) http.Handler { return broken[i] }})
 	live := peers[:2]
 	for k := 0; k < 12; k++ {
-		f := mkTrace(4, "partial", uint64(k))
+		f := tracegen.SendRecvTrace(4, "partial", 40, uint64(k))
 		for _, i := range [][]int{{0}, {1}, {0, 1}}[k%3] {
 			if _, _, err := live[i].a.Ingest(f); err != nil {
 				t.Fatal(err)
@@ -287,7 +288,7 @@ func placeRuns(t *testing.T, runs int, stray func(id string, node *mesh.Node) bo
 		at[p.url] = p
 	}
 	for k := 0; k < runs; k++ {
-		payload, id, err := Encode(mkTrace(4, "budget", uint64(k)))
+		payload, id, err := Encode(tracegen.SendRecvTrace(4, "budget", 40, uint64(k)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,12 +462,12 @@ func TestScatterListLendsRecords(t *testing.T) {
 	var payloads [][]byte
 	var ids []string
 	for k := 0; k < 12; k++ {
-		payload, id, err := Encode(mkTrace(4, "lend", uint64(k)))
+		payload, id, err := Encode(tracegen.SendRecvTrace(4, "lend", 40, uint64(k)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		payloads, ids = append(payloads, payload), append(ids, id)
-		pushVia(t, peers[k%3], "", mkTrace(4, "lend", uint64(k)))
+		pushVia(t, peers[k%3], "", tracegen.SendRecvTrace(4, "lend", 40, uint64(k)))
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"chameleon/internal/obs"
+	"chameleon/internal/tracegen"
 )
 
 func newTestServer(t *testing.T, archOpts Options, srvOpts ServerOptions) (*Archive, *httptest.Server) {
@@ -62,7 +63,7 @@ func putTrace(t *testing.T, url string, payload []byte, gzipBody bool) (*http.Re
 
 func TestPutIdempotent(t *testing.T) {
 	_, srv := newTestServer(t, Options{}, ServerOptions{})
-	payload, id, err := Encode(mkTrace(8, "PHASE", 1))
+	payload, id, err := Encode(tracegen.SendRecvTrace(8, "PHASE", 40, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestPutIdempotent(t *testing.T) {
 
 func TestGetBinaryJSONAndCache(t *testing.T) {
 	a, srv := newTestServer(t, Options{}, ServerOptions{})
-	f := mkTrace(8, "PHASE", 2)
+	f := tracegen.SendRecvTrace(8, "PHASE", 40, 2)
 	payload, id, _ := Encode(f)
 	if _, _, err := a.Ingest(f); err != nil {
 		t.Fatal(err)
@@ -212,11 +213,11 @@ func TestGzipTransferEndToEnd(t *testing.T) {
 func TestListEndpoint(t *testing.T) {
 	a, srv := newTestServer(t, Options{}, ServerOptions{})
 	for i := uint64(0); i < 3; i++ {
-		if _, _, err := a.Ingest(mkTrace(8, "PHASE", 10+i)); err != nil {
+		if _, _, err := a.Ingest(tracegen.SendRecvTrace(8, "PHASE", 40, 10+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := a.Ingest(mkTrace(4, "LU", 20)); err != nil {
+	if _, _, err := a.Ingest(tracegen.SendRecvTrace(4, "LU", 40, 20)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,13 +278,13 @@ func hexSig(s uint64) string {
 
 func TestDiffEndpoint(t *testing.T) {
 	a, srv := newTestServer(t, Options{}, ServerOptions{})
-	same1, _, err := a.Ingest(mkTrace(8, "PHASE", 30))
+	same1, _, err := a.Ingest(tracegen.SendRecvTrace(8, "PHASE", 40, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same structure re-ingested dedups, so diff a run against itself
 	// and against a structurally different one.
-	other, _, err := a.Ingest(mkTrace(8, "PHASE", 31))
+	other, _, err := a.Ingest(tracegen.SendRecvTrace(8, "PHASE", 40, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestDiffEndpoint(t *testing.T) {
 
 func TestMaxBodyLimit(t *testing.T) {
 	_, srv := newTestServer(t, Options{}, ServerOptions{MaxBodyBytes: 64})
-	payload, _, _ := Encode(mkTrace(8, "PHASE", 40))
+	payload, _, _ := Encode(tracegen.SendRecvTrace(8, "PHASE", 40, 40))
 	resp, _ := putTrace(t, srv.URL, payload, false)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize PUT: %s, want 413", resp.Status)
@@ -353,7 +354,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(NewServer(a, ServerOptions{Metrics: true, Reg: reg}))
 	defer srv.Close()
 
-	payload, _, _ := Encode(mkTrace(8, "PHASE", 50))
+	payload, _, _ := Encode(tracegen.SendRecvTrace(8, "PHASE", 40, 50))
 	if resp, _ := putTrace(t, srv.URL, payload, false); resp.StatusCode != http.StatusCreated {
 		t.Fatal("seed ingest failed")
 	}
@@ -413,7 +414,7 @@ func TestHealthz(t *testing.T) {
 
 func TestPushClient(t *testing.T) {
 	a, srv := newTestServer(t, Options{}, ServerOptions{})
-	f := mkTrace(8, "PHASE", 60)
+	f := tracegen.SendRecvTrace(8, "PHASE", 40, 60)
 
 	run, created, err := Push(srv.URL, f, true)
 	if err != nil || !created {
@@ -439,7 +440,7 @@ func TestPushClient(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	a, srv := newTestServer(t, Options{}, ServerOptions{})
-	f := mkTrace(8, "PHASE", 3)
+	f := tracegen.SendRecvTrace(8, "PHASE", 40, 3)
 	run, _, err := a.Ingest(f)
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +462,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if out.ID != run.ID {
 		t.Errorf("stats ID = %s, want %s", out.ID, run.ID)
 	}
-	// mkTrace: loop(40){Send, Recv} + Allreduce over 8 ranks.
+	// tracegen.SendRecvTrace: loop(40){Send, Recv} + Allreduce over 8 ranks.
 	wantEvents := uint64((40*2 + 1) * 8)
 	if out.Report == nil || out.Report.Events != wantEvents {
 		t.Fatalf("stats report events = %+v, want %d", out.Report, wantEvents)
@@ -509,7 +510,7 @@ func TestStatsEndpoint(t *testing.T) {
 // holding the new tag gets its 304.
 func TestStatsETagNamesTheReportShape(t *testing.T) {
 	a, srv := newTestServer(t, Options{}, ServerOptions{})
-	run, _, err := a.Ingest(mkTrace(8, "PHASE", 3))
+	run, _, err := a.Ingest(tracegen.SendRecvTrace(8, "PHASE", 40, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +574,7 @@ func waveEdges(t *testing.T, p, origin int) []byte {
 
 func TestEdgesAndWavesEndpoints(t *testing.T) {
 	a, srv := newTestServer(t, Options{}, ServerOptions{})
-	payload, id, err := Encode(mkTrace(8, "PHASE", 1))
+	payload, id, err := Encode(tracegen.SendRecvTrace(8, "PHASE", 40, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,46 +9,16 @@ import (
 	"testing"
 
 	"chameleon/internal/mpi"
-	"chameleon/internal/ranklist"
 	"chameleon/internal/sig"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 )
 
-// mkTrace builds a small deterministic trace file; seed perturbs the
-// call-site signatures so distinct seeds yield distinct content
-// addresses.
-func mkTrace(p int, benchmark string, seed uint64) *trace.File {
-	all := make([]int, p)
-	for i := range all {
-		all[i] = i
-	}
-	ranks := ranklist.FromRanks(all)
-	send := trace.Event{Op: mpi.OpSend, Stack: sig.Stack(sig.Mix(seed*100 + 1)), Dest: trace.Relative(1), Tag: 1, Bytes: 256}
-	recv := trace.Event{Op: mpi.OpRecv, Stack: sig.Stack(sig.Mix(seed*100 + 2)), Src: trace.Relative(-1), Tag: 1, Bytes: 256}
-	coll := trace.Event{Op: mpi.OpAllreduce, Stack: sig.Stack(sig.Mix(seed*100 + 3)), Bytes: 8}
-	return &trace.File{
-		P:         p,
-		Benchmark: benchmark,
-		Tracer:    "chameleon",
-		Nodes: []*trace.Node{
-			trace.NewLoop(40, []*trace.Node{
-				trace.NewLeaf(send, ranks, 1000),
-				trace.NewLeaf(recv, ranks, 0),
-			}),
-			trace.NewLeaf(coll, ranks, 500),
-		},
-	}
-}
-
-// mkWideTrace is mkTrace with many distinct call sites, large enough
-// that gzip actually shrinks the payload.
+// mkWideTrace is tracegen.SendRecvTrace with many distinct call sites,
+// large enough that gzip actually shrinks the payload.
 func mkWideTrace(p int, benchmark string, seed uint64) *trace.File {
-	f := mkTrace(p, benchmark, seed)
-	all := make([]int, p)
-	for i := range all {
-		all[i] = i
-	}
-	ranks := ranklist.FromRanks(all)
+	f := tracegen.SendRecvTrace(p, benchmark, 40, seed)
+	ranks := tracegen.Span(0, p)
 	for i := uint64(0); i < 128; i++ {
 		ev := trace.Event{Op: mpi.OpBcast, Stack: sig.Stack(sig.Mix(seed*1000 + i)), Bytes: int(8 * i)}
 		f.Nodes = append(f.Nodes, trace.NewLeaf(ev, ranks, int64(100*i)))
@@ -83,7 +53,7 @@ func countSegments(t *testing.T, a *Archive) int {
 
 func TestIngestDedup(t *testing.T) {
 	a := openTemp(t, Options{})
-	f := mkTrace(8, "PHASE", 1)
+	f := tracegen.SendRecvTrace(8, "PHASE", 40, 1)
 
 	r1, created, err := a.Ingest(f)
 	if err != nil {
@@ -92,7 +62,7 @@ func TestIngestDedup(t *testing.T) {
 	if !created {
 		t.Fatal("first ingest should create a segment")
 	}
-	r2, created, err := a.Ingest(mkTrace(8, "PHASE", 1)) // fresh but identical File
+	r2, created, err := a.Ingest(tracegen.SendRecvTrace(8, "PHASE", 40, 1)) // fresh but identical File
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +85,7 @@ func TestIngestDedup(t *testing.T) {
 
 func TestIngestBytesNormalizesFormats(t *testing.T) {
 	a := openTemp(t, Options{})
-	f := mkTrace(4, "STENCIL", 2)
+	f := tracegen.SendRecvTrace(4, "STENCIL", 40, 2)
 
 	var binV2 bytes.Buffer
 	if err := f.WriteBinary(&binV2); err != nil {
@@ -142,7 +112,7 @@ func TestIngestBytesNormalizesFormats(t *testing.T) {
 
 func TestGetRoundTripAndIntegrity(t *testing.T) {
 	a := openTemp(t, Options{})
-	f := mkTrace(8, "PHASE", 3)
+	f := tracegen.SendRecvTrace(8, "PHASE", 40, 3)
 	canonical, id, err := Encode(f)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +206,7 @@ func TestReopenPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, _, err := a.Ingest(mkTrace(4, "LU", 5))
+	run, _, err := a.Ingest(tracegen.SendRecvTrace(4, "LU", 40, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,14 +233,14 @@ func TestListQueryAndPagination(t *testing.T) {
 	a := openTemp(t, Options{})
 	var phase Run
 	for i := uint64(0); i < 5; i++ {
-		r, _, err := a.Ingest(mkTrace(8, "PHASE", 10+i))
+		r, _, err := a.Ingest(tracegen.SendRecvTrace(8, "PHASE", 40, 10+i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		phase = r
 	}
 	for i := uint64(0); i < 3; i++ {
-		if _, _, err := a.Ingest(mkTrace(16, "STENCIL", 20+i)); err != nil {
+		if _, _, err := a.Ingest(tracegen.SendRecvTrace(16, "STENCIL", 40, 20+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,11 +286,11 @@ func TestListQueryAndPagination(t *testing.T) {
 
 func TestDeleteAndCompact(t *testing.T) {
 	a := openTemp(t, Options{})
-	keep, _, err := a.Ingest(mkTrace(4, "PHASE", 30))
+	keep, _, err := a.Ingest(tracegen.SendRecvTrace(4, "PHASE", 40, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	drop, _, err := a.Ingest(mkTrace(4, "PHASE", 31))
+	drop, _, err := a.Ingest(tracegen.SendRecvTrace(4, "PHASE", 40, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +348,7 @@ func TestReingestReplacesOrphanSegment(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := mkTrace(4, "PHASE", 32)
+			f := tracegen.SendRecvTrace(4, "PHASE", 40, 32)
 			run, _, err := a.Ingest(f)
 			if err != nil {
 				t.Fatal(err)
@@ -414,7 +384,7 @@ func TestReingestReplacesOrphanSegment(t *testing.T) {
 
 func TestResolvePrefix(t *testing.T) {
 	a := openTemp(t, Options{})
-	run, _, err := a.Ingest(mkTrace(4, "PHASE", 50))
+	run, _, err := a.Ingest(tracegen.SendRecvTrace(4, "PHASE", 40, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +406,7 @@ func TestResolvePrefix(t *testing.T) {
 func TestManifestSwapLeavesNoTemp(t *testing.T) {
 	a := openTemp(t, Options{})
 	for i := uint64(0); i < 4; i++ {
-		if _, _, err := a.Ingest(mkTrace(2, "BT", 60+i)); err != nil {
+		if _, _, err := a.Ingest(tracegen.SendRecvTrace(2, "BT", 40, 60+i)); err != nil {
 			t.Fatal(err)
 		}
 	}

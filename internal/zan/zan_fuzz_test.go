@@ -1,122 +1,12 @@
 package zan
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
-	"chameleon/internal/mpi"
-	"chameleon/internal/ranklist"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 )
-
-// genBytes reads a fuzz input as a stream of small choices; an
-// exhausted input reads as zeros, so every input is a valid program.
-type genBytes struct {
-	b []byte
-	i int
-}
-
-func (g *genBytes) next(n int) int {
-	if g.i >= len(g.b) {
-		return 0
-	}
-	v := int(g.b[g.i])
-	g.i++
-	return v % n
-}
-
-// genOps are the operations generated leaves draw from: every
-// point-to-point form and a spread of collectives and local ops.
-var genOps = []mpi.OpCode{
-	mpi.OpSend, mpi.OpIsend, mpi.OpRecv, mpi.OpIrecv, mpi.OpSendrecv,
-	mpi.OpBarrier, mpi.OpAllreduce, mpi.OpBcast, mpi.OpAlltoall, mpi.OpWait,
-}
-
-// genEndpoint draws a Relative, Absolute, AnySource or ReplyToLast
-// end-point; Absolute ranks stay in [0, p).
-func genEndpoint(g *genBytes, p int) trace.Endpoint {
-	switch g.next(4) {
-	case 0:
-		return trace.Relative(g.next(2*p+1) - p)
-	case 1:
-		return trace.Absolute(g.next(p))
-	case 2:
-		return trace.Endpoint{Kind: trace.EPAnySource}
-	}
-	return trace.Endpoint{Kind: trace.EPReplyToLast}
-}
-
-// genLeaf draws one leaf: an operation with the end-points it needs, a
-// tag in 0..5, a payload, a delta histogram of one to three samples and
-// a non-empty rank list inside [0, p).
-func genLeaf(g *genBytes, p int) *trace.Node {
-	ev := trace.Event{
-		Op:    genOps[g.next(len(genOps))],
-		Tag:   g.next(6),
-		Bytes: g.next(4) << (4 * g.next(4)),
-	}
-	sends, recvs := p2pSides(ev.Op)
-	if sends {
-		ev.Dest = genEndpoint(g, p)
-	}
-	if recvs {
-		ev.Src = genEndpoint(g, p)
-	}
-	var ranks []int
-	switch g.next(3) {
-	case 0: // every rank
-		for r := 0; r < p; r++ {
-			ranks = append(ranks, r)
-		}
-	case 1: // one rank
-		ranks = []int{g.next(p)}
-	default: // a random subset
-		for r := 0; r < p; r++ {
-			if g.next(2) == 1 {
-				ranks = append(ranks, r)
-			}
-		}
-		if len(ranks) == 0 {
-			ranks = []int{g.next(p)}
-		}
-	}
-	n := trace.NewLeaf(ev, ranklist.FromRanks(ranks), int64(g.next(256))*10)
-	for s := g.next(3); s > 0; s-- {
-		n.Delta.Add(int64(g.next(256)) * 7)
-	}
-	return n
-}
-
-// genSeq draws one to three nodes: leaves, and loops (zero-trip ones
-// included) nested up to three deep.
-func genSeq(g *genBytes, p, depth int) []*trace.Node {
-	seq := make([]*trace.Node, 1+g.next(3))
-	for i := range seq {
-		if depth < 3 && g.next(3) == 0 {
-			seq[i] = trace.NewLoop(uint64(g.next(5)), genSeq(g, p, depth+1))
-		} else {
-			seq[i] = genLeaf(g, p)
-		}
-	}
-	return seq
-}
-
-// genTrace draws a program of P in 1..64 over one to three windows
-// (top-level nodes).
-func genTrace(data []byte) *trace.File {
-	g := &genBytes{b: data}
-	p := 1 + g.next(64)
-	f := &trace.File{P: p}
-	for w := 1 + g.next(3); w > 0; w-- {
-		if g.next(2) == 0 {
-			f.Nodes = append(f.Nodes, genLeaf(g, p))
-		} else {
-			f.Nodes = append(f.Nodes, trace.NewLoop(uint64(g.next(5)), genSeq(g, p, 1)))
-		}
-	}
-	return f
-}
 
 // checkAnalyzeMatchesReference fails t unless Analyze and the
 // pre-change analyzer (zan_ref_test.go) return the same Report, field
@@ -125,12 +15,18 @@ func genTrace(data []byte) *trace.File {
 // are; and so do
 // AnalyzeBytes over the file's encoding and the pre-change analyzer over
 // the file decoded from it (the codec keeps a histogram's mean, not its
-// variance).
+// variance). A list that reaches below rank 0 encodes but does not
+// decode: then AnalyzeBytes must refuse the bytes as the decoder does.
 func checkAnalyzeMatchesReference(t *testing.T, f *trace.File) {
 	t.Helper()
 	payload := f.AppendBinary(nil)
 	decoded, err := trace.DecodeBinary(payload)
-	if err != nil {
+	if reachesBelowZero(f.Nodes) {
+		if _, bytesErr := AnalyzeBytes(payload, Options{}); err == nil || bytesErr == nil {
+			t.Fatalf("a list below rank 0: DecodeBinary err %v, AnalyzeBytes err %v; want both to refuse", err, bytesErr)
+		}
+		decoded = nil
+	} else if err != nil {
 		t.Fatal(err)
 	}
 	for _, opt := range []Options{{}, {Expand: true}} {
@@ -142,6 +38,9 @@ func checkAnalyzeMatchesReference(t *testing.T, f *trace.File) {
 			{"Analyze", f, func() (*Report, error) { return Analyze(f, opt) }},
 			{"AnalyzeBytes", decoded, func() (*Report, error) { return AnalyzeBytes(payload, opt) }},
 		} {
+			if c.f == nil {
+				continue // refused: checked above
+			}
 			want, wantRanks, err := refAnalyze(c.f, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -162,19 +61,26 @@ func checkAnalyzeMatchesReference(t *testing.T, f *trace.File) {
 	}
 }
 
-// FuzzAnalyzeMatchesReference: on every generated program the channel
-// table reports exactly what the per-window channel maps did, whether
-// zan walks the tree or its encoding.
+// reachesBelowZero reports whether a leaf of nodes holds a rank below 0.
+func reachesBelowZero(nodes []*trace.Node) bool {
+	for _, n := range nodes {
+		if n.IsLoop() && reachesBelowZero(n.Body) || !n.IsLoop() && !n.Ranks.Empty() && n.Ranks.Min() < 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzAnalyzeMatchesReference: on every program tracegen draws the
+// channel table reports exactly what the per-window channel maps did,
+// whether zan walks the tree or its encoding.
 func FuzzAnalyzeMatchesReference(f *testing.F) {
-	rng := rand.New(rand.NewSource(34))
-	for i := 0; i < 64; i++ {
-		seed := make([]byte, 16+rng.Intn(240))
-		rng.Read(seed)
+	for _, seed := range tracegen.Seeds(34, 64) {
 		f.Add(seed)
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkAnalyzeMatchesReference(t, genTrace(data))
+		checkAnalyzeMatchesReference(t, tracegen.New(data).File())
 	})
 }
 

@@ -7,6 +7,8 @@ package zan
 // heap object per window. FuzzAnalyzeMatchesReference requires the two
 // to produce the same Report on every generated trace whose tags are
 // not MPI_ANY_TAG (the tag-wildcard rule changed those on purpose).
+// A leaf's width is its ranks inside [0, P), as in zan.go; the list's
+// whole size went unnoticed while generated lists lay inside [0, P).
 // Only identifiers are renamed (ref prefix); the helpers it shares
 // with zan.go (synchronizes, p2pSides, imbalance, Ratio, minU64,
 // maxI64) are unchanged by the rewrite.
@@ -227,7 +229,12 @@ func (a *refAnalyzer) leaf(n *trace.Node, mult uint64) {
 	}
 	win := &a.windows[a.cur]
 	ev := n.Ev
-	size := n.Ranks.Size()
+	size := 0 // its ranks inside [0, P), by expansion
+	n.Ranks.ForEach(func(r int) {
+		if r >= 0 && r < a.p {
+			size++
+		}
+	})
 	occ := mult * uint64(size)
 
 	compPer := int64(0)

@@ -9,6 +9,7 @@ import (
 	"chameleon/internal/mpi"
 	"chameleon/internal/ranklist"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracegen"
 	"chameleon/internal/vtime"
 )
 
@@ -26,7 +27,7 @@ func twoRankTrace() *trace.File {
 	}, ranklist.SingleRank(1), 800)
 	barrier := trace.NewLeaf(trace.Event{
 		Op: mpi.OpBarrier,
-	}, span(0, 2), 200)
+	}, tracegen.Span(0, 2), 200)
 	return &trace.File{
 		P: 2,
 		Nodes: []*trace.Node{
@@ -96,7 +97,7 @@ func TestWaitStateSkew(t *testing.T) {
 	// A barrier whose delta histogram spreads {100, 300}: mean 200, max
 	// 300, so each occurrence carries 100 ns of modeled wait.
 	b := trace.NewLeaf(trace.Event{Op: mpi.OpBarrier},
-		span(0, 2), 100)
+		tracegen.Span(0, 2), 100)
 	b.Delta.Add(300)
 	f := &trace.File{P: 2, Nodes: []*trace.Node{b}}
 	rep, err := Analyze(f, Options{})
@@ -140,7 +141,7 @@ func TestZeroIterationLoop(t *testing.T) {
 	dead := trace.NewLeaf(trace.Event{Op: mpi.OpSend, Dest: trace.Absolute(1), Bytes: 64},
 		ranklist.SingleRank(0), 100)
 	live := trace.NewLeaf(trace.Event{Op: mpi.OpBarrier},
-		span(0, 2), 50)
+		tracegen.Span(0, 2), 50)
 	f := &trace.File{P: 2, Nodes: []*trace.Node{
 		trace.NewLoop(0, []*trace.Node{dead}),
 		live,
@@ -332,7 +333,7 @@ func TestDiffDetectsMismatches(t *testing.T) {
 	}
 	// Classes that cut [0, P) differently are a mismatch of their own.
 	c, _ := Analyze(f, Options{})
-	c.RankClasses[0].Ranks = span(0, 2)
+	c.RankClasses[0].Ranks = tracegen.Span(0, 2)
 	c.RankClasses[0].Size = 2
 	if d := Diff(a, c, 0); len(d) == 0 || !strings.HasPrefix(d[0], "rank_classes[0]") {
 		t.Fatalf("want the partition to differ first, got %v", d)
@@ -355,7 +356,7 @@ func TestSendrecvContributesBothSides(t *testing.T) {
 	sr := trace.NewLeaf(trace.Event{
 		Op: mpi.OpSendrecv, Dest: trace.Relative(1), Src: trace.Relative(-1),
 		Tag: 2, Bytes: 32,
-	}, span(0, 4), 10)
+	}, tracegen.Span(0, 4), 10)
 	rep, err := Analyze(&trace.File{P: 4, Nodes: []*trace.Node{sr}}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +381,7 @@ func TestSendrecvContributesBothSides(t *testing.T) {
 // each window loops over a send to rank+1, a receive from rank-1 (tag
 // 1) and an allreduce, so every window touches the same p channels.
 func ringTrace(p, w int) *trace.File {
-	all := span(0, p)
+	all := tracegen.Span(0, p)
 	f := &trace.File{P: p}
 	for i := 0; i < w; i++ {
 		f.Nodes = append(f.Nodes, trace.NewLoop(10, []*trace.Node{
@@ -462,8 +463,8 @@ func expandClasses(t *testing.T, rep *Report) []Rank {
 // window's events are then the classes' sizes times their events.
 func TestListCrossingPCountsRanksInside(t *testing.T) {
 	const p = 8
-	wide := span(4, 10) // ranks 4..13
-	all := span(0, p)
+	wide := tracegen.Span(4, 10) // ranks 4..13
+	all := tracegen.Span(0, p)
 	f := &trace.File{P: p, Nodes: []*trace.Node{
 		trace.NewLoop(3, []*trace.Node{
 			trace.NewLeaf(trace.Event{Op: mpi.OpAllreduce, Bytes: 8}, wide, 100),
@@ -519,13 +520,4 @@ func TestRatioGuards(t *testing.T) {
 			t.Errorf("Ratio(%g, %g) = %g, want %g", c.num, c.den, got, c.want)
 		}
 	}
-}
-
-// span is the list of the n ranks from lo, in normal form.
-func span(lo, n int) ranklist.List {
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = lo + i
-	}
-	return ranklist.FromRanks(ranks)
 }
