@@ -98,7 +98,9 @@ test-race:
 # the per-rank ones kept in a test file over generated pairs of traces
 # (every field must agree); those two draw their programs from one
 # generator, internal/tracegen, so both meet the same shapes. The seed and poison
-# corpora run as plain tests in `make test`;
+# corpora run as plain tests in `make test`; the readers' 2000 seeds do
+# too, but under -fuzz that target starts from 64 of them, since the
+# fuzzer replays every seed before it tries a new input;
 # CI runs this for the fuzzing time on top, and local deep fuzzing just
 # raises -fuzztime. Each target minimizes a new input for at most 2 s:
 # minimizing is unbounded by default and runs at no execs/s, so without

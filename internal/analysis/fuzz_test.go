@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"flag"
 	"reflect"
 	"testing"
 
@@ -79,11 +80,24 @@ func checkReaders(t *testing.T, data []byte) {
 // CriticalPath and CompareWith, which share one pass over the distinct
 // rank lists, against the readers that walked the tree on their own and
 // expanded every list (ref_test.go), over pairs of traces drawn by
-// tracegen. Its 2000 random seeds run in every plain test run.
+// tracegen. Its 2000 random seeds run in every plain test run. Under
+// -fuzz it starts from the first 64: the fuzzer runs every seed before
+// its first new input, and 2000 of them take a short -fuzztime whole.
 func FuzzReadersMatchReference(f *testing.F) {
-	for _, seed := range tracegen.Seeds(44, 2000) {
+	seeds := tracegen.Seeds(44, 2000)
+	if fuzzing() {
+		seeds = seeds[:64]
+	}
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
 	f.Add([]byte{})
 	f.Fuzz(checkReaders)
+}
+
+// fuzzing reports whether the test binary runs with -fuzz, rather than
+// running each fuzz target's seeds as tests.
+func fuzzing() bool {
+	fl := flag.Lookup("test.fuzz")
+	return fl != nil && fl.Value.String() != ""
 }

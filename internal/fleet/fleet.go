@@ -39,7 +39,7 @@ func init() {
 		Zero: []*trace.Node{},
 		Encode: func(v any) ([]byte, error) {
 			f := &trace.File{P: 1, Nodes: v.([]*trace.Node)}
-			return f.AppendBinary(nil), nil
+			return f.MarshalBinary()
 		},
 		Decode: func(data []byte) (any, error) {
 			f, err := trace.DecodeBinary(data)

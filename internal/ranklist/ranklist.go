@@ -170,7 +170,9 @@ type List struct {
 }
 
 // Scratch that FromRanks and Union keep on the stack: expanded ranks and
-// descriptors under construction. Larger sets take one heap slice each.
+// descriptors under construction. A rank set over stackRanks takes one
+// heap slice; one that folds into more than stackRuns runs grows its
+// runs onto the heap as they come.
 const (
 	stackRanks = 256
 	stackRuns  = 32
@@ -201,15 +203,14 @@ type run struct {
 	dims  [2]Dim
 }
 
-// fromSorted compacts a sorted, duplicate-free rank set. It allocates
-// only the result: the descriptors and one slab their Dims share, each
-// capped so an append to one cannot reach the next.
+// fromSorted compacts a sorted, duplicate-free rank set. Up to
+// stackRuns runs, it allocates only the result: the descriptors and one
+// slab their Dims share, each capped so an append to one cannot reach
+// the next. The run count, not the rank count, decides: 256 ranks in
+// one run cost what 2 do.
 func fromSorted(rs []int) List {
 	var stack [stackRuns]run
 	runs := stack[:0]
-	if most := len(rs)/2 + 1; most > len(stack) {
-		runs = make([]run, 0, most)
-	}
 	// Pass 1: fold into maximal 1D strided runs. Every run covers at
 	// least two ranks, except a single rank left over at the end.
 	for i := 0; i < len(rs); {

@@ -77,6 +77,40 @@ func TestEncodeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestEncodeRefusesListBelowRankZero: a leaf whose list starts below
+// rank 0 encodes to bytes the archive's reader refuses, so Encode (and
+// WriteBinary) refuse the file in the reader's words, while
+// AppendBinary still writes it, and the same file on rank 0 encodes and
+// reads back.
+func TestEncodeRefusesListBelowRankZero(t *testing.T) {
+	file := func(ranks ranklist.List) *trace.File {
+		return &trace.File{P: 4, Benchmark: "NEG", Tracer: "chameleon", Nodes: []*trace.Node{
+			trace.NewLeaf(trace.Event{Op: mpi.OpBarrier, Comm: mpi.CommWorld}, ranklist.SingleRank(0), 10),
+			trace.NewLeaf(trace.Event{Op: mpi.OpBarrier, Comm: mpi.CommWorld}, ranks, 10),
+		}}
+	}
+	const words = "rank list start -2 out of range"
+	for _, ranks := range []ranklist.List{ranklist.SingleRank(-2), ranklist.FromRanks([]int{-2, -1, 0, 1})} {
+		f := file(ranks)
+		if _, _, err := Encode(f); err == nil || !strings.Contains(err.Error(), words) {
+			t.Errorf("Encode of a leaf on %v: error %v, want %q", ranks, err, words)
+		}
+		if err := f.WriteBinary(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), words) {
+			t.Errorf("WriteBinary of a leaf on %v: error %v, want %q", ranks, err, words)
+		}
+		if _, err := trace.DecodeBinary(f.AppendBinary(nil)); err == nil || !strings.Contains(err.Error(), words) {
+			t.Errorf("the reader took a leaf on %v: error %v, want %q", ranks, err, words)
+		}
+	}
+	payload, _, err := Encode(file(ranklist.FromRanks([]int{0, 1, 2, 3})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.DecodeBinary(payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // bytesAllocated returns the heap bytes fn allocates per call: the
 // least of three averages over n calls, every goroutine of the process
 // counted, servers included. The least filters out work other

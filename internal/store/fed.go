@@ -171,7 +171,10 @@ func (s *server) forward(peer string, q *request, path, ctype string) (any, erro
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	// Sized once from the owner's Content-Length; a reply over the cap
+	// is cut there, and a short one relayed as it came.
+	const maxForwardReply = 1 << 20
+	body, _ := readReply(io.LimitReader(resp.Body, maxForwardReply), min(resp.ContentLength, maxForwardReply), nil)
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		return nil, failf(resp.StatusCode, "%s: %s", peer, bytes.TrimSpace(body))

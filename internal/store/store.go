@@ -478,9 +478,13 @@ func decodeLog(data []byte) ([]logRecord, error) {
 // Encode returns the canonical CHAMTRC2 payload and content address of
 // a trace file. The same logical trace always encodes to the same bytes
 // (site table in first-appearance order, deterministic varint layout),
-// which is what makes the address stable across pushes.
+// which is what makes the address stable across pushes. A file the
+// archive would refuse to read (trace.File.MarshalBinary) is an error.
 func Encode(f *trace.File) ([]byte, string, error) {
-	out := f.AppendBinary(nil)
+	out, err := f.MarshalBinary()
+	if err != nil {
+		return nil, "", fmt.Errorf("store: encode: %w", err)
+	}
 	return out, contentAddress(out), nil
 }
 

@@ -81,26 +81,47 @@ const (
 	tagLoop byte = 0x02
 )
 
-// encoder is the file-local site table of one encoding.
+// encoder is the file-local site table of one encoding, and the error
+// of the first leaf it wrote that the walker would refuse.
 type encoder struct {
 	index map[uint64]int
 	sites []sig.SiteInfo
+	err   error
 }
 
 // AppendBinary appends the file's binary encoding (version 2) to dst.
 // A caller that knows about how long the encoding is (the bytes it was
-// decoded from) passes dst with that capacity.
+// decoded from) passes dst with that capacity. It encodes any file,
+// even one DecodeBinary refuses; MarshalBinary and WriteBinary check.
 func (f *File) AppendBinary(dst []byte) []byte {
-	e := encoder{index: make(map[uint64]int)}
-	e.sites = collectSites(f.Nodes, e.index, nil)
-	return e.file(dst, f)
+	b, _ := f.appendBinary(dst)
+	return b
+}
+
+// MarshalBinary returns the file's binary encoding, or an error when
+// DecodeBinary would refuse it: a leaf's rank list reaches below rank 0
+// (a Range or SingleRank built from a negative start).
+func (f *File) MarshalBinary() ([]byte, error) {
+	return f.appendBinary(nil)
 }
 
 // WriteBinary serializes the trace file in the compact binary format
-// (version 2: site-indexed leaves behind a file-local call-site table).
+// (version 2: site-indexed leaves behind a file-local call-site table),
+// refusing what MarshalBinary refuses.
 func (f *File) WriteBinary(w io.Writer) error {
-	_, err := w.Write(f.AppendBinary(nil))
+	b, err := f.MarshalBinary()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
 	return err
+}
+
+func (f *File) appendBinary(dst []byte) ([]byte, error) {
+	e := encoder{index: make(map[uint64]int)}
+	e.sites = collectSites(f.Nodes, e.index, nil)
+	b := e.file(dst, f)
+	return b, e.err
 }
 
 func (e *encoder) file(b []byte, f *File) []byte {
@@ -210,6 +231,11 @@ func (e *encoder) node(b []byte, n *Node) []byte {
 	b = binary.AppendVarint(b, int64(n.Ev.Bytes))
 	b = appendEndpoint(b, n.Ev.Dest)
 	b = appendEndpoint(b, n.Ev.Src)
+	// A list's first descriptor holds its lowest rank (normal form), so
+	// one look finds a list the walker refuses for starting below 0.
+	if r := n.Ranks; e.err == nil && !r.Empty() && r.Min() < 0 {
+		e.err = fmt.Errorf("trace: rank list start %d out of range", r.Min())
+	}
 	b = appendRanks(b, n.Ranks)
 	return appendHist(b, n.Delta)
 }

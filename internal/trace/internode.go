@@ -9,7 +9,10 @@ package trace
 // runs online over the K lead traces; its comparison count is the n²
 // term of the paper's O(n² log P) complexity.
 
-import "chameleon/internal/stats"
+import (
+	"chameleon/internal/ranklist"
+	"chameleon/internal/stats"
+)
 
 // MergeStats accumulates the work performed by merges, which the virtual
 // cost model prices.
@@ -30,6 +33,12 @@ const mergeLookahead = 16
 // so the inputs are unusable afterwards. Ownership along the radix merge
 // tree is linear, a child sending its sequence away and never touching
 // it again, so no caller needs copies.
+//
+// A Merger remembers the last few rank-list unions it computed: every
+// leaf matched in one merge step tends to unite the same two lists (the
+// ranks below each side of the radix tree), so the leaves after the
+// first share one result instead of each expanding and compacting the
+// same ranks again. Lists are immutable once built, so sharing is safe.
 type Merger struct {
 	Filter bool
 	// P is the rank count, used to normalize absolute end-points; 0
@@ -39,6 +48,35 @@ type Merger struct {
 	// The field stays only for callers that still set it.
 	Owned bool
 	Stats MergeStats
+
+	unions [unionMemoSize]unionMemo
+	next   int // the entry the next new union replaces
+}
+
+// unionMemoSize is how many unions a Merger remembers, replaced round
+// robin: a merge step meets a handful of distinct pairs of lists (the
+// two sides' common list, a master or boundary rank's own).
+const unionMemoSize = 8
+
+// unionMemo is one remembered union: u holds the ranks of a and b.
+type unionMemo struct {
+	a, b, u ranklist.List
+}
+
+// union returns a ∪ b, shared with an earlier leaf's result when this
+// merger united lists with the same descriptors before. Lookups compare
+// descriptors (List.Equal), which never allocates, so the answer does
+// not depend on which leaves happen to share a list.
+func (m *Merger) union(a, b ranklist.List) ranklist.List {
+	for i := range m.unions {
+		if e := &m.unions[i]; e.a.Equal(a) && e.b.Equal(b) {
+			return e.u
+		}
+	}
+	u := a.Union(b)
+	m.unions[m.next] = unionMemo{a, b, u}
+	m.next = (m.next + 1) % unionMemoSize
+	return u
 }
 
 // eventMatch reports whether two leaves can merge across ranks: same
@@ -110,7 +148,7 @@ func (m *Merger) mergeNode(a, b *Node) *Node {
 	src, _ := m.mergeEndpoint(a.Ev.Src, a, b.Ev.Src, b)
 	a.Ev.Dest = dest
 	a.Ev.Src = src
-	a.Ranks = a.Ranks.Union(b.Ranks)
+	a.Ranks = m.union(a.Ranks, b.Ranks)
 	a.Delta.Merge(b.Delta)
 	m.Stats.BytesMerged += a.SizeBytes()
 	return a

@@ -251,6 +251,60 @@ func TestMergeSingletonAbsolute(t *testing.T) {
 	}
 }
 
+// TestMergeUnionsEachPairOnce: when every matched leaf of a merge
+// unites the same two rank lists, as in a radix merge step of an SPMD
+// trace, the merge computes that union once and the leaves share it.
+// Each leaf's list is built on its own, so only equal descriptors, not
+// a shared slice, can tell the merger it met the pair before. Merging
+// two sequences of 200 leaves costs the output slice and one union (a
+// []RL and a []Dim), not one union per leaf.
+func TestMergeUnionsEachPairOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what a call allocates")
+	}
+	const leaves, p = 200, 256
+	span := func(from, n int) []int {
+		rs := make([]int, n)
+		for i := range rs {
+			rs[i] = from + i
+		}
+		return rs
+	}
+	side := func(from int) []*Node {
+		seq := make([]*Node, leaves)
+		for i := range seq {
+			seq[i] = NewLeaf(ev(i%7+1), ranklist.FromRanks(span(from, p/2)), 1000)
+		}
+		return seq
+	}
+	const runs = 5
+	var as, bs [runs + 1][]*Node
+	for i := range as {
+		as[i], bs[i] = side(0), side(p/2)
+	}
+	k := 0
+	var out []*Node
+	allocs := testing.AllocsPerRun(runs, func() {
+		m := Merger{P: p}
+		out = m.Merge(as[k], bs[k])
+		k++
+	})
+	if allocs > 3 {
+		t.Errorf("merging %d leaves on one pair of lists: %v allocs, want <= 3 (the output and one union)", leaves, allocs)
+	}
+	want := ranklist.FromRanks(span(0, p))
+	if len(out) != leaves {
+		t.Fatalf("merged %d nodes, want %d", len(out), leaves)
+	}
+	for _, n := range out {
+		if !n.Ranks.Equal(want) {
+			t.Fatalf("merged leaf covers %v, want %v", n.Ranks, want)
+		}
+	}
+	a, b := side(0), side(p/2)
+	mergeBoth(t, Merger{P: p}, a, b)
+}
+
 func TestMergeKeepsByteAndTagDistinct(t *testing.T) {
 	a := rankLeaf(1, 0)
 	b := rankLeaf(1, 1)
@@ -429,16 +483,23 @@ func osWriteFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
 
-// fuzzMergeSide builds one side of a merge: the compressed sequence the
-// ranks of list record from stream. Each byte is one call, repeated
-// 1 + b>>5 times (runs of different lengths give loops whose trip counts
-// differ between the sides): its call site is 1 + b&3, bit 2 enlarges
-// its message, and bits 3-4 pick its end-point — relative to the
-// caller, the caller's offset to rank 0 (which merges singletons into
-// an absolute end-point), absolute rank 0, or a wildcard receive.
-func fuzzMergeSide(stream []byte, ranks ranklist.List, filter bool) []*Node {
+// fuzzMergeSide builds one side of a merge: the compressed sequence
+// the ranks of lists record from stream. Each byte is one call,
+// repeated 1 + b>>5 times (runs of different lengths give loops whose
+// trip counts differ between the sides): its call site is 1 + b&3, bit
+// 2 enlarges its message, and bits 3-4 pick its end-point — relative to
+// the caller, the caller's offset to rank 0 (which merges singletons
+// into an absolute end-point), absolute rank 0, or a wildcard receive.
+// Its ranks are lists[0], or with more than one list, the one the next
+// byte picks.
+func fuzzMergeSide(stream []byte, lists []ranklist.List, filter bool) []*Node {
 	c := Compressor{Filter: filter}
-	for _, b := range stream {
+	for i := 0; i < len(stream); i++ {
+		b, ranks := stream[i], lists[0]
+		if len(lists) > 1 && i+1 < len(stream) {
+			i++
+			ranks = lists[int(stream[i])%len(lists)]
+		}
 		e := ev(int(b&3) + 1)
 		if b&4 != 0 {
 			e.Bytes = 999
@@ -458,11 +519,27 @@ func fuzzMergeSide(stream []byte, ranks ranklist.List, filter bool) []*Node {
 	return c.Seq
 }
 
+// mergePalette is what a leaf's list is drawn from when each leaf picks
+// its own: more distinct lists than the merger remembers unions of, so
+// a merge evicts, and lists equal to another but built apart, so only
+// descriptors can tell that the merger met a pair before.
+func mergePalette() []ranklist.List {
+	return []ranklist.List{
+		ranklist.SingleRank(0), ranklist.FromRanks([]int{0}),
+		ranklist.FromRanks([]int{0, 1, 2}), ranklist.FromRanks([]int{2, 1, 0}),
+		ranklist.SingleRank(4), ranklist.FromRanks([]int{4, 6}), ranklist.FromRanks([]int{6, 4}),
+		ranklist.FromRanks([]int{1, 3, 5, 7}), ranklist.FromRanks([]int{0, 1, 2, 3, 4, 5, 6, 7}),
+		ranklist.FromRanks([]int{5, 6}), ranklist.SingleRank(3), ranklist.FromRanks([]int{0, 2, 4, 6}),
+		ranklist.FromRanks([]int{1, 2, 5, 6}), ranklist.SingleRank(7),
+	}
+}
+
 // FuzzMergeMatchesReference checks the consuming merge against the
 // cloning reference (mergeBoth) on two sides built from byte streams.
 // Bit 0 of mode turns the parameter filter on (for the compressors and
 // the merger alike); bits 1 and 2 give the left and the right side a
-// multi-rank list instead of a single rank.
+// multi-rank list instead of a single rank; bit 3 lets every call of
+// both sides draw its list from mergePalette instead.
 func FuzzMergeMatchesReference(f *testing.F) {
 	// The cases of the tests above: identical, divergent and disjoint
 	// traces, loops with equal and differing trip counts (strict and
@@ -489,18 +566,36 @@ func FuzzMergeMatchesReference(f *testing.F) {
 	f.Add(byte(1), []byte{0x40, 1, 0x60, 1}, []byte{0x20, 1, 0x20, 1})
 	f.Add(byte(1), []byte{0x40, 1, 0x60, 1}, []byte{0x20, 1, 0x60, 1})
 	f.Add(byte(6), []byte{9, 2, 9, 2, 9, 2}, []byte{9, 2, 9, 2})
+	// Per-call lists, on 28 calls that all differ, so neither side's
+	// compressor folds them: one left list against each right one (a
+	// memo keyed on one side would answer wrongly), and 28 pairs of
+	// which the last 14 repeat the first, evicted by then, some on
+	// lists equal to the first's but built apart. Then loops of
+	// per-call lists under the filter.
+	var oneL, oneR, cycL, cycR []byte
+	for k := byte(0); k < 28; k++ {
+		oneL, oneR = append(oneL, k, 2), append(oneR, k, k)
+		cycL, cycR = append(cycL, k, k), append(cycR, k, k+5)
+	}
+	f.Add(byte(8), oneL, oneR)
+	f.Add(byte(8), cycL, cycR)
+	f.Add(byte(9), bytes.Repeat([]byte{0x20, 0, 1, 2}, 6), bytes.Repeat([]byte{0x20, 4, 1, 6}, 6))
 	f.Fuzz(func(t *testing.T, mode byte, as, bs []byte) {
-		const p, maxCalls = 8, 64
+		const p, maxCalls = 8, 128
 		if len(as) > maxCalls || len(bs) > maxCalls {
 			return
 		}
 		filter := mode&1 != 0
-		left, right := ranklist.SingleRank(0), ranklist.SingleRank(4)
+		left := []ranklist.List{ranklist.SingleRank(0)}
+		right := []ranklist.List{ranklist.SingleRank(4)}
 		if mode&2 != 0 {
-			left = ranklist.FromRanks([]int{0, 1, 2})
+			left[0] = ranklist.FromRanks([]int{0, 1, 2})
 		}
 		if mode&4 != 0 {
-			right = ranklist.FromRanks([]int{4, 6})
+			right[0] = ranklist.FromRanks([]int{4, 6})
+		}
+		if mode&8 != 0 {
+			left, right = mergePalette(), mergePalette()
 		}
 		a := fuzzMergeSide(as, left, filter)
 		b := fuzzMergeSide(bs, right, filter)
