@@ -49,14 +49,10 @@ func chamdump(_ context.Context, args []string, stdout, stderr io.Writer) error 
 }
 
 // printSites lists the trace's call-site table: one row per distinct
-// interned signature, with function and file:line where the producing
-// process resolved them (v1 traces and cross-process loads may carry
-// signatures only).
+// signature, with function and file:line where the file names them (v1
+// traces carry signatures only).
 func printSites(w io.Writer, f *trace.File) {
-	tab := f.Sites
-	if len(tab) == 0 {
-		tab = f.SiteTable()
-	}
+	tab := f.SiteTable()
 	fmt.Fprintf(w, "# sites=%d\n", len(tab))
 	for _, s := range tab {
 		loc := "?"

@@ -213,6 +213,7 @@ func Extrapolate(f *trace.File, targetP int) (*trace.File, error) {
 		Tracer:    f.Tracer + "+extrap",
 		Clustered: f.Clustered,
 		Filter:    f.Filter,
+		Sites:     f.Sites,
 		Nodes:     extrapolateSeq(f.Nodes, src, dst, f.P, targetP),
 	}
 	return out, nil

@@ -24,16 +24,16 @@ import (
 
 	"chameleon/internal/cluster"
 	"chameleon/internal/mpi"
+	"chameleon/internal/sig"
 	"chameleon/internal/trace"
 )
 
 func init() {
-	// Compressed trace sequences (inter-node merge traffic). The trace
-	// binary codec is the wire format: its file-local site table plus
-	// decode-time re-interning is exactly the cross-process story — a
-	// receiving process re-interns each call site into its own table
-	// and the PC-derived Stack signatures stay globally stable, so
-	// Event.Equal keeps working across machines.
+	// Compressed trace sequences (inter-node merge traffic), in the trace
+	// binary codec. The merge compares Stack signatures, the same in every
+	// process, but gets nodes, not the payload's site table: the receiver
+	// interns that into sig.Sites and binds each leaf to its site, so the
+	// trace it writes from the merged nodes names the sites.
 	mpi.RegisterPayloadCodec(mpi.PayloadCodec{
 		Name: "trace.nodes",
 		Zero: []*trace.Node{},
@@ -46,6 +46,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			ids := make(map[sig.Stack]sig.SiteID, len(f.Sites))
+			for _, s := range f.Sites {
+				ids[sig.Stack(s.Sig)] = sig.Sites.InternSigMeta(s)
+			}
+			bindSites(f.Nodes, ids)
 			return f.Nodes, nil
 		},
 	})
@@ -68,6 +73,17 @@ func init() {
 			return items, nil
 		},
 	})
+}
+
+// bindSites gives every leaf the site ids names for its signature.
+func bindSites(seq []*trace.Node, ids map[sig.Stack]sig.SiteID) {
+	for _, n := range seq {
+		if n.IsLoop() {
+			bindSites(n.Body, ids)
+		} else {
+			n.Ev.Site = ids[n.Ev.Stack]
+		}
+	}
 }
 
 // ParseRanks parses a -ranks value: "a..b" (inclusive) or a single

@@ -45,7 +45,9 @@ func TestParseRanks(t *testing.T) {
 
 // TestTraceNodesCodec: the merge-traffic payload codec must round-trip
 // a compressed sequence through the binary wire format — Event equality
-// (the merge predicate) has to survive the hop to another process.
+// (the merge predicate) has to survive the hop to another process, and
+// so do the call-site labels: the nodes the receiver merges name their
+// sites when it encodes them, as the sender's would.
 func TestTraceNodesCodec(t *testing.T) {
 	ev := trace.Event{
 		Op:    mpi.OpSend,
@@ -54,7 +56,9 @@ func TestTraceNodesCodec(t *testing.T) {
 		Tag:   7,
 		Bytes: 4096,
 	}
-	nodes := []*trace.Node{trace.NewLeaf(ev, ranklist.SingleRank(0), 1500)}
+	labelled := sig.SiteInfo{Sig: sig.Mix(0xf1ee7_0001), Func: "fleet.labelled", File: "fleet/labelled.go", Line: 42}
+	named := trace.Event{Op: mpi.OpBarrier, Stack: sig.Stack(labelled.Sig), Site: sig.Sites.InternSigMeta(labelled)}
+	nodes := []*trace.Node{trace.NewLeaf(ev, ranklist.SingleRank(0), 1500), trace.NewLeaf(named, ranklist.SingleRank(1), 10)}
 
 	codec, ok := mpi.LookupPayloadCodec("trace.nodes")
 	if !ok {
@@ -72,8 +76,8 @@ func TestTraceNodesCodec(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded %T, want []*trace.Node", back)
 	}
-	if len(got) != 1 {
-		t.Fatalf("decoded %d nodes, want 1", len(got))
+	if len(got) != 2 {
+		t.Fatalf("decoded %d nodes, want 2", len(got))
 	}
 	if !got[0].Ev.Equal(nodes[0].Ev) {
 		t.Errorf("event identity lost in transit: %+v vs %+v", got[0].Ev, nodes[0].Ev)
@@ -83,6 +87,13 @@ func TestTraceNodesCodec(t *testing.T) {
 	}
 	if got[0].Delta == nil || got[0].Delta.Count() != 1 {
 		t.Errorf("delta histogram lost in transit: %+v", got[0].Delta)
+	}
+	sent, err := trace.DecodeBinary((&trace.File{P: 2, Nodes: got}).AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sent.Sites) != 2 || sent.Sites[1] != (sig.SiteInfo{ID: 1, Sig: labelled.Sig, Func: labelled.Func, File: labelled.File, Line: labelled.Line}) {
+		t.Errorf("the received nodes encode their sites as %+v, want the second labelled %+v", sent.Sites, labelled)
 	}
 }
 

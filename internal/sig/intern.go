@@ -22,7 +22,7 @@ import (
 
 // SiteID is a dense process-wide identifier of an interned call site.
 // 0 (NoSite) marks events that never went through the intern table
-// (hand-built test events, traces deserialized from the v1 format).
+// (hand-built test events, decoded traces).
 type SiteID uint32
 
 // NoSite is the zero SiteID.
@@ -137,14 +137,14 @@ func (t *Table) InternPCs(pcs []uintptr) SiteID {
 }
 
 // InternSig interns a site known only by its stack signature (synthetic
-// test events, v1 traces where the backtrace was never serialized). The
-// same signature always returns the same SiteID.
+// test events, decoded traces). The same signature always returns the
+// same SiteID.
 func (t *Table) InternSig(sig Stack) SiteID {
 	return t.InternSigMeta(SiteInfo{Sig: uint64(sig)})
 }
 
 // InternSigMeta interns a signature-only site carrying serialized
-// metadata (the v2 codec's site-table entries). Metadata of an already
+// metadata (a site table of fleet merge traffic). Metadata of an already
 // interned signature is kept from the first intern.
 func (t *Table) InternSigMeta(info SiteInfo) SiteID {
 	h := uint64(info.Sig)

@@ -153,9 +153,9 @@ func TestInternSigAgreesWithPCs(t *testing.T) {
 }
 
 // TestInternGrowthCostsTheNewSites: a new site costs its own entry, not
-// a copy of the table. The archive interns every site of every payload
-// it scans into the process-wide table; with a copy per site, 1 500 new
-// sites into a table of 4 500 allocated 547 MB.
+// a copy of the table. A fleet member interns the site table of every
+// merge payload it receives into the process-wide table; with a copy
+// per site, 1 500 new sites into a table of 4 500 allocated 547 MB.
 func TestInternGrowthCostsTheNewSites(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what a call allocates")

@@ -2,12 +2,15 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -52,8 +55,7 @@ func TestDescribeSigSetPinned(t *testing.T) {
 // from the decoded file. Every decoded file, JSON included, came through
 // the binary reader, so its re-encoding is canonical: rank lists the
 // JSON holds out of normal form come back normalized, and call sites
-// with no metadata whose signatures the process has interned with some
-// come back with it.
+// come back with the labels the JSON's own site table gives them.
 func TestNonCanonicalPushesLandUnderTheirReencoding(t *testing.T) {
 	v1, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat_v1_phase.trc"))
 	if err != nil {
@@ -69,13 +71,13 @@ func TestNonCanonicalPushesLandUnderTheirReencoding(t *testing.T) {
 		t.Fatal("the JSON trace has no rank list to split")
 	}
 	js.Reset()
-	// Metadata interned is process-wide: these signatures are this test's.
 	known := tracegen.SendRecvTrace(4, "known sites", 40, 0x5ca9)
+	known.Sites = known.SiteTable()
+	for i := range known.Sites {
+		known.Sites[i].Func, known.Sites[i].File, known.Sites[i].Line = "main.step", "step.go", i+1
+	}
 	if err := known.Write(&js); err != nil {
 		t.Fatal(err)
-	}
-	for i, s := range known.SiteTable() {
-		sig.Sites.InternSigMeta(sig.SiteInfo{Sig: s.Sig, Func: "main.step", File: "step.go", Line: i + 1})
 	}
 	a := openTemp(t, Options{})
 	for name, body := range map[string][]byte{
@@ -104,8 +106,73 @@ func TestNonCanonicalPushesLandUnderTheirReencoding(t *testing.T) {
 				run.Events != want.Events || run.Nodes != want.Nodes || run.P != want.P || run.Benchmark != want.Benchmark {
 				t.Fatalf("stored %+v, want %+v", run, *want)
 			}
-			if raw, _, err := a.Payload(run.ID); err != nil || !bytes.Equal(raw, canon) {
+			raw, _, err := a.Payload(run.ID)
+			if err != nil || !bytes.Equal(raw, canon) {
 				t.Fatalf("stored payload is not the re-encoding: %v", err)
+			}
+			if name == "JSON, sites known" {
+				stored, err := trace.DecodeBinary(raw)
+				if err != nil || !reflect.DeepEqual(stored.Sites, known.Sites) {
+					t.Fatalf("stored sites %+v (%v), want the JSON's %+v", stored.Sites, err, known.Sites)
+				}
+			}
+		})
+	}
+}
+
+// labelledPayload assembles by hand, so that it does not depend on the
+// encoder, the canonical payload of one leaf on call site s labelled fn
+// (none when fn is empty).
+func labelledPayload(s uint64, fn string) []byte {
+	str := func(b []byte, v string) []byte { return append(binary.AppendUvarint(b, uint64(len(v))), v...) }
+	b := append([]byte("CHAMTRC2"), 1, 0) // P=1, no flags
+	b = str(str(b, "TENANT"), "test")     // benchmark, tracer
+	b = binary.AppendUvarint(append(b, 1), s)
+	file, line := "", int64(0)
+	if fn != "" {
+		file, line = fn+".go", 9
+	}
+	b = binary.AppendVarint(str(str(b, fn), file), line)
+	b = append(b, 1, 0x01)                                            // one node: a leaf
+	b = binary.AppendUvarint(b, uint64(mpi.OpBarrier))                // op
+	b = append(b, 0, 0, 0, 0, byte(trace.EPNone), byte(trace.EPNone)) // site 0; comm, tag, bytes 0; no peers
+	return append(b, 1, 0, 0, 0)                                      // rank 0; no histogram
+}
+
+// Tenants that label one call site differently — acme's alpha.secret,
+// globex's bravo.public and a payload with no labels — each get back
+// exactly the bytes they PUT, under those bytes' content address, in
+// either PUT order: how the archive stores a payload does not depend on
+// what the process read before. Each order has a signature of its own,
+// so that nothing one order reads can bear on the other.
+func TestSiteLabelsStayWithTheirTenant(t *testing.T) {
+	_, srv := newTestServer(t, Options{}, ServerOptions{})
+	for name, s := range map[string]uint64{"alpha first": sig.Mix(0x7e4a_0001), "no labels first": sig.Mix(0x7e4a_0002)} {
+		t.Run(name, func(t *testing.T) {
+			puts := []struct {
+				tenant string
+				body   []byte
+			}{
+				{"acme", labelledPayload(s, "alpha.secret")},
+				{"globex", labelledPayload(s, "bravo.public")},
+				{"globex", labelledPayload(s, "")},
+			}
+			if name == "no labels first" {
+				slices.Reverse(puts)
+			}
+			for _, p := range puts {
+				code, reply, _ := tenantDo(t, http.MethodPut, srv.URL+"/runs", p.tenant, p.body, nil)
+				var run Run
+				if code != http.StatusCreated || json.Unmarshal(reply, &run) != nil {
+					t.Fatalf("PUT as %s: %d %s", p.tenant, code, reply)
+				}
+				if run.ID != contentAddress(p.body) {
+					t.Fatalf("PUT as %s stored under %s, not its bytes' address", p.tenant, run.ID[:12])
+				}
+				code, got, _ := tenantDo(t, http.MethodGet, srv.URL+"/runs/"+run.ID, p.tenant, nil, nil)
+				if code != http.StatusOK || !bytes.Equal(got, p.body) {
+					t.Fatalf("GET as %s: %d, %q, want the bytes PUT", p.tenant, code, got)
+				}
 			}
 		})
 	}

@@ -4,9 +4,10 @@ package trace
 // analogue of ScalaTrace's on-disk format (the JSON form is for
 // debugging and interchange).
 //
-// Version 2 ("CHAMTRC2", written by WriteBinary) interns call sites into
-// a file-local table so every leaf stores a small varint index instead
-// of its full 64-bit stack signature:
+// Version 2 ("CHAMTRC2", written by WriteBinary) numbers call sites in a
+// file-local table, with the labels the file gives them (File.Sites), so
+// every leaf stores a small varint index instead of its full 64-bit stack
+// signature; the reader interns nothing into sig.Sites:
 //
 //	magic "CHAMTRC2"
 //	varint P, flags byte (clustered, filter, has-retired), strings
@@ -84,9 +85,8 @@ const (
 // encoder is the file-local site table of one encoding, and the error
 // of the first leaf it wrote that the walker would refuse.
 type encoder struct {
-	index map[uint64]int
-	sites []sig.SiteInfo
-	err   error
+	siteTable
+	err error
 }
 
 // AppendBinary appends the file's binary encoding (version 2) to dst.
@@ -99,8 +99,7 @@ func (f *File) AppendBinary(dst []byte) []byte {
 }
 
 // MarshalBinary returns the file's binary encoding, or an error when
-// DecodeBinary would refuse it: a leaf's rank list reaches below rank 0
-// (a Range or SingleRank built from a negative start).
+// DecodeBinary would refuse a leaf's rank list for a bound (checkRanks).
 func (f *File) MarshalBinary() ([]byte, error) {
 	return f.appendBinary(nil)
 }
@@ -118,8 +117,7 @@ func (f *File) WriteBinary(w io.Writer) error {
 }
 
 func (f *File) appendBinary(dst []byte) ([]byte, error) {
-	e := encoder{index: make(map[uint64]int)}
-	e.sites = collectSites(f.Nodes, e.index, nil)
+	e := encoder{siteTable: collectSites(f)}
 	b := e.file(dst, f)
 	return b, e.err
 }
@@ -182,30 +180,66 @@ func canonicalRetired(retired []int) []int {
 	return out[:w]
 }
 
-// collectSites walks the sequence and assigns every distinct call-site
-// signature a dense file-local index in first-appearance order,
-// resolving function/file/line metadata through the process intern
-// table when the leaf carries an interned SiteID.
-func collectSites(seq []*Node, index map[uint64]int, sites []sig.SiteInfo) []sig.SiteInfo {
+// siteTable is the call-site table of one encoding: the distinct
+// signatures of the file's leaves in order of first use, depth-first.
+type siteTable struct {
+	index map[uint64]int // signature → file-local index
+	sites []sig.SiteInfo
+	given []sig.SiteInfo // File.Sites, which labels the sites
+	// first maps a signature to its first entry in given; nil while
+	// given's entries are the sites so far, in order.
+	first map[uint64]int
+}
+
+// collectSites builds f's site table. A site takes the labels of f's
+// first Sites entry for its signature, or, lacking one, of its leaf's
+// live site in sig.Sites, as the sites a producer captured do.
+func collectSites(f *File) siteTable {
+	t := siteTable{index: make(map[uint64]int), given: f.Sites}
+	t.seq(f.Nodes)
+	return t
+}
+
+func (t *siteTable) seq(seq []*Node) {
 	for _, n := range seq {
 		if n.IsLoop() {
-			sites = collectSites(n.Body, index, sites)
+			t.seq(n.Body)
 			continue
 		}
 		k := uint64(n.Ev.Stack)
-		if _, ok := index[k]; ok {
+		if _, ok := t.index[k]; ok {
 			continue
 		}
-		info := sig.SiteInfo{ID: uint32(len(sites)), Sig: k}
-		if n.Ev.Site != sig.NoSite {
-			if ri, ok := sig.Sites.Resolve(n.Ev.Site); ok && ri.Sig == k {
-				info.Func, info.File, info.Line = ri.Func, ri.File, ri.Line
+		info, ok := t.label(k)
+		if !ok {
+			if ri, live := sig.Sites.Resolve(n.Ev.Site); live && ri.Sig == k {
+				info = ri
 			}
 		}
-		index[k] = len(sites)
-		sites = append(sites, info)
+		info.ID, info.Sig = uint32(len(t.sites)), k
+		t.index[k] = len(t.sites)
+		t.sites = append(t.sites, info)
 	}
-	return sites
+}
+
+// label returns the file's first entry for k, the next site's signature.
+func (t *siteTable) label(k uint64) (sig.SiteInfo, bool) {
+	if i := len(t.sites); t.first == nil {
+		if i >= len(t.given) {
+			return sig.SiteInfo{}, false // every entry names an earlier site
+		}
+		if t.given[i].Sig == k {
+			return t.given[i], true
+		}
+		t.first = make(map[uint64]int, len(t.given))
+		for j := len(t.given) - 1; j >= 0; j-- {
+			t.first[t.given[j].Sig] = j
+		}
+	}
+	if j, ok := t.first[k]; ok {
+		return t.given[j], true
+	}
+	return sig.SiteInfo{}, false
 }
 
 func (e *encoder) seq(b []byte, seq []*Node) []byte {
@@ -231,10 +265,8 @@ func (e *encoder) node(b []byte, n *Node) []byte {
 	b = binary.AppendVarint(b, int64(n.Ev.Bytes))
 	b = appendEndpoint(b, n.Ev.Dest)
 	b = appendEndpoint(b, n.Ev.Src)
-	// A list's first descriptor holds its lowest rank (normal form), so
-	// one look finds a list the walker refuses for starting below 0.
-	if r := n.Ranks; e.err == nil && !r.Empty() && r.Min() < 0 {
-		e.err = fmt.Errorf("trace: rank list start %d out of range", r.Min())
+	if e.err == nil {
+		e.err = checkRanks(n.Ranks.Descriptors())
 	}
 	b = appendRanks(b, n.Ranks)
 	return appendHist(b, n.Delta)
@@ -328,11 +360,10 @@ type walker struct {
 	// they decode to (ScanCanonical).
 	strict bool
 
-	// sites is the deserialized v2 site table: leaf indices map through
-	// it to stack signatures and process-interned SiteIDs. nil for
-	// version-1 files (leaves carry raw signatures). used counts the
-	// entries leaves have referenced so far (strict).
-	sites []decodedSite
+	// sites is the v2 site table's signatures, which leaf indices map
+	// through. nil for version-1 files (leaves carry raw signatures).
+	// used counts the entries leaves have referenced so far (strict).
+	sites []sig.Stack
 	used  uint64
 	// ranks memoizes every rank list read so far, keyed by its encoded
 	// bytes: equal bytes read to an equal list, so a repeat shares the
@@ -354,11 +385,6 @@ type walker struct {
 
 	slots   []*slot // Walk's scratch, one per depth
 	scratch []byte  // strict: an element's canonical encoding
-}
-
-type decodedSite struct {
-	sig sig.Stack
-	id  sig.SiteID
 }
 
 // slot is Walk's scratch at one depth: the node read there last, and its
@@ -503,7 +529,7 @@ func (w *walker) walk(b []byte) error {
 	h.Clustered, h.Filter = flags&1 != 0, flags&2 != 0
 	h.Benchmark, h.Tracer = w.str(), w.str()
 	if magic == binaryMagicV2 {
-		w.siteTable()
+		w.readSites()
 	}
 	n := w.count(0)
 	h.Windows = int(n)
@@ -528,18 +554,17 @@ func (w *walker) walk(b []byte) error {
 	return nil
 }
 
-// siteTable reads the v2 call-site table, re-interning each entry into
-// the process table (so leaves get live SiteIDs) and, kept, recording
-// the serializable form on the file. Strict, each entry must carry the
-// metadata the encoder would write for it (what the interned site
-// resolves to), and a signature may appear once.
-func (w *walker) siteTable() {
+// readSites reads the v2 call-site table and, kept, records it on the
+// file as written. Strict, a signature may appear once, and a line must
+// fit the int it is kept in; any labels are canonical, since the encoder
+// writes the labels its file carries.
+func (w *walker) readSites() {
 	n := w.uvarint()
 	if w.err != nil || n > 1<<20 || n > w.left()/minSiteBytes {
 		w.fail(fmt.Errorf("trace: site table too large"))
 		return
 	}
-	w.sites = make([]decodedSite, 0, n) // non-nil even when empty: the file is v2
+	w.sites = make([]sig.Stack, 0, n) // non-nil even when empty: the file is v2
 	if w.f != nil && n > 0 {
 		w.f.Sites = make([]sig.SiteInfo, 0, n)
 	}
@@ -547,32 +572,19 @@ func (w *walker) siteTable() {
 		info := sig.SiteInfo{ID: uint32(i), Sig: w.uvarint(), Func: w.str(), File: w.str()}
 		line := w.varint()
 		info.Line = int(line)
+		if w.strict && int64(info.Line) != line {
+			w.fail(errNotCanonical)
+		}
 		if w.err != nil {
 			return
 		}
-		id := sig.Sites.InternSigMeta(info)
-		if w.strict {
-			// collectSites: the metadata of the leaf's interned site, if it
-			// resolves to this signature, else none.
-			ri, ok := sig.Sites.Resolve(id)
-			if !ok || ri.Sig != info.Sig {
-				ri = sig.SiteInfo{}
-			}
-			if int64(info.Line) != line || ri.Func != info.Func || ri.File != info.File || ri.Line != info.Line {
-				w.fail(errNotCanonical)
-				return
-			}
-		}
-		w.sites = append(w.sites, decodedSite{sig: sig.Stack(info.Sig), id: id})
+		w.sites = append(w.sites, sig.Stack(info.Sig))
 		if w.f != nil {
 			w.f.Sites = append(w.f.Sites, info)
 		}
 	}
 	if w.strict {
-		sorted := make([]sig.Stack, len(w.sites))
-		for i, s := range w.sites {
-			sorted[i] = s.sig
-		}
+		sorted := slices.Clone(w.sites)
 		slices.Sort(sorted)
 		if len(slices.Compact(sorted)) != len(w.sites) {
 			w.fail(errNotCanonical) // the encoder writes one entry per signature
@@ -719,8 +731,7 @@ func (w *walker) leaf(n *Node) {
 		} else if idx == w.used {
 			w.used++
 		}
-		n.Ev.Stack = w.sites[idx].sig
-		n.Ev.Site = w.sites[idx].id
+		n.Ev.Stack = w.sites[idx]
 	} else {
 		n.Ev.Stack = sig.Stack(w.uvarint())
 	}
@@ -834,44 +845,19 @@ func (w *walker) ranksChecked(descs, dims uint64) ranklist.List {
 	}
 	rls := make([]ranklist.RL, descs)
 	slab := make([]ranklist.Dim, dims)
-	total := uint64(0)
 	for i := range rls {
-		start := int(w.varint())
-		if start < 0 || start > 1<<30 {
-			w.fail(fmt.Errorf("trace: rank list start %d out of range", start))
-			return ranklist.List{}
-		}
-		k := w.uvarint()
-		if k > 8 {
-			w.fail(fmt.Errorf("trace: rank list dims too large"))
-			return ranklist.List{}
-		}
 		rl := &rls[i]
-		rl.Start = start
-		if k > 0 {
+		rl.Start = int(w.varint())
+		if k := w.uvarint(); k > 0 {
 			rl.Dims, slab = slab[:k:k], slab[k:]
 		}
-		size := uint64(1)
 		for j := range rl.Dims {
-			iters := w.varint()
-			stride := w.varint()
-			if iters < 1 || iters > maxRankExpansion ||
-				stride < -(1<<30) || stride > 1<<30 {
-				w.fail(fmt.Errorf("trace: rank list dimension out of range"))
-				return ranklist.List{}
-			}
-			size *= uint64(iters)
-			if size > maxRankExpansion {
-				w.fail(fmt.Errorf("trace: rank list too large"))
-				return ranklist.List{}
-			}
-			rl.Dims[j] = ranklist.Dim{Iters: int(iters), Stride: int(stride)}
+			rl.Dims[j] = ranklist.Dim{Iters: int(w.varint()), Stride: int(w.varint())}
 		}
-		total += size
-		if total > maxRankExpansion {
-			w.fail(fmt.Errorf("trace: rank list too large"))
-			return ranklist.List{}
-		}
+	}
+	if err := checkRanks(rls); err != nil {
+		w.fail(err)
+		return ranklist.List{}
 	}
 	budget := &w.expand
 	if w.strict {
@@ -882,12 +868,10 @@ func (w *walker) ranksChecked(descs, dims uint64) ranklist.List {
 	case ok:
 		// A list re-compacted from its ranks starts where they do (a
 		// descending run may reach below 0), and its re-encoding is read
-		// with the bound above.
-		for _, rl := range l.Descriptors() {
-			if rl.Start < 0 || rl.Start > 1<<30 {
-				w.fail(fmt.Errorf("trace: rank list start %d out of range", rl.Start))
-				return ranklist.List{}
-			}
+		// with the bounds above.
+		if err := checkRanks(l.Descriptors()); err != nil {
+			w.fail(err)
+			return ranklist.List{}
 		}
 		return l
 	case w.strict:
@@ -896,6 +880,36 @@ func (w *walker) ranksChecked(descs, dims uint64) ranklist.List {
 		w.fail(errRankBudget)
 	}
 	return ranklist.List{}
+}
+
+// checkRanks returns the first of the walker's bounds a rank list breaks,
+// which the encoder holds every leaf's list to as well: each start in
+// [0, 2^30], at most 8 dimensions of 1 to 2^20 iterations at a stride
+// within ±2^30, and at most 2^20 ranks in all.
+func checkRanks(rls []ranklist.RL) error {
+	total := 0
+	for _, rl := range rls {
+		if rl.Start < 0 || rl.Start > 1<<30 {
+			return fmt.Errorf("trace: rank list start %d out of range", rl.Start)
+		}
+		if len(rl.Dims) > 8 {
+			return errors.New("trace: rank list dims too large")
+		}
+		size := 1
+		for _, d := range rl.Dims {
+			if d.Iters < 1 || d.Iters > maxRankExpansion || d.Stride < -(1<<30) || d.Stride > 1<<30 {
+				return errors.New("trace: rank list dimension out of range")
+			}
+			if size > maxRankExpansion/d.Iters {
+				return errors.New("trace: rank list too large")
+			}
+			size *= d.Iters
+		}
+		if total += size; total > maxRankExpansion {
+			return errors.New("trace: rank list too large")
+		}
+	}
+	return nil
 }
 
 // hist reads an optional histogram into the sequence's slab (or the

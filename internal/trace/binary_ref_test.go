@@ -7,7 +7,12 @@ package trace
 // input both decoders must accept or reject alike and decode to files
 // that re-encode to the same bytes, and both encoders must write the
 // same bytes (binary_oracle_test.go). Identifiers carry a ref prefix;
-// the bodies are otherwise the pre-change code, verbatim.
+// the bodies are otherwise the pre-change code, verbatim, but for the
+// site table, changed since so that labels come from the bytes: the
+// reader keeps the table as written and interns nothing into sig.Sites
+// (decoded leaves carry sig.NoSite), and the writer labels a site with
+// the file's first Sites entry for its signature, or, lacking one, with
+// what the leaf's live site resolves to.
 
 import (
 	"bufio"
@@ -141,7 +146,11 @@ func refWriteBinary(f *File, w io.Writer) error {
 	bw.str(f.Benchmark)
 	bw.str(f.Tracer)
 	index := make(map[uint64]int)
-	sites := refCollectSites(f.Nodes, index, nil)
+	given := make(map[uint64]sig.SiteInfo, len(f.Sites))
+	for i := len(f.Sites) - 1; i >= 0; i-- {
+		given[f.Sites[i].Sig] = f.Sites[i]
+	}
+	sites := refCollectSites(f.Nodes, index, given, nil)
 	bw.uvarint(uint64(len(sites)))
 	for _, s := range sites {
 		bw.uvarint(s.Sig)
@@ -182,13 +191,14 @@ func refCanonicalRetired(retired []int) []int {
 }
 
 // refCollectSites walks the sequence and assigns every distinct call-site
-// signature a dense file-local index in first-appearance order,
-// resolving function/file/line metadata through the process intern
-// table when the leaf carries an interned SiteID.
-func refCollectSites(seq []*Node, index map[uint64]int, sites []sig.SiteInfo) []sig.SiteInfo {
+// signature a dense file-local index in first-appearance order, taking
+// function/file/line metadata from given (the file's own table) or,
+// for a signature it lacks, through the process intern table when the
+// leaf carries an interned SiteID.
+func refCollectSites(seq []*Node, index map[uint64]int, given map[uint64]sig.SiteInfo, sites []sig.SiteInfo) []sig.SiteInfo {
 	for _, n := range seq {
 		if n.IsLoop() {
-			sites = refCollectSites(n.Body, index, sites)
+			sites = refCollectSites(n.Body, index, given, sites)
 			continue
 		}
 		k := uint64(n.Ev.Stack)
@@ -196,7 +206,9 @@ func refCollectSites(seq []*Node, index map[uint64]int, sites []sig.SiteInfo) []
 			continue
 		}
 		info := sig.SiteInfo{ID: uint32(len(sites)), Sig: k}
-		if n.Ev.Site != sig.NoSite {
+		if g, ok := given[k]; ok {
+			info.Func, info.File, info.Line = g.Func, g.File, g.Line
+		} else if n.Ev.Site != sig.NoSite {
 			if ri, ok := sig.Sites.Resolve(n.Ev.Site); ok && ri.Sig == k {
 				info.Func, info.File, info.Line = ri.Func, ri.File, ri.Line
 			}
@@ -277,11 +289,10 @@ func refWriteHist(bw *refWriter, h *stats.Histogram) {
 }
 
 // refDecodeSites is the deserialized file-local site table: leaf indices
-// map through it to stack signatures and process-interned SiteIDs. nil
-// for version-1 files (leaves carry raw signatures).
+// map through it to stack signatures. nil for version-1 files (leaves
+// carry raw signatures).
 type refDecodeSites struct {
 	sigs []sig.Stack
-	ids  []sig.SiteID
 }
 
 // refReadBinary deserializes a binary trace file (either format version).
@@ -324,9 +335,8 @@ func refReadBinary(r io.Reader) (*File, error) {
 	return f, nil
 }
 
-// refReadSiteTable decodes the v2 call-site table, re-interning each entry
-// into the process table (so decoded events get live SiteIDs) and
-// recording the serializable form on the file.
+// refReadSiteTable decodes the v2 call-site table, recording the
+// serializable form on the file.
 func refReadSiteTable(br *refReader, f *File) *refDecodeSites {
 	n := br.uvarint()
 	if br.err != nil || n > 1<<20 {
@@ -344,7 +354,6 @@ func refReadSiteTable(br *refReader, f *File) *refDecodeSites {
 	}
 	ds := &refDecodeSites{
 		sigs: make([]sig.Stack, 0, pre),
-		ids:  make([]sig.SiteID, 0, pre),
 	}
 	for i := uint64(0); i < n && br.err == nil; i++ {
 		info := sig.SiteInfo{
@@ -355,7 +364,6 @@ func refReadSiteTable(br *refReader, f *File) *refDecodeSites {
 			Line: int(br.varint()),
 		}
 		ds.sigs = append(ds.sigs, sig.Stack(info.Sig))
-		ds.ids = append(ds.ids, sig.Sites.InternSigMeta(info))
 		f.Sites = append(f.Sites, info)
 	}
 	return ds
@@ -411,7 +419,6 @@ func refReadNode(br *refReader, depth int, sites *refDecodeSites) *Node {
 				return node
 			}
 			node.Ev.Stack = sites.sigs[idx]
-			node.Ev.Site = sites.ids[idx]
 		} else {
 			node.Ev.Stack = sig.Stack(br.uvarint())
 		}

@@ -133,9 +133,9 @@ type Event struct {
 	Stack sig.Stack
 	// Site is the interned call-site ID behind Stack (sig.NoSite for
 	// events that never passed through the intern table: hand-built test
-	// events and traces read from the v1 binary format). It is derived
-	// state — Stack == sig.Sites.Signature(Site) whenever set — so it is
-	// excluded from equality and from the JSON encoding.
+	// events and decoded ones, whose labels are their File's Sites). It is
+	// derived state — Stack == sig.Sites.Signature(Site) whenever set — so
+	// it is excluded from equality and from the JSON encoding.
 	Site  sig.SiteID `json:"-"`
 	Comm  mpi.CommID
 	Dest  Endpoint // destination (sends) or root (rooted collectives)

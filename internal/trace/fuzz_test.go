@@ -205,6 +205,43 @@ func normalInput(data []byte) (p, off int, raw []string) {
 	return p, off, raw
 }
 
+// rankBoundLists are lists in normal form at and one past each bound
+// the reader holds a rank list to (checkRanks), and whether it reads
+// them: the start, a dimension's iterations and stride, the ranks of one
+// descriptor and of the list.
+var rankBoundLists = []struct {
+	js string
+	ok bool
+}{
+	{`[{"start":0}]`, true},
+	{`[{"start":-1}]`, false},
+	{`[{"start":1073741824}]`, true},
+	{`[{"start":1073741825}]`, false},
+	{`[{"start":0,"dims":[[1048576,1]]}]`, true},
+	{`[{"start":0,"dims":[[1048577,1]]}]`, false},
+	{`[{"start":0,"dims":[[2,1073741824]]}]`, true},
+	{`[{"start":0,"dims":[[2,1073741825]]}]`, false},
+	{`[{"start":0,"dims":[[2,1],[2,1073741824]]}]`, true},
+	{`[{"start":0,"dims":[[2,1],[2,1073741825]]}]`, false},
+	{`[{"start":0,"dims":[[1024,1],[1024,2048]]}]`, true},
+	{`[{"start":0,"dims":[[1025,1],[1024,2048]]}]`, false},
+	{`[{"start":0,"dims":[[524288,1]]},{"start":524290,"dims":[[524288,2]]}]`, true},
+	{`[{"start":0,"dims":[[524288,1]]},{"start":524290,"dims":[[524288,2]]},{"start":2000000}]`, false},
+}
+
+// checkMarshalMatchesDecode fails t unless MarshalBinary of a leaf on l
+// fails exactly when DecodeBinary of the leaf's bytes does, and returns
+// MarshalBinary's error.
+func checkMarshalMatchesDecode(t testing.TB, l ranklist.List) error {
+	t.Helper()
+	f := &File{P: 1, Nodes: []*Node{NewLeaf(Event{Op: mpi.OpBarrier}, l, 1)}}
+	_, err := f.MarshalBinary()
+	if _, derr := DecodeBinary(f.AppendBinary(nil)); (err == nil) != (derr == nil) {
+		t.Fatalf("a leaf on %v: MarshalBinary error %v, DecodeBinary of its bytes %v", l, err, derr)
+	}
+	return err
+}
+
 // checkNormalList fails t unless l is in normal form and holds the
 // descriptors FromRanks builds for ranks, a sorted set.
 func checkNormalList(t *testing.T, what string, l ranklist.List, ranks []int) {
@@ -247,8 +284,25 @@ func checkPieces(t *testing.T, what string, l ranklist.List, ranks []int) {
 // a list that runs below rank 0 (a descending one can): its normal form
 // would start there, which the reader refuses in the bytes, so its
 // re-encoding would not read back. Shift and Classes give disjoint
-// one-piece descriptors with the ranks the expansion says.
+// one-piece descriptors with the ranks the expansion says. For every
+// list in normal form it draws or unites, and for lists at and one past
+// each bound of the reader (rankBoundLists), MarshalBinary refuses a
+// leaf on the list exactly when DecodeBinary refuses its bytes.
 func FuzzRankListsNormal(f *testing.F) {
+	for _, c := range rankBoundLists {
+		l := rawList(c.js)
+		if !l.Normal() {
+			f.Fatalf("%s: %v is not in normal form", c.js, l)
+		}
+		if err := checkMarshalMatchesDecode(f, l); (err == nil) != c.ok {
+			f.Fatalf("%s: MarshalBinary error %v, want refused=%v", c.js, err, !c.ok)
+		}
+	}
+	for _, l := range []ranklist.List{ranklist.SingleRank(1 << 31), ranklist.FromRanks([]int{0, 1 << 31})} {
+		if checkMarshalMatchesDecode(f, l) == nil {
+			f.Fatalf("MarshalBinary of a leaf on %v succeeded", l)
+		}
+	}
 	for i := 0; i < 32; i++ {
 		seed := make([]byte, 8+i*3)
 		for j := range seed {
@@ -267,12 +321,14 @@ func FuzzRankListsNormal(f *testing.F) {
 			sets[i] = l.Ranks()
 			lists[i] = ranklist.FromRanks(sets[i])
 			checkNormalList(t, "FromRanks", lists[i], sets[i])
+			checkMarshalMatchesDecode(t, lists[i])
 			file.Nodes = append(file.Nodes, NewLeaf(Event{Op: mpi.OpBarrier, Tag: i}, l, 1))
 		}
 		for i := range lists {
 			j := (i + 1) % len(lists)
 			union := ranklist.FromRanks(append(append([]int(nil), sets[i]...), sets[j]...)).Ranks()
 			checkNormalList(t, "Union", lists[i].Union(lists[j]), union)
+			checkMarshalMatchesDecode(t, lists[i].Union(lists[j]))
 		}
 		var js bytes.Buffer
 		if err := file.Write(&js); err != nil {

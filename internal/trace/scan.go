@@ -11,8 +11,8 @@ package trace
 // is checked to be in normal form without expanding it, a histogram is
 // re-encoded and compared with the bytes it was read from, and what the
 // encoder derives rather than reads (the site table's order and
-// metadata, the retired ranks' order, the flags) is checked against what
-// the decoded file would carry.
+// uniqueness, the retired ranks' order, the flags) is checked against
+// what the decoded file would carry.
 
 // Summary is what the archive records of a trace without holding its
 // nodes.
@@ -53,7 +53,7 @@ func Summarize(f *File) Summary {
 // equals b byte for byte; JSON, version 1, overlong varints, a site
 // table out of first-use order, rank lists or histograms not in the
 // form the encoder writes, and trailing bytes all report false. Like
-// the decoder, it interns the site table into sig.Sites.
+// the decoder, it interns nothing into sig.Sites.
 func ScanCanonical(b []byte) (Summary, bool) {
 	if len(b) < len(binaryMagicV2) || [8]byte(b) != binaryMagicV2 {
 		return Summary{}, false
@@ -65,7 +65,7 @@ func ScanCanonical(b []byte) (Summary, bool) {
 	}
 	s.sum.Sigs = make([]uint64, len(w.sites))
 	for i, site := range w.sites {
-		s.sum.Sigs[i] = uint64(site.sig)
+		s.sum.Sigs[i] = uint64(site)
 	}
 	return s.sum, true
 }

@@ -20,11 +20,17 @@ import (
 // CheckScanMatchesDecode is the scan's oracle, the path it replaces:
 // ScanCanonical(data) reports true exactly when DecodeBinary(data)
 // succeeds and AppendBinary of the result is data, and then its Summary
-// is the decoded file's.
+// is the decoded file's. Neither the scan nor the decode interns a site
+// into sig.Sites (no test of this package runs in parallel, so nothing
+// else grows it meanwhile).
 func CheckScanMatchesDecode(t testing.TB, data []byte) {
 	t.Helper()
+	sites := sig.Sites.Len()
 	sum, ok := ScanCanonical(data)
 	f, err := DecodeBinary(data)
+	if n := sig.Sites.Len(); n != sites {
+		t.Fatalf("the scan and the decode interned %d sites", n-sites)
+	}
 	canonical := err == nil && bytes.HasPrefix(data, binaryMagicV2[:]) && bytes.Equal(f.AppendBinary(nil), data)
 	if ok != canonical {
 		t.Fatalf("scan says canonical=%v, decode and re-encode say %v (decode error %v)", ok, canonical, err)

@@ -29,20 +29,20 @@ type File struct {
 	// Retired lists ranks that crash-stopped during the traced run (their
 	// events end at the crash marker; empty for fault-free runs).
 	Retired []int `json:"retired,omitempty"`
-	// Sites is the interned call-site table of the trace: one entry per
-	// distinct stack signature, with resolved function/file:line where
-	// known. The binary codec always persists it (v2 format); producers
-	// populate it via SiteTable.
+	// Sites is the call-site table of the trace: one entry per distinct
+	// stack signature, with function/file:line where known. The codecs
+	// take site labels from it, and a decoded file holds it as read;
+	// producers populate it via SiteTable.
 	Sites []sig.SiteInfo `json:"sites,omitempty"`
 	// Nodes is the compressed global trace.
 	Nodes []*Node `json:"nodes"`
 }
 
-// SiteTable computes the file's call-site table from its node sequence:
-// distinct signatures in first-appearance order, with metadata resolved
-// through the process intern table where leaves carry SiteIDs.
+// SiteTable computes the site table the file's encoding carries: its
+// leaves' distinct signatures in order of first use, each labelled by
+// its Sites entry or else by its leaf's live site in sig.Sites.
 func (f *File) SiteTable() []sig.SiteInfo {
-	return collectSites(f.Nodes, make(map[uint64]int), nil)
+	return collectSites(f).sites
 }
 
 // nodeJSON mirrors Node for serialization (Node itself would marshal
@@ -130,7 +130,8 @@ func (f *File) Write(w io.Writer) error {
 // Read deserializes a JSON trace file from r. The decoded tree is
 // re-encoded and read back by DecodeBinary, so a JSON file meets every
 // bound of the binary reader, and its rank lists come back in normal
-// form, within the same budget, as every decoded file's do.
+// form, within the same budget, as every decoded file's do; its site
+// table is the JSON's own.
 func Read(r io.Reader) (*File, error) {
 	var f File
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -139,11 +140,7 @@ func Read(r io.Reader) (*File, error) {
 	if err := checkRankCount(f.P); err != nil {
 		return nil, err
 	}
-	ids := make(map[sig.Stack]sig.SiteID, len(f.Sites))
-	for _, s := range f.Sites {
-		ids[sig.Stack(s.Sig)] = sig.Sites.InternSigMeta(s)
-	}
-	if err := bindSites(f.Nodes, ids); err != nil {
+	if err := checkNoNull(f.Nodes); err != nil {
 		return nil, err
 	}
 	out, err := DecodeBinary(f.AppendBinary(nil))
@@ -169,21 +166,15 @@ func (e jsonRefusal) Error() string {
 
 func (e jsonRefusal) Unwrap() error { return e.err }
 
-// bindSites checks that the tree holds no null node, and gives every
-// leaf whose signature the file's site table names that site, so that
-// the re-encoding keeps the table's metadata.
-func bindSites(seq []*Node, ids map[sig.Stack]sig.SiteID) error {
+// checkNoNull checks that the tree holds no null node.
+func checkNoNull(seq []*Node) error {
 	for _, n := range seq {
 		switch {
 		case n == nil:
 			return fmt.Errorf("trace: decode: null node")
 		case n.IsLoop():
-			if err := bindSites(n.Body, ids); err != nil {
+			if err := checkNoNull(n.Body); err != nil {
 				return err
-			}
-		default:
-			if id, ok := ids[n.Ev.Stack]; ok {
-				n.Ev.Site = id
 			}
 		}
 	}

@@ -65,7 +65,7 @@ func NewWindow(mode SigMode) *Window {
 }
 
 // Add folds one event into the window. Events without an interned site
-// (hand-built tests, v1 traces) are interned by signature on the fly, so
+// (hand-built tests, decoded traces) are interned by signature on the fly, so
 // identical signatures still collapse onto one accumulator slot.
 func (w *Window) Add(ev trace.Event) {
 	w.events++
@@ -76,8 +76,9 @@ func (w *Window) Add(ev trace.Event) {
 	if int(site) >= len(w.pos) {
 		// Size for every site interned so far, which this rank is
 		// likely to meet too, not just for this one: a window holds at
-		// most that many distinct sites.
-		n := max(int(site)+1, sig.Sites.Len())
+		// most that many distinct sites. IDs start at 1, so the last
+		// one interned is Len().
+		n := max(int(site), sig.Sites.Len()) + 1
 		grown := make([]int32, n)
 		copy(grown, w.pos)
 		w.pos = grown

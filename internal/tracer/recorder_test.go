@@ -192,6 +192,19 @@ func TestWindowReset(t *testing.T) {
 	}
 }
 
+// A window is sized, at its first event, for every site interned so far,
+// so a later event on any of them does not grow it: the last interned
+// site's ID is sig.Sites.Len(), as IDs start at 1.
+func TestWindowSizedForEveryInternedSite(t *testing.T) {
+	first := sig.Sites.InternSig(sig.Stack(sig.Mix(0x5123_0001)))
+	sig.Sites.InternSig(sig.Stack(sig.Mix(0x5123_0002)))
+	w := NewWindow(SigFull)
+	w.Add(trace.Event{Op: mpi.OpSend, Stack: sig.Sites.Signature(first), Site: first})
+	if last := sig.Sites.Len(); len(w.pos) <= last {
+		t.Fatalf("the window holds %d slots, the last interned site is %d", len(w.pos), last)
+	}
+}
+
 func TestWindowRepetitiveStability(t *testing.T) {
 	// Two windows observing the same repetitive pattern must produce the
 	// identical triple — the property Algorithm 1's vote depends on.
