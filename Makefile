@@ -70,7 +70,9 @@ test-race:
 # against decoding and then visiting the tree (it fails exactly when the
 # decoder does, and makes the same callbacks), the consuming inter-node
 # merge against the cloning one kept in a test file (the same nodes and
-# cost, and the reference's inputs untouched), the sparse histogram
+# cost, and the reference's inputs untouched), the intra-node fold
+# against the reference fold kept in a test file (the same sequence,
+# size and Compares after every append), the sparse histogram
 # every decoded leaf holds against the pre-change array one (any op
 # sequence must read the same), the TCP frame decoder (every fleet
 # byte passes through it), the fault-plan decoder (-faults input, text
@@ -114,6 +116,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanMatchesDecode -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzWalkMatchesAccept -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzMergeMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzFoldMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s -fuzzminimizetime=2s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s -fuzzminimizetime=2s ./internal/fault/

@@ -83,7 +83,7 @@ const (
 )
 
 // encoder is the file-local site table of one encoding, and the error
-// of the first leaf it wrote that the walker would refuse.
+// of the first string or leaf it wrote that the walker would refuse.
 type encoder struct {
 	siteTable
 	err error
@@ -99,7 +99,8 @@ func (f *File) AppendBinary(dst []byte) []byte {
 }
 
 // MarshalBinary returns the file's binary encoding, or an error when
-// DecodeBinary would refuse a leaf's rank list for a bound (checkRanks).
+// DecodeBinary would refuse a leaf's rank list (checkRanks) or a string
+// (maxStringLen) for a bound.
 func (f *File) MarshalBinary() ([]byte, error) {
 	return f.appendBinary(nil)
 }
@@ -137,13 +138,13 @@ func (e *encoder) file(b []byte, f *File) []byte {
 		flags |= 4
 	}
 	b = append(b, flags)
-	b = appendStr(b, f.Benchmark)
-	b = appendStr(b, f.Tracer)
+	b = e.str(b, f.Benchmark)
+	b = e.str(b, f.Tracer)
 	b = binary.AppendUvarint(b, uint64(len(e.sites)))
 	for _, s := range e.sites {
 		b = binary.AppendUvarint(b, s.Sig)
-		b = appendStr(b, s.Func)
-		b = appendStr(b, s.File)
+		b = e.str(b, s.Func)
+		b = e.str(b, s.File)
 		b = binary.AppendVarint(b, int64(s.Line))
 	}
 	b = e.seq(b, f.Nodes)
@@ -156,7 +157,10 @@ func (e *encoder) file(b []byte, f *File) []byte {
 	return b
 }
 
-func appendStr(b []byte, s string) []byte {
+func (e *encoder) str(b []byte, s string) []byte {
+	if len(s) > maxStringLen && e.err == nil {
+		e.err = errStringLen
+	}
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
@@ -338,9 +342,14 @@ const maxBinaryDepth = 64
 // sizes a per-rank table, takes on.
 const maxRankExpansion = 1 << 20
 
+// maxStringLen bounds the bytes of a benchmark, tracer or site label:
+// the walker refuses a longer one, and MarshalBinary will not write it.
+const maxStringLen = 1 << 20
+
 var (
 	errVarint       = errors.New("varint overflows 64 bits")
 	errNotCanonical = errors.New("not the canonical encoding")
+	errStringLen    = errors.New("trace: string too long")
 	errRankBudget   = errors.New("trace: rank lists not in normal form expand past the input's budget")
 )
 
@@ -463,8 +472,8 @@ func (w *walker) byte() byte {
 
 func (w *walker) str() string {
 	n := w.uvarint()
-	if w.err != nil || n > 1<<20 {
-		w.fail(fmt.Errorf("trace: string too long"))
+	if w.err != nil || n > maxStringLen {
+		w.fail(errStringLen)
 		return ""
 	}
 	if n > w.left() {

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
 
+	"chameleon/internal/mpi"
 	"chameleon/internal/ranklist"
+	"chameleon/internal/sig"
 	"chameleon/internal/stats"
 )
 
@@ -227,6 +230,49 @@ func TestBinaryHistogramSpan(t *testing.T) {
 	for i, c := range histBuckets(got) {
 		if scaled.Bucket(i) != 3*c {
 			t.Fatalf("MergeScaled moved %v of %v", histBuckets(scaled), histBuckets(got))
+		}
+	}
+}
+
+// TestStringBoundMatchesDecode: each string the format carries — the
+// benchmark and tracer names and a site's Func and File — encodes and
+// reads back at maxStringLen bytes, and one byte more is refused by
+// MarshalBinary as DecodeBinary refuses the bytes AppendBinary writes.
+func TestStringBoundMatchesDecode(t *testing.T) {
+	stack := sig.Stack(sig.Mix(1))
+	fields := []struct {
+		name string
+		set  func(*File, string)
+		get  func(*File) string
+	}{
+		{"Benchmark", func(f *File, s string) { f.Benchmark = s }, func(f *File) string { return f.Benchmark }},
+		{"Tracer", func(f *File, s string) { f.Tracer = s }, func(f *File) string { return f.Tracer }},
+		{"Func", func(f *File, s string) { f.Sites[0].Func = s }, func(f *File) string { return f.Sites[0].Func }},
+		{"File", func(f *File, s string) { f.Sites[0].File = s }, func(f *File) string { return f.Sites[0].File }},
+	}
+	for _, fd := range fields {
+		for _, n := range []int{maxStringLen, maxStringLen + 1} {
+			f := &File{
+				P:     1,
+				Nodes: []*Node{NewLeaf(Event{Op: mpi.OpBarrier, Stack: stack}, ranklist.SingleRank(0), 1)},
+				Sites: []sig.SiteInfo{{Sig: uint64(stack), Func: "main", File: "main.go", Line: 1}},
+			}
+			s := strings.Repeat("x", n)
+			fd.set(f, s)
+			b, err := f.MarshalBinary()
+			got, derr := DecodeBinary(f.AppendBinary(nil))
+			if n > maxStringLen {
+				if !errors.Is(err, errStringLen) || derr == nil {
+					t.Fatalf("%s of %d bytes: MarshalBinary error %v, DecodeBinary error %v; want both refused", fd.name, n, err, derr)
+				}
+				continue
+			}
+			if err != nil || derr != nil {
+				t.Fatalf("%s of %d bytes: MarshalBinary error %v, DecodeBinary error %v", fd.name, n, err, derr)
+			}
+			if fd.get(got) != s || !bytes.Equal(b, got.AppendBinary(nil)) {
+				t.Fatalf("%s of %d bytes did not read back as written", fd.name, n)
+			}
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package trace_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"chameleon/internal/apps"
 	"chameleon/internal/mpi"
@@ -22,8 +24,16 @@ import (
 type refFold struct {
 	seq      []*trace.Node
 	filter   bool
+	window   int // the compressor's MaxWindow: DefaultMaxWindow if 0
 	compares int
 	size     int
+}
+
+func (c *refFold) maxWindow() int {
+	if c.window > 0 {
+		return c.window
+	}
+	return trace.DefaultMaxWindow
 }
 
 func (c *refFold) equal(a, b *trace.Node) bool {
@@ -40,7 +50,7 @@ func (c *refFold) append(n *trace.Node) {
 
 func (c *refFold) absorb() bool {
 	n := len(c.seq)
-	for m := 1; m <= trace.DefaultMaxWindow && m < n; m++ {
+	for m := 1; m <= c.maxWindow() && m < n; m++ {
 		loop := c.seq[n-1-m]
 		if !loop.IsLoop() || len(loop.Body) != m {
 			continue
@@ -65,7 +75,7 @@ func (c *refFold) absorb() bool {
 
 func (c *refFold) create() bool {
 	n := len(c.seq)
-	for L := 1; L <= min(trace.DefaultMaxWindow, n/2); L++ {
+	for L := 1; L <= min(c.maxWindow(), n/2); L++ {
 		a, b := c.seq[n-2*L:n-L], c.seq[n-L:]
 		ok := true
 		for k := 0; k < L && ok; k++ {
@@ -96,9 +106,11 @@ type foldPair struct {
 	n    int
 }
 
-func newFoldPair(t *testing.T, name string, filter bool) *foldPair {
-	p := &foldPair{t: t, name: name, want: refFold{filter: filter}}
-	p.got.Filter = filter
+// newFoldPair starts a pair with the given Filter and MaxWindow on both
+// sides.
+func newFoldPair(t *testing.T, name string, filter bool, window int) *foldPair {
+	p := &foldPair{t: t, name: name, want: refFold{filter: filter, window: window}}
+	p.got.Filter, p.got.MaxWindow = filter, window
 	p.got.Pool = &p.pool
 	return p
 }
@@ -172,7 +184,7 @@ func TestFoldMatchesReferenceOnPseudoRandomStreams(t *testing.T) {
 			return int(state>>33) % n
 		}
 		for trial := 0; trial < 50; trial++ {
-			p := newFoldPair(t, "pseudo-random", filter)
+			p := newFoldPair(t, "pseudo-random", filter, 0)
 			for i := next(200) + 1; i > 0; i-- {
 				site := next(4) + 1
 				p.leaf(trace.Event{
@@ -181,6 +193,71 @@ func TestFoldMatchesReferenceOnPseudoRandomStreams(t *testing.T) {
 				}, ranklist.SingleRank(0), int64(next(1<<20)))
 			}
 		}
+	}
+}
+
+// FuzzFoldMatchesReference drives Compressor and refFold with a leaf
+// stream from a small palette, so that loops form and nest, under
+// either filter setting and a MaxWindow of 1 to 8 or the default, and
+// requires the same sequence, SizeBytes and Compares after every append.
+// The first byte picks the settings; each further byte is a leaf: one
+// of four sites, on rank 0 alone or on ranks {0, 2} (the same smallest
+// rank, so the same structural hash but not equal), with the byte's high
+// bits as its delta.
+func FuzzFoldMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 1, 0, 1, 2, 0, 1, 0, 1, 2, 0, 1, 0, 1, 2, 3})
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 2, 0, 0, 0, 1, 0, 0, 1, 2})
+	f.Add([]byte{6, 0, 1, 2, 3, 0, 1, 2, 7, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 6, 3, 0, 1, 2, 3})
+	f.Add([]byte{17, 0, 8, 16, 1, 9, 0, 8, 16, 1, 9, 0, 8, 24, 1, 9, 0, 4, 4, 0, 4, 4, 0})
+	f.Add([]byte{3, 0, 1, 0, 1, 4, 0, 1, 0, 1, 4, 0, 5, 0, 1, 4, 0, 1, 0, 1, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		window := int(data[0]>>1) % 9
+		p := newFoldPair(t, fmt.Sprintf("window %d", window), data[0]&1 == 1, window)
+		lists := [2]ranklist.List{ranklist.SingleRank(0), ranklist.FromRanks([]int{0, 2})}
+		for _, b := range data[1:] {
+			site := int(b&3) + 1
+			p.leaf(trace.Event{
+				Op: mpi.OpSend, Stack: sig.Stack(sig.Mix(uint64(site))),
+				Comm: mpi.CommWorld, Dest: trace.Relative(1), Tag: site, Bytes: 64,
+			}, lists[b>>2&1], int64(b>>3))
+		}
+	})
+}
+
+// BenchmarkFold prices the intra-node fold in ns per event on rank 0's
+// stream of LU class A at P=256, the lu_st_p256 record path: through one
+// compressor, and through 256 fed round robin, as one process hosting
+// every rank interleaves them. Filter is off and each compressor has
+// its own pool, as in the benchmark's trace.compress_ns_per_event probe.
+func BenchmarkFold(b *testing.B) {
+	s := captureRun(b, "LU", 256, func(rank int) bool { return rank == 0 })[0]
+	for _, comps := range []int{1, 256} {
+		b.Run(fmt.Sprintf("compressors=%d", comps), func(b *testing.B) {
+			pools := make([]trace.Pool, comps)
+			cs := make([]trace.Compressor, comps)
+			lists := make([]ranklist.List, comps)
+			for j := range cs {
+				cs[j].Pool = &pools[j]
+				lists[j] = ranklist.SingleRank(j)
+			}
+			var d time.Duration
+			for i := 0; i < b.N; i++ {
+				for j := range cs {
+					pools[j].PutSeq(cs[j].Reset())
+				}
+				start := time.Now()
+				for k, ev := range s.events {
+					for j := range cs {
+						cs[j].AppendLeaf(pools[j].Leaf(ev, lists[j], s.deltas[k]))
+					}
+				}
+				d += time.Since(start)
+			}
+			b.ReportMetric(float64(d.Nanoseconds())/float64(b.N*comps*len(s.events)), "ns/event")
+		})
 	}
 }
 
@@ -228,21 +305,30 @@ func captureApps(t *testing.T) map[string][]rankStream {
 	appStreamsOnce.Do(func() {
 		appStreams = map[string][]rankStream{}
 		for _, name := range []string{"LU", "STENCIL", "PHASE"} {
-			spec, err := apps.Registry(name, apps.ClassA, appRanks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streams := make([]rankStream, appRanks)
-			_, err = mpi.Run(mpi.Config{P: appRanks, Hooks: func(p *mpi.Proc) mpi.Interposer {
-				return &capture{rec: tracer.NewRecorder(p, spec.SigMode, spec.Filter), out: &streams[p.Rank()]}
-			}}, spec.Body(true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			appStreams[name] = streams
+			appStreams[name] = captureRun(t, name, appRanks, func(int) bool { return true })
 		}
 	})
 	return appStreams
+}
+
+// captureRun runs skeleton name, class A, at P=p with markers on, and
+// returns the streams of the ranks keep selects (the others are empty).
+func captureRun(tb testing.TB, name string, p int, keep func(rank int) bool) []rankStream {
+	spec, err := apps.Registry(name, apps.ClassA, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	streams := make([]rankStream, p)
+	_, err = mpi.Run(mpi.Config{P: p, Hooks: func(pr *mpi.Proc) mpi.Interposer {
+		if !keep(pr.Rank()) {
+			return mpi.NopInterposer{}
+		}
+		return &capture{rec: tracer.NewRecorder(pr, spec.SigMode, spec.Filter), out: &streams[pr.Rank()]}
+	}}, spec.Body(true))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return streams
 }
 
 // TestFoldMatchesReferenceOnAppStreams: the record path proper — each
@@ -256,7 +342,7 @@ func TestFoldMatchesReferenceOnAppStreams(t *testing.T) {
 				t.Fatalf("%s rank %d: only %d events captured", name, rank, len(s.events))
 			}
 			for _, filter := range []bool{false, true} {
-				p := newFoldPair(t, name, filter)
+				p := newFoldPair(t, name, filter, 0)
 				for i, ev := range s.events {
 					p.leaf(ev, ranklist.SingleRank(rank), s.deltas[i])
 				}
@@ -284,7 +370,7 @@ func TestFoldMatchesReferenceOnMergedSegments(t *testing.T) {
 			t.Fatalf("%s: only %d marker calls", name, len(cuts))
 		}
 		for _, filter := range []bool{false, true} {
-			p := newFoldPair(t, name+" merged", filter)
+			p := newFoldPair(t, name+" merged", filter, 0)
 			appended := 0
 			for seg := range cuts {
 				var merged []*trace.Node

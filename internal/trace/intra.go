@@ -17,11 +17,13 @@ package trace
 // loop nests: the inner repetition folds first, the enclosing pattern
 // (now containing the inner loop node) folds at the next level.
 
-// DefaultMaxWindow bounds the pattern length the compressor searches. It
-// must exceed the largest per-timestep event count of the traced codes
-// (LU's pipelined sweeps emit ~65 distinct leaves per timestep) or the
-// timestep loop never folds; the absorb/create scans stay cheap because
-// mismatching candidates fail on their first hash word.
+// DefaultMaxWindow bounds the length, in nodes, of the loop bodies the
+// compressor searches for. A timestep's body must fit once its inner
+// loops have folded, or the timestep loop never folds. The bound is not
+// what a scan costs: each looks at no more candidates than the sequence
+// holds (on rank 0 of LU class A at P=256, 18 nodes on average and 65
+// at most), and rejects most of them on one word, the candidate's
+// length in absorb and its first pair's hashes in create.
 const DefaultMaxWindow = 160
 
 // Compressor folds an event stream into a compressed node sequence.
@@ -104,13 +106,6 @@ func (n *Node) rehash() uint32 {
 	return n.Ev.hash
 }
 
-// differ is the scans' element test: hashes first, the full structural
-// check only when they agree.
-func (c *Compressor) differ(a, b *Node) bool {
-	c.Compares++
-	return a.Ev.hash != b.Ev.hash || !StructuralEqual(a, b, c.Filter)
-}
-
 // fold applies one absorb or create step; it reports whether anything
 // changed (the caller loops until a fixed point, which builds nested
 // loops bottom-up).
@@ -121,71 +116,86 @@ func (c *Compressor) fold() bool {
 	return c.create()
 }
 
+// samePrefix returns how many leading pairs of a and b are structurally
+// equal, testing each pair's hashes first. b is at least as long as a.
+func samePrefix(a, b []*Node, filter bool) int {
+	for k, x := range a {
+		if y := b[k]; x.Ev.hash != y.Ev.hash || !StructuralEqual(x, y, filter) {
+			return k
+		}
+	}
+	return len(a)
+}
+
 // absorb folds a completed body repetition into the loop preceding it:
 // for each candidate run length m, if the node m positions back is a
 // loop with an m-node body equal to the trailing run, the run is folded
 // (Iters++). Smaller m first so inner loops absorb before outer ones.
+// The pairs it tests are added to Compares once, after the scan.
 func (c *Compressor) absorb() bool {
-	n := len(c.Seq)
-	for m, w := 1, c.window(); m <= w && m < n; m++ {
-		loop := c.Seq[n-1-m]
-		if !loop.IsLoop() || len(loop.Body) != m {
+	seq := c.Seq
+	n := len(seq)
+	tested := 0
+	for m, w := 1, min(c.window(), n-1); m <= w; m++ {
+		loop := seq[n-1-m]
+		if len(loop.Body) != m { // a leaf's nil Body has length 0
 			continue
 		}
-		run := c.Seq[n-m:]
-		ok := true
-		for k := 0; k < m; k++ {
-			if c.differ(loop.Body[k], run[k]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		run := seq[n-m:]
+		if loop.Body[0].Ev.hash != run[0].Ev.hash {
+			tested++
 			continue
 		}
-		for k := 0; k < m; k++ {
-			c.size += MergeInto(loop.Body[k], run[k], c.Filter) - run[k].SizeBytes()
+		k := samePrefix(loop.Body, run, c.Filter)
+		tested += min(k+1, m)
+		if k < m {
+			continue
+		}
+		c.Compares += tested
+		for k, b := range loop.Body {
+			c.size += MergeInto(b, run[k], c.Filter) - run[k].SizeBytes()
 			c.Pool.Put(run[k])
 		}
 		loop.Iters++
-		c.Seq = c.Seq[:n-m]
+		c.Seq = seq[:n-m]
 		return true
 	}
+	c.Compares += tested
 	return false
 }
 
-// create folds the last L nodes with the L before them into a new loop.
+// create folds the last L nodes with the L before them into a new loop,
+// for the smallest such L. Like absorb, it adds the pairs it tests to
+// Compares after the scan.
 func (c *Compressor) create() bool {
-	n := len(c.Seq)
-	maxL := c.window()
-	if maxL > n/2 {
-		maxL = n / 2
-	}
-	for L := 1; L <= maxL; L++ {
-		a := c.Seq[n-2*L : n-L]
-		b := c.Seq[n-L:]
-		ok := true
-		for k := 0; k < L; k++ {
-			if c.differ(a[k], b[k]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+	seq := c.Seq
+	n := len(seq)
+	tested := 0
+	for L, w := 1, min(c.window(), n/2); L <= w; L++ {
+		if seq[n-2*L].Ev.hash != seq[n-L].Ev.hash {
+			tested++
 			continue
 		}
+		a, b := seq[n-2*L:n-L], seq[n-L:]
+		k := samePrefix(a, b, c.Filter)
+		tested += min(k+1, L)
+		if k < L {
+			continue
+		}
+		c.Compares += tested
 		body := make([]*Node, L)
-		for k := 0; k < L; k++ {
-			body[k] = a[k]
-			c.size += MergeInto(body[k], b[k], c.Filter) - b[k].SizeBytes()
+		for k, x := range a {
+			body[k] = x
+			c.size += MergeInto(x, b[k], c.Filter) - b[k].SizeBytes()
 			c.Pool.Put(b[k])
 		}
 		loop := c.Pool.Loop(2, body)
 		loop.rehash()     // recomputes the body's hashes with it, harmlessly
 		c.size += 16 + 24 // the new loop node's own overhead (see Node.SizeBytes)
-		c.Seq = append(c.Seq[:n-2*L], loop)
+		c.Seq = append(seq[:n-2*L], loop)
 		return true
 	}
+	c.Compares += tested
 	return false
 }
 
