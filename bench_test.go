@@ -108,21 +108,45 @@ func BenchmarkAblationMarkerFreq(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationVote isolates Algorithm 1's Reduce+Bcast vote cost.
+// voteWord is an interposer that leaves a fixed word in every marker
+// barrier's CallInfo, as Chameleon leaves its vote.
+type voteWord uint64
+
+func (w voteWord) Pre(ci *mpi.CallInfo) {
+	if ci.Op == mpi.OpBarrier && ci.Comm == mpi.CommMarker {
+		ci.Vote = uint64(w)
+	}
+}
+func (voteWord) Post(*mpi.CallInfo) {}
+func (voteWord) Finalize()          {}
+
+// BenchmarkAblationVote isolates Algorithm 1's vote as production runs
+// it: 50 marker barriers, each carrying word 0 (a marker that does not
+// vote) or a mismatch bit on every other rank (Chameleon's vote, summed
+// by the barrier itself).
 func BenchmarkAblationVote(b *testing.B) {
 	for _, p := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := mpi.Run(mpi.Config{P: p}, func(proc *mpi.Proc) {
-					for v := 0; v < 50; v++ {
-						proc.MarkerComm().RawAllreduceU64(uint64(proc.Rank()), mpi.OpSum)
+		for _, tc := range []struct {
+			name string
+			word func(rank int) voteWord
+		}{
+			{"word0", func(int) voteWord { return 0 }},
+			{"mismatch", func(rank int) voteWord { return voteWord(rank & 1) }},
+		} {
+			b.Run(fmt.Sprintf("P%d/%s", p, tc.name), func(b *testing.B) {
+				hooks := func(proc *mpi.Proc) mpi.Interposer { return tc.word(proc.Rank()) }
+				for i := 0; i < b.N; i++ {
+					_, err := mpi.Run(mpi.Config{P: p, Hooks: hooks}, func(proc *mpi.Proc) {
+						for v := 0; v < 50; v++ {
+							proc.MarkerComm().Barrier()
+						}
+					})
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-				if err != nil {
-					b.Fatal(err)
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"chameleon/internal/mpi"
+	"chameleon/internal/vtime"
 )
 
 // AutoMarker addresses the paper's discussion item (2): "Finding of a
@@ -89,9 +90,33 @@ func (a *AutoMarker) Post(ci *mpi.CallInfo) {
 	if a.fired%a.Frequency != 0 {
 		return
 	}
-	// The anchor collective has already synchronized the ranks; run the
+	// The anchor collective has already synchronized the ranks, but it
+	// carried no vote: run the vote as a collective of its own, then the
 	// marker processing as if the tool-inserted barrier just completed.
-	a.onMarker()
+	var votes uint64
+	if (a.markerCalls+1)%a.opt.CallFrequency == 0 {
+		mine := a.closeWindow()
+		if a.haveOld {
+			votes = a.vote(mine)
+		}
+	}
+	a.onMarker(votes)
+}
+
+// vote is Algorithm 1's Reduce+Bcast as a collective of its own on the
+// marker communicator, its per-rank share of the O(log P) message hops
+// booked as marker overhead (the synchronization stall is already on
+// the clock). Crashes fire only at marker barriers, which an
+// auto-marked run does not have, so membership is always full here.
+func (a *AutoMarker) vote(mine uint64) uint64 {
+	p := a.p
+	restore := p.CausalContext("vote", a.markerCalls+1)
+	sum := p.MarkerComm().RawAllreduceU64(mine, mpi.OpSum)
+	restore()
+	model := p.Model()
+	hops := vtime.Duration(vtime.Log2Ceil(a.groupSize()))
+	p.Ledger.Charge(vtime.CatMarker, hops*(model.Alpha+model.CollectivePerLevel))
+	return sum
 }
 
 // electAnchor picks the most frequent observed collective site. Every

@@ -6,7 +6,10 @@
 // points (timestep boundaries). At every Call_Frequency-th marker it
 // runs the paper's Algorithm 1 (the transition graph): each rank
 // compares the Call-Path signature of the window just ended against the
-// previous window and all ranks vote with an O(log P) Reduce+Bcast.
+// previous window and all ranks vote with an O(log P) Reduce+Bcast. The
+// vote rides the marker barrier itself (mpi.CallInfo.Vote: Pre sets
+// this rank's mismatch bit, the barrier sums the bits, Post reads the
+// sum), so an engaged marker runs one collective, not two.
 // Repetitive behavior triggers one clustering step (Algorithm 3): ranks
 // cluster by (Call-Path, SRC, DEST) signatures over a radix tree, K lead
 // ranks are selected (Algorithm 2), lead traces — rank lists rewritten
@@ -18,7 +21,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -264,13 +266,23 @@ func New(col *Collector, opt Options) func(p *mpi.Proc) mpi.Interposer {
 	}
 }
 
-// Pre implements mpi.Interposer.
-func (c *Chameleon) Pre(ci *mpi.CallInfo) { c.pre = c.p.Clock.Now() }
+// Pre implements mpi.Interposer. At a marker barrier that
+// CallFrequency engages, it closes the window and leaves this rank's
+// Algorithm 1 vote in ci.Vote: the barrier sums the votes and hands the
+// sum to Post, so the paper's Reduce+Bcast runs inside the marker
+// barrier instead of after it. The window is complete here: the marker
+// barrier itself is never recorded.
+func (c *Chameleon) Pre(ci *mpi.CallInfo) {
+	c.pre = c.p.Clock.Now()
+	if ci.Op == mpi.OpBarrier && ci.Comm == mpi.CommMarker && (c.markerCalls+1)%c.opt.CallFrequency == 0 {
+		ci.Vote = c.closeWindow()
+	}
+}
 
 // Post implements mpi.Interposer.
 func (c *Chameleon) Post(ci *mpi.CallInfo) {
 	if ci.Op == mpi.OpBarrier && ci.Comm == mpi.CommMarker {
-		c.onMarker()
+		c.onMarker(ci.Vote)
 		return
 	}
 	if ci.Op == mpi.OpFinalize {
@@ -282,14 +294,28 @@ func (c *Chameleon) Post(ci *mpi.CallInfo) {
 // Recorder exposes the per-rank recorder (tests, space accounting).
 func (c *Chameleon) Recorder() *tracer.Recorder { return c.rec }
 
+// closeWindow takes the ended window's signature triple and returns
+// this rank's vote: 1 if the window's Call-Path differs from the
+// previous engaged window's, else 0 (also at the first engaged marker,
+// which has nothing to compare against).
+func (c *Chameleon) closeWindow() uint64 {
+	c.curSig = c.rec.Win.Triple()
+	if c.haveOld && c.curSig.CallPath != c.oldCallPath {
+		return 1
+	}
+	return 0
+}
+
 // onMarker is the PMPI post-wrapper of the marker barrier: Algorithm 3's
 // entry ("Increment Marker_Call_Counter; if counter % Call_Frequency !=
-// 0 then return").
-func (c *Chameleon) onMarker() {
+// 0 then return"). votes is the sum of the ranks' votes the marker
+// carried (0 and unread at a marker CallFrequency does not engage).
+func (c *Chameleon) onMarker(votes uint64) {
 	// The marker barrier itself is tool-inserted: book its tree-traversal
-	// cost (the per-rank share of the barrier's message hops) as marker
-	// overhead. The synchronization stall stays on the application clock
-	// where it belongs — it is load imbalance the barrier merely exposes.
+	// cost (the per-rank share of the barrier's message hops, the vote
+	// riding on them included) as marker overhead, once. The
+	// synchronization stall stays on the application clock where it
+	// belongs — it is load imbalance the barrier merely exposes.
 	model := c.p.Model()
 	hops := vtime.Duration(vtime.Log2Ceil(c.groupSize()))
 	c.p.Ledger.Charge(vtime.CatMarker, hops*(model.Alpha+model.CollectivePerLevel))
@@ -305,9 +331,7 @@ func (c *Chameleon) onMarker() {
 	// recorded inter-event computation deltas: exclude the whole marker
 	// span (barrier entry through processing end) from the next delta,
 	// keeping the application compute that preceded the marker.
-	defer func(start vtime.Time) {
-		c.rec.ExcludeSpan(vtime.Duration(c.p.Clock.Now() - start))
-	}(c.pre)
+	defer c.rec.ExcludeSince(c.pre)
 	if c.markerCalls%c.opt.CallFrequency != 0 {
 		return
 	}
@@ -315,7 +339,7 @@ func (c *Chameleon) onMarker() {
 	if c.p.Rank() == 0 {
 		c.met.engaged.Inc()
 	}
-	state := c.transition()
+	state := c.transition(votes)
 	c.stateCalls[state]++
 	c.accountSpace(state)
 	c.observeTransition(state)
@@ -377,12 +401,11 @@ func (c *Chameleon) observeTransition(state State) {
 	c.lastState, c.haveState = state, true
 }
 
-// transition implements Algorithm 1. All ranks return the same state
-// because of the Reduce+Bcast synchronization.
-func (c *Chameleon) transition() State {
-	model := c.p.Model()
-	cur := c.rec.Win.Triple()
-	c.curSig = cur
+// transition implements Algorithm 1 over the window closeWindow took,
+// given glob, the sum of the ranks' votes. All ranks return the same
+// state because the sum came back to every rank from one collective.
+func (c *Chameleon) transition(glob uint64) State {
+	cur := c.curSig
 	c.met.windowEvents.Observe(int64(c.rec.Win.Events()))
 	c.met.windowSites.Observe(int64(c.rec.Win.DistinctSites()))
 	c.rec.Win.Reset()
@@ -393,33 +416,6 @@ func (c *Chameleon) transition() State {
 		c.haveOld = true
 		return StateAT
 	}
-	mismatch := uint64(0)
-	if c.oldCallPath != cur.CallPath {
-		mismatch = 1
-	}
-	// The Reduce+Bcast vote: book its per-rank share of the O(log P)
-	// message hops (the synchronization stall is already on the clock).
-	// Under shrunken membership the vote runs over the survivors only and
-	// carries the membership epoch in the payload's high bits, so a rank
-	// voting on a stale view is caught immediately instead of corrupting
-	// the mismatch sum.
-	var glob uint64
-	restore := c.p.CausalContext("vote", c.markerCalls)
-	if alive := c.p.AliveRanks(); alive == nil {
-		glob = c.p.MarkerComm().RawAllreduceU64(mismatch, mpi.OpSum)
-	} else {
-		epoch := uint64(c.p.Epoch())
-		tot := mpi.GroupAllreduceU64(c.p, alive, voteTag(c.markerCalls),
-			mismatch|epoch<<voteEpochShift, mpi.OpSum)
-		if got, want := tot>>voteEpochShift, epoch*uint64(len(alive)); got != want {
-			panic(fmt.Sprintf("core: vote epoch sum %d, want %d (rank %d epoch %d)",
-				got, want, c.p.Rank(), epoch))
-		}
-		glob = tot & (1<<voteEpochShift - 1)
-	}
-	restore()
-	hops := vtime.Duration(vtime.Log2Ceil(c.groupSize()))
-	c.p.Ledger.Charge(vtime.CatMarker, hops*(model.Alpha+model.CollectivePerLevel))
 	c.oldCallPath = cur.CallPath
 	if c.p.Rank() == 0 {
 		c.met.votes.Inc()
@@ -770,12 +766,3 @@ func (c *Chameleon) Finalize() {
 
 func clusterTag(round int) int { return 1<<54 | round<<3 }
 func onlineTag(round int) int  { return 1<<53 | round<<3 }
-
-// voteTag namespaces the shrunken-membership vote per marker call.
-func voteTag(marker int) int { return 1<<51 | marker<<4 }
-
-// voteEpochShift positions the membership epoch in the vote payload's
-// high bits. The mismatch sum is bounded by P < 2^20, and the epoch sum
-// (epoch * survivors) stays below 2^40 after the shift, so the packed
-// reduce can never overflow 64 bits.
-const voteEpochShift = 20

@@ -42,7 +42,7 @@ func TestTreeEdgeCapture(t *testing.T) {
 				w := pr.World()
 				w.RawBcastU64(0, 42)        // tag seq 0
 				w.RawReduceU64(0, 7, OpSum) // tag seq 1
-				w.RawBarrier()              // tag seq 2, phases 0+1
+				w.RawBarrier(0)             // tag seq 2, phases 0+1
 			})
 			if p == 1 {
 				if len(edges) != 0 {
@@ -92,7 +92,7 @@ func TestCausalDisabled(t *testing.T) {
 	body := func(pr *Proc) {
 		w := pr.World()
 		w.RawBcastU64(0, 1)
-		w.RawBarrier()
+		w.RawBarrier(0)
 	}
 	if _, err := Run(Config{P: 4}, body); err != nil {
 		t.Fatal(err)

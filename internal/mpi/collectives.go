@@ -164,14 +164,18 @@ func (c *Comm) treeGather(root, tag, bytes int, obj any) []any {
 
 // --- raw (untraced) collectives for the tracing layer ----------------------
 
-// RawBarrier synchronizes all ranks of the communicator (reduce+bcast of
-// an empty payload) without interposition.
-func (c *Comm) RawBarrier() {
+// RawBarrier synchronizes all ranks of the communicator without
+// interposition and returns, on every rank, the sum of the words the
+// ranks entered with: a reduce of the words to rank 0, then a broadcast
+// of their sum. The broadcast leg is a 0-byte message whatever the sum
+// (the value rides in the scalar slot), so a word costs nothing on the
+// virtual clock; a barrier that carries nothing passes 0.
+func (c *Comm) RawBarrier(word uint64) uint64 {
 	seq := c.nextSeq()
-	c.treeReduceU64(0, collTag(c.id, seq, 0), 0, OpSum)
-	c.treeBcast(0, collTag(c.id, seq, 1), message{})
+	sum := c.treeReduceU64(0, collTag(c.id, seq, 0), word, OpSum)
 	// A barrier leaves every rank at (at least) the time the last rank
 	// reached it plus the tree traversal costs already charged.
+	return c.treeBcast(0, collTag(c.id, seq, 1), message{u64: sum, scalar: true}).u64
 }
 
 // RawBcastU64 broadcasts v from root without interposition.
@@ -212,10 +216,12 @@ func (c *Comm) RawGatherObj(root int, obj any, bytes int) []any {
 
 // --- public (traced) collectives -------------------------------------------
 
-// Barrier synchronizes the communicator. Marker barriers additionally
-// consult the fault injector (when one is configured): a rank scheduled
-// to crash here unwinds instead of participating, and once membership
-// has shrunk the survivors barrier among themselves.
+// Barrier synchronizes the communicator. It carries the word an
+// interposer's Pre left in CallInfo.Vote and hands Post the sum over
+// the ranks in the same field. Marker barriers additionally consult the
+// fault injector (when one is configured): a rank scheduled to crash
+// here unwinds instead of participating, and once membership has
+// shrunk the survivors barrier among themselves.
 func (c *Comm) Barrier() {
 	if c.id == CommMarker && c.p.rt.fault != nil {
 		if c.p.faultMarker() {
@@ -223,7 +229,7 @@ func (c *Comm) Barrier() {
 		}
 	}
 	ci, start := c.p.opBegin(CallInfo{Op: OpBarrier, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer})
-	c.RawBarrier()
+	ci.Vote = c.RawBarrier(ci.Vote)
 	c.p.opEnd(ci, start)
 }
 

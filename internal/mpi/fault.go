@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+
 	"chameleon/internal/obs"
 )
 
@@ -80,8 +82,10 @@ func (p *Proc) ShrunkWorld() *Comm {
 //     detector, so every survivor switches views at the same marker).
 //  3. With full membership it reports false and the caller runs the
 //     ordinary barrier — bit-identical to the no-fault path. With
-//     reduced membership it runs a group barrier over the survivors
-//     under the same interposer callbacks the ordinary path would fire.
+//     reduced membership it runs the barrier over the survivors under
+//     the same interposer callbacks the ordinary path would fire: a
+//     group allreduce of the word Pre left in CallInfo.Vote, with the
+//     membership epoch in the word's high bits (see markerVote).
 func (p *Proc) faultMarker() bool {
 	in := p.rt.fault
 	p.markerSeq++
@@ -116,7 +120,30 @@ func (p *Proc) faultMarker() bool {
 	}
 	p.deadView = dead
 	ci, start := p.opBegin(CallInfo{Op: OpBarrier, Comm: CommMarker, Dest: NoPeer, Src: NoPeer, Root: NoPeer})
-	GroupBarrier(p, alive, faultTag(m, 0))
+	ci.Vote = p.markerVote(alive, faultTag(m, 0), ci.Vote)
 	p.opEnd(ci, start)
 	return true
+}
+
+// voteEpochShift positions the membership epoch in the high bits of the
+// word a shrunken marker barrier reduces. The words' sum stays below
+// 2^20 (a vote is 0 or 1 per rank, P < 2^20), and the epoch sum (epoch
+// times survivors, below 2^40) stays below 2^60 after the shift, so the
+// packed sum never overflows 64 bits.
+const voteEpochShift = 20
+
+// markerVote is the marker barrier over the survivors: a group
+// allreduce (sum) of word, which has the hops and bytes of GroupBarrier,
+// whose broadcast leg already carries an 8-byte scalar. The word
+// carries this rank's membership epoch in its high bits, so a survivor
+// that entered on a stale view is caught here instead of corrupting the
+// sum. Uses tags tag and tag|1.
+func (p *Proc) markerVote(alive []int, tag int, word uint64) uint64 {
+	epoch := uint64(p.epoch)
+	sum := GroupAllreduceU64(p, alive, tag, word|epoch<<voteEpochShift, OpSum)
+	if got, want := sum>>voteEpochShift, epoch*uint64(len(alive)); got != want {
+		panic(fmt.Sprintf("mpi: marker vote epoch sum %d, want %d (rank %d epoch %d)",
+			got, want, p.rank, epoch))
+	}
+	return sum & (1<<voteEpochShift - 1)
 }

@@ -62,6 +62,12 @@ type CallInfo struct {
 	// MatchedSrc is filled in by Post for receives: the actual source the
 	// message was matched from (resolves AnySource).
 	MatchedSrc int
+	// Vote is the word a barrier carries: whatever Pre leaves here is
+	// summed over the ranks, and Post finds the sum in its place. It
+	// costs the barrier no byte on the virtual clock. Under shrunken
+	// membership the marker barrier packs the membership epoch above
+	// bit 20, so the sum must stay below 2^20.
+	Vote uint64
 }
 
 // Interposer is the PMPI-style hook interface. Pre runs before the
@@ -520,7 +526,7 @@ func (c *Comm) worldRank(r int) int { return c.group[r] }
 func (c *Comm) Dup() *Comm {
 	// Synchronize the group, then allocate one shared ID at the root and
 	// broadcast it.
-	c.RawBarrier()
+	c.RawBarrier(0)
 	var id CommID
 	if c.self == 0 {
 		id = c.p.rt.tr.allocComm(1)
@@ -679,7 +685,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 				// never reach finalize.
 				GroupBarrier(p, p.aliveView, groupFinalizeTag)
 			} else {
-				p.world.RawBarrier()
+				p.world.RawBarrier(0)
 			}
 			p.opEnd(ci, start)
 			p.hooks.Finalize()

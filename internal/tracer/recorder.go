@@ -321,11 +321,13 @@ func (r *Recorder) MarkEventBoundary() {
 	r.excluded = 0
 }
 
-// ExcludeSpan subtracts a tool-inserted span (marker processing) from
-// the next recorded event's delta, preserving the application
-// computation that preceded the marker.
-func (r *Recorder) ExcludeSpan(d vtime.Duration) {
-	if d > 0 {
+// ExcludeSince subtracts the tool-inserted span from start to now
+// (marker processing) from the next recorded event's delta, preserving
+// the application computation that preceded it. If a MarkEventBoundary
+// fell inside the span (a flush), the delta already starts there, so
+// only the part after the boundary is subtracted.
+func (r *Recorder) ExcludeSince(start vtime.Time) {
+	if d := vtime.Duration(r.Proc.Clock.Now() - max(start, r.lastEventEnd)); d > 0 {
 		r.excluded += d
 	}
 }
