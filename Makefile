@@ -154,12 +154,15 @@ fuzz:
 # test and the transport's goroutines); and the mailbox protocol with
 # its concurrent bound scans twenty more times, because a lost wake-up
 # or a state store outside the lock shows only on some interleavings. Then the fleet codecs, and the cross-process e2e: cross-backend
-# determinism (2x4 and P=64 split four ways), the 2-process x 4-rank
-# subprocess run byte-compared against in-process, and the
-# crash-failover run where one member's process kills itself mid-run.
-# The e2e children are cli.Main re-execs: the test binary started with
-# CHAMELEON_TOOL=chamrun is chamrun (root TestMain), so no Test* function
-# is a child body and -run 'TestTransport' selects tests only.
+# determinism (2x4 and P=64 split four ways), the fleet under
+# perturbation plans (a delay+slow plan on PHASE 2x4 and a periodic
+# pulse on STENCIL 2x4, byte-compared against in-process), the
+# 2-process x 4-rank subprocess run byte-compared against in-process,
+# and the crash-failover run where one member's process kills itself
+# mid-run. The e2e children are cli.Main re-execs: the test binary
+# started with CHAMELEON_TOOL=chamrun is chamrun (the root TestMain, in
+# e2e_test.go), so no Test* function is a child body and -run
+# 'TestTransport' selects tests only.
 test-transport:
 	$(GO) test -race -count=3 ./internal/mpi/
 	$(GO) test -race -count=20 -run 'Link|Chaos|Formation|Reply|Repoll' ./internal/mpi/

@@ -11,32 +11,11 @@ import (
 	"chameleon/internal/causal"
 )
 
-// runPhaseCausal traces PHASE with causal capture, a timeline, and a
-// journal, under the given fault plan.
-func runPhaseCausal(t *testing.T, p int, plan string) (*chameleon.Observer, []byte) {
-	t.Helper()
-	var injector *chameleon.FaultInjector
-	if plan != "" {
-		parsed, err := chameleon.ParseFaultPlan(plan)
-		if err != nil {
-			t.Fatalf("plan: %v", err)
-		}
-		injector, err = chameleon.NewFaultInjector(parsed, 1, p)
-		if err != nil {
-			t.Fatalf("injector: %v", err)
-		}
-	}
-	var journal bytes.Buffer
-	o := chameleon.NewObserver(chameleon.ObsOptions{
-		Journal:       &journal,
-		TimelineRanks: p,
-		CausalRanks:   p,
-	})
-	if _, err := chameleon.RunBenchmark("PHASE", "A", p, chameleon.TracerChameleon,
-		&chameleon.Config{Obs: o, Fault: injector}); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return o, journal.Bytes()
+// slowRank5 is PHASE P=8 with rank 5 slowed 4x, traced with causal
+// capture, a timeline and a journal.
+func slowRank5(t *testing.T) e2e {
+	return e2e{Spec: benchSpec(t, "PHASE", "A", 8), Plan: "slow rank=5 factor=4x", Seed: 1,
+		Obs: &chameleon.ObsOptions{TimelineRanks: 8, CausalRanks: 8}}
 }
 
 // TestStragglerGoldenSlowRank is the acceptance criterion: on a PHASE
@@ -44,13 +23,12 @@ func runPhaseCausal(t *testing.T, p int, plan string) (*chameleon.Observer, []by
 // plurality of collective wait to rank 5, and the full report text is
 // locked against a golden file.
 func TestStragglerGoldenSlowRank(t *testing.T) {
-	const p = 8
-	o, journal := runPhaseCausal(t, p, "slow rank=5 factor=4x")
-	events, err := chameleon.ReadJournal(bytes.NewReader(journal))
+	r := runE2E(t, slowRank5(t))
+	events, err := chameleon.ReadJournal(bytes.NewReader(r.Journal))
 	if err != nil {
 		t.Fatalf("journal: %v", err)
 	}
-	rep := causal.Analyze(o.Causal.Edges(), events)
+	rep := causal.Analyze(r.Obs.Causal.Edges(), events)
 	if rep.EdgeCount == 0 {
 		t.Fatal("no causal edges captured")
 	}
@@ -93,8 +71,7 @@ func TestStragglerGoldenSlowRank(t *testing.T) {
 // criterion: the Chrome trace contains flow events, and rank 5's track
 // sources flow arrows (its sends delayed receivers).
 func TestFlowEventsLinkSlowRank(t *testing.T) {
-	const p = 8
-	o, _ := runPhaseCausal(t, p, "slow rank=5 factor=4x")
+	o := runE2E(t, slowRank5(t)).Obs
 	var buf bytes.Buffer
 	if err := o.Timeline.WriteChromeTraceFlows(&buf, o.Causal); err != nil {
 		t.Fatal(err)
@@ -139,8 +116,7 @@ func TestFlowEventsLinkSlowRank(t *testing.T) {
 // must produce identical edge streams (virtual time, not wall clock,
 // orders everything).
 func TestCausalDeterminism(t *testing.T) {
-	o1, _ := runPhaseCausal(t, 8, "slow rank=5 factor=4x")
-	o2, _ := runPhaseCausal(t, 8, "slow rank=5 factor=4x")
+	o1, o2 := runE2E(t, slowRank5(t)).Obs, runE2E(t, slowRank5(t)).Obs
 	var b1, b2 bytes.Buffer
 	if err := o1.Causal.WriteEdges(&b1); err != nil {
 		t.Fatal(err)

@@ -10,43 +10,9 @@ import (
 
 	"chameleon"
 	"chameleon/internal/analysis"
+	"chameleon/internal/apps"
 	"chameleon/internal/obs"
 )
-
-// runFaulted traces a benchmark under Chameleon with the given fault
-// plan (empty = no injection) and returns the output plus the journal.
-func runFaulted(t testing.TB, bench, plan string, seed uint64, p int) (*chameleon.Output, []byte) {
-	t.Helper()
-	parsed, err := chameleon.ParseFaultPlan(plan)
-	if err != nil {
-		t.Fatalf("parse plan %q: %v", plan, err)
-	}
-	inj, err := chameleon.NewFaultInjector(parsed, seed, p)
-	if err != nil {
-		t.Fatalf("injector: %v", err)
-	}
-	var journal bytes.Buffer
-	o := chameleon.NewObserver(chameleon.ObsOptions{Journal: &journal})
-	out, err := chameleon.RunBenchmark(bench, "A", p, chameleon.TracerChameleon,
-		&chameleon.Config{Obs: o, Fault: inj})
-	if err != nil {
-		t.Fatalf("run %s with %q: %v", bench, plan, err)
-	}
-	if err := o.Journal.Err(); err != nil {
-		t.Fatalf("journal: %v", err)
-	}
-	return out, journal.Bytes()
-}
-
-// traceJSON serializes a trace for byte comparison.
-func traceJSON(t testing.TB, out *chameleon.Output) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := out.Trace.Write(&buf); err != nil {
-		t.Fatalf("serialize trace: %v", err)
-	}
-	return buf.Bytes()
-}
 
 // sortedJournal canonicalizes a journal: rank goroutines race to the
 // shared writer, so line order varies run to run while the line *set*
@@ -90,58 +56,27 @@ func assertSurvivorCoverage(t testing.TB, out *chameleon.Output) {
 	}
 }
 
-// TestZeroFaultIdentity: an empty plan compiles to a nil injector, and a
-// run through the fault-enabled facade is identical — makespan, trace
-// bytes, retired list — to a run with no fault configuration at all.
-func TestZeroFaultIdentity(t *testing.T) {
-	plan, err := chameleon.ParseFaultPlan("")
-	if err != nil {
-		t.Fatalf("parse empty plan: %v", err)
-	}
-	inj, err := chameleon.NewFaultInjector(plan, 1, 16)
-	if err != nil {
-		t.Fatalf("injector: %v", err)
-	}
-	if inj != nil {
-		t.Fatalf("empty plan must compile to a nil injector")
-	}
-
-	base, err := chameleon.RunBenchmark("PHASE", "A", 16, chameleon.TracerChameleon, nil)
-	if err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-	faulted, _ := runFaulted(t, "PHASE", "", 1, 16)
-	if base.Time != faulted.Time {
-		t.Errorf("makespan changed under a nil injector: %v vs %v", base.Time, faulted.Time)
-	}
-	if len(faulted.Departed) != 0 || len(faulted.Trace.Retired) != 0 {
-		t.Errorf("zero-fault run departed=%v retired=%v", faulted.Departed, faulted.Trace.Retired)
-	}
-	if !bytes.Equal(traceJSON(t, base), traceJSON(t, faulted)) {
-		t.Errorf("trace bytes changed under a nil injector")
-	}
-}
-
 // TestFaultDeterminism: the same plan and seed reproduce the run exactly
 // (makespan, trace bytes, journal line set); a different seed perturbs
 // differently.
 func TestFaultDeterminism(t *testing.T) {
 	const plan = "crash rank=1 at marker=10; delay ranks=2-7 p=0.3 jitter=2ms; slow rank=3 factor=2x"
-	a, aj := runFaulted(t, "PHASE", plan, 7, 16)
-	b, bj := runFaulted(t, "PHASE", plan, 7, 16)
-	if a.Time != b.Time {
-		t.Errorf("makespan not deterministic: %v vs %v", a.Time, b.Time)
+	run := e2e{Spec: benchSpec(t, "PHASE", "A", 16), Plan: plan, Seed: 7, Obs: &chameleon.ObsOptions{}}
+	a, b := runE2E(t, run), runE2E(t, run)
+	if a.Out.Time != b.Out.Time {
+		t.Errorf("makespan not deterministic: %v vs %v", a.Out.Time, b.Out.Time)
 	}
-	if !bytes.Equal(traceJSON(t, a), traceJSON(t, b)) {
+	if !bytes.Equal(traceJSON(t, a.Out), traceJSON(t, b.Out)) {
 		t.Errorf("trace bytes not deterministic")
 	}
-	if sortedJournal(aj) != sortedJournal(bj) {
+	if sortedJournal(a.Journal) != sortedJournal(b.Journal) {
 		t.Errorf("journal event set not deterministic")
 	}
 
-	c, _ := runFaulted(t, "PHASE", plan, 9, 16)
-	if a.Time == c.Time {
-		t.Errorf("seed 7 and seed 9 produced the same makespan %v; jitter is not seeded", a.Time)
+	run.Seed = 9
+	c := runE2E(t, run).Out
+	if a.Out.Time == c.Time {
+		t.Errorf("seed 7 and seed 9 produced the same makespan %v; jitter is not seeded", a.Out.Time)
 	}
 }
 
@@ -151,14 +86,16 @@ func TestFaultDeterminism(t *testing.T) {
 // surviving rank, and failover costs at most 5% of the clean run's
 // virtual makespan.
 func TestPhaseLeadCrashFailover(t *testing.T) {
-	out, journal := runFaulted(t, "PHASE", "crash rank=1 at marker=10", 1, 16)
+	phase := benchSpec(t, "PHASE", "A", 16)
+	r := runE2E(t, e2e{Spec: phase, Plan: "crash rank=1 at marker=10", Seed: 1, Obs: &chameleon.ObsOptions{}})
+	out := r.Out
 	if want := []int{1}; len(out.Departed) != 1 || out.Departed[0] != 1 {
 		t.Fatalf("departed = %v, want %v", out.Departed, want)
 	}
 	if len(out.Trace.Retired) != 1 || out.Trace.Retired[0] != 1 {
 		t.Fatalf("trace retired = %v, want [1]", out.Trace.Retired)
 	}
-	kinds := journalKinds(t, journal)
+	kinds := journalKinds(t, r.Journal)
 	if kinds[obs.KindFailover] != 1 {
 		t.Errorf("lead_failover events = %d, want 1", kinds[obs.KindFailover])
 	}
@@ -171,7 +108,7 @@ func TestPhaseLeadCrashFailover(t *testing.T) {
 			t.Errorf("dead rank 1 still in lead set %v", out.Leads)
 		}
 	}
-	clean, _ := runFaulted(t, "PHASE", "", 1, 16)
+	clean := runE2E(t, e2e{Spec: phase, Seed: 1, Obs: &chameleon.ObsOptions{}}).Out
 	if out.Time > clean.Time+clean.Time/20 {
 		t.Errorf("lead-crash makespan %v exceeds 1.05x the clean run's %v", out.Time, clean.Time)
 	}
@@ -185,26 +122,16 @@ func TestPhaseLeadCrashFailover(t *testing.T) {
 // group-collective path — the retired rank replays its pre-crash
 // full-world events and finishes early.
 func TestReplayFaultedCollectiveTrace(t *testing.T) {
-	plan, err := chameleon.ParseFaultPlan("crash rank=3 at marker=10")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	inj, err := chameleon.NewFaultInjector(plan, 1, 16)
-	if err != nil {
-		t.Fatalf("injector: %v", err)
-	}
-	out, err := chameleon.Run(chameleon.Config{
-		P: 16, Tracer: chameleon.TracerChameleon, K: 2, Fault: inj,
-	}, func(p *chameleon.Proc) {
-		for it := 0; it < 30; it++ {
-			p.Compute(chameleon.Millisecond)
-			p.ShrunkWorld().Allreduce(8, uint64(p.Rank()), chameleon.OpSum)
-			chameleon.Marker(p)
+	collectives := chameleon.Spec{P: 16, Make: func(apps.BodyOpts) func(*chameleon.Proc) {
+		return func(p *chameleon.Proc) {
+			for it := 0; it < 30; it++ {
+				p.Compute(chameleon.Millisecond)
+				p.ShrunkWorld().Allreduce(8, uint64(p.Rank()), chameleon.OpSum)
+				chameleon.Marker(p)
+			}
 		}
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	}}
+	out := runE2E(t, e2e{Spec: collectives, Plan: "crash rank=3 at marker=10", Seed: 1, Config: chameleon.Config{K: 2}}).Out
 	if len(out.Departed) != 1 || out.Departed[0] != 3 {
 		t.Fatalf("departed = %v, want [3]", out.Departed)
 	}
@@ -226,9 +153,10 @@ func TestReplayFaultedCollectiveTrace(t *testing.T) {
 // survivor under the deterministic re-selection) rather than lose the
 // cluster.
 func TestStencilLeadPromotion(t *testing.T) {
-	out, journal := runFaulted(t, "STENCIL", "crash rank=5 at marker=10", 1, 16)
+	r := runE2E(t, e2e{Spec: benchSpec(t, "STENCIL", "A", 16), Plan: "crash rank=5 at marker=10", Seed: 1, Obs: &chameleon.ObsOptions{}})
+	out := r.Out
 
-	events, err := chameleon.ReadJournal(bytes.NewReader(journal))
+	events, err := chameleon.ReadJournal(bytes.NewReader(r.Journal))
 	if err != nil {
 		t.Fatalf("parse journal: %v", err)
 	}
@@ -268,11 +196,12 @@ func TestStencilLeadPromotion(t *testing.T) {
 // being gathered — to exercise departure handling concurrent with the
 // clustering collectives (run under -race by make test-race).
 func TestConcurrentCrashDuringClustering(t *testing.T) {
-	out, journal := runFaulted(t, "PHASE", "crash rank=4 at marker=2; crash rank=5 at marker=2", 1, 16)
+	r := runE2E(t, e2e{Spec: benchSpec(t, "PHASE", "A", 16), Plan: "crash rank=4 at marker=2; crash rank=5 at marker=2", Seed: 1, Obs: &chameleon.ObsOptions{}})
+	out := r.Out
 	if len(out.Departed) != 2 {
 		t.Fatalf("departed = %v, want [4 5]", out.Departed)
 	}
-	if kinds := journalKinds(t, journal); kinds[obs.KindFault] != 2 {
+	if kinds := journalKinds(t, r.Journal); kinds[obs.KindFault] != 2 {
 		t.Errorf("fault events = %d, want 2", kinds[obs.KindFault])
 	}
 	assertSurvivorCoverage(t, out)
@@ -298,9 +227,10 @@ func TestCrashSweep(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.bench, func(t *testing.T) {
+			spec := benchSpec(t, tc.bench, "A", 16)
 			for m := 1; m <= tc.markers; m += stride {
 				plan := fmt.Sprintf("crash rank=%d at marker=%d", tc.rank, m)
-				out, _ := runFaulted(t, tc.bench, plan, 1, 16)
+				out := runE2E(t, e2e{Spec: spec, Plan: plan, Seed: 1, Obs: &chameleon.ObsOptions{}}).Out
 				if len(out.Departed) != 1 || out.Departed[0] != tc.rank {
 					t.Fatalf("marker %d: departed = %v, want [%d]", m, out.Departed, tc.rank)
 				}
@@ -313,44 +243,18 @@ func TestCrashSweep(t *testing.T) {
 	}
 }
 
-// failoverSequence compresses rank 0's journal stream — transitions,
-// flushes, failovers — into the run-length token form of the golden
-// file. Only rank-0 events are used: their relative order is rank 0's
-// program order and therefore deterministic.
-func failoverSequence(events []obs.Event) string {
-	var parts []string
-	token, n := "", 0
-	flush := func() {
-		if n == 0 {
-			return
-		}
-		if n == 1 {
-			parts = append(parts, token)
-		} else {
-			parts = append(parts, fmt.Sprintf("%s*%d", token, n))
-		}
+// failoverToken names the transitions, flushes and failovers of rank
+// 0's journal.
+func failoverToken(ev obs.Event) string {
+	switch ev.Kind {
+	case obs.KindTransition:
+		return ev.To
+	case obs.KindFlush:
+		return "flush:" + ev.Note
+	case obs.KindFailover:
+		return "failover:" + ev.Note
 	}
-	for _, ev := range events {
-		var tok string
-		switch ev.Kind {
-		case obs.KindTransition:
-			tok = ev.To
-		case obs.KindFlush:
-			tok = "flush:" + ev.Note
-		case obs.KindFailover:
-			tok = "failover:" + ev.Note
-		default:
-			continue
-		}
-		if tok == token {
-			n++
-			continue
-		}
-		flush()
-		token, n = tok, 1
-	}
-	flush()
-	return strings.Join(parts, " ")
+	return ""
 }
 
 // TestJournalGoldenLeadFailover locks the journal event sequences of
@@ -367,13 +271,13 @@ func TestJournalGoldenLeadFailover(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.bench, func(t *testing.T) {
-			_, journal := runFaulted(t, tc.bench, tc.plan, 1, 16)
+			journal := runE2E(t, e2e{Spec: benchSpec(t, tc.bench, "A", 16), Plan: tc.plan, Seed: 1, Obs: &chameleon.ObsOptions{}}).Journal
 			events, err := chameleon.ReadJournal(bytes.NewReader(journal))
 			if err != nil {
 				t.Fatalf("parse journal: %v", err)
 			}
 
-			got := failoverSequence(events)
+			got := journalSequence(events, failoverToken)
 			want, err := os.ReadFile(tc.golden)
 			if err != nil {
 				t.Fatalf("read %s (regenerate by writing the FAIL output): %v", tc.golden, err)

@@ -144,7 +144,7 @@ func fedPeerDeath(t *testing.T, sweepFlags ...string) {
 	// Push six distinct runs through peer A: one real benchmark trace
 	// plus timing-perturbed variants (new content addresses, same
 	// structure).
-	base := runTrace(t, "STENCIL", "A", 8)
+	base := runE2E(t, e2e{Spec: benchSpec(t, "STENCIL", "A", 8)}).Out.Trace
 	baseCanon, _, err := store.Encode(base)
 	if err != nil {
 		t.Fatal(err)

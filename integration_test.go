@@ -236,7 +236,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := loadTrace(path)
+	loaded, err := trace.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,12 +313,6 @@ func TestBenchmarksList(t *testing.T) {
 			t.Fatalf("%s: %v", n, err)
 		}
 	}
-}
-
-// loadTrace reads a trace file from disk (helper around the internal
-// loader; external users go through the chamreplay tool).
-func loadTrace(path string) (*chameleon.TraceFile, error) {
-	return trace.Load(path)
 }
 
 func TestAutoChameleonTracer(t *testing.T) {

@@ -57,14 +57,3 @@ func (o OpCode) IsPointToPoint() bool {
 	}
 	return false
 }
-
-// ParseOpCode maps an operation name back to its code (used by the trace
-// deserializer). It returns OpNone for unknown names.
-func ParseOpCode(name string) OpCode {
-	for i, n := range opNames {
-		if n == name {
-			return OpCode(i)
-		}
-	}
-	return OpNone
-}

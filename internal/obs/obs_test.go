@@ -131,7 +131,7 @@ func TestTimelineConcurrentPerRank(t *testing.T) {
 		t.Fatalf("spans = %d, want %d", got, ranks*100)
 	}
 	var buf bytes.Buffer
-	if err := tl.WriteChromeTrace(&buf); err != nil {
+	if err := tl.WriteChromeTraceFlows(&buf, nil); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	var doc struct {

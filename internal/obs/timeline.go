@@ -100,19 +100,15 @@ func (t *Timeline) SpanCount() int {
 	return n
 }
 
-// WriteChromeTrace renders the timeline in the Chrome trace-event JSON
-// format (the object form, with a traceEvents array of "X" complete
-// events), which chrome://tracing and Perfetto load directly. Virtual
-// nanoseconds map to trace microseconds with sub-microsecond precision
-// preserved as decimals. Each rank becomes one thread track of pid 0.
-func (t *Timeline) WriteChromeTrace(w io.Writer) error {
-	return t.WriteChromeTraceFlows(w, nil)
-}
-
-// WriteChromeTraceFlows is WriteChromeTrace plus causal flow events:
-// every edge whose receiver actually waited (WaitVT > 0) becomes an
-// "s"/"f" flow pair, so Perfetto renders an arrow from the delaying send
-// span on the origin rank's track to the receive span it delayed. The
+// WriteChromeTraceFlows renders the timeline in the Chrome trace-event
+// JSON format (the object form, with a traceEvents array of "X"
+// complete events), which chrome://tracing and Perfetto load directly.
+// Virtual nanoseconds map to trace microseconds with sub-microsecond
+// precision preserved as decimals. Each rank becomes one thread track
+// of pid 0. With a causal store, every edge whose receiver actually
+// waited (WaitVT > 0) also becomes an "s"/"f" flow pair, so Perfetto
+// renders an arrow from the delaying send span on the origin rank's
+// track to the receive span it delayed; c may be nil. The
 // trace always carries a "chameleon_spans_dropped" metadata event (and
 // "chameleon_edges_dropped" when a causal store is given), so capped
 // capture is visible in the artifact itself, never silently truncated.

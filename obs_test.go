@@ -13,58 +13,48 @@ import (
 	"chameleon/internal/obs"
 )
 
-// runPhaseObserved traces the PHASE workload (the phasechange example as
-// a registry benchmark) with every observability facility enabled —
-// per-edge causal capture too when causalRanks > 0 — and returns the
-// observer plus the journal bytes.
-func runPhaseObserved(t *testing.T, p, causalRanks int) (*chameleon.Observer, []byte, *chameleon.Output) {
-	t.Helper()
-	var journal bytes.Buffer
-	o := chameleon.NewObserver(chameleon.ObsOptions{
-		Metrics:       true,
-		Journal:       &journal,
-		TimelineRanks: p,
-		CausalRanks:   causalRanks,
-	})
-	out, err := chameleon.RunBenchmark("PHASE", "A", p, chameleon.TracerChameleon,
-		&chameleon.Config{Obs: o})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if err := o.Journal.Err(); err != nil {
-		t.Fatalf("journal: %v", err)
-	}
-	return o, journal.Bytes(), out
+// phaseObserved is the PHASE workload (the phasechange example as a
+// registry benchmark) at P=16 with metrics, a timeline and a journal.
+func phaseObserved(t *testing.T) e2e {
+	return e2e{Spec: benchSpec(t, "PHASE", "A", 16), Obs: &chameleon.ObsOptions{Metrics: true, TimelineRanks: 16}}
 }
 
-// stateSequence compresses the journal's rank-0 transition stream into
-// the run-length form stored in the golden file: "AT C L*39 ... F".
-func stateSequence(events []obs.Event) string {
+// journalSequence compresses a journal into the run-length token form
+// of the golden files ("AT C L*39 ... F"): token names an event, or
+// skips it with "". Only rank-0 events are named: their relative order
+// is rank 0's program order and therefore deterministic.
+func journalSequence(events []obs.Event, token func(obs.Event) string) string {
 	var parts []string
-	state, n := "", 0
+	last, n := "", 0
 	flush := func() {
-		if n == 0 {
-			return
-		}
 		if n == 1 {
-			parts = append(parts, state)
-		} else {
-			parts = append(parts, fmt.Sprintf("%s*%d", state, n))
+			parts = append(parts, last)
+		} else if n > 1 {
+			parts = append(parts, fmt.Sprintf("%s*%d", last, n))
 		}
 	}
 	for _, ev := range events {
-		if ev.Kind != obs.KindTransition {
+		tok := token(ev)
+		if tok == "" {
 			continue
 		}
-		if ev.To == state {
+		if tok == last {
 			n++
 			continue
 		}
 		flush()
-		state, n = ev.To, 1
+		last, n = tok, 1
 	}
 	flush()
 	return strings.Join(parts, " ")
+}
+
+// transitionToken names the state transitions of rank 0's journal.
+func transitionToken(ev obs.Event) string {
+	if ev.Kind == obs.KindTransition {
+		return ev.To
+	}
+	return ""
 }
 
 // TestJournalGoldenPhaseChange locks the transition sequence the PHASE
@@ -73,13 +63,12 @@ func stateSequence(events []obs.Event) string {
 // change, and a final Finalize — against a golden file, and requires at
 // least one phase-change flush in the journal.
 func TestJournalGoldenPhaseChange(t *testing.T) {
-	_, raw, _ := runPhaseObserved(t, 16, 0)
-	events, err := chameleon.ReadJournal(bytes.NewReader(raw))
+	events, err := chameleon.ReadJournal(bytes.NewReader(runE2E(t, phaseObserved(t)).Journal))
 	if err != nil {
 		t.Fatalf("parse journal: %v", err)
 	}
 
-	got := stateSequence(events)
+	got := journalSequence(events, transitionToken)
 	const golden = "testdata/phase_states.golden"
 	want, err := os.ReadFile(golden)
 	if err != nil {
@@ -118,8 +107,8 @@ func TestJournalGoldenPhaseChange(t *testing.T) {
 // TestMetricsEndToEnd checks the acceptance criterion directly: a PHASE
 // run emits nonzero mpi_*, core_*, cluster_*, and tracer_* series.
 func TestMetricsEndToEnd(t *testing.T) {
-	o, _, out := runPhaseObserved(t, 16, 0)
-	s := o.Reg.Snapshot()
+	r := runE2E(t, phaseObserved(t))
+	s, out := r.Obs.Reg.Snapshot(), r.Out
 
 	nonzero := func(name string) uint64 {
 		if v, ok := s.Counters[name]; ok {
@@ -181,9 +170,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 // TestTimelineEndToEnd checks the Chrome trace export of a real run:
 // valid JSON, complete events only, every category present.
 func TestTimelineEndToEnd(t *testing.T) {
-	o, _, _ := runPhaseObserved(t, 16, 0)
+	o := runE2E(t, phaseObserved(t)).Obs
 	var buf bytes.Buffer
-	if err := o.Timeline.WriteChromeTrace(&buf); err != nil {
+	if err := o.Timeline.WriteChromeTraceFlows(&buf, nil); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	var doc struct {
@@ -213,30 +202,6 @@ func TestTimelineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestObservabilityDeterministic: the virtual makespan must be identical
-// with observability off, on, and on with per-edge causal capture — the
-// layer charges no virtual time, and piggybacked span context rides on
-// messages that were being sent anyway.
-func TestObservabilityDeterministic(t *testing.T) {
-	base, err := chameleon.RunBenchmark("PHASE", "A", 16, chameleon.TracerChameleon, nil)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	_, _, observed := runPhaseObserved(t, 16, 0)
-	causalObs, _, causal := runPhaseObserved(t, 16, 16)
-	for name, out := range map[string]*chameleon.Output{"observability": observed, "causal capture": causal} {
-		if base.Time != out.Time {
-			t.Errorf("makespan changed under %s: %v vs %v", name, base.Time, out.Time)
-		}
-		if base.Reclusterings != out.Reclusterings {
-			t.Errorf("reclusterings changed under %s: %d vs %d", name, base.Reclusterings, out.Reclusterings)
-		}
-	}
-	if causalObs.Causal.EdgeCount() == 0 {
-		t.Error("causal capture recorded no edges")
-	}
-}
-
 // TestScalaTraceMallocsPerCall is the record path's allocation budget on
 // a real code: LU class A at P=16 under ScalaTrace — every rank records
 // every event and never sheds any — stays at or under one malloc per MPI
@@ -246,10 +211,8 @@ func TestObservabilityDeterministic(t *testing.T) {
 // added this budget the figure was 5.2: a rank-list expansion in every
 // leaf compare and a heap CallInfo per call.
 func TestScalaTraceMallocsPerCall(t *testing.T) {
-	o := chameleon.NewObserver(chameleon.ObsOptions{Metrics: true})
-	if _, err := chameleon.RunBenchmark("LU", "A", 16, chameleon.TracerScalaTrace, &chameleon.Config{Obs: o}); err != nil {
-		t.Fatalf("observed run: %v", err)
-	}
+	o := runE2E(t, e2e{Spec: benchSpec(t, "LU", "A", 16), Tracer: chameleon.TracerScalaTrace,
+		Obs: &chameleon.ObsOptions{Metrics: true}}).Obs
 	calls := o.Reg.Snapshot().Counters["tracer_events_observed_total"]
 	if calls == 0 {
 		t.Fatal("observed run counted no MPI calls")

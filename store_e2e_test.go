@@ -23,18 +23,6 @@ import (
 	"chameleon/internal/store"
 )
 
-func runTrace(t *testing.T, name, class string, p int) *chameleon.TraceFile {
-	t.Helper()
-	out, err := chameleon.RunBenchmark(name, class, p, chameleon.TracerChameleon, nil)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	if out.Trace == nil {
-		t.Fatalf("%s: no trace produced", name)
-	}
-	return out.Trace
-}
-
 func TestStoreEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	a, err := store.Open(t.TempDir(), store.Options{Gzip: true, Reg: reg})
@@ -45,8 +33,8 @@ func TestStoreEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(store.NewServer(a, store.ServerOptions{Metrics: true, Reg: reg}))
 	defer srv.Close()
 
-	bt := runTrace(t, "BT", "D", 16)
-	lu := runTrace(t, "LU", "D", 16)
+	bt := runE2E(t, e2e{Spec: benchSpec(t, "BT", "D", 16)}).Out.Trace
+	lu := runE2E(t, e2e{Spec: benchSpec(t, "LU", "D", 16)}).Out.Trace
 
 	// Push the BT trace the way chamrun -push does.
 	btRun, created, err := store.Push(srv.URL, bt, true)
@@ -179,7 +167,7 @@ func TestStoreEndToEnd(t *testing.T) {
 // over the same directory serves the same canonical bytes.
 func TestStoreReopenServesIdenticalBytes(t *testing.T) {
 	dir := t.TempDir()
-	bt := runTrace(t, "BT", "D", 4)
+	bt := runE2E(t, e2e{Spec: benchSpec(t, "BT", "D", 4)}).Out.Trace
 
 	a, err := store.Open(dir, store.Options{Gzip: true})
 	if err != nil {

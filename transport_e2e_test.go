@@ -15,147 +15,69 @@ package chameleon_test
 
 import (
 	"bytes"
-	"context"
-	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"chameleon"
-	"chameleon/internal/cli"
-	"chameleon/internal/mpi"
+	"chameleon/internal/obs"
 	"chameleon/internal/trace"
 	"chameleon/internal/zan"
 )
 
-// freeJoinAddr grabs an ephemeral localhost port for a rendezvous.
-func freeJoinAddr(t testing.TB) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-// fleetMemberOut is one member's view of a fleet run.
-type fleetMemberOut struct {
-	out   *chameleon.Output
-	edges int
-}
-
-// runTCPFleetBenchmark splits a P-rank benchmark across in-test TCP
-// members (one goroutine-hosted transport per [lo,hi] range, real
-// sockets between them) and returns each member's output.
-func runTCPFleetBenchmark(t *testing.T, bench, class string, p int, members [][2]int) []fleetMemberOut {
-	t.Helper()
-	addr := freeJoinAddr(t)
-	fp := fmt.Sprintf("%s/%s/p%d", bench, class, p)
-	outs := make([]fleetMemberOut, len(members))
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			observer := chameleon.NewObserver(chameleon.ObsOptions{CausalRanks: p})
-			tr, err := mpi.NewTCPTransport(mpi.TCPOptions{
-				Join: addr, RankLo: lo, RankHi: hi, P: p, Fingerprint: fp,
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out, err := chameleon.RunBenchmark(bench, class, p, chameleon.TracerChameleon,
-				&chameleon.Config{Obs: observer, Transport: tr})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outs[i] = fleetMemberOut{out: out, edges: observer.Causal.EdgeCount()}
-		}(i, m[0], m[1])
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("fleet member %d (ranks %d..%d): %v", i, members[i][0], members[i][1], err)
-		}
-	}
-	return outs
-}
-
-// canonTrace renders a merged trace with the golden-test canonicalizer
-// (sites renumbered in first-seen order) for diffable failures.
-func canonTrace(out *chameleon.Output) string {
-	var b strings.Builder
-	canonSeq(&b, out.Trace.Nodes, 0, map[uint64]int{})
-	return b.String()
-}
-
-// traceBinary serializes a merged trace in the compact binary format
-// (site table included), the strongest byte-level identity check.
-func traceBinary(t testing.TB, out *chameleon.Output) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := out.Trace.WriteBinary(&buf); err != nil {
-		t.Fatalf("serialize trace: %v", err)
-	}
-	return buf.Bytes()
-}
-
 // TestTransportCrossBackendDeterminism: same seeded benchmark run
 // in-process and as a TCP fleet — P=8 as 2×4 ranks, and the
-// acceptance-scale P=64 world split four ways. The merged traces must
-// agree in canonical structure and raw signature bytes, the causal edge
-// totals must match (each member records the edges its ranks close),
-// and the zan closed-form stats must be identical — the compressed
-// representation, not just the makespan, is transport-invariant.
+// acceptance-scale P=64 world split four ways — plain and under
+// perturbation plans, which every member compiles from the same plan
+// and seed. The merged traces must agree in canonical structure and raw
+// signature bytes, the causal edge totals must match (each member
+// records the edges its ranks close), and the zan closed-form stats
+// must be identical — the compressed representation, not just the
+// makespan, is transport-invariant.
 func TestTransportCrossBackendDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fleet runs are not short")
 	}
+	split2x4 := []string{"0..3", "4..7"}
 	for _, row := range []struct {
 		name, bench string
 		p           int
-		members     [][2]int
+		fleet       []string
+		plan        string
+		seed        uint64
 	}{
-		{"PHASE", "PHASE", 8, [][2]int{{0, 3}, {4, 7}}},
-		{"STENCIL", "STENCIL", 8, [][2]int{{0, 3}, {4, 7}}},
-		{"STENCIL_p64x4", "STENCIL", 64, [][2]int{{0, 15}, {16, 31}, {32, 47}, {48, 63}}},
+		{"PHASE", "PHASE", 8, split2x4, "", 0},
+		{"STENCIL", "STENCIL", 8, split2x4, "", 0},
+		{"STENCIL_p64x4", "STENCIL", 64, []string{"0..15", "16..31", "32..47", "48..63"}, "", 0},
+		{"PHASE_perturbed", "PHASE", 8, split2x4, "delay ranks=2-7 p=0.3 jitter=2ms; slow rank=3 factor=2x", 7},
+		{"STENCIL_periodic", "STENCIL", 8, split2x4, "periodic ranks=5 start=200ms period=100ms extra=20ms count=10", 1},
 	} {
-		bench, p := row.bench, row.p
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			observer := chameleon.NewObserver(chameleon.ObsOptions{CausalRanks: p})
-			inproc, err := chameleon.RunBenchmark(bench, "A", p, chameleon.TracerChameleon,
-				&chameleon.Config{Obs: observer})
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs := runTCPFleetBenchmark(t, bench, "A", p, row.members)
+			run := e2e{Spec: benchSpec(t, row.bench, "A", row.p), Plan: row.plan, Seed: row.seed,
+				Obs: &chameleon.ObsOptions{CausalRanks: row.p}}
+			inproc := runE2E(t, run)
+			run.Fleet = row.fleet
+			fleet := runE2E(t, run)
 
-			if got, want := outs[0].out.Time, inproc.Time; got != want {
+			if got, want := fleet.Out.Time, inproc.Out.Time; got != want {
 				t.Errorf("fleet makespan %v, want in-process %v", got, want)
 			}
-			if got, want := canonTrace(outs[0].out), canonTrace(inproc); got != want {
+			if got, want := canonTrace(fleet.Out), canonTrace(inproc.Out); got != want {
 				t.Errorf("canonical trace structure diverged across backends:\nfleet:\n%s\nin-process:\n%s", got, want)
 			}
-			if !bytes.Equal(traceBinary(t, outs[0].out), traceBinary(t, inproc)) {
+			if !bytes.Equal(fleet.Binary, inproc.Binary) {
 				t.Errorf("binary trace bytes (signatures included) diverged across backends")
 			}
 			fleetEdges := 0
-			for _, m := range outs {
-				fleetEdges += m.edges
+			for _, m := range fleet.Members {
+				fleetEdges += m.Obs.Causal.EdgeCount()
 			}
-			if want := observer.Causal.EdgeCount(); fleetEdges != want {
+			if want := inproc.Obs.Causal.EdgeCount(); fleetEdges != want {
 				t.Errorf("fleet causal edges = %d (summed over members), want %d", fleetEdges, want)
 			}
 			// Analyze the serialized artifact, not the in-memory tree:
@@ -163,82 +85,22 @@ func TestTransportCrossBackendDeterminism(t *testing.T) {
 			// whose delta histograms quantize, so in-memory stats can
 			// differ in the 7th digit while the persisted traces (and
 			// everything computed from them) are bit-identical.
-			reload := func(raw []byte) *chameleon.TraceFile {
+			analyze := func(raw []byte) *zan.Report {
 				f, err := trace.ReadBinary(bytes.NewReader(raw))
 				if err != nil {
 					t.Fatal(err)
 				}
-				return f
+				rep, err := zan.Analyze(f, zan.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
 			}
-			fleetZan, err := zan.Analyze(reload(traceBinary(t, outs[0].out)), zan.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			inprocZan, err := zan.Analyze(reload(traceBinary(t, inproc)), zan.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fleetZan, inprocZan) {
+			if fleetZan, inprocZan := analyze(fleet.Binary), analyze(inproc.Binary); !reflect.DeepEqual(fleetZan, inprocZan) {
 				t.Errorf("zan closed-form stats diverged across backends:\n%v", zan.Diff(fleetZan, inprocZan, 0))
 			}
 		})
 	}
-}
-
-// Re-exec plumbing: the acceptance scenarios want genuine OS processes
-// running the shipped tools. A test binary started with CHAMELEON_TOOL
-// set is that tool — its argv goes straight to cli.Main, the same entry
-// cmd/<tool>/main.go uses — so a child exercises the real flag parsing
-// and wiring, not a test's copy of it.
-const toolEnv = "CHAMELEON_TOOL"
-
-func TestMain(m *testing.M) {
-	if tool := os.Getenv(toolEnv); tool != "" {
-		os.Exit(cli.Main(context.Background(), tool, os.Args[1:], os.Stdout, os.Stderr))
-	}
-	os.Exit(m.Run())
-}
-
-// toolOutput is a child's combined stdout+stderr, readable while the
-// child is still writing it.
-type toolOutput struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (o *toolOutput) Write(p []byte) (int, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.buf.Write(p)
-}
-
-func (o *toolOutput) String() string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.buf.String()
-}
-
-// spawnTool re-execs the test binary as one tool invocation. Its output
-// is logged if the test fails; the child is killed at cleanup if it is
-// still running.
-func spawnTool(t *testing.T, tool string, args ...string) (*exec.Cmd, *toolOutput) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), toolEnv+"="+tool)
-	out := new(toolOutput)
-	cmd.Stdout = out
-	cmd.Stderr = out
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Kill() //nolint:errcheck — usually already exited
-		cmd.Wait()         //nolint:errcheck
-		if t.Failed() {
-			t.Logf("%s %s output:\n%s", tool, strings.Join(args, " "), out)
-		}
-	})
-	return cmd, out
 }
 
 // spawnFleetMember starts `chamrun -transport=tcp` hosting one rank
@@ -268,11 +130,7 @@ func TestTransportSubprocessBitIdentical(t *testing.T) {
 		t.Fatalf("rank 4..7 member: %v", err)
 	}
 
-	inproc, err := chameleon.RunBenchmark("STENCIL", "A", 8, chameleon.TracerChameleon, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := traceBinary(t, inproc)
+	want := runE2E(t, e2e{Spec: benchSpec(t, "STENCIL", "A", 8)}).Binary
 	got, err := os.ReadFile(fleetTrace)
 	if err != nil {
 		t.Fatalf("the rank-0 member did not write its trace: %v", err)
@@ -329,11 +187,11 @@ func TestTransportCrashFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := journalKinds(t, journal)
-	if kinds[obsKindFault] == 0 {
-		t.Errorf("no %q events journaled for the dead member (journal: %s)", obsKindFault, journal)
+	if kinds[obs.KindFault] == 0 {
+		t.Errorf("no %q events journaled for the dead member (journal: %s)", obs.KindFault, journal)
 	}
-	if kinds[obsKindFailover] == 0 {
-		t.Errorf("no %q events journaled after losing leads 4,5,7", obsKindFailover)
+	if kinds[obs.KindFailover] == 0 {
+		t.Errorf("no %q events journaled after losing leads 4,5,7", obs.KindFailover)
 	}
 	if !bytes.Contains(journal, []byte("peer-exit")) {
 		t.Errorf("journal does not attribute the loss to the peer process leaving:\n%s", journal)
@@ -350,8 +208,3 @@ func TestTransportCrashFailover(t *testing.T) {
 		t.Errorf("crashed member still running 30s after the survivor finished")
 	}
 }
-
-const (
-	obsKindFault    = "fault"
-	obsKindFailover = "lead_failover"
-)

@@ -28,25 +28,15 @@ func TestWaveGoldenScenario(t *testing.T) {
 		at    = 400 * time.Millisecond
 		extra = 80 * time.Millisecond
 	)
-	plan, err := chameleon.ParseFaultPlan("periodic ranks=5 start=400ms period=200ms extra=80ms count=1")
-	if err != nil {
-		t.Fatalf("faults: %v", err)
-	}
-	injector, err := chameleon.NewFaultInjector(plan, 7, p)
-	if err != nil {
-		t.Fatalf("injector: %v", err)
-	}
-	o := chameleon.NewObserver(chameleon.ObsOptions{CausalRanks: p})
-	res, err := chameleon.RunBenchmark("STENCIL", "A", p, chameleon.TracerNone,
-		&chameleon.Config{Obs: o, Fault: injector, SyncEvery: -1})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	pulsed := e2e{Spec: benchSpec(t, "STENCIL", "A", p), Tracer: chameleon.TracerNone,
+		Plan: "periodic ranks=5 start=400ms period=200ms extra=80ms count=1", Seed: 7,
+		Obs: &chameleon.ObsOptions{CausalRanks: p}, Config: chameleon.Config{SyncEvery: -1}}
+	res := runE2E(t, pulsed)
 	// 60 iterations of halo exchange set the propagation clock: an idle
 	// wave moves about one rank per iteration.
-	period := int64(res.Time) / 60
+	period := int64(res.Out.Time) / 60
 
-	rep, err := wave.Detect(o.Causal.Edges(), wave.Options{P: p})
+	rep, err := wave.Detect(res.Obs.Causal.Edges(), wave.Options{P: p})
 	if err != nil {
 		t.Fatalf("detect: %v", err)
 	}
@@ -90,15 +80,8 @@ func TestWaveGoldenScenario(t *testing.T) {
 	// count — 44 when written — because the yardstick it used to be a
 	// share of, chameleon.Replay's allocations, is itself a cost that PRs
 	// cut: a cheaper replay must not fail a detector that did not change.
-	if injector, err = chameleon.NewFaultInjector(plan, 7, p); err != nil {
-		t.Fatalf("injector: %v", err)
-	}
-	o = chameleon.NewObserver(chameleon.ObsOptions{CausalRanks: p})
-	if _, err := chameleon.RunBenchmark("STENCIL", "A", p, chameleon.TracerChameleon,
-		&chameleon.Config{Obs: o, Fault: injector, SyncEvery: -1}); err != nil {
-		t.Fatalf("traced run: %v", err)
-	}
-	edges := o.Causal.Edges()
+	pulsed.Tracer = chameleon.TracerChameleon
+	edges := runE2E(t, pulsed).Obs.Causal.Edges()
 	detect := testing.AllocsPerRun(5, func() {
 		if _, err := wave.Detect(edges, wave.Options{P: p}); err != nil {
 			t.Fatal(err)
@@ -115,45 +98,9 @@ func TestWaveGoldenScenario(t *testing.T) {
 // event — the nascent idle wave is flagged while the run is in flight.
 func TestLiveDesyncFlaggedInFlight(t *testing.T) {
 	const p, session = 13, "e2e-desync"
-	srv := newLiveDaemon(t)
-
-	plan, err := chameleon.ParseFaultPlan("periodic ranks=3 start=50ms period=5ms extra=30ms count=100000")
-	if err != nil {
-		t.Fatalf("faults: %v", err)
-	}
-	injector, err := chameleon.NewFaultInjector(plan, 1, p)
-	if err != nil {
-		t.Fatalf("injector: %v", err)
-	}
-	o := chameleon.NewObserver(chameleon.ObsOptions{
-		Metrics:       true,
-		ProgressRanks: p,
-		JournalRing:   256,
-	})
-	shipper, err := chameleon.NewLiveShipper(o, chameleon.LiveShipperOptions{
-		URL:       srv.URL,
-		Session:   session,
-		Benchmark: "STENCIL",
-		P:         p,
-		Interval:  time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("shipper: %v", err)
-	}
-	shipper.Start()
-	_, err = chameleon.RunBenchmark("STENCIL", "A", p, chameleon.TracerChameleon,
-		&chameleon.Config{Obs: o, Fault: injector, SyncEvery: -1})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if err := shipper.Stop(); err != nil {
-		t.Fatalf("shipper stop: %v", err)
-	}
-
-	v, err := store.FetchLiveView(srv.URL, session)
-	if err != nil {
-		t.Fatalf("final view: %v", err)
-	}
+	v := runE2E(t, e2e{Spec: benchSpec(t, "STENCIL", "A", p),
+		Plan: "periodic ranks=3 start=50ms period=5ms extra=30ms count=100000", Seed: 1,
+		Live: session, Config: chameleon.Config{SyncEvery: -1}}).View
 	desync, final := -1, -1
 	for i, ev := range v.LiveEvents {
 		switch {

@@ -128,7 +128,7 @@ func TestCompressedMetricsScaleWithIters(t *testing.T) {
 }
 
 func TestCompressedMetricsFaultedRun(t *testing.T) {
-	out, _ := runFaulted(t, "PHASE", "crash rank=1 at marker=10", 42, 16)
+	out := runE2E(t, e2e{Spec: benchSpec(t, "PHASE", "A", 16), Plan: "crash rank=1 at marker=10", Seed: 42, Obs: &chameleon.ObsOptions{}}).Out
 	if len(out.Trace.Retired) == 0 {
 		t.Fatal("fault plan retired no ranks")
 	}
