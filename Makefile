@@ -58,14 +58,16 @@ test:
 # the pool hands the buffer on, on some interleavings. So do the marker
 # vote's tests: every rank leaves its vote in its own CallInfo and reads
 # the sum the barrier returned into it, and the oracle's survivors vote
-# over a shrunken group. The oracle repeats only its STENCIL and PHASE
+# over a shrunken group. So do the survivors' marker barrier and the
+# auto-marked crash: each rank swaps its marker communicator's group to
+# the survivors at the crash marker while the others barrier on theirs. The oracle repeats only its STENCIL and PHASE
 # runs (both call frequencies, phase changes and the lead crash): its LU
 # and EMF runs take the same code paths at ten times the cost under the
 # race detector, and they run once in the full-suite pass above.
 test-race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial|RecountsDisputed|LendsRecords)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover|TestDistributedSelect(MatchesSequentialTree|ObjectsPerRank)?$$|TestStuckHandlerAnsweredAtDeadline|TestSlowBodyAnsweredAtDeadline|TestDroppedRelayClosesPeerBody|TestOverCapBodyClosesConnection|TestPutDroppedAtDeadlineKeepsItsBytes|TestForwardAnsweredBeforeBodyReadKeepsItsBytes' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ ./internal/cluster/ .
-	$(GO) test -race -count=20 -run 'TestMarkerWordCostsNothing' ./internal/mpi/
+	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial|RecountsDisputed|LendsRecords)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover|TestAutoMarkerFiresCrashDirective|TestDistributedSelect(MatchesSequentialTree|ObjectsPerRank)?$$|TestStuckHandlerAnsweredAtDeadline|TestSlowBodyAnsweredAtDeadline|TestDroppedRelayClosesPeerBody|TestOverCapBodyClosesConnection|TestPutDroppedAtDeadlineKeepsItsBytes|TestForwardAnsweredBeforeBodyReadKeepsItsBytes' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ ./internal/cluster/ .
+	$(GO) test -race -count=20 -run 'TestMarkerWordCostsNothing|TestSurvivorsMarkerIsAWorldMarker' ./internal/mpi/
 	$(GO) test -race -count=20 -run 'TestVoteMatchesTwoCollectiveOracle/(STENCIL|PHASE)/' ./internal/core/
 
 # fuzz: a short fuzz smoke over every decoder that parses bytes from

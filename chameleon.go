@@ -315,15 +315,20 @@ func Run(cfg Config, body func(*Proc)) (*Output, error) {
 			out.Trace = col.File(cfg.P, cfg.Benchmark, cfg.Filter)
 			out.AllocBytes = col.AllocBytes
 		}
-	case TracerChameleon:
+	case TracerChameleon, TracerAutoChameleon:
 		col := core.NewCollector(cfg.P)
-		mcfg.Hooks = core.New(col, core.Options{
-			K:             cfg.K,
-			Algo:          cluster.ParseAlgorithm(cfg.Algo),
-			CallFrequency: cfg.Freq,
-			SigMode:       cfg.sigMode(),
-			Filter:        cfg.Filter,
-		})
+		opt := core.Options{
+			K:       cfg.K,
+			Algo:    cluster.ParseAlgorithm(cfg.Algo),
+			SigMode: cfg.sigMode(),
+			Filter:  cfg.Filter,
+		}
+		if cfg.Tracer == TracerChameleon {
+			opt.CallFrequency = cfg.Freq
+			mcfg.Hooks = core.New(col, opt)
+		} else {
+			mcfg.Hooks = core.NewAuto(col, core.AutoOptions{Options: opt, Frequency: cfg.Freq})
+		}
 		finish = func(res *mpi.Result) {
 			model := cfg.Model
 			if (model == CostModel{}) {
@@ -358,27 +363,6 @@ func Run(cfg Config, body func(*Proc)) (*Output, error) {
 				o.Gauge("core_compression_ratio_x1000").Set(int64(raw) * 1000 / int64(out.OnlineBytes))
 			}
 		}
-	case TracerAutoChameleon:
-		col := core.NewCollector(cfg.P)
-		mcfg.Hooks = core.NewAuto(col, core.AutoOptions{
-			Options: core.Options{
-				K:       cfg.K,
-				Algo:    cluster.ParseAlgorithm(cfg.Algo),
-				SigMode: cfg.sigMode(),
-				Filter:  cfg.Filter,
-			},
-			Frequency: cfg.Freq,
-		})
-		finish = func(*mpi.Result) {
-			out.Trace = col.File(cfg.P, cfg.Benchmark, cfg.Filter)
-			out.StateCalls = map[string]int{}
-			for s := core.StateAT; s < core.NumStates; s++ {
-				out.StateCalls[s.String()] = col.StateCalls[s]
-			}
-			out.Reclusterings = col.Reclusterings
-			out.Leads = col.LeadRanks
-			out.CallPathClusters = col.CallPathClusters
-		}
 	case TracerACURDION:
 		col := acurdion.NewCollector(cfg.P)
 		mcfg.Hooks = acurdion.New(col, acurdion.Options{
@@ -400,7 +384,8 @@ func Run(cfg Config, body func(*Proc)) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	if out.Energy == (EnergyReport{}) && cfg.Tracer != TracerChameleon {
+	finish(res)
+	if out.Energy == (EnergyReport{}) {
 		out.Energy = energy.Estimate(energy.Default(),
 			energy.UsageFromLedgers(res.Clocks, res.Ledgers, nil))
 	}
@@ -413,7 +398,6 @@ func Run(cfg Config, body func(*Proc)) (*Output, error) {
 		"cluster":   agg.Spent(vtime.CatCluster),
 		"intercomp": agg.Spent(vtime.CatInterComp),
 	}
-	finish(res)
 	out.Departed = res.Departed
 	if out.Trace != nil && len(res.Departed) > 0 {
 		out.Trace.Retired = res.Departed

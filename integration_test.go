@@ -342,6 +342,29 @@ func TestAutoChameleonTracer(t *testing.T) {
 	}
 }
 
+// TestAutoChameleonOutput: the auto-marked tracer reports what the
+// hand-marked one does, from the same collector: per-state space, the
+// online trace's bytes and the DVFS saving of the ranks clustering
+// disabled.
+func TestAutoChameleonOutput(t *testing.T) {
+	out, err := chameleon.RunBenchmark("STENCIL", "A", 16, chameleon.TracerAutoChameleon, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Reclusterings == 0 {
+		t.Fatalf("auto mode never clustered: %v", out.StateCalls)
+	}
+	if len(out.SpaceByState) != 16 {
+		t.Errorf("SpaceByState has %d rows, want 16", len(out.SpaceByState))
+	}
+	if out.OnlineBytes <= 0 {
+		t.Errorf("OnlineBytes = %d, want > 0", out.OnlineBytes)
+	}
+	if out.Energy.DVFSSavedJ <= 0 {
+		t.Errorf("no DVFS saving: %+v", out.Energy)
+	}
+}
+
 func TestEnergyReport(t *testing.T) {
 	ch, err := chameleon.RunBenchmark("BT", "B", 16, chameleon.TracerChameleon, nil)
 	if err != nil {

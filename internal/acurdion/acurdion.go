@@ -100,7 +100,7 @@ func (t *Tracer) Finalize() {
 		Ranks: ranklist.SingleRank(p.Rank()),
 		Sig:   t.rec.Win.Triple(),
 	}
-	top := cluster.DistributedSelect(p, self, t.opt.K, t.opt.Algo,
+	top := cluster.DistributedSelect(p, self, p.AliveRanks(), t.opt.K, t.opt.Algo,
 		1<<52, vtime.CatCluster)
 
 	leads := make([]int, 0, len(top))

@@ -18,18 +18,12 @@ import (
 // round-off.
 const OracleTol = 1e-9
 
-// ExpandedStats is the replay-flavored reference for the
-// compressed-domain engine: it runs zan in expansion mode, applying
-// every leaf contribution once per dynamic occurrence instead of
-// multiplying by loop trip counts. Linear in dynamic events — use it to
-// validate, not to analyze.
-func ExpandedStats(f *trace.File, model vtime.CostModel) (*zan.Report, error) {
-	return zan.Analyze(f, zan.Options{Model: model, Expand: true})
-}
-
 // CrossCheck proves a trace's closed-form report against two
 // independent references: the expansion oracle (field-by-field via
-// zan.Diff) and the event replayer (dynamic event count). It returns
+// zan.Diff) and the event replayer (dynamic event count). The oracle
+// runs zan in expansion mode, applying every leaf contribution once per
+// dynamic occurrence instead of multiplying by loop trip counts: it is
+// linear in dynamic events, a validation and not an analysis. It returns
 // the closed-form report on success and an error describing the first
 // divergences otherwise.
 func CrossCheck(f *trace.File, model vtime.CostModel) (*zan.Report, error) {
@@ -37,7 +31,7 @@ func CrossCheck(f *trace.File, model vtime.CostModel) (*zan.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	slow, err := ExpandedStats(f, model)
+	slow, err := zan.Analyze(f, zan.Options{Model: model, Expand: true})
 	if err != nil {
 		return nil, err
 	}

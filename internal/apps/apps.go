@@ -143,14 +143,10 @@ func grid2D(p int) (rows, cols int) {
 }
 
 // ringNeighbors returns this rank's successor and predecessor (world
-// ranks) on a ring over the surviving ranks. Without fault injection the
-// alive view is nil and the ring is the classic (rank±1) mod P.
+// ranks) on a ring over the surviving ranks: the classic (rank±1) mod P
+// while all ranks live.
 func ringNeighbors(pr *mpi.Proc) (next, prev int) {
 	alive := pr.AliveRanks()
-	if alive == nil {
-		p := pr.Size()
-		return (pr.Rank() + 1) % p, (pr.Rank() + p - 1) % p
-	}
 	pos := mpi.TreePos(alive, pr.Rank())
 	n := len(alive)
 	return alive[(pos+1)%n], alive[(pos+n-1)%n]

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chameleon/internal/mpi"
+	"chameleon/internal/vtime"
 )
 
 func TestRegistry(t *testing.T) {
@@ -267,5 +268,32 @@ func TestMGAndFT(t *testing.T) {
 		if again := runSpec(t, spec, true).Makespan; again != res.Makespan {
 			t.Fatalf("%s nondeterministic", name)
 		}
+	}
+}
+
+// TestCheckpointBurstIsGatheredVolume: in a fault-free STENCIL run that
+// checkpoints every 10 timesteps, rank 0's IO burst at each checkpoint
+// is the gathered volume, |alive| x block bytes at 1 byte/ns, on top of
+// the compute of the same run without checkpoints. At P=64 that volume
+// exceeds the one-compute-step floor, so a burst sized by anything
+// else shows.
+func TestCheckpointBurstIsGatheredVolume(t *testing.T) {
+	const p, every = 64, 10
+	spec := Stencil(ClassA, p)
+	appTime := func(checkpointEvery int) vtime.Duration {
+		res, err := mpi.Run(mpi.Config{P: p}, spec.Make(BodyOpts{Freq: spec.Freq, CheckpointEvery: checkpointEvery}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Ledgers[0].Spent(vtime.CatApp)
+	}
+	block := 16 * haloBytes(4096, ClassA, p)
+	burst := vtime.Duration(p * block)
+	if floor := computeTime(800*vtime.Microsecond, ClassA, p); burst <= floor {
+		t.Fatalf("burst %v does not exceed the floor %v: the test cannot tell them apart", burst, floor)
+	}
+	got := appTime(every) - appTime(0)
+	if want := vtime.Duration(spec.Iters/every) * burst; got != want {
+		t.Errorf("rank 0 checkpoint bursts took %v, want %d x %v", got, spec.Iters/every, burst)
 	}
 }

@@ -43,9 +43,12 @@ func Phase(class Class, p int) Spec {
 							w.Sendrecv(next, 11, bytes, nil, prev, 11)
 							w.Sendrecv(prev, 12, bytes, nil, next, 12)
 						} else {
-							sw := pr.ShrunkWorld()
-							sw.Alltoall(bytes / pr.Size())
-							sw.Allreduce(8, uint64(rank), mpi.OpSum)
+							// Each collective asks for the survivors
+							// afresh: an automatically placed marker
+							// may fire, and a crash with it, inside the
+							// one before.
+							pr.ShrunkWorld().Alltoall(bytes / pr.Size())
+							pr.ShrunkWorld().Allreduce(8, uint64(rank), mpi.OpSum)
 						}
 						if o.CheckpointEvery > 0 && (it+1)%o.CheckpointEvery == 0 {
 							checkpoint(pr, bytes, comp)

@@ -22,7 +22,7 @@ func chamrun(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	bench := fs.String("bench", "LU", "benchmark: "+strings.Join(chameleon.Benchmarks(), ", "))
 	class := fs.String("class", "D", "NPB input class (A-D)")
 	p := fs.Int("p", 64, "number of ranks")
-	tr := fs.String("tracer", "chameleon", "tracer: none, scalatrace, chameleon, acurdion")
+	tr := fs.String("tracer", "chameleon", "tracer: none, scalatrace, chameleon, chameleon-auto, acurdion")
 	k := fs.Int("k", 0, "cluster budget K (0 = benchmark default)")
 	freq := fs.Int("freq", 0, "marker frequency in timesteps (0 = benchmark default)")
 	algo := fs.String("algo", "", "clustering algorithm: k-farthest, k-medoid, k-random")
@@ -85,8 +85,8 @@ func chamrun(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	var injector *chameleon.FaultInjector
 	if plan != nil {
-		if plan.HasCrashes() && *tr != "chameleon" {
-			return usageError("faults: crash directives require -tracer chameleon (crashes fire at its markers)")
+		if plan.HasCrashes() && *tr != "chameleon" && *tr != "chameleon-auto" {
+			return usageError("faults: crash directives require -tracer chameleon or chameleon-auto (crashes fire at their markers)")
 		}
 		var err error
 		injector, err = chameleon.NewFaultInjector(plan, *faultSeed, *p)

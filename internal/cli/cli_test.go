@@ -396,6 +396,20 @@ func TestReplayTenant(t *testing.T) {
 	}
 }
 
+// TestAutoMarkerCrashPlan: chamrun takes a crash plan under
+// -tracer chameleon-auto, whose automatically placed markers are marker
+// barriers the crash fires at, and reports the departed rank.
+func TestAutoMarkerCrashPlan(t *testing.T) {
+	stdout, stderr, code := run(t, "chamrun", "-bench", "PHASE", "-class", "A", "-p", "16",
+		"-tracer", "chameleon-auto", "-faults", "crash rank=3 at marker=2")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if !strings.Contains(stdout, "departed    [3] (crash-stopped; 15 of 16 ranks survive)") {
+		t.Errorf("stdout does not report rank 3 departed:\n%s", stdout)
+	}
+}
+
 // TestFailedRunLeavesDiagnostics: a run that fails still writes the
 // telemetry its observer captured, then reports the error and exits 1.
 func TestFailedRunLeavesDiagnostics(t *testing.T) {

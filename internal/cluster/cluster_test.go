@@ -261,7 +261,7 @@ func TestDistributedSelect(t *testing.T) {
 			// Three behavior groups by rank range.
 			Sig: sig.Triple{CallPath: 42, Src: uint64(p.Rank() / 5 * 10000), Dest: 0},
 		}
-		results[p.Rank()] = DistributedSelect(p, self, K, KFarthest, 1<<50, vtime.CatCluster)
+		results[p.Rank()] = DistributedSelect(p, self, p.AliveRanks(), K, KFarthest, 1<<50, vtime.CatCluster)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +335,7 @@ func TestDistributedSelectMatchesSequentialTree(t *testing.T) {
 		if mpi.TreePos(members, p.Rank()) < 0 {
 			return
 		}
-		results[p.Rank()] = DistributedSelectMembers(p, self(p.Rank()), members, K, KFarthest, 1<<50, vtime.CatCluster)
+		results[p.Rank()] = DistributedSelect(p, self(p.Rank()), members, K, KFarthest, 1<<50, vtime.CatCluster)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func selectHeapPerRank(t *testing.T, P int) (bytes, objects float64) {
 				Ranks: ranklist.SingleRank(p.Rank()),
 				Sig:   sig.Triple{CallPath: 42, Src: uint64(p.Rank() * 3 / P * 10000)},
 			}
-			DistributedSelect(p, self, 3, KFarthest, 1<<50, vtime.CatCluster)
+			DistributedSelect(p, self, p.AliveRanks(), 3, KFarthest, 1<<50, vtime.CatCluster)
 		})
 		if err != nil {
 			t.Fatal(err)

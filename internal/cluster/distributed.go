@@ -6,28 +6,19 @@ import (
 )
 
 // DistributedSelect runs the distributed clustering of Algorithm 3's
-// "Clustering" branch over all ranks: each rank contributes one item
-// (itself), items flow up a binomial radix tree, every internal node
-// caps its working set at k with SelectLeads, the root makes the final
-// selection, and the Top-K list is broadcast to everyone.
+// "Clustering" branch over members (world ranks, usually
+// p.AliveRanks()): each member contributes one item (itself), items
+// flow up a binomial radix tree over the member positions, every
+// internal node caps its working set at k with SelectLeads, the root
+// makes the final selection, and the Top-K list is broadcast to every
+// member.
 //
 // Communication wait time and distance-computation work are charged to
-// the given ledger category. The call is collective over the world
-// communicator; tag must be unique per invocation and identical across
-// ranks.
-func DistributedSelect(p *mpi.Proc, self Item, k int, algo Algorithm, tag int, cat vtime.Category) []Item {
-	return DistributedSelectMembers(p, self, nil, k, algo, tag, cat)
-}
-
-// DistributedSelectMembers is DistributedSelect restricted to an
-// explicit member list (sorted world ranks), the form the fault-tolerant
-// path uses once ranks have crashed: the radix tree spans only the
-// survivors, and the Top-K broadcast reaches only them. A nil members
-// list means all ranks: the tree is the identity one (position = rank),
-// walked without materialising a rank table. Non-members must not call
-// it. The returned list is shared by every rank that received it and
-// must not be written.
-func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo Algorithm, tag int, cat vtime.Category) []Item {
+// the given ledger category. The call is collective over the members;
+// non-members must not call it. Tags tag and tag|1 must be unique per
+// invocation and identical across ranks. The returned list is shared by
+// every rank that received it and must not be written.
+func DistributedSelect(p *mpi.Proc, self Item, members []int, k int, algo Algorithm, tag int, cat vtime.Category) []Item {
 	model := p.Model()
 	world := p.World()
 	// Default causal label (tag distinguishes invocations); core's
@@ -41,10 +32,7 @@ func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo
 	cItems := o.Counter("cluster_items_gathered_total")
 	cWorking := o.Histogram("cluster_working_set_items")
 
-	pos, n := p.Rank(), p.Size()
-	if members != nil {
-		pos, n = mpi.TreePos(members, p.Rank()), len(members)
-	}
+	pos, n := mpi.TreePos(members, p.Rank()), len(members)
 	// items is the working set: the rank's own item and what its
 	// children send, selected in place whenever it exceeds k. A leaf
 	// rank sends just its own item; an internal one allocates the set
@@ -55,7 +43,7 @@ func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo
 	// The children of mpi.TreeChildPositions, walked without its slice:
 	// pos|mask for each mask below pos's low bit.
 	for mask := 1; pos&mask == 0 && pos|mask < n; mask <<= 1 {
-		msg := world.RawRecv(memberAt(members, pos|mask), tag)
+		msg := world.RawRecv(members[pos|mask], tag)
 		p.Ledger.Charge(cat, model.Alpha+model.CollectivePerLevel)
 		childItems, _ := msg.Payload.([]Item)
 		if items == nil {
@@ -77,7 +65,7 @@ func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo
 		items = []Item{self}
 	}
 	if parent := mpi.TreeParentPos(pos); parent >= 0 {
-		world.RawSend(memberAt(members, parent), tag, ItemsBytes(items), items)
+		world.RawSend(members[parent], tag, ItemsBytes(items), items)
 		p.Ledger.Charge(cat, model.Alpha)
 	} else {
 		cWorking.Observe(int64(len(items)))
@@ -88,12 +76,7 @@ func DistributedSelectMembers(p *mpi.Proc, self Item, members []int, k int, algo
 		p.ChargeOverhead(cat, vtime.Duration(res.Distances)*model.ClusterPerItem)
 	}
 
-	var top []Item
-	if n == p.Size() {
-		top = world.RawBcastObj(0, items, ItemsBytes(items)).([]Item)
-	} else {
-		top = mpi.GroupBcastObj(p, members, tag|1, items, ItemsBytes(items)).([]Item)
-	}
+	top := mpi.GroupBcastObj(p, members, tag|1, items, ItemsBytes(items)).([]Item)
 	p.Ledger.Charge(cat, model.Alpha+model.CollectivePerLevel)
 	return top
 }
@@ -105,15 +88,6 @@ func subtreeSize(pos, n int) int {
 		return n
 	}
 	return min(pos&-pos, n-pos)
-}
-
-// memberAt is the world rank at tree position pos: the member list's
-// entry, or pos itself when the tree spans every rank.
-func memberAt(members []int, pos int) int {
-	if members == nil {
-		return pos
-	}
-	return members[pos]
 }
 
 // ItemsBytes approximates the wire size of an item list (signatures plus

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"chameleon/internal/mpi"
-	"chameleon/internal/vtime"
-)
+import "chameleon/internal/mpi"
 
 // AutoMarker addresses the paper's discussion item (2): "Finding of a
 // good location for inserting marker and choosing an appropriate
@@ -21,8 +18,10 @@ import (
 // collective events: the most frequent site wins (ties break on the
 // smaller signature), which skips one-off setup broadcasts in favor of
 // the per-timestep residual reduction. Every Frequency-th subsequent
-// anchor occurrence triggers the normal marker processing (Algorithm
-// 1/3) with no application change.
+// anchor occurrence enters the marker barrier on the application's
+// behalf, so Chameleon's Pre and Post process it like a hand-placed
+// marker (Algorithm 1/3, crash directives included) with no
+// application change.
 type AutoMarker struct {
 	*Chameleon
 	// Frequency triggers marker processing every n-th anchor occurrence.
@@ -63,10 +62,11 @@ func NewAuto(col *Collector, opt AutoOptions) func(p *mpi.Proc) mpi.Interposer {
 }
 
 // Post implements mpi.Interposer: record the event as usual, then check
-// whether it completes an anchor period.
+// whether it completes an anchor period. The marker barrier it enters
+// comes back here nested, and is Chameleon's alone to process.
 func (a *AutoMarker) Post(ci *mpi.CallInfo) {
 	a.Chameleon.Post(ci)
-	if !ci.Op.IsCollective() || ci.Op == mpi.OpFinalize {
+	if !ci.Op.IsCollective() || ci.Op == mpi.OpFinalize || ci.Comm == mpi.CommMarker {
 		return
 	}
 	// The recorder has just encoded this event; its stack signature is
@@ -90,33 +90,7 @@ func (a *AutoMarker) Post(ci *mpi.CallInfo) {
 	if a.fired%a.Frequency != 0 {
 		return
 	}
-	// The anchor collective has already synchronized the ranks, but it
-	// carried no vote: run the vote as a collective of its own, then the
-	// marker processing as if the tool-inserted barrier just completed.
-	var votes uint64
-	if (a.markerCalls+1)%a.opt.CallFrequency == 0 {
-		mine := a.closeWindow()
-		if a.haveOld {
-			votes = a.vote(mine)
-		}
-	}
-	a.onMarker(votes)
-}
-
-// vote is Algorithm 1's Reduce+Bcast as a collective of its own on the
-// marker communicator, its per-rank share of the O(log P) message hops
-// booked as marker overhead (the synchronization stall is already on
-// the clock). Crashes fire only at marker barriers, which an
-// auto-marked run does not have, so membership is always full here.
-func (a *AutoMarker) vote(mine uint64) uint64 {
-	p := a.p
-	restore := p.CausalContext("vote", a.markerCalls+1)
-	sum := p.MarkerComm().RawAllreduceU64(mine, mpi.OpSum)
-	restore()
-	model := p.Model()
-	hops := vtime.Duration(vtime.Log2Ceil(a.groupSize()))
-	p.Ledger.Charge(vtime.CatMarker, hops*(model.Alpha+model.CollectivePerLevel))
-	return sum
+	a.p.MarkerComm().Barrier()
 }
 
 // electAnchor picks the most frequent observed collective site. Every

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"chameleon/internal/fault"
 	"chameleon/internal/mpi"
 	"chameleon/internal/vtime"
 )
@@ -106,6 +109,84 @@ func TestAutoMarkerMatchesManual(t *testing.T) {
 	for r := 0; r < P; r++ {
 		if got := dynamicFor(col.Online, r); got != 40*2 {
 			t.Fatalf("rank %d covered %d events, want 80", r, got)
+		}
+	}
+}
+
+// survivorApp is anchoredApp made failure-aware: the ring closes over
+// the survivors and the residual all-reduce runs on the shrunken world,
+// so a crash at an automatically placed marker leaves a run that
+// completes.
+func survivorApp(steps int) func(*mpi.Proc) {
+	return func(p *mpi.Proc) {
+		for it := 0; it < steps; it++ {
+			alive := p.AliveRanks()
+			pos, n := mpi.TreePos(alive, p.Rank()), len(alive)
+			p.Compute(100 * vtime.Microsecond)
+			p.World().Sendrecv(alive[(pos+1)%n], 1, 256, nil, alive[(pos+n-1)%n], 1)
+			p.ShrunkWorld().Allreduce(8, uint64(it), mpi.OpSum)
+		}
+	}
+}
+
+// TestAutoMarkerFiresCrashDirective: the automatically placed marker is
+// the marker barrier, so a crash directive fires at the rank's N-th
+// auto marker. With rank 5 of 8 crashing at marker 4, the run completes
+// and lists rank 5 as departed, rank 5 processed three markers, every
+// survivor processed all ten, and the final lead set names no departed
+// rank.
+func TestAutoMarkerFiresCrashDirective(t *testing.T) {
+	const P, crashAt, steps = 8, 4, observeFor + 10
+	plan, err := fault.Parse(fmt.Sprintf("crash rank=5 at marker=%d", crashAt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := fault.NewInjector(plan, 1, P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector(P)
+	newRank := NewAuto(col, AutoOptions{Options: Options{K: 3}})
+	ranks := make([]*AutoMarker, P)
+	res, err := mpi.Run(mpi.Config{P: P, Fault: in, Hooks: func(p *mpi.Proc) mpi.Interposer {
+		ranks[p.Rank()] = newRank(p).(*AutoMarker)
+		return ranks[p.Rank()]
+	}}, survivorApp(steps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Departed, []int{5}) {
+		t.Fatalf("departed %v, want [5]", res.Departed)
+	}
+	for r, a := range ranks {
+		want := steps - observeFor
+		if r == 5 {
+			want = crashAt - 1
+		}
+		if a.markerCalls != want {
+			t.Errorf("rank %d processed %d markers, want %d", r, a.markerCalls, want)
+		}
+	}
+	if slices.Contains(col.LeadRanks, 5) {
+		t.Errorf("leads %v still name the departed rank", col.LeadRanks)
+	}
+}
+
+// TestAutoMarkerBooksOneTraversal: an auto firing is one marker
+// barrier, so each rank books one tree traversal to CatMarker per
+// firing, the vote riding on it, and nothing more.
+func TestAutoMarkerBooksOneTraversal(t *testing.T) {
+	const P, steps = 8, observeFor + 10
+	col := NewCollector(P)
+	res, err := mpi.Run(mpi.Config{P: P, Hooks: NewAuto(col, AutoOptions{Options: Options{K: 3}})}, anchoredApp(steps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := vtime.Default()
+	traversal := vtime.Duration(vtime.Log2Ceil(P)) * (model.Alpha + model.CollectivePerLevel)
+	for r, l := range res.Ledgers {
+		if got, want := l.Spent(vtime.CatMarker), vtime.Duration(steps-observeFor)*traversal; got != want {
+			t.Errorf("rank %d booked %v to CatMarker, want %d firings x %v", r, got, steps-observeFor, traversal)
 		}
 	}
 }

@@ -317,7 +317,7 @@ func (c *Chameleon) onMarker(votes uint64) {
 	// synchronization stall stays on the application clock where it
 	// belongs — it is load imbalance the barrier merely exposes.
 	model := c.p.Model()
-	hops := vtime.Duration(vtime.Log2Ceil(c.groupSize()))
+	hops := vtime.Duration(vtime.Log2Ceil(len(c.p.AliveRanks())))
 	c.p.Ledger.Charge(vtime.CatMarker, hops*(model.Alpha+model.CollectivePerLevel))
 	c.markerCalls++
 	if c.p.Rank() == 0 {
@@ -369,15 +369,6 @@ func (c *Chameleon) onMarker(votes uint64) {
 		}
 	}
 	c.steadyLead = false
-}
-
-// groupSize is the number of ranks participating in collective tracing
-// steps: the survivors under fault injection, everyone otherwise.
-func (c *Chameleon) groupSize() int {
-	if alive := c.p.AliveRanks(); alive != nil {
-		return len(alive)
-	}
-	return c.p.Size()
 }
 
 // observeTransition records one transition-graph step into the
@@ -458,7 +449,7 @@ func (c *Chameleon) runClustering() {
 		Sig:   c.curSig,
 	}
 	restore := p.CausalContext("cluster", c.markerCalls)
-	top := cluster.DistributedSelectMembers(p, self, p.AliveRanks(),
+	top := cluster.DistributedSelect(p, self, p.AliveRanks(),
 		c.opt.K, c.opt.Algo, clusterTag(c.flushRound), vtime.CatCluster)
 	restore()
 
@@ -517,7 +508,7 @@ func (c *Chameleon) runClustering() {
 // lost, which the journal records rather than hiding.
 func (c *Chameleon) handleDepartures() {
 	p := c.p
-	if p.AliveRanks() == nil {
+	if p.Epoch() == 0 {
 		return
 	}
 	var newlyDead []int

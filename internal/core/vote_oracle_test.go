@@ -80,7 +80,8 @@ func (o *voteOracle) twoCollectiveVote() uint64 {
 	}
 	const epochShift = 20
 	var glob uint64
-	if alive := c.p.AliveRanks(); alive == nil {
+	alive := c.p.AliveRanks()
+	if c.p.Epoch() == 0 {
 		glob = c.p.MarkerComm().RawAllreduceU64(mismatch, mpi.OpSum)
 	} else {
 		epoch := uint64(c.p.Epoch())
@@ -92,7 +93,7 @@ func (o *voteOracle) twoCollectiveVote() uint64 {
 		glob = tot & (1<<epochShift - 1)
 	}
 	model := c.p.Model()
-	hops := vtime.Duration(vtime.Log2Ceil(c.groupSize()))
+	hops := vtime.Duration(vtime.Log2Ceil(len(alive)))
 	c.p.Ledger.Charge(vtime.CatMarker, hops*(model.Alpha+model.CollectivePerLevel))
 	return glob
 }

@@ -1,5 +1,7 @@
 package mpi
 
+import "fmt"
+
 // ReduceOp combines two uint64 reduction operands.
 type ReduceOp func(a, b uint64) uint64
 
@@ -207,30 +209,33 @@ func (c *Comm) RawBcastObj(root int, obj any, bytes int) any {
 	return c.treeBcastObj(root, collTag(c.id, seq, 0), bytes, obj)
 }
 
-// RawGatherObj gathers per-rank objects at root without interposition;
-// root receives a slice indexed by comm rank, others nil.
-func (c *Comm) RawGatherObj(root int, obj any, bytes int) []any {
-	seq := c.nextSeq()
-	return c.treeGather(root, collTag(c.id, seq, 0), bytes, obj)
-}
-
 // --- public (traced) collectives -------------------------------------------
 
 // Barrier synchronizes the communicator. It carries the word an
 // interposer's Pre left in CallInfo.Vote and hands Post the sum over
-// the ranks in the same field. Marker barriers additionally consult the
-// fault injector (when one is configured): a rank scheduled to crash
-// here unwinds instead of participating, and once membership has
-// shrunk the survivors barrier among themselves.
+// the ranks in the same field. The word travels with this rank's
+// membership epoch in its high bits (0 until a crash), so a member that
+// entered on a stale view is caught here instead of corrupting the sum.
+// A marker barrier first consults the fault injector (when one is
+// configured): a rank scheduled to crash here unwinds instead of
+// participating, and once membership has shrunk the marker
+// communicator's group is the survivors.
 func (c *Comm) Barrier() {
-	if c.id == CommMarker && c.p.rt.fault != nil {
-		if c.p.faultMarker() {
-			return
+	p := c.p
+	if c.id == CommMarker {
+		p.markerSeq++
+		if p.rt.fault != nil {
+			p.faultMarker()
 		}
 	}
-	ci, start := c.p.opBegin(CallInfo{Op: OpBarrier, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer})
-	ci.Vote = c.RawBarrier(ci.Vote)
-	c.p.opEnd(ci, start)
+	ci, start := p.opBegin(CallInfo{Op: OpBarrier, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer})
+	epoch := uint64(p.epoch)
+	sum := c.RawBarrier(ci.Vote | epoch<<voteEpochShift)
+	if got, want := sum>>voteEpochShift, epoch*uint64(len(c.group)); got != want {
+		panic(fmt.Sprintf("mpi: barrier epoch sum %d, want %d (rank %d epoch %d)", got, want, p.rank, epoch))
+	}
+	ci.Vote = sum & (1<<voteEpochShift - 1)
+	p.opEnd(ci, start)
 }
 
 // Bcast broadcasts payload (of the given size) from root and returns it
@@ -263,7 +268,7 @@ func (c *Comm) Allreduce(bytes int, val uint64, op ReduceOp) uint64 {
 // at root, nil elsewhere).
 func (c *Comm) Gather(root, bytes int, payload any) []any {
 	ci, start := c.p.opBegin(CallInfo{Op: OpGather, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes})
-	out := c.RawGatherObj(root, payload, bytes)
+	out := c.treeGather(root, collTag(c.id, c.nextSeq(), 0), bytes, payload)
 	c.p.opEnd(ci, start)
 	return out
 }

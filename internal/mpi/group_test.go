@@ -112,8 +112,15 @@ func TestShrunkWorldIsWorldWhenFull(t *testing.T) {
 		if p.ShrunkWorld() != p.World() {
 			t.Error("full-membership ShrunkWorld must alias World")
 		}
-		if p.AliveRanks() != nil {
-			t.Error("AliveRanks must be nil without faults")
+		alive := p.AliveRanks()
+		if len(alive) != p.Size() || &alive[0] != &p.World().group[0] {
+			t.Errorf("AliveRanks is %v, want the world's shared [0,P) list", alive)
+		}
+		for i, r := range alive {
+			if r != i {
+				t.Errorf("AliveRanks is %v, want [0,P)", alive)
+				break
+			}
 		}
 		if p.Departed(1) {
 			t.Error("Departed must be false without faults")

@@ -64,9 +64,9 @@ type CallInfo struct {
 	MatchedSrc int
 	// Vote is the word a barrier carries: whatever Pre leaves here is
 	// summed over the ranks, and Post finds the sum in its place. It
-	// costs the barrier no byte on the virtual clock. Under shrunken
-	// membership the marker barrier packs the membership epoch above
-	// bit 20, so the sum must stay below 2^20.
+	// costs the barrier no byte on the virtual clock. Every barrier packs
+	// the ranks' membership epoch (0 until a crash) above bit 20, so the
+	// sum must stay below 2^20.
 	Vote uint64
 }
 
@@ -365,17 +365,16 @@ type Proc struct {
 	marker *Comm
 	// collSeq disambiguates successive collectives per communicator.
 	collSeq map[CommID]int
-	// markerSeq counts marker barriers this rank has entered (1-based),
-	// the clock the fault injector schedules crashes against.
+	// markerSeq counts marker barriers this rank has entered (1-based):
+	// the clock the fault injector schedules crashes against, and the
+	// sequence number of the marker's causal context.
 	markerSeq int
 	// sendSeq numbers this rank's causal-stamped sends (1-based).
 	sendSeq uint64
 	// ctxName/ctxSeq label the collective instance this rank is currently
 	// executing, copied onto every edge it records (see CausalContext).
-	// markerCt counts marker barriers for op-derived contexts.
-	ctxName  string
-	ctxSeq   int
-	markerCt int
+	ctxName string
+	ctxSeq  int
 	// opPrevName/opPrevSeq save the outer context across an op-derived
 	// context installed by opBegin (restored in opEnd).
 	opPrevName string
@@ -384,12 +383,11 @@ type Proc struct {
 	// d; opDepth counts the ops between their opBegin and opEnd.
 	calls   []*CallInfo
 	opDepth int
-	// aliveView/epoch/deadView/shrunk are this rank's membership view
-	// under fault injection; aliveView stays nil while all ranks live.
-	aliveView []int
-	epoch     int
-	deadView  map[int]bool
-	shrunk    *Comm
+	// epoch and shrunk are this rank's membership view: shrunk is the
+	// world while all ranks live (epoch 0), the communicator over the
+	// survivors after a crash. Its group is the membership list.
+	epoch  int
+	shrunk *Comm
 }
 
 // Rank returns this process's rank in CommWorld.
@@ -404,17 +402,10 @@ func (p *Proc) Model() vtime.CostModel { return p.rt.model }
 // World returns this rank's CommWorld handle.
 func (p *Proc) World() *Comm { return p.world }
 
-// MarkerComm returns the reserved marker communicator (same group as
-// world, distinct CommID).
+// MarkerComm returns the reserved marker communicator: a distinct
+// CommID over the membership list (the world's group until a crash,
+// the survivors after).
 func (p *Proc) MarkerComm() *Comm { return p.marker }
-
-// SetInterposer installs the PMPI-style hook chain for this rank.
-func (p *Proc) SetInterposer(h Interposer) {
-	if h == nil {
-		h = NopInterposer{}
-	}
-	p.hooks = h
-}
 
 // Interposer returns the installed hook chain.
 func (p *Proc) Interposer() Interposer { return p.hooks }
@@ -635,12 +626,15 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		}
 		p.world = &Comm{p: p, id: CommWorld, group: group, self: r}
 		p.marker = &Comm{p: p, id: CommMarker, group: group, self: r}
+		p.shrunk = p.world
 		rt.procs[r] = p
 	}
 	if cfg.Hooks != nil {
 		for _, r := range rt.local {
 			p := rt.procs[r]
-			p.SetInterposer(cfg.Hooks(p))
+			if h := cfg.Hooks(p); h != nil {
+				p.hooks = h
+			}
 		}
 	}
 	if err := tr.start(rt); err != nil {
@@ -679,14 +673,10 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 			// the conservative wildcard matcher may disregard.
 			rt.setState(p.rank, stateFinalizing)
 			// MPI_Finalize: collective point where tracers flush.
+			// The survivors synchronize among themselves; the departed
+			// never reach finalize.
 			ci, start := p.opBegin(CallInfo{Op: OpFinalize, Comm: CommWorld, Dest: NoPeer, Src: NoPeer, Root: 0})
-			if rt.fault != nil && p.aliveView != nil {
-				// Survivors synchronize among themselves; the departed
-				// never reach finalize.
-				GroupBarrier(p, p.aliveView, groupFinalizeTag)
-			} else {
-				p.world.RawBarrier(0)
-			}
+			p.ShrunkWorld().RawBarrier(0)
 			p.opEnd(ci, start)
 			p.hooks.Finalize()
 			rt.setState(p.rank, stateDone)

@@ -58,8 +58,8 @@ func newOpMetrics(o *obs.Observer) *opMetrics {
 //
 // The CallInfo handed to the hooks is the rank's scratch value for this
 // nesting depth, so a public operation allocates nothing; a hook that
-// itself issues a public op (Chameleon's Post enters the marker barrier)
-// gets the next slot, not the one its caller is still reading.
+// itself issues a public op (AutoMarker's Post enters the marker
+// barrier) gets the next slot, not the one its caller is still reading.
 func (p *Proc) opBegin(call CallInfo) (*CallInfo, vtime.Time) {
 	if p.opDepth == len(p.calls) {
 		p.calls = append(p.calls, new(CallInfo))
@@ -72,8 +72,7 @@ func (p *Proc) opBegin(call CallInfo) (*CallInfo, vtime.Time) {
 		p.opPrevName, p.opPrevSeq = p.ctxName, p.ctxSeq
 		switch {
 		case ci.Op == OpBarrier && ci.Comm == CommMarker:
-			p.markerCt++
-			p.ctxName, p.ctxSeq = "marker", p.markerCt
+			p.ctxName, p.ctxSeq = "marker", p.markerSeq
 		case ci.Op.IsCollective():
 			p.ctxName, p.ctxSeq = strings.ToLower(ci.Op.String()), p.collSeq[ci.Comm]
 		}

@@ -6,8 +6,13 @@ package mpi
 // runs the same reduction over the K lead ranks only.
 
 // TreePos returns self's position in the ordered member list, or -1 if
-// self is not a member. Position 0 is the tree root.
+// self is not a member. Position 0 is the tree root. Members are
+// distinct, so a list that holds self at index self (the full world's
+// [0,P), or any prefix of it) answers without a scan.
 func TreePos(members []int, self int) int {
+	if self >= 0 && self < len(members) && members[self] == self {
+		return self
+	}
 	for i, m := range members {
 		if m == self {
 			return i

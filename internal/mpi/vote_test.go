@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
 	"chameleon/internal/fault"
@@ -42,28 +43,24 @@ func refRawBarrier(c *Comm) {
 }
 
 // refMarker is the marker barrier as it was before it carried a word:
-// the fault protocol of faultMarker, with refRawBarrier at full
-// membership and GroupBarrier over the survivors.
+// the fault protocol of faultMarker, then refRawBarrier on the marker
+// communicator, whose group is the survivors once a crash has fired.
 func refMarker(p *Proc) {
-	in := p.rt.fault
-	full := true
-	if in != nil {
+	if in := p.rt.fault; in != nil {
 		p.markerSeq++
 		m := p.markerSeq
 		if cm := in.CrashMarker(p.rank); cm >= 0 && m >= cm {
 			panic(crashExit{marker: m})
 		}
-		if alive := in.AliveAfter(m); len(alive) < p.rt.p {
-			full = false
-			p.aliveView, p.epoch = alive, in.EpochAt(m)
+		if e := in.EpochAt(m); e != p.epoch {
+			alive := in.AliveAfter(m)
+			p.epoch = e
+			p.marker = &Comm{p: p, id: CommMarker, group: alive, self: TreePos(alive, p.rank)}
+			p.shrunk = &Comm{p: p, id: shrunkCommBase + CommID(e), group: alive, self: TreePos(alive, p.rank)}
 		}
 	}
 	ci, start := p.opBegin(CallInfo{Op: OpBarrier, Comm: CommMarker, Dest: NoPeer, Src: NoPeer, Root: NoPeer})
-	if full {
-		refRawBarrier(p.marker)
-	} else {
-		GroupBarrier(p, p.aliveView, faultTag(p.markerSeq, 0))
-	}
+	refRawBarrier(p.marker)
 	p.opEnd(ci, start)
 }
 
@@ -197,5 +194,72 @@ func TestMarkerWordCostsNothing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSurvivorsMarkerIsAWorldMarker: once crashes have shrunk the
+// membership to n survivors, a marker barrier is the marker barrier of
+// an n-rank world: a P=11 run whose ranks 2, 5 and 9 crash at the first
+// marker leaves every survivor with the clock, ledger and vote sums of
+// the rank at its position in an 8-rank world running the same
+// position-keyed compute and words without faults.
+func TestSurvivorsMarkerIsAWorldMarker(t *testing.T) {
+	const markers = 6
+	crashed := []int{2, 5, 9}
+	var survivors []int
+	for r := 0; r < 11; r++ {
+		if !slices.Contains(crashed, r) {
+			survivors = append(survivors, r)
+		}
+	}
+	run := func(p int, plan string, pos func(rank int) int) (*Result, [][]uint64) {
+		cfg := Config{P: p}
+		if plan != "" {
+			parsed, err := fault.Parse(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Fault, err = fault.NewInjector(parsed, 1, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hooks := make([]*voteHooks, p)
+		cfg.Hooks = func(pr *Proc) Interposer {
+			hooks[pr.rank] = &voteHooks{p: pr, word: func(rank, marker int) uint64 {
+				return uint64(1 + pos(rank)*marker%7)
+			}}
+			return hooks[pr.rank]
+		}
+		res, err := Run(cfg, func(pr *Proc) {
+			for m := 0; m < markers; m++ {
+				pr.Compute(vtime.Duration(1+(pos(pr.rank)*5+m)%7) * 10 * vtime.Microsecond)
+				pr.MarkerComm().Barrier()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums := make([][]uint64, p)
+		for r, h := range hooks {
+			sums[r] = h.sums
+		}
+		return res, sums
+	}
+	plan := fmt.Sprintf("crash rank=%d at marker=1; crash rank=%d at marker=1; crash rank=%d at marker=1", crashed[0], crashed[1], crashed[2])
+	got, gotSums := run(11, plan, func(rank int) int { return max(slices.Index(survivors, rank), 0) })
+	want, wantSums := run(len(survivors), "", func(rank int) int { return rank })
+	if !slices.Equal(got.Departed, crashed) {
+		t.Fatalf("departed %v, want %v", got.Departed, crashed)
+	}
+	for i, r := range survivors {
+		if got.Clocks[r] != want.Clocks[i] {
+			t.Errorf("survivor %d (position %d): clock %v, world rank %v", r, i, got.Clocks[r], want.Clocks[i])
+		}
+		if *got.Ledgers[r] != *want.Ledgers[i] {
+			t.Errorf("survivor %d (position %d): ledger %v, world rank %v", r, i, *got.Ledgers[r], *want.Ledgers[i])
+		}
+		if !slices.Equal(gotSums[r], wantSums[i]) || len(gotSums[r]) != markers {
+			t.Errorf("survivor %d (position %d): vote sums %v, world rank %v", r, i, gotSums[r], wantSums[i])
+		}
 	}
 }

@@ -86,12 +86,8 @@ func (t *Tracer) Post(ci *mpi.CallInfo) {
 // compression.
 func (t *Tracer) Finalize() {
 	p := t.rec.Proc
-	members := make([]int, p.Size())
-	for i := range members {
-		members[i] = i
-	}
 	mine := t.rec.TakePartial()
-	global := tracer.MergeOverTree(p, members, mine, t.rec.Comp.Filter,
+	global := tracer.MergeOverTree(p, p.AliveRanks(), mine, t.rec.Comp.Filter,
 		tracer.MergeTag(0), vtime.CatInterComp)
 
 	t.col.mu.Lock()
