@@ -15,16 +15,20 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"chameleon"
+	"chameleon/internal/apps"
 	"chameleon/internal/cli"
 	"chameleon/internal/fleet"
 	"chameleon/internal/mpi"
+	"chameleon/internal/replay"
 	"chameleon/internal/store"
+	"chameleon/internal/trace"
 )
 
 // e2e describes one end-to-end run: a program under a tracer, on a
@@ -265,6 +269,72 @@ func traceBinary(t testing.TB, out *chameleon.Output) []byte {
 		t.Fatalf("serialize trace: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// TestCausalCaptureMatchesEvaluatedRun: in process, Alltoall is
+// evaluated, not enacted, unless causal capture is on, which needs
+// every hop's edge and so takes the message path. Each program here
+// runs Alltoall (MG, FT and PHASE over the world, the replay of a
+// crashed PHASE run over the survivors' group) under every tracer, and
+// the run with causal capture is held to the run without it: makespan,
+// Overhead, OverheadBy and the merged binary trace.
+func TestCausalCaptureMatchesEvaluatedRun(t *testing.T) {
+	var specs []chameleon.Spec
+	for _, name := range []string{"MG", "FT", "PHASE"} {
+		for _, p := range []int{16, 37} {
+			specs = append(specs, benchSpec(t, name, "A", p))
+		}
+	}
+	specs = append(specs, crashedPhaseReplay(t))
+	for _, spec := range specs {
+		for _, tr := range []chameleon.Tracer{chameleon.TracerNone, chameleon.TracerChameleon,
+			chameleon.TracerAutoChameleon, chameleon.TracerScalaTrace, chameleon.TracerACURDION} {
+			t.Run(fmt.Sprintf("%s_p%d_%s", spec.Name, spec.P, tr), func(t *testing.T) {
+				evaluated := runE2E(t, e2e{Spec: spec, Tracer: tr})
+				enacted := runE2E(t, e2e{Spec: spec, Tracer: tr, Obs: &chameleon.ObsOptions{CausalRanks: spec.P}})
+				if enacted.Obs.Causal.EdgeCount() == 0 {
+					t.Fatal("causal capture recorded no edges")
+				}
+				a, b := evaluated.Out, enacted.Out
+				if a.Time != b.Time || a.Overhead != b.Overhead {
+					t.Errorf("makespan %v vs %v, overhead %v vs %v", a.Time, b.Time, a.Overhead, b.Overhead)
+				}
+				if !reflect.DeepEqual(a.OverheadBy, b.OverheadBy) {
+					t.Errorf("OverheadBy %v vs %v", a.OverheadBy, b.OverheadBy)
+				}
+				if !bytes.Equal(evaluated.Binary, enacted.Binary) {
+					t.Error("binary trace bytes differ")
+				}
+			})
+		}
+	}
+}
+
+// crashedPhaseReplay is a program that replays the trace of PHASE
+// P=16 with rank 3 crashed in its last phase (Alltoall and Allreduce,
+// so no ring exchange has to re-close around the crash in the
+// replay). The trace's Alltoall nodes after the crash cover the
+// survivors only, so replaying them runs GroupAlltoall.
+func crashedPhaseReplay(t *testing.T) chameleon.Spec {
+	t.Helper()
+	f := runE2E(t, e2e{Spec: benchSpec(t, "PHASE", "A", 16), Plan: "crash rank=3 at marker=130", Seed: 1}).Out.Trace
+	var partial func(seq []*trace.Node) bool
+	partial = func(seq []*trace.Node) bool {
+		for _, n := range seq {
+			if n.IsLoop() && partial(n.Body) || !n.IsLoop() && n.Ev.Op == mpi.OpAlltoall && n.Ranks.Size() < f.P {
+				return true
+			}
+		}
+		return false
+	}
+	if !partial(f.Nodes) {
+		t.Fatal("the crashed PHASE trace has no Alltoall over part of the world")
+	}
+	body, err := replay.Body(f, replay.Options{})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return chameleon.Spec{Name: "replay", P: f.P, K: 3, Make: func(apps.BodyOpts) func(*chameleon.Proc) { return body }}
 }
 
 // canonTrace renders a merged trace with the golden-test canonicalizer

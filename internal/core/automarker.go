@@ -16,7 +16,8 @@ import "chameleon/internal/mpi"
 // the paper inserts its marker at, discovered instead of hand-placed.
 // The anchor is elected after an observation window of observeFor
 // collective events: the most frequent site wins (ties break on the
-// smaller signature), which skips one-off setup broadcasts in favor of
+// site seen first, never on the signature, which folds program
+// counters and so moves with code layout), which skips one-off setup broadcasts in favor of
 // the per-timestep residual reduction. Every Frequency-th subsequent
 // anchor occurrence enters the marker barrier on the application's
 // behalf, so Chameleon's Pre and Post process it like a hand-placed
@@ -27,7 +28,10 @@ type AutoMarker struct {
 	// Frequency triggers marker processing every n-th anchor occurrence.
 	Frequency int
 
-	counts   map[uint64]int
+	counts map[uint64]int
+	// seen lists the observed sites in first-seen order: the election's
+	// tie-break.
+	seen     []uint64
 	observed int
 	anchor   uint64
 	fired    int
@@ -76,6 +80,9 @@ func (a *AutoMarker) Post(ci *mpi.CallInfo) {
 		return
 	}
 	if a.anchor == 0 {
+		if a.counts[site] == 0 {
+			a.seen = append(a.seen, site)
+		}
 		a.counts[site]++
 		a.observed++
 		if a.observed >= observeFor {
@@ -93,17 +100,17 @@ func (a *AutoMarker) Post(ci *mpi.CallInfo) {
 	a.p.MarkerComm().Barrier()
 }
 
-// electAnchor picks the most frequent observed collective site. Every
-// rank sees the same collective order, so the election is identical
-// everywhere.
+// electAnchor picks the most frequent observed collective site, the
+// first seen among equals. Every rank sees the same collective order,
+// so the election is identical everywhere.
 func (a *AutoMarker) electAnchor() {
 	var best uint64
-	bestCount := -1
-	for site, count := range a.counts {
-		if count > bestCount || (count == bestCount && site < best) {
+	bestCount := 0
+	for _, site := range a.seen {
+		if count := a.counts[site]; count > bestCount {
 			best, bestCount = site, count
 		}
 	}
 	a.anchor = best
-	a.counts = nil
+	a.counts, a.seen = nil, nil
 }

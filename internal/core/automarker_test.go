@@ -190,3 +190,39 @@ func TestAutoMarkerBooksOneTraversal(t *testing.T) {
 		}
 	}
 }
+
+// TestAutoMarkerElectionIgnoresSignatureValues: a count tie goes to
+// the site seen first. Signatures fold program counters, so the same
+// program relinked gives its sites other values; each row is elected
+// under its sites' values, then under the same sites relabelled in
+// reverse order of magnitude, and both must pick the same position.
+func TestAutoMarkerElectionIgnoresSignatureValues(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		counts []int // by first-seen position
+		want   int   // elected position
+	}{
+		{"two_tied", []int{25, 25}, 0},
+		{"tie_behind_a_leader", []int{10, 20, 20}, 1},
+		{"three_tied_after_one_off", []int{2, 16, 16, 16}, 1},
+		{"clear_winner_last", []int{1, 1, 48}, 2},
+		{"all_once", []int{1, 1, 1, 1, 1}, 0},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			for _, label := range []func(i int) uint64{
+				func(i int) uint64 { return 0x1000 + uint64(i) },   // first seen is smallest
+				func(i int) uint64 { return 0x9000 - uint64(i)*7 }, // first seen is largest
+			} {
+				a := &AutoMarker{counts: make(map[uint64]int)}
+				for i, n := range row.counts {
+					a.seen = append(a.seen, label(i))
+					a.counts[label(i)] = n
+				}
+				a.electAnchor()
+				if want := label(row.want); a.anchor != want {
+					t.Errorf("elected %#x, want position %d (%#x)", a.anchor, row.want, want)
+				}
+			}
+		})
+	}
+}

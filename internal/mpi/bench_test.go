@@ -31,14 +31,24 @@ func BenchmarkPingPong(b *testing.B) {
 	})
 }
 
-// BenchmarkAlltoall: P=64, 4032 messages a round, a mix of parks and
-// queue hits with up to 63 senders depositing into one mailbox — the
-// shape PHASE spends its run in.
+// BenchmarkAlltoall: P=64, 4032 messages a round. enacted sends them
+// (a mix of parks and queue hits with up to 63 senders depositing into
+// one mailbox: the path of TCP fleets and causal runs, and PHASE's
+// whole run before Alltoall was evaluated); evaluated sends none
+// (Comm.alltoall in process: the rendezvous, the fold and the
+// hand-off), priced per message the round would have sent.
 func BenchmarkAlltoall(b *testing.B) {
 	const p = 64
-	benchMessages(b, p, p*(p-1), func(p *Proc, rounds int) {
-		for i := 0; i < rounds; i++ {
-			p.World().Alltoall(64)
-		}
-	})
+	for _, path := range []struct {
+		name     string
+		exchange func(c *Comm, tag, bytes int)
+	}{{"enacted", (*Comm).enactAlltoall}, {"evaluated", (*Comm).evalAlltoall}} {
+		b.Run(path.name, func(b *testing.B) {
+			benchMessages(b, p, p*(p-1), func(p *Proc, rounds int) {
+				for i := 0; i < rounds; i++ {
+					path.exchange(p.World(), collTag(CommWorld, i, 0), 64)
+				}
+			})
+		})
+	}
 }

@@ -1,6 +1,13 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"chameleon/internal/vtime"
+)
 
 // ReduceOp combines two uint64 reduction operands.
 type ReduceOp func(a, b uint64) uint64
@@ -325,20 +332,174 @@ func (c *Comm) Alltoall(bytes int) {
 	c.p.opEnd(ci, start)
 }
 
-// alltoall is the uninterposed pairwise exchange: in round r, exchange
-// with self XOR r (when that peer exists), the standard power-of-two
-// schedule generalized by skipping out-of-range peers.
-func (c *Comm) alltoall(tag, bytes int) {
-	in := c.internal()
-	p := len(c.group)
-	for r := 1; r < nextPow2(p); r++ {
-		peer := c.self ^ r
-		if peer >= p {
-			continue
-		}
-		in.rawSend(peer, tag, bytes, nil)
-		in.rawRecv(peer, tag)
+// pairwisePeer is the pairwise exchange's schedule, stated once for
+// the enactor and the evaluator: over n positions the rounds run
+// 1..nextPow2(n)-1, and in round r position i exchanges with i XOR r
+// when that position exists (-1: it sits the round out), the standard
+// power-of-two schedule generalized by skipping out-of-range peers.
+func pairwisePeer(i, r, n int) int {
+	if peer := i ^ r; peer < n {
+		return peer
 	}
+	return -1
+}
+
+// alltoall is the uninterposed pairwise exchange. In process with
+// causal capture off it is evaluated; otherwise (a TCP fleet, or causal
+// capture, which records every hop's edge) it is enacted.
+func (c *Comm) alltoall(tag, bytes int) {
+	if c.p.rt.evaluates {
+		c.evalAlltoall(tag, bytes)
+		return
+	}
+	c.enactAlltoall(tag, bytes)
+}
+
+// enactAlltoall runs the pairwise exchange as messages: in each round,
+// send to the peer, then receive from it.
+func (c *Comm) enactAlltoall(tag, bytes int) {
+	in := c.internal()
+	n := len(c.group)
+	for r := 1; r < nextPow2(n); r++ {
+		if peer := pairwisePeer(c.self, r, n); peer >= 0 {
+			in.rawSend(peer, tag, bytes, nil)
+			in.rawRecv(peer, tag)
+		}
+	}
+}
+
+// evalAlltoall computes what enactAlltoall would leave on every
+// member's clock, and sends nothing. Each member writes its entry clock
+// into the instance's rendezvous slot; the last to arrive folds the
+// schedule over those clocks (foldPairwise), sets each waiter's clock
+// to its exit time and releases it, then takes its own.
+//
+// A waiter reads as blocked with nothing pending, which influenceBound
+// exempts. That is conservative for this collective: every member
+// receives from every other directly, so every exit clock is at least
+// every member's entry clock + PtoP(bytes) + alpha, and until the last
+// member arrives it is accounted for at a clock no later than its
+// entry. The last member therefore releases every waiter before it
+// moves its own clock, and bumps the change generation in between, so
+// no bound scan can read a waiter as exempt and the last member as
+// past its entry. A rooted tree collective has no such bound (a
+// broadcast leaf waits on its parent only), so Bcast and Reduce could
+// not be evaluated this way; Barrier and Allreduce, a reduce to the
+// root and then a broadcast, could, and still enact their messages.
+func (c *Comm) evalAlltoall(tag, bytes int) {
+	n := len(c.group)
+	if n == 1 {
+		return
+	}
+	rt := c.p.rt
+	s := rt.rdv.join(c.id, tag, c.group[0], n)
+	s.clocks[c.self] = c.p.Clock.Now()
+	if int(s.arrived.Add(1)) < n {
+		rt.mailboxes[c.p.rank].awaitRelease()
+		return
+	}
+	// Out of the table before anyone leaves: a member may reuse the
+	// key (GroupAlltoall's tags are the caller's) once it has.
+	rt.rdv.leave(s)
+	foldPairwise(s.clocks, bytes, rt.model)
+	for i, r := range c.group {
+		if i != c.self {
+			rt.procs[r].Clock.AdvanceTo(s.clocks[i])
+			rt.mailboxes[r].release()
+		}
+	}
+	if rt.anyWaiters.Load() > 0 {
+		rt.bump()
+	}
+	c.p.Clock.AdvanceTo(s.clocks[c.self])
+	rt.rdv.recycle(s)
+}
+
+// foldPairwise turns the entry clocks in c into the exit clocks of the
+// pairwise exchange of bytes per pair. Each round a position with a
+// peer leaves at max(own + alpha, peer's + PtoP(bytes)) + alpha: its
+// send's injection, then its receive of the message the peer sent at
+// the peer's clock, plus the receive overhead — what send and recv
+// charge, with Clock.Advance's floor at zero.
+func foldPairwise(c []vtime.Time, bytes int, m vtime.CostModel) {
+	n := len(c)
+	inject := vtime.Time(max(m.Alpha, 0))
+	transfer := vtime.Time(m.PtoP(bytes))
+	for r := 1; r < nextPow2(n); r++ {
+		for i := range c {
+			if j := pairwisePeer(i, r, n); j > i {
+				ci, cj := c[i], c[j]
+				c[i] = vtime.Max(ci+inject, cj+transfer) + inject
+				c[j] = vtime.Max(cj+inject, ci+transfer) + inject
+			}
+		}
+	}
+}
+
+// rendezvous is a run's table of live evaluated instances, with their
+// spent slots kept for reuse, so an instance allocates nothing once a
+// slot is spare. Every member takes its lock once to join and the last
+// takes it twice more; the key tells concurrent instances apart.
+type rendezvous struct {
+	mu   sync.Mutex
+	live []*rendezvousSlot
+	free []*rendezvousSlot
+}
+
+// rendezvousSlot is one instance's meeting point, keyed by its
+// communicator, its tag and the world rank of its first member.
+type rendezvousSlot struct {
+	comm    CommID
+	tag     int
+	lead    int
+	arrived atomic.Int32
+	// clocks holds the members' entry clocks by position, then their
+	// exit clocks once the last member has folded them.
+	clocks []vtime.Time
+}
+
+// join returns the live slot of instance (comm, tag, lead) over n
+// members, opening it if this member is the first to arrive.
+func (t *rendezvous) join(comm CommID, tag, lead, n int) *rendezvousSlot {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range t.live {
+		if s.comm == comm && s.tag == tag && s.lead == lead {
+			return s
+		}
+	}
+	var s *rendezvousSlot
+	if k := len(t.free); k > 0 {
+		s, t.free = t.free[k-1], t.free[:k-1]
+	} else {
+		s = new(rendezvousSlot)
+	}
+	s.comm, s.tag, s.lead = comm, tag, lead
+	s.arrived.Store(0)
+	if cap(s.clocks) < n {
+		s.clocks = make([]vtime.Time, n)
+	}
+	s.clocks = s.clocks[:n]
+	t.live = append(t.live, s)
+	return s
+}
+
+// leave takes s out of the live table once every member has arrived.
+func (t *rendezvous) leave(s *rendezvousSlot) {
+	t.mu.Lock()
+	i := slices.Index(t.live, s)
+	t.live[i] = t.live[len(t.live)-1]
+	t.live[len(t.live)-1] = nil
+	t.live = t.live[:len(t.live)-1]
+	t.mu.Unlock()
+}
+
+// recycle keeps s for a later instance once its exit clocks are handed
+// out.
+func (t *rendezvous) recycle(s *rendezvousSlot) {
+	t.mu.Lock()
+	t.free = append(t.free, s)
+	t.mu.Unlock()
 }
 
 func nextPow2(p int) int {

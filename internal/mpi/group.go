@@ -85,7 +85,9 @@ func GroupScatter(p *Proc, members []int, tag, bytes int) {
 }
 
 // GroupAlltoall performs the pairwise exchange schedule of
-// Comm.Alltoall over the member positions. Uses tag.
+// Comm.Alltoall over the member positions, evaluated where Comm.Alltoall
+// is. Uses tag: its rendezvous is keyed by (CommInternal, tag,
+// members[0]), so groups led by different ranks may share a tag.
 func GroupAlltoall(p *Proc, members []int, tag, bytes int) {
 	if c, ok := groupComm(p, members); ok {
 		c.alltoall(tag, bytes)

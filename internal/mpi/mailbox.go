@@ -77,11 +77,20 @@ type mailbox struct {
 	// deposited. That deposit clears parked, turns the rank active,
 	// leaves the message in slot and wakes the rank; no other does. A
 	// rank blocked in takeAny is never parked: a wildcard match is the
-	// matcher's to prove safe, not a depositor's to pick.
-	parked bool
-	slot   message
-	seen   map[int]bool // scanAny's scratch: sources already considered
+	// matcher's to prove safe, not a depositor's to pick. A rank waiting
+	// at an evaluated collective's rendezvous sleeps parked on noMatch,
+	// and only release wakes it; released is release's note to a rank
+	// that had not parked yet.
+	parked   bool
+	released bool
+	slot     message
+	seen     map[int]bool // scanAny's scratch: sources already considered
 }
+
+// noMatch is what a rank waiting at a rendezvous is blocked on: no
+// message is sent on communicator -1, so none can pend for it and no
+// deposit hands it one.
+var noMatch = pattern{comm: -1, source: AnySource, tag: AnyTag}
 
 func newMailbox(rt *Runtime, rank int) *mailbox {
 	return &mailbox{rt: rt, rank: rank, wake: make(chan struct{}, 1)}
@@ -151,6 +160,17 @@ func (m *mailbox) take(want pattern) message {
 		}
 	}
 	m.state, m.want, m.parked = stateBlocked, want, true
+	m.sleep()
+	msg := m.slot
+	m.slot.payload = nil
+	m.mu.Unlock()
+	return msg
+}
+
+// sleep parks the rank until a hand-over clears parked. The caller
+// holds m.mu, has just recorded the rank as blocked and parked, and
+// gets m.mu back held.
+func (m *mailbox) sleep() {
 	m.mu.Unlock()
 	m.rt.announce(m.rank)
 	for {
@@ -162,10 +182,7 @@ func (m *mailbox) take(want pattern) message {
 		}
 		m.mu.Lock()
 		if !m.parked {
-			msg := m.slot
-			m.slot.payload = nil
-			m.mu.Unlock()
-			return msg
+			return
 		}
 		m.parked = !aborted // unwinding, the rank is nobody to hand a message to
 		m.mu.Unlock()
@@ -173,6 +190,39 @@ func (m *mailbox) take(want pattern) message {
 			panic(errAborted)
 		}
 	}
+}
+
+// awaitRelease waits at an evaluated collective's rendezvous until the
+// member that arrives last has set this rank's clock to its exit time
+// and calls release. Meanwhile the rank reads as blocked on noMatch
+// with nothing pending, which influenceBound exempts (Comm.evalAlltoall
+// says why that is conservative).
+func (m *mailbox) awaitRelease() {
+	m.mu.Lock()
+	if m.released {
+		m.released = false
+		m.mu.Unlock()
+		return
+	}
+	m.state, m.want, m.parked = stateBlocked, noMatch, true
+	m.sleep()
+	m.mu.Unlock()
+}
+
+// release ends the rank's wait at a rendezvous. A parked rank turns
+// active in the critical section that wakes it, as deposit turns a
+// receiver active; one that has not parked yet finds released set and
+// never does.
+func (m *mailbox) release() {
+	m.mu.Lock()
+	if m.parked {
+		m.parked, m.state = false, stateActive
+		m.mu.Unlock()
+		m.unpark()
+		return
+	}
+	m.released = true
+	m.mu.Unlock()
 }
 
 // scanAny returns the index of the best wildcard candidate: among each

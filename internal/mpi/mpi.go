@@ -105,7 +105,7 @@ type rankState int32
 
 const (
 	stateActive     rankState = iota // executing application code
-	stateBlocked                     // blocked in a receive
+	stateBlocked                     // blocked in a receive or at a rendezvous
 	stateFinalizing                  // past the application body: only
 	// tracing-layer (internal) traffic can follow
 	stateDone // body and finalize complete
@@ -147,6 +147,11 @@ type Runtime struct {
 	progress *obs.Progress
 	// fault is the run's fault injector (nil = zero-fault mode).
 	fault *fault.Injector
+	// evaluates is set when Alltoall is evaluated, not enacted
+	// (Comm.alltoall): every rank is hosted here and causal capture is
+	// off. rdv is the table its instances meet in.
+	evaluates bool
+	rdv       rendezvous
 }
 
 // errAborted is the sentinel blocked ranks panic with after a peer rank
@@ -307,10 +312,13 @@ func (rt *Runtime) lbtsSafe(self int, t vtime.Time) bool {
 // mid-run: a pending internal message can be the first link of a chain
 // that returns them to application code); a blocked rank with no
 // matching message pending waits on a future deposit from a rank
-// already accounted for. Finalizing and done ranks can never send
-// application messages again and are exempt. This is the
-// lower-bound-time-stamp rule of conservative parallel discrete-event
-// simulation, specialized to the one-hop unblocking chain.
+// already accounted for, or, at an evaluated Alltoall's rendezvous, on
+// a member still to arrive, which is accounted for at no later than
+// its entry clock and bounds every exit clock (Comm.evalAlltoall).
+// Finalizing and done ranks can never send application messages again
+// and are exempt. This is the lower-bound-time-stamp rule of
+// conservative parallel discrete-event simulation, specialized to the
+// one-hop unblocking chain.
 //
 // A rank's state and pattern are read under its mailbox lock, and a
 // blocked receiver turns active under that lock in the step that takes
@@ -606,6 +614,8 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 		progress:  cfg.Obs.ProgressBoard(),
 		fault:     cfg.Fault,
 	}
+	_, inProc := tr.(*inProcTransport)
+	rt.evaluates = inProc && rt.causal == nil
 	rt.gcond = sync.NewCond(&rt.gmu)
 	for r, hi := tr.hosted(cfg.P); r <= hi; r++ {
 		rt.local = append(rt.local, r)

@@ -77,14 +77,41 @@ func Run(f *trace.File, model vtime.CostModel) (*Result, error) {
 
 // RunWith replays the trace file under explicit options.
 func RunWith(f *trace.File, opts Options) (*Result, error) {
+	if (opts.Model == vtime.CostModel{}) {
+		opts.Model = vtime.Default()
+	}
+	var events [1 << 12]uint64 // per-rank counters, bounded
+	body, err := replayer(f, opts, events[:])
+	if err != nil {
+		return nil, err
+	}
+	res, err := mpi.Run(mpi.Config{P: f.P, Model: opts.Model}, body)
+	if err != nil {
+		return nil, err
+	}
+	var total uint64
+	for _, e := range events {
+		total += e
+	}
+	return &Result{Time: res.Makespan, Events: total, Ledger: res.AggregateLedger()}, nil
+}
+
+// Body returns the per-rank program RunWith replays f with, for a
+// caller that runs it on f.P ranks of a runtime of its own (under a
+// tracer or an observer). opts.Model is the caller's runtime's to set.
+func Body(f *trace.File, opts Options) (func(*mpi.Proc), error) {
+	return replayer(f, opts, nil)
+}
+
+// replayer validates f and builds its per-rank replay program, which
+// leaves each rank's re-issued event count in events when it has a
+// slot there.
+func replayer(f *trace.File, opts Options, events []uint64) (func(*mpi.Proc), error) {
 	if len(f.Nodes) == 0 {
 		return nil, fmt.Errorf("replay: empty trace")
 	}
 	if err := f.Validate(); err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
-	}
-	if (opts.Model == vtime.CostModel{}) {
-		opts.Model = vtime.Default()
 	}
 	// Preorder node identities, shared by all ranks: collective nodes
 	// covering only part of the world (traces from runs with crashed
@@ -102,8 +129,7 @@ func RunWith(f *trace.File, opts Options) (*Result, error) {
 		}
 	}
 	number(f.Nodes)
-	var events [1 << 12]uint64 // per-rank counters, bounded
-	res, err := mpi.Run(mpi.Config{P: f.P, Model: opts.Model}, func(p *mpi.Proc) {
+	return func(p *mpi.Proc) {
 		e := engine{
 			p:          p,
 			w:          p.World(),
@@ -117,15 +143,7 @@ func RunWith(f *trace.File, opts Options) (*Result, error) {
 		if p.Rank() < len(events) {
 			events[p.Rank()] = e.events
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	var total uint64
-	for _, e := range events {
-		total += e
-	}
-	return &Result{Time: res.Makespan, Events: total, Ledger: res.AggregateLedger()}, nil
+	}, nil
 }
 
 // engine is the per-rank trace interpreter.
