@@ -316,12 +316,13 @@ func TestDistributedSelectMatchesSequentialTree(t *testing.T) {
 		}
 	}
 	// The tree walked sequentially: a position's working set is its own
-	// item, then each child's list in mask order, capped at K.
+	// item, then each child's list in mask order, capped at K. The
+	// children of pos are pos|mask for each mask below its low bit.
 	var walk func(pos int) []Item
 	walk = func(pos int) []Item {
 		items := []Item{self(members[pos])}
-		for _, c := range mpi.TreeChildPositions(pos, len(members)) {
-			items = append(items, walk(c)...)
+		for mask := 1; pos&mask == 0 && pos|mask < len(members); mask <<= 1 {
+			items = append(items, walk(pos|mask)...)
 			if len(items) > K {
 				items = refSelectLeads(items, K, KFarthest).Top
 			}

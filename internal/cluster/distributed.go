@@ -40,31 +40,37 @@ func DistributedSelect(p *mpi.Proc, self Item, members []int, k int, algo Algori
 	// plus a child's k and more, but never more than its subtree's
 	// size, the most items it can hold.
 	var items []Item
-	// The children of mpi.TreeChildPositions, walked without its slice:
-	// pos|mask for each mask below pos's low bit.
-	for mask := 1; pos&mask == 0 && pos|mask < n; mask <<= 1 {
-		msg := world.RawRecv(members[pos|mask], tag)
-		p.Ledger.Charge(cat, model.Alpha+model.CollectivePerLevel)
-		childItems, _ := msg.Payload.([]Item)
-		if items == nil {
-			items = make([]Item, 1, min(2*k+2, subtreeSize(pos, n)))
-			items[0] = self
-		}
-		items = append(items, childItems...)
-		cItems.Add(uint64(len(childItems)))
-		if len(items) > k {
-			cWorking.Observe(int64(len(items)))
-			res := selectLeads(items, k, algo)
-			items = append(items[:0], res.Top...)
-			cSelections.Inc()
-			cDistances.Add(uint64(res.Distances))
-			p.ChargeOverhead(cat, vtime.Duration(res.Distances)*model.ClusterPerItem)
+	// Up the tree (mpi.TreePeer): each child's items in mask order; the
+	// same walk finds the parent the working set then goes to.
+	parent := -1
+	for mask := 1; mask < n; mask <<= 1 {
+		switch peer := mpi.TreePeer(pos, mask, n); {
+		case peer > pos:
+			msg := world.RawRecv(members[peer], tag)
+			p.Ledger.Charge(cat, model.Alpha+model.CollectivePerLevel)
+			childItems, _ := msg.Payload.([]Item)
+			if items == nil {
+				items = make([]Item, 1, min(2*k+2, subtreeSize(pos, n)))
+				items[0] = self
+			}
+			items = append(items, childItems...)
+			cItems.Add(uint64(len(childItems)))
+			if len(items) > k {
+				cWorking.Observe(int64(len(items)))
+				res := selectLeads(items, k, algo)
+				items = append(items[:0], res.Top...)
+				cSelections.Inc()
+				cDistances.Add(uint64(res.Distances))
+				p.ChargeOverhead(cat, vtime.Duration(res.Distances)*model.ClusterPerItem)
+			}
+		case peer >= 0:
+			parent = peer
 		}
 	}
 	if items == nil {
 		items = []Item{self}
 	}
-	if parent := mpi.TreeParentPos(pos); parent >= 0 {
+	if parent >= 0 {
 		world.RawSend(members[parent], tag, ItemsBytes(items), items)
 		p.Ledger.Charge(cat, model.Alpha)
 	} else {

@@ -52,3 +52,35 @@ func BenchmarkAlltoall(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTreeCollectives: P=64, one round of each binomial-tree
+// shape, priced per message it sends: barrier (RawBarrier, a reduce
+// and a 0-byte broadcast), allreduce (RawAllreduceU64, the same hops
+// with an 8-byte broadcast) and gather (treeGather to rank 0, each hop
+// carrying its subtree's contributions, then a 0-byte broadcast that
+// releases the round: without it the leaves, which only send, run
+// rounds ahead of the root and the benchmark prices their backlog).
+func BenchmarkTreeCollectives(b *testing.B) {
+	const p = 64
+	for _, shape := range []struct {
+		name     string
+		messages int
+		round    func(c *Comm)
+	}{
+		{"barrier", 2 * (p - 1), func(c *Comm) { c.RawBarrier(0) }},
+		{"allreduce", 2 * (p - 1), func(c *Comm) { c.RawAllreduceU64(1, OpSum) }},
+		{"gather", 2 * (p - 1), func(c *Comm) {
+			seq := c.nextSeq()
+			c.treeGather(0, collTag(c.id, seq, 0), 64, nil)
+			c.treeBcast(0, collTag(c.id, seq, 1), message{})
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			benchMessages(b, p, shape.messages, func(p *Proc, rounds int) {
+				for i := 0; i < rounds; i++ {
+					shape.round(p.World())
+				}
+			})
+		})
+	}
+}

@@ -11,9 +11,8 @@ import (
 func lowbit(v int) int { return v & -v }
 
 // runCausal executes body on p ranks with causal capture enabled and
-// returns the body's edges (the finalize barrier's edges are excluded:
-// they carry the op-derived "finalize" context, while raw collectives
-// called from the body carry none).
+// returns the body's edges (the finalize barrier's edges, which carry
+// the op-derived "finalize" context, are excluded).
 func runCausal(t *testing.T, p int, body func(pr *Proc)) []obs.Edge {
 	t.Helper()
 	o := obs.New(obs.Options{CausalRanks: p})
@@ -22,27 +21,37 @@ func runCausal(t *testing.T, p int, body func(pr *Proc)) []obs.Edge {
 	}
 	var out []obs.Edge
 	for _, e := range o.Causal.Edges() {
-		if e.Ctx == "" {
+		if e.Ctx != "finalize" {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// TestTreeEdgeCapture verifies every hop of treeBcast and treeReduceU64
-// produces exactly one matched send/recv edge pair, for power-of-two and
-// non-power-of-two rank counts. The binomial schedule rooted at 0 makes
-// the expected hop set explicit: bcast sends parent→child
-// (v−lowbit(v) → v), reduce sends child→parent (v → v−lowbit(v)), and
-// rawBarrier is one reduce phase plus one bcast phase.
+// TestTreeEdgeCapture verifies every hop of the tree collectives —
+// Bcast, Reduce and Gather rooted at 0 and at p−1, then RawBarrier —
+// produces exactly one matched send/recv edge with the tag and bytes
+// the binomial schedule gives it, for power-of-two and
+// non-power-of-two rank counts. The expected hops are stated here
+// apart from TreePeer: in the tree rooted at root, virtual rank
+// v = (r−root) mod p has parent v−lowbit(v) and a subtree of
+// min(lowbit(v), p−v) ranks; bcast sends parent→child, reduce and
+// gather child→parent (a gather hop carries its subtree's
+// contributions), and RawBarrier is a reduce to 0 (phase 0) plus a
+// 0-byte bcast (phase 1).
 func TestTreeEdgeCapture(t *testing.T) {
+	const bytes = 24
 	for _, p := range []int{1, 2, 5, 8} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
+			roots := []int{0, p - 1}
 			edges := runCausal(t, p, func(pr *Proc) {
 				w := pr.World()
-				w.RawBcastU64(0, 42)        // tag seq 0
-				w.RawReduceU64(0, 7, OpSum) // tag seq 1
-				w.RawBarrier(0)             // tag seq 2, phases 0+1
+				for _, root := range roots {
+					w.Bcast(root, bytes, nil)        // tag seq 3i
+					w.Reduce(root, bytes, 7, OpSum)  // tag seq 3i+1
+					w.Gather(root, bytes, pr.Rank()) // tag seq 3i+2
+				}
+				w.RawBarrier(0) // tag seq 6, phases 0+1
 			})
 			if p == 1 {
 				if len(edges) != 0 {
@@ -50,9 +59,10 @@ func TestTreeEdgeCapture(t *testing.T) {
 				}
 				return
 			}
-			// (from, to, tag) -> count. Tags are collTag(CommWorld, seq,
-			// phase) = seq<<4|phase as allocated above.
-			count := make(map[[3]int]int)
+			// (from, to, tag, bytes) -> count. Tags are
+			// collTag(CommWorld, seq, phase) = seq<<4|phase as allocated
+			// above.
+			count := make(map[[4]int]int)
 			for _, e := range edges {
 				if e.Seq == 0 {
 					t.Fatalf("edge without piggybacked seq: %+v", e)
@@ -60,22 +70,28 @@ func TestTreeEdgeCapture(t *testing.T) {
 				if e.SendVT > e.ArriveVT || e.ArriveVT > e.RecvVT {
 					t.Fatalf("edge times out of order: %+v", e)
 				}
-				count[[3]int{e.From, e.To, e.Tag}]++
+				count[[4]int{e.From, e.To, e.Tag, e.Bytes}]++
 			}
-			var want [][3]int
+			var want [][4]int
 			for v := 1; v < p; v++ {
+				for i, root := range roots {
+					parent, child := (v-lowbit(v)+root)%p, (v+root)%p
+					want = append(want,
+						[4]int{parent, child, (3*i + 0) << 4, bytes},                       // bcast hop
+						[4]int{child, parent, (3*i + 1) << 4, 8},                           // reduce hop
+						[4]int{child, parent, (3*i + 2) << 4, bytes * min(lowbit(v), p-v)}, // gather hop
+					)
+				}
 				parent, child := v-lowbit(v), v
 				want = append(want,
-					[3]int{parent, child, 0<<4 | 0}, // bcast hop
-					[3]int{child, parent, 1<<4 | 0}, // reduce hop
-					[3]int{child, parent, 2<<4 | 0}, // barrier reduce phase
-					[3]int{parent, child, 2<<4 | 1}, // barrier bcast phase
+					[4]int{child, parent, 6<<4 | 0, 8}, // barrier reduce phase
+					[4]int{parent, child, 6<<4 | 1, 0}, // barrier bcast phase
 				)
 			}
 			for _, k := range want {
 				if count[k] != 1 {
-					t.Errorf("hop from=%d to=%d tag=%d: %d edges, want exactly 1",
-						k[0], k[1], k[2], count[k])
+					t.Errorf("hop from=%d to=%d tag=%d bytes=%d: %d edges, want exactly 1",
+						k[0], k[1], k[2], k[3], count[k])
 				}
 			}
 			if len(edges) != len(want) {
@@ -91,7 +107,7 @@ func TestTreeEdgeCapture(t *testing.T) {
 func TestCausalDisabled(t *testing.T) {
 	body := func(pr *Proc) {
 		w := pr.World()
-		w.RawBcastU64(0, 1)
+		w.Bcast(0, 8, nil)
 		w.RawBarrier(0)
 	}
 	if _, err := Run(Config{P: 4}, body); err != nil {
@@ -121,12 +137,12 @@ func TestCausalContextLabels(t *testing.T) {
 		restore := pr.CausalContext("vote", 3)
 		// An inner default must NOT override the explicit outer name.
 		restoreInner := pr.CausalContextDefault("merge", 9)
-		w.RawBcastU64(0, 1)
+		w.treeBcastU64(0, collTag(CommWorld, w.nextSeq(), 0), 1)
 		restoreInner()
 		restore()
 		// With no outer context the default applies.
 		defer pr.CausalContextDefault("merge", 9)()
-		w.RawBcastU64(0, 2)
+		w.treeBcastU64(0, collTag(CommWorld, w.nextSeq(), 0), 2)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,32 +60,20 @@ func (c *Comm) internal() Comm {
 
 // treeBcast broadcasts msg's body (bytes, and payload or scalar slot)
 // down a binomial tree rooted at root and returns the (possibly
-// received) message on every rank.
+// received) message on every rank: TreePeer walked downward, a rank
+// receives from its parent and forwards to each child.
 func (c *Comm) treeBcast(root, tag int, msg message) message {
 	p := len(c.group)
 	vr := vrank(c.self, root, p)
 	in := c.internal()
-	model := c.p.rt.model
-
-	// Canonical binomial broadcast: a non-root rank receives from
-	// vr - lowbit(vr); every rank then forwards to vr + mask for each
-	// mask below its receive mask.
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			src := unvrank(vr-mask, root, p)
-			msg = in.recv(src, tag)
-			c.p.Clock.Advance(model.CollectivePerLevel)
-			break
+	for mask := nextPow2(p) >> 1; mask > 0; mask >>= 1 {
+		switch peer := TreePeer(vr, mask, p); {
+		case peer > vr:
+			in.send(unvrank(peer, root, p), tag, msg)
+		case peer >= 0:
+			msg = in.recv(unvrank(peer, root, p), tag)
+			c.p.Clock.Advance(c.p.rt.model.CollectivePerLevel)
 		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vr+mask < p {
-			in.send(unvrank(vr+mask, root, p), tag, msg)
-		}
-		mask >>= 1
 	}
 	return msg
 }
@@ -109,22 +97,15 @@ func (c *Comm) treeReduceU64(root, tag int, val uint64, op ReduceOp) uint64 {
 	p := len(c.group)
 	vr := vrank(c.self, root, p)
 	in := c.internal()
-	model := c.p.rt.model
-
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			dst := unvrank(vr&^mask, root, p)
-			in.send(dst, tag, scalarMsg(val))
-			break
+	for mask := 1; mask < p; mask <<= 1 {
+		switch peer := TreePeer(vr, mask, p); {
+		case peer > vr:
+			val = op(val, in.recv(unvrank(peer, root, p), tag).u64)
+			c.p.Clock.Advance(c.p.rt.model.CollectivePerLevel)
+		case peer >= 0:
+			in.send(unvrank(peer, root, p), tag, scalarMsg(val))
+			return val
 		}
-		if vr|mask < p {
-			src := unvrank(vr|mask, root, p)
-			msg := in.recv(src, tag)
-			val = op(val, msg.u64)
-			c.p.Clock.Advance(model.CollectivePerLevel)
-		}
-		mask <<= 1
 	}
 	return val
 }
@@ -141,28 +122,19 @@ func (c *Comm) treeGather(root, tag, bytes int, obj any) []any {
 	p := len(c.group)
 	vr := vrank(c.self, root, p)
 	in := c.internal()
-	model := c.p.rt.model
-
 	acc := []gatherPair{{Rank: c.self, Obj: obj}}
 	accBytes := bytes
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			dst := unvrank(vr&^mask, root, p)
-			in.rawSend(dst, tag, accBytes, acc)
-			return nil
-		}
-		if vr|mask < p {
-			src := unvrank(vr|mask, root, p)
-			msg := in.rawRecv(src, tag)
+	for mask := 1; mask < p; mask <<= 1 {
+		switch peer := TreePeer(vr, mask, p); {
+		case peer > vr:
+			msg := in.rawRecv(unvrank(peer, root, p), tag)
 			acc = append(acc, msg.Payload.([]gatherPair)...)
 			accBytes += msg.Bytes
-			c.p.Clock.Advance(model.CollectivePerLevel)
+			c.p.Clock.Advance(c.p.rt.model.CollectivePerLevel)
+		case peer >= 0:
+			in.rawSend(unvrank(peer, root, p), tag, accBytes, acc)
+			return nil
 		}
-		mask <<= 1
-	}
-	if vr != 0 {
-		return nil
 	}
 	out := make([]any, p)
 	for _, pr := range acc {
@@ -187,19 +159,6 @@ func (c *Comm) RawBarrier(word uint64) uint64 {
 	return c.treeBcast(0, collTag(c.id, seq, 1), message{u64: sum, scalar: true}).u64
 }
 
-// RawBcastU64 broadcasts v from root without interposition.
-func (c *Comm) RawBcastU64(root int, v uint64) uint64 {
-	seq := c.nextSeq()
-	return c.treeBcastU64(root, collTag(c.id, seq, 0), v)
-}
-
-// RawReduceU64 reduces v to root without interposition; only root's
-// return value is meaningful.
-func (c *Comm) RawReduceU64(root int, v uint64, op ReduceOp) uint64 {
-	seq := c.nextSeq()
-	return c.treeReduceU64(root, collTag(c.id, seq, 0), v, op)
-}
-
 // RawAllreduceU64 is Reduce followed by Bcast (the structure Algorithm 1
 // prescribes: "Sum all tempReduceVals using MPI_Reduce; MPI_Bcast ... by
 // rank root").
@@ -207,13 +166,6 @@ func (c *Comm) RawAllreduceU64(v uint64, op ReduceOp) uint64 {
 	seq := c.nextSeq()
 	r := c.treeReduceU64(0, collTag(c.id, seq, 0), v, op)
 	return c.treeBcastU64(0, collTag(c.id, seq, 1), r)
-}
-
-// RawBcastObj broadcasts an opaque object of the given payload size from
-// root without interposition.
-func (c *Comm) RawBcastObj(root int, obj any, bytes int) any {
-	seq := c.nextSeq()
-	return c.treeBcastObj(root, collTag(c.id, seq, 0), bytes, obj)
 }
 
 // --- public (traced) collectives -------------------------------------------
@@ -249,7 +201,7 @@ func (c *Comm) Barrier() {
 // on every rank.
 func (c *Comm) Bcast(root, bytes int, payload any) any {
 	ci, start := c.p.opBegin(CallInfo{Op: OpBcast, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes})
-	out := c.RawBcastObj(root, payload, bytes)
+	out := c.treeBcastObj(root, collTag(c.id, c.nextSeq(), 0), bytes, payload)
 	c.p.opEnd(ci, start)
 	return out
 }
@@ -258,7 +210,7 @@ func (c *Comm) Bcast(root, bytes int, payload any) any {
 // contribution for cost purposes.
 func (c *Comm) Reduce(root, bytes int, val uint64, op ReduceOp) uint64 {
 	ci, start := c.p.opBegin(CallInfo{Op: OpReduce, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: root, Bytes: bytes})
-	out := c.RawReduceU64(root, val, op)
+	out := c.treeReduceU64(root, collTag(c.id, c.nextSeq(), 0), val, op)
 	c.p.opEnd(ci, start)
 	return out
 }

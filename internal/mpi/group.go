@@ -1,11 +1,12 @@
 package mpi
 
 // This file provides collectives over an explicit member list — the
-// shrunken-world primitives the fault-tolerance path runs on once ranks
-// have departed. They are the binomial-tree algorithms of the full
-// communicator collectives (collectives.go), run on a communicator
-// built over member *positions* so any subset of world ranks can
-// participate: same hop structure, same per-level costs. Tags are
+// shrunken-world primitives the fault-tolerance path and replay run on
+// once ranks have departed. Each runs the communicator collective's
+// algorithm (collectives.go) on a communicator built over member
+// *positions*, so any subset of world ranks can participate: the
+// rooted ones walk TreePeer from members[0], GroupAlltoall walks
+// pairwisePeer, with the same per-level costs. Tags are
 // caller-supplied (members change over time, so there is no
 // per-communicator sequence counter to lean on); each helper consumes a
 // small contiguous tag block, documented per function. All traffic
@@ -41,29 +42,16 @@ func GroupBcastObj(p *Proc, members []int, tag int, obj any, bytes int) any {
 	return c.treeBcastObj(0, tag, bytes, obj)
 }
 
-// GroupBcastU64 broadcasts v from members[0] (non-members get v back).
-// Uses tag.
-func GroupBcastU64(p *Proc, members []int, tag int, v uint64) uint64 {
-	c, ok := groupComm(p, members)
-	if !ok {
-		return v
-	}
-	return c.treeBcastU64(0, tag, v)
-}
-
 // GroupAllreduceU64 reduces val over members and distributes the result
-// (reduce to members[0], then broadcast — the Algorithm 1 structure).
+// (reduce to members[0], then broadcast — the Algorithm 1 structure);
+// non-members get val back. A barrier over members is this with val 0.
 // Uses tags tag and tag|1.
 func GroupAllreduceU64(p *Proc, members []int, tag int, val uint64, op ReduceOp) uint64 {
-	r, _ := GroupReduceU64(p, members, tag, val, op)
-	return GroupBcastU64(p, members, tag|1, r)
-}
-
-// GroupBarrier synchronizes the members (reduce+bcast of an empty
-// payload). Uses tags tag and tag|1.
-func GroupBarrier(p *Proc, members []int, tag int) {
-	GroupReduceU64(p, members, tag, 0, OpSum)
-	GroupBcastU64(p, members, tag|1, 0)
+	c, ok := groupComm(p, members)
+	if !ok {
+		return val
+	}
+	return c.treeBcastU64(0, tag|1, c.treeReduceU64(0, tag, val, op))
 }
 
 // GroupGatherObj collects every member's contribution at members[0]

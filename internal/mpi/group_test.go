@@ -53,7 +53,7 @@ func TestGroupReduceBcastRoles(t *testing.T) {
 		if isRoot && v != 3 {
 			t.Errorf("root reduce = %d, want 3", v)
 		}
-		out := GroupBcastU64(p, members, 300<<10, uint64(p.Rank())*10)
+		out := GroupBcastObj(p, members, 300<<10, uint64(p.Rank())*10, 8).(uint64)
 		mu.Lock()
 		bcast[p.Rank()] = out
 		mu.Unlock()
@@ -77,7 +77,7 @@ func TestGroupGatherScatterAlltoallBarrier(t *testing.T) {
 		if TreePos(members, p.Rank()) < 0 {
 			return
 		}
-		GroupBarrier(p, members, 400<<10)
+		GroupAllreduceU64(p, members, 400<<10, 0, OpSum)
 		out := GroupGatherObj(p, members, 500<<10, 8, p.Rank()*100)
 		if out != nil {
 			mu.Lock()
@@ -86,7 +86,7 @@ func TestGroupGatherScatterAlltoallBarrier(t *testing.T) {
 		}
 		GroupScatter(p, members, 600<<10, 64)
 		GroupAlltoall(p, members, 700<<10, 32)
-		GroupBarrier(p, members, 800<<10)
+		GroupAllreduceU64(p, members, 800<<10, 0, OpSum)
 	})
 	want := []any{100, 200, 300, 500, 700}
 	if !reflect.DeepEqual(gathered, want) {
@@ -99,7 +99,7 @@ func TestGroupNonMemberNoop(t *testing.T) {
 	runGroup(t, 4, func(p *Proc) {
 		// Ranks 2 and 3 call every helper too; they must return
 		// immediately without traffic (the members complete regardless).
-		GroupBarrier(p, members, 900<<10)
+		GroupAllreduceU64(p, members, 900<<10, 0, OpSum)
 		GroupAllreduceU64(p, members, 1000<<10, 1, OpSum)
 		if out := GroupBcastObj(p, members, 1100<<10, "keep", 4); TreePos(members, p.Rank()) < 0 && out != "keep" {
 			t.Errorf("non-member bcast returned %v", out)

@@ -530,7 +530,7 @@ func (c *Comm) Dup() *Comm {
 	if c.self == 0 {
 		id = c.p.rt.tr.allocComm(1)
 	}
-	id = CommID(c.RawBcastU64(0, uint64(id)))
+	id = CommID(c.treeBcastU64(0, collTag(c.id, c.nextSeq(), 0), uint64(id)))
 	return &Comm{p: c.p, id: id, group: c.group, self: c.self}
 }
 

@@ -1,8 +1,8 @@
 package mpi
 
-// This file provides the radix (binomial) tree topology helpers the
-// tracing layer uses for its reductions: ScalaTrace consolidates traces
-// "in a reduction step over a radix tree rooted in rank 0", and Chameleon
+// This file provides the radix (binomial) tree the tracing layer and
+// the rooted collectives climb: ScalaTrace consolidates traces "in a
+// reduction step over a radix tree rooted in rank 0", and Chameleon
 // runs the same reduction over the K lead ranks only.
 
 // TreePos returns self's position in the ordered member list, or -1 if
@@ -21,26 +21,23 @@ func TreePos(members []int, self int) int {
 	return -1
 }
 
-// TreeParentPos returns the binomial-tree parent position of pos
-// (pos - lowest set bit), or -1 for the root.
-func TreeParentPos(pos int) int {
-	if pos <= 0 {
-		return -1
+// TreePeer is the binomial tree's schedule, stated once for every
+// walker of it: over n positions the rounds are mask = 1, 2, 4, ...
+// below nextPow2(n), and in round mask position pos meets its parent
+// pos&^mask when mask is pos's lowest set bit, its child pos|mask when
+// pos has no bit at or below mask and that child exists, and no one
+// otherwise (-1). A peer below pos is the parent, one above it a child.
+// Walked upward (a reduce, a gather, a merge), a position hears from
+// its children in ascending mask order and then sends to its parent;
+// walked downward (a broadcast), it hears from its parent and then
+// sends to its children, largest subtree first. No one meets anyone in
+// a round of n or more, so an upward walk may stop below n.
+func TreePeer(pos, mask, n int) int {
+	switch low := pos & -pos; {
+	case low == mask:
+		return pos &^ mask
+	case pos&(mask<<1-1) == 0 && pos|mask < n:
+		return pos | mask
 	}
-	return pos &^ (pos & -pos)
-}
-
-// TreeChildPositions returns the binomial-tree child positions of pos in
-// a tree over n members, in ascending mask order (the deterministic
-// receive order used by merges). Children of pos are pos|mask for each
-// mask = 1, 2, 4, ... below pos's low bit (all masks for the root).
-func TreeChildPositions(pos, n int) []int {
-	var out []int
-	for mask := 1; pos|mask < n; mask <<= 1 {
-		if pos&mask != 0 {
-			break
-		}
-		out = append(out, pos|mask)
-	}
-	return out
+	return -1
 }

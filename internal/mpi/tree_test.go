@@ -14,32 +14,45 @@ func TestTreePos(t *testing.T) {
 	}
 }
 
+// TestTreeParentChildSymmetry: over every tree size, TreePeer names
+// each non-root position's parent pos−lowbit(pos) exactly once, in
+// round lowbit(pos), after all its children; the parent meets it in the
+// same round; and the children reach every position from the root
+// exactly once.
 func TestTreeParentChildSymmetry(t *testing.T) {
-	// For every tree size, every non-root position's parent must list it
-	// as a child, and the root reaches every position.
 	for n := 1; n <= 70; n++ {
-		for pos := 1; pos < n; pos++ {
-			parent := TreeParentPos(pos)
-			if parent < 0 || parent >= n {
-				t.Fatalf("n=%d pos=%d: parent %d out of range", n, pos, parent)
-			}
-			found := false
-			for _, c := range TreeChildPositions(parent, n) {
-				if c == pos {
-					found = true
+		children := make([][]int, n)
+		for pos := 0; pos < n; pos++ {
+			parents := 0
+			for mask := 1; mask < 2*n; mask <<= 1 {
+				peer := TreePeer(pos, mask, n)
+				switch {
+				case peer == -1:
+				case peer < 0 || peer >= n || peer == pos:
+					t.Fatalf("n=%d pos=%d mask=%d: peer %d", n, pos, mask, peer)
+				case TreePeer(peer, mask, n) != pos:
+					t.Fatalf("n=%d mask=%d: %d meets %d, which meets %d", n, mask, pos, peer, TreePeer(peer, mask, n))
+				case peer < pos:
+					if low := pos & -pos; peer != pos-low || mask != low {
+						t.Fatalf("n=%d pos=%d: parent %d in round %d", n, pos, peer, mask)
+					}
+					parents++
+				default:
+					if parents > 0 {
+						t.Fatalf("n=%d pos=%d: child %d after the parent", n, pos, peer)
+					}
+					children[pos] = append(children[pos], peer)
 				}
 			}
-			if !found {
-				t.Fatalf("n=%d: parent %d does not list child %d", n, parent, pos)
+			if want := min(pos, 1); parents != want {
+				t.Fatalf("n=%d pos=%d: %d parents, want %d", n, pos, parents, want)
 			}
 		}
-		// Reachability: BFS from root covers all positions exactly once.
 		seen := map[int]bool{0: true}
-		frontier := []int{0}
-		for len(frontier) > 0 {
+		for frontier := []int{0}; len(frontier) > 0; {
 			var next []int
 			for _, f := range frontier {
-				for _, c := range TreeChildPositions(f, n) {
+				for _, c := range children[f] {
 					if seen[c] {
 						t.Fatalf("n=%d: position %d reached twice", n, c)
 					}
@@ -55,9 +68,15 @@ func TestTreeParentChildSymmetry(t *testing.T) {
 	}
 }
 
+// TestTreeParentRoot: the root meets no parent in any round of any
+// tree size, only children above it.
 func TestTreeParentRoot(t *testing.T) {
-	if TreeParentPos(0) != -1 {
-		t.Fatalf("root has a parent")
+	for n := 1; n <= 70; n++ {
+		for mask := 1; mask < 2*n; mask <<= 1 {
+			if peer := TreePeer(0, mask, n); peer == 0 || peer < -1 {
+				t.Fatalf("n=%d mask=%d: root meets %d", n, mask, peer)
+			}
+		}
 	}
 }
 

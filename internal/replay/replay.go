@@ -322,7 +322,7 @@ func (e *engine) issue(n *trace.Node) {
 		}
 	case mpi.OpBarrier:
 		if m := e.members(n); m != nil {
-			mpi.GroupBarrier(e.p, m, e.groupTag(n))
+			mpi.GroupAllreduceU64(e.p, m, e.groupTag(n), 0, mpi.OpSum)
 		} else {
 			e.w.Barrier()
 		}

@@ -42,9 +42,18 @@ func MergeOverTree(p *mpi.Proc, members []int, mine []*trace.Node, filter bool, 
 	mBytes := o.Counter("tracer_merge_bytes_total")
 	o.Gauge("tracer_merge_tree_depth").SetMax(int64(vtime.Log2Ceil(len(members))))
 	acc := mine
-	for _, childPos := range mpi.TreeChildPositions(pos, len(members)) {
+	for mask := 1; mask < len(members); mask <<= 1 {
+		peer := mpi.TreePeer(pos, mask, len(members))
+		if peer < 0 {
+			continue
+		}
 		t0 := p.Clock.Now()
-		msg := world.RawRecv(members[childPos], tag)
+		if peer < pos {
+			world.RawSend(members[peer], tag, trace.SizeBytes(acc), acc)
+			p.Ledger.Charge(cat, vtime.Duration(p.Clock.Now()-t0))
+			return nil
+		}
+		msg := world.RawRecv(members[peer], tag)
 		// Book the transfer/wait time the recv put on the clock.
 		p.Ledger.Charge(cat, vtime.Duration(p.Clock.Now()-t0))
 		o.Span(p.Rank(), "merge-wait", obs.CatTracer, t0, p.Clock.Now())
@@ -65,12 +74,6 @@ func MergeOverTree(p *mpi.Proc, members []int, mine []*trace.Node, filter bool, 
 			Kind: obs.KindMerge, Rank: p.Rank(), VT: int64(p.Clock.Now()),
 			Count: uint64(m.Stats.Compares), Bytes: int64(m.Stats.BytesMerged),
 		})
-	}
-	if parent := mpi.TreeParentPos(pos); parent >= 0 {
-		t0 := p.Clock.Now()
-		world.RawSend(members[parent], tag, trace.SizeBytes(acc), acc)
-		p.Ledger.Charge(cat, vtime.Duration(p.Clock.Now()-t0))
-		return nil
 	}
 	return acc
 }
