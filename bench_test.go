@@ -113,7 +113,7 @@ func BenchmarkAblationMarkerFreq(b *testing.B) {
 type voteWord uint64
 
 func (w voteWord) Pre(ci *mpi.CallInfo) {
-	if ci.Op == mpi.OpBarrier && ci.Comm == mpi.CommMarker {
+	if ci.Marker() {
 		ci.Vote = uint64(w)
 	}
 }

@@ -304,30 +304,30 @@ func Run(cfg Config, body func(*Proc)) (*Output, error) {
 
 	out := &Output{P: cfg.P}
 	var finish func(res *mpi.Result)
+	opt := tracer.Options{
+		K:             cfg.K,
+		Algo:          cluster.ParseAlgorithm(cfg.Algo),
+		CallFrequency: cfg.Freq,
+		SigMode:       cfg.sigMode(),
+		Filter:        cfg.Filter,
+	}
 
 	switch cfg.Tracer {
 	case "", TracerNone:
 		finish = func(*mpi.Result) {}
 	case TracerScalaTrace:
 		col := scalatrace.NewCollector(cfg.P)
-		mcfg.Hooks = scalatrace.New(col, scalatrace.Options{SigMode: cfg.sigMode(), Filter: cfg.Filter})
+		mcfg.Hooks = scalatrace.New(col, opt)
 		finish = func(*mpi.Result) {
 			out.Trace = col.File(cfg.P, cfg.Benchmark, cfg.Filter)
 			out.AllocBytes = col.AllocBytes
 		}
 	case TracerChameleon, TracerAutoChameleon:
 		col := core.NewCollector(cfg.P)
-		opt := core.Options{
-			K:       cfg.K,
-			Algo:    cluster.ParseAlgorithm(cfg.Algo),
-			SigMode: cfg.sigMode(),
-			Filter:  cfg.Filter,
-		}
 		if cfg.Tracer == TracerChameleon {
-			opt.CallFrequency = cfg.Freq
 			mcfg.Hooks = core.New(col, opt)
 		} else {
-			mcfg.Hooks = core.NewAuto(col, core.AutoOptions{Options: opt, Frequency: cfg.Freq})
+			mcfg.Hooks = core.NewAuto(col, opt)
 		}
 		finish = func(res *mpi.Result) {
 			model := cfg.Model
@@ -365,12 +365,7 @@ func Run(cfg Config, body func(*Proc)) (*Output, error) {
 		}
 	case TracerACURDION:
 		col := acurdion.NewCollector(cfg.P)
-		mcfg.Hooks = acurdion.New(col, acurdion.Options{
-			K:       cfg.K,
-			Algo:    cluster.ParseAlgorithm(cfg.Algo),
-			SigMode: cfg.sigMode(),
-			Filter:  cfg.Filter,
-		})
+		mcfg.Hooks = acurdion.New(col, opt)
 		finish = func(*mpi.Result) {
 			out.Trace = col.File(cfg.P, cfg.Benchmark, cfg.Filter)
 			out.AllocBytes = col.AllocBytes

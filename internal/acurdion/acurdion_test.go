@@ -6,13 +6,14 @@ import (
 	"chameleon/internal/cluster"
 	"chameleon/internal/mpi"
 	"chameleon/internal/tracegen"
+	"chameleon/internal/tracer"
 	"chameleon/internal/vtime"
 )
 
 func TestFinalizeClustering(t *testing.T) {
 	const P = 8
 	col := NewCollector(P)
-	res, err := mpi.Run(mpi.Config{P: P, Hooks: New(col, Options{K: 3, Algo: cluster.KFarthest})}, tracegen.Ring(40))
+	res, err := mpi.Run(mpi.Config{P: P, Hooks: New(col, tracer.Options{K: 3, Algo: cluster.KFarthest})}, tracegen.Ring(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,16 +40,5 @@ func TestFinalizeClustering(t *testing.T) {
 	if agg.Spent(vtime.CatCluster) <= 0 || agg.Spent(vtime.CatInterComp) <= 0 {
 		t.Fatalf("cost categories empty: %v %v",
 			agg.Spent(vtime.CatCluster), agg.Spent(vtime.CatInterComp))
-	}
-}
-
-func TestFileMetadata(t *testing.T) {
-	col := NewCollector(4)
-	if _, err := mpi.Run(mpi.Config{P: 4, Hooks: New(col, Options{K: 2})}, tracegen.Ring(10)); err != nil {
-		t.Fatal(err)
-	}
-	f := col.File(4, "RING", false)
-	if !f.Clustered || f.Tracer != "acurdion" {
-		t.Fatalf("metadata: %+v", f)
 	}
 }

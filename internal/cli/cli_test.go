@@ -22,20 +22,18 @@ import (
 	"time"
 
 	"chameleon"
-	"chameleon/internal/acurdion"
 	"chameleon/internal/analysis"
 	"chameleon/internal/apps"
 	"chameleon/internal/causal"
 	"chameleon/internal/clock"
-	"chameleon/internal/core"
 	"chameleon/internal/cq"
 	"chameleon/internal/mesh"
 	"chameleon/internal/mpi"
 	"chameleon/internal/obs"
 	"chameleon/internal/replay"
-	"chameleon/internal/scalatrace"
 	"chameleon/internal/store"
 	"chameleon/internal/trace"
+	"chameleon/internal/tracer"
 	"chameleon/internal/wave"
 	"chameleon/internal/zan"
 )
@@ -139,12 +137,10 @@ func TestOptionSurface(t *testing.T) {
 	var got []string
 	for _, v := range []any{
 		chameleon.Config{},
-		acurdion.Options{}, analysis.CompareOpts{}, apps.BodyOpts{},
-		core.Options{}, core.AutoOptions{}, cq.Options{}, mesh.Options{},
+		analysis.CompareOpts{}, apps.BodyOpts{}, cq.Options{}, mesh.Options{},
 		mpi.Config{}, mpi.TCPOptions{}, obs.Options{}, obs.ShipperOptions{},
-		replay.Options{}, scalatrace.Options{},
-		store.Options{}, store.LiveOptions{}, store.ServerOptions{},
-		wave.Options{}, zan.Options{},
+		replay.Options{}, store.Options{}, store.LiveOptions{},
+		store.ServerOptions{}, tracer.Options{}, wave.Options{}, zan.Options{},
 	} {
 		ty := reflect.TypeOf(v)
 		for i := 0; i < ty.NumField(); i++ {
@@ -168,8 +164,8 @@ func TestOptionSurface(t *testing.T) {
 			t.Errorf("golden option gone or retyped: %s", line)
 		}
 	}
-	if len(want) != 96 {
-		t.Errorf("golden holds %d options, want 96", len(want))
+	if len(want) != 88 {
+		t.Errorf("golden holds %d options, want 88", len(want))
 	}
 }
 

@@ -36,7 +36,7 @@ func TestNeverRepetitive(t *testing.T) {
 		total += uint64(it + 1)
 	}
 	for r := 0; r < 4; r++ {
-		if got := dynamicFor(col.Online, r); got != total {
+		if got := dynamicFor(col.Global, r); got != total {
 			t.Fatalf("rank %d covered %d events, want %d", r, got, total)
 		}
 	}
@@ -60,7 +60,7 @@ func TestAlternatingPhases(t *testing.T) {
 		}
 	})
 	for r := 0; r < 4; r++ {
-		if got := dynamicFor(col.Online, r); got != 20 {
+		if got := dynamicFor(col.Global, r); got != 20 {
 			t.Fatalf("rank %d covered %d events, want 20", r, got)
 		}
 	}
@@ -78,8 +78,8 @@ func TestSingleRank(t *testing.T) {
 	if col.StateCalls[StateC] != 1 {
 		t.Fatalf("states: %v", col.StateCalls)
 	}
-	if dynamicFor(col.Online, 0) != 10 {
-		t.Fatalf("events = %d", dynamicFor(col.Online, 0))
+	if dynamicFor(col.Global, 0) != 10 {
+		t.Fatalf("events = %d", dynamicFor(col.Global, 0))
 	}
 }
 
@@ -90,7 +90,7 @@ func TestKOne(t *testing.T) {
 		t.Fatalf("leads = %v", col.LeadRanks)
 	}
 	for r := 0; r < 8; r++ {
-		if got := dynamicFor(col.Online, r); got != 60 {
+		if got := dynamicFor(col.Global, r); got != 60 {
 			t.Fatalf("rank %d covered %d events", r, got)
 		}
 	}
@@ -106,7 +106,7 @@ func TestMarkerOnlyApp(t *testing.T) {
 			apps.Marker(p)
 		}
 	})
-	if got := dynamicFor(col.Online, 0); got != 0 {
+	if got := dynamicFor(col.Global, 0); got != 0 {
 		t.Fatalf("phantom events: %d", got)
 	}
 }

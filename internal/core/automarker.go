@@ -41,25 +41,18 @@ type AutoMarker struct {
 // events.
 const observeFor = 50
 
-// AutoOptions configures the automatic marker insertion.
-type AutoOptions struct {
-	Options
-	// Frequency fires the marker at every n-th anchor occurrence
-	// (default 1).
-	Frequency int
-}
-
 // NewAuto returns a hook factory for an auto-marking Chameleon: the
-// application needs no Marker calls at all.
-func NewAuto(col *Collector, opt AutoOptions) func(p *mpi.Proc) mpi.Interposer {
-	if opt.Frequency <= 0 {
-		opt.Frequency = 1
-	}
-	inner := New(col, opt.Options)
+// application needs no Marker calls at all. CallFrequency is the anchor
+// period; Algorithm 1 engages at every marker the anchor fires.
+func NewAuto(col *Collector, opt Options) func(p *mpi.Proc) mpi.Interposer {
+	opt = opt.Normalized()
+	period := opt.CallFrequency
+	opt.CallFrequency = 1
+	inner := New(col, opt)
 	return func(p *mpi.Proc) mpi.Interposer {
 		return &AutoMarker{
 			Chameleon: inner(p).(*Chameleon),
-			Frequency: opt.Frequency,
+			Frequency: period,
 			counts:    make(map[uint64]int),
 		}
 	}

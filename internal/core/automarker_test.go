@@ -26,7 +26,7 @@ func anchoredApp(steps int) func(*mpi.Proc) {
 	}
 }
 
-func runAuto(t *testing.T, p int, opt AutoOptions, body func(*mpi.Proc)) *Collector {
+func runAuto(t *testing.T, p int, opt Options, body func(*mpi.Proc)) *Collector {
 	t.Helper()
 	col := NewCollector(p)
 	if _, err := mpi.Run(mpi.Config{P: p, Hooks: NewAuto(col, opt)}, body); err != nil {
@@ -36,14 +36,14 @@ func runAuto(t *testing.T, p int, opt AutoOptions, body func(*mpi.Proc)) *Collec
 }
 
 func TestAutoMarkerClusters(t *testing.T) {
-	col := runAuto(t, 8, AutoOptions{Options: Options{K: 3}}, anchoredApp(60))
+	col := runAuto(t, 8, Options{K: 3}, anchoredApp(60))
 	if col.Reclusterings != 1 {
 		t.Fatalf("reclusterings = %d", col.Reclusterings)
 	}
 	if col.StateCalls[StateC] != 1 || col.StateCalls[StateL] == 0 {
 		t.Fatalf("states = %v", col.StateCalls)
 	}
-	if len(col.Online) == 0 {
+	if len(col.Global) == 0 {
 		t.Fatalf("no online trace")
 	}
 	if len(col.LeadRanks) != 3 {
@@ -52,8 +52,8 @@ func TestAutoMarkerClusters(t *testing.T) {
 }
 
 func TestAutoMarkerFrequency(t *testing.T) {
-	every := runAuto(t, 4, AutoOptions{Options: Options{K: 2}, Frequency: 1}, anchoredApp(60))
-	sparse := runAuto(t, 4, AutoOptions{Options: Options{K: 2}, Frequency: 10}, anchoredApp(60))
+	every := runAuto(t, 4, Options{K: 2, CallFrequency: 1}, anchoredApp(60))
+	sparse := runAuto(t, 4, Options{K: 2, CallFrequency: 10}, anchoredApp(60))
 	calls := func(c *Collector) int {
 		return c.StateCalls[StateAT] + c.StateCalls[StateC] + c.StateCalls[StateL]
 	}
@@ -69,8 +69,8 @@ func TestAutoMarkerDetectAfter(t *testing.T) {
 	// The observation window delays anchoring: an app that ends inside
 	// it never engages a marker, one that outlasts it engages one at
 	// every anchor occurrence past the window.
-	short := runAuto(t, 4, AutoOptions{Options: Options{K: 2}}, anchoredApp(observeFor-5))
-	long := runAuto(t, 4, AutoOptions{Options: Options{K: 2}}, anchoredApp(observeFor+10))
+	short := runAuto(t, 4, Options{K: 2}, anchoredApp(observeFor-5))
+	long := runAuto(t, 4, Options{K: 2}, anchoredApp(observeFor+10))
 	calls := func(c *Collector) int {
 		return c.StateCalls[StateAT] + c.StateCalls[StateC] + c.StateCalls[StateL]
 	}
@@ -82,7 +82,7 @@ func TestAutoMarkerDetectAfter(t *testing.T) {
 func TestAutoMarkerNoCollectives(t *testing.T) {
 	// Without any collective, AutoMarker never engages — the run must
 	// still complete and flush everything at Finalize.
-	col := runAuto(t, 4, AutoOptions{Options: Options{K: 2}}, func(p *mpi.Proc) {
+	col := runAuto(t, 4, Options{K: 2}, func(p *mpi.Proc) {
 		w := p.World()
 		next := (p.Rank() + 1) % p.Size()
 		prev := (p.Rank() + p.Size() - 1) % p.Size()
@@ -93,7 +93,7 @@ func TestAutoMarkerNoCollectives(t *testing.T) {
 	if col.StateCalls[StateC] != 0 || col.StateCalls[StateF] != 1 {
 		t.Fatalf("states = %v", col.StateCalls)
 	}
-	if len(col.Online) == 0 {
+	if len(col.Global) == 0 {
 		t.Fatalf("finalize did not flush")
 	}
 	if col.EventsObserved != 4*20 {
@@ -105,9 +105,9 @@ func TestAutoMarkerMatchesManual(t *testing.T) {
 	// The auto-anchored run must cover the same events as a manual
 	// ScalaTrace-equivalent: per-rank dynamic counts in the online trace.
 	const P = 8
-	col := runAuto(t, P, AutoOptions{Options: Options{K: 3}}, anchoredApp(40))
+	col := runAuto(t, P, Options{K: 3}, anchoredApp(40))
 	for r := 0; r < P; r++ {
-		if got := dynamicFor(col.Online, r); got != 40*2 {
+		if got := dynamicFor(col.Global, r); got != 40*2 {
 			t.Fatalf("rank %d covered %d events, want 80", r, got)
 		}
 	}
@@ -146,7 +146,7 @@ func TestAutoMarkerFiresCrashDirective(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := NewCollector(P)
-	newRank := NewAuto(col, AutoOptions{Options: Options{K: 3}})
+	newRank := NewAuto(col, Options{K: 3})
 	ranks := make([]*AutoMarker, P)
 	res, err := mpi.Run(mpi.Config{P: P, Fault: in, Hooks: func(p *mpi.Proc) mpi.Interposer {
 		ranks[p.Rank()] = newRank(p).(*AutoMarker)
@@ -178,7 +178,7 @@ func TestAutoMarkerFiresCrashDirective(t *testing.T) {
 func TestAutoMarkerBooksOneTraversal(t *testing.T) {
 	const P, steps = 8, observeFor + 10
 	col := NewCollector(P)
-	res, err := mpi.Run(mpi.Config{P: P, Hooks: NewAuto(col, AutoOptions{Options: Options{K: 3}})}, anchoredApp(steps))
+	res, err := mpi.Run(mpi.Config{P: P, Hooks: NewAuto(col, Options{K: 3})}, anchoredApp(steps))
 	if err != nil {
 		t.Fatal(err)
 	}

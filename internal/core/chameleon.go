@@ -21,7 +21,6 @@
 package core
 
 import (
-	"slices"
 	"sync"
 
 	"chameleon/internal/cluster"
@@ -62,43 +61,20 @@ func (s State) String() string {
 	return "S?"
 }
 
-// Options configures Chameleon.
-type Options struct {
-	// K is the cluster budget (Table I gives the per-benchmark values).
-	K int
-	// Algo is the representative selector (K-Farthest by default).
-	Algo cluster.Algorithm
-	// CallFrequency engages Algorithm 1 only at every n-th marker
-	// (paper parameter Call_Frequency; 1 engages every marker).
-	CallFrequency int
-	// SigMode selects full or filtered Call-Path construction.
-	SigMode tracer.SigMode
-	// Filter enables the loop-parameter filter during merging (POP).
-	Filter bool
-}
+// Options configures Chameleon; an auto-marked run reads CallFrequency
+// as its anchor period.
+type Options = tracer.Options
 
-func (o Options) normalized() Options {
-	if o.K <= 0 {
-		o.K = 9
-	}
-	if o.CallFrequency <= 0 {
-		o.CallFrequency = 1
-	}
-	return o
-}
-
-// Collector aggregates the run's outputs across ranks.
+// Collector aggregates the run's outputs across ranks. Its Result holds
+// the online (global) trace and the lead set of the last clustering.
 type Collector struct {
+	*tracer.Result
 	mu sync.Mutex
-	// Online is the final online (global) trace held by rank 0.
-	Online []*trace.Node
 	// StateCalls counts marker/finalize calls per resulting state
 	// (identical across ranks; written by rank 0).
 	StateCalls [NumStates]int
 	// Reclusterings counts how many times clustering ran (the paper's r).
 	Reclusterings int
-	// LeadRanks is the lead set from the most recent clustering.
-	LeadRanks []int
 	// CallPathClusters is the number of distinct Call-Path groups at the
 	// most recent clustering.
 	CallPathClusters int
@@ -107,9 +83,9 @@ type Collector struct {
 	SpaceByState [][NumStates]int
 	// OnlineBytes is rank 0's online-trace allocation (monotone).
 	OnlineBytes int
-	// EventsObserved / EventsRecorded sum dynamic events across ranks.
+	// EventsObserved sums dynamic events observed across ranks (Result's
+	// Events sums those recorded).
 	EventsObserved uint64
-	EventsRecorded uint64
 	// ObservedPerRank / RecordedPerRank hold the per-rank event counts
 	// (inputs to the DVFS energy estimate: non-lead ranks observe events
 	// they no longer record).
@@ -120,24 +96,11 @@ type Collector struct {
 // NewCollector sizes a collector for p ranks.
 func NewCollector(p int) *Collector {
 	return &Collector{
+		Result:          tracer.NewResult("chameleon", true, p),
 		SpaceByState:    make([][NumStates]int, p),
 		ObservedPerRank: make([]uint64, p),
 		RecordedPerRank: make([]uint64, p),
 	}
-}
-
-// File packages the online trace for the replayer.
-func (c *Collector) File(p int, benchmark string, filter bool) *trace.File {
-	f := &trace.File{
-		P:         p,
-		Benchmark: benchmark,
-		Tracer:    "chameleon",
-		Clustered: true,
-		Filter:    filter,
-		Nodes:     c.Online,
-	}
-	f.Sites = f.SiteTable()
-	return f
 }
 
 // coreMetrics holds the pre-fetched core_* metric handles, shared by
@@ -243,7 +206,7 @@ type Chameleon struct {
 
 // New returns a hook factory for mpi.Config.Hooks.
 func New(col *Collector, opt Options) func(p *mpi.Proc) mpi.Interposer {
-	opt = opt.normalized()
+	opt = opt.Normalized()
 	var met *coreMetrics
 	return func(p *mpi.Proc) mpi.Interposer {
 		if met == nil {
@@ -274,14 +237,14 @@ func New(col *Collector, opt Options) func(p *mpi.Proc) mpi.Interposer {
 // barrier itself is never recorded.
 func (c *Chameleon) Pre(ci *mpi.CallInfo) {
 	c.pre = c.p.Clock.Now()
-	if ci.Op == mpi.OpBarrier && ci.Comm == mpi.CommMarker && (c.markerCalls+1)%c.opt.CallFrequency == 0 {
+	if ci.Marker() && (c.markerCalls+1)%c.opt.CallFrequency == 0 {
 		ci.Vote = c.closeWindow()
 	}
 }
 
 // Post implements mpi.Interposer.
 func (c *Chameleon) Post(ci *mpi.CallInfo) {
-	if ci.Op == mpi.OpBarrier && ci.Comm == mpi.CommMarker {
+	if ci.Marker() {
 		c.onMarker(ci.Vote)
 		return
 	}
@@ -454,17 +417,11 @@ func (c *Chameleon) runClustering() {
 	restore()
 
 	c.clusters = top
-	c.leads = slices.Grow(c.leads[:0], len(top))
-	c.isLead = false
-	c.myCluster = ranklist.List{}
-	c.myVariant = false
-	for _, it := range top {
-		c.leads = append(c.leads, it.Lead)
-		if it.Lead == p.Rank() {
-			c.isLead = true
-			c.myCluster = it.Ranks
-			c.myVariant = it.Variant
-		}
+	var mine int
+	c.leads, mine = tracer.Leads(c.leads, top, p.Rank())
+	c.isLead = mine >= 0
+	if c.isLead {
+		c.myCluster, c.myVariant = top[mine].Ranks, top[mine].Variant
 	}
 
 	if c.isLead {
@@ -480,7 +437,6 @@ func (c *Chameleon) runClustering() {
 		}
 		c.col.mu.Lock()
 		c.col.Reclusterings++
-		c.col.LeadRanks = append([]int(nil), c.leads...)
 		c.col.CallPathClusters = len(paths)
 		c.col.mu.Unlock()
 		c.met.reclusterings.Inc()
@@ -606,14 +562,8 @@ func (c *Chameleon) handleDepartures() {
 	if !changed {
 		return
 	}
-	c.leads = c.leads[:0]
-	for _, it := range c.clusters {
-		c.leads = append(c.leads, it.Lead)
-	}
+	c.leads, _ = tracer.Leads(c.leads, c.clusters, p.Rank())
 	if p.Rank() == 0 {
-		c.col.mu.Lock()
-		c.col.LeadRanks = append([]int(nil), c.leads...)
-		c.col.mu.Unlock()
 		c.met.leadCount.Set(int64(len(c.leads)))
 	}
 }
@@ -635,11 +585,8 @@ func (c *Chameleon) flushLeads(cause string) {
 	var partial []*trace.Node
 	if c.isLead || (len(c.leads) == 0 && p.Rank() == 0) {
 		mine := c.rec.TakePartial()
-		if c.isLead && c.myVariant {
-			trace.ResolveEndpoints(mine, p.Rank(), p.Size())
-		}
-		if c.isLead && !c.myCluster.Empty() {
-			trace.RewriteRanks(mine, c.myCluster)
+		if c.isLead {
+			tracer.AsCluster(mine, p, c.myCluster, c.myVariant)
 		}
 		partial = tracer.MergeOverTree(p, c.leads, mine,
 			c.opt.Filter, tracer.MergeTag(round+1), vtime.CatInterComp)
@@ -739,19 +686,16 @@ func (c *Chameleon) Finalize() {
 		Count: c.rec.Events, Bytes: int64(c.rec.AllocBytes),
 	})
 
+	c.col.Keep(c.p, c.rec, c.online.Seq, c.leads)
 	c.col.mu.Lock()
 	defer c.col.mu.Unlock()
 	c.col.SpaceByState[c.p.Rank()] = c.spaceState
 	c.col.EventsObserved += c.rec.Observed
-	c.col.EventsRecorded += c.rec.Events
 	c.col.ObservedPerRank[c.p.Rank()] = c.rec.Observed
 	c.col.RecordedPerRank[c.p.Rank()] = c.rec.Events
 	if c.p.Rank() == 0 {
 		c.col.StateCalls = c.stateCalls
 		c.col.OnlineBytes = c.onlineAlloc
-		c.p.ChargeOverhead(vtime.CatInterComp,
-			vtime.Duration(c.online.SizeBytes())*c.p.Model().WritePerByte)
-		c.col.Online = c.online.Seq
 	}
 }
 

@@ -76,7 +76,7 @@ func TestTransitionGraphRepetitive(t *testing.T) {
 	if col.CallPathClusters != 1 {
 		t.Fatalf("call paths = %d", col.CallPathClusters)
 	}
-	if len(col.Online) == 0 {
+	if len(col.Global) == 0 {
 		t.Fatalf("no online trace")
 	}
 }
@@ -141,11 +141,11 @@ func TestEventsObservedVsRecorded(t *testing.T) {
 	}
 	// In the lead phase only 2 of 8 ranks record, so far fewer events
 	// are recorded than observed (Observation 1).
-	if col.EventsRecorded >= col.EventsObserved {
-		t.Fatalf("recorded %d >= observed %d", col.EventsRecorded, col.EventsObserved)
+	if col.Events >= col.EventsObserved {
+		t.Fatalf("recorded %d >= observed %d", col.Events, col.EventsObserved)
 	}
-	if col.EventsRecorded < 100 {
-		t.Fatalf("recorded suspiciously few: %d", col.EventsRecorded)
+	if col.Events < 100 {
+		t.Fatalf("recorded suspiciously few: %d", col.Events)
 	}
 }
 
@@ -192,7 +192,7 @@ func TestOnlineTraceMatchesScalaTrace(t *testing.T) {
 	}
 	chCol := runChameleon(t, P, Options{K: 3}, body)
 
-	stStacks, chStacks := stacksOf(stCol.Global), stacksOf(chCol.Online)
+	stStacks, chStacks := stacksOf(stCol.Global), stacksOf(chCol.Global)
 	if len(stStacks) != len(chStacks) {
 		t.Fatalf("stack sets differ: %d vs %d", len(stStacks), len(chStacks))
 	}
@@ -202,7 +202,7 @@ func TestOnlineTraceMatchesScalaTrace(t *testing.T) {
 		}
 	}
 	for r := 0; r < P; r++ {
-		st, ch := dynamicFor(stCol.Global, r), dynamicFor(chCol.Online, r)
+		st, ch := dynamicFor(stCol.Global, r), dynamicFor(chCol.Global, r)
 		if st != ch {
 			t.Fatalf("rank %d: ScalaTrace %d events, Chameleon %d", r, st, ch)
 		}
@@ -218,7 +218,7 @@ func TestOnlineTraceMatchesWithPhases(t *testing.T) {
 	}
 	chCol := runChameleon(t, P, Options{K: 3}, body)
 	for r := 0; r < P; r++ {
-		st, ch := dynamicFor(stCol.Global, r), dynamicFor(chCol.Online, r)
+		st, ch := dynamicFor(stCol.Global, r), dynamicFor(chCol.Global, r)
 		if st != ch {
 			t.Fatalf("rank %d: %d vs %d events", r, st, ch)
 		}
@@ -236,7 +236,7 @@ func TestStateString(t *testing.T) {
 }
 
 func TestOptionsNormalized(t *testing.T) {
-	o := Options{}.normalized()
+	o := Options{}.Normalized()
 	if o.K != 9 || o.CallFrequency != 1 {
 		t.Fatalf("defaults: %+v", o)
 	}

@@ -41,7 +41,7 @@ func (o *voteOracle) Pre(ci *mpi.CallInfo) {
 }
 
 func (o *voteOracle) Post(ci *mpi.CallInfo) {
-	if ci.Op != mpi.OpBarrier || ci.Comm != mpi.CommMarker {
+	if !ci.Marker() {
 		o.Chameleon.Post(ci)
 		return
 	}

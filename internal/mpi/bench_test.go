@@ -54,7 +54,7 @@ func BenchmarkAlltoall(b *testing.B) {
 }
 
 // BenchmarkTreeCollectives: P=64, one round of each binomial-tree
-// shape, priced per message it sends: barrier (RawBarrier, a reduce
+// shape, priced per message it sends: barrier (rawBarrier, a reduce
 // and a 0-byte broadcast), allreduce (RawAllreduceU64, the same hops
 // with an 8-byte broadcast) and gather (treeGather to rank 0, each hop
 // carrying its subtree's contributions, then a 0-byte broadcast that
@@ -67,7 +67,7 @@ func BenchmarkTreeCollectives(b *testing.B) {
 		messages int
 		round    func(c *Comm)
 	}{
-		{"barrier", 2 * (p - 1), func(c *Comm) { c.RawBarrier(0) }},
+		{"barrier", 2 * (p - 1), func(c *Comm) { c.rawBarrier(0) }},
 		{"allreduce", 2 * (p - 1), func(c *Comm) { c.RawAllreduceU64(1, OpSum) }},
 		{"gather", 2 * (p - 1), func(c *Comm) {
 			seq := c.nextSeq()

@@ -29,7 +29,7 @@ func runCausal(t *testing.T, p int, body func(pr *Proc)) []obs.Edge {
 }
 
 // TestTreeEdgeCapture verifies every hop of the tree collectives —
-// Bcast, Reduce and Gather rooted at 0 and at p−1, then RawBarrier —
+// Bcast, Reduce and Gather rooted at 0 and at p−1, then rawBarrier —
 // produces exactly one matched send/recv edge with the tag and bytes
 // the binomial schedule gives it, for power-of-two and
 // non-power-of-two rank counts. The expected hops are stated here
@@ -37,7 +37,7 @@ func runCausal(t *testing.T, p int, body func(pr *Proc)) []obs.Edge {
 // v = (r−root) mod p has parent v−lowbit(v) and a subtree of
 // min(lowbit(v), p−v) ranks; bcast sends parent→child, reduce and
 // gather child→parent (a gather hop carries its subtree's
-// contributions), and RawBarrier is a reduce to 0 (phase 0) plus a
+// contributions), and rawBarrier is a reduce to 0 (phase 0) plus a
 // 0-byte bcast (phase 1).
 func TestTreeEdgeCapture(t *testing.T) {
 	const bytes = 24
@@ -51,7 +51,7 @@ func TestTreeEdgeCapture(t *testing.T) {
 					w.Reduce(root, bytes, 7, OpSum)  // tag seq 3i+1
 					w.Gather(root, bytes, pr.Rank()) // tag seq 3i+2
 				}
-				w.RawBarrier(0) // tag seq 6, phases 0+1
+				w.rawBarrier(0) // tag seq 6, phases 0+1
 			})
 			if p == 1 {
 				if len(edges) != 0 {
@@ -108,7 +108,7 @@ func TestCausalDisabled(t *testing.T) {
 	body := func(pr *Proc) {
 		w := pr.World()
 		w.Bcast(0, 8, nil)
-		w.RawBarrier(0)
+		w.rawBarrier(0)
 	}
 	if _, err := Run(Config{P: 4}, body); err != nil {
 		t.Fatal(err)

@@ -145,13 +145,13 @@ func (c *Comm) treeGather(root, tag, bytes int, obj any) []any {
 
 // --- raw (untraced) collectives for the tracing layer ----------------------
 
-// RawBarrier synchronizes all ranks of the communicator without
+// rawBarrier synchronizes all ranks of the communicator without
 // interposition and returns, on every rank, the sum of the words the
 // ranks entered with: a reduce of the words to rank 0, then a broadcast
 // of their sum. The broadcast leg is a 0-byte message whatever the sum
 // (the value rides in the scalar slot), so a word costs nothing on the
 // virtual clock; a barrier that carries nothing passes 0.
-func (c *Comm) RawBarrier(word uint64) uint64 {
+func (c *Comm) rawBarrier(word uint64) uint64 {
 	seq := c.nextSeq()
 	sum := c.treeReduceU64(0, collTag(c.id, seq, 0), word, OpSum)
 	// A barrier leaves every rank at (at least) the time the last rank
@@ -189,7 +189,7 @@ func (c *Comm) Barrier() {
 	}
 	ci, start := p.opBegin(CallInfo{Op: OpBarrier, Comm: c.id, Dest: NoPeer, Src: NoPeer, Root: NoPeer})
 	epoch := uint64(p.epoch)
-	sum := c.RawBarrier(ci.Vote | epoch<<voteEpochShift)
+	sum := c.rawBarrier(ci.Vote | epoch<<voteEpochShift)
 	if got, want := sum>>voteEpochShift, epoch*uint64(len(c.group)); got != want {
 		panic(fmt.Sprintf("mpi: barrier epoch sum %d, want %d (rank %d epoch %d)", got, want, p.rank, epoch))
 	}

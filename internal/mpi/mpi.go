@@ -70,6 +70,10 @@ type CallInfo struct {
 	Vote uint64
 }
 
+// Marker reports whether the call is the marker barrier: Chameleon's
+// tool traffic, which no tracer records as an application event.
+func (ci *CallInfo) Marker() bool { return ci.Op == OpBarrier && ci.Comm == CommMarker }
+
 // Interposer is the PMPI-style hook interface. Pre runs before the
 // operation's communication; Post runs after it completes. Both run on
 // the rank's own goroutine. The CallInfo is the same value in both and
@@ -525,7 +529,7 @@ func (c *Comm) worldRank(r int) int { return c.group[r] }
 func (c *Comm) Dup() *Comm {
 	// Synchronize the group, then allocate one shared ID at the root and
 	// broadcast it.
-	c.RawBarrier(0)
+	c.rawBarrier(0)
 	var id CommID
 	if c.self == 0 {
 		id = c.p.rt.tr.allocComm(1)
@@ -686,7 +690,7 @@ func Run(cfg Config, body func(p *Proc)) (*Result, error) {
 			// The survivors synchronize among themselves; the departed
 			// never reach finalize.
 			ci, start := p.opBegin(CallInfo{Op: OpFinalize, Comm: CommWorld, Dest: NoPeer, Src: NoPeer, Root: 0})
-			p.ShrunkWorld().RawBarrier(0)
+			p.ShrunkWorld().rawBarrier(0)
 			p.opEnd(ci, start)
 			p.hooks.Finalize()
 			rt.setState(p.rank, stateDone)

@@ -71,7 +71,7 @@ func (p *Proc) opBegin(call CallInfo) (*CallInfo, vtime.Time) {
 	if p.rt.causal != nil {
 		p.opPrevName, p.opPrevSeq = p.ctxName, p.ctxSeq
 		switch {
-		case ci.Op == OpBarrier && ci.Comm == CommMarker:
+		case ci.Marker():
 			p.ctxName, p.ctxSeq = "marker", p.markerSeq
 		case ci.Op.IsCollective():
 			p.ctxName, p.ctxSeq = strings.ToLower(ci.Op.String()), p.collSeq[ci.Comm]
@@ -97,7 +97,7 @@ func (p *Proc) opEnd(ci *CallInfo, start vtime.Time) {
 			m.bytes[ci.Op].Add(uint64(ci.Bytes))
 		}
 		switch {
-		case ci.Op == OpBarrier && ci.Comm == CommMarker:
+		case ci.Marker():
 			m.markerBarriers.Inc()
 		case ci.Op.IsCollective():
 			m.collBlocked.Observe(int64(end - start))
@@ -106,7 +106,7 @@ func (p *Proc) opEnd(ci *CallInfo, start vtime.Time) {
 		}
 		name, cat := ci.Op.String(), obs.CatP2P
 		switch {
-		case ci.Op == OpBarrier && ci.Comm == CommMarker:
+		case ci.Marker():
 			name, cat = "marker", obs.CatMarker
 		case ci.Op.IsCollective():
 			cat = obs.CatColl

@@ -107,7 +107,7 @@ func (c *Comm) refTreeGather(root, tag, bytes int, obj any) []any {
 	return out
 }
 
-// refRawBarrier is RawBarrier over the reference reduce and broadcast.
+// refRawBarrier is rawBarrier over the reference reduce and broadcast.
 func (c *Comm) refRawBarrier(word uint64) uint64 {
 	seq := c.nextSeq()
 	sum := c.refTreeReduceU64(0, collTag(c.id, seq, 0), word, OpSum)
@@ -123,7 +123,7 @@ type treeImpl struct {
 }
 
 var (
-	treeWalked = treeImpl{(*Comm).treeBcast, (*Comm).treeReduceU64, (*Comm).treeGather, (*Comm).RawBarrier}
+	treeWalked = treeImpl{(*Comm).treeBcast, (*Comm).treeReduceU64, (*Comm).treeGather, (*Comm).rawBarrier}
 	treeRef    = treeImpl{(*Comm).refTreeBcast, (*Comm).refTreeReduceU64, (*Comm).refTreeGather, (*Comm).refRawBarrier}
 )
 
@@ -133,8 +133,8 @@ var (
 // disjoint groups that share a tag, each member entering at a clock of
 // its own) with a drawn root and reduce operator. Each instance runs a
 // reduce, a broadcast and a gather at phases 2-4 of the case's tag
-// (clear of RawBarrier's own phases 0 and 1 on the world, and of the
-// next instance's tag in a group, 4 above), then RawBarrier.
+// (clear of rawBarrier's own phases 0 and 1 on the world, and of the
+// next instance's tag in a group, 4 above), then rawBarrier.
 func FuzzTreeCollectivesMatchReference(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)

@@ -20,14 +20,14 @@ type voteHooks struct {
 }
 
 func (h *voteHooks) Pre(ci *CallInfo) {
-	if ci.Op == OpBarrier && ci.Comm == CommMarker {
+	if ci.Marker() {
 		h.marker++
 		ci.Vote = h.word(h.p.rank, h.marker)
 	}
 }
 
 func (h *voteHooks) Post(ci *CallInfo) {
-	if ci.Op == OpBarrier && ci.Comm == CommMarker {
+	if ci.Marker() {
 		h.sums = append(h.sums, ci.Vote)
 	}
 }

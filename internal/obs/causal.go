@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync/atomic"
 )
@@ -127,25 +126,4 @@ func (c *Causal) WriteEdges(w io.Writer) error {
 
 // ReadEdges parses a JSONL edge stream back into edges. Blank lines are
 // skipped; a refusal names the line it stopped at.
-func ReadEdges(r io.Reader) ([]Edge, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []Edge
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var e Edge
-		if err := json.Unmarshal(b, &e); err != nil {
-			return out, fmt.Errorf("obs: edges line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("obs: edges line %d: %w", line+1, err)
-	}
-	return out, nil
-}
+func ReadEdges(r io.Reader) ([]Edge, error) { return readJSONL[Edge](r, "edges") }

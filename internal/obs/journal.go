@@ -189,11 +189,17 @@ func (j *Journal) Err() error {
 	return j.err
 }
 
-// ReadJournal parses a JSONL journal stream back into events.
-func ReadJournal(r io.Reader) ([]Event, error) {
+// ReadJournal parses a JSONL journal stream back into events. Blank
+// lines are skipped; a refusal names the line it stopped at.
+func ReadJournal(r io.Reader) ([]Event, error) { return readJSONL[Event](r, "journal") }
+
+// readJSONL decodes one T per line of a JSONL stream (lines up to
+// 16 MB, blank lines skipped). A refusal names the line it stopped at,
+// a scanner error (an over-long line, a failed read) included.
+func readJSONL[T any](r io.Reader, what string) ([]T, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []Event
+	var out []T
 	line := 0
 	for sc.Scan() {
 		line++
@@ -201,14 +207,14 @@ func ReadJournal(r io.Reader) ([]Event, error) {
 		if len(b) == 0 {
 			continue
 		}
-		var ev Event
-		if err := json.Unmarshal(b, &ev); err != nil {
-			return out, fmt.Errorf("obs: journal line %d: %w", line, err)
+		var v T
+		if err := json.Unmarshal(b, &v); err != nil {
+			return out, fmt.Errorf("obs: %s line %d: %w", what, line, err)
 		}
-		out = append(out, ev)
+		out = append(out, v)
 	}
 	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("obs: journal read: %w", err)
+		return out, fmt.Errorf("obs: %s line %d: %w", what, line+1, err)
 	}
 	return out, nil
 }

@@ -3,9 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"chameleon/internal/vtime"
 )
@@ -96,6 +99,27 @@ func TestJournalConcurrent(t *testing.T) {
 	}
 	if len(evs) != workers*iters {
 		t.Fatalf("read %d events, want %d", len(evs), workers*iters)
+	}
+}
+
+// TestReadJournalNamesItsLine: a refusal names the line it stopped at,
+// a bad line and a failed read alike.
+func TestReadJournalNamesItsLine(t *testing.T) {
+	good := `{"kind":"finalize","rank":0}` + "\n"
+	for _, tc := range []struct {
+		r    io.Reader
+		want string
+	}{
+		{strings.NewReader(good + "\n" + "{\n"), "journal line 3: "},
+		{io.MultiReader(strings.NewReader(good), iotest.ErrReader(errors.New("disk gone"))), "journal line 2: disk gone"},
+	} {
+		evs, err := ReadJournal(tc.r)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v, want it to name %q", err, tc.want)
+		}
+		if len(evs) != 1 {
+			t.Errorf("kept %d events before the refusal, want 1", len(evs))
+		}
 	}
 }
 

@@ -282,7 +282,7 @@ func (c *capture) Finalize()         {}
 func (c *capture) Post(ci *mpi.CallInfo) {
 	switch {
 	case ci.Op == mpi.OpFinalize:
-	case ci.Op == mpi.OpBarrier && ci.Comm == mpi.CommMarker:
+	case ci.Marker():
 		c.out.cuts = append(c.out.cuts, len(c.out.events))
 	default:
 		now := c.rec.Proc.Clock.Now()

@@ -3,7 +3,9 @@
 // sits inside the PMPI-style interposition hooks, encodes each MPI call
 // into a trace event (stack signature, relative end-points, delta time),
 // feeds the intra-node loop compressor, and maintains the per-window
-// signature accumulators clustering consumes.
+// signature accumulators clustering consumes. The rest of the tools'
+// skeleton lives here too: one Options, one Result with its File, and
+// the lead table (Leads, AsCluster).
 package tracer
 
 import (
@@ -157,6 +159,8 @@ type Recorder struct {
 	// clustering) between events, subtracted from the next delta so
 	// replay reproduces the unmarked application's computation times.
 	excluded vtime.Duration
+	// pre is the clock at the current call's Pre.
+	pre vtime.Time
 	// lastAnySrc remembers the matched source of the most recent
 	// wildcard receive for ReplyToLast destination encoding.
 	lastAnySrc int
@@ -204,6 +208,19 @@ func NewRecorder(p *mpi.Proc, mode SigMode, filter bool) *Recorder {
 	r.Comp.Filter = filter
 	r.Comp.Pool = &r.pool
 	return r
+}
+
+// Pre implements mpi.Interposer for a tool that records every call: it
+// notes the clock the call begins at.
+func (r *Recorder) Pre(*mpi.CallInfo) { r.pre = r.Proc.Clock.Now() }
+
+// Post implements mpi.Interposer: it records the completed call, unless
+// it is the marker barrier (Chameleon's tool traffic) or MPI_Finalize.
+func (r *Recorder) Post(ci *mpi.CallInfo) {
+	if ci.Marker() || ci.Op == mpi.OpFinalize {
+		return
+	}
+	r.Record(ci, r.pre, 1)
 }
 
 // Encode translates an intercepted call into a trace event. It is
