@@ -64,14 +64,16 @@ test:
 # So do the evaluated Alltoall's tests: members meet at a shared slot,
 # and the last to arrive writes every waiter's clock and wakes it, a
 # hand-off that can race the waiter's own park. So do the tree
-# collectives' fuzz seeds, over the same shared groups and tags. The oracle repeats only its STENCIL and PHASE
+# collectives' fuzz seeds, over the same shared groups and tags, and
+# the Group collectives' against the helpers they replaced. The oracle
+# repeats only its STENCIL and PHASE
 # runs (both call frequencies, phase changes and the lead crash): its LU
 # and EMF runs take the same code paths at ten times the cost under the
 # race detector, and they run once in the full-suite pass above.
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial|RecountsDisputed|LendsRecords)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover|TestAutoMarkerFiresCrashDirective|TestDistributedSelect(MatchesSequentialTree|ObjectsPerRank)?$$|TestStuckHandlerAnsweredAtDeadline|TestSlowBodyAnsweredAtDeadline|TestDroppedRelayClosesPeerBody|TestOverCapBodyClosesConnection|TestPutDroppedAtDeadlineKeepsItsBytes|TestForwardAnsweredBeforeBodyReadKeepsItsBytes' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ ./internal/cluster/ .
-	$(GO) test -race -count=20 -run 'TestMarkerWordCostsNothing|TestSurvivorsMarkerIsAWorldMarker|FuzzAlltoallEvalMatchesEnacted|FuzzTreeCollectivesMatchReference|TestWildcardBesideEvaluatedAlltoall' ./internal/mpi/
+	$(GO) test -race -count=20 -run 'TestMarkerWordCostsNothing|TestSurvivorsMarkerIsAWorldMarker|FuzzAlltoallEvalMatchesEnacted|FuzzTreeCollectivesMatchReference|FuzzGroupMatchesReference|TestWildcardBesideEvaluatedAlltoall' ./internal/mpi/
 	$(GO) test -race -count=20 -run 'TestVoteMatchesTwoCollectiveOracle/(STENCIL|PHASE)/' ./internal/core/
 
 # fuzz: a short fuzz smoke over every decoder that parses bytes from
@@ -119,7 +121,9 @@ test-race:
 # agree, over the world, member subsets and two groups sharing a tag),
 # and the tree collectives that walk TreePeer against the pre-change
 # ones kept in a test file (the same clocks, ledgers and values, over
-# the same cases with a drawn root). The seed and poison
+# the same cases with a drawn root), and the collectives of a Group
+# communicator against the member-list helpers they replaced, kept in
+# a test file (the same clocks, ledgers and values). The seed and poison
 # corpora run as plain tests in `make test`; the readers' 2000 seeds do
 # too, but under -fuzz that target starts from 64 of them, since the
 # fuzzer replays every seed before it tries a new input;
@@ -141,6 +145,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s -fuzzminimizetime=2s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzAlltoallEvalMatchesEnacted -fuzztime=10s -fuzzminimizetime=2s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTreeCollectivesMatchReference -fuzztime=10s -fuzzminimizetime=2s ./internal/mpi/
+	$(GO) test -run '^$$' -fuzz FuzzGroupMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s -fuzzminimizetime=2s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzGeneratorsMatchReference -fuzztime=5s -fuzzminimizetime=2s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzManifestLog -fuzztime=5s -fuzzminimizetime=2s ./internal/store/

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"chameleon"
+	"chameleon/internal/analysis"
 	"chameleon/internal/apps"
 	"chameleon/internal/cli"
 	"chameleon/internal/fleet"
@@ -274,10 +275,12 @@ func traceBinary(t testing.TB, out *chameleon.Output) []byte {
 // TestCausalCaptureMatchesEvaluatedRun: in process, Alltoall is
 // evaluated, not enacted, unless causal capture is on, which needs
 // every hop's edge and so takes the message path. Each program here
-// runs Alltoall (MG, FT and PHASE over the world, the replay of a
-// crashed PHASE run over the survivors' group) under every tracer, and
-// the run with causal capture is held to the run without it: makespan,
-// Overhead, OverheadBy and the merged binary trace.
+// runs collectives (MG, FT and PHASE over the world; the replay of a
+// crashed PHASE run its Alltoall over the survivors' communicator, the
+// replay of a fault-free STENCIL run its Allreduce nodes over part of
+// the world) under every tracer, and the run with causal capture is
+// held to the run without it: makespan, Overhead, OverheadBy and the
+// merged binary trace.
 func TestCausalCaptureMatchesEvaluatedRun(t *testing.T) {
 	var specs []chameleon.Spec
 	for _, name := range []string{"MG", "FT", "PHASE"} {
@@ -285,7 +288,11 @@ func TestCausalCaptureMatchesEvaluatedRun(t *testing.T) {
 			specs = append(specs, benchSpec(t, name, "A", p))
 		}
 	}
-	specs = append(specs, crashedPhaseReplay(t))
+	stencil := runE2E(t, e2e{Spec: benchSpec(t, "STENCIL", "A", 16)}).Out.Trace
+	if !hasPartial(stencil, mpi.OpAllreduce) {
+		t.Fatal("the STENCIL trace has no Allreduce over part of the world")
+	}
+	specs = append(specs, crashedPhaseReplay(t), replaySpec(t, "replay-stencil", stencil))
 	for _, spec := range specs {
 		for _, tr := range []chameleon.Tracer{chameleon.TracerNone, chameleon.TracerChameleon,
 			chameleon.TracerAutoChameleon, chameleon.TracerScalaTrace, chameleon.TracerACURDION} {
@@ -314,27 +321,68 @@ func TestCausalCaptureMatchesEvaluatedRun(t *testing.T) {
 // P=16 with rank 3 crashed in its last phase (Alltoall and Allreduce,
 // so no ring exchange has to re-close around the crash in the
 // replay). The trace's Alltoall nodes after the crash cover the
-// survivors only, so replaying them runs GroupAlltoall.
+// survivors only, so the replay runs them on the communicator over
+// the survivors. Under chameleon-auto the replay's marker anchors on a
+// world collective, never on one of those.
 func crashedPhaseReplay(t *testing.T) chameleon.Spec {
 	t.Helper()
 	f := runE2E(t, e2e{Spec: benchSpec(t, "PHASE", "A", 16), Plan: "crash rank=3 at marker=130", Seed: 1}).Out.Trace
+	if !hasPartial(f, mpi.OpAlltoall) {
+		t.Fatal("the crashed PHASE trace has no Alltoall over part of the world")
+	}
+	return replaySpec(t, "replay", f)
+}
+
+// hasPartial reports whether f holds an op node over part of the world.
+func hasPartial(f *chameleon.TraceFile, op mpi.OpCode) bool {
 	var partial func(seq []*trace.Node) bool
 	partial = func(seq []*trace.Node) bool {
 		for _, n := range seq {
-			if n.IsLoop() && partial(n.Body) || !n.IsLoop() && n.Ev.Op == mpi.OpAlltoall && n.Ranks.Size() < f.P {
+			if n.IsLoop() && partial(n.Body) || !n.IsLoop() && n.Ev.Op == op && n.Ranks.Size() < f.P {
 				return true
 			}
 		}
 		return false
 	}
-	if !partial(f.Nodes) {
-		t.Fatal("the crashed PHASE trace has no Alltoall over part of the world")
-	}
+	return partial(f.Nodes)
+}
+
+// replaySpec is the program, named name, that replays f (replay.Body),
+// for a run under a tracer or an observer.
+func replaySpec(t *testing.T, name string, f *chameleon.TraceFile) chameleon.Spec {
+	t.Helper()
 	body, err := replay.Body(f, replay.Options{})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	return chameleon.Spec{Name: "replay", P: f.P, K: 3, Make: func(apps.BodyOpts) func(*chameleon.Proc) { return body }}
+	return chameleon.Spec{Name: name, P: f.P, K: 3, Make: func(apps.BodyOpts) func(*chameleon.Proc) { return body }}
+}
+
+// TestRetracedReplayKeepsEveryCollective: a replay traced again records
+// every collective of the trace it replays, the nodes over part of the
+// world included (LU's Bcast, POP's, S3D's and STENCIL's Allreduce, in
+// the traces of both tracers): per op, the re-traced trace's dynamic
+// collective count equals the original's.
+func TestRetracedReplayKeepsEveryCollective(t *testing.T) {
+	counts := func(f *chameleon.TraceFile) map[string]uint64 {
+		all := analysis.Summarize(f).OpCounts
+		out := map[string]uint64{}
+		for op := mpi.OpBarrier; op <= mpi.OpAlltoall; op++ {
+			out[op.String()] = all[op.String()]
+		}
+		return out
+	}
+	for _, name := range []string{"LU", "POP", "S3D", "STENCIL"} {
+		for _, tr := range []chameleon.Tracer{chameleon.TracerScalaTrace, chameleon.TracerChameleon} {
+			t.Run(fmt.Sprintf("%s_%s", name, tr), func(t *testing.T) {
+				f := runE2E(t, e2e{Spec: benchSpec(t, name, "A", 16), Tracer: tr}).Out.Trace
+				again := runE2E(t, e2e{Spec: replaySpec(t, "replay", f), Tracer: chameleon.TracerScalaTrace}).Out.Trace
+				if want, got := counts(f), counts(again); !reflect.DeepEqual(want, got) {
+					t.Errorf("collectives per op: traced %v, replay re-traced %v", want, got)
+				}
+			})
+		}
+	}
 }
 
 // canonTrace renders a merged trace with the golden-test canonicalizer

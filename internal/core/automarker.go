@@ -9,13 +9,18 @@ import "chameleon/internal/mpi"
 // the main loop gets executed by all processes (and marker insertion can
 // be automated)."
 //
-// The automation anchors on a recurring *collective* call site: MPI
-// requires every rank to invoke collectives on a communicator in the
-// same order, so the k-th occurrence of a given collective call site is
-// a consistent global point — exactly the "progress reporting point"
-// the paper inserts its marker at, discovered instead of hand-placed.
-// The anchor is elected after an observation window of observeFor
-// collective events: the most frequent site wins (ties break on the
+// The automation anchors on a recurring *collective* call site over the
+// live world (ShrunkWorld): MPI requires every rank to invoke
+// collectives on a communicator in the same order, so the k-th
+// occurrence of a given world collective call site is a consistent
+// global point — exactly the "progress reporting point" the paper
+// inserts its marker at, discovered instead of hand-placed. A
+// collective on any other communicator (a Split or a Group, or the
+// marker communicator itself) is not counted: its members' k-th
+// occurrence is not every rank's, so a marker fired there would wait
+// on ranks that never reach it. The anchor is elected after an
+// observation window of observeFor world collective events: the most
+// frequent site wins (ties break on the
 // site seen first, never on the signature, which folds program
 // counters and so moves with code layout), which skips one-off setup broadcasts in favor of
 // the per-timestep residual reduction. Every Frequency-th subsequent
@@ -63,7 +68,7 @@ func NewAuto(col *Collector, opt Options) func(p *mpi.Proc) mpi.Interposer {
 // comes back here nested, and is Chameleon's alone to process.
 func (a *AutoMarker) Post(ci *mpi.CallInfo) {
 	a.Chameleon.Post(ci)
-	if !ci.Op.IsCollective() || ci.Op == mpi.OpFinalize || ci.Comm == mpi.CommMarker {
+	if !ci.Op.IsCollective() || ci.Op == mpi.OpFinalize || ci.Comm != a.p.ShrunkWorld().ID() {
 		return
 	}
 	// The recorder has just encoded this event; its stack signature is

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"chameleon/internal/fault"
 	"chameleon/internal/mpi"
@@ -110,6 +111,51 @@ func TestAutoMarkerMatchesManual(t *testing.T) {
 		if got := dynamicFor(col.Global, r); got != 40*2 {
 			t.Fatalf("rank %d covered %d events, want 80", r, got)
 		}
+	}
+}
+
+// TestAutoMarkerIgnoresSubCommunicatorCollectives: ranks 0 and 1 run
+// two all-reduces a step on a Split communicator of their own, beside
+// the world all-reduce every rank runs. Counted, those would reach the
+// election window steps earlier on ranks 0 and 1 and elect the
+// sub-communicator site, whose markers ranks 2 and 3 never enter; the
+// anchor is the world site on every rank. The run has a deadline of its
+// own so that a hang fails the test instead of stalling the suite.
+func TestAutoMarkerIgnoresSubCommunicatorCollectives(t *testing.T) {
+	const p, steps = 4, observeFor + 10
+	col := NewCollector(p)
+	done := make(chan error, 1)
+	go func() {
+		_, err := mpi.Run(mpi.Config{P: p, Hooks: NewAuto(col, Options{K: 2})}, func(pr *mpi.Proc) {
+			w := pr.World()
+			color := -1
+			if pr.Rank() < 2 {
+				color = 0
+			}
+			sub := w.Split(color, pr.Rank())
+			for it := 0; it < steps; it++ {
+				pr.Compute(100 * vtime.Microsecond)
+				if sub != nil {
+					sub.Allreduce(8, uint64(it), mpi.OpSum)
+					sub.Allreduce(8, uint64(it), mpi.OpMax)
+				}
+				w.Allreduce(8, uint64(it), mpi.OpSum)
+			}
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the run did not finish within 20 s: ranks anchored on different sites")
+	}
+	// The window closes on every rank at the world site's 50th call, so
+	// the 10 steps after it engage 10 markers.
+	if calls := col.StateCalls[StateAT] + col.StateCalls[StateC] + col.StateCalls[StateL]; calls != 10 {
+		t.Fatalf("engaged marker calls = %d, want 10", calls)
 	}
 }
 

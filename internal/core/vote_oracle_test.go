@@ -85,8 +85,7 @@ func (o *voteOracle) twoCollectiveVote() uint64 {
 		glob = c.p.MarkerComm().RawAllreduceU64(mismatch, mpi.OpSum)
 	} else {
 		epoch := uint64(c.p.Epoch())
-		tag := 1<<51 | (c.markerCalls+1)<<4
-		tot := mpi.GroupAllreduceU64(c.p, alive, tag, mismatch|epoch<<epochShift, mpi.OpSum)
+		tot := c.p.Group(c.p.Epoch(), alive).RawAllreduceU64(mismatch|epoch<<epochShift, mpi.OpSum)
 		if got, want := tot>>epochShift, epoch*uint64(len(alive)); got != want {
 			panic(fmt.Sprintf("vote epoch sum %d, want %d", got, want))
 		}

@@ -350,8 +350,8 @@ func (c *Comm) evalAlltoall(tag, bytes int) {
 		rt.mailboxes[c.p.rank].awaitRelease()
 		return
 	}
-	// Out of the table before anyone leaves: a member may reuse the
-	// key (GroupAlltoall's tags are the caller's) once it has.
+	// Out of the table before anyone leaves, so no later instance that
+	// shares the key can join this one.
 	rt.rdv.leave(s)
 	foldPairwise(s.clocks, bytes, rt.model)
 	for i, r := range c.group {

@@ -21,10 +21,11 @@ func TestGroupAllreduceSubset(t *testing.T) {
 	var mu sync.Mutex
 	got := map[int]uint64{}
 	runGroup(t, 8, func(p *Proc) {
-		if TreePos(members, p.Rank()) < 0 {
+		c := p.Group(0, members)
+		if c == nil {
 			return
 		}
-		v := GroupAllreduceU64(p, members, 100<<10, uint64(p.Rank()), OpSum)
+		v := c.Allreduce(8, uint64(p.Rank()), OpSum)
 		mu.Lock()
 		got[p.Rank()] = v
 		mu.Unlock()
@@ -40,27 +41,28 @@ func TestGroupAllreduceSubset(t *testing.T) {
 func TestGroupReduceBcastRoles(t *testing.T) {
 	members := []int{0, 2, 5}
 	var mu sync.Mutex
-	roots := map[int]bool{}
+	ranks := map[int]int{}
 	bcast := map[int]uint64{}
 	runGroup(t, 6, func(p *Proc) {
-		if TreePos(members, p.Rank()) < 0 {
+		c := p.Group(1, members)
+		if c == nil {
 			return
 		}
-		v, isRoot := GroupReduceU64(p, members, 200<<10, 1, OpSum)
+		v := c.Reduce(0, 8, 1, OpSum)
 		mu.Lock()
-		roots[p.Rank()] = isRoot
+		ranks[p.Rank()] = c.Rank()
 		mu.Unlock()
-		if isRoot && v != 3 {
+		if c.Rank() == 0 && v != 3 {
 			t.Errorf("root reduce = %d, want 3", v)
 		}
-		out := GroupBcastObj(p, members, 300<<10, uint64(p.Rank())*10, 8).(uint64)
+		out := c.Bcast(0, 8, uint64(p.Rank())*10).(uint64)
 		mu.Lock()
 		bcast[p.Rank()] = out
 		mu.Unlock()
 	})
-	for _, r := range members {
-		if wantRoot := r == members[0]; roots[r] != wantRoot {
-			t.Errorf("rank %d root = %v, want %v", r, roots[r], wantRoot)
+	for pos, r := range members {
+		if ranks[r] != pos {
+			t.Errorf("rank %d is comm rank %d, want %d", r, ranks[r], pos)
 		}
 		if bcast[r] != 0 {
 			// members[0] == 0, so the broadcast value is 0*10.
@@ -74,19 +76,20 @@ func TestGroupGatherScatterAlltoallBarrier(t *testing.T) {
 	var mu sync.Mutex
 	var gathered []any
 	runGroup(t, 8, func(p *Proc) {
-		if TreePos(members, p.Rank()) < 0 {
+		c := p.Group(2, members)
+		if c == nil {
 			return
 		}
-		GroupAllreduceU64(p, members, 400<<10, 0, OpSum)
-		out := GroupGatherObj(p, members, 500<<10, 8, p.Rank()*100)
+		c.Barrier()
+		out := c.Gather(0, 8, p.Rank()*100)
 		if out != nil {
 			mu.Lock()
 			gathered = out
 			mu.Unlock()
 		}
-		GroupScatter(p, members, 600<<10, 64)
-		GroupAlltoall(p, members, 700<<10, 32)
-		GroupAllreduceU64(p, members, 800<<10, 0, OpSum)
+		c.Scatter(0, 64, nil)
+		c.Alltoall(32)
+		c.Barrier()
 	})
 	want := []any{100, 200, 300, 500, 700}
 	if !reflect.DeepEqual(gathered, want) {
@@ -97,10 +100,19 @@ func TestGroupGatherScatterAlltoallBarrier(t *testing.T) {
 func TestGroupNonMemberNoop(t *testing.T) {
 	members := []int{0, 1}
 	runGroup(t, 4, func(p *Proc) {
-		// Ranks 2 and 3 call every helper too; they must return
-		// immediately without traffic (the members complete regardless).
-		GroupAllreduceU64(p, members, 900<<10, 0, OpSum)
-		GroupAllreduceU64(p, members, 1000<<10, 1, OpSum)
+		// Ranks 2 and 3 get no communicator; GroupBcastObj returns
+		// them their object at once, without traffic (the members
+		// complete regardless).
+		c := p.Group(3, members)
+		if member := TreePos(members, p.Rank()) >= 0; member != (c != nil) {
+			t.Errorf("rank %d: Group = %v, member %v", p.Rank(), c, member)
+		}
+		if c != nil {
+			if c.ID() != groupCommBase+3 || c.Size() != len(members) {
+				t.Errorf("rank %d: Group ID %d size %d", p.Rank(), c.ID(), c.Size())
+			}
+			c.Allreduce(8, 1, OpSum)
+		}
 		if out := GroupBcastObj(p, members, 1100<<10, "keep", 4); TreePos(members, p.Rank()) < 0 && out != "keep" {
 			t.Errorf("non-member bcast returned %v", out)
 		}

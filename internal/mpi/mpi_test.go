@@ -243,8 +243,8 @@ func TestAllreduceOps(t *testing.T) {
 // TestAllreduceU64DoesNotBox: every reduce and broadcast hop of a u64
 // collective carries its operand in the message's scalar slot, so a
 // P=64 allreduce allocates nothing anywhere in the world — raw (the
-// marker vote's), public (the application's) or over a member list (the
-// shrunken world's). The operands are above 255 because Go boxes
+// marker vote's), public (the application's) or on a Group (replay's
+// collectives over part of the world). The operands are above 255 because Go boxes
 // smaller integers without allocating. Boxed, a round costs 127
 // objects: one per reduce hop, and one per rank for the broadcast's
 // operand.
@@ -254,16 +254,18 @@ func TestAllreduceU64DoesNotBox(t *testing.T) {
 	for i := range members {
 		members[i] = i
 	}
+	groups := make([]*Comm, p)
 	for _, tc := range []struct {
 		name      string
 		allreduce func(pr *Proc, v uint64) uint64
 	}{
 		{"RawAllreduceU64", func(pr *Proc, v uint64) uint64 { return pr.MarkerComm().RawAllreduceU64(v, OpSum) }},
 		{"Allreduce", func(pr *Proc, v uint64) uint64 { return pr.World().Allreduce(8, v, OpSum) }},
-		{"GroupAllreduceU64", func(pr *Proc, v uint64) uint64 { return GroupAllreduceU64(pr, members, 1<<20, v, OpSum) }},
+		{"Group", func(pr *Proc, v uint64) uint64 { return groups[pr.Rank()].Allreduce(8, v, OpSum) }},
 	} {
 		var allocs float64
 		run(t, p, func(pr *Proc) {
+			groups[pr.Rank()] = pr.Group(0, members)
 			v := uint64(pr.Rank()+1) << 20
 			round := func() {
 				if got, want := tc.allreduce(pr, v), uint64(p*(p+1)/2)<<20; got != want {

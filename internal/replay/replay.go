@@ -10,19 +10,24 @@
 // end-point encodings are location independent — while all other
 // parameters are taken verbatim from the lead.
 //
-// Limitations: all replayed traffic is issued on the world communicator
-// (recorded communicator identities are not reconstructed), so traces
-// whose sub-communicators reuse point-to-point tags across communicators
-// could cross-match during replay; nonblocking receives are completed at
-// their post point (Wait leaves are no-ops). The paper's workloads use
-// neither pattern.
+// A collective node runs on the world when its rank list covers the
+// world, and otherwise on the communicator over that list (mpi.Group,
+// one per distinct list), so a replay traced again records every
+// collective it replays.
+//
+// Limitations: point-to-point traffic is issued on the world
+// communicator (recorded communicator identities are not
+// reconstructed), so traces whose sub-communicators reuse
+// point-to-point tags across communicators could cross-match during
+// replay; nonblocking receives are completed at their post point (Wait
+// leaves are no-ops). The paper's workloads use neither pattern.
 package replay
 
 import (
 	"fmt"
-	"sort"
 
 	"chameleon/internal/mpi"
+	"chameleon/internal/ranklist"
 	"chameleon/internal/trace"
 	"chameleon/internal/vtime"
 )
@@ -80,8 +85,7 @@ func RunWith(f *trace.File, opts Options) (*Result, error) {
 	if (opts.Model == vtime.CostModel{}) {
 		opts.Model = vtime.Default()
 	}
-	var events [1 << 12]uint64 // per-rank counters, bounded
-	body, err := replayer(f, opts, events[:])
+	body, events, err := replayer(f, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -100,35 +104,25 @@ func RunWith(f *trace.File, opts Options) (*Result, error) {
 // caller that runs it on f.P ranks of a runtime of its own (under a
 // tracer or an observer). opts.Model is the caller's runtime's to set.
 func Body(f *trace.File, opts Options) (func(*mpi.Proc), error) {
-	return replayer(f, opts, nil)
+	body, _, err := replayer(f, opts)
+	return body, err
 }
 
 // replayer validates f and builds its per-rank replay program, which
-// leaves each rank's re-issued event count in events when it has a
-// slot there.
-func replayer(f *trace.File, opts Options, events []uint64) (func(*mpi.Proc), error) {
+// leaves each rank's re-issued event count in the slice it returns
+// beside it, one slot per rank.
+func replayer(f *trace.File, opts Options) (func(*mpi.Proc), []uint64, error) {
 	if len(f.Nodes) == 0 {
-		return nil, fmt.Errorf("replay: empty trace")
+		return nil, nil, fmt.Errorf("replay: empty trace")
 	}
 	if err := f.Validate(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
+		return nil, nil, fmt.Errorf("replay: %w", err)
 	}
-	// Preorder node identities, shared by all ranks: collective nodes
-	// covering only part of the world (traces from runs with crashed
-	// ranks) are replayed as group collectives over exactly their rank
-	// list, and every member must derive the same tag for the same node
-	// occurrence.
-	ids := make(map[*trace.Node]int)
-	var number func(seq []*trace.Node)
-	number = func(seq []*trace.Node) {
-		for _, n := range seq {
-			ids[n] = len(ids)
-			if n.IsLoop() {
-				number(n.Body)
-			}
-		}
+	keys, members, err := numberGroups(f, mpi.GroupKeys)
+	if err != nil {
+		return nil, nil, err
 	}
-	number(f.Nodes)
+	events := make([]uint64, f.P)
 	return func(p *mpi.Proc) {
 		e := engine{
 			p:          p,
@@ -136,14 +130,43 @@ func replayer(f *trace.File, opts Options, events []uint64) (func(*mpi.Proc), er
 			lastAnySrc: -1,
 			mode:       opts.Delta,
 			rng:        uint64(p.Rank())*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9,
-			ids:        ids,
-			occ:        make(map[*trace.Node]int),
+			keys:       keys,
+			members:    members,
+			comms:      make([]*mpi.Comm, len(members)),
 		}
 		e.replaySeq(f.Nodes)
-		if p.Rank() < len(events) {
-			events[p.Rank()] = e.events
+		events[p.Rank()] = e.events
+	}, events, nil
+}
+
+// numberGroups numbers the rank lists of f's collective nodes over part
+// of the world, once and before any rank runs: each distinct list is
+// the key of one mpi.Group communicator, so every member builds the
+// same one. It returns each such node's key and each key's ranks, and
+// refuses a trace with more than limit lists.
+func numberGroups(f *trace.File, limit int) (map[*trace.Node]int32, [][]int, error) {
+	var tab ranklist.Table
+	keys := make(map[*trace.Node]int32)
+	var walk func(seq []*trace.Node)
+	walk = func(seq []*trace.Node) {
+		for _, n := range seq {
+			switch {
+			case n.IsLoop():
+				walk(n.Body)
+			case n.Ev.Op.IsCollective() && n.Ranks.Size() < f.P:
+				keys[n] = tab.ID(n.Ranks, f.P)
+			}
 		}
-	}, nil
+	}
+	walk(f.Nodes)
+	if len(tab.Lists) > limit {
+		return nil, nil, fmt.Errorf("replay: collectives over %d distinct rank lists, at most %d", len(tab.Lists), limit)
+	}
+	members := make([][]int, len(tab.Lists))
+	for k, l := range tab.Lists {
+		members[k] = l.Ranks()
+	}
+	return keys, members, nil
 }
 
 // engine is the per-rank trace interpreter.
@@ -154,47 +177,28 @@ type engine struct {
 	events     uint64
 	mode       DeltaMode
 	rng        uint64
-	// ids assigns shared preorder identities; occ counts this rank's
-	// replays per node. Members of a node's rank list replay it the same
-	// number of times (loop counts are node-global), so (id, occ) derives
-	// matching group-collective tags on every member.
-	ids map[*trace.Node]int
-	occ map[*trace.Node]int
+	// keys and members are numberGroups'; comms holds this rank's
+	// Group communicators by key, each built at its first use.
+	keys    map[*trace.Node]int32
+	members [][]int
+	comms   []*mpi.Comm
 }
 
-// members returns the node's sorted rank list when it covers only part
-// of the world (retired ranks), nil for full coverage.
-func (e *engine) members(n *trace.Node) []int {
-	if n.Ranks.Size() >= e.p.Size() {
-		return nil
+// comm returns the communicator node n replays on, the Group over n's
+// rank list for a collective over part of the world and the world
+// otherwise, and n's recorded root (a world rank) mapped into it: its
+// position in the list, or 0 when it is not a member.
+func (e *engine) comm(n *trace.Node) (*mpi.Comm, int) {
+	root, _ := e.resolve(n.Ev.Dest)
+	k, ok := e.keys[n]
+	if !ok {
+		return e.w, root
 	}
-	m := append([]int(nil), n.Ranks.Ranks()...)
-	sort.Ints(m)
-	return m
-}
-
-// groupTag derives this occurrence's tag block for a partial-coverage
-// collective node (bits 0-1 left free for the helpers' sub-tags).
-func (e *engine) groupTag(n *trace.Node) int {
-	occ := e.occ[n]
-	e.occ[n] = occ + 1
-	return 1<<40 | e.ids[n]<<18 | (occ&0xffff)<<2
-}
-
-// rootFirst reorders members so the group helpers' root (position 0) is
-// the recorded collective root.
-func rootFirst(m []int, root int) []int {
-	if mpi.TreePos(m, root) <= 0 {
-		return m
+	m := e.members[k]
+	if e.comms[k] == nil {
+		e.comms[k] = e.p.Group(int(k), m)
 	}
-	out := make([]int, 0, len(m))
-	out = append(out, root)
-	for _, r := range m {
-		if r != root {
-			out = append(out, r)
-		}
-	}
-	return out
+	return e.comms[k], max(mpi.TreePos(m, root), 0)
 }
 
 // next is a deterministic per-rank pseudo-random step (splitmix64).
@@ -214,9 +218,9 @@ func (e *engine) drawDelta(n *trace.Node) vtime.Duration {
 	}
 	switch e.mode {
 	case DeltaMin:
-		return vtime.Duration(max64(h.Min, 0))
+		return vtime.Duration(max(h.Min, 0))
 	case DeltaMax:
-		return vtime.Duration(max64(h.Max, 0))
+		return vtime.Duration(max(h.Max, 0))
 	case DeltaSampled:
 		// Pick a bucket proportional to its count, then the geometric
 		// middle of the bucket's value range, clamped to [min, max].
@@ -231,25 +235,13 @@ func (e *engine) drawDelta(n *trace.Node) vtime.Duration {
 			if i > 0 {
 				v = (int64(1) << uint(i-1)) + (int64(1)<<uint(i))/2
 			}
-			if v < h.Min {
-				v = h.Min
-			}
-			if v > h.Max {
-				v = h.Max
-			}
+			v = min(max(v, h.Min), h.Max)
 			return false
 		})
-		return vtime.Duration(max64(v, 0))
+		return vtime.Duration(max(v, 0))
 	default:
-		return vtime.Duration(max64(h.Mean(), 0))
+		return vtime.Duration(max(h.Mean(), 0))
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (e *engine) replaySeq(seq []*trace.Node) {
@@ -295,6 +287,7 @@ func (e *engine) resolve(ep trace.Endpoint) (int, bool) {
 func (e *engine) issue(n *trace.Node) {
 	ev := n.Ev
 	tag := replayTag | ev.Tag
+	c, root := e.comm(n)
 	switch ev.Op {
 	case mpi.OpSend, mpi.OpIsend:
 		if dest, ok := e.resolve(ev.Dest); ok {
@@ -321,59 +314,21 @@ func (e *engine) issue(n *trace.Node) {
 			}
 		}
 	case mpi.OpBarrier:
-		if m := e.members(n); m != nil {
-			mpi.GroupAllreduceU64(e.p, m, e.groupTag(n), 0, mpi.OpSum)
-		} else {
-			e.w.Barrier()
-		}
+		c.Barrier()
 	case mpi.OpBcast:
-		root, _ := e.resolve(ev.Dest)
-		if m := e.members(n); m != nil {
-			mpi.GroupBcastObj(e.p, rootFirst(m, root), e.groupTag(n), nil, ev.Bytes)
-		} else {
-			e.w.Bcast(root, ev.Bytes, nil)
-		}
+		c.Bcast(root, ev.Bytes, nil)
 	case mpi.OpReduce:
-		root, _ := e.resolve(ev.Dest)
-		if m := e.members(n); m != nil {
-			mpi.GroupReduceU64(e.p, rootFirst(m, root), e.groupTag(n), 0, mpi.OpSum)
-		} else {
-			e.w.Reduce(root, ev.Bytes, 0, mpi.OpSum)
-		}
+		c.Reduce(root, ev.Bytes, 0, mpi.OpSum)
 	case mpi.OpAllreduce:
-		if m := e.members(n); m != nil {
-			mpi.GroupAllreduceU64(e.p, m, e.groupTag(n), 0, mpi.OpSum)
-		} else {
-			e.w.Allreduce(ev.Bytes, 0, mpi.OpSum)
-		}
+		c.Allreduce(ev.Bytes, 0, mpi.OpSum)
 	case mpi.OpGather:
-		root, _ := e.resolve(ev.Dest)
-		if m := e.members(n); m != nil {
-			mpi.GroupGatherObj(e.p, rootFirst(m, root), e.groupTag(n), ev.Bytes, nil)
-		} else {
-			e.w.Gather(root, ev.Bytes, nil)
-		}
+		c.Gather(root, ev.Bytes, nil)
 	case mpi.OpAllgather:
-		if m := e.members(n); m != nil {
-			tag := e.groupTag(n)
-			mpi.GroupGatherObj(e.p, m, tag, ev.Bytes, nil)
-			mpi.GroupBcastObj(e.p, m, tag|1, nil, ev.Bytes*len(m))
-		} else {
-			e.w.Allgather(ev.Bytes, nil)
-		}
+		c.Allgather(ev.Bytes, nil)
 	case mpi.OpScatter:
-		root, _ := e.resolve(ev.Dest)
-		if m := e.members(n); m != nil {
-			mpi.GroupScatter(e.p, rootFirst(m, root), e.groupTag(n), ev.Bytes)
-		} else {
-			e.w.Scatter(root, ev.Bytes, nil)
-		}
+		c.Scatter(root, ev.Bytes, nil)
 	case mpi.OpAlltoall:
-		if m := e.members(n); m != nil {
-			mpi.GroupAlltoall(e.p, m, e.groupTag(n), ev.Bytes)
-		} else {
-			e.w.Alltoall(ev.Bytes)
-		}
+		c.Alltoall(ev.Bytes)
 	}
 }
 

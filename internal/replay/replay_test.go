@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"reflect"
 	"testing"
 
 	"chameleon/internal/mpi"
@@ -103,6 +104,80 @@ func TestReplayCollectives(t *testing.T) {
 	}
 	if res.Events != uint64(P*len(nodes)) {
 		t.Fatalf("events = %d", res.Events)
+	}
+}
+
+// TestReplayPartialCollectives: collective nodes over part of the
+// world replay on the communicator over their rank list, each node's
+// recorded root mapped to its position there (or to the list's first
+// rank when it is not a member), and nodes over equal lists share one.
+func TestReplayPartialCollectives(t *testing.T) {
+	const P = 5
+	lists := []ranklist.List{ranklist.FromRanks([]int{1, 2, 3}), ranklist.FromRanks([]int{0, 4}), ranklist.FromRanks([]int{1, 2, 3})}
+	var nodes []*trace.Node
+	for i, l := range lists {
+		for op := mpi.OpBarrier; op <= mpi.OpAlltoall; op++ {
+			if !op.IsCollective() {
+				continue
+			}
+			ev := mkEvent(op, 10*i+int(op))
+			ev.Dest = trace.Absolute([]int{2, 4, 0}[i]) // at position 1, at position 1, not a member
+			nodes = append(nodes, trace.NewLeaf(ev, l, 1000))
+		}
+	}
+	f := &trace.File{P: P, Nodes: []*trace.Node{trace.NewLoop(3, nodes)}}
+	_, members, err := numberGroups(f, mpi.GroupKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{1, 2, 3}, {0, 4}}; !reflect.DeepEqual(members, want) {
+		t.Fatalf("numbered lists %v, want %v", members, want)
+	}
+	res, err := Run(f, vtime.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(3 * 8 * (3 + 2 + 3)); res.Events != want { // trips × collectives × members
+		t.Fatalf("events = %d, want %d", res.Events, want)
+	}
+}
+
+// TestReplayRefusesTooManyGroups: a trace whose collectives cover more
+// distinct partial lists than there are Group keys is refused before
+// any rank runs (a key space of 2 stands in for mpi.GroupKeys).
+func TestReplayRefusesTooManyGroups(t *testing.T) {
+	const P = 4
+	var nodes []*trace.Node
+	for i, ranks := range [][]int{{0, 1}, {2, 3}, {1, 2}, {0, 1}} {
+		nodes = append(nodes, trace.NewLeaf(mkEvent(mpi.OpAllreduce, i), ranklist.FromRanks(ranks), 0))
+	}
+	f := &trace.File{P: P, Nodes: nodes}
+	if _, _, err := numberGroups(f, 2); err == nil {
+		t.Fatal("3 partial lists numbered with 2 keys")
+	}
+	if _, _, err := numberGroups(f, 3); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(f, vtime.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events != 8 {
+		t.Fatalf("events = %d, want 8", res.Events)
+	}
+}
+
+// TestReplayCountsEveryRank: Result.Events counts the events of every
+// rank, however many there are.
+func TestReplayCountsEveryRank(t *testing.T) {
+	const P = 4097
+	f := &trace.File{P: P, Nodes: []*trace.Node{trace.NewLeaf(mkEvent(mpi.OpBarrier, 1), tracegen.Span(0, P), 0)}}
+	res, err := Run(f, vtime.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events != P {
+		t.Fatalf("events = %d, want %d", res.Events, P)
 	}
 }
 
