@@ -61,9 +61,11 @@ test:
 # over a shrunken group. So do the survivors' marker barrier and the
 # auto-marked crash: each rank swaps its marker communicator's group to
 # the survivors at the crash marker while the others barrier on theirs.
-# So do the evaluated Alltoall's tests: members meet at a shared slot,
-# and the last to arrive writes every waiter's clock and wakes it, a
-# hand-off that can race the waiter's own park. So do the tree
+# So do the evaluated collectives' tests (Alltoall, Barrier and
+# Allreduce): members meet at a shared slot, and the last to arrive
+# writes every waiter's clock, hands it the reduced word and wakes it,
+# a hand-off that can race the waiter's own park, and recycles the slot
+# while the waiters wake. So do the tree
 # collectives' fuzz seeds, over the same shared groups and tags, and
 # the Group collectives' against the helpers they replaced. The oracle
 # repeats only its STENCIL and PHASE
@@ -73,7 +75,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestEvery|TestFake|TestLiveWatch|TestLiveMissedHeartbeat|TestLiveEviction|RateLimit|TestWatchLongPoll|TestShipper|TestScatterList(Model|EdgeIndependence|Partial|RecountsDisputed|LendsRecords)$$|TestDeparturesLeaveSharedTableAlone|TestPhaseLeadCrashFailover|TestStencilLeadPromotion|TestConcurrentCrashDuringClustering|TestJournalGoldenLeadFailover|TestAutoMarkerFiresCrashDirective|TestDistributedSelect(MatchesSequentialTree|ObjectsPerRank)?$$|TestStuckHandlerAnsweredAtDeadline|TestSlowBodyAnsweredAtDeadline|TestDroppedRelayClosesPeerBody|TestOverCapBodyClosesConnection|TestPutDroppedAtDeadlineKeepsItsBytes|TestForwardAnsweredBeforeBodyReadKeepsItsBytes' ./internal/clock/ ./internal/store/ ./internal/cq/ ./internal/obs/ ./internal/core/ ./internal/cluster/ .
-	$(GO) test -race -count=20 -run 'TestMarkerWordCostsNothing|TestSurvivorsMarkerIsAWorldMarker|FuzzAlltoallEvalMatchesEnacted|FuzzTreeCollectivesMatchReference|FuzzGroupMatchesReference|TestWildcardBesideEvaluatedAlltoall' ./internal/mpi/
+	$(GO) test -race -count=20 -run 'TestMarkerWordCostsNothing|TestSurvivorsMarkerIsAWorldMarker|FuzzAlltoallEvalMatchesEnacted|FuzzAllreduceEvalMatchesEnacted|FuzzTreeCollectivesMatchReference|FuzzGroupMatchesReference|TestWildcardBesideEvaluated(Alltoall|Barrier)' ./internal/mpi/
 	$(GO) test -race -count=20 -run 'TestVoteMatchesTwoCollectiveOracle/(STENCIL|PHASE)/' ./internal/core/
 
 # fuzz: a short fuzz smoke over every decoder that parses bytes from
@@ -119,6 +121,8 @@ test-race:
 # the decoders, the in-process Alltoall's evaluator is fuzzed against
 # the enacted message exchange (every rank's clock and ledger must
 # agree, over the world, member subsets and two groups sharing a tag),
+# and so are the Barrier's and Allreduce's (clocks, ledgers and the
+# returned words, five instances back to back),
 # and the tree collectives that walk TreePeer against the pre-change
 # ones kept in a test file (the same clocks, ledgers and values, over
 # the same cases with a drawn root), and the collectives of a Group
@@ -144,6 +148,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHistogramMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime=10s -fuzzminimizetime=2s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzAlltoallEvalMatchesEnacted -fuzztime=10s -fuzzminimizetime=2s ./internal/mpi/
+	$(GO) test -run '^$$' -fuzz FuzzAllreduceEvalMatchesEnacted -fuzztime=10s -fuzzminimizetime=2s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTreeCollectivesMatchReference -fuzztime=10s -fuzzminimizetime=2s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzGroupMatchesReference -fuzztime=10s -fuzzminimizetime=2s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime=5s -fuzzminimizetime=2s ./internal/fault/

@@ -272,18 +272,20 @@ func traceBinary(t testing.TB, out *chameleon.Output) []byte {
 	return buf.Bytes()
 }
 
-// TestCausalCaptureMatchesEvaluatedRun: in process, Alltoall is
-// evaluated, not enacted, unless causal capture is on, which needs
-// every hop's edge and so takes the message path. Each program here
-// runs collectives (MG, FT and PHASE over the world; the replay of a
+// TestCausalCaptureMatchesEvaluatedRun: in process, Alltoall, Barrier
+// and Allreduce are evaluated, not enacted, unless causal capture is
+// on, which needs every hop's edge and so takes the message path. Each
+// program here runs collectives (MG, FT, PHASE, STENCIL, BT and CG
+// over the world, CG two tied Allreduce sites a step; the replay of a
 // crashed PHASE run its Alltoall over the survivors' communicator, the
 // replay of a fault-free STENCIL run its Allreduce nodes over part of
-// the world) under every tracer, and the run with causal capture is
-// held to the run without it: makespan, Overhead, OverheadBy and the
-// merged binary trace.
+// the world) and, under the Chameleon tracers, the marker barrier,
+// under every tracer, and the run with causal capture is held to the
+// run without it: makespan, Overhead, OverheadBy and the merged binary
+// trace.
 func TestCausalCaptureMatchesEvaluatedRun(t *testing.T) {
 	var specs []chameleon.Spec
-	for _, name := range []string{"MG", "FT", "PHASE"} {
+	for _, name := range []string{"MG", "FT", "PHASE", "STENCIL", "BT", "CG"} {
 		for _, p := range []int{16, 37} {
 			specs = append(specs, benchSpec(t, name, "A", p))
 		}

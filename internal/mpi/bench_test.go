@@ -54,29 +54,36 @@ func BenchmarkAlltoall(b *testing.B) {
 }
 
 // BenchmarkTreeCollectives: P=64, one round of each binomial-tree
-// shape, priced per message it sends: barrier (rawBarrier, a reduce
-// and a 0-byte broadcast), allreduce (RawAllreduceU64, the same hops
-// with an 8-byte broadcast) and gather (treeGather to rank 0, each hop
+// shape, priced per message the round sends or would send: barrier (a
+// reduce and a 0-byte broadcast), allreduce (the same hops with an
+// 8-byte broadcast) and gather (treeGather to rank 0, each hop
 // carrying its subtree's contributions, then a 0-byte broadcast that
 // releases the round: without it the leaves, which only send, run
 // rounds ahead of the root and the benchmark prices their backlog).
+// barrier and allreduce run on both paths, as BenchmarkAlltoall does:
+// enacted sends the messages (the path of TCP fleets and causal runs),
+// evaluated sends none (the rendezvous, foldTree and the hand-off).
 func BenchmarkTreeCollectives(b *testing.B) {
 	const p = 64
+	allreduce := func(impl allreduceImpl, bcastBytes int) func(c *Comm) {
+		return func(c *Comm) { impl(c, collTag(c.id, c.nextSeq(), 0), 1, OpSum, bcastBytes) }
+	}
 	for _, shape := range []struct {
-		name     string
-		messages int
-		round    func(c *Comm)
+		name  string
+		round func(c *Comm)
 	}{
-		{"barrier", 2 * (p - 1), func(c *Comm) { c.rawBarrier(0) }},
-		{"allreduce", 2 * (p - 1), func(c *Comm) { c.RawAllreduceU64(1, OpSum) }},
-		{"gather", 2 * (p - 1), func(c *Comm) {
+		{"barrier/enacted", allreduce((*Comm).enactAllreduce, 0)},
+		{"barrier/evaluated", allreduce((*Comm).evalAllreduce, 0)},
+		{"allreduce/enacted", allreduce((*Comm).enactAllreduce, 8)},
+		{"allreduce/evaluated", allreduce((*Comm).evalAllreduce, 8)},
+		{"gather", func(c *Comm) {
 			seq := c.nextSeq()
 			c.treeGather(0, collTag(c.id, seq, 0), 64, nil)
 			c.treeBcast(0, collTag(c.id, seq, 1), message{})
 		}},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			benchMessages(b, p, shape.messages, func(p *Proc, rounds int) {
+			benchMessages(b, p, 2*(p-1), func(p *Proc, rounds int) {
 				for i := 0; i < rounds; i++ {
 					shape.round(p.World())
 				}

@@ -151,21 +151,41 @@ func (c *Comm) treeGather(root, tag, bytes int, obj any) []any {
 // of their sum. The broadcast leg is a 0-byte message whatever the sum
 // (the value rides in the scalar slot), so a word costs nothing on the
 // virtual clock; a barrier that carries nothing passes 0.
-func (c *Comm) rawBarrier(word uint64) uint64 {
-	seq := c.nextSeq()
-	sum := c.treeReduceU64(0, collTag(c.id, seq, 0), word, OpSum)
-	// A barrier leaves every rank at (at least) the time the last rank
-	// reached it plus the tree traversal costs already charged.
-	return c.treeBcast(0, collTag(c.id, seq, 1), message{u64: sum, scalar: true}).u64
-}
+func (c *Comm) rawBarrier(word uint64) uint64 { return c.allreduce(word, OpSum, 0) }
 
 // RawAllreduceU64 is Reduce followed by Bcast (the structure Algorithm 1
 // prescribes: "Sum all tempReduceVals using MPI_Reduce; MPI_Bcast ... by
 // rank root").
-func (c *Comm) RawAllreduceU64(v uint64, op ReduceOp) uint64 {
-	seq := c.nextSeq()
-	r := c.treeReduceU64(0, collTag(c.id, seq, 0), v, op)
-	return c.treeBcastU64(0, collTag(c.id, seq, 1), r)
+func (c *Comm) RawAllreduceU64(v uint64, op ReduceOp) uint64 { return c.allreduce(v, op, 8) }
+
+// allreduce is the uninterposed reduce of v with op to rank 0 over the
+// binomial tree, then the broadcast of the result, whose hops carry
+// bcastBytes. In process with causal capture off it is evaluated;
+// otherwise (a TCP fleet, or causal capture, which records every hop's
+// edge) it is enacted.
+func (c *Comm) allreduce(v uint64, op ReduceOp, bcastBytes int) uint64 {
+	tag := collTag(c.id, c.nextSeq(), 0)
+	if c.p.rt.evaluates {
+		return c.evalAllreduce(tag, v, op, bcastBytes)
+	}
+	return c.enactAllreduce(tag, v, op, bcastBytes)
+}
+
+// enactAllreduce runs the reduce and the broadcast as messages, on tag
+// and tag+1.
+func (c *Comm) enactAllreduce(tag int, v uint64, op ReduceOp, bcastBytes int) uint64 {
+	r := c.treeReduceU64(0, tag, v, op)
+	return c.treeBcast(0, tag+1, message{bytes: bcastBytes, u64: r, scalar: true}).u64
+}
+
+// evalAllreduce computes what enactAllreduce would leave on every
+// member's clock and return, and sends nothing (Comm.evaluate, with
+// foldTree as the fold).
+func (c *Comm) evalAllreduce(tag int, v uint64, op ReduceOp, bcastBytes int) uint64 {
+	m := c.p.rt.model
+	return c.evaluate(tag, v, func(clocks []vtime.Time, words []uint64) uint64 {
+		return foldTree(clocks, words, op, bcastBytes, m)
+	})
 }
 
 // --- public (traced) collectives -------------------------------------------
@@ -321,43 +341,58 @@ func (c *Comm) enactAlltoall(tag, bytes int) {
 }
 
 // evalAlltoall computes what enactAlltoall would leave on every
-// member's clock, and sends nothing. Each member writes its entry clock
-// into the instance's rendezvous slot; the last to arrive folds the
-// schedule over those clocks (foldPairwise), sets each waiter's clock
-// to its exit time and releases it, then takes its own.
+// member's clock, and sends nothing (Comm.evaluate, with foldPairwise
+// as the fold).
+func (c *Comm) evalAlltoall(tag, bytes int) {
+	m := c.p.rt.model
+	c.evaluate(tag, 0, func(clocks []vtime.Time, _ []uint64) uint64 {
+		foldPairwise(clocks, bytes, m)
+		return 0
+	})
+}
+
+// evaluate runs one evaluated collective instance on tag and returns
+// the word it leaves every member with. Each member writes its entry
+// clock and its word into the instance's rendezvous slot; the last to
+// arrive folds them (fold turns the entry clocks into exit clocks in
+// place and returns the word), sets each waiter's clock to its exit
+// time, hands it the word and releases it, then takes its own. The
+// last member recycles the slot as soon as it has released everyone,
+// so a waiter leaves with what was handed to it and never reads the
+// slot once it wakes.
 //
 // A waiter reads as blocked with nothing pending, which influenceBound
-// exempts. That is conservative for this collective: every member
-// receives from every other directly, so every exit clock is at least
-// every member's entry clock + PtoP(bytes) + alpha, and until the last
-// member arrives it is accounted for at a clock no later than its
-// entry. The last member therefore releases every waiter before it
-// moves its own clock, and bumps the change generation in between, so
-// no bound scan can read a waiter as exempt and the last member as
-// past its entry. A rooted tree collective has no such bound (a
-// broadcast leaf waits on its parent only), so Bcast and Reduce could
-// not be evaluated this way; Barrier and Allreduce, a reduce to the
-// root and then a broadcast, could, and still enact their messages.
-func (c *Comm) evalAlltoall(tag, bytes int) {
+// exempts. That is conservative for the collectives evaluated here:
+// in the exchange every member receives from every other directly,
+// and in a reduce to the root and a broadcast every exit clock lies
+// after the root has heard from every member, so every exit clock is
+// at least every member's entry clock + alpha. Until the last member
+// arrives it is accounted for at a clock no later than its entry. The
+// last member therefore releases every waiter before it moves its own
+// clock, and bumps the change generation in between, so no bound scan
+// can read a waiter as exempt and the last member as past its entry. A
+// rooted tree collective alone has no such bound (a broadcast leaf
+// waits on its parent only), so Bcast and Reduce stay enacted.
+func (c *Comm) evaluate(tag int, word uint64, fold func(clocks []vtime.Time, words []uint64) uint64) uint64 {
 	n := len(c.group)
 	if n == 1 {
-		return
+		return word
 	}
 	rt := c.p.rt
 	s := rt.rdv.join(c.id, tag, c.group[0], n)
 	s.clocks[c.self] = c.p.Clock.Now()
+	s.words[c.self] = word
 	if int(s.arrived.Add(1)) < n {
-		rt.mailboxes[c.p.rank].awaitRelease()
-		return
+		return rt.mailboxes[c.p.rank].awaitRelease()
 	}
 	// Out of the table before anyone leaves, so no later instance that
 	// shares the key can join this one.
 	rt.rdv.leave(s)
-	foldPairwise(s.clocks, bytes, rt.model)
+	word = fold(s.clocks, s.words)
 	for i, r := range c.group {
 		if i != c.self {
 			rt.procs[r].Clock.AdvanceTo(s.clocks[i])
-			rt.mailboxes[r].release()
+			rt.mailboxes[r].release(word)
 		}
 	}
 	if rt.anyWaiters.Load() > 0 {
@@ -365,6 +400,7 @@ func (c *Comm) evalAlltoall(tag, bytes int) {
 	}
 	c.p.Clock.AdvanceTo(s.clocks[c.self])
 	rt.rdv.recycle(s)
+	return word
 }
 
 // foldPairwise turns the entry clocks in c into the exit clocks of the
@@ -388,6 +424,42 @@ func foldPairwise(c []vtime.Time, bytes int, m vtime.CostModel) {
 	}
 }
 
+// foldTree turns the entry clocks in c into the exit clocks of
+// enactAllreduce and returns the reduced word: TreePeer walked upward,
+// each position folding op(own, child's) of the words in w as it hears
+// from each child, then downward, broadcasting the result. A hop is
+// what send and recv charge, with Clock.Advance's floor at zero: the
+// sender leaves at its clock + alpha, and the receiver at
+// max(own, sender's + PtoP(bytes)) + alpha + CollectivePerLevel. A
+// reduce hop carries 8 bytes, a broadcast hop bcastBytes. In round mask
+// only multiples of mask meet anyone, so the walk visits those alone.
+func foldTree(c []vtime.Time, w []uint64, op ReduceOp, bcastBytes int, m vtime.CostModel) uint64 {
+	n := len(c)
+	inject := vtime.Time(max(m.Alpha, 0))
+	heard := inject + vtime.Time(max(m.CollectivePerLevel, 0))
+	hop := func(from, to, bytes int) {
+		arrive := c[from] + vtime.Time(m.PtoP(bytes))
+		c[from] += inject
+		c[to] = vtime.Max(c[to], arrive) + heard
+	}
+	for mask := 1; mask < n; mask <<= 1 {
+		for pos := 0; pos < n; pos += mask {
+			if child := TreePeer(pos, mask, n); child > pos {
+				w[pos] = op(w[pos], w[child])
+				hop(child, pos, 8)
+			}
+		}
+	}
+	for mask := nextPow2(n) >> 1; mask > 0; mask >>= 1 {
+		for pos := 0; pos < n; pos += mask {
+			if child := TreePeer(pos, mask, n); child > pos {
+				hop(pos, child, bcastBytes)
+			}
+		}
+	}
+	return w[0]
+}
+
 // rendezvous is a run's table of live evaluated instances, with their
 // spent slots kept for reuse, so an instance allocates nothing once a
 // slot is spare. Every member takes its lock once to join and the last
@@ -406,8 +478,10 @@ type rendezvousSlot struct {
 	lead    int
 	arrived atomic.Int32
 	// clocks holds the members' entry clocks by position, then their
-	// exit clocks once the last member has folded them.
+	// exit clocks once the last member has folded them; words holds
+	// the words they entered with, the fold's scratch.
 	clocks []vtime.Time
+	words  []uint64
 }
 
 // join returns the live slot of instance (comm, tag, lead) over n
@@ -429,9 +503,9 @@ func (t *rendezvous) join(comm CommID, tag, lead, n int) *rendezvousSlot {
 	s.comm, s.tag, s.lead = comm, tag, lead
 	s.arrived.Store(0)
 	if cap(s.clocks) < n {
-		s.clocks = make([]vtime.Time, n)
+		s.clocks, s.words = make([]vtime.Time, n), make([]uint64, n)
 	}
-	s.clocks = s.clocks[:n]
+	s.clocks, s.words = s.clocks[:n], s.words[:n]
 	t.live = append(t.live, s)
 	return s
 }

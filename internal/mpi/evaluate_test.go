@@ -182,40 +182,149 @@ func TestEvaluatedAlltoallDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestWildcardBesideEvaluatedAlltoall is EMF's shape with an exchange
-// among the workers: rank 0 serves task requests with AnySource
-// receives while the workers, between tasks, run GroupAlltoall among
-// themselves. The master's wildcard matcher sees the workers that wait
-// at the rendezvous as exempt, and must still match every request in
-// the order and at the clocks the enacted exchange gives.
-func TestWildcardBesideEvaluatedAlltoall(t *testing.T) {
-	const p, tasks = 9, 12
-	workers := seqRanks(p)[1:]
-	body := func(exchange func(c *Comm, tag, bytes int)) func(*Proc) {
-		return func(pr *Proc) {
-			w := pr.World()
-			if pr.Rank() == 0 {
-				for i := 0; i < tasks*len(workers); i++ {
-					msg := w.Recv(AnySource, 1)
-					pr.Compute(vtime.Duration(3000 + 100*msg.Source))
-					w.Send(msg.Source, 2, 64, i)
-				}
-				return
-			}
-			comm, _ := groupComm(pr, workers)
-			for i := 0; i < tasks; i++ {
-				w.Send(0, 1, 32, nil)
-				task := w.Recv(0, 2).Payload.(int)
-				pr.Compute(vtime.Duration(1000 * (1 + (task*7+pr.Rank())%5)))
-				exchange(&comm, 800<<10|i<<2, 4096)
+// allreduceShapes are the collectives an instance of
+// FuzzAllreduceEvalMatchesEnacted runs back to back: a barrier (a sum
+// with a 0-byte broadcast) and an allreduce under each built-in
+// operator.
+var allreduceShapes = []struct {
+	op         ReduceOp
+	bcastBytes int
+}{{OpSum, 0}, {OpSum, 8}, {OpMax, 8}, {OpMin, 8}, {OpBor, 8}}
+
+// allreduceImpl is one path of the reduce-and-broadcast collectives:
+// the enactor or the evaluator.
+type allreduceImpl func(c *Comm, tag int, v uint64, op ReduceOp, bcastBytes int) uint64
+
+// FuzzAllreduceEvalMatchesEnacted: the evaluated Barrier and Allreduce
+// leave every rank with the clock, the ledger and the value the
+// enacted ones do, over drawA2A's cases (the world, a member subset,
+// or two disjoint groups that share each tag, each member entering at
+// a clock of its own) with random words. Every instance runs
+// allreduceShapes back to back, so the slot one collective recycles is
+// taken by the next while the first one's waiters are still waking.
+func FuzzAllreduceEvalMatchesEnacted(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		c := drawA2A(seed)
+		rng := rand.New(rand.NewSource(^seed))
+		words := make([][]uint64, len(c.compute)*len(allreduceShapes)) // [collective][world rank]
+		for i := range words {
+			words[i] = make([]uint64, c.p)
+			for r := range words[i] {
+				words[i][r] = rng.Uint64() >> rng.Intn(64)
 			}
 		}
+		run := func(impl allreduceImpl) (*Result, [][]uint64) {
+			got := make([][]uint64, c.p)
+			res := runWithin(t, Config{P: c.p}, func(p *Proc) {
+				comm, tag := p.World(), func(k int) int { return collTag(CommWorld, k, 0) }
+				if !c.worldComm {
+					comm, tag = nil, func(k int) int { return 700<<10 | k<<1 } // shared by the groups
+					for _, g := range c.groups {
+						if gc, ok := groupComm(p, g); ok {
+							comm = &gc
+						}
+					}
+				}
+				for i, comp := range c.compute {
+					p.Compute(comp[p.rank])
+					if comm == nil {
+						continue
+					}
+					for j, sh := range allreduceShapes {
+						k := i*len(allreduceShapes) + j
+						got[p.rank] = append(got[p.rank], impl(comm, tag(k), words[k][p.rank], sh.op, sh.bcastBytes))
+					}
+				}
+			})
+			return res, got
+		}
+		enacted, enactedGot := run((*Comm).enactAllreduce)
+		evaluated, evaluatedGot := run((*Comm).evalAllreduce)
+		if !reflect.DeepEqual(enacted.Clocks, evaluated.Clocks) {
+			t.Fatalf("groups %v: clocks\nenacted   %v\nevaluated %v", c.groups, enacted.Clocks, evaluated.Clocks)
+		}
+		if !reflect.DeepEqual(enacted.Ledgers, evaluated.Ledgers) {
+			t.Fatalf("groups %v: ledgers differ", c.groups)
+		}
+		if !reflect.DeepEqual(enactedGot, evaluatedGot) {
+			t.Fatalf("groups %v: values\nenacted   %v\nevaluated %v", c.groups, enactedGot, evaluatedGot)
+		}
+	})
+}
+
+// emfBeside is EMF's shape with a collective among the workers: rank 0
+// serves task requests with AnySource receives while the workers,
+// between tasks, run step among themselves (instance i, on their group
+// communicator). The master's wildcard matcher sees the workers that
+// wait at an evaluated collective's rendezvous as exempt, and must
+// still match every request in the order and at the clocks the
+// enacted collective gives. It returns the run and what step returned
+// on each worker.
+func emfBeside(t *testing.T, step func(c *Comm, i, task int) uint64) (*Result, [][]uint64) {
+	const p, tasks = 9, 12
+	workers := seqRanks(p)[1:]
+	got := make([][]uint64, p)
+	res := runWithin(t, Config{P: p}, func(pr *Proc) {
+		w := pr.World()
+		if pr.Rank() == 0 {
+			for i := 0; i < tasks*len(workers); i++ {
+				msg := w.Recv(AnySource, 1)
+				pr.Compute(vtime.Duration(3000 + 100*msg.Source))
+				w.Send(msg.Source, 2, 64, i)
+			}
+			return
+		}
+		comm, _ := groupComm(pr, workers)
+		for i := 0; i < tasks; i++ {
+			w.Send(0, 1, 32, nil)
+			task := w.Recv(0, 2).Payload.(int)
+			pr.Compute(vtime.Duration(1000 * (1 + (task*7+pr.Rank())%5)))
+			got[pr.Rank()] = append(got[pr.Rank()], step(&comm, i, task))
+		}
+	})
+	return res, got
+}
+
+// TestWildcardBesideEvaluatedAlltoall: emfBeside with a GroupAlltoall
+// among the workers.
+func TestWildcardBesideEvaluatedAlltoall(t *testing.T) {
+	alltoall := func(exchange func(c *Comm, tag, bytes int)) func(c *Comm, i, _ int) uint64 {
+		return func(c *Comm, i, _ int) uint64 {
+			exchange(c, 800<<10|i<<2, 4096)
+			return 0
+		}
 	}
-	enacted := runWithin(t, Config{P: p}, body((*Comm).enactAlltoall))
+	enacted, _ := emfBeside(t, alltoall((*Comm).enactAlltoall))
 	for rep := 0; rep < 5; rep++ {
-		evaluated := runWithin(t, Config{P: p}, body((*Comm).evalAlltoall))
+		evaluated, _ := emfBeside(t, alltoall((*Comm).evalAlltoall))
 		if !reflect.DeepEqual(enacted.Clocks, evaluated.Clocks) {
 			t.Fatalf("run %d: clocks\nenacted   %v\nevaluated %v", rep, enacted.Clocks, evaluated.Clocks)
+		}
+	}
+}
+
+// TestWildcardBesideEvaluatedBarrier: emfBeside with a barrier over
+// the task numbers, some compute, then an allreduce of them among the
+// workers.
+func TestWildcardBesideEvaluatedBarrier(t *testing.T) {
+	collectives := func(impl allreduceImpl) func(c *Comm, i, task int) uint64 {
+		return func(c *Comm, i, task int) uint64 {
+			sum := impl(c, 800<<10|i<<2, uint64(task), OpSum, 0)
+			c.p.Compute(vtime.Duration(500 * (c.self + 1)))
+			return sum<<32 | impl(c, 800<<10|i<<2|2, uint64(task), OpMax, 8)
+		}
+	}
+	enacted, enactedGot := emfBeside(t, collectives((*Comm).enactAllreduce))
+	for rep := 0; rep < 5; rep++ {
+		evaluated, evaluatedGot := emfBeside(t, collectives((*Comm).evalAllreduce))
+		if !reflect.DeepEqual(enacted.Clocks, evaluated.Clocks) {
+			t.Fatalf("run %d: clocks\nenacted   %v\nevaluated %v", rep, enacted.Clocks, evaluated.Clocks)
+		}
+		if !reflect.DeepEqual(enactedGot, evaluatedGot) {
+			t.Fatalf("run %d: values\nenacted   %v\nevaluated %v", rep, enactedGot, evaluatedGot)
 		}
 	}
 }

@@ -78,9 +78,10 @@ type mailbox struct {
 	// leaves the message in slot and wakes the rank; no other does. A
 	// rank blocked in takeAny is never parked: a wildcard match is the
 	// matcher's to prove safe, not a depositor's to pick. A rank waiting
-	// at an evaluated collective's rendezvous sleeps parked on noMatch,
-	// and only release wakes it; released is release's note to a rank
-	// that had not parked yet.
+	// at an evaluated collective's rendezvous (Alltoall, Barrier,
+	// Allreduce) sleeps parked on noMatch, and only release wakes it,
+	// with the word it leaves with in slot; released is release's note
+	// to a rank that had not parked yet.
 	parked   bool
 	released bool
 	slot     message
@@ -194,27 +195,31 @@ func (m *mailbox) sleep() {
 
 // awaitRelease waits at an evaluated collective's rendezvous until the
 // member that arrives last has set this rank's clock to its exit time
-// and calls release. Meanwhile the rank reads as blocked on noMatch
-// with nothing pending, which influenceBound exempts (Comm.evalAlltoall
-// says why that is conservative).
-func (m *mailbox) awaitRelease() {
+// and calls release, and returns the word release handed over.
+// Meanwhile the rank reads as blocked on noMatch with nothing pending,
+// which influenceBound exempts (Comm.evaluate says why that is
+// conservative).
+func (m *mailbox) awaitRelease() uint64 {
 	m.mu.Lock()
-	if m.released {
-		m.released = false
-		m.mu.Unlock()
-		return
+	if !m.released {
+		m.state, m.want, m.parked = stateBlocked, noMatch, true
+		m.sleep()
 	}
-	m.state, m.want, m.parked = stateBlocked, noMatch, true
-	m.sleep()
+	m.released = false
+	word := m.slot.u64
 	m.mu.Unlock()
+	return word
 }
 
-// release ends the rank's wait at a rendezvous. A parked rank turns
-// active in the critical section that wakes it, as deposit turns a
-// receiver active; one that has not parked yet finds released set and
-// never does.
-func (m *mailbox) release() {
+// release ends the rank's wait at a rendezvous and hands it word in
+// the slot's scalar, as deposit hands a message over: the instance's
+// rendezvous slot is recycled once every waiter is released, so the
+// waiter must not read it. A parked rank turns active in the critical
+// section that wakes it, as deposit turns a receiver active; one that
+// has not parked yet finds released set and never does.
+func (m *mailbox) release(word uint64) {
 	m.mu.Lock()
+	m.slot.u64 = word
 	if m.parked {
 		m.parked, m.state = false, stateActive
 		m.mu.Unlock()

@@ -151,9 +151,10 @@ type Runtime struct {
 	progress *obs.Progress
 	// fault is the run's fault injector (nil = zero-fault mode).
 	fault *fault.Injector
-	// evaluates is set when Alltoall is evaluated, not enacted
-	// (Comm.alltoall): every rank is hosted here and causal capture is
-	// off. rdv is the table its instances meet in.
+	// evaluates is set when Alltoall, Barrier and Allreduce are
+	// evaluated, not enacted (Comm.alltoall, Comm.allreduce): every
+	// rank is hosted here and causal capture is off. rdv is the table
+	// their instances meet in.
 	evaluates bool
 	rdv       rendezvous
 }
@@ -316,9 +317,10 @@ func (rt *Runtime) lbtsSafe(self int, t vtime.Time) bool {
 // mid-run: a pending internal message can be the first link of a chain
 // that returns them to application code); a blocked rank with no
 // matching message pending waits on a future deposit from a rank
-// already accounted for, or, at an evaluated Alltoall's rendezvous, on
-// a member still to arrive, which is accounted for at no later than
-// its entry clock and bounds every exit clock (Comm.evalAlltoall).
+// already accounted for, or, at an evaluated collective's rendezvous
+// (Alltoall, Barrier, Allreduce), on a member still to arrive, which
+// is accounted for at no later than its entry clock and bounds every
+// exit clock (Comm.evaluate).
 // Finalizing and done ranks can never send application messages again
 // and are exempt. This is the lower-bound-time-stamp rule of
 // conservative parallel discrete-event simulation, specialized to the

@@ -242,12 +242,13 @@ func TestAllreduceOps(t *testing.T) {
 
 // TestAllreduceU64DoesNotBox: every reduce and broadcast hop of a u64
 // collective carries its operand in the message's scalar slot, so a
-// P=64 allreduce allocates nothing anywhere in the world — raw (the
-// marker vote's), public (the application's) or on a Group (replay's
-// collectives over part of the world). The operands are above 255 because Go boxes
-// smaller integers without allocating. Boxed, a round costs 127
-// objects: one per reduce hop, and one per rank for the broadcast's
-// operand.
+// P=64 allreduce allocates nothing anywhere in the world — enacted (the
+// message path of TCP fleets and causal runs), or evaluated and raw
+// (the marker vote's), public (the application's) or on a Group
+// (replay's collectives over part of the world). The operands are
+// above 255 because Go boxes smaller integers without allocating.
+// Boxed, an enacted round costs 127 objects: one per reduce hop, and
+// one per rank for the broadcast's operand.
 func TestAllreduceU64DoesNotBox(t *testing.T) {
 	const p, runs = 64, 50
 	members := make([]int, p)
@@ -259,6 +260,10 @@ func TestAllreduceU64DoesNotBox(t *testing.T) {
 		name      string
 		allreduce func(pr *Proc, v uint64) uint64
 	}{
+		{"enacted", func(pr *Proc, v uint64) uint64 {
+			w := pr.World()
+			return w.enactAllreduce(collTag(w.id, w.nextSeq(), 0), v, OpSum, 8)
+		}},
 		{"RawAllreduceU64", func(pr *Proc, v uint64) uint64 { return pr.MarkerComm().RawAllreduceU64(v, OpSum) }},
 		{"Allreduce", func(pr *Proc, v uint64) uint64 { return pr.World().Allreduce(8, v, OpSum) }},
 		{"Group", func(pr *Proc, v uint64) uint64 { return groups[pr.Rank()].Allreduce(8, v, OpSum) }},

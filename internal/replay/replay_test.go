@@ -2,7 +2,9 @@ package replay
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"chameleon/internal/mpi"
 	"chameleon/internal/ranklist"
@@ -11,6 +13,48 @@ import (
 	"chameleon/internal/tracegen"
 	"chameleon/internal/vtime"
 )
+
+// runDeadline bounds a replay's wall time. It is a deadline, not a
+// deadlock detector: a replay that has not finished by then fails the
+// test with every goroutine's stack, so a replay that deadlocks (two
+// ranks at different collectives) reads as a failure naming the waits
+// instead of go test's ten-minute timeout.
+const runDeadline = 20 * time.Second
+
+// runWithin replays f under RunWith and fails the test with every
+// goroutine's stack if the replay has not returned within runDeadline.
+// The stuck replay's goroutines are left behind; the test binary is
+// failing anyway.
+func runWithin(t testing.TB, f *trace.File, opts Options) (*Result, error) {
+	t.Helper()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := RunWith(f, opts)
+		done <- outcome{res, err}
+	}()
+	timer := time.NewTimer(runDeadline)
+	defer timer.Stop()
+	select {
+	case o := <-done:
+		return o.res, o.err
+	case <-timer.C:
+		buf := make([]byte, 1<<20)
+		for {
+			n := runtime.Stack(buf, true)
+			if n < len(buf) {
+				buf = buf[:n]
+				break
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+		t.Fatalf("replay did not finish within %v; goroutines:\n%s", runDeadline, buf)
+		return nil, nil
+	}
+}
 
 func mkEvent(op mpi.OpCode, site int) trace.Event {
 	return trace.Event{
@@ -23,7 +67,7 @@ func mkEvent(op mpi.OpCode, site int) trace.Event {
 }
 
 func TestReplayEmptyTrace(t *testing.T) {
-	if _, err := Run(&trace.File{P: 2}, vtime.Default()); err == nil {
+	if _, err := runWithin(t, &trace.File{P: 2}, Options{}); err == nil {
 		t.Fatalf("empty trace accepted")
 	}
 }
@@ -41,7 +85,7 @@ func TestReplayRingExchange(t *testing.T) {
 			trace.NewLoop(10, []*trace.Node{trace.NewLeaf(ev, tracegen.Span(0, P), int64(vtime.Millisecond))}),
 		},
 	}
-	res, err := Run(f, vtime.Default())
+	res, err := runWithin(t, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +113,7 @@ func TestReplayRanksFiltered(t *testing.T) {
 			trace.NewLeaf(recv01, ranklist.FromRanks([]int{1, 3}), 0),
 		},
 	}
-	res, err := Run(f, vtime.Default())
+	res, err := runWithin(t, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +142,7 @@ func TestReplayCollectives(t *testing.T) {
 		nodes = append(nodes, trace.NewLeaf(ev, ranks, 1000))
 	}
 	f := &trace.File{P: P, Nodes: nodes}
-	res, err := Run(f, vtime.Default())
+	res, err := runWithin(t, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +177,7 @@ func TestReplayPartialCollectives(t *testing.T) {
 	if want := [][]int{{1, 2, 3}, {0, 4}}; !reflect.DeepEqual(members, want) {
 		t.Fatalf("numbered lists %v, want %v", members, want)
 	}
-	res, err := Run(f, vtime.Default())
+	res, err := runWithin(t, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +202,7 @@ func TestReplayRefusesTooManyGroups(t *testing.T) {
 	if _, _, err := numberGroups(f, 3); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(f, vtime.Default())
+	res, err := runWithin(t, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +216,7 @@ func TestReplayRefusesTooManyGroups(t *testing.T) {
 func TestReplayCountsEveryRank(t *testing.T) {
 	const P = 4097
 	f := &trace.File{P: P, Nodes: []*trace.Node{trace.NewLeaf(mkEvent(mpi.OpBarrier, 1), tracegen.Span(0, P), 0)}}
-	res, err := Run(f, vtime.Default())
+	res, err := runWithin(t, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +257,7 @@ func TestReplayMasterWorker(t *testing.T) {
 			}),
 		},
 	}
-	res, err := Run(f, vtime.Default())
+	res, err := runWithin(t, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +274,7 @@ func TestReplayModuloResolution(t *testing.T) {
 	ev.Dest = trace.Relative(-1)
 	ev.Src = trace.Relative(1)
 	f := &trace.File{P: P, Nodes: []*trace.Node{trace.NewLeaf(ev, tracegen.Span(0, P), 0)}}
-	res, err := Run(f, vtime.Default())
+	res, err := runWithin(t, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +297,7 @@ func TestReplayIrecvWait(t *testing.T) {
 		trace.NewLeaf(irecv, ranklist.SingleRank(1), 0),
 		trace.NewLeaf(wait, ranklist.SingleRank(1), 0),
 	}}
-	res, err := Run(f, vtime.Default())
+	res, err := runWithin(t, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +314,7 @@ func TestReplayUsesItersMean(t *testing.T) {
 	other := trace.NewLoop(20, []*trace.Node{trace.NewLeaf(ev, tracegen.Span(0, P), 0)})
 	trace.MergeInto(loop, other, true) // iters histogram {10,20} -> mean 15
 	f := &trace.File{P: P, Filter: true, Nodes: []*trace.Node{loop}}
-	res, err := Run(f, vtime.Default())
+	res, err := runWithin(t, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,12 +346,12 @@ func TestReplayDeterministic(t *testing.T) {
 	f := &trace.File{P: P, Nodes: []*trace.Node{
 		trace.NewLoop(20, []*trace.Node{trace.NewLeaf(ev, tracegen.Span(0, P), 5000)}),
 	}}
-	first, err := Run(f, vtime.Default())
+	first, err := runWithin(t, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := Run(f, vtime.Default())
+		again, err := runWithin(t, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +373,7 @@ func TestReplayDeltaModes(t *testing.T) {
 
 	times := map[DeltaMode]vtime.Duration{}
 	for _, mode := range []DeltaMode{DeltaMin, DeltaMean, DeltaMax, DeltaSampled} {
-		res, err := RunWith(f, Options{Delta: mode})
+		res, err := runWithin(t, f, Options{Delta: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +386,7 @@ func TestReplayDeltaModes(t *testing.T) {
 		t.Fatalf("sampled time out of bounds: %v", times)
 	}
 	// Sampled replay is deterministic too.
-	again, err := RunWith(f, Options{Delta: DeltaSampled})
+	again, err := runWithin(t, f, Options{Delta: DeltaSampled})
 	if err != nil {
 		t.Fatal(err)
 	}
